@@ -163,8 +163,9 @@ pub trait AmcastEngine: StateMachine {
     // checkpoint is durable it calls `trim(watermark)` so the engine
     // can discard protocol state below it; after a crash it rebuilds
     // the engine, calls `install_checkpoint(watermark, state)` with the
-    // restored blob, and `resume(now)` on the first `Event::Start` to
-    // re-fetch everything the checkpoint does not cover.
+    // restored blob (its own, then possibly a fresher peer's), and
+    // finally `resume(now)` to re-fetch everything the checkpoint does
+    // not cover.
 
     /// The engine's current delivery watermark: the stable prefix of
     /// its per-group delivery streams (see [`Watermark`]).
@@ -207,8 +208,8 @@ pub trait AmcastEngine: StateMachine {
         Vec::new()
     }
 
-    /// Called once on the first `Event::Start` after a crash-restart,
-    /// after [`install_checkpoint`](Self::install_checkpoint): returns
+    /// Called once after a crash-restart, after the last
+    /// [`install_checkpoint`](Self::install_checkpoint): returns
     /// the actions that re-fetch the deliveries between the restored
     /// watermark and the live streams (ring engine: instance backfill
     /// from the acceptors; white-box engine: a `Resync` request to each
@@ -220,9 +221,8 @@ pub trait AmcastEngine: StateMachine {
 }
 
 /// Instances per ring requested in one backfill batch when a ring-engine
-/// replica resumes from a checkpoint (matches the full `Replica`'s
-/// recovery chunking).
-const RING_BACKFILL_CHUNK: u64 = 10_000;
+/// replica resumes from a checkpoint.
+const BACKFILL_CHUNK: u64 = 10_000;
 
 impl AmcastEngine for Node {
     fn multicast(
@@ -302,9 +302,18 @@ impl AmcastEngine for Node {
     /// Flags a locally submitted value that the merge has not delivered
     /// back after [`STALL_DELTAS`]·Δ — undecided proposals and wedged
     /// merges both surface here (code `"stalled_round"`, detail: µs
-    /// outstanding).
+    /// outstanding) — and a learner stuck behind trimmed acceptor logs,
+    /// which only a checkpoint can move again (code
+    /// `"needs_checkpoint"`, detail: the trimmed instance).
     fn health(&self, now: Time) -> HealthReport {
         let mut report = HealthReport::healthy(now);
+        if let Some((group, trimmed)) = self.needs_checkpoint() {
+            report.issues.push(HealthIssue {
+                code: "needs_checkpoint",
+                group: Some(group),
+                detail: trimmed.value(),
+            });
+        }
         let threshold = STALL_DELTAS * self.max_delta_us().max(1);
         if let Some(oldest) = self.oldest_pending_submission() {
             let waited = now.since(oldest);
@@ -352,7 +361,7 @@ impl AmcastEngine for Node {
     /// Backfills the instances between the installed watermark and the
     /// live rings from the acceptors.
     fn resume(&mut self, now: Time) -> Vec<Action> {
-        self.request_backfill(now, RING_BACKFILL_CHUNK)
+        self.request_backfill(now, BACKFILL_CHUNK)
     }
 }
 
@@ -502,120 +511,18 @@ impl EngineInner {
             EngineInner::Wbcast(_) => EngineKind::Wbcast,
         }
     }
-}
 
-impl StateMachine for EngineInner {
-    fn on_event(&mut self, now: Time, event: Event) -> Vec<Action> {
+    fn get(&self) -> &dyn AmcastEngine {
         match self {
-            EngineInner::MultiRing(n) => n.on_event(now, event),
-            EngineInner::Wbcast(n) => n.on_event(now, event),
+            EngineInner::MultiRing(n) => n,
+            EngineInner::Wbcast(n) => n,
         }
     }
 
-    fn process_id(&self) -> ProcessId {
+    fn get_mut(&mut self) -> &mut dyn AmcastEngine {
         match self {
-            EngineInner::MultiRing(n) => n.process_id(),
-            EngineInner::Wbcast(n) => n.process_id(),
-        }
-    }
-}
-
-impl AmcastEngine for EngineInner {
-    fn multicast(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::multicast(n, now, groups, payload),
-            EngineInner::Wbcast(n) => AmcastEngine::multicast(n, now, groups, payload),
-        }
-    }
-
-    fn multicast_batch(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payloads: Vec<Bytes>,
-    ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::multicast_batch(n, now, groups, payloads),
-            EngineInner::Wbcast(n) => AmcastEngine::multicast_batch(n, now, groups, payloads),
-        }
-    }
-
-    fn engine_name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    fn backlog(&self) -> usize {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::backlog(n),
-            EngineInner::Wbcast(n) => AmcastEngine::backlog(n),
-        }
-    }
-
-    fn state_digest(&self) -> u64 {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::state_digest(n),
-            EngineInner::Wbcast(n) => AmcastEngine::state_digest(n),
-        }
-    }
-
-    fn telemetry(&self) -> TelemetrySnapshot {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::telemetry(n),
-            EngineInner::Wbcast(n) => AmcastEngine::telemetry(n),
-        }
-    }
-
-    fn health(&self, now: Time) -> HealthReport {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::health(n, now),
-            EngineInner::Wbcast(n) => AmcastEngine::health(n, now),
-        }
-    }
-
-    fn recovery_counters(&self) -> RecoveryCounters {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::recovery_counters(n),
-            EngineInner::Wbcast(n) => AmcastEngine::recovery_counters(n),
-        }
-    }
-
-    fn watermark(&self) -> Watermark {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::watermark(n),
-            EngineInner::Wbcast(n) => AmcastEngine::watermark(n),
-        }
-    }
-
-    fn checkpoint_state(&self) -> Bytes {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::checkpoint_state(n),
-            EngineInner::Wbcast(n) => AmcastEngine::checkpoint_state(n),
-        }
-    }
-
-    fn install_checkpoint(&mut self, watermark: &Watermark, state: &Bytes) {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::install_checkpoint(n, watermark, state),
-            EngineInner::Wbcast(n) => AmcastEngine::install_checkpoint(n, watermark, state),
-        }
-    }
-
-    fn trim(&mut self, now: Time, watermark: &Watermark) -> Vec<Action> {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::trim(n, now, watermark),
-            EngineInner::Wbcast(n) => AmcastEngine::trim(n, now, watermark),
-        }
-    }
-
-    fn resume(&mut self, now: Time) -> Vec<Action> {
-        match self {
-            EngineInner::MultiRing(n) => AmcastEngine::resume(n, now),
-            EngineInner::Wbcast(n) => AmcastEngine::resume(n, now),
+            EngineInner::MultiRing(n) => n,
+            EngineInner::Wbcast(n) => n,
         }
     }
 }
@@ -729,7 +636,7 @@ impl AnyEngine {
         self.batch_flushes += 1;
         self.batch_submitted += payloads.len() as u64;
         self.batch_occupancy.record(payloads.len() as u64);
-        if let Ok((_, actions)) = self.inner.multicast_batch(now, groups, payloads) {
+        if let Ok((_, actions)) = self.inner.get_mut().multicast_batch(now, groups, payloads) {
             out.extend(actions);
         }
     }
@@ -788,7 +695,7 @@ impl AnyEngine {
 impl StateMachine for AnyEngine {
     fn on_event(&mut self, now: Time, event: Event) -> Vec<Action> {
         if !self.batcher.enabled() {
-            return self.inner.on_event(now, event);
+            return self.inner.get_mut().on_event(now, event);
         }
         let mut out = Vec::new();
         match event {
@@ -821,14 +728,14 @@ impl StateMachine for AnyEngine {
                     self.submit_batch(now, &groups, payloads, &mut out);
                 }
             }
-            other => out = self.inner.on_event(now, other),
+            other => out = self.inner.get_mut().on_event(now, other),
         }
         self.coalesce_outgoing(&mut out);
         out
     }
 
     fn process_id(&self) -> ProcessId {
-        self.inner.process_id()
+        self.inner.get().process_id()
     }
 }
 
@@ -841,7 +748,7 @@ impl AmcastEngine for AnyEngine {
     ) -> Result<(ValueId, Vec<Action>), MulticastError> {
         // Direct submissions need their ValueId synchronously, so they
         // bypass the queue; outgoing coalescing still applies.
-        let (id, mut actions) = self.inner.multicast(now, groups, payload)?;
+        let (id, mut actions) = self.inner.get_mut().multicast(now, groups, payload)?;
         if self.batcher.enabled() {
             self.coalesce_outgoing(&mut actions);
         }
@@ -854,7 +761,10 @@ impl AmcastEngine for AnyEngine {
         groups: &[GroupId],
         payloads: Vec<Bytes>,
     ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
-        let (ids, mut actions) = self.inner.multicast_batch(now, groups, payloads)?;
+        let (ids, mut actions) = self
+            .inner
+            .get_mut()
+            .multicast_batch(now, groups, payloads)?;
         if self.batcher.enabled() {
             self.coalesce_outgoing(&mut actions);
         }
@@ -862,11 +772,11 @@ impl AmcastEngine for AnyEngine {
     }
 
     fn engine_name(&self) -> &'static str {
-        self.inner.engine_name()
+        self.inner.get().engine_name()
     }
 
     fn backlog(&self) -> usize {
-        self.inner.backlog() + self.batcher.pending()
+        self.inner.get().backlog() + self.batcher.pending()
     }
 
     /// The inner engine's snapshot, plus the wrapper's batching
@@ -880,13 +790,13 @@ impl AmcastEngine for AnyEngine {
     fn state_digest(&self) -> u64 {
         use multiring_paxos::digest::Fnv1a;
         let mut h = Fnv1a::new();
-        h.write_u64(self.inner.state_digest());
+        h.write_u64(self.inner.get().state_digest());
         self.batcher.digest_into(&mut h);
         h.finish()
     }
 
     fn telemetry(&self) -> TelemetrySnapshot {
-        let mut snap = self.inner.telemetry();
+        let mut snap = self.inner.get().telemetry();
         if self.batcher.enabled() || self.batch_flushes > 0 || self.frames_coalesced > 0 {
             snap.counters
                 .insert("batch.flushes".into(), self.batch_flushes);
@@ -903,31 +813,31 @@ impl AmcastEngine for AnyEngine {
     }
 
     fn health(&self, now: Time) -> HealthReport {
-        self.inner.health(now)
+        self.inner.get().health(now)
     }
 
     fn recovery_counters(&self) -> RecoveryCounters {
-        self.inner.recovery_counters()
+        self.inner.get().recovery_counters()
     }
 
     fn watermark(&self) -> Watermark {
-        self.inner.watermark()
+        self.inner.get().watermark()
     }
 
     fn checkpoint_state(&self) -> Bytes {
-        self.inner.checkpoint_state()
+        self.inner.get().checkpoint_state()
     }
 
     fn install_checkpoint(&mut self, watermark: &Watermark, state: &Bytes) {
-        self.inner.install_checkpoint(watermark, state);
+        self.inner.get_mut().install_checkpoint(watermark, state);
     }
 
     fn trim(&mut self, now: Time, watermark: &Watermark) -> Vec<Action> {
-        self.inner.trim(now, watermark)
+        self.inner.get_mut().trim(now, watermark)
     }
 
     fn resume(&mut self, now: Time) -> Vec<Action> {
-        self.inner.resume(now)
+        self.inner.get_mut().resume(now)
     }
 }
 
@@ -1001,6 +911,42 @@ mod tests {
             assert_eq!(engine.engine_name(), kind.name());
             assert_eq!(engine.process_id(), ProcessId::new(0));
         }
+    }
+
+    /// A ring learner told that the instances it needs were trimmed is
+    /// wedged until a checkpoint covers them: the health probe names
+    /// the group and the trimmed instance, and clears once one does.
+    #[test]
+    fn trimmed_learner_reports_needs_checkpoint_until_one_is_installed() {
+        use multiring_paxos::types::InstanceId;
+        let mut node = Node::new(ProcessId::new(1), single_ring(3, RingTuning::default()));
+        assert!(node.health(Time::ZERO).is_healthy());
+        node.on_event(
+            Time::ZERO,
+            Event::Message {
+                from: ProcessId::new(0),
+                msg: Message::RetransmitReply {
+                    ring: RingId::new(0),
+                    decided: Vec::new(),
+                    trimmed: InstanceId::new(6),
+                },
+            },
+        );
+        assert_eq!(
+            node.health(Time::ZERO).issues,
+            vec![HealthIssue {
+                code: "needs_checkpoint",
+                group: Some(GroupId::new(0)),
+                detail: 6,
+            }]
+        );
+        let covering = Watermark {
+            marks: vec![(GroupId::new(0), InstanceId::new(6))],
+            cursor_group: 0,
+            cursor_used: 0,
+        };
+        node.install_checkpoint(&covering, &Bytes::new());
+        assert!(node.health(Time::ZERO).is_healthy());
     }
 
     /// The frame coalescer: a destination receiving several engine

@@ -88,10 +88,12 @@
 //!   terminates so the recovered sequence is byte-identical to the
 //!   survivors').
 //!
-//! [`EngineReplica`] drives the whole cycle for any engine; the
-//! recovery test `replica_crash_and_restart_recovers_from_checkpoint`
-//! in `tests/ordering_invariants.rs` exercises it for every
-//! [`EngineKind`].
+//! [`EngineReplica`] drives the whole cycle for any engine, including
+//! the choice of *which* checkpoint to install after a crash — its own
+//! or a fresher one fetched from a partition peer (see the [`replica`]
+//! module docs). `replica_crash_and_restart_recovers_from_checkpoint`
+//! in `tests/ordering_invariants.rs` and `tests/recovery_e2e.rs`
+//! exercise it for every [`EngineKind`].
 //!
 //! ## Adding a third engine
 //!

@@ -1,9 +1,11 @@
-//! Engine-generic state-machine replication: couples any
-//! [`AmcastEngine`] with an [`Application`], executing deliveries,
-//! routing replies to client sessions, taking periodic checkpoints
-//! through the engine's watermark surface, trimming engine state once a
-//! checkpoint is durable, and rejoining the streams from the latest
-//! local checkpoint after a crash.
+//! State-machine replication over any [`AmcastEngine`]: couples the
+//! engine with an [`Application`], executing deliveries, routing replies
+//! to client sessions, taking periodic checkpoints through the engine's
+//! watermark surface, trimming engine state once a checkpoint is
+//! durable, serving its checkpoints to partition peers, and after a
+//! crash recovering from the freshest checkpoint a quorum of those peers
+//! holds (Section 5 of the paper). This is the only replica in the
+//! workspace; it never looks at which engine it hosts.
 //!
 //! ## Checkpoint lifecycle
 //!
@@ -14,28 +16,56 @@
 //!    the snapshot and persists all of it as one
 //!    [`PersistRecord::Checkpoint`].
 //! 2. When the write completes durably ([`Event::PersistDone`]) the
-//!    checkpoint becomes *stable*: trim queries are answered from it,
-//!    and the engine gets to [`trim`](AmcastEngine::trim) protocol state
-//!    below the watermark (the white-box engine prunes dedup records and
-//!    reports the marks to its sequencers; the ring engine's acceptor
-//!    logs are trimmed by the coordinated quorum protocol fed by the
-//!    `TrimQuery` answers below).
-//! 3. After a crash, the runtime rebuilds the replica with
-//!    [`EngineReplica::recovering`], handing it the engine's per-ring
-//!    stable state (acceptor logs, ring engine only) and the latest
-//!    local checkpoint. The application restores the snapshot, the
-//!    engine [`install`](AmcastEngine::install_checkpoint)s the
-//!    watermark, and the first [`Event::Start`] issues the engine's
-//!    [`resume`](AmcastEngine::resume) actions to re-fetch everything
-//!    between the watermark and the live streams.
+//!    checkpoint becomes *stable*: `TrimQuery` (the coordinated trim of
+//!    the ring engine's acceptor logs, Predicate 2) and
+//!    `CheckpointQuery`/`CheckpointFetch` (recovering peers) are answered
+//!    from it, and the engine gets to [`trim`](AmcastEngine::trim)
+//!    protocol state below the watermark (the white-box engine prunes
+//!    dedup records and reports the marks to its sequencers).
 //!
-//! Compared with the ring-specific
-//! [`multiring_paxos::replica::Replica`], this replica recovers from its
-//! *local* checkpoint only — fetching a fresher checkpoint from a
-//! partition peer (Section 5.2's `Q_R` query) remains `Replica`-only.
-//! It does serve `TrimQuery` (so acceptor-log trimming works with any
-//! hosted engine) and `CheckpointQuery`/`CheckpointFetch` (so recovering
-//! full `Replica` peers can fetch its checkpoints).
+//! ## Recovery
+//!
+//! After a crash the runtime rebuilds the replica with
+//! [`EngineReplica::recovering`], handing it the engine's per-ring
+//! stable state and the latest *local* checkpoint, which is installed at
+//! once (application [`restore`](Application::restore), engine
+//! [`install_checkpoint`](AmcastEngine::install_checkpoint)). The first
+//! [`Event::Start`] then runs the `Q_R` protocol of Section 5.2 before
+//! the engine rejoins its streams:
+//!
+//! ```text
+//!            Start                 Q_R answered, a peer is ahead
+//! recovering ─────► Querying ───────────────────────────────────► Fetching
+//!                      │  ▲  CheckpointData{snapshot: None}          │
+//!                      │  └──────────────────────────────────────────┤
+//!                      │ Q_R answered, local is fresh enough          │ CheckpointData
+//!                      ▼ (or the partition has no other member)       ▼ install the blob
+//!                   resume() ◄────────────────────────────────────────┘
+//! ```
+//!
+//! * **Querying** — `CheckpointQuery` to every partition peer (the
+//!   processes with the same subscription set); each answers with the
+//!   watermark of its stable checkpoint. Once a majority of the
+//!   partition (this replica included) has answered, the
+//!   [`RecoveryManager`] picks the most advanced one (Predicate 3) unless
+//!   the local checkpoint is within 1000 watermark units of it.
+//! * **Fetching** — `CheckpointFetch` to the owner; the reply carries the
+//!   whole packed blob (engine state + application snapshot), installed
+//!   exactly like a local one and adopted as this replica's stable
+//!   checkpoint. A peer that has moved on answers `snapshot: None` and
+//!   the query round restarts.
+//! * A `RecoveryRetry` timer re-sends the outstanding step every
+//!   500 ms (peers may be down, messages lost).
+//! * Only then does the engine's [`resume`](AmcastEngine::resume) run,
+//!   re-fetching what lies between the installed watermark and the live
+//!   streams — which `Q_T ∩ Q_R ≠ ∅` guarantees the acceptors (or the
+//!   sequencers' histories) still hold.
+//!
+//! The engine itself starts immediately (a restarted acceptor is needed
+//! for its rings' quorums); it may deliver on its own while the query is
+//! in flight, so a fetched checkpoint is installed only if it is still
+//! ahead of where the engine stands. No checkpoint is taken until
+//! recovery completes.
 
 use crate::engine::{AmcastEngine, AnyEngine, EngineKind, Watermark};
 use crate::telemetry::{HealthReport, RecoveryCounters, TelemetrySnapshot};
@@ -46,7 +76,7 @@ use multiring_paxos::event::{
     Action, Event, Message, PersistRecord, PersistToken, StateMachine, TimerKind,
 };
 use multiring_paxos::paxos::AcceptorRecovery;
-use multiring_paxos::recovery::TrimResponder;
+use multiring_paxos::recovery::{RecoveryManager, RecoveryStep, Resolution, TrimResponder};
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ProcessId, RingId, Time};
 use std::collections::BTreeMap;
@@ -78,6 +108,35 @@ fn unpack_checkpoint(blob: &Bytes) -> Option<(Bytes, Bytes)> {
     Some((engine_state, buf))
 }
 
+/// Prefer the local checkpoint unless a peer's is ahead by more than
+/// this many watermark units, summed over groups (Section 5.1's "too
+/// old" heuristic: state transfer costs more than a short catch-up).
+const PREFER_LOCAL_WITHIN: u64 = 1_000;
+
+/// How long a recovering replica waits for checkpoint replies before
+/// re-sending the outstanding query or fetch.
+const RECOVERY_RETRY_US: u64 = 500_000;
+
+/// Turns a recovery step into its wire messages plus the retry timer.
+fn send_recovery_step(step: RecoveryStep, out: &mut Vec<Action>) {
+    match step {
+        RecoveryStep::Query { seq, peers } => {
+            out.extend(peers.into_iter().map(|to| Action::Send {
+                to,
+                msg: Message::CheckpointQuery { seq },
+            }));
+        }
+        RecoveryStep::Fetch { seq, from, id } => out.push(Action::Send {
+            to: from,
+            msg: Message::CheckpointFetch { seq, id },
+        }),
+    }
+    out.push(Action::SetTimer {
+        after_us: RECOVERY_RETRY_US,
+        timer: TimerKind::RecoveryRetry,
+    });
+}
+
 /// A replicated service endpoint over a configurable ordering engine,
 /// with engine-generic checkpointing and crash recovery.
 pub struct EngineReplica<A> {
@@ -87,14 +146,15 @@ pub struct EngineReplica<A> {
     /// Answers the coordinated trim protocol from the stable watermark.
     responder: TrimResponder,
     /// Last durable checkpoint: watermark + packed blob, served to
-    /// recovering `Replica` peers and used to answer trim queries.
+    /// recovering peers and used to answer trim queries.
     stable: Option<(Watermark, Bytes)>,
     /// Checkpoints written but not yet durable, keyed by persist token.
     pending_ckpt: BTreeMap<PersistToken, (Watermark, Bytes)>,
     ckpt_token_seed: u64,
-    /// Whether the next `Event::Start` must issue the engine's resume
-    /// actions (set by [`EngineReplica::recovering`]).
-    resume_pending: bool,
+    /// The `Q_R` protocol of a restarted replica, from
+    /// [`EngineReplica::recovering`] until a checkpoint is chosen and
+    /// the engine resumed.
+    recovery: Option<RecoveryManager>,
     /// Statistics: commands executed since start.
     executed: u64,
     /// Statistics: checkpoints completed since start.
@@ -112,6 +172,7 @@ impl<A: fmt::Debug> fmt::Debug for EngineReplica<A> {
             .field("engine", &self.engine.engine_name())
             .field("app", &self.app)
             .field("stable", &self.stable.as_ref().map(|(w, _)| w))
+            .field("recovering", &self.recovery.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -126,8 +187,12 @@ impl<A: Application> EngineReplica<A> {
         app: A,
         policy: CheckpointPolicy,
     ) -> Self {
+        Self::over(kind.build(me, config), app, policy)
+    }
+
+    fn over(engine: AnyEngine, app: A, policy: CheckpointPolicy) -> Self {
         Self {
-            engine: kind.build(me, config),
+            engine,
             app,
             policy,
             responder: TrimResponder::new(),
@@ -135,9 +200,13 @@ impl<A: Application> EngineReplica<A> {
             pending_ckpt: BTreeMap::new(),
             // Disjoint from the tokens the hosted engine mints itself.
             ckpt_token_seed: u64::MAX / 2,
-            resume_pending: false,
+            recovery: None,
             executed: 0,
             checkpoints_taken: 0,
+            // Zero even for a recovering replica, whose engine bumps a
+            // counter while the local checkpoint is installed: the first
+            // event's diff then reports the install, keeping recovery
+            // loud from the very first action.
             last_recovery: RecoveryCounters::default(),
         }
     }
@@ -147,9 +216,10 @@ impl<A: Application> EngineReplica<A> {
     /// without one) and `checkpoint` the latest durable local checkpoint
     /// — the watermark plus the packed blob previously persisted via
     /// [`PersistRecord::Checkpoint`] — both loaded by the runtime from
-    /// stable storage. The application snapshot is restored immediately;
-    /// the engine's catch-up ([`AmcastEngine::resume`]) runs on
-    /// [`Event::Start`].
+    /// stable storage. The local checkpoint is installed immediately;
+    /// the peer-checkpoint query and the engine's catch-up
+    /// ([`AmcastEngine::resume`]) run from [`Event::Start`] (see the
+    /// module docs).
     pub fn recovering(
         kind: EngineKind,
         me: ProcessId,
@@ -159,32 +229,62 @@ impl<A: Application> EngineReplica<A> {
         acceptor_logs: BTreeMap<RingId, AcceptorRecovery>,
         checkpoint: Option<(Watermark, Bytes)>,
     ) -> Self {
-        let mut replica = Self {
-            engine: kind.build_recovering(me, config, acceptor_logs),
-            app,
-            policy,
-            responder: TrimResponder::new(),
-            stable: None,
-            pending_ckpt: BTreeMap::new(),
-            ckpt_token_seed: u64::MAX / 2,
-            resume_pending: true,
-            executed: 0,
-            checkpoints_taken: 0,
-            // Deliberately zero even though the engine may bump a
-            // counter while installing the checkpoint below: the first
-            // event's diff then reports the install, keeping recovery
-            // loud from the very first action.
-            last_recovery: RecoveryCounters::default(),
-        };
+        let peers = config
+            .partition_of(me)
+            .into_iter()
+            .filter(|&p| p != me)
+            .collect();
+        let engine = kind.build_recovering(me, config, acceptor_logs);
+        let mut replica = Self::over(engine, app, policy);
         if let Some((watermark, blob)) = checkpoint {
-            if let Some((engine_state, app_snapshot)) = unpack_checkpoint(&blob) {
-                replica.app.restore(&app_snapshot);
-                replica.engine.install_checkpoint(&watermark, &engine_state);
-                replica.responder.set_stable(watermark.clone());
-                replica.stable = Some((watermark, blob));
+            replica.install(watermark, blob);
+        }
+        replica.recovery = Some(RecoveryManager::new(
+            peers,
+            replica.stable_watermark().cloned(),
+            PREFER_LOCAL_WITHIN,
+        ));
+        replica
+    }
+
+    /// Installs a durable checkpoint — this replica's own or a peer's —
+    /// into the application and the engine, and adopts it as the stable
+    /// checkpoint. A malformed blob is ignored.
+    fn install(&mut self, watermark: Watermark, blob: Bytes) {
+        let Some((engine_state, app_snapshot)) = unpack_checkpoint(&blob) else {
+            return;
+        };
+        self.app.restore(&app_snapshot);
+        self.engine.install_checkpoint(&watermark, &engine_state);
+        self.responder.set_stable(watermark.clone());
+        self.stable = Some((watermark, blob));
+    }
+
+    /// Acts on the recovery manager's verdict: sends the next query or
+    /// fetch, or — once a checkpoint is chosen — installs it and lets
+    /// the engine rejoin its streams.
+    fn advance_recovery(
+        &mut self,
+        now: Time,
+        step: Result<RecoveryStep, Resolution>,
+        out: &mut Vec<Action>,
+    ) {
+        let resolution = match step {
+            Ok(step) => return send_recovery_step(step, out),
+            Err(resolution) => resolution,
+        };
+        if let Resolution::Install { id, snapshot } = resolution {
+            // The engine kept running while the query was in flight: if
+            // it caught up past the fetched checkpoint by itself,
+            // installing it would roll the application back under the
+            // engine.
+            if id.dominates(&self.engine.watermark()) {
+                self.install(id, snapshot);
             }
         }
-        replica
+        self.recovery = None;
+        let actions = self.engine.resume(now);
+        self.post_process(actions, out);
     }
 
     /// The ordering engine.
@@ -205,6 +305,12 @@ impl<A: Application> EngineReplica<A> {
     /// Checkpoints completed since start.
     pub fn checkpoints_taken(&self) -> u64 {
         self.checkpoints_taken
+    }
+
+    /// Whether the replica is still choosing the checkpoint to recover
+    /// from (see the module docs).
+    pub fn is_recovering(&self) -> bool {
+        self.recovery.is_some()
     }
 
     /// The watermark of the last durable checkpoint, if any.
@@ -362,10 +468,9 @@ impl<A: Application> StateMachine for EngineReplica<A> {
         let mut out = Vec::new();
         match event {
             Event::Start => {
-                if self.resume_pending {
-                    self.resume_pending = false;
-                    let actions = self.engine.resume(now);
-                    self.post_process(actions, &mut out);
+                if let Some(recovery) = self.recovery.as_mut() {
+                    let step = recovery.start();
+                    self.advance_recovery(now, step, &mut out);
                 }
                 let actions = self.engine.on_event(now, Event::Start);
                 self.post_process(actions, &mut out);
@@ -377,12 +482,19 @@ impl<A: Application> StateMachine for EngineReplica<A> {
                 }
             }
             Event::Timer(TimerKind::CheckpointTick) => {
-                self.take_checkpoint(&mut out);
+                if self.recovery.is_none() {
+                    self.take_checkpoint(&mut out);
+                }
                 if self.policy.interval_us > 0 {
                     out.push(Action::SetTimer {
                         after_us: self.policy.interval_us,
                         timer: TimerKind::CheckpointTick,
                     });
+                }
+            }
+            Event::Timer(TimerKind::RecoveryRetry) => {
+                if let Some(step) = self.recovery.as_mut().and_then(RecoveryManager::on_retry) {
+                    send_recovery_step(step, &mut out);
                 }
             }
             Event::PersistDone(token) if self.pending_ckpt.contains_key(&token) => {
@@ -417,21 +529,33 @@ impl<A: Application> StateMachine for EngineReplica<A> {
                     });
                 }
                 Message::CheckpointFetch { seq, id } => {
-                    // Serve the raw application-snapshot half only: a
-                    // recovering full `Replica` peer installs
-                    // `CheckpointData` straight into `app.restore`, so
-                    // it must never see this replica's private
-                    // engine-state framing.
                     let snapshot = self
                         .stable
                         .as_ref()
                         .filter(|(stable_w, _)| *stable_w == id)
-                        .and_then(|(_, blob)| unpack_checkpoint(blob))
-                        .map(|(_, app_snapshot)| app_snapshot);
+                        .map(|(_, blob)| blob.clone());
                     out.push(Action::Send {
                         to: from,
                         msg: Message::CheckpointData { seq, id, snapshot },
                     });
+                }
+                Message::CheckpointInfo { seq, checkpoint } => {
+                    let step = self
+                        .recovery
+                        .as_mut()
+                        .and_then(|r| r.on_info(from, seq, checkpoint));
+                    if let Some(step) = step {
+                        self.advance_recovery(now, step, &mut out);
+                    }
+                }
+                Message::CheckpointData { seq, id, snapshot } => {
+                    let step = self
+                        .recovery
+                        .as_mut()
+                        .and_then(|r| r.on_data(seq, &id, snapshot));
+                    if let Some(step) = step {
+                        self.advance_recovery(now, step, &mut out);
+                    }
                 }
                 msg => {
                     let actions = self.engine.on_event(now, Event::Message { from, msg });
@@ -456,7 +580,7 @@ impl<A: Application> StateMachine for EngineReplica<A> {
 mod tests {
     use super::*;
     use multiring_paxos::app::decode_command;
-    use multiring_paxos::config::{single_ring, RingTuning};
+    use multiring_paxos::config::{single_ring, RingSpec, RingTuning, Roles};
     use multiring_paxos::event::Message;
     use multiring_paxos::types::{ClientId, GroupId, InstanceId};
 
@@ -614,6 +738,42 @@ mod tests {
                 out.iter().all(|a| !matches!(a, Action::Persist { .. })),
                 "{kind}: unchanged state skips the checkpoint"
             );
+            // A recovering peer is told about the stable checkpoint and
+            // served its whole blob — unless it asks for another one.
+            let peer = ProcessId::new(5);
+            let mut ask =
+                |msg| r.on_event(Time::from_millis(5), Event::Message { from: peer, msg });
+            assert_eq!(
+                ask(Message::CheckpointQuery { seq: 9 }),
+                vec![Action::Send {
+                    to: peer,
+                    msg: Message::CheckpointInfo {
+                        seq: 9,
+                        checkpoint: Some(watermark.clone()),
+                    },
+                }],
+                "{kind}"
+            );
+            for (id, snapshot) in [
+                (watermark.clone(), Some(blob.clone())),
+                (Watermark::default(), None),
+            ] {
+                assert_eq!(
+                    ask(Message::CheckpointFetch {
+                        seq: 10,
+                        id: id.clone(),
+                    }),
+                    vec![Action::Send {
+                        to: peer,
+                        msg: Message::CheckpointData {
+                            seq: 10,
+                            id,
+                            snapshot,
+                        },
+                    }],
+                    "{kind}"
+                );
+            }
             // Crash: rebuild from the persisted checkpoint. The restored
             // application already holds the executed command.
             let recovered = EngineReplica::recovering(
@@ -707,5 +867,194 @@ mod tests {
             Event::Timer(TimerKind::Delta(multiring_paxos::types::RingId::new(0))),
         );
         assert_eq!(recovered.app().log, b"abc".to_vec());
+    }
+
+    /// A restarted learner of a three-replica partition (p0 orders, p1
+    /// and p2 only learn), with nothing on its own disk, plus the
+    /// checkpoint a peer will offer it.
+    fn recovering_replica(kind: EngineKind) -> (EngineReplica<Echo>, Watermark, Bytes) {
+        let quiet = RingTuning {
+            lambda: 0,
+            ..RingTuning::default()
+        };
+        let mut spec = RingSpec::new(RingId::new(0))
+            .tuning(quiet)
+            .member(ProcessId::new(0), Roles::ALL);
+        let mut builder = ClusterConfig::builder().group(GroupId::new(0), RingId::new(0));
+        for p in (0..3).map(ProcessId::new) {
+            if p.value() > 0 {
+                spec = spec.member(p, Roles::LEARNER);
+            }
+            builder = builder.subscribe(p, GroupId::new(0));
+        }
+        let config = builder.ring(spec).build().expect("valid config");
+        let policy = CheckpointPolicy {
+            interval_us: 1_000,
+            sync: true,
+        };
+        let r = EngineReplica::recovering(
+            kind,
+            ProcessId::new(1),
+            config,
+            Echo::default(),
+            policy,
+            BTreeMap::new(),
+            None,
+        );
+        let id = Watermark {
+            marks: vec![(GroupId::new(0), InstanceId::new(5_000))],
+            cursor_group: 0,
+            cursor_used: 0,
+        };
+        let blob = pack_checkpoint(&Bytes::new(), &Bytes::from_static(b"yz"));
+        (r, id, blob)
+    }
+
+    /// Sends that ask the ordering layer for missed deliveries — what
+    /// [`AmcastEngine::resume`] emits.
+    fn catch_up_requests(out: &[Action]) -> usize {
+        out.iter()
+            .filter(|a| {
+                matches!(
+                    a,
+                    Action::Send {
+                        msg: Message::Retransmit { .. } | Message::Engine { .. },
+                        ..
+                    }
+                )
+            })
+            .count()
+    }
+
+    fn queried(out: &[Action]) -> Vec<(ProcessId, u64)> {
+        out.iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: Message::CheckpointQuery { seq },
+                } => Some((*to, *seq)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recovery_queries_peers_installs_the_fetched_checkpoint_then_resumes() {
+        for kind in EngineKind::ALL {
+            let (mut r, id, blob) = recovering_replica(kind);
+            let (p0, p2) = (ProcessId::new(0), ProcessId::new(2));
+            let t = Time::from_millis;
+            let retry_armed = |out: &[Action]| {
+                out.contains(&Action::SetTimer {
+                    after_us: RECOVERY_RETRY_US,
+                    timer: TimerKind::RecoveryRetry,
+                })
+            };
+            // Start: ask both peers; the engine does not catch up yet.
+            let out = r.on_event(t(1), Event::Start);
+            assert_eq!(queried(&out), vec![(p0, 1), (p2, 1)], "{kind}");
+            assert!(retry_armed(&out), "{kind}");
+            assert_eq!(catch_up_requests(&out), 0, "{kind}");
+            assert!(r.is_recovering(), "{kind}");
+            // No checkpoint while recovering; the tick stays armed.
+            let out = r.on_event(t(2), Event::Timer(TimerKind::CheckpointTick));
+            assert!(
+                matches!(out[..], [Action::SetTimer { .. }]),
+                "{kind}: {out:?}"
+            );
+            // Nobody answered: the retry asks the same peers again.
+            let out = r.on_event(t(500), Event::Timer(TimerKind::RecoveryRetry));
+            assert_eq!(queried(&out), vec![(p0, 1), (p2, 1)], "{kind}");
+            assert!(retry_armed(&out), "{kind}");
+            // One peer is a quorum of three with this replica: its
+            // checkpoint is far ahead of nothing, so fetch it.
+            let fetch = Action::Send {
+                to: p2,
+                msg: Message::CheckpointFetch {
+                    seq: 2,
+                    id: id.clone(),
+                },
+            };
+            let out = r.on_event(
+                t(501),
+                Event::Message {
+                    from: p2,
+                    msg: Message::CheckpointInfo {
+                        seq: 1,
+                        checkpoint: Some(id.clone()),
+                    },
+                },
+            );
+            assert!(out.contains(&fetch) && retry_armed(&out), "{kind}: {out:?}");
+            let out = r.on_event(t(1_000), Event::Timer(TimerKind::RecoveryRetry));
+            assert!(out.contains(&fetch), "{kind}: the fetch is retried");
+            assert_eq!(catch_up_requests(&out), 0, "{kind}");
+            assert!(r.app().log.is_empty(), "{kind}: nothing installed yet");
+            // The blob arrives: installed into application and engine,
+            // adopted as the stable checkpoint, and only now the engine
+            // asks for what lies above it.
+            let out = r.on_event(
+                t(1_001),
+                Event::Message {
+                    from: p2,
+                    msg: Message::CheckpointData {
+                        seq: 2,
+                        id: id.clone(),
+                        snapshot: Some(blob.clone()),
+                    },
+                },
+            );
+            assert!(!r.is_recovering(), "{kind}");
+            assert_eq!(r.app().log, b"yz".to_vec(), "{kind}");
+            assert_eq!(r.stable_watermark(), Some(&id), "{kind}");
+            assert_eq!(r.engine().watermark(), id, "{kind}");
+            assert!(catch_up_requests(&out) > 0, "{kind}: {out:?}");
+            // Recovery is over: late replies and retries are inert.
+            let out = r.on_event(t(1_500), Event::Timer(TimerKind::RecoveryRetry));
+            assert!(out.is_empty(), "{kind}: {out:?}");
+        }
+    }
+
+    /// The engine keeps running while the peers are asked. If it got
+    /// past the offered checkpoint on its own, installing that would
+    /// roll the application back under it.
+    #[test]
+    fn recovery_skips_a_checkpoint_the_engine_already_passed() {
+        for kind in EngineKind::ALL {
+            let (mut r, id, blob) = recovering_replica(kind);
+            let p2 = ProcessId::new(2);
+            r.on_event(Time::from_millis(1), Event::Start);
+            let info = Message::CheckpointInfo {
+                seq: 1,
+                checkpoint: Some(id.clone()),
+            };
+            r.on_event(
+                Time::from_millis(2),
+                Event::Message {
+                    from: p2,
+                    msg: info,
+                },
+            );
+            let mut ahead = id.clone();
+            ahead.marks[0].1 = InstanceId::new(9_000);
+            r.engine.install_checkpoint(&ahead, &Bytes::new());
+            let data = Message::CheckpointData {
+                seq: 2,
+                id,
+                snapshot: Some(blob),
+            };
+            let out = r.on_event(
+                Time::from_millis(3),
+                Event::Message {
+                    from: p2,
+                    msg: data,
+                },
+            );
+            assert!(!r.is_recovering(), "{kind}");
+            assert!(r.app().log.is_empty(), "{kind}: application untouched");
+            assert_eq!(r.stable_watermark(), None, "{kind}");
+            assert_eq!(r.engine().watermark(), ahead, "{kind}");
+            assert!(catch_up_requests(&out) > 0, "{kind}: still resumes");
+        }
     }
 }

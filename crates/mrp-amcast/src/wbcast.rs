@@ -1242,6 +1242,11 @@ pub struct WbcastNode {
     /// a re-anchor past a potential delivery gap, surfaced here so
     /// deployments fail loudly instead of proceeding on a silent hole.
     resync_truncations: u64,
+    /// A restarted process whose [`AmcastEngine::resume`] has not run
+    /// yet: its streams are held like resyncing ones, but no `Resync` is
+    /// outstanding — the replay position is only known once the replica
+    /// has chosen the checkpoint to recover from.
+    awaiting_resume: bool,
     /// Rings with a live Δ heartbeat timer (avoids double-arming when a
     /// resigned ring is re-acquired before its old timer fired).
     delta_armed: BTreeSet<RingId>,
@@ -1277,7 +1282,7 @@ impl WbcastNode {
     /// sequencer of each group is the coordinator of the group's ring;
     /// subscriptions are the config's learner subscriptions.
     pub fn new(me: ProcessId, config: ClusterConfig) -> Self {
-        Self::build(me, config, true)
+        Self::build(me, config, false)
     }
 
     /// Creates the engine for a process **restarting after a crash**.
@@ -1293,17 +1298,24 @@ impl WbcastNode {
     /// groups, so a post-resume [`AmcastEngine::resume`] request stays
     /// outstanding (and is re-issued to whoever the service names)
     /// instead of being answered from a spuriously empty history.
+    ///
+    /// Every subscribed stream also starts **held**, exactly as while a
+    /// resync is outstanding: live frames that arrive before
+    /// [`AmcastEngine::resume`] (a replica first asks its partition
+    /// peers for a fresher checkpoint) buffer and advance frontiers, but
+    /// nothing is delivered past the hole the crash left until the
+    /// replay's terminator closes it.
     pub fn recovering(me: ProcessId, config: ClusterConfig) -> Self {
-        Self::build(me, config, false)
+        Self::build(me, config, true)
     }
 
-    fn build(me: ProcessId, config: ClusterConfig, assume_led: bool) -> Self {
+    fn build(me: ProcessId, config: ClusterConfig, recovering: bool) -> Self {
         let mut led = BTreeMap::new();
         let mut coordinators = BTreeMap::new();
         for (&group, &ring_id) in config.groups() {
             let ring = config.ring(ring_id).expect("validated config");
             coordinators.insert(ring_id, ring.coordinator());
-            if assume_led && ring.coordinator() == me {
+            if !recovering && ring.coordinator() == me {
                 led.insert(
                     group,
                     Sequencer {
@@ -1327,7 +1339,13 @@ impl WbcastNode {
         let subs = config
             .subscriptions_of(me)
             .into_iter()
-            .map(|g| (g, Subscription::default()))
+            .map(|g| {
+                let sub = Subscription {
+                    resyncing: recovering,
+                    ..Subscription::default()
+                };
+                (g, sub)
+            })
             .collect();
         Self {
             me,
@@ -1342,6 +1360,7 @@ impl WbcastNode {
             orphans: BTreeMap::new(),
             down: BTreeMap::new(),
             resync_truncations: 0,
+            awaiting_resume: recovering,
             delta_armed: BTreeSet::new(),
             retry_armed: BTreeSet::new(),
             next_seq: 0,
@@ -1473,6 +1492,7 @@ impl WbcastNode {
             s.resyncing.digest_into(&mut h);
             s.pending.digest_into(&mut h);
         }
+        self.awaiting_resume.digest_into(&mut h);
         self.coordinators.digest_into(&mut h);
         self.ring_epochs.digest_into(&mut h);
         self.observed.digest_into(&mut h);
@@ -2950,13 +2970,14 @@ impl WbcastNode {
         // Subscriber side: an unanswered resync addressed to the
         // deposed sequencer would hold deliveries forever — re-issue it
         // to the new one (which answers from whatever history it has,
-        // then terminates the hold).
+        // then terminates the hold). Before `resume` there is none to
+        // re-issue.
         let resyncs: Vec<(GroupId, u64)> = groups
             .iter()
             .filter_map(|&g| {
                 self.subs
                     .get(&g)
-                    .filter(|s| s.resyncing)
+                    .filter(|s| s.resyncing && !self.awaiting_resume)
                     .map(|s| (g, s.floor))
             })
             .collect();
@@ -3265,6 +3286,7 @@ impl AmcastEngine for WbcastNode {
     /// the previous incarnation made *after* its last checkpoint (the
     /// same elapsed-time argument the hybrid clock rests on).
     fn resume(&mut self, now: Time) -> Vec<Action> {
+        self.awaiting_resume = false;
         self.next_seq = self.next_seq.max(now.as_micros());
         let mut out = Vec::new();
         let requests: Vec<(GroupId, u64)> = self.subs.iter().map(|(&g, s)| (g, s.floor)).collect();

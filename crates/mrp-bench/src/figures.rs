@@ -9,12 +9,13 @@
 
 use crate::harness::{EchoApp, OpenLoopClient, PingClient, Scale};
 use bytes::Bytes;
+use mrp_amcast::{EngineKind, EngineReplica};
 use mrp_baselines::eventual::{BaselineClient, EventualServer};
 use mrp_baselines::quorumlog::{Bookie, JournalPolicy, QuorumLogClient};
 use mrp_baselines::single::SingleServer;
 use mrp_baselines::twopc::{TwoPcClient, TxnParticipant};
 use mrp_coord::PartitionMap;
-use mrp_dlog::{DLogApp, DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
+use mrp_dlog::{DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
 use mrp_sim::actor::Hosted;
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::cpu::CpuModel;
@@ -25,7 +26,7 @@ use mrp_store::command::StoreCommand;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
 use mrp_ycsb::{Workload, WorkloadKind, YcsbOp};
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles, StorageMode};
-use multiring_paxos::replica::{CheckpointPolicy, Replica};
+use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time};
 use std::collections::BTreeMap;
 
@@ -40,6 +41,31 @@ fn server_cpu() -> CpuModel {
 /// the dummy service does no work).
 fn proto_cpu() -> CpuModel {
     CpuModel::new(8, 4)
+}
+
+/// Replicas that never checkpoint (the figures without a crash).
+const NO_CHECKPOINTS: CheckpointPolicy = CheckpointPolicy {
+    interval_us: 0,
+    sync: false,
+};
+
+/// Registers `config` and spawns processes `0..n` as dummy-service
+/// ([`EchoApp`]) replicas over `kind`, each on `cpu` when given.
+fn spawn_echo_replicas(
+    cluster: &mut Cluster,
+    kind: EngineKind,
+    config: &ClusterConfig,
+    n: u32,
+    policy: CheckpointPolicy,
+    cpu: Option<fn() -> CpuModel>,
+) {
+    cluster.set_protocol(config.clone());
+    for p in (0..n).map(ProcessId::new) {
+        cluster.add_recoverable_replica_actor(kind, p, config.clone(), policy, EchoApp::new);
+        if let Some(cpu) = cpu {
+            cluster.set_cpu(p, cpu());
+        }
+    }
 }
 
 // ---------------------------------------------------------------- fig 3
@@ -93,22 +119,17 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
                 },
                 Topology::lan(8),
             );
-            cluster.set_protocol(config.clone());
-            for i in 0..3 {
-                let p = ProcessId::new(i);
-                let replica = Replica::new(
-                    p,
-                    config.clone(),
-                    EchoApp::new(),
-                    CheckpointPolicy {
-                        interval_us: 0,
-                        sync: false,
-                    },
-                );
-                cluster.add_actor(p, Hosted::new(replica).boxed());
-                cluster.set_cpu(p, proto_cpu());
-                if let Some(mk) = disk {
-                    cluster.add_disk(p, mk());
+            spawn_echo_replicas(
+                &mut cluster,
+                EngineKind::MultiRing,
+                &config,
+                3,
+                NO_CHECKPOINTS,
+                Some(proto_cpu),
+            );
+            if let Some(mk) = disk {
+                for i in 0..3 {
+                    cluster.add_disk(ProcessId::new(i), mk());
                 }
             }
             let client_proc = ProcessId::new(50);
@@ -217,6 +238,18 @@ fn ycsb_to_cmd(op: YcsbOp) -> (StoreCommand, &'static str) {
     }
 }
 
+/// Spawns `deployment`'s non-checkpointing replicas on [`server_cpu`]s.
+fn spawn_store_replicas(
+    cluster: &mut Cluster,
+    deployment: &StoreDeployment,
+    mk_app: impl Fn(u16) -> StoreApp + Clone + 'static,
+) {
+    deployment.spawn_replicas(cluster, NO_CHECKPOINTS, mk_app);
+    for (p, _) in deployment.all_replicas() {
+        cluster.set_cpu(p, server_cpu());
+    }
+}
+
 fn run_mrp_ycsb(
     kind: WorkloadKind,
     scale: Scale,
@@ -236,7 +269,7 @@ fn run_mrp_ycsb(
     } else {
         StoreTopology::local(3, tuning)
     }
-    .engine(mrp_amcast::EngineKind::MultiRing);
+    .engine(EngineKind::MultiRing);
     let deployment = StoreDeployment::build(&topo);
     let mut cluster = Cluster::new(
         SimConfig {
@@ -245,27 +278,17 @@ fn run_mrp_ycsb(
         },
         Topology::lan(16),
     );
-    cluster.set_protocol(deployment.config.clone());
-    for (p, partition) in deployment.all_replicas() {
+    let map = deployment.partition_map.clone();
+    spawn_store_replicas(&mut cluster, &deployment, move |partition| {
         let mut app = StoreApp::new(partition);
         for i in 0..YCSB_RECORDS {
             let key = mrp_ycsb::workload::key_for(i);
-            if deployment.partition_map.group_of(key.as_bytes()).value() == partition {
+            if map.group_of(key.as_bytes()).value() == partition {
                 app.load(Bytes::from(key), Bytes::from(vec![1u8; YCSB_VALUE]));
             }
         }
-        let replica = Replica::new(
-            p,
-            deployment.config.clone(),
-            app,
-            CheckpointPolicy {
-                interval_us: 0,
-                sync: false,
-            },
-        );
-        cluster.add_actor(p, Hosted::new(replica).boxed());
-        cluster.set_cpu(p, server_cpu());
-    }
+        app
+    });
     let warmup_s = scale.pick(2, 1);
     let run_s = scale.pick(8, 2);
     let client_proc = ProcessId::new(900);
@@ -441,6 +464,9 @@ pub struct Fig5Row {
     pub latency_ms: f64,
 }
 
+/// In-memory log budget of every dLog server in the figures.
+const DLOG_WAL_BYTES: usize = 200 * 1024 * 1024;
+
 /// The journal disk of the log comparison: a disk with a write cache
 /// (sync writes ~350 µs, 200 MB/s streaming).
 fn journal_disk() -> DiskModel {
@@ -462,9 +488,8 @@ pub fn fig5(scale: Scale) -> Vec<Fig5Row> {
             lambda: 1_000,
             ..RingTuning::default()
         };
-        let deployment = DLogDeployment::build(
-            &DLogTopology::new(2, tuning).engine(mrp_amcast::EngineKind::MultiRing),
-        );
+        let deployment =
+            DLogDeployment::build(&DLogTopology::new(2, tuning).engine(EngineKind::MultiRing));
         let mut cluster = Cluster::new(
             SimConfig {
                 seed: 5,
@@ -472,20 +497,8 @@ pub fn fig5(scale: Scale) -> Vec<Fig5Row> {
             },
             Topology::lan(8),
         );
-        cluster.set_protocol(deployment.config.clone());
-        let logs: Vec<u16> = deployment.group_of_log.keys().copied().collect();
+        deployment.spawn_servers(&mut cluster, NO_CHECKPOINTS, DLOG_WAL_BYTES);
         for &s in &deployment.servers {
-            let app = DLogApp::new(logs.clone(), 200 * 1024 * 1024);
-            let replica = Replica::new(
-                s,
-                deployment.config.clone(),
-                app,
-                CheckpointPolicy {
-                    interval_us: 0,
-                    sync: false,
-                },
-            );
-            cluster.add_actor(s, Hosted::new(replica).boxed());
             cluster.set_cpu(s, server_cpu());
             // One journal disk per ring (paper: one disk per ring).
             for r in 0..=2u16 {
@@ -587,9 +600,8 @@ pub fn fig6(scale: Scale) -> Vec<Fig6Row> {
             lambda: 2_000,
             ..RingTuning::default()
         };
-        let deployment = DLogDeployment::build(
-            &DLogTopology::new(rings, tuning).engine(mrp_amcast::EngineKind::MultiRing),
-        );
+        let deployment =
+            DLogDeployment::build(&DLogTopology::new(rings, tuning).engine(EngineKind::MultiRing));
         let mut cluster = Cluster::new(
             SimConfig {
                 seed: 6,
@@ -597,20 +609,8 @@ pub fn fig6(scale: Scale) -> Vec<Fig6Row> {
             },
             Topology::lan(8),
         );
-        cluster.set_protocol(deployment.config.clone());
-        let logs: Vec<u16> = deployment.group_of_log.keys().copied().collect();
+        deployment.spawn_servers(&mut cluster, NO_CHECKPOINTS, DLOG_WAL_BYTES);
         for &s in &deployment.servers {
-            let app = DLogApp::new(logs.clone(), 200 * 1024 * 1024);
-            let replica = Replica::new(
-                s,
-                deployment.config.clone(),
-                app,
-                CheckpointPolicy {
-                    interval_us: 0,
-                    sync: false,
-                },
-            );
-            cluster.add_actor(s, Hosted::new(replica).boxed());
             // The paper's 32-core servers absorb per-byte work across
             // rings; charge per-event cost only so the disks (one per
             // ring) govern scaling as in the paper.
@@ -695,7 +695,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
             global_ring: true,
             tuning,
             global_tuning: tuning,
-            engine: mrp_amcast::EngineKind::MultiRing,
+            engine: EngineKind::MultiRing,
         };
         let deployment = StoreDeployment::build(&topo);
         let mut net = Topology::ec2_four_regions();
@@ -713,20 +713,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
             },
             net,
         );
-        cluster.set_protocol(deployment.config.clone());
-        for (p, partition) in deployment.all_replicas() {
-            let replica = Replica::new(
-                p,
-                deployment.config.clone(),
-                StoreApp::new(partition),
-                CheckpointPolicy {
-                    interval_us: 0,
-                    sync: false,
-                },
-            );
-            cluster.add_actor(p, Hosted::new(replica).boxed());
-            cluster.set_cpu(p, server_cpu());
-        }
+        spawn_store_replicas(&mut cluster, &deployment, StoreApp::new);
         // Clients in the first `active` regions, each writing only keys
         // owned by its local partition.
         for part in 0..active {
@@ -828,9 +815,7 @@ pub struct Fig8Result {
 /// engine: the ring engine recovers through checkpoint + acceptor-log
 /// retransmission, the white-box engine through checkpoint + sequencer
 /// stream resync — both behind the same engine-generic replica surface.
-pub fn fig8(scale: Scale, kind: mrp_amcast::EngineKind) -> Fig8Result {
-    type StoreReplica = Hosted<Replica<StoreApp>>;
-    type StoreEngineReplica = Hosted<mrp_amcast::EngineReplica<StoreApp>>;
+pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
     let total_s = scale.pick(300u64, 30);
     let kill_s = scale.pick(20u64, 4);
     let restart_s = scale.pick(240u64, 18);
@@ -926,9 +911,7 @@ pub fn fig8(scale: Scale, kind: mrp_amcast::EngineKind) -> Fig8Result {
     let mut checkpoints = 0;
     for i in 3..6 {
         let p = ProcessId::new(i);
-        if let Some(r) = cluster.actor_as::<StoreReplica>(p) {
-            checkpoints += r.inner().checkpoints_taken();
-        } else if let Some(r) = cluster.actor_as::<StoreEngineReplica>(p) {
+        if let Some(r) = cluster.actor_as::<Hosted<EngineReplica<StoreApp>>>(p) {
             checkpoints += r.inner().checkpoints_taken();
         }
     }
@@ -994,24 +977,10 @@ pub fn ablation_2pc(scale: Scale) -> Vec<Ablation2pcRow> {
             lambda: 2_000,
             ..RingTuning::default()
         };
-        let deployment = StoreDeployment::build(
-            &StoreTopology::local(2, tuning).engine(mrp_amcast::EngineKind::MultiRing),
-        );
+        let deployment =
+            StoreDeployment::build(&StoreTopology::local(2, tuning).engine(EngineKind::MultiRing));
         let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(16));
-        cluster.set_protocol(deployment.config.clone());
-        for (p, partition) in deployment.all_replicas() {
-            let replica = Replica::new(
-                p,
-                deployment.config.clone(),
-                StoreApp::new(partition),
-                CheckpointPolicy {
-                    interval_us: 0,
-                    sync: false,
-                },
-            );
-            cluster.add_actor(p, Hosted::new(replica).boxed());
-            cluster.set_cpu(p, server_cpu());
-        }
+        spawn_store_replicas(&mut cluster, &deployment, StoreApp::new);
         let global = deployment.global_group.expect("global ring");
         let payload = StoreCommand::Batch(vec![
             StoreCommand::Insert {
@@ -1094,20 +1063,14 @@ pub fn ablation_merge(scale: Scale) -> Vec<AblationMergeRow> {
         }
         let config = builder.build().expect("merge ablation config");
         let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(8));
-        cluster.set_protocol(config.clone());
-        for p in 0..3 {
-            let pid = ProcessId::new(p);
-            let replica = Replica::new(
-                pid,
-                config.clone(),
-                EchoApp::new(),
-                CheckpointPolicy {
-                    interval_us: 0,
-                    sync: false,
-                },
-            );
-            cluster.add_actor(pid, Hosted::new(replica).boxed());
-        }
+        spawn_echo_replicas(
+            &mut cluster,
+            EngineKind::MultiRing,
+            &config,
+            3,
+            NO_CHECKPOINTS,
+            None,
+        );
         // Busy client on group 0; group 1 idles entirely.
         let client_proc = ProcessId::new(900);
         let client_id = ClientId::new(1);
@@ -1202,7 +1165,6 @@ fn engines_config(groups: u16, n: u32, tuning: RingTuning) -> ClusterConfig {
 /// grows. Both engines run behind the same engine-generic replica, so
 /// the difference is purely the ordering path.
 pub fn fig9(scale: Scale) -> Vec<Fig9Row> {
-    use mrp_amcast::{EngineKind, EngineReplica};
     let group_counts: &[u16] = scale.pick(&[1, 2, 4], &[1, 2]);
     let warmup_s = scale.pick(2, 1);
     let run_s = scale.pick(10, 2);
@@ -1223,35 +1185,14 @@ pub fn fig9(scale: Scale) -> Vec<Fig9Row> {
                 },
                 Topology::lan(16),
             );
-            cluster.set_protocol(config.clone());
-            for p in 0..n {
-                let pid = ProcessId::new(p);
-                let replica = EngineReplica::new(
-                    kind,
-                    pid,
-                    config.clone(),
-                    EchoApp::new(),
-                    CheckpointPolicy {
-                        interval_us: 0,
-                        sync: false,
-                    },
-                );
-                cluster.add_actor(pid, Hosted::new(replica).boxed());
-                // The replica is added as a plain actor, so install the
-                // engine telemetry probe by hand (the recoverable-actor
-                // surfaces do this automatically).
-                cluster.set_telemetry_probe(
-                    pid,
-                    Box::new(|actor, now| {
-                        let replica = actor
-                            .as_any()
-                            .downcast_mut::<Hosted<EngineReplica<EchoApp>>>()?
-                            .inner();
-                        Some((replica.telemetry(), replica.health(now)))
-                    }),
-                );
-                cluster.set_cpu(pid, proto_cpu());
-            }
+            spawn_echo_replicas(
+                &mut cluster,
+                kind,
+                &config,
+                n,
+                NO_CHECKPOINTS,
+                Some(proto_cpu),
+            );
             for g in 0..groups {
                 let client_proc = ProcessId::new(900 + u32::from(g));
                 let client_id = ClientId::new(u64::from(g) + 1);
@@ -1355,7 +1296,6 @@ pub struct MultigroupRow {
 /// (wbcast) / coordinator re-election (both engines) runs continuously.
 pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
     use crate::harness::MixedGroupClient;
-    use mrp_amcast::{EngineKind, EngineReplica};
     let fractions: &[u32] = scale.pick(&[0, 50, 200, 500, 1000], &[0, 500]);
     let warmup_s = scale.pick(2, 1);
     let run_s = scale.pick(10, 2);
@@ -1393,25 +1333,13 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
                     },
                     Topology::lan(16),
                 );
-                cluster.set_protocol(config.clone());
                 let policy = CheckpointPolicy {
                     // Churn runs checkpoint so a restarted victim rejoins
                     // from a snapshot instead of replaying from genesis.
                     interval_us: if crash_ms > 0 { 100_000 } else { 0 },
                     sync: false,
                 };
-                for p in 0..n {
-                    let pid = ProcessId::new(p);
-                    if crash_ms > 0 {
-                        let cfg = config.clone();
-                        cluster.add_recoverable_replica_actor(kind, pid, cfg, policy, EchoApp::new);
-                    } else {
-                        let replica =
-                            EngineReplica::new(kind, pid, config.clone(), EchoApp::new(), policy);
-                        cluster.add_actor(pid, Hosted::new(replica).boxed());
-                    }
-                    cluster.set_cpu(pid, proto_cpu());
-                }
+                spawn_echo_replicas(&mut cluster, kind, &config, n, policy, Some(proto_cpu));
                 let targets: Vec<(ProcessId, GroupId)> = (0..groups)
                     .map(|g| (ProcessId::new(u32::from(g) % n), GroupId::new(g)))
                     .collect();

@@ -133,12 +133,11 @@ impl DLogDeployment {
         }
     }
 
-    /// Spawns one server actor per process on `cluster`, hosted by the
-    /// deployment's ordering engine (the full trim/peer-recovery-capable
-    /// [`Replica`](multiring_paxos::replica::Replica) for Multi-Ring
-    /// Paxos, [`EngineReplica`](mrp_amcast::EngineReplica) otherwise —
-    /// both checkpointing per `policy`), with a restart factory so
-    /// crashed servers recover from their latest durable checkpoint.
+    /// Spawns one server actor per process on `cluster`: an
+    /// [`EngineReplica`](mrp_amcast::EngineReplica) over the
+    /// deployment's ordering engine, checkpointing per `policy`, with a
+    /// restart factory so crashed servers recover from their latest
+    /// durable checkpoint or a fresher peer's.
     /// Each server hosts every log with `wal_capacity` bytes of
     /// in-memory log budget.
     pub fn spawn_servers(

@@ -6,8 +6,10 @@ use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::net::Topology;
 use multiring_paxos::app::Application;
 use multiring_paxos::config::RingTuning;
-use multiring_paxos::replica::{CheckpointPolicy, Replica};
+use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ClientId, ProcessId, Time};
+
+type Server = Hosted<mrp_amcast::EngineReplica<DLogApp>>;
 
 fn tuning() -> RingTuning {
     RingTuning {
@@ -30,7 +32,6 @@ fn spawn_dlog(cluster: &mut Cluster, deployment: &DLogDeployment) {
 
 #[test]
 fn appends_and_multi_appends_complete_and_servers_agree() {
-    type Server = Hosted<Replica<DLogApp>>;
     let deployment = DLogDeployment::build(
         &DLogTopology::new(2, tuning()).engine(mrp_amcast::EngineKind::MultiRing),
     );
@@ -70,7 +71,6 @@ fn appends_and_multi_appends_complete_and_servers_agree() {
 
 #[test]
 fn wbcast_engine_serves_dlog_and_servers_agree() {
-    type WbServer = Hosted<mrp_amcast::EngineReplica<DLogApp>>;
     // The identical workload, ordered by the timestamp-based engine
     // selected purely from deployment configuration.
     let deployment = DLogDeployment::build(
@@ -105,7 +105,7 @@ fn wbcast_engine_serves_dlog_and_servers_agree() {
 
     let mut snaps = Vec::new();
     for &s in &deployment.servers.clone() {
-        let server = cluster.actor_as::<WbServer>(s).expect("wbcast server");
+        let server = cluster.actor_as::<Server>(s).expect("wbcast server");
         assert!(server.inner().app().appended() > 0);
         snaps.push(server.inner().app().snapshot());
     }
@@ -115,7 +115,6 @@ fn wbcast_engine_serves_dlog_and_servers_agree() {
 
 #[test]
 fn wbcast_multi_appends_need_no_common_ring() {
-    type WbServer = Hosted<mrp_amcast::EngineReplica<DLogApp>>;
     // Genuine multi-group multicast: multi-appends address exactly the
     // destination logs' groups, so the common ring is not deployed at
     // all.
@@ -149,7 +148,7 @@ fn wbcast_multi_appends_need_no_common_ring() {
 
     let mut snaps = Vec::new();
     for &s in &deployment.servers.clone() {
-        let server = cluster.actor_as::<WbServer>(s).expect("wbcast server");
+        let server = cluster.actor_as::<Server>(s).expect("wbcast server");
         assert!(server.inner().app().appended() > 0);
         snaps.push(server.inner().app().snapshot());
     }

@@ -1,5 +1,5 @@
 //! The actor interface the simulator hosts, and the adapter that hosts
-//! any sans-io protocol [`StateMachine`] (a `Node` or a `Replica`) as an
+//! any sans-io protocol [`StateMachine`] (an engine or a replica) as an
 //! actor.
 
 use crate::metrics::Metrics;

@@ -16,7 +16,7 @@ use multiring_paxos::app::Application;
 use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
 use multiring_paxos::event::{Message, PersistRecord, PersistToken};
-use multiring_paxos::replica::{CheckpointPolicy, Replica};
+use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{Ballot, ClientId, ProcessId, RingId, Time};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -226,61 +226,17 @@ impl Cluster {
         }
     }
 
-    /// Adds one replicated-service actor for `p` running `app` over the
-    /// selected engine: the full trim/peer-recovery-capable [`Replica`]
-    /// when the engine is Multi-Ring Paxos, the engine-generic
-    /// [`EngineReplica`] otherwise — both honoring `policy` for
-    /// periodic checkpoints. Service deployment helpers (MRP-Store,
-    /// dLog) all funnel through here.
-    pub fn add_replica_actor<A: Application + 'static>(
-        &mut self,
-        kind: EngineKind,
-        p: ProcessId,
-        config: ClusterConfig,
-        app: A,
-        policy: CheckpointPolicy,
-    ) {
-        match kind {
-            EngineKind::MultiRing => {
-                self.add_actor(p, Hosted::new(Replica::new(p, config, app, policy)).boxed());
-                self.set_telemetry_probe(
-                    p,
-                    Box::new(|actor, now| {
-                        let hosted = actor.as_any().downcast_mut::<Hosted<Replica<A>>>()?;
-                        let node = hosted.inner().node();
-                        Some((
-                            AmcastEngine::telemetry(node),
-                            AmcastEngine::health(node, now),
-                        ))
-                    }),
-                );
-            }
-            kind => {
-                self.add_actor(
-                    p,
-                    Hosted::new(EngineReplica::new(kind, p, config, app, policy)).boxed(),
-                );
-                self.set_telemetry_probe(
-                    p,
-                    Box::new(|actor, now| {
-                        let hosted = actor.as_any().downcast_mut::<Hosted<EngineReplica<A>>>()?;
-                        let replica = hosted.inner();
-                        Some((replica.telemetry(), replica.health(now)))
-                    }),
-                );
-            }
-        }
-    }
-
-    /// Like [`Cluster::add_replica_actor`], but also registers the
-    /// restart factory that rebuilds the replica from its stable
-    /// storage after [`Cluster::schedule_crash`] /
-    /// [`Cluster::schedule_restart`]: the acceptor logs plus the latest
-    /// durable checkpoint feed [`Replica::recovering`] (ring engine,
-    /// which additionally runs the Section 5.2 peer-checkpoint query) or
-    /// [`EngineReplica::recovering`] (any other engine, which restores
-    /// the local checkpoint and resyncs its streams). `mk_app` builds a
-    /// fresh application instance on every (re)start.
+    /// Adds one replicated-service actor for `p`: an [`EngineReplica`]
+    /// running `mk_app()` over the selected engine, checkpointing per
+    /// `policy`, with its telemetry probe installed and a restart
+    /// factory that rebuilds it from its stable storage after
+    /// [`Cluster::schedule_crash`] / [`Cluster::schedule_restart`]: the
+    /// acceptor logs plus the latest durable checkpoint feed
+    /// [`EngineReplica::recovering`], which asks its partition peers for
+    /// a fresher checkpoint (Section 5.2) before the engine rejoins its
+    /// streams. `mk_app` builds a fresh application instance on every
+    /// (re)start. Service deployment helpers (MRP-Store, dLog) and the
+    /// benches all funnel through here.
     pub fn add_recoverable_replica_actor<A, F>(
         &mut self,
         kind: EngineKind,
@@ -292,42 +248,31 @@ impl Cluster {
         A: Application + 'static,
         F: FnMut() -> A + 'static,
     {
-        self.add_replica_actor(kind, p, config.clone(), mk_app(), policy);
-        match kind {
-            EngineKind::MultiRing => {
-                self.set_factory(
+        let replica = EngineReplica::new(kind, p, config.clone(), mk_app(), policy);
+        self.add_actor(p, Hosted::new(replica).boxed());
+        self.set_telemetry_probe(
+            p,
+            Box::new(|actor, now| {
+                let hosted = actor.as_any().downcast_mut::<Hosted<EngineReplica<A>>>()?;
+                let replica = hosted.inner();
+                Some((replica.telemetry(), replica.health(now)))
+            }),
+        );
+        self.set_factory(
+            p,
+            Box::new(move |storage: &NodeStorage| {
+                Hosted::new(EngineReplica::recovering(
+                    kind,
                     p,
-                    Box::new(move |storage: &NodeStorage| {
-                        Hosted::new(Replica::recovering(
-                            p,
-                            config.clone(),
-                            mk_app(),
-                            policy,
-                            storage.acceptor_recovery(),
-                            storage.checkpoint_cloned(),
-                        ))
-                        .boxed()
-                    }),
-                );
-            }
-            kind => {
-                self.set_factory(
-                    p,
-                    Box::new(move |storage: &NodeStorage| {
-                        Hosted::new(EngineReplica::recovering(
-                            kind,
-                            p,
-                            config.clone(),
-                            mk_app(),
-                            policy,
-                            storage.acceptor_recovery(),
-                            storage.checkpoint_cloned(),
-                        ))
-                        .boxed()
-                    }),
-                );
-            }
-        }
+                    config.clone(),
+                    mk_app(),
+                    policy,
+                    storage.acceptor_recovery(),
+                    storage.checkpoint_cloned(),
+                ))
+                .boxed()
+            }),
+        );
     }
 
     /// Registers the factory used to rebuild `p`'s actor on restart.

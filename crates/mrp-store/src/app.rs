@@ -6,8 +6,8 @@ use crate::kv::KvStore;
 use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::app::{decode_command, Application, Delivery, Reply};
 
-/// The MRP-Store state machine hosted by a
-/// [`Replica`](multiring_paxos::replica::Replica).
+/// The MRP-Store state machine hosted by an
+/// [`EngineReplica`](mrp_amcast::EngineReplica).
 ///
 /// Replies are tagged with the replica's partition id so clients can
 /// collect "at least one response from every partition" for scans

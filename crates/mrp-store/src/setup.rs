@@ -147,14 +147,12 @@ impl StoreDeployment {
         }
     }
 
-    /// Spawns one replica actor per process on `cluster`, hosted by the
-    /// deployment's ordering engine: the full trim/peer-recovery-capable
-    /// [`Replica`](multiring_paxos::replica::Replica) for Multi-Ring
-    /// Paxos, the engine-generic [`EngineReplica`](mrp_amcast::EngineReplica)
-    /// otherwise — both checkpointing per `policy`. Every replica also
-    /// gets a restart factory, so `cluster.schedule_crash` /
-    /// `schedule_restart` recover it from its stable storage (latest
-    /// durable checkpoint + acceptor logs). `mk_app` builds (and may
+    /// Spawns one replica actor per process on `cluster`: an
+    /// [`EngineReplica`](mrp_amcast::EngineReplica) over the
+    /// deployment's ordering engine, checkpointing per `policy`. Every
+    /// replica also gets a restart factory, so `cluster.schedule_crash`
+    /// / `schedule_restart` recover it from its stable storage (latest
+    /// durable checkpoint + acceptor logs) or a fresher peer checkpoint. `mk_app` builds (and may
     /// preload) a replica's application from its partition number; it
     /// runs again on every restart to rebuild the pre-checkpoint state.
     pub fn spawn_replicas(

@@ -8,9 +8,11 @@ use mrp_sim::rng::Rng;
 use mrp_store::client::{ClientOp, StoreClient, StoreClientConfig};
 use mrp_store::command::StoreCommand;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
+
+type StoreReplica = Hosted<mrp_amcast::EngineReplica<StoreApp>>;
 use multiring_paxos::app::Application;
 use multiring_paxos::config::RingTuning;
-use multiring_paxos::replica::{CheckpointPolicy, Replica};
+use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ClientId, ProcessId, Time};
 
 fn tuning() -> RingTuning {
@@ -120,7 +122,6 @@ fn mixed_workload_completes_operations() {
 
 #[test]
 fn replicas_of_a_partition_converge() {
-    type StoreReplica = Hosted<Replica<StoreApp>>;
     let deployment = StoreDeployment::build(
         &StoreTopology::local(2, tuning()).engine(mrp_amcast::EngineKind::MultiRing),
     );
@@ -219,7 +220,6 @@ fn batching_reduces_requests_but_completes_all_ops() {
 
 #[test]
 fn wbcast_engine_serves_store_and_replicas_converge() {
-    type WbReplica = Hosted<mrp_amcast::EngineReplica<StoreApp>>;
     // The identical insert workload, ordered by the timestamp-based
     // engine selected purely from deployment configuration.
     let deployment = StoreDeployment::build(
@@ -266,7 +266,7 @@ fn wbcast_engine_serves_store_and_replicas_converge() {
         let mut snapshots = Vec::new();
         for &p in members {
             let replica = cluster
-                .actor_as::<WbReplica>(p)
+                .actor_as::<StoreReplica>(p)
                 .expect("wbcast replica present");
             assert_eq!(replica.inner().app().partition(), partition);
             snapshots.push(replica.inner().app().snapshot());
@@ -283,7 +283,6 @@ fn wbcast_engine_serves_store_and_replicas_converge() {
 
 #[test]
 fn wbcast_scans_need_no_global_ring() {
-    type WbReplica = Hosted<mrp_amcast::EngineReplica<StoreApp>>;
     // The acceptance shape of genuine multi-group multicast: a store
     // with *no* global ring, ordered by the white-box engine. Scans —
     // the multi-partition commands — are multicast once to exactly the
@@ -354,7 +353,7 @@ fn wbcast_scans_need_no_global_ring() {
         let mut snapshots = Vec::new();
         for &p in members {
             let replica = cluster
-                .actor_as::<WbReplica>(p)
+                .actor_as::<StoreReplica>(p)
                 .expect("wbcast replica present");
             snapshots.push(replica.inner().app().snapshot());
         }

@@ -2,7 +2,7 @@
 //!
 //! Services (the key-value store `mrp-store`, the distributed log
 //! `mrp-dlog`, or user code) implement [`Application`] and are hosted by
-//! a [`Replica`](crate::replica::Replica): every atomic-multicast
+//! a replica (`mrp_amcast::EngineReplica`): every atomic-multicast
 //! delivery is executed deterministically, replies are routed back to
 //! client sessions, and the application state is periodically
 //! checkpointed for recovery.

@@ -4,7 +4,7 @@
 //!
 //! A runtime (the `mrp-sim` simulator or the `mrp-transport` TCP runtime)
 //! owns the sockets, clocks, timers and disks. It drives a
-//! [`Node`](crate::node::Node) or [`Replica`](crate::replica::Replica) by
+//! [`Node`](crate::node::Node) (or a replica wrapping an engine) by
 //! translating I/O completions into events, calling
 //! `on_event(now, event)`, and executing the returned actions.
 
@@ -484,8 +484,8 @@ impl IntoIterator for Actions {
 }
 
 /// The interface every hostable protocol state machine implements;
-/// runtimes are generic over it ([`Node`](crate::node::Node) and
-/// [`Replica`](crate::replica::Replica) both implement it).
+/// runtimes are generic over it ([`Node`](crate::node::Node), the other
+/// engines and the replica that wraps them all implement it).
 pub trait StateMachine {
     /// Feeds one event; returns the actions it provoked.
     fn on_event(&mut self, now: Time, event: Event) -> Vec<Action>;

@@ -70,8 +70,8 @@
 //! * [`recovery`] — checkpoint tuples, coordinated log trimming and
 //!   replica recovery (Section 5 of the paper).
 //! * [`node`] — the composite per-process state machine.
-//! * [`replica`] — couples a [`node::Node`] with an [`app::Application`]
-//!   (state-machine replication, checkpointing, recovery).
+//! * [`replica`] — the replica checkpointing policy (the replica itself
+//!   is engine-generic: `mrp_amcast::EngineReplica`).
 //! * [`codec`] — binary wire encoding shared by transports and simulator.
 
 #![forbid(unsafe_code)]
@@ -95,7 +95,6 @@ pub use app::Application;
 pub use config::{ClusterConfig, ClusterConfigBuilder, RingSpec, Roles};
 pub use event::{Action, Event};
 pub use node::Node;
-pub use replica::Replica;
 pub use types::{Ballot, GroupId, InstanceId, ProcessId, RingId, Time, Value};
 
 /// Commonly used items, for glob import in examples and tests.
@@ -104,6 +103,5 @@ pub mod prelude {
     pub use crate::config::{ClusterConfig, RingSpec, Roles};
     pub use crate::event::{Action, Event};
     pub use crate::node::Node;
-    pub use crate::replica::Replica;
     pub use crate::types::{Ballot, GroupId, InstanceId, ProcessId, RingId, Time, Value, ValueId};
 }

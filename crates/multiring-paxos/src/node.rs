@@ -243,16 +243,6 @@ impl Node {
         self.merger.total_consumed()
     }
 
-    /// Suppresses or resumes learner gap repair on all subscribed rings
-    /// (used while replica recovery decides which checkpoint to install).
-    pub fn hold_repair(&mut self, hold: bool) {
-        for ring in self.rings.values_mut() {
-            if let Some(l) = ring.learner_mut() {
-                l.hold_repair(hold);
-            }
-        }
-    }
-
     /// Repositions the merge and the per-ring learners at `ckpt`
     /// (checkpoint installation during recovery).
     pub fn install_watermarks(&mut self, ckpt: &CheckpointId) {
@@ -284,10 +274,14 @@ impl Node {
         out
     }
 
-    /// Signals raised by learners whose repair hit trimmed acceptor logs;
-    /// consumed by the replica layer to trigger checkpoint recovery.
-    pub fn take_need_checkpoint(&mut self) -> Option<(RingId, InstanceId)> {
-        self.need_checkpoint.take()
+    /// The group and trimmed instance of a learner whose repair hit
+    /// trimmed acceptor logs and is still stuck at or below them: only a
+    /// checkpoint covering the trimmed prefix can move it again. Clears
+    /// by itself once one is installed.
+    pub fn needs_checkpoint(&self) -> Option<(GroupId, InstanceId)> {
+        let (ring_id, trimmed) = self.need_checkpoint?;
+        let ring = self.rings.get(&ring_id)?;
+        (ring.learner()?.next_release() <= trimmed).then(|| (ring.group(), trimmed))
     }
 
     /// An FNV-1a fingerprint of the protocol-relevant state: ring role
@@ -552,7 +546,7 @@ impl Node {
                 }
                 // Messages without a ring scope that reach a bare node
                 // (checkpoint queries, trim queries) are replica-layer
-                // concerns; `Replica` intercepts them before this point.
+                // concerns; the replica intercepts them before this point.
             }
         }
     }

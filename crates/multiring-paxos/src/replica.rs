@@ -1,19 +1,8 @@
-//! State-machine replication on top of atomic multicast: a [`Replica`]
-//! couples a [`Node`] with an [`Application`], executing deliveries,
-//! answering clients, taking periodic checkpoints, answering the trim
-//! protocol, serving checkpoints to recovering peers, and running the
-//! recovery protocol itself after a crash.
-
-use crate::app::{Application, Delivery, Reply};
-use crate::config::ClusterConfig;
-use crate::event::{Action, Event, Message, PersistRecord, PersistToken, StateMachine, TimerKind};
-use crate::node::Node;
-use crate::paxos::AcceptorRecovery;
-use crate::recovery::{CheckpointId, RecoveryManager, RecoveryStep, Resolution, TrimResponder};
-use crate::types::{ProcessId, RingId, Time};
-use bytes::Bytes;
-use std::collections::BTreeMap;
-use std::fmt;
+//! The checkpointing policy of a state-machine replica. The replica
+//! itself — execute, checkpoint, answer the coordinated trim, recover
+//! from a partition peer — is engine-generic and lives in
+//! `mrp_amcast::EngineReplica`; only this plain policy struct stays at
+//! the path deployments already import it from.
 
 /// Checkpointing policy of a replica.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -33,583 +22,5 @@ impl Default for CheckpointPolicy {
             interval_us: 5_000_000,
             sync: true,
         }
-    }
-}
-
-/// How many instances per ring to request in one backfill batch after
-/// installing a checkpoint.
-const BACKFILL_CHUNK: u64 = 10_000;
-
-/// Prefer the local checkpoint unless a remote one is ahead by more than
-/// this many total instances (Section 5.1's "too old" heuristic).
-const PREFER_LOCAL_WITHIN: u64 = 1_000;
-
-/// A replicated service endpoint: node + deterministic application.
-pub struct Replica<A> {
-    node: Node,
-    app: A,
-    policy: CheckpointPolicy,
-    responder: TrimResponder,
-    /// Last durable checkpoint (id + snapshot), served to peers.
-    stable: Option<(CheckpointId, Bytes)>,
-    /// Checkpoints written but not yet durable, keyed by persist token.
-    pending_ckpt: BTreeMap<PersistToken, (CheckpointId, Bytes)>,
-    ckpt_token_seed: u64,
-    recovery: Option<RecoveryManager>,
-    /// Statistics: commands executed since start.
-    executed: u64,
-    /// Statistics: checkpoints completed since start.
-    checkpoints_taken: u64,
-}
-
-impl<A: fmt::Debug> fmt::Debug for Replica<A> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Replica")
-            .field("node", &self.node)
-            .field("app", &self.app)
-            .field("recovering", &self.recovery.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<A: Application> Replica<A> {
-    /// A fresh replica (first boot).
-    pub fn new(me: ProcessId, config: ClusterConfig, app: A, policy: CheckpointPolicy) -> Self {
-        Self {
-            node: Node::new(me, config),
-            app,
-            policy,
-            responder: TrimResponder::new(),
-            stable: None,
-            pending_ckpt: BTreeMap::new(),
-            ckpt_token_seed: u64::MAX / 2, // disjoint from node tokens
-            recovery: None,
-            executed: 0,
-            checkpoints_taken: 0,
-        }
-    }
-
-    /// A replica restarting after a crash: `acceptor_logs` is the state
-    /// recovered from the acceptor's stable log and `local_checkpoint`
-    /// the replica's last durable checkpoint, both loaded by the runtime
-    /// from stable storage. The recovery protocol of Section 5.2 runs on
-    /// [`Event::Start`].
-    pub fn recovering(
-        me: ProcessId,
-        config: ClusterConfig,
-        app: A,
-        policy: CheckpointPolicy,
-        acceptor_logs: BTreeMap<RingId, AcceptorRecovery>,
-        local_checkpoint: Option<(CheckpointId, Bytes)>,
-    ) -> Self {
-        let partition = config.partition_of(me);
-        let peers: Vec<ProcessId> = partition.into_iter().filter(|&p| p != me).collect();
-        let local_id = local_checkpoint.as_ref().map(|(id, _)| id.clone());
-        let node = Node::with_recovery(me, config, acceptor_logs);
-        let mut responder = TrimResponder::new();
-        if let Some(id) = &local_id {
-            responder.set_stable(id.clone());
-        }
-        Self {
-            node,
-            app,
-            policy,
-            responder,
-            stable: local_checkpoint,
-            pending_ckpt: BTreeMap::new(),
-            ckpt_token_seed: u64::MAX / 2,
-            recovery: Some(RecoveryManager::new(peers, local_id, PREFER_LOCAL_WITHIN)),
-            executed: 0,
-            checkpoints_taken: 0,
-        }
-    }
-
-    /// The wrapped node.
-    pub fn node(&self) -> &Node {
-        &self.node
-    }
-
-    /// Mutable access to the wrapped node (e.g. to multicast).
-    pub fn node_mut(&mut self) -> &mut Node {
-        &mut self.node
-    }
-
-    /// The application.
-    pub fn app(&self) -> &A {
-        &self.app
-    }
-
-    /// Commands executed since start.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// Checkpoints completed since start.
-    pub fn checkpoints_taken(&self) -> u64 {
-        self.checkpoints_taken
-    }
-
-    /// Whether the replica is still running the recovery protocol.
-    pub fn is_recovering(&self) -> bool {
-        self.recovery.is_some()
-    }
-
-    /// The last durable checkpoint id, if any.
-    pub fn stable_checkpoint(&self) -> Option<&CheckpointId> {
-        self.stable.as_ref().map(|(id, _)| id)
-    }
-
-    fn emit_step(&self, step: RecoveryStep, out: &mut Vec<Action>) {
-        match step {
-            RecoveryStep::Query { seq, peers } => {
-                for p in peers {
-                    out.push(Action::Send {
-                        to: p,
-                        msg: Message::CheckpointQuery { seq },
-                    });
-                }
-            }
-            RecoveryStep::Fetch { seq, from, id } => {
-                out.push(Action::Send {
-                    to: from,
-                    msg: Message::CheckpointFetch { seq, id },
-                });
-            }
-        }
-        out.push(Action::SetTimer {
-            after_us: 500_000,
-            timer: TimerKind::RecoveryRetry,
-        });
-    }
-
-    fn apply_resolution(&mut self, now: Time, resolution: Resolution, out: &mut Vec<Action>) {
-        match resolution {
-            Resolution::UseLocal(Some(id)) => {
-                if let Some((_, snapshot)) = self.stable.clone() {
-                    self.app.restore(&snapshot);
-                }
-                self.node.install_watermarks(&id);
-            }
-            Resolution::UseLocal(None) => {
-                // Fresh start: nothing to install.
-            }
-            Resolution::Install { id, snapshot } => {
-                self.app.restore(&snapshot);
-                self.node.install_watermarks(&id);
-                self.responder.set_stable(id.clone());
-                self.stable = Some((id, snapshot));
-            }
-        }
-        self.recovery = None;
-        self.node.hold_repair(false);
-        out.extend(self.node.request_backfill(now, BACKFILL_CHUNK));
-    }
-
-    fn take_checkpoint(&mut self, out: &mut Vec<Action>) {
-        let id = self.node.watermarks();
-        if self
-            .stable
-            .as_ref()
-            .is_some_and(|(stable_id, _)| *stable_id == id)
-        {
-            return; // nothing new to checkpoint
-        }
-        let snapshot = self.app.snapshot();
-        self.ckpt_token_seed += 1;
-        let token = PersistToken(self.ckpt_token_seed);
-        self.pending_ckpt
-            .insert(token, (id.clone(), snapshot.clone()));
-        out.push(Action::Persist {
-            record: PersistRecord::Checkpoint { id, snapshot },
-            sync: self.policy.sync,
-            token,
-        });
-    }
-
-    /// Post-processes node actions: deliveries are executed against the
-    /// application and turned into client responses.
-    fn post_process(&mut self, actions: Vec<Action>, out: &mut Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Deliver {
-                    group,
-                    instance,
-                    value,
-                } => {
-                    let delivery = Delivery {
-                        group,
-                        instance,
-                        value,
-                    };
-                    self.executed += 1;
-                    for Reply {
-                        client,
-                        request,
-                        payload,
-                    } in self.app.execute(&delivery)
-                    {
-                        out.push(Action::Respond {
-                            client,
-                            request,
-                            payload,
-                        });
-                    }
-                }
-                other => out.push(other),
-            }
-        }
-    }
-}
-
-impl<A: Application> StateMachine for Replica<A> {
-    fn on_event(&mut self, now: Time, event: Event) -> Vec<Action> {
-        let mut out = Vec::new();
-        match event {
-            Event::Start => {
-                if let Some(recovery) = self.recovery.as_mut() {
-                    self.node.hold_repair(true);
-                    match recovery.start() {
-                        Ok(step) => self.emit_step(step, &mut out),
-                        Err(resolution) => self.apply_resolution(now, resolution, &mut out),
-                    }
-                }
-                let actions = self.node.on_event(now, Event::Start);
-                self.post_process(actions, &mut out);
-                if self.policy.interval_us > 0 {
-                    out.push(Action::SetTimer {
-                        after_us: self.policy.interval_us,
-                        timer: TimerKind::CheckpointTick,
-                    });
-                }
-            }
-            Event::Timer(TimerKind::CheckpointTick) => {
-                if self.recovery.is_none() {
-                    self.take_checkpoint(&mut out);
-                }
-                if self.policy.interval_us > 0 {
-                    out.push(Action::SetTimer {
-                        after_us: self.policy.interval_us,
-                        timer: TimerKind::CheckpointTick,
-                    });
-                }
-            }
-            Event::Timer(TimerKind::RecoveryRetry) => {
-                if let Some(recovery) = self.recovery.as_mut() {
-                    if let Some(step) = recovery.on_retry() {
-                        self.emit_step(step, &mut out);
-                    }
-                }
-            }
-            Event::PersistDone(token) if self.pending_ckpt.contains_key(&token) => {
-                let (id, snapshot) = self
-                    .pending_ckpt
-                    .remove(&token)
-                    .expect("checked contains_key");
-                self.checkpoints_taken += 1;
-                self.responder.set_stable(id.clone());
-                self.stable = Some((id, snapshot));
-            }
-            Event::Message { from, msg } => match msg {
-                Message::TrimQuery { group, seq } => {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::TrimReply {
-                            group,
-                            seq,
-                            safe: self.responder.safe_instance(group),
-                        },
-                    });
-                }
-                Message::CheckpointQuery { seq } => {
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::CheckpointInfo {
-                            seq,
-                            checkpoint: self.stable.as_ref().map(|(id, _)| id.clone()),
-                        },
-                    });
-                }
-                Message::CheckpointFetch { seq, id } => {
-                    let snapshot = self
-                        .stable
-                        .as_ref()
-                        .filter(|(stable_id, _)| *stable_id == id)
-                        .map(|(_, snap)| snap.clone());
-                    out.push(Action::Send {
-                        to: from,
-                        msg: Message::CheckpointData { seq, id, snapshot },
-                    });
-                }
-                Message::CheckpointInfo { seq, checkpoint } => {
-                    if let Some(recovery) = self.recovery.as_mut() {
-                        if let Some(step) = recovery.on_info(from, seq, checkpoint) {
-                            match step {
-                                Ok(step) => self.emit_step(step, &mut out),
-                                Err(resolution) => self.apply_resolution(now, resolution, &mut out),
-                            }
-                        }
-                    }
-                }
-                Message::CheckpointData { seq, id, snapshot } => {
-                    if let Some(recovery) = self.recovery.as_mut() {
-                        if let Some(step) = recovery.on_data(seq, &id, snapshot) {
-                            match step {
-                                Ok(step) => self.emit_step(step, &mut out),
-                                Err(resolution) => self.apply_resolution(now, resolution, &mut out),
-                            }
-                        }
-                    }
-                }
-                msg => {
-                    let actions = self.node.on_event(now, Event::Message { from, msg });
-                    self.post_process(actions, &mut out);
-                }
-            },
-            event => {
-                let actions = self.node.on_event(now, event);
-                self.post_process(actions, &mut out);
-            }
-        }
-        out
-    }
-
-    fn process_id(&self) -> ProcessId {
-        self.node.me()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::{single_ring, RingTuning};
-    use crate::types::{ClientId, GroupId};
-    use bytes::BufMut;
-
-    /// A toy application: appends every command byte to a buffer and
-    /// echoes it back.
-    #[derive(Default, Debug)]
-    struct Echo {
-        log: Vec<u8>,
-    }
-
-    impl Application for Echo {
-        fn execute(&mut self, delivery: &Delivery) -> Vec<Reply> {
-            let Some((client, request, cmd)) =
-                crate::app::decode_command(delivery.value.payload.clone())
-            else {
-                return Vec::new();
-            };
-            self.log.extend_from_slice(&cmd);
-            vec![Reply {
-                client,
-                request,
-                payload: cmd,
-            }]
-        }
-
-        fn snapshot(&self) -> Bytes {
-            let mut b = bytes::BytesMut::new();
-            b.put_slice(&self.log);
-            b.freeze()
-        }
-
-        fn restore(&mut self, snapshot: &Bytes) {
-            self.log = snapshot.to_vec();
-        }
-    }
-
-    fn config() -> ClusterConfig {
-        single_ring(
-            1,
-            RingTuning {
-                lambda: 0,
-                ..RingTuning::default()
-            },
-        )
-    }
-
-    #[test]
-    fn singleton_replica_executes_and_responds() {
-        let mut r = Replica::new(
-            ProcessId::new(0),
-            config(),
-            Echo::default(),
-            CheckpointPolicy {
-                interval_us: 0,
-                sync: true,
-            },
-        );
-        let mut actions = r.on_event(Time::ZERO, Event::Start);
-        // Singleton ring: phase 1 completes locally with no sends.
-        actions.retain(|a| matches!(a, Action::Respond { .. }));
-        assert!(actions.is_empty());
-        let out = r.on_event(
-            Time::ZERO,
-            Event::Message {
-                from: ProcessId::new(9),
-                msg: Message::Request {
-                    client: ClientId::new(7),
-                    request: 3,
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"x"),
-                },
-            },
-        );
-        let responds: Vec<&Action> = out
-            .iter()
-            .filter(|a| matches!(a, Action::Respond { .. }))
-            .collect();
-        assert_eq!(responds.len(), 1);
-        match responds[0] {
-            Action::Respond {
-                client,
-                request,
-                payload,
-            } => {
-                assert_eq!(*client, ClientId::new(7));
-                assert_eq!(*request, 3);
-                assert_eq!(&payload[..], b"x");
-            }
-            _ => unreachable!(),
-        }
-        assert_eq!(r.executed(), 1);
-        assert_eq!(r.app().log, vec![b'x']);
-    }
-
-    #[test]
-    fn checkpoint_lifecycle_and_trim_reply() {
-        let mut r = Replica::new(
-            ProcessId::new(0),
-            config(),
-            Echo::default(),
-            CheckpointPolicy {
-                interval_us: 1_000,
-                sync: true,
-            },
-        );
-        r.on_event(Time::ZERO, Event::Start);
-        r.on_event(
-            Time::ZERO,
-            Event::Message {
-                from: ProcessId::new(9),
-                msg: Message::Request {
-                    client: ClientId::new(1),
-                    request: 1,
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"y"),
-                },
-            },
-        );
-        // Before any checkpoint, trim replies report instance 0.
-        let out = r.on_event(
-            Time::ZERO,
-            Event::Message {
-                from: ProcessId::new(2),
-                msg: Message::TrimQuery {
-                    group: GroupId::new(0),
-                    seq: 1,
-                },
-            },
-        );
-        assert!(matches!(
-            out[0],
-            Action::Send { msg: Message::TrimReply { safe, .. }, .. }
-            if safe == crate::types::InstanceId::ZERO
-        ));
-        // Checkpoint tick persists, completion makes it durable.
-        let out = r.on_event(
-            Time::from_millis(1),
-            Event::Timer(TimerKind::CheckpointTick),
-        );
-        let token = out
-            .iter()
-            .find_map(|a| match a {
-                Action::Persist { token, sync, .. } => {
-                    assert!(*sync);
-                    Some(*token)
-                }
-                _ => None,
-            })
-            .expect("checkpoint persisted");
-        assert_eq!(r.checkpoints_taken(), 0);
-        r.on_event(Time::from_millis(2), Event::PersistDone(token));
-        assert_eq!(r.checkpoints_taken(), 1);
-        let id = r.stable_checkpoint().unwrap().clone();
-        assert_eq!(id.mark_of(GroupId::new(0)).value(), 1);
-        // Trim replies now report the durable watermark.
-        let out = r.on_event(
-            Time::from_millis(3),
-            Event::Message {
-                from: ProcessId::new(2),
-                msg: Message::TrimQuery {
-                    group: GroupId::new(0),
-                    seq: 2,
-                },
-            },
-        );
-        assert!(matches!(
-            out[0],
-            Action::Send { msg: Message::TrimReply { safe, .. }, .. }
-            if safe.value() == 1
-        ));
-        // Peers can query and fetch the checkpoint.
-        let out = r.on_event(
-            Time::from_millis(4),
-            Event::Message {
-                from: ProcessId::new(5),
-                msg: Message::CheckpointQuery { seq: 9 },
-            },
-        );
-        assert!(matches!(
-            &out[0],
-            Action::Send { msg: Message::CheckpointInfo { checkpoint: Some(c), .. }, .. }
-            if *c == id
-        ));
-        let out = r.on_event(
-            Time::from_millis(5),
-            Event::Message {
-                from: ProcessId::new(5),
-                msg: Message::CheckpointFetch {
-                    seq: 10,
-                    id: id.clone(),
-                },
-            },
-        );
-        assert!(matches!(
-            &out[0],
-            Action::Send { msg: Message::CheckpointData { snapshot: Some(s), .. }, .. }
-            if &s[..] == b"y"
-        ));
-    }
-
-    #[test]
-    fn unchanged_state_skips_checkpoint() {
-        let mut r = Replica::new(
-            ProcessId::new(0),
-            config(),
-            Echo::default(),
-            CheckpointPolicy {
-                interval_us: 1_000,
-                sync: false,
-            },
-        );
-        r.on_event(Time::ZERO, Event::Start);
-        let out = r.on_event(
-            Time::from_millis(1),
-            Event::Timer(TimerKind::CheckpointTick),
-        );
-        let token = out.iter().find_map(|a| match a {
-            Action::Persist { token, .. } => Some(*token),
-            _ => None,
-        });
-        // First checkpoint covers the empty watermark tuple: allowed.
-        let token = token.expect("initial checkpoint");
-        r.on_event(Time::from_millis(1), Event::PersistDone(token));
-        // No new deliveries: the next tick produces no persist.
-        let out = r.on_event(
-            Time::from_millis(2),
-            Event::Timer(TimerKind::CheckpointTick),
-        );
-        assert!(out.iter().all(|a| !matches!(a, Action::Persist { .. })));
     }
 }

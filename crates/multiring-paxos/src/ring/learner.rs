@@ -46,9 +46,6 @@ pub struct RingLearner {
     phase2_cache: BTreeMap<InstanceId, (u32, ConsensusValue)>,
     /// When the current head-of-line gap was first observed.
     gap_since: Option<Time>,
-    /// Suppresses gap repair while replica recovery decides on a
-    /// checkpoint to install.
-    hold_repair: bool,
 }
 
 impl RingLearner {
@@ -63,7 +60,6 @@ impl RingLearner {
         self.decided.digest_into(h);
         self.phase2_cache.digest_into(h);
         self.gap_since.digest_into(h);
-        self.hold_repair.digest_into(h);
     }
 
     /// A fresh learner starting at instance 1.
@@ -75,7 +71,6 @@ impl RingLearner {
             decided: BTreeMap::new(),
             phase2_cache: BTreeMap::new(),
             gap_since: None,
-            hold_repair: false,
         }
     }
 
@@ -92,14 +87,6 @@ impl RingLearner {
     /// Highest decided instance observed.
     pub fn highest_seen(&self) -> InstanceId {
         self.highest_seen
-    }
-
-    /// Pauses or resumes gap repair (used during replica recovery).
-    pub fn hold_repair(&mut self, hold: bool) {
-        self.hold_repair = hold;
-        if hold {
-            self.gap_since = None;
-        }
     }
 
     /// Remembers the value of a Phase 2 message so a later value-less
@@ -194,7 +181,7 @@ impl RingLearner {
     /// If the head-of-line gap has persisted for `timeout_us`, returns
     /// the missing range to request from an acceptor.
     pub fn repair_request(&self, now: Time, timeout_us: u64) -> Option<(InstanceId, InstanceId)> {
-        if self.hold_repair || !self.has_gap() {
+        if !self.has_gap() {
             return None;
         }
         let since = self.gap_since?;
@@ -324,9 +311,6 @@ mod tests {
         l.on_decision(t(0), i(5), 1, Some(val(5)));
         assert_eq!(l.repair_request(t(0), 10_000), None);
         assert_eq!(l.repair_request(t(20), 10_000), Some((i(1), i(4))));
-        // Repair is suppressed while held.
-        l.hold_repair(true);
-        assert_eq!(l.repair_request(t(40), 10_000), None);
     }
 
     #[test]

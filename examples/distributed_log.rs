@@ -6,7 +6,7 @@
 use atomic_multicast::amcast::EngineReplica;
 use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::RingTuning;
-use atomic_multicast::core::replica::{CheckpointPolicy, Replica};
+use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, ProcessId, Time};
 use atomic_multicast::dlog::{DLogApp, DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
 use atomic_multicast::sim::actor::Hosted;
@@ -56,31 +56,19 @@ fn main() {
     // lockstep, so an arbitrary cutoff catches them mid-drain).
     cluster.schedule_crash(Time::from_secs(5), client_proc);
     cluster.run_until(Time::from_secs(6));
-    // The three servers agree byte-for-byte on every log. Depending on
-    // MRP_ENGINE the deployment spawns the ring engine's checkpointing
-    // Replica or the engine-generic EngineReplica — inspect whichever
-    // is hosted.
-    let logs: Vec<u16> = deployment.group_of_log.keys().copied().collect();
-    let snapshot_of = |cluster: &mut Cluster, s: ProcessId, logs: &[u16]| {
-        if let Some(server) = cluster.actor_as::<Hosted<Replica<DLogApp>>>(s) {
-            let app = server.inner().app();
-            let lens: Vec<u64> = logs.iter().map(|&l| app.len_of(l).unwrap_or(0)).collect();
-            return (lens, app.snapshot());
-        }
+    // The three servers agree byte-for-byte on every log, whichever
+    // engine MRP_ENGINE selected.
+    let mut snaps = Vec::new();
+    for &s in &deployment.servers {
         let server = cluster
             .actor_as::<Hosted<EngineReplica<DLogApp>>>(s)
             .expect("server");
         let app = server.inner().app();
-        let lens: Vec<u64> = logs.iter().map(|&l| app.len_of(l).unwrap_or(0)).collect();
-        (lens, app.snapshot())
-    };
-    let mut snaps = Vec::new();
-    for &s in &deployment.servers.clone() {
-        let (lens, snap) = snapshot_of(&mut cluster, s, &logs);
-        for (&log, len) in logs.iter().zip(&lens) {
+        for &log in deployment.group_of_log.keys() {
+            let len = app.len_of(log).unwrap_or(0);
             println!("  server {} log {}: next position {}", s.value(), log, len);
         }
-        snaps.push(snap);
+        snaps.push(app.snapshot());
     }
     assert!(snaps.windows(2).all(|w| w[0] == w[1]));
     println!("all servers agree on all positions — multi-appends were atomic.");

@@ -1,25 +1,28 @@
 //! Recovery example (Section 5): a replica is killed mid-run, its peers
 //! keep serving, checkpoints let acceptors trim their logs, and the
 //! restarted replica rebuilds its state from a remote checkpoint plus
-//! retransmitted consensus instances.
+//! retransmitted consensus instances (or, with `MRP_ENGINE=wbcast`, the
+//! sequencer's replayed stream).
 //!
 //! Run with: `cargo run --example recovery --release`
 
+use atomic_multicast::amcast::{EngineKind, EngineReplica};
+use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use atomic_multicast::core::replica::{CheckpointPolicy, Replica};
+use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
 use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
-use atomic_multicast::storage::NodeStorage;
 use atomic_multicast::store::command::StoreCommand;
 use atomic_multicast::store::StoreApp;
 use bytes::Bytes;
 use mrp_bench::OpenLoopClient;
 
 fn main() {
-    type StoreReplica = Hosted<Replica<StoreApp>>;
+    type StoreReplica = Hosted<EngineReplica<StoreApp>>;
+    let kind = EngineKind::from_env();
     // One ring: three proposer/acceptors + three learner replicas.
     let tuning = RingTuning {
         lambda: 2_000,
@@ -51,10 +54,7 @@ fn main() {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(
-            p,
-            Hosted::new(atomic_multicast::core::node::Node::new(p, config.clone())).boxed(),
-        );
+        cluster.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
         cluster.add_disk(p, DiskModel::ssd());
     }
     let policy = CheckpointPolicy {
@@ -63,40 +63,22 @@ fn main() {
     };
     for i in 3..6 {
         let p = ProcessId::new(i);
-        let replica = Replica::new(p, config.clone(), StoreApp::new(0), policy);
-        cluster.add_actor(p, Hosted::new(replica).boxed());
+        cluster.add_recoverable_replica_actor(kind, p, config.clone(), policy, || StoreApp::new(0));
         cluster.add_disk(p, DiskModel::ssd());
-        let cfg = config.clone();
-        cluster.set_factory(
-            p,
-            Box::new(move |storage: &NodeStorage| {
-                Hosted::new(Replica::recovering(
-                    p,
-                    cfg.clone(),
-                    StoreApp::new(0),
-                    policy,
-                    storage.acceptor_recovery(),
-                    storage.checkpoint_cloned(),
-                ))
-                .boxed()
-            }),
-        );
     }
     // Steady write load.
     let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut k = 0u64;
     let client = OpenLoopClient::new(
         client_id,
         ProcessId::new(0),
         GroupId::new(0),
         1_000, // 1000 writes/s
         "load",
-        move |_req| {
-            k += 1;
+        |req| {
             StoreCommand::Insert {
-                key: Bytes::from(format!("key{:05}", k % 1000)),
-                value: Bytes::from(vec![0x33u8; 64]),
+                key: Bytes::from(format!("key{:05}", req % 1000)),
+                value: Bytes::from(format!("{req:064}")),
             }
             .encode()
         },
@@ -108,6 +90,9 @@ fn main() {
     println!("t= 0s: cluster running, replica p4 will crash at t=3s");
     cluster.schedule_crash(Time::from_secs(3), ProcessId::new(4));
     cluster.schedule_restart(Time::from_secs(10), ProcessId::new(4));
+    // Stop the load a second before the end so in-flight writes drain
+    // and the stores can be compared byte for byte.
+    cluster.schedule_crash(Time::from_secs(15), client_proc);
     cluster.run_until(Time::from_secs(16));
 
     println!("t=16s: run finished");
@@ -115,7 +100,8 @@ fn main() {
         "  acceptor log trims executed: {}",
         cluster.metrics().counter("trim_storage")
     );
-    let mut lens = Vec::new();
+    let mut executed = Vec::new();
+    let mut snapshots = Vec::new();
     for i in 3..6 {
         let p = ProcessId::new(i);
         let r = cluster.actor_as::<StoreReplica>(p).expect("replica");
@@ -131,9 +117,15 @@ fn main() {
                 ""
             }
         );
-        lens.push(r.inner().app().len());
+        assert!(!r.inner().is_recovering());
+        executed.push(r.inner().executed());
+        snapshots.push(r.inner().app().snapshot());
     }
-    assert_eq!(lens[0], lens[1]);
-    assert_eq!(lens[1], lens[2], "recovered replica caught up");
+    assert!(
+        0 < executed[1] && executed[1] < executed[0],
+        "state transfer plus a short replay, not the whole history"
+    );
+    assert_eq!(snapshots[0], snapshots[2]);
+    assert_eq!(snapshots[0], snapshots[1], "recovered replica caught up");
     println!("the restarted replica installed a remote checkpoint and replayed the gap.");
 }

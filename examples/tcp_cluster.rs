@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --example tcp_cluster`
 
+use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::config::{single_ring, RingTuning, StorageMode};
-use atomic_multicast::core::replica::{CheckpointPolicy, Replica};
+use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId};
 use atomic_multicast::store::command::{StoreCommand, StoreResponse};
 use atomic_multicast::store::StoreApp;
@@ -45,7 +46,8 @@ fn main() {
         rc.peers = peers.clone();
         rc.clients = BTreeMap::from([(ClientId::new(1), client_proc)]);
         rc.storage_dir = Some(base.join(format!("node{i}")));
-        let replica = Replica::new(
+        let replica = EngineReplica::new(
+            EngineKind::from_env(),
             p,
             config.clone(),
             StoreApp::new(0),

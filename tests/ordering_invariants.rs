@@ -1166,16 +1166,15 @@ fn recovery_config() -> ClusterConfig {
 /// The tentpole acceptance test: a replica killed mid-run recovers from
 /// its latest durable checkpoint and converges to the identical
 /// delivery sequence, each command executed exactly once — for every
-/// engine. The ring engine recovers through `Replica::recovering`
-/// (checkpoint query + acceptor backfill), the white-box engine through
-/// `EngineReplica::recovering` (local checkpoint + sequencer stream
-/// resync); both are wired through the same
-/// `Cluster::add_recoverable_replica_actor` surface. For wbcast the
+/// engine, through `EngineReplica::recovering` (peer-checkpoint query,
+/// then acceptor backfill for the ring engine, sequencer stream resync
+/// for the white-box engine) as wired by
+/// `Cluster::add_recoverable_replica_actor`. For wbcast the
 /// test additionally asserts the dedup state is pruned below the
 /// durable watermark — the unbounded-growth fix.
 #[test]
 fn replica_crash_and_restart_recovers_from_checkpoint() {
-    use atomic_multicast::core::replica::{CheckpointPolicy, Replica};
+    use atomic_multicast::core::replica::CheckpointPolicy;
     use mrp_amcast::EngineReplica;
 
     let g0 = GroupId::new(0);
@@ -1272,16 +1271,10 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
         cluster.run_until(Time::from_secs(4));
 
         let log_of = |cluster: &mut Cluster, p: u32| -> Vec<(u64, u64)> {
-            let pid = ProcessId::new(p);
-            match kind {
-                EngineKind::MultiRing => cluster
-                    .actor_as::<Hosted<Replica<CmdLog>>>(pid)
-                    .map(|r| r.inner().app().entries.clone()),
-                EngineKind::Wbcast => cluster
-                    .actor_as::<Hosted<EngineReplica<CmdLog>>>(pid)
-                    .map(|r| r.inner().app().entries.clone()),
-            }
-            .expect("replica actor")
+            cluster
+                .actor_as::<Hosted<EngineReplica<CmdLog>>>(ProcessId::new(p))
+                .map(|r| r.inner().app().entries.clone())
+                .expect("replica actor")
         };
         let reference = log_of(&mut cluster, 3);
         assert_eq!(

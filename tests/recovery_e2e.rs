@@ -1,24 +1,31 @@
 //! End-to-end recovery tests (Section 5): checkpointing, coordinated
 //! trimming, and a replica recovering from a remote checkpoint plus
-//! acceptor retransmissions after the acceptors trimmed their logs.
+//! retransmissions after the acceptors (or sequencers) trimmed past its
+//! own checkpoint — for every engine.
 
+use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use atomic_multicast::core::replica::{CheckpointPolicy, Replica};
+use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
 use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
-use atomic_multicast::storage::NodeStorage;
 use atomic_multicast::store::command::StoreCommand;
 use atomic_multicast::store::StoreApp;
 use bytes::Bytes;
 use mrp_bench::OpenLoopClient;
 
-type StoreReplica = Hosted<Replica<StoreApp>>;
+type StoreReplica = Hosted<EngineReplica<StoreApp>>;
 
-fn build_cluster(ckpt_interval_s: u64, trim_interval_s: u64) -> (Cluster, ClusterConfig) {
+const CLIENT_PROC: ProcessId = ProcessId::new(900);
+
+/// Three proposer/acceptors (p0..p2) ordering for three learner
+/// replicas (p3..p5) under 500 writes/s. Keys wrap at 500 but every
+/// write carries its request number, so the store's content names the
+/// last write each replica executed.
+fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -> Cluster {
     let tuning = RingTuning {
         lambda: 2_000,
         trim_interval_us: trim_interval_s * 1_000_000,
@@ -50,10 +57,7 @@ fn build_cluster(ckpt_interval_s: u64, trim_interval_s: u64) -> (Cluster, Cluste
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(
-            p,
-            Hosted::new(atomic_multicast::core::node::Node::new(p, config.clone())).boxed(),
-        );
+        cluster.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
         cluster.add_disk(p, DiskModel::ssd());
     }
     let policy = CheckpointPolicy {
@@ -62,61 +66,45 @@ fn build_cluster(ckpt_interval_s: u64, trim_interval_s: u64) -> (Cluster, Cluste
     };
     for i in 3..6 {
         let p = ProcessId::new(i);
-        let replica = Replica::new(p, config.clone(), StoreApp::new(0), policy);
-        cluster.add_actor(p, Hosted::new(replica).boxed());
+        cluster.add_recoverable_replica_actor(kind, p, config.clone(), policy, || StoreApp::new(0));
         cluster.add_disk(p, DiskModel::ssd());
-        let cfg = config.clone();
-        cluster.set_factory(
-            p,
-            Box::new(move |storage: &NodeStorage| {
-                Hosted::new(Replica::recovering(
-                    p,
-                    cfg.clone(),
-                    StoreApp::new(0),
-                    policy,
-                    storage.acceptor_recovery(),
-                    storage.checkpoint_cloned(),
-                ))
-                .boxed()
-            }),
-        );
     }
-    let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut k = 0u64;
     let client = OpenLoopClient::new(
         client_id,
         ProcessId::new(0),
         GroupId::new(0),
         2_000, // 500 writes/s
         "load",
-        move |_req| {
-            k += 1;
+        |req| {
             StoreCommand::Insert {
-                key: Bytes::from(format!("key{:05}", k % 500)),
-                value: Bytes::from(vec![0x11u8; 64]),
+                key: Bytes::from(format!("key{:05}", req % 500)),
+                value: Bytes::from(format!("{req:064}")),
             }
             .encode()
         },
     );
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
-    (cluster, config)
+    cluster.add_actor(CLIENT_PROC, Box::new(client));
+    cluster.register_client(client_id, CLIENT_PROC);
+    cluster
+}
+
+fn replica(cluster: &mut Cluster, i: u32) -> &EngineReplica<StoreApp> {
+    cluster
+        .actor_as::<StoreReplica>(ProcessId::new(i))
+        .expect("replica")
+        .inner()
 }
 
 #[test]
 fn checkpoints_enable_acceptor_trimming() {
-    let (mut cluster, _config) = build_cluster(2, 2);
+    let mut cluster = build_cluster(EngineKind::MultiRing, 2, 2);
     cluster.start();
     cluster.run_until(Time::from_secs(10));
     // Replicas checkpointed and the coordinator trimmed acceptor logs.
-    let mut checkpoints = 0;
-    for i in 3..6 {
-        let r = cluster
-            .actor_as::<StoreReplica>(ProcessId::new(i))
-            .expect("replica");
-        checkpoints += r.inner().checkpoints_taken();
-    }
+    let checkpoints: u64 = (3..6)
+        .map(|i| replica(&mut cluster, i).checkpoints_taken())
+        .sum();
     assert!(checkpoints >= 3, "replicas checkpoint periodically");
     assert!(
         cluster.metrics().counter("trim_storage") > 0,
@@ -136,53 +124,65 @@ fn checkpoints_enable_acceptor_trimming() {
 
 #[test]
 fn replica_recovers_from_remote_checkpoint_after_trim() {
-    let (mut cluster, _config) = build_cluster(2, 2);
-    cluster.start();
-    // Kill replica p4 early; let the system run long enough that the
-    // acceptors trim past everything p4 saw; then restart it.
-    cluster.schedule_crash(Time::from_secs(3), ProcessId::new(4));
-    cluster.schedule_restart(Time::from_secs(12), ProcessId::new(4));
-    cluster.run_until(Time::from_secs(18));
+    for kind in EngineKind::ALL {
+        let mut cluster = build_cluster(kind, 2, 2);
+        cluster.start();
+        // Kill replica p4 early; let the system run long enough that the
+        // acceptors (sequencer) trim past everything p4 saw; restart it
+        // under load; then stop the load and let in-flight work drain so
+        // the three stores can be compared byte for byte.
+        cluster.schedule_crash(Time::from_secs(3), ProcessId::new(4));
+        cluster.schedule_restart(Time::from_secs(12), ProcessId::new(4));
+        cluster.run_until(Time::from_secs(12));
+        let executed_by_peer_at_restart = replica(&mut cluster, 3).executed();
+        cluster.schedule_crash(Time::from_secs(17), CLIENT_PROC);
+        cluster.run_until(Time::from_secs(18));
 
-    assert!(cluster.is_up(ProcessId::new(4)));
-    let mut lens = Vec::new();
-    let mut executed = Vec::new();
-    for i in 3..6 {
-        let r = cluster
-            .actor_as::<StoreReplica>(ProcessId::new(i))
-            .expect("replica");
+        assert!(cluster.is_up(ProcessId::new(4)));
+        for i in 3..6 {
+            assert!(
+                !replica(&mut cluster, i).is_recovering(),
+                "{kind}: p{i} finished the recovery protocol"
+            );
+        }
+        // The restarted replica executes again: everything its peers
+        // executed since the restart, plus at most the short tail
+        // between the checkpoint it installed and the restart — not the
+        // history that checkpoint covers (state transfer, not replay).
+        let executed: Vec<u64> = (3..6)
+            .map(|i| replica(&mut cluster, i).executed())
+            .collect();
+        let since_restart = executed[0] - executed_by_peer_at_restart;
+        assert!(since_restart > 2_000, "{kind}: load ran after the restart");
         assert!(
-            !r.inner().is_recovering(),
-            "p{i} finished the recovery protocol"
+            executed[1] >= since_restart,
+            "{kind}: restarted replica executed {} of the {since_restart} commands since",
+            executed[1]
         );
-        lens.push(r.inner().app().len());
-        executed.push(r.inner().executed());
+        assert!(
+            executed[1] < executed[0] / 2,
+            "{kind}: restarted replica skipped checkpointed history ({} vs {})",
+            executed[1],
+            executed[0]
+        );
+        // Every key was overwritten with a fresh value after the restart,
+        // so equal snapshots mean p4 applied those writes too.
+        let snapshots: Vec<Bytes> = (3..6)
+            .map(|i| replica(&mut cluster, i).app().snapshot())
+            .collect();
+        assert_eq!(snapshots[0], snapshots[2], "{kind}: survivors diverge");
+        assert_eq!(
+            snapshots[0], snapshots[1],
+            "{kind}: recovered replica diverges from its peers"
+        );
+        // It caught up from a peer's checkpoint, not by re-anchoring its
+        // stream past a hole.
+        assert_eq!(
+            replica(&mut cluster, 4)
+                .recovery_counters()
+                .resync_truncations,
+            0,
+            "{kind}: stream truncated during recovery"
+        );
     }
-    assert_eq!(lens[0], lens[1]);
-    assert_eq!(
-        lens[1], lens[2],
-        "recovered replica converged to its peers' state"
-    );
-    // The recovered replica did NOT re-execute history covered by the
-    // checkpoint it installed (state transfer, not full replay).
-    assert!(
-        executed[1] < executed[0],
-        "recovered replica skipped checkpointed history ({} vs {})",
-        executed[1],
-        executed[0]
-    );
-    // And the snapshots are byte-identical.
-    let snap3 = cluster
-        .actor_as::<StoreReplica>(ProcessId::new(3))
-        .unwrap()
-        .inner()
-        .app()
-        .snapshot();
-    let snap4 = cluster
-        .actor_as::<StoreReplica>(ProcessId::new(4))
-        .unwrap()
-        .inner()
-        .app()
-        .snapshot();
-    assert_eq!(snap3, snap4);
 }
