@@ -13,7 +13,7 @@
 //!
 //! Batching is **off by default** — an unconfigured deployment behaves
 //! exactly as before — and is enabled per process via
-//! [`BatchConfig::from_env`] (the `MRP_BATCH*` knobs) or
+//! [`BatchConfig::from_env`] (the `MRP_BATCH` switch) or
 //! programmatically via `AnyEngine::set_batching`.
 //!
 //! [`AnyEngine`]: crate::AnyEngine
@@ -60,46 +60,30 @@ impl BatchConfig {
         }
     }
 
-    /// Reads the batching knobs from the environment:
+    /// Reads the `MRP_BATCH` environment switch: `1`/`on`/`true` turns
+    /// batching on with the [`BatchConfig::enabled`] budgets; unset,
+    /// empty, `0`/`off`/`false` leave it off (`None`) — case-insensitive.
+    /// Other budgets are set programmatically
+    /// (`AnyEngine::set_batching`).
     ///
-    /// | variable              | meaning                                 |
-    /// |-----------------------|-----------------------------------------|
-    /// | `MRP_BATCH`           | `1`/`on`/`true` enables batching        |
-    /// | `MRP_BATCH_VALUES`    | [`max_values`](Self::max_values)        |
-    /// | `MRP_BATCH_BYTES`     | [`max_bytes`](Self::max_bytes)          |
-    /// | `MRP_BATCH_WINDOW_US` | [`window_us`](Self::window_us)          |
+    /// # Panics
     ///
-    /// Returns `None` (batching off — today's unbatched behavior) when
-    /// `MRP_BATCH` is unset or set to `0`/`off`/`false`; otherwise the
-    /// [`BatchConfig::enabled`] defaults with any per-knob overrides
-    /// applied. Unparseable override values keep their defaults.
+    /// Panics on any other value, naming the accepted spellings — like
+    /// `MRP_ENGINE`, a typo fails loudly instead of silently running
+    /// the other configuration.
     pub fn from_env() -> Option<Self> {
-        let on = match std::env::var("MRP_BATCH") {
-            Ok(v) => !matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "" | "0" | "off" | "false"
-            ),
-            Err(_) => false,
-        };
-        if !on {
-            return None;
-        }
-        let mut cfg = Self::enabled();
-        if let Some(v) = env_parse("MRP_BATCH_VALUES") {
-            cfg.max_values = (v as usize).max(1);
-        }
-        if let Some(v) = env_parse("MRP_BATCH_BYTES") {
-            cfg.max_bytes = (v as usize).max(1);
-        }
-        if let Some(v) = env_parse("MRP_BATCH_WINDOW_US") {
-            cfg.window_us = v;
-        }
-        Some(cfg)
+        Self::parse_switch(&std::env::var("MRP_BATCH").unwrap_or_default())
     }
-}
 
-fn env_parse(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+    fn parse_switch(value: &str) -> Option<Self> {
+        match value.trim().to_ascii_lowercase().as_str() {
+            "1" | "on" | "true" => Some(Self::enabled()),
+            "" | "0" | "off" | "false" => None,
+            _ => panic!(
+                "invalid MRP_BATCH value {value:?} (expected one of: 1 | on | true | 0 | off | false)"
+            ),
+        }
+    }
 }
 
 /// One queued submission batch for a single group set.
@@ -216,6 +200,25 @@ mod tests {
 
     fn payload(n: usize) -> Bytes {
         Bytes::from(vec![7u8; n])
+    }
+
+    #[test]
+    fn env_switch_is_strict() {
+        let on = Some(BatchConfig::enabled());
+        for (value, want) in [
+            ("1", on),
+            (" ON ", on),
+            ("true", on),
+            ("", None),
+            ("0", None),
+            ("Off", None),
+            ("false", None),
+        ] {
+            assert_eq!(BatchConfig::parse_switch(value), want, "{value:?}");
+        }
+        // The old parser read every unknown spelling as "on".
+        let typo = std::panic::catch_unwind(|| BatchConfig::parse_switch("of"));
+        assert!(typo.is_err(), "a typo must fail loudly");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 
 use crate::batcher::{BatchConfig, Batcher, PushOutcome};
 use crate::telemetry::{
-    HealthIssue, HealthReport, Histogram, ProtocolEvent, RecoveryCounters, TelemetrySnapshot,
-    STALL_DELTAS,
+    EngineTelemetry, HealthIssue, HealthReport, MetricsRegistry, TelemetrySnapshot, STALL_DELTAS,
 };
 use crate::wbcast::WbcastNode;
 use bytes::Bytes;
@@ -49,62 +48,48 @@ pub use multiring_paxos::recovery::CheckpointId as Watermark;
 /// engines must provide agreement, validity and acyclic order for the
 /// values they deliver via [`Action::Deliver`].
 pub trait AmcastEngine: StateMachine {
-    /// Atomically multicasts `payload` to the group set `groups` from
-    /// this process (the paper's `multicast(γ, m)`), returning the
-    /// assigned value id and the actions to execute.
+    /// Atomically multicasts `payloads`, all addressed to the group set
+    /// `groups`, from this process in one submission (the paper's
+    /// `multicast(γ, m)`, batched — the form the submission-edge
+    /// [`Batcher`] flushes into), returning the assigned value ids in
+    /// payload order and the actions to execute.
     ///
-    /// Every correct subscriber of every addressed group delivers the
-    /// message exactly once, in a position consistent with one global
-    /// acyclic order. A *genuine* engine (see [`EngineKind::genuine`])
-    /// involves only the addressed groups' processes; the ring engine
-    /// instead routes multi-group messages through a covering group.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the set is empty, a group is unknown in the
-    /// configuration, this process may not propose to it, or (ring
-    /// engine only) no covering group exists for a multi-group set.
-    fn multicast(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError>;
-
-    /// Atomically multicasts a batch of payloads, all addressed to the
-    /// same group set, in one submission — the batched form of
-    /// [`multicast`](Self::multicast) the submission-edge [`Batcher`]
-    /// flushes into.
-    ///
-    /// Engines override this when one round (one consensus instance,
-    /// one sequencer exchange) can carry the whole batch; the default
-    /// simply loops [`multicast`](Self::multicast), so an engine
-    /// without an override behaves exactly as if each value had been
-    /// submitted individually. Per-value semantics are identical either
-    /// way: each payload gets its own [`ValueId`] (returned in payload
-    /// order) and is delivered individually via [`Action::Deliver`],
-    /// exactly once, in a position consistent with the engine's global
-    /// acyclic order.
+    /// Every correct subscriber of every addressed group delivers each
+    /// message exactly once, individually via [`Action::Deliver`], in a
+    /// position consistent with one global acyclic order. A *genuine*
+    /// engine (see [`EngineKind::genuine`]) involves only the addressed
+    /// groups' processes; the ring engine instead routes multi-group
+    /// messages through a covering group. Where one round (one
+    /// consensus instance, one sequencer exchange) can carry the whole
+    /// batch, it should.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`multicast`](Self::multicast). With the
-    /// default implementation, payloads before the failing one have
-    /// already been submitted.
+    /// Fails — submitting nothing — if the set is empty, a group is
+    /// unknown in the configuration, this process may not propose to
+    /// it, or (ring engine only) no covering group exists for a
+    /// multi-group set.
     fn multicast_batch(
         &mut self,
         now: Time,
         groups: &[GroupId],
         payloads: Vec<Bytes>,
-    ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
-        let mut ids = Vec::with_capacity(payloads.len());
-        let mut actions = Vec::new();
-        for payload in payloads {
-            let (id, acts) = self.multicast(now, groups, payload)?;
-            ids.push(id);
-            actions.extend(acts);
-        }
-        Ok((ids, actions))
+    ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError>;
+
+    /// [`multicast_batch`](Self::multicast_batch) for one payload. Not
+    /// meant to be overridden: every engine has one submit body.
+    ///
+    /// # Errors
+    ///
+    /// As for [`multicast_batch`](Self::multicast_batch).
+    fn multicast(
+        &mut self,
+        now: Time,
+        groups: &[GroupId],
+        payload: Bytes,
+    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
+        let (ids, actions) = self.multicast_batch(now, groups, vec![payload])?;
+        Ok((ids[0], actions))
     }
 
     /// A short, stable engine name (for metrics and reports).
@@ -132,8 +117,9 @@ pub trait AmcastEngine: StateMachine {
     /// A point-in-time snapshot of the engine's telemetry: phase-level
     /// counters and latency histograms recorded on the protocol hot
     /// paths, gauges computed from live state (backlogs, lags, epochs),
-    /// and the retained [`ProtocolEvent`] trace window. Engines that
-    /// record nothing return an empty snapshot.
+    /// and the retained trace window of
+    /// [`ProtocolEvent`](crate::telemetry::ProtocolEvent)s. Engines
+    /// that record nothing return an empty snapshot.
     fn telemetry(&self) -> TelemetrySnapshot {
         TelemetrySnapshot::empty(self.engine_name())
     }
@@ -145,14 +131,6 @@ pub trait AmcastEngine: StateMachine {
     /// inspection: no state changes, safe at any frequency.
     fn health(&self, now: Time) -> HealthReport {
         HealthReport::healthy(now)
-    }
-
-    /// Monotonic recovery-outcome counters (truncations, orphan
-    /// rounds, takeovers), cheap enough to read after every event:
-    /// [`EngineReplica`](crate::EngineReplica) diffs consecutive
-    /// readings to log recovery actions as they happen.
-    fn recovery_counters(&self) -> RecoveryCounters {
-        RecoveryCounters::default()
     }
 
     // --- the checkpoint/trim surface -------------------------------
@@ -225,25 +203,13 @@ pub trait AmcastEngine: StateMachine {
 const BACKFILL_CHUNK: u64 = 10_000;
 
 impl AmcastEngine for Node {
-    fn multicast(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
-        Node::multicast(self, now, groups, payload)
-    }
-
-    /// One submission to the serving ring for the whole batch: the
-    /// coordinator packs the values into as few consensus instances as
-    /// `values_per_instance` / `bytes_per_instance` allow.
     fn multicast_batch(
         &mut self,
         now: Time,
         groups: &[GroupId],
         payloads: Vec<Bytes>,
     ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
-        Node::multicast_many(self, now, groups, payloads)
+        Node::multicast_batch(self, now, groups, payloads)
     }
 
     fn engine_name(&self) -> &'static str {
@@ -258,20 +224,11 @@ impl AmcastEngine for Node {
         self.proposer_backlog()
     }
 
-    /// Snapshot of the node's plain-scalar [`stats`](Node::stats):
-    /// submission/delivery counters and recovery activity as counters,
-    /// backlog / merge progress / merge-watermark lag as gauges, the
-    /// recent submit→deliver samples as the `ring_latency_us`
-    /// histogram, and the retained recovery events as the trace.
+    /// The node's registry and recovery trace (see [`Node::tel`]), plus
+    /// gauges computed from live state: proposer backlog, merge
+    /// progress and merge-watermark lag.
     fn telemetry(&self) -> TelemetrySnapshot {
-        let stats = self.stats();
-        let mut snap = TelemetrySnapshot::empty("multiring");
-        snap.counters.insert("proposed".into(), stats.proposed);
-        snap.counters.insert("delivered".into(), stats.delivered);
-        snap.counters
-            .insert("backfill_rounds".into(), stats.backfill_rounds);
-        snap.counters
-            .insert("checkpoint_installs".into(), stats.checkpoint_installs);
+        let mut snap = TelemetrySnapshot::from_telemetry("multiring", self.tel());
         snap.gauges
             .insert("backlog".into(), self.proposer_backlog() as u64);
         snap.gauges
@@ -280,22 +237,6 @@ impl AmcastEngine for Node {
         let marks = wm.marks.iter().map(|&(_, i)| i.value());
         let lag = marks.clone().max().unwrap_or(0) - marks.min().unwrap_or(0);
         snap.gauges.insert("merge_watermark_lag".into(), lag);
-        let mut lat = Histogram::new();
-        for v in self.recent_latencies() {
-            lat.record(v);
-        }
-        if lat.count() > 0 {
-            snap.histograms.insert("ring_latency_us".into(), lat);
-        }
-        snap.events = self
-            .recovery_events()
-            .map(|(at, kind, detail)| ProtocolEvent {
-                at,
-                kind,
-                group: None,
-                detail,
-            })
-            .collect();
         snap
     }
 
@@ -328,17 +269,6 @@ impl AmcastEngine for Node {
         report
     }
 
-    /// Backfills and checkpoint installs are the ring engine's recovery
-    /// outcomes; it has no resyncs or orphan rounds.
-    fn recovery_counters(&self) -> RecoveryCounters {
-        let stats = self.stats();
-        RecoveryCounters {
-            backfill_rounds: stats.backfill_rounds,
-            checkpoint_installs: stats.checkpoint_installs,
-            ..RecoveryCounters::default()
-        }
-    }
-
     /// The deterministic merge's per-group instance watermarks plus the
     /// merge cursor — exactly the ring engine's checkpoint identifier.
     fn watermark(&self) -> Watermark {
@@ -347,15 +277,6 @@ impl AmcastEngine for Node {
 
     fn install_checkpoint(&mut self, watermark: &Watermark, _state: &Bytes) {
         self.install_watermarks(watermark);
-    }
-
-    /// Nothing engine-local to prune: learner state below the merge
-    /// watermark is dropped as it is consumed, and the acceptor logs
-    /// are trimmed by the coordinated quorum protocol (Predicate 2 of
-    /// the paper), which the replica layer feeds by answering
-    /// `TrimQuery` with its durable watermark.
-    fn trim(&mut self, _now: Time, _watermark: &Watermark) -> Vec<Action> {
-        Vec::new()
     }
 
     /// Backfills the instances between the installed watermark and the
@@ -441,7 +362,7 @@ impl EngineKind {
     /// whose coordinator is the group's sequencer), roles and learner
     /// subscriptions.
     /// Submission batching is applied from the environment
-    /// ([`BatchConfig::from_env`], the `MRP_BATCH*` knobs), so
+    /// ([`BatchConfig::from_env`], the `MRP_BATCH` switch), so
     /// deployments switch it on without recompiling; it defaults off.
     pub fn build(self, me: ProcessId, config: ClusterConfig) -> AnyEngine {
         let inner = match self {
@@ -551,33 +472,22 @@ impl EngineInner {
 pub struct AnyEngine {
     inner: EngineInner,
     batcher: Batcher,
-    /// Batch flushes performed (one per γ-queue handed to the engine).
-    batch_flushes: u64,
-    /// Values submitted through batch flushes.
-    batch_submitted: u64,
-    /// Values-per-flush distribution.
-    batch_occupancy: Histogram,
-    /// Frames saved by outgoing coalescing (`n` merged sends count as
-    /// `n - 1` saved frames).
-    frames_coalesced: u64,
+    /// The wrapper's own counters — `batch.flushes` (one per γ-queue
+    /// handed to the engine), `batch.submitted_values`,
+    /// `wire.frames_coalesced` (`n` merged sends save `n - 1` frames) —
+    /// and the values-per-flush histogram `batch.occupancy`.
+    tel: MetricsRegistry,
 }
 
 impl AnyEngine {
-    fn new(inner: EngineInner) -> Self {
-        Self {
+    /// Wraps `inner` with batching read from the `MRP_BATCH`
+    /// environment switch (off when unset).
+    fn with_env_batching(inner: EngineInner) -> Self {
+        let mut engine = Self {
             inner,
             batcher: Batcher::default(),
-            batch_flushes: 0,
-            batch_submitted: 0,
-            batch_occupancy: Histogram::new(),
-            frames_coalesced: 0,
-        }
-    }
-
-    /// Wraps `inner` with batching read from the `MRP_BATCH*`
-    /// environment knobs (off when unset).
-    fn with_env_batching(inner: EngineInner) -> Self {
-        let mut engine = Self::new(inner);
+            tel: MetricsRegistry::default(),
+        };
         engine.batcher.set_config(BatchConfig::from_env());
         engine
     }
@@ -587,19 +497,14 @@ impl AnyEngine {
         self.inner.kind()
     }
 
-    /// The inner Multi-Ring Paxos node, if that is the engine.
-    pub fn as_multiring(&self) -> Option<&Node> {
+    /// The hosted engine's live telemetry store. No snapshot is built,
+    /// so this is cheap enough to read after every event —
+    /// [`EngineReplica`](crate::EngineReplica) does, to log recovery
+    /// actions as they happen.
+    pub fn live_telemetry(&self) -> &EngineTelemetry {
         match &self.inner {
-            EngineInner::MultiRing(n) => Some(n),
-            EngineInner::Wbcast(_) => None,
-        }
-    }
-
-    /// The inner white-box node, if that is the engine.
-    pub fn as_wbcast(&self) -> Option<&WbcastNode> {
-        match &self.inner {
-            EngineInner::MultiRing(_) => None,
-            EngineInner::Wbcast(n) => Some(n),
+            EngineInner::MultiRing(n) => n.tel(),
+            EngineInner::Wbcast(n) => n.tel(),
         }
     }
 
@@ -609,7 +514,7 @@ impl AnyEngine {
     }
 
     /// Reconfigures submission batching directly (tests and benches;
-    /// deployments use the `MRP_BATCH*` environment knobs through
+    /// deployments use the `MRP_BATCH` environment switch through
     /// [`EngineKind::build`]). Values queued under the previous
     /// configuration are flushed immediately; the returned actions must
     /// be executed like any other engine output.
@@ -633,9 +538,10 @@ impl AnyEngine {
         payloads: Vec<Bytes>,
         out: &mut Vec<Action>,
     ) {
-        self.batch_flushes += 1;
-        self.batch_submitted += payloads.len() as u64;
-        self.batch_occupancy.record(payloads.len() as u64);
+        self.tel.incr("batch.flushes", 1);
+        self.tel
+            .incr("batch.submitted_values", payloads.len() as u64);
+        self.tel.record("batch.occupancy", payloads.len() as u64);
         if let Ok((_, actions)) = self.inner.get_mut().multicast_batch(now, groups, payloads) {
             out.extend(actions);
         }
@@ -676,7 +582,8 @@ impl AnyEngine {
                     *l -= 1;
                     if *l == 0 {
                         let msgs = grouped.remove(&to).expect("just pushed");
-                        self.frames_coalesced += msgs.len() as u64 - 1;
+                        self.tel
+                            .incr("wire.frames_coalesced", msgs.len() as u64 - 1);
                         actions.push(Action::Send {
                             to,
                             msg: Message::Batch(msgs),
@@ -740,21 +647,8 @@ impl StateMachine for AnyEngine {
 }
 
 impl AmcastEngine for AnyEngine {
-    fn multicast(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
-        // Direct submissions need their ValueId synchronously, so they
-        // bypass the queue; outgoing coalescing still applies.
-        let (id, mut actions) = self.inner.get_mut().multicast(now, groups, payload)?;
-        if self.batcher.enabled() {
-            self.coalesce_outgoing(&mut actions);
-        }
-        Ok((id, actions))
-    }
-
+    /// Direct submissions need their [`ValueId`]s synchronously, so
+    /// they bypass the queue; outgoing coalescing still applies.
     fn multicast_batch(
         &mut self,
         now: Time,
@@ -779,10 +673,6 @@ impl AmcastEngine for AnyEngine {
         self.inner.get().backlog() + self.batcher.pending()
     }
 
-    /// The inner engine's snapshot, plus the wrapper's batching
-    /// telemetry when batching has been active: `batch.flushes` /
-    /// `batch.submitted_values` / `wire.frames_coalesced` counters and
-    /// the `batch.occupancy` histogram (values per flush).
     /// The inner engine's fingerprint folded together with the
     /// submission-edge batcher's pending queues: a value parked in the
     /// batcher is protocol-relevant state the inner engine has not seen
@@ -795,18 +685,23 @@ impl AmcastEngine for AnyEngine {
         h.finish()
     }
 
+    /// The inner engine's snapshot, plus the wrapper's batching
+    /// telemetry when batching has been active: `batch.flushes` /
+    /// `batch.submitted_values` / `wire.frames_coalesced` counters and
+    /// the `batch.occupancy` histogram (values per flush).
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = self.inner.get().telemetry();
-        if self.batcher.enabled() || self.batch_flushes > 0 || self.frames_coalesced > 0 {
-            snap.counters
-                .insert("batch.flushes".into(), self.batch_flushes);
-            snap.counters
-                .insert("batch.submitted_values".into(), self.batch_submitted);
-            snap.counters
-                .insert("wire.frames_coalesced".into(), self.frames_coalesced);
-            if self.batch_occupancy.count() > 0 {
+        if self.batcher.enabled() || self.tel.counters().next().is_some() {
+            for name in [
+                "batch.flushes",
+                "batch.submitted_values",
+                "wire.frames_coalesced",
+            ] {
+                snap.counters.insert(name.into(), self.tel.counter(name));
+            }
+            if let Some(occupancy) = self.tel.histogram("batch.occupancy") {
                 snap.histograms
-                    .insert("batch.occupancy".into(), self.batch_occupancy.clone());
+                    .insert("batch.occupancy".into(), occupancy.clone());
             }
         }
         snap
@@ -814,10 +709,6 @@ impl AmcastEngine for AnyEngine {
 
     fn health(&self, now: Time) -> HealthReport {
         self.inner.get().health(now)
-    }
-
-    fn recovery_counters(&self) -> RecoveryCounters {
-        self.inner.get().recovery_counters()
     }
 
     fn watermark(&self) -> Watermark {
@@ -913,6 +804,40 @@ mod tests {
         }
     }
 
+    /// The one submit path: on identically built and started engines,
+    /// `multicast(p)` is `multicast_batch(vec![p])` — same id, same
+    /// actions, same resulting state — at the sequencer/coordinator and
+    /// at a forwarding proposer, with and without the batching wrapper.
+    #[test]
+    fn multicast_is_the_single_value_batch() {
+        let config = single_ring(3, RingTuning::default());
+        let groups = [GroupId::new(0)];
+        for kind in EngineKind::ALL {
+            for me in [0, 1].map(ProcessId::new) {
+                for batching in [None, Some(BatchConfig::enabled())] {
+                    let build = || {
+                        let mut e = kind.build(me, config.clone());
+                        e.set_batching(Time::ZERO, batching);
+                        e.on_event(Time::ZERO, Event::Start);
+                        e
+                    };
+                    let (mut single, mut batch) = (build(), build());
+                    for round in 0..3u8 {
+                        let now = Time::from_micros(u64::from(round) * 10);
+                        let payload = Bytes::from(vec![round; 16]);
+                        let (id, actions) =
+                            single.multicast(now, &groups, payload.clone()).unwrap();
+                        let (ids, batch_actions) =
+                            batch.multicast_batch(now, &groups, vec![payload]).unwrap();
+                        assert_eq!(ids, vec![id], "{kind}/{me}/{batching:?}");
+                        assert_eq!(actions, batch_actions, "{kind}/{me}/{batching:?}");
+                        assert_eq!(single.state_digest(), batch.state_digest());
+                    }
+                }
+            }
+        }
+    }
+
     /// A ring learner told that the instances it needs were trimmed is
     /// wedged until a checkpoint covers them: the health probe names
     /// the group and the trimmed instance, and clears once one does.
@@ -1005,6 +930,6 @@ mod tests {
             }
             other => panic!("expected a coalesced batch: {other:?}"),
         }
-        assert_eq!(engine.frames_coalesced, 1);
+        assert_eq!(engine.tel.counter("wire.frames_coalesced"), 1);
     }
 }

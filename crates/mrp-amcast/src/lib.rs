@@ -13,10 +13,12 @@
 //!
 //! An engine is a sans-io state machine ([`StateMachine`]: consume
 //! [`Event`]s, emit [`Action`]s) that additionally exposes local
-//! submission: [`AmcastEngine::multicast`] takes the paper's destination
-//! **set** γ of groups — a single-element set is the common
-//! partition-local case; a larger set is a cross-partition operation
-//! (a multi-key transaction, a scan, a multi-log append). Every engine
+//! submission: [`AmcastEngine::multicast_batch`] — the one submit body
+//! an engine implements; [`AmcastEngine::multicast`] is its provided
+//! single-value form — takes the paper's destination **set** γ of
+//! groups: a single-element set is the common partition-local case; a
+//! larger set is a cross-partition operation (a multi-key transaction,
+//! a scan, a multi-log append). Every engine
 //! must provide the atomic-multicast properties of Section 2 of the
 //! paper for the values it delivers via `Action::Deliver`:
 //!
@@ -103,9 +105,12 @@
 //!    frames (see [`wbcast`] for the pattern). Engines share the
 //!    [`Event`]/[`Action`] vocabulary, so every existing runtime
 //!    (simulator, TCP transport) hosts them unchanged.
-//! 2. Implement [`AmcastEngine`] for it: `multicast`/`engine_name` are
-//!    mandatory; implement `backlog` if the engine can track in-flight
-//!    submissions, and the checkpoint surface (`watermark`,
+//! 2. Implement [`AmcastEngine`] for it: `multicast_batch`,
+//!    `engine_name` and `state_digest` are mandatory; implement
+//!    `backlog` if the engine can track in-flight submissions,
+//!    `telemetry`/`health` over an
+//!    [`EngineTelemetry`] store it records into, and the checkpoint
+//!    surface (`watermark`,
 //!    `checkpoint_state`, `install_checkpoint`, `trim`, `resume`) if it
 //!    should support bounded state and crash recovery — the defaults
 //!    are safe no-ops, so a minimal engine still runs everywhere.
@@ -117,7 +122,7 @@
 //!
 //! [`AnyEngine`] wraps every engine with a submission-edge
 //! [`Batcher`](batcher::Batcher): when enabled (off by default;
-//! [`BatchConfig::from_env`] reads `MRP_BATCH` and friends, or call
+//! [`BatchConfig::from_env`] reads the `MRP_BATCH` switch, or call
 //! [`AnyEngine::set_batching`]), client `Request`s addressed to the
 //! same group set are queued and flushed as one
 //! [`AmcastEngine::multicast_batch`] round — one consensus instance on
@@ -132,20 +137,27 @@
 //!
 //! ## Observability
 //!
-//! Every engine carries a sans-io [`telemetry`] substrate and exposes
-//! three read-outs on the trait:
+//! Every engine records into one sans-io store — an
+//! [`EngineTelemetry`] (counters, gauges, log-linear histograms and a
+//! bounded trace ring; the primitives live in
+//! [`multiring_paxos::telemetry`], re-exported by [`telemetry`]) — and
+//! the trait exposes exactly two read-outs:
 //!
 //! * [`AmcastEngine::telemetry`] — a [`TelemetrySnapshot`] of
-//!   phase-level counters, gauges and latency histograms plus a bounded
-//!   ring of structured [`ProtocolEvent`](telemetry::ProtocolEvent)s
-//!   (takeovers, orphan recoveries, truncations);
+//!   phase-level counters, gauges and latency histograms plus the
+//!   retained [`ProtocolEvent`](telemetry::ProtocolEvent)s (takeovers,
+//!   orphan recoveries, truncations, backfills, checkpoint installs);
 //! * [`AmcastEngine::health`] — a [`HealthReport`] from the stall
 //!   probe: rounds pending longer than
 //!   [`STALL_DELTAS`](telemetry::STALL_DELTAS)·Δ, frozen checkpoint
-//!   prune floors, deliveries held behind a resync;
-//! * [`AmcastEngine::recovery_counters`] — cheap [`RecoveryCounters`]
-//!   that [`EngineReplica`] diffs after every event to log recovery
-//!   actions as they happen.
+//!   prune floors, deliveries held behind a resync.
+//!
+//! Recovery outcomes are ordinary counters in that store
+//! (`sub.resync_truncations`, `orphan.rounds_started`/`_completed`,
+//! `seq.takeovers`, `backfill_rounds`, `checkpoint_installs`);
+//! [`EngineReplica`] reads them live through
+//! [`AnyEngine::live_telemetry`] after every event to log recovery
+//! actions as they happen.
 //!
 //! The simulator folds per-node snapshots into each run's metrics, the
 //! TCP runtime logs them periodically, and `mrp-bench` emits them as
@@ -169,7 +181,6 @@ pub use batcher::BatchConfig;
 pub use engine::{AmcastEngine, AnyEngine, EngineKind, Watermark};
 pub use replica::EngineReplica;
 pub use telemetry::{
-    EngineTelemetry, HealthIssue, HealthReport, Histogram, MetricsRegistry, RecoveryCounters,
-    TelemetrySnapshot,
+    EngineTelemetry, HealthIssue, HealthReport, Histogram, MetricsRegistry, TelemetrySnapshot,
 };
 pub use wbcast::WbcastNode;

@@ -68,7 +68,7 @@
 //! recovery completes.
 
 use crate::engine::{AmcastEngine, AnyEngine, EngineKind, Watermark};
-use crate::telemetry::{HealthReport, RecoveryCounters, TelemetrySnapshot};
+use crate::telemetry::{HealthReport, TelemetrySnapshot};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use multiring_paxos::app::{Application, Delivery, Reply};
 use multiring_paxos::config::ClusterConfig;
@@ -117,6 +117,22 @@ const PREFER_LOCAL_WITHIN: u64 = 1_000;
 /// re-sending the outstanding query or fetch.
 const RECOVERY_RETRY_US: u64 = 500_000;
 
+/// The recovery outcomes the engines count — registry counter name and
+/// the line logged when it rises: a sequencer takeover, an orphan
+/// recovery, a truncated resync or a checkpoint install is an
+/// operational event worth a line, not a silent counter bump.
+const RECOVERY_TRANSITIONS: [(&str, &str); 6] = [
+    (
+        "sub.resync_truncations",
+        "resync truncation: stream re-anchored past a gap",
+    ),
+    ("orphan.rounds_started", "orphan recovery started"),
+    ("orphan.rounds_completed", "orphan recovery completed"),
+    ("seq.takeovers", "sequencer takeover"),
+    ("backfill_rounds", "backfill round"),
+    ("checkpoint_installs", "checkpoint install"),
+];
+
 /// Turns a recovery step into its wire messages plus the retry timer.
 fn send_recovery_step(step: RecoveryStep, out: &mut Vec<Action>) {
     match step {
@@ -159,11 +175,12 @@ pub struct EngineReplica<A> {
     executed: u64,
     /// Statistics: checkpoints completed since start.
     checkpoints_taken: u64,
-    /// The engine's recovery counters as of the last event, diffed
-    /// after every event so recovery actions (takeovers, orphan
-    /// rounds, truncated resyncs, checkpoint installs) are logged the
-    /// moment they happen instead of sitting in a poll-only counter.
-    last_recovery: RecoveryCounters,
+    /// The engine's [`RECOVERY_TRANSITIONS`] counters as of the last
+    /// event, diffed after every event so recovery actions are logged
+    /// the moment they happen instead of sitting in a poll-only counter.
+    last_recovery: [u64; RECOVERY_TRANSITIONS.len()],
+    /// Trace events the engine had recorded as of that diff.
+    last_traced: u64,
 }
 
 impl<A: fmt::Debug> fmt::Debug for EngineReplica<A> {
@@ -207,7 +224,8 @@ impl<A: Application> EngineReplica<A> {
             // counter while the local checkpoint is installed: the first
             // event's diff then reports the install, keeping recovery
             // loud from the very first action.
-            last_recovery: RecoveryCounters::default(),
+            last_recovery: [0; RECOVERY_TRANSITIONS.len()],
+            last_traced: 0,
         }
     }
 
@@ -337,65 +355,30 @@ impl<A: Application> EngineReplica<A> {
         self.engine.health(now)
     }
 
-    /// The hosted engine's [`recovery
-    /// counters`](AmcastEngine::recovery_counters).
-    pub fn recovery_counters(&self) -> RecoveryCounters {
-        self.engine.recovery_counters()
-    }
-
-    /// Diffs the engine's recovery counters against the last event's
-    /// and logs every increase: a sequencer takeover, an orphan
-    /// recovery, a truncated resync or a checkpoint install is an
-    /// operational event worth a line, not a silent counter bump.
+    /// Diffs the engine's live [`RECOVERY_TRANSITIONS`] counters
+    /// against the last event's and logs every increase.
     fn report_recovery_transitions(&mut self) {
-        let counters = self.engine.recovery_counters();
-        if counters == self.last_recovery {
+        let tel = self.engine.live_telemetry();
+        // Every recovery transition also leaves a trace event, so an
+        // unchanged trace means unchanged counters: the common case
+        // costs one comparison, not six lookups.
+        let traced = tel.trace.len() as u64 + tel.trace.dropped();
+        if traced == self.last_traced {
             return;
         }
-        let prev = self.last_recovery;
-        let me = self.engine.process_id();
-        let engine = self.engine.engine_name();
-        let transitions: [(&str, u64, u64); 6] = [
-            (
-                "resync truncation: stream re-anchored past a gap",
-                prev.resync_truncations,
-                counters.resync_truncations,
-            ),
-            (
-                "orphan recovery started",
-                prev.orphan_rounds_started,
-                counters.orphan_rounds_started,
-            ),
-            (
-                "orphan recovery completed",
-                prev.orphan_rounds_completed,
-                counters.orphan_rounds_completed,
-            ),
-            (
-                "sequencer takeover",
-                prev.sequencer_takeovers,
-                counters.sequencer_takeovers,
-            ),
-            (
-                "backfill round",
-                prev.backfill_rounds,
-                counters.backfill_rounds,
-            ),
-            (
-                "checkpoint install",
-                prev.checkpoint_installs,
-                counters.checkpoint_installs,
-            ),
-        ];
-        for (what, before, after) in transitions {
+        self.last_traced = traced;
+        for (last, (name, what)) in self.last_recovery.iter_mut().zip(RECOVERY_TRANSITIONS) {
+            let after = tel.registry.counter(name);
+            let before = std::mem::replace(last, after);
             if after > before {
                 eprintln!(
-                    "[{engine} {me}] {what} (+{}, total {after})",
+                    "[{} {}] {what} (+{}, total {after})",
+                    self.engine.engine_name(),
+                    self.engine.process_id(),
                     after - before
                 );
             }
         }
-        self.last_recovery = counters;
     }
 
     fn take_checkpoint(&mut self, out: &mut Vec<Action>) {
@@ -661,6 +644,47 @@ mod tests {
             assert_eq!(responds.len(), 1, "{kind}: one reply expected");
             assert_eq!(r.executed(), 1, "{kind}");
             assert_eq!(r.app().log, vec![b'x'], "{kind}");
+        }
+    }
+
+    /// The names `bench/` reads through [`EngineReplica::telemetry`]
+    /// (it is a package outside this workspace, so nothing else guards
+    /// them), with their meaning: flushes and flushed values of the
+    /// submission batcher, commands executed, and — ring engine — merge
+    /// deliveries against consensus instances consumed (`bench/` derives
+    /// the skip share from the two).
+    #[test]
+    fn telemetry_names_the_e2e_benchmark_reads_keep_their_meaning() {
+        use crate::batcher::BatchConfig;
+        for kind in EngineKind::ALL {
+            let mut r = EngineReplica::new(
+                kind,
+                ProcessId::new(0),
+                config(),
+                Echo::default(),
+                disabled(),
+            );
+            let pairs = BatchConfig {
+                max_values: 2,
+                ..BatchConfig::enabled()
+            };
+            r.engine.set_batching(Time::ZERO, Some(pairs));
+            r.on_event(Time::ZERO, Event::Start);
+            for i in 1..=6 {
+                r.on_event(Time::ZERO, request(b"v", i));
+            }
+            let snap = r.telemetry();
+            assert_eq!(snap.counter("batch.flushes"), 3, "{kind}");
+            assert_eq!(snap.counter("batch.submitted_values"), 6, "{kind}");
+            assert_eq!(snap.counter("replica.executed"), 6, "{kind}");
+            assert_eq!(r.executed(), 6, "{kind}");
+            if kind == EngineKind::MultiRing {
+                assert_eq!(snap.counter("delivered"), 6);
+                assert!(snap.gauges.contains_key("merge_progress"));
+                // No rate leveling in this configuration: every
+                // instance the merge consumed carried one value.
+                assert_eq!(snap.gauge("merge_progress"), 6);
+            }
         }
     }
 

@@ -249,7 +249,7 @@
 
 use crate::engine::AmcastEngine;
 use crate::telemetry::{
-    EngineTelemetry, HealthIssue, HealthReport, RecoveryCounters, TelemetrySnapshot, STALL_DELTAS,
+    EngineTelemetry, HealthIssue, HealthReport, TelemetrySnapshot, STALL_DELTAS,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use multiring_paxos::app::encode_command;
@@ -1237,11 +1237,6 @@ pub struct WbcastNode {
     /// in-flight multi-group rounds are recovered without waiting for
     /// the orphan timeout.
     down: BTreeMap<RingId, BTreeSet<ProcessId>>,
-    /// Resync replays that terminated with a truncation flag (the
-    /// sequencer could not serve a prefix-complete replay): each one is
-    /// a re-anchor past a potential delivery gap, surfaced here so
-    /// deployments fail loudly instead of proceeding on a silent hole.
-    resync_truncations: u64,
     /// A restarted process whose [`AmcastEngine::resume`] has not run
     /// yet: its streams are held like resyncing ones, but no `Resync` is
     /// outstanding — the replay position is only known once the replica
@@ -1254,15 +1249,6 @@ pub struct WbcastNode {
     retry_armed: BTreeSet<RingId>,
     /// Per-proposer sequence numbers for [`ValueId`] assignment.
     next_seq: u64,
-    /// Values delivered (progress metric).
-    delivered: u64,
-    /// Orphan-recovery rounds this process started (first attempts) and
-    /// completed (every addressed group confirmed release).
-    orphans_started: u64,
-    orphans_completed: u64,
-    /// Sequencer takeovers this process performed (groups adopted on a
-    /// coordinator change).
-    takeovers: u64,
     /// Phase-level metrics and the protocol-event trace ring.
     tel: EngineTelemetry,
 }
@@ -1359,16 +1345,11 @@ impl WbcastNode {
             inflight: BTreeMap::new(),
             orphans: BTreeMap::new(),
             down: BTreeMap::new(),
-            resync_truncations: 0,
             awaiting_resume: recovering,
             delta_armed: BTreeSet::new(),
             retry_armed: BTreeSet::new(),
             next_seq: 0,
-            delivered: 0,
-            orphans_started: 0,
-            orphans_completed: 0,
-            takeovers: 0,
-            tel: EngineTelemetry::new(),
+            tel: EngineTelemetry::default(),
         }
     }
 
@@ -1384,7 +1365,7 @@ impl WbcastNode {
 
     /// Values delivered so far (progress metric).
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.tel.registry.counter("sub.delivered")
     }
 
     /// The timestamp frontier per subscribed group (inspection: equal
@@ -1546,7 +1527,13 @@ impl WbcastNode {
     /// every real timestamp and would write off grace-window
     /// re-injections that other subscribers deliver.
     pub fn resync_truncations(&self) -> u64 {
-        self.resync_truncations
+        self.tel.registry.counter("sub.resync_truncations")
+    }
+
+    /// The node's live telemetry store (see the module docs' metric
+    /// table).
+    pub fn tel(&self) -> &EngineTelemetry {
+        &self.tel
     }
 
     /// The believed current sequencer of `group`: the coordinator the
@@ -1902,7 +1889,6 @@ impl WbcastNode {
         round.since = now;
         let attempt = round.attempt;
         if attempt == 1 {
-            self.orphans_started += 1;
             self.tel.incr("orphan.rounds_started", 1);
             self.tel.trace(now, "orphan.start", None, id.seq);
         } else {
@@ -2143,7 +2129,6 @@ impl WbcastNode {
         match next {
             Next::Confirmed => {
                 self.orphans.remove(&id);
-                self.orphans_completed += 1;
                 self.tel.incr("orphan.rounds_completed", 1);
                 self.tel.trace(now, "orphan.confirmed", None, id.seq);
             }
@@ -2474,7 +2459,6 @@ impl WbcastNode {
                 self.tel.incr("sub.dedup_drops", 1);
                 continue;
             }
-            self.delivered += 1;
             self.tel.incr("sub.delivered", 1);
             self.delivered_ids.insert(value.id, key.0);
             if let Some(entry) = self.inflight.get_mut(&value.id) {
@@ -2604,7 +2588,6 @@ impl WbcastNode {
         }
         sub.epoch = epoch;
         if gap_to > sub.floor {
-            self.resync_truncations += 1;
             self.tel.incr("sub.resync_truncations", 1);
             self.tel.trace(now, "resync.truncated", Some(group), gap_to);
             sub.floor = gap_to;
@@ -2938,7 +2921,6 @@ impl WbcastNode {
                     };
                     seq.bump_clock(now);
                     self.led.insert(g, seq);
-                    self.takeovers += 1;
                     self.tel.incr("seq.takeovers", 1);
                     self.tel
                         .trace(now, "seq.takeover", Some(g), u64::from(epoch));
@@ -3095,12 +3077,15 @@ impl StateMachine for WbcastNode {
 }
 
 impl AmcastEngine for WbcastNode {
-    fn multicast(
+    /// Each payload starts its own round (the sequencers frame every
+    /// value individually), so a batch behaves exactly like its values
+    /// submitted one after the other.
+    fn multicast_batch(
         &mut self,
         now: Time,
         groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
+        payloads: Vec<Bytes>,
+    ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
         if groups.is_empty() {
             return Err(MulticastError::NoDestination);
         }
@@ -3108,66 +3093,71 @@ impl AmcastEngine for WbcastNode {
         gamma.sort_unstable();
         gamma.dedup();
         let mut proposer_somewhere = false;
+        let mut rings: BTreeSet<RingId> = BTreeSet::new();
         for &g in &gamma {
             let Some(ring_id) = self.config.ring_of_group(g) else {
                 return Err(MulticastError::UnknownGroup(g));
             };
             let ring = self.config.ring(ring_id).expect("validated config");
             proposer_somewhere |= ring.roles_of(self.me).is_proposer();
+            rings.insert(ring_id);
         }
         if !proposer_somewhere {
             return Err(MulticastError::NotAProposer(gamma[0]));
         }
-        self.next_seq += 1;
-        let id = ValueId::new(self.me, self.next_seq);
-        let value = Value::new(id, gamma[0], payload);
         let local = gamma.iter().any(|g| self.subs.contains_key(g));
-        self.tel.incr("round.submitted", 1);
-        if gamma.len() > 1 {
-            self.tel.incr("round.submitted_multi_group", 1);
-        }
-        self.inflight.insert(
-            id,
-            Inflight {
-                groups: gamma.clone(),
-                value: value.clone(),
-                acks: BTreeMap::new(),
-                final_ts: None,
-                released: BTreeSet::new(),
-                local,
-                delivered: false,
-                submitted_at: now,
-            },
-        );
+        let mut ids = Vec::with_capacity(payloads.len());
         let mut out = Vec::new();
-        let mut rings: BTreeSet<RingId> = BTreeSet::new();
-        for &g in &gamma {
-            rings.extend(self.config.ring_of_group(g));
-            let sequencer = self.sequencer_of(g).expect("group has a ring");
-            self.route(
-                now,
-                sequencer,
-                WbMessage::Submit {
-                    group: g,
+        for payload in payloads {
+            self.next_seq += 1;
+            let id = ValueId::new(self.me, self.next_seq);
+            ids.push(id);
+            let value = Value::new(id, gamma[0], payload);
+            self.tel.incr("round.submitted", 1);
+            if gamma.len() > 1 {
+                self.tel.incr("round.submitted_multi_group", 1);
+            }
+            self.inflight.insert(
+                id,
+                Inflight {
                     groups: gamma.clone(),
                     value: value.clone(),
+                    acks: BTreeMap::new(),
+                    final_ts: None,
+                    released: BTreeSet::new(),
+                    local,
+                    delivered: false,
+                    submitted_at: now,
                 },
-                &mut out,
             );
-        }
-        // Retransmission backstop until every addressed group confirms
-        // release (a fast path may already have confirmed inline).
-        if self.inflight.contains_key(&id) {
-            for ring in rings {
-                if self.retry_armed.insert(ring) {
-                    out.push(Action::SetTimer {
-                        after_us: self.retry_interval(ring),
-                        timer: TimerKind::ProposalResend(ring),
-                    });
+            for &g in &gamma {
+                let sequencer = self.sequencer_of(g).expect("group has a ring");
+                self.route(
+                    now,
+                    sequencer,
+                    WbMessage::Submit {
+                        group: g,
+                        groups: gamma.clone(),
+                        value: value.clone(),
+                    },
+                    &mut out,
+                );
+            }
+            // Retransmission backstop until every addressed group
+            // confirms release (a fast path may already have confirmed
+            // inline).
+            if self.inflight.contains_key(&id) {
+                for &ring in &rings {
+                    if self.retry_armed.insert(ring) {
+                        out.push(Action::SetTimer {
+                            after_us: self.retry_interval(ring),
+                            timer: TimerKind::ProposalResend(ring),
+                        });
+                    }
                 }
             }
         }
-        Ok((id, out))
+        Ok((ids, out))
     }
 
     fn engine_name(&self) -> &'static str {
@@ -3409,17 +3399,6 @@ impl AmcastEngine for WbcastNode {
             }
         }
         report
-    }
-
-    fn recovery_counters(&self) -> RecoveryCounters {
-        RecoveryCounters {
-            resync_truncations: self.resync_truncations,
-            orphan_rounds_started: self.orphans_started,
-            orphan_rounds_completed: self.orphans_completed,
-            sequencer_takeovers: self.takeovers,
-            backfill_rounds: 0,
-            checkpoint_installs: 0,
-        }
     }
 }
 

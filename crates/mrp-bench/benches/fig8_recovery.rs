@@ -10,40 +10,34 @@
 
 use mrp_amcast::EngineKind;
 use mrp_bench::figures::Fig8Result;
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
-/// Hand-rolled JSON (the workspace is offline-hermetic: no serde).
-fn to_json(results: &[Fig8Result]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"engine\": \"{}\", \"checkpoints\": {}, \"trims\": {}, \"events\": [",
-            r.engine, r.checkpoints, r.trims
-        ));
-        for (j, (t_s, what)) in r.events.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"t_s\": {t_s}, \"what\": \"{what}\"}}{}",
-                if j + 1 < r.events.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str("], \"timeline\": [");
-        for (j, p) in r.timeline.iter().enumerate() {
-            out.push_str(&format!(
-                "{{\"t_s\": {}, \"ops_per_sec\": {:.1}, \"latency_ms\": {:.3}}}{}",
-                p.t_s,
-                p.ops_per_sec,
-                p.latency_ms,
-                if j + 1 < r.timeline.len() { ", " } else { "" }
-            ));
-        }
-        out.push_str(&format!(
-            "]}}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
+fn to_json(results: &[Fig8Result]) -> Value {
+    Value::array(results, |r| {
+        Value::object([
+            ("engine", r.engine.into()),
+            ("checkpoints", r.checkpoints.into()),
+            ("trims", r.trims.into()),
+            (
+                "events",
+                Value::array(&r.events, |&(t_s, what)| {
+                    Value::object([("t_s", t_s.into()), ("what", what.into())])
+                }),
+            ),
+            (
+                "timeline",
+                Value::array(&r.timeline, |p| {
+                    Value::object([
+                        ("t_s", p.t_s.into()),
+                        ("ops_per_sec", Value::rounded(p.ops_per_sec, 1)),
+                        ("latency_ms", Value::rounded(p.latency_ms, 3)),
+                    ])
+                }),
+            ),
+        ])
+    })
 }
 
 fn main() {
@@ -69,10 +63,6 @@ fn main() {
         );
         results.push(result);
     }
-    let json = to_json(&results);
-    let path = "BENCH_fig8.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} ({} runs)", results.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let what = format!("{} runs", results.len());
+    write_artifact("BENCH_fig8.json", &to_json(&results), &what);
 }

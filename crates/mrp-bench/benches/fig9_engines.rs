@@ -8,60 +8,56 @@
 //! (schema documented in the `mrp-bench` crate docs).
 
 use mrp_bench::figures::Fig9Row;
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
-use std::fmt::Write as _;
 
-/// Hand-rolled JSON (the workspace is offline-hermetic: no serde). The
-/// metric names are dotted identifiers, so no string escaping is
-/// needed.
-fn to_json(rows: &[Fig9Row]) -> String {
-    let mut out = String::from("{\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"engine\": \"{}\", \"groups\": {}, \"ops_per_sec\": {:.1}, \
-             \"latency_ms\": {:.3}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}{}",
-            r.engine,
-            r.groups,
-            r.ops_per_sec,
-            r.latency_ms,
-            r.p50_ms,
-            r.p99_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ],\n  \"engine_telemetry\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let t = &r.telemetry;
-        let _ = write!(
-            out,
-            "    {{\"engine\": \"{}\", \"groups\": {}, \"nodes\": {}, \"healthy\": {},\n     \"counters\": {{",
-            r.engine, r.groups, t.nodes, t.healthy
-        );
-        for (j, (name, v)) in t.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "\"{name}\": {v}{}",
-                if j + 1 < t.counters.len() { ", " } else { "" }
-            );
-        }
-        out.push_str("},\n     \"histograms\": {");
-        for (j, (name, h)) in t.histograms.iter().enumerate() {
-            let _ = write!(
-                out,
-                "\"{name}\": {{\"count\": {}, \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{}",
-                h.count(),
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.max(),
-                if j + 1 < t.histograms.len() { ", " } else { "" }
-            );
-        }
-        let _ = writeln!(out, "}}}}{}", if i + 1 < rows.len() { "," } else { "" });
-    }
-    out.push_str("  ]\n}");
-    out
+fn to_json(rows: &[Fig9Row]) -> Value {
+    let cell = |r: &Fig9Row| {
+        [
+            ("engine", r.engine.into()),
+            ("groups", u64::from(r.groups).into()),
+        ]
+    };
+    Value::object([
+        (
+            "rows",
+            Value::array(rows, |r| {
+                Value::object(cell(r).into_iter().chain([
+                    ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+                    ("latency_ms", Value::rounded(r.latency_ms, 3)),
+                    ("p50_ms", Value::rounded(r.p50_ms, 3)),
+                    ("p99_ms", Value::rounded(r.p99_ms, 3)),
+                ]))
+            }),
+        ),
+        (
+            "engine_telemetry",
+            Value::array(rows, |r| {
+                let t = &r.telemetry;
+                Value::object(cell(r).into_iter().chain([
+                    ("nodes", (t.nodes as u64).into()),
+                    ("healthy", Value::Bool(t.healthy)),
+                    (
+                        "counters",
+                        Value::object(t.counters.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+                    ),
+                    (
+                        "histograms",
+                        Value::object(t.histograms.iter().map(|(k, h)| {
+                            let summary = Value::object([
+                                ("count", h.count().into()),
+                                ("p50_us", h.quantile(0.5).into()),
+                                ("p99_us", h.quantile(0.99).into()),
+                                ("max_us", h.max().into()),
+                            ]);
+                            (k.as_str(), summary)
+                        })),
+                    ),
+                ]))
+            }),
+        ),
+    ])
 }
 
 fn main() {
@@ -91,10 +87,6 @@ fn main() {
         ]);
     }
     t.print();
-    let json = to_json(&rows);
-    let path = "BENCH_fig9.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} ({} rows)", rows.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let what = format!("{} rows", rows.len());
+    write_artifact("BENCH_fig9.json", &to_json(&rows), &what);
 }

@@ -7,31 +7,24 @@
 //! downstream tooling.
 
 use mrp_bench::figures::MultigroupRow;
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
-/// Hand-rolled JSON (the workspace is offline-hermetic: no serde).
-fn to_json(rows: &[MultigroupRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"engine\": \"{}\", \"batch\": \"{}\", \"multi_per_mille\": {}, \
-             \"crash_ms\": {}, \"ops_per_sec\": {:.1}, \
-             \"latency_ms\": {:.3}, \"single_ms\": {:.3}, \"multi_ms\": {:.3}, \"p99_ms\": {:.3}}}{}\n",
-            r.engine,
-            r.batch,
-            r.multi_per_mille,
-            r.crash_ms,
-            r.ops_per_sec,
-            r.latency_ms,
-            r.single_ms,
-            r.multi_ms,
-            r.p99_ms,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
+fn to_json(rows: &[MultigroupRow]) -> Value {
+    Value::array(rows, |r| {
+        Value::object([
+            ("engine", r.engine.into()),
+            ("batch", r.batch.into()),
+            ("multi_per_mille", u64::from(r.multi_per_mille).into()),
+            ("crash_ms", r.crash_ms.into()),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+            ("latency_ms", Value::rounded(r.latency_ms, 3)),
+            ("single_ms", Value::rounded(r.single_ms, 3)),
+            ("multi_ms", Value::rounded(r.multi_ms, 3)),
+            ("p99_ms", Value::rounded(r.p99_ms, 3)),
+        ])
+    })
 }
 
 fn main() {
@@ -67,10 +60,6 @@ fn main() {
         ]);
     }
     t.print();
-    let json = to_json(&rows);
-    let path = "BENCH_multigroup.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path} ({} rows)", rows.len()),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let what = format!("{} rows", rows.len());
+    write_artifact("BENCH_multigroup.json", &to_json(&rows), &what);
 }

@@ -24,6 +24,7 @@ use std::time::Instant;
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use mrp_amcast::{AmcastEngine, AnyEngine, BatchConfig, EngineKind};
+use mrp_bench::json::{write_artifact, Value as Json};
 use mrp_bench::Scale;
 use mrp_transport::framing::{write_frame_into, FrameAccumulator};
 use mrp_ycsb::{KeyChooser, SmallRng};
@@ -419,65 +420,57 @@ fn decode_zero_copy(wire: &[u8], reps: u32) -> DecodeRow {
     }
 }
 
-/// Hand-rolled JSON (the workspace is offline-hermetic: no serde).
-fn to_json(scale: Scale, submit: &[SubmitRow], decode: &[DecodeRow]) -> String {
+fn to_json(scale: Scale, submit: &[SubmitRow], decode: &[DecodeRow]) -> Json {
     let vps = |engine: &str, mode: &str| {
         submit
             .iter()
             .find(|r| r.engine == engine && r.mode == mode)
             .map_or(0.0, |r| r.values_per_sec)
     };
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        match scale {
-            Scale::Full => "full",
-            Scale::Smoke => "smoke",
-        }
-    ));
-    out.push_str("  \"submit\": [\n");
-    for (i, r) in submit.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"mode\": \"{}\", \"values\": {}, \
-             \"elapsed_ns\": {}, \"values_per_sec\": {:.1}, \
-             \"wire_frames\": {}, \"wire_bytes\": {}}}{}\n",
-            r.engine,
-            r.mode,
-            r.values,
-            r.elapsed_ns,
-            r.values_per_sec,
-            r.wire_frames,
-            r.wire_bytes,
-            if i + 1 < submit.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"decode\": [\n");
-    for (i, r) in decode.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"frames\": {}, \"bytes\": {}, \
-             \"elapsed_ns\": {}, \"mb_per_sec\": {:.1}}}{}\n",
-            r.name,
-            r.frames,
-            r.bytes,
-            r.elapsed_ns,
-            r.mb_per_sec,
-            if i + 1 < decode.len() { "," } else { "" }
-        ));
-    }
+    let speedup = |engine| vps(engine, "batched") / vps(engine, "unbatched").max(1e-9);
     let decode_speedup = match (decode.first(), decode.last()) {
         (Some(copying), Some(zero)) if copying.mb_per_sec > 0.0 => {
             zero.mb_per_sec / copying.mb_per_sec
         }
         _ => 0.0,
     };
-    out.push_str(&format!(
-        "  ],\n  \"speedup\": {{\"submit_multiring\": {:.2}, \"submit_wbcast\": {:.2}, \
-         \"decode_32k\": {:.2}}}\n}}",
-        vps("multiring", "batched") / vps("multiring", "unbatched").max(1e-9),
-        vps("wbcast", "batched") / vps("wbcast", "unbatched").max(1e-9),
-        decode_speedup
-    ));
-    out
+    Json::object([
+        ("scale", scale.pick("full", "smoke").into()),
+        (
+            "submit",
+            Json::array(submit, |r| {
+                Json::object([
+                    ("engine", r.engine.into()),
+                    ("mode", r.mode.into()),
+                    ("values", r.values.into()),
+                    ("elapsed_ns", (r.elapsed_ns as u64).into()),
+                    ("values_per_sec", Json::rounded(r.values_per_sec, 1)),
+                    ("wire_frames", r.wire_frames.into()),
+                    ("wire_bytes", r.wire_bytes.into()),
+                ])
+            }),
+        ),
+        (
+            "decode",
+            Json::array(decode, |r| {
+                Json::object([
+                    ("name", r.name.into()),
+                    ("frames", r.frames.into()),
+                    ("bytes", r.bytes.into()),
+                    ("elapsed_ns", (r.elapsed_ns as u64).into()),
+                    ("mb_per_sec", Json::rounded(r.mb_per_sec, 1)),
+                ])
+            }),
+        ),
+        (
+            "speedup",
+            Json::object([
+                ("submit_multiring", Json::rounded(speedup("multiring"), 2)),
+                ("submit_wbcast", Json::rounded(speedup("wbcast"), 2)),
+                ("decode_32k", Json::rounded(decode_speedup, 2)),
+            ]),
+        ),
+    ])
 }
 
 /// `MRP_MICRO_BASELINE=<path>`: fail the run if batched submission
@@ -596,12 +589,8 @@ fn main() {
         );
     }
 
-    let json = to_json(scale, &submit, &decode);
-    let path = "BENCH_micro.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
+    let doc = to_json(scale, &submit, &decode);
+    write_artifact("BENCH_micro.json", &doc, "submit and decode rows");
 
     if let Err(e) = check_baseline(&submit, baseline) {
         eprintln!("MICRO BASELINE GATE FAILED: {e}");

@@ -1166,83 +1166,89 @@ fn engines_config(groups: u16, n: u32, tuning: RingTuning) -> ClusterConfig {
 /// the difference is purely the ordering path.
 pub fn fig9(scale: Scale) -> Vec<Fig9Row> {
     let group_counts: &[u16] = scale.pick(&[1, 2, 4], &[1, 2]);
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(10, 2);
-    let n = 3u32;
+    let warmup_ms = scale.pick(2_000, 1_000);
+    let run_ms = scale.pick(10_000, 2_000);
     let mut rows = Vec::new();
     for kind in EngineKind::ALL {
         for &groups in group_counts {
-            let tuning = RingTuning {
-                lambda: 3_000,
-                delta_us: 5_000,
-                ..RingTuning::default()
-            };
-            let config = engines_config(groups, n, tuning);
-            let mut cluster = Cluster::new(
-                SimConfig {
-                    seed: 9,
-                    ..SimConfig::default()
-                },
-                Topology::lan(16),
-            );
-            spawn_echo_replicas(
-                &mut cluster,
-                kind,
-                &config,
-                n,
-                NO_CHECKPOINTS,
-                Some(proto_cpu),
-            );
-            for g in 0..groups {
-                let client_proc = ProcessId::new(900 + u32::from(g));
-                let client_id = ClientId::new(u64::from(g) + 1);
-                // Target the group's ring-rotation head so load (and the
-                // sequencer role) spreads over the processes.
-                let target = ProcessId::new(u32::from(g) % n);
-                let client = PingClient::new(client_id, 8, target, GroupId::new(g), 512, "fig9")
-                    .warmup_until(Time::from_secs(warmup_s));
-                cluster.add_actor(client_proc, Box::new(client));
-                cluster.register_client(client_id, client_proc);
-            }
-            cluster.start();
-            cluster.run_until(Time::from_secs(warmup_s + run_s));
-            let per_node = cluster.collect_engine_telemetry();
-            let mut telemetry = EngineTelemetrySummary {
-                nodes: per_node.len(),
-                // `collect_engine_telemetry` folds health issues into
-                // `engine.health.<code>` counters; none means every
-                // node's probe came back clean.
-                healthy: !cluster
-                    .metrics()
-                    .counter_names()
-                    .any(|name| name.starts_with("engine.health.")),
-                ..EngineTelemetrySummary::default()
-            };
-            for snapshot in per_node.values() {
-                for (name, &v) in &snapshot.counters {
-                    *telemetry.counters.entry(name.clone()).or_insert(0) += v;
-                }
-                for (name, h) in &snapshot.histograms {
-                    telemetry
-                        .histograms
-                        .entry(name.clone())
-                        .or_default()
-                        .merge(h);
-                }
-            }
-            let h = cluster.metrics().histogram("fig9/latency_us");
-            rows.push(Fig9Row {
-                engine: kind.name(),
-                groups,
-                ops_per_sec: cluster.metrics().counter("fig9/ops") as f64 / run_s as f64,
-                latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
-                p50_ms: h.map_or(0.0, |h| h.quantile(0.5) as f64 / 1000.0),
-                p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
-                telemetry,
-            });
+            rows.push(fig9_cell(kind, groups, warmup_ms, run_ms));
         }
     }
     rows
+}
+
+/// One `(engine, groups)` cell of Figure 9: 3 processes, 8 sessions per
+/// group, measured for `run_ms` after `warmup_ms`.
+fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9Row {
+    let n = 3u32;
+    let tuning = RingTuning {
+        lambda: 3_000,
+        delta_us: 5_000,
+        ..RingTuning::default()
+    };
+    let config = engines_config(groups, n, tuning);
+    let mut cluster = Cluster::new(
+        SimConfig {
+            seed: 9,
+            ..SimConfig::default()
+        },
+        Topology::lan(16),
+    );
+    spawn_echo_replicas(
+        &mut cluster,
+        kind,
+        &config,
+        n,
+        NO_CHECKPOINTS,
+        Some(proto_cpu),
+    );
+    for g in 0..groups {
+        let client_proc = ProcessId::new(900 + u32::from(g));
+        let client_id = ClientId::new(u64::from(g) + 1);
+        // Target the group's ring-rotation head so load (and the
+        // sequencer role) spreads over the processes.
+        let target = ProcessId::new(u32::from(g) % n);
+        let client = PingClient::new(client_id, 8, target, GroupId::new(g), 512, "fig9")
+            .warmup_until(Time::from_millis(warmup_ms));
+        cluster.add_actor(client_proc, Box::new(client));
+        cluster.register_client(client_id, client_proc);
+    }
+    cluster.start();
+    cluster.run_until(Time::from_millis(warmup_ms + run_ms));
+    let per_node = cluster.collect_engine_telemetry();
+    let mut telemetry = EngineTelemetrySummary {
+        nodes: per_node.len(),
+        // `collect_engine_telemetry` folds health issues into
+        // `engine.health.<code>` counters; none means every node's
+        // probe came back clean.
+        healthy: !cluster
+            .metrics()
+            .counter_names()
+            .any(|name| name.starts_with("engine.health.")),
+        ..EngineTelemetrySummary::default()
+    };
+    for snapshot in per_node.values() {
+        for (name, &v) in &snapshot.counters {
+            *telemetry.counters.entry(name.clone()).or_insert(0) += v;
+        }
+        for (name, h) in &snapshot.histograms {
+            telemetry
+                .histograms
+                .entry(name.clone())
+                .or_default()
+                .merge(h);
+        }
+    }
+    let h = cluster.metrics().histogram("fig9/latency_us");
+    Fig9Row {
+        engine: kind.name(),
+        groups,
+        ops_per_sec: cluster.metrics().counter("fig9/ops") as f64 * 1000.0 / run_ms as f64,
+        latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
+        p50_ms: h.map_or(0.0, |h| h.quantile(0.5) as f64 / 1000.0),
+        p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
+        telemetry,
+    }
 }
 
 // ------------------------------------------------------- fig multigroup
@@ -1392,4 +1398,45 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
     }
     std::env::remove_var("MRP_BATCH");
     rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::{self, Value};
+
+    /// Every counter and histogram the committed `BENCH_fig9.json`
+    /// carries in its `engine_telemetry` section is still emitted, under
+    /// the same name, by a (much shorter) run of the same cell — the
+    /// guard for anything keyed on those names, now that both engines
+    /// record into the shared `multiring_paxos::telemetry` store.
+    #[test]
+    fn fig9_telemetry_keys_of_the_committed_baseline_are_still_emitted() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fig9.json");
+        let text = std::fs::read_to_string(path).expect("committed baseline");
+        let doc = json::parse(&text).expect("baseline parses");
+        let cells = doc.get("engine_telemetry").and_then(Value::as_array);
+        for kind in EngineKind::ALL {
+            // Long enough for the wbcast sequencer to evict history.
+            let fresh = fig9_cell(kind, 1, 10, 150).telemetry;
+            let cell = cells
+                .expect("engine_telemetry")
+                .iter()
+                .find(|c| {
+                    c.get("engine").and_then(Value::as_str) == Some(kind.name())
+                        && c.get("groups").and_then(Value::as_u64) == Some(1)
+                })
+                .expect("one-group cell");
+            let keys = |section| cell.get(section).and_then(Value::as_object).unwrap().keys();
+            for name in keys("counters") {
+                assert!(fresh.counters.contains_key(name), "{kind}: counter {name}");
+            }
+            for name in keys("histograms") {
+                assert!(
+                    fresh.histograms.contains_key(name),
+                    "{kind}: histogram {name}"
+                );
+            }
+        }
+    }
 }

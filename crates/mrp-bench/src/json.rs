@@ -1,12 +1,12 @@
-//! A minimal JSON reader for validating the `BENCH_*.json` artifacts.
+//! A minimal JSON value, writer and reader for the `BENCH_*.json`
+//! artifacts.
 //!
-//! The workspace is offline-hermetic (no serde), and the bench binaries
-//! hand-roll their JSON output; this module is the matching hand-rolled
-//! parser so the test suite and CI can assert the artifacts actually
-//! parse and carry the documented schema. It supports the full JSON
-//! grammar the writers can produce (objects, arrays, strings with
-//! escapes, numbers, booleans, null) — it is a validator-grade reader,
-//! not a performance-oriented one.
+//! The workspace is offline-hermetic (no serde): every bench binary
+//! builds a [`Value`] and writes [`Value::render`]'s text, and the test
+//! suite and CI [`parse`] the artifacts back to assert they carry the
+//! documented schema. The reader supports the full JSON grammar
+//! (objects, arrays, strings with escapes, numbers, booleans, null) —
+//! validator-grade, not performance-oriented.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +28,90 @@ pub enum Value {
     Object(BTreeMap<String, Value>),
 }
 
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Number(n)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_string())
+    }
+}
+
 impl Value {
+    /// An object from `(key, value)` pairs.
+    pub fn object<K: Into<String>>(members: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// An array with one element per item of `items`.
+    pub fn array<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> Value) -> Value {
+        Value::Array(items.into_iter().map(f).collect())
+    }
+
+    /// `n` rounded to `decimals` places — the precision an artifact
+    /// reports a measured quantity at.
+    pub fn rounded(n: f64, decimals: i32) -> Value {
+        let scale = 10f64.powi(decimals);
+        Value::Number((n * scale).round() / scale)
+    }
+
+    /// The value as JSON text. A container of scalars stays on one
+    /// line; any other container puts one element per line, indented —
+    /// so an artifact reads (and diffs) one row per line. Object
+    /// members come out in key order; non-finite numbers become `null`.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out, 0);
+        out
+    }
+
+    fn render_into(&self, out: &mut String, indent: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Null => return out.push_str("null"),
+            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) if n.is_finite() => return out.push_str(&n.to_string()),
+            Value::Number(_) => return out.push_str("null"),
+            Value::String(s) => return render_string(s, out),
+            Value::Array(v) => ('[', ']', v.iter().map(|v| (None, v)).collect()),
+            Value::Object(m) => (
+                '{',
+                '}',
+                m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let flat = members
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Array(_) | Value::Object(_)));
+        let newline = |out: &mut String, indent| {
+            if !flat {
+                out.push_str(&format!("\n{:indent$}", ""));
+            }
+        };
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if flat { ", " } else { "," });
+            }
+            newline(out, indent + 2);
+            if let Some(key) = key {
+                render_string(key, out);
+                out.push_str(": ");
+            }
+            value.render_into(out, indent + 2);
+        }
+        newline(out, indent);
+        out.push(close);
+    }
+
     /// Member `key` of an object value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -86,6 +169,28 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Writes `doc` to `path` — relative to the bench binary's working
+/// directory, `crates/mrp-bench/` — and says so (`what`: "4 rows").
+pub fn write_artifact(path: &str, doc: &Value, what: &str) {
+    match std::fs::write(path, doc.render()) {
+        Ok(()) => println!("wrote {path} ({what})"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+fn render_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses `text` as a single JSON document.
@@ -270,6 +375,38 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn render_round_trips_and_keeps_rows_on_one_line() {
+        let doc = Value::object([
+            ("scale", "smoke".into()),
+            (
+                "rows",
+                Value::array([1u64, 2], |g| {
+                    Value::object([
+                        ("groups", g.into()),
+                        ("ops_per_sec", Value::rounded(33_031.96, 1)),
+                        ("note", "a \"quoted\"\n\\ line".into()),
+                        ("nan", f64::NAN.into()),
+                        ("healthy", Value::Bool(true)),
+                    ])
+                }),
+            ),
+            ("empty", Value::object::<&str>([])),
+        ]);
+        let text = doc.render();
+        assert_eq!(text.lines().count(), 8, "{text}");
+        assert!(text.contains("\"ops_per_sec\": 33032}"), "{text}");
+        let back = parse(&text).expect("rendered text parses");
+        let row = &back.get("rows").and_then(Value::as_array).unwrap()[1];
+        assert_eq!(row.get("groups").and_then(Value::as_u64), Some(2));
+        assert_eq!(row.get("nan"), Some(&Value::Null));
+        assert_eq!(
+            row.get("note").and_then(Value::as_str),
+            Some("a \"quoted\"\n\\ line")
+        );
+        assert_eq!(back.render(), text, "render is a fixed point");
+    }
 
     #[test]
     fn parses_scalars() {

@@ -24,8 +24,9 @@
 //! ## Bench artifacts: the `BENCH_*.json` schema
 //!
 //! Benches that feed cross-PR trajectory comparisons additionally write
-//! hand-rolled JSON (the workspace is offline-hermetic — no serde) into
-//! the bench binary's working directory, which `cargo bench` sets to
+//! JSON — every one through [`json::Value::render`], the workspace's
+//! one emitter (it is offline-hermetic: no serde) — into the bench
+//! binary's working directory, which `cargo bench` sets to
 //! `crates/mrp-bench/`. CI runs them at smoke scale and uploads the
 //! files as artifacts, so numbers are comparable PR-over-PR as long as
 //! they come from the same scale.

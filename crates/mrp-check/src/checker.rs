@@ -40,7 +40,6 @@ use std::fmt;
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
-use mrp_amcast::telemetry::RecoveryCounters;
 use mrp_amcast::wbcast::{frame_references_value, WBCAST_WIRE_ID};
 use multiring_paxos::digest::{timer_kind_key, DigestInto, Fnv1a};
 use multiring_paxos::event::{Action, Event, Message, TimerKind};
@@ -188,7 +187,6 @@ fn dependent(a: &Choice, b: &Choice) -> bool {
 fn timer_name(timer: TimerKind) -> String {
     match timer {
         TimerKind::Delta(r) => format!("delta:{}", r.value()),
-        TimerKind::FlushLinks(r) => format!("flush:{}", r.value()),
         TimerKind::GapCheck(r) => format!("gap:{}", r.value()),
         TimerKind::TrimTick(r) => format!("trim:{}", r.value()),
         TimerKind::ProposalResend(r) => format!("resend:{}", r.value()),
@@ -211,7 +209,6 @@ fn parse_timer(text: &str) -> Result<TimerKind, String> {
     let ring = RingId::new(ring);
     Ok(match name {
         "delta" => TimerKind::Delta(ring),
-        "flush" => TimerKind::FlushLinks(ring),
         "gap" => TimerKind::GapCheck(ring),
         "trim" => TimerKind::TrimTick(ring),
         "resend" => TimerKind::ProposalResend(ring),
@@ -465,9 +462,9 @@ pub struct ReplayOutcome {
     pub violation: Option<Violation>,
     /// Per-node delivery logs, in delivery order.
     pub delivered: BTreeMap<ProcessId, Vec<(GroupId, ValueId)>>,
-    /// Per-node recovery counters at the end of the replay (crashed
-    /// nodes report their last pre-crash snapshot as default).
-    pub recovery: BTreeMap<ProcessId, RecoveryCounters>,
+    /// Per-node telemetry counters at the end of the replay, by
+    /// registry name (empty for a node that is down).
+    pub counters: BTreeMap<ProcessId, BTreeMap<String, u64>>,
     /// Whether all channels were empty when the replay finished.
     pub quiescent: bool,
     /// Every choice executed, including steps appended by `drain`.
@@ -1645,22 +1642,18 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
         .iter()
         .map(|(&p, s)| (p, s.delivered.clone()))
         .collect();
-    let recovery = world
+    let counters = world
         .nodes
         .iter()
         .map(|(&p, s)| {
-            let c = s
-                .engine
-                .as_ref()
-                .map(|e| e.recovery_counters())
-                .unwrap_or_default();
-            (p, c)
+            let c = s.engine.as_ref().map(|e| e.telemetry().counters);
+            (p, c.unwrap_or_default())
         })
         .collect();
     Ok(ReplayOutcome {
         violation,
         delivered,
-        recovery,
+        counters,
         quiescent,
         executed,
         final_digest,

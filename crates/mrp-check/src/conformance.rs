@@ -2,7 +2,7 @@
 //! the protocol constants must stay mutually consistent.
 //!
 //! The sans-io lints in [`lint`](crate::lint) keep the engines
-//! *checkable*; this suite keeps the wire layer *honest*. Three rule
+//! *checkable*; this suite keeps the wire layer *honest*. Five rule
 //! families, all dependency-free source scanning plus one live codec
 //! exercise:
 //!
@@ -12,6 +12,7 @@
 //! | `frame-coverage`    | an enum variant missing from any of its codec/dispatch functions — every [`Message`] variant must appear in `encode`, `encoded_len` and `decode`; every `PersistRecord` variant in `encode_record`, `record_len` and `decode_record`; every white-box `WbMessage` frame in `into_frame`, `parse` and `on_wb_message` (constructed somewhere ⇒ matched somewhere) |
 //! | `protocol-constants`| a missing `const _` static assertion for the load-bearing recovery-window algebra (`TAKEOVER_GRACE_DELTAS ≥ ORPHAN_DELTAS + RETRY_DELTAS`, `ORPHAN_DELTAS > RETRY_DELTAS`) |
 //! | `round-trip`        | a [`Message`] variant without a sample that encodes, length-checks, decodes and compares equal through the live codec |
+//! | `timer-liveness`    | a `TimerKind` variant no non-test code arms (`SetTimer { timer: TimerKind::V }` or `fx.timer(.., TimerKind::V)`), or none handles (an `Event::Timer(TimerKind::V)` pattern or an `on_timer` arm) — a timer whose feature was deleted must go with it |
 //!
 //! Like the purity lints, sources are stripped of comments and string
 //! literals and matching stops at the first `#[cfg(test)]`. The
@@ -19,6 +20,7 @@
 //! sources with injected violations; [`conformance_check`] is the
 //! entry point the `lint` binary runs against the real tree.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
@@ -37,7 +39,7 @@ use crate::lint::{contains_word, strip};
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Finding {
     /// Rule identifier (`codec-tags`, `frame-coverage`,
-    /// `protocol-constants`, `round-trip`).
+    /// `protocol-constants`, `round-trip`, `timer-liveness`).
     pub rule: &'static str,
     /// File the inconsistency concerns (as given to the checker).
     pub file: String,
@@ -523,6 +525,52 @@ pub fn check_message_round_trip(event_src: &str) -> Vec<Finding> {
     out
 }
 
+/// The `TimerKind` variant names that directly follow each occurrence
+/// of `marker` (which ends in `TimerKind::`) in `text`.
+fn timer_kinds_after<'t>(text: &'t str, marker: &'t str) -> impl Iterator<Item = String> + 't {
+    text.match_indices(marker).map(|(at, m)| {
+        let tail = &text[at + m.len()..];
+        let end = tail.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        tail[..end.unwrap_or(tail.len())].to_string()
+    })
+}
+
+/// The `timer-liveness` rule: every `TimerKind` variant (parsed from
+/// `event_src`) must be *armed* somewhere in `sources` — named by the
+/// `timer:` field of a `SetTimer` literal or inside a `.timer(..)`
+/// call — and *handled* — matched as `Event::Timer(TimerKind::V..)` or
+/// inside an `fn on_timer` body. Test modules count for neither.
+pub fn check_timer_liveness(event_src: &str, sources: &[&str]) -> Vec<Finding> {
+    let mut armed = BTreeSet::new();
+    let mut handled = BTreeSet::new();
+    for src in sources {
+        let text = prepared(src);
+        let on_timer = fn_body(&text, "on_timer").unwrap_or_default();
+        handled.extend(timer_kinds_after(on_timer, "TimerKind::"));
+        let squeezed: String = text.chars().filter(|c| !c.is_whitespace()).collect();
+        handled.extend(timer_kinds_after(&squeezed, "Event::Timer(TimerKind::"));
+        armed.extend(timer_kinds_after(&squeezed, "timer:TimerKind::"));
+        for (at, call) in squeezed.match_indices(".timer(") {
+            // The call is a statement: its arguments end at the `;`.
+            let args = squeezed[at + call.len()..].split(';').next();
+            armed.extend(timer_kinds_after(args.unwrap_or_default(), "TimerKind::"));
+        }
+    }
+    let mut out = Vec::new();
+    for v in parse_enum_variants(event_src, "TimerKind") {
+        for (sites, what) in [(&armed, "armed"), (&handled, "handled")] {
+            if !sites.contains(&v) {
+                out.push(Finding {
+                    rule: "timer-liveness",
+                    file: "crates/multiring-paxos/src/event.rs".into(),
+                    detail: format!("`TimerKind::{v}` is never {what} outside tests"),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// Runs the whole wire-conformance suite against the real tree under
 /// `repo_root`. Returns the findings and the number of source files
 /// inspected.
@@ -572,7 +620,16 @@ pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), Stri
         &wbcast_src,
     ));
     findings.extend(check_message_round_trip(&event_src));
-    Ok((findings, 3))
+    let ring_src = read("crates/multiring-paxos/src/ring/mod.rs")?;
+    let node_src = read("crates/multiring-paxos/src/node.rs")?;
+    let engine_src = read("crates/mrp-amcast/src/engine.rs")?;
+    let replica_src = read("crates/mrp-amcast/src/replica.rs")?;
+    let timer_srcs = [&ring_src, &node_src, &wbcast_src, &engine_src, &replica_src];
+    findings.extend(check_timer_liveness(
+        &event_src,
+        &timer_srcs.map(String::as_str),
+    ));
+    Ok((findings, 7))
 }
 
 #[cfg(test)]
@@ -658,6 +715,33 @@ mod tests {
         let findings = check_protocol_constants("d.rs", without);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings[0].rule == "protocol-constants");
+    }
+
+    #[test]
+    fn dead_timers_are_flagged() {
+        let event = "pub enum TimerKind { Delta(RingId), Stale(RingId), Orphan, Tick }";
+        // Delta: armed through `fx.timer`, handled in `on_timer`. Tick:
+        // armed by a `SetTimer` literal, handled as an `Event::Timer`
+        // pattern. Stale: still matched, its arming site deleted.
+        // Orphan: still armed, nothing handles it. Test modules and
+        // mentions outside arming/handling sites vouch for nothing.
+        let src = "fn arm(fx: &mut Fx) {\n    fx.timer(self.cfg.delta(), TimerKind::Delta(self.id()));\n\
+                   out.push(Action::SetTimer {\n after_us: 5,\n timer: TimerKind::Tick,\n });\n\
+                   fx.timer(9, TimerKind::Orphan);\n let k = TimerKind::Stale(r);\n}\n\
+                   fn on_timer(k: TimerKind) { match k { TimerKind::Delta(r) | TimerKind::Stale(r) => {} } }\n\
+                   fn on_event(e: Event) { match e { Event::Timer(TimerKind::Tick) => {} } }\n\
+                   #[cfg(test)]\nmod tests { fn t() { fx.timer(1, TimerKind::Stale(r)); } }\n";
+        let details: Vec<String> = check_timer_liveness(event, &[src])
+            .into_iter()
+            .map(|f| f.detail)
+            .collect();
+        assert_eq!(
+            details,
+            [
+                "`TimerKind::Stale` is never armed outside tests",
+                "`TimerKind::Orphan` is never handled outside tests",
+            ]
+        );
     }
 
     #[test]

@@ -232,32 +232,36 @@ impl StateMachine for ToyEngine {
 }
 
 impl AmcastEngine for ToyEngine {
-    fn multicast(
+    fn multicast_batch(
         &mut self,
         _now: Time,
         groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
+        payloads: Vec<Bytes>,
+    ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
         if groups.is_empty() {
             return Err(MulticastError::NoDestination);
         }
-        self.next_local += 1;
-        let id = ValueId::new(self.me, self.next_local);
-        let value = Value::new(id, groups[0], payload);
+        let mut ids = Vec::new();
         let mut out = Vec::new();
-        if self.me == self.hub {
-            self.order(value, &mut out);
-        } else {
-            out.push(Action::Send {
-                to: self.hub,
-                msg: Message::Forward {
-                    ring: RingId::new(0),
-                    values: vec![value],
-                    hops: 0,
-                },
-            });
+        for payload in payloads {
+            self.next_local += 1;
+            let id = ValueId::new(self.me, self.next_local);
+            ids.push(id);
+            let value = Value::new(id, groups[0], payload);
+            if self.me == self.hub {
+                self.order(value, &mut out);
+            } else {
+                out.push(Action::Send {
+                    to: self.hub,
+                    msg: Message::Forward {
+                        ring: RingId::new(0),
+                        values: vec![value],
+                        hops: 0,
+                    },
+                });
+            }
         }
-        Ok((id, out))
+        Ok((ids, out))
     }
 
     fn engine_name(&self) -> &'static str {

@@ -1,7 +1,7 @@
 //! Telemetry must be an observer, not a participant: taking a
-//! [`TelemetrySnapshot`](mrp_amcast::telemetry::TelemetrySnapshot), a
-//! health report or the recovery counters mid-exploration must leave
-//! `state_digest()` unchanged on both engines. The checker's
+//! [`TelemetrySnapshot`](mrp_amcast::telemetry::TelemetrySnapshot) or a
+//! health report mid-exploration must leave `state_digest()` unchanged
+//! on both engines. The checker's
 //! fingerprint deduplication (and the replay stability of checked-in
 //! schedules) depends on digests reflecting protocol state only —
 //! counters, histograms and trace rings are excluded by design.
@@ -96,7 +96,6 @@ fn telemetry_snapshots_leave_the_state_digest_unchanged() {
                 let before = engine.state_digest();
                 let snapshot = engine.telemetry();
                 let _ = engine.health(Time::ZERO.plus(1_000_000));
-                let _ = engine.recovery_counters();
                 let after = engine.state_digest();
                 assert_eq!(
                     before,

@@ -5,14 +5,9 @@
 use multiring_paxos::types::Time;
 use std::collections::BTreeMap;
 
-// The histogram started life here and moved to `mrp-amcast` when the
-// engines grew their own latency telemetry; re-exported so existing
-// harness/report code (and the engine snapshots the cluster folds into
-// these metrics) share one implementation. The shared type also fixes
-// the old `Default`/`new()` asymmetry: `Histogram::default()` now seeds
-// `min` correctly, so empty-histogram `min()`/`max()` are well-defined
-// however the value was constructed.
-pub use mrp_amcast::telemetry::Histogram;
+// One histogram implementation for the harness and for the engine
+// snapshots the cluster folds into these metrics.
+pub use multiring_paxos::telemetry::Histogram;
 
 /// A time series bucketed into fixed windows (for throughput-over-time
 /// plots).

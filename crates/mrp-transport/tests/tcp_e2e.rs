@@ -55,7 +55,8 @@ fn three_nodes_total_order_over_loopback_tcp() {
                     node,
                     Box::new(move |_, node: &Node| {
                         runs.fetch_add(1, Ordering::SeqCst);
-                        delivered.fetch_max(node.stats().delivered, Ordering::SeqCst);
+                        delivered
+                            .fetch_max(node.tel().registry.counter("delivered"), Ordering::SeqCst);
                     }),
                 )
                 .expect("spawn"),

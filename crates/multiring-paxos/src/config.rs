@@ -106,27 +106,6 @@ pub enum StorageMode {
     SyncDisk,
 }
 
-/// Link-level batching of ring messages ("different types of messages for
-/// several consensus instances are often grouped into bigger packets",
-/// Section 4).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct LinkBatching {
-    /// Flush when this many bytes of messages are pending for a successor.
-    pub max_bytes: usize,
-    /// Flush at the latest after this many microseconds.
-    pub max_delay_us: u64,
-}
-
-impl Default for LinkBatching {
-    fn default() -> Self {
-        Self {
-            max_bytes: 32 * 1024,
-            max_delay_us: 1_000,
-        }
-    }
-}
-
 /// Per-ring protocol tuning.
 #[derive(Copy, Clone, PartialEq, Debug)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -147,8 +126,6 @@ pub struct RingTuning {
     pub lambda: u64,
     /// How acceptors persist consensus state.
     pub storage: StorageMode,
-    /// Optional link-level batching of ring traffic.
-    pub link_batching: Option<LinkBatching>,
     /// How long a learner waits on an instance gap before requesting a
     /// retransmission from an acceptor, in microseconds.
     pub gap_timeout_us: u64,
@@ -176,7 +153,6 @@ impl Default for RingTuning {
             delta_us: 5_000,
             lambda: 9_000,
             storage: StorageMode::InMemory,
-            link_batching: None,
             gap_timeout_us: 20_000,
             proposal_resend_us: 500_000,
             repropose_us: 1_000_000,

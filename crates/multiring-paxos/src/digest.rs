@@ -263,7 +263,6 @@ impl DigestInto for PersistToken {
 pub fn timer_kind_key(kind: TimerKind) -> (u8, u16) {
     match kind {
         TimerKind::Delta(r) => (1, r.value()),
-        TimerKind::FlushLinks(r) => (2, r.value()),
         TimerKind::GapCheck(r) => (3, r.value()),
         TimerKind::TrimTick(r) => (4, r.value()),
         TimerKind::ProposalResend(r) => (5, r.value()),
@@ -390,7 +389,6 @@ mod tests {
         let kinds = [
             TimerKind::Delta(RingId::new(0)),
             TimerKind::Delta(RingId::new(1)),
-            TimerKind::FlushLinks(RingId::new(0)),
             TimerKind::GapCheck(RingId::new(0)),
             TimerKind::TrimTick(RingId::new(0)),
             TimerKind::ProposalResend(RingId::new(0)),

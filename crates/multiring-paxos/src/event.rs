@@ -200,8 +200,10 @@ pub enum Message {
         /// Service reply payload.
         payload: Bytes,
     },
-    /// Several messages for the same destination packed into one frame
-    /// (link-level batching).
+    /// Several messages for the same destination packed into one frame:
+    /// the engine wrapper's outgoing-frame coalescing (`mrp-amcast`'s
+    /// `AnyEngine`) merges the engine frames one activation sends to a
+    /// peer; receivers unpack it and handle each message in order.
     Batch(Vec<Message>),
     /// An opaque message belonging to an alternative atomic-multicast
     /// engine (see the `mrp-amcast` crate). `engine` namespaces the
@@ -238,8 +240,6 @@ impl Message {
 pub enum TimerKind {
     /// Rate-leveling interval Δ elapsed for a ring (coordinator only).
     Delta(RingId),
-    /// Flush pending link batches for a ring.
-    FlushLinks(RingId),
     /// Check for instance gaps at a learner and request retransmission.
     GapCheck(RingId),
     /// Run the coordinated trim protocol for a ring (coordinator only).

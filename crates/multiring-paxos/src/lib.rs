@@ -64,7 +64,7 @@
 //! * [`event`] — the [`Event`]/[`Action`] vocabulary of the state machines.
 //! * [`paxos`] — single-ring consensus roles (coordinator, acceptor).
 //! * [`ring`] — the Ring Paxos overlay: unidirectional ring routing,
-//!   batching, decisions, learner gap handling.
+//!   decisions, learner gap handling.
 //! * [`multiring`] — group subscriptions, deterministic merge, rate
 //!   leveling.
 //! * [`recovery`] — checkpoint tuples, coordinated log trimming and
@@ -72,6 +72,8 @@
 //! * [`node`] — the composite per-process state machine.
 //! * [`replica`] — the replica checkpointing policy (the replica itself
 //!   is engine-generic: `mrp_amcast::EngineReplica`).
+//! * [`telemetry`] — the counters/histograms/trace-ring store engines
+//!   record into.
 //! * [`codec`] — binary wire encoding shared by transports and simulator.
 
 #![forbid(unsafe_code)]
@@ -89,6 +91,7 @@ pub mod paxos;
 pub mod recovery;
 pub mod replica;
 pub mod ring;
+pub mod telemetry;
 pub mod types;
 
 pub use app::Application;

@@ -16,9 +16,10 @@ use crate::multiring::Merger;
 use crate::paxos::AcceptorRecovery;
 use crate::recovery::{CheckpointId, TrimCoordinator};
 use crate::ring::{Effects, RingState};
+use crate::telemetry::EngineTelemetry;
 use crate::types::{Ballot, ClientId, GroupId, InstanceId, ProcessId, RingId, Time, ValueId};
 use bytes::Bytes;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Locally submitted values whose submission time is retained for
@@ -26,35 +27,14 @@ use std::fmt;
 /// are simply not timed (the protocol itself is unaffected).
 const PENDING_TIMING_CAP: usize = 4096;
 
-/// Delivery-latency samples retained for telemetry read-out.
-const LATENCY_SAMPLE_CAP: usize = 1024;
-
-/// Recovery events (backfills, checkpoint installs) retained for
-/// telemetry read-out.
-const RECOVERY_EVENT_CAP: usize = 64;
-
-/// Plain-scalar protocol statistics a [`Node`] accumulates as it runs:
-/// submissions, merge deliveries, end-to-end ring latency, and recovery
-/// activity. Zero-dependency by design — the engine layer above folds
-/// these into its richer telemetry snapshots.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct NodeStats {
-    /// Values multicast from this process (accepted submissions).
-    pub proposed: u64,
-    /// Values delivered by the deterministic merge on this process.
-    pub delivered: u64,
-    /// Sum of submit→deliver latencies (µs) over locally submitted
-    /// values delivered here.
-    pub latency_sum_us: u64,
-    /// Number of latency samples in [`latency_sum_us`](Self::latency_sum_us).
-    pub latency_count: u64,
-    /// Largest submit→deliver latency observed (µs).
-    pub latency_max_us: u64,
-    /// Backfill rounds requested from the acceptors (checkpoint resume).
-    pub backfill_rounds: u64,
-    /// Checkpoints installed into the merge (recovery events).
-    pub checkpoint_installs: u64,
-}
+/// The counters a [`Node`] keeps, registered from the start so every
+/// snapshot carries them.
+const COUNTERS: [&str; 4] = [
+    "proposed",
+    "delivered",
+    "backfill_rounds",
+    "checkpoint_installs",
+];
 
 /// Errors returned by [`Node::multicast`].
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -103,17 +83,15 @@ pub struct Node {
     /// Memoized covering-group resolutions, keyed by the sorted,
     /// deduplicated multi-group destination set.
     covering: BTreeMap<Vec<GroupId>, GroupId>,
-    stats: NodeStats,
     /// Submission times of locally multicast values, for latency
     /// attribution at delivery (bounded by `PENDING_TIMING_CAP`).
     pending_at: BTreeMap<ValueId, Time>,
-    /// Most recent submit→deliver latency samples (µs), bounded.
-    recent_latencies: VecDeque<u64>,
-    /// Recent recovery events as `(time, kind, detail)` tuples, bounded
-    /// by `RECOVERY_EVENT_CAP`. Kinds: `"ring.backfill"` (detail: chunk
-    /// size) and `"ring.ckpt_install"` (detail: total instances covered;
-    /// time 0 — installation happens before the clock is threaded in).
-    recovery_events: VecDeque<(Time, &'static str, u64)>,
+    /// The [`COUNTERS`], the submit→deliver `ring_latency_us`
+    /// histogram, and the recovery trace: `"ring.backfill"` (detail:
+    /// chunk size) and `"ring.ckpt_install"` (detail: total instances
+    /// covered; time 0 — installation happens before the clock is
+    /// threaded in).
+    tel: EngineTelemetry,
 }
 
 impl fmt::Debug for Node {
@@ -159,6 +137,10 @@ impl Node {
             rings.insert(ring_id, state);
         }
         let merger = Merger::new(subscriptions, config.merge_window());
+        let mut tel = EngineTelemetry::default();
+        for counter in COUNTERS {
+            tel.incr(counter, 0);
+        }
         Self {
             me,
             config,
@@ -169,24 +151,15 @@ impl Node {
             token_seed: 0,
             need_checkpoint: None,
             covering: BTreeMap::new(),
-            stats: NodeStats::default(),
             pending_at: BTreeMap::new(),
-            recent_latencies: VecDeque::new(),
-            recovery_events: VecDeque::new(),
+            tel,
         }
     }
 
-    fn note_recovery_event(&mut self, at: Time, kind: &'static str, detail: u64) {
-        if self.recovery_events.len() == RECOVERY_EVENT_CAP {
-            self.recovery_events.pop_front();
-        }
-        self.recovery_events.push_back((at, kind, detail));
-    }
-
-    /// Recent recovery events as `(time, kind, detail)` tuples, oldest
-    /// first (see the field docs for the kinds).
-    pub fn recovery_events(&self) -> impl Iterator<Item = (Time, &'static str, u64)> + '_ {
-        self.recovery_events.iter().copied()
+    /// The node's live telemetry store: the registry it counts into and
+    /// its recovery trace (see the field docs for the names).
+    pub fn tel(&self) -> &EngineTelemetry {
+        &self.tel
     }
 
     /// Submission time of the oldest locally submitted value that has
@@ -205,17 +178,6 @@ impl Node {
             .map(|r| r.tuning().delta_us)
             .max()
             .unwrap_or(0)
-    }
-
-    /// The node's accumulated protocol statistics.
-    pub fn stats(&self) -> NodeStats {
-        self.stats
-    }
-
-    /// The most recent submit→deliver latency samples (µs), oldest
-    /// first, bounded to the last `LATENCY_SAMPLE_CAP` deliveries.
-    pub fn recent_latencies(&self) -> impl Iterator<Item = u64> + '_ {
-        self.recent_latencies.iter().copied()
     }
 
     /// The process this node embodies.
@@ -246,8 +208,13 @@ impl Node {
     /// Repositions the merge and the per-ring learners at `ckpt`
     /// (checkpoint installation during recovery).
     pub fn install_watermarks(&mut self, ckpt: &CheckpointId) {
-        self.stats.checkpoint_installs += 1;
-        self.note_recovery_event(Time::ZERO, "ring.ckpt_install", ckpt.total_instances());
+        self.tel.incr("checkpoint_installs", 1);
+        self.tel.trace(
+            Time::ZERO,
+            "ring.ckpt_install",
+            None,
+            ckpt.total_instances(),
+        );
         self.merger.install(ckpt);
         for ring in self.rings.values_mut() {
             let mark = ckpt.mark_of(ring.group());
@@ -262,8 +229,8 @@ impl Node {
     /// after checkpoint installation to backfill without waiting for
     /// live traffic to reveal the gap.
     pub fn request_backfill(&mut self, now: Time, chunk: u64) -> Vec<Action> {
-        self.stats.backfill_rounds += 1;
-        self.note_recovery_event(now, "ring.backfill", chunk);
+        self.tel.incr("backfill_rounds", 1);
+        self.tel.trace(now, "ring.backfill", None, chunk);
         let mut fx = Effects::new(self.token_seed);
         for ring in self.rings.values_mut() {
             ring.backfill(chunk, &mut fx);
@@ -286,7 +253,7 @@ impl Node {
 
     /// An FNV-1a fingerprint of the protocol-relevant state: ring role
     /// machines, merge queues, trim rounds and persist-gated actions.
-    /// Telemetry counters and latency samples are excluded so schedules
+    /// The telemetry store and submission timings are excluded so schedules
     /// that commute into the same protocol state fingerprint identically
     /// (see [`crate::digest`]).
     pub fn state_digest(&self) -> u64 {
@@ -310,9 +277,15 @@ impl Node {
         h.finish()
     }
 
-    /// Atomically multicasts `payload` to the group set `groups` via the
-    /// local proposer role (the paper's `multicast(γ, m)`). Returns the
-    /// assigned value id plus the actions to execute.
+    /// Atomically multicasts `payloads`, all addressed to the group set
+    /// `groups`, via the local proposer role (the paper's
+    /// `multicast(γ, m)`, batched). Returns the assigned value ids in
+    /// payload order plus the actions to execute.
+    ///
+    /// The batch is handed to the serving ring in one submission, so
+    /// the coordinator can pack it into as few consensus instances as
+    /// its tuning allows (`values_per_instance` / `bytes_per_instance`);
+    /// each value is still delivered individually, in submission order.
     ///
     /// A single-group message is ordered on that group's ring. A
     /// multi-group message is routed through a *covering group*: a
@@ -324,47 +297,9 @@ impl Node {
     /// # Errors
     ///
     /// Fails if the set is empty, a group is unknown, this process
-    /// cannot propose to the serving ring, or no covering group exists.
-    pub fn multicast(
-        &mut self,
-        now: Time,
-        groups: &[GroupId],
-        payload: Bytes,
-    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
-        let (group, ring_id) = self.resolve_serving_ring(groups)?;
-        let Some(ring) = self.rings.get_mut(&ring_id) else {
-            return Err(MulticastError::NotAProposer(group));
-        };
-        let mut fx = Effects::new(self.token_seed);
-        let id = ring
-            .multicast(now, payload, &mut fx)
-            .ok_or(MulticastError::NotAProposer(group))?;
-        self.stats.proposed += 1;
-        // Only timed when this node also subscribes to the serving
-        // group: otherwise the merge never delivers the value here and
-        // the entry would never resolve (poisoning the stall probe).
-        if self.pending_at.len() < PENDING_TIMING_CAP && self.merger.groups().contains(&group) {
-            self.pending_at.insert(id, now);
-        }
-        self.token_seed = fx.token_seed();
-        let mut out = Vec::new();
-        self.finish(now, fx, &mut out);
-        Ok((id, out))
-    }
-
-    /// Batched form of [`Node::multicast`]: all payloads target the
-    /// same group set and are handed to the serving ring in one
-    /// submission, so the coordinator can pack them into as few
-    /// consensus instances as its tuning allows
-    /// (`values_per_instance` / `bytes_per_instance`). Delivery is
-    /// unchanged — each value is still delivered individually, in
-    /// submission order.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Node::multicast`]; on error no value from
-    /// the batch is submitted.
-    pub fn multicast_many(
+    /// cannot propose to the serving ring, or no covering group exists;
+    /// on error no value from the batch is submitted.
+    pub fn multicast_batch(
         &mut self,
         now: Time,
         groups: &[GroupId],
@@ -374,24 +309,38 @@ impl Node {
         let Some(ring) = self.rings.get_mut(&ring_id) else {
             return Err(MulticastError::NotAProposer(group));
         };
-        let n = payloads.len();
         let mut fx = Effects::new(self.token_seed);
         let ids = ring
-            .multicast_many(now, payloads, &mut fx)
+            .multicast_batch(now, payloads, &mut fx)
             .ok_or(MulticastError::NotAProposer(group))?;
-        self.stats.proposed += n as u64;
+        self.tel.incr("proposed", ids.len() as u64);
+        // Only timed when this node also subscribes to the serving
+        // group: otherwise the merge never delivers the value here and
+        // the entry would never resolve (poisoning the stall probe).
         if self.merger.groups().contains(&group) {
-            for &id in &ids {
-                if self.pending_at.len() >= PENDING_TIMING_CAP {
-                    break;
-                }
-                self.pending_at.insert(id, now);
-            }
+            let room = PENDING_TIMING_CAP.saturating_sub(self.pending_at.len());
+            self.pending_at
+                .extend(ids.iter().take(room).map(|&id| (id, now)));
         }
         self.token_seed = fx.token_seed();
         let mut out = Vec::new();
         self.finish(now, fx, &mut out);
         Ok((ids, out))
+    }
+
+    /// [`multicast_batch`](Self::multicast_batch) for one payload.
+    ///
+    /// # Errors
+    ///
+    /// As for [`multicast_batch`](Self::multicast_batch).
+    pub fn multicast(
+        &mut self,
+        now: Time,
+        groups: &[GroupId],
+        payload: Bytes,
+    ) -> Result<(ValueId, Vec<Action>), MulticastError> {
+        let (ids, actions) = self.multicast_batch(now, groups, vec![payload])?;
+        Ok((ids[0], actions))
     }
 
     /// Resolves the group a multicast to `groups` is ordered through
@@ -482,17 +431,13 @@ impl Node {
             self.merger
                 .push(group, range.first, range.count, range.value);
         }
-        for d in self.merger.poll() {
-            self.stats.delivered += 1;
+        let deliveries = self.merger.poll();
+        if !deliveries.is_empty() {
+            self.tel.incr("delivered", deliveries.len() as u64);
+        }
+        for d in deliveries {
             if let Some(submitted) = self.pending_at.remove(&d.value.id) {
-                let lat = now.since(submitted);
-                self.stats.latency_sum_us += lat;
-                self.stats.latency_count += 1;
-                self.stats.latency_max_us = self.stats.latency_max_us.max(lat);
-                if self.recent_latencies.len() == LATENCY_SAMPLE_CAP {
-                    self.recent_latencies.pop_front();
-                }
-                self.recent_latencies.push_back(lat);
+                self.tel.record("ring_latency_us", now.since(submitted));
             }
             out.push(Action::Deliver {
                 group: d.group,
@@ -642,10 +587,7 @@ impl Node {
 
     fn on_timer(&mut self, now: Time, kind: TimerKind, out: &mut Vec<Action>) {
         match kind {
-            TimerKind::Delta(r)
-            | TimerKind::FlushLinks(r)
-            | TimerKind::GapCheck(r)
-            | TimerKind::ProposalResend(r) => {
+            TimerKind::Delta(r) | TimerKind::GapCheck(r) | TimerKind::ProposalResend(r) => {
                 let mut fx = Effects::new(self.token_seed);
                 if let Some(ring) = self.rings.get_mut(&r) {
                     ring.on_timer(now, kind, &mut fx);

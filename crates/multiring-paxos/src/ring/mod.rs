@@ -11,15 +11,13 @@
 //!   ring) replaces a majority-voted Phase 2 message with a decision;
 //! * decisions circulate until every member has seen them, carrying the
 //!   value only on the arc whose members did not see the Phase 2 message
-//!   (each link transports each value exactly once);
-//! * messages for several consensus instances may be packed into larger
-//!   frames (link batching).
+//!   (each link transports each value exactly once).
 
 pub mod learner;
 
 pub use learner::{ReleasedRange, RepairOutcome, RingLearner};
 
-use crate::config::{LinkBatching, RingConfig, StorageMode};
+use crate::config::{RingConfig, StorageMode};
 use crate::event::{Action, Message, PersistRecord, PersistToken, TimerKind};
 use crate::paxos::acceptor::InstanceRange;
 use crate::paxos::{Acceptor, AcceptorRecovery, Coordinator, Phase1Outcome, Phase2Outcome};
@@ -125,14 +123,6 @@ impl ProposerState {
     }
 }
 
-#[derive(Debug)]
-struct Batcher {
-    cfg: LinkBatching,
-    buf: Vec<Message>,
-    bytes: usize,
-    armed: bool,
-}
-
 /// Per-ring protocol state of one process: the roles it plays plus the
 /// routing logic of the unidirectional ring overlay.
 #[derive(Debug)]
@@ -148,7 +138,6 @@ pub struct RingState {
     acceptor: Option<Acceptor>,
     learner: Option<RingLearner>,
     proposer: Option<ProposerState>,
-    batcher: Option<Batcher>,
     gap_timer_armed: bool,
     /// When the current Phase 1 round started (for retry under loss).
     phase1_at: Time,
@@ -162,8 +151,8 @@ pub struct RingState {
 
 impl RingState {
     /// Folds the ring's protocol state into a fingerprint (see
-    /// [`crate::digest`]): role state machines, believed coordinator,
-    /// link-batch buffers and repair/timer arming. The static
+    /// [`crate::digest`]): role state machines, believed coordinator
+    /// and repair/timer arming. The static
     /// `RingConfig` is excluded (it never changes under exploration).
     pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
         use crate::digest::DigestInto;
@@ -201,15 +190,6 @@ impl RingState {
                 p.resend_armed.digest_into(h);
             }
         }
-        match &self.batcher {
-            None => h.write_u8(0),
-            Some(b) => {
-                h.write_u8(1);
-                b.buf.digest_into(h);
-                h.write_usize(b.bytes);
-                b.armed.digest_into(h);
-            }
-        }
         self.gap_timer_armed.digest_into(h);
         self.phase1_at.digest_into(h);
         h.write_u64(u64::from(self.repair_attempts));
@@ -239,12 +219,6 @@ impl RingState {
         });
         let learner = (roles.is_learner() && subscribed).then(|| RingLearner::new(cfg.id()));
         let proposer = roles.is_proposer().then(ProposerState::default);
-        let batcher = cfg.tuning().link_batching.map(|b| Batcher {
-            cfg: b,
-            buf: Vec::new(),
-            bytes: 0,
-            armed: false,
-        });
         let coordinator_proc = cfg.coordinator();
         Self {
             me,
@@ -256,7 +230,6 @@ impl RingState {
             acceptor,
             learner,
             proposer,
-            batcher,
             gap_timer_armed: false,
             phase1_at: Time::ZERO,
             repair_attempts: 0,
@@ -407,38 +380,13 @@ impl RingState {
         fx.timer(self.cfg.tuning().delta_us, TimerKind::Delta(self.cfg.id()));
     }
 
-    /// Multicasts `payload` to the ring's group via the local proposer.
-    /// Returns the assigned value id, or `None` if this process has no
-    /// proposer role here.
-    pub fn multicast(
-        &mut self,
-        now: Time,
-        payload: bytes::Bytes,
-        fx: &mut Effects,
-    ) -> Option<ValueId> {
-        let group = self.group;
-        let resend_us = self.cfg.tuning().proposal_resend_us;
-        let ring_id = self.cfg.id();
-        let proposer = self.proposer.as_mut()?;
-        proposer.next_seq += 1;
-        let id = ValueId::new(self.me, proposer.next_seq);
-        let value = Value::new(id, group, payload);
-        proposer.pending.insert(id.seq, value.clone());
-        if !proposer.resend_armed {
-            proposer.resend_armed = true;
-            fx.timer(resend_us, TimerKind::ProposalResend(ring_id));
-        }
-        self.submit_or_forward(now, vec![value], 0, fx);
-        Some(id)
-    }
-
-    /// Multicasts a batch of payloads to the ring's group in one
-    /// submission: all values are minted and handed to the coordinator
-    /// (or forwarded) together, so instance packing can amortize the
-    /// consensus round across the whole batch. Returns the assigned
-    /// value ids in payload order, or `None` if this process has no
-    /// proposer role here.
-    pub fn multicast_many(
+    /// Multicasts a batch of payloads to the ring's group via the local
+    /// proposer in one submission: all values are minted and handed to
+    /// the coordinator (or forwarded) together, so instance packing can
+    /// amortize the consensus round across the whole batch. Returns the
+    /// assigned value ids in payload order, or `None` if this process
+    /// has no proposer role here.
+    pub fn multicast_batch(
         &mut self,
         now: Time,
         payloads: Vec<bytes::Bytes>,
@@ -505,33 +453,7 @@ impl RingState {
     }
 
     fn send_ring(&mut self, msg: Message, fx: &mut Effects) {
-        let succ = self.successor();
-        if let Some(b) = self.batcher.as_mut() {
-            let size = crate::codec::encoded_len(&msg);
-            b.buf.push(msg);
-            b.bytes += size;
-            if b.bytes >= b.cfg.max_bytes {
-                Self::flush_batch(self.me, succ, b, fx);
-            } else if !b.armed {
-                b.armed = true;
-                fx.timer(b.cfg.max_delay_us, TimerKind::FlushLinks(self.cfg.id()));
-            }
-        } else {
-            fx.send(succ, msg);
-        }
-    }
-
-    fn flush_batch(_me: ProcessId, succ: ProcessId, b: &mut Batcher, fx: &mut Effects) {
-        if b.buf.is_empty() {
-            return;
-        }
-        let msgs = std::mem::take(&mut b.buf);
-        b.bytes = 0;
-        if msgs.len() == 1 {
-            fx.send(succ, msgs.into_iter().next().expect("len checked"));
-        } else {
-            fx.send(succ, Message::Batch(msgs));
-        }
+        fx.send(self.successor(), msg);
     }
 
     fn arm_gap_timer(&mut self, fx: &mut Effects) {
@@ -723,15 +645,20 @@ impl RingState {
             // Below majority at the last acceptor: the round is lost;
             // the coordinator re-proposes after its timeout.
         } else {
-            let forward = Message::Phase2 {
-                ring: self.cfg.id(),
-                ballot,
-                first,
-                count,
-                value: value.clone(),
-                votes,
+            let forward = Action::Send {
+                to: self.successor(),
+                msg: Message::Phase2 {
+                    ring: self.cfg.id(),
+                    ballot,
+                    first,
+                    count,
+                    value: value.clone(),
+                    votes,
+                },
             };
             if voted {
+                // In sync mode the forward waits for the vote's
+                // durability.
                 let record = PersistRecord::Vote {
                     ring: self.cfg.id(),
                     ballot,
@@ -739,28 +666,9 @@ impl RingState {
                     count,
                     value,
                 };
-                match mode {
-                    StorageMode::SyncDisk => {
-                        let token = fx.persist(record, true);
-                        // The forward (possibly batched) must wait for
-                        // durability; batching is disabled in sync mode
-                        // (Section 8.2), so send directly.
-                        fx.gated.push((
-                            token,
-                            vec![Action::Send {
-                                to: self.successor(),
-                                msg: forward,
-                            }],
-                        ));
-                    }
-                    StorageMode::AsyncDisk => {
-                        fx.persist(record, false);
-                        self.send_ring(forward, fx);
-                    }
-                    StorageMode::InMemory => self.send_ring(forward, fx),
-                }
+                fx.persist_then(mode, record, vec![forward]);
             } else {
-                self.send_ring(forward, fx);
+                fx.actions.push(forward);
             }
         }
     }
@@ -909,14 +817,6 @@ impl RingState {
                         self.emit_proposals(now, proposals, fx);
                         fx.timer(self.cfg.tuning().delta_us, kind);
                     }
-                }
-                true
-            }
-            TimerKind::FlushLinks(r) if r == self.cfg.id() => {
-                let succ = self.successor();
-                if let Some(b) = self.batcher.as_mut() {
-                    b.armed = false;
-                    Self::flush_batch(self.me, succ, b, fx);
                 }
                 true
             }

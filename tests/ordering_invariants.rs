@@ -13,8 +13,7 @@
 //! insensitive to how submissions are packed into engine rounds.
 
 use atomic_multicast::amcast::{
-    AmcastEngine, AnyEngine, BatchConfig, EngineKind, HealthReport, RecoveryCounters,
-    TelemetrySnapshot,
+    AmcastEngine, AnyEngine, BatchConfig, EngineKind, HealthReport, TelemetrySnapshot,
 };
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
@@ -694,7 +693,7 @@ fn failover_config() -> ClusterConfig {
 /// single- and multi-group messages still in flight, then submits a
 /// post-election wave. Returns the survivors' delivery sequences, their
 /// residual engine backlogs, and their telemetry read-outs (snapshot,
-/// health report at the end of the run, recovery counters).
+/// health report at the end of the run).
 #[allow(clippy::type_complexity)]
 fn run_failover(
     seed: u64,
@@ -704,7 +703,7 @@ fn run_failover(
 ) -> (
     BTreeMap<ProcessId, Vec<ValueId>>,
     Vec<usize>,
-    Vec<(TelemetrySnapshot, HealthReport, RecoveryCounters)>,
+    Vec<(TelemetrySnapshot, HealthReport)>,
 ) {
     let config = failover_config();
     let mut cluster = Cluster::new(
@@ -784,11 +783,7 @@ fn run_failover(
         delivered.insert(pid, r.delivered.iter().map(|(_, id)| *id).collect());
         backlogs.push(r.node.inner().backlog());
         let engine = r.node.inner();
-        telemetry.push((
-            engine.telemetry(),
-            engine.health(Time::from_secs(3)),
-            engine.recovery_counters(),
-        ));
+        telemetry.push((engine.telemetry(), engine.health(Time::from_secs(3))));
     }
     (delivered, backlogs, telemetry)
 }
@@ -847,7 +842,7 @@ fn sequencer_failover_delivers_every_message_exactly_once() {
                     EngineKind::MultiRing => "delivered",
                     EngineKind::Wbcast => "sub.delivered",
                 };
-                for (i, (snap, health, _)) in telemetry.iter().enumerate() {
+                for (i, (snap, health)) in telemetry.iter().enumerate() {
                     assert_eq!(
                         snap.counter(delivered_counter),
                         total as u64,
@@ -862,7 +857,7 @@ fn sequencer_failover_delivers_every_message_exactly_once() {
                 if kind == EngineKind::Wbcast {
                     let takeovers: u64 = telemetry
                         .iter()
-                        .map(|(_, _, rc)| rc.sequencer_takeovers)
+                        .map(|(snap, _)| snap.counter("seq.takeovers"))
                         .sum();
                     assert_eq!(
                         takeovers, 1,
@@ -871,7 +866,7 @@ fn sequencer_failover_delivers_every_message_exactly_once() {
                     );
                     let orphans: u64 = telemetry
                         .iter()
-                        .map(|(_, _, rc)| rc.orphan_rounds_started)
+                        .map(|(snap, _)| snap.counter("orphan.rounds_started"))
                         .sum();
                     assert_eq!(
                     orphans, 0,
@@ -890,7 +885,7 @@ fn sequencer_failover_delivers_every_message_exactly_once() {
 /// already left. Survivors keep submitting before and after. Returns
 /// the survivors' delivery sequences, their residual engine backlogs,
 /// (wbcast) their residual undecided-proposal counts, and their
-/// recovery counters and end-of-run health reports.
+/// end-of-run telemetry snapshots and health reports.
 #[allow(clippy::type_complexity)]
 fn run_initiator_crash(
     seed: u64,
@@ -900,7 +895,7 @@ fn run_initiator_crash(
     BTreeMap<ProcessId, Vec<ValueId>>,
     Vec<usize>,
     Vec<usize>,
-    Vec<(RecoveryCounters, HealthReport)>,
+    Vec<(TelemetrySnapshot, HealthReport)>,
 ) {
     let config = failover_config();
     let mut cluster = Cluster::new(
@@ -981,17 +976,11 @@ fn run_initiator_crash(
         let r = cluster.actor_as::<Recorder>(pid).expect("survivor");
         delivered.insert(pid, r.delivered.iter().map(|(_, id)| *id).collect());
         backlogs.push(r.node.inner().backlog());
-        undecided.push(
-            r.node
-                .inner()
-                .as_wbcast()
-                .map_or(0, atomic_multicast::amcast::WbcastNode::undecided_len),
-        );
         let engine = r.node.inner();
-        recovery.push((
-            engine.recovery_counters(),
-            engine.health(Time::from_secs(3)),
-        ));
+        let snap = engine.telemetry();
+        // wbcast only; the ring engine has no such gauge and reads 0.
+        undecided.push(snap.gauge("seq.undecided") as usize);
+        recovery.push((snap, engine.health(Time::from_secs(3))));
     }
     (delivered, backlogs, undecided, recovery)
 }
@@ -1054,9 +1043,10 @@ fn initiator_crash_mid_round_does_not_stall_delivery() {
             // intermediate instants may resolve either way — the Finals
             // may already have left the initiator — so only the
             // started == completed invariant is asserted there.
-            for (i, (rc, health)) in recovery.iter().enumerate() {
+            for (i, (snap, health)) in recovery.iter().enumerate() {
                 assert_eq!(
-                    rc.orphan_rounds_completed, rc.orphan_rounds_started,
+                    snap.counter("orphan.rounds_completed"),
+                    snap.counter("orphan.rounds_started"),
                     "{kind}/crash@{crash_us}µs: unfinished orphan recovery at survivor {i}"
                 );
                 assert!(
@@ -1068,7 +1058,7 @@ fn initiator_crash_mid_round_does_not_stall_delivery() {
             if kind == EngineKind::Wbcast {
                 let started: u64 = recovery
                     .iter()
-                    .map(|(rc, _)| rc.orphan_rounds_started)
+                    .map(|(snap, _)| snap.counter("orphan.rounds_started"))
                     .sum();
                 if crash_us == 120 {
                     assert!(
@@ -1318,16 +1308,10 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
                 .min()
                 .expect("two subscribed groups");
             assert!(min_mark > 0, "watermark advanced past genesis");
-            let engine = r.inner().engine().as_wbcast().expect("wbcast engine");
-            assert_eq!(
-                engine.dedup_retained_at_or_below(min_mark),
-                0,
-                "dedup state pruned below the durable watermark"
-            );
+            let dedup = r.inner().telemetry().gauge("dedup_records");
             assert!(
-                engine.dedup_len() < expected as usize,
-                "dedup entries bounded by the checkpoint window, not history: {}",
-                engine.dedup_len()
+                dedup < expected,
+                "dedup entries bounded by the checkpoint window, not history: {dedup}"
             );
         }
     }

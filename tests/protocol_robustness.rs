@@ -7,7 +7,7 @@
 use atomic_multicast::amcast::wbcast::{frame_kind, WbcastNode};
 use atomic_multicast::amcast::AmcastEngine;
 use atomic_multicast::core::config::{
-    single_ring, ClusterConfig, LinkBatching, RingSpec, RingTuning, Roles, StorageMode,
+    single_ring, ClusterConfig, RingSpec, RingTuning, Roles, StorageMode,
 };
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
@@ -156,44 +156,6 @@ fn survives_heavy_message_loss() {
     let a = delivered(&mut cluster, 0);
     assert_eq!(a, delivered(&mut cluster, 1));
     assert_eq!(a, delivered(&mut cluster, 2));
-}
-
-#[test]
-fn link_batching_preserves_order_and_cuts_messages() {
-    let run = |batching: Option<LinkBatching>| -> (Vec<ValueId>, u64) {
-        let tuning = RingTuning {
-            lambda: 0,
-            link_batching: batching,
-            ..RingTuning::default()
-        };
-        let mut cluster = build(tuning, Topology::lan(8), 42, false);
-        let client_proc = ProcessId::new(100);
-        cluster.add_actor(
-            client_proc,
-            Box::new(Trickle {
-                target: ProcessId::new(0),
-                client: ClientId::new(1),
-                n: 200,
-                sent: 0,
-                gap_us: 200,
-            }),
-        );
-        cluster.register_client(ClientId::new(1), client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(5));
-        let seq = delivered(&mut cluster, 2);
-        (seq, cluster.network_bytes())
-    };
-    let (plain, _) = run(None);
-    let (batched, _) = run(Some(LinkBatching {
-        max_bytes: 4 * 1024,
-        max_delay_us: 2_000,
-    }));
-    assert_eq!(plain.len(), 200);
-    assert_eq!(
-        plain, batched,
-        "batched and unbatched runs deliver the identical sequence"
-    );
 }
 
 #[test]

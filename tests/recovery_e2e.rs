@@ -179,8 +179,8 @@ fn replica_recovers_from_remote_checkpoint_after_trim() {
         // stream past a hole.
         assert_eq!(
             replica(&mut cluster, 4)
-                .recovery_counters()
-                .resync_truncations,
+                .telemetry()
+                .counter("sub.resync_truncations"),
             0,
             "{kind}: stream truncated during recovery"
         );
