@@ -1,0 +1,684 @@
+//! The engine's private wire vocabulary: the twelve [`WbMessage`] frames
+//! carried inside [`Message::Engine`] payloads, their byte layout
+//! (`into_frame` / `parse`), and the two payload classifiers test
+//! harnesses use without depending on that layout.
+
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use multiring_paxos::event::Message;
+use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
+
+/// Wire id of this engine inside [`Message::Engine`] frames.
+pub const WBCAST_WIRE_ID: u8 = 1;
+
+const TAG_SUBMIT: u8 = 1;
+const TAG_ORDERED: u8 = 2;
+const TAG_HEARTBEAT: u8 = 3;
+const TAG_PROPOSE_ACK: u8 = 4;
+const TAG_FINAL: u8 = 5;
+const TAG_FINAL_ACK: u8 = 6;
+const TAG_RESYNC: u8 = 7;
+const TAG_CKPT_MARK: u8 = 8;
+const TAG_RESYNC_DONE: u8 = 9;
+const TAG_ORPHAN_QUERY: u8 = 10;
+const TAG_ORPHAN_STATE: u8 = 11;
+const TAG_ORPHAN_FINAL: u8 = 12;
+
+/// The engine's private messages, carried inside [`Message::Engine`].
+#[derive(Clone, PartialEq, Debug)]
+pub(super) enum WbMessage {
+    /// The initiator submits a value to the sequencer of `group`, one of
+    /// the addressed groups `groups` (γ).
+    Submit {
+        group: GroupId,
+        groups: Vec<GroupId>,
+        value: Value,
+    },
+    /// A sequencer's timestamp proposal for a multi-group value, sent
+    /// back to the initiator.
+    ProposeAck {
+        group: GroupId,
+        id: ValueId,
+        ts: u64,
+    },
+    /// The initiator's decision: the final (maximum) timestamp for a
+    /// multi-group value, sent to each addressed sequencer.
+    Final {
+        group: GroupId,
+        id: ValueId,
+        ts: u64,
+    },
+    /// The sequencer's confirmation to the initiator that the value was
+    /// released into `group`'s ordered stream at timestamp `ts`
+    /// (single-group values confirm at release too). Stops the
+    /// initiator's retransmissions for that group.
+    FinalAck {
+        group: GroupId,
+        id: ValueId,
+        ts: u64,
+    },
+    /// A sequencer's ordering decision at the final timestamp, fanned
+    /// out to the group's subscribers in strictly increasing key order.
+    /// `epoch` identifies the sequencer generation (bumped on
+    /// takeover), fencing deposed sequencers at subscribers.
+    Ordered {
+        group: GroupId,
+        epoch: u32,
+        ts: u64,
+        groups: Vec<GroupId>,
+        value: Value,
+    },
+    /// The sequencer's promise that all future timestamps of `group`
+    /// are strictly greater than `ts`, stamped with its epoch.
+    Heartbeat { group: GroupId, epoch: u32, ts: u64 },
+    /// A subscriber restarting from a checkpoint asks `group`'s
+    /// sequencer to replay its released stream above `from_ts` (the
+    /// restored checkpoint's delivery mark) from the retained
+    /// released-value history.
+    Resync { group: GroupId, from_ts: u64 },
+    /// A subscriber reports the delivery mark of its latest **durable**
+    /// checkpoint for `group`. Once every subscriber of the group has
+    /// reported, the sequencer prunes its decided-id map and released
+    /// history below the minimum — the engine-generic analogue of the
+    /// ring engine's coordinated trim (Predicate 2), conservative (min
+    /// over *all* subscribers, not a quorum) so a lagging or crashed
+    /// subscriber can always still resync.
+    CkptMark { group: GroupId, ts: u64 },
+    /// Terminates a [`WbMessage::Resync`] replay: everything the
+    /// sequencer had released for `group` has been retransmitted, and
+    /// its promise stands at `ts`. Until this frame arrives, the
+    /// restarting subscriber must not deliver — frames received before
+    /// the replay (live releases, heartbeats with post-crash promises)
+    /// advance frontiers past keys the replay still carries, so the
+    /// frontiers only regain their "nothing smaller can arrive" meaning
+    /// here. `gap_to` is zero when the replay is prefix-complete from
+    /// the requested position; otherwise the sequencer has discarded
+    /// history up to `gap_to` (capped retention, or pruning authorized
+    /// by the live subscribers' checkpoints) and values in
+    /// `(from_ts, gap_to]` may be missing from the replay — the
+    /// recovering subscriber must not pretend its stream has no hole.
+    ResyncDone {
+        group: GroupId,
+        epoch: u32,
+        ts: u64,
+        gap_to: u64,
+    },
+    /// Orphan recovery, step 1: a sequencer acting as recovery
+    /// initiator for the presumed-orphaned round `id` asks `group`'s
+    /// sequencer for its state. `attempt` fences replies: stale answers
+    /// from a previous recovery attempt (possibly by a since-deposed
+    /// sequencer) must not leak into a later collection.
+    OrphanQuery {
+        group: GroupId,
+        id: ValueId,
+        attempt: u32,
+    },
+    /// Orphan recovery, step 2: `group`'s sequencer reports what it
+    /// holds for `id` — a decided final timestamp, a still-undecided
+    /// proposal, or nothing at all (it never saw the `Submit`, or a
+    /// replacement sequencer lost it with its predecessor).
+    OrphanState {
+        group: GroupId,
+        id: ValueId,
+        attempt: u32,
+        state: OrphanSt,
+    },
+    /// Orphan recovery, step 3: the recoverer's decision — the final
+    /// timestamp for the round, computed exactly as the crashed
+    /// initiator would have (any already-decided timestamp wins,
+    /// otherwise the maximum over every addressed group's proposal).
+    /// Handled like [`WbMessage::Final`]: first decide wins, duplicates
+    /// are idempotent.
+    OrphanFinal {
+        group: GroupId,
+        id: ValueId,
+        ts: u64,
+    },
+}
+
+/// A sequencer's state for an orphaned round, reported in
+/// [`WbMessage::OrphanState`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub(super) enum OrphanSt {
+    /// No trace of the value: the `Submit` never arrived (or died with
+    /// a deposed sequencer). The recoverer re-submits on the orphan's
+    /// behalf.
+    Unknown,
+    /// An undecided proposal at this timestamp.
+    Proposed(u64),
+    /// Decided at this final timestamp (immutable), but not yet
+    /// released into the group's stream (gated behind earlier keys).
+    /// The value could still be lost with this sequencer, so the
+    /// recoverer keeps tracking the round.
+    Decided(u64),
+    /// Decided *and* released into the group's ordered stream at this
+    /// final timestamp. Released frames are never lost (reliable FIFO
+    /// channels), so the value is safe in this group: the recoverer's
+    /// release-confirmation — the analogue of the `FinalAck` a live
+    /// initiator waits for before it stops retrying.
+    Released(u64),
+}
+
+fn put_value(buf: &mut BytesMut, v: &Value) {
+    buf.put_u32_le(v.id.proposer.value());
+    buf.put_u64_le(v.id.seq);
+    buf.put_u16_le(v.group.value());
+    buf.put_u32_le(v.payload.len() as u32);
+    buf.put_slice(&v.payload);
+}
+
+fn get_value(buf: &mut Bytes) -> Option<Value> {
+    if buf.remaining() < 4 + 8 + 2 + 4 {
+        return None;
+    }
+    let proposer = ProcessId::new(buf.get_u32_le());
+    let seq = buf.get_u64_le();
+    let group = GroupId::new(buf.get_u16_le());
+    let len = buf.get_u32_le() as usize;
+    if buf.remaining() < len {
+        return None;
+    }
+    let payload = buf.copy_to_bytes(len);
+    Some(Value::new(ValueId::new(proposer, seq), group, payload))
+}
+
+fn put_groups(buf: &mut BytesMut, groups: &[GroupId]) {
+    buf.put_u16_le(groups.len() as u16);
+    for g in groups {
+        buf.put_u16_le(g.value());
+    }
+}
+
+fn get_groups(buf: &mut Bytes) -> Option<Vec<GroupId>> {
+    if buf.remaining() < 2 {
+        return None;
+    }
+    let n = buf.get_u16_le() as usize;
+    if buf.remaining() < 2 * n {
+        return None;
+    }
+    Some((0..n).map(|_| GroupId::new(buf.get_u16_le())).collect())
+}
+
+pub(super) fn put_id(buf: &mut BytesMut, id: ValueId) {
+    buf.put_u32_le(id.proposer.value());
+    buf.put_u64_le(id.seq);
+}
+
+pub(super) fn get_id(buf: &mut Bytes) -> Option<ValueId> {
+    if buf.remaining() < 4 + 8 {
+        return None;
+    }
+    let proposer = ProcessId::new(buf.get_u32_le());
+    Some(ValueId::new(proposer, buf.get_u64_le()))
+}
+
+impl WbMessage {
+    /// Wraps this message into the shared [`Message`] vocabulary.
+    pub(super) fn into_frame(self) -> Message {
+        let mut buf = BytesMut::new();
+        match &self {
+            WbMessage::Submit {
+                group,
+                groups,
+                value,
+            } => {
+                buf.put_u8(TAG_SUBMIT);
+                buf.put_u16_le(group.value());
+                put_groups(&mut buf, groups);
+                put_value(&mut buf, value);
+            }
+            WbMessage::ProposeAck { group, id, ts } => {
+                buf.put_u8(TAG_PROPOSE_ACK);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u64_le(*ts);
+            }
+            WbMessage::Final { group, id, ts } => {
+                buf.put_u8(TAG_FINAL);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u64_le(*ts);
+            }
+            WbMessage::FinalAck { group, id, ts } => {
+                buf.put_u8(TAG_FINAL_ACK);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u64_le(*ts);
+            }
+            WbMessage::Ordered {
+                group,
+                epoch,
+                ts,
+                groups,
+                value,
+            } => {
+                buf.put_u8(TAG_ORDERED);
+                buf.put_u16_le(group.value());
+                buf.put_u32_le(*epoch);
+                buf.put_u64_le(*ts);
+                put_groups(&mut buf, groups);
+                put_value(&mut buf, value);
+            }
+            WbMessage::Heartbeat { group, epoch, ts } => {
+                buf.put_u8(TAG_HEARTBEAT);
+                buf.put_u16_le(group.value());
+                buf.put_u32_le(*epoch);
+                buf.put_u64_le(*ts);
+            }
+            WbMessage::Resync { group, from_ts } => {
+                buf.put_u8(TAG_RESYNC);
+                buf.put_u16_le(group.value());
+                buf.put_u64_le(*from_ts);
+            }
+            WbMessage::CkptMark { group, ts } => {
+                buf.put_u8(TAG_CKPT_MARK);
+                buf.put_u16_le(group.value());
+                buf.put_u64_le(*ts);
+            }
+            WbMessage::ResyncDone {
+                group,
+                epoch,
+                ts,
+                gap_to,
+            } => {
+                buf.put_u8(TAG_RESYNC_DONE);
+                buf.put_u16_le(group.value());
+                buf.put_u32_le(*epoch);
+                buf.put_u64_le(*ts);
+                buf.put_u64_le(*gap_to);
+            }
+            WbMessage::OrphanQuery { group, id, attempt } => {
+                buf.put_u8(TAG_ORPHAN_QUERY);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u32_le(*attempt);
+            }
+            WbMessage::OrphanState {
+                group,
+                id,
+                attempt,
+                state,
+            } => {
+                buf.put_u8(TAG_ORPHAN_STATE);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u32_le(*attempt);
+                let (kind, ts) = match state {
+                    OrphanSt::Unknown => (0u8, 0u64),
+                    OrphanSt::Proposed(ts) => (1, *ts),
+                    OrphanSt::Decided(ts) => (2, *ts),
+                    OrphanSt::Released(ts) => (3, *ts),
+                };
+                buf.put_u8(kind);
+                buf.put_u64_le(ts);
+            }
+            WbMessage::OrphanFinal { group, id, ts } => {
+                buf.put_u8(TAG_ORPHAN_FINAL);
+                buf.put_u16_le(group.value());
+                put_id(&mut buf, *id);
+                buf.put_u64_le(*ts);
+            }
+        }
+        Message::Engine {
+            engine: WBCAST_WIRE_ID,
+            payload: buf.freeze(),
+        }
+    }
+
+    /// Parses an engine payload; `None` on malformed or foreign frames.
+    pub(super) fn parse(mut payload: Bytes) -> Option<WbMessage> {
+        if payload.remaining() < 1 + 2 {
+            return None;
+        }
+        let tag = payload.get_u8();
+        let group = GroupId::new(payload.get_u16_le());
+        match tag {
+            TAG_SUBMIT => Some(WbMessage::Submit {
+                group,
+                groups: get_groups(&mut payload)?,
+                value: get_value(&mut payload)?,
+            }),
+            TAG_PROPOSE_ACK => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::ProposeAck {
+                    group,
+                    id,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            TAG_FINAL => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::Final {
+                    group,
+                    id,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            TAG_FINAL_ACK => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::FinalAck {
+                    group,
+                    id,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            TAG_ORDERED => {
+                if payload.remaining() < 4 + 8 {
+                    return None;
+                }
+                let epoch = payload.get_u32_le();
+                let ts = payload.get_u64_le();
+                Some(WbMessage::Ordered {
+                    group,
+                    epoch,
+                    ts,
+                    groups: get_groups(&mut payload)?,
+                    value: get_value(&mut payload)?,
+                })
+            }
+            TAG_HEARTBEAT => {
+                if payload.remaining() < 4 + 8 {
+                    return None;
+                }
+                let epoch = payload.get_u32_le();
+                Some(WbMessage::Heartbeat {
+                    group,
+                    epoch,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            TAG_RESYNC => {
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::Resync {
+                    group,
+                    from_ts: payload.get_u64_le(),
+                })
+            }
+            TAG_CKPT_MARK => {
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::CkptMark {
+                    group,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            TAG_RESYNC_DONE => {
+                if payload.remaining() < 4 + 8 + 8 {
+                    return None;
+                }
+                let epoch = payload.get_u32_le();
+                let ts = payload.get_u64_le();
+                Some(WbMessage::ResyncDone {
+                    group,
+                    epoch,
+                    ts,
+                    gap_to: payload.get_u64_le(),
+                })
+            }
+            TAG_ORPHAN_QUERY => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 4 {
+                    return None;
+                }
+                Some(WbMessage::OrphanQuery {
+                    group,
+                    id,
+                    attempt: payload.get_u32_le(),
+                })
+            }
+            TAG_ORPHAN_STATE => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 4 + 1 + 8 {
+                    return None;
+                }
+                let attempt = payload.get_u32_le();
+                let kind = payload.get_u8();
+                let ts = payload.get_u64_le();
+                let state = match kind {
+                    0 => OrphanSt::Unknown,
+                    1 => OrphanSt::Proposed(ts),
+                    2 => OrphanSt::Decided(ts),
+                    3 => OrphanSt::Released(ts),
+                    _ => return None,
+                };
+                Some(WbMessage::OrphanState {
+                    group,
+                    id,
+                    attempt,
+                    state,
+                })
+            }
+            TAG_ORPHAN_FINAL => {
+                let id = get_id(&mut payload)?;
+                if payload.remaining() < 8 {
+                    return None;
+                }
+                Some(WbMessage::OrphanFinal {
+                    group,
+                    id,
+                    ts: payload.get_u64_le(),
+                })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Whether a wbcast [`Message::Engine`] payload carries or references a
+/// multicast value: `Submit`/`Ordered` carry one,
+/// `ProposeAck`/`Final`/`FinalAck` and the orphan-recovery exchange
+/// (`OrphanQuery`/`OrphanState`/`OrphanFinal`, which travels only
+/// between addressed groups' sequencers) reference one by id;
+/// heartbeats and the checkpoint traffic (`Resync`/`CkptMark`, which
+/// travel only between a group's subscribers and its sequencer) are
+/// pure control traffic. Genuineness tests use this to assert that
+/// processes outside an addressed group set γ see no protocol traffic
+/// for γ's messages.
+pub fn frame_references_value(payload: Bytes) -> bool {
+    matches!(
+        WbMessage::parse(payload),
+        Some(
+            WbMessage::Submit { .. }
+                | WbMessage::Ordered { .. }
+                | WbMessage::ProposeAck { .. }
+                | WbMessage::Final { .. }
+                | WbMessage::FinalAck { .. }
+                | WbMessage::OrphanQuery { .. }
+                | WbMessage::OrphanState { .. }
+                | WbMessage::OrphanFinal { .. }
+        )
+    )
+}
+
+/// Coarse classification of a wbcast [`Message::Engine`] payload by its
+/// frame type (`"submit"`, `"ordered"`, `"orphan_query"`, …), `None`
+/// for malformed or foreign payloads. Test harnesses use this to
+/// target fault injection — e.g. duplicating or reordering exactly the
+/// orphan-recovery exchange — without depending on the private wire
+/// format.
+pub fn frame_kind(payload: Bytes) -> Option<&'static str> {
+    Some(match WbMessage::parse(payload)? {
+        WbMessage::Submit { .. } => "submit",
+        WbMessage::ProposeAck { .. } => "propose_ack",
+        WbMessage::Final { .. } => "final",
+        WbMessage::FinalAck { .. } => "final_ack",
+        WbMessage::Ordered { .. } => "ordered",
+        WbMessage::Heartbeat { .. } => "heartbeat",
+        WbMessage::Resync { .. } => "resync",
+        WbMessage::CkptMark { .. } => "ckpt_mark",
+        WbMessage::ResyncDone { .. } => "resync_done",
+        WbMessage::OrphanQuery { .. } => "orphan_query",
+        WbMessage::OrphanState { .. } => "orphan_state",
+        WbMessage::OrphanFinal { .. } => "orphan_final",
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One frame per wire tag plus the remaining three [`OrphanSt`]
+    /// kinds, each with the bytes the encoder produced at the commit
+    /// before the wire code was rewritten onto `codec`'s field helpers.
+    /// Deployed peers parse exactly these bytes: an encoder change that
+    /// moves any of them is a wire-format change, not a refactor.
+    fn golden() -> Vec<(WbMessage, &'static str)> {
+        let id = ValueId::new(ProcessId::new(3), 9);
+        let value = Value::new(id, GroupId::new(1), Bytes::from_static(b"payload"));
+        let gamma = vec![GroupId::new(0), GroupId::new(1)];
+        let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+        let orphan_state = |group, attempt, state| WbMessage::OrphanState {
+            group,
+            id,
+            attempt,
+            state,
+        };
+        vec![
+            (
+                WbMessage::Submit {
+                    group: g1,
+                    groups: gamma.clone(),
+                    value: value.clone(),
+                },
+                "0101000200000001000300000009000000000000000100070000007061796c6f6164",
+            ),
+            (
+                WbMessage::ProposeAck {
+                    group: g0,
+                    id,
+                    ts: 17,
+                },
+                "0400000300000009000000000000001100000000000000",
+            ),
+            (
+                WbMessage::Final {
+                    group: g1,
+                    id,
+                    ts: 18,
+                },
+                "0501000300000009000000000000001200000000000000",
+            ),
+            (
+                WbMessage::FinalAck {
+                    group: g1,
+                    id,
+                    ts: 0x0102_0304_0506_0708,
+                },
+                "0601000300000009000000000000000807060504030201",
+            ),
+            (
+                WbMessage::Ordered {
+                    group: g1,
+                    epoch: 3,
+                    ts: 42,
+                    groups: gamma,
+                    value,
+                },
+                "020100030000002a000000000000000200000001000300000009000000000000000100070000007061796c6f6164",
+            ),
+            (
+                WbMessage::Heartbeat {
+                    group: g0,
+                    epoch: 2,
+                    ts: 7,
+                },
+                "030000020000000700000000000000",
+            ),
+            (
+                WbMessage::Resync {
+                    group: g1,
+                    from_ts: 12,
+                },
+                "0701000c00000000000000",
+            ),
+            (WbMessage::CkptMark { group: g0, ts: 11 }, "0800000b00000000000000"),
+            (
+                WbMessage::ResyncDone {
+                    group: g1,
+                    epoch: 4,
+                    ts: 13,
+                    gap_to: 6,
+                },
+                "090100040000000d000000000000000600000000000000",
+            ),
+            (
+                WbMessage::OrphanQuery {
+                    group: g1,
+                    id,
+                    attempt: 2,
+                },
+                "0a010003000000090000000000000002000000",
+            ),
+            (orphan_state(g0, 3, OrphanSt::Unknown), "0b000003000000090000000000000003000000000000000000000000"),
+            (orphan_state(g1, 2, OrphanSt::Proposed(21)), "0b010003000000090000000000000002000000011500000000000000"),
+            (orphan_state(g0, 3, OrphanSt::Decided(23)), "0b000003000000090000000000000003000000021700000000000000"),
+            (orphan_state(g1, 4, OrphanSt::Released(23)), "0b010003000000090000000000000004000000031700000000000000"),
+            (
+                WbMessage::OrphanFinal {
+                    group: g1,
+                    id,
+                    ts: 23,
+                },
+                "0c01000300000009000000000000001700000000000000",
+            ),
+        ]
+    }
+
+    fn payload_of(msg: WbMessage) -> Bytes {
+        let Message::Engine { engine, payload } = msg.into_frame() else {
+            panic!("expected engine frame");
+        };
+        assert_eq!(engine, WBCAST_WIRE_ID);
+        payload
+    }
+
+    #[test]
+    fn frames_encode_to_the_pinned_bytes() {
+        for (msg, pinned) in golden() {
+            let hex: String = payload_of(msg.clone())
+                .as_slice()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, pinned, "{msg:?}");
+        }
+    }
+
+    /// Every field is fixed-size or length-prefixed, so no valid frame
+    /// has a valid frame as a strict prefix: a truncated frame must be
+    /// rejected, never parsed into something shorter.
+    #[test]
+    fn every_strict_prefix_of_a_valid_frame_is_rejected() {
+        for (msg, _) in golden() {
+            let payload = payload_of(msg.clone());
+            assert_eq!(WbMessage::parse(payload.clone()), Some(msg.clone()));
+            for cut in 0..payload.len() {
+                assert_eq!(
+                    WbMessage::parse(payload.slice(..cut)),
+                    None,
+                    "{msg:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_parse_arbitrary_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+            let _ = WbMessage::parse(Bytes::from(data));
+        }
+    }
+}

@@ -579,21 +579,36 @@ pub fn check_timer_liveness(event_src: &str, sources: &[&str]) -> Vec<Finding> {
 ///
 /// Fails when one of the inspected sources cannot be read.
 pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), String> {
-    let read = |rel: &str| -> Result<String, String> {
+    let mut files_read = 0;
+    let mut read = |rel: &str| -> Result<String, String> {
+        files_read += 1;
         std::fs::read_to_string(repo_root.join(rel)).map_err(|e| format!("{rel}: {e}"))
     };
     let event_src = read("crates/multiring-paxos/src/event.rs")?;
     let codec_src = read("crates/multiring-paxos/src/codec.rs")?;
-    let wbcast_src = read("crates/mrp-amcast/src/wbcast.rs")?;
+    // The white-box engine is one module per protocol role: the frame
+    // codec lives in `wire.rs`, dispatch and the protocol constants in
+    // `mod.rs`, and any of the role modules may arm a timer.
+    const WBCAST_DIR: &str = "crates/mrp-amcast/src/wbcast";
+    const WIRE: &str = "crates/mrp-amcast/src/wbcast/wire.rs";
+    const MOD: &str = "crates/mrp-amcast/src/wbcast/mod.rs";
+    let wire_src = read(WIRE)?;
+    let mod_src = read(MOD)?;
+    let mut role_srcs = Vec::new();
+    let dir_err = |e: std::io::Error| format!("{WBCAST_DIR}: {e}");
+    for entry in std::fs::read_dir(repo_root.join(WBCAST_DIR)).map_err(dir_err)? {
+        let name = entry.map_err(dir_err)?.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".rs") && !["wire.rs", "mod.rs", "tests.rs"].contains(&&*name) {
+            role_srcs.push(read(&format!("{WBCAST_DIR}/{name}"))?);
+        }
+    }
     let mut findings = Vec::new();
     findings.extend(check_codec_tags(
         "crates/multiring-paxos/src/codec.rs",
         &codec_src,
     ));
-    findings.extend(check_codec_tags(
-        "crates/mrp-amcast/src/wbcast.rs",
-        &wbcast_src,
-    ));
+    findings.extend(check_codec_tags(WIRE, &wire_src));
     findings.extend(check_enum_fn_coverage(
         "crates/multiring-paxos/src/codec.rs",
         &event_src,
@@ -609,27 +624,36 @@ pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), Stri
         &["encode_record", "record_len", "decode_record"],
     ));
     findings.extend(check_enum_fn_coverage(
-        "crates/mrp-amcast/src/wbcast.rs",
-        &wbcast_src,
+        WIRE,
+        &wire_src,
         "WbMessage",
-        &wbcast_src,
-        &["into_frame", "parse", "on_wb_message"],
+        &wire_src,
+        &["into_frame", "parse"],
     ));
-    findings.extend(check_protocol_constants(
-        "crates/mrp-amcast/src/wbcast.rs",
-        &wbcast_src,
+    findings.extend(check_enum_fn_coverage(
+        MOD,
+        &wire_src,
+        "WbMessage",
+        &mod_src,
+        &["on_wb_message"],
     ));
+    findings.extend(check_protocol_constants(MOD, &mod_src));
     findings.extend(check_message_round_trip(&event_src));
     let ring_src = read("crates/multiring-paxos/src/ring/mod.rs")?;
     let node_src = read("crates/multiring-paxos/src/node.rs")?;
     let engine_src = read("crates/mrp-amcast/src/engine.rs")?;
     let replica_src = read("crates/mrp-amcast/src/replica.rs")?;
-    let timer_srcs = [&ring_src, &node_src, &wbcast_src, &engine_src, &replica_src];
-    findings.extend(check_timer_liveness(
-        &event_src,
-        &timer_srcs.map(String::as_str),
-    ));
-    Ok((findings, 7))
+    let mut timer_srcs: Vec<&str> = vec![
+        &ring_src,
+        &node_src,
+        &engine_src,
+        &replica_src,
+        &wire_src,
+        &mod_src,
+    ];
+    timer_srcs.extend(role_srcs.iter().map(String::as_str));
+    findings.extend(check_timer_liveness(&event_src, &timer_srcs));
+    Ok((findings, files_read))
 }
 
 #[cfg(test)]
