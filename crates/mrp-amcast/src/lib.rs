@@ -102,9 +102,13 @@
 //! 1. Implement the engine as a sans-io state machine and give it a
 //!    wire id; encode its private messages into
 //!    [`Message::Engine`](multiring_paxos::event::Message::Engine)
-//!    frames (see [`wbcast`] for the pattern). Engines share the
-//!    [`Event`]/[`Action`] vocabulary, so every existing runtime
-//!    (simulator, TCP transport) hosts them unchanged.
+//!    frames. [`wbcast`] is the pattern, one module per protocol role:
+//!    `wbcast/wire.rs` (frames and byte layout), `sequencer.rs`,
+//!    `rounds.rs`, `frontier.rs`, `recovery.rs` (the roles, each
+//!    documenting its part of the protocol and its metrics) and
+//!    `mod.rs` (constants, the node, dispatch, the trait impls).
+//!    Engines share the [`Event`]/[`Action`] vocabulary, so every
+//!    existing runtime (simulator, TCP transport) hosts them unchanged.
 //! 2. Implement [`AmcastEngine`] for it: `multicast_batch`,
 //!    `engine_name` and `state_digest` are mandatory; implement
 //!    `backlog` if the engine can track in-flight submissions,

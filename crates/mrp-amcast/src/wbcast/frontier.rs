@@ -8,7 +8,7 @@
 //! ## Checkpointing, resync and bounded state
 //!
 //! The engine implements the generic checkpoint/trim surface of
-//! [`AmcastEngine`] (see the crate docs), which both bounds the
+//! [`AmcastEngine`](crate::AmcastEngine) (see the crate docs), which both bounds the
 //! protocol's per-key bookkeeping and gives crashed subscribers an
 //! exact rejoin path:
 //!
@@ -41,17 +41,33 @@
 //!   floor and grow sequencer state forever.
 //! * **Truncation is loud.** Whenever a sequencer's retained history
 //!   no longer reaches back to a resync's requested position — the
-//!   [`UNREPORTED_HISTORY_CAP`] eviction in never-checkpointing
+//!   [`UNREPORTED_HISTORY_CAP`](super::UNREPORTED_HISTORY_CAP) eviction in never-checkpointing
 //!   deployments, or pruning that advanced past a dead subscriber's
 //!   stale mark before it revived — the replay terminator carries the
 //!   gap's extent, and the recovering subscriber **re-anchors past the
 //!   hole** and counts the event
 //!   ([`WbcastNode::resync_truncations`]) instead of delivering a
 //!   gapped stream behind a terminator that claims completeness.
+//!
+//! ## Metrics recorded here
+//!
+//! | counter | counts |
+//! |---|---|
+//! | `sub.delivered` | values delivered to the application |
+//! | `sub.dedup_drops` | buffered copies dropped at delivery time because the id had already been delivered (failover re-releases) |
+//! | `sub.fenced_frames` | `Ordered`/`Heartbeat` frames of a deposed sequencer's epoch dropped |
+//! | `sub.resync_truncations` | replays that ended with a truncation flag, the stream re-anchored past the gap ([`WbcastNode::resync_truncations`]) |
+//!
+//! Delivery of a locally submitted value also records the histogram
+//! `round.delivery_latency_us` (listed with the other `round.*` metrics
+//! in `rounds`). Trace events: `resync.done` (detail: the promise the
+//! stream re-anchored at) and `resync.truncated` (detail: the gap's end).
 
 use super::wire::{get_id, put_id, WbMessage};
 use super::{Key, WbcastNode};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::engine::Watermark;
+use bytes::{BufMut, Bytes, BytesMut};
+use multiring_paxos::codec::get_u64;
 use multiring_paxos::event::Action;
 use multiring_paxos::types::{GroupId, InstanceId, ProcessId, Time, Value, ValueId};
 use std::collections::BTreeMap;
@@ -102,6 +118,19 @@ impl Default for Subscription {
 }
 
 impl Subscription {
+    /// The epoch fence every frame of the stream passes first: a frame
+    /// of a strictly lower epoch comes from a deposed sequencer and must
+    /// not advance the frontier the new one rebuilds; any other frame
+    /// (re-)anchors the stream at its epoch. Returns whether the frame
+    /// is admitted.
+    fn admit(&mut self, epoch: u32) -> bool {
+        let admitted = epoch >= self.epoch;
+        if admitted {
+            self.epoch = epoch;
+        }
+        admitted
+    }
+
     /// The group's current **delivery mark**: the largest timestamp `t`
     /// such that every value of this stream keyed at or below `t` has
     /// been delivered locally (directly or deduplicated against another
@@ -151,9 +180,8 @@ impl WbcastNode {
         value: Value,
         out: &mut Vec<Action>,
     ) {
-        self.note_observed(group, ts);
-        self.note_epoch(group, epoch);
         self.observe_ts(group, ts);
+        self.note_epoch(group, epoch);
         let delivery_group = groups
             .iter()
             .copied()
@@ -163,13 +191,12 @@ impl WbcastNode {
         let Some(sub) = self.subs.get_mut(&group) else {
             return;
         };
-        if epoch < sub.epoch {
+        if !sub.admit(epoch) {
             // A deposed sequencer's frame arriving after the new
             // stream anchored; its releases were re-run by initiators.
             self.tel.incr("sub.fenced_frames", 1);
             return;
         }
-        sub.epoch = epoch;
         let key = (ts, value.id);
         sub.frontier = sub.frontier.max(key);
         // Values at or below the checkpoint floor are already reflected
@@ -189,19 +216,17 @@ impl WbcastNode {
         ts: u64,
         out: &mut Vec<Action>,
     ) {
-        self.note_observed(group, ts);
-        self.note_epoch(group, epoch);
         self.observe_ts(group, ts);
+        self.note_epoch(group, epoch);
         let Some(sub) = self.subs.get_mut(&group) else {
             return;
         };
-        if epoch < sub.epoch {
+        // The first heartbeat of a higher epoch adopts the new
+        // sequencer's stream (the frontier itself only ever grows).
+        if !sub.admit(epoch) {
             self.tel.incr("sub.fenced_frames", 1);
             return;
         }
-        // Re-anchor: the first heartbeat of a higher epoch adopts the
-        // new sequencer's stream (the frontier itself only ever grows).
-        sub.epoch = epoch;
         let key = promise_key(ts);
         if key <= sub.frontier {
             return;
@@ -295,18 +320,16 @@ impl WbcastNode {
         gap_to: u64,
         out: &mut Vec<Action>,
     ) {
-        self.note_observed(group, ts);
-        self.note_epoch(group, epoch);
         self.observe_ts(group, ts);
+        self.note_epoch(group, epoch);
         let Some(sub) = self.subs.get_mut(&group) else {
             return;
         };
-        if epoch < sub.epoch {
+        if !sub.admit(epoch) {
             // Answered by a deposed sequencer; the CoordinatorChange
             // that deposed it re-issued the resync to its successor.
             return;
         }
-        sub.epoch = epoch;
         if gap_to > sub.floor {
             self.tel.incr("sub.resync_truncations", 1);
             self.tel.trace(now, "resync.truncated", Some(group), gap_to);
@@ -324,8 +347,8 @@ impl WbcastNode {
     /// Per subscribed group, the stream's delivery mark — the largest
     /// timestamp whose whole prefix has been delivered locally; the
     /// merge-cursor fields are unused by this engine.
-    pub(super) fn watermark(&self) -> crate::engine::Watermark {
-        crate::engine::Watermark {
+    pub(super) fn watermark(&self) -> Watermark {
+        Watermark {
             marks: self
                 .subs
                 .iter()
@@ -356,21 +379,14 @@ impl WbcastNode {
         buf.freeze()
     }
 
-    pub(super) fn install_checkpoint(
-        &mut self,
-        watermark: &crate::engine::Watermark,
-        state: &Bytes,
-    ) {
-        let mut buf = state.clone();
-        if buf.remaining() >= 16 {
-            self.next_seq = self.next_seq.max(buf.get_u64_le());
-            let n = buf.get_u64_le();
+    pub(super) fn install_checkpoint(&mut self, watermark: &Watermark, state: &Bytes) {
+        let buf = &mut state.clone();
+        if let (Ok(next_seq), Ok(n)) = (get_u64(buf), get_u64(buf)) {
+            self.next_seq = self.next_seq.max(next_seq);
             for _ in 0..n {
-                let Some(id) = get_id(&mut buf) else { break };
-                if buf.remaining() < 8 {
+                let (Some(id), Ok(ts)) = (get_id(buf), get_u64(buf)) else {
                     break;
-                }
-                let ts = buf.get_u64_le();
+                };
                 self.delivered_ids.insert(id, ts);
             }
         }
@@ -388,7 +404,7 @@ impl WbcastNode {
     /// reports the per-group marks to the groups' sequencers
     /// (`CkptMark` frames) so they can prune their decided-id maps and
     /// released-value history in turn.
-    pub(super) fn trim(&mut self, now: Time, watermark: &crate::engine::Watermark) -> Vec<Action> {
+    pub(super) fn trim(&mut self, now: Time, watermark: &Watermark) -> Vec<Action> {
         let mut out = Vec::new();
         let mut min_mark = u64::MAX;
         let mut reports: Vec<(GroupId, u64)> = Vec::new();
@@ -401,15 +417,8 @@ impl WbcastNode {
         if min_mark != u64::MAX {
             self.delivered_ids.retain(|_, ts| *ts > min_mark);
         }
-        for (g, ts) in reports {
-            if let Some(sequencer) = self.sequencer_of(g) {
-                self.route(
-                    now,
-                    sequencer,
-                    WbMessage::CkptMark { group: g, ts },
-                    &mut out,
-                );
-            }
+        for (group, ts) in reports {
+            self.route_to_sequencer(now, group, WbMessage::CkptMark { group, ts }, &mut out);
         }
         out
     }
@@ -425,18 +434,14 @@ impl WbcastNode {
         self.next_seq = self.next_seq.max(now.as_micros());
         let mut out = Vec::new();
         let requests: Vec<(GroupId, u64)> = self.subs.iter().map(|(&g, s)| (g, s.floor)).collect();
-        for (g, from_ts) in requests {
-            if let Some(sequencer) = self.sequencer_of(g) {
-                // Hold deliveries until this stream's replay terminates
-                // (a self-routed resync clears the flag inline).
-                self.subs.get_mut(&g).expect("subscribed group").resyncing = true;
-                self.route(
-                    now,
-                    sequencer,
-                    WbMessage::Resync { group: g, from_ts },
-                    &mut out,
-                );
-            }
+        for (group, from_ts) in requests {
+            // Hold deliveries until this stream's replay terminates (a
+            // self-routed resync clears the flag inline).
+            self.subs
+                .get_mut(&group)
+                .expect("subscribed group")
+                .resyncing = true;
+            self.route_to_sequencer(now, group, WbMessage::Resync { group, from_ts }, &mut out);
         }
         out
     }

@@ -72,6 +72,49 @@
 //!    `FinalAck` from every addressed group means the value is safe and
 //!    the initiator can stop tracking it.
 //!
+//! ## Module layout
+//!
+//! One module per role of *White-Box Atomic Multicast* (arXiv
+//! 1904.07171). Each module's own docs describe the part of the
+//! protocol it implements and list the metrics it records:
+//!
+//! | module | role |
+//! |---|---|
+//! | `wire` | the twelve frames and their byte layout |
+//! | `sequencer` | the group-local state machine: clock, proposals, release in key order, heartbeat promises, resync replay, pruning, takeover and resignation (*Sequencer failover*) |
+//! | `rounds` | the initiator's cross-group timestamp agreement and its retries |
+//! | `frontier` | the subscriber's delivery frontier and the checkpoint surface (*Checkpointing, resync and bounded state*) |
+//! | `recovery` | orphaned rounds, membership and coordinator changes (*Initiator crash recovery*) |
+//!
+//! This module holds what they share: the protocol constants,
+//! [`WbcastNode`] and its construction, frame dispatch, the state digest
+//! and the engine-trait impls.
+//!
+//! ## Metrics
+//!
+//! Counters, histograms and trace events are recorded where things
+//! happen and are listed in the recording module's docs: `seq.*` in
+//! `sequencer`, `sub.*` in `frontier`, `round.*` in `rounds`, `orphan.*`
+//! in `recovery`. The gauges are computed from live state whenever a
+//! snapshot is taken ([`AmcastEngine::telemetry`]):
+//!
+//! | gauge | meaning |
+//! |---|---|
+//! | `backlog` | locally submitted values addressed to a subscribed group and not yet delivered locally |
+//! | `inflight` | locally submitted values still tracked: some addressed group has not confirmed release |
+//! | `dedup_records` | delivered-id records retained (the window above the last trim) |
+//! | `orphan.rounds_open` | recovery rounds this process is running |
+//! | `seq.groups_led` | groups this process sequences |
+//! | `seq.history_retained` | released values retained for resyncs, over the led groups |
+//! | `seq.undecided` | undecided multi-group proposals held, over the led groups (zero in a quiesced cluster) |
+//! | `seq.outq_depth` | decided values gated behind an undecided proposal or a takeover hold |
+//! | `seq.prune_floor_lag` | largest distance, in timestamps, between a led group's newest retained release and its eviction floor |
+//! | `sub.pending_depth` | ordered-but-undeliverable values buffered, over the subscribed streams |
+//! | `sub.resyncing_streams` | subscribed streams holding deliveries behind an outstanding resync |
+//! | `max_epoch` | highest sequencer epoch led or observed |
+//!
+//! ## Remaining assumptions
+//!
 //! The model's remaining assumptions: the takeover resume point exceeds
 //! every timestamp the crashed sequencer exposed (guaranteed by the
 //! hybrid clock whenever the election timeout exceeds the count-driven
@@ -139,7 +182,7 @@ use rounds::Inflight;
 use sequencer::Sequencer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use wire::{OrphanSt, WbMessage};
+use wire::WbMessage;
 
 /// Initiator retry pacing: unconfirmed `Submit`/`Final` rounds are
 /// re-probed every this-many Δ of the addressed group's ring.
@@ -149,7 +192,7 @@ pub const RETRY_DELTAS: u64 = 4;
 /// multi-group proposal whose initiator has shown no sign of life (no
 /// `Final`, no retransmitted `Submit`) for this long is presumed
 /// orphaned, and the sequencer holding it assumes the initiator role
-/// for the round (see *Initiator crash recovery* in the module docs).
+/// for the round (see *Initiator crash recovery* in `recovery`'s docs).
 /// Three full retry periods mean a live initiator has had several
 /// chances to refresh the proposal before recovery ever fires — and a
 /// spurious recovery of a live round is harmless anyway (the exchange
@@ -234,7 +277,7 @@ pub struct WbcastNode {
     /// set would let a later event from ring B (whose down-list only
     /// covers B's members) silently overwrite ring A's verdict about a
     /// shared member. A process counts as crashed while *any* ring
-    /// reports it down ([`WbcastNode::down_union`]): crashed processes
+    /// reports it down (`recovery::down_union`): crashed processes
     /// are excluded from the checkpoint prune floor, and their
     /// in-flight multi-group rounds are recovered without waiting for
     /// the orphan timeout.
@@ -304,23 +347,11 @@ impl WbcastNode {
             let ring = config.ring(ring_id).expect("validated config");
             coordinators.insert(ring_id, ring.coordinator());
             if !recovering && ring.coordinator() == me {
+                let subscribers = config.subscribers_of(group);
+                let delta_us = ring.tuning().delta_us;
                 led.insert(
                     group,
-                    Sequencer {
-                        ring: ring_id,
-                        delta_us: ring.tuning().delta_us,
-                        epoch: 0,
-                        next_ts: 1,
-                        promised: 0,
-                        resume_at: None,
-                        subscribers: config.subscribers_of(group),
-                        pending: BTreeMap::new(),
-                        outq: BTreeMap::new(),
-                        done: BTreeMap::new(),
-                        history: BTreeMap::new(),
-                        evicted: 0,
-                        reported: BTreeMap::new(),
-                    },
+                    Sequencer::new(ring_id, delta_us, 0, 1, None, subscribers),
                 );
             }
         }
@@ -355,37 +386,15 @@ impl WbcastNode {
         }
     }
 
-    /// The process this engine embodies.
-    pub fn me(&self) -> ProcessId {
-        self.me
-    }
-
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// Values delivered so far (progress metric).
-    pub fn delivered(&self) -> u64 {
-        self.tel.registry.counter("sub.delivered")
     }
 
     /// The timestamp frontier per subscribed group (inspection: equal
     /// frontiers on two subscribers of a group mean equal histories).
     pub fn horizons(&self) -> BTreeMap<GroupId, u64> {
         self.subs.iter().map(|(&g, s)| (g, s.frontier.0)).collect()
-    }
-
-    /// Ordered-but-undeliverable values buffered (backpressure metric).
-    pub fn pending_len(&self) -> usize {
-        self.subs.values().map(|s| s.pending.len()).sum()
-    }
-
-    /// Delivered-id dedup entries currently retained — the per-key
-    /// bookkeeping the checkpoint/trim cycle keeps bounded (it grows
-    /// only with the window above the last durable checkpoint).
-    pub fn dedup_len(&self) -> usize {
-        self.delivered_ids.len()
     }
 
     /// Dedup entries retained for deliveries at or below timestamp
@@ -402,17 +411,8 @@ impl WbcastNode {
     /// groups' subscribers.
     pub fn sequencer_footprint(&self) -> (usize, usize) {
         self.led.values().fold((0, 0), |(d, h), seq| {
-            (d + seq.done.len(), h + seq.history.len())
+            (d + seq.state.done.len(), h + seq.state.history.len())
         })
-    }
-
-    /// Undecided multi-group proposals held by the groups this process
-    /// sequences. A stalled stream always shows up here: every key
-    /// above an undecided proposal is gated on it, so a quiesced
-    /// cluster must report zero (the liveness invariant the
-    /// initiator-crash suite asserts).
-    pub fn undecided_len(&self) -> usize {
-        self.led.values().map(|s| s.pending.len()).sum()
     }
 
     /// An FNV-1a fingerprint of the protocol-relevant state: sequencer
@@ -423,23 +423,6 @@ impl WbcastNode {
     /// identically (see [`multiring_paxos::digest`]).
     pub fn state_digest(&self) -> u64 {
         use multiring_paxos::digest::{DigestInto, Fnv1a};
-        fn orphan_st(st: &OrphanSt, h: &mut Fnv1a) {
-            match st {
-                OrphanSt::Unknown => h.write_u8(1),
-                OrphanSt::Proposed(ts) => {
-                    h.write_u8(2);
-                    h.write_u64(*ts);
-                }
-                OrphanSt::Decided(ts) => {
-                    h.write_u8(3);
-                    h.write_u64(*ts);
-                }
-                OrphanSt::Released(ts) => {
-                    h.write_u8(4);
-                    h.write_u64(*ts);
-                }
-            }
-        }
         let mut h = Fnv1a::new();
         self.me.digest_into(&mut h);
         h.write_usize(self.led.len());
@@ -447,12 +430,12 @@ impl WbcastNode {
             g.digest_into(&mut h);
             s.ring.digest_into(&mut h);
             h.write_u64(s.delta_us);
-            h.write_u64(u64::from(s.epoch));
-            h.write_u64(s.next_ts);
+            h.write_u64(u64::from(s.state.epoch));
+            h.write_u64(s.state.next_ts);
             h.write_u64(s.promised);
             s.resume_at.digest_into(&mut h);
-            h.write_usize(s.pending.len());
-            for (id, p) in &s.pending {
+            h.write_usize(s.state.pending.len());
+            for (id, p) in &s.state.pending {
                 id.digest_into(&mut h);
                 h.write_u64(p.ts);
                 p.value.digest_into(&mut h);
@@ -460,11 +443,11 @@ impl WbcastNode {
                 p.since.digest_into(&mut h);
                 p.fenced.digest_into(&mut h);
             }
-            s.outq.digest_into(&mut h);
-            s.done.digest_into(&mut h);
-            s.history.digest_into(&mut h);
-            h.write_u64(s.evicted);
-            s.reported.digest_into(&mut h);
+            s.state.outq.digest_into(&mut h);
+            s.state.done.digest_into(&mut h);
+            s.state.history.digest_into(&mut h);
+            h.write_u64(s.state.evicted);
+            s.state.reported.digest_into(&mut h);
         }
         h.write_usize(self.subs.len());
         for (g, s) in &self.subs {
@@ -501,7 +484,7 @@ impl WbcastNode {
             h.write_usize(round.states.len());
             for (g, st) in &round.states {
                 g.digest_into(&mut h);
-                orphan_st(st, &mut h);
+                st.to_wire().digest_into(&mut h);
             }
             round.decided.digest_into(&mut h);
             round.since.digest_into(&mut h);
@@ -532,8 +515,8 @@ impl WbcastNode {
         self.tel.registry.counter("sub.resync_truncations")
     }
 
-    /// The node's live telemetry store (see the module docs' metric
-    /// table).
+    /// The node's live telemetry store (the module docs say where each
+    /// metric is listed).
     pub fn tel(&self) -> &EngineTelemetry {
         &self.tel
     }
@@ -566,15 +549,6 @@ impl WbcastNode {
         *e = (*e).max(epoch);
     }
 
-    /// The retransmission interval for submissions routed to `ring`.
-    fn retry_interval(&self, ring: RingId) -> u64 {
-        let delta = self
-            .config
-            .ring(ring)
-            .map_or(1_000, |r| r.tuning().delta_us);
-        (delta * RETRY_DELTAS).max(1)
-    }
-
     /// Routes an engine message to a peer, or handles it inline when
     /// addressed to this process itself.
     fn route(&mut self, now: Time, to: ProcessId, msg: WbMessage, out: &mut Vec<Action>) {
@@ -585,6 +559,19 @@ impl WbcastNode {
                 to,
                 msg: msg.into_frame(),
             });
+        }
+    }
+
+    /// Routes `msg` to the believed current sequencer of `group`.
+    fn route_to_sequencer(
+        &mut self,
+        now: Time,
+        group: GroupId,
+        msg: WbMessage,
+        out: &mut Vec<Action>,
+    ) {
+        if let Some(sequencer) = self.sequencer_of(group) {
+            self.route(now, sequencer, msg, out);
         }
     }
 
@@ -687,17 +674,14 @@ impl WbcastNode {
 
     fn on_start(&mut self, out: &mut Vec<Action>) {
         // One Δ timer per distinct ring this process sequences groups
-        // of (several groups may share a ring).
-        let mut rings: BTreeMap<RingId, u64> = BTreeMap::new();
-        for seq in self.led.values() {
-            rings.entry(seq.ring).or_insert(seq.delta_us);
-        }
+        // of (several groups may share a ring), in ring order.
+        let rings: BTreeMap<RingId, u64> = self
+            .led
+            .values()
+            .map(|seq| (seq.ring, seq.delta_us))
+            .collect();
         for (ring, delta_us) in rings {
-            self.delta_armed.insert(ring);
-            out.push(Action::SetTimer {
-                after_us: delta_us.max(1),
-                timer: TimerKind::Delta(ring),
-            });
+            self.arm_delta(ring, delta_us, out);
         }
     }
 }
@@ -783,8 +767,8 @@ impl AmcastEngine for WbcastNode {
     /// The registry's counters and histograms, the trace ring, plus
     /// gauges computed from live state: initiator backlog and dedup
     /// footprint, sequencer queue depths and checkpoint prune-floor lag,
-    /// subscriber buffer depth and resync holds (see the module docs'
-    /// metric table).
+    /// subscriber buffer depth and resync holds (the gauge table in the
+    /// module docs).
     fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap =
             TelemetrySnapshot::from_telemetry(AmcastEngine::engine_name(self), &self.tel);
@@ -804,13 +788,13 @@ impl AmcastEngine for WbcastNode {
         let mut prune_lag = 0u64;
         let mut max_epoch = 0u32;
         for seq in self.led.values() {
-            history += seq.history.len() as u64;
-            undecided += seq.pending.len() as u64;
-            outq += seq.outq.len() as u64;
-            if let Some((&(ts, _), _)) = seq.history.last_key_value() {
-                prune_lag = prune_lag.max(ts.saturating_sub(seq.evicted));
+            history += seq.state.history.len() as u64;
+            undecided += seq.state.pending.len() as u64;
+            outq += seq.state.outq.len() as u64;
+            if let Some((&(ts, _), _)) = seq.state.history.last_key_value() {
+                prune_lag = prune_lag.max(ts.saturating_sub(seq.state.evicted));
             }
-            max_epoch = max_epoch.max(seq.epoch);
+            max_epoch = max_epoch.max(seq.state.epoch);
         }
         snap.gauges.insert("seq.history_retained".into(), history);
         snap.gauges.insert("seq.undecided".into(), undecided);
@@ -865,11 +849,11 @@ impl AmcastEngine for WbcastNode {
             }
         }
         for (&g, seq) in &self.led {
-            if seq.history.len() > UNREPORTED_HISTORY_CAP {
+            if seq.state.history.len() > UNREPORTED_HISTORY_CAP {
                 report.issues.push(HealthIssue {
                     code: "frozen_prune_floor",
                     group: Some(g),
-                    detail: seq.history.len() as u64,
+                    detail: seq.state.history.len() as u64,
                 });
             }
         }

@@ -17,7 +17,7 @@
 //!
 //! * **Detection.** A sequencer presumes a proposal orphaned when the
 //!   coordination service reports its initiator crashed
-//!   ([`Event::MembershipChange`] down-sets; a `CoordinatorChange`
+//!   (`Event::MembershipChange` down-sets; a `CoordinatorChange`
 //!   deposing the initiator's process counts too) — or, as a backstop
 //!   that needs no failure detector, when the initiator shows no sign
 //!   of life (no `Final`, no retransmitted `Submit`) for
@@ -58,11 +58,22 @@
 //!   `OrphanFinal` decides. A round is therefore never aborted in one
 //!   group and delivered in another — it is always *completed*,
 //!   exactly once.
+//!
+//! ## Metrics recorded here
+//!
+//! | counter | counts |
+//! |---|---|
+//! | `orphan.rounds_started` | recovery rounds opened (first attempt) |
+//! | `orphan.reprobes` | later attempts: Δ-paced re-probes and coordinator-change re-runs |
+//! | `orphan.rounds_completed` | rounds retired because every addressed group confirmed release |
+//!
+//! Trace events: `orphan.start` and `orphan.confirmed` (detail: the
+//! orphaned value's sequence number).
 
-use super::sequencer::{Proposal, Sequencer};
+use super::sequencer::Proposal;
 use super::wire::{OrphanSt, WbMessage};
-use super::{WbcastNode, ORPHAN_DELTAS, TAKEOVER_GRACE_DELTAS};
-use multiring_paxos::event::{Action, TimerKind};
+use super::{WbcastNode, ORPHAN_DELTAS};
+use multiring_paxos::event::Action;
 use multiring_paxos::types::{Ballot, GroupId, ProcessId, RingId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -103,29 +114,25 @@ pub(super) struct OrphanRound {
     pub(super) since: Time,
 }
 
-impl WbcastNode {
-    // --- initiator crash recovery (orphaned multi-group rounds) -----
-    //
-    // A multi-group round whose initiator crashed before distributing
-    // the final timestamp would stall every addressed group's stream
-    // behind the undecided proposal forever. Any sequencer holding such
-    // a proposal eventually assumes the initiator role for the round:
-    // it collects every addressed sequencer's state for the value
-    // (`OrphanQuery`/`OrphanState`), re-submits on the orphan's behalf
-    // to groups that never saw the `Submit` (id-based dedup makes the
-    // re-submission safe), and — once every group holds the value —
-    // completes the round deterministically (`OrphanFinal`): an
-    // already-decided timestamp wins, otherwise the maximum over the
-    // proposals, exactly the initiator's own rule. Concurrent
-    // recoverers therefore decide identically, duplicates are absorbed
-    // by the same dedup that protects initiator retries, and a decided
-    // timestamp is never overwritten (first decide wins at each
-    // sequencer).
+/// How long a proposal or a recovery round may go without progress
+/// before it is (re-)recovered, for a ring whose heartbeat interval is
+/// `delta_us`.
+fn orphan_timeout(delta_us: u64) -> u64 {
+    (delta_us * ORPHAN_DELTAS).max(1)
+}
 
-    /// Starts (or re-runs) an orphan-recovery round for `id`: bumps the
-    /// attempt — fencing any state replies still in flight from a
-    /// previous attempt — and queries the current sequencer of every
-    /// addressed group.
+/// Processes the coordination service currently reports crashed in
+/// *any* ring (per-ring down-sets never overwrite each other's verdicts
+/// about a shared member; erring toward "down" only advances a prune
+/// floor, and a wrongly-pruned-past subscriber is still answered with an
+/// explicit truncation, never a silent gap).
+pub(super) fn down_union(down: &BTreeMap<RingId, BTreeSet<ProcessId>>) -> BTreeSet<ProcessId> {
+    down.values().flatten().copied().collect()
+}
+
+impl WbcastNode {
+    /// Starts an orphan-recovery round for `id` — or, when this process
+    /// already runs one, re-runs it.
     fn start_orphan_recovery(
         &mut self,
         now: Time,
@@ -134,38 +141,51 @@ impl WbcastNode {
         groups: Vec<GroupId>,
         out: &mut Vec<Action>,
     ) {
-        let round = self.orphans.entry(id).or_insert(OrphanRound {
-            groups: groups.clone(),
+        self.orphans.entry(id).or_insert(OrphanRound {
+            groups,
             value,
             attempt: 0,
             states: BTreeMap::new(),
             decided: None,
             since: now,
         });
+        self.run_orphan_attempt(now, id, out);
+    }
+
+    /// A fresh attempt of the recovery round for `id`: bumps the attempt
+    /// — fencing any state replies still in flight from a previous one —
+    /// and queries the current sequencer of every addressed group.
+    fn run_orphan_attempt(&mut self, now: Time, id: ValueId, out: &mut Vec<Action>) {
+        let Some(round) = self.orphans.get_mut(&id) else {
+            return;
+        };
         round.attempt += 1;
         round.states.clear();
         round.since = now;
-        let attempt = round.attempt;
+        let (attempt, groups) = (round.attempt, round.groups.clone());
         if attempt == 1 {
             self.tel.incr("orphan.rounds_started", 1);
             self.tel.trace(now, "orphan.start", None, id.seq);
         } else {
             self.tel.incr("orphan.reprobes", 1);
         }
-        for g in groups {
-            let Some(sequencer) = self.sequencer_of(g) else {
-                continue;
-            };
-            self.route(
-                now,
-                sequencer,
-                WbMessage::OrphanQuery {
-                    group: g,
-                    id,
-                    attempt,
-                },
-                out,
-            );
+        for group in groups {
+            let query = WbMessage::OrphanQuery { group, id, attempt };
+            self.route_to_sequencer(now, group, query, out);
+        }
+    }
+
+    /// The live initiator's own `Final` for `id` arrived, so it is
+    /// driving the round itself (it retries until release-time
+    /// `FinalAck`s): a recovery round that has not decided anything yet
+    /// stands down. A round recovery already *decided* stays tracked
+    /// through release confirmation — the initiator may crash again
+    /// before re-driving a group whose sequencer lost the decision, and
+    /// only this round's re-probe would re-detect that (the group's
+    /// replacement holds no pending proposal for the scan to fire on).
+    pub(super) fn stand_down_undecided_recovery(&mut self, id: ValueId) {
+        if self.orphans.get(&id).is_some_and(|r| r.decided.is_none()) {
+            self.orphans.remove(&id);
         }
     }
 
@@ -183,7 +203,7 @@ impl WbcastNode {
         let mut stale: Vec<(ValueId, Value, Vec<GroupId>)> = Vec::new();
         for seq in self.led.values_mut() {
             let (ring, delta_us) = (seq.ring, seq.delta_us);
-            for (&id, p) in &mut seq.pending {
+            for (&id, p) in &mut seq.state.pending {
                 if orphaned(ring, delta_us, id, p) {
                     p.since = now;
                     stale.push((id, p.value.clone(), p.groups.clone()));
@@ -218,7 +238,7 @@ impl WbcastNode {
     /// simply fires again).
     pub(super) fn scan_orphans(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
         self.kick_orphans(now, out, |r, delta_us, _, p| {
-            r == ring && now.since(p.since) >= (delta_us * ORPHAN_DELTAS).max(1)
+            r == ring && now.since(p.since) >= orphan_timeout(delta_us)
         });
     }
 
@@ -239,15 +259,13 @@ impl WbcastNode {
         let Some(seq) = self.led.get_mut(&group) else {
             return;
         };
-        let state = if let Some(&fts) = seq.done.get(&id) {
-            if seq.outq.contains_key(&(fts, id)) {
-                // Decided but gated behind earlier keys: still only in
-                // this sequencer's memory, so not yet confirmable.
-                OrphanSt::Decided(fts)
-            } else {
+        let state = if let Some((fts, released)) = seq.decided(id) {
+            if released {
                 OrphanSt::Released(fts)
+            } else {
+                OrphanSt::Decided(fts)
             }
-        } else if let Some(p) = seq.pending.get_mut(&id) {
+        } else if let Some(p) = seq.state.pending.get_mut(&id) {
             // Answering hands the round to recovery: from here only an
             // OrphanFinal decides this proposal (see `Proposal::fenced`).
             p.fenced = true;
@@ -391,45 +409,23 @@ impl WbcastNode {
                 self.tel.trace(now, "orphan.confirmed", None, id.seq);
             }
             Next::Reseed(groups) => {
-                for g in groups {
-                    let Some(sequencer) = self.sequencer_of(g) else {
-                        continue;
+                for group in groups {
+                    let submit = WbMessage::Submit {
+                        group,
+                        groups: gamma.clone(),
+                        value: value.clone(),
                     };
-                    self.route(
-                        now,
-                        sequencer,
-                        WbMessage::Submit {
-                            group: g,
-                            groups: gamma.clone(),
-                            value: value.clone(),
-                        },
-                        out,
-                    );
-                    self.route(
-                        now,
-                        sequencer,
-                        WbMessage::OrphanQuery {
-                            group: g,
-                            id,
-                            attempt,
-                        },
-                        out,
-                    );
+                    self.route_to_sequencer(now, group, submit, out);
+                    let query = WbMessage::OrphanQuery { group, id, attempt };
+                    self.route_to_sequencer(now, group, query, out);
                 }
             }
-            Next::Decide(fts, groups) => {
-                for g in groups {
-                    let Some(sequencer) = self.sequencer_of(g) else {
-                        continue;
-                    };
-                    self.route(
+            Next::Decide(ts, groups) => {
+                for group in groups {
+                    self.route_to_sequencer(
                         now,
-                        sequencer,
-                        WbMessage::OrphanFinal {
-                            group: g,
-                            id,
-                            ts: fts,
-                        },
+                        group,
+                        WbMessage::OrphanFinal { group, id, ts },
                         out,
                     );
                 }
@@ -448,15 +444,14 @@ impl WbcastNode {
         delta_us: u64,
         out: &mut Vec<Action>,
     ) {
-        let timeout = (delta_us * ORPHAN_DELTAS).max(1);
-        let stale: Vec<(ValueId, Value, Vec<GroupId>)> = self
+        let stale: Vec<ValueId> = self
             .orphans
             .iter()
-            .filter(|(_, r)| now.since(r.since) >= timeout)
-            .map(|(&id, r)| (id, r.value.clone(), r.groups.clone()))
+            .filter(|(_, r)| now.since(r.since) >= orphan_timeout(delta_us))
+            .map(|(&id, _)| id)
             .collect();
-        for (id, value, gamma) in stale {
-            self.start_orphan_recovery(now, id, value, gamma, out);
+        for id in stale {
+            self.run_orphan_attempt(now, id, out);
         }
     }
 
@@ -481,20 +476,11 @@ impl WbcastNode {
             .filter(|p| ringcfg.members().iter().any(|m| m.process == *p))
             .collect();
         self.down.insert(ring, down_set.clone());
-        let down_now = self.down_union();
+        let down_now = down_union(&self.down);
         for seq in self.led.values_mut() {
             seq.prune_below_collective_mark(&down_now);
         }
         self.recover_orphans_of(now, &down_set, out);
-    }
-
-    /// Processes the coordination service currently reports crashed in
-    /// *any* ring (per-ring down-sets never overwrite each other's
-    /// verdicts about a shared member; erring toward "down" only
-    /// advances a prune floor, and a wrongly-pruned-past subscriber is
-    /// still answered with an explicit truncation, never a silent gap).
-    pub(super) fn down_union(&self) -> BTreeSet<ProcessId> {
-        self.down.values().flatten().copied().collect()
     }
 
     /// The coordination service designated `coordinator` for `ring`:
@@ -529,74 +515,9 @@ impl WbcastNode {
             return;
         }
         if coordinator == self.me {
-            let fresh: Vec<GroupId> = groups
-                .iter()
-                .copied()
-                .filter(|g| !self.led.contains_key(g))
-                .collect();
-            if !fresh.is_empty() {
-                let Some(ringcfg) = self.config.ring(ring) else {
-                    return;
-                };
-                let delta_us = ringcfg.tuning().delta_us;
-                let epoch = self.ring_epochs.get(&ring).copied().unwrap_or(0) + 1;
-                self.ring_epochs.insert(ring, epoch);
-                let resume_at = now.plus((delta_us * TAKEOVER_GRACE_DELTAS).max(1));
-                for g in fresh {
-                    // Resume past everything the previous sequencer is
-                    // known to have exposed, and past the hybrid-clock
-                    // floor (which covers unobserved assignments as
-                    // long as the election outlasts count-driven skew).
-                    let mut seq = Sequencer {
-                        ring,
-                        delta_us,
-                        epoch,
-                        next_ts: self.observed.get(&g).copied().unwrap_or(0) + 1,
-                        promised: 0,
-                        resume_at: Some(resume_at),
-                        subscribers: self.config.subscribers_of(g),
-                        pending: BTreeMap::new(),
-                        outq: BTreeMap::new(),
-                        done: BTreeMap::new(),
-                        // A fresh sequencer has no released history to
-                        // serve: subscribers that crash while this
-                        // incarnation leads can only resync values it
-                        // released itself (replicating the history
-                        // inside the group is future work, with the
-                        // per-group counter replication).
-                        history: BTreeMap::new(),
-                        evicted: 0,
-                        reported: BTreeMap::new(),
-                    };
-                    seq.bump_clock(now);
-                    self.led.insert(g, seq);
-                    self.tel.incr("seq.takeovers", 1);
-                    self.tel
-                        .trace(now, "seq.takeover", Some(g), u64::from(epoch));
-                }
-                if self.delta_armed.insert(ring) {
-                    out.push(Action::SetTimer {
-                        after_us: delta_us.max(1),
-                        timer: TimerKind::Delta(ring),
-                    });
-                }
-            }
+            self.take_over(now, ring, &groups, out);
         } else {
-            for &g in &groups {
-                if let Some(seq) = self.led.remove(&g) {
-                    // Fold the resigned clock into the observation
-                    // record so a later re-takeover resumes above
-                    // everything this incarnation assigned or promised.
-                    let top = seq.next_ts.saturating_sub(1).max(seq.promised);
-                    self.note_observed(g, top);
-                    // Undelivered pending/outq state is dropped: the
-                    // initiators' retries re-run those rounds against
-                    // the new sequencer.
-                    self.tel.incr("seq.resignations", 1);
-                    self.tel
-                        .trace(now, "seq.resign", Some(g), u64::from(seq.epoch));
-                }
-            }
+            self.resign(now, &groups);
         }
         // Subscriber side: an unanswered resync addressed to the
         // deposed sequencer would hold deliveries forever — re-issue it
@@ -623,38 +544,15 @@ impl WbcastNode {
         // Initiator side: acknowledgements from the deposed sequencer
         // are void. Re-run each affected round against the new one
         // immediately (and keep the retry timer as backstop).
-        let mut probes: Vec<(GroupId, Vec<GroupId>, Value)> = Vec::new();
         for entry in self.inflight.values_mut() {
-            for &g in &groups {
-                if !entry.groups.contains(&g) {
-                    continue;
-                }
-                entry.released.remove(&g);
+            for g in groups.iter().filter(|g| entry.groups.contains(g)) {
+                entry.released.remove(g);
                 if entry.final_ts.is_none() {
-                    entry.acks.remove(&g);
+                    entry.acks.remove(g);
                 }
-                probes.push((g, entry.groups.clone(), entry.value.clone()));
             }
         }
-        let any = !probes.is_empty();
-        for (g, gamma, value) in probes {
-            self.route(
-                now,
-                coordinator,
-                WbMessage::Submit {
-                    group: g,
-                    groups: gamma,
-                    value,
-                },
-                out,
-            );
-        }
-        if any && self.retry_armed.insert(ring) {
-            out.push(Action::SetTimer {
-                after_us: self.retry_interval(ring),
-                timer: TimerKind::ProposalResend(ring),
-            });
-        }
+        self.probe_ring(now, ring, out);
         // Orphan recovery fast paths. The election usually means the
         // previous coordinator crashed: rounds it *initiated* are
         // recovered immediately wherever this process holds their
@@ -674,9 +572,7 @@ impl WbcastNode {
             .map(|(&id, _)| id)
             .collect();
         for id in stuck {
-            let round = &self.orphans[&id];
-            let (value, gamma) = (round.value.clone(), round.groups.clone());
-            self.start_orphan_recovery(now, id, value, gamma, out);
+            self.run_orphan_attempt(now, id, out);
         }
     }
 }

@@ -12,7 +12,7 @@
 //! (the failover protocol of *White-Box Atomic Multicast* (Gotsman et
 //! al., DSN 2019), adapted to this engine's single-process sequencers):
 //!
-//! * **Takeover / resign.** On [`Event::CoordinatorChange`] the named
+//! * **Takeover / resign.** On `Event::CoordinatorChange` the named
 //!   process adopts the sequencer role for the ring's groups, resuming
 //!   each group's clock at a safe point: past every key and promise it
 //!   has *observed* for the group, and past the hybrid-clock floor.
@@ -26,7 +26,7 @@
 //!   them, keeping the released-in-key-order invariant.
 //! * **Initiator retries.** Every local submission is tracked until
 //!   each addressed group confirms release. Unconfirmed groups are
-//!   probed with retransmitted `Submit`s every [`RETRY_DELTAS`] × Δ,
+//!   probed with retransmitted `Submit`s every [`RETRY_DELTAS`](super::RETRY_DELTAS) × Δ,
 //!   routed to the *current* sequencer; a `CoordinatorChange` voids
 //!   acks obtained from the previous sequencer and re-runs the round
 //!   immediately. Receivers deduplicate: a retransmitted `Submit` never
@@ -38,10 +38,30 @@
 //!   a value re-released by a new sequencer (because the initiator
 //!   could not know the old one had already released it) is delivered
 //!   exactly once; extra copies only advance frontiers.
+//!
+//! ## Metrics recorded here
+//!
+//! | counter | counts |
+//! |---|---|
+//! | `seq.proposals` | multi-group submissions given a proposal timestamp |
+//! | `seq.ordered_single` | single-group submissions ordered on arrival |
+//! | `seq.dedup_submits` | retransmitted `Submit`s re-acknowledged instead of re-timestamped |
+//! | `seq.finals_applied` | proposals decided by a `Final` or `OrphanFinal` |
+//! | `seq.fenced_final_drops` | initiator `Final`s dropped because recovery owns the round |
+//! | `seq.released` | values released into a led group's ordered stream |
+//! | `seq.history_evictions` | retained releases evicted by [`UNREPORTED_HISTORY_CAP`] |
+//! | `seq.resync_replays` | `Resync` requests served |
+//! | `seq.resync_frames_replayed` | `Ordered` frames retransmitted by those replays |
+//! | `seq.ckpt_marks` | `CkptMark` reports received for a led group |
+//! | `seq.takeovers` / `seq.resignations` | groups adopted / dropped on a coordinator change |
+//!
+//! Trace events: `seq.takeover` and `seq.resign` (detail: the epoch),
+//! `resync.replay` (detail: the requested position).
 
 use super::frontier::promise_key;
+use super::recovery::down_union;
 use super::wire::WbMessage;
-use super::{Key, WbcastNode, UNREPORTED_HISTORY_CAP};
+use super::{Key, WbcastNode, TAKEOVER_GRACE_DELTAS, UNREPORTED_HISTORY_CAP};
 use multiring_paxos::event::{Action, Message, TimerKind};
 use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,7 +79,7 @@ pub(super) struct Proposal {
     /// When the initiator last showed a sign of life for this round
     /// (the proposal's creation, a retransmitted `Submit`), or when the
     /// last orphan-recovery attempt for it started: the clock the
-    /// [`ORPHAN_DELTAS`] timeout runs against.
+    /// [`ORPHAN_DELTAS`](super::ORPHAN_DELTAS) timeout runs against.
     pub(super) since: Time,
     /// Set once this sequencer has answered an [`WbMessage::OrphanQuery`]
     /// for the proposal: recovery owns the round from here on. A plain
@@ -74,29 +94,20 @@ pub(super) struct Proposal {
     pub(super) fenced: bool,
 }
 
-/// Per-group sequencer state (held by the group's coordinator).
-#[derive(Debug)]
-pub(super) struct Sequencer {
-    /// The ring whose Δ paces this group's heartbeats.
-    pub(super) ring: RingId,
-    /// Heartbeat interval, microseconds.
-    pub(super) delta_us: u64,
+/// The **replicable** part of a group's sequencer: the clock and the
+/// maps that define the group's ordered stream, with nothing in it that
+/// refers to the hosting process. This is the struct in-group
+/// replication has to ship to the group's members (ROADMAP, carried
+/// item) so that a replacement resumes exactly here, instead of at a
+/// point reconstructed from what it happened to observe.
+#[derive(Debug, Default)]
+pub(super) struct SequencerState {
     /// Sequencer generation: 0 for the configured coordinator, bumped
     /// on every takeover. Stamped into `Ordered`/`Heartbeat` frames so
     /// subscribers can fence deposed sequencers.
     pub(super) epoch: u32,
     /// Next timestamp to assign (timestamps start at 1).
     pub(super) next_ts: u64,
-    /// Highest promise already heartbeated (avoids redundant sends).
-    pub(super) promised: u64,
-    /// While set, releases and heartbeat promises are held: the
-    /// takeover recovery window, during which initiators re-inject
-    /// values whose decided timestamps may sort below the new clock.
-    pub(super) resume_at: Option<Time>,
-    /// The group's subscribers, precomputed: the fan-out target of
-    /// every `Ordered`/`Heartbeat`, resolved once instead of scanning
-    /// the subscription map per message.
-    pub(super) subscribers: Vec<ProcessId>,
     /// Undecided multi-group proposals, by value id.
     pub(super) pending: BTreeMap<ValueId, Proposal>,
     /// Decided values not yet released to the stream: a value keyed
@@ -129,11 +140,35 @@ pub(super) struct Sequencer {
     /// each of them has reported; a live subscriber that has never
     /// checkpointed keeps the full history available (it would resync
     /// from the very beginning). Subscribers reported crashed
-    /// ([`Event::MembershipChange`]) are excluded so a permanent death
+    /// (`Event::MembershipChange`) are excluded so a permanent death
     /// no longer freezes the prune floor — if one nevertheless revives
     /// and resyncs from below the advanced floor, the replay signals
     /// the truncation (`gap_to`) instead of leaving a silent hole.
     pub(super) reported: BTreeMap<ProcessId, u64>,
+}
+
+/// A group's sequencer as hosted by the group's coordinator: the
+/// replicable [`SequencerState`] plus what concerns only this host —
+/// where the group's frames go and what this incarnation has already
+/// said or is still holding back.
+#[derive(Debug)]
+pub(super) struct Sequencer {
+    /// The ring whose Δ paces this group's heartbeats.
+    pub(super) ring: RingId,
+    /// Heartbeat interval, microseconds.
+    pub(super) delta_us: u64,
+    /// The group's subscribers, precomputed: the fan-out target of
+    /// every `Ordered`/`Heartbeat`, resolved once instead of scanning
+    /// the subscription map per message.
+    pub(super) subscribers: Vec<ProcessId>,
+    /// Highest promise already heartbeated (avoids redundant sends).
+    pub(super) promised: u64,
+    /// While set, releases and heartbeat promises are held: the
+    /// takeover recovery window, during which initiators re-inject
+    /// values whose decided timestamps may sort below the new clock.
+    pub(super) resume_at: Option<Time>,
+    /// The group's clock and ordered stream.
+    pub(super) state: SequencerState,
 }
 
 /// The shared time unit of the hybrid clocks, microseconds. Every
@@ -154,29 +189,54 @@ pub(super) struct Sequencer {
 pub const CLOCK_QUANTUM_US: u64 = 1;
 
 impl Sequencer {
+    /// A sequencer of generation `epoch` whose first timestamp is
+    /// `next_ts`, holding releases and promises until `resume_at`.
+    pub(super) fn new(
+        ring: RingId,
+        delta_us: u64,
+        epoch: u32,
+        next_ts: u64,
+        resume_at: Option<Time>,
+        subscribers: Vec<ProcessId>,
+    ) -> Self {
+        Sequencer {
+            ring,
+            delta_us,
+            subscribers,
+            promised: 0,
+            resume_at,
+            state: SequencerState {
+                epoch,
+                next_ts,
+                ..SequencerState::default()
+            },
+        }
+    }
+
     /// Advances the hybrid clock with elapsed time: future timestamps
     /// of this group always exceed `now / CLOCK_QUANTUM_US`, keeping
     /// independent groups loosely aligned so no group waits long on
     /// another.
     pub(super) fn bump_clock(&mut self, now: Time) {
         let floor = now.as_micros() / CLOCK_QUANTUM_US + 1;
-        self.next_ts = self.next_ts.max(floor);
+        self.state.next_ts = self.state.next_ts.max(floor);
     }
 
-    /// Lamport receive rule: a sequencer that observes another group's
-    /// timestamp jumps its own clock past it, so a busy group's
-    /// count-driven timestamps never outrun an idle co-located group's
-    /// promises (which would cap the busy group's delivery rate at the
+    /// Lamport receive rule: the clock jumps past `ts`. Applied to the
+    /// group's own final and released timestamps, and to every timestamp
+    /// observed from another group — so a busy group's count-driven
+    /// timestamps never outrun an idle co-located group's promises
+    /// (which would cap the busy group's delivery rate at the
     /// time-based tick rate).
     fn observe(&mut self, ts: u64) {
-        self.next_ts = self.next_ts.max(ts + 1);
+        self.state.next_ts = self.state.next_ts.max(ts + 1);
     }
 
     /// The smallest key an undecided proposal could still finalize at
     /// (its final timestamp is ≥ its proposed one, so keys strictly
     /// below this bound are settled).
     fn undecided_bound(&self) -> Option<Key> {
-        self.pending.iter().map(|(&id, p)| (p.ts, id)).min()
+        self.state.pending.iter().map(|(&id, p)| (p.ts, id)).min()
     }
 
     /// Whether every subscriber of the group *not reported crashed* has
@@ -186,7 +246,7 @@ impl Sequencer {
     /// [`UNREPORTED_HISTORY_CAP`] instead).
     fn all_reported(&self, down: &BTreeSet<ProcessId>) -> bool {
         let mut live = self.subscribers.iter().filter(|p| !down.contains(p));
-        live.clone().count() > 0 && live.all(|p| self.reported.contains_key(p))
+        live.clone().count() > 0 && live.all(|p| self.state.reported.contains_key(p))
     }
 
     /// Prunes the decided-id map and released history once every live
@@ -213,7 +273,7 @@ impl Sequencer {
             .subscribers
             .iter()
             .filter(|p| !down.contains(p))
-            .map(|p| self.reported[p])
+            .map(|p| self.state.reported[p])
             .min()
         else {
             return;
@@ -222,15 +282,17 @@ impl Sequencer {
         // reported set is a non-empty superset of the live marks and
         // its minimum can only sit at or below the live floor.
         let hard_floor = *self
+            .state
             .reported
             .values()
             .min()
             .expect("all_reported implies a non-empty reported set");
         if hard_floor > 0 {
-            self.history.retain(|&(ts, _), _| ts > hard_floor);
-            self.evicted = self.evicted.max(hard_floor);
+            self.state.history.retain(|&(ts, _), _| ts > hard_floor);
+            self.state.evicted = self.state.evicted.max(hard_floor);
         }
         let band: Vec<Key> = self
+            .state
             .history
             .range(..=promise_key(live_floor))
             .map(|(&k, _)| k)
@@ -238,12 +300,36 @@ impl Sequencer {
         if band.len() > UNREPORTED_HISTORY_CAP {
             let drop = band.len() - UNREPORTED_HISTORY_CAP;
             for key in &band[..drop] {
-                self.history.remove(key);
+                self.state.history.remove(key);
             }
-            self.evicted = self.evicted.max(band[drop - 1].0);
+            self.state.evicted = self.state.evicted.max(band[drop - 1].0);
         }
-        let evicted = self.evicted;
-        self.done.retain(|_, fts| *fts > evicted);
+        let evicted = self.state.evicted;
+        self.state.done.retain(|_, fts| *fts > evicted);
+    }
+
+    /// The final timestamp `id` was decided at, if it was, and whether
+    /// the value has since been released into the stream (a decided
+    /// value gated behind earlier keys lives only in this sequencer's
+    /// memory and is not yet confirmable).
+    pub(super) fn decided(&self, id: ValueId) -> Option<(u64, bool)> {
+        let fts = *self.state.done.get(&id)?;
+        Some((fts, !self.state.outq.contains_key(&(fts, id))))
+    }
+
+    /// Encodes `msg` once and sends it to every subscriber of the group
+    /// but `me` (`Message` clones share the payload); returns whether
+    /// `me` subscribes too, in which case the caller handles the frame
+    /// inline.
+    fn fan_out(&self, me: ProcessId, msg: WbMessage, out: &mut Vec<Action>) -> bool {
+        let frame = msg.into_frame();
+        for &to in self.subscribers.iter().filter(|&&to| to != me) {
+            out.push(Action::Send {
+                to,
+                msg: frame.clone(),
+            });
+        }
+        self.subscribers.contains(&me)
     }
 
     /// The highest timestamp this sequencer may promise: everything
@@ -251,11 +337,11 @@ impl Sequencer {
     /// timestamps may equal the proposal) and by unreleased decided
     /// values.
     fn safe_promise(&self) -> u64 {
-        let mut promise = self.next_ts - 1;
+        let mut promise = self.state.next_ts - 1;
         if let Some((ts, _)) = self.undecided_bound() {
             promise = promise.min(ts - 1);
         }
-        if let Some((&(ts, _), _)) = self.outq.first_key_value() {
+        if let Some((&(ts, _), _)) = self.state.outq.first_key_value() {
             promise = promise.min(ts - 1);
         }
         promise
@@ -284,7 +370,7 @@ impl WbcastNode {
                 // group); the initiator re-routes on CoordinatorChange.
                 return;
             };
-            if let Some(p) = seq.pending.get_mut(&id) {
+            if let Some(p) = seq.state.pending.get_mut(&id) {
                 // Duplicate of an undecided proposal: same timestamp.
                 // The retransmission is a sign of life from the
                 // initiator (or a recoverer), so the orphan clock
@@ -304,10 +390,9 @@ impl WbcastNode {
                     false,
                     "seq.dedup_submits",
                 )
-            } else if let Some(&fts) = seq.done.get(&id) {
+            } else if let Some((fts, released)) = seq.decided(id) {
                 // Already decided; confirm only once released (a gated
                 // value confirms via flush_group when it releases).
-                let released = !seq.outq.contains_key(&(fts, id));
                 (
                     released.then_some(WbMessage::FinalAck { group, id, ts: fts }),
                     false,
@@ -315,10 +400,10 @@ impl WbcastNode {
                 )
             } else {
                 seq.bump_clock(now);
-                let ts = seq.next_ts;
-                seq.next_ts += 1;
+                let ts = seq.state.next_ts;
+                seq.state.next_ts += 1;
                 if groups.len() > 1 {
-                    seq.pending.insert(
+                    seq.state.pending.insert(
                         id,
                         Proposal {
                             ts,
@@ -334,8 +419,8 @@ impl WbcastNode {
                         "seq.proposals",
                     )
                 } else {
-                    seq.done.insert(id, ts);
-                    seq.outq.insert((ts, id), (value, groups));
+                    seq.state.done.insert(id, ts);
+                    seq.state.outq.insert((ts, id), (value, groups));
                     (None, true, "seq.ordered_single")
                 }
             }
@@ -368,52 +453,38 @@ impl WbcastNode {
         from_recovery: bool,
         out: &mut Vec<Action>,
     ) {
-        self.note_observed(group, fts);
         self.observe_ts(group, fts);
-        if !from_recovery
-            && self
+        if !from_recovery {
+            let fenced = self
                 .led
                 .get(&group)
-                .is_some_and(|seq| seq.pending.get(&id).is_some_and(|p| p.fenced))
-        {
-            // Recovery owns this round: the initiator's Final is
-            // dropped (not even re-acknowledged), and its retries
-            // settle once recovery releases the value.
-            self.tel.incr("seq.fenced_final_drops", 1);
-            return;
-        }
-        if !from_recovery && self.orphans.get(&id).is_some_and(|r| r.decided.is_none()) {
-            // The live initiator is driving this round (it retries
-            // until release-time FinalAcks) and recovery has not
-            // decided anything yet: stand down. A round recovery
-            // already *decided* stays tracked through release
-            // confirmation — the initiator may crash again before
-            // re-driving a group whose sequencer lost the decision,
-            // and only this round's re-probe would re-detect that
-            // (the group's replacement holds no pending proposal for
-            // the scan to fire on). A recovery decision (`OrphanFinal`)
-            // never stands a round down either.
-            self.orphans.remove(&id);
+                .is_some_and(|seq| seq.state.pending.get(&id).is_some_and(|p| p.fenced));
+            if fenced {
+                // Recovery owns this round: the initiator's Final is
+                // dropped (not even re-acknowledged), and its retries
+                // settle once recovery releases the value.
+                self.tel.incr("seq.fenced_final_drops", 1);
+                return;
+            }
+            self.stand_down_undecided_recovery(id);
         }
         let (reack, decided) = {
             let Some(seq) = self.led.get_mut(&group) else {
                 return;
             };
-            match seq.pending.remove(&id) {
+            match seq.state.pending.remove(&id) {
                 Some(p) => {
                     // The final timestamp orders this group's future
                     // assignments after the value (Lamport receive rule
                     // on the group clock).
-                    seq.next_ts = seq.next_ts.max(fts + 1);
-                    seq.done.insert(id, fts);
-                    seq.outq.insert((fts, id), (p.value, p.groups));
+                    seq.observe(fts);
+                    seq.state.done.insert(id, fts);
+                    seq.state.outq.insert((fts, id), (p.value, p.groups));
                     (None, true)
                 }
                 None => (
-                    seq.done
-                        .get(&id)
-                        .copied()
-                        .filter(|&done_ts| !seq.outq.contains_key(&(done_ts, id))),
+                    seq.decided(id)
+                        .and_then(|(done_ts, released)| released.then_some(done_ts)),
                     false,
                 ),
             }
@@ -443,99 +514,74 @@ impl WbcastNode {
     /// once and shared across subscribers (`Message` clones are cheap:
     /// the payload is a reference-counted `Bytes`).
     pub(super) fn flush_group(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
-        let me = self.me;
         loop {
-            let released = {
-                let Some(seq) = self.led.get_mut(&group) else {
-                    return;
-                };
-                // Takeover recovery window: hold the stream so values
-                // re-injected by initiators (at their already-decided,
-                // possibly small timestamps) sort in before release.
-                if seq.resume_at.is_some_and(|t| now < t) {
-                    return;
-                }
-                let Some((&key, _)) = seq.outq.first_key_value() else {
-                    return;
-                };
-                if seq.undecided_bound().is_some_and(|bound| key > bound) {
-                    return;
-                }
-                let (value, groups) = seq.outq.remove(&key).expect("head key present");
-                // Future assignments must key above everything released.
-                seq.next_ts = seq.next_ts.max(key.0 + 1);
-                // Retain the released value for subscriber resyncs; the
-                // clones are cheap (`Bytes` payload) and the entry is
-                // pruned once every subscriber's durable checkpoint
-                // covers it — or, while some subscriber has never
-                // checkpointed, bounded by the cap (best-effort resync
-                // beats unbounded memory in never-checkpointing
-                // deployments).
-                seq.history.insert(key, (value.clone(), groups.clone()));
-                let mut evictions = 0u64;
-                if seq.history.len() > UNREPORTED_HISTORY_CAP {
-                    // The union is built only on this rare over-cap
-                    // path (never-checkpointing deployments), keeping
-                    // the per-release fast path allocation-free.
-                    let down: BTreeSet<ProcessId> = self.down.values().flatten().copied().collect();
-                    if !seq.all_reported(&down) {
-                        if let Some(((ts, _), _)) = seq.history.pop_first() {
-                            // The retained stream's floor moved: a
-                            // resync from below it can no longer be
-                            // served prefix-complete, and must say so.
-                            seq.evicted = seq.evicted.max(ts);
-                            evictions = 1;
-                        }
-                    }
-                }
-                let frame = WbMessage::Ordered {
-                    group,
-                    epoch: seq.epoch,
-                    ts: key.0,
-                    groups: groups.clone(),
-                    value: value.clone(),
-                }
-                .into_frame();
-                let mut local = false;
-                for &to in &seq.subscribers {
-                    if to == me {
-                        local = true;
-                    } else {
-                        out.push(Action::Send {
-                            to,
-                            msg: frame.clone(),
-                        });
-                    }
-                }
-                (key.0, seq.epoch, groups, value, local, evictions)
+            let Some(seq) = self.led.get_mut(&group) else {
+                return;
             };
-            let (ts, epoch, groups, value, local, evictions) = released;
-            self.tel.incr("seq.released", 1);
-            if evictions > 0 {
-                self.tel.incr("seq.history_evictions", evictions);
+            // Takeover recovery window: hold the stream so values
+            // re-injected by initiators (at their already-decided,
+            // possibly small timestamps) sort in before release.
+            if seq.resume_at.is_some_and(|t| now < t) {
+                return;
             }
+            let Some((&key, _)) = seq.state.outq.first_key_value() else {
+                return;
+            };
+            if seq.undecided_bound().is_some_and(|bound| key > bound) {
+                return;
+            }
+            let (value, groups) = seq.state.outq.remove(&key).expect("head key present");
+            // Future assignments must key above everything released.
+            seq.observe(key.0);
+            // Retain the released value for subscriber resyncs; the
+            // clones are cheap (`Bytes` payload) and the entry is
+            // pruned once every subscriber's durable checkpoint
+            // covers it — or, while some subscriber has never
+            // checkpointed, bounded by the cap (best-effort resync
+            // beats unbounded memory in never-checkpointing
+            // deployments). The down-set union is built only on that
+            // rare over-cap path, keeping the per-release fast path
+            // allocation-free.
+            seq.state
+                .history
+                .insert(key, (value.clone(), groups.clone()));
+            if seq.state.history.len() > UNREPORTED_HISTORY_CAP
+                && !seq.all_reported(&down_union(&self.down))
+            {
+                if let Some(((ts, _), _)) = seq.state.history.pop_first() {
+                    // The retained stream's floor moved: a resync from
+                    // below it can no longer be served prefix-complete,
+                    // and must say so.
+                    seq.state.evicted = seq.state.evicted.max(ts);
+                    self.tel.incr("seq.history_evictions", 1);
+                }
+            }
+            let (ts, epoch) = (key.0, seq.state.epoch);
+            let ordered = WbMessage::Ordered {
+                group,
+                epoch,
+                ts,
+                groups: groups.clone(),
+                value: value.clone(),
+            };
+            let local = seq.fan_out(self.me, ordered, out);
+            self.tel.incr("seq.released", 1);
             // Release confirmation: the value is now in the group's
             // stream and can no longer be lost with this sequencer.
-            self.route(
-                now,
-                value.id.proposer,
-                WbMessage::FinalAck {
-                    group,
-                    id: value.id,
-                    ts,
-                },
-                out,
-            );
+            let id = value.id;
+            self.route(now, id.proposer, WbMessage::FinalAck { group, id, ts }, out);
             if local {
                 self.on_ordered(now, group, epoch, ts, groups, value, out);
             }
         }
     }
 
-    /// Lamport receive rule over every sequencer this process hosts:
-    /// any timestamp observed from another group drags the local
-    /// clocks past it (see [`Sequencer::observe`]).
+    /// A frame exposed timestamp `ts` of `from_group`'s clock. It feeds
+    /// the takeover resume point for that group, and — Lamport receive
+    /// rule over every sequencer this process hosts — drags the local
+    /// clocks of the *other* groups past it (see [`Sequencer::observe`]).
     pub(super) fn observe_ts(&mut self, from_group: GroupId, ts: u64) {
+        self.note_observed(from_group, ts);
         for (&g, seq) in &mut self.led {
             if g != from_group {
                 seq.observe(ts);
@@ -564,6 +610,7 @@ impl WbcastNode {
             return;
         };
         let mut frames: Vec<Message> = seq
+            .state
             .history
             .range((
                 std::ops::Bound::Excluded(promise_key(from_ts)),
@@ -572,7 +619,7 @@ impl WbcastNode {
             .map(|(&(ts, _), (value, groups))| {
                 WbMessage::Ordered {
                     group,
-                    epoch: seq.epoch,
+                    epoch: seq.state.epoch,
                     ts,
                     groups: groups.clone(),
                     value: value.clone(),
@@ -588,15 +635,15 @@ impl WbcastNode {
         // replay is truncated and the terminator says so — the
         // requester must re-anchor past the hole, not claim a complete
         // prefix it never received.
-        let gap_to = if from_ts < seq.evicted {
-            seq.evicted
+        let gap_to = if from_ts < seq.state.evicted {
+            seq.state.evicted
         } else {
             0
         };
         frames.push(
             WbMessage::ResyncDone {
                 group,
-                epoch: seq.epoch,
+                epoch: seq.state.epoch,
                 ts: seq.promised,
                 gap_to,
             }
@@ -629,78 +676,66 @@ impl WbcastNode {
     /// would otherwise freeze the floor forever); if one revives, its
     /// below-floor resync is answered with an explicit truncation.
     pub(super) fn on_ckpt_mark(&mut self, from: ProcessId, group: GroupId, ts: u64) {
-        let down = self.down_union();
+        let down = down_union(&self.down);
         let Some(seq) = self.led.get_mut(&group) else {
             return;
         };
-        let mark = seq.reported.entry(from).or_insert(0);
+        let mark = seq.state.reported.entry(from).or_insert(0);
         *mark = (*mark).max(ts);
         seq.prune_below_collective_mark(&down);
         self.tel.incr("seq.ckpt_marks", 1);
     }
 
-    /// Emits fresh heartbeat promises for the led groups of `ring`
-    /// (skipping groups still inside their takeover recovery window,
-    /// whose windows end lazily here).
-    fn emit_heartbeats(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
-        let groups: Vec<GroupId> = self
-            .led
-            .iter()
-            .filter(|(_, s)| s.ring == ring)
-            .map(|(&g, _)| g)
-            .collect();
-        let me = self.me;
-        for group in groups {
-            let (promise, epoch, heartbeat_locally) = {
-                let seq = self.led.get_mut(&group).expect("led group");
-                if seq.resume_at.is_some_and(|t| now < t) {
-                    continue;
-                }
-                seq.resume_at = None;
-                seq.bump_clock(now);
-                let promise = seq.safe_promise();
-                if promise <= seq.promised {
-                    continue;
-                }
-                seq.promised = promise;
-                let frame = WbMessage::Heartbeat {
-                    group,
-                    epoch: seq.epoch,
-                    ts: promise,
-                }
-                .into_frame();
-                let mut heartbeat_locally = false;
-                for &to in &seq.subscribers {
-                    if to == me {
-                        heartbeat_locally = true;
-                    } else {
-                        out.push(Action::Send {
-                            to,
-                            msg: frame.clone(),
-                        });
-                    }
-                }
-                (promise, seq.epoch, heartbeat_locally)
-            };
-            if heartbeat_locally {
-                self.on_heartbeat(now, group, epoch, promise, out);
+    /// Emits fresh heartbeat promises for `groups`, the led groups of
+    /// one ring (skipping groups still inside their takeover recovery
+    /// window, whose windows end lazily here).
+    fn emit_heartbeats(&mut self, now: Time, groups: &[GroupId], out: &mut Vec<Action>) {
+        for &group in groups {
+            let seq = self.led.get_mut(&group).expect("led group");
+            if seq.resume_at.is_some_and(|t| now < t) {
+                continue;
+            }
+            seq.resume_at = None;
+            seq.bump_clock(now);
+            let ts = seq.safe_promise();
+            if ts <= seq.promised {
+                continue;
+            }
+            seq.promised = ts;
+            let epoch = seq.state.epoch;
+            if seq.fan_out(self.me, WbMessage::Heartbeat { group, epoch, ts }, out) {
+                self.on_heartbeat(now, group, epoch, ts, out);
             }
         }
     }
 
+    /// Arms `ring`'s Δ heartbeat timer unless one is already live —
+    /// exactly one per ring, regardless of how many led groups share
+    /// it: runtimes do not dedupe timers, so one `SetTimer` per group
+    /// would multiply live timers every Δ.
+    pub(super) fn arm_delta(&mut self, ring: RingId, delta_us: u64, out: &mut Vec<Action>) {
+        if self.delta_armed.insert(ring) {
+            out.push(Action::SetTimer {
+                after_us: delta_us.max(1),
+                timer: TimerKind::Delta(ring),
+            });
+        }
+    }
+
     pub(super) fn heartbeat_tick(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
+        // The timer that fired is spent. If this process resigned the
+        // ring between arming and firing, it simply lapses.
+        self.delta_armed.remove(&ring);
         let groups: Vec<GroupId> = self
             .led
             .iter()
             .filter(|(_, s)| s.ring == ring)
             .map(|(&g, _)| g)
             .collect();
-        if groups.is_empty() {
-            // Resigned between arming and firing: let the timer lapse.
-            self.delta_armed.remove(&ring);
+        let Some(first) = groups.first() else {
             return;
-        }
-        let delta_us = self.led[&groups[0]].delta_us;
+        };
+        let delta_us = self.led[first].delta_us;
         // Release anything a just-ended recovery window was holding
         // before promising past it.
         for &g in &groups {
@@ -713,13 +748,76 @@ impl WbcastNode {
         // promise is capped by pending proposals anyway).
         self.scan_orphans(now, ring, out);
         self.reprobe_orphan_rounds(now, delta_us, out);
-        self.emit_heartbeats(now, ring, out);
-        // Exactly one re-arm per ring, regardless of how many led
-        // groups share it: runtimes do not dedupe timers, so one
-        // SetTimer per group would multiply live timers every Δ.
-        out.push(Action::SetTimer {
-            after_us: delta_us.max(1),
-            timer: TimerKind::Delta(ring),
-        });
+        self.emit_heartbeats(now, &groups, out);
+        self.arm_delta(ring, delta_us, out);
+    }
+
+    /// Takeover: this process was named coordinator of `ring` and adopts
+    /// the sequencer role for those of the ring's `groups` it does not
+    /// lead yet, one epoch above everything known for the ring. Each
+    /// clock resumes past everything the previous sequencer is known to
+    /// have exposed and past the hybrid-clock floor (which covers
+    /// unobserved assignments as long as the election outlasts
+    /// count-driven skew). A fresh sequencer has no released history to
+    /// serve: subscribers that crash while this incarnation leads can
+    /// only resync values it released itself (replicating
+    /// [`SequencerState`] inside the group is what closes that).
+    pub(super) fn take_over(
+        &mut self,
+        now: Time,
+        ring: RingId,
+        groups: &[GroupId],
+        out: &mut Vec<Action>,
+    ) {
+        let fresh: Vec<GroupId> = groups
+            .iter()
+            .copied()
+            .filter(|g| !self.led.contains_key(g))
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        let Some(ringcfg) = self.config.ring(ring) else {
+            return;
+        };
+        let delta_us = ringcfg.tuning().delta_us;
+        let epoch = self.ring_epochs.get(&ring).copied().unwrap_or(0) + 1;
+        self.ring_epochs.insert(ring, epoch);
+        let resume_at = now.plus((delta_us * TAKEOVER_GRACE_DELTAS).max(1));
+        for g in fresh {
+            let mut seq = Sequencer::new(
+                ring,
+                delta_us,
+                epoch,
+                self.observed.get(&g).copied().unwrap_or(0) + 1,
+                Some(resume_at),
+                self.config.subscribers_of(g),
+            );
+            seq.bump_clock(now);
+            self.led.insert(g, seq);
+            self.tel.incr("seq.takeovers", 1);
+            self.tel
+                .trace(now, "seq.takeover", Some(g), u64::from(epoch));
+        }
+        self.arm_delta(ring, delta_us, out);
+    }
+
+    /// Resignation: another process was named coordinator, so any
+    /// sequencer state held for `groups` is dropped — the initiators'
+    /// retries re-run undelivered `pending`/`outq` rounds against the
+    /// new sequencer.
+    pub(super) fn resign(&mut self, now: Time, groups: &[GroupId]) {
+        for &g in groups {
+            if let Some(seq) = self.led.remove(&g) {
+                // Fold the resigned clock into the observation record
+                // so a later re-takeover resumes above everything this
+                // incarnation assigned or promised.
+                let top = seq.state.next_ts.saturating_sub(1).max(seq.promised);
+                self.note_observed(g, top);
+                self.tel.incr("seq.resignations", 1);
+                self.tel
+                    .trace(now, "seq.resign", Some(g), u64::from(seq.state.epoch));
+            }
+        }
     }
 }

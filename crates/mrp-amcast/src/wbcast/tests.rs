@@ -2,11 +2,22 @@ use super::*;
 use multiring_paxos::config::{single_ring, RingSpec, RingTuning, Roles};
 use multiring_paxos::types::{InstanceId, Value};
 use std::collections::BTreeMap as Map;
+use wire::OrphanSt;
+
+/// A counter of `n`'s telemetry snapshot (zero until first recorded).
+fn counter(n: &WbcastNode, name: &str) -> u64 {
+    n.telemetry().counters.get(name).copied().unwrap_or(0)
+}
+
+/// A gauge of `n`'s telemetry snapshot.
+fn gauge(n: &WbcastNode, name: &str) -> u64 {
+    n.telemetry().gauges[name]
+}
 
 /// Executes all Send actions at zero latency (in-order), collecting
 /// deliveries per process and counting received engine frames that
 /// reference a value (for genuineness assertions).
-struct Pumped {
+pub(super) struct Pumped {
     delivered: Map<ProcessId, Vec<(GroupId, u64, ValueId)>>,
     value_frames_at: Map<ProcessId, u64>,
 }
@@ -17,7 +28,7 @@ fn pump(nodes: &mut Map<ProcessId, WbcastNode>, queue: Vec<(ProcessId, Action)>)
 
 /// Like [`pump`], but frames to processes missing from `nodes` are
 /// dropped (they crashed) instead of flagging a harness mistake.
-fn pump_lossy(
+pub(super) fn pump_lossy(
     nodes: &mut Map<ProcessId, WbcastNode>,
     queue: Vec<(ProcessId, Action)>,
     now: Time,
@@ -92,7 +103,7 @@ fn disjoint_config(members: &[&[u32]]) -> ClusterConfig {
     b.build().expect("disjoint config")
 }
 
-fn spawn(config: &ClusterConfig) -> Map<ProcessId, WbcastNode> {
+pub(super) fn spawn(config: &ClusterConfig) -> Map<ProcessId, WbcastNode> {
     config
         .processes()
         .into_iter()
@@ -159,7 +170,7 @@ fn request_is_framed_ordered_and_delivered() {
     assert!(out
         .iter()
         .any(|a| matches!(a, Action::Deliver { group, .. } if *group == GroupId::new(0))));
-    assert_eq!(n.delivered(), 1);
+    assert_eq!(counter(&n, "sub.delivered"), 1);
 }
 
 #[test]
@@ -560,7 +571,7 @@ fn backlog_settles_after_sequencer_failover() {
     );
     assert!(out.iter().any(|a| matches!(a, Action::Deliver { .. })));
     assert_eq!(AmcastEngine::backlog(&n1), 0, "failover settles the leak");
-    assert_eq!(n1.delivered(), 1);
+    assert_eq!(counter(&n1, "sub.delivered"), 1);
 }
 
 /// Satellite regression: a stray or duplicated `ProposeAck` for a
@@ -661,11 +672,11 @@ fn retransmissions_deduplicate_at_the_sequencer() {
     let ev = |msg: Message| Event::Message { from: from0, msg };
     let first = n2.on_event(Time::ZERO, ev(submit.clone()));
     let ts1 = ack_ts(&first).expect("proposal acknowledged");
-    let clock_after = n2.led[&GroupId::new(1)].next_ts;
+    let clock_after = n2.led[&GroupId::new(1)].state.next_ts;
     let dup = n2.on_event(Time::ZERO, ev(submit));
     assert_eq!(ack_ts(&dup), Some(ts1), "same proposal re-acknowledged");
     assert_eq!(
-        n2.led[&GroupId::new(1)].next_ts,
+        n2.led[&GroupId::new(1)].state.next_ts,
         clock_after,
         "no second timestamp assigned"
     );
@@ -790,7 +801,7 @@ fn failover_rerelease_of_pending_value_delivers_once() {
         .filter(|a| matches!(a, Action::Deliver { .. }))
         .count();
     assert_eq!(deliveries, 1, "both copies pending must dedup to one");
-    assert_eq!(n1.delivered(), 1);
+    assert_eq!(counter(&n1, "sub.delivered"), 1);
 }
 
 /// The coordination service's election round (the `supersedes`
@@ -810,7 +821,7 @@ fn takeover_epoch_supersedes_election_round() {
         },
     );
     assert_eq!(
-        n1.led[&GroupId::new(0)].epoch,
+        n1.led[&GroupId::new(0)].state.epoch,
         5,
         "epoch must exceed the election round even with no frames observed"
     );
@@ -837,8 +848,12 @@ fn checkpoint_trim_bounds_dedup_and_sequencer_state() {
         }
     };
     submit_round(&mut n, 0);
-    assert_eq!(n.delivered(), 100);
-    assert_eq!(n.dedup_len(), 100, "one dedup record per delivery");
+    assert_eq!(counter(&n, "sub.delivered"), 100);
+    assert_eq!(
+        gauge(&n, "dedup_records"),
+        100,
+        "one dedup record per delivery"
+    );
     assert_eq!(n.sequencer_footprint(), (100, 100));
     // One checkpoint cycle: report the watermark, trim below it.
     let w = AmcastEngine::watermark(&n);
@@ -853,7 +868,11 @@ fn checkpoint_trim_bounds_dedup_and_sequencer_state() {
     );
     // Only the boundary value (excluded from the mark because a
     // future release could share its timestamp) may remain.
-    assert!(n.dedup_len() <= 1, "dedup bounded: {}", n.dedup_len());
+    assert!(
+        gauge(&n, "dedup_records") <= 1,
+        "dedup bounded: {}",
+        gauge(&n, "dedup_records")
+    );
     let (done, history) = n.sequencer_footprint();
     assert!(
         done <= 1 && history <= 1,
@@ -864,10 +883,14 @@ fn checkpoint_trim_bounds_dedup_and_sequencer_state() {
     submit_round(&mut n, 1);
     let w = AmcastEngine::watermark(&n);
     AmcastEngine::trim(&mut n, Time::ZERO, &w);
-    assert!(n.dedup_len() <= 1);
+    assert!(gauge(&n, "dedup_records") <= 1);
     let (done, history) = n.sequencer_footprint();
     assert!(done <= 1 && history <= 1);
-    assert_eq!(n.delivered(), 200, "trimming never affects delivery");
+    assert_eq!(
+        counter(&n, "sub.delivered"),
+        200,
+        "trimming never affects delivery"
+    );
 }
 
 /// A subscriber that restarts from a checkpoint resyncs the released
@@ -894,7 +917,7 @@ fn restarted_subscriber_resyncs_from_checkpoint() {
     for k in 0..5 {
         submit(&mut nodes, k);
     }
-    assert_eq!(nodes[&p1].delivered(), 5);
+    assert_eq!(counter(&nodes[&p1], "sub.delivered"), 5);
     // p1 checkpoints (watermark + engine recovery state), then
     // crashes: the process state is rebuilt from scratch.
     let w = AmcastEngine::watermark(&nodes[&p1]);
@@ -914,7 +937,7 @@ fn restarted_subscriber_resyncs_from_checkpoint() {
     assert!(!actions.is_empty(), "a resync request is issued");
     pump(&mut nodes, actions.into_iter().map(|a| (p1, a)).collect());
     assert_eq!(
-        nodes[&p1].delivered(),
+        counter(&nodes[&p1], "sub.delivered"),
         0,
         "everything before the crash is covered by checkpoint + dedup"
     );
@@ -923,7 +946,7 @@ fn restarted_subscriber_resyncs_from_checkpoint() {
     for k in 5..8 {
         submit(&mut nodes, k);
     }
-    assert_eq!(nodes[&p1].delivered(), 3);
+    assert_eq!(counter(&nodes[&p1], "sub.delivered"), 3);
     assert_eq!(
         nodes[&p1].horizons()[&GroupId::new(0)],
         nodes[&p0].horizons()[&GroupId::new(0)],
@@ -1020,7 +1043,7 @@ fn restarted_configured_sequencer_resyncs_from_replacement() {
         queue.extend(actions.into_iter().map(|a| (p0, a)));
     }
     pump(&mut nodes, queue);
-    assert_eq!(nodes[&p0].delivered(), 3);
+    assert_eq!(counter(&nodes[&p0], "sub.delivered"), 3);
     // p0 checkpoints, then crashes. p1 is elected sequencer and
     // orders two more values; frames toward the dead p0 are lost.
     let w = AmcastEngine::watermark(&nodes[&p0]);
@@ -1077,7 +1100,7 @@ fn restarted_configured_sequencer_resyncs_from_replacement() {
         Time::from_millis(900),
         Event::Timer(TimerKind::Delta(ring)),
     );
-    assert_eq!(nodes[&p1].delivered(), 5);
+    assert_eq!(counter(&nodes[&p1], "sub.delivered"), 5);
     // p0 restarts from its checkpoint. Its resume self-routes the
     // resync (the static config names itself), but a recovering
     // node holds no sequencer role: the request stays outstanding
@@ -1090,13 +1113,13 @@ fn restarted_configured_sequencer_resyncs_from_replacement() {
         resume_actions.is_empty(),
         "the self-addressed resync is swallowed, not answered from an empty history"
     );
-    assert_eq!(nodes[&p0].delivered(), 0);
+    assert_eq!(counter(&nodes[&p0], "sub.delivered"), 0);
     // The coordination service announces the actual sequencer: the
     // still-outstanding resync is re-issued to p1, whose history
     // replays exactly the two values released during the downtime.
     drive(&mut nodes, p0, Time::from_secs(2), election);
     assert_eq!(
-        nodes[&p0].delivered(),
+        counter(&nodes[&p0], "sub.delivered"),
         2,
         "the downtime gap is replayed from the replacement sequencer"
     );
@@ -1143,8 +1166,11 @@ fn takeover_resumes_above_observed_keys() {
         },
     );
     let seq = &n1.led[&GroupId::new(0)];
-    assert!(seq.next_ts > 41, "clock resumed past the observed key");
-    assert_eq!(seq.epoch, 1, "fresh sequencer epoch");
+    assert!(
+        seq.state.next_ts > 41,
+        "clock resumed past the observed key"
+    );
+    assert_eq!(seq.state.epoch, 1, "fresh sequencer epoch");
     assert!(seq.resume_at.is_some(), "recovery window armed");
 }
 
@@ -1174,7 +1200,7 @@ fn initiator_crash_orphan_recovery_completes_round() {
     pump_lossy(&mut nodes, queue, Time::ZERO);
     for p in [0u32, 2] {
         assert_eq!(
-            nodes[&ProcessId::new(p)].undecided_len(),
+            gauge(&nodes[&ProcessId::new(p)], "seq.undecided"),
             1,
             "sequencer {p} holds the orphaned proposal"
         );
@@ -1212,7 +1238,7 @@ fn initiator_crash_orphan_recovery_completes_round() {
     );
     for p in [0u32, 2] {
         assert_eq!(
-            nodes[&ProcessId::new(p)].undecided_len(),
+            gauge(&nodes[&ProcessId::new(p)], "seq.undecided"),
             0,
             "no residual undecided proposal at sequencer {p}"
         );
@@ -1263,7 +1289,7 @@ fn fenced_proposal_ignores_the_initiators_final_until_recovery_decides() {
             },
         ),
     );
-    let ts = n2.led[&g1].pending[&id].ts;
+    let ts = n2.led[&g1].state.pending[&id].ts;
     // A recoverer (group 0's sequencer) queries: the proposal is
     // now fenced.
     n2.on_event(
@@ -1291,7 +1317,11 @@ fn fenced_proposal_ignores_the_initiators_final_until_recovery_decides() {
         ),
     );
     assert!(out.is_empty(), "fenced round ignores the initiator's Final");
-    assert_eq!(n2.undecided_len(), 1, "still pending — recovery owns it");
+    assert_eq!(
+        gauge(&n2, "seq.undecided"),
+        1,
+        "still pending — recovery owns it"
+    );
     // The recovery decision lands and releases at ITS timestamp.
     let out = n2.on_event(
         Time::ZERO,
@@ -1304,7 +1334,11 @@ fn fenced_proposal_ignores_the_initiators_final_until_recovery_decides() {
             },
         ),
     );
-    assert_eq!(n2.undecided_len(), 0, "recovery decides the fenced round");
+    assert_eq!(
+        gauge(&n2, "seq.undecided"),
+        0,
+        "recovery decides the fenced round"
+    );
     let released: Vec<u64> = out
         .iter()
         .filter_map(|a| match a {
@@ -1401,7 +1435,10 @@ fn lost_orphan_final_is_redriven_until_every_group_confirms_release() {
         }
     }
     let p0_fts = p0_fts.expect("p0 delivered its copy at the decided timestamp");
-    assert!(nodes[&p3].delivered() == 0, "group 1 lost the decision");
+    assert!(
+        counter(&nodes[&p3], "sub.delivered") == 0,
+        "group 1 lost the decision"
+    );
     // The coordination service elects p3 as group 1's sequencer:
     // p0's stuck-round re-kick finds the replacement empty-handed,
     // re-seeds it, and re-decides at the recorded timestamp.
@@ -1473,9 +1510,9 @@ fn orphan_recovery_resubmits_to_groups_that_never_saw_the_submit() {
         .map(|a| (p1, a))
         .collect();
     pump_lossy(&mut nodes, queue, Time::ZERO);
-    assert_eq!(nodes[&ProcessId::new(0)].undecided_len(), 1);
+    assert_eq!(gauge(&nodes[&ProcessId::new(0)], "seq.undecided"), 1);
     assert_eq!(
-        nodes[&ProcessId::new(2)].undecided_len(),
+        gauge(&nodes[&ProcessId::new(2)], "seq.undecided"),
         0,
         "group 1 never saw the round"
     );
@@ -1498,7 +1535,7 @@ fn orphan_recovery_resubmits_to_groups_that_never_saw_the_submit() {
         assert_eq!(copies, 1, "survivor {p} delivers exactly once");
     }
     for p in [0u32, 2] {
-        assert_eq!(nodes[&ProcessId::new(p)].undecided_len(), 0);
+        assert_eq!(gauge(&nodes[&ProcessId::new(p)], "seq.undecided"), 0);
     }
 }
 

@@ -3,7 +3,8 @@
 //! (`into_frame` / `parse`), and the two payload classifiers test
 //! harnesses use without depending on that layout.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use multiring_paxos::codec::{get_u16, get_u32, get_u64, get_u8, get_value, put_value};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
 
@@ -158,27 +159,32 @@ pub(super) enum OrphanSt {
     Released(u64),
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    buf.put_u32_le(v.id.proposer.value());
-    buf.put_u64_le(v.id.seq);
-    buf.put_u16_le(v.group.value());
-    buf.put_u32_le(v.payload.len() as u32);
-    buf.put_slice(&v.payload);
+impl OrphanSt {
+    /// The wire form: a kind byte and a timestamp (zero for `Unknown`).
+    pub(super) fn to_wire(self) -> (u8, u64) {
+        match self {
+            OrphanSt::Unknown => (0, 0),
+            OrphanSt::Proposed(ts) => (1, ts),
+            OrphanSt::Decided(ts) => (2, ts),
+            OrphanSt::Released(ts) => (3, ts),
+        }
+    }
+
+    fn from_wire(kind: u8, ts: u64) -> Option<Self> {
+        Some(match kind {
+            0 => OrphanSt::Unknown,
+            1 => OrphanSt::Proposed(ts),
+            2 => OrphanSt::Decided(ts),
+            3 => OrphanSt::Released(ts),
+            _ => return None,
+        })
+    }
 }
 
-fn get_value(buf: &mut Bytes) -> Option<Value> {
-    if buf.remaining() < 4 + 8 + 2 + 4 {
-        return None;
-    }
-    let proposer = ProcessId::new(buf.get_u32_le());
-    let seq = buf.get_u64_le();
-    let group = GroupId::new(buf.get_u16_le());
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let payload = buf.copy_to_bytes(len);
-    Some(Value::new(ValueId::new(proposer, seq), group, payload))
+/// Every frame starts with its tag and the group it concerns.
+fn put_head(buf: &mut BytesMut, tag: u8, group: GroupId) {
+    buf.put_u8(tag);
+    buf.put_u16_le(group.value());
 }
 
 fn put_groups(buf: &mut BytesMut, groups: &[GroupId]) {
@@ -189,14 +195,10 @@ fn put_groups(buf: &mut BytesMut, groups: &[GroupId]) {
 }
 
 fn get_groups(buf: &mut Bytes) -> Option<Vec<GroupId>> {
-    if buf.remaining() < 2 {
-        return None;
-    }
-    let n = buf.get_u16_le() as usize;
-    if buf.remaining() < 2 * n {
-        return None;
-    }
-    Some((0..n).map(|_| GroupId::new(buf.get_u16_le())).collect())
+    let n = get_u16(buf).ok()?;
+    (0..n)
+        .map(|_| get_u16(buf).ok().map(GroupId::new))
+        .collect()
 }
 
 pub(super) fn put_id(buf: &mut BytesMut, id: ValueId) {
@@ -205,45 +207,42 @@ pub(super) fn put_id(buf: &mut BytesMut, id: ValueId) {
 }
 
 pub(super) fn get_id(buf: &mut Bytes) -> Option<ValueId> {
-    if buf.remaining() < 4 + 8 {
-        return None;
-    }
-    let proposer = ProcessId::new(buf.get_u32_le());
-    Some(ValueId::new(proposer, buf.get_u64_le()))
+    let proposer = ProcessId::new(get_u32(buf).ok()?);
+    Some(ValueId::new(proposer, get_u64(buf).ok()?))
+}
+
+/// The body shared by the four `{group, id, ts}` frames of a round's
+/// timestamp agreement.
+fn put_round_ts(buf: &mut BytesMut, tag: u8, group: GroupId, id: ValueId, ts: u64) {
+    put_head(buf, tag, group);
+    put_id(buf, id);
+    buf.put_u64_le(ts);
 }
 
 impl WbMessage {
     /// Wraps this message into the shared [`Message`] vocabulary.
     pub(super) fn into_frame(self) -> Message {
         let mut buf = BytesMut::new();
+        let b = &mut buf;
         match &self {
             WbMessage::Submit {
                 group,
                 groups,
                 value,
             } => {
-                buf.put_u8(TAG_SUBMIT);
-                buf.put_u16_le(group.value());
-                put_groups(&mut buf, groups);
-                put_value(&mut buf, value);
+                put_head(b, TAG_SUBMIT, *group);
+                put_groups(b, groups);
+                put_value(b, value);
             }
             WbMessage::ProposeAck { group, id, ts } => {
-                buf.put_u8(TAG_PROPOSE_ACK);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u64_le(*ts);
+                put_round_ts(b, TAG_PROPOSE_ACK, *group, *id, *ts);
             }
-            WbMessage::Final { group, id, ts } => {
-                buf.put_u8(TAG_FINAL);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u64_le(*ts);
-            }
+            WbMessage::Final { group, id, ts } => put_round_ts(b, TAG_FINAL, *group, *id, *ts),
             WbMessage::FinalAck { group, id, ts } => {
-                buf.put_u8(TAG_FINAL_ACK);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u64_le(*ts);
+                put_round_ts(b, TAG_FINAL_ACK, *group, *id, *ts);
+            }
+            WbMessage::OrphanFinal { group, id, ts } => {
+                put_round_ts(b, TAG_ORPHAN_FINAL, *group, *id, *ts);
             }
             WbMessage::Ordered {
                 group,
@@ -252,28 +251,24 @@ impl WbMessage {
                 groups,
                 value,
             } => {
-                buf.put_u8(TAG_ORDERED);
-                buf.put_u16_le(group.value());
-                buf.put_u32_le(*epoch);
-                buf.put_u64_le(*ts);
-                put_groups(&mut buf, groups);
-                put_value(&mut buf, value);
+                put_head(b, TAG_ORDERED, *group);
+                b.put_u32_le(*epoch);
+                b.put_u64_le(*ts);
+                put_groups(b, groups);
+                put_value(b, value);
             }
             WbMessage::Heartbeat { group, epoch, ts } => {
-                buf.put_u8(TAG_HEARTBEAT);
-                buf.put_u16_le(group.value());
-                buf.put_u32_le(*epoch);
-                buf.put_u64_le(*ts);
+                put_head(b, TAG_HEARTBEAT, *group);
+                b.put_u32_le(*epoch);
+                b.put_u64_le(*ts);
             }
             WbMessage::Resync { group, from_ts } => {
-                buf.put_u8(TAG_RESYNC);
-                buf.put_u16_le(group.value());
-                buf.put_u64_le(*from_ts);
+                put_head(b, TAG_RESYNC, *group);
+                b.put_u64_le(*from_ts);
             }
             WbMessage::CkptMark { group, ts } => {
-                buf.put_u8(TAG_CKPT_MARK);
-                buf.put_u16_le(group.value());
-                buf.put_u64_le(*ts);
+                put_head(b, TAG_CKPT_MARK, *group);
+                b.put_u64_le(*ts);
             }
             WbMessage::ResyncDone {
                 group,
@@ -281,17 +276,15 @@ impl WbMessage {
                 ts,
                 gap_to,
             } => {
-                buf.put_u8(TAG_RESYNC_DONE);
-                buf.put_u16_le(group.value());
-                buf.put_u32_le(*epoch);
-                buf.put_u64_le(*ts);
-                buf.put_u64_le(*gap_to);
+                put_head(b, TAG_RESYNC_DONE, *group);
+                b.put_u32_le(*epoch);
+                b.put_u64_le(*ts);
+                b.put_u64_le(*gap_to);
             }
             WbMessage::OrphanQuery { group, id, attempt } => {
-                buf.put_u8(TAG_ORPHAN_QUERY);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u32_le(*attempt);
+                put_head(b, TAG_ORPHAN_QUERY, *group);
+                put_id(b, *id);
+                b.put_u32_le(*attempt);
             }
             WbMessage::OrphanState {
                 group,
@@ -299,24 +292,12 @@ impl WbMessage {
                 attempt,
                 state,
             } => {
-                buf.put_u8(TAG_ORPHAN_STATE);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u32_le(*attempt);
-                let (kind, ts) = match state {
-                    OrphanSt::Unknown => (0u8, 0u64),
-                    OrphanSt::Proposed(ts) => (1, *ts),
-                    OrphanSt::Decided(ts) => (2, *ts),
-                    OrphanSt::Released(ts) => (3, *ts),
-                };
-                buf.put_u8(kind);
-                buf.put_u64_le(ts);
-            }
-            WbMessage::OrphanFinal { group, id, ts } => {
-                buf.put_u8(TAG_ORPHAN_FINAL);
-                buf.put_u16_le(group.value());
-                put_id(&mut buf, *id);
-                buf.put_u64_le(*ts);
+                put_head(b, TAG_ORPHAN_STATE, *group);
+                put_id(b, *id);
+                b.put_u32_le(*attempt);
+                let (kind, ts) = state.to_wire();
+                b.put_u8(kind);
+                b.put_u64_le(ts);
             }
         }
         Message::Engine {
@@ -327,152 +308,63 @@ impl WbMessage {
 
     /// Parses an engine payload; `None` on malformed or foreign frames.
     pub(super) fn parse(mut payload: Bytes) -> Option<WbMessage> {
-        if payload.remaining() < 1 + 2 {
-            return None;
-        }
-        let tag = payload.get_u8();
-        let group = GroupId::new(payload.get_u16_le());
-        match tag {
-            TAG_SUBMIT => Some(WbMessage::Submit {
+        let b = &mut payload;
+        let tag = get_u8(b).ok()?;
+        let group = GroupId::new(get_u16(b).ok()?);
+        Some(match tag {
+            TAG_SUBMIT => WbMessage::Submit {
                 group,
-                groups: get_groups(&mut payload)?,
-                value: get_value(&mut payload)?,
-            }),
-            TAG_PROPOSE_ACK => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 8 {
-                    return None;
+                groups: get_groups(b)?,
+                value: get_value(b).ok()?,
+            },
+            TAG_PROPOSE_ACK | TAG_FINAL | TAG_FINAL_ACK | TAG_ORPHAN_FINAL => {
+                let (id, ts) = (get_id(b)?, get_u64(b).ok()?);
+                match tag {
+                    TAG_PROPOSE_ACK => WbMessage::ProposeAck { group, id, ts },
+                    TAG_FINAL => WbMessage::Final { group, id, ts },
+                    TAG_FINAL_ACK => WbMessage::FinalAck { group, id, ts },
+                    _ => WbMessage::OrphanFinal { group, id, ts },
                 }
-                Some(WbMessage::ProposeAck {
-                    group,
-                    id,
-                    ts: payload.get_u64_le(),
-                })
             }
-            TAG_FINAL => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 8 {
-                    return None;
-                }
-                Some(WbMessage::Final {
-                    group,
-                    id,
-                    ts: payload.get_u64_le(),
-                })
-            }
-            TAG_FINAL_ACK => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 8 {
-                    return None;
-                }
-                Some(WbMessage::FinalAck {
-                    group,
-                    id,
-                    ts: payload.get_u64_le(),
-                })
-            }
-            TAG_ORDERED => {
-                if payload.remaining() < 4 + 8 {
-                    return None;
-                }
-                let epoch = payload.get_u32_le();
-                let ts = payload.get_u64_le();
-                Some(WbMessage::Ordered {
-                    group,
-                    epoch,
-                    ts,
-                    groups: get_groups(&mut payload)?,
-                    value: get_value(&mut payload)?,
-                })
-            }
-            TAG_HEARTBEAT => {
-                if payload.remaining() < 4 + 8 {
-                    return None;
-                }
-                let epoch = payload.get_u32_le();
-                Some(WbMessage::Heartbeat {
-                    group,
-                    epoch,
-                    ts: payload.get_u64_le(),
-                })
-            }
-            TAG_RESYNC => {
-                if payload.remaining() < 8 {
-                    return None;
-                }
-                Some(WbMessage::Resync {
-                    group,
-                    from_ts: payload.get_u64_le(),
-                })
-            }
-            TAG_CKPT_MARK => {
-                if payload.remaining() < 8 {
-                    return None;
-                }
-                Some(WbMessage::CkptMark {
-                    group,
-                    ts: payload.get_u64_le(),
-                })
-            }
-            TAG_RESYNC_DONE => {
-                if payload.remaining() < 4 + 8 + 8 {
-                    return None;
-                }
-                let epoch = payload.get_u32_le();
-                let ts = payload.get_u64_le();
-                Some(WbMessage::ResyncDone {
-                    group,
-                    epoch,
-                    ts,
-                    gap_to: payload.get_u64_le(),
-                })
-            }
-            TAG_ORPHAN_QUERY => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 4 {
-                    return None;
-                }
-                Some(WbMessage::OrphanQuery {
-                    group,
-                    id,
-                    attempt: payload.get_u32_le(),
-                })
-            }
-            TAG_ORPHAN_STATE => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 4 + 1 + 8 {
-                    return None;
-                }
-                let attempt = payload.get_u32_le();
-                let kind = payload.get_u8();
-                let ts = payload.get_u64_le();
-                let state = match kind {
-                    0 => OrphanSt::Unknown,
-                    1 => OrphanSt::Proposed(ts),
-                    2 => OrphanSt::Decided(ts),
-                    3 => OrphanSt::Released(ts),
-                    _ => return None,
-                };
-                Some(WbMessage::OrphanState {
-                    group,
-                    id,
-                    attempt,
-                    state,
-                })
-            }
-            TAG_ORPHAN_FINAL => {
-                let id = get_id(&mut payload)?;
-                if payload.remaining() < 8 {
-                    return None;
-                }
-                Some(WbMessage::OrphanFinal {
-                    group,
-                    id,
-                    ts: payload.get_u64_le(),
-                })
-            }
-            _ => None,
-        }
+            TAG_ORDERED => WbMessage::Ordered {
+                group,
+                epoch: get_u32(b).ok()?,
+                ts: get_u64(b).ok()?,
+                groups: get_groups(b)?,
+                value: get_value(b).ok()?,
+            },
+            TAG_HEARTBEAT => WbMessage::Heartbeat {
+                group,
+                epoch: get_u32(b).ok()?,
+                ts: get_u64(b).ok()?,
+            },
+            TAG_RESYNC => WbMessage::Resync {
+                group,
+                from_ts: get_u64(b).ok()?,
+            },
+            TAG_CKPT_MARK => WbMessage::CkptMark {
+                group,
+                ts: get_u64(b).ok()?,
+            },
+            TAG_RESYNC_DONE => WbMessage::ResyncDone {
+                group,
+                epoch: get_u32(b).ok()?,
+                ts: get_u64(b).ok()?,
+                gap_to: get_u64(b).ok()?,
+            },
+            TAG_ORPHAN_QUERY => WbMessage::OrphanQuery {
+                group,
+                id: get_id(b)?,
+                attempt: get_u32(b).ok()?,
+            },
+            TAG_ORPHAN_STATE => WbMessage::OrphanState {
+                group,
+                id: get_id(b)?,
+                attempt: get_u32(b).ok()?,
+                state: OrphanSt::from_wire(get_u8(b).ok()?, get_u64(b).ok()?)?,
+            },
+            _ => return None,
+        })
     }
 }
 

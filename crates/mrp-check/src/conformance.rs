@@ -579,6 +579,12 @@ pub fn check_timer_liveness(event_src: &str, sources: &[&str]) -> Vec<Finding> {
 ///
 /// Fails when one of the inspected sources cannot be read.
 pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), String> {
+    // The white-box engine is one module per protocol role: the frame
+    // codec lives in `wire.rs`, dispatch and the protocol constants in
+    // `mod.rs`, and any of the role modules may arm a timer.
+    const WBCAST_DIR: &str = "crates/mrp-amcast/src/wbcast";
+    const WIRE: &str = "crates/mrp-amcast/src/wbcast/wire.rs";
+    const MOD: &str = "crates/mrp-amcast/src/wbcast/mod.rs";
     let mut files_read = 0;
     let mut read = |rel: &str| -> Result<String, String> {
         files_read += 1;
@@ -586,12 +592,6 @@ pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), Stri
     };
     let event_src = read("crates/multiring-paxos/src/event.rs")?;
     let codec_src = read("crates/multiring-paxos/src/codec.rs")?;
-    // The white-box engine is one module per protocol role: the frame
-    // codec lives in `wire.rs`, dispatch and the protocol constants in
-    // `mod.rs`, and any of the role modules may arm a timer.
-    const WBCAST_DIR: &str = "crates/mrp-amcast/src/wbcast";
-    const WIRE: &str = "crates/mrp-amcast/src/wbcast/wire.rs";
-    const MOD: &str = "crates/mrp-amcast/src/wbcast/mod.rs";
     let wire_src = read(WIRE)?;
     let mod_src = read(MOD)?;
     let mut role_srcs = Vec::new();

@@ -558,6 +558,10 @@ pub fn decode_record(buf: &mut impl Buf) -> Result<crate::event::PersistRecord, 
 }
 
 // ---- field helpers ----------------------------------------------------
+//
+// The `pub` ones are the shared field vocabulary of every frame format
+// built on this codec (engine-private frames inside `Message::Engine`
+// payloads encode values and integers exactly like the outer codec).
 
 fn put_ballot(buf: &mut BytesMut, b: Ballot) {
     buf.put_u32_le(b.round());
@@ -570,7 +574,9 @@ fn get_ballot(buf: &mut impl Buf) -> Result<Ballot, CodecError> {
     Ok(Ballot::new(round, node))
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+/// Appends a [`Value`]: proposer, sequence, group, length-prefixed
+/// payload.
+pub fn put_value(buf: &mut BytesMut, v: &Value) {
     buf.put_u32_le(v.id.proposer.value());
     buf.put_u64_le(v.id.seq);
     buf.put_u16_le(v.group.value());
@@ -581,7 +587,13 @@ fn value_len(v: &Value) -> usize {
     4 + 8 + 2 + 4 + v.payload.len()
 }
 
-fn get_value(buf: &mut impl Buf) -> Result<Value, CodecError> {
+/// Reads a [`Value`] written by [`put_value`].
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] or [`CodecError::BadLength`] on a short or
+/// implausible buffer.
+pub fn get_value(buf: &mut impl Buf) -> Result<Value, CodecError> {
     let proposer = ProcessId::new(get_u32(buf)?);
     let seq = get_u64(buf)?;
     let group = GroupId::new(get_u16(buf)?);
@@ -679,28 +691,48 @@ fn get_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
     Ok(n as usize)
 }
 
-fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
+/// Reads a `u8`, checked.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than 1 byte remain.
+pub fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
     if buf.remaining() < 1 {
         return Err(CodecError::Truncated);
     }
     Ok(buf.get_u8())
 }
 
-fn get_u16(buf: &mut impl Buf) -> Result<u16, CodecError> {
+/// Reads a little-endian `u16`, checked.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than 2 bytes remain.
+pub fn get_u16(buf: &mut impl Buf) -> Result<u16, CodecError> {
     if buf.remaining() < 2 {
         return Err(CodecError::Truncated);
     }
     Ok(buf.get_u16_le())
 }
 
-fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
+/// Reads a little-endian `u32`, checked.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than 4 bytes remain.
+pub fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
     Ok(buf.get_u32_le())
 }
 
-fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
+/// Reads a little-endian `u64`, checked.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than 8 bytes remain.
+pub fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
     if buf.remaining() < 8 {
         return Err(CodecError::Truncated);
     }

@@ -412,8 +412,14 @@ fn strand_round(net: &mut OrphanNet) -> ValueId {
     )
     .unwrap();
     net.pump(Time::ZERO, p1, actions);
-    assert_eq!(net.nodes[&ProcessId::new(0)].undecided_len(), 1);
-    assert_eq!(net.nodes[&ProcessId::new(2)].undecided_len(), 1);
+    assert_eq!(
+        net.nodes[&ProcessId::new(0)].telemetry().gauges["seq.undecided"],
+        1
+    );
+    assert_eq!(
+        net.nodes[&ProcessId::new(2)].telemetry().gauges["seq.undecided"],
+        1
+    );
     id
 }
 
@@ -455,7 +461,10 @@ fn orphan_recovery_is_idempotent_under_duplicated_and_reordered_frames() {
         "one final timestamp across groups — no double-decide"
     );
     for p in [0u32, 2] {
-        assert_eq!(net.nodes[&ProcessId::new(p)].undecided_len(), 0);
+        assert_eq!(
+            net.nodes[&ProcessId::new(p)].telemetry().gauges["seq.undecided"],
+            0
+        );
     }
 }
 
