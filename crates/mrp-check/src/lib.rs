@@ -71,6 +71,9 @@ pub use checker::{
     Schedule, Violation,
 };
 pub use conformance::{conformance_check, Finding};
-pub use lint::{lint_engine_sources, lint_source, Allowlist, Diagnostic};
+pub use lint::{
+    lint_engine_sources, lint_source, lint_transport_source, lint_transport_sources, Allowlist,
+    Diagnostic,
+};
 pub use scenario::{Scenario, Submission};
 pub use spec::AbstractAmcast;

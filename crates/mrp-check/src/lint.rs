@@ -13,6 +13,14 @@
 //! | `stdout`          | `println!`, `print!`, `dbg!` — engines report through actions and telemetry (`eprintln!` is allowed for operator warnings) |
 //! | `rand`            | `thread_rng`, `rand::` — randomness must be injected |
 //!
+//! The TCP runtime (`crates/mrp-transport/src`) threads and hashes by
+//! design and has one rule of its own: every wait is for an event, so
+//! what makes a wait a poll is rejected.
+//!
+//! | rule              | rejects                                        |
+//! |-------------------|------------------------------------------------|
+//! | `transport-poll`  | `set_nonblocking(true)`, `recv_timeout`, `thread::sleep` — block in the call and have the event end it |
+//!
 //! Comments and string literals are stripped before matching, matching
 //! stops at the first `#[cfg(test)]` (test modules may use whatever
 //! they like), and two escape hatches exist: an allowlist file
@@ -50,14 +58,23 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The rule table: `(rule, patterns)`.
-const RULES: &[(&str, &[&str])] = &[
+/// A rule table: `(rule, patterns)`.
+type Rules = &'static [(&'static str, &'static [&'static str])];
+
+/// What the engine crates may not contain.
+const ENGINE_RULES: Rules = &[
     ("wall-clock", &["Instant::now", "SystemTime"]),
     ("thread", &["std::thread", "thread::spawn"]),
     ("hash-collections", &["HashMap", "HashSet"]),
     ("stdout", &["println!", "print!", "dbg!"]),
     ("rand", &["thread_rng", "rand::"]),
 ];
+
+/// What the TCP runtime may not contain.
+const TRANSPORT_RULES: Rules = &[(
+    "transport-poll",
+    &["set_nonblocking(true)", "recv_timeout", "thread::sleep"],
+)];
 
 /// Path-suffix exemptions, loaded from `lint.allow`.
 ///
@@ -89,7 +106,11 @@ impl Allowlist {
             let suffix = it
                 .next()
                 .ok_or_else(|| format!("lint.allow line {}: missing path suffix", idx + 1))?;
-            if !RULES.iter().any(|(r, _)| *r == rule) {
+            if !ENGINE_RULES
+                .iter()
+                .chain(TRANSPORT_RULES)
+                .any(|(r, _)| *r == rule)
+            {
                 return Err(format!(
                     "lint.allow line {}: unknown rule `{rule}`",
                     idx + 1
@@ -250,9 +271,18 @@ fn skip_raw_string(chars: &[char], mut i: usize, hashes: usize, out: &mut String
     i
 }
 
-/// Lints one source file's text. `file` is used for diagnostics and
-/// allowlist matching only — nothing is read from disk.
+/// Lints one engine source file's text. `file` is used for diagnostics
+/// and allowlist matching only — nothing is read from disk.
 pub fn lint_source(file: &str, source: &str, allow: &Allowlist) -> Vec<Diagnostic> {
+    lint_with(ENGINE_RULES, file, source, allow)
+}
+
+/// Like [`lint_source`], with the TCP runtime's rule.
+pub fn lint_transport_source(file: &str, source: &str, allow: &Allowlist) -> Vec<Diagnostic> {
+    lint_with(TRANSPORT_RULES, file, source, allow)
+}
+
+fn lint_with(rules: Rules, file: &str, source: &str, allow: &Allowlist) -> Vec<Diagnostic> {
     let stripped = strip(source);
     let mut out = Vec::new();
     let raw_lines: Vec<&str> = source.lines().collect();
@@ -262,7 +292,7 @@ pub fn lint_source(file: &str, source: &str, allow: &Allowlist) -> Vec<Diagnosti
             break;
         }
         let raw = raw_lines.get(idx).copied().unwrap_or("");
-        for &(rule, patterns) in RULES {
+        for &(rule, patterns) in rules {
             if allow.permits(rule, file) || raw.contains(&format!("lint:allow({rule})")) {
                 continue;
             }
@@ -308,6 +338,9 @@ pub(crate) fn contains_word(line: &str, pattern: &str) -> bool {
 /// The crates whose sources must stay sans-io pure.
 const ENGINE_SRC_DIRS: &[&str] = &["crates/multiring-paxos/src", "crates/mrp-amcast/src"];
 
+/// The TCP runtime, whose waits must be for events.
+const TRANSPORT_SRC_DIRS: &[&str] = &["crates/mrp-transport/src"];
+
 /// Walks the engine crates under `repo_root` and lints every `.rs`
 /// file, using the allowlist at `crates/mrp-check/lint.allow` when
 /// present. Returns the diagnostics and the number of files scanned.
@@ -316,6 +349,23 @@ const ENGINE_SRC_DIRS: &[&str] = &["crates/multiring-paxos/src", "crates/mrp-amc
 ///
 /// Fails on I/O errors or a malformed allowlist.
 pub fn lint_engine_sources(repo_root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
+    lint_dirs(repo_root, ENGINE_SRC_DIRS, ENGINE_RULES)
+}
+
+/// Like [`lint_engine_sources`], over the TCP runtime with its rule.
+///
+/// # Errors
+///
+/// Fails on I/O errors or a malformed allowlist.
+pub fn lint_transport_sources(repo_root: &Path) -> Result<(Vec<Diagnostic>, usize), String> {
+    lint_dirs(repo_root, TRANSPORT_SRC_DIRS, TRANSPORT_RULES)
+}
+
+fn lint_dirs(
+    repo_root: &Path,
+    dirs: &[&str],
+    rules: Rules,
+) -> Result<(Vec<Diagnostic>, usize), String> {
     let allow_path = repo_root.join("crates/mrp-check/lint.allow");
     let allow = if allow_path.exists() {
         let text = std::fs::read_to_string(&allow_path)
@@ -325,7 +375,7 @@ pub fn lint_engine_sources(repo_root: &Path) -> Result<(Vec<Diagnostic>, usize),
         Allowlist::default()
     };
     let mut files = Vec::new();
-    for dir in ENGINE_SRC_DIRS {
+    for dir in dirs {
         collect_rs_files(&repo_root.join(dir), &mut files)?;
     }
     files.sort();
@@ -338,7 +388,7 @@ pub fn lint_engine_sources(repo_root: &Path) -> Result<(Vec<Diagnostic>, usize),
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        diags.extend(lint_source(&label, &source, &allow));
+        diags.extend(lint_with(rules, &label, &source, &allow));
     }
     Ok((diags, files.len()))
 }

@@ -4,7 +4,9 @@
 
 use std::path::Path;
 
-use mrp_check::{lint_engine_sources, lint_source, Allowlist};
+use mrp_check::{
+    lint_engine_sources, lint_source, lint_transport_source, lint_transport_sources, Allowlist,
+};
 
 fn no_allow() -> Allowlist {
     Allowlist::parse("").unwrap()
@@ -50,6 +52,40 @@ fn every_rule_fires_on_injected_source() {
             "`{line}` should trip `{rule}` at line 2, got {diags:?}"
         );
     }
+}
+
+#[test]
+fn transport_waits_for_events_except_where_it_says_why() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (diags, files) = lint_transport_sources(&root).expect("lint walk must succeed");
+    assert!(files >= 3, "suspiciously few transport sources: {files}");
+    assert!(diags.is_empty(), "polls in mrp-transport: {diags:?}");
+
+    for line in [
+        "listener.set_nonblocking(true)?;",
+        "match rx.recv_timeout(Duration::from_millis(100)) {",
+        "thread::sleep(Duration::from_millis(10));",
+    ] {
+        let src = format!("fn f() {{\n    {line}\n}}\n");
+        let diags = lint_transport_source("tcp.rs", &src, &no_allow());
+        assert!(
+            diags
+                .iter()
+                .any(|d| d.rule == "transport-poll" && d.line == 2),
+            "`{line}` should trip `transport-poll` at line 2, got {diags:?}"
+        );
+        let allowed = format!("fn f() {{\n    {line} // lint:allow(transport-poll)\n}}\n");
+        assert!(lint_transport_source("tcp.rs", &allowed, &no_allow()).is_empty());
+        assert!(
+            lint_source("tcp.rs", &src, &no_allow())
+                .iter()
+                .all(|d| d.rule != "transport-poll"),
+            "the rule is the transport's alone"
+        );
+    }
+    // What the runtime does instead stays legal.
+    let src = "fn f() { let c = listener.accept(); let m = rx.recv(); }\n";
+    assert!(lint_transport_source("tcp.rs", src, &no_allow()).is_empty());
 }
 
 #[test]

@@ -14,14 +14,15 @@ use std::io::{Read, Write};
 /// prefixes.
 pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Writes one framed message to `w`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_frame(w: &mut impl Write, msg: &Message) -> std::io::Result<()> {
-    let mut scratch = BytesMut::with_capacity(codec::encoded_len(msg) + 4);
-    write_frame_into(w, msg, &mut scratch)
+/// Appends one framed message to `buf`, which a writer fills with as
+/// many frames as it wants to hand to one `write`.
+pub fn put_frame(buf: &mut BytesMut, msg: &Message) {
+    buf.reserve(codec::encoded_len(msg) + 4);
+    let at = buf.len();
+    buf.put_u32_le(0); // placeholder
+    codec::encode(msg, buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Writes one framed message to `w`, encoding through a caller-owned
@@ -41,36 +42,8 @@ pub fn write_frame_into(
     scratch: &mut BytesMut,
 ) -> std::io::Result<()> {
     scratch.clear();
-    scratch.reserve(codec::encoded_len(msg) + 4);
-    scratch.put_u32_le(0); // placeholder
-    codec::encode(msg, scratch);
-    let len = (scratch.len() - 4) as u32;
-    scratch[..4].copy_from_slice(&len.to_le_bytes());
+    put_frame(scratch, msg);
     w.write_all(scratch)
-}
-
-/// Reads one framed message from `r` (blocking).
-///
-/// # Errors
-///
-/// Returns I/O errors (including clean EOF as `UnexpectedEof`) and
-/// decoding failures mapped to `InvalidData`.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Message> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
-        ));
-    }
-    let mut body = vec![0u8; len as usize];
-    r.read_exact(&mut body)?;
-    let mut buf = Bytes::from(body);
-    codec::decode(&mut buf).map_err(|e: CodecError| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-    })
 }
 
 /// The connection handshake: the dialer announces its process id so the
@@ -90,8 +63,7 @@ pub fn read_hello(r: &mut impl Read) -> std::io::Result<ProcessId> {
     Ok(ProcessId::new(u32::from_le_bytes(buf)))
 }
 
-/// Incremental decoder for non-blocking byte accumulation (used by
-/// tests; the threaded runtime reads blocking frames directly).
+/// Incremental decoder the TCP readers feed one `read` at a time.
 ///
 /// The buffered region is frozen into a shared [`Bytes`] once per
 /// accumulation burst and complete frames are then served as zero-copy
@@ -106,6 +78,20 @@ pub struct FrameAccumulator {
     buf: BytesMut,
     /// Frozen region complete frames are split from without copying.
     frozen: Bytes,
+}
+
+/// Payload length of the frame at the head of `bytes`, once all of it
+/// has arrived. The prefix is checked as soon as it is readable, so a
+/// lying one is refused before anything is buffered toward it.
+fn whole_frame(bytes: &[u8]) -> Result<Option<usize>, CodecError> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix);
+    if len > MAX_FRAME {
+        return Err(CodecError::BadLength(u64::from(len)));
+    }
+    Ok(Some(len as usize).filter(|len| bytes.len() - 4 >= *len))
 }
 
 impl FrameAccumulator {
@@ -130,25 +116,24 @@ impl FrameAccumulator {
     ///
     /// # Errors
     ///
-    /// Returns decode failures as [`CodecError`].
+    /// Returns decode failures, and a length prefix above
+    /// [`MAX_FRAME`], as [`CodecError`]; the stream cannot be
+    /// resynchronised after either.
     // Fallible and non-iterating, so deliberately not `Iterator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Message>, CodecError> {
-        if self.frozen.is_empty() && !self.buf.is_empty() {
+        if self.frozen.is_empty() {
+            // Freeze only what holds a whole frame: one larger than a
+            // `read` then grows in place instead of being folded back
+            // and copied again on every `extend`.
+            if whole_frame(&self.buf)?.is_none() {
+                return Ok(None);
+            }
             self.frozen = std::mem::take(&mut self.buf).freeze();
         }
-        if self.frozen.len() < 4 {
+        let Some(len) = whole_frame(&self.frozen)? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([
-            self.frozen[0],
-            self.frozen[1],
-            self.frozen[2],
-            self.frozen[3],
-        ]) as usize;
-        if self.frozen.len() < 4 + len {
-            return Ok(None);
-        }
+        };
         self.frozen.advance(4);
         let mut frame = self.frozen.split_to(len);
         codec::decode(&mut frame).map(Some)
@@ -167,13 +152,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frame_roundtrip_via_cursor() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &sample()).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back = read_frame(&mut cursor).unwrap();
-        assert_eq!(back, sample());
+    fn query(seq: u64) -> Message {
+        Message::TrimQuery {
+            group: GroupId::new(1),
+            seq,
+        }
+    }
+
+    fn framed(msgs: &[Message]) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        for m in msgs {
+            put_frame(&mut buf, m);
+        }
+        buf.to_vec()
+    }
+
+    fn drain(acc: &mut FrameAccumulator) -> Vec<Message> {
+        std::iter::from_fn(|| acc.next().unwrap()).collect()
     }
 
     #[test]
@@ -185,46 +180,54 @@ mod tests {
     }
 
     #[test]
-    fn oversized_frame_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        let mut cursor = std::io::Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
     fn write_frame_into_reuses_scratch_across_frames() {
-        let other = Message::TrimQuery {
-            group: GroupId::new(1),
-            seq: 4,
-        };
-        let mut expected = Vec::new();
-        write_frame(&mut expected, &sample()).unwrap();
-        write_frame(&mut expected, &other).unwrap();
-
         let mut actual = Vec::new();
         let mut scratch = BytesMut::new();
         write_frame_into(&mut actual, &sample(), &mut scratch).unwrap();
-        write_frame_into(&mut actual, &other, &mut scratch).unwrap();
-        assert_eq!(actual, expected);
+        write_frame_into(&mut actual, &query(4), &mut scratch).unwrap();
+        assert_eq!(actual, framed(&[sample(), query(4)]));
+    }
+
+    #[test]
+    fn lying_prefix_is_refused_before_anything_is_buffered_toward_it() {
+        let mut acc = FrameAccumulator::new();
+        acc.extend(&(MAX_FRAME + 1).to_le_bytes());
+        assert_eq!(
+            acc.next(),
+            Err(CodecError::BadLength(u64::from(MAX_FRAME) + 1))
+        );
+        // The largest honest prefix is only waited for.
+        let mut acc = FrameAccumulator::new();
+        acc.extend(&MAX_FRAME.to_le_bytes());
+        assert_eq!(acc.next(), Ok(None));
+    }
+
+    #[test]
+    fn prefix_torn_across_two_reads() {
+        let bytes = framed(&[sample(), query(9)]);
+        let first = framed(&[sample()]).len();
+        // The second frame's length prefix is cut after two bytes.
+        let mut acc = FrameAccumulator::new();
+        acc.extend(&bytes[..first + 2]);
+        assert_eq!(drain(&mut acc), [sample()]);
+        acc.extend(&bytes[first + 2..]);
+        assert_eq!(drain(&mut acc), [query(9)]);
+    }
+
+    #[test]
+    fn thousand_frames_in_one_extend() {
+        let msgs: Vec<Message> = (0..1000).map(query).collect();
+        let mut acc = FrameAccumulator::new();
+        acc.extend(&framed(&msgs));
+        assert_eq!(drain(&mut acc), msgs);
     }
 
     #[test]
     fn accumulator_folds_partial_tail_across_bursts() {
         // A complete frame plus a torn prefix of the next one arrive in
         // one burst; the remainder lands later. Both frames must decode.
-        let mut a = Vec::new();
-        write_frame(&mut a, &sample()).unwrap();
-        let mut b = Vec::new();
-        write_frame(
-            &mut b,
-            &Message::TrimQuery {
-                group: GroupId::new(2),
-                seq: 9,
-            },
-        )
-        .unwrap();
-
+        let a = framed(&[sample()]);
+        let b = framed(&[query(9)]);
         let mut acc = FrameAccumulator::new();
         let split = b.len() / 2;
         let mut first = a.clone();
@@ -233,39 +236,20 @@ mod tests {
         assert_eq!(acc.next().unwrap(), Some(sample()));
         assert_eq!(acc.next().unwrap(), None);
         acc.extend(&b[split..]);
-        assert_eq!(
-            acc.next().unwrap(),
-            Some(Message::TrimQuery {
-                group: GroupId::new(2),
-                seq: 9,
-            })
-        );
+        assert_eq!(acc.next().unwrap(), Some(query(9)));
         assert_eq!(acc.next().unwrap(), None);
     }
 
     #[test]
     fn accumulator_handles_partial_input() {
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &sample()).unwrap();
-        write_frame(
-            &mut frame,
-            &Message::TrimQuery {
-                group: GroupId::new(1),
-                seq: 4,
-            },
-        )
-        .unwrap();
-
+        let msgs = [sample(), query(4)];
         let mut acc = FrameAccumulator::new();
         // Feed byte by byte: frames appear exactly when complete.
         let mut decoded = Vec::new();
-        for b in frame {
+        for b in framed(&msgs) {
             acc.extend(&[b]);
-            while let Some(m) = acc.next().unwrap() {
-                decoded.push(m);
-            }
+            decoded.extend(drain(&mut acc));
         }
-        assert_eq!(decoded.len(), 2);
-        assert_eq!(decoded[0], sample());
+        assert_eq!(decoded, msgs);
     }
 }

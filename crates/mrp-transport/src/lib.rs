@@ -9,9 +9,10 @@
 //!   shared binary codec;
 //! * [`tcp`] — a thread-per-peer TCP runtime hosting any sans-io
 //!   [`StateMachine`](multiring_paxos::event::StateMachine): reader
-//!   threads decode frames into a crossbeam channel, a main loop drives
-//!   the state machine (timers via `select` deadlines), writer threads
-//!   drain per-peer outgoing queues, and stable storage goes through
+//!   threads decode each `read`'s frames into a crossbeam channel, a
+//!   main loop drives the state machine (blocking until the next input
+//!   or timer deadline), writer threads send what their per-peer queue
+//!   holds as one `write`, and stable storage goes through
 //!   [`mrp_storage::DirStorage`] with real `fsync` on synchronous
 //!   writes.
 //!

@@ -7,19 +7,29 @@
 //! communication is TCP; stable storage is a real write-ahead log with
 //! `fsync` on synchronous writes.
 
-use crate::framing;
+use crate::framing::{self, FrameAccumulator};
+use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mrp_storage::DirStorage;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::types::{ClientId, GroupId, InstanceId, ProcessId, Time, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// What a refused dial waits before the next one; doubled after every
+/// further refusal, up to [`DIAL_BACKOFF_MAX`].
+const DIAL_BACKOFF_MIN: Duration = Duration::from_micros(200);
+const DIAL_BACKOFF_MAX: Duration = Duration::from_millis(50);
+/// Bytes a reader asks of one `read`, and the size past which a writer
+/// stops adding queued frames to the `write` it is about to issue.
+const BURST_BYTES: usize = 64 * 1024;
 
 /// Static configuration of one runtime process.
 #[derive(Clone, Debug)]
@@ -36,12 +46,9 @@ pub struct RuntimeConfig {
     /// Directory for the write-ahead log and checkpoints; `None` keeps
     /// stable state in memory (tests, in-memory storage mode).
     pub storage_dir: Option<PathBuf>,
-    /// Maximum idle wait of the protocol loop, microseconds.
-    pub tick_us: u64,
     /// Interval between status-probe invocations
     /// ([`TcpRuntime::spawn_with_status`]), microseconds; 0 disables
-    /// the probe. Fires from the protocol loop, so the granularity is
-    /// bounded below by `tick_us`.
+    /// the probe.
     pub status_interval_us: u64,
 }
 
@@ -54,7 +61,6 @@ impl RuntimeConfig {
             peers: BTreeMap::new(),
             clients: BTreeMap::new(),
             storage_dir: None,
-            tick_us: 10_000,
             status_interval_us: 0,
         }
     }
@@ -97,8 +103,7 @@ enum Cmd {
 }
 
 /// Everything the protocol thread receives, merged into one channel so
-/// it can block on a single `recv_timeout` (std mpsc has no
-/// multi-channel select).
+/// it blocks in one place.
 enum Inbound {
     Net { from: ProcessId, msg: Message },
     Cmd(Cmd),
@@ -109,7 +114,7 @@ pub struct RuntimeHandle {
     cmd_tx: Sender<Inbound>,
     events_rx: Receiver<RuntimeEvent>,
     join: Option<thread::JoinHandle<()>>,
-    shutdown: Arc<AtomicBool>,
+    acceptor: Acceptor,
 }
 
 impl std::fmt::Debug for RuntimeHandle {
@@ -151,13 +156,14 @@ impl RuntimeHandle {
         &self.events_rx
     }
 
-    /// Stops the runtime and joins its protocol thread.
+    /// Stops the runtime: closes the listen socket and every accepted
+    /// connection, and joins the listener, reader and protocol threads.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
     fn shutdown_inner(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.acceptor.close();
         let _ = self.cmd_tx.send(Inbound::Cmd(Cmd::Shutdown));
         if let Some(j) = self.join.take() {
             let _ = j.join();
@@ -226,68 +232,31 @@ impl TcpRuntime {
         sm: S,
         probe: Option<StatusProbe<S>>,
     ) -> std::io::Result<RuntimeHandle> {
-        let listener = TcpListener::bind(config.listen)?;
-        listener.set_nonblocking(true)?;
+        let (in_tx, in_rx) = unbounded::<Inbound>();
+        let net_tx = in_tx.clone();
+        let acceptor = Acceptor::bind(config.listen, move |from, msg| {
+            net_tx.send(Inbound::Net { from, msg }).is_ok()
+        })?;
+        let shutdown = Arc::clone(&acceptor.shutdown);
         let storage = match &config.storage_dir {
             Some(dir) => {
                 Some(DirStorage::open(dir).map_err(|e| std::io::Error::other(e.to_string()))?)
             }
             None => None,
         };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (in_tx, in_rx) = unbounded::<Inbound>();
         let (events_tx, events_rx) = unbounded::<RuntimeEvent>();
 
-        // Listener thread: accept + handshake + reader per connection.
-        {
-            let shutdown = Arc::clone(&shutdown);
-            let net_tx = in_tx.clone();
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let net_tx = net_tx.clone();
-                            let shutdown = Arc::clone(&shutdown);
-                            thread::spawn(move || {
-                                let mut stream = stream;
-                                let Ok(peer) = framing::read_hello(&mut stream) else {
-                                    return;
-                                };
-                                while !shutdown.load(Ordering::SeqCst) {
-                                    match framing::read_frame(&mut stream) {
-                                        Ok(msg) => {
-                                            let inbound = Inbound::Net { from: peer, msg };
-                                            if net_tx.send(inbound).is_err() {
-                                                return;
-                                            }
-                                        }
-                                        Err(_) => return,
-                                    }
-                                }
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => return,
-                    }
-                }
-            });
-        }
-
-        let cfg = config.clone();
-        let shutdown_main = Arc::clone(&shutdown);
         let join = thread::Builder::new()
             .name(format!("mrp-node-{}", config.me.value()))
             .spawn(move || {
-                Self::protocol_loop(cfg, sm, storage, in_rx, events_tx, shutdown_main, probe);
+                Self::protocol_loop(config, sm, storage, in_rx, events_tx, shutdown, probe);
             })?;
 
         Ok(RuntimeHandle {
             cmd_tx: in_tx,
             events_rx,
             join: Some(join),
-            shutdown,
+            acceptor,
         })
     }
 
@@ -339,15 +308,17 @@ impl TcpRuntime {
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            // Wait for the next input or timer deadline.
-            let timeout_us = timers
-                .peek()
-                .map_or(config.tick_us, |d| d.0.saturating_sub(now_us()))
-                .min(config.tick_us)
-                .max(100);
-            // Block until the next input or the timer deadline: all
-            // producers feed the single merged channel.
-            match in_rx.recv_timeout(Duration::from_micros(timeout_us)) {
+            // Block until the next input, timer deadline or status
+            // probe, whichever comes first: all producers feed the
+            // single merged channel.
+            let wake_us = timers.peek().map_or(u64::MAX, |d| d.0).min(next_status_us);
+            let input = if wake_us == u64::MAX {
+                in_rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
+            } else {
+                let wait = Duration::from_micros(wake_us.saturating_sub(now_us()));
+                in_rx.recv_timeout(wait) // lint:allow(transport-poll) a deadline, not an interval
+            };
+            match input {
                 Ok(Inbound::Net { from, msg }) => {
                     pending.push_back(Event::Message { from, msg });
                 }
@@ -460,69 +431,188 @@ impl TcpRuntime {
         to: ProcessId,
         msg: Message,
     ) {
-        let tx = writers.entry(to).or_insert_with(|| {
-            let (tx, rx) = unbounded::<Message>();
-            let addr = config.peers.get(&to).copied();
-            let me = config.me;
-            let shutdown = Arc::clone(shutdown);
-            thread::spawn(move || {
-                let Some(addr) = addr else { return };
-                Self::writer_loop(me, addr, rx, shutdown);
-            });
-            tx
-        });
+        let tx = writers
+            .entry(to)
+            .or_insert_with(|| spawn_writer(config.me, config.peers.get(&to), shutdown));
         let _ = tx.send(msg);
     }
+}
 
-    fn writer_loop(
-        me: ProcessId,
-        addr: SocketAddr,
-        rx: Receiver<Message>,
-        shutdown: Arc<AtomicBool>,
-    ) {
-        let mut conn: Option<TcpStream> = None;
-        let mut carry: Option<Message> = None;
-        // One encode buffer per connection: frames reuse its capacity
-        // instead of allocating per message.
-        let mut scratch = bytes::BytesMut::new();
-        while !shutdown.load(Ordering::SeqCst) {
-            let msg = match carry.take() {
-                Some(m) => m,
-                None => match rx.recv_timeout(Duration::from_millis(100)) {
-                    Ok(m) => m,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
+/// An accepted connection: our handle on the stream and its reader.
+type Accepted = (TcpStream, thread::JoinHandle<()>);
+
+/// The listening half of a process: one thread blocked in `accept` and
+/// one reader thread per inbound connection, each blocked in `read`.
+struct Acceptor {
+    addr: SocketAddr,
+    /// Raised by `close`; the process's other threads watch it too.
+    shutdown: Arc<AtomicBool>,
+    /// Returns the connections it accepted.
+    listener: Option<thread::JoinHandle<Vec<Accepted>>>,
+}
+
+impl Acceptor {
+    /// Binds `listen` and hands every frame that arrives on it to
+    /// `on_frame`, with the process id the connection's hello announced;
+    /// a reader ends when `on_frame` returns `false`.
+    fn bind<F>(listen: SocketAddr, on_frame: F) -> std::io::Result<Self>
+    where
+        F: Fn(ProcessId, Message) -> bool + Clone + Send + 'static,
+    {
+        let listener = TcpListener::bind(listen)?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let closing = Arc::clone(&shutdown);
+        let listener = thread::spawn(move || {
+            let mut conns: Vec<Accepted> = Vec::new();
+            while let Ok((stream, _)) = listener.accept() {
+                if closing.load(Ordering::SeqCst) {
+                    break; // the connection `close` woke us with
+                }
+                conns.retain(|(_, reader)| !reader.is_finished());
+                let Ok(ours) = stream.try_clone() else {
+                    continue;
+                };
+                let on_frame = on_frame.clone();
+                let reader = thread::spawn(move || {
+                    read_loop(&stream, on_frame);
+                    // `ours` keeps the socket open: hang up explicitly.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                conns.push((ours, reader));
+            }
+            conns
+        });
+        Ok(Self {
+            addr,
+            shutdown,
+            listener: Some(listener),
+        })
+    }
+
+    /// Raises `shutdown`, closes the listen socket and every accepted
+    /// connection, and joins the listener and reader threads.
+    fn close(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let Some(listener) = self.listener.take() else {
+            return;
+        };
+        // `accept` has no deadline; a connection is the event that ends
+        // it. If none can be made the thread is left to itself.
+        if TcpStream::connect(self.addr).is_err() && !listener.is_finished() {
+            return;
+        }
+        for (stream, reader) in listener.join().unwrap_or_default() {
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = reader.join();
+        }
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// One inbound connection: the hello, then one `read` per burst, every
+/// complete frame of which goes to `on_frame`. Ends at end of stream, on
+/// an I/O error and on a frame that does not decode.
+fn read_loop(mut stream: &TcpStream, on_frame: impl Fn(ProcessId, Message) -> bool) {
+    let Ok(peer) = framing::read_hello(&mut stream) else {
+        return;
+    };
+    let mut frames = FrameAccumulator::new();
+    let mut burst = vec![0u8; BURST_BYTES];
+    loop {
+        match stream.read(&mut burst) {
+            Ok(0) => return,
+            Ok(n) => frames.extend(&burst[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        }
+        loop {
+            match frames.next() {
+                Ok(Some(msg)) => {
+                    if !on_frame(peer, msg) {
+                        return;
+                    }
+                }
+                Ok(None) => break,
+                Err(_) => return,
+            }
+        }
+    }
+}
+
+/// The queue of a new writer thread to the peer at `addr`. Frames for a
+/// peer without an address are dropped.
+fn spawn_writer(
+    me: ProcessId,
+    addr: Option<&SocketAddr>,
+    shutdown: &Arc<AtomicBool>,
+) -> Sender<Message> {
+    let (tx, rx) = unbounded::<Message>();
+    if let Some(&addr) = addr {
+        let shutdown = Arc::clone(shutdown);
+        // Not joined: it may be inside `connect`, which has no deadline.
+        // It ends by itself once its queue is gone or `shutdown` is up.
+        thread::spawn(move || writer_loop(me, addr, &rx, &shutdown));
+    }
+    tx
+}
+
+fn dial(me: ProcessId, addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let mut stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    framing::write_hello(&mut stream, me)?;
+    Ok(stream)
+}
+
+/// One outbound peer: blocks while its queue is empty, then sends what
+/// has queued up as one `write`. Ends when the queue's senders are gone,
+/// or when `shutdown` is raised while the peer cannot be reached.
+fn writer_loop(me: ProcessId, addr: SocketAddr, rx: &Receiver<Message>, shutdown: &AtomicBool) {
+    let mut conn: Option<TcpStream> = None;
+    let mut backoff = DIAL_BACKOFF_MIN;
+    // One encode buffer per peer: bursts reuse its capacity instead of
+    // allocating per message.
+    let mut burst = BytesMut::new();
+    while let Ok(first) = rx.recv() {
+        burst.clear();
+        framing::put_frame(&mut burst, &first);
+        while burst.len() < BURST_BYTES {
+            let Ok(next) = rx.try_recv() else { break };
+            framing::put_frame(&mut burst, &next);
+        }
+        // The burst is the unit of retry: after a failed `write` all of
+        // it goes to the next connection, so the peer may see frames
+        // twice (the engines deduplicate). What an earlier `write` had
+        // handed to the kernel when the peer died is lost, as on any TCP
+        // sender; the protocols' retransmissions cover that.
+        loop {
+            let stream = match &mut conn {
+                Some(stream) => stream,
+                None => match dial(me, addr) {
+                    Ok(stream) => {
+                        backoff = DIAL_BACKOFF_MIN;
+                        conn.insert(stream)
+                    }
+                    Err(_) if shutdown.load(Ordering::SeqCst) => return,
+                    Err(_) => {
+                        // A refused dial leaves no event to wait for.
+                        thread::sleep(backoff); // lint:allow(transport-poll)
+                        backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
+                        continue;
+                    }
                 },
             };
-            loop {
-                if conn.is_none() {
-                    match TcpStream::connect(addr) {
-                        Ok(mut s) => {
-                            let _ = s.set_nodelay(true);
-                            if framing::write_hello(&mut s, me).is_ok() {
-                                conn = Some(s);
-                            }
-                        }
-                        Err(_) => {
-                            thread::sleep(Duration::from_millis(50));
-                            if shutdown.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                if let Some(s) = conn.as_mut() {
-                    match framing::write_frame_into(s, &msg, &mut scratch) {
-                        Ok(()) => break,
-                        Err(_) => {
-                            conn = None; // reconnect and retry this frame
-                        }
-                    }
-                }
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
+            if stream.write_all(&burst).is_ok() {
+                break;
+            }
+            conn = None;
+            if shutdown.load(Ordering::SeqCst) {
+                return;
             }
         }
     }
@@ -538,7 +628,8 @@ pub struct ClientPort {
     peers: BTreeMap<ProcessId, SocketAddr>,
     responses_rx: Receiver<(ClientId, u64, bytes::Bytes)>,
     writers: Mutex<HashMap<ProcessId, Sender<Message>>>,
-    shutdown: Arc<AtomicBool>,
+    /// Closed on drop, which also raises the writers' `shutdown`.
+    acceptor: Acceptor,
 }
 
 impl std::fmt::Debug for ClientPort {
@@ -558,53 +649,21 @@ impl ClientPort {
         listen: SocketAddr,
         peers: BTreeMap<ProcessId, SocketAddr>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let (tx, rx) = unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        {
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((mut stream, _)) => {
-                            let tx = tx.clone();
-                            let shutdown = Arc::clone(&shutdown);
-                            thread::spawn(move || {
-                                if framing::read_hello(&mut stream).is_err() {
-                                    return;
-                                }
-                                while !shutdown.load(Ordering::SeqCst) {
-                                    match framing::read_frame(&mut stream) {
-                                        Ok(Message::Response {
-                                            client,
-                                            request,
-                                            payload,
-                                        }) => {
-                                            if tx.send((client, request, payload)).is_err() {
-                                                return;
-                                            }
-                                        }
-                                        Ok(_) => {}
-                                        Err(_) => return,
-                                    }
-                                }
-                            });
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => return,
-                    }
-                }
-            });
-        }
+        let acceptor = Acceptor::bind(listen, move |_, msg| match msg {
+            Message::Response {
+                client,
+                request,
+                payload,
+            } => tx.send((client, request, payload)).is_ok(),
+            _ => true,
+        })?;
         Ok(Self {
             me,
             peers,
             responses_rx: rx,
             writers: Mutex::new(HashMap::new()),
-            shutdown,
+            acceptor,
         })
     }
 
@@ -625,28 +684,14 @@ impl ClientPort {
             payload,
         };
         let mut writers = self.writers.lock();
-        let tx = writers.entry(to).or_insert_with(|| {
-            let (tx, rx) = unbounded::<Message>();
-            let addr = self.peers.get(&to).copied();
-            let me = self.me;
-            let shutdown = Arc::clone(&self.shutdown);
-            thread::spawn(move || {
-                let Some(addr) = addr else { return };
-                TcpRuntime::writer_loop(me, addr, rx, shutdown);
-            });
-            tx
-        });
+        let tx = writers
+            .entry(to)
+            .or_insert_with(|| spawn_writer(self.me, self.peers.get(&to), &self.acceptor.shutdown));
         let _ = tx.send(msg);
     }
 
     /// The stream of responses: `(client, request, payload)`.
     pub fn responses(&self) -> &Receiver<(ClientId, u64, bytes::Bytes)> {
         &self.responses_rx
-    }
-}
-
-impl Drop for ClientPort {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
     }
 }

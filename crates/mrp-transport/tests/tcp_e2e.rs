@@ -1,14 +1,18 @@
-//! End-to-end test of the TCP runtime: a three-process ring over
+//! End-to-end tests of the TCP runtime: a three-process ring over
 //! loopback TCP, a client port issuing requests, identical delivery
-//! order at every learner, and durable acceptor state on disk.
+//! order at every learner, durable acceptor state on disk — and what
+//! the connections do when peers are late, broken, bursty or dying.
 
-use bytes::Bytes;
-use mrp_transport::tcp::{ClientPort, RuntimeConfig, RuntimeEvent, TcpRuntime};
+use bytes::{Bytes, BytesMut};
+use mrp_transport::framing::{self, FrameAccumulator, MAX_FRAME};
+use mrp_transport::tcp::{ClientPort, RuntimeConfig, RuntimeEvent, RuntimeHandle, TcpRuntime};
 use multiring_paxos::config::{single_ring, RingTuning, StorageMode};
+use multiring_paxos::event::{Action, Event, Message, StateMachine};
 use multiring_paxos::node::Node;
-use multiring_paxos::types::{ClientId, GroupId, ProcessId, ValueId};
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 use std::collections::BTreeMap;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -157,4 +161,223 @@ fn acceptor_state_is_durable_across_runtime_restart() {
         "sync-mode vote must be durable across restart"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Hosted by the runtime under test: answers every request with its own
+/// payload under the session number of the connection it came in on, so
+/// `events()` is the runtime's inbound sequence — (peer, request,
+/// payload) — in the order the protocol thread saw it.
+struct Echo;
+
+impl StateMachine for Echo {
+    fn on_event(&mut self, _now: Time, event: Event) -> Vec<Action> {
+        match event {
+            Event::Message {
+                from,
+                msg: Message::Request {
+                    request, payload, ..
+                },
+            } => vec![Action::Respond {
+                client: ClientId::new(u64::from(from.value())),
+                request,
+                payload,
+            }],
+            _ => Vec::new(),
+        }
+    }
+
+    fn process_id(&self) -> ProcessId {
+        SERVER
+    }
+}
+
+const SERVER: ProcessId = ProcessId::new(0);
+const CLIENT: ProcessId = ProcessId::new(50);
+
+fn echo_server(listen: SocketAddr) -> RuntimeHandle {
+    TcpRuntime::spawn(RuntimeConfig::new(SERVER, listen), Echo).expect("spawn")
+}
+
+fn client_port(server: SocketAddr) -> ClientPort {
+    ClientPort::bind(CLIENT, free_addr(), BTreeMap::from([(SERVER, server)])).expect("client")
+}
+
+fn send(client: &ClientPort, request: u64, payload: Bytes) {
+    client.request(
+        SERVER,
+        ClientId::new(1),
+        request,
+        vec![GroupId::new(0)],
+        payload,
+    );
+}
+
+fn request(request: u64) -> Message {
+    Message::Request {
+        client: ClientId::new(1),
+        request,
+        groups: vec![GroupId::new(0)],
+        payload: Bytes::from(format!("payload-{request}")),
+    }
+}
+
+fn framed(msgs: impl IntoIterator<Item = Message>) -> BytesMut {
+    let mut buf = BytesMut::new();
+    for m in msgs {
+        framing::put_frame(&mut buf, &m);
+    }
+    buf
+}
+
+/// A connection the test writes by hand, hello sent.
+fn raw_peer(server: SocketAddr, id: u32) -> TcpStream {
+    let mut s = TcpStream::connect(server).expect("connect");
+    s.set_nodelay(true).expect("nodelay");
+    framing::write_hello(&mut s, ProcessId::new(id)).expect("hello");
+    s
+}
+
+/// The next `n` inbound frames as (peer, request, payload). The wait
+/// only bounds a failing run.
+fn inbound(server: &RuntimeHandle, n: usize) -> Vec<(u64, u64, Bytes)> {
+    (0..n)
+        .map(
+            |_| match server.events().recv_timeout(Duration::from_secs(20)) {
+                Ok(RuntimeEvent::Response {
+                    client,
+                    request,
+                    payload,
+                }) => (client.value(), request, payload),
+                other => panic!("expected an echoed request, got {other:?}"),
+            },
+        )
+        .collect()
+}
+
+fn numbers(frames: &[(u64, u64, Bytes)]) -> Vec<u64> {
+    frames.iter().map(|f| f.1).collect()
+}
+
+#[test]
+fn peer_dialled_before_it_listens_gets_every_queued_frame_once_in_order() {
+    let addr = free_addr();
+    let client = client_port(addr);
+    for r in 0..50 {
+        send(&client, r, Bytes::from_static(b"early"));
+    }
+    let server = echo_server(addr);
+    // Frame 50 is sent once the others are in: a second copy of any of
+    // them would arrive ahead of it.
+    let first = inbound(&server, 50);
+    send(&client, 50, Bytes::from_static(b"late"));
+    let last = inbound(&server, 1);
+    assert_eq!(numbers(&first), (0..50).collect::<Vec<_>>());
+    assert_eq!(numbers(&last), [50]);
+    assert!(first.iter().all(|f| f.0 == u64::from(CLIENT.value())));
+    server.shutdown();
+}
+
+#[test]
+fn broken_peers_do_not_disturb_the_others() {
+    let addr = free_addr();
+    let server = echo_server(addr);
+
+    // Hello and half a frame, then gone.
+    let bytes = framed([request(7)]);
+    let mut half = raw_peer(addr, 98);
+    half.write_all(&bytes[..bytes.len() / 2]).expect("write");
+    drop(half);
+    // Hello and nothing else, for as long as the test runs.
+    let _silent = raw_peer(addr, 97);
+    // A length prefix no frame may have: the server hangs up, and the
+    // frame behind the prefix is not taken for one.
+    let mut liar = raw_peer(addr, 96);
+    liar.write_all(&(MAX_FRAME + 1).to_le_bytes())
+        .expect("write");
+    let _ = liar.write_all(&bytes); // may already meet the hang-up
+    let mut rest = Vec::new();
+    let _ = liar.read_to_end(&mut rest); // end of stream or a reset
+    assert!(rest.is_empty());
+
+    let client = client_port(addr);
+    for r in 0..20 {
+        send(&client, r, Bytes::from_static(b"fine"));
+    }
+    let got = inbound(&server, 20);
+    assert_eq!(numbers(&got), (0..20).collect::<Vec<_>>());
+    assert!(got.iter().all(|f| f.0 == u64::from(CLIENT.value())));
+    server.shutdown();
+}
+
+#[test]
+fn one_write_and_one_byte_per_write_yield_the_same_inbound_sequence() {
+    let addr = free_addr();
+    let server = echo_server(addr);
+    let bytes = framed((0..500).map(request));
+
+    let mut burst = raw_peer(addr, 7);
+    burst.write_all(&bytes).expect("write");
+    let at_once = inbound(&server, 500);
+
+    let mut trickle = raw_peer(addr, 7);
+    for b in bytes.iter() {
+        trickle.write_all(&[*b]).expect("write");
+    }
+    let byte_by_byte = inbound(&server, 500);
+
+    assert_eq!(numbers(&at_once), (0..500).collect::<Vec<_>>());
+    assert_eq!(at_once, byte_by_byte);
+    server.shutdown();
+}
+
+/// Reads frames off a hand-held connection until `done` says so;
+/// returns the request numbers in arrival order.
+fn read_requests(conn: &mut TcpStream, done: impl Fn(&[u64]) -> bool) -> Vec<u64> {
+    let mut frames = FrameAccumulator::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut seen = Vec::new();
+    while !done(&seen) {
+        let n = conn.read(&mut chunk).expect("read");
+        assert!(n > 0, "stream ended after {seen:?}");
+        frames.extend(&chunk[..n]);
+        while let Some(msg) = frames.next().expect("decode") {
+            match msg {
+                Message::Request { request, .. } => seen.push(request),
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+fn writer_whose_peer_dies_mid_burst_resends_the_burst() {
+    // Larger than loopback's send and receive buffers can grow to
+    // together (tcp_wmem + tcp_rmem maxima: 4 + 32 MiB), so the `write`
+    // carrying it cannot complete while the receiver is not reading.
+    const HUGE: usize = 48 << 20;
+    let addr = free_addr();
+    let client = client_port(addr);
+    send(&client, 0, Bytes::from_static(b"small"));
+    send(&client, 1, Bytes::from_static(b"small"));
+    send(&client, 2, Bytes::from(vec![7u8; HUGE]));
+    send(&client, 3, Bytes::from_static(b"small"));
+    send(&client, 4, Bytes::from_static(b"small"));
+
+    // The peer comes up, takes frames 0 and 1 and dies with frame 2
+    // under way.
+    let listener = TcpListener::bind(addr).expect("bind");
+    let (mut conn, _) = listener.accept().expect("accept");
+    assert_eq!(framing::read_hello(&mut conn).expect("hello"), CLIENT);
+    let before = read_requests(&mut conn, |seen| seen.contains(&1));
+    assert_eq!(before[..2], [0, 1]);
+    drop(conn);
+
+    // Its successor is sent the interrupted burst from the start: maybe
+    // frames it had, never a gap, and everything after.
+    let (mut conn, _) = listener.accept().expect("accept");
+    assert_eq!(framing::read_hello(&mut conn).expect("hello"), CLIENT);
+    let after = read_requests(&mut conn, |seen| seen.contains(&4));
+    assert!(after[0] <= 2, "gap: {before:?} then {after:?}");
+    assert_eq!(after, (after[0]..=4).collect::<Vec<_>>());
 }

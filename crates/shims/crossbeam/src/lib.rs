@@ -1,7 +1,7 @@
 //! Minimal vendored shim of the [`crossbeam`](https://docs.rs/crossbeam)
 //! channel API used by this workspace, backed by `std::sync::mpsc`.
-//! The `select!` macro is not provided; the transport polls its
-//! receivers with `try_recv` instead.
+//! The `select!` macro is not provided; the transport merges its
+//! producers into one channel and blocks on that instead.
 
 #![forbid(unsafe_code)]
 
