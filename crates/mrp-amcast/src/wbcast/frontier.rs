@@ -49,16 +49,47 @@
 //!   ([`WbcastNode::resync_truncations`]) instead of delivering a
 //!   gapped stream behind a terminator that claims completeness.
 //!
+//! ## `Probe`: asking for the promise delivery waits on
+//!
+//! **`Probe { group: h, ts }`** — sent by a subscriber to the sequencer
+//! of `h`.
+//!
+//! - `group`: the subscribed stream whose frontier is behind
+//! - `ts`: the timestamp of the value that cannot be delivered
+//!
+//! Sent from [`WbcastNode::drain`] when the smallest buffered key
+//! `(ts, id)` is held back by `h`'s frontier: once per stream and
+//! blocked timestamp, never retried, and not at all when `h`'s sequencer
+//! subscribes to the value's own stream (it then holds the same value
+//! and asks itself). The sequencer answers with an ordinary `Heartbeat`
+//! to *all* of `h`'s subscribers, or not at all: a probe for a
+//! timestamp already promised is dropped, one that finds `h` with work
+//! in flight (an undecided proposal, a gated release) is answered by
+//! the release of that work — the `Ordered` frame itself if it is keyed
+//! past `ts`, a heartbeat right behind it if not —, one that reaches a
+//! process that no longer leads `h` is ignored. It carries no value
+//! and no id, so it moves no value between stages by itself — it
+//! shortens *ordered → delivered* at the sender from "the next Δ tick
+//! of `h`" to a round trip. `Heartbeat { group, epoch, ts }` is the
+//! frame that moves the frontier, whoever asked.
+//!
 //! ## Metrics recorded here
 //!
 //! | counter | counts |
 //! |---|---|
 //! | `sub.delivered` | values delivered to the application |
+//! | `sub.probes_sent` | `Probe`s sent, self-routed ones included (attempts; the outcomes are `seq.probes_answered` / `seq.probes_redundant` at the sequencers). Exactly 0 at a process subscribed to one group |
 //! | `sub.dedup_drops` | buffered copies dropped at delivery time because the id had already been delivered (failover re-releases) |
 //! | `sub.fenced_frames` | `Ordered`/`Heartbeat` frames of a deposed sequencer's epoch dropped |
 //! | `sub.resync_truncations` | replays that ended with a truncation flag, the stream re-anchored past the gap ([`WbcastNode::resync_truncations`]) |
 //!
-//! Delivery of a locally submitted value also records the histogram
+//! | histogram | recorded when |
+//! |---|---|
+//! | `sub.frontier_wait_us` | a value that was found blocked at the head of the buffer is delivered: µs since it was first found blocked (0 when a self-routed probe unblocked it in the same activation) |
+//!
+//! A head value still blocked after `STALL_DELTAS` heartbeat intervals
+//! shows in `health()` as `"blocked_stream"`, naming the stream waited
+//! on. Delivery of a locally submitted value also records the histogram
 //! `round.delivery_latency_us` (listed with the other `round.*` metrics
 //! in `rounds`). Trace events: `resync.done` (detail: the promise the
 //! stream re-anchored at) and `resync.truncated` (detail: the gap's end).
@@ -103,6 +134,13 @@ pub(super) struct Subscription {
     pub(super) resyncing: bool,
     /// Ordered-but-not-yet-deliverable values, keyed by `(ts, id)`.
     pub(super) pending: BTreeMap<Key, Value>,
+    /// Highest blocked timestamp for which asking this stream's
+    /// sequencer has been considered ([`WbMessage::Probe`]): at most one
+    /// probe per stream and blocked timestamp. A probe lost with a
+    /// connection or a crashed sequencer is not retried — the Δ
+    /// heartbeat covers it — but a new sequencer's first admitted frame
+    /// resets the mark, so it can be asked afresh.
+    pub(super) probed: u64,
 }
 
 impl Default for Subscription {
@@ -113,6 +151,7 @@ impl Default for Subscription {
             floor: 0,
             resyncing: false,
             pending: BTreeMap::new(),
+            probed: 0,
         }
     }
 }
@@ -124,11 +163,11 @@ impl Subscription {
     /// (re-)anchors the stream at its epoch. Returns whether the frame
     /// is admitted.
     fn admit(&mut self, epoch: u32) -> bool {
-        let admitted = epoch >= self.epoch;
-        if admitted {
+        if epoch > self.epoch {
             self.epoch = epoch;
+            self.probed = 0;
         }
-        admitted
+        epoch >= self.epoch
     }
 
     /// The group's current **delivery mark**: the largest timestamp `t`
@@ -247,22 +286,16 @@ impl WbcastNode {
         if self.subs.values().any(|s| s.resyncing) {
             return;
         }
-        loop {
-            let mut best: Option<(Key, GroupId)> = None;
-            for (&g, s) in &self.subs {
-                if let Some((&key, _)) = s.pending.first_key_value() {
-                    if best.is_none_or(|b| (key, g) < b) {
-                        best = Some((key, g));
-                    }
+        while let Some((key, g)) = self.head() {
+            if self.blocking_stream(key, g).is_some() {
+                if self.head_wait.is_none_or(|(k, _)| k != key) {
+                    self.head_wait = Some((key, now));
                 }
-            }
-            let Some((key, g)) = best else { break };
-            let releasable = self
-                .subs
-                .iter()
-                .all(|(&g2, s2)| g2 == g || s2.frontier >= key);
-            if !releasable {
+                self.probe_blocking_streams(now, key, g, out);
                 break;
+            }
+            if let Some((_, since)) = self.head_wait.take_if(|(k, _)| *k == key) {
+                self.tel.record("sub.frontier_wait_us", now.since(since));
             }
             let value = self
                 .subs
@@ -297,6 +330,60 @@ impl WbcastNode {
                 instance: InstanceId::new(key.0),
                 value,
             });
+        }
+    }
+
+    /// The smallest buffered key and the stream holding it: the next
+    /// value to deliver.
+    pub(super) fn head(&self) -> Option<(Key, GroupId)> {
+        self.subs
+            .iter()
+            .filter_map(|(&g, s)| s.pending.first_key_value().map(|(&key, _)| (key, g)))
+            .min()
+    }
+
+    /// A subscribed stream other than `of` whose frontier has not
+    /// reached `key` yet — something smaller may still arrive on it.
+    pub(super) fn blocking_stream(&self, key: Key, of: GroupId) -> Option<GroupId> {
+        self.subs
+            .iter()
+            .find(|&(&g, s)| g != of && s.frontier < key)
+            .map(|(&g, _)| g)
+    }
+
+    /// Asks the sequencer of every stream that holds back `key` (the
+    /// head, buffered on stream `of`) for a promise covering it — once
+    /// per stream and blocked timestamp.
+    ///
+    /// A sequencer that subscribes to `of` itself is not asked: it
+    /// receives the same `Ordered` frame, and if that leaves its own
+    /// delivery blocked on the stream it leads, the probe it routes to
+    /// itself is answered in that very activation — a message delay
+    /// sooner than ours could arrive, which would only find the promise
+    /// made. A self-routed probe re-enters [`Self::drain`], so each
+    /// stream's state is read only when its turn comes.
+    fn probe_blocking_streams(&mut self, now: Time, key: Key, of: GroupId, out: &mut Vec<Action>) {
+        let behind = |s: &Subscription| s.frontier < key && s.probed < key.0;
+        let streams: Vec<GroupId> = self
+            .subs
+            .iter()
+            .filter(|&(&g, s)| g != of && behind(s))
+            .map(|(&g, _)| g)
+            .collect();
+        for group in streams {
+            let sub = self.subs.get_mut(&group).expect("subscribed stream");
+            if !behind(sub) {
+                continue;
+            }
+            sub.probed = key.0;
+            let Some(sequencer) = self.sequencer_of(group) else {
+                continue;
+            };
+            if sequencer != self.me && self.config.subscriptions_of(sequencer).contains(&of) {
+                continue;
+            }
+            self.tel.incr("sub.probes_sent", 1);
+            self.route(now, sequencer, WbMessage::Probe { group, ts: key.0 }, out);
         }
     }
 

@@ -18,6 +18,11 @@
 //!     │                    ├── Ordered(g, ts, γ, v) ──────▶│  buffer by (ts, id)
 //!     │                    ├── Heartbeat(g, promise) ──···▶│  deliver in global
 //!     │                                                    │  (ts, id) order
+//!
+//!                      sequencer of idle h       a subscriber of g and h
+//!                          │◀──── Probe(h, ts) ────────────┤  (ts, id) waits on h
+//!                          │ clock(h) := max(clock(h), ts+1)
+//!                          ├── Heartbeat(h, promise ≥ ts) ▶│  deliver
 //! ```
 //!
 //! ### Multi-group messages (Skeen phase 2, the paper's `multicast(γ, m)`)
@@ -61,11 +66,29 @@
 //!    copy per stream and delivers exactly once: only the copy in the
 //!    smallest addressed group it subscribes to enters the buffer, the
 //!    others merely advance frontiers.
-//! 5. **Heartbeat** — sequencers of idle groups periodically promise
-//!    "all my future timestamps exceed X" so that other groups'
-//!    deliveries are never blocked by an idle group: the analogue of
-//!    Multi-Ring Paxos rate leveling, paced by the ring's Δ. A promise
-//!    never overtakes an undecided proposal.
+//! 5. **Heartbeat** — a sequencer promises "all my future timestamps
+//!    exceed X" so that other groups' deliveries are not blocked by an
+//!    idle group. A promise never overtakes an undecided proposal. It
+//!    is made on two occasions, by one piece of code
+//!    (`emit_heartbeats`):
+//!    * **on demand** — a subscriber whose next value waits on group
+//!      `h`'s frontier sends `h`'s sequencer a `Probe` naming the
+//!      blocked timestamp, once; the sequencer moves its clock past it
+//!      (Lamport receive rule) and, if `h` has nothing in flight,
+//!      promises at once, to every subscriber (if it has, releasing
+//!      that work says as much, and a heartbeat follows only where it
+//!      does not). A sequencer, unlike the Paxos ring whose rate
+//!      leveling this step was copied from, can answer "how far is your
+//!      clock?" in one message, so delivery costs message delays, not a
+//!      timer period. A sequencer that subscribes to the busy group
+//!      sees the value itself and asks itself, inline; the others then
+//!      do not ask at all. This is the accelerator: it is sent once and
+//!      never retried.
+//!    * **every Δ** of the group's ring — the backstop for a probe lost
+//!      with a connection or a crashed sequencer, and what the liveness
+//!      argument rests on. It also still wins where a round trip
+//!      exceeds Δ (WAN links): there the probe arrives after the tick
+//!      has promised past it and is dropped unanswered.
 //! 6. **Release acknowledgement** — when a sequencer emits a value into
 //!    its ordered stream it also sends the initiator a `FinalAck`.
 //!    Released frames are never lost (reliable FIFO channels), so a
@@ -80,7 +103,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | `wire` | the twelve frames and their byte layout |
+//! | `wire` | the thirteen frames and their byte layout |
 //! | `sequencer` | the group-local state machine: clock, proposals, release in key order, heartbeat promises, resync replay, pruning, takeover and resignation (*Sequencer failover*) |
 //! | `rounds` | the initiator's cross-group timestamp agreement and its retries |
 //! | `frontier` | the subscriber's delivery frontier and the checkpoint surface (*Checkpointing, resync and bounded state*) |
@@ -143,8 +166,17 @@
 //!
 //! Timestamps are Lamport-style hybrid clocks: they advance with
 //! submissions *and* with elapsed time (in a fixed quantum shared by
-//! every group, [`CLOCK_QUANTUM_US`]), so timestamps of different groups
-//! stay loosely aligned without any cross-group communication.
+//! every group, [`CLOCK_QUANTUM_US`]). "Elapsed time" is the hosting
+//! process's `now`, and time bases are **per process**: the simulator
+//! hands every process one global clock, but `TcpRuntime` counts from
+//! each process's own start, so two groups' clocks sit as far apart as
+//! their sequencers' processes were started. Delivery does not depend
+//! on their alignment: a subscriber blocked on the group that is behind
+//! tells its sequencer the timestamp it needs (step 5). What still
+//! leans on the time component is takeover's hybrid-clock floor (the
+//! first assumption above), which a successor computes from *its own*
+//! `now`: over TCP it covers the predecessor's unobserved assignments
+//! only as far as the two processes' time bases agree.
 //!
 //! Compared with the ring engine, a multi-group message costs two extra
 //! message delays (propose/decide) but involves *only* the addressed
@@ -296,6 +328,11 @@ pub struct WbcastNode {
     next_seq: u64,
     /// Phase-level metrics and the protocol-event trace ring.
     tel: EngineTelemetry,
+    /// Telemetry, like `tel` (and like it outside the state digest):
+    /// the head key [`Self::drain`] last found blocked and when it first
+    /// did, for `sub.frontier_wait_us` and the `"blocked_stream"` health
+    /// issue.
+    head_wait: Option<(Key, Time)>,
 }
 
 impl fmt::Debug for WbcastNode {
@@ -383,6 +420,7 @@ impl WbcastNode {
             retry_armed: BTreeSet::new(),
             next_seq: 0,
             tel: EngineTelemetry::default(),
+            head_wait: None,
         }
     }
 
@@ -433,6 +471,7 @@ impl WbcastNode {
             h.write_u64(u64::from(s.state.epoch));
             h.write_u64(s.state.next_ts);
             h.write_u64(s.promised);
+            h.write_u64(s.wanted);
             s.resume_at.digest_into(&mut h);
             h.write_usize(s.state.pending.len());
             for (id, p) in &s.state.pending {
@@ -457,6 +496,7 @@ impl WbcastNode {
             h.write_u64(s.floor);
             s.resyncing.digest_into(&mut h);
             s.pending.digest_into(&mut h);
+            h.write_u64(s.probed);
         }
         self.awaiting_resume.digest_into(&mut h);
         self.coordinators.digest_into(&mut h);
@@ -597,6 +637,7 @@ impl WbcastNode {
             WbMessage::Heartbeat { group, epoch, ts } => {
                 self.on_heartbeat(now, group, epoch, ts, out);
             }
+            WbMessage::Probe { group, ts } => self.on_probe(now, group, ts, out),
             WbMessage::Resync { group, from_ts } => self.on_resync(now, from, group, from_ts, out),
             WbMessage::CkptMark { group, ts } => self.on_ckpt_mark(from, group, ts),
             WbMessage::ResyncDone {
@@ -824,7 +865,11 @@ impl AmcastEngine for WbcastNode {
     ///   live subscriber has reported a mark, i.e. some reported mark
     ///   stopped advancing (detail: retained entries);
     /// * `"held_deliveries"` — a subscribed stream holding deliveries
-    ///   behind an outstanding resync (detail: buffered values).
+    ///   behind an outstanding resync (detail: buffered values);
+    /// * `"blocked_stream"` — the next value to deliver has waited longer
+    ///   than [`STALL_DELTAS`] heartbeat intervals for the named stream's
+    ///   frontier to reach it: neither a probe nor a Δ heartbeat of that
+    ///   group's sequencer has arrived (detail: µs waited).
     fn health(&self, now: Time) -> HealthReport {
         let mut report = HealthReport::healthy(now);
         let delta_us = self
@@ -864,6 +909,18 @@ impl AmcastEngine for WbcastNode {
                     group: Some(g),
                     detail: sub.pending.len() as u64,
                 });
+            }
+        }
+        if let (Some((key, since)), Some((head, g))) = (self.head_wait, self.head()) {
+            let waited = now.since(since);
+            if key == head && waited > threshold {
+                if let Some(stream) = self.blocking_stream(head, g) {
+                    report.issues.push(HealthIssue {
+                        code: "blocked_stream",
+                        group: Some(stream),
+                        detail: waited,
+                    });
+                }
             }
         }
         report

@@ -2,8 +2,9 @@
 //! proposals, the decided-but-gated queue, the released history and the
 //! checkpoint reports — plus everything a process does *as* a group's
 //! sequencer (timestamping submissions, applying final timestamps,
-//! releasing the stream in key order, heartbeat promises, resync
-//! replays, pruning, takeover and resignation).
+//! releasing the stream in key order, heartbeat promises — every Δ and
+//! when a subscriber's `Probe` asks —, resync replays, pruning, takeover
+//! and resignation).
 //!
 //! ## Sequencer failover
 //!
@@ -53,6 +54,8 @@
 //! | `seq.resync_replays` | `Resync` requests served |
 //! | `seq.resync_frames_replayed` | `Ordered` frames retransmitted by those replays |
 //! | `seq.ckpt_marks` | `CkptMark` reports received for a led group |
+//! | `seq.probes_answered` | promises fanned out because a `Probe` asked for them — on arrival at an idle group, or right after the release that emptied a busy one (useful outcomes) |
+//! | `seq.probes_redundant` | `Probe`s for a timestamp already promised: a second subscriber's, a link duplicate, or one a Δ tick or a release overtook (wasted attempts; `sub.probes_sent` − answered − redundant = lost, stale, or answered by the group's own releases) |
 //! | `seq.takeovers` / `seq.resignations` | groups adopted / dropped on a coordinator change |
 //!
 //! Trace events: `seq.takeover` and `seq.resign` (detail: the epoch),
@@ -161,8 +164,14 @@ pub(super) struct Sequencer {
     /// every `Ordered`/`Heartbeat`, resolved once instead of scanning
     /// the subscription map per message.
     pub(super) subscribers: Vec<ProcessId>,
-    /// Highest promise already heartbeated (avoids redundant sends).
+    /// Highest promise already made (avoids redundant sends): by a
+    /// heartbeat, or implied by releasing a value keyed above it.
     pub(super) promised: u64,
+    /// Highest timestamp a subscriber has probed for
+    /// ([`WbMessage::Probe`]). While it exceeds `promised`, a blocked
+    /// subscriber is waiting on a promise that work in flight held
+    /// back; the release of that work makes it, or is followed by it.
+    pub(super) wanted: u64,
     /// While set, releases and heartbeat promises are held: the
     /// takeover recovery window, during which initiators re-inject
     /// values whose decided timestamps may sort below the new clock.
@@ -172,20 +181,22 @@ pub(super) struct Sequencer {
 }
 
 /// The shared time unit of the hybrid clocks, microseconds. Every
-/// sequencer ticks in this fixed quantum — *not* in its ring's Δ —
-/// so groups with different Δ still advance their timestamps at the
-/// same wall-clock rate and no subscriber's delivery of one group can
-/// lag another group's clock without bound. Δ only paces how often
-/// the promise is *communicated* (heartbeats).
+/// sequencer ticks in this fixed quantum — *not* in its ring's Δ — so
+/// groups with different Δ advance their timestamps at the same rate.
+/// Δ only paces how often the promise is *communicated* unasked
+/// (heartbeats).
 ///
-/// The quantum also bounds cross-group release: when a busy group's
-/// count-driven timestamps outrun an idle group's time-driven promise,
-/// the busy group's deliveries at shared subscribers drain at most
-/// `1 / CLOCK_QUANTUM_US` values per second (the sequencer's Lamport
-/// receive rule lifts this cap entirely when the idle sequencer's process also
-/// subscribes to the busy group). One microsecond puts that floor at
-/// 10⁶ values/s/group — above any workload this simulator drives — at
-/// no cost: timestamps are u64 and their magnitude carries no meaning.
+/// The rate is all they share: each clock reads its own process's
+/// `now`, and over TCP every process counts from its own start. Nor
+/// does the quantum bound cross-group release any more. A busy group's
+/// count-driven timestamps can outrun an idle group's time-driven
+/// promise, but the blocked subscriber then names the timestamp it
+/// waits for (`Probe`) and the idle sequencer's clock jumps past it, as
+/// it always has when that sequencer's process subscribes to the busy
+/// group and observes the timestamp first-hand. One microsecond keeps
+/// time-driven timestamps readable as "µs since the sequencer's process
+/// started" at no cost: they are u64 and their magnitude carries no
+/// meaning.
 pub const CLOCK_QUANTUM_US: u64 = 1;
 
 impl Sequencer {
@@ -204,6 +215,7 @@ impl Sequencer {
             delta_us,
             subscribers,
             promised: 0,
+            wanted: 0,
             resume_at,
             state: SequencerState {
                 epoch,
@@ -214,11 +226,11 @@ impl Sequencer {
     }
 
     /// Advances the hybrid clock with elapsed time: future timestamps
-    /// of this group always exceed `now / CLOCK_QUANTUM_US`, keeping
-    /// independent groups loosely aligned so no group waits long on
-    /// another.
+    /// of this group always exceed `now / CLOCK_QUANTUM_US` — this
+    /// process's `now`, so an idle group's promises keep rising between
+    /// the timestamps it is told about.
     pub(super) fn bump_clock(&mut self, now: Time) {
-        let floor = now.as_micros() / CLOCK_QUANTUM_US + 1;
+        let floor = (now.as_micros() / CLOCK_QUANTUM_US).saturating_add(1);
         self.state.next_ts = self.state.next_ts.max(floor);
     }
 
@@ -228,8 +240,12 @@ impl Sequencer {
     /// timestamps never outrun an idle co-located group's promises
     /// (which would cap the busy group's delivery rate at the
     /// time-based tick rate).
+    ///
+    /// `ts` may come straight off the wire, so the step saturates: a
+    /// hostile `u64::MAX` pins the clock instead of wrapping it to zero
+    /// (or panicking a debug build).
     fn observe(&mut self, ts: u64) {
-        self.state.next_ts = self.state.next_ts.max(ts + 1);
+        self.state.next_ts = self.state.next_ts.max(ts.saturating_add(1));
     }
 
     /// The smallest key an undecided proposal could still finalize at
@@ -401,7 +417,7 @@ impl WbcastNode {
             } else {
                 seq.bump_clock(now);
                 let ts = seq.state.next_ts;
-                seq.state.next_ts += 1;
+                seq.state.next_ts = ts.saturating_add(1);
                 if groups.len() > 1 {
                     seq.state.pending.insert(
                         id,
@@ -522,17 +538,22 @@ impl WbcastNode {
             // re-injected by initiators (at their already-decided,
             // possibly small timestamps) sort in before release.
             if seq.resume_at.is_some_and(|t| now < t) {
-                return;
+                break;
             }
             let Some((&key, _)) = seq.state.outq.first_key_value() else {
-                return;
+                break;
             };
             if seq.undecided_bound().is_some_and(|bound| key > bound) {
-                return;
+                break;
             }
             let (value, groups) = seq.state.outq.remove(&key).expect("head key present");
-            // Future assignments must key above everything released.
+            // Future assignments must key above everything released —
+            // which makes the release itself a promise of everything
+            // below its timestamp: no heartbeat need say so again. (A
+            // decided key carries the `Final`'s wire-supplied timestamp,
+            // zero included.)
             seq.observe(key.0);
+            seq.promised = seq.promised.max(key.0.saturating_sub(1));
             // Retain the released value for subscriber resyncs; the
             // clones are cheap (`Bytes` payload) and the entry is
             // pruned once every subscriber's durable checkpoint
@@ -573,6 +594,53 @@ impl WbcastNode {
             if local {
                 self.on_ordered(now, group, epoch, ts, groups, value, out);
             }
+        }
+        // A probe may have been waiting for exactly this release.
+        self.honour_probe(now, group, out);
+    }
+
+    /// Sequencer side: a subscriber's delivery is blocked on `group`'s
+    /// frontier at timestamp `ts`. The clock jumps past `ts` (Lamport
+    /// receive rule) and, the group being idle, the promise goes out
+    /// now instead of at the next Δ tick — through
+    /// [`Self::emit_heartbeats`], to every subscriber, so the other
+    /// subscribers' probes for the same timestamp find it already made.
+    pub(super) fn on_probe(&mut self, now: Time, group: GroupId, ts: u64, out: &mut Vec<Action>) {
+        let Some(seq) = self.led.get_mut(&group) else {
+            // Not this group's sequencer (anymore): whoever is covers
+            // the subscriber with its Δ heartbeat.
+            return;
+        };
+        if ts <= seq.promised {
+            self.tel.incr("seq.probes_redundant", 1);
+            return;
+        }
+        seq.observe(ts);
+        seq.wanted = seq.wanted.max(ts);
+        self.honour_probe(now, group, out);
+    }
+
+    /// Makes the promise a probe is waiting for, once the group has
+    /// nothing in flight. While it has — an undecided proposal, a
+    /// decided value gated behind one — the promise is either capped
+    /// below the probed timestamp, or about to be overtaken by the
+    /// release of that work, which says the same thing without a second
+    /// fan-out: a busy stream carries its own frontier, only an idle one
+    /// has to be asked. (Where every group is busy and the processors
+    /// are saturated, heartbeats sent ahead of in-flight rounds are pure
+    /// cost: each is one more frame for every subscriber to receive.)
+    fn honour_probe(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
+        let Some(seq) = self.led.get(&group) else {
+            return;
+        };
+        let in_flight = !(seq.state.pending.is_empty() && seq.state.outq.is_empty());
+        if seq.wanted <= seq.promised || in_flight {
+            return;
+        }
+        self.emit_heartbeats(now, &[group], out);
+        // Unless a takeover hold made `emit_heartbeats` sit this out.
+        if self.led.get(&group).is_some_and(|s| s.wanted <= s.promised) {
+            self.tel.incr("seq.probes_answered", 1);
         }
     }
 
@@ -789,7 +857,11 @@ impl WbcastNode {
                 ring,
                 delta_us,
                 epoch,
-                self.observed.get(&g).copied().unwrap_or(0) + 1,
+                self.observed
+                    .get(&g)
+                    .copied()
+                    .unwrap_or(0)
+                    .saturating_add(1),
                 Some(resume_at),
                 self.config.subscribers_of(g),
             );

@@ -42,6 +42,20 @@ fn pump_at(
     now: Time,
     strict: bool,
 ) -> Pumped {
+    pump_with(nodes, queue, strict, |_| now, |_| 1)
+}
+
+/// The general pump: every process reads its own clock (`now_of` — as
+/// over TCP, where each runtime counts from its own start), and
+/// `copies` decides how many times a sent frame arrives (0 drops it,
+/// 2 duplicates it).
+fn pump_with(
+    nodes: &mut Map<ProcessId, WbcastNode>,
+    queue: Vec<(ProcessId, Action)>,
+    strict: bool,
+    now_of: impl Fn(ProcessId) -> Time,
+    mut copies: impl FnMut(&Message) -> usize,
+) -> Pumped {
     // FIFO processing: the Action::Send contract promises reliable
     // in-order channels, and the engine's stream frontiers build on
     // exactly that promise.
@@ -60,13 +74,19 @@ fn pump_at(
                     assert!(!strict, "send to unknown process {to}");
                     continue; // crashed process: the frame is lost
                 };
-                if let Message::Engine { payload, .. } = &msg {
-                    if frame_references_value(payload.clone()) {
-                        *result.value_frames_at.entry(to).or_default() += 1;
+                for _ in 0..copies(&msg) {
+                    if let Message::Engine { payload, .. } = &msg {
+                        if frame_references_value(payload.clone()) {
+                            *result.value_frames_at.entry(to).or_default() += 1;
+                        }
                     }
-                }
-                for a in node.on_event(now, Event::Message { from: origin, msg }) {
-                    queue.push_back((to, a));
+                    let event = Event::Message {
+                        from: origin,
+                        msg: msg.clone(),
+                    };
+                    for a in node.on_event(now_of(to), event) {
+                        queue.push_back((to, a));
+                    }
                 }
             }
             Action::Deliver {
@@ -1846,4 +1866,317 @@ fn health_probe_flags_held_deliveries_during_resync() {
         AmcastEngine::telemetry(&fresh).gauge("sub.resyncing_streams"),
         1
     );
+}
+
+// ---------------------------------------------------------------------
+// Demand-driven promises: a blocked subscriber probes the idle stream.
+// ---------------------------------------------------------------------
+
+/// g0 on ring {p0, p2} (sequencer p0), g1 on ring {p1, p2} (sequencer
+/// p1); only p2 subscribes to both, so neither sequencer ever sees the
+/// other group's timestamps.
+fn idle_stream_config() -> ClusterConfig {
+    let mut b = ClusterConfig::builder();
+    for g in 0..2u16 {
+        b = b
+            .ring(
+                RingSpec::new(RingId::new(g))
+                    .member(ProcessId::new(u32::from(g)), Roles::ALL)
+                    .member(ProcessId::new(2), Roles::ALL),
+            )
+            .group(GroupId::new(g), RingId::new(g))
+            .subscribe(ProcessId::new(u32::from(g)), GroupId::new(g))
+            .subscribe(ProcessId::new(2), GroupId::new(g));
+    }
+    b.build().expect("idle-stream config")
+}
+
+/// Submits one single-group value at `p` and returns the resulting
+/// actions tagged with their origin, ready for a pump.
+fn submit(
+    nodes: &mut Map<ProcessId, WbcastNode>,
+    p: ProcessId,
+    now: Time,
+    group: GroupId,
+) -> Vec<(ProcessId, Action)> {
+    let node = nodes.get_mut(&p).unwrap();
+    let (_, actions) =
+        AmcastEngine::multicast(node, now, &[group], Bytes::from_static(b"v")).unwrap();
+    actions.into_iter().map(|a| (p, a)).collect()
+}
+
+fn is_probe(msg: &Message) -> bool {
+    matches!(msg, Message::Engine { payload, .. } if frame_kind(payload.clone()) == Some("probe"))
+}
+
+/// The wbcast frames among `actions`' sends.
+fn sent_frames(actions: &[Action]) -> Vec<WbMessage> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Send {
+                msg: Message::Engine { payload, .. },
+                ..
+            } => WbMessage::parse(payload.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Over TCP every process counts time from its own start, so two
+/// sequencers' hybrid clocks can sit arbitrarily far apart. Without the
+/// probe, p2 would hold g0's value until p1's clock — 10 s behind p0's —
+/// caught up by itself; with it, delivery costs one round trip to p1
+/// and no timer at all (this pump fires none).
+#[test]
+fn blocked_subscriber_probes_the_idle_sequencer_across_time_bases() {
+    let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let mut nodes = spawn(&idle_stream_config());
+    let now_of = |p: ProcessId| {
+        if p == p0 {
+            Time::from_secs(10)
+        } else {
+            Time::from_micros(300)
+        }
+    };
+    let queue = submit(&mut nodes, p0, now_of(p0), GroupId::new(0));
+    let delivered = pump_with(&mut nodes, queue, true, now_of, |_| 1).delivered;
+    assert_eq!(delivered[&p2].len(), 1, "p2 delivers on the probe's answer");
+    assert_eq!(delivered[&p2], delivered[&p0]);
+    assert!(delivered[&p2][0].1 > 10_000_000, "keyed on p0's time base");
+    assert_eq!(counter(&nodes[&p2], "sub.probes_sent"), 1);
+    assert_eq!(counter(&nodes[&p1], "seq.probes_answered"), 1);
+    assert_eq!(counter(&nodes[&p1], "seq.probes_redundant"), 0);
+    let waits = &nodes[&p2].telemetry().histograms["sub.frontier_wait_us"];
+    assert_eq!(waits.count(), 1, "the blocked head's wait is recorded");
+}
+
+/// Where the idle group's sequencer subscribes to the busy group (the
+/// dLog and MRP-Store deployments: everyone subscribes to everything)
+/// it sees the value itself, and the probe that matters is the one it
+/// routes to itself — nobody else puts a `Probe` on the wire.
+#[test]
+fn sequencer_that_sees_the_value_asks_itself_and_nobody_else_asks() {
+    let mut b = ClusterConfig::builder();
+    for g in 0..2u16 {
+        let mut spec = RingSpec::new(RingId::new(g));
+        for p in 0..3u32 {
+            spec = spec.member(ProcessId::new((p + u32::from(g)) % 3), Roles::ALL);
+            b = b.subscribe(ProcessId::new(p), GroupId::new(g));
+        }
+        b = b.ring(spec).group(GroupId::new(g), RingId::new(g));
+    }
+    let mut nodes = spawn(&b.build().expect("shared two-group config"));
+    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+    // g0's sequencer p0 runs 10 s ahead of everyone else.
+    let now_of = |p: ProcessId| Time::from_secs(if p == p0 { 10 } else { 0 });
+    let queue = submit(&mut nodes, p0, now_of(p0), GroupId::new(0));
+    let mut probes_on_the_wire = 0;
+    let delivered = pump_with(&mut nodes, queue, true, now_of, |m| {
+        probes_on_the_wire += usize::from(is_probe(m));
+        1
+    })
+    .delivered;
+    assert_eq!(delivered.len(), 3, "everyone delivers, no timer fired");
+    assert_eq!(probes_on_the_wire, 0);
+    let sent: Vec<u64> = nodes
+        .values()
+        .map(|n| counter(n, "sub.probes_sent"))
+        .collect();
+    assert_eq!(sent, [0, 1, 0], "g1's sequencer p1 asked itself");
+    assert_eq!(counter(&nodes[&p1], "seq.probes_answered"), 1);
+}
+
+/// The Δ heartbeat is the backstop: with every `Probe` lost, each
+/// subscriber still delivers the sequence it delivers with probes, one
+/// tick later. (Sequences of values: the timestamps differ, a probe
+/// being one more frame the Lamport receive rule applies to.)
+#[test]
+fn dropped_probes_fall_back_to_the_delta_heartbeat() {
+    let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+    let at = Time::from_micros(1_000);
+    let run = |lose_probes: bool| {
+        let mut nodes = spawn(&idle_stream_config());
+        let mut delivered: Map<ProcessId, Vec<(GroupId, ValueId)>> = Map::new();
+        let mut pump = |nodes: &mut Map<ProcessId, WbcastNode>, queue, now: Time| {
+            let copies = |m: &Message| usize::from(!(lose_probes && is_probe(m)));
+            for (p, seq) in pump_with(nodes, queue, true, |_| now, copies).delivered {
+                let values = seq.into_iter().map(|(g, _, id)| (g, id));
+                delivered.entry(p).or_default().extend(values);
+            }
+            delivered.get(&p2).map_or(0, Vec::len)
+        };
+        let mut before_tick = 0;
+        for (p, g) in [(p0, g0), (p1, g1), (p0, g0)] {
+            let queue = submit(&mut nodes, p, at, g);
+            before_tick = pump(&mut nodes, queue, at);
+        }
+        // One Δ later both sequencers tick.
+        let tick = at.plus(RingTuning::default().delta_us);
+        for (p, ring) in [(p0, 0), (p1, 1)] {
+            let fired = nodes
+                .get_mut(&p)
+                .unwrap()
+                .on_event(tick, Event::Timer(TimerKind::Delta(RingId::new(ring))));
+            pump(
+                &mut nodes,
+                fired.into_iter().map(|a| (p, a)).collect(),
+                tick,
+            );
+        }
+        (delivered, before_tick)
+    };
+    let (with_probes, early) = run(false);
+    let (without, early_without) = run(true);
+    assert_eq!(with_probes[&p2].len(), 3);
+    assert_eq!(early, 3, "probes deliver everything before any tick");
+    assert!(early_without < 3, "without them p2 waits for the tick");
+    assert_eq!(without, with_probes, "same sequences at every subscriber");
+}
+
+/// A probe for a timestamp already promised — the second subscriber's,
+/// a link-level duplicate, or one the Δ tick overtook — costs a counter
+/// bump and nothing on the wire.
+#[test]
+fn duplicated_or_overtaken_probe_makes_no_second_promise() {
+    let (p1, p2) = (ProcessId::new(1), ProcessId::new(2));
+    let g1 = GroupId::new(1);
+    let mut n1 = WbcastNode::new(p1, idle_stream_config());
+    let probe = |n1: &mut WbcastNode, now: Time, ts: u64| {
+        let msg = WbMessage::Probe { group: g1, ts }.into_frame();
+        sent_frames(&n1.on_event(now, Event::Message { from: p2, msg }))
+    };
+    let now = Time::from_micros(100);
+    let first = probe(&mut n1, now, 5_000);
+    assert!(
+        matches!(first[..], [WbMessage::Heartbeat { ts, .. }] if ts >= 5_000),
+        "one promise, to the one remote subscriber: {first:?}"
+    );
+    assert_eq!(probe(&mut n1, now, 5_000), vec![], "duplicate");
+    assert_eq!(
+        probe(&mut n1, now, 4_000),
+        vec![],
+        "reordered behind a later one"
+    );
+    // The tick promises past 9 000 before the probe for it arrives.
+    let tick = Time::from_micros(9_500);
+    let fired = n1.on_event(tick, Event::Timer(TimerKind::Delta(RingId::new(1))));
+    assert_eq!(sent_frames(&fired).len(), 1);
+    assert_eq!(
+        probe(&mut n1, tick, 9_000),
+        vec![],
+        "overtaken by the Δ heartbeat"
+    );
+    assert_eq!(counter(&n1, "seq.probes_answered"), 1);
+    assert_eq!(counter(&n1, "seq.probes_redundant"), 3);
+}
+
+/// A promise may not overtake an undecided proposal, so a probe that
+/// meets one is not answered on arrival. It is answered by the
+/// activation that decides the proposal, not by the next Δ tick: by the
+/// released value itself when that is keyed past the probed timestamp,
+/// by a heartbeat right behind it when it is not.
+#[test]
+fn probe_behind_an_undecided_proposal_is_answered_by_its_final() {
+    let (p1, p2) = (ProcessId::new(1), ProcessId::new(2));
+    let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+    // The probe asks for `proposal + 50`; the round decides `decided_at`
+    // past the proposal. Returns what the Final's activation sends.
+    let run = |decided_at: u64| {
+        let mut n1 = WbcastNode::new(p1, idle_stream_config());
+        let now = Time::from_micros(100);
+        let mut recv = |msg: WbMessage| {
+            let msg = msg.into_frame();
+            sent_frames(&n1.on_event(now, Event::Message { from: p2, msg }))
+        };
+        let id = ValueId::new(p2, 1);
+        let proposed = recv(WbMessage::Submit {
+            group: g1,
+            groups: vec![g0, g1],
+            value: Value::new(id, g0, Bytes::from_static(b"m")),
+        });
+        let [WbMessage::ProposeAck { ts: proposal, .. }] = proposed[..] else {
+            panic!("expected a proposal, got {proposed:?}");
+        };
+        let probed = recv(WbMessage::Probe {
+            group: g1,
+            ts: proposal + 50,
+        });
+        assert_eq!(probed, vec![], "nothing is promised past the proposal");
+        let ts = proposal + decided_at;
+        let sent = recv(WbMessage::Final { group: g1, id, ts });
+        let shape: Vec<(&str, u64)> = sent
+            .iter()
+            .filter_map(|m| match m {
+                WbMessage::Ordered { ts, .. } => Some(("ordered", *ts - proposal)),
+                WbMessage::Heartbeat { ts, .. } => Some(("heartbeat", *ts - proposal)),
+                _ => None,
+            })
+            .collect();
+        (shape, counter(&n1, "seq.probes_answered"))
+    };
+    // Decided below the probed timestamp: value first, promise behind.
+    let (sent, answered) = run(7);
+    assert!(
+        matches!(sent[..], [("ordered", 7), ("heartbeat", at)] if at >= 50),
+        "{sent:?}"
+    );
+    assert_eq!(answered, 1);
+    // Decided past it: the value is the answer.
+    assert_eq!(run(60), (vec![("ordered", 60)], 0));
+}
+
+/// A process subscribed to one group has no other stream to wait for:
+/// it never sends a probe, whatever the load.
+#[test]
+fn single_group_subscriber_never_probes() {
+    let mut nodes = spawn(&single_ring(3, RingTuning::default()));
+    let mut probes_seen = 0;
+    for i in 0..30u64 {
+        let p = ProcessId::new((i % 3) as u32);
+        let now = Time::from_micros(i * 40);
+        let queue = submit(&mut nodes, p, now, GroupId::new(0));
+        pump_with(
+            &mut nodes,
+            queue,
+            true,
+            |_| now,
+            |m| {
+                probes_seen += usize::from(is_probe(m));
+                1
+            },
+        );
+    }
+    assert_eq!(probes_seen, 0);
+    for n in nodes.values() {
+        assert_eq!(counter(n, "sub.delivered"), 30);
+        assert_eq!(counter(n, "sub.probes_sent"), 0);
+    }
+}
+
+/// Health probe: a head value that neither a probe's answer nor a Δ
+/// heartbeat has unblocked for [`STALL_DELTAS`] intervals names the
+/// stream it is waiting on.
+#[test]
+fn health_probe_names_the_stream_blocking_the_head() {
+    let (p0, p2) = (ProcessId::new(0), ProcessId::new(2));
+    let mut nodes = spawn(&idle_stream_config());
+    let at = Time::from_micros(1_000);
+    let queue = submit(&mut nodes, p0, at, GroupId::new(0));
+    // p1 is unreachable: the probe is lost and no heartbeat comes.
+    nodes.remove(&ProcessId::new(1));
+    pump_lossy(&mut nodes, queue, at);
+    let n2 = &nodes[&p2];
+    assert_eq!(counter(n2, "sub.delivered"), 0);
+    let delta_us = RingTuning::default().delta_us;
+    let threshold = crate::telemetry::STALL_DELTAS * delta_us;
+    assert!(AmcastEngine::health(n2, at.plus(threshold)).is_healthy());
+    let report = AmcastEngine::health(n2, at.plus(threshold + 1));
+    let issue = report
+        .issues_with("blocked_stream")
+        .next()
+        .expect("flagged");
+    assert_eq!(issue.group, Some(GroupId::new(1)), "waiting on idle g1");
+    assert_eq!(issue.detail, threshold + 1);
 }

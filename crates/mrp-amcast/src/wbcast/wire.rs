@@ -1,4 +1,4 @@
-//! The engine's private wire vocabulary: the twelve [`WbMessage`] frames
+//! The engine's private wire vocabulary: the thirteen [`WbMessage`] frames
 //! carried inside [`Message::Engine`] payloads, their byte layout
 //! (`into_frame` / `parse`), and the two payload classifiers test
 //! harnesses use without depending on that layout.
@@ -23,6 +23,7 @@ const TAG_RESYNC_DONE: u8 = 9;
 const TAG_ORPHAN_QUERY: u8 = 10;
 const TAG_ORPHAN_STATE: u8 = 11;
 const TAG_ORPHAN_FINAL: u8 = 12;
+const TAG_PROBE: u8 = 13;
 
 /// The engine's private messages, carried inside [`Message::Engine`].
 #[derive(Clone, PartialEq, Debug)]
@@ -71,6 +72,12 @@ pub(super) enum WbMessage {
     /// The sequencer's promise that all future timestamps of `group`
     /// are strictly greater than `ts`, stamped with its epoch.
     Heartbeat { group: GroupId, epoch: u32, ts: u64 },
+    /// A subscriber whose delivery is blocked on `group`'s frontier asks
+    /// the group's sequencer for a promise covering `ts`, the blocked
+    /// value's timestamp, instead of waiting for the next Δ heartbeat.
+    /// Answered, if at all, by an ordinary [`WbMessage::Heartbeat`] to
+    /// every subscriber.
+    Probe { group: GroupId, ts: u64 },
     /// A subscriber restarting from a checkpoint asks `group`'s
     /// sequencer to replay its released stream above `from_ts` (the
     /// restored checkpoint's delivery mark) from the retained
@@ -262,6 +269,10 @@ impl WbMessage {
                 b.put_u32_le(*epoch);
                 b.put_u64_le(*ts);
             }
+            WbMessage::Probe { group, ts } => {
+                put_head(b, TAG_PROBE, *group);
+                b.put_u64_le(*ts);
+            }
             WbMessage::Resync { group, from_ts } => {
                 put_head(b, TAG_RESYNC, *group);
                 b.put_u64_le(*from_ts);
@@ -338,6 +349,10 @@ impl WbMessage {
                 epoch: get_u32(b).ok()?,
                 ts: get_u64(b).ok()?,
             },
+            TAG_PROBE => WbMessage::Probe {
+                group,
+                ts: get_u64(b).ok()?,
+            },
             TAG_RESYNC => WbMessage::Resync {
                 group,
                 from_ts: get_u64(b).ok()?,
@@ -373,9 +388,10 @@ impl WbMessage {
 /// `ProposeAck`/`Final`/`FinalAck` and the orphan-recovery exchange
 /// (`OrphanQuery`/`OrphanState`/`OrphanFinal`, which travels only
 /// between addressed groups' sequencers) reference one by id;
-/// heartbeats and the checkpoint traffic (`Resync`/`CkptMark`, which
-/// travel only between a group's subscribers and its sequencer) are
-/// pure control traffic. Genuineness tests use this to assert that
+/// heartbeats, the probes that ask for one, and the checkpoint traffic
+/// (`Resync`/`CkptMark`) — all of which travel only between a group's
+/// subscribers and its sequencer and name timestamps, never a value —
+/// are pure control traffic. Genuineness tests use this to assert that
 /// processes outside an addressed group set γ see no protocol traffic
 /// for γ's messages.
 pub fn frame_references_value(payload: Bytes) -> bool {
@@ -408,6 +424,7 @@ pub fn frame_kind(payload: Bytes) -> Option<&'static str> {
         WbMessage::FinalAck { .. } => "final_ack",
         WbMessage::Ordered { .. } => "ordered",
         WbMessage::Heartbeat { .. } => "heartbeat",
+        WbMessage::Probe { .. } => "probe",
         WbMessage::Resync { .. } => "resync",
         WbMessage::CkptMark { .. } => "ckpt_mark",
         WbMessage::ResyncDone { .. } => "resync_done",
@@ -419,7 +436,11 @@ pub fn frame_kind(payload: Bytes) -> Option<&'static str> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::WbcastNode;
     use super::*;
+    use multiring_paxos::config::{ClusterConfig, RingSpec, Roles};
+    use multiring_paxos::event::{Event, StateMachine, TimerKind};
+    use multiring_paxos::types::{Ballot, RingId, Time};
     use proptest::prelude::*;
 
     /// One frame per wire tag plus the remaining three [`OrphanSt`]
@@ -427,6 +448,7 @@ mod tests {
     /// before the wire code was rewritten onto `codec`'s field helpers.
     /// Deployed peers parse exactly these bytes: an encoder change that
     /// moves any of them is a wire-format change, not a refactor.
+    /// (`Probe`, tag 13, came later and is pinned at its first encoding.)
     fn golden() -> Vec<(WbMessage, &'static str)> {
         let id = ValueId::new(ProcessId::new(3), 9);
         let value = Value::new(id, GroupId::new(1), Bytes::from_static(b"payload"));
@@ -489,6 +511,7 @@ mod tests {
                 },
                 "030000020000000700000000000000",
             ),
+            (WbMessage::Probe { group: g1, ts: 8 }, "0d01000800000000000000"),
             (
                 WbMessage::Resync {
                     group: g1,
@@ -567,10 +590,167 @@ mod tests {
         }
     }
 
+    /// `Probe` names a timestamp, never a value: genuineness oracles
+    /// must not count it as traffic for a message.
+    #[test]
+    fn probe_is_classified_as_control_traffic() {
+        let payload = payload_of(WbMessage::Probe {
+            group: GroupId::new(1),
+            ts: 8,
+        });
+        assert_eq!(frame_kind(payload.clone()), Some("probe"));
+        assert!(!frame_references_value(payload));
+    }
+
+    /// p0 of three processes that all subscribe to three groups on
+    /// rotated rings: it sequences g0, subscribes to everything, and
+    /// holds an undecided proposal — every handler has live state to
+    /// run against.
+    fn live_node() -> WbcastNode {
+        let mut b = ClusterConfig::builder();
+        for g in 0..3u16 {
+            let mut spec = RingSpec::new(RingId::new(g));
+            for p in 0..3u32 {
+                spec = spec.member(ProcessId::new((p + u32::from(g)) % 3), Roles::ALL);
+                b = b.subscribe(ProcessId::new(p), GroupId::new(g));
+            }
+            b = b.ring(spec).group(GroupId::new(g), RingId::new(g));
+        }
+        let config = b.build().expect("three-group config");
+        let mut node = WbcastNode::new(ProcessId::new(0), config);
+        node.on_event(Time::ZERO, Event::Start);
+        let id = ValueId::new(ProcessId::new(3), 9);
+        let submit = WbMessage::Submit {
+            group: GroupId::new(0),
+            groups: vec![GroupId::new(0), GroupId::new(1)],
+            value: Value::new(id, GroupId::new(0), Bytes::from_static(b"pending")),
+        };
+        node.on_event(
+            Time::ZERO,
+            Event::Message {
+                from: ProcessId::new(1),
+                msg: submit.into_frame(),
+            },
+        );
+        node
+    }
+
+    /// Feeds `payload` to a live node as an engine frame from p1, then
+    /// lets the node run a heartbeat tick over whatever state it left.
+    fn dispatch(node: &mut WbcastNode, payload: Bytes) {
+        let msg = Message::Engine {
+            engine: WBCAST_WIRE_ID,
+            payload,
+        };
+        let from = ProcessId::new(1);
+        node.on_event(Time::from_micros(10), Event::Message { from, msg });
+        node.on_event(
+            Time::from_micros(20),
+            Event::Timer(TimerKind::Delta(RingId::new(0))),
+        );
+    }
+
     proptest! {
+        /// No byte string panics the parser, and whatever it accepts is
+        /// safe to hand to a running node (debug assertions on, so
+        /// arithmetic on a wire-supplied field may not overflow).
         #[test]
         fn prop_parse_arbitrary_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = WbMessage::parse(Bytes::from(data));
+            let payload = Bytes::from(data);
+            if WbMessage::parse(payload.clone()).is_some() {
+                dispatch(&mut live_node(), payload);
+            }
+        }
+
+        /// The same for well-formed frames with hostile fields: a
+        /// sequence of frames of every kind, their timestamps drawn from
+        /// the edges of `u64`, dispatched into one node so each meets
+        /// the state the previous ones left (a clock pinned at the
+        /// maximum, a proposal decided at zero, …).
+        #[test]
+        fn prop_dispatching_frames_with_extreme_fields_never_panics(
+            draws in proptest::collection::vec(any::<u64>(), 3..150),
+        ) {
+            let mut node = live_node();
+            for draw in draws.chunks_exact(3) {
+                dispatch(&mut node, payload_of(hostile_frame(draw[0], draw[1], draw[2])));
+            }
+            // And a takeover resumes past whatever they made it observe.
+            let takeover = Event::CoordinatorChange {
+                ring: RingId::new(1),
+                coordinator: ProcessId::new(0),
+                supersedes: Ballot::new(1, ProcessId::new(0)),
+            };
+            node.on_event(Time::from_micros(30), takeover);
+        }
+    }
+
+    /// A timestamp at an edge of the domain three times out of four.
+    fn edge(draw: u64) -> u64 {
+        match draw % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => u64::MAX - 1,
+            _ => (draw >> 2) % 64,
+        }
+    }
+
+    /// A well-formed frame of the kind, group and round `shape` picks,
+    /// carrying timestamps `edge(t1)` / `edge(t2)`. Half the frames
+    /// concern the proposal [`live_node`] holds undecided.
+    fn hostile_frame(shape: u64, t1: u64, t2: u64) -> WbMessage {
+        let group = GroupId::new((shape >> 8) as u16 % 4);
+        let epoch = (shape >> 16) as u32 % 3;
+        let attempt = (shape >> 24) as u32 % 3;
+        let seq = if shape >> 32 & 1 == 0 {
+            9
+        } else {
+            10 + (shape >> 33) % 4
+        };
+        let id = ValueId::new(ProcessId::new(3), seq);
+        let (ts, ts2) = (edge(t1), edge(t2));
+        let value = Value::new(id, group, Bytes::from_static(b"hostile"));
+        let groups = vec![
+            group,
+            GroupId::new(group.value() + (shape >> 40) as u16 % 2),
+        ];
+        match shape % 13 {
+            0 => WbMessage::Submit {
+                group,
+                groups,
+                value,
+            },
+            1 => WbMessage::ProposeAck { group, id, ts },
+            2 => WbMessage::Final { group, id, ts },
+            3 => WbMessage::FinalAck { group, id, ts },
+            4 => WbMessage::Ordered {
+                group,
+                epoch,
+                ts,
+                groups,
+                value,
+            },
+            5 => WbMessage::Heartbeat { group, epoch, ts },
+            6 => WbMessage::Probe { group, ts },
+            7 => WbMessage::Resync { group, from_ts: ts },
+            8 => WbMessage::CkptMark { group, ts },
+            9 => WbMessage::ResyncDone {
+                group,
+                epoch,
+                ts,
+                gap_to: ts2,
+            },
+            10 => WbMessage::OrphanQuery { group, id, attempt },
+            11 => {
+                let state = OrphanSt::from_wire((t2 >> 2) as u8 % 4, ts).expect("kind below 4");
+                WbMessage::OrphanState {
+                    group,
+                    id,
+                    attempt,
+                    state,
+                }
+            }
+            _ => WbMessage::OrphanFinal { group, id, ts },
         }
     }
 }

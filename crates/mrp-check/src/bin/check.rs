@@ -2,7 +2,8 @@
 //! `cargo run --release -p mrp-check --bin check -- [--depth N] [--liveness] [--out FILE] [--baseline FILE]`.
 //!
 //! Explores both engines' three-node mixed-traffic scenario (plus the
-//! genuineness deployment and both batching regimes) with fault
+//! genuineness deployment, both batching regimes and the idle-stream
+//! deployment whose delivery rides on a `Probe`) with fault
 //! branching on, twice each: once with deduplication and partial-order
 //! reduction enabled, once naive, reporting the state-count reduction.
 //! `--liveness` additionally runs lasso-based non-progress detection on
@@ -173,6 +174,7 @@ fn main() -> ExitCode {
         Scenario::genuine_pairs(),
         Scenario::batched(EngineKind::Wbcast, false),
         Scenario::batched(EngineKind::Wbcast, true),
+        Scenario::idle_stream(),
     ];
     let mut runs = Vec::new();
     let mut failed = false;

@@ -182,6 +182,45 @@ impl Scenario {
         }
     }
 
+    /// An idle stream in front of a busy one: g0 lives on ring
+    /// {p0, p2} and is sequenced by p0, g1 on ring {p1, p2} sequenced by
+    /// p1; only p2 subscribes to both, and the one submission goes to
+    /// g0. p2 cannot deliver it until g1's frontier passes its
+    /// timestamp, and p1 — which never sees g0's traffic — learns that
+    /// timestamp only from p2's `Probe`. The `2>1` channel carries
+    /// nothing else, so the drop and duplicate branches on it are
+    /// exactly "probe lost" (the Δ heartbeat must still deliver) and
+    /// "probe repeated" (one promise, not two).
+    pub fn idle_stream() -> Scenario {
+        let tuning = quiet_tuning();
+        let mut b = ClusterConfig::builder();
+        for g in 0..2u16 {
+            b = b
+                .ring(
+                    RingSpec::new(RingId::new(g))
+                        .tuning(tuning)
+                        .member(ProcessId::new(u32::from(g)), Roles::ALL)
+                        .member(ProcessId::new(2), Roles::ALL),
+                )
+                .group(GroupId::new(g), RingId::new(g))
+                .subscribe(ProcessId::new(u32::from(g)), GroupId::new(g))
+                .subscribe(ProcessId::new(2), GroupId::new(g));
+        }
+        let config = b.build().expect("static scenario config is valid");
+        Scenario {
+            name: "idle-stream-wbcast".into(),
+            factory: boxed_factory(EngineKind::Wbcast, config.clone(), None),
+            config,
+            submissions: vec![Submission {
+                at: ProcessId::new(0),
+                groups: vec![GroupId::new(0)],
+                payload: Bytes::from_static(b"behind-idle-g1"),
+                via_request: false,
+            }],
+            value_frame_allowed: Some([ProcessId::new(0), ProcessId::new(2)].into_iter().collect()),
+        }
+    }
+
     /// A batching-enabled deployment of either engine: three client
     /// requests at two processes through the submission batcher. With
     /// `window_bound` false the batcher flushes on its two-value size

@@ -83,6 +83,31 @@ fn batched_scenarios_are_violation_free_under_faults() {
 }
 
 #[test]
+fn idle_stream_delivery_survives_lost_and_repeated_probes() {
+    // p2's delivery of g0's value rides on a Probe to idle g1's
+    // sequencer. The fault budget drops and duplicates it (and crashes
+    // either end); refinement and the lasso pass must both stay clean —
+    // the Δ heartbeat is the liveness argument, the probe only a
+    // short-cut.
+    let scenario = Scenario::idle_stream();
+    let report = check(
+        &scenario,
+        CheckerConfig {
+            liveness: true,
+            ..fault_cfg(5)
+        },
+    );
+    assert!(
+        report.violation.is_none(),
+        "unexpected violation:\n{}",
+        report.violation.unwrap()
+    );
+    assert!(!report.capped, "exploration hit the state cap");
+    assert!(report.explored > 1_000, "explored only {}", report.explored);
+    assert!(report.quiescent > 0, "some schedule must run to completion");
+}
+
+#[test]
 fn liveness_pass_is_clean_on_the_real_engines() {
     // Lasso detection must not produce false positives on the real
     // engines: every repeated progress-insensitive state the DFS sees

@@ -2,13 +2,19 @@
 //! bugs in earlier PRs, replayed against HEAD on every test run. Each
 //! `.sched` file documents the pre-fix failure mode; these tests assert
 //! the schedules now run violation-free with the expected deliveries.
+//! The two `pr17_probe_*` schedules pin fault branches rather than past
+//! bugs: the exact drop and duplicate the exploration of
+//! `idle-stream-wbcast` takes on the channel that carries only probes.
 
 use mrp_check::toy::{toy_reorder_scenario, toy_wedge_scenario};
 use mrp_check::{replay_schedule, Scenario, Schedule};
 use multiring_paxos::types::ProcessId;
+use std::collections::BTreeMap;
 
 const COALESCER_SCHED: &str = include_str!("../schedules/pr7_coalescer_last_frame.sched");
 const ORPHAN_SCHED: &str = include_str!("../schedules/pr5_orphan_reentrancy.sched");
+const PROBE_DROPPED_SCHED: &str = include_str!("../schedules/pr17_probe_dropped.sched");
+const PROBE_DUPLICATED_SCHED: &str = include_str!("../schedules/pr17_probe_duplicated.sched");
 const WEDGE_SCHED: &str = include_str!("../schedules/toy_wedge_lasso.sched");
 const REORDER_SCHED: &str = include_str!("../schedules/toy_reorder_refinement.sched");
 
@@ -68,6 +74,50 @@ fn pr5_orphaned_round_completes_after_initiator_crash() {
     );
 }
 
+/// Replays `text` against the idle-stream deployment: quiescent, no
+/// violation, p2's delivery log equal to p0's. Returns the per-node
+/// counters.
+fn replay_idle_stream(text: &str) -> BTreeMap<ProcessId, BTreeMap<String, u64>> {
+    let schedule = Schedule::parse(text).expect("schedule file must parse");
+    let outcome = replay_schedule(&Scenario::idle_stream(), &schedule)
+        .expect("schedule must stay applicable on HEAD");
+    assert!(
+        outcome.violation.is_none(),
+        "regression:\n{}",
+        outcome.violation.unwrap()
+    );
+    assert!(outcome.quiescent, "replay must drain to quiescence");
+    assert_eq!(outcome.delivered[&ProcessId::new(0)].len(), 1);
+    assert_eq!(
+        outcome.delivered[&ProcessId::new(2)],
+        outcome.delivered[&ProcessId::new(0)]
+    );
+    outcome.counters
+}
+
+fn count(counters: &BTreeMap<ProcessId, BTreeMap<String, u64>>, p: u32, name: &str) -> u64 {
+    counters[&ProcessId::new(p)].get(name).copied().unwrap_or(0)
+}
+
+/// PR 17: a dropped `Probe` is not retried; the idle sequencer's next Δ
+/// heartbeat delivers instead.
+#[test]
+fn pr17_dropped_probe_falls_back_to_the_delta_heartbeat() {
+    let counters = replay_idle_stream(PROBE_DROPPED_SCHED);
+    assert_eq!(count(&counters, 2, "sub.probes_sent"), 1);
+    assert_eq!(count(&counters, 1, "seq.probes_answered"), 0);
+}
+
+/// PR 17: a duplicated `Probe` is answered once; the copy is dropped by
+/// the promise it finds already made.
+#[test]
+fn pr17_duplicated_probe_is_answered_once() {
+    let counters = replay_idle_stream(PROBE_DUPLICATED_SCHED);
+    assert_eq!(count(&counters, 2, "sub.probes_sent"), 1);
+    assert_eq!(count(&counters, 1, "seq.probes_answered"), 1);
+    assert_eq!(count(&counters, 1, "seq.probes_redundant"), 1);
+}
+
 /// Checker self-test kept as a schedule: the minimized lasso for the
 /// wedging toy hub must keep being classified as a liveness violation
 /// (not merely as validity's quiescence heuristic) on replay.
@@ -96,7 +146,14 @@ fn toy_reorder_refinement_is_detected_on_replay() {
 
 #[test]
 fn schedule_text_round_trips() {
-    for text in [COALESCER_SCHED, ORPHAN_SCHED, WEDGE_SCHED, REORDER_SCHED] {
+    for text in [
+        COALESCER_SCHED,
+        ORPHAN_SCHED,
+        PROBE_DROPPED_SCHED,
+        PROBE_DUPLICATED_SCHED,
+        WEDGE_SCHED,
+        REORDER_SCHED,
+    ] {
         let parsed = Schedule::parse(text).unwrap();
         let rendered = parsed.to_string();
         assert_eq!(Schedule::parse(&rendered).unwrap(), parsed);

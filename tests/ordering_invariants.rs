@@ -662,6 +662,86 @@ fn wbcast_nonaddressed_groups_see_no_engine_traffic() {
     }
 }
 
+/// The dLog deployment (three servers, two logs plus the common group,
+/// every server subscribed to all three, one sequencer each) with one
+/// busy log: every server delivers the same sequence on either engine.
+/// For wbcast the two idle groups' frontiers decide *when*: their
+/// sequencers are asked for the promise delivery needs, so
+/// submit→deliver costs message delays on the LAN link (50 µs one way),
+/// not the wait for the idle groups' next Δ heartbeat.
+#[test]
+fn one_busy_group_among_idle_ones_delivers_in_total_order_without_waiting_a_delta() {
+    use atomic_multicast::dlog::{DLogDeployment, DLogTopology};
+    for kind in EngineKind::ALL {
+        let tuning = RingTuning::default();
+        let config = DLogDeployment::build(&DLogTopology::new(2, tuning).engine(kind)).config;
+        let mut cluster = Cluster::new(
+            SimConfig {
+                seed: 17,
+                ..SimConfig::default()
+            },
+            Topology::lan(8),
+        );
+        cluster.set_protocol(config.clone());
+        for p in 0..3u32 {
+            let pid = ProcessId::new(p);
+            cluster.add_actor(
+                pid,
+                Box::new(Recorder::new(kind.build(pid, config.clone()))),
+            );
+        }
+        let (client_proc, client_id) = (ProcessId::new(100), ClientId::new(0));
+        cluster.add_actor(
+            client_proc,
+            Box::new(Burst {
+                target: ProcessId::new(0),
+                groups: vec![GroupId::new(0)],
+                client: client_id,
+                n: 20,
+            }),
+        );
+        cluster.register_client(client_id, client_proc);
+        cluster.start();
+        cluster.run_until(Time::from_secs(2));
+        let sequences: Vec<Vec<(GroupId, ValueId)>> = (0..3u32)
+            .map(|p| {
+                let r = cluster.actor_as::<Recorder>(ProcessId::new(p)).unwrap();
+                r.delivered.clone()
+            })
+            .collect();
+        assert_eq!(sequences[0].len(), 20, "{kind}: everything delivered");
+        let unique: BTreeSet<&(GroupId, ValueId)> = sequences[0].iter().collect();
+        assert_eq!(unique.len(), 20, "{kind}: duplicate delivery");
+        assert!(
+            sequences.iter().all(|s| *s == sequences[0]),
+            "{kind}: servers diverge"
+        );
+        if kind == EngineKind::Wbcast {
+            let submitter = cluster.actor_as::<Recorder>(ProcessId::new(0)).unwrap();
+            let telemetry = submitter.node.inner().telemetry();
+            let waited = telemetry
+                .histogram("round.delivery_latency_us")
+                .expect("p0 submitted and delivered");
+            assert_eq!(waited.count(), 20);
+            assert!(
+                waited.max() < tuning.delta_us / 4,
+                "submit→deliver took up to {} µs of a {} µs Δ",
+                waited.max(),
+                tuning.delta_us
+            );
+            // Asked for by the idle groups' sequencers themselves: they
+            // subscribe to the busy group and see its values first-hand.
+            let asked: u64 = (1..3u32)
+                .map(|p| {
+                    let r = cluster.actor_as::<Recorder>(ProcessId::new(p)).unwrap();
+                    r.node.inner().telemetry().counter("sub.probes_sent")
+                })
+                .sum();
+            assert!(asked > 0 && telemetry.counter("sub.probes_sent") == 0);
+        }
+    }
+}
+
 /// Like [`shared_two_group_config`], tuned for crash tests: faster
 /// proposer retransmission so the ring engine recovers in-flight
 /// proposals lost with the coordinator within the test horizon.
