@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 /// [`max_values`]: BatchConfig::max_values
 /// [`max_bytes`]: BatchConfig::max_bytes
 /// [`window_us`]: BatchConfig::window_us
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BatchConfig {
     /// Flush a γ-queue once it holds this many values (size-bound
     /// batching). `1` makes every submission its own batch.
@@ -87,7 +87,7 @@ impl BatchConfig {
 }
 
 /// One queued submission batch for a single group set.
-#[derive(Default, Debug)]
+#[derive(Default, Hash, Debug)]
 struct PendingQueue {
     payloads: Vec<Bytes>,
     bytes: usize,
@@ -96,7 +96,7 @@ struct PendingQueue {
 /// The sans-io batching state the engine wrapper drives: per-γ queues
 /// and the flush-timer arm flag. Flush statistics are kept by the
 /// wrapper (which sees every flush as it submits it).
-#[derive(Default, Debug)]
+#[derive(Default, Hash, Debug)]
 pub struct Batcher {
     cfg: Option<BatchConfig>,
     queues: BTreeMap<Vec<GroupId>, PendingQueue>,
@@ -174,19 +174,6 @@ impl Batcher {
     /// Values currently queued and not yet submitted.
     pub fn pending(&self) -> usize {
         self.queues.values().map(|q| q.payloads.len()).sum()
-    }
-
-    /// Folds the pending γ-queues and the timer arm flag into a state
-    /// fingerprint (see [`multiring_paxos::digest`]); the static batch
-    /// configuration is excluded.
-    pub fn digest_into(&self, h: &mut multiring_paxos::digest::Fnv1a) {
-        use multiring_paxos::digest::DigestInto;
-        h.write_usize(self.queues.len());
-        for (groups, q) in &self.queues {
-            groups.digest_into(h);
-            q.payloads.digest_into(h);
-        }
-        self.timer_armed.digest_into(h);
     }
 }
 

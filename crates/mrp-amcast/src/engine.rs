@@ -11,12 +11,14 @@ use crate::wbcast::WbcastNode;
 use bytes::Bytes;
 use multiring_paxos::app::encode_command;
 use multiring_paxos::config::ClusterConfig;
+use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::{MulticastError, Node};
 use multiring_paxos::paxos::AcceptorRecovery;
 use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, ValueId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// The engine-generic **delivery watermark**: for every subscribed
@@ -102,14 +104,13 @@ pub trait AmcastEngine: StateMachine {
     }
 
     /// An FNV-1a fingerprint of the engine's protocol-relevant state —
-    /// a canonical serialization of everything that influences future
-    /// protocol behavior, with telemetry, latency samples and pure
-    /// progress counters excluded. The model checker (`mrp-check`)
-    /// prunes its interleaving search on it: two schedules whose
-    /// commuting steps reach the same protocol state must fingerprint
-    /// identically, and states that differ in any way that matters must
-    /// (collisions aside) fingerprint differently. See
-    /// [`multiring_paxos::digest`].
+    /// everything that influences future protocol behavior, with
+    /// telemetry, latency samples and pure progress counters excluded.
+    /// The model checker (`mrp-check`) prunes its interleaving search on
+    /// it: two schedules whose commuting steps reach the same protocol
+    /// state must fingerprint identically, and states that differ in
+    /// any way that matters must (collisions aside) fingerprint
+    /// differently. See [`multiring_paxos::digest`].
     fn state_digest(&self) -> u64;
 
     // --- the observability surface ---------------------------------
@@ -674,14 +675,18 @@ impl AmcastEngine for AnyEngine {
     }
 
     /// The inner engine's fingerprint folded together with the
-    /// submission-edge batcher's pending queues: a value parked in the
-    /// batcher is protocol-relevant state the inner engine has not seen
-    /// yet.
+    /// submission-edge batcher: a value parked in the batcher is
+    /// protocol-relevant state the inner engine has not seen yet. The
+    /// destructuring is exhaustive for the same reason as the engines'.
     fn state_digest(&self) -> u64 {
-        use multiring_paxos::digest::Fnv1a;
+        let Self {
+            inner,
+            batcher,
+            // Outside the digest: the wrapper's own counters.
+            tel: _,
+        } = self;
         let mut h = Fnv1a::new();
-        h.write_u64(self.inner.get().state_digest());
-        self.batcher.digest_into(&mut h);
+        (inner.get().state_digest(), batcher).hash(&mut h);
         h.finish()
     }
 
@@ -835,6 +840,43 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Digest stability: the fingerprint is a function of the state
+    /// alone. Two engines built alike and fed the same events agree
+    /// after every step, and every step that changes the state changes
+    /// the fingerprint.
+    #[test]
+    fn same_events_same_digest_on_every_engine() {
+        let config = single_ring(3, RingTuning::default());
+        for kind in EngineKind::ALL {
+            let run = || {
+                let mut e = kind.build(ProcessId::new(0), config.clone());
+                let mut digests = vec![e.state_digest()];
+                e.on_event(Time::ZERO, Event::Start);
+                digests.push(e.state_digest());
+                e.multicast(
+                    Time::from_micros(10),
+                    &[GroupId::new(0)],
+                    Bytes::from_static(b"v"),
+                )
+                .unwrap();
+                digests.push(e.state_digest());
+                e.on_event(
+                    Time::from_micros(20),
+                    Event::MembershipChange {
+                        ring: RingId::new(0),
+                        down: vec![ProcessId::new(2)],
+                    },
+                );
+                digests.push(e.state_digest());
+                digests
+            };
+            let (first, second) = (run(), run());
+            assert_eq!(first, second, "{kind}");
+            let distinct: std::collections::BTreeSet<u64> = first.iter().copied().collect();
+            assert_eq!(distinct.len(), first.len(), "{kind}: {first:?}");
         }
     }
 

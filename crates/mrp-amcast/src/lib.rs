@@ -110,7 +110,10 @@
 //!    Engines share the [`Event`]/[`Action`] vocabulary, so every
 //!    existing runtime (simulator, TCP transport) hosts them unchanged.
 //! 2. Implement [`AmcastEngine`] for it: `multicast_batch`,
-//!    `engine_name` and `state_digest` are mandatory; implement
+//!    `engine_name` and `state_digest` are mandatory (for the last,
+//!    derive `Hash` on your state structs and destructure the node
+//!    exhaustively, naming what stays outside the fingerprint — see
+//!    [`multiring_paxos::digest`]); implement
 //!    `backlog` if the engine can track in-flight submissions,
 //!    `telemetry`/`health` over an
 //!    [`EngineTelemetry`] store it records into, and the checkpoint

@@ -110,7 +110,7 @@ pub(super) fn promise_key(ts: u64) -> Key {
 }
 
 /// Per-subscribed-group delivery state.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub(super) struct Subscription {
     /// Highest sequencer epoch observed on this group's stream. Frames
     /// from strictly lower epochs are fenced (a deposed sequencer must

@@ -206,6 +206,7 @@ use bytes::Bytes;
 use frontier::Subscription;
 use multiring_paxos::app::encode_command;
 use multiring_paxos::config::ClusterConfig;
+use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::MulticastError;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
@@ -214,6 +215,7 @@ use rounds::Inflight;
 use sequencer::Sequencer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use wire::WbMessage;
 
 /// Initiator retry pacing: unconfirmed `Submit`/`Final` rounds are
@@ -453,86 +455,39 @@ impl WbcastNode {
         })
     }
 
-    /// An FNV-1a fingerprint of the protocol-relevant state: sequencer
-    /// clocks/streams, subscriptions, initiator in-flight rounds,
-    /// orphan recovery and timer arming. Telemetry, the protocol-event
-    /// trace ring and pure progress counters are excluded so schedules
-    /// that commute into the same protocol state fingerprint
-    /// identically (see [`multiring_paxos::digest`]).
+    /// An FNV-1a fingerprint of the protocol-relevant state (see
+    /// [`multiring_paxos::digest`]). The destructuring is exhaustive on
+    /// purpose: a new field does not compile until it is hashed or named
+    /// here as outside the digest.
     pub fn state_digest(&self) -> u64 {
-        use multiring_paxos::digest::{DigestInto, Fnv1a};
+        let Self {
+            me,
+            led,
+            subs,
+            coordinators,
+            ring_epochs,
+            observed,
+            delivered_ids,
+            inflight,
+            orphans,
+            down,
+            awaiting_resume,
+            delta_armed,
+            retry_armed,
+            next_seq,
+            // Outside the digest: constant under exploration, and what
+            // only observes — schedules that commute into the same
+            // protocol state must fingerprint identically whatever they
+            // counted on the way.
+            config: _,
+            tel: _,
+            head_wait: _,
+        } = self;
         let mut h = Fnv1a::new();
-        self.me.digest_into(&mut h);
-        h.write_usize(self.led.len());
-        for (g, s) in &self.led {
-            g.digest_into(&mut h);
-            s.ring.digest_into(&mut h);
-            h.write_u64(s.delta_us);
-            h.write_u64(u64::from(s.state.epoch));
-            h.write_u64(s.state.next_ts);
-            h.write_u64(s.promised);
-            h.write_u64(s.wanted);
-            s.resume_at.digest_into(&mut h);
-            h.write_usize(s.state.pending.len());
-            for (id, p) in &s.state.pending {
-                id.digest_into(&mut h);
-                h.write_u64(p.ts);
-                p.value.digest_into(&mut h);
-                p.groups.digest_into(&mut h);
-                p.since.digest_into(&mut h);
-                p.fenced.digest_into(&mut h);
-            }
-            s.state.outq.digest_into(&mut h);
-            s.state.done.digest_into(&mut h);
-            s.state.history.digest_into(&mut h);
-            h.write_u64(s.state.evicted);
-            s.state.reported.digest_into(&mut h);
-        }
-        h.write_usize(self.subs.len());
-        for (g, s) in &self.subs {
-            g.digest_into(&mut h);
-            h.write_u64(u64::from(s.epoch));
-            s.frontier.digest_into(&mut h);
-            h.write_u64(s.floor);
-            s.resyncing.digest_into(&mut h);
-            s.pending.digest_into(&mut h);
-            h.write_u64(s.probed);
-        }
-        self.awaiting_resume.digest_into(&mut h);
-        self.coordinators.digest_into(&mut h);
-        self.ring_epochs.digest_into(&mut h);
-        self.observed.digest_into(&mut h);
-        self.delivered_ids.digest_into(&mut h);
-        h.write_usize(self.inflight.len());
-        for (id, inf) in &self.inflight {
-            id.digest_into(&mut h);
-            inf.groups.digest_into(&mut h);
-            inf.value.digest_into(&mut h);
-            inf.acks.digest_into(&mut h);
-            inf.final_ts.digest_into(&mut h);
-            inf.released.digest_into(&mut h);
-            inf.local.digest_into(&mut h);
-            inf.delivered.digest_into(&mut h);
-            inf.submitted_at.digest_into(&mut h);
-        }
-        h.write_usize(self.orphans.len());
-        for (id, round) in &self.orphans {
-            id.digest_into(&mut h);
-            round.groups.digest_into(&mut h);
-            round.value.digest_into(&mut h);
-            h.write_u64(u64::from(round.attempt));
-            h.write_usize(round.states.len());
-            for (g, st) in &round.states {
-                g.digest_into(&mut h);
-                st.to_wire().digest_into(&mut h);
-            }
-            round.decided.digest_into(&mut h);
-            round.since.digest_into(&mut h);
-        }
-        self.down.digest_into(&mut h);
-        self.delta_armed.digest_into(&mut h);
-        self.retry_armed.digest_into(&mut h);
-        h.write_u64(self.next_seq);
+        // (Tuples implement `Hash` up to twelve fields.)
+        (me, led, subs, coordinators, ring_epochs, observed).hash(&mut h);
+        (delivered_ids, inflight, orphans, down).hash(&mut h);
+        (awaiting_resume, delta_armed, retry_armed, next_seq).hash(&mut h);
         h.finish()
     }
 

@@ -89,7 +89,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Until then the round is re-probed every orphan-timeout period, and
 /// a group whose replacement sequencer lost everything is re-submitted
 /// and re-decided at the recorded (immutable) timestamp.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub(super) struct OrphanRound {
     /// The addressed group set γ (from the orphaned proposal).
     pub(super) groups: Vec<GroupId>,

@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// addressed group has confirmed its release (and, when a subscribed
 /// group is addressed, until local delivery): the retry machinery's
 /// unit of work.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub(super) struct Inflight {
     /// The addressed group set γ, sorted and deduplicated.
     pub(super) groups: Vec<GroupId>,

@@ -71,7 +71,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A multi-group value whose final timestamp is still being agreed on
 /// (held by the sequencer that proposed for it).
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub(super) struct Proposal {
     /// The timestamp this sequencer proposed (the final one is ≥ it).
     pub(super) ts: u64,
@@ -103,7 +103,7 @@ pub(super) struct Proposal {
 /// replication has to ship to the group's members (ROADMAP, carried
 /// item) so that a replacement resumes exactly here, instead of at a
 /// point reconstructed from what it happened to observe.
-#[derive(Debug, Default)]
+#[derive(Hash, Debug, Default)]
 pub(super) struct SequencerState {
     /// Sequencer generation: 0 for the configured coordinator, bumped
     /// on every takeover. Stamped into `Ordered`/`Heartbeat` frames so
@@ -154,7 +154,7 @@ pub(super) struct SequencerState {
 /// replicable [`SequencerState`] plus what concerns only this host —
 /// where the group's frames go and what this incarnation has already
 /// said or is still holding back.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub(super) struct Sequencer {
     /// The ring whose Δ paces this group's heartbeats.
     pub(super) ring: RingId,

@@ -145,7 +145,7 @@ pub(super) enum WbMessage {
 
 /// A sequencer's state for an orphaned round, reported in
 /// [`WbMessage::OrphanState`].
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Hash, Debug)]
 pub(super) enum OrphanSt {
     /// No trace of the value: the `Submit` never arrived (or died with
     /// a deposed sequencer). The recoverer re-submits on the orphan's
@@ -168,7 +168,7 @@ pub(super) enum OrphanSt {
 
 impl OrphanSt {
     /// The wire form: a kind byte and a timestamp (zero for `Unknown`).
-    pub(super) fn to_wire(self) -> (u8, u64) {
+    fn to_wire(self) -> (u8, u64) {
         match self {
             OrphanSt::Unknown => (0, 0),
             OrphanSt::Proposed(ts) => (1, ts),

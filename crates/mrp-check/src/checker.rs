@@ -37,11 +37,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::wbcast::{frame_references_value, WBCAST_WIRE_ID};
-use multiring_paxos::digest::{timer_kind_key, DigestInto, Fnv1a};
+use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, TimerKind};
 use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, ValueId};
 
@@ -182,6 +183,24 @@ fn dependent(a: &Choice, b: &Choice) -> bool {
     }
     matches!((na, nb), (Some(x), Some(y)) if x == y)
         || matches!((ca, cb), (Some(x), Some(y)) if x == y)
+}
+
+/// A compact, `Ord`-able key identifying a [`TimerKind`]: discriminant
+/// plus the ring it concerns (0 for process-wide timers).
+///
+/// `TimerKind` itself deliberately does not implement `Ord`; the checker
+/// needs a canonical order for its choice enumeration, its timer tables
+/// and its schedules, and this key is it.
+fn timer_kind_key(kind: TimerKind) -> (u8, u16) {
+    match kind {
+        TimerKind::Delta(r) => (1, r.value()),
+        TimerKind::GapCheck(r) => (3, r.value()),
+        TimerKind::TrimTick(r) => (4, r.value()),
+        TimerKind::ProposalResend(r) => (5, r.value()),
+        TimerKind::CheckpointTick => (6, 0),
+        TimerKind::RecoveryRetry => (7, 0),
+        TimerKind::SubmitFlush => (8, 0),
+    }
 }
 
 fn timer_name(timer: TimerKind) -> String {
@@ -359,7 +378,7 @@ impl fmt::Display for Schedule {
 /// How many fault choices of each kind the checker may branch into
 /// along a single schedule. All-zero (the default) explores only
 /// fault-free interleavings.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub struct FaultBudget {
     /// Frame drops.
     pub drops: u32,
@@ -465,6 +484,9 @@ pub struct ReplayOutcome {
     /// Per-node telemetry counters at the end of the replay, by
     /// registry name (empty for a node that is down).
     pub counters: BTreeMap<ProcessId, BTreeMap<String, u64>>,
+    /// Per-node engine `state_digest()` at the end of the replay (no
+    /// entry for a node that is down).
+    pub engine_digests: BTreeMap<ProcessId, u64>,
     /// Whether all channels were empty when the replay finished.
     pub quiescent: bool,
     /// Every choice executed, including steps appended by `drain`.
@@ -478,6 +500,7 @@ pub struct ReplayOutcome {
 // The world: N engines + channels + timers + virtual clocks.
 // ---------------------------------------------------------------------
 
+#[derive(Hash)]
 struct Durable {
     watermark: mrp_amcast::engine::Watermark,
     state: Bytes,
@@ -1083,64 +1106,34 @@ impl<'a> World<'a> {
 
     fn digest_with(&self, progress_insensitive: bool) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_usize(self.nodes.len());
-        for (&p, slot) in &self.nodes {
-            h.write_u64(u64::from(p.value()));
+        self.nodes.len().hash(&mut h);
+        for (p, slot) in &self.nodes {
+            p.hash(&mut h);
             if !progress_insensitive {
-                h.write_u64(slot.now.as_micros());
-                h.write_u64(u64::from(slot.fires));
+                (slot.now, slot.fires).hash(&mut h);
             }
-            match &slot.engine {
-                Some(e) => {
-                    h.write_u8(1);
-                    h.write_u64(e.state_digest());
-                }
-                None => h.write_u8(0),
-            }
-            slot.delivered.digest_into(&mut h);
-            match &slot.durable {
-                Some(d) => {
-                    h.write_u8(1);
-                    d.watermark.marks.digest_into(&mut h);
-                    h.write_u64(u64::from(d.watermark.cursor_group));
-                    h.write_u64(u64::from(d.watermark.cursor_used));
-                    d.state.digest_into(&mut h);
-                    d.delivered.digest_into(&mut h);
-                }
-                None => h.write_u8(0),
-            }
+            slot.engine.as_ref().map(|e| e.state_digest()).hash(&mut h);
+            slot.delivered.hash(&mut h);
+            slot.durable.hash(&mut h);
         }
-        h.write_usize(self.channels.values().filter(|q| !q.is_empty()).count());
-        for (&(from, to), q) in &self.channels {
-            if q.is_empty() {
-                continue;
-            }
-            h.write_u64(u64::from(from.value()));
-            h.write_u64(u64::from(to.value()));
-            q.digest_into(&mut h);
-        }
-        h.write_usize(self.timers.len());
-        for (&p, timers) in &self.timers {
-            h.write_u64(u64::from(p.value()));
-            h.write_usize(timers.len());
-            for (&(tag, ring), &(_, due)) in timers {
-                h.write_u8(tag);
-                h.write_u64(u64::from(ring));
+        let busy: Vec<_> = self
+            .channels
+            .iter()
+            .filter(|(_, q)| !q.is_empty())
+            .collect();
+        busy.hash(&mut h);
+        self.timers.len().hash(&mut h);
+        for (p, timers) in &self.timers {
+            (p, timers.len()).hash(&mut h);
+            for (key, (_, due)) in timers {
+                key.hash(&mut h);
                 if !progress_insensitive {
-                    h.write_u64(due.as_micros());
+                    due.hash(&mut h);
                 }
             }
         }
-        for b in [
-            self.budget.drops,
-            self.budget.dups,
-            self.budget.crashes,
-            self.budget.checkpoints,
-        ] {
-            h.write_u64(u64::from(b));
-        }
-        h.write_u8(u8::from(self.any_fault));
-        self.spec.digest_into(&mut h);
+        (self.budget, self.any_fault).hash(&mut h);
+        self.spec.hash(&mut h);
         h.finish()
     }
 
@@ -1650,10 +1643,16 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
             (p, c.unwrap_or_default())
         })
         .collect();
+    let engine_digests = world
+        .nodes
+        .iter()
+        .filter_map(|(&p, s)| Some((p, s.engine.as_ref()?.state_digest())))
+        .collect();
     Ok(ReplayOutcome {
         violation,
         delivered,
         counters,
+        engine_digests,
         quiescent,
         executed,
         final_digest,
@@ -1688,5 +1687,26 @@ impl World<'_> {
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timer_keys_are_distinct() {
+        let kinds = [
+            TimerKind::Delta(RingId::new(0)),
+            TimerKind::Delta(RingId::new(1)),
+            TimerKind::GapCheck(RingId::new(0)),
+            TimerKind::TrimTick(RingId::new(0)),
+            TimerKind::ProposalResend(RingId::new(0)),
+            TimerKind::CheckpointTick,
+            TimerKind::RecoveryRetry,
+            TimerKind::SubmitFlush,
+        ];
+        let keys: BTreeSet<(u8, u16)> = kinds.iter().map(|&k| timer_kind_key(k)).collect();
+        assert_eq!(keys.len(), kinds.len());
     }
 }

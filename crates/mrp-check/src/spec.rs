@@ -46,7 +46,7 @@ use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
 
 /// One abstract multicast message: destination groups, the processes
 /// those groups resolve to, and the submitted payload.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct SpecMessage {
     groups: Vec<GroupId>,
     dests: BTreeSet<ProcessId>,
@@ -54,7 +54,12 @@ struct SpecMessage {
 }
 
 /// The reference atomic-multicast state machine; see the module docs.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// `Hash` folds the spec state into the checker's world fingerprint,
+/// whose dedup must distinguish states whose *future* refinement
+/// verdicts differ: a crash-truncated delivery history survives only in
+/// the spec's order edges, not in the concrete world state.
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct AbstractAmcast {
     /// Every submitted message, in submission order (index = message).
     msgs: Vec<SpecMessage>,
@@ -176,36 +181,6 @@ impl AbstractAmcast {
     pub fn truncate(&mut self, p: ProcessId, keep: usize) {
         if let Some(seq) = self.seq.get_mut(&p) {
             seq.truncate(keep);
-        }
-    }
-
-    /// Folds the spec state into a world fingerprint. The checker's
-    /// dedup must distinguish states whose *future* refinement verdicts
-    /// differ: a crash-truncated delivery history survives only in the
-    /// spec's order edges, not in the concrete world state.
-    pub fn digest_into(&self, h: &mut multiring_paxos::digest::Fnv1a) {
-        h.write_usize(self.msgs.len());
-        h.write_usize(self.bound.len());
-        for (id, &m) in &self.bound {
-            h.write_u64(u64::from(id.proposer.value()));
-            h.write_u64(id.seq);
-            h.write_usize(m);
-        }
-        h.write_usize(self.seq.len());
-        for (p, seq) in &self.seq {
-            h.write_u64(u64::from(p.value()));
-            h.write_usize(seq.len());
-            for &m in seq {
-                h.write_usize(m);
-            }
-        }
-        h.write_usize(self.edges.len());
-        for (&a, bs) in &self.edges {
-            h.write_usize(a);
-            h.write_usize(bs.len());
-            for &b in bs {
-                h.write_usize(b);
-            }
         }
     }
 

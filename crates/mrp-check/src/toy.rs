@@ -24,11 +24,12 @@
 //! unnoticed, the oracles (not the engines) are broken.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use multiring_paxos::config::{single_ring, ClusterConfig};
-use multiring_paxos::digest::{DigestInto, Fnv1a};
+use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::MulticastError;
 use multiring_paxos::types::{
@@ -42,7 +43,7 @@ use crate::scenario::{Scenario, Submission};
 pub const BUGGY_SEQ: u64 = 2;
 
 /// Which sabotage, if any, a [`ToyEngine`] carries.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 enum ToyMode {
     /// Correct hub-ordered broadcast.
     Correct,
@@ -58,7 +59,7 @@ enum ToyMode {
 }
 
 /// A hub-ordered broadcast over one group; see the module docs.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct ToyEngine {
     me: ProcessId,
     hub: ProcessId,
@@ -270,19 +271,7 @@ impl AmcastEngine for ToyEngine {
 
     fn state_digest(&self) -> u64 {
         let mut h = Fnv1a::new();
-        h.write_u64(u64::from(self.me.value()));
-        h.write_u64(self.next_seq);
-        h.write_u64(self.next_local);
-        h.write_u64(self.next_deliver);
-        h.write_usize(self.pending.len());
-        for (&seq, value) in &self.pending {
-            h.write_u64(seq);
-            value.digest_into(&mut h);
-        }
-        h.write_usize(self.parked.len());
-        for value in &self.parked {
-            value.digest_into(&mut h);
-        }
+        self.hash(&mut h);
         h.finish()
     }
 }

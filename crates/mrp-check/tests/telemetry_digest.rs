@@ -1,117 +1,80 @@
-//! Telemetry must be an observer, not a participant: taking a
-//! [`TelemetrySnapshot`](mrp_amcast::telemetry::TelemetrySnapshot) or a
-//! health report mid-exploration must leave `state_digest()` unchanged
-//! on both engines. The checker's
-//! fingerprint deduplication (and the replay stability of checked-in
-//! schedules) depends on digests reflecting protocol state only —
-//! counters, histograms and trace rings are excluded by design.
-
-use std::collections::{BTreeMap, VecDeque};
+//! Telemetry must be an observer, not a participant: `state_digest()`
+//! reflects protocol state only, or the checker's fingerprint
+//! deduplication (and the replay stability of checked-in schedules)
+//! degrades with every counter. Reading a snapshot cannot show that —
+//! `telemetry()` and `health()` take `&self` — so each engine is fed an
+//! input that changes **nothing but a counter**, and the digest must
+//! not move while the counter does. Hashing the telemetry store into
+//! either engine's digest makes its test here fail.
 
 use mrp_amcast::EngineKind;
-use mrp_check::Scenario;
-use multiring_paxos::event::{Action, Event, Message};
+use mrp_check::{replay_schedule, Scenario, Schedule};
+use multiring_paxos::event::Event;
 use multiring_paxos::types::{ProcessId, Time};
 
-/// Routes one activation's actions through the mini runtime: sends land
-/// on FIFO channels, persists complete inline (feeding any follow-up
-/// actions back through), timers and local effects are ignored.
-fn apply(
-    pid: ProcessId,
-    actions: Vec<Action>,
-    engines: &mut BTreeMap<ProcessId, Box<dyn mrp_amcast::engine::AmcastEngine>>,
-    channels: &mut BTreeMap<(ProcessId, ProcessId), VecDeque<Message>>,
-    now: Time,
-) {
-    let mut queue: VecDeque<Action> = actions.into();
-    while let Some(action) = queue.pop_front() {
-        match action {
-            Action::Send { to, msg } => {
-                channels.entry((pid, to)).or_default().push_back(msg);
-            }
-            Action::Persist { token, .. } => {
-                let more = engines
-                    .get_mut(&pid)
-                    .expect("known pid")
-                    .on_event(now, Event::PersistDone(token));
-                queue.extend(more);
-            }
-            _ => {}
-        }
-    }
-}
+const PROBE_DUPLICATED_SCHED: &str = include_str!("../schedules/pr17_probe_duplicated.sched");
 
-/// Drives the three nodes of `scenario` through their start-up exchange
-/// plus every submission to quiescence — a miniature deterministic
-/// runtime: FIFO channels, persists completing inline, timers ignored.
-/// Returns the engines for inspection.
-fn run_to_quiescence(scenario: Scenario) -> Vec<Box<dyn mrp_amcast::engine::AmcastEngine>> {
-    let now = Time::ZERO;
-    let pids: Vec<ProcessId> = scenario.config.processes().into_iter().collect();
-    let mut engines: BTreeMap<ProcessId, Box<dyn mrp_amcast::engine::AmcastEngine>> = pids
-        .iter()
-        .map(|&p| (p, (scenario.factory)(p, false)))
-        .collect();
-    let mut channels: BTreeMap<(ProcessId, ProcessId), VecDeque<Message>> = BTreeMap::new();
-
-    for &p in &pids {
-        let actions = engines
-            .get_mut(&p)
-            .expect("known pid")
-            .on_event(now, Event::Start);
-        apply(p, actions, &mut engines, &mut channels, now);
-    }
-    for sub in &scenario.submissions {
-        let actions = engines
-            .get_mut(&sub.at)
-            .expect("known pid")
-            .multicast(now, &sub.groups, sub.payload.clone())
-            .expect("submission accepted")
-            .1;
-        apply(sub.at, actions, &mut engines, &mut channels, now);
-    }
-    for _ in 0..100_000 {
-        let Some((&(from, to), _)) = channels.iter().find(|(_, q)| !q.is_empty()) else {
-            return engines.into_values().collect();
-        };
-        let msg = channels
-            .get_mut(&(from, to))
-            .and_then(VecDeque::pop_front)
-            .expect("non-empty");
-        let actions = engines
-            .get_mut(&to)
-            .expect("known pid")
-            .on_event(now, Event::Message { from, msg });
-        apply(to, actions, &mut engines, &mut channels, now);
-    }
-    panic!("exchange did not quiesce");
-}
-
+/// wbcast: a duplicated `Probe` finds its promise already made and is
+/// only counted (`seq.probes_redundant`). p1 after the schedule and
+/// after the same schedule without the duplicate (and the delivery of
+/// the copy) is in the same protocol state, one counter apart.
 #[test]
-fn telemetry_snapshots_leave_the_state_digest_unchanged() {
-    for kind in [EngineKind::MultiRing, EngineKind::Wbcast] {
-        for scenario in [Scenario::mixed(kind), Scenario::batched(kind, true)] {
-            let name = scenario.name.clone();
-            for engine in run_to_quiescence(scenario) {
-                let before = engine.state_digest();
-                let snapshot = engine.telemetry();
-                let _ = engine.health(Time::ZERO.plus(1_000_000));
-                let after = engine.state_digest();
-                assert_eq!(
-                    before,
-                    after,
-                    "{name}/{}: telemetry observation perturbed the digest",
-                    engine.engine_name()
-                );
-                // And the telemetry itself must not be hashed: the
-                // snapshot has recorded real activity, yet repeated
-                // digests stay bit-identical.
-                assert!(
-                    !snapshot.counters.is_empty() || !snapshot.gauges.is_empty(),
-                    "{name}: expected some recorded activity"
-                );
-                assert_eq!(engine.state_digest(), after);
-            }
-        }
+fn a_redundant_probe_moves_a_counter_and_not_the_wbcast_digest() {
+    let duplicated = Schedule::parse(PROBE_DUPLICATED_SCHED).expect("schedule file must parse");
+    let control = PROBE_DUPLICATED_SCHED.replacen("dup 2>1\ndeliver 2>1\n", "", 1);
+    assert_ne!(
+        control, PROBE_DUPLICATED_SCHED,
+        "the schedule changed shape"
+    );
+    let control = Schedule::parse(&control).expect("control schedule must parse");
+
+    let p1 = ProcessId::new(1);
+    let [with_dup, without] = [duplicated, control].map(|schedule| {
+        let outcome = replay_schedule(&Scenario::idle_stream(), &schedule)
+            .expect("schedule must stay applicable on HEAD");
+        assert!(
+            outcome.violation.is_none(),
+            "{}",
+            outcome.violation.unwrap()
+        );
+        let redundant = outcome.counters[&p1]
+            .get("seq.probes_redundant")
+            .copied()
+            .unwrap_or(0);
+        (redundant, outcome.engine_digests[&p1])
+    });
+    assert_eq!((with_dup.0, without.0), (1, 0), "seq.probes_redundant");
+    assert_eq!(
+        with_dup.1, without.1,
+        "a counter-only input perturbed the wbcast digest"
+    );
+}
+
+/// Ring engine: `resume()` on a node that is not behind asks the
+/// acceptors for a backfill it does not need — frames out, the
+/// `backfill_rounds` counter and a trace record, no state change.
+#[test]
+fn an_idle_backfill_moves_a_counter_and_not_the_ring_digest() {
+    let scenario = Scenario::mixed(EngineKind::MultiRing);
+    let now = Time::ZERO.plus(1_000);
+    for p in scenario.config.processes() {
+        let mut engine = (scenario.factory)(p, false);
+        engine.on_event(Time::ZERO, Event::Start);
+        let before = (
+            engine.telemetry().counters["backfill_rounds"],
+            engine.state_digest(),
+        );
+        let _frames = engine.resume(now);
+        let after = (
+            engine.telemetry().counters["backfill_rounds"],
+            engine.state_digest(),
+        );
+        assert_eq!(after.0, before.0 + 1, "p{}: backfill_rounds", p.value());
+        assert_eq!(
+            after.1,
+            before.1,
+            "p{}: a counter-only input perturbed the ring digest",
+            p.value()
+        );
     }
 }

@@ -2,7 +2,9 @@
 //! keys map to multicast groups. Stored in the coordination service and
 //! read by clients ("clients must know the partitioning scheme").
 
+use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::types::GroupId;
+use std::hash::Hasher;
 
 /// How the key space is split across partitions.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -30,13 +32,12 @@ pub struct PartitionMap {
     base_group: u16,
 }
 
+/// FNV-1a over the key's bytes alone (no length prefix: the mapping is
+/// part of the partitioning schema clients and servers share).
 fn fnv1a(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(key);
+    h.finish()
 }
 
 impl PartitionMap {
@@ -134,6 +135,34 @@ mod tests {
         }
         // Deterministic.
         assert_eq!(m.group_of(b"alpha"), m.group_of(b"alpha"));
+    }
+
+    /// The key → group mapping is data placement: committed bench
+    /// artifacts and the store tests depend on it. Expected indices are
+    /// FNV-1a (64-bit) of the key bytes modulo the partition count,
+    /// computed independently of this crate.
+    #[test]
+    fn hash_sends_a_fixed_list_of_keys_to_the_same_groups() {
+        let keys: [&[u8]; 10] = [
+            b"",
+            b"a",
+            b"alpha",
+            b"user0",
+            b"user1",
+            b"user2",
+            b"user3",
+            b"user42",
+            b"key-000017",
+            b"\x00\xff",
+        ];
+        for (partitions, expected) in [
+            (3, [2, 1, 0, 0, 1, 1, 2, 2, 1, 2]),
+            (7, [2, 5, 5, 0, 3, 1, 4, 6, 1, 6]),
+        ] {
+            let m = PartitionMap::hash(partitions, 10);
+            let got: Vec<u16> = keys.iter().map(|k| m.group_of(k).value() - 10).collect();
+            assert_eq!(got, expected, "{partitions} partitions");
+        }
     }
 
     #[test]

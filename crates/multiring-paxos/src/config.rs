@@ -19,7 +19,6 @@ use std::sync::Arc;
 /// proposer, acceptor and learner roles (processes in the paper's
 /// evaluation frequently play all three).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Roles(u8);
 
 impl Roles {
@@ -91,7 +90,6 @@ impl fmt::Debug for Roles {
 /// paper's Figure 3 collapse to a mode plus a disk model chosen by the
 /// runtime).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StorageMode {
     /// Keep acceptor state in memory only (pre-allocated buffers in the
     /// paper). Fastest; an acceptor that crashes loses its vote history.
@@ -107,8 +105,7 @@ pub enum StorageMode {
 }
 
 /// Per-ring protocol tuning.
-#[derive(Copy, Clone, PartialEq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Copy, Clone, PartialEq, Hash, Debug)]
 pub struct RingTuning {
     /// Maximum number of undecided instances the coordinator keeps in
     /// flight (pipelining window).
@@ -181,8 +178,7 @@ impl RingTuning {
 }
 
 /// One member of a ring: a process and the roles it plays there.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Member {
     /// The process.
     pub process: ProcessId,
@@ -193,7 +189,6 @@ pub struct Member {
 /// Declarative description of one ring, fed to the
 /// [`ClusterConfigBuilder`].
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RingSpec {
     id: RingId,
     members: Vec<Member>,
@@ -236,7 +231,7 @@ impl RingSpec {
 }
 
 /// Validated, immutable configuration of one ring.
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 pub struct RingConfig {
     id: RingId,
     members: Vec<Member>,

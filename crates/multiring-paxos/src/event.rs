@@ -20,7 +20,7 @@ use bytes::Bytes;
 /// the paper); the second block is learner catch-up; the third is the
 /// coordinated trim protocol and replica recovery (Section 5); the last is
 /// the client request path used by services.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Message {
     /// A proposer's values circulating along the ring toward the
     /// coordinator.
@@ -264,7 +264,7 @@ pub enum TimerKind {
 pub struct PersistToken(pub u64);
 
 /// What a state machine asks the runtime to persist.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum PersistRecord {
     /// An acceptor's promise (must be durable before the Phase 1B reply
     /// in sync mode).
@@ -353,7 +353,7 @@ pub enum Event {
 }
 
 /// An effect requested by a protocol state machine.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub enum Action {
     /// Send `msg` to `to` (reliable FIFO channel, e.g. TCP).
     Send {

@@ -15,7 +15,7 @@ pub struct MergeDelivery {
     pub value: Value,
 }
 
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 struct GroupQueue {
     group: GroupId,
     /// Decided ranges in instance order; contiguous from `next_expected`.
@@ -31,7 +31,7 @@ struct GroupQueue {
 /// order. The merge *blocks* on a group with no decided instance
 /// available — that is what makes it deterministic — so rate leveling
 /// must keep every subscribed ring moving.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct Merger {
     m: u32,
     queues: Vec<GroupQueue>,
@@ -44,23 +44,6 @@ pub struct Merger {
 }
 
 impl Merger {
-    /// Folds the merge state into a fingerprint (see [`crate::digest`]):
-    /// queued undelivered ranges, the round-robin cursor and the
-    /// exactly-once filters.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        h.write_u64(u64::from(self.m));
-        h.write_usize(self.queues.len());
-        for q in &self.queues {
-            q.group.digest_into(h);
-            q.ranges.digest_into(h);
-            q.next_expected.digest_into(h);
-        }
-        h.write_usize(self.cursor_group);
-        h.write_u64(u64::from(self.cursor_used));
-        self.delivered_seq.digest_into(h);
-    }
-
     /// A merge over `groups` (sorted ascending internally) consuming `m`
     /// instances per group per turn.
     ///

@@ -11,6 +11,7 @@
 //! rather than round-tripping through the runtime.
 
 use crate::config::ClusterConfig;
+use crate::digest::Fnv1a;
 use crate::event::{Action, Event, Message, PersistToken, StateMachine, TimerKind};
 use crate::multiring::Merger;
 use crate::paxos::AcceptorRecovery;
@@ -21,6 +22,7 @@ use crate::types::{Ballot, ClientId, GroupId, InstanceId, ProcessId, RingId, Tim
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Locally submitted values whose submission time is retained for
 /// latency attribution; beyond this many in flight, extra submissions
@@ -251,29 +253,30 @@ impl Node {
         (ring.learner()?.next_release() <= trimmed).then(|| (ring.group(), trimmed))
     }
 
-    /// An FNV-1a fingerprint of the protocol-relevant state: ring role
-    /// machines, merge queues, trim rounds and persist-gated actions.
-    /// The telemetry store and submission timings are excluded so schedules
-    /// that commute into the same protocol state fingerprint identically
-    /// (see [`crate::digest`]).
+    /// An FNV-1a fingerprint of the protocol-relevant state (see
+    /// [`crate::digest`]). The destructuring is exhaustive on purpose: a
+    /// new field does not compile until it is hashed or named here as
+    /// outside the digest.
     pub fn state_digest(&self) -> u64 {
-        use crate::digest::{DigestInto, Fnv1a};
+        let Self {
+            me,
+            rings,
+            merger,
+            trim,
+            gated,
+            token_seed,
+            need_checkpoint,
+            // Outside the digest: constant under exploration, a memo of
+            // it, and what only observes (submission times, telemetry) —
+            // schedules that commute into the same protocol state must
+            // fingerprint identically whatever they counted on the way.
+            config: _,
+            covering: _,
+            pending_at: _,
+            tel: _,
+        } = self;
         let mut h = Fnv1a::new();
-        self.me.digest_into(&mut h);
-        h.write_usize(self.rings.len());
-        for (id, ring) in &self.rings {
-            id.digest_into(&mut h);
-            ring.digest_into(&mut h);
-        }
-        self.merger.digest_into(&mut h);
-        h.write_usize(self.trim.len());
-        for (id, t) in &self.trim {
-            id.digest_into(&mut h);
-            t.digest_into(&mut h);
-        }
-        self.gated.digest_into(&mut h);
-        h.write_u64(self.token_seed);
-        self.need_checkpoint.digest_into(&mut h);
+        (me, rings, merger, trim, gated, token_seed, need_checkpoint).hash(&mut h);
         h.finish()
     }
 

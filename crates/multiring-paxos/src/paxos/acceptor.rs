@@ -75,7 +75,7 @@ pub struct AcceptorRecovery {
 /// Pure state: persistence is orchestrated by the ring layer, which emits
 /// [`crate::event::Action::Persist`] actions before forwarding votes when
 /// the storage mode requires it.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct Acceptor {
     ring: RingId,
     promised: Ballot,
@@ -85,17 +85,6 @@ pub struct Acceptor {
 }
 
 impl Acceptor {
-    /// Folds the acceptor's protocol state into a fingerprint (see
-    /// [`crate::digest`]).
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        self.ring.digest_into(h);
-        self.promised.digest_into(h);
-        self.accepted.digest_into(h);
-        self.decided.digest_into(h);
-        self.trimmed.digest_into(h);
-    }
-
     /// A fresh acceptor for `ring`.
     pub fn new(ring: RingId) -> Self {
         Self {

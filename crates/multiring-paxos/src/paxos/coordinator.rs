@@ -7,7 +7,7 @@ use crate::types::{Ballot, ConsensusValue, InstanceId, ProcessId, RingId, SeqFil
 use std::collections::{BTreeMap, VecDeque};
 
 /// Where the coordinator stands in the protocol.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CoordinatorStatus {
     /// Phase 1 is in flight; values are queued until a promise quorum
     /// arrives.
@@ -16,7 +16,7 @@ pub enum CoordinatorStatus {
     Steady,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Hash, Debug)]
 struct InFlight {
     count: u32,
     value: ConsensusValue,
@@ -28,7 +28,7 @@ struct InFlight {
 /// A pure state machine: methods return the [`InstanceRange`]s to propose
 /// as Phase 2 messages, and the ring layer handles routing, the local
 /// acceptor vote and persistence.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct Coordinator {
     ring: RingId,
     me: ProcessId,
@@ -49,37 +49,6 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Folds the coordinator's protocol state into a fingerprint (see
-    /// [`crate::digest`]). Rate-leveling interval accounting is included:
-    /// it gates when the next proposal round may start.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        self.ring.digest_into(h);
-        self.me.digest_into(h);
-        h.write_usize(self.majority);
-        self.ballot.digest_into(h);
-        h.write_u8(match self.status {
-            CoordinatorStatus::Preparing => 1,
-            CoordinatorStatus::Steady => 2,
-        });
-        self.phase1_from.digest_into(h);
-        self.promises.digest_into(h);
-        self.recovered.digest_into(h);
-        self.recovered_trim_max.digest_into(h);
-        self.next_instance.digest_into(h);
-        self.pending.digest_into(h);
-        self.seen.digest_into(h);
-        h.write_usize(self.in_flight.len());
-        for (i, inf) in &self.in_flight {
-            i.digest_into(h);
-            h.write_u64(u64::from(inf.count));
-            inf.value.digest_into(h);
-            inf.proposed_at.digest_into(h);
-        }
-        h.write_u64(self.started_in_interval);
-        self.interval_started_at.digest_into(h);
-    }
-
     /// Creates an idle coordinator for `ring` at process `me`; call
     /// [`Coordinator::start`] to run Phase 1 and take over.
     pub fn new(ring: RingId, me: ProcessId, majority: usize, tuning: RingTuning) -> Self {

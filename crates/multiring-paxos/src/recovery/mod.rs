@@ -38,8 +38,7 @@ use std::fmt;
 /// Within one partition (replicas with identical subscription sets),
 /// checkpoints are totally ordered (Predicate 1 of the paper):
 /// comparing any two, one dominates the other component-wise.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct CheckpointId {
     /// `(group, highest reflected instance)` pairs, sorted by group id
     /// (the round-robin order of the merge).

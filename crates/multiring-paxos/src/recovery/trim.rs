@@ -16,7 +16,7 @@ use crate::types::{GroupId, InstanceId, ProcessId, RingId};
 use std::collections::BTreeMap;
 
 /// The trim protocol state at a group's coordinator.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct TrimCoordinator {
     group: GroupId,
     ring: RingId,
@@ -28,17 +28,6 @@ pub struct TrimCoordinator {
 }
 
 impl TrimCoordinator {
-    /// Folds the trim round state into a fingerprint (see
-    /// [`crate::digest`]). The static partition layout is excluded.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        self.group.digest_into(h);
-        self.ring.digest_into(h);
-        h.write_u64(self.seq);
-        self.replies.digest_into(h);
-        self.last_trim.digest_into(h);
-    }
-
     /// Builds the trim coordinator for `group` from the cluster layout.
     pub fn new(group: GroupId, ring: RingId, config: &ClusterConfig) -> Self {
         let subscribers = config.subscribers_of(group);

@@ -30,7 +30,7 @@ pub enum RepairOutcome {
 }
 
 /// Learner state for one ring.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct RingLearner {
     ring: RingId,
     /// Next instance to release to the merge (everything below is out).
@@ -49,19 +49,6 @@ pub struct RingLearner {
 }
 
 impl RingLearner {
-    /// Folds the learner's protocol state into a fingerprint (see
-    /// [`crate::digest`]). `gap_since` is included: it decides whether
-    /// the next gap-check timer requests a retransmission.
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        self.ring.digest_into(h);
-        self.next_release.digest_into(h);
-        self.highest_seen.digest_into(h);
-        self.decided.digest_into(h);
-        self.phase2_cache.digest_into(h);
-        self.gap_since.digest_into(h);
-    }
-
     /// A fresh learner starting at instance 1.
     pub fn new(ring: RingId) -> Self {
         Self {

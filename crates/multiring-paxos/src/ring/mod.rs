@@ -95,7 +95,7 @@ impl Effects {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Hash, Debug, Default)]
 struct ProposerState {
     next_seq: u64,
     /// Unacknowledged values by sequence number.
@@ -125,7 +125,7 @@ impl ProposerState {
 
 /// Per-ring protocol state of one process: the roles it plays plus the
 /// routing logic of the unidirectional ring overlay.
-#[derive(Debug)]
+#[derive(Hash, Debug)]
 pub struct RingState {
     me: ProcessId,
     cfg: RingConfig,
@@ -150,52 +150,6 @@ pub struct RingState {
 }
 
 impl RingState {
-    /// Folds the ring's protocol state into a fingerprint (see
-    /// [`crate::digest`]): role state machines, believed coordinator
-    /// and repair/timer arming. The static
-    /// `RingConfig` is excluded (it never changes under exploration).
-    pub(crate) fn digest_into(&self, h: &mut crate::digest::Fnv1a) {
-        use crate::digest::DigestInto;
-        self.me.digest_into(h);
-        self.group.digest_into(h);
-        self.coordinator_proc.digest_into(h);
-        self.highest_ballot_seen.digest_into(h);
-        match &self.coordinator {
-            None => h.write_u8(0),
-            Some(c) => {
-                h.write_u8(1);
-                c.digest_into(h);
-            }
-        }
-        match &self.acceptor {
-            None => h.write_u8(0),
-            Some(a) => {
-                h.write_u8(1);
-                a.digest_into(h);
-            }
-        }
-        match &self.learner {
-            None => h.write_u8(0),
-            Some(l) => {
-                h.write_u8(1);
-                l.digest_into(h);
-            }
-        }
-        match &self.proposer {
-            None => h.write_u8(0),
-            Some(p) => {
-                h.write_u8(1);
-                h.write_u64(p.next_seq);
-                p.pending.digest_into(h);
-                p.resend_armed.digest_into(h);
-            }
-        }
-        self.gap_timer_armed.digest_into(h);
-        self.phase1_at.digest_into(h);
-        h.write_u64(u64::from(self.repair_attempts));
-        self.down.digest_into(h);
-    }
-
     /// Creates the per-ring state for process `me`. `subscribed` controls
     /// whether the learner role is activated (a learner member that does
     /// not subscribe to the ring's group only forwards traffic).

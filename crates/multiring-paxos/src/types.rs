@@ -13,7 +13,6 @@ macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
         $(#[$doc])*
         #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
         pub struct $name($inner);
 
         impl $name {
@@ -88,7 +87,6 @@ define_id! {
 /// means "nothing decided yet" and is used as the initial checkpoint
 /// watermark.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InstanceId(u64);
 
 impl InstanceId {
@@ -139,7 +137,6 @@ impl fmt::Debug for InstanceId {
 /// A Paxos ballot: a round number qualified by the proposing coordinator,
 /// so ballots from distinct coordinators never compare equal.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ballot {
     round: u32,
     node: ProcessId,
@@ -190,7 +187,6 @@ impl fmt::Display for Ballot {
 /// monotone `u64` is sufficient for both the simulator (virtual time) and
 /// the TCP runtime (microseconds since process start).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time(u64);
 
 impl Time {
@@ -254,7 +250,6 @@ impl fmt::Debug for Time {
 /// Uniquely identifies a multicast value across the whole deployment:
 /// the proposing process plus a per-proposer sequence number.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ValueId {
     /// The process that first multicast this value.
     pub proposer: ProcessId,
@@ -277,8 +272,7 @@ impl fmt::Display for ValueId {
 
 /// A client value multicast to a group: an opaque payload tagged with the
 /// globally unique [`ValueId`] of its original multicast.
-#[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Value {
     /// Unique id assigned at `multicast` time.
     pub id: ValueId,
@@ -314,8 +308,7 @@ impl Value {
 /// Rate leveling (Section 4) lets coordinators decide `Skip` in instances
 /// that would otherwise idle; learners consume the instance slot in the
 /// deterministic merge without delivering anything.
-#[derive(Clone, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ConsensusValue {
     /// One or more client values batched into this instance.
     Values(Vec<Value>),
@@ -347,7 +340,7 @@ impl ConsensusValue {
 /// flight to the crashed coordinator; when the old values are resent
 /// they must still be accepted exactly once even though larger
 /// sequences have already passed.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct SeqFilter {
     low: u64,
     seen: std::collections::BTreeSet<u64>,
@@ -385,12 +378,6 @@ impl SeqFilter {
     /// reordering, for tests/metrics).
     pub fn sparse_len(&self) -> usize {
         self.seen.len()
-    }
-
-    /// Sequences recorded above the watermark, ascending (the sparse
-    /// part of the filter; used by state fingerprinting).
-    pub fn sparse(&self) -> impl Iterator<Item = u64> + '_ {
-        self.seen.iter().copied()
     }
 }
 
