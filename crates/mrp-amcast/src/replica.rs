@@ -625,6 +625,24 @@ mod tests {
         }
     }
 
+    /// The blob inside every `PersistRecord::Checkpoint` and
+    /// `CheckpointData` frame: durable and exchanged between peers,
+    /// pinned before the codec rewrite.
+    #[test]
+    fn checkpoint_blob_packs_to_the_pinned_bytes() {
+        let (engine, app) = (Bytes::from_static(b"engine"), Bytes::from_static(b"app"));
+        let blob = pack_checkpoint(&engine, &app);
+        let hex: String = blob.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "0600000000000000656e67696e65617070");
+        assert_eq!(unpack_checkpoint(&blob), Some((engine, app)));
+        let empty = pack_checkpoint(&Bytes::new(), &Bytes::new());
+        assert_eq!(&empty[..], &[0u8; 8]);
+        assert_eq!(
+            unpack_checkpoint(&empty),
+            Some((Bytes::new(), Bytes::new()))
+        );
+    }
+
     #[test]
     fn singleton_replica_executes_and_responds_on_both_engines() {
         for kind in EngineKind::ALL {

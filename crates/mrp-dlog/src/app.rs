@@ -310,6 +310,22 @@ mod tests {
         ));
     }
 
+    /// The snapshot is what a checkpoint persists and a recovering peer
+    /// fetches: a durable format, pinned before the codec rewrite.
+    #[test]
+    fn snapshot_encodes_to_the_pinned_bytes() {
+        let mut app = DLogApp::new([0, 4], 1 << 20);
+        for (log, data) in [(0, "a"), (0, "bc"), (4, "d")] {
+            app.apply(&DLogCommand::Append { log, data: b(data) });
+        }
+        app.apply(&DLogCommand::Trim { log: 0, pos: 1 });
+        let hex: String = app.snapshot().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "02000000020000000000000001000000000000000100000001000000000000000200000062630400010000000000000000000000000000000100000000000000000000000100000064"
+        );
+    }
+
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut app = DLogApp::new([0, 1], 1 << 20);

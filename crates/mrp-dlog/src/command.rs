@@ -220,6 +220,66 @@ impl DLogResponse {
 mod tests {
     use super::*;
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn golden_commands() -> Vec<(DLogCommand, &'static str)> {
+        vec![
+            (
+                DLogCommand::Append {
+                    log: 3,
+                    data: Bytes::from_static(b"entry"),
+                },
+                "01030005000000656e747279",
+            ),
+            (
+                DLogCommand::MultiAppend {
+                    logs: vec![0, 2, 5],
+                    data: Bytes::from_static(b"multi"),
+                },
+                "020300000002000500050000006d756c7469",
+            ),
+            (
+                DLogCommand::Read { log: 1, pos: 42 },
+                "0301002a00000000000000",
+            ),
+            (
+                DLogCommand::Trim { log: 1, pos: 40 },
+                "0401002800000000000000",
+            ),
+        ]
+    }
+
+    fn golden_responses() -> Vec<(DLogResponse, &'static str)> {
+        vec![
+            (DLogResponse::Pos(9), "010900000000000000"),
+            (
+                DLogResponse::MultiPos(vec![(0, 1), (1, 7)]),
+                "0202000000010000000000000001000700000000000000",
+            ),
+            (DLogResponse::Value(None), "03"),
+            (
+                DLogResponse::Value(Some(Bytes::from_static(b"v"))),
+                "040100000076",
+            ),
+            (DLogResponse::Ok, "05"),
+        ]
+    }
+
+    /// Every variant with the bytes clients and servers exchange,
+    /// pinned before the codec rewrite: a moved byte is a format
+    /// change, not a refactor.
+    #[test]
+    fn commands_and_responses_encode_to_the_pinned_bytes() {
+        for (cmd, pinned) in golden_commands() {
+            assert_eq!(hex(&cmd.encode()), pinned, "{cmd:?}");
+        }
+        for (response, pinned) in golden_responses() {
+            assert_eq!(hex(&response.encode()), pinned, "{response:?}");
+        }
+    }
+
     #[test]
     fn command_roundtrips() {
         for cmd in [

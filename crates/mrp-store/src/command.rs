@@ -267,6 +267,81 @@ impl StoreResponse {
 mod tests {
     use super::*;
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn b(s: &'static str) -> Bytes {
+        Bytes::from_static(s.as_bytes())
+    }
+
+    /// Every command variant with the bytes clients send and every
+    /// replica of the partition parses (pinned before the codec
+    /// rewrite; a moved byte is a format change).
+    fn golden_commands() -> Vec<(StoreCommand, &'static str)> {
+        vec![
+            (StoreCommand::Read { key: b("k1") }, "01020000006b31"),
+            (
+                StoreCommand::Scan {
+                    from: b("a"),
+                    to: b("zz"),
+                    limit: 10,
+                },
+                "020100000061020000007a7a0a000000",
+            ),
+            (
+                StoreCommand::Update {
+                    key: b("k"),
+                    value: b("new"),
+                },
+                "03010000006b030000006e6577",
+            ),
+            (
+                StoreCommand::Insert {
+                    key: b("key"),
+                    value: b("v"),
+                },
+                "04030000006b65790100000076",
+            ),
+            (StoreCommand::Delete { key: b("k") }, "05010000006b"),
+            (
+                StoreCommand::Batch(vec![
+                    StoreCommand::Read { key: b("a") },
+                    StoreCommand::Delete { key: b("b") },
+                ]),
+                "0602000000010100000061050100000062",
+            ),
+        ]
+    }
+
+    fn golden_responses() -> Vec<(StoreResponse, &'static str)> {
+        vec![
+            (StoreResponse::Value(None), "01"),
+            (StoreResponse::Value(Some(b("v"))), "020100000076"),
+            (
+                StoreResponse::Entries(vec![(b("k"), b("v")), (b("k2"), b(""))]),
+                "0302000000010000006b0100000076020000006b3200000000",
+            ),
+            (StoreResponse::Ok, "04"),
+            (StoreResponse::Miss, "05"),
+            (
+                StoreResponse::Batch(vec![StoreResponse::Ok, StoreResponse::Miss]),
+                "06020000000405",
+            ),
+        ]
+    }
+
+    #[test]
+    fn commands_and_responses_encode_to_the_pinned_bytes() {
+        for (cmd, pinned) in golden_commands() {
+            assert_eq!(hex(&cmd.encode()), pinned, "{cmd:?}");
+            assert_eq!(cmd.encoded_len(), pinned.len() / 2, "{cmd:?}");
+        }
+        for (response, pinned) in golden_responses() {
+            assert_eq!(hex(&response.encode()), pinned, "{response:?}");
+        }
+    }
+
     fn roundtrip_cmd(cmd: StoreCommand) {
         let mut encoded = cmd.encode();
         assert_eq!(encoded.len(), cmd.encoded_len());

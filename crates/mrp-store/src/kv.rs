@@ -231,6 +231,20 @@ mod tests {
         );
     }
 
+    /// The snapshot is what a checkpoint persists and a recovering peer
+    /// fetches: a durable format, pinned before the codec rewrite.
+    #[test]
+    fn snapshot_encodes_to_the_pinned_bytes() {
+        let mut kv = KvStore::new();
+        kv.load(b("b"), b("two"));
+        kv.load(b("a"), b(""));
+        let hex: String = kv.snapshot().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "020000000000000001000000610000000001000000620300000074776f"
+        );
+    }
+
     #[test]
     fn restore_replaces_existing_state() {
         let mut a = KvStore::new();

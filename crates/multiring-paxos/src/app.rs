@@ -81,6 +81,16 @@ pub fn decode_command(mut frame: Bytes) -> Option<(ClientId, u64, Bytes)> {
 mod tests {
     use super::*;
 
+    /// Every replica of every addressed group parses these bytes out
+    /// of the delivered value: the layout is part of the replicated
+    /// state machine.
+    #[test]
+    fn command_frame_encodes_to_the_pinned_bytes() {
+        let frame = encode_command(ClientId::new(42), 7, b"hello");
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "2a0000000000000007000000000000000500000068656c6c6f");
+    }
+
     #[test]
     fn command_frame_roundtrip() {
         let frame = encode_command(ClientId::new(42), 7, b"hello");

@@ -742,9 +742,19 @@ pub fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::PersistRecord;
     use proptest::prelude::*;
 
-    fn sample_messages() -> Vec<Message> {
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every `Message` variant — both arms of each `Option`, `Skip` and
+    /// `Values` — with the bytes the encoder produced before the codec
+    /// was rewritten onto one counted writer. Deployed peers parse
+    /// exactly these bytes and the simulator charges links by their
+    /// length: moving one is a wire-format change, not a refactor.
+    fn golden_messages() -> Vec<(Message, &'static str)> {
         let value = Value::new(
             ValueId::new(ProcessId::new(3), 77),
             GroupId::new(2),
@@ -760,119 +770,303 @@ mod tests {
             cursor_used: 0,
         };
         vec![
-            Message::Forward {
-                ring: RingId::new(1),
-                values: vec![value.clone()],
-                hops: 2,
-            },
-            Message::Phase1A {
-                ring: RingId::new(1),
-                ballot: Ballot::new(4, ProcessId::new(2)),
-                from: InstanceId::new(5),
-            },
-            Message::Phase1B {
-                ring: RingId::new(1),
-                ballot: Ballot::new(4, ProcessId::new(2)),
-                from: InstanceId::new(5),
-                accepted: vec![(
-                    InstanceId::new(6),
-                    Ballot::new(3, ProcessId::new(1)),
-                    cv.clone(),
-                )],
-                trimmed: InstanceId::new(2),
-            },
-            Message::Phase2 {
-                ring: RingId::new(1),
-                ballot: Ballot::new(4, ProcessId::new(2)),
-                first: InstanceId::new(7),
-                count: 1,
-                value: cv.clone(),
-                votes: 2,
-            },
-            Message::Decision {
-                ring: RingId::new(1),
-                first: InstanceId::new(7),
-                count: 3,
-                value: Some(ConsensusValue::Skip),
-                hops: 1,
-            },
-            Message::Decision {
-                ring: RingId::new(1),
-                first: InstanceId::new(9),
-                count: 1,
-                value: None,
-                hops: 2,
-            },
-            Message::Retransmit {
-                ring: RingId::new(0),
-                from: InstanceId::new(1),
-                to: InstanceId::new(4),
-            },
-            Message::RetransmitReply {
-                ring: RingId::new(0),
-                decided: vec![(InstanceId::new(1), 2, ConsensusValue::Skip)],
-                trimmed: InstanceId::ZERO,
-            },
-            Message::TrimQuery {
-                group: GroupId::new(3),
-                seq: 9,
-            },
-            Message::TrimReply {
-                group: GroupId::new(3),
-                seq: 9,
-                safe: InstanceId::new(100),
-            },
-            Message::TrimCommand {
-                ring: RingId::new(2),
-                upto: InstanceId::new(50),
-            },
-            Message::CheckpointQuery { seq: 1 },
-            Message::CheckpointInfo {
-                seq: 1,
-                checkpoint: Some(ckpt.clone()),
-            },
-            Message::CheckpointInfo {
-                seq: 2,
-                checkpoint: None,
-            },
-            Message::CheckpointFetch {
-                seq: 3,
-                id: ckpt.clone(),
-            },
-            Message::CheckpointData {
-                seq: 3,
-                id: ckpt,
-                snapshot: Some(Bytes::from_static(b"snapshot")),
-            },
-            Message::Request {
-                client: ClientId::new(8),
-                request: 55,
-                groups: vec![GroupId::new(1)],
-                payload: Bytes::from_static(b"cmd"),
-            },
-            Message::Request {
-                client: ClientId::new(9),
-                request: 56,
-                groups: vec![GroupId::new(0), GroupId::new(2), GroupId::new(5)],
-                payload: Bytes::from_static(b"scan"),
-            },
-            Message::Response {
-                client: ClientId::new(8),
-                request: 55,
-                payload: Bytes::from_static(b"ok"),
-            },
-            Message::Batch(vec![
-                Message::CheckpointQuery { seq: 4 },
-                Message::TrimCommand {
-                    ring: RingId::new(0),
-                    upto: InstanceId::new(1),
+            (
+                Message::Forward {
+                    ring: RingId::new(1),
+                    values: vec![value.clone()],
+                    hops: 2,
                 },
-            ]),
-            Message::Engine {
-                engine: 1,
-                payload: Bytes::from_static(b"engine-frame"),
-            },
+                "0101000200000001000000030000004d0000000000000002000400000001020304",
+            ),
+            (
+                Message::Phase1A {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    from: InstanceId::new(5),
+                },
+                "02010004000000020000000500000000000000",
+            ),
+            (
+                Message::Phase1B {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    from: InstanceId::new(5),
+                    accepted: vec![
+                        (
+                            InstanceId::new(6),
+                            Ballot::new(3, ProcessId::new(1)),
+                            cv.clone(),
+                        ),
+                        (
+                            InstanceId::new(7),
+                            Ballot::new(3, ProcessId::new(1)),
+                            ConsensusValue::Skip,
+                        ),
+                    ],
+                    trimmed: InstanceId::new(2),
+                },
+                "03010004000000020000000500000000000000020000000000000002000000060000000000000003000000010000000101000000030000004d00000000000000020004000000010203040700000000000000030000000100000000",
+            ),
+            (
+                Message::Phase2 {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    first: InstanceId::new(7),
+                    count: 1,
+                    value: cv.clone(),
+                    votes: 2,
+                },
+                "0401000400000002000000070000000000000001000000020000000101000000030000004d0000000000000002000400000001020304",
+            ),
+            (
+                Message::Phase2 {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    first: InstanceId::new(8),
+                    count: 16,
+                    value: ConsensusValue::Skip,
+                    votes: 1,
+                },
+                "04010004000000020000000800000000000000100000000100000000",
+            ),
+            (
+                Message::Decision {
+                    ring: RingId::new(1),
+                    first: InstanceId::new(7),
+                    count: 3,
+                    value: Some(ConsensusValue::Skip),
+                    hops: 1,
+                },
+                "050100070000000000000003000000010000000100",
+            ),
+            (
+                Message::Decision {
+                    ring: RingId::new(1),
+                    first: InstanceId::new(8),
+                    count: 1,
+                    value: Some(cv.clone()),
+                    hops: 0,
+                },
+                "05010008000000000000000100000000000000010101000000030000004d0000000000000002000400000001020304",
+            ),
+            (
+                Message::Decision {
+                    ring: RingId::new(1),
+                    first: InstanceId::new(9),
+                    count: 1,
+                    value: None,
+                    hops: 2,
+                },
+                "0501000900000000000000010000000200000000",
+            ),
+            (
+                Message::Retransmit {
+                    ring: RingId::new(0),
+                    from: InstanceId::new(1),
+                    to: InstanceId::new(4),
+                },
+                "06000001000000000000000400000000000000",
+            ),
+            (
+                Message::RetransmitReply {
+                    ring: RingId::new(0),
+                    decided: vec![
+                        (InstanceId::new(1), 2, ConsensusValue::Skip),
+                        (InstanceId::new(3), 1, cv),
+                    ],
+                    trimmed: InstanceId::ZERO,
+                },
+                "070000000000000000000002000000010000000000000002000000000300000000000000010000000101000000030000004d0000000000000002000400000001020304",
+            ),
+            (
+                Message::TrimQuery {
+                    group: GroupId::new(3),
+                    seq: 9,
+                },
+                "0803000900000000000000",
+            ),
+            (
+                Message::TrimReply {
+                    group: GroupId::new(3),
+                    seq: 9,
+                    safe: InstanceId::new(100),
+                },
+                "09030009000000000000006400000000000000",
+            ),
+            (
+                Message::TrimCommand {
+                    ring: RingId::new(2),
+                    upto: InstanceId::new(50),
+                },
+                "0a02003200000000000000",
+            ),
+            (Message::CheckpointQuery { seq: 1 }, "0b0100000000000000"),
+            (
+                Message::CheckpointInfo {
+                    seq: 1,
+                    checkpoint: Some(ckpt.clone()),
+                },
+                "0c0100000000000000010200000000000a00000000000000010009000000000000000100000000000000",
+            ),
+            (
+                Message::CheckpointInfo {
+                    seq: 2,
+                    checkpoint: None,
+                },
+                "0c020000000000000000",
+            ),
+            (
+                Message::CheckpointFetch {
+                    seq: 3,
+                    id: ckpt.clone(),
+                },
+                "0d03000000000000000200000000000a00000000000000010009000000000000000100000000000000",
+            ),
+            (
+                Message::CheckpointData {
+                    seq: 3,
+                    id: ckpt.clone(),
+                    snapshot: Some(Bytes::from_static(b"snapshot")),
+                },
+                "0e03000000000000000200000000000a000000000000000100090000000000000001000000000000000108000000736e617073686f74",
+            ),
+            (
+                Message::CheckpointData {
+                    seq: 4,
+                    id: ckpt,
+                    snapshot: None,
+                },
+                "0e04000000000000000200000000000a0000000000000001000900000000000000010000000000000000",
+            ),
+            (
+                Message::Request {
+                    client: ClientId::new(8),
+                    request: 55,
+                    groups: vec![GroupId::new(1)],
+                    payload: Bytes::from_static(b"cmd"),
+                },
+                "0f080000000000000037000000000000000100010003000000636d64",
+            ),
+            (
+                Message::Request {
+                    client: ClientId::new(9),
+                    request: 56,
+                    groups: vec![GroupId::new(0), GroupId::new(2), GroupId::new(5)],
+                    payload: Bytes::from_static(b"scan"),
+                },
+                "0f090000000000000038000000000000000300000002000500040000007363616e",
+            ),
+            (
+                Message::Response {
+                    client: ClientId::new(8),
+                    request: 55,
+                    payload: Bytes::from_static(b"ok"),
+                },
+                "1008000000000000003700000000000000020000006f6b",
+            ),
+            (
+                Message::Batch(vec![
+                    Message::CheckpointQuery { seq: 4 },
+                    Message::TrimCommand {
+                        ring: RingId::new(0),
+                        upto: InstanceId::new(1),
+                    },
+                ]),
+                "11020000000b04000000000000000a00000100000000000000",
+            ),
+            (
+                Message::Engine {
+                    engine: 1,
+                    payload: Bytes::from_static(b"engine-frame"),
+                },
+                "12010c000000656e67696e652d6672616d65",
+            ),
         ]
+    }
+
+    /// Every stable-storage record with its pinned bytes: the WAL and
+    /// the checkpoint file are durable formats, read back by whatever
+    /// version restarts on them.
+    fn golden_records() -> Vec<(PersistRecord, &'static str)> {
+        let value = Value::new(
+            ValueId::new(ProcessId::new(3), 77),
+            GroupId::new(2),
+            vec![1u8, 2, 3, 4],
+        );
+        vec![
+            (
+                PersistRecord::Promise {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    from: InstanceId::new(5),
+                },
+                "28010004000000020000000500000000000000",
+            ),
+            (
+                PersistRecord::Vote {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    first: InstanceId::new(7),
+                    count: 1,
+                    value: ConsensusValue::Values(vec![value]),
+                },
+                "29010004000000020000000700000000000000010000000101000000030000004d0000000000000002000400000001020304",
+            ),
+            (
+                PersistRecord::Vote {
+                    ring: RingId::new(1),
+                    ballot: Ballot::new(4, ProcessId::new(2)),
+                    first: InstanceId::new(8),
+                    count: 16,
+                    value: ConsensusValue::Skip,
+                },
+                "290100040000000200000008000000000000001000000000",
+            ),
+            (
+                PersistRecord::Checkpoint {
+                    id: CheckpointId {
+                        marks: vec![(GroupId::new(0), InstanceId::new(10))],
+                        cursor_group: 0,
+                        cursor_used: 3,
+                    },
+                    snapshot: Bytes::from_static(b"snapshot"),
+                },
+                "2a0100000000000a00000000000000000000000300000008000000736e617073686f74",
+            ),
+            (
+                PersistRecord::Decision {
+                    ring: RingId::new(1),
+                    first: InstanceId::new(7),
+                    count: 2,
+                },
+                "2b0100070000000000000002000000",
+            ),
+        ]
+    }
+
+    fn sample_messages() -> Vec<Message> {
+        golden_messages().into_iter().map(|(m, _)| m).collect()
+    }
+
+    #[test]
+    fn messages_encode_to_the_pinned_bytes() {
+        for (msg, pinned) in golden_messages() {
+            assert_eq!(hex(&encode_to_bytes(&msg)), pinned, "{msg:?}");
+            assert_eq!(encoded_len(&msg), pinned.len() / 2, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn records_encode_to_the_pinned_bytes_and_decode_back() {
+        for (record, pinned) in golden_records() {
+            let mut buf = BytesMut::new();
+            encode_record(&record, &mut buf);
+            assert_eq!(hex(&buf), pinned, "{record:?}");
+            assert_eq!(record_len(&record), pinned.len() / 2, "{record:?}");
+            let mut frozen = buf.freeze();
+            assert_eq!(decode_record(&mut frozen), Ok(record));
+            assert_eq!(frozen.remaining(), 0);
+        }
     }
 
     #[test]
