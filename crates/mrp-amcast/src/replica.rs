@@ -69,8 +69,9 @@
 
 use crate::engine::{AmcastEngine, AnyEngine, EngineKind, Watermark};
 use crate::telemetry::{HealthReport, TelemetrySnapshot};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::app::{Application, Delivery, Reply};
+use multiring_paxos::codec::{get_exact, get_u64};
 use multiring_paxos::config::ClusterConfig;
 use multiring_paxos::event::{
     Action, Event, Message, PersistRecord, PersistToken, StateMachine, TimerKind,
@@ -97,14 +98,8 @@ fn pack_checkpoint(engine_state: &Bytes, app_snapshot: &Bytes) -> Bytes {
 /// `(engine_state, app_snapshot)`; `None` on a malformed blob.
 fn unpack_checkpoint(blob: &Bytes) -> Option<(Bytes, Bytes)> {
     let mut buf = blob.clone();
-    if buf.remaining() < 8 {
-        return None;
-    }
-    let engine_len = buf.get_u64_le() as usize;
-    if buf.remaining() < engine_len {
-        return None;
-    }
-    let engine_state = buf.copy_to_bytes(engine_len);
+    let engine_len = get_u64(&mut buf).ok()?;
+    let engine_state = get_exact(&mut buf, engine_len).ok()?;
     Some((engine_state, buf))
 }
 

@@ -8,8 +8,9 @@
 //! mechanism, which attempts to maximize disk use by writing in large
 //! chunks").
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
+use multiring_paxos::codec::{get_bytes, put_bytes};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
@@ -146,18 +147,13 @@ impl Actor for Bookie {
 /// Encodes an append entry for the wire (entry id + payload).
 pub fn encode_entry(data: &Bytes) -> Bytes {
     let mut buf = BytesMut::with_capacity(4 + data.len());
-    buf.put_u32_le(data.len() as u32);
-    buf.put_slice(data);
+    put_bytes(&mut buf, data);
     buf.freeze()
 }
 
 /// Decodes an append entry.
 pub fn decode_entry(mut b: Bytes) -> Option<Bytes> {
-    if b.remaining() < 4 {
-        return None;
-    }
-    let n = b.get_u32_le() as usize;
-    (b.remaining() >= n).then(|| b.copy_to_bytes(n))
+    get_bytes(&mut b).ok()
 }
 
 #[derive(Debug)]

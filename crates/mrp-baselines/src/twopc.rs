@@ -8,8 +8,9 @@
 //! side of that comparison; the ablation benchmark runs the same
 //! conflicting workload through both.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
+use multiring_paxos::codec::{get_seq, get_u16, get_u64, get_u8, CodecError};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
@@ -35,16 +36,11 @@ fn encode_msg(tag: u8, txn: u64, keys: &[u64]) -> Bytes {
 }
 
 fn decode_msg(mut b: Bytes) -> Option<(u8, u64, Vec<u64>)> {
-    if b.remaining() < 11 {
-        return None;
+    fn read(b: &mut Bytes) -> Result<(u8, u64, Vec<u64>), CodecError> {
+        let (tag, txn) = (get_u8(b)?, get_u64(b)?);
+        Ok((tag, txn, get_seq(get_u16(b)?.into(), b, get_u64)?))
     }
-    let tag = b.get_u8();
-    let txn = b.get_u64_le();
-    let n = b.get_u16_le() as usize;
-    if b.remaining() < n * 8 {
-        return None;
-    }
-    Some((tag, txn, (0..n).map(|_| b.get_u64_le()).collect()))
+    read(&mut b).ok()
 }
 
 /// A 2PC participant: owns a key partition, locks keys at prepare with

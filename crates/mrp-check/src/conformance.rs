@@ -9,9 +9,9 @@
 //! | rule                | rejects |
 //! |---------------------|---------|
 //! | `codec-tags`        | colliding wire-tag values; a declared tag not referenced by both an encode and a decode path (dead vocabulary) |
-//! | `frame-coverage`    | an enum variant missing from any of its codec/dispatch functions — every [`Message`] variant must appear in `encode`, `encoded_len` and `decode`; every `PersistRecord` variant in `encode_record`, `record_len` and `decode_record`; every white-box `WbMessage` frame in `into_frame`, `parse` and `on_wb_message` (constructed somewhere ⇒ matched somewhere) |
+//! | `frame-coverage`    | an enum variant missing from any of its codec/dispatch functions — every [`Message`] variant must appear in `encode` and `decode`; every [`PersistRecord`] variant in `encode_record` and `decode_record` (lengths are the encoder run over a counting sink, so there is no third function to cover); every white-box `WbMessage` frame in `into_frame`, `parse` and `on_wb_message` (constructed somewhere ⇒ matched somewhere) |
 //! | `protocol-constants`| a missing `const _` static assertion for the load-bearing recovery-window algebra (`TAKEOVER_GRACE_DELTAS ≥ ORPHAN_DELTAS + RETRY_DELTAS`, `ORPHAN_DELTAS > RETRY_DELTAS`) |
-//! | `round-trip`        | a [`Message`] variant without a sample that encodes, length-checks, decodes and compares equal through the live codec |
+//! | `round-trip`        | a [`Message`] or [`PersistRecord`] variant without a sample that encodes, decodes, compares equal and leaves no trailing byte through the live codec |
 //! | `timer-liveness`    | a `TimerKind` variant no non-test code arms (`SetTimer { timer: TimerKind::V }` or `fx.timer(.., TimerKind::V)`), or none handles (an `Event::Timer(TimerKind::V)` pattern or an `on_timer` arm) — a timer whose feature was deleted must go with it |
 //!
 //! Like the purity lints, sources are stripped of comments and string
@@ -25,8 +25,8 @@ use std::fmt;
 use std::path::Path;
 
 use bytes::{Bytes, BytesMut};
-use multiring_paxos::codec::{decode, encode, encoded_len};
-use multiring_paxos::event::Message;
+use multiring_paxos::codec::{decode, decode_record, encode, encode_record, CodecError};
+use multiring_paxos::event::{Message, PersistRecord};
 use multiring_paxos::recovery::CheckpointId;
 use multiring_paxos::types::{
     Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Value, ValueId,
@@ -467,62 +467,116 @@ fn message_samples() -> Vec<(&'static str, Message)> {
     ]
 }
 
-/// The `round-trip` rule: every `Message` variant parsed from
-/// `event_src` must have a sample in `message_samples` that encodes
-/// to exactly `encoded_len` bytes, decodes back equal, and leaves no
-/// trailing bytes.
-pub fn check_message_round_trip(event_src: &str) -> Vec<Finding> {
+/// One sample per [`PersistRecord`] variant, held to the same
+/// checked-complete rule as [`message_samples`]: the WAL and the
+/// checkpoint file are read back by whatever version restarts on them.
+fn record_samples() -> Vec<(&'static str, PersistRecord)> {
+    let value = Value::new(
+        ValueId::new(ProcessId::new(3), 77),
+        GroupId::new(2),
+        Bytes::from_static(b"conformance"),
+    );
+    vec![
+        (
+            "Promise",
+            PersistRecord::Promise {
+                ring: RingId::new(1),
+                ballot: Ballot::new(4, ProcessId::new(2)),
+                from: InstanceId::new(5),
+            },
+        ),
+        (
+            "Vote",
+            PersistRecord::Vote {
+                ring: RingId::new(1),
+                ballot: Ballot::new(4, ProcessId::new(2)),
+                first: InstanceId::new(7),
+                count: 1,
+                value: ConsensusValue::Values(vec![value]),
+            },
+        ),
+        (
+            "Checkpoint",
+            PersistRecord::Checkpoint {
+                id: CheckpointId {
+                    marks: vec![(GroupId::new(0), InstanceId::new(10))],
+                    cursor_group: 1,
+                    cursor_used: 0,
+                },
+                snapshot: Bytes::from_static(b"snapshot"),
+            },
+        ),
+        (
+            "Decision",
+            PersistRecord::Decision {
+                ring: RingId::new(1),
+                first: InstanceId::new(7),
+                count: 2,
+            },
+        ),
+    ]
+}
+
+/// The `round-trip` rule for one enum: every variant of `enum_name`
+/// parsed from `event_src` must have a sample in `samples` that
+/// decodes back equal through the live codec and leaves no trailing
+/// bytes.
+fn check_round_trip<T: PartialEq>(
+    event_src: &str,
+    enum_name: &str,
+    samples: &[(&'static str, T)],
+    encode: impl Fn(&T, &mut BytesMut),
+    decode: impl Fn(&mut Bytes) -> Result<T, CodecError>,
+) -> Vec<Finding> {
+    let finding = |file: &str, detail| Finding {
+        rule: "round-trip",
+        file: format!("crates/multiring-paxos/src/{file}"),
+        detail,
+    };
     let mut out = Vec::new();
-    let samples = message_samples();
-    let variants = parse_enum_variants(event_src, "Message");
-    for v in &variants {
-        if !samples.iter().any(|(name, _)| name == v) {
-            out.push(Finding {
-                rule: "round-trip",
-                file: "crates/multiring-paxos/src/event.rs".into(),
-                detail: format!("`Message::{v}` has no round-trip sample in the conformance suite"),
-            });
+    for v in parse_enum_variants(event_src, enum_name) {
+        if !samples.iter().any(|(name, _)| *name == v) {
+            out.push(finding(
+                "event.rs",
+                format!("`{enum_name}::{v}` has no round-trip sample in the conformance suite"),
+            ));
         }
     }
-    for (name, msg) in &samples {
+    for (name, sample) in samples {
         let mut buf = BytesMut::new();
-        encode(msg, &mut buf);
-        if buf.len() != encoded_len(msg) {
-            out.push(Finding {
-                rule: "round-trip",
-                file: "crates/multiring-paxos/src/codec.rs".into(),
-                detail: format!(
-                    "`Message::{name}` encodes to {} bytes but encoded_len claims {}",
-                    buf.len(),
-                    encoded_len(msg)
-                ),
-            });
-            continue;
-        }
+        encode(sample, &mut buf);
         let mut frozen = buf.freeze();
-        match decode(&mut frozen) {
-            Ok(back) if &back == msg && frozen.is_empty() => {}
-            Ok(back) if &back == msg => out.push(Finding {
-                rule: "round-trip",
-                file: "crates/multiring-paxos/src/codec.rs".into(),
-                detail: format!(
-                    "`Message::{name}` leaves {} trailing byte(s) after decode",
-                    frozen.len()
-                ),
-            }),
-            Ok(_) => out.push(Finding {
-                rule: "round-trip",
-                file: "crates/multiring-paxos/src/codec.rs".into(),
-                detail: format!("`Message::{name}` does not decode back to itself"),
-            }),
-            Err(e) => out.push(Finding {
-                rule: "round-trip",
-                file: "crates/multiring-paxos/src/codec.rs".into(),
-                detail: format!("`Message::{name}` fails to decode: {e}"),
-            }),
-        }
+        let detail = match decode(&mut frozen) {
+            Ok(back) if &back == sample && frozen.is_empty() => continue,
+            Ok(back) if &back == sample => format!(
+                "`{enum_name}::{name}` leaves {} trailing byte(s) after decode",
+                frozen.len()
+            ),
+            Ok(_) => format!("`{enum_name}::{name}` does not decode back to itself"),
+            Err(e) => format!("`{enum_name}::{name}` fails to decode: {e}"),
+        };
+        out.push(finding("codec.rs", detail));
     }
     out
+}
+
+/// The `round-trip` rule over the [`Message`] variants parsed from
+/// `event_src`.
+pub fn check_message_round_trip(event_src: &str) -> Vec<Finding> {
+    check_round_trip(event_src, "Message", &message_samples(), encode, decode)
+}
+
+/// The `round-trip` rule over the [`PersistRecord`] variants parsed
+/// from `event_src`.
+pub fn check_record_round_trip(event_src: &str) -> Vec<Finding> {
+    let samples = record_samples();
+    check_round_trip(
+        event_src,
+        "PersistRecord",
+        &samples,
+        encode_record,
+        decode_record,
+    )
 }
 
 /// The `TimerKind` variant names that directly follow each occurrence
@@ -614,14 +668,14 @@ pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), Stri
         &event_src,
         "Message",
         &codec_src,
-        &["encode", "encoded_len", "decode"],
+        &["encode", "decode"],
     ));
     findings.extend(check_enum_fn_coverage(
         "crates/multiring-paxos/src/codec.rs",
         &event_src,
         "PersistRecord",
         &codec_src,
-        &["encode_record", "record_len", "decode_record"],
+        &["encode_record", "decode_record"],
     ));
     findings.extend(check_enum_fn_coverage(
         WIRE,
@@ -639,6 +693,7 @@ pub fn conformance_check(repo_root: &Path) -> Result<(Vec<Finding>, usize), Stri
     ));
     findings.extend(check_protocol_constants(MOD, &mod_src));
     findings.extend(check_message_round_trip(&event_src));
+    findings.extend(check_record_round_trip(&event_src));
     let ring_src = read("crates/multiring-paxos/src/ring/mod.rs")?;
     let node_src = read("crates/multiring-paxos/src/node.rs")?;
     let engine_src = read("crates/mrp-amcast/src/engine.rs")?;
@@ -786,5 +841,41 @@ mod tests {
         // variants, the rule reduces to the live encode/decode checks.
         let findings = check_message_round_trip("enum Message { Forward }");
         assert!(findings.is_empty(), "{findings:?}");
+        let findings = check_record_round_trip("enum PersistRecord { Vote }");
+        assert!(findings.is_empty(), "{findings:?}");
+    }
+
+    #[test]
+    fn record_variant_without_sample_is_flagged() {
+        let doctored = "pub enum PersistRecord { Vote { x: u8 }, Lease { until: u64 } }";
+        let details: Vec<String> = check_record_round_trip(doctored)
+            .into_iter()
+            .map(|f| f.detail)
+            .collect();
+        assert_eq!(
+            details,
+            ["`PersistRecord::Lease` has no round-trip sample in the conformance suite"]
+        );
+    }
+
+    #[test]
+    fn a_codec_that_does_not_round_trip_is_flagged() {
+        // A decoder that loses a field, one that stops a byte short,
+        // and one that fails: each is a finding against codec.rs.
+        let samples = [("A", 7u8)];
+        let put = |v: &u8, buf: &mut BytesMut| buf.extend_from_slice(&[*v, *v]);
+        let run = |decode: fn(&mut Bytes) -> Result<u8, CodecError>| {
+            let findings = check_round_trip("enum E { A }", "E", &samples, put, decode);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].file.ends_with("codec.rs"));
+            findings[0].detail.clone()
+        };
+        assert!(run(|b| {
+            *b = Bytes::new();
+            Ok(8)
+        })
+        .contains("does not decode back to itself"));
+        assert!(run(|b| Ok(b.split_to(1)[0])).contains("1 trailing byte"));
+        assert!(run(|_| Err(CodecError::Truncated)).contains("fails to decode"));
     }
 }

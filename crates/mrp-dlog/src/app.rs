@@ -2,8 +2,9 @@
 //! in-memory cache, trim.
 
 use crate::command::{DLogCommand, DLogResponse, LogId};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::app::{decode_command, Application, Delivery, Reply};
+use multiring_paxos::codec::{get_bytes, get_u16, get_u32, get_u64, put_bytes, CodecError};
 use std::collections::BTreeMap;
 
 /// Per-log state.
@@ -110,6 +111,27 @@ impl DLogApp {
             }
         }
     }
+
+    /// Replaces the logs with those of a [`snapshot`](Application::snapshot).
+    fn read_logs(&mut self, buf: &mut Bytes) -> Result<(), CodecError> {
+        let n = get_u16(buf)?;
+        self.logs.clear();
+        for _ in 0..n {
+            let id = get_u16(buf)?;
+            let mut state = LogState {
+                next_pos: get_u64(buf)?,
+                trimmed_to: get_u64(buf)?,
+                ..LogState::default()
+            };
+            for _ in 0..get_u32(buf)? {
+                let (pos, data) = (get_u64(buf)?, get_bytes(buf)?);
+                state.cached_bytes += data.len();
+                state.entries.insert(pos, data);
+            }
+            self.logs.insert(id, state);
+        }
+        Ok(())
+    }
 }
 
 impl Application for DLogApp {
@@ -140,46 +162,16 @@ impl Application for DLogApp {
             buf.put_u32_le(state.entries.len() as u32);
             for (&pos, data) in &state.entries {
                 buf.put_u64_le(pos);
-                buf.put_u32_le(data.len() as u32);
-                buf.put_slice(data);
+                put_bytes(&mut buf, data);
             }
         }
         buf.freeze()
     }
 
+    /// A malformed snapshot restores the logs that precede the damage
+    /// (snapshots are always produced by [`DLogApp::snapshot`]).
     fn restore(&mut self, snapshot: &Bytes) {
-        let mut buf = snapshot.clone();
-        if buf.remaining() < 2 {
-            return;
-        }
-        self.logs.clear();
-        let n = buf.get_u16_le();
-        for _ in 0..n {
-            if buf.remaining() < 2 + 8 + 8 + 4 {
-                return;
-            }
-            let id = buf.get_u16_le();
-            let mut state = LogState {
-                next_pos: buf.get_u64_le(),
-                trimmed_to: buf.get_u64_le(),
-                ..LogState::default()
-            };
-            let entries = buf.get_u32_le();
-            for _ in 0..entries {
-                if buf.remaining() < 12 {
-                    return;
-                }
-                let pos = buf.get_u64_le();
-                let len = buf.get_u32_le() as usize;
-                if buf.remaining() < len {
-                    return;
-                }
-                let data = buf.copy_to_bytes(len);
-                state.cached_bytes += data.len();
-                state.entries.insert(pos, data);
-            }
-            self.logs.insert(id, state);
-        }
+        let _ = self.read_logs(&mut snapshot.clone());
     }
 }
 

@@ -1,6 +1,7 @@
 //! The dLog command set (Table 2 of the paper) and its wire encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use multiring_paxos::codec::{get_bytes, get_seq, get_u16, get_u64, get_u8, put_bytes, CodecError};
 
 /// Identifies one log.
 pub type LogId = u16;
@@ -72,8 +73,7 @@ impl DLogCommand {
             DLogCommand::Append { log, data } => {
                 buf.put_u8(C_APPEND);
                 buf.put_u16_le(*log);
-                buf.put_u32_le(data.len() as u32);
-                buf.put_slice(data);
+                put_bytes(&mut buf, data);
             }
             DLogCommand::MultiAppend { logs, data } => {
                 buf.put_u8(C_MULTI);
@@ -81,8 +81,7 @@ impl DLogCommand {
                 for l in logs {
                     buf.put_u16_le(*l);
                 }
-                buf.put_u32_le(data.len() as u32);
-                buf.put_slice(data);
+                put_bytes(&mut buf, data);
             }
             DLogCommand::Read { log, pos } => {
                 buf.put_u8(C_READ);
@@ -100,55 +99,28 @@ impl DLogCommand {
 
     /// Decodes a command; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<DLogCommand> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            C_APPEND => {
-                if buf.remaining() < 6 {
-                    return None;
-                }
-                let log = buf.get_u16_le();
-                let n = buf.get_u32_le() as usize;
-                (buf.remaining() >= n).then(|| DLogCommand::Append {
-                    log,
-                    data: buf.copy_to_bytes(n),
-                })
-            }
-            C_MULTI => {
-                if buf.remaining() < 2 {
-                    return None;
-                }
-                let k = buf.get_u16_le() as usize;
-                if buf.remaining() < k * 2 + 4 {
-                    return None;
-                }
-                let logs = (0..k).map(|_| buf.get_u16_le()).collect();
-                let n = buf.get_u32_le() as usize;
-                (buf.remaining() >= n).then(|| DLogCommand::MultiAppend {
-                    logs,
-                    data: buf.copy_to_bytes(n),
-                })
-            }
-            C_READ => {
-                if buf.remaining() < 10 {
-                    return None;
-                }
-                Some(DLogCommand::Read {
-                    log: buf.get_u16_le(),
-                    pos: buf.get_u64_le(),
-                })
-            }
-            C_TRIM => {
-                if buf.remaining() < 10 {
-                    return None;
-                }
-                Some(DLogCommand::Trim {
-                    log: buf.get_u16_le(),
-                    pos: buf.get_u64_le(),
-                })
-            }
-            _ => None,
+        Self::read(buf).ok()
+    }
+
+    fn read(buf: &mut Bytes) -> Result<DLogCommand, CodecError> {
+        match get_u8(buf)? {
+            C_APPEND => Ok(DLogCommand::Append {
+                log: get_u16(buf)?,
+                data: get_bytes(buf)?,
+            }),
+            C_MULTI => Ok(DLogCommand::MultiAppend {
+                logs: get_seq(get_u16(buf)?.into(), buf, get_u16)?,
+                data: get_bytes(buf)?,
+            }),
+            C_READ => Ok(DLogCommand::Read {
+                log: get_u16(buf)?,
+                pos: get_u64(buf)?,
+            }),
+            C_TRIM => Ok(DLogCommand::Trim {
+                log: get_u16(buf)?,
+                pos: get_u64(buf)?,
+            }),
+            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -173,8 +145,7 @@ impl DLogResponse {
             DLogResponse::Value(None) => buf.put_u8(R_VALUE_NONE),
             DLogResponse::Value(Some(v)) => {
                 buf.put_u8(R_VALUE_SOME);
-                buf.put_u32_le(v.len() as u32);
-                buf.put_slice(v);
+                put_bytes(&mut buf, v);
             }
             DLogResponse::Ok => buf.put_u8(R_OK),
         }
@@ -183,35 +154,21 @@ impl DLogResponse {
 
     /// Decodes a response; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<DLogResponse> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            R_POS => (buf.remaining() >= 8).then(|| DLogResponse::Pos(buf.get_u64_le())),
-            R_MULTI => {
-                if buf.remaining() < 2 {
-                    return None;
-                }
-                let k = buf.get_u16_le() as usize;
-                if buf.remaining() < k * 10 {
-                    return None;
-                }
-                Some(DLogResponse::MultiPos(
-                    (0..k)
-                        .map(|_| (buf.get_u16_le(), buf.get_u64_le()))
-                        .collect(),
-                ))
-            }
-            R_VALUE_NONE => Some(DLogResponse::Value(None)),
-            R_VALUE_SOME => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                (buf.remaining() >= n).then(|| DLogResponse::Value(Some(buf.copy_to_bytes(n))))
-            }
-            R_OK => Some(DLogResponse::Ok),
-            _ => None,
+        Self::read(buf).ok()
+    }
+
+    fn read(buf: &mut Bytes) -> Result<DLogResponse, CodecError> {
+        match get_u8(buf)? {
+            R_POS => Ok(DLogResponse::Pos(get_u64(buf)?)),
+            R_MULTI => Ok(DLogResponse::MultiPos(get_seq(
+                get_u16(buf)?.into(),
+                buf,
+                |buf| Ok((get_u16(buf)?, get_u64(buf)?)),
+            )?)),
+            R_VALUE_NONE => Ok(DLogResponse::Value(None)),
+            R_VALUE_SOME => Ok(DLogResponse::Value(Some(get_bytes(buf)?))),
+            R_OK => Ok(DLogResponse::Ok),
+            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -219,6 +176,7 @@ impl DLogResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

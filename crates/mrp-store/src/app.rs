@@ -5,6 +5,7 @@ use crate::command::StoreCommand;
 use crate::kv::KvStore;
 use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::app::{decode_command, Application, Delivery, Reply};
+use multiring_paxos::codec::get_u16;
 
 /// The MRP-Store state machine hosted by an
 /// [`EngineReplica`](mrp_amcast::EngineReplica).
@@ -65,11 +66,8 @@ impl StoreApp {
 
     /// Splits a reply payload into partition tag + response.
     pub fn unframe_response(payload: &Bytes) -> Option<(u16, crate::command::StoreResponse)> {
-        if payload.len() < 2 {
-            return None;
-        }
-        let partition = u16::from_le_bytes([payload[0], payload[1]]);
-        let mut rest = payload.slice(2..);
+        let mut rest = payload.clone();
+        let partition = get_u16(&mut rest).ok()?;
         let response = crate::command::StoreResponse::decode(&mut rest)?;
         Some((partition, response))
     }

@@ -1,7 +1,10 @@
 //! The MRP-Store command set (Table 1 of the paper) and its wire
 //! encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use multiring_paxos::codec::{
+    counted, get_bytes, get_len, get_seq, get_u32, get_u8, put_bytes, CodecError,
+};
 
 /// One store operation (Table 1), plus client-side batches ("clients may
 /// batch small commands, grouped by partition, up to 32 Kbytes").
@@ -73,19 +76,6 @@ const R_OK: u8 = 4;
 const R_MISS: u8 = 5;
 const R_BATCH: u8 = 6;
 
-fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
-    buf.put_u32_le(b.len() as u32);
-    buf.put_slice(b);
-}
-
-fn get_bytes(buf: &mut Bytes) -> Option<Bytes> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n = buf.get_u32_le() as usize;
-    (buf.remaining() >= n).then(|| buf.copy_to_bytes(n))
-}
-
 impl StoreCommand {
     /// Encodes the command.
     pub fn encode(&self) -> Bytes {
@@ -94,7 +84,7 @@ impl StoreCommand {
         buf.freeze()
     }
 
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encode_into<B: BufMut + ?Sized>(&self, buf: &mut B) {
         match self {
             StoreCommand::Read { key } => {
                 buf.put_u8(C_READ);
@@ -132,59 +122,41 @@ impl StoreCommand {
 
     /// Size of the encoding (used for the client's 32 KB batch cap).
     pub fn encoded_len(&self) -> usize {
-        match self {
-            StoreCommand::Read { key } | StoreCommand::Delete { key } => 1 + 4 + key.len(),
-            StoreCommand::Scan { from, to, .. } => 1 + 4 + from.len() + 4 + to.len() + 4,
-            StoreCommand::Update { key, value } | StoreCommand::Insert { key, value } => {
-                1 + 4 + key.len() + 4 + value.len()
-            }
-            StoreCommand::Batch(cmds) => {
-                1 + 4 + cmds.iter().map(StoreCommand::encoded_len).sum::<usize>()
-            }
-        }
+        counted(|sink| self.encode_into(sink))
     }
 
     /// Decodes a command; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<StoreCommand> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            C_READ => Some(StoreCommand::Read {
+        Self::read(buf).ok()
+    }
+
+    fn read(buf: &mut Bytes) -> Result<StoreCommand, CodecError> {
+        match get_u8(buf)? {
+            C_READ => Ok(StoreCommand::Read {
                 key: get_bytes(buf)?,
             }),
-            C_SCAN => {
-                let from = get_bytes(buf)?;
-                let to = get_bytes(buf)?;
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let limit = buf.get_u32_le();
-                Some(StoreCommand::Scan { from, to, limit })
-            }
-            C_UPDATE => Some(StoreCommand::Update {
+            C_SCAN => Ok(StoreCommand::Scan {
+                from: get_bytes(buf)?,
+                to: get_bytes(buf)?,
+                limit: get_u32(buf)?,
+            }),
+            C_UPDATE => Ok(StoreCommand::Update {
                 key: get_bytes(buf)?,
                 value: get_bytes(buf)?,
             }),
-            C_INSERT => Some(StoreCommand::Insert {
+            C_INSERT => Ok(StoreCommand::Insert {
                 key: get_bytes(buf)?,
                 value: get_bytes(buf)?,
             }),
-            C_DELETE => Some(StoreCommand::Delete {
+            C_DELETE => Ok(StoreCommand::Delete {
                 key: get_bytes(buf)?,
             }),
-            C_BATCH => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                let mut cmds = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    cmds.push(StoreCommand::decode(buf)?);
-                }
-                Some(StoreCommand::Batch(cmds))
-            }
-            _ => None,
+            C_BATCH => Ok(StoreCommand::Batch(get_seq(
+                get_len(buf)?,
+                buf,
+                Self::read,
+            )?)),
+            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -226,39 +198,26 @@ impl StoreResponse {
 
     /// Decodes a response; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<StoreResponse> {
-        if buf.remaining() < 1 {
-            return None;
-        }
-        match buf.get_u8() {
-            R_VALUE_NONE => Some(StoreResponse::Value(None)),
-            R_VALUE_SOME => Some(StoreResponse::Value(Some(get_bytes(buf)?))),
-            R_ENTRIES => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    let k = get_bytes(buf)?;
-                    let v = get_bytes(buf)?;
-                    entries.push((k, v));
-                }
-                Some(StoreResponse::Entries(entries))
-            }
-            R_OK => Some(StoreResponse::Ok),
-            R_MISS => Some(StoreResponse::Miss),
-            R_BATCH => {
-                if buf.remaining() < 4 {
-                    return None;
-                }
-                let n = buf.get_u32_le() as usize;
-                let mut rs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    rs.push(StoreResponse::decode(buf)?);
-                }
-                Some(StoreResponse::Batch(rs))
-            }
-            _ => None,
+        Self::read(buf).ok()
+    }
+
+    fn read(buf: &mut Bytes) -> Result<StoreResponse, CodecError> {
+        match get_u8(buf)? {
+            R_VALUE_NONE => Ok(StoreResponse::Value(None)),
+            R_VALUE_SOME => Ok(StoreResponse::Value(Some(get_bytes(buf)?))),
+            R_ENTRIES => Ok(StoreResponse::Entries(get_seq(
+                get_len(buf)?,
+                buf,
+                |buf| Ok((get_bytes(buf)?, get_bytes(buf)?)),
+            )?)),
+            R_OK => Ok(StoreResponse::Ok),
+            R_MISS => Ok(StoreResponse::Miss),
+            R_BATCH => Ok(StoreResponse::Batch(get_seq(
+                get_len(buf)?,
+                buf,
+                Self::read,
+            )?)),
+            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -266,6 +225,7 @@ impl StoreResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -2,7 +2,8 @@
 //! entries are stored in an in-memory tree at every replica").
 
 use crate::command::{StoreCommand, StoreResponse};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use multiring_paxos::codec::{get_bytes, get_u64, put_bytes, CodecError};
 use std::collections::BTreeMap;
 
 /// A deterministic, snapshot-able key-value tree.
@@ -76,10 +77,8 @@ impl KvStore {
         let mut buf = BytesMut::new();
         buf.put_u64_le(self.entries.len() as u64);
         for (k, v) in &self.entries {
-            buf.put_u32_le(k.len() as u32);
-            buf.put_slice(k);
-            buf.put_u32_le(v.len() as u32);
-            buf.put_slice(v);
+            put_bytes(&mut buf, k);
+            put_bytes(&mut buf, v);
         }
         buf.freeze()
     }
@@ -88,30 +87,15 @@ impl KvStore {
     /// tail (snapshots are always produced by [`KvStore::snapshot`]).
     pub fn restore(&mut self, snapshot: &Bytes) {
         self.entries.clear();
-        let mut buf = snapshot.clone();
-        if buf.remaining() < 8 {
-            return;
-        }
-        let n = buf.get_u64_le();
-        for _ in 0..n {
-            if buf.remaining() < 4 {
-                return;
-            }
-            let kl = buf.get_u32_le() as usize;
-            if buf.remaining() < kl {
-                return;
-            }
-            let k = buf.copy_to_bytes(kl);
-            if buf.remaining() < 4 {
-                return;
-            }
-            let vl = buf.get_u32_le() as usize;
-            if buf.remaining() < vl {
-                return;
-            }
-            let v = buf.copy_to_bytes(vl);
+        let _ = self.read_entries(&mut snapshot.clone());
+    }
+
+    fn read_entries(&mut self, buf: &mut Bytes) -> Result<(), CodecError> {
+        for _ in 0..get_u64(buf)? {
+            let (k, v) = (get_bytes(buf)?, get_bytes(buf)?);
             self.entries.insert(k, v);
         }
+        Ok(())
     }
 }
 

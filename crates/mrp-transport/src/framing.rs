@@ -17,7 +17,6 @@ pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 /// Appends one framed message to `buf`, which a writer fills with as
 /// many frames as it wants to hand to one `write`.
 pub fn put_frame(buf: &mut BytesMut, msg: &Message) {
-    buf.reserve(codec::encoded_len(msg) + 4);
     let at = buf.len();
     buf.put_u32_le(0); // placeholder
     codec::encode(msg, buf);
@@ -28,10 +27,9 @@ pub fn put_frame(buf: &mut BytesMut, msg: &Message) {
 /// Writes one framed message to `w`, encoding through a caller-owned
 /// scratch buffer.
 ///
-/// The buffer is cleared (capacity retained) and sized up front via
-/// [`codec::encoded_len`], so a long-lived connection that passes the
-/// same `scratch` for every frame stops allocating once the buffer has
-/// grown to its steady-state frame size.
+/// The buffer is cleared (capacity retained), so a long-lived
+/// connection that passes the same `scratch` for every frame stops
+/// allocating once the buffer has grown to its steady-state frame size.
 ///
 /// # Errors
 ///

@@ -7,8 +7,9 @@
 //! client sessions, and the application state is periodically
 //! checkpointed for recovery.
 
+use crate::codec::{get_bytes, get_u64, put_bytes, CodecError};
 use crate::types::{ClientId, GroupId, InstanceId, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 /// One delivered multicast value handed to the application.
 #[derive(Clone, PartialEq, Debug)]
@@ -57,24 +58,18 @@ pub fn encode_command(client: ClientId, request: u64, cmd: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(8 + 8 + 4 + cmd.len());
     buf.put_u64_le(client.value());
     buf.put_u64_le(request);
-    buf.put_u32_le(cmd.len() as u32);
-    buf.put_slice(cmd);
+    put_bytes(&mut buf, cmd);
     buf.freeze()
 }
 
 /// Decodes a client command frame produced by [`encode_command`].
 /// Returns `None` if the frame is malformed.
 pub fn decode_command(mut frame: Bytes) -> Option<(ClientId, u64, Bytes)> {
-    if frame.len() < 20 {
-        return None;
+    fn read(frame: &mut Bytes) -> Result<(ClientId, u64, Bytes), CodecError> {
+        let client = ClientId::new(get_u64(frame)?);
+        Ok((client, get_u64(frame)?, get_bytes(frame)?))
     }
-    let client = ClientId::new(frame.get_u64_le());
-    let request = frame.get_u64_le();
-    let len = frame.get_u32_le() as usize;
-    if frame.remaining() < len {
-        return None;
-    }
-    Some((client, request, frame.copy_to_bytes(len)))
+    read(&mut frame).ok()
 }
 
 #[cfg(test)]

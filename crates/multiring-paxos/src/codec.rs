@@ -1,12 +1,48 @@
 //! Binary wire encoding of protocol messages.
 //!
-//! A hand-written, length-stable codec on top of [`bytes`]: the TCP
-//! transport uses it to frame messages, and the simulator uses
-//! [`encoded_len`] to charge link bandwidth for exactly the bytes a real
-//! deployment would move. Integers are little-endian; variable-size
-//! fields carry `u32` length prefixes.
+//! A hand-written codec on top of [`bytes`]: the TCP transport uses it
+//! to frame messages, the acceptor WAL to store [`PersistRecord`]s, and
+//! the simulator uses [`encoded_len`]/[`record_len`] to charge links and
+//! disks for exactly the bytes a real deployment would move. Integers
+//! are little-endian; variable-size fields carry `u32` length prefixes.
+//!
+//! This module is the one place a byte layout is written down, and each
+//! layout is written down twice, never three times: a writer into any
+//! [`BufMut`] and a reader over any [`Buf`]. A length is the writer run
+//! over a sink that only counts ([`counted`]), so it cannot disagree
+//! with the bytes; a field that is not there is refused by the checked
+//! readers below, so no decoder compares `remaining()` itself.
+//!
+//! ## Field helpers
+//!
+//! The shared vocabulary of every format built on this codec — the
+//! engine-private frames inside [`Message::Engine`] payloads, the
+//! services' command sets, their snapshots, the checkpoint blob:
+//!
+//! | write | read | field |
+//! |---|---|---|
+//! | `BufMut::put_u8` … `put_u64_le` | [`get_u8`], [`get_u16`], [`get_u32`], [`get_u64`] | fixed-size integers |
+//! | [`put_bytes`] | [`get_bytes`] | `u32` length + bytes |
+//! | — | [`get_exact`] | bytes whose length was read some other way |
+//! | [`put_value`] | [`get_value`] | a multicast [`Value`] |
+//! | count, then each item | a count, then [`get_seq`] | a sequence |
+//!
+//! ## Adding a frame
+//!
+//! 1. Add the variant to [`Message`] (or [`PersistRecord`]) and give it
+//!    the next free `TAG_*` constant here.
+//! 2. One arm in [`encode`] (or [`encode_record`]) that writes the tag
+//!    and then the fields through the helpers above.
+//! 3. One arm in [`decode`] (or [`decode_record`]) that reads the same
+//!    fields in the same order.
+//! 4. One sample in `golden_messages` (or `golden_records`) below with
+//!    its pinned bytes, and one in `mrp-check`'s conformance suite —
+//!    its lint refuses a variant without a write arm, a read arm or a
+//!    sample.
+//!
+//! There is no length function to extend and no bounds check to write.
 
-use crate::event::Message;
+use crate::event::{Message, PersistRecord};
 use crate::recovery::CheckpointId;
 use crate::types::{
     Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Value, ValueId,
@@ -61,8 +97,7 @@ const TAG_BATCH: u8 = 17;
 const TAG_ENGINE: u8 = 18;
 
 /// Encodes `msg` into `buf`.
-pub fn encode(msg: &Message, buf: &mut BytesMut) {
-    buf.reserve(encoded_len(msg));
+pub fn encode(msg: &Message, buf: &mut impl BufMut) {
     match msg {
         Message::Forward { ring, values, hops } => {
             buf.put_u8(TAG_FORWARD);
@@ -126,13 +161,7 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
             buf.put_u64_le(first.value());
             buf.put_u32_le(*count);
             buf.put_u32_le(*hops);
-            match value {
-                None => buf.put_u8(0),
-                Some(v) => {
-                    buf.put_u8(1);
-                    put_cv(buf, v);
-                }
-            }
+            put_opt(buf, value.as_ref(), put_cv);
         }
         Message::Retransmit { ring, from, to } => {
             buf.put_u8(TAG_RETRANSMIT);
@@ -178,13 +207,7 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
         Message::CheckpointInfo { seq, checkpoint } => {
             buf.put_u8(TAG_CKPT_INFO);
             buf.put_u64_le(*seq);
-            match checkpoint {
-                None => buf.put_u8(0),
-                Some(c) => {
-                    buf.put_u8(1);
-                    put_ckpt(buf, c);
-                }
-            }
+            put_opt(buf, checkpoint.as_ref(), put_ckpt);
         }
         Message::CheckpointFetch { seq, id } => {
             buf.put_u8(TAG_CKPT_FETCH);
@@ -195,13 +218,7 @@ pub fn encode(msg: &Message, buf: &mut BytesMut) {
             buf.put_u8(TAG_CKPT_DATA);
             buf.put_u64_le(*seq);
             put_ckpt(buf, id);
-            match snapshot {
-                None => buf.put_u8(0),
-                Some(s) => {
-                    buf.put_u8(1);
-                    put_bytes(buf, s);
-                }
-            }
+            put_opt(buf, snapshot.as_ref(), |buf, s| put_bytes(buf, s));
         }
         Message::Request {
             client,
@@ -253,52 +270,7 @@ pub fn encode_to_bytes(msg: &Message) -> Bytes {
 /// The exact number of bytes [`encode`] produces for `msg`, without
 /// allocating. The simulator uses this to charge link bandwidth.
 pub fn encoded_len(msg: &Message) -> usize {
-    match msg {
-        Message::Forward { values, .. } => {
-            1 + 2 + 4 + 4 + values.iter().map(value_len).sum::<usize>()
-        }
-        Message::Phase1A { .. } => 1 + 2 + 8 + 8,
-        Message::Phase1B { accepted, .. } => {
-            1 + 2
-                + 8
-                + 8
-                + 8
-                + 4
-                + accepted
-                    .iter()
-                    .map(|(_, _, v)| 8 + 8 + cv_len(v))
-                    .sum::<usize>()
-        }
-        Message::Phase2 { value, .. } => 1 + 2 + 8 + 8 + 4 + 4 + cv_len(value),
-        Message::Decision { value, .. } => 1 + 2 + 8 + 4 + 4 + 1 + value.as_ref().map_or(0, cv_len),
-        Message::Retransmit { .. } => 1 + 2 + 8 + 8,
-        Message::RetransmitReply { decided, .. } => {
-            1 + 2
-                + 8
-                + 4
-                + decided
-                    .iter()
-                    .map(|(_, _, v)| 8 + 4 + cv_len(v))
-                    .sum::<usize>()
-        }
-        Message::TrimQuery { .. } => 1 + 2 + 8,
-        Message::TrimReply { .. } => 1 + 2 + 8 + 8,
-        Message::TrimCommand { .. } => 1 + 2 + 8,
-        Message::CheckpointQuery { .. } => 1 + 8,
-        Message::CheckpointInfo { checkpoint, .. } => {
-            1 + 8 + 1 + checkpoint.as_ref().map_or(0, ckpt_len)
-        }
-        Message::CheckpointFetch { id, .. } => 1 + 8 + ckpt_len(id),
-        Message::CheckpointData { id, snapshot, .. } => {
-            1 + 8 + ckpt_len(id) + 1 + snapshot.as_ref().map_or(0, |s| 4 + s.len())
-        }
-        Message::Request {
-            groups, payload, ..
-        } => 1 + 8 + 8 + 2 + 2 * groups.len() + 4 + payload.len(),
-        Message::Response { payload, .. } => 1 + 8 + 8 + 4 + payload.len(),
-        Message::Batch(msgs) => 1 + 4 + msgs.iter().map(encoded_len).sum::<usize>(),
-        Message::Engine { payload, .. } => 1 + 1 + 4 + payload.len(),
-    }
+    count(|sink| encode(msg, sink))
 }
 
 /// Decodes one message from `buf`.
@@ -307,17 +279,13 @@ pub fn encoded_len(msg: &Message) -> usize {
 ///
 /// Returns [`CodecError`] if the buffer is truncated, a tag is unknown or
 /// a length prefix is implausible.
-pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
+pub fn decode<B: Buf>(buf: &mut B) -> Result<Message, CodecError> {
     let tag = get_u8(buf)?;
     match tag {
         TAG_FORWARD => {
             let ring = RingId::new(get_u16(buf)?);
             let hops = get_u32(buf)?;
-            let n = get_len(buf)?;
-            let mut values = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                values.push(get_value(buf)?);
-            }
+            let values = get_seq(get_len(buf)?, buf, get_value)?;
             Ok(Message::Forward { ring, values, hops })
         }
         TAG_PHASE1A => Ok(Message::Phase1A {
@@ -330,14 +298,10 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             let ballot = get_ballot(buf)?;
             let from = InstanceId::new(get_u64(buf)?);
             let trimmed = InstanceId::new(get_u64(buf)?);
-            let n = get_len(buf)?;
-            let mut accepted = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
+            let accepted = get_seq(get_len(buf)?, buf, |buf| {
                 let i = InstanceId::new(get_u64(buf)?);
-                let b = get_ballot(buf)?;
-                let v = get_cv(buf)?;
-                accepted.push((i, b, v));
-            }
+                Ok((i, get_ballot(buf)?, get_cv(buf)?))
+            })?;
             Ok(Message::Phase1B {
                 ring,
                 ballot,
@@ -359,16 +323,11 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             let first = InstanceId::new(get_u64(buf)?);
             let count = get_u32(buf)?;
             let hops = get_u32(buf)?;
-            let value = match get_u8(buf)? {
-                0 => None,
-                1 => Some(get_cv(buf)?),
-                t => return Err(CodecError::BadTag(t)),
-            };
             Ok(Message::Decision {
                 ring,
                 first,
                 count,
-                value,
+                value: get_opt(buf, get_cv)?,
                 hops,
             })
         }
@@ -380,14 +339,10 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
         TAG_RETRANSMIT_REPLY => {
             let ring = RingId::new(get_u16(buf)?);
             let trimmed = InstanceId::new(get_u64(buf)?);
-            let n = get_len(buf)?;
-            let mut decided = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
+            let decided = get_seq(get_len(buf)?, buf, |buf| {
                 let i = InstanceId::new(get_u64(buf)?);
-                let c = get_u32(buf)?;
-                let v = get_cv(buf)?;
-                decided.push((i, c, v));
-            }
+                Ok((i, get_u32(buf)?, get_cv(buf)?))
+            })?;
             Ok(Message::RetransmitReply {
                 ring,
                 decided,
@@ -408,37 +363,25 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             upto: InstanceId::new(get_u64(buf)?),
         }),
         TAG_CKPT_QUERY => Ok(Message::CheckpointQuery { seq: get_u64(buf)? }),
-        TAG_CKPT_INFO => {
-            let seq = get_u64(buf)?;
-            let checkpoint = match get_u8(buf)? {
-                0 => None,
-                1 => Some(get_ckpt(buf)?),
-                t => return Err(CodecError::BadTag(t)),
-            };
-            Ok(Message::CheckpointInfo { seq, checkpoint })
-        }
+        TAG_CKPT_INFO => Ok(Message::CheckpointInfo {
+            seq: get_u64(buf)?,
+            checkpoint: get_opt(buf, get_ckpt)?,
+        }),
         TAG_CKPT_FETCH => Ok(Message::CheckpointFetch {
             seq: get_u64(buf)?,
             id: get_ckpt(buf)?,
         }),
-        TAG_CKPT_DATA => {
-            let seq = get_u64(buf)?;
-            let id = get_ckpt(buf)?;
-            let snapshot = match get_u8(buf)? {
-                0 => None,
-                1 => Some(get_bytes(buf)?),
-                t => return Err(CodecError::BadTag(t)),
-            };
-            Ok(Message::CheckpointData { seq, id, snapshot })
-        }
+        TAG_CKPT_DATA => Ok(Message::CheckpointData {
+            seq: get_u64(buf)?,
+            id: get_ckpt(buf)?,
+            snapshot: get_opt(buf, get_bytes)?,
+        }),
         TAG_REQUEST => {
             let client = ClientId::new(get_u64(buf)?);
             let request = get_u64(buf)?;
-            let n = get_u16(buf)? as usize;
-            let mut groups = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                groups.push(GroupId::new(get_u16(buf)?));
-            }
+            let groups = get_seq(get_u16(buf)?.into(), buf, |buf| {
+                Ok(GroupId::new(get_u16(buf)?))
+            })?;
             Ok(Message::Request {
                 client,
                 request,
@@ -451,14 +394,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             request: get_u64(buf)?,
             payload: get_bytes(buf)?,
         }),
-        TAG_BATCH => {
-            let n = get_len(buf)?;
-            let mut msgs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                msgs.push(decode(buf)?);
-            }
-            Ok(Message::Batch(msgs))
-        }
+        TAG_BATCH => Ok(Message::Batch(get_seq(get_len(buf)?, buf, decode)?)),
         TAG_ENGINE => Ok(Message::Engine {
             engine: get_u8(buf)?,
             payload: get_bytes(buf)?,
@@ -475,8 +411,7 @@ const TAG_REC_CHECKPOINT: u8 = 42;
 const TAG_REC_DECISION: u8 = 43;
 
 /// Encodes a stable-storage record (acceptor WAL entry or checkpoint).
-pub fn encode_record(record: &crate::event::PersistRecord, buf: &mut BytesMut) {
-    use crate::event::PersistRecord;
+pub fn encode_record(record: &PersistRecord, buf: &mut impl BufMut) {
     match record {
         PersistRecord::Promise { ring, ballot, from } => {
             buf.put_u8(TAG_REC_PROMISE);
@@ -514,14 +449,8 @@ pub fn encode_record(record: &crate::event::PersistRecord, buf: &mut BytesMut) {
 
 /// The number of bytes [`encode_record`] produces (used by disk models to
 /// charge write bandwidth).
-pub fn record_len(record: &crate::event::PersistRecord) -> usize {
-    use crate::event::PersistRecord;
-    match record {
-        PersistRecord::Promise { .. } => 1 + 2 + 8 + 8,
-        PersistRecord::Vote { value, .. } => 1 + 2 + 8 + 8 + 4 + cv_len(value),
-        PersistRecord::Checkpoint { id, snapshot } => 1 + ckpt_len(id) + 4 + snapshot.len(),
-        PersistRecord::Decision { .. } => 1 + 2 + 8 + 4,
-    }
+pub fn record_len(record: &PersistRecord) -> usize {
+    count(|sink| encode_record(record, sink))
 }
 
 /// Decodes a stable-storage record.
@@ -529,8 +458,7 @@ pub fn record_len(record: &crate::event::PersistRecord) -> usize {
 /// # Errors
 ///
 /// Returns [`CodecError`] on truncation or unknown tags.
-pub fn decode_record(buf: &mut impl Buf) -> Result<crate::event::PersistRecord, CodecError> {
-    use crate::event::PersistRecord;
+pub fn decode_record(buf: &mut impl Buf) -> Result<PersistRecord, CodecError> {
     match get_u8(buf)? {
         TAG_REC_PROMISE => Ok(PersistRecord::Promise {
             ring: RingId::new(get_u16(buf)?),
@@ -557,13 +485,36 @@ pub fn decode_record(buf: &mut impl Buf) -> Result<crate::event::PersistRecord, 
     }
 }
 
+// ---- lengths ------------------------------------------------------------
+
+/// A sink that counts what a writer puts into it and keeps none of it.
+struct Counter(usize);
+
+impl BufMut for Counter {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+fn count(write: impl FnOnce(&mut Counter)) -> usize {
+    let mut sink = Counter(0);
+    write(&mut sink);
+    sink.0
+}
+
+/// The number of bytes `write` puts into the sink it is handed: how a
+/// format outside this module gets its length from its own encoder.
+/// (`dyn`, because the sink's type stays private; the module's own
+/// lengths run the same sink statically.)
+pub fn counted(write: impl FnOnce(&mut dyn BufMut)) -> usize {
+    count(|sink| write(sink))
+}
+
 // ---- field helpers ----------------------------------------------------
 //
-// The `pub` ones are the shared field vocabulary of every frame format
-// built on this codec (engine-private frames inside `Message::Engine`
-// payloads encode values and integers exactly like the outer codec).
+// The `pub` ones are the vocabulary the module doc lists.
 
-fn put_ballot(buf: &mut BytesMut, b: Ballot) {
+fn put_ballot(buf: &mut impl BufMut, b: Ballot) {
     buf.put_u32_le(b.round());
     buf.put_u32_le(b.node().value());
 }
@@ -576,15 +527,11 @@ fn get_ballot(buf: &mut impl Buf) -> Result<Ballot, CodecError> {
 
 /// Appends a [`Value`]: proposer, sequence, group, length-prefixed
 /// payload.
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
+pub fn put_value(buf: &mut impl BufMut, v: &Value) {
     buf.put_u32_le(v.id.proposer.value());
     buf.put_u64_le(v.id.seq);
     buf.put_u16_le(v.group.value());
     put_bytes(buf, &v.payload);
-}
-
-fn value_len(v: &Value) -> usize {
-    4 + 8 + 2 + 4 + v.payload.len()
 }
 
 /// Reads a [`Value`] written by [`put_value`].
@@ -601,7 +548,7 @@ pub fn get_value(buf: &mut impl Buf) -> Result<Value, CodecError> {
     Ok(Value::new(ValueId::new(proposer, seq), group, payload))
 }
 
-fn put_cv(buf: &mut BytesMut, cv: &ConsensusValue) {
+fn put_cv(buf: &mut impl BufMut, cv: &ConsensusValue) {
     match cv {
         ConsensusValue::Skip => buf.put_u8(0),
         ConsensusValue::Values(vs) => {
@@ -614,29 +561,19 @@ fn put_cv(buf: &mut BytesMut, cv: &ConsensusValue) {
     }
 }
 
-fn cv_len(cv: &ConsensusValue) -> usize {
-    match cv {
-        ConsensusValue::Skip => 1,
-        ConsensusValue::Values(vs) => 1 + 4 + vs.iter().map(value_len).sum::<usize>(),
-    }
-}
-
-fn get_cv(buf: &mut impl Buf) -> Result<ConsensusValue, CodecError> {
+fn get_cv<B: Buf>(buf: &mut B) -> Result<ConsensusValue, CodecError> {
     match get_u8(buf)? {
         0 => Ok(ConsensusValue::Skip),
-        1 => {
-            let n = get_len(buf)?;
-            let mut vs = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                vs.push(get_value(buf)?);
-            }
-            Ok(ConsensusValue::Values(vs))
-        }
+        1 => Ok(ConsensusValue::Values(get_seq(
+            get_len(buf)?,
+            buf,
+            get_value,
+        )?)),
         t => Err(CodecError::BadTag(t)),
     }
 }
 
-fn put_ckpt(buf: &mut BytesMut, c: &CheckpointId) {
+fn put_ckpt(buf: &mut impl BufMut, c: &CheckpointId) {
     buf.put_u32_le(c.marks.len() as u32);
     for (g, i) in &c.marks {
         buf.put_u16_le(g.value());
@@ -646,49 +583,100 @@ fn put_ckpt(buf: &mut BytesMut, c: &CheckpointId) {
     buf.put_u32_le(c.cursor_used);
 }
 
-fn ckpt_len(c: &CheckpointId) -> usize {
-    4 + c.marks.len() * (2 + 8) + 4 + 4
-}
-
-fn get_ckpt(buf: &mut impl Buf) -> Result<CheckpointId, CodecError> {
-    let n = get_len(buf)?;
-    let mut marks = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let g = GroupId::new(get_u16(buf)?);
-        let i = InstanceId::new(get_u64(buf)?);
-        marks.push((g, i));
-    }
-    let cursor_group = get_u32(buf)?;
-    let cursor_used = get_u32(buf)?;
+fn get_ckpt<B: Buf>(buf: &mut B) -> Result<CheckpointId, CodecError> {
     Ok(CheckpointId {
-        marks,
-        cursor_group,
-        cursor_used,
+        marks: get_seq(get_len(buf)?, buf, |buf| {
+            Ok((GroupId::new(get_u16(buf)?), InstanceId::new(get_u64(buf)?)))
+        })?,
+        cursor_group: get_u32(buf)?,
+        cursor_used: get_u32(buf)?,
     })
 }
 
-fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
+/// An `Option`: a presence byte, then the value if there is one.
+fn put_opt<B: BufMut, T>(buf: &mut B, value: Option<&T>, put: impl FnOnce(&mut B, &T)) {
+    match value {
+        None => buf.put_u8(0),
+        Some(v) => {
+            buf.put_u8(1);
+            put(buf, v);
+        }
+    }
+}
+
+fn get_opt<B: Buf, T>(
+    buf: &mut B,
+    get: impl FnOnce(&mut B) -> Result<T, CodecError>,
+) -> Result<Option<T>, CodecError> {
+    match get_u8(buf)? {
+        0 => Ok(None),
+        1 => get(buf).map(Some),
+        t => Err(CodecError::BadTag(t)),
+    }
+}
+
+/// Appends a `u32` length and then `b`. (`?Sized`, so an encoder that
+/// uses it can also be run over [`counted`]'s sink.)
+pub fn put_bytes<B: BufMut + ?Sized>(buf: &mut B, b: &[u8]) {
     buf.put_u32_le(b.len() as u32);
     buf.put_slice(b);
 }
 
-fn get_bytes(buf: &mut impl Buf) -> Result<Bytes, CodecError> {
-    let n = get_u32(buf)? as u64;
-    if n > MAX_LEN {
-        return Err(CodecError::BadLength(n));
-    }
+/// Reads bytes written by [`put_bytes`]; from a [`Bytes`] they alias
+/// the input instead of being copied.
+///
+/// # Errors
+///
+/// [`CodecError::BadLength`] on a length above 1 GiB, and
+/// [`CodecError::Truncated`] when fewer bytes remain than it names.
+pub fn get_bytes(buf: &mut impl Buf) -> Result<Bytes, CodecError> {
+    let n = get_len(buf)?;
+    get_exact(buf, n as u64)
+}
+
+/// Reads the next `n` bytes, checked: for a field whose length the
+/// caller read in some other width than [`get_bytes`]'s `u32`.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] when fewer than `n` bytes remain.
+pub fn get_exact(buf: &mut impl Buf, n: u64) -> Result<Bytes, CodecError> {
     if (buf.remaining() as u64) < n {
         return Err(CodecError::Truncated);
     }
     Ok(buf.copy_to_bytes(n as usize))
 }
 
-fn get_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
-    let n = get_u32(buf)? as u64;
+/// Reads a `u32` count or length, refusing one above 1 GiB.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] or [`CodecError::BadLength`].
+pub fn get_len(buf: &mut impl Buf) -> Result<usize, CodecError> {
+    let n = u64::from(get_u32(buf)?);
     if n > MAX_LEN {
         return Err(CodecError::BadLength(n));
     }
     Ok(n as usize)
+}
+
+/// Reads `n` items with `item`. The one place a count from the wire
+/// sizes an allocation: clamped, so a lying count reserves 4096 slots at
+/// most before the items it promised fail to arrive.
+///
+/// # Errors
+///
+/// The first error `item` returns.
+pub fn get_seq<B: Buf, T>(
+    n: usize,
+    buf: &mut B,
+    mut item: impl FnMut(&mut B) -> Result<T, CodecError>,
+) -> Result<Vec<T>, CodecError> {
+    let mut items = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        items.push(item(buf)?);
+    }
+    Ok(items)
 }
 
 /// Reads a `u8`, checked.
@@ -742,7 +730,6 @@ pub fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PersistRecord;
     use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
