@@ -43,7 +43,8 @@ pub enum StoreCommand {
         /// Key.
         key: Bytes,
     },
-    /// Several commands executed in order within one multicast.
+    /// Several commands executed in order within one multicast. Flat:
+    /// a batch inside a batch does not decode.
     Batch(Vec<StoreCommand>),
 }
 
@@ -151,11 +152,15 @@ impl StoreCommand {
             C_DELETE => Ok(StoreCommand::Delete {
                 key: get_bytes(buf)?,
             }),
-            C_BATCH => Ok(StoreCommand::Batch(get_seq(
-                get_len(buf)?,
-                buf,
-                Self::read,
-            )?)),
+            C_BATCH => Ok(StoreCommand::Batch(get_seq(get_len(buf)?, buf, |buf| {
+                // Clients batch flat, and refusing a batch inside a
+                // batch bounds this recursion at two frames whatever
+                // the bytes say.
+                if buf.first() == Some(&C_BATCH) {
+                    return Err(CodecError::BadTag(C_BATCH));
+                }
+                Self::read(buf)
+            })?)),
             t => Err(CodecError::BadTag(t)),
         }
     }
@@ -212,11 +217,14 @@ impl StoreResponse {
             )?)),
             R_OK => Ok(StoreResponse::Ok),
             R_MISS => Ok(StoreResponse::Miss),
-            R_BATCH => Ok(StoreResponse::Batch(get_seq(
-                get_len(buf)?,
-                buf,
-                Self::read,
-            )?)),
+            R_BATCH => Ok(StoreResponse::Batch(get_seq(get_len(buf)?, buf, |buf| {
+                // One response per command of a flat batch: see
+                // `StoreCommand::read`.
+                if buf.first() == Some(&R_BATCH) {
+                    return Err(CodecError::BadTag(R_BATCH));
+                }
+                Self::read(buf)
+            })?)),
             t => Err(CodecError::BadTag(t)),
         }
     }
@@ -354,6 +362,42 @@ mod tests {
             let mut encoded = r.encode();
             assert_eq!(StoreResponse::decode(&mut encoded).unwrap(), r);
         }
+    }
+
+    /// 10 000 batches, each the only item of the one before (50 001
+    /// bytes), as a client can send them in one command. Decoding used
+    /// to recurse once per level and overflow a default 2 MiB thread
+    /// stack — on every replica of the partition, and again on
+    /// re-delivery after a restart — so the verdict is taken on such a
+    /// thread. `StoreClient` builds flat batches only; a batch inside a
+    /// batch is malformed.
+    fn nested_batches(tag: u8) -> Bytes {
+        let mut input = BytesMut::new();
+        for _ in 0..10_000 {
+            input.put_u8(tag);
+            input.put_u32_le(1);
+        }
+        input.put_u8(tag);
+        assert_eq!(input.len(), 50_001);
+        input.freeze()
+    }
+
+    #[test]
+    fn nested_batch_command_is_refused_instead_of_recursed_into() {
+        let mut input = nested_batches(C_BATCH);
+        let decoder = std::thread::spawn(move || StoreCommand::decode(&mut input));
+        assert_eq!(decoder.join().expect("decoder thread"), None);
+        let nested = StoreCommand::Batch(vec![StoreCommand::Batch(vec![])]);
+        assert_eq!(StoreCommand::decode(&mut nested.encode()), None);
+    }
+
+    #[test]
+    fn nested_batch_response_is_refused_instead_of_recursed_into() {
+        let mut input = nested_batches(R_BATCH);
+        let decoder = std::thread::spawn(move || StoreResponse::decode(&mut input));
+        assert_eq!(decoder.join().expect("decoder thread"), None);
+        let nested = StoreResponse::Batch(vec![StoreResponse::Batch(vec![])]);
+        assert_eq!(StoreResponse::decode(&mut nested.encode()), None);
     }
 
     #[test]

@@ -394,7 +394,16 @@ pub fn decode<B: Buf>(buf: &mut B) -> Result<Message, CodecError> {
             request: get_u64(buf)?,
             payload: get_bytes(buf)?,
         }),
-        TAG_BATCH => Ok(Message::Batch(get_seq(get_len(buf)?, buf, decode)?)),
+        TAG_BATCH => Ok(Message::Batch(get_seq(get_len(buf)?, buf, |buf| {
+            // Nothing sends a batch inside a batch, and refusing one
+            // bounds this recursion at two frames whatever the bytes
+            // say (one per level would let a 50 kB frame overflow the
+            // stack).
+            if buf.chunk().first() == Some(&TAG_BATCH) {
+                return Err(CodecError::BadTag(TAG_BATCH));
+            }
+            decode(buf)
+        })?)),
         TAG_ENGINE => Ok(Message::Engine {
             engine: get_u8(buf)?,
             payload: get_bytes(buf)?,
@@ -1092,6 +1101,34 @@ mod tests {
     fn unknown_tag_rejected() {
         let mut buf = Bytes::from_static(&[99u8, 0, 0, 0]);
         assert_eq!(decode(&mut buf), Err(CodecError::BadTag(99)));
+    }
+
+    /// 10 000 batches, each the only item of the one before: 50 001
+    /// bytes that fit in one TCP frame. Decoding used to recurse once
+    /// per level and overflow a default 2 MiB thread stack — the whole
+    /// process dies, no `Err` — so the verdict is taken on such a
+    /// thread. Nothing produces a batch inside a batch (coalescing
+    /// merges engine frames only), so the first nested one is refused.
+    #[test]
+    fn nested_batch_is_refused_instead_of_recursed_into() {
+        let mut input = BytesMut::new();
+        for _ in 0..10_000 {
+            input.put_u8(TAG_BATCH);
+            input.put_u32_le(1);
+        }
+        input.put_u8(TAG_BATCH);
+        assert_eq!(input.len(), 50_001);
+        let decoder = std::thread::spawn(move || decode(&mut input.freeze()));
+        assert_eq!(
+            decoder.join().expect("decoder thread"),
+            Err(CodecError::BadTag(TAG_BATCH))
+        );
+        // Two levels are as foreign as ten thousand.
+        let nested = Message::Batch(vec![Message::Batch(vec![])]);
+        assert_eq!(
+            decode(&mut encode_to_bytes(&nested)),
+            Err(CodecError::BadTag(TAG_BATCH))
+        );
     }
 
     #[test]

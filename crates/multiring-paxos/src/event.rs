@@ -203,7 +203,9 @@ pub enum Message {
     /// Several messages for the same destination packed into one frame:
     /// the engine wrapper's outgoing-frame coalescing (`mrp-amcast`'s
     /// `AnyEngine`) merges the engine frames one activation sends to a
-    /// peer; receivers unpack it and handle each message in order.
+    /// peer; receivers unpack it and handle each message in order. A
+    /// batch never holds a batch: nothing builds one and the codec
+    /// refuses to decode one.
     Batch(Vec<Message>),
     /// An opaque message belonging to an alternative atomic-multicast
     /// engine (see the `mrp-amcast` crate). `engine` namespaces the

@@ -2,7 +2,9 @@
 //! batching enabled, with synchronous storage gating votes, across
 //! coordinator failovers (no duplicate or lost deliveries), and for the
 //! wbcast orphan-recovery exchange under duplicated/reordered frames
-//! and revived-initiator retries.
+//! and revived-initiator retries; and, over real sockets, a store
+//! partition handed a client command built to exhaust the decoder's
+//! stack.
 
 use atomic_multicast::amcast::wbcast::{frame_kind, WbcastNode};
 use atomic_multicast::amcast::AmcastEngine;
@@ -523,4 +525,87 @@ fn revived_initiator_retries_after_orphan_completion_are_deduplicated() {
         0,
         "the revived initiator's round settles"
     );
+}
+
+/// A client can put a batch inside a batch inside a batch, 10 000 deep,
+/// into one 50 kB command. Every replica of the partition is delivered
+/// those bytes and parses them in `StoreApp::execute`; decoding used to
+/// recurse once per level and overflow the protocol thread's stack,
+/// which ends the process — all three of them. The command is
+/// malformed, so it is not answered; the one after it is, by each of
+/// the three replicas.
+#[test]
+fn nested_batch_command_over_tcp_leaves_all_three_replicas_answering() {
+    use atomic_multicast::amcast::{EngineKind, EngineReplica};
+    use atomic_multicast::core::replica::CheckpointPolicy;
+    use atomic_multicast::store::command::{StoreCommand, StoreResponse};
+    use atomic_multicast::store::StoreApp;
+    use atomic_multicast::transport::tcp::{ClientPort, RuntimeConfig, TcpRuntime};
+    use std::net::{SocketAddr, TcpListener};
+    use std::time::Duration;
+
+    let batch_of_one = &StoreCommand::Batch(vec![StoreCommand::Batch(vec![])]).encode()[..5];
+    let mut nested = batch_of_one.repeat(10_000);
+    nested.push(batch_of_one[0]);
+    assert_eq!(nested.len(), 50_001);
+    let nested = Bytes::from(nested);
+
+    for kind in EngineKind::ALL {
+        let tuning = RingTuning {
+            lambda: 0,
+            ..RingTuning::default()
+        };
+        let config = single_ring(3, tuning);
+        let addrs: Vec<SocketAddr> = (0..4)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+                listener.local_addr().expect("addr")
+            })
+            .collect();
+        let client_proc = ProcessId::new(50);
+        let mut peers: BTreeMap<ProcessId, SocketAddr> = (0..3)
+            .map(|i| (ProcessId::new(i), addrs[i as usize]))
+            .collect();
+        peers.insert(client_proc, addrs[3]);
+        let session = ClientId::new(1);
+        let policy = CheckpointPolicy {
+            interval_us: 0,
+            sync: false,
+        };
+        let replicas: Vec<_> = (0..3u32)
+            .map(|i| {
+                let p = ProcessId::new(i);
+                let mut rc = RuntimeConfig::new(p, addrs[i as usize]);
+                rc.peers = peers.clone();
+                rc.clients = BTreeMap::from([(session, client_proc)]);
+                let replica = EngineReplica::new(kind, p, config.clone(), StoreApp::new(0), policy);
+                TcpRuntime::spawn(rc, replica).expect("spawn replica")
+            })
+            .collect();
+        let client = ClientPort::bind(client_proc, addrs[3], peers).expect("client port");
+
+        let insert = StoreCommand::Insert {
+            key: Bytes::from_static(b"k"),
+            value: Bytes::from_static(b"v"),
+        };
+        for (request, command) in [(0, nested.clone()), (1, insert.encode())] {
+            let groups = vec![GroupId::new(0)];
+            client.request(ProcessId::new(0), session, request, groups, command);
+        }
+        for answer in 1..=3 {
+            let (_, request, payload) = client
+                .responses()
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|e| panic!("{kind}: answer {answer} of 3: {e}"));
+            assert_eq!(request, 1, "{kind}: the malformed command is not answered");
+            assert_eq!(
+                StoreApp::unframe_response(&payload),
+                Some((0, StoreResponse::Ok)),
+                "{kind}"
+            );
+        }
+        for replica in replicas {
+            replica.shutdown();
+        }
+    }
 }
