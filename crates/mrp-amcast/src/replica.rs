@@ -638,6 +638,38 @@ mod tests {
         );
     }
 
+    /// The engine state is length-prefixed, the application snapshot is
+    /// whatever follows it (the enclosing record or frame carries the
+    /// blob's own length): a cut through the header or the engine state
+    /// is refused, a cut after them shortens the snapshot.
+    #[test]
+    fn checkpoint_blob_cut_short_of_its_engine_state_is_rejected() {
+        let (engine, app) = (Bytes::from_static(b"engine"), Bytes::from_static(b"app"));
+        let blob = pack_checkpoint(&engine, &app);
+        for cut in 0..8 + engine.len() {
+            assert_eq!(unpack_checkpoint(&blob.slice(..cut)), None, "cut at {cut}");
+        }
+        for cut in 8 + engine.len()..=blob.len() {
+            let unpacked = unpack_checkpoint(&blob.slice(..cut));
+            assert_eq!(unpacked, Some((engine.clone(), blob.slice(14..cut))));
+        }
+    }
+
+    proptest::proptest! {
+        /// Uniform noise (a length field of eight random bytes names
+        /// more than any buffer holds), and noise behind a small one.
+        #[test]
+        fn prop_unpacking_arbitrary_bytes_never_panics(
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            let _ = unpack_checkpoint(&Bytes::from(noise.clone()));
+            let mut blob = vec![0u8; 8];
+            blob[0] = noise.first().map_or(0, |n| n % 80);
+            blob.extend_from_slice(&noise);
+            let _ = unpack_checkpoint(&Bytes::from(blob));
+        }
+    }
+
     #[test]
     fn singleton_replica_executes_and_responds_on_both_engines() {
         for kind in EngineKind::ALL {

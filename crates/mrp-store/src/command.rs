@@ -234,6 +234,7 @@ impl StoreResponse {
 mod tests {
     use super::*;
     use bytes::Buf;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -408,5 +409,56 @@ mod tests {
         assert!(StoreCommand::decode(&mut bad_tag).is_none());
         let mut truncated = Bytes::from_static(&[C_READ, 10, 0, 0, 0, 1]);
         assert!(StoreCommand::decode(&mut truncated).is_none());
+    }
+
+    /// Every field is fixed-size or length-prefixed, so no valid
+    /// encoding has a valid encoding as a strict prefix.
+    #[test]
+    fn every_strict_prefix_of_a_valid_encoding_is_rejected() {
+        for (cmd, _) in golden_commands() {
+            let full = cmd.encode();
+            for cut in 0..full.len() {
+                let prefix = StoreCommand::decode(&mut full.slice(..cut));
+                assert_eq!(prefix, None, "{cmd:?} cut at {cut}");
+            }
+        }
+        for (response, _) in golden_responses() {
+            let full = response.encode();
+            for cut in 0..full.len() {
+                let prefix = StoreResponse::decode(&mut full.slice(..cut));
+                assert_eq!(prefix, None, "{response:?} cut at {cut}");
+            }
+        }
+    }
+
+    /// `valid` with one byte in four overwritten from `noise`, by a
+    /// value below 64 — a tag, a small count or length. Unlike uniform
+    /// noise, which dies at the first tag, this reaches the fields.
+    fn damaged(valid: &[u8], noise: &[u8]) -> Bytes {
+        let mut bytes = valid.to_vec();
+        for (b, n) in bytes.iter_mut().zip(noise) {
+            if n % 4 == 0 {
+                *b = n / 4;
+            }
+        }
+        Bytes::from(bytes)
+    }
+
+    proptest! {
+        /// Uniform noise, and the same noise laid over a valid command
+        /// and a valid response.
+        #[test]
+        fn prop_decoding_arbitrary_bytes_never_panics(
+            noise in proptest::collection::vec(any::<u8>(), 0..512),
+            pick in any::<u64>(),
+        ) {
+            let _ = StoreCommand::decode(&mut Bytes::from(noise.clone()));
+            let _ = StoreResponse::decode(&mut Bytes::from(noise.clone()));
+            let (commands, responses) = (golden_commands(), golden_responses());
+            let (cmd, _) = &commands[pick as usize % commands.len()];
+            let _ = StoreCommand::decode(&mut damaged(&cmd.encode(), &noise));
+            let (response, _) = &responses[pick as usize % responses.len()];
+            let _ = StoreResponse::decode(&mut damaged(&response.encode(), &noise));
+        }
     }
 }

@@ -75,6 +75,7 @@ pub fn decode_command(mut frame: Bytes) -> Option<(ClientId, u64, Bytes)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Every replica of every addressed group parses these bytes out
     /// of the delivered value: the layout is part of the replicated
@@ -112,5 +113,29 @@ mod tests {
         let frame = encode_command(ClientId::new(0), 0, b"");
         let (_, _, cmd) = decode_command(frame).unwrap();
         assert!(cmd.is_empty());
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_command_frame_is_rejected() {
+        let frame = encode_command(ClientId::new(42), 7, b"hello");
+        for cut in 0..frame.len() {
+            assert_eq!(decode_command(frame.slice(..cut)), None, "cut at {cut}");
+        }
+    }
+
+    proptest! {
+        /// Uniform noise, and noise in place of the header of a valid
+        /// frame (whose length field then lies).
+        #[test]
+        fn prop_decoding_arbitrary_bytes_never_panics(
+            noise in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let _ = decode_command(Bytes::from(noise.clone()));
+            let mut frame = encode_command(ClientId::new(42), 7, b"hello").to_vec();
+            for (b, n) in frame.iter_mut().zip(&noise) {
+                *b = *n;
+            }
+            let _ = decode_command(Bytes::from(frame));
+        }
     }
 }

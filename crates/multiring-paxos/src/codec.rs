@@ -1098,6 +1098,35 @@ mod tests {
     }
 
     #[test]
+    fn every_strict_prefix_of_a_valid_record_is_rejected() {
+        for (record, _) in golden_records() {
+            let mut buf = BytesMut::new();
+            encode_record(&record, &mut buf);
+            let full = buf.freeze();
+            for cut in 0..full.len() {
+                assert!(
+                    decode_record(&mut full.slice(..cut)).is_err(),
+                    "{record:?} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    /// `valid` with one byte in four overwritten from `noise`, by a
+    /// value below 64 — a tag, a presence byte, a small count. Unlike
+    /// uniform noise, which dies at the first tag, this reaches the
+    /// fields.
+    fn damaged(valid: &[u8], noise: &[u8]) -> Bytes {
+        let mut bytes = valid.to_vec();
+        for (b, n) in bytes.iter_mut().zip(noise) {
+            if n % 4 == 0 {
+                *b = n / 4;
+            }
+        }
+        Bytes::from(bytes)
+    }
+
+    #[test]
     fn unknown_tag_rejected() {
         let mut buf = Bytes::from_static(&[99u8, 0, 0, 0]);
         assert_eq!(decode(&mut buf), Err(CodecError::BadTag(99)));
@@ -1193,10 +1222,26 @@ mod tests {
             prop_assert_eq!(back, msg);
         }
 
+        /// Uniform noise up to 64 KiB; the same noise laid over a valid
+        /// frame and a valid record; and the noise behind up to 13 000
+        /// nested batch headers (10 000 used to end the process).
         #[test]
-        fn prop_decode_arbitrary_bytes_never_panics(data in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let mut buf = Bytes::from(data);
-            let _ = decode(&mut buf);
+        fn prop_decode_arbitrary_bytes_never_panics(
+            data in proptest::collection::vec(any::<u8>(), 0..65_536),
+            pick in any::<u64>(),
+        ) {
+            let _ = decode(&mut Bytes::from(data.clone()));
+            let _ = decode_record(&mut Bytes::from(data.clone()));
+            let messages = golden_messages();
+            let (msg, _) = &messages[pick as usize % messages.len()];
+            let _ = decode(&mut damaged(&encode_to_bytes(msg), &data));
+            let records = golden_records();
+            let mut buf = BytesMut::new();
+            encode_record(&records[pick as usize % records.len()].0, &mut buf);
+            let _ = decode_record(&mut damaged(&buf, &data));
+            let mut nested = [TAG_BATCH, 1, 0, 0, 0].repeat(pick as usize % 13_000);
+            nested.extend_from_slice(&data);
+            let _ = decode(&mut Bytes::from(nested));
         }
 
         /// The zero-copy wire path: decoding from a frozen buffer must
