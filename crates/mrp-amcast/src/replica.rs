@@ -77,9 +77,9 @@ use multiring_paxos::event::{
     Action, Event, Message, PersistRecord, PersistToken, StateMachine, TimerKind,
 };
 use multiring_paxos::paxos::AcceptorRecovery;
-use multiring_paxos::recovery::{RecoveryManager, RecoveryStep, Resolution, TrimResponder};
+use multiring_paxos::recovery::{RecoveryManager, RecoveryStep, Resolution};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{ProcessId, RingId, Time};
+use multiring_paxos::types::{InstanceId, ProcessId, RingId, Time};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -154,8 +154,6 @@ pub struct EngineReplica<A> {
     engine: AnyEngine,
     app: A,
     policy: CheckpointPolicy,
-    /// Answers the coordinated trim protocol from the stable watermark.
-    responder: TrimResponder,
     /// Last durable checkpoint: watermark + packed blob, served to
     /// recovering peers and used to answer trim queries.
     stable: Option<(Watermark, Bytes)>,
@@ -207,7 +205,6 @@ impl<A: Application> EngineReplica<A> {
             engine,
             app,
             policy,
-            responder: TrimResponder::new(),
             stable: None,
             pending_ckpt: BTreeMap::new(),
             // Disjoint from the tokens the hosted engine mints itself.
@@ -269,7 +266,6 @@ impl<A: Application> EngineReplica<A> {
         };
         self.app.restore(&app_snapshot);
         self.engine.install_checkpoint(&watermark, &engine_state);
-        self.responder.set_stable(watermark.clone());
         self.stable = Some((watermark, blob));
     }
 
@@ -481,7 +477,6 @@ impl<A: Application> StateMachine for EngineReplica<A> {
                     .remove(&token)
                     .expect("checked contains_key");
                 self.checkpoints_taken += 1;
-                self.responder.set_stable(watermark.clone());
                 self.stable = Some((watermark.clone(), blob));
                 let actions = self.engine.trim(now, &watermark);
                 self.post_process(actions, &mut out);
@@ -493,7 +488,11 @@ impl<A: Application> StateMachine for EngineReplica<A> {
                         msg: Message::TrimReply {
                             group,
                             seq,
-                            safe: self.responder.safe_instance(group),
+                            // No durable checkpoint yet: instance 0,
+                            // which keeps the acceptor logs untrimmed.
+                            safe: self
+                                .stable_watermark()
+                                .map_or(InstanceId::ZERO, |w| w.mark_of(group)),
                         },
                     });
                 }
@@ -560,7 +559,7 @@ mod tests {
     use multiring_paxos::app::decode_command;
     use multiring_paxos::config::{single_ring, RingSpec, RingTuning, Roles};
     use multiring_paxos::event::Message;
-    use multiring_paxos::types::{ClientId, GroupId, InstanceId};
+    use multiring_paxos::types::{ClientId, GroupId};
 
     /// Echoes every command back to its client.
     #[derive(Default, Debug)]
@@ -733,6 +732,28 @@ mod tests {
         }
     }
 
+    /// What `r` tells a group's coordinator is safe to trim.
+    fn trim_query(r: &mut EngineReplica<Echo>, group: GroupId) -> InstanceId {
+        let query = Message::TrimQuery { group, seq: 2 };
+        let from = ProcessId::new(2);
+        let out = r.on_event(Time::from_millis(2), Event::Message { from, msg: query });
+        match out[..] {
+            [Action::Send {
+                to,
+                msg:
+                    Message::TrimReply {
+                        group: g,
+                        seq,
+                        safe,
+                    },
+            }] => {
+                assert_eq!((to, g, seq), (from, group, 2));
+                safe
+            }
+            _ => panic!("one TrimReply expected, got {out:?}"),
+        }
+    }
+
     #[test]
     fn checkpoint_lifecycle_trim_reply_and_recovery_on_both_engines() {
         for kind in EngineKind::ALL {
@@ -768,6 +789,11 @@ mod tests {
                 })
                 .expect("checkpoint persisted");
             assert_eq!(r.checkpoints_taken(), 0, "{kind}");
+            assert_eq!(
+                trim_query(&mut r, GroupId::new(0)),
+                InstanceId::ZERO,
+                "{kind}: a checkpoint still being written licenses no trim"
+            );
             r.on_event(Time::from_millis(2), Event::PersistDone(token));
             assert_eq!(r.checkpoints_taken(), 1, "{kind}");
             let snap = r.telemetry();
@@ -782,22 +808,16 @@ mod tests {
                 watermark.mark_of(GroupId::new(0)).value() >= 1,
                 "{kind}: the delivery is covered"
             );
-            // Trim queries are answered from the durable watermark.
-            let out = r.on_event(
-                Time::from_millis(3),
-                Event::Message {
-                    from: ProcessId::new(2),
-                    msg: Message::TrimQuery {
-                        group: GroupId::new(0),
-                        seq: 2,
-                    },
-                },
-            );
-            assert!(matches!(
-                out[0],
-                Action::Send { msg: Message::TrimReply { safe, .. }, .. }
-                if safe > InstanceId::ZERO
-            ));
+            // Trim queries are answered from the durable watermark; a
+            // group it does not cover is safe up to nothing.
+            assert!(watermark.mark_of(GroupId::new(0)) > InstanceId::ZERO);
+            for group in [GroupId::new(0), GroupId::new(9)] {
+                assert_eq!(
+                    trim_query(&mut r, group),
+                    watermark.mark_of(group),
+                    "{kind}"
+                );
+            }
             // An unchanged watermark produces no second persist.
             let out = r.on_event(
                 Time::from_millis(4),

@@ -137,8 +137,6 @@ pub struct RingTuning {
     /// How often the coordinator re-runs the trim protocol (Section 5.2),
     /// in microseconds. `0` disables coordinated trimming.
     pub trim_interval_us: u64,
-    /// Phase 1 is pre-executed for this many instances at a time.
-    pub phase1_chunk: u64,
 }
 
 impl Default for RingTuning {
@@ -154,7 +152,6 @@ impl Default for RingTuning {
             proposal_resend_us: 500_000,
             repropose_us: 1_000_000,
             trim_interval_us: 0,
-            phase1_chunk: 1 << 20,
         }
     }
 }

@@ -421,70 +421,6 @@ impl Action {
     }
 }
 
-/// Ordered sink for actions; state machines push into it, runtimes drain
-/// it. Newtype over `Vec` so the signature of protocol methods stays
-/// stable if buffering becomes smarter.
-#[derive(Default, Debug)]
-pub struct Actions {
-    items: Vec<Action>,
-}
-
-impl Actions {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pushes an action.
-    pub fn push(&mut self, action: Action) {
-        self.items.push(action);
-    }
-
-    /// Convenience: push a `Send`.
-    pub fn send(&mut self, to: ProcessId, msg: Message) {
-        self.push(Action::Send { to, msg });
-    }
-
-    /// Convenience: push a `SetTimer`.
-    pub fn timer(&mut self, after_us: u64, timer: TimerKind) {
-        self.push(Action::SetTimer { after_us, timer });
-    }
-
-    /// Drains the collected actions.
-    pub fn take(&mut self) -> Vec<Action> {
-        std::mem::take(&mut self.items)
-    }
-
-    /// Number of pending actions.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no actions are pending.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Iterates without draining.
-    pub fn iter(&self) -> impl Iterator<Item = &Action> {
-        self.items.iter()
-    }
-}
-
-impl Extend<Action> for Actions {
-    fn extend<T: IntoIterator<Item = Action>>(&mut self, iter: T) {
-        self.items.extend(iter);
-    }
-}
-
-impl IntoIterator for Actions {
-    type Item = Action;
-    type IntoIter = std::vec::IntoIter<Action>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
-    }
-}
-
 /// The interface every hostable protocol state machine implements;
 /// runtimes are generic over it ([`Node`](crate::node::Node), the other
 /// engines and the replica that wraps them all implement it).
@@ -499,19 +435,6 @@ pub trait StateMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn actions_sink_collects_in_order() {
-        let mut a = Actions::new();
-        assert!(a.is_empty());
-        a.send(ProcessId::new(1), Message::Batch(vec![]));
-        a.timer(5, TimerKind::Delta(RingId::new(0)));
-        assert_eq!(a.len(), 2);
-        let items = a.take();
-        assert!(matches!(items[0], Action::Send { .. }));
-        assert!(matches!(items[1], Action::SetTimer { after_us: 5, .. }));
-        assert!(a.is_empty());
-    }
 
     #[test]
     fn message_ring_accessor() {

@@ -24,7 +24,7 @@ pub mod manager;
 pub mod trim;
 
 pub use manager::{RecoveryManager, RecoveryPhase, RecoveryStep, Resolution};
-pub use trim::{TrimCoordinator, TrimResponder};
+pub use trim::TrimCoordinator;
 
 use crate::types::{GroupId, InstanceId};
 use std::cmp::Ordering;

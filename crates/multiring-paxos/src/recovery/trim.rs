@@ -116,39 +116,6 @@ impl TrimCoordinator {
     }
 }
 
-/// The replica-side responder: answers trim queries with the watermark of
-/// the replica's last **durable** checkpoint for the queried group.
-#[derive(Debug, Default)]
-pub struct TrimResponder {
-    stable: Option<crate::recovery::CheckpointId>,
-}
-
-impl TrimResponder {
-    /// A responder with no durable checkpoint yet (reports instance 0,
-    /// which keeps acceptor logs untrimmed — correct but unbounded).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Updates the durable checkpoint after a successful checkpoint
-    /// persist.
-    pub fn set_stable(&mut self, ckpt: crate::recovery::CheckpointId) {
-        self.stable = Some(ckpt);
-    }
-
-    /// The last durable checkpoint, if any.
-    pub fn stable(&self) -> Option<&crate::recovery::CheckpointId> {
-        self.stable.as_ref()
-    }
-
-    /// The safe instance to report for `group` (`k[x]_p`).
-    pub fn safe_instance(&self, group: GroupId) -> InstanceId {
-        self.stable
-            .as_ref()
-            .map_or(InstanceId::ZERO, |c| c.mark_of(group))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,20 +209,5 @@ mod tests {
         // One reply from partition A ({0,1} majority = 1... no: 2/2+1=2).
         assert_eq!(tc.on_reply(p(0), seq, i(4)), None);
         assert_eq!(tc.on_reply(p(1), seq, i(9)), Some(i(4)));
-    }
-
-    #[test]
-    fn responder_reports_stable_marks() {
-        use crate::recovery::CheckpointId;
-        let mut r = TrimResponder::new();
-        assert_eq!(r.safe_instance(g(0)), InstanceId::ZERO);
-        r.set_stable(CheckpointId {
-            marks: vec![(g(0), i(12)), (g(1), i(11))],
-            cursor_group: 1,
-            cursor_used: 0,
-        });
-        assert_eq!(r.safe_instance(g(0)), i(12));
-        assert_eq!(r.safe_instance(g(1)), i(11));
-        assert_eq!(r.safe_instance(g(9)), InstanceId::ZERO);
     }
 }
