@@ -17,7 +17,8 @@
 //! * [`sim`] — deterministic discrete-event simulator (WAN
 //!   topologies, disk/CPU models, fault injection) used by tests and by
 //!   the benchmark harness that regenerates the paper's figures.
-//! * [`transport`] — wire codec and a real TCP runtime.
+//! * [`transport`] — length-prefixed framing of the core's wire
+//!   codec (`core::codec`) and a real TCP runtime.
 //! * [`storage`] — acceptor write-ahead logs and checkpoint
 //!   storage.
 //! * [`coord`] — coordination service (membership, ring
