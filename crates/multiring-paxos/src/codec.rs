@@ -279,7 +279,7 @@ pub fn encoded_len(msg: &Message) -> usize {
 ///
 /// Returns [`CodecError`] if the buffer is truncated, a tag is unknown or
 /// a length prefix is implausible.
-pub fn decode<B: Buf>(buf: &mut B) -> Result<Message, CodecError> {
+pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
     let tag = get_u8(buf)?;
     match tag {
         TAG_FORWARD => {
@@ -494,7 +494,7 @@ pub fn decode_record(buf: &mut impl Buf) -> Result<PersistRecord, CodecError> {
     }
 }
 
-// ---- lengths ------------------------------------------------------------
+// ---- lengths ----------------------------------------------------------
 
 /// A sink that counts what a writer puts into it and keeps none of it.
 struct Counter(usize);
@@ -570,7 +570,7 @@ fn put_cv(buf: &mut impl BufMut, cv: &ConsensusValue) {
     }
 }
 
-fn get_cv<B: Buf>(buf: &mut B) -> Result<ConsensusValue, CodecError> {
+fn get_cv(buf: &mut impl Buf) -> Result<ConsensusValue, CodecError> {
     match get_u8(buf)? {
         0 => Ok(ConsensusValue::Skip),
         1 => Ok(ConsensusValue::Values(get_seq(
@@ -592,7 +592,7 @@ fn put_ckpt(buf: &mut impl BufMut, c: &CheckpointId) {
     buf.put_u32_le(c.cursor_used);
 }
 
-fn get_ckpt<B: Buf>(buf: &mut B) -> Result<CheckpointId, CodecError> {
+fn get_ckpt(buf: &mut impl Buf) -> Result<CheckpointId, CodecError> {
     Ok(CheckpointId {
         marks: get_seq(get_len(buf)?, buf, |buf| {
             Ok((GroupId::new(get_u16(buf)?), InstanceId::new(get_u64(buf)?)))
