@@ -30,7 +30,11 @@ impl StoreApp {
         }
     }
 
-    /// Pre-loads an entry (database initialization before the run).
+    /// Pre-loads an entry (database initialization before the run). It
+    /// is visible to every later command, `len` and `snapshot`; the tree
+    /// itself is built from all loaded entries by the first of those, on
+    /// the thread that runs it — for a hosted replica its protocol
+    /// thread, at the first `execute` (see [`KvStore::load`]).
     pub fn load(&mut self, key: Bytes, value: Bytes) {
         self.kv.load(key, value);
     }
