@@ -19,7 +19,7 @@
 //!
 //! | rule              | rejects                                        |
 //! |-------------------|------------------------------------------------|
-//! | `transport-poll`  | `set_nonblocking(true)`, `recv_timeout`, `thread::sleep` — block in the call and have the event end it |
+//! | `transport-poll`  | `set_nonblocking(true)`, `recv_timeout`, `wait_timeout`, `wait_timeout_while`, `thread::sleep` — block in the call and have the event end it |
 //!
 //! Comments and string literals are stripped before matching, matching
 //! stops at the first `#[cfg(test)]` (test modules may use whatever
@@ -73,7 +73,13 @@ const ENGINE_RULES: Rules = &[
 /// What the TCP runtime may not contain.
 const TRANSPORT_RULES: Rules = &[(
     "transport-poll",
-    &["set_nonblocking(true)", "recv_timeout", "thread::sleep"],
+    &[
+        "set_nonblocking(true)",
+        "recv_timeout",
+        "wait_timeout",
+        "wait_timeout_while",
+        "thread::sleep",
+    ],
 )];
 
 /// Path-suffix exemptions, loaded from `lint.allow`.

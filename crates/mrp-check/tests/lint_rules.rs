@@ -64,6 +64,8 @@ fn transport_waits_for_events_except_where_it_says_why() {
     for line in [
         "listener.set_nonblocking(true)?;",
         "match rx.recv_timeout(Duration::from_millis(100)) {",
+        "let (guard, _) = cond.wait_timeout(guard, Duration::from_millis(10)).unwrap();",
+        "let _ = cond.wait_timeout_while(guard, backoff, |n| *n == seen);",
         "thread::sleep(Duration::from_millis(10));",
     ] {
         let src = format!("fn f() {{\n    {line}\n}}\n");

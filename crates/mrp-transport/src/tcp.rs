@@ -6,6 +6,14 @@
 //! communicate through queues (crossbeam channels). All inter-process
 //! communication is TCP; stable storage is a real write-ahead log with
 //! `fsync` on synchronous writes.
+//!
+//! Every thread waits for an event: the listener in `accept`, a reader
+//! in `read`, a writer and the protocol thread in `recv` (the latter up
+//! to its next timer deadline). A writer whose dial was refused waits
+//! for the peer to show that it is up — any connection that says hello
+//! to this process wakes the process's writers — and, because a peer
+//! need never dial us, for at most a back-off that doubles from
+//! `DIAL_BACKOFF_MIN` (200 µs) to `DIAL_BACKOFF_MAX` (50 ms).
 
 use crate::framing::{self, FrameAccumulator};
 use bytes::BytesMut;
@@ -19,12 +27,15 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// What a refused dial waits before the next one; doubled after every
-/// further refusal, up to [`DIAL_BACKOFF_MAX`].
+/// The longest a refused dial waits before the next one; doubled after
+/// every further refusal, up to [`DIAL_BACKOFF_MAX`]. A hello read from
+/// any peer in the meantime ends the wait at once
+/// ([`Signals::count_hello`]): the back-off is what reaches a peer that
+/// never dials us.
 const DIAL_BACKOFF_MIN: Duration = Duration::from_micros(200);
 const DIAL_BACKOFF_MAX: Duration = Duration::from_millis(50);
 /// Bytes a reader asks of one `read`, and the size past which a writer
@@ -237,7 +248,7 @@ impl TcpRuntime {
         let acceptor = Acceptor::bind(config.listen, move |from, msg| {
             net_tx.send(Inbound::Net { from, msg }).is_ok()
         })?;
-        let shutdown = Arc::clone(&acceptor.shutdown);
+        let signals = Arc::clone(&acceptor.signals);
         let storage = match &config.storage_dir {
             Some(dir) => {
                 Some(DirStorage::open(dir).map_err(|e| std::io::Error::other(e.to_string()))?)
@@ -249,7 +260,7 @@ impl TcpRuntime {
         let join = thread::Builder::new()
             .name(format!("mrp-node-{}", config.me.value()))
             .spawn(move || {
-                Self::protocol_loop(config, sm, storage, in_rx, events_tx, shutdown, probe);
+                Self::protocol_loop(config, sm, storage, in_rx, events_tx, signals, probe);
             })?;
 
         Ok(RuntimeHandle {
@@ -268,7 +279,7 @@ impl TcpRuntime {
         mut storage: Option<DirStorage>,
         in_rx: Receiver<Inbound>,
         events_tx: Sender<RuntimeEvent>,
-        shutdown: Arc<AtomicBool>,
+        signals: Arc<Signals>,
         mut probe: Option<StatusProbe<S>>,
     ) {
         let start = Instant::now();
@@ -301,11 +312,11 @@ impl TcpRuntime {
                     &mut storage,
                     &mut pending,
                     &events_tx,
-                    &shutdown,
+                    &signals,
                     now_us(),
                 );
             }
-            if shutdown.load(Ordering::SeqCst) {
+            if signals.closing() {
                 break;
             }
             // Block until the next input, timer deadline or status
@@ -354,13 +365,13 @@ impl TcpRuntime {
         storage: &mut Option<DirStorage>,
         pending: &mut VecDeque<Event>,
         events_tx: &Sender<RuntimeEvent>,
-        shutdown: &Arc<AtomicBool>,
+        signals: &Arc<Signals>,
         now_us: u64,
     ) {
         for action in actions {
             match action {
                 Action::Send { to, msg } => {
-                    Self::send_to(config, writers, shutdown, to, msg);
+                    Self::send_to(config, writers, signals, to, msg);
                 }
                 Action::SetTimer { after_us, timer } => {
                     timers.push(Deadline(now_us + after_us, timer));
@@ -404,7 +415,7 @@ impl TcpRuntime {
                         Self::send_to(
                             config,
                             writers,
-                            shutdown,
+                            signals,
                             home,
                             Message::Response {
                                 client,
@@ -427,14 +438,48 @@ impl TcpRuntime {
     fn send_to(
         config: &RuntimeConfig,
         writers: &mut HashMap<ProcessId, Sender<Message>>,
-        shutdown: &Arc<AtomicBool>,
+        signals: &Arc<Signals>,
         to: ProcessId,
         msg: Message,
     ) {
         let tx = writers
             .entry(to)
-            .or_insert_with(|| spawn_writer(config.me, config.peers.get(&to), shutdown));
+            .or_insert_with(|| spawn_writer(config.me, config.peers.get(&to), signals));
         let _ = tx.send(msg);
+    }
+}
+
+/// What the threads of one process tell each other besides frames.
+#[derive(Default)]
+struct Signals {
+    /// Raised by [`Acceptor::close`].
+    shutdown: AtomicBool,
+    /// Connections that have said hello to this process so far.
+    hellos: std::sync::Mutex<u64>,
+    hello: Condvar,
+}
+
+impl Signals {
+    fn closing(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn hellos(&self) -> u64 {
+        *self.hellos.lock().expect("no panic while counting")
+    }
+
+    /// A reader has read a peer's hello, so that peer is up: writers
+    /// waiting out a refused dial try again now.
+    fn count_hello(&self) {
+        *self.hellos.lock().expect("no panic while counting") += 1;
+        self.hello.notify_all();
+    }
+
+    /// Returns once more than `seen` hellos have been read, and after
+    /// `limit` at the latest.
+    fn await_hello(&self, seen: u64, limit: Duration) {
+        let hellos = self.hellos.lock().expect("no panic while counting");
+        let _ = self.hello.wait_timeout_while(hellos, limit, |n| *n == seen); // lint:allow(transport-poll) a peer that never dials us sends no event
     }
 }
 
@@ -445,8 +490,9 @@ type Accepted = (TcpStream, thread::JoinHandle<()>);
 /// one reader thread per inbound connection, each blocked in `read`.
 struct Acceptor {
     addr: SocketAddr,
-    /// Raised by `close`; the process's other threads watch it too.
-    shutdown: Arc<AtomicBool>,
+    /// Shared with the process's other threads: `close` raises
+    /// `shutdown`, the readers count hellos for the writers.
+    signals: Arc<Signals>,
     /// Returns the connections it accepted.
     listener: Option<thread::JoinHandle<Vec<Accepted>>>,
 }
@@ -461,21 +507,21 @@ impl Acceptor {
     {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let closing = Arc::clone(&shutdown);
+        let signals = Arc::new(Signals::default());
+        let shared = Arc::clone(&signals);
         let listener = thread::spawn(move || {
             let mut conns: Vec<Accepted> = Vec::new();
             while let Ok((stream, _)) = listener.accept() {
-                if closing.load(Ordering::SeqCst) {
+                if shared.closing() {
                     break; // the connection `close` woke us with
                 }
                 conns.retain(|(_, reader)| !reader.is_finished());
                 let Ok(ours) = stream.try_clone() else {
                     continue;
                 };
-                let on_frame = on_frame.clone();
+                let (on_frame, signals) = (on_frame.clone(), Arc::clone(&shared));
                 let reader = thread::spawn(move || {
-                    read_loop(&stream, on_frame);
+                    read_loop(&stream, &signals, on_frame);
                     // `ours` keeps the socket open: hang up explicitly.
                     let _ = stream.shutdown(Shutdown::Both);
                 });
@@ -485,7 +531,7 @@ impl Acceptor {
         });
         Ok(Self {
             addr,
-            shutdown,
+            signals,
             listener: Some(listener),
         })
     }
@@ -493,7 +539,7 @@ impl Acceptor {
     /// Raises `shutdown`, closes the listen socket and every accepted
     /// connection, and joins the listener and reader threads.
     fn close(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.signals.shutdown.store(true, Ordering::SeqCst);
         let Some(listener) = self.listener.take() else {
             return;
         };
@@ -515,13 +561,19 @@ impl Drop for Acceptor {
     }
 }
 
-/// One inbound connection: the hello, then one `read` per burst, every
-/// complete frame of which goes to `on_frame`. Ends at end of stream, on
-/// an I/O error and on a frame that does not decode.
-fn read_loop(mut stream: &TcpStream, on_frame: impl Fn(ProcessId, Message) -> bool) {
+/// One inbound connection: the hello, which is signalled to the writers,
+/// then one `read` per burst, every complete frame of which goes to
+/// `on_frame`. Ends at end of stream, on an I/O error and on a frame that
+/// does not decode.
+fn read_loop(
+    mut stream: &TcpStream,
+    signals: &Signals,
+    on_frame: impl Fn(ProcessId, Message) -> bool,
+) {
     let Ok(peer) = framing::read_hello(&mut stream) else {
         return;
     };
+    signals.count_hello();
     let mut frames = FrameAccumulator::new();
     let mut burst = vec![0u8; BURST_BYTES];
     loop {
@@ -550,14 +602,14 @@ fn read_loop(mut stream: &TcpStream, on_frame: impl Fn(ProcessId, Message) -> bo
 fn spawn_writer(
     me: ProcessId,
     addr: Option<&SocketAddr>,
-    shutdown: &Arc<AtomicBool>,
+    signals: &Arc<Signals>,
 ) -> Sender<Message> {
     let (tx, rx) = unbounded::<Message>();
     if let Some(&addr) = addr {
-        let shutdown = Arc::clone(shutdown);
+        let signals = Arc::clone(signals);
         // Not joined: it may be inside `connect`, which has no deadline.
         // It ends by itself once its queue is gone or `shutdown` is up.
-        thread::spawn(move || writer_loop(me, addr, &rx, &shutdown));
+        thread::spawn(move || writer_loop(me, addr, &rx, &signals));
     }
     tx
 }
@@ -572,7 +624,7 @@ fn dial(me: ProcessId, addr: SocketAddr) -> std::io::Result<TcpStream> {
 /// One outbound peer: blocks while its queue is empty, then sends what
 /// has queued up as one `write`. Ends when the queue's senders are gone,
 /// or when `shutdown` is raised while the peer cannot be reached.
-fn writer_loop(me: ProcessId, addr: SocketAddr, rx: &Receiver<Message>, shutdown: &AtomicBool) {
+fn writer_loop(me: ProcessId, addr: SocketAddr, rx: &Receiver<Message>, signals: &Signals) {
     let mut conn: Option<TcpStream> = None;
     let mut backoff = DIAL_BACKOFF_MIN;
     // One encode buffer per peer: bursts reuse its capacity instead of
@@ -593,25 +645,29 @@ fn writer_loop(me: ProcessId, addr: SocketAddr, rx: &Receiver<Message>, shutdown
         loop {
             let stream = match &mut conn {
                 Some(stream) => stream,
-                None => match dial(me, addr) {
-                    Ok(stream) => {
-                        backoff = DIAL_BACKOFF_MIN;
-                        conn.insert(stream)
+                None => {
+                    // Counted before the dial: a hello that arrives
+                    // between the refusal and the wait still ends it.
+                    let hellos = signals.hellos();
+                    match dial(me, addr) {
+                        Ok(stream) => {
+                            backoff = DIAL_BACKOFF_MIN;
+                            conn.insert(stream)
+                        }
+                        Err(_) if signals.closing() => return,
+                        Err(_) => {
+                            signals.await_hello(hellos, backoff);
+                            backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
+                            continue;
+                        }
                     }
-                    Err(_) if shutdown.load(Ordering::SeqCst) => return,
-                    Err(_) => {
-                        // A refused dial leaves no event to wait for.
-                        thread::sleep(backoff); // lint:allow(transport-poll)
-                        backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
-                        continue;
-                    }
-                },
+                }
             };
             if stream.write_all(&burst).is_ok() {
                 break;
             }
             conn = None;
-            if shutdown.load(Ordering::SeqCst) {
+            if signals.closing() {
                 return;
             }
         }
@@ -686,12 +742,37 @@ impl ClientPort {
         let mut writers = self.writers.lock();
         let tx = writers
             .entry(to)
-            .or_insert_with(|| spawn_writer(self.me, self.peers.get(&to), &self.acceptor.shutdown));
+            .or_insert_with(|| spawn_writer(self.me, self.peers.get(&to), &self.acceptor.signals));
         let _ = tx.send(msg);
     }
 
     /// The stream of responses: `(client, request, payload)`.
     pub fn responses(&self) -> &Receiver<(ClientId, u64, bytes::Bytes)> {
         &self.responses_rx
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn hello_between_the_count_and_the_wait_ends_the_wait() {
+        let signals = Signals::default();
+        let seen = signals.hellos();
+        signals.count_hello();
+        let begin = Instant::now();
+        signals.await_hello(seen, Duration::from_secs(60));
+        assert!(begin.elapsed() < Duration::from_secs(30));
+    }
+
+    #[test]
+    fn wait_without_a_hello_lasts_its_limit() {
+        let signals = Signals::default();
+        signals.count_hello();
+        let limit = Duration::from_millis(20);
+        let begin = Instant::now();
+        signals.await_hello(signals.hellos(), limit);
+        assert!(begin.elapsed() >= limit);
     }
 }

@@ -277,6 +277,41 @@ fn peer_dialled_before_it_listens_gets_every_queued_frame_once_in_order() {
     server.shutdown();
 }
 
+/// A refused dial waits for the peer, not for the clock: once the peer
+/// has connected to us and said hello, the writer that was backing off
+/// from it dials again at once.
+#[test]
+fn hello_from_the_peer_ends_the_back_off_of_the_writer_dialling_it() {
+    let (a_addr, b_addr) = (free_addr(), free_addr());
+    let a = ClientPort::bind(CLIENT, a_addr, BTreeMap::from([(SERVER, b_addr)])).expect("client");
+    for r in 0..10 {
+        send(&a, r, Bytes::from_static(b"queued"));
+    }
+    // B is refused 0.2, 0.6, 1.4, 3, 6.2, 12.6, 25.4 and 51 ms after the
+    // first dial: from then to 101 ms A's writer sits in a 50 ms wait.
+    std::thread::sleep(Duration::from_millis(60));
+    let b = TcpListener::bind(b_addr).expect("bind");
+    let mut to_a = raw_peer(a_addr, SERVER.value());
+    let frame = framed([Message::Response {
+        client: ClientId::new(1),
+        request: 0,
+        payload: Bytes::from_static(b"up"),
+    }]);
+    to_a.write_all(&frame).expect("write");
+    let said_hello = Instant::now();
+
+    let (mut conn, _) = b.accept().expect("accept");
+    assert_eq!(framing::read_hello(&mut conn).expect("hello"), CLIENT);
+    let got = read_requests(&mut conn, |seen| seen.len() == 10);
+    let waited = said_hello.elapsed();
+    assert_eq!(got, (0..10).collect::<Vec<_>>());
+    // Some 40 ms of the back-off were left; a dial and a write are not 1.
+    assert!(
+        waited < Duration::from_millis(20),
+        "queued frames arrived {waited:?} after the hello"
+    );
+}
+
 #[test]
 fn broken_peers_do_not_disturb_the_others() {
     let addr = free_addr();
