@@ -9,16 +9,21 @@
 //!   vs unbatched, both engines, through a 3-process virtual-clock
 //!   pump that routes every `Action::Send` through the real wire
 //!   codec) and of burst decoding (per-frame copy-out vs the
-//!   zero-copy [`FrameAccumulator`] path). These write
-//!   `BENCH_micro.json` next to the other committed bench artifacts.
+//!   zero-copy [`FrameAccumulator`] path), and per-record timings of
+//!   filling MRP-Store's tree (the preload before a run and a peer's
+//!   checkpoint after a restart) against a tree filled insert by
+//!   insert. These write `BENCH_micro.json` next to the other
+//!   committed bench artifacts.
 //!
 //! Regression gate: set `MRP_MICRO_BASELINE=<path to a committed
 //! BENCH_micro.json>` and the run exits non-zero if the fresh batched
 //! submission throughput of either engine falls below the committed
 //! *unbatched* baseline — batching must never be slower than the
-//! un-batched path it replaced.
+//! un-batched path it replaced — or if the store's bulk-loaded tree is
+//! not built at least twice as fast as the insert-by-insert one.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::hint::black_box;
 use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
@@ -26,7 +31,9 @@ use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use mrp_amcast::{AmcastEngine, AnyEngine, BatchConfig, EngineKind};
 use mrp_bench::json::{write_artifact, Value as Json};
 use mrp_bench::Scale;
+use mrp_store::{KvStore, StoreCommand};
 use mrp_transport::framing::{write_frame_into, FrameAccumulator};
+use mrp_ycsb::workload::key_for;
 use mrp_ycsb::{KeyChooser, SmallRng};
 use multiring_paxos::codec;
 use multiring_paxos::config::{single_ring, RingTuning};
@@ -420,7 +427,132 @@ fn decode_zero_copy(wire: &[u8], reps: u32) -> DecodeRow {
     }
 }
 
-fn to_json(scale: Scale, submit: &[SubmitRow], decode: &[DecodeRow]) -> Json {
+/// Records in one preload: what `bench/` loads into every replica.
+const PRELOAD_RECORDS: u64 = 10_000;
+const PRELOAD_VALUE: usize = 100;
+
+struct PreloadRow {
+    name: &'static str,
+    ns_per_record: f64,
+}
+
+fn preload_records() -> Vec<(Bytes, Bytes)> {
+    (0..PRELOAD_RECORDS)
+        .map(|i| {
+            let value = vec![i as u8; PRELOAD_VALUE];
+            (Bytes::from(key_for(i).into_bytes()), Bytes::from(value))
+        })
+        .collect()
+}
+
+/// Best-of-`reps` time of `run` over a fresh `input()`, per record;
+/// making the input and dropping the result are not timed.
+fn preload_row<I, O>(
+    name: &'static str,
+    reps: u32,
+    input: impl Fn() -> I,
+    run: impl Fn(I) -> O,
+) -> PreloadRow {
+    let best = (0..reps)
+        .map(|_| {
+            let input = input();
+            let start = Instant::now();
+            let output = black_box(run(black_box(input)));
+            let elapsed = start.elapsed();
+            drop(output);
+            elapsed
+        })
+        .min()
+        .expect("at least one rep");
+    PreloadRow {
+        name,
+        ns_per_record: best.as_nanos() as f64 / PRELOAD_RECORDS as f64,
+    }
+}
+
+/// Filling a replica's tree with [`PRELOAD_RECORDS`] ascending
+/// `user…` keys, and making the keys.
+fn bench_preload(reps: u32) -> Vec<PreloadRow> {
+    let first_key = StoreCommand::Read {
+        key: Bytes::from(key_for(0).into_bytes()),
+    };
+    let snapshot = {
+        let mut kv = KvStore::new();
+        for (k, v) in preload_records() {
+            kv.load(k, v);
+        }
+        kv.snapshot()
+    };
+    vec![
+        // The reference: one root-to-leaf descent per record, which is
+        // what `KvStore::load` did before it staged.
+        preload_row("insert_each", reps, preload_records, |records| {
+            let mut tree = BTreeMap::new();
+            for (k, v) in records {
+                tree.insert(k, v);
+            }
+            tree
+        }),
+        preload_row("staged_build", reps, preload_records, |records| {
+            let mut kv = KvStore::new();
+            for (k, v) in records {
+                kv.load(k, v);
+            }
+            black_box(kv.apply(&first_key));
+            kv
+        }),
+        preload_row(
+            "restore",
+            reps,
+            || (),
+            |()| {
+                let mut kv = KvStore::new();
+                kv.restore(&snapshot);
+                black_box(kv.apply(&first_key));
+                kv
+            },
+        ),
+        // The reference: the formatter `key_for` was.
+        preload_row(
+            "key_format",
+            reps,
+            || (),
+            |()| {
+                for i in 0..PRELOAD_RECORDS {
+                    let index = black_box(i);
+                    black_box(format!("user{index:012}"));
+                }
+            },
+        ),
+        preload_row(
+            "key_for",
+            reps,
+            || (),
+            |()| {
+                for i in 0..PRELOAD_RECORDS {
+                    black_box(key_for(black_box(i)));
+                }
+            },
+        ),
+    ]
+}
+
+/// How many times faster row `fast` is than row `slow`.
+fn preload_speedup(rows: &[PreloadRow], slow: &str, fast: &str) -> f64 {
+    let ns = |name| {
+        rows.iter()
+            .find(|r| r.name == name)
+            .map_or(0.0, |r| r.ns_per_record)
+    };
+    ns(slow) / ns(fast).max(1e-9)
+}
+
+fn to_json(
+    scale: Scale,
+    submit: &[SubmitRow],
+    decode: &[DecodeRow],
+    preload: &[PreloadRow],
+) -> Json {
     let vps = |engine: &str, mode: &str| {
         submit
             .iter()
@@ -463,21 +595,43 @@ fn to_json(scale: Scale, submit: &[SubmitRow], decode: &[DecodeRow]) -> Json {
             }),
         ),
         (
+            "preload",
+            Json::array(preload, |r| {
+                Json::object([
+                    ("name", r.name.into()),
+                    ("records", PRELOAD_RECORDS.into()),
+                    ("ns_per_record", Json::rounded(r.ns_per_record, 1)),
+                ])
+            }),
+        ),
+        (
             "speedup",
             Json::object([
                 ("submit_multiring", Json::rounded(speedup("multiring"), 2)),
                 ("submit_wbcast", Json::rounded(speedup("wbcast"), 2)),
                 ("decode_32k", Json::rounded(decode_speedup, 2)),
+                (
+                    "preload_build",
+                    Json::rounded(preload_speedup(preload, "insert_each", "staged_build"), 2),
+                ),
+                (
+                    "preload_key_for",
+                    Json::rounded(preload_speedup(preload, "key_format", "key_for"), 2),
+                ),
             ]),
         ),
     ])
 }
 
 /// `MRP_MICRO_BASELINE=<path>`: fail the run if batched submission
-/// throughput regressed below the unbatched baseline.
+/// throughput regressed below the unbatched baseline, or the store's
+/// bulk load towards the insert-by-insert one.
 ///
-/// Two checks per run:
+/// Three checks per run:
 ///
+/// * Same machine: the tree built from a bulk load must be ready at
+///   least twice as fast as one filled insert by insert (measured 3–4×;
+///   both sides run here, so the machine cancels out).
 /// * Same machine (hardware-independent): each engine's fresh batched
 ///   run must stay within 10% of its fresh unbatched run — batching
 ///   must never lose to the path it replaces.
@@ -487,10 +641,21 @@ fn to_json(scale: Scale, submit: &[SubmitRow], decode: &[DecodeRow]) -> Json {
 ///   differences between the committing machine and CI; the wbcast gap
 ///   (frame coalescing only — the virtual pump does not price
 ///   syscalls) is too thin to compare across machines.
-fn check_baseline(submit: &[SubmitRow], baseline: Option<(String, String)>) -> Result<(), String> {
+fn check_baseline(
+    submit: &[SubmitRow],
+    preload: &[PreloadRow],
+    baseline: Option<(String, String)>,
+) -> Result<(), String> {
     let Some((path, text)) = baseline else {
         return Ok(());
     };
+    let build = preload_speedup(preload, "insert_each", "staged_build");
+    if build < 2.0 {
+        return Err(format!(
+            "the store's staged build is {build:.2}x insert-by-insert, below the 2x floor"
+        ));
+    }
+    println!("baseline gate: staged build {build:.2}x insert-by-insert");
     let fresh = |engine: &str, mode: &str| {
         submit
             .iter()
@@ -589,10 +754,15 @@ fn main() {
         );
     }
 
-    let doc = to_json(scale, &submit, &decode);
-    write_artifact("BENCH_micro.json", &doc, "submit and decode rows");
+    let preload = bench_preload(scale.pick(30u32, 10u32));
+    for r in &preload {
+        println!("preload {}: {:.1} ns/record", r.name, r.ns_per_record);
+    }
 
-    if let Err(e) = check_baseline(&submit, baseline) {
+    let doc = to_json(scale, &submit, &decode, &preload);
+    write_artifact("BENCH_micro.json", &doc, "submit, decode and preload rows");
+
+    if let Err(e) = check_baseline(&submit, &preload, baseline) {
         eprintln!("MICRO BASELINE GATE FAILED: {e}");
         std::process::exit(1);
     }

@@ -1,10 +1,10 @@
 //! Validates the checked-in benchmark baselines `BENCH_fig9.json` and
 //! `BENCH_micro.json`: they must parse as JSON and carry the documented
 //! schema — the client-side rows plus the `engine_telemetry` section
-//! (fig9), and the submission/decode throughput rows with their speedup
-//! summary (micro). CI regenerates both files at smoke scale and
-//! re-runs this test, so a writer/schema drift fails loudly in both
-//! places.
+//! (fig9), and the submission/decode throughput rows and the store's
+//! preload rows with their speedup summary (micro). CI regenerates both
+//! files at smoke scale and re-runs this test, so a writer/schema drift
+//! fails loudly in both places.
 
 use mrp_bench::json::{self, Value};
 
@@ -162,6 +162,33 @@ fn micro_baseline_matches_schema_and_batching_pays() {
             .expect("row.mb_per_sec");
         assert!(mbps.is_finite() && mbps > 0.0);
     }
+    let preload = doc
+        .get("preload")
+        .and_then(Value::as_array)
+        .expect("top-level \"preload\" array");
+    let names: Vec<&str> = preload
+        .iter()
+        .map(|row| row.get("name").and_then(Value::as_str).expect("row.name"))
+        .collect();
+    assert_eq!(
+        names,
+        [
+            "insert_each",
+            "staged_build",
+            "restore",
+            "key_format",
+            "key_for"
+        ],
+        "the two references and what replaced them"
+    );
+    for row in preload {
+        assert!(row.get("records").and_then(Value::as_u64).unwrap_or(0) > 0);
+        let ns = row
+            .get("ns_per_record")
+            .and_then(Value::as_f64)
+            .expect("row.ns_per_record");
+        assert!(ns.is_finite() && ns > 0.0);
+    }
     let speedup = doc
         .get("speedup")
         .and_then(Value::as_object)
@@ -193,5 +220,19 @@ fn micro_baseline_matches_schema_and_batching_pays() {
         s("decode_32k") >= 1.0,
         "zero-copy burst decode fell behind the copying path: {:.2}x",
         s("decode_32k")
+    );
+    // MRP-Store's cold start: the tree built once from a bulk load
+    // against one descent per record (measured 3-4x), and the key
+    // written by hand against the formatter (measured 2-2.4x; its floor
+    // is the allocation both sides make).
+    assert!(
+        s("preload_build") >= 2.0,
+        "the staged build must stay well ahead of insert-by-insert: {:.2}x",
+        s("preload_build")
+    );
+    assert!(
+        s("preload_key_for") >= 1.5,
+        "key_for fell back towards the formatter it replaced: {:.2}x",
+        s("preload_key_for")
     );
 }
