@@ -107,6 +107,12 @@
 //!    `rounds.rs`, `frontier.rs`, `recovery.rs` (the roles, each
 //!    documenting its part of the protocol and its metrics) and
 //!    `mod.rs` (constants, the node, dispatch, the trait impls).
+//!    Declare the frame tags once, through
+//!    [`wire_tags!`](multiring_paxos::codec::wire_tags), and keep the
+//!    three `match`es over them exhaustive (write, read, dispatch): a
+//!    frame then is "add the variant and its tag and fix what does not
+//!    compile", the last stop being the test module's `tag_of` and the
+//!    golden `every_tag_opens_a_golden` asks for — no lint to extend.
 //!    Engines share the [`Event`]/[`Action`] vocabulary, so every
 //!    existing runtime (simulator, TCP transport) hosts them unchanged.
 //! 2. Implement [`AmcastEngine`] for it: `multicast_batch`,

@@ -252,7 +252,7 @@ pub const TAKEOVER_GRACE_DELTAS: u64 = ORPHAN_DELTAS + RETRY_DELTAS;
 // shorter than the orphan timeout plus one retry period could advance
 // the frontier past a re-injected decided value, and an orphan timeout
 // at or below the retry period would recover live rounds constantly.
-// The wire-conformance lint (`mrp-check`) checks these assertions stay
+// The `protocol-constants` lint (`mrp-check`) checks these assertions stay
 // present.
 const _: () = assert!(TAKEOVER_GRACE_DELTAS >= ORPHAN_DELTAS + RETRY_DELTAS);
 const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS);

@@ -4,26 +4,33 @@
 //! harnesses use without depending on that layout.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use multiring_paxos::codec::{get_u16, get_u32, get_u64, get_u8, get_value, put_value};
+use multiring_paxos::codec::{
+    get_seq, get_u16, get_u32, get_u64, get_u8, get_value, put_value, wire_tags,
+};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
 
 /// Wire id of this engine inside [`Message::Engine`] frames.
 pub const WBCAST_WIRE_ID: u8 = 1;
 
-const TAG_SUBMIT: u8 = 1;
-const TAG_ORDERED: u8 = 2;
-const TAG_HEARTBEAT: u8 = 3;
-const TAG_PROPOSE_ACK: u8 = 4;
-const TAG_FINAL: u8 = 5;
-const TAG_FINAL_ACK: u8 = 6;
-const TAG_RESYNC: u8 = 7;
-const TAG_CKPT_MARK: u8 = 8;
-const TAG_RESYNC_DONE: u8 = 9;
-const TAG_ORPHAN_QUERY: u8 = 10;
-const TAG_ORPHAN_STATE: u8 = 11;
-const TAG_ORPHAN_FINAL: u8 = 12;
-const TAG_PROBE: u8 = 13;
+wire_tags! {
+    /// The byte a [`WbMessage`] payload opens with, one per frame.
+    enum Tag {
+        Submit = 1,
+        Ordered = 2,
+        Heartbeat = 3,
+        ProposeAck = 4,
+        Final = 5,
+        FinalAck = 6,
+        Resync = 7,
+        CkptMark = 8,
+        ResyncDone = 9,
+        OrphanQuery = 10,
+        OrphanState = 11,
+        OrphanFinal = 12,
+        Probe = 13,
+    }
+}
 
 /// The engine's private messages, carried inside [`Message::Engine`].
 #[derive(Clone, PartialEq, Debug)]
@@ -189,8 +196,8 @@ impl OrphanSt {
 }
 
 /// Every frame starts with its tag and the group it concerns.
-fn put_head(buf: &mut BytesMut, tag: u8, group: GroupId) {
-    buf.put_u8(tag);
+fn put_head(buf: &mut BytesMut, tag: Tag, group: GroupId) {
+    buf.put_u8(tag as u8);
     buf.put_u16_le(group.value());
 }
 
@@ -203,9 +210,7 @@ fn put_groups(buf: &mut BytesMut, groups: &[GroupId]) {
 
 fn get_groups(buf: &mut Bytes) -> Option<Vec<GroupId>> {
     let n = get_u16(buf).ok()?;
-    (0..n)
-        .map(|_| get_u16(buf).ok().map(GroupId::new))
-        .collect()
+    get_seq(n.into(), buf, |buf| Ok(GroupId::new(get_u16(buf)?))).ok()
 }
 
 pub(super) fn put_id(buf: &mut BytesMut, id: ValueId) {
@@ -220,10 +225,14 @@ pub(super) fn get_id(buf: &mut Bytes) -> Option<ValueId> {
 
 /// The body shared by the four `{group, id, ts}` frames of a round's
 /// timestamp agreement.
-fn put_round_ts(buf: &mut BytesMut, tag: u8, group: GroupId, id: ValueId, ts: u64) {
+fn put_round_ts(buf: &mut BytesMut, tag: Tag, group: GroupId, id: ValueId, ts: u64) {
     put_head(buf, tag, group);
     put_id(buf, id);
     buf.put_u64_le(ts);
+}
+
+fn get_round_ts(buf: &mut Bytes) -> Option<(ValueId, u64)> {
+    Some((get_id(buf)?, get_u64(buf).ok()?))
 }
 
 impl WbMessage {
@@ -237,19 +246,19 @@ impl WbMessage {
                 groups,
                 value,
             } => {
-                put_head(b, TAG_SUBMIT, *group);
+                put_head(b, Tag::Submit, *group);
                 put_groups(b, groups);
                 put_value(b, value);
             }
             WbMessage::ProposeAck { group, id, ts } => {
-                put_round_ts(b, TAG_PROPOSE_ACK, *group, *id, *ts);
+                put_round_ts(b, Tag::ProposeAck, *group, *id, *ts);
             }
-            WbMessage::Final { group, id, ts } => put_round_ts(b, TAG_FINAL, *group, *id, *ts),
+            WbMessage::Final { group, id, ts } => put_round_ts(b, Tag::Final, *group, *id, *ts),
             WbMessage::FinalAck { group, id, ts } => {
-                put_round_ts(b, TAG_FINAL_ACK, *group, *id, *ts);
+                put_round_ts(b, Tag::FinalAck, *group, *id, *ts);
             }
             WbMessage::OrphanFinal { group, id, ts } => {
-                put_round_ts(b, TAG_ORPHAN_FINAL, *group, *id, *ts);
+                put_round_ts(b, Tag::OrphanFinal, *group, *id, *ts);
             }
             WbMessage::Ordered {
                 group,
@@ -258,27 +267,27 @@ impl WbMessage {
                 groups,
                 value,
             } => {
-                put_head(b, TAG_ORDERED, *group);
+                put_head(b, Tag::Ordered, *group);
                 b.put_u32_le(*epoch);
                 b.put_u64_le(*ts);
                 put_groups(b, groups);
                 put_value(b, value);
             }
             WbMessage::Heartbeat { group, epoch, ts } => {
-                put_head(b, TAG_HEARTBEAT, *group);
+                put_head(b, Tag::Heartbeat, *group);
                 b.put_u32_le(*epoch);
                 b.put_u64_le(*ts);
             }
             WbMessage::Probe { group, ts } => {
-                put_head(b, TAG_PROBE, *group);
+                put_head(b, Tag::Probe, *group);
                 b.put_u64_le(*ts);
             }
             WbMessage::Resync { group, from_ts } => {
-                put_head(b, TAG_RESYNC, *group);
+                put_head(b, Tag::Resync, *group);
                 b.put_u64_le(*from_ts);
             }
             WbMessage::CkptMark { group, ts } => {
-                put_head(b, TAG_CKPT_MARK, *group);
+                put_head(b, Tag::CkptMark, *group);
                 b.put_u64_le(*ts);
             }
             WbMessage::ResyncDone {
@@ -287,13 +296,13 @@ impl WbMessage {
                 ts,
                 gap_to,
             } => {
-                put_head(b, TAG_RESYNC_DONE, *group);
+                put_head(b, Tag::ResyncDone, *group);
                 b.put_u32_le(*epoch);
                 b.put_u64_le(*ts);
                 b.put_u64_le(*gap_to);
             }
             WbMessage::OrphanQuery { group, id, attempt } => {
-                put_head(b, TAG_ORPHAN_QUERY, *group);
+                put_head(b, Tag::OrphanQuery, *group);
                 put_id(b, *id);
                 b.put_u32_le(*attempt);
             }
@@ -303,7 +312,7 @@ impl WbMessage {
                 attempt,
                 state,
             } => {
-                put_head(b, TAG_ORPHAN_STATE, *group);
+                put_head(b, Tag::OrphanState, *group);
                 put_id(b, *id);
                 b.put_u32_le(*attempt);
                 let (kind, ts) = state.to_wire();
@@ -320,65 +329,71 @@ impl WbMessage {
     /// Parses an engine payload; `None` on malformed or foreign frames.
     pub(super) fn parse(mut payload: Bytes) -> Option<WbMessage> {
         let b = &mut payload;
-        let tag = get_u8(b).ok()?;
+        let tag = Tag::from_u8(get_u8(b).ok()?).ok()?;
         let group = GroupId::new(get_u16(b).ok()?);
         Some(match tag {
-            TAG_SUBMIT => WbMessage::Submit {
+            Tag::Submit => WbMessage::Submit {
                 group,
                 groups: get_groups(b)?,
                 value: get_value(b).ok()?,
             },
-            TAG_PROPOSE_ACK | TAG_FINAL | TAG_FINAL_ACK | TAG_ORPHAN_FINAL => {
-                let (id, ts) = (get_id(b)?, get_u64(b).ok()?);
-                match tag {
-                    TAG_PROPOSE_ACK => WbMessage::ProposeAck { group, id, ts },
-                    TAG_FINAL => WbMessage::Final { group, id, ts },
-                    TAG_FINAL_ACK => WbMessage::FinalAck { group, id, ts },
-                    _ => WbMessage::OrphanFinal { group, id, ts },
-                }
+            Tag::ProposeAck => {
+                let (id, ts) = get_round_ts(b)?;
+                WbMessage::ProposeAck { group, id, ts }
             }
-            TAG_ORDERED => WbMessage::Ordered {
+            Tag::Final => {
+                let (id, ts) = get_round_ts(b)?;
+                WbMessage::Final { group, id, ts }
+            }
+            Tag::FinalAck => {
+                let (id, ts) = get_round_ts(b)?;
+                WbMessage::FinalAck { group, id, ts }
+            }
+            Tag::OrphanFinal => {
+                let (id, ts) = get_round_ts(b)?;
+                WbMessage::OrphanFinal { group, id, ts }
+            }
+            Tag::Ordered => WbMessage::Ordered {
                 group,
                 epoch: get_u32(b).ok()?,
                 ts: get_u64(b).ok()?,
                 groups: get_groups(b)?,
                 value: get_value(b).ok()?,
             },
-            TAG_HEARTBEAT => WbMessage::Heartbeat {
+            Tag::Heartbeat => WbMessage::Heartbeat {
                 group,
                 epoch: get_u32(b).ok()?,
                 ts: get_u64(b).ok()?,
             },
-            TAG_PROBE => WbMessage::Probe {
+            Tag::Probe => WbMessage::Probe {
                 group,
                 ts: get_u64(b).ok()?,
             },
-            TAG_RESYNC => WbMessage::Resync {
+            Tag::Resync => WbMessage::Resync {
                 group,
                 from_ts: get_u64(b).ok()?,
             },
-            TAG_CKPT_MARK => WbMessage::CkptMark {
+            Tag::CkptMark => WbMessage::CkptMark {
                 group,
                 ts: get_u64(b).ok()?,
             },
-            TAG_RESYNC_DONE => WbMessage::ResyncDone {
+            Tag::ResyncDone => WbMessage::ResyncDone {
                 group,
                 epoch: get_u32(b).ok()?,
                 ts: get_u64(b).ok()?,
                 gap_to: get_u64(b).ok()?,
             },
-            TAG_ORPHAN_QUERY => WbMessage::OrphanQuery {
+            Tag::OrphanQuery => WbMessage::OrphanQuery {
                 group,
                 id: get_id(b)?,
                 attempt: get_u32(b).ok()?,
             },
-            TAG_ORPHAN_STATE => WbMessage::OrphanState {
+            Tag::OrphanState => WbMessage::OrphanState {
                 group,
                 id: get_id(b)?,
                 attempt: get_u32(b).ok()?,
                 state: OrphanSt::from_wire(get_u8(b).ok()?, get_u64(b).ok()?)?,
             },
-            _ => return None,
         })
     }
 }
@@ -550,6 +565,41 @@ mod tests {
                 "0c01000300000009000000000000001700000000000000",
             ),
         ]
+    }
+
+    /// Exhaustive on purpose: a new frame does not compile here until
+    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
+    /// its bytes pinned.
+    fn tag_of(msg: &WbMessage) -> Tag {
+        match msg {
+            WbMessage::Submit { .. } => Tag::Submit,
+            WbMessage::ProposeAck { .. } => Tag::ProposeAck,
+            WbMessage::Final { .. } => Tag::Final,
+            WbMessage::FinalAck { .. } => Tag::FinalAck,
+            WbMessage::Ordered { .. } => Tag::Ordered,
+            WbMessage::Heartbeat { .. } => Tag::Heartbeat,
+            WbMessage::Probe { .. } => Tag::Probe,
+            WbMessage::Resync { .. } => Tag::Resync,
+            WbMessage::CkptMark { .. } => Tag::CkptMark,
+            WbMessage::ResyncDone { .. } => Tag::ResyncDone,
+            WbMessage::OrphanQuery { .. } => Tag::OrphanQuery,
+            WbMessage::OrphanState { .. } => Tag::OrphanState,
+            WbMessage::OrphanFinal { .. } => Tag::OrphanFinal,
+        }
+    }
+
+    /// Every byte the reader takes for a tag opens a pinned encoding of
+    /// the frame it stands for: a tag nobody writes, a frame nobody
+    /// pinned and a frame written under another's tag all end here.
+    #[test]
+    fn every_tag_opens_a_golden() {
+        for tag in (0..=u8::MAX).filter_map(|byte| Tag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(msg, pinned): &(WbMessage, &str)| {
+                tag_of(msg) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden().iter().any(pins), "no golden for {tag:?}");
+        }
     }
 
     fn payload_of(msg: WbMessage) -> Bytes {

@@ -10,23 +10,34 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
-use multiring_paxos::codec::{get_seq, get_u16, get_u64, get_u8, CodecError};
+use multiring_paxos::codec::{get_seq, get_u16, get_u64, get_u8, wire_tags, CodecError};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
-const M_PREPARE: u8 = 1;
-const M_COMMIT: u8 = 2;
-const M_ABORT: u8 = 3;
-const R_VOTE_YES: u8 = 1;
-const R_VOTE_NO: u8 = 2;
-const R_DONE: u8 = 3;
+wire_tags! {
+    /// What the coordinator asks of a participant.
+    enum Ask {
+        Prepare = 1,
+        Commit = 2,
+        Abort = 3,
+    }
+}
+
+wire_tags! {
+    /// The one byte a participant answers with.
+    enum Answer {
+        VoteYes = 1,
+        VoteNo = 2,
+        Done = 3,
+    }
+}
 
 /// Encodes a participant message: tag + transaction id + keys.
-fn encode_msg(tag: u8, txn: u64, keys: &[u64]) -> Bytes {
+fn encode_msg(tag: Ask, txn: u64, keys: &[u64]) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u8(tag);
+    buf.put_u8(tag as u8);
     buf.put_u64_le(txn);
     buf.put_u16_le(keys.len() as u16);
     for &k in keys {
@@ -35,9 +46,9 @@ fn encode_msg(tag: u8, txn: u64, keys: &[u64]) -> Bytes {
     buf.freeze()
 }
 
-fn decode_msg(mut b: Bytes) -> Option<(u8, u64, Vec<u64>)> {
-    fn read(b: &mut Bytes) -> Result<(u8, u64, Vec<u64>), CodecError> {
-        let (tag, txn) = (get_u8(b)?, get_u64(b)?);
+fn decode_msg(mut b: Bytes) -> Option<(Ask, u64, Vec<u64>)> {
+    fn read(b: &mut Bytes) -> Result<(Ask, u64, Vec<u64>), CodecError> {
+        let (tag, txn) = (Ask::from_u8(get_u8(b)?)?, get_u64(b)?);
         Ok((tag, txn, get_seq(get_u16(b)?.into(), b, get_u64)?))
     }
     read(&mut b).ok()
@@ -95,27 +106,27 @@ impl Actor for TxnParticipant {
             return;
         };
         match tag {
-            M_PREPARE => {
+            Ask::Prepare => {
                 let conflict = keys
                     .iter()
                     .any(|k| self.locks.get(k).is_some_and(|&owner| owner != txn));
                 let vote = if conflict {
                     self.aborts += 1;
-                    R_VOTE_NO
+                    Answer::VoteNo
                 } else {
                     for &k in &keys {
                         self.locks.insert(k, txn);
                     }
                     self.prepared.insert(txn, keys);
-                    R_VOTE_YES
+                    Answer::VoteYes
                 };
                 out.push(Op::Respond {
                     client,
                     request,
-                    payload: Bytes::from(vec![vote]),
+                    payload: Bytes::from(vec![vote as u8]),
                 });
             }
-            M_COMMIT | M_ABORT => {
+            Ask::Commit | Ask::Abort => {
                 if let Some(keys) = self.prepared.remove(&txn) {
                     for k in keys {
                         if self.locks.get(&k) == Some(&txn) {
@@ -123,16 +134,15 @@ impl Actor for TxnParticipant {
                         }
                     }
                 }
-                if tag == M_COMMIT {
+                if tag == Ask::Commit {
                     self.commits += 1;
                 }
                 out.push(Op::Respond {
                     client,
                     request,
-                    payload: Bytes::from(vec![R_DONE]),
+                    payload: Bytes::from(vec![Answer::Done as u8]),
                 });
             }
-            _ => {}
         }
     }
 
@@ -245,7 +255,7 @@ impl TwoPcClient {
                     client: self.client,
                     request: self.next_request,
                     groups: vec![GroupId::new(0)],
-                    payload: encode_msg(M_PREPARE, txn, keys),
+                    payload: encode_msg(Ask::Prepare, txn, keys),
                 },
             );
         }
@@ -259,7 +269,7 @@ impl TwoPcClient {
             acks: 0,
             committed: commit,
         };
-        let tag = if commit { M_COMMIT } else { M_ABORT };
+        let tag = if commit { Ask::Commit } else { Ask::Abort };
         let participants = t.participants.clone();
         for p in participants {
             self.next_request += 1;
@@ -300,8 +310,10 @@ impl Actor for TwoPcClient {
                 let n = t.participants.len() as u32;
                 match &mut t.phase {
                     TxnPhase::Preparing { yes, no } => {
-                        match payload.first() {
-                            Some(&R_VOTE_YES) => *yes += 1,
+                        // Anything but a yes — `Done` and garbage too —
+                        // counts against the transaction.
+                        match payload.first().map(|&b| Answer::from_u8(b)) {
+                            Some(Ok(Answer::VoteYes)) => *yes += 1,
                             _ => *no += 1,
                         }
                         if *yes + *no == n {
@@ -364,6 +376,15 @@ mod tests {
             cluster.metrics().counter("2pc/commit"),
             cluster.metrics().counter("2pc/abort"),
         )
+    }
+
+    #[test]
+    fn asks_round_trip_and_an_unknown_one_is_refused() {
+        for ask in [Ask::Prepare, Ask::Commit, Ask::Abort] {
+            let back = decode_msg(encode_msg(ask, 7, &[1, 2]));
+            assert_eq!(back, Some((ask, 7, vec![1, 2])));
+        }
+        assert_eq!(decode_msg(Bytes::from_static(&[4; 11])), None);
     }
 
     #[test]

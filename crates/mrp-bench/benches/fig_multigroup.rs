@@ -4,7 +4,9 @@
 //! (wbcast) vs covering-group routing (Multi-Ring Paxos).
 //!
 //! Prints the table and writes the rows as `BENCH_multigroup.json` for
-//! downstream tooling.
+//! downstream tooling — or, under `MRP_MULTIGROUP_CRASH_MS` churn, as
+//! `BENCH_multigroup_churn.json`, so that the committed churn-free
+//! baseline CI diffs is only ever rewritten by a clean run.
 
 use mrp_bench::figures::MultigroupRow;
 use mrp_bench::json::{write_artifact, Value};
@@ -61,5 +63,11 @@ fn main() {
     }
     t.print();
     let what = format!("{} rows", rows.len());
-    write_artifact("BENCH_multigroup.json", &to_json(&rows), &what);
+    let churn = rows.iter().any(|r| r.crash_ms != 0);
+    let path = if churn {
+        "BENCH_multigroup_churn.json"
+    } else {
+        "BENCH_multigroup.json"
+    };
+    write_artifact(path, &to_json(&rows), &what);
 }

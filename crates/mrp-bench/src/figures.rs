@@ -1298,8 +1298,9 @@ pub struct MultigroupRow {
 /// every period the process that initiates the multi-group messages is
 /// crashed (orphaning its in-flight Skeen rounds) and restarted half a
 /// period later, and client sessions retry abandoned operations — so
-/// `BENCH_multigroup.json` records throughput while orphan recovery
-/// (wbcast) / coordinator re-election (both engines) runs continuously.
+/// the rows (which the bench then writes to `BENCH_multigroup_churn.json`)
+/// record throughput while orphan recovery (wbcast) / coordinator
+/// re-election (both engines) runs continuously.
 pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
     use crate::harness::MixedGroupClient;
     let fractions: &[u32] = scale.pick(&[0, 50, 200, 500, 1000], &[0, 500]);

@@ -29,7 +29,11 @@
 //! binary's working directory, which `cargo bench` sets to
 //! `crates/mrp-bench/`. CI runs them at smoke scale and uploads the
 //! files as artifacts, so numbers are comparable PR-over-PR as long as
-//! they come from the same scale.
+//! they come from the same scale. The three simulator artifacts below
+//! are virtual time and reproduce to the byte, so smoke-scale copies
+//! are committed and CI fails when regenerating them changes a byte
+//! (`git diff --exit-code`, as for the checker's state counts);
+//! `BENCH_micro.json` holds clocks and is gated on its counts only.
 //!
 //! `BENCH_multigroup.json` — an array with one row per
 //! (engine, multi-group fraction) cell of the sweep:
@@ -38,7 +42,7 @@
 //! |---|---|
 //! | `engine` | engine name (`multiring` \| `wbcast`) |
 //! | `multi_per_mille` | multi-group messages per 1000 client requests |
-//! | `crash_ms` | initiator-churn period in ms (`0` = none): every period the multi-group initiator is crashed and restarted half a period later (`MRP_MULTIGROUP_CRASH_MS`), measuring throughput under repeatedly orphaned rounds |
+//! | `crash_ms` | initiator-churn period in ms (`0` = none): every period the multi-group initiator is crashed and restarted half a period later (`MRP_MULTIGROUP_CRASH_MS`), measuring throughput under repeatedly orphaned rounds; a churn run writes `BENCH_multigroup_churn.json` and leaves the baseline alone |
 //! | `ops_per_sec` | completed client operations per second |
 //! | `latency_ms` | mean end-to-end latency over all operations |
 //! | `single_ms` / `multi_ms` | mean latency split by message class |

@@ -1,7 +1,8 @@
 //! Validates the checked-in benchmark baselines `BENCH_fig9.json` and
 //! `BENCH_micro.json`: they must parse as JSON and carry the documented
 //! schema — the client-side rows plus the `engine_telemetry` section
-//! (fig9), and the submission/decode throughput rows and the store's
+//! (fig9), and the submission/decode throughput rows — their wire-frame
+//! and wire-byte counts pinned exactly — and the store's
 //! preload rows with their speedup summary (micro). CI regenerates both
 //! files at smoke scale and re-runs this test, so a writer/schema drift
 //! fails loudly in both places.
@@ -131,8 +132,20 @@ fn micro_baseline_matches_schema_and_batching_pays() {
             .expect("row.engine");
         let mode = row.get("mode").and_then(Value::as_str).expect("row.mode");
         seen.insert(format!("{engine}/{mode}"));
-        assert!(row.get("values").and_then(Value::as_u64).unwrap_or(0) > 0);
-        assert!(row.get("wire_frames").and_then(Value::as_u64).unwrap_or(0) > 0);
+        // Counts of an in-process pump over the smoke scale's 8 192
+        // values: they repeat exactly, so a codec, coalescing or
+        // batching change that moves one has to say so here.
+        let (wire_frames, wire_bytes) = match (engine, mode) {
+            ("multiring", "unbatched") => (49_156, 3_719_268),
+            ("multiring", "batched") => (772, 2_703_204),
+            ("wbcast", "unbatched") => (32_768, 2_768_896),
+            ("wbcast", "batched") => (384, 2_770_816),
+            other => panic!("unknown submit row {other:?}"),
+        };
+        let count = |field: &str| row.get(field).and_then(Value::as_u64);
+        assert_eq!(count("values"), Some(8_192), "{engine}/{mode}");
+        assert_eq!(count("wire_frames"), Some(wire_frames), "{engine}/{mode}");
+        assert_eq!(count("wire_bytes"), Some(wire_bytes), "{engine}/{mode}");
         let vps = row
             .get("values_per_sec")
             .and_then(Value::as_f64)

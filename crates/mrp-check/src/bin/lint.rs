@@ -2,11 +2,10 @@
 //! `cargo run -p mrp-check --bin lint`.
 //!
 //! Runs the sans-io purity lints over the engine crates, the
-//! `transport-poll` rule over the TCP runtime, then the
-//! wire-conformance suite (codec tags, frame coverage, protocol
-//! constants, live round-trips). Exits 0 when everything is clean, 1
-//! with diagnostics when not, and 2 on an operational error (bad
-//! allowlist, unreadable tree).
+//! `transport-poll` rule over the TCP runtime, then the two conformance
+//! rules (`protocol-constants`, `timer-liveness`). Exits 0 when
+//! everything is clean, 1 with diagnostics when not, and 2 on an
+//! operational error (bad allowlist, unreadable tree).
 
 use mrp_check::Diagnostic;
 use std::path::Path;
@@ -60,15 +59,15 @@ fn main() -> ExitCode {
 
     match mrp_check::conformance_check(&root) {
         Ok((findings, files)) if findings.is_empty() => {
-            println!("lint: wire conformance clean ({files} files inspected)");
+            println!("lint: conformance clean ({files} files inspected)");
         }
         Ok((findings, _)) => {
             for f in &findings {
                 println!("{f}");
             }
             println!(
-                "lint: {} wire-conformance finding(s) — codec, frame vocabulary and protocol \
-                 constants must stay consistent (see crates/mrp-check/src/conformance.rs)",
+                "lint: {} conformance finding(s) — the protocol-constant asserts stay and every \
+                 timer is armed and handled (see crates/mrp-check/src/conformance.rs)",
                 findings.len()
             );
             problems += findings.len();

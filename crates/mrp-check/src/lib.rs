@@ -35,12 +35,13 @@
 //!   rejects sans-io purity violations in the engine crates: wall-clock
 //!   reads, thread spawns, order-nondeterministic hash collections,
 //!   stray stdout. Run it as `cargo run -p mrp-check --bin lint`.
-//! * [`conformance`] — the wire-conformance suite run by the same
-//!   binary: codec-tag collision/liveness checks, variant-coverage
-//!   checks for the `Message`/`PersistRecord`/`WbMessage` vocabularies
-//!   in every function that must be exhaustive over them, pinned
-//!   protocol-constant static asserts, and live round-trips of every
-//!   `Message` variant through the codec.
+//! * [`conformance`] — the two cross-file rules the same binary runs
+//!   and the compiler cannot: the pinned protocol-constant static
+//!   asserts (`protocol-constants`) and every `TimerKind` armed and
+//!   handled (`timer-liveness`). Tag collisions, frame coverage and
+//!   round-trips used to be scanned for here too; since every wire
+//!   vocabulary is a tag enum they are compile errors (E0081, E0004)
+//!   and `every_tag_opens_a_golden` tests beside each format's goldens.
 //! * [`toy`] — a deliberately small hub-ordered engine with three
 //!   sabotaged variants (dropped decision, wedged retry loop,
 //!   order-inverting receiver) used to prove the validity, liveness and

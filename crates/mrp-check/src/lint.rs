@@ -323,7 +323,7 @@ fn lint_with(rules: Rules, file: &str, source: &str, allow: &Allowlist) -> Vec<D
 /// `println!`), and when the pattern ends in an identifier character,
 /// neither may the character after (so a `HashMapShim` name would not
 /// trip `HashMap` — but `HashMap::new` and `HashMap<K, V>` do).
-pub(crate) fn contains_word(line: &str, pattern: &str) -> bool {
+fn contains_word(line: &str, pattern: &str) -> bool {
     let bytes = line.as_bytes();
     let pat = pattern.as_bytes();
     let check_suffix = pattern.chars().last().is_some_and(is_ident);

@@ -1,7 +1,6 @@
-//! The real workspace must pass the wire-conformance suite: codec tags
-//! alive and collision-free, every frame variant covered in every
-//! codec/dispatch function, protocol-constant assertions present, and
-//! every `Message` variant round-tripping through the live codec.
+//! The real workspace must pass the conformance rules: the
+//! protocol-constant assertions present, every `TimerKind` armed and
+//! handled.
 
 use std::path::Path;
 
@@ -17,7 +16,7 @@ fn workspace_is_conformance_clean() {
     assert!(files >= 3, "expected to inspect at least 3 files");
     assert!(
         findings.is_empty(),
-        "wire-conformance findings:\n{}",
+        "conformance findings:\n{}",
         findings
             .iter()
             .map(ToString::to_string)

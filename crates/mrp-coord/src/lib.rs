@@ -1,33 +1,24 @@
-//! Coordination service for Multi-Ring Paxos deployments.
+//! What Multi-Ring Paxos services read from the coordination service.
 //!
-//! The paper delegates ring configuration, coordinator election and the
-//! partitioning schema to Zookeeper (Sections 4 and 7). Zookeeper is an
-//! *oracle* here — it is never on the ordering data path — so any
-//! registry with the same small API preserves the system's behaviour.
-//! This crate provides that registry:
+//! The paper delegates ring configuration, failure detection,
+//! coordinator election and the partitioning schema to Zookeeper
+//! (Sections 4 and 7). It is an *oracle* — never on the ordering data
+//! path — and in this repository it stays **external**, as the paper's
+//! Zookeeper is: the engines take its verdicts as
+//! `Event::CoordinatorChange` / `Event::MembershipChange`, announced by
+//! whoever hosts them (the simulator's `Cluster` on a crash, the
+//! end-to-end benchmark's driver by hand). A runtime that detects
+//! failures by itself is future work (ROADMAP direction 5(a)), to be
+//! written against `TcpRuntime`'s connections — which already know when
+//! a peer is up — not against a registry embedded here.
 //!
-//! * [`FailureDetector`] — heartbeat bookkeeping with a configurable
-//!   timeout;
-//! * [`elect`] — the deterministic election rule (lowest-id live
-//!   acceptor of the ring);
-//! * [`Registry`] — a process-shared registry of ring coordinators,
-//!   down-sets and the service partition map, with watch channels so
-//!   runtimes learn about changes;
-//! * [`PartitionMap`] — the hash/range partitioning schema MRP-Store
-//!   clients read (Section 6.1).
-//!
-//! In a multi-machine deployment the registry itself would be replicated
-//! (the paper runs a Zookeeper ensemble); embedding it in-process keeps
-//! the reproduction self-contained without changing any protocol
-//! behaviour.
+//! What this crate provides is the part of the schema services compute
+//! with: [`PartitionMap`], the hash/range partitioning MRP-Store
+//! clients read (Section 6.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod detector;
 pub mod partition;
-pub mod registry;
 
-pub use detector::FailureDetector;
 pub use partition::{PartitionMap, Partitioning};
-pub use registry::{elect, CoordEvent, Registry};

@@ -1,7 +1,9 @@
 //! The dLog command set (Table 2 of the paper) and its wire encoding.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use multiring_paxos::codec::{get_bytes, get_seq, get_u16, get_u64, get_u8, put_bytes, CodecError};
+use multiring_paxos::codec::{
+    get_bytes, get_seq, get_u16, get_u64, get_u8, put_bytes, wire_tags, CodecError,
+};
 
 /// Identifies one log.
 pub type LogId = u16;
@@ -54,16 +56,27 @@ pub enum DLogResponse {
     Ok,
 }
 
-const C_APPEND: u8 = 1;
-const C_MULTI: u8 = 2;
-const C_READ: u8 = 3;
-const C_TRIM: u8 = 4;
+wire_tags! {
+    /// The byte a [`DLogCommand`] opens with, one per variant.
+    enum CommandTag {
+        Append = 1,
+        MultiAppend = 2,
+        Read = 3,
+        Trim = 4,
+    }
+}
 
-const R_POS: u8 = 1;
-const R_MULTI: u8 = 2;
-const R_VALUE_NONE: u8 = 3;
-const R_VALUE_SOME: u8 = 4;
-const R_OK: u8 = 5;
+wire_tags! {
+    /// The byte a [`DLogResponse`] opens with: one per variant, two for
+    /// the two arms of `Value`.
+    enum ResponseTag {
+        Pos = 1,
+        MultiPos = 2,
+        ValueNone = 3,
+        ValueSome = 4,
+        Ok = 5,
+    }
+}
 
 impl DLogCommand {
     /// Encodes the command.
@@ -71,12 +84,12 @@ impl DLogCommand {
         let mut buf = BytesMut::new();
         match self {
             DLogCommand::Append { log, data } => {
-                buf.put_u8(C_APPEND);
+                buf.put_u8(CommandTag::Append as u8);
                 buf.put_u16_le(*log);
                 put_bytes(&mut buf, data);
             }
             DLogCommand::MultiAppend { logs, data } => {
-                buf.put_u8(C_MULTI);
+                buf.put_u8(CommandTag::MultiAppend as u8);
                 buf.put_u16_le(logs.len() as u16);
                 for l in logs {
                     buf.put_u16_le(*l);
@@ -84,12 +97,12 @@ impl DLogCommand {
                 put_bytes(&mut buf, data);
             }
             DLogCommand::Read { log, pos } => {
-                buf.put_u8(C_READ);
+                buf.put_u8(CommandTag::Read as u8);
                 buf.put_u16_le(*log);
                 buf.put_u64_le(*pos);
             }
             DLogCommand::Trim { log, pos } => {
-                buf.put_u8(C_TRIM);
+                buf.put_u8(CommandTag::Trim as u8);
                 buf.put_u16_le(*log);
                 buf.put_u64_le(*pos);
             }
@@ -103,24 +116,23 @@ impl DLogCommand {
     }
 
     fn read(buf: &mut Bytes) -> Result<DLogCommand, CodecError> {
-        match get_u8(buf)? {
-            C_APPEND => Ok(DLogCommand::Append {
+        match CommandTag::from_u8(get_u8(buf)?)? {
+            CommandTag::Append => Ok(DLogCommand::Append {
                 log: get_u16(buf)?,
                 data: get_bytes(buf)?,
             }),
-            C_MULTI => Ok(DLogCommand::MultiAppend {
+            CommandTag::MultiAppend => Ok(DLogCommand::MultiAppend {
                 logs: get_seq(get_u16(buf)?.into(), buf, get_u16)?,
                 data: get_bytes(buf)?,
             }),
-            C_READ => Ok(DLogCommand::Read {
+            CommandTag::Read => Ok(DLogCommand::Read {
                 log: get_u16(buf)?,
                 pos: get_u64(buf)?,
             }),
-            C_TRIM => Ok(DLogCommand::Trim {
+            CommandTag::Trim => Ok(DLogCommand::Trim {
                 log: get_u16(buf)?,
                 pos: get_u64(buf)?,
             }),
-            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -131,23 +143,23 @@ impl DLogResponse {
         let mut buf = BytesMut::new();
         match self {
             DLogResponse::Pos(p) => {
-                buf.put_u8(R_POS);
+                buf.put_u8(ResponseTag::Pos as u8);
                 buf.put_u64_le(*p);
             }
             DLogResponse::MultiPos(ps) => {
-                buf.put_u8(R_MULTI);
+                buf.put_u8(ResponseTag::MultiPos as u8);
                 buf.put_u16_le(ps.len() as u16);
                 for (l, p) in ps {
                     buf.put_u16_le(*l);
                     buf.put_u64_le(*p);
                 }
             }
-            DLogResponse::Value(None) => buf.put_u8(R_VALUE_NONE),
+            DLogResponse::Value(None) => buf.put_u8(ResponseTag::ValueNone as u8),
             DLogResponse::Value(Some(v)) => {
-                buf.put_u8(R_VALUE_SOME);
+                buf.put_u8(ResponseTag::ValueSome as u8);
                 put_bytes(&mut buf, v);
             }
-            DLogResponse::Ok => buf.put_u8(R_OK),
+            DLogResponse::Ok => buf.put_u8(ResponseTag::Ok as u8),
         }
         buf.freeze()
     }
@@ -158,17 +170,16 @@ impl DLogResponse {
     }
 
     fn read(buf: &mut Bytes) -> Result<DLogResponse, CodecError> {
-        match get_u8(buf)? {
-            R_POS => Ok(DLogResponse::Pos(get_u64(buf)?)),
-            R_MULTI => Ok(DLogResponse::MultiPos(get_seq(
+        match ResponseTag::from_u8(get_u8(buf)?)? {
+            ResponseTag::Pos => Ok(DLogResponse::Pos(get_u64(buf)?)),
+            ResponseTag::MultiPos => Ok(DLogResponse::MultiPos(get_seq(
                 get_u16(buf)?.into(),
                 buf,
                 |buf| Ok((get_u16(buf)?, get_u64(buf)?)),
             )?)),
-            R_VALUE_NONE => Ok(DLogResponse::Value(None)),
-            R_VALUE_SOME => Ok(DLogResponse::Value(Some(get_bytes(buf)?))),
-            R_OK => Ok(DLogResponse::Ok),
-            t => Err(CodecError::BadTag(t)),
+            ResponseTag::ValueNone => Ok(DLogResponse::Value(None)),
+            ResponseTag::ValueSome => Ok(DLogResponse::Value(Some(get_bytes(buf)?))),
+            ResponseTag::Ok => Ok(DLogResponse::Ok),
         }
     }
 }
@@ -179,8 +190,53 @@ mod tests {
     use bytes::Buf;
     use proptest::prelude::*;
 
+    const C_APPEND: u8 = CommandTag::Append as u8;
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Exhaustive on purpose: a new variant does not compile here until
+    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
+    /// its bytes pinned.
+    fn command_tag_of(cmd: &DLogCommand) -> CommandTag {
+        match cmd {
+            DLogCommand::Append { .. } => CommandTag::Append,
+            DLogCommand::MultiAppend { .. } => CommandTag::MultiAppend,
+            DLogCommand::Read { .. } => CommandTag::Read,
+            DLogCommand::Trim { .. } => CommandTag::Trim,
+        }
+    }
+
+    fn response_tag_of(response: &DLogResponse) -> ResponseTag {
+        match response {
+            DLogResponse::Pos(_) => ResponseTag::Pos,
+            DLogResponse::MultiPos(_) => ResponseTag::MultiPos,
+            DLogResponse::Value(None) => ResponseTag::ValueNone,
+            DLogResponse::Value(Some(_)) => ResponseTag::ValueSome,
+            DLogResponse::Ok => ResponseTag::Ok,
+        }
+    }
+
+    /// Every byte the reader takes for a tag opens a pinned encoding of
+    /// the variant it stands for: a tag nobody writes, a variant nobody
+    /// pinned and a variant written under another's tag all end here.
+    #[test]
+    fn every_tag_opens_a_golden() {
+        for tag in (0..=u8::MAX).filter_map(|byte| CommandTag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(cmd, pinned): &(DLogCommand, &str)| {
+                command_tag_of(cmd) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden_commands().iter().any(pins), "no golden for {tag:?}");
+        }
+        for tag in (0..=u8::MAX).filter_map(|byte| ResponseTag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(response, pinned): &(DLogResponse, &str)| {
+                response_tag_of(response) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden_responses().iter().any(pins), "no golden for {tag:?}");
+        }
     }
 
     fn golden_commands() -> Vec<(DLogCommand, &'static str)> {

@@ -213,17 +213,30 @@ impl DirStorage {
     ///
     /// # Errors
     ///
-    /// Fails on I/O errors or corrupt (non-tail) records.
+    /// Fails on I/O errors or corrupt (non-tail) records: a record that
+    /// does not decode is a torn tail if it is the log's last, and
+    /// [`WalError::Corrupt`] if another follows it — nothing behind a
+    /// gap is ever applied, so what opens is a prefix of what was
+    /// written.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, WalError> {
         let dir = dir.as_ref().to_path_buf();
         let wal = Wal::open(&dir)?;
         let mut state = NodeStorage::new();
-        wal.replay(|bytes| {
-            let mut buf = bytes;
-            if let Ok(record) = codec::decode_record(&mut buf) {
-                state.apply(&record);
+        let mut undecodable = None;
+        let mut mid_log = false;
+        wal.replay(|mut bytes| {
+            if undecodable.is_some() {
+                mid_log = true;
+                return;
+            }
+            match codec::decode_record(&mut bytes) {
+                Ok(record) => state.apply(&record),
+                Err(e) => undecodable = Some(e),
             }
         })?;
+        if let (Some(e), true) = (undecodable, mid_log) {
+            return Err(WalError::Corrupt(e));
+        }
         // The checkpoint lives in its own file (atomic rename), not the
         // WAL: load it separately.
         let ckpt_path = dir.join("checkpoint.bin");
@@ -402,6 +415,155 @@ mod tests {
         let mut seen = Vec::new();
         wal.replay(|b| seen.push(b.to_vec())).unwrap();
         assert_eq!(seen, vec![b"good".to_vec()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The `golden_records` layouts of `codec.rs` (a valued and a
+    /// skipping `Vote`, `Promise`, `Decision`) over two rings, each
+    /// record moving the recovery image so that no two prefixes agree.
+    fn crash_point_records() -> Vec<PersistRecord> {
+        let (r1, r2) = (RingId::new(1), RingId::new(2));
+        let (b1, b2) = (
+            Ballot::new(4, ProcessId::new(2)),
+            Ballot::new(2, ProcessId::new(1)),
+        );
+        let promise = |ring, ballot, from| PersistRecord::Promise {
+            ring,
+            ballot,
+            from: InstanceId::new(from),
+        };
+        let skip = |ring, ballot, first| PersistRecord::Vote {
+            ring,
+            ballot,
+            first: InstanceId::new(first),
+            count: 16,
+            value: ConsensusValue::Skip,
+        };
+        let decision = |ring, first, count| PersistRecord::Decision {
+            ring,
+            first: InstanceId::new(first),
+            count,
+        };
+        let valued = |ring, ballot, first| PersistRecord::Vote {
+            ring,
+            ballot,
+            first: InstanceId::new(first),
+            count: 1,
+            value: ConsensusValue::Values(vec![Value::new(
+                ValueId::new(ProcessId::new(3), first),
+                GroupId::new(2),
+                vec![1u8, 2, 3, 4],
+            )]),
+        };
+        vec![
+            promise(r1, b1, 5),
+            promise(r2, b2, 1),
+            valued(r1, b1, 7),
+            skip(r2, b2, 1),
+            decision(r1, 7, 1),
+            skip(r1, b1, 8),
+            promise(r1, Ballot::new(5, ProcessId::new(0)), 24),
+            decision(r2, 1, 16),
+            valued(r2, b2, 17),
+            decision(r1, 8, 16),
+        ]
+    }
+
+    /// What an acceptor reloads from `state`, as text
+    /// (`AcceptorRecovery` does not compare).
+    fn recovery(state: &NodeStorage) -> String {
+        format!("{:?}", state.acceptor_recovery())
+    }
+
+    fn recovery_of(records: &[PersistRecord]) -> String {
+        let mut state = NodeStorage::new();
+        for record in records {
+            state.apply(record);
+        }
+        recovery(&state)
+    }
+
+    /// `crash_point_records` written through a real `DirStorage`: the
+    /// directory, the one segment's bytes and where each record ends.
+    fn crash_point_log(tag: &str) -> (PathBuf, Vec<u8>, Vec<usize>) {
+        let dir = tempdir(tag);
+        let mut s = DirStorage::open(&dir).unwrap();
+        let mut ends = Vec::new();
+        for record in &crash_point_records() {
+            s.persist(record, false).unwrap();
+            ends.push(s.wal_bytes() as usize);
+        }
+        let full = fs::read(dir.join("wal-000000000000.log")).unwrap();
+        assert_eq!(ends.last(), Some(&full.len()));
+        (dir, full, ends)
+    }
+
+    /// What reopens when the segment holds `bytes` instead.
+    fn reopen_with(dir: &Path, bytes: &[u8]) -> Result<String, WalError> {
+        fs::write(dir.join("wal-000000000000.log"), bytes).unwrap();
+        DirStorage::open(dir).map(|s| recovery(s.state()))
+    }
+
+    /// A crash may cut the log anywhere — at a record boundary, a byte
+    /// either side of it, inside a length prefix, inside a record. What
+    /// reopens is the records wholly before the cut: a prefix, never a
+    /// suffix or a mixture.
+    #[test]
+    fn every_cut_of_the_log_recovers_a_prefix() {
+        let records = crash_point_records();
+        let prefixes: Vec<String> = (0..=records.len())
+            .map(|k| recovery_of(&records[..k]))
+            .collect();
+        for (k, prefix) in prefixes.iter().enumerate() {
+            assert!(!prefixes[..k].contains(prefix), "prefix {k} repeats");
+        }
+        let (dir, full, ends) = crash_point_log("cuts");
+        for cut in 0..=full.len() {
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(
+                reopen_with(&dir, &full[..cut]).unwrap(),
+                prefixes[whole],
+                "cut at {cut} of {}",
+                full.len()
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record that no longer decodes with records behind it is not a
+    /// torn tail: `open` refuses the log instead of skipping the record
+    /// and applying the ones after the gap. The log has no checksum,
+    /// though — a flip that leaves the record decodable (here an
+    /// instance number) opens, to a state no prefix produces.
+    #[test]
+    fn a_damaged_record_inside_the_log_fails_open() {
+        let records = crash_point_records();
+        let (dir, full, ends) = crash_point_log("flips");
+        let flipped = |at: usize| {
+            let mut damaged = full.clone();
+            damaged[at] ^= 0xff;
+            reopen_with(&dir, &damaged)
+        };
+        // The byte after a record's 4-byte length prefix is its tag.
+        let (tail, inner) = ends[..ends.len() - 1].split_last().unwrap();
+        for start in std::iter::once(&0).chain(inner) {
+            let refused = flipped(start + 4);
+            assert!(
+                matches!(
+                    refused,
+                    Err(WalError::Corrupt(codec::CodecError::BadTag(_)))
+                ),
+                "record at {start}: {refused:?}"
+            );
+        }
+        // The tail record is the torn-write case: dropped, not refused.
+        assert_eq!(
+            flipped(tail + 4).unwrap(),
+            recovery_of(&records[..records.len() - 1])
+        );
+        // `first` of the third record, the valued ring-1 `Vote` (tag,
+        // ring, ballot: 11 bytes in).
+        assert_ne!(flipped(ends[1] + 4 + 11).unwrap(), recovery_of(&records));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::codec::{
-    counted, get_bytes, get_len, get_seq, get_u32, get_u8, put_bytes, CodecError,
+    counted, get_bytes, get_len, get_seq, get_u32, get_u8, put_bytes, wire_tags, CodecError,
 };
 
 /// One store operation (Table 1), plus client-side batches ("clients may
@@ -63,19 +63,30 @@ pub enum StoreResponse {
     Batch(Vec<StoreResponse>),
 }
 
-const C_READ: u8 = 1;
-const C_SCAN: u8 = 2;
-const C_UPDATE: u8 = 3;
-const C_INSERT: u8 = 4;
-const C_DELETE: u8 = 5;
-const C_BATCH: u8 = 6;
+wire_tags! {
+    /// The byte a [`StoreCommand`] opens with, one per variant.
+    enum CommandTag {
+        Read = 1,
+        Scan = 2,
+        Update = 3,
+        Insert = 4,
+        Delete = 5,
+        Batch = 6,
+    }
+}
 
-const R_VALUE_NONE: u8 = 1;
-const R_VALUE_SOME: u8 = 2;
-const R_ENTRIES: u8 = 3;
-const R_OK: u8 = 4;
-const R_MISS: u8 = 5;
-const R_BATCH: u8 = 6;
+wire_tags! {
+    /// The byte a [`StoreResponse`] opens with: one per variant, two for
+    /// the two arms of `Value`.
+    enum ResponseTag {
+        ValueNone = 1,
+        ValueSome = 2,
+        Entries = 3,
+        Ok = 4,
+        Miss = 5,
+        Batch = 6,
+    }
+}
 
 impl StoreCommand {
     /// Encodes the command.
@@ -88,31 +99,31 @@ impl StoreCommand {
     fn encode_into<B: BufMut + ?Sized>(&self, buf: &mut B) {
         match self {
             StoreCommand::Read { key } => {
-                buf.put_u8(C_READ);
+                buf.put_u8(CommandTag::Read as u8);
                 put_bytes(buf, key);
             }
             StoreCommand::Scan { from, to, limit } => {
-                buf.put_u8(C_SCAN);
+                buf.put_u8(CommandTag::Scan as u8);
                 put_bytes(buf, from);
                 put_bytes(buf, to);
                 buf.put_u32_le(*limit);
             }
             StoreCommand::Update { key, value } => {
-                buf.put_u8(C_UPDATE);
+                buf.put_u8(CommandTag::Update as u8);
                 put_bytes(buf, key);
                 put_bytes(buf, value);
             }
             StoreCommand::Insert { key, value } => {
-                buf.put_u8(C_INSERT);
+                buf.put_u8(CommandTag::Insert as u8);
                 put_bytes(buf, key);
                 put_bytes(buf, value);
             }
             StoreCommand::Delete { key } => {
-                buf.put_u8(C_DELETE);
+                buf.put_u8(CommandTag::Delete as u8);
                 put_bytes(buf, key);
             }
             StoreCommand::Batch(cmds) => {
-                buf.put_u8(C_BATCH);
+                buf.put_u8(CommandTag::Batch as u8);
                 buf.put_u32_le(cmds.len() as u32);
                 for c in cmds {
                     c.encode_into(buf);
@@ -132,36 +143,35 @@ impl StoreCommand {
     }
 
     fn read(buf: &mut Bytes) -> Result<StoreCommand, CodecError> {
-        match get_u8(buf)? {
-            C_READ => Ok(StoreCommand::Read {
+        match CommandTag::from_u8(get_u8(buf)?)? {
+            CommandTag::Read => Ok(StoreCommand::Read {
                 key: get_bytes(buf)?,
             }),
-            C_SCAN => Ok(StoreCommand::Scan {
+            CommandTag::Scan => Ok(StoreCommand::Scan {
                 from: get_bytes(buf)?,
                 to: get_bytes(buf)?,
                 limit: get_u32(buf)?,
             }),
-            C_UPDATE => Ok(StoreCommand::Update {
+            CommandTag::Update => Ok(StoreCommand::Update {
                 key: get_bytes(buf)?,
                 value: get_bytes(buf)?,
             }),
-            C_INSERT => Ok(StoreCommand::Insert {
+            CommandTag::Insert => Ok(StoreCommand::Insert {
                 key: get_bytes(buf)?,
                 value: get_bytes(buf)?,
             }),
-            C_DELETE => Ok(StoreCommand::Delete {
+            CommandTag::Delete => Ok(StoreCommand::Delete {
                 key: get_bytes(buf)?,
             }),
-            C_BATCH => Ok(StoreCommand::Batch(get_seq(get_len(buf)?, buf, |buf| {
+            CommandTag::Batch => Ok(StoreCommand::Batch(get_seq(get_len(buf)?, buf, |buf| {
                 // Clients batch flat, and refusing a batch inside a
                 // batch bounds this recursion at two frames whatever
                 // the bytes say.
-                if buf.first() == Some(&C_BATCH) {
-                    return Err(CodecError::BadTag(C_BATCH));
+                if buf.first() == Some(&(CommandTag::Batch as u8)) {
+                    return Err(CodecError::BadTag(CommandTag::Batch as u8));
                 }
                 Self::read(buf)
             })?)),
-            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -176,23 +186,23 @@ impl StoreResponse {
 
     fn encode_into(&self, buf: &mut BytesMut) {
         match self {
-            StoreResponse::Value(None) => buf.put_u8(R_VALUE_NONE),
+            StoreResponse::Value(None) => buf.put_u8(ResponseTag::ValueNone as u8),
             StoreResponse::Value(Some(v)) => {
-                buf.put_u8(R_VALUE_SOME);
+                buf.put_u8(ResponseTag::ValueSome as u8);
                 put_bytes(buf, v);
             }
             StoreResponse::Entries(entries) => {
-                buf.put_u8(R_ENTRIES);
+                buf.put_u8(ResponseTag::Entries as u8);
                 buf.put_u32_le(entries.len() as u32);
                 for (k, v) in entries {
                     put_bytes(buf, k);
                     put_bytes(buf, v);
                 }
             }
-            StoreResponse::Ok => buf.put_u8(R_OK),
-            StoreResponse::Miss => buf.put_u8(R_MISS),
+            StoreResponse::Ok => buf.put_u8(ResponseTag::Ok as u8),
+            StoreResponse::Miss => buf.put_u8(ResponseTag::Miss as u8),
             StoreResponse::Batch(rs) => {
-                buf.put_u8(R_BATCH);
+                buf.put_u8(ResponseTag::Batch as u8);
                 buf.put_u32_le(rs.len() as u32);
                 for r in rs {
                     r.encode_into(buf);
@@ -207,25 +217,24 @@ impl StoreResponse {
     }
 
     fn read(buf: &mut Bytes) -> Result<StoreResponse, CodecError> {
-        match get_u8(buf)? {
-            R_VALUE_NONE => Ok(StoreResponse::Value(None)),
-            R_VALUE_SOME => Ok(StoreResponse::Value(Some(get_bytes(buf)?))),
-            R_ENTRIES => Ok(StoreResponse::Entries(get_seq(
+        match ResponseTag::from_u8(get_u8(buf)?)? {
+            ResponseTag::ValueNone => Ok(StoreResponse::Value(None)),
+            ResponseTag::ValueSome => Ok(StoreResponse::Value(Some(get_bytes(buf)?))),
+            ResponseTag::Entries => Ok(StoreResponse::Entries(get_seq(
                 get_len(buf)?,
                 buf,
                 |buf| Ok((get_bytes(buf)?, get_bytes(buf)?)),
             )?)),
-            R_OK => Ok(StoreResponse::Ok),
-            R_MISS => Ok(StoreResponse::Miss),
-            R_BATCH => Ok(StoreResponse::Batch(get_seq(get_len(buf)?, buf, |buf| {
+            ResponseTag::Ok => Ok(StoreResponse::Ok),
+            ResponseTag::Miss => Ok(StoreResponse::Miss),
+            ResponseTag::Batch => Ok(StoreResponse::Batch(get_seq(get_len(buf)?, buf, |buf| {
                 // One response per command of a flat batch: see
                 // `StoreCommand::read`.
-                if buf.first() == Some(&R_BATCH) {
-                    return Err(CodecError::BadTag(R_BATCH));
+                if buf.first() == Some(&(ResponseTag::Batch as u8)) {
+                    return Err(CodecError::BadTag(ResponseTag::Batch as u8));
                 }
                 Self::read(buf)
             })?)),
-            t => Err(CodecError::BadTag(t)),
         }
     }
 }
@@ -236,8 +245,58 @@ mod tests {
     use bytes::Buf;
     use proptest::prelude::*;
 
+    const C_READ: u8 = CommandTag::Read as u8;
+    const C_BATCH: u8 = CommandTag::Batch as u8;
+    const R_BATCH: u8 = ResponseTag::Batch as u8;
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Exhaustive on purpose: a new variant does not compile here until
+    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
+    /// its bytes pinned.
+    fn command_tag_of(cmd: &StoreCommand) -> CommandTag {
+        match cmd {
+            StoreCommand::Read { .. } => CommandTag::Read,
+            StoreCommand::Scan { .. } => CommandTag::Scan,
+            StoreCommand::Update { .. } => CommandTag::Update,
+            StoreCommand::Insert { .. } => CommandTag::Insert,
+            StoreCommand::Delete { .. } => CommandTag::Delete,
+            StoreCommand::Batch(_) => CommandTag::Batch,
+        }
+    }
+
+    fn response_tag_of(response: &StoreResponse) -> ResponseTag {
+        match response {
+            StoreResponse::Value(None) => ResponseTag::ValueNone,
+            StoreResponse::Value(Some(_)) => ResponseTag::ValueSome,
+            StoreResponse::Entries(_) => ResponseTag::Entries,
+            StoreResponse::Ok => ResponseTag::Ok,
+            StoreResponse::Miss => ResponseTag::Miss,
+            StoreResponse::Batch(_) => ResponseTag::Batch,
+        }
+    }
+
+    /// Every byte the reader takes for a tag opens a pinned encoding of
+    /// the variant it stands for: a tag nobody writes, a variant nobody
+    /// pinned and a variant written under another's tag all end here.
+    #[test]
+    fn every_tag_opens_a_golden() {
+        for tag in (0..=u8::MAX).filter_map(|byte| CommandTag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(cmd, pinned): &(StoreCommand, &str)| {
+                command_tag_of(cmd) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden_commands().iter().any(pins), "no golden for {tag:?}");
+        }
+        for tag in (0..=u8::MAX).filter_map(|byte| ResponseTag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(response, pinned): &(StoreResponse, &str)| {
+                response_tag_of(response) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden_responses().iter().any(pins), "no golden for {tag:?}");
+        }
     }
 
     fn b(s: &'static str) -> Bytes {

@@ -26,21 +26,27 @@
 //! | — | [`get_exact`] | bytes whose length was read some other way |
 //! | [`put_value`] | [`get_value`] | a multicast [`Value`] |
 //! | count, then each item | a count, then [`get_seq`] | a sequence |
+//! | `Tag::X as u8` | `Tag::from_u8` | a tag declared by [`wire_tags!`](crate::codec::wire_tags) |
 //!
 //! ## Adding a frame
 //!
-//! 1. Add the variant to [`Message`] (or [`PersistRecord`]) and give it
-//!    the next free `TAG_*` constant here.
+//! 1. Add the variant to [`Message`] (or [`PersistRecord`]) and its tag,
+//!    with the next free value, to the `Tag` (or `RecordTag`) enum here.
 //! 2. One arm in [`encode`] (or [`encode_record`]) that writes the tag
 //!    and then the fields through the helpers above.
 //! 3. One arm in [`decode`] (or [`decode_record`]) that reads the same
 //!    fields in the same order.
-//! 4. One sample in `golden_messages` (or `golden_records`) below with
-//!    its pinned bytes, and one in `mrp-check`'s conformance suite —
-//!    its lint refuses a variant without a write arm, a read arm or a
-//!    sample.
 //!
-//! There is no length function to extend and no bounds check to write.
+//! The compiler asks for each step the one before leaves open — the
+//! three `match`es are exhaustive, a tag value used twice is E0081 — and
+//! then for a golden: the test module's `tag_of` does not compile
+//! without the variant, and `every_tag_opens_a_golden` fails until
+//! `golden_messages` (or `golden_records`) pins its bytes. There is no
+//! length function to extend, no bounds check to write and no list to
+//! keep in step elsewhere.
+//!
+//! Every format built on this codec declares its tags the same way,
+//! through [`wire_tags!`](crate::codec::wire_tags).
 
 use crate::event::{Message, PersistRecord};
 use crate::recovery::CheckpointId;
@@ -77,30 +83,80 @@ impl std::error::Error for CodecError {}
 /// against corrupt frames allocating unbounded memory.
 const MAX_LEN: u64 = 1 << 30;
 
-const TAG_FORWARD: u8 = 1;
-const TAG_PHASE1A: u8 = 2;
-const TAG_PHASE1B: u8 = 3;
-const TAG_PHASE2: u8 = 4;
-const TAG_DECISION: u8 = 5;
-const TAG_RETRANSMIT: u8 = 6;
-const TAG_RETRANSMIT_REPLY: u8 = 7;
-const TAG_TRIM_QUERY: u8 = 8;
-const TAG_TRIM_REPLY: u8 = 9;
-const TAG_TRIM_COMMAND: u8 = 10;
-const TAG_CKPT_QUERY: u8 = 11;
-const TAG_CKPT_INFO: u8 = 12;
-const TAG_CKPT_FETCH: u8 = 13;
-const TAG_CKPT_DATA: u8 = 14;
-const TAG_REQUEST: u8 = 15;
-const TAG_RESPONSE: u8 = 16;
-const TAG_BATCH: u8 = 17;
-const TAG_ENGINE: u8 = 18;
+/// Declares one wire vocabulary: a `#[repr(u8)]` enum whose explicit
+/// discriminants are the tag bytes. A writer puts `Tag::X as u8`; a
+/// reader matches on `Tag::from_u8(byte)?`, exhaustively — so a tag
+/// without a read arm does not compile, and neither do two tags with one
+/// value.
+///
+/// ```
+/// multiring_paxos::codec::wire_tags! {
+///     /// What a reply opens with.
+///     enum ReplyTag {
+///         Ok = 1,
+///         Miss = 2,
+///     }
+/// }
+/// assert_eq!(ReplyTag::from_u8(ReplyTag::Miss as u8), Ok(ReplyTag::Miss));
+/// assert!(ReplyTag::from_u8(3).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_tags {
+    ($(#[$meta:meta])* $vis:vis enum $name:ident { $($variant:ident = $value:literal),+ $(,)? }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        $vis enum $name {
+            $($variant = $value,)+
+        }
+
+        impl $name {
+            /// The tag `byte` stands for.
+            ///
+            /// # Errors
+            ///
+            /// `CodecError::BadTag` carrying `byte` when no tag has that
+            /// value.
+            $vis fn from_u8(byte: u8) -> Result<$name, $crate::codec::CodecError> {
+                match byte {
+                    $($value => Ok($name::$variant),)+
+                    _ => Err($crate::codec::CodecError::BadTag(byte)),
+                }
+            }
+        }
+    };
+}
+pub use wire_tags;
+
+wire_tags! {
+    /// The byte a [`Message`] frame opens with, one per variant.
+    enum Tag {
+        Forward = 1,
+        Phase1A = 2,
+        Phase1B = 3,
+        Phase2 = 4,
+        Decision = 5,
+        Retransmit = 6,
+        RetransmitReply = 7,
+        TrimQuery = 8,
+        TrimReply = 9,
+        TrimCommand = 10,
+        CheckpointQuery = 11,
+        CheckpointInfo = 12,
+        CheckpointFetch = 13,
+        CheckpointData = 14,
+        Request = 15,
+        Response = 16,
+        Batch = 17,
+        Engine = 18,
+    }
+}
 
 /// Encodes `msg` into `buf`.
 pub fn encode(msg: &Message, buf: &mut impl BufMut) {
     match msg {
         Message::Forward { ring, values, hops } => {
-            buf.put_u8(TAG_FORWARD);
+            buf.put_u8(Tag::Forward as u8);
             buf.put_u16_le(ring.value());
             buf.put_u32_le(*hops);
             buf.put_u32_le(values.len() as u32);
@@ -109,7 +165,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             }
         }
         Message::Phase1A { ring, ballot, from } => {
-            buf.put_u8(TAG_PHASE1A);
+            buf.put_u8(Tag::Phase1A as u8);
             buf.put_u16_le(ring.value());
             put_ballot(buf, *ballot);
             buf.put_u64_le(from.value());
@@ -121,7 +177,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             accepted,
             trimmed,
         } => {
-            buf.put_u8(TAG_PHASE1B);
+            buf.put_u8(Tag::Phase1B as u8);
             buf.put_u16_le(ring.value());
             put_ballot(buf, *ballot);
             buf.put_u64_le(from.value());
@@ -141,7 +197,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             value,
             votes,
         } => {
-            buf.put_u8(TAG_PHASE2);
+            buf.put_u8(Tag::Phase2 as u8);
             buf.put_u16_le(ring.value());
             put_ballot(buf, *ballot);
             buf.put_u64_le(first.value());
@@ -156,7 +212,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             value,
             hops,
         } => {
-            buf.put_u8(TAG_DECISION);
+            buf.put_u8(Tag::Decision as u8);
             buf.put_u16_le(ring.value());
             buf.put_u64_le(first.value());
             buf.put_u32_le(*count);
@@ -164,7 +220,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             put_opt(buf, value.as_ref(), put_cv);
         }
         Message::Retransmit { ring, from, to } => {
-            buf.put_u8(TAG_RETRANSMIT);
+            buf.put_u8(Tag::Retransmit as u8);
             buf.put_u16_le(ring.value());
             buf.put_u64_le(from.value());
             buf.put_u64_le(to.value());
@@ -174,7 +230,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             decided,
             trimmed,
         } => {
-            buf.put_u8(TAG_RETRANSMIT_REPLY);
+            buf.put_u8(Tag::RetransmitReply as u8);
             buf.put_u16_le(ring.value());
             buf.put_u64_le(trimmed.value());
             buf.put_u32_le(decided.len() as u32);
@@ -185,37 +241,37 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             }
         }
         Message::TrimQuery { group, seq } => {
-            buf.put_u8(TAG_TRIM_QUERY);
+            buf.put_u8(Tag::TrimQuery as u8);
             buf.put_u16_le(group.value());
             buf.put_u64_le(*seq);
         }
         Message::TrimReply { group, seq, safe } => {
-            buf.put_u8(TAG_TRIM_REPLY);
+            buf.put_u8(Tag::TrimReply as u8);
             buf.put_u16_le(group.value());
             buf.put_u64_le(*seq);
             buf.put_u64_le(safe.value());
         }
         Message::TrimCommand { ring, upto } => {
-            buf.put_u8(TAG_TRIM_COMMAND);
+            buf.put_u8(Tag::TrimCommand as u8);
             buf.put_u16_le(ring.value());
             buf.put_u64_le(upto.value());
         }
         Message::CheckpointQuery { seq } => {
-            buf.put_u8(TAG_CKPT_QUERY);
+            buf.put_u8(Tag::CheckpointQuery as u8);
             buf.put_u64_le(*seq);
         }
         Message::CheckpointInfo { seq, checkpoint } => {
-            buf.put_u8(TAG_CKPT_INFO);
+            buf.put_u8(Tag::CheckpointInfo as u8);
             buf.put_u64_le(*seq);
             put_opt(buf, checkpoint.as_ref(), put_ckpt);
         }
         Message::CheckpointFetch { seq, id } => {
-            buf.put_u8(TAG_CKPT_FETCH);
+            buf.put_u8(Tag::CheckpointFetch as u8);
             buf.put_u64_le(*seq);
             put_ckpt(buf, id);
         }
         Message::CheckpointData { seq, id, snapshot } => {
-            buf.put_u8(TAG_CKPT_DATA);
+            buf.put_u8(Tag::CheckpointData as u8);
             buf.put_u64_le(*seq);
             put_ckpt(buf, id);
             put_opt(buf, snapshot.as_ref(), |buf, s| put_bytes(buf, s));
@@ -226,7 +282,7 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             groups,
             payload,
         } => {
-            buf.put_u8(TAG_REQUEST);
+            buf.put_u8(Tag::Request as u8);
             buf.put_u64_le(client.value());
             buf.put_u64_le(*request);
             buf.put_u16_le(groups.len() as u16);
@@ -240,20 +296,20 @@ pub fn encode(msg: &Message, buf: &mut impl BufMut) {
             request,
             payload,
         } => {
-            buf.put_u8(TAG_RESPONSE);
+            buf.put_u8(Tag::Response as u8);
             buf.put_u64_le(client.value());
             buf.put_u64_le(*request);
             put_bytes(buf, payload);
         }
         Message::Batch(msgs) => {
-            buf.put_u8(TAG_BATCH);
+            buf.put_u8(Tag::Batch as u8);
             buf.put_u32_le(msgs.len() as u32);
             for m in msgs {
                 encode(m, buf);
             }
         }
         Message::Engine { engine, payload } => {
-            buf.put_u8(TAG_ENGINE);
+            buf.put_u8(Tag::Engine as u8);
             buf.put_u8(*engine);
             put_bytes(buf, payload);
         }
@@ -280,20 +336,19 @@ pub fn encoded_len(msg: &Message) -> usize {
 /// Returns [`CodecError`] if the buffer is truncated, a tag is unknown or
 /// a length prefix is implausible.
 pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
-    let tag = get_u8(buf)?;
-    match tag {
-        TAG_FORWARD => {
+    match Tag::from_u8(get_u8(buf)?)? {
+        Tag::Forward => {
             let ring = RingId::new(get_u16(buf)?);
             let hops = get_u32(buf)?;
             let values = get_seq(get_len(buf)?, buf, get_value)?;
             Ok(Message::Forward { ring, values, hops })
         }
-        TAG_PHASE1A => Ok(Message::Phase1A {
+        Tag::Phase1A => Ok(Message::Phase1A {
             ring: RingId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             from: InstanceId::new(get_u64(buf)?),
         }),
-        TAG_PHASE1B => {
+        Tag::Phase1B => {
             let ring = RingId::new(get_u16(buf)?);
             let ballot = get_ballot(buf)?;
             let from = InstanceId::new(get_u64(buf)?);
@@ -310,7 +365,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
                 trimmed,
             })
         }
-        TAG_PHASE2 => Ok(Message::Phase2 {
+        Tag::Phase2 => Ok(Message::Phase2 {
             ring: RingId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             first: InstanceId::new(get_u64(buf)?),
@@ -318,7 +373,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             votes: get_u32(buf)?,
             value: get_cv(buf)?,
         }),
-        TAG_DECISION => {
+        Tag::Decision => {
             let ring = RingId::new(get_u16(buf)?);
             let first = InstanceId::new(get_u64(buf)?);
             let count = get_u32(buf)?;
@@ -331,12 +386,12 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
                 hops,
             })
         }
-        TAG_RETRANSMIT => Ok(Message::Retransmit {
+        Tag::Retransmit => Ok(Message::Retransmit {
             ring: RingId::new(get_u16(buf)?),
             from: InstanceId::new(get_u64(buf)?),
             to: InstanceId::new(get_u64(buf)?),
         }),
-        TAG_RETRANSMIT_REPLY => {
+        Tag::RetransmitReply => {
             let ring = RingId::new(get_u16(buf)?);
             let trimmed = InstanceId::new(get_u64(buf)?);
             let decided = get_seq(get_len(buf)?, buf, |buf| {
@@ -349,34 +404,34 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
                 trimmed,
             })
         }
-        TAG_TRIM_QUERY => Ok(Message::TrimQuery {
+        Tag::TrimQuery => Ok(Message::TrimQuery {
             group: GroupId::new(get_u16(buf)?),
             seq: get_u64(buf)?,
         }),
-        TAG_TRIM_REPLY => Ok(Message::TrimReply {
+        Tag::TrimReply => Ok(Message::TrimReply {
             group: GroupId::new(get_u16(buf)?),
             seq: get_u64(buf)?,
             safe: InstanceId::new(get_u64(buf)?),
         }),
-        TAG_TRIM_COMMAND => Ok(Message::TrimCommand {
+        Tag::TrimCommand => Ok(Message::TrimCommand {
             ring: RingId::new(get_u16(buf)?),
             upto: InstanceId::new(get_u64(buf)?),
         }),
-        TAG_CKPT_QUERY => Ok(Message::CheckpointQuery { seq: get_u64(buf)? }),
-        TAG_CKPT_INFO => Ok(Message::CheckpointInfo {
+        Tag::CheckpointQuery => Ok(Message::CheckpointQuery { seq: get_u64(buf)? }),
+        Tag::CheckpointInfo => Ok(Message::CheckpointInfo {
             seq: get_u64(buf)?,
             checkpoint: get_opt(buf, get_ckpt)?,
         }),
-        TAG_CKPT_FETCH => Ok(Message::CheckpointFetch {
+        Tag::CheckpointFetch => Ok(Message::CheckpointFetch {
             seq: get_u64(buf)?,
             id: get_ckpt(buf)?,
         }),
-        TAG_CKPT_DATA => Ok(Message::CheckpointData {
+        Tag::CheckpointData => Ok(Message::CheckpointData {
             seq: get_u64(buf)?,
             id: get_ckpt(buf)?,
             snapshot: get_opt(buf, get_bytes)?,
         }),
-        TAG_REQUEST => {
+        Tag::Request => {
             let client = ClientId::new(get_u64(buf)?);
             let request = get_u64(buf)?;
             let groups = get_seq(get_u16(buf)?.into(), buf, |buf| {
@@ -389,41 +444,45 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
                 payload: get_bytes(buf)?,
             })
         }
-        TAG_RESPONSE => Ok(Message::Response {
+        Tag::Response => Ok(Message::Response {
             client: ClientId::new(get_u64(buf)?),
             request: get_u64(buf)?,
             payload: get_bytes(buf)?,
         }),
-        TAG_BATCH => Ok(Message::Batch(get_seq(get_len(buf)?, buf, |buf| {
+        Tag::Batch => Ok(Message::Batch(get_seq(get_len(buf)?, buf, |buf| {
             // Nothing sends a batch inside a batch, and refusing one
             // bounds this recursion at two frames whatever the bytes
             // say (one per level would let a 50 kB frame overflow the
             // stack).
-            if buf.chunk().first() == Some(&TAG_BATCH) {
-                return Err(CodecError::BadTag(TAG_BATCH));
+            if buf.chunk().first() == Some(&(Tag::Batch as u8)) {
+                return Err(CodecError::BadTag(Tag::Batch as u8));
             }
             decode(buf)
         })?)),
-        TAG_ENGINE => Ok(Message::Engine {
+        Tag::Engine => Ok(Message::Engine {
             engine: get_u8(buf)?,
             payload: get_bytes(buf)?,
         }),
-        t => Err(CodecError::BadTag(t)),
     }
 }
 
 // ---- persist records (acceptor WAL / checkpoint files) ----------------
 
-const TAG_REC_PROMISE: u8 = 40;
-const TAG_REC_VOTE: u8 = 41;
-const TAG_REC_CHECKPOINT: u8 = 42;
-const TAG_REC_DECISION: u8 = 43;
+wire_tags! {
+    /// The byte a [`PersistRecord`] opens with, one per variant.
+    enum RecordTag {
+        Promise = 40,
+        Vote = 41,
+        Checkpoint = 42,
+        Decision = 43,
+    }
+}
 
 /// Encodes a stable-storage record (acceptor WAL entry or checkpoint).
 pub fn encode_record(record: &PersistRecord, buf: &mut impl BufMut) {
     match record {
         PersistRecord::Promise { ring, ballot, from } => {
-            buf.put_u8(TAG_REC_PROMISE);
+            buf.put_u8(RecordTag::Promise as u8);
             buf.put_u16_le(ring.value());
             put_ballot(buf, *ballot);
             buf.put_u64_le(from.value());
@@ -435,7 +494,7 @@ pub fn encode_record(record: &PersistRecord, buf: &mut impl BufMut) {
             count,
             value,
         } => {
-            buf.put_u8(TAG_REC_VOTE);
+            buf.put_u8(RecordTag::Vote as u8);
             buf.put_u16_le(ring.value());
             put_ballot(buf, *ballot);
             buf.put_u64_le(first.value());
@@ -443,12 +502,12 @@ pub fn encode_record(record: &PersistRecord, buf: &mut impl BufMut) {
             put_cv(buf, value);
         }
         PersistRecord::Checkpoint { id, snapshot } => {
-            buf.put_u8(TAG_REC_CHECKPOINT);
+            buf.put_u8(RecordTag::Checkpoint as u8);
             put_ckpt(buf, id);
             put_bytes(buf, snapshot);
         }
         PersistRecord::Decision { ring, first, count } => {
-            buf.put_u8(TAG_REC_DECISION);
+            buf.put_u8(RecordTag::Decision as u8);
             buf.put_u16_le(ring.value());
             buf.put_u64_le(first.value());
             buf.put_u32_le(*count);
@@ -468,29 +527,28 @@ pub fn record_len(record: &PersistRecord) -> usize {
 ///
 /// Returns [`CodecError`] on truncation or unknown tags.
 pub fn decode_record(buf: &mut impl Buf) -> Result<PersistRecord, CodecError> {
-    match get_u8(buf)? {
-        TAG_REC_PROMISE => Ok(PersistRecord::Promise {
+    match RecordTag::from_u8(get_u8(buf)?)? {
+        RecordTag::Promise => Ok(PersistRecord::Promise {
             ring: RingId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             from: InstanceId::new(get_u64(buf)?),
         }),
-        TAG_REC_VOTE => Ok(PersistRecord::Vote {
+        RecordTag::Vote => Ok(PersistRecord::Vote {
             ring: RingId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             first: InstanceId::new(get_u64(buf)?),
             count: get_u32(buf)?,
             value: get_cv(buf)?,
         }),
-        TAG_REC_CHECKPOINT => Ok(PersistRecord::Checkpoint {
+        RecordTag::Checkpoint => Ok(PersistRecord::Checkpoint {
             id: get_ckpt(buf)?,
             snapshot: get_bytes(buf)?,
         }),
-        TAG_REC_DECISION => Ok(PersistRecord::Decision {
+        RecordTag::Decision => Ok(PersistRecord::Decision {
             ring: RingId::new(get_u16(buf)?),
             first: InstanceId::new(get_u64(buf)?),
             count: get_u32(buf)?,
         }),
-        t => Err(CodecError::BadTag(t)),
     }
 }
 
@@ -741,8 +799,66 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const TAG_REQUEST: u8 = Tag::Request as u8;
+    const TAG_BATCH: u8 = Tag::Batch as u8;
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Exhaustive on purpose: a new variant does not compile here until
+    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
+    /// its bytes pinned.
+    fn tag_of(msg: &Message) -> Tag {
+        match msg {
+            Message::Forward { .. } => Tag::Forward,
+            Message::Phase1A { .. } => Tag::Phase1A,
+            Message::Phase1B { .. } => Tag::Phase1B,
+            Message::Phase2 { .. } => Tag::Phase2,
+            Message::Decision { .. } => Tag::Decision,
+            Message::Retransmit { .. } => Tag::Retransmit,
+            Message::RetransmitReply { .. } => Tag::RetransmitReply,
+            Message::TrimQuery { .. } => Tag::TrimQuery,
+            Message::TrimReply { .. } => Tag::TrimReply,
+            Message::TrimCommand { .. } => Tag::TrimCommand,
+            Message::CheckpointQuery { .. } => Tag::CheckpointQuery,
+            Message::CheckpointInfo { .. } => Tag::CheckpointInfo,
+            Message::CheckpointFetch { .. } => Tag::CheckpointFetch,
+            Message::CheckpointData { .. } => Tag::CheckpointData,
+            Message::Request { .. } => Tag::Request,
+            Message::Response { .. } => Tag::Response,
+            Message::Batch(_) => Tag::Batch,
+            Message::Engine { .. } => Tag::Engine,
+        }
+    }
+
+    fn record_tag_of(record: &PersistRecord) -> RecordTag {
+        match record {
+            PersistRecord::Promise { .. } => RecordTag::Promise,
+            PersistRecord::Vote { .. } => RecordTag::Vote,
+            PersistRecord::Checkpoint { .. } => RecordTag::Checkpoint,
+            PersistRecord::Decision { .. } => RecordTag::Decision,
+        }
+    }
+
+    /// Every byte the reader takes for a tag opens a pinned encoding of
+    /// the variant it stands for: a tag nobody writes, a variant nobody
+    /// pinned and a variant written under another's tag all end here.
+    #[test]
+    fn every_tag_opens_a_golden() {
+        for tag in (0..=u8::MAX).filter_map(|byte| Tag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins =
+                |(msg, pinned): &(Message, &str)| tag_of(msg) == tag && pinned.starts_with(&opens);
+            assert!(golden_messages().iter().any(pins), "no golden for {tag:?}");
+        }
+        for tag in (0..=u8::MAX).filter_map(|byte| RecordTag::from_u8(byte).ok()) {
+            let opens = format!("{:02x}", tag as u8);
+            let pins = |(record, pinned): &(PersistRecord, &str)| {
+                record_tag_of(record) == tag && pinned.starts_with(&opens)
+            };
+            assert!(golden_records().iter().any(pins), "no golden for {tag:?}");
+        }
     }
 
     /// Every `Message` variant — both arms of each `Option`, `Skip` and

@@ -7,7 +7,8 @@
 //! [`ClusterConfig::builder`] and validated by [`ClusterConfigBuilder::build`].
 //!
 //! In a full deployment the configuration is stored in and distributed by
-//! the coordination service (`mrp-coord`, the paper uses Zookeeper); the
+//! a coordination service external to this repository (the paper uses
+//! Zookeeper; `mrp-coord` holds only the partitioning schema); the
 //! protocol state machines only ever see an immutable snapshot of it.
 
 use crate::types::{GroupId, ProcessId, RingId};

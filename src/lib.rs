@@ -21,8 +21,9 @@
 //!   codec (`core::codec`) and a real TCP runtime.
 //! * [`storage`] — acceptor write-ahead logs and checkpoint
 //!   storage.
-//! * [`coord`] — coordination service (membership, ring
-//!   configuration, coordinator election).
+//! * [`coord`] — the partitioning schema services read from the
+//!   coordination service (which itself is external, as the paper's
+//!   Zookeeper is).
 //! * [`store`] — MRP-Store, the partitioned strongly
 //!   consistent key-value store of Section 6.1.
 //! * [`dlog`] — dLog, the distributed shared log of
