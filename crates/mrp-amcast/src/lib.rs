@@ -131,22 +131,26 @@
 //!    can select it, and run `tests/ordering_invariants.rs` (which is
 //!    parameterized over every [`EngineKind`]) against it.
 //!
-//! ## Submission batching
+//! ## The submission edge
 //!
-//! [`AnyEngine`] wraps every engine with a submission-edge
-//! [`Batcher`](batcher::Batcher): when enabled (off by default;
-//! [`BatchConfig::from_env`] reads the `MRP_BATCH` switch, or call
-//! [`AnyEngine::set_batching`]), client `Request`s addressed to the
-//! same group set are queued and flushed as one
-//! [`AmcastEngine::multicast_batch`] round — one consensus instance on
-//! the ring engine, one coalesced sequencer exchange on wbcast — and
-//! same-destination engine frames emitted by one activation ride a
-//! single `Message::Batch` wire frame. Per-value delivery semantics
-//! (exactly-once, global acyclic order) are unchanged; the batch
-//! telemetry (`batch.flushes`, `batch.submitted_values`,
-//! `batch.occupancy`, `wire.frames_coalesced`) rides the snapshot
-//! below. See the `Performance` section of the repository README for
-//! knobs and measured numbers.
+//! [`AnyEngine`] decides per client `Request`, from the size of its
+//! group set γ and its own backlog — there is no mode and nothing to
+//! configure. A request to one group goes to the engine in the
+//! activation that received it. A request to several groups does too
+//! when this process has nothing outstanding; behind an outstanding
+//! submission it waits in a per-γ queue ([`batcher::Batcher`]) and the
+//! queue goes out as one [`AmcastEngine::multicast_batch`] round — one
+//! consensus instance on the ring engine, one coalesced sequencer
+//! exchange on wbcast — when a [`BatchConfig`] budget trips, when an
+//! event leaves the backlog at zero, or after
+//! [`batcher::SUBMIT_HOLD_US`] at the latest. Same-destination engine
+//! frames emitted by one activation always ride a single
+//! `Message::Batch` wire frame. Per-value delivery semantics
+//! (exactly-once, global acyclic order) are unchanged; the telemetry
+//! (`batch.flushes`, `batch.submitted_values`, `batch.occupancy`,
+//! `wire.frames_coalesced`) rides the snapshot below. See the
+//! `Performance` section of the repository README for measured
+//! numbers.
 //!
 //! ## Observability
 //!

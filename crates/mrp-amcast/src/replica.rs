@@ -693,13 +693,14 @@ mod tests {
 
     /// The names `bench/` reads through [`EngineReplica::telemetry`]
     /// (it is a package outside this workspace, so nothing else guards
-    /// them), with their meaning: flushes and flushed values of the
-    /// submission batcher, commands executed, and — ring engine — merge
-    /// deliveries against consensus instances consumed (`bench/` derives
-    /// the skip share from the two).
+    /// them), with their meaning: commands executed, — ring engine —
+    /// merge deliveries against consensus instances consumed (`bench/`
+    /// derives the skip share from the two), and flushes and flushed
+    /// values of the submission edge's hold queues.
     #[test]
     fn telemetry_names_the_e2e_benchmark_reads_keep_their_meaning() {
         use crate::batcher::BatchConfig;
+        use crate::engine::tests::{request as to_groups, two_groups};
         for kind in EngineKind::ALL {
             let mut r = EngineReplica::new(
                 kind,
@@ -708,18 +709,12 @@ mod tests {
                 Echo::default(),
                 disabled(),
             );
-            let pairs = BatchConfig {
-                max_values: 2,
-                ..BatchConfig::enabled()
-            };
-            r.engine.set_batching(Time::ZERO, Some(pairs));
             r.on_event(Time::ZERO, Event::Start);
             for i in 1..=6 {
                 r.on_event(Time::ZERO, request(b"v", i));
             }
             let snap = r.telemetry();
-            assert_eq!(snap.counter("batch.flushes"), 3, "{kind}");
-            assert_eq!(snap.counter("batch.submitted_values"), 6, "{kind}");
+            assert_eq!(snap.counter("batch.flushes"), 0, "{kind}: nothing was held");
             assert_eq!(snap.counter("replica.executed"), 6, "{kind}");
             assert_eq!(r.executed(), 6, "{kind}");
             if kind == EngineKind::MultiRing {
@@ -729,6 +724,28 @@ mod tests {
                 // instance the merge consumed carried one value.
                 assert_eq!(snap.gauge("merge_progress"), 6);
             }
+            // One of three processes, hearing from nobody: its first
+            // submission stays outstanding, and the multi-group
+            // requests behind it are held, two to a flush.
+            let mut r = EngineReplica::new(
+                kind,
+                ProcessId::new(0),
+                two_groups(),
+                Echo::default(),
+                disabled(),
+            );
+            let pairs = BatchConfig {
+                max_values: 2,
+                ..BatchConfig::enabled()
+            };
+            r.engine.set_batching(Time::ZERO, pairs);
+            r.on_event(Time::ZERO, Event::Start);
+            for i in 1..=5 {
+                r.on_event(Time::ZERO, to_groups(i, &[0, 1]));
+            }
+            let snap = r.telemetry();
+            assert_eq!(snap.counter("batch.flushes"), 2, "{kind}");
+            assert_eq!(snap.counter("batch.submitted_values"), 4, "{kind}");
         }
     }
 

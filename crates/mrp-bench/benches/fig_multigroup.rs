@@ -17,7 +17,6 @@ fn to_json(rows: &[MultigroupRow]) -> Value {
     Value::array(rows, |r| {
         Value::object([
             ("engine", r.engine.into()),
-            ("batch", r.batch.into()),
             ("multi_per_mille", u64::from(r.multi_per_mille).into()),
             ("crash_ms", r.crash_ms.into()),
             ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
@@ -34,11 +33,10 @@ fn main() {
     let rows = figures::fig_multigroup(scale);
     let mut t = Table::new(
         "Multi-group multicast — genuine (wbcast) vs covering group (multiring); \
-         3 groups x 3 processes, 24 sessions, 512 B requests, submission batching \
-         off vs on (MRP_MULTIGROUP_CRASH_MS=<period> adds initiator churn)",
+         3 groups x 3 processes, 24 sessions, 512 B requests \
+         (MRP_MULTIGROUP_CRASH_MS=<period> adds initiator churn)",
         &[
             "engine",
-            "batch",
             "multi_permille",
             "crash_ms",
             "ops_per_sec",
@@ -51,7 +49,6 @@ fn main() {
     for r in &rows {
         t.row(&[
             r.engine.to_string(),
-            r.batch.to_string(),
             r.multi_per_mille.to_string(),
             r.crash_ms.to_string(),
             fmt_f(r.ops_per_sec),

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
-use mrp_amcast::{AmcastEngine, AnyEngine, BatchConfig, EngineKind};
+use mrp_amcast::{AmcastEngine, AnyEngine, EngineKind};
 use mrp_bench::json::{write_artifact, Value as Json};
 use mrp_bench::Scale;
 use mrp_store::{KvStore, StoreCommand};
@@ -208,10 +208,6 @@ impl Pump {
             wire_bytes: 0,
         };
         for p in 0..3usize {
-            if batched {
-                let acts = pump.engines[p].set_batching(Time::ZERO, Some(BatchConfig::enabled()));
-                assert!(acts.is_empty(), "no queued values at startup");
-            }
             let acts = pump.engines[p].on_event(Time::ZERO, Event::Start);
             pump.absorb(ProcessId::new(p as u32), acts);
         }

@@ -109,6 +109,8 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
             let tuning = RingTuning {
                 storage,
                 lambda: 0,
+                // The paper's Figure 3 setting: one value an instance.
+                values_per_instance: 1,
                 ..RingTuning::default()
             };
             let config = multiring_paxos::config::single_ring(3, tuning);
@@ -1262,11 +1264,6 @@ fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9
 pub struct MultigroupRow {
     /// Engine name.
     pub engine: &'static str,
-    /// Submission batching at the replicas: `"off"` (one engine round
-    /// per value, the default deployment) or `"on"` (the
-    /// `BatchConfig::enabled` defaults plus 64-value consensus
-    /// instances for the ring engine).
-    pub batch: &'static str,
     /// Fraction of multi-group messages, per mille.
     pub multi_per_mille: u32,
     /// Initiator-churn period in milliseconds (`0` = no churn): every
@@ -1313,91 +1310,71 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
     let n = 3u32;
     let groups = 3u16;
     let mut rows = Vec::new();
-    for batch in ["off", "on"] {
-        // The replicas build their engines through `EngineKind::build`,
-        // which reads the production batching knobs from the
-        // environment — including the engines rebuilt when the churn
-        // schedule restarts a crashed replica, so the env var (not a
-        // one-shot setter) is the correct switch here.
-        std::env::set_var("MRP_BATCH", if batch == "on" { "1" } else { "0" });
-        for kind in EngineKind::ALL {
-            for &multi_per_mille in fractions {
-                let tuning = RingTuning {
-                    lambda: 3_000,
-                    delta_us: 5_000,
-                    // Batched submissions arrive as one multi-value
-                    // proposal: let the ring engine pack them into one
-                    // consensus instance instead of 64 rounds.
-                    values_per_instance: if batch == "on" { 64 } else { 1 },
-                    ..RingTuning::default()
-                };
-                let config = engines_config(groups, n, tuning);
-                let mut cluster = Cluster::new(
-                    SimConfig {
-                        seed: 11,
-                        election_timeout_us: 50_000,
-                        ..SimConfig::default()
-                    },
-                    Topology::lan(16),
-                );
-                let policy = CheckpointPolicy {
-                    // Churn runs checkpoint so a restarted victim rejoins
-                    // from a snapshot instead of replaying from genesis.
-                    interval_us: if crash_ms > 0 { 100_000 } else { 0 },
-                    sync: false,
-                };
-                spawn_echo_replicas(&mut cluster, kind, &config, n, policy, Some(proto_cpu));
-                let targets: Vec<(ProcessId, GroupId)> = (0..groups)
-                    .map(|g| (ProcessId::new(u32::from(g) % n), GroupId::new(g)))
-                    .collect();
-                // The multi-group initiator (the first target) dies and
-                // comes back every churn period.
-                if crash_ms > 0 {
-                    let victim = targets[0].0;
-                    let period = crash_ms * 1_000;
-                    let mut t = warmup_s * 1_000_000 + period;
-                    while t + period / 2 < (warmup_s + run_s) * 1_000_000 {
-                        cluster.schedule_crash(Time::from_micros(t), victim);
-                        cluster.schedule_restart(Time::from_micros(t + period / 2), victim);
-                        t += period;
-                    }
+    for kind in EngineKind::ALL {
+        for &multi_per_mille in fractions {
+            let tuning = RingTuning {
+                lambda: 3_000,
+                delta_us: 5_000,
+                ..RingTuning::default()
+            };
+            let config = engines_config(groups, n, tuning);
+            let mut cluster = Cluster::new(
+                SimConfig {
+                    seed: 11,
+                    election_timeout_us: 50_000,
+                    ..SimConfig::default()
+                },
+                Topology::lan(16),
+            );
+            let policy = CheckpointPolicy {
+                // Churn runs checkpoint so a restarted victim rejoins
+                // from a snapshot instead of replaying from genesis.
+                interval_us: if crash_ms > 0 { 100_000 } else { 0 },
+                sync: false,
+            };
+            spawn_echo_replicas(&mut cluster, kind, &config, n, policy, Some(proto_cpu));
+            let targets: Vec<(ProcessId, GroupId)> = (0..groups)
+                .map(|g| (ProcessId::new(u32::from(g) % n), GroupId::new(g)))
+                .collect();
+            // The multi-group initiator (the first target) dies and
+            // comes back every churn period.
+            if crash_ms > 0 {
+                let victim = targets[0].0;
+                let period = crash_ms * 1_000;
+                let mut t = warmup_s * 1_000_000 + period;
+                while t + period / 2 < (warmup_s + run_s) * 1_000_000 {
+                    cluster.schedule_crash(Time::from_micros(t), victim);
+                    cluster.schedule_restart(Time::from_micros(t + period / 2), victim);
+                    t += period;
                 }
-                let client_proc = ProcessId::new(950);
-                let client_id = ClientId::new(1);
-                let mut client = MixedGroupClient::new(
-                    client_id,
-                    24,
-                    targets,
-                    multi_per_mille,
-                    512,
-                    "multigroup",
-                )
-                .warmup_until(Time::from_secs(warmup_s));
-                if crash_ms > 0 {
-                    client = client.with_retry(crash_ms * 1_000 / 2);
-                }
-                cluster.add_actor(client_proc, Box::new(client));
-                cluster.register_client(client_id, client_proc);
-                cluster.start();
-                cluster.run_until(Time::from_secs(warmup_s + run_s));
-                let h = cluster.metrics().histogram("multigroup/latency_us");
-                let single = cluster.metrics().histogram("multigroup/latency_us/single");
-                let multi = cluster.metrics().histogram("multigroup/latency_us/multi");
-                rows.push(MultigroupRow {
-                    engine: kind.name(),
-                    batch,
-                    multi_per_mille,
-                    crash_ms,
-                    ops_per_sec: cluster.metrics().counter("multigroup/ops") as f64 / run_s as f64,
-                    latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
-                    single_ms: single.map_or(0.0, |h| h.mean() / 1000.0),
-                    multi_ms: multi.map_or(0.0, |h| h.mean() / 1000.0),
-                    p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
-                });
             }
+            let client_proc = ProcessId::new(950);
+            let client_id = ClientId::new(1);
+            let mut client =
+                MixedGroupClient::new(client_id, 24, targets, multi_per_mille, 512, "multigroup")
+                    .warmup_until(Time::from_secs(warmup_s));
+            if crash_ms > 0 {
+                client = client.with_retry(crash_ms * 1_000 / 2);
+            }
+            cluster.add_actor(client_proc, Box::new(client));
+            cluster.register_client(client_id, client_proc);
+            cluster.start();
+            cluster.run_until(Time::from_secs(warmup_s + run_s));
+            let h = cluster.metrics().histogram("multigroup/latency_us");
+            let single = cluster.metrics().histogram("multigroup/latency_us/single");
+            let multi = cluster.metrics().histogram("multigroup/latency_us/multi");
+            rows.push(MultigroupRow {
+                engine: kind.name(),
+                multi_per_mille,
+                crash_ms,
+                ops_per_sec: cluster.metrics().counter("multigroup/ops") as f64 / run_s as f64,
+                latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
+                single_ms: single.map_or(0.0, |h| h.mean() / 1000.0),
+                multi_ms: multi.map_or(0.0, |h| h.mean() / 1000.0),
+                p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
+            });
         }
     }
-    std::env::remove_var("MRP_BATCH");
     rows
 }
 

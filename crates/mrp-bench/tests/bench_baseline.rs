@@ -1,11 +1,12 @@
-//! Validates the checked-in benchmark baselines `BENCH_fig9.json` and
-//! `BENCH_micro.json`: they must parse as JSON and carry the documented
-//! schema — the client-side rows plus the `engine_telemetry` section
-//! (fig9), and the submission/decode throughput rows — their wire-frame
-//! and wire-byte counts pinned exactly — and the store's
-//! preload rows with their speedup summary (micro). CI regenerates both
-//! files at smoke scale and re-runs this test, so a writer/schema drift
-//! fails loudly in both places.
+//! Validates the checked-in benchmark baselines `BENCH_fig9.json`,
+//! `BENCH_micro.json` and `BENCH_multigroup.json`: they must parse as
+//! JSON and carry the documented schema — the client-side rows plus the
+//! `engine_telemetry` section (fig9), and the submission/decode
+//! throughput rows — their wire-frame and wire-byte counts pinned
+//! exactly — and the store's preload rows with their speedup summary
+//! (micro) — and hold the shape they were accepted on (multigroup). CI
+//! regenerates the files at smoke scale and re-runs this test, so a
+//! writer/schema drift fails loudly in both places.
 
 use mrp_bench::json::{self, Value};
 
@@ -134,11 +135,16 @@ fn micro_baseline_matches_schema_and_batching_pays() {
         seen.insert(format!("{engine}/{mode}"));
         // Counts of an in-process pump over the smoke scale's 8 192
         // values: they repeat exactly, so a codec, coalescing or
-        // batching change that moves one has to say so here.
+        // batching change that moves one has to say so here. PR 22
+        // moved wbcast/unbatched from (32 768, 2 768 896): frame
+        // coalescing runs in every activation now, so the `Ordered`
+        // and the `FinalAck` a sequencer sends the submitter in one
+        // activation share a `Batch` frame (a quarter fewer frames, 5
+        // bytes of batch header a value more).
         let (wire_frames, wire_bytes) = match (engine, mode) {
             ("multiring", "unbatched") => (49_156, 3_719_268),
             ("multiring", "batched") => (772, 2_703_204),
-            ("wbcast", "unbatched") => (32_768, 2_768_896),
+            ("wbcast", "unbatched") => (24_576, 2_809_856),
             ("wbcast", "batched") => (384, 2_770_816),
             other => panic!("unknown submit row {other:?}"),
         };
@@ -248,4 +254,50 @@ fn micro_baseline_matches_schema_and_batching_pays() {
         "key_for fell back towards the formatter it replaced: {:.2}x",
         s("preload_key_for")
     );
+}
+
+/// The shape `BENCH_multigroup.json` was accepted on (PR 22), as
+/// inequalities over its rows — virtual time, so they hold to the digit
+/// or the artifact's byte-diff fails first. Submission used to be a
+/// mode: holding every request for a window won the 500 ‰ rows and
+/// lost the 0 ‰ ones by 12–43 %. The one path that replaced the switch
+/// must hold the better of the two on every row: the unheld rows where
+/// no request addresses two groups, at least the held ones where half
+/// of them do (the ring engine's 500 ‰ row against its unheld figure;
+/// ROADMAP has what is left of that one). And no row says which mode
+/// it ran in.
+#[test]
+fn multigroup_baseline_holds_the_better_of_both_deleted_modes_on_every_row() {
+    let doc = load("BENCH_multigroup.json");
+    let rows = doc.as_array().expect("top-level array of rows");
+    // (engine, multi-group ‰, ops/s floor, p99 ceiling in ms)
+    let floors = [
+        ("multiring", 0, 64_272.0 * 0.999, 0.439),
+        ("multiring", 500, 2_329.0, f64::INFINITY),
+        ("wbcast", 0, 99_473.0, 0.279),
+        ("wbcast", 500, 45_133.0, f64::INFINITY),
+    ];
+    assert_eq!(rows.len(), floors.len(), "one row per (engine, ‰)");
+    for (row, (engine, per_mille, ops_floor, p99_ceiling)) in rows.iter().zip(floors) {
+        assert!(
+            row.get("batch").is_none(),
+            "{engine}/{per_mille}: a mode column"
+        );
+        assert_eq!(row.get("engine").and_then(Value::as_str), Some(engine));
+        assert_eq!(
+            row.get("multi_per_mille").and_then(Value::as_u64),
+            Some(per_mille)
+        );
+        let num = |field: &str| row.get(field).and_then(Value::as_f64).expect(field);
+        assert!(
+            num("ops_per_sec") >= ops_floor,
+            "{engine}/{per_mille}: {} ops/s under the floor of {ops_floor}",
+            num("ops_per_sec")
+        );
+        assert!(
+            num("p99_ms") <= p99_ceiling,
+            "{engine}/{per_mille}: p99 {} ms over {p99_ceiling}",
+            num("p99_ms")
+        );
+    }
 }

@@ -2,8 +2,8 @@
 //! `cargo run --release -p mrp-check --bin check -- [--depth N] [--liveness] [--out FILE] [--baseline FILE]`.
 //!
 //! Explores both engines' three-node mixed-traffic scenario (plus the
-//! genuineness deployment, both batching regimes and the idle-stream
-//! deployment whose delivery rides on a `Probe`) with fault
+//! genuineness deployment, the two held-submission deployments and the
+//! idle-stream deployment whose delivery rides on a `Probe`) with fault
 //! branching on, twice each: once with deduplication and partial-order
 //! reduction enabled, once naive, reporting the state-count reduction.
 //! `--liveness` additionally runs lasso-based non-progress detection on

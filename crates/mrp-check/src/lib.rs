@@ -29,7 +29,7 @@
 //!   transition; a trace the spec rejects is a refinement violation.
 //!   The pointwise oracles above stay on as fast-fail guards.
 //! * [`scenario`] — canned multi-node deployments (both engines,
-//!   multi-group traffic, batching on/off) the checker and the
+//!   multi-group traffic, held submissions) the checker and the
 //!   regression schedules under `schedules/` run against.
 //! * [`lint`] — a source-level static pass (no new dependencies) that
 //!   rejects sans-io purity violations in the engine crates: wall-clock

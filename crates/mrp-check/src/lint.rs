@@ -12,6 +12,7 @@
 //! | `hash-collections`| `HashMap`, `HashSet` — iteration order is seeded per process; use `BTreeMap`/`BTreeSet` |
 //! | `stdout`          | `println!`, `print!`, `dbg!` — engines report through actions and telemetry (`eprintln!` is allowed for operator warnings) |
 //! | `rand`            | `thread_rng`, `rand::` — randomness must be injected |
+//! | `env-read`        | `std::env`, `env::var` — how an engine behaves is decided from what it observes, never from a switch in the environment; the one allowed read is `EngineKind::try_from_env` (which engine to build) |
 //!
 //! The TCP runtime (`crates/mrp-transport/src`) threads and hashes by
 //! design and has one rule of its own: every wait is for an event, so
@@ -68,6 +69,7 @@ const ENGINE_RULES: Rules = &[
     ("hash-collections", &["HashMap", "HashSet"]),
     ("stdout", &["println!", "print!", "dbg!"]),
     ("rand", &["thread_rng", "rand::"]),
+    ("env-read", &["std::env", "env::var"]),
 ];
 
 /// What the TCP runtime may not contain.

@@ -13,7 +13,7 @@ use std::fmt;
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
-use mrp_amcast::{BatchConfig, EngineKind};
+use mrp_amcast::{BatchConfig, EngineKind, WbcastNode};
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use multiring_paxos::types::{GroupId, ProcessId, RingId, Time};
 
@@ -26,8 +26,9 @@ pub struct Submission {
     pub groups: Vec<GroupId>,
     /// Payload bytes.
     pub payload: Bytes,
-    /// Submit through the client request path (framing + submission
-    /// batcher) instead of calling `multicast` directly.
+    /// Submit through the client request path (the wrapper's per-request
+    /// decision: straight through, or framed and held) instead of
+    /// calling `multicast` directly.
     pub via_request: bool,
 }
 
@@ -97,7 +98,7 @@ fn shared_two_group_config() -> ClusterConfig {
 fn boxed_factory(
     kind: EngineKind,
     config: ClusterConfig,
-    batching: Option<BatchConfig>,
+    budgets: BatchConfig,
 ) -> Box<dyn Fn(ProcessId, bool) -> Box<dyn AmcastEngine>> {
     Box::new(move |p, recovering| {
         let mut engine = if recovering {
@@ -105,9 +106,7 @@ fn boxed_factory(
         } else {
             kind.build(p, config.clone())
         };
-        // Batching is configured explicitly (never from the
-        // environment): checker runs must be reproducible.
-        let _ = engine.set_batching(Time::ZERO, batching);
+        let _ = engine.set_batching(Time::ZERO, budgets);
         Box::new(engine)
     })
 }
@@ -121,7 +120,7 @@ impl Scenario {
         let config = shared_two_group_config();
         Scenario {
             name: format!("mixed-{}", engine_tag(kind)),
-            factory: boxed_factory(kind, config.clone(), None),
+            factory: boxed_factory(kind, config.clone(), BatchConfig::enabled()),
             config,
             submissions: vec![
                 Submission {
@@ -170,7 +169,7 @@ impl Scenario {
             .expect("static scenario config is valid");
         Scenario {
             name: "genuine-pairs".into(),
-            factory: boxed_factory(EngineKind::Wbcast, config.clone(), None),
+            factory: boxed_factory(EngineKind::Wbcast, config.clone(), BatchConfig::enabled()),
             config,
             submissions: vec![Submission {
                 at: ProcessId::new(0),
@@ -209,7 +208,7 @@ impl Scenario {
         let config = b.build().expect("static scenario config is valid");
         Scenario {
             name: "idle-stream-wbcast".into(),
-            factory: boxed_factory(EngineKind::Wbcast, config.clone(), None),
+            factory: boxed_factory(EngineKind::Wbcast, config.clone(), BatchConfig::enabled()),
             config,
             submissions: vec![Submission {
                 at: ProcessId::new(0),
@@ -221,87 +220,40 @@ impl Scenario {
         }
     }
 
-    /// A batching-enabled deployment of either engine: three client
-    /// requests at two processes through the submission batcher. With
-    /// `window_bound` false the batcher flushes on its two-value size
-    /// bound; with it true the size bound is slack (eight values) and
-    /// every flush must come from a `SubmitFlush` timer firing, so the
-    /// checker interleaves the flush tick against deliveries and other
-    /// timers like any other choice.
-    pub fn batched(kind: EngineKind, window_bound: bool) -> Scenario {
+    /// The submission-edge hold of either engine: a single-group
+    /// request at p0 (g0's sequencer) stays outstanding, so the
+    /// multi-group requests that follow it there are held. With
+    /// `hold_bound` false the budget is two values: the second
+    /// multi-group request trips the flush inline and the pair rides
+    /// one batched submission, its frames coalesced per destination
+    /// (the PR 7 regression replays against this deployment); a third
+    /// process submits meanwhile. With it true the budgets are slack
+    /// and one multi-group request waits: whichever the checker
+    /// schedules first — the delivery that clears p0's backlog or the
+    /// `SubmitFlush` timer — releases it.
+    pub fn batched(kind: EngineKind, hold_bound: bool) -> Scenario {
         let config = shared_two_group_config();
-        let batching = Some(if window_bound {
-            BatchConfig {
-                max_values: 8,
-                max_bytes: 1 << 20,
-                window_us: 500,
-            }
-        } else {
-            BatchConfig {
-                max_values: 2,
-                max_bytes: 1 << 20,
-                window_us: 1_000,
-            }
-        });
-        let bound = if window_bound { "window" } else { "size" };
+        let budgets = BatchConfig {
+            max_values: if hold_bound { 8 } else { 2 },
+            max_bytes: 1 << 20,
+        };
+        let request = |at: u32, groups: &[u16], payload: &'static [u8]| Submission {
+            at: ProcessId::new(at),
+            groups: groups.iter().map(|&g| GroupId::new(g)).collect(),
+            payload: Bytes::from_static(payload),
+            via_request: true,
+        };
+        let mut submissions = vec![request(0, &[0], b"ahead"), request(0, &[0, 1], b"held-a")];
+        if !hold_bound {
+            submissions.push(request(0, &[0, 1], b"held-b"));
+            submissions.push(request(2, &[1], b"elsewhere"));
+        }
+        let bound = if hold_bound { "window" } else { "size" };
         Scenario {
             name: format!("batched-{bound}-{}", engine_tag(kind)),
-            factory: boxed_factory(kind, config.clone(), batching),
+            factory: boxed_factory(kind, config.clone(), budgets),
             config,
-            // Two values batch together at p0; the third, at p2, keeps a
-            // second batcher (and a second SubmitFlush timer) in play.
-            submissions: vec![
-                Submission {
-                    at: ProcessId::new(0),
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"batch-a"),
-                    via_request: true,
-                },
-                Submission {
-                    at: ProcessId::new(0),
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"batch-b"),
-                    via_request: true,
-                },
-                Submission {
-                    at: ProcessId::new(2),
-                    groups: vec![GroupId::new(1)],
-                    payload: Bytes::from_static(b"batch-c"),
-                    via_request: true,
-                },
-            ],
-            value_frame_allowed: None,
-        }
-    }
-
-    /// The PR 7 regression deployment: white-box engine with the
-    /// submission batcher flushing at two values, fed through the client
-    /// request path so the flush produces coalesced outgoing frames.
-    pub fn coalescer() -> Scenario {
-        let config = shared_two_group_config();
-        let batching = Some(BatchConfig {
-            max_values: 2,
-            max_bytes: 1 << 20,
-            window_us: 1_000,
-        });
-        Scenario {
-            name: "coalescer".into(),
-            factory: boxed_factory(EngineKind::Wbcast, config.clone(), batching),
-            config,
-            submissions: vec![
-                Submission {
-                    at: ProcessId::new(0),
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"req-1"),
-                    via_request: true,
-                },
-                Submission {
-                    at: ProcessId::new(0),
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"req-2"),
-                    via_request: true,
-                },
-            ],
+            submissions,
             value_frame_allowed: None,
         }
     }
@@ -338,7 +290,19 @@ impl Scenario {
         let config = b.build().expect("static scenario config is valid");
         Scenario {
             name: "orphan".into(),
-            factory: boxed_factory(EngineKind::Wbcast, config.clone(), None),
+            // The bare engine: the wrapper would merge the three
+            // `Submit`s into one frame to p0, and the schedule has to
+            // lose two of them.
+            factory: {
+                let config = config.clone();
+                Box::new(move |p, recovering| {
+                    Box::new(if recovering {
+                        WbcastNode::recovering(p, config.clone())
+                    } else {
+                        WbcastNode::new(p, config.clone())
+                    })
+                })
+            },
             config,
             submissions: vec![Submission {
                 at: ProcessId::new(2),

@@ -57,13 +57,14 @@ fn wbcast_mixed_traffic_is_violation_free_under_faults() {
 
 #[test]
 fn batched_scenarios_are_violation_free_under_faults() {
-    // The submission batcher in both flush regimes: size-bound (two
-    // values trip the flush inline) and window-bound (flushes only
-    // happen when the checker chooses to fire the SubmitFlush timer,
-    // interleaved against deliveries and faults like any other choice).
+    // The submission-edge hold, released both ways: by the size budget
+    // (a second held request trips the flush inline), and — budgets
+    // slack — by whichever the checker fires first, the delivery that
+    // clears the submitter's backlog or the SubmitFlush timer,
+    // interleaved against deliveries and faults like any other choice.
     for kind in [EngineKind::MultiRing, EngineKind::Wbcast] {
-        for window_bound in [false, true] {
-            let scenario = Scenario::batched(kind, window_bound);
+        for hold_bound in [false, true] {
+            let scenario = Scenario::batched(kind, hold_bound);
             let report = check(&scenario, fault_cfg(3));
             assert!(
                 report.violation.is_none(),

@@ -91,6 +91,30 @@ fn transport_waits_for_events_except_where_it_says_why() {
 }
 
 #[test]
+fn the_environment_is_read_where_the_engine_is_chosen_and_nowhere_else() {
+    // A switch coming back: read directly, or through an import.
+    for line in [
+        "let on = std::env::var(\"MRP_SWITCH\").is_ok();",
+        "let on = env::var(\"MRP_SWITCH\").is_ok();",
+    ] {
+        let src = format!("fn f() {{\n    {line}\n}}\n");
+        let diags = lint_source("crates/mrp-amcast/src/batcher.rs", &src, &no_allow());
+        assert!(
+            diags.iter().any(|d| d.rule == "env-read" && d.line == 2),
+            "`{line}` should trip `env-read` at line 2, got {diags:?}"
+        );
+        assert!(
+            lint_transport_source("tcp.rs", &src, &no_allow()).is_empty(),
+            "the rule is the engine crates' alone"
+        );
+    }
+    // The one sanctioned read says so where it happens (and
+    // `engine_crates_are_clean` holds the real tree to that).
+    let src = "fn try_from_env() {\n    let value = std::env::var(\"MRP_ENGINE\"); // lint:allow(env-read)\n}\n";
+    assert!(lint_source("engine.rs", src, &no_allow()).is_empty());
+}
+
+#[test]
 fn stderr_logging_does_not_trip_the_stdout_rule() {
     let src = "fn f() { eprintln!(\"diag\"); eprint!(\"d\"); }\n";
     assert!(lint_source("engine.rs", src, &no_allow()).is_empty());

@@ -6,6 +6,7 @@
 //! bugs: the exact drop and duplicate the exploration of
 //! `idle-stream-wbcast` takes on the channel that carries only probes.
 
+use mrp_amcast::EngineKind;
 use mrp_check::toy::{toy_reorder_scenario, toy_wedge_scenario};
 use mrp_check::{replay_schedule, Scenario, Schedule};
 use multiring_paxos::types::ProcessId;
@@ -24,8 +25,9 @@ const REORDER_SCHED: &str = include_str!("../schedules/toy_reorder_refinement.sc
 #[test]
 fn pr7_coalescer_delivers_the_last_frame() {
     let schedule = Schedule::parse(COALESCER_SCHED).expect("schedule file must parse");
-    let outcome = replay_schedule(&Scenario::coalescer(), &schedule)
-        .expect("schedule must stay applicable on HEAD");
+    let scenario = Scenario::batched(EngineKind::Wbcast, false);
+    let outcome =
+        replay_schedule(&scenario, &schedule).expect("schedule must stay applicable on HEAD");
     assert!(
         outcome.violation.is_none(),
         "regression:\n{}",
@@ -36,11 +38,18 @@ fn pr7_coalescer_delivers_the_last_frame() {
         let delivered = &outcome.delivered[&ProcessId::new(p)];
         assert_eq!(
             delivered.len(),
-            2,
-            "p{p} delivered {} of 2 batched values",
+            4,
+            "p{p} delivered {} of 4 values",
             delivered.len()
         );
     }
+    let p0 = &outcome.counters[&ProcessId::new(0)];
+    assert_eq!(
+        (p0["batch.flushes"], p0["batch.submitted_values"]),
+        (1, 2),
+        "the held pair must ride one flush"
+    );
+    assert!(p0["wire.frames_coalesced"] > 0, "nothing was coalesced");
 }
 
 /// PR 5: `on_orphan_state` re-entrancy — with every remaining group

@@ -118,6 +118,16 @@ impl DLogApp {
         self.logs.clear();
         for _ in 0..n {
             let id = get_u16(buf)?;
+            // `snapshot` writes the logs in id order: an id that does
+            // not ascend is damage, and must not replace a log already
+            // restored.
+            if self
+                .logs
+                .last_key_value()
+                .is_some_and(|(&last, _)| id <= last)
+            {
+                return Err(CodecError::BadLength(u64::from(id)));
+            }
             let mut state = LogState {
                 next_pos: get_u64(buf)?,
                 trimmed_to: get_u64(buf)?,
@@ -169,7 +179,8 @@ impl Application for DLogApp {
     }
 
     /// A malformed snapshot restores the logs that precede the damage
-    /// (snapshots are always produced by [`DLogApp::snapshot`]).
+    /// (snapshots are produced by [`DLogApp::snapshot`], but a
+    /// recovering replica takes one from a peer).
     fn restore(&mut self, snapshot: &Bytes) {
         let _ = self.read_logs(&mut snapshot.clone());
     }
@@ -178,6 +189,7 @@ impl Application for DLogApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn b(s: &str) -> Bytes {
         Bytes::from(s.to_string())
@@ -336,5 +348,94 @@ mod tests {
             fresh.apply(&DLogCommand::Read { log: 1, pos: 4 }),
             DLogResponse::Value(Some(b("e9")))
         );
+    }
+
+    /// Four logs of different shapes (empty, trimmed, many entries, one
+    /// large entry), drawn from `seed`, and the offsets at which each
+    /// log's encoding ends in the snapshot.
+    fn sample_logs(seed: u64) -> (DLogApp, Vec<usize>) {
+        let ids = [0, 1, 4, 9];
+        let mut app = DLogApp::new(ids, 1 << 20);
+        for i in 0..seed % 23 {
+            let log = ids[(seed.wrapping_mul(i + 1) % 3) as usize + 1];
+            let data = Bytes::from(vec![i as u8; (seed.wrapping_add(i * 7) % 90) as usize]);
+            app.apply(&DLogCommand::Append { log, data });
+        }
+        app.apply(&DLogCommand::Trim { log: 4, pos: 2 });
+        let ends = (1..=ids.len())
+            .map(|k| first_logs(&app, k).snapshot().len())
+            .collect();
+        (app, ends)
+    }
+
+    /// An app holding exactly the first `k` logs of `app`.
+    fn first_logs(app: &DLogApp, k: usize) -> DLogApp {
+        let mut out = DLogApp::new([], 1 << 20);
+        out.logs = app.logs.clone().into_iter().take(k).collect();
+        out
+    }
+
+    /// The documented behaviour on a snapshot cut short: exactly the
+    /// logs wholly before the cut are restored, nothing panics.
+    #[test]
+    fn restore_of_every_strict_prefix_keeps_exactly_the_logs_before_the_cut() {
+        let (app, ends) = sample_logs(17);
+        let snapshot = app.snapshot();
+        for cut in 0..snapshot.len() {
+            let mut restored = DLogApp::new([], 1 << 20);
+            restored.restore(&snapshot.slice(..cut));
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            assert_eq!(
+                restored.snapshot(),
+                first_logs(&app, whole).snapshot(),
+                "cut at {cut}"
+            );
+        }
+    }
+
+    /// Damage that still parses: a later log that claims an earlier
+    /// log's id ends the restore instead of replacing it.
+    #[test]
+    fn restore_of_a_repeated_log_id_keeps_the_log_restored_first() {
+        let (app, ends) = sample_logs(17);
+        let mut bytes = app.snapshot().to_vec();
+        bytes[ends[0]..ends[0] + 2].copy_from_slice(&0u16.to_le_bytes());
+        let mut restored = DLogApp::new([], 1 << 20);
+        restored.restore(&Bytes::from(bytes));
+        assert_eq!(restored.snapshot(), first_logs(&app, 1).snapshot());
+    }
+
+    proptest! {
+        /// A peer-supplied snapshot with a run of noise laid over it —
+        /// uniform bytes, or bytes of the snapshot itself from somewhere
+        /// else, which reads as plausible ids, counts and lengths in the
+        /// wrong places — never panics, and the logs wholly before the
+        /// damage are restored exactly: nothing behind it replaces them.
+        #[test]
+        fn prop_restore_of_a_damaged_snapshot_keeps_the_logs_before_the_damage(
+            seed in any::<u64>(),
+            at in any::<u64>(),
+            from in any::<u64>(),
+            noise in proptest::collection::vec(any::<u8>(), 1..48),
+            uniform in any::<bool>(),
+        ) {
+            let (app, ends) = sample_logs(seed);
+            let mut bytes = app.snapshot().to_vec();
+            let at = at as usize % bytes.len();
+            let from = from as usize % bytes.len();
+            for i in 0..noise.len().min(bytes.len() - at) {
+                bytes[at + i] = if uniform { noise[i] } else { bytes[(from + i) % bytes.len()] };
+            }
+            let mut restored = DLogApp::new([], 1 << 20);
+            restored.restore(&Bytes::from(bytes));
+            let whole = ends.iter().filter(|&&end| end <= at).count();
+            for (id, log) in app.logs.iter().take(whole) {
+                let got = restored.logs.get(id).expect("a log before the damage");
+                prop_assert_eq!(
+                    (got.next_pos, got.trimmed_to, &got.entries),
+                    (log.next_pos, log.trimmed_to, &log.entries)
+                );
+            }
+        }
     }
 }

@@ -76,6 +76,9 @@ pub struct FrameAccumulator {
     buf: BytesMut,
     /// Frozen region complete frames are split from without copying.
     frozen: Bytes,
+    /// The first error [`next`](Self::next) returned. The stream is
+    /// damaged from there on: nothing behind it is served.
+    failed: Option<CodecError>,
 }
 
 /// Payload length of the frame at the head of `bytes`, once all of it
@@ -116,10 +119,22 @@ impl FrameAccumulator {
     ///
     /// Returns decode failures, and a length prefix above
     /// [`MAX_FRAME`], as [`CodecError`]; the stream cannot be
-    /// resynchronised after either.
+    /// resynchronised after either, so every later call repeats the
+    /// error.
     // Fallible and non-iterating, so deliberately not `Iterator::next`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Message>, CodecError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let popped = self.pop();
+        if let Err(e) = &popped {
+            self.failed = Some(e.clone());
+        }
+        popped
+    }
+
+    fn pop(&mut self) -> Result<Option<Message>, CodecError> {
         if self.frozen.is_empty() {
             // Freeze only what holds a whole frame: one larger than a
             // `read` then grows in place instead of being folded back
@@ -141,7 +156,9 @@ impl FrameAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiring_paxos::types::{GroupId, InstanceId, RingId};
+    use multiring_paxos::types::{ClientId, GroupId, InstanceId, RingId};
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn sample() -> Message {
         Message::TrimCommand {
@@ -236,6 +253,105 @@ mod tests {
         acc.extend(&b[split..]);
         assert_eq!(acc.next().unwrap(), Some(query(9)));
         assert_eq!(acc.next().unwrap(), None);
+    }
+
+    /// A stream of `n` mixed frames drawn from `seed`: the fixed-size
+    /// kinds, requests with payloads from nothing to a few reads' worth,
+    /// engine frames, and link-level batches of them.
+    fn mixed(seed: u64, n: usize) -> Vec<Message> {
+        let mut rng = TestRng::deterministic(&seed.to_string());
+        let plain = |rng: &mut TestRng| match rng.below(4) {
+            0 => sample(),
+            1 => query(rng.next_u64()),
+            2 => Message::Request {
+                client: ClientId::new(rng.next_u64()),
+                request: rng.next_u64(),
+                groups: (0..rng.below(4)).map(|g| GroupId::new(g as u16)).collect(),
+                payload: Bytes::from(vec![rng.next_u64() as u8; rng.below(3_000) as usize]),
+            },
+            _ => Message::Engine {
+                engine: rng.below(3) as u8,
+                payload: Bytes::from(vec![rng.next_u64() as u8; rng.below(200) as usize]),
+            },
+        };
+        (0..n)
+            .map(|_| match rng.below(5) {
+                0 => Message::Batch((0..rng.below(4)).map(|_| plain(&mut rng)).collect()),
+                _ => plain(&mut rng),
+            })
+            .collect()
+    }
+
+    /// Feeds `bytes` cut wherever `cuts` says (chunk lengths, cycled),
+    /// popping after every chunk as the readers do, until the first
+    /// error; then keeps feeding and popping to see the accumulator
+    /// stay shut. Returns the frames served and that error.
+    fn feed(bytes: &[u8], cuts: &[usize]) -> (Vec<Message>, Option<CodecError>) {
+        let mut acc = FrameAccumulator::new();
+        let (mut out, mut failed) = (Vec::new(), None);
+        let mut rest = bytes;
+        for cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at((*cut).clamp(1, rest.len()));
+            rest = tail;
+            acc.extend(chunk);
+            loop {
+                match acc.next() {
+                    Ok(Some(m)) if failed.is_none() => out.push(m),
+                    Ok(Some(m)) => panic!("served {m:?} after {failed:?}"),
+                    Ok(None) => break,
+                    Err(e) => {
+                        assert_eq!(*failed.get_or_insert(e.clone()), e, "the error changed");
+                        break;
+                    }
+                }
+            }
+        }
+        (out, failed)
+    }
+
+    proptest! {
+        /// However a valid stream is cut into reads, the frames out are
+        /// the frames in.
+        #[test]
+        fn prop_every_chunking_of_a_valid_stream_yields_its_frames(
+            seed in any::<u64>(),
+            n in 1usize..40,
+            cuts in proptest::collection::vec(1usize..5_000, 1..32),
+        ) {
+            let msgs = mixed(seed, n);
+            let (out, failed) = feed(&framed(&msgs), &cuts);
+            prop_assert_eq!(failed, None);
+            prop_assert_eq!(out, msgs);
+        }
+
+        /// Noise laid over a valid stream — a run of it somewhere, so
+        /// what precedes the damage is still well-formed and the damage
+        /// lands in prefixes, tags, lengths and payloads alike — never
+        /// panics, whatever the chunking; what is served before the
+        /// first error starts with the frames wholly before the damage,
+        /// and nothing is served after it.
+        #[test]
+        fn prop_noise_over_a_valid_stream_never_panics_and_the_first_error_is_final(
+            seed in any::<u64>(),
+            n in 1usize..40,
+            cuts in proptest::collection::vec(1usize..5_000, 1..32),
+            at in any::<u64>(),
+            noise in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let msgs = mixed(seed, n);
+            let mut bytes = framed(&msgs);
+            let at = at as usize % bytes.len();
+            for (b, noise) in bytes[at..].iter_mut().zip(&noise) {
+                *b = *noise;
+            }
+            let (out, _) = feed(&bytes, &cuts);
+            let intact = (1..=n).take_while(|&k| framed(&msgs[..k]).len() <= at).count();
+            prop_assert!(out.len() >= intact, "{} of {intact} intact frames", out.len());
+            prop_assert_eq!(&out[..intact], &msgs[..intact]);
+        }
     }
 
     #[test]

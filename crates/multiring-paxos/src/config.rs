@@ -111,8 +111,11 @@ pub struct RingTuning {
     /// Maximum number of undecided instances the coordinator keeps in
     /// flight (pipelining window).
     pub window: u32,
-    /// Maximum client values batched into a single consensus instance.
-    /// `1` disables proposal batching (Figure 3 setting).
+    /// Maximum client values batched into a single consensus instance:
+    /// what the coordinator finds queued when a window slot frees — a
+    /// batched submission, or values that arrived while the window was
+    /// full — shares one. `1` disables proposal batching (the Figure 3
+    /// setting).
     pub values_per_instance: usize,
     /// Maximum payload bytes batched into a single consensus instance.
     pub bytes_per_instance: usize,
@@ -144,7 +147,7 @@ impl Default for RingTuning {
     fn default() -> Self {
         Self {
             window: 128,
-            values_per_instance: 1,
+            values_per_instance: 64,
             bytes_per_instance: 32 * 1024,
             delta_us: 5_000,
             lambda: 9_000,

@@ -255,8 +255,9 @@ pub enum TimerKind {
     CheckpointTick,
     /// Retry a stalled recovery step (replica only).
     RecoveryRetry,
-    /// Flush the submission-edge batcher's pending queues (engine
-    /// wrapper only; see `mrp-amcast`'s batching layer).
+    /// The hold bound of the submission edge: submit whatever
+    /// multi-group requests are still queued (engine wrapper only; see
+    /// `mrp_amcast::batcher`).
     SubmitFlush,
 }
 

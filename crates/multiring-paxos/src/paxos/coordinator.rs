@@ -356,6 +356,9 @@ mod tests {
             ProcessId::new(0),
             2,
             RingTuning {
+                // One value an instance (the Figure 3 setting): these
+                // tests count instances.
+                values_per_instance: 1,
                 lambda: 0,
                 ..RingTuning::default()
             },
@@ -495,6 +498,7 @@ mod tests {
             2,
             RingTuning {
                 window: 2,
+                values_per_instance: 1,
                 lambda: 0,
                 ..RingTuning::default()
             },
@@ -547,6 +551,7 @@ mod tests {
             RingTuning {
                 delta_us: 1_000,
                 lambda: 5_000, // 5 instances per 1 ms interval
+                values_per_instance: 1,
                 ..RingTuning::default()
             },
         );

@@ -91,6 +91,7 @@ fn main() {
             "  {:>10}: {:>6} local updates, mean latency {:>7.1} ms",
             names[part as usize], ops, lat
         );
+        assert!(ops > 0, "{} made no progress", names[part as usize]);
     }
     println!("every region progressed at its own pace; the global ring only carried");
     println!("rate-leveling skips, so local throughput is independent of distance.");

@@ -7,10 +7,9 @@
 //! [`AmcastEngine`] abstraction: the same invariants must hold for the
 //! Multi-Ring Paxos engine and for the timestamp-based white-box
 //! engine, on the identical workload and simulated network. The
-//! total-order and exactly-once tests are additionally parameterized
-//! over submission batching ([`BatchMode`]): off (today's default),
-//! size-bound and window-bound — the ordering invariants must be
-//! insensitive to how submissions are packed into engine rounds.
+//! tests that submit multi-group requests additionally run under two
+//! hold-queue budgets ([`budgets`]) — the ordering invariants must be
+//! insensitive to how held submissions are packed into engine rounds.
 
 use atomic_multicast::amcast::{
     AmcastEngine, AnyEngine, BatchConfig, EngineKind, HealthReport, TelemetrySnapshot,
@@ -116,55 +115,28 @@ impl Actor for Recorder {
     }
 }
 
-/// The submission-batching modes the ordering tests run under. Off is
-/// today's default (one engine round per value); the other two enable
-/// the wrapper's [`Batcher`](atomic_multicast::amcast::batcher::Batcher)
-/// with the flush trigger skewed toward the size budget or the window
-/// timer respectively. The ordering/exactly-once invariants must hold
-/// identically under all three.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum BatchMode {
-    /// Batching disabled — must reproduce the unbatched engine exactly.
-    Off,
-    /// Small value budget, so bursts flush by size; the window only
-    /// sweeps the final partial batch (a size-only config would strand
-    /// a tail smaller than `max_values` forever).
-    SizeBound,
-    /// Budgets too large to trip — every flush comes from the window
-    /// timer.
-    WindowBound,
+/// The hold-queue budgets the multi-group tests run under: the ones
+/// every deployment has (64 values — a queue is released by the backlog
+/// clearing or by the hold bound) and a two-value budget that trips
+/// inside a burst.
+fn budgets() -> [BatchConfig; 2] {
+    let small = BatchConfig {
+        max_values: 2,
+        ..BatchConfig::enabled()
+    };
+    [BatchConfig::enabled(), small]
 }
 
-const BATCH_MODES: [BatchMode; 3] = [BatchMode::Off, BatchMode::SizeBound, BatchMode::WindowBound];
-
-impl BatchMode {
-    fn config(self) -> Option<BatchConfig> {
-        match self {
-            BatchMode::Off => None,
-            BatchMode::SizeBound => Some(BatchConfig {
-                max_values: 4,
-                max_bytes: 64 * 1024,
-                window_us: 500,
-            }),
-            BatchMode::WindowBound => Some(BatchConfig {
-                max_values: 1 << 20,
-                max_bytes: 1 << 30,
-                window_us: 300,
-            }),
-        }
-    }
-}
-
-/// Builds an engine for `pid` and applies the batch mode. At build time
-/// nothing is queued, so reconfiguring flushes nothing.
+/// Builds an engine for `pid` with hold-queue budgets `mode`. At build
+/// time nothing is queued, so replacing the budgets flushes nothing.
 fn build_engine(
     kind: EngineKind,
-    mode: BatchMode,
+    mode: BatchConfig,
     pid: ProcessId,
     config: &ClusterConfig,
 ) -> AnyEngine {
     let mut engine = kind.build(pid, config.clone());
-    let flushed = engine.set_batching(Time::ZERO, mode.config());
+    let flushed = engine.set_batching(Time::ZERO, mode);
     assert!(flushed.is_empty(), "no submissions pending at build time");
     engine
 }
@@ -194,11 +166,7 @@ fn fig2c_config() -> ClusterConfig {
     b.build().expect("fig2c config")
 }
 
-fn run_fig2c(
-    seed: u64,
-    kind: EngineKind,
-    mode: BatchMode,
-) -> BTreeMap<ProcessId, Vec<(GroupId, ValueId)>> {
+fn run_fig2c(seed: u64, kind: EngineKind) -> BTreeMap<ProcessId, Vec<(GroupId, ValueId)>> {
     let config = fig2c_config();
     let mut cluster = Cluster::new(
         SimConfig {
@@ -212,7 +180,7 @@ fn run_fig2c(
         let pid = ProcessId::new(p);
         cluster.add_actor(
             pid,
-            Box::new(Recorder::new(build_engine(kind, mode, pid, &config))),
+            Box::new(Recorder::new(kind.build(pid, config.clone()))),
         );
     }
     for (i, group) in [(0u32, 0u16), (1, 1)] {
@@ -243,86 +211,81 @@ fn run_fig2c(
 #[test]
 fn agreement_and_validity_per_group() {
     for kind in EngineKind::ALL {
-        for mode in BATCH_MODES {
-            let delivered = run_fig2c(17, kind, mode);
-            // Validity: all 25 multicasts to each group delivered at its
-            // subscribers.
-            for (p, seq) in &delivered {
-                let g0 = seq.iter().filter(|(g, _)| *g == GroupId::new(0)).count();
-                let g1 = seq.iter().filter(|(g, _)| *g == GroupId::new(1)).count();
-                if *p == ProcessId::new(2) {
-                    assert_eq!(g0, 0, "{kind}/{mode:?}: L3 does not subscribe to group 0");
-                } else {
-                    assert_eq!(g0, 25, "{kind}/{mode:?}: {p} must deliver all of group 0");
-                }
-                assert_eq!(g1, 25, "{kind}/{mode:?}: {p} must deliver all of group 1");
+        let delivered = run_fig2c(17, kind);
+        // Validity: all 25 multicasts to each group delivered at its
+        // subscribers.
+        for (p, seq) in &delivered {
+            let g0 = seq.iter().filter(|(g, _)| *g == GroupId::new(0)).count();
+            let g1 = seq.iter().filter(|(g, _)| *g == GroupId::new(1)).count();
+            if *p == ProcessId::new(2) {
+                assert_eq!(g0, 0, "{kind}: L3 does not subscribe to group 0");
+            } else {
+                assert_eq!(g0, 25, "{kind}: {p} must deliver all of group 0");
             }
-            // Agreement + same relative order per group at all
-            // subscribers.
-            let filt = |p: u32, g: u16| -> Vec<ValueId> {
-                delivered[&ProcessId::new(p)]
-                    .iter()
-                    .filter(|(gr, _)| *gr == GroupId::new(g))
-                    .map(|(_, id)| *id)
-                    .collect()
-            };
-            assert_eq!(filt(0, 0), filt(1, 0), "{kind}/{mode:?}");
-            assert_eq!(filt(0, 1), filt(1, 1), "{kind}/{mode:?}");
-            assert_eq!(filt(0, 1), filt(2, 1), "{kind}/{mode:?}");
+            assert_eq!(g1, 25, "{kind}: {p} must deliver all of group 1");
         }
+        // Agreement + same relative order per group at all
+        // subscribers.
+        let filt = |p: u32, g: u16| -> Vec<ValueId> {
+            delivered[&ProcessId::new(p)]
+                .iter()
+                .filter(|(gr, _)| *gr == GroupId::new(g))
+                .map(|(_, id)| *id)
+                .collect()
+        };
+        assert_eq!(filt(0, 0), filt(1, 0), "{kind}");
+        assert_eq!(filt(0, 1), filt(1, 1), "{kind}");
+        assert_eq!(filt(0, 1), filt(2, 1), "{kind}");
     }
 }
 
 #[test]
 fn multigroup_delivery_order_is_acyclic() {
     for kind in EngineKind::ALL {
-        for mode in BATCH_MODES {
-            let delivered = run_fig2c(23, kind, mode);
-            // Build the global precedence graph: m -> m' if some process
-            // delivers m before m'. Atomic multicast requires it acyclic.
-            let mut edges: BTreeMap<(GroupId, ValueId), BTreeSet<(GroupId, ValueId)>> =
-                BTreeMap::new();
-            let mut nodes: BTreeSet<(GroupId, ValueId)> = BTreeSet::new();
-            for seq in delivered.values() {
-                for w in seq.windows(2) {
-                    edges.entry(w[0]).or_default().insert(w[1]);
-                    nodes.insert(w[0]);
-                    nodes.insert(w[1]);
-                }
+        let delivered = run_fig2c(23, kind);
+        // Build the global precedence graph: m -> m' if some process
+        // delivers m before m'. Atomic multicast requires it acyclic.
+        let mut edges: BTreeMap<(GroupId, ValueId), BTreeSet<(GroupId, ValueId)>> = BTreeMap::new();
+        let mut nodes: BTreeSet<(GroupId, ValueId)> = BTreeSet::new();
+        for seq in delivered.values() {
+            for w in seq.windows(2) {
+                edges.entry(w[0]).or_default().insert(w[1]);
+                nodes.insert(w[0]);
+                nodes.insert(w[1]);
             }
-            // Kahn's algorithm: a topological order must consume every node.
-            let mut indegree: BTreeMap<(GroupId, ValueId), usize> =
-                nodes.iter().map(|&n| (n, 0)).collect();
-            for succs in edges.values() {
-                for s in succs {
-                    *indegree.get_mut(s).expect("known node") += 1;
-                }
+        }
+        // Kahn's algorithm: a topological order must consume every node.
+        let mut indegree: BTreeMap<(GroupId, ValueId), usize> =
+            nodes.iter().map(|&n| (n, 0)).collect();
+        for succs in edges.values() {
+            for s in succs {
+                *indegree.get_mut(s).expect("known node") += 1;
             }
-            let mut queue: VecDeque<(GroupId, ValueId)> = indegree
-                .iter()
-                .filter(|&(_, &d)| d == 0)
-                .map(|(&n, _)| n)
-                .collect();
-            let mut visited = 0;
-            while let Some(n) = queue.pop_front() {
-                visited += 1;
-                if let Some(succs) = edges.get(&n) {
-                    for &s in succs {
-                        let d = indegree.get_mut(&s).expect("known node");
-                        *d -= 1;
-                        if *d == 0 {
-                            queue.push_back(s);
-                        }
+        }
+        let mut queue: VecDeque<(GroupId, ValueId)> = indegree
+            .iter()
+            .filter(|&(_, &d)| d == 0)
+            .map(|(&n, _)| n)
+            .collect();
+        let mut visited = 0;
+        while let Some(n) = queue.pop_front() {
+            visited += 1;
+            if let Some(succs) = edges.get(&n) {
+                for &s in succs {
+                    let d = indegree.get_mut(&s).expect("known node");
+                    *d -= 1;
+                    if *d == 0 {
+                        queue.push_back(s);
                     }
                 }
             }
-            assert_eq!(
-                visited,
-                nodes.len(),
-                "{kind}/{mode:?}: delivery precedence graph has a cycle: atomic multicast order \
-             violated"
-            );
         }
+        assert_eq!(
+            visited,
+            nodes.len(),
+            "{kind}: delivery precedence graph has a cycle: atomic multicast order \
+         violated"
+        );
     }
 }
 
@@ -333,15 +296,13 @@ fn deterministic_merge_interleaving_matches_across_learners() {
     // for the ring engine via the deterministic merge, for the
     // white-box engine via the global (timestamp, group) order.
     for kind in EngineKind::ALL {
-        for mode in BATCH_MODES {
-            let delivered = run_fig2c(31, kind, mode);
-            assert_eq!(
-                delivered[&ProcessId::new(0)],
-                delivered[&ProcessId::new(1)],
-                "{kind}/{mode:?}: learners with identical subscriptions must deliver identical \
-                 sequences"
-            );
-        }
+        let delivered = run_fig2c(31, kind);
+        assert_eq!(
+            delivered[&ProcessId::new(0)],
+            delivered[&ProcessId::new(1)],
+            "{kind}: learners with identical subscriptions must deliver identical \
+             sequences"
+        );
     }
 }
 
@@ -380,7 +341,7 @@ fn shared_two_group_config() -> ClusterConfig {
 fn run_mixed(
     seed: u64,
     kind: EngineKind,
-    mode: BatchMode,
+    mode: BatchConfig,
     bursts: &[u8],
     multi: u8,
 ) -> (BTreeMap<ProcessId, Vec<ValueId>>, Vec<TelemetrySnapshot>) {
@@ -448,7 +409,7 @@ fn run_mixed(
 #[test]
 fn multigroup_and_single_group_share_one_total_order() {
     for kind in EngineKind::ALL {
-        for mode in BATCH_MODES {
+        for mode in budgets() {
             let (delivered, _) = run_mixed(41, kind, mode, &[10, 10], 5);
             let reference = &delivered[&ProcessId::new(0)];
             assert_eq!(
@@ -469,32 +430,33 @@ fn multigroup_and_single_group_share_one_total_order() {
     }
 }
 
-/// The batching telemetry surface: under either batched mode every
-/// submission flows through the batcher (`batch.submitted_values`
-/// accounts for the whole workload), flushes are recorded with their
-/// occupancy distribution, and — for the white-box engine, whose
-/// protocol frames ride `Message::Engine` — the wrapper coalesces
-/// same-destination frame fan-outs (`wire.frames_coalesced`). With
-/// batching off, none of the batch metrics exist: the wrapper is
-/// telemetry-invisible.
+/// The hold's telemetry surface. A burst of five multi-group requests
+/// at an idle process: the first is submitted in the activation that
+/// received it and never touches a queue, the four behind it are held
+/// and flushed in batches (`batch.submitted_values` accounts for
+/// exactly them, `batch.occupancy` for how they were packed) — and on
+/// the white-box engine, whose protocol frames ride `Message::Engine`,
+/// the wrapper coalesces same-destination frame fan-outs
+/// (`wire.frames_coalesced`). Single-group requests are never held,
+/// whatever is outstanding: without the multi-group burst no `batch.*`
+/// metric exists.
 #[test]
 fn batched_submission_records_batch_telemetry() {
     for kind in EngineKind::ALL {
-        for mode in [BatchMode::SizeBound, BatchMode::WindowBound] {
+        for (mode, packed) in budgets().into_iter().zip([4, 2]) {
             let (_, telemetry) = run_mixed(41, kind, mode, &[10, 10], 5);
             let flushes: u64 = telemetry.iter().map(|s| s.counter("batch.flushes")).sum();
             let submitted: u64 = telemetry
                 .iter()
                 .map(|s| s.counter("batch.submitted_values"))
                 .sum();
-            assert!(flushes > 0, "{kind}/{mode:?}: no batch flush recorded");
             assert_eq!(
-                submitted, 25,
-                "{kind}/{mode:?}: every submission must flow through the batcher"
+                submitted, 4,
+                "{kind}/{mode:?}: all but the first of the burst are held"
             );
             assert!(
-                flushes < submitted,
-                "{kind}/{mode:?}: batching must pack multiple values per flush \
+                flushes > 0 && flushes < submitted,
+                "{kind}/{mode:?}: a flush must pack several values \
                  ({flushes} flushes for {submitted} values)"
             );
             let occupancy_max = telemetry
@@ -505,17 +467,10 @@ fn batched_submission_records_batch_telemetry() {
                 .unwrap_or_else(|| {
                     panic!("{kind}/{mode:?}: occupancy histogram missing despite flushes")
                 });
-            match mode {
-                BatchMode::SizeBound => assert_eq!(
-                    occupancy_max, 4,
-                    "{kind}/{mode:?}: size-bound batches flush at max_values"
-                ),
-                BatchMode::WindowBound => assert!(
-                    occupancy_max >= 10,
-                    "{kind}/{mode:?}: a window flush takes a whole burst ({occupancy_max})"
-                ),
-                BatchMode::Off => unreachable!(),
-            }
+            assert_eq!(
+                occupancy_max, packed,
+                "{kind}/{mode:?}: the budget that trips (or the whole held burst)"
+            );
             if kind == EngineKind::Wbcast {
                 let coalesced: u64 = telemetry
                     .iter()
@@ -527,22 +482,17 @@ fn batched_submission_records_batch_telemetry() {
                 );
             }
         }
-        // Off: the batch metrics must not exist at all.
-        let (_, telemetry) = run_mixed(41, kind, BatchMode::Off, &[10, 10], 5);
+        let (_, telemetry) = run_mixed(41, kind, BatchConfig::enabled(), &[10, 10], 0);
         for snap in &telemetry {
-            for key in [
-                "batch.flushes",
-                "batch.submitted_values",
-                "wire.frames_coalesced",
-            ] {
+            for key in ["batch.flushes", "batch.submitted_values"] {
                 assert!(
                     !snap.counters.contains_key(key),
-                    "{kind}: {key} reported with batching off"
+                    "{kind}: {key} reported though nothing was held"
                 );
             }
             assert!(
                 snap.histogram("batch.occupancy").is_none(),
-                "{kind}: occupancy histogram reported with batching off"
+                "{kind}: occupancy histogram reported though nothing was held"
             );
         }
     }
@@ -778,7 +728,7 @@ fn failover_config() -> ClusterConfig {
 fn run_failover(
     seed: u64,
     kind: EngineKind,
-    mode: BatchMode,
+    mode: BatchConfig,
     crash_us: u64,
 ) -> (
     BTreeMap<ProcessId, Vec<ValueId>>,
@@ -884,13 +834,13 @@ fn run_failover(
 /// survive here), and every health probe is clean once the run settles.
 #[test]
 fn sequencer_failover_delivers_every_message_exactly_once() {
-    // Batching is safe to enable here because every initiator survives:
-    // a value queued in a batcher dies with its process exactly like a
+    // Holding is harmless here because every initiator survives: a
+    // value queued in a batcher dies with its process exactly like a
     // request lost on the wire, which only the client (absent in this
-    // harness) could retry — so the initiator-crash test below runs
-    // unbatched, while this one must hold under every mode.
+    // harness) could retry — so the initiator in the crash test below
+    // holds nothing, while this one must hold under both budgets.
     for kind in EngineKind::ALL {
-        for mode in BATCH_MODES {
+        for mode in budgets() {
             for crash_us in [400u64, 2_000, 12_000] {
                 let (delivered, backlogs, telemetry) = run_failover(47, kind, mode, crash_us);
                 let total = 6 + 6 + 5 + 3 + 3;
@@ -987,11 +937,24 @@ fn run_initiator_crash(
         Topology::lan(8),
     );
     cluster.set_protocol(config.clone());
-    for p in 0..3u32 {
+    // The initiator holds nothing (a one-value budget trips on every
+    // push): a request still queued when its process dies is lost like
+    // one lost on the wire, which only the client — absent in this
+    // harness — could retry, and this test is about rounds caught
+    // mid-flight. The survivors run the production budgets.
+    let unheld = BatchConfig {
+        max_values: 1,
+        ..BatchConfig::enabled()
+    };
+    for (p, mode) in [
+        (0u32, BatchConfig::enabled()),
+        (1, BatchConfig::enabled()),
+        (2, unheld),
+    ] {
         let pid = ProcessId::new(p);
         cluster.add_actor(
             pid,
-            Box::new(Recorder::new(kind.build(pid, config.clone()))),
+            Box::new(Recorder::new(build_engine(kind, mode, pid, &config))),
         );
     }
     // In flight at crash time: singles on both groups from the
@@ -1409,9 +1372,9 @@ proptest! {
         bursts in proptest::collection::vec(1u8..8, 2..4),
         multi in 0u8..5,
     ) {
-        // One batched mode per case keeps the proptest budget flat; the
-        // mode is drawn from the seed so the corpus covers all three.
-        let mode = BATCH_MODES[(seed % 3) as usize];
+        // One budget per case keeps the proptest budget flat; it is
+        // drawn from the seed so the corpus covers both.
+        let mode = budgets()[(seed % 2) as usize];
         for kind in EngineKind::ALL {
             let (delivered, _) = run_mixed(seed, kind, mode, &bursts, multi);
             let total: u64 =
