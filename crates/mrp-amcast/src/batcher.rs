@@ -26,9 +26,13 @@ use std::collections::BTreeMap;
 /// `SubmitFlush` timer armed by the first value queued fires this long
 /// after it and empties every queue. It bounds the hold when the
 /// backlog never clears (saturating single-group traffic in front of a
-/// rare multi-group request); an idle process never waits for it. A
-/// protocol constant, like the white-box engine's `*_DELTAS`.
-pub const SUBMIT_HOLD_US: u64 = 200;
+/// rare multi-group request); an idle process never waits for it. It is
+/// also all a crash can cost: a request accepted by a process that dies
+/// is gone only if it was still queued, so the bound is one LAN hop —
+/// shorter than any round, and what `BENCH_multigroup.json` reads best
+/// at (200 µs, a round's length, is 10 % slower on the wbcast 500 ‰
+/// row). A protocol constant, like the white-box engine's `*_DELTAS`.
+pub const SUBMIT_HOLD_US: u64 = 50;
 
 /// The budgets of one γ-queue: it is submitted as soon as it holds
 /// [`max_values`] values or [`max_bytes`] payload bytes, whichever
@@ -125,15 +129,23 @@ impl Batcher {
         PushOutcome::Queued
     }
 
-    /// Takes every pending queue (backlog cleared, hold bound reached,
-    /// or new budgets) and disarms the timer.
+    /// Takes every pending queue (backlog cleared, or new budgets). An
+    /// armed timer stays armed — the runtimes cannot cancel one — so a
+    /// value queued before it fires rides it instead of arming a second.
     pub fn drain(&mut self) -> Vec<(Vec<GroupId>, Vec<Bytes>)> {
-        self.timer_armed = false;
         let queues = std::mem::take(&mut self.queues);
         queues
             .into_iter()
             .map(|(key, q)| (key, q.payloads))
             .collect()
+    }
+
+    /// The `SubmitFlush` timer fired: disarms it and takes every queue.
+    /// At most one timer is ever outstanding, so no value waits longer
+    /// than [`SUBMIT_HOLD_US`].
+    pub fn timer_fired(&mut self) -> Vec<(Vec<GroupId>, Vec<Bytes>)> {
+        self.timer_armed = false;
+        self.drain()
     }
 
     /// Values currently queued and not yet submitted.
@@ -206,7 +218,10 @@ mod tests {
         let drained = b.drain();
         assert_eq!(drained.len(), 2, "one batch per group set");
         assert_eq!(b.pending(), 0);
-        // Timer can re-arm after a drain.
+        // The timer is still out: a value queued now rides it.
+        assert!(matches!(b.push(&gs(&[1]), payload(1)), PushOutcome::Queued));
+        assert_eq!(b.timer_fired().len(), 1);
+        // Only once it has fired does the next value arm another.
         assert!(matches!(
             b.push(&gs(&[1]), payload(1)),
             PushOutcome::ArmTimer

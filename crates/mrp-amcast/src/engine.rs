@@ -466,9 +466,10 @@ impl EngineInner {
 ///   budget trips, when an event leaves the backlog at zero, or when
 ///   the `SubmitFlush` timer fires ([`SUBMIT_HOLD_US`] after the first
 ///   value queued — single-group traffic that keeps the backlog above
-///   zero cannot starve it). A request still queued when the process
-///   crashes is lost like one lost on the wire: the client's retry
-///   covers both.
+///   zero cannot starve it). The bound is shorter than one network hop:
+///   a request still queued when the process crashes is lost like one
+///   lost on the wire (the client's retry covers both), and that
+///   window is all a crash adds to the engine's own.
 /// - **Outgoing frame coalescing** — [`Message::Engine`] sends to the
 ///   same destination produced by one event are merged into a single
 ///   [`Message::Batch`] frame (both engines unpack batches natively),
@@ -517,16 +518,20 @@ impl AnyEngine {
     /// executed like any other engine output.
     pub fn set_batching(&mut self, now: Time, cfg: BatchConfig) -> Vec<Action> {
         let mut out = Vec::new();
-        for (groups, payloads) in self.batcher.set_config(Some(cfg)) {
-            self.submit_batch(now, &groups, payloads, &mut out);
-        }
+        let held = self.batcher.set_config(Some(cfg));
+        self.submit_held(now, held, &mut out);
         self.coalesce_outgoing(&mut out);
         out
     }
 
-    /// Submits every queue the batcher holds.
-    fn flush_held(&mut self, now: Time, out: &mut Vec<Action>) {
-        for (groups, payloads) in self.batcher.drain() {
+    /// Submits the queues the batcher gave up, one round each.
+    fn submit_held(
+        &mut self,
+        now: Time,
+        held: Vec<(Vec<GroupId>, Vec<Bytes>)>,
+        out: &mut Vec<Action>,
+    ) {
+        for (groups, payloads) in held {
             self.submit_batch(now, &groups, payloads, out);
         }
     }
@@ -631,13 +636,17 @@ impl StateMachine for AnyEngine {
                     PushOutcome::Queued => {}
                 }
             }
-            Event::Timer(TimerKind::SubmitFlush) => self.flush_held(now, &mut out),
+            Event::Timer(TimerKind::SubmitFlush) => {
+                let held = self.batcher.timer_fired();
+                self.submit_held(now, held, &mut out);
+            }
             // Everything else — single-group requests and a multi-group
             // request on an idle process included — is the engine's.
             other => {
                 out = self.inner.get_mut().on_event(now, other);
                 if self.batcher.pending() > 0 && self.inner.get().backlog() == 0 {
-                    self.flush_held(now, &mut out);
+                    let held = self.batcher.drain();
+                    self.submit_held(now, held, &mut out);
                 }
             }
         }
@@ -1114,6 +1123,45 @@ pub(crate) mod tests {
             assert_eq!(fired, t0 + SUBMIT_HOLD_US, "{kind}");
             assert_eq!(net.flushes(), (1, 1), "{kind}");
             assert_eq!(net.engines[0].batcher.pending(), 0, "{kind}");
+        }
+    }
+
+    /// Two hold cycles inside one window share one timer: the backlog
+    /// clearing releases the first queue and leaves the timer out, a
+    /// request held meanwhile arms no second one, and the first firing
+    /// — [`SUBMIT_HOLD_US`] after the *first* value queued — takes it.
+    #[test]
+    fn a_second_hold_cycle_rides_the_timer_the_first_one_armed() {
+        let pending_flushes = |net: &Net| {
+            let flush = |(_, t): &&(ProcessId, TimerKind)| *t == TimerKind::SubmitFlush;
+            net.timers.values().filter(flush).count()
+        };
+        for kind in EngineKind::ALL {
+            let mut net = Net::start(kind);
+            net.feed(0, request(1, &[0, 1]));
+            let t0 = net.now;
+            net.feed(0, request(2, &[0, 1]));
+            assert_eq!(pending_flushes(&net), 1, "{kind}");
+            while net.flushes().0 == 0 {
+                assert_ne!(net.step(), Some(TimerKind::SubmitFlush), "{kind}");
+            }
+            assert!(net.now < t0 + SUBMIT_HOLD_US, "{kind}: at {} µs", net.now);
+            // Request 2 is outstanding now; request 3 is held behind it.
+            net.feed(0, request(3, &[0, 1]));
+            assert_eq!(net.engines[0].batcher.pending(), 1, "{kind}");
+            assert_eq!(pending_flushes(&net), 1, "{kind}: a second timer");
+            let mut n = 3;
+            let fired = loop {
+                n += 1;
+                net.feed(0, request(n, &[0]));
+                if net.step() == Some(TimerKind::SubmitFlush) {
+                    break net.now;
+                }
+                assert_eq!(net.flushes(), (1, 1), "{kind}: released early");
+            };
+            assert_eq!(fired, t0 + SUBMIT_HOLD_US, "{kind}");
+            assert_eq!(net.flushes(), (2, 2), "{kind}");
+            assert_eq!(pending_flushes(&net), 0, "{kind}");
         }
     }
 

@@ -1192,17 +1192,6 @@ mod tests {
             Topology::lan(4),
         );
         cluster.add_engine_actors(&config, EngineKind::Wbcast);
-        // The initiator holds nothing (a one-value budget trips on
-        // every push): a request still queued when its process dies is
-        // lost like one lost on the wire, and this test is about rounds
-        // caught mid-flight.
-        let unheld = mrp_amcast::BatchConfig {
-            max_values: 1,
-            ..mrp_amcast::BatchConfig::enabled()
-        };
-        let initiator = cluster.actor_as::<Hosted<AnyEngine>>(ProcessId::new(2));
-        let initiator = initiator.expect("engine actor").inner_mut();
-        initiator.set_batching(Time::ZERO, unheld);
         let client = ProcessId::new(100);
         cluster.add_actor(
             client,

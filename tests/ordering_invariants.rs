@@ -834,11 +834,12 @@ fn run_failover(
 /// survive here), and every health probe is clean once the run settles.
 #[test]
 fn sequencer_failover_delivers_every_message_exactly_once() {
-    // Holding is harmless here because every initiator survives: a
-    // value queued in a batcher dies with its process exactly like a
-    // request lost on the wire, which only the client (absent in this
-    // harness) could retry — so the initiator in the crash test below
-    // holds nothing, while this one must hold under both budgets.
+    // Every initiator survives here, so nothing held can be lost and
+    // the test must hold under both budgets. (A value still queued when
+    // its process dies is lost like a request lost on the wire, which
+    // only the client — absent in this harness — could retry; the
+    // initiator-crash test below runs the production budgets and
+    // crashes its initiator after the hold bound has emptied them.)
     for kind in EngineKind::ALL {
         for mode in budgets() {
             for crash_us in [400u64, 2_000, 12_000] {
@@ -937,24 +938,11 @@ fn run_initiator_crash(
         Topology::lan(8),
     );
     cluster.set_protocol(config.clone());
-    // The initiator holds nothing (a one-value budget trips on every
-    // push): a request still queued when its process dies is lost like
-    // one lost on the wire, which only the client — absent in this
-    // harness — could retry, and this test is about rounds caught
-    // mid-flight. The survivors run the production budgets.
-    let unheld = BatchConfig {
-        max_values: 1,
-        ..BatchConfig::enabled()
-    };
-    for (p, mode) in [
-        (0u32, BatchConfig::enabled()),
-        (1, BatchConfig::enabled()),
-        (2, unheld),
-    ] {
+    for p in 0..3u32 {
         let pid = ProcessId::new(p);
         cluster.add_actor(
             pid,
-            Box::new(Recorder::new(build_engine(kind, mode, pid, &config))),
+            Box::new(Recorder::new(kind.build(pid, config.clone()))),
         );
     }
     // In flight at crash time: singles on both groups from the
@@ -1116,6 +1104,43 @@ fn initiator_crash_mid_round_does_not_stall_delivery() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// What the hold bound leaves exposed, stated rather than avoided: an
+/// initiator that dies *inside* it (80 µs: the burst arrived ≈ 50 µs
+/// in, the first request left at once, the four behind it are still
+/// queued) loses exactly those four — like requests lost on the wire,
+/// the absent client's to retry — and nothing else: the round that had
+/// left is recovered, the survivors agree, both streams stay live, no
+/// backlog or undecided proposal is left behind.
+#[test]
+fn initiator_crash_inside_the_hold_bound_loses_only_what_was_still_held() {
+    for kind in EngineKind::ALL {
+        let (delivered, backlogs, undecided, recovery) = run_initiator_crash(61, kind, 80);
+        let reference = &delivered[&ProcessId::new(0)];
+        let unique: BTreeSet<&ValueId> = reference.iter().collect();
+        assert_eq!(unique.len(), reference.len(), "{kind}: duplicate delivery");
+        assert_eq!(
+            reference.len(),
+            6 + 6 + 1 + 3 + 3,
+            "{kind}: four held, lost"
+        );
+        assert_eq!(
+            reference,
+            &delivered[&ProcessId::new(1)],
+            "{kind}: diverged"
+        );
+        assert_eq!(backlogs, [0, 0], "{kind}: residual backlog");
+        assert_eq!(undecided, [0, 0], "{kind}: stalled undecided proposal");
+        for (snap, health) in &recovery {
+            assert_eq!(
+                snap.counter("orphan.rounds_completed"),
+                snap.counter("orphan.rounds_started"),
+                "{kind}: unfinished orphan recovery"
+            );
+            assert!(health.is_healthy(), "{kind}: {:?}", health.issues);
         }
     }
 }
