@@ -1,6 +1,7 @@
 //! Section 3 ablation: conflicting cross-partition transactions under
 //! no-wait two-phase commit vs atomic-multicast ordering.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -25,4 +26,12 @@ fn main() {
         ]);
     }
     t.print();
+    write_artifact("BENCH_ablation_2pc.json", &Value::array(&rows, |r| {
+        Value::object([
+            ("hot_keys", r.hot_keys.into()),
+            ("twopc_commits_per_sec", Value::rounded(r.twopc_commits_per_sec, 1)),
+            ("twopc_abort_pct", Value::rounded(r.twopc_abort_pct, 2)),
+            ("multicast_txn_per_sec", Value::rounded(r.multicast_txn_per_sec, 1)),
+        ])
+    }), "rows");
 }

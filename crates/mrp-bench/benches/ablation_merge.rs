@@ -1,6 +1,7 @@
 //! Section 4 ablation: deterministic-merge sensitivity to rate leveling
 //! (λ, Δ) when one subscribed ring idles.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -24,4 +25,12 @@ fn main() {
         ]);
     }
     t.print();
+    write_artifact("BENCH_ablation_merge.json", &Value::array(&rows, |r| {
+        Value::object([
+            ("lambda", r.lambda.into()),
+            ("delta_ms", r.delta_ms.into()),
+            ("latency_ms", Value::rounded(r.latency_ms, 3)),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+        ])
+    }), "rows");
 }

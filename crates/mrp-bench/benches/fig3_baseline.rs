@@ -2,6 +2,7 @@
 //! coordinator CPU and latency CDF under five storage modes and four
 //! request sizes.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -48,4 +49,25 @@ fn main() {
         ]);
     }
     cdf.print();
+    write_artifact("BENCH_fig3.json", &Value::array(&rows, |r| {
+        let q = |p: f64| {
+            Value::rounded(
+                r.cdf
+                    .iter()
+                    .find(|&&(_, f)| f >= p)
+                    .map_or(0.0, |&(v, _)| v as f64 / 1000.0),
+                3,
+            )
+        };
+        Value::object([
+            ("mode", r.mode.into()),
+            ("size", (r.size as u64).into()),
+            ("throughput_mbps", Value::rounded(r.mbps, 2)),
+            ("latency_ms", Value::rounded(r.latency_ms, 3)),
+            ("cpu_pct", Value::rounded(r.cpu_pct, 1)),
+            ("p50_ms", q(0.5)),
+            ("p90_ms", q(0.9)),
+            ("p99_ms", q(0.99)),
+        ])
+    }), "rows");
 }

@@ -1,6 +1,7 @@
 //! Figure 4: YCSB A–F across the four systems, plus the workload-F
 //! latency breakdown.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 use mrp_ycsb::WorkloadKind;
@@ -45,4 +46,18 @@ fn main() {
         }
     }
     f.print();
+    write_artifact("BENCH_fig4.json", &Value::array(&rows, |r| {
+        let f = |pick: fn((f64, f64, f64)) -> f64| {
+            r.f_latency_ms
+                .map_or(Value::Null, |t| Value::rounded(pick(t), 3))
+        };
+        Value::object([
+            ("system", r.system.into()),
+            ("workload", r.workload.to_string().as_str().into()),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+            ("read_ms", f(|t| t.0)),
+            ("update_ms", f(|t| t.1)),
+            ("rmw_ms", f(|t| t.2)),
+        ])
+    }), "rows");
 }

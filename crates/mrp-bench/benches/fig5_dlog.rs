@@ -1,6 +1,7 @@
 //! Figure 5: dLog vs a Bookkeeper-like quorum log — throughput and
 //! latency vs number of client threads (1 KB synchronous appends).
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -20,4 +21,12 @@ fn main() {
         ]);
     }
     t.print();
+    write_artifact("BENCH_fig5.json", &Value::array(&rows, |r| {
+        Value::object([
+            ("clients", u64::from(r.clients).into()),
+            ("system", r.system.into()),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+            ("latency_ms", Value::rounded(r.latency_ms, 3)),
+        ])
+    }), "rows");
 }

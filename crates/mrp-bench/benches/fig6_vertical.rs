@@ -1,6 +1,7 @@
 //! Figure 6: dLog vertical scalability — aggregate throughput and
 //! latency CDF as rings (and disks) are added.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -39,4 +40,23 @@ fn main() {
         ]);
     }
     cdf.print();
+    write_artifact("BENCH_fig6.json", &Value::array(&rows, |r| {
+        let q = |p: f64| {
+            Value::rounded(
+                r.cdf
+                    .iter()
+                    .find(|&&(_, f)| f >= p)
+                    .map_or(0.0, |&(v, _)| v as f64 / 1000.0),
+                3,
+            )
+        };
+        Value::object([
+            ("rings", u64::from(r.rings).into()),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+            ("pct_linear", Value::rounded(r.pct_linear, 1)),
+            ("p50_ms", q(0.5)),
+            ("p90_ms", q(0.9)),
+            ("p99_ms", q(0.99)),
+        ])
+    }), "rows");
 }

@@ -1,6 +1,7 @@
 //! Figure 7: MRP-Store horizontal scalability across EC2 regions —
 //! aggregate throughput and the us-west-2 latency CDF.
 
+use mrp_bench::json::{write_artifact, Value};
 use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
 
@@ -39,4 +40,23 @@ fn main() {
         ]);
     }
     cdf.print();
+    write_artifact("BENCH_fig7.json", &Value::array(&rows, |r| {
+        let q = |p: f64| {
+            Value::rounded(
+                r.cdf
+                    .iter()
+                    .find(|&&(_, f)| f >= p)
+                    .map_or(0.0, |&(v, _)| v as f64 / 1000.0),
+                3,
+            )
+        };
+        Value::object([
+            ("regions", u64::from(r.regions).into()),
+            ("ops_per_sec", Value::rounded(r.ops_per_sec, 1)),
+            ("pct_linear", Value::rounded(r.pct_linear, 1)),
+            ("p50_ms", q(0.5)),
+            ("p90_ms", q(0.9)),
+            ("p99_ms", q(0.99)),
+        ])
+    }), "rows");
 }
