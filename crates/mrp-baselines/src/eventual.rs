@@ -10,6 +10,8 @@
 use bytes::Bytes;
 use mrp_coord::PartitionMap;
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
+use mrp_sim::client::Operation;
+use mrp_sim::rng::Rng;
 use mrp_store::command::StoreCommand;
 use mrp_store::kv::KvStore;
 use multiring_paxos::event::Message;
@@ -131,170 +133,52 @@ impl Actor for EventualServer {
     }
 }
 
-#[derive(Debug)]
-struct Pending {
-    session: u32,
-    tag: &'static str,
-    issued_at: Time,
-    need: usize,
-    got: usize,
+/// The key that places `cmd`: a batch goes where its first command
+/// goes; a scan names none.
+fn key_of(cmd: &StoreCommand) -> Option<&Bytes> {
+    match cmd {
+        StoreCommand::Read { key }
+        | StoreCommand::Update { key, .. }
+        | StoreCommand::Insert { key, .. }
+        | StoreCommand::Delete { key } => Some(key),
+        StoreCommand::Batch(cmds) => cmds.first().and_then(key_of),
+        StoreCommand::Scan { .. } => None,
+    }
 }
 
-/// A workload source: draws the next command (with its metric tag)
-/// from the client's deterministic random stream.
-pub type CommandSource = Box<dyn FnMut(&mut mrp_sim::rng::Rng) -> (StoreCommand, &'static str)>;
-
-/// A closed-loop client for partitioned baseline stores ([`EventualServer`]
-/// and the single-server store): routes by partition map, fans scans out
-/// to every partition owner.
-pub struct BaselineClient {
-    client: ClientId,
-    sessions: u32,
+/// The workload of a partitioned baseline store ([`EventualServer`] and
+/// the single-server store), for `mrp_sim::ClosedLoopClient::new`:
+/// `source` draws the next command and its metric tag from the
+/// client's deterministic random stream; the command goes to the owner
+/// of its key's partition, one that names no key to every owner (and
+/// completes when all have answered).
+pub fn store_ops(
     partition_map: PartitionMap,
-    /// Owner process per partition.
     owners: BTreeMap<u16, ProcessId>,
-    source: CommandSource,
-    next_request: u64,
-    pending: BTreeMap<u64, Pending>,
-    warmup_until: Time,
-    metric_prefix: String,
-}
-
-impl std::fmt::Debug for BaselineClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BaselineClient")
-            .field("client", &self.client)
-            .finish_non_exhaustive()
-    }
-}
-
-impl BaselineClient {
-    /// Creates the client.
-    pub fn new(
-        client: ClientId,
-        sessions: u32,
-        partition_map: PartitionMap,
-        owners: BTreeMap<u16, ProcessId>,
-        metric_prefix: impl Into<String>,
-        source: impl FnMut(&mut mrp_sim::rng::Rng) -> (StoreCommand, &'static str) + 'static,
-    ) -> Self {
-        Self {
-            client,
-            sessions,
-            partition_map,
-            owners,
-            source: Box::new(source),
-            next_request: 0,
-            pending: BTreeMap::new(),
-            warmup_until: Time::ZERO,
-            metric_prefix: metric_prefix.into(),
-        }
-    }
-
-    /// Discards samples before `t`.
-    pub fn warmup_until(mut self, t: Time) -> Self {
-        self.warmup_until = t;
-        self
-    }
-
-    fn issue(&mut self, session: u32, now: Time, out: &mut Outbox, rng: &mut mrp_sim::rng::Rng) {
-        let (cmd, tag) = (self.source)(rng);
-        let targets: Vec<ProcessId> = match &cmd {
-            StoreCommand::Scan { .. } => self.owners.values().copied().collect(),
-            StoreCommand::Read { key }
-            | StoreCommand::Update { key, .. }
-            | StoreCommand::Insert { key, .. }
-            | StoreCommand::Delete { key } => {
-                let part = self.partition_map.group_of(key).value();
-                self.owners.get(&part).copied().into_iter().collect()
-            }
-            StoreCommand::Batch(cmds) => cmds
-                .first()
-                .and_then(|c| match c {
-                    StoreCommand::Read { key } | StoreCommand::Update { key, .. } => {
-                        let part = self.partition_map.group_of(key).value();
-                        self.owners.get(&part).copied()
-                    }
-                    _ => None,
-                })
-                .into_iter()
-                .collect(),
+    mut source: impl FnMut(&mut Rng) -> (StoreCommand, &'static str),
+) -> impl FnMut(&mut Rng) -> Operation {
+    move |rng| {
+        let (cmd, tag) = source(rng);
+        let targets: Vec<ProcessId> = match key_of(&cmd) {
+            Some(key) => vec![owners[&partition_map.group_of(key).value()]],
+            None => owners.values().copied().collect(),
         };
-        if targets.is_empty() {
-            return;
+        Operation {
+            need: targets.len(),
+            to: targets
+                .into_iter()
+                .map(|t| (t, vec![GroupId::new(0)]))
+                .collect(),
+            payload: cmd.encode(),
+            tag: Some(tag),
         }
-        self.next_request += 1;
-        let request = self.next_request;
-        self.pending.insert(
-            request,
-            Pending {
-                session,
-                tag,
-                issued_at: now,
-                need: targets.len(),
-                got: 0,
-            },
-        );
-        let payload = cmd.encode();
-        for t in targets {
-            out.send(
-                t,
-                Message::Request {
-                    client: self.client,
-                    request,
-                    groups: vec![GroupId::new(0)],
-                    payload: payload.clone(),
-                },
-            );
-        }
-    }
-}
-
-impl Actor for BaselineClient {
-    fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        match event {
-            ActorEvent::Start => {
-                for s in 0..self.sessions {
-                    self.issue(s, now, out, ctx.rng);
-                }
-            }
-            ActorEvent::Message {
-                msg: Message::Response { request, .. },
-                ..
-            } => {
-                let Some(p) = self.pending.get_mut(&request) else {
-                    return;
-                };
-                p.got += 1;
-                if p.got < p.need {
-                    return;
-                }
-                let p = self.pending.remove(&request).expect("present");
-                if now >= self.warmup_until {
-                    let prefix = &self.metric_prefix;
-                    ctx.metrics
-                        .record(&format!("{prefix}/latency_us"), now.since(p.issued_at));
-                    ctx.metrics.record(
-                        &format!("{prefix}/latency_us/{}", p.tag),
-                        now.since(p.issued_at),
-                    );
-                    ctx.metrics.incr(&format!("{prefix}/ops"), 1);
-                    ctx.metrics.series_add(&format!("{prefix}/ops"), now, 1.0);
-                }
-                self.issue(p.session, now, out, ctx.rng);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrp_sim::client::ClosedLoopClient;
     use mrp_sim::cluster::{Cluster, SimConfig};
     use mrp_sim::net::Topology;
 
@@ -312,12 +196,9 @@ mod tests {
         let client_proc = ProcessId::new(9);
         let client_id = ClientId::new(1);
         let mut n = 0u64;
-        let client = BaselineClient::new(
-            client_id,
-            2,
+        let workload = store_ops(
             PartitionMap::hash(1, 0),
             BTreeMap::from([(0u16, owner)]),
-            "cassandra",
             move |_rng| {
                 n += 1;
                 (
@@ -329,8 +210,8 @@ mod tests {
                 )
             },
         );
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
+        let client = ClosedLoopClient::new(client_id, 2, "cassandra", workload);
+        cluster.add_client(client_proc, client_id, Box::new(client));
         cluster.start();
         cluster.run_until(Time::from_secs(2));
         assert!(cluster.metrics().counter("cassandra/ops") > 100);

@@ -10,6 +10,8 @@
 
 use bytes::{Bytes, BytesMut};
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
+use mrp_sim::client::Operation;
+use mrp_sim::rng::Rng;
 use multiring_paxos::codec::{get_bytes, put_bytes};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
@@ -156,145 +158,30 @@ pub fn decode_entry(mut b: Bytes) -> Option<Bytes> {
     get_bytes(&mut b).ok()
 }
 
-#[derive(Debug)]
-struct PendingAppend {
-    session: u32,
-    issued_at: Time,
-    acks: u32,
-    done: bool,
-}
-
-/// The Bookkeeper-style client: writes each entry to the whole ensemble
-/// and completes on an acknowledgement quorum.
-pub struct QuorumLogClient {
-    client: ClientId,
-    sessions: u32,
+/// The Bookkeeper-style workload, for `mrp_sim::ClosedLoopClient::new`:
+/// every `entry_bytes` entry is written to the whole `ensemble` and
+/// completes on `ack_quorum` acknowledgements.
+pub fn quorum_appends(
     ensemble: Vec<ProcessId>,
-    ack_quorum: u32,
+    ack_quorum: usize,
     entry_bytes: usize,
-    next_request: u64,
-    pending: BTreeMap<u64, PendingAppend>,
-    warmup_until: Time,
-    metric_prefix: String,
-}
-
-impl std::fmt::Debug for QuorumLogClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QuorumLogClient")
-            .field("client", &self.client)
-            .finish_non_exhaustive()
-    }
-}
-
-impl QuorumLogClient {
-    /// A client appending `entry_bytes`-sized entries to `ensemble`,
-    /// completing on `ack_quorum` acknowledgements.
-    pub fn new(
-        client: ClientId,
-        sessions: u32,
-        ensemble: Vec<ProcessId>,
-        ack_quorum: u32,
-        entry_bytes: usize,
-        metric_prefix: impl Into<String>,
-    ) -> Self {
-        Self {
-            client,
-            sessions,
-            ensemble,
-            ack_quorum,
-            entry_bytes,
-            next_request: 0,
-            pending: BTreeMap::new(),
-            warmup_until: Time::ZERO,
-            metric_prefix: metric_prefix.into(),
-        }
-    }
-
-    /// Discards samples before `t`.
-    pub fn warmup_until(mut self, t: Time) -> Self {
-        self.warmup_until = t;
-        self
-    }
-
-    fn issue(&mut self, session: u32, now: Time, out: &mut Outbox) {
-        self.next_request += 1;
-        let request = self.next_request;
-        self.pending.insert(
-            request,
-            PendingAppend {
-                session,
-                issued_at: now,
-                acks: 0,
-                done: false,
-            },
-        );
-        let payload = encode_entry(&Bytes::from(vec![0xB0u8; self.entry_bytes]));
-        for &b in &self.ensemble {
-            out.send(
-                b,
-                Message::Request {
-                    client: self.client,
-                    request,
-                    groups: vec![GroupId::new(0)],
-                    payload: payload.clone(),
-                },
-            );
-        }
-    }
-}
-
-impl Actor for QuorumLogClient {
-    fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        match event {
-            ActorEvent::Start => {
-                for s in 0..self.sessions {
-                    self.issue(s, now, out);
-                }
-            }
-            ActorEvent::Message {
-                msg: Message::Response { request, .. },
-                ..
-            } => {
-                let ensemble = self.ensemble.len() as u32;
-                let Some(p) = self.pending.get_mut(&request) else {
-                    return;
-                };
-                p.acks += 1;
-                let complete_now = !p.done && p.acks >= self.ack_quorum;
-                if complete_now {
-                    p.done = true;
-                    let session = p.session;
-                    let issued_at = p.issued_at;
-                    if now >= self.warmup_until {
-                        let prefix = &self.metric_prefix;
-                        ctx.metrics
-                            .record(&format!("{prefix}/latency_us"), now.since(issued_at));
-                        ctx.metrics.incr(&format!("{prefix}/ops"), 1);
-                        ctx.metrics.series_add(&format!("{prefix}/ops"), now, 1.0);
-                    }
-                    self.issue(session, now, out);
-                }
-                // Clean up once the whole ensemble answered.
-                let drop_it = self
-                    .pending
-                    .get(&request)
-                    .is_some_and(|p| p.done && p.acks >= ensemble);
-                if drop_it {
-                    self.pending.remove(&request);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
+) -> impl FnMut(&mut Rng) -> Operation {
+    let payload = encode_entry(&Bytes::from(vec![0xB0u8; entry_bytes]));
+    move |_| Operation {
+        to: ensemble
+            .iter()
+            .map(|&b| (b, vec![GroupId::new(0)]))
+            .collect(),
+        payload: payload.clone(),
+        need: ack_quorum,
+        tag: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrp_sim::client::ClosedLoopClient;
     use mrp_sim::cluster::{Cluster, SimConfig};
     use mrp_sim::disk::DiskModel;
     use mrp_sim::net::Topology;
@@ -309,18 +196,9 @@ mod tests {
         }
         let client_proc = ProcessId::new(9);
         let client_id = ClientId::new(1);
-        cluster.add_actor(
-            client_proc,
-            Box::new(QuorumLogClient::new(
-                client_id,
-                4,
-                ensemble.clone(),
-                2,
-                1024,
-                "bookkeeper",
-            )),
-        );
-        cluster.register_client(client_id, client_proc);
+        let workload = quorum_appends(ensemble.clone(), 2, 1024);
+        let client = ClosedLoopClient::new(client_id, 4, "bookkeeper", workload);
+        cluster.add_client(client_proc, client_id, Box::new(client));
         cluster.start();
         cluster.run_until(Time::from_secs(2));
         let ops = cluster.metrics().counter("bookkeeper/ops");

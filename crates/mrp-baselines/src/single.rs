@@ -82,8 +82,9 @@ impl Actor for SingleServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eventual::BaselineClient;
+    use crate::eventual::store_ops;
     use mrp_coord::PartitionMap;
+    use mrp_sim::client::ClosedLoopClient;
     use mrp_sim::cluster::{Cluster, SimConfig};
     use mrp_sim::cpu::CpuModel;
     use mrp_sim::net::Topology;
@@ -103,12 +104,9 @@ mod tests {
             let client_proc = ProcessId::new(9);
             let client_id = ClientId::new(1);
             let mut n = 0u64;
-            let client = BaselineClient::new(
-                client_id,
-                4,
+            let workload = store_ops(
                 PartitionMap::hash(1, 0),
                 BTreeMap::from([(0u16, server)]),
-                "mysql",
                 move |_rng| {
                     n += 1;
                     (
@@ -120,8 +118,8 @@ mod tests {
                     )
                 },
             );
-            cluster.add_actor(client_proc, Box::new(client));
-            cluster.register_client(client_id, client_proc);
+            let client = ClosedLoopClient::new(client_id, 4, "mysql", workload);
+            cluster.add_client(client_proc, client_id, Box::new(client));
             cluster.start();
             cluster.run_until(Time::from_secs(2));
             totals.push(cluster.metrics().counter("mysql/ops"));

@@ -4,65 +4,28 @@
 //! recovers via checkpoint + acceptor-log retransmission, the white-box
 //! engine via checkpoint + sequencer stream resync).
 //!
-//! Prints one table per engine and writes the runs as
-//! `BENCH_fig8.json` for downstream tooling (see the bench-artifact
-//! schema in the `mrp-bench` crate docs).
+//! Prints each engine's timeline and events and writes the runs as
+//! `BENCH_fig8.json`.
 
 use mrp_amcast::EngineKind;
-use mrp_bench::figures::Fig8Result;
 use mrp_bench::json::{write_artifact, Value};
-use mrp_bench::table::{fmt_f, Table};
 use mrp_bench::{figures, Scale};
-
-fn to_json(results: &[Fig8Result]) -> Value {
-    Value::array(results, |r| {
-        Value::object([
-            ("engine", r.engine.into()),
-            ("checkpoints", r.checkpoints.into()),
-            ("trims", r.trims.into()),
-            (
-                "events",
-                Value::array(&r.events, |&(t_s, what)| {
-                    Value::object([("t_s", t_s.into()), ("what", what.into())])
-                }),
-            ),
-            (
-                "timeline",
-                Value::array(&r.timeline, |p| {
-                    Value::object([
-                        ("t_s", p.t_s.into()),
-                        ("ops_per_sec", Value::rounded(p.ops_per_sec, 1)),
-                        ("latency_ms", Value::rounded(p.latency_ms, 3)),
-                    ])
-                }),
-            ),
-        ])
-    })
-}
 
 fn main() {
     let scale = Scale::from_env();
-    let mut results = Vec::new();
+    let mut runs = Vec::new();
     for kind in EngineKind::ALL {
-        let result = figures::fig8(scale, kind);
-        let mut t = Table::new(
-            format!("Figure 8 — recovery timeline, {kind} engine (replica killed / restarted)"),
-            &["t_s", "ops_per_sec", "latency_ms"],
-        );
-        for p in &result.timeline {
-            t.row(&[p.t_s.to_string(), fmt_f(p.ops_per_sec), fmt_f(p.latency_ms)]);
-        }
-        t.print();
-        println!("\nevents:");
-        for (t_s, what) in &result.events {
-            println!("  t={t_s:>4}s  {what}");
-        }
+        let run = figures::fig8(scale, kind);
+        run.timeline.print(&format!(
+            "Figure 8 — recovery timeline, {kind} engine (replica killed / restarted)"
+        ));
+        run.events.print("events");
         println!(
             "  checkpoints taken: {}   acceptor log trims: {}\n",
-            result.checkpoints, result.trims
+            run.checkpoints, run.trims
         );
-        results.push(result);
+        runs.push(run.json());
     }
-    let what = format!("{} runs", results.len());
-    write_artifact("BENCH_fig8.json", &to_json(&results), &what);
+    let what = format!("{} runs", runs.len());
+    write_artifact(&scale.artifact("fig8"), &Value::Array(runs), &what);
 }

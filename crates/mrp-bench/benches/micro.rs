@@ -756,7 +756,11 @@ fn main() {
     }
 
     let doc = to_json(scale, &submit, &decode, &preload);
-    write_artifact("BENCH_micro.json", &doc, "submit, decode and preload rows");
+    write_artifact(
+        &scale.artifact("micro"),
+        &doc,
+        "submit, decode and preload rows",
+    );
 
     if let Err(e) = check_baseline(&submit, &preload, baseline) {
         eprintln!("MICRO BASELINE GATE FAILED: {e}");

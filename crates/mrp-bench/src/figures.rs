@@ -1,26 +1,31 @@
 //! Parameterized runners for every figure of the paper's evaluation.
 //!
 //! Each `figN` function builds the deployment the paper describes,
-//! drives it on the deterministic simulator, and returns structured
-//! results; the bench targets print them as tables/series. Absolute
-//! numbers depend on the calibrated CPU/disk/network models — the
-//! *shape* (who wins, scaling factors, crossovers) is the reproduction
-//! target (see the repository `README.md`).
+//! drives it on the deterministic simulator, and returns its rows as a
+//! [`Figure`]: the bench target prints them and writes them as the
+//! figure's `BENCH_*.json` artifact. Absolute numbers depend on the
+//! calibrated CPU/disk/network models — the *shape* (who wins, scaling
+//! factors, crossovers) is the reproduction target (see the repository
+//! `README.md`).
 
-use crate::harness::{EchoApp, OpenLoopClient, PingClient, Scale};
+use crate::harness::{mixed_groups, ping, EchoApp, OpenLoopClient, Scale};
+use crate::json::Value;
+use crate::table::Figure;
 use bytes::Bytes;
 use mrp_amcast::{EngineKind, EngineReplica};
-use mrp_baselines::eventual::{BaselineClient, EventualServer};
-use mrp_baselines::quorumlog::{Bookie, JournalPolicy, QuorumLogClient};
+use mrp_baselines::eventual::{store_ops, EventualServer};
+use mrp_baselines::quorumlog::{quorum_appends, Bookie, JournalPolicy};
 use mrp_baselines::single::SingleServer;
 use mrp_baselines::twopc::{TwoPcClient, TxnParticipant};
 use mrp_coord::PartitionMap;
-use mrp_dlog::{DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
+use mrp_dlog::{DLogDeployment, DLogTopology};
 use mrp_sim::actor::Hosted;
+use mrp_sim::client::{ClosedLoopClient, Operation};
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::cpu::CpuModel;
 use mrp_sim::disk::DiskModel;
 use mrp_sim::net::{Region, Topology};
+use mrp_sim::rng::Rng;
 use mrp_store::client::{ClientOp, StoreClient, StoreClientConfig};
 use mrp_store::command::StoreCommand;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
@@ -49,6 +54,93 @@ const NO_CHECKPOINTS: CheckpointPolicy = CheckpointPolicy {
     sync: false,
 };
 
+/// The default simulation, seeded.
+fn seeded(seed: u64) -> SimConfig {
+    SimConfig {
+        seed,
+        ..SimConfig::default()
+    }
+}
+
+/// One measured cell of a figure: a cluster that runs for a warm-up and
+/// then for the window its clients record in.
+struct Cell {
+    cluster: Cluster,
+    warmup: Time,
+    window_us: u64,
+}
+
+impl Cell {
+    fn new(sim: SimConfig, net: Topology, warmup: Time, window: Time) -> Self {
+        Self {
+            cluster: Cluster::new(sim, net),
+            warmup,
+            window_us: window.as_micros(),
+        }
+    }
+
+    /// Attaches `sessions` closed loops over `source` as client `id` on
+    /// process `proc`, recording under `prefix` once warm.
+    fn closed_loop(
+        &mut self,
+        proc: u32,
+        id: u64,
+        sessions: u32,
+        prefix: &str,
+        source: impl FnMut(&mut Rng) -> Operation + 'static,
+    ) {
+        let id = ClientId::new(id);
+        let client = ClosedLoopClient::new(id, sessions, prefix, source).warmup_until(self.warmup);
+        self.cluster
+            .add_client(ProcessId::new(proc), id, Box::new(client));
+    }
+
+    /// Starts every actor and runs to the end of the window.
+    fn run(&mut self) {
+        self.cluster.start();
+        self.cluster.run_until(self.warmup.plus(self.window_us));
+    }
+
+    /// `counter`'s total (the clients count only once warm).
+    fn count(&self, counter: &str) -> u64 {
+        self.cluster.metrics().counter(counter)
+    }
+
+    /// `count` events in the window as a rate per second.
+    fn rate(&self, count: u64) -> f64 {
+        count as f64 * 1e6 / self.window_us as f64
+    }
+
+    /// `counter`'s rate per second over the window.
+    fn per_sec(&self, counter: &str) -> f64 {
+        self.rate(self.count(counter))
+    }
+
+    /// Mean of `histogram` in milliseconds (0 without samples).
+    fn mean_ms(&self, histogram: &str) -> f64 {
+        let h = self.cluster.metrics().histogram(histogram);
+        h.map_or(0.0, |h| h.mean() / 1000.0)
+    }
+
+    /// The `q` quantile of `histogram` in milliseconds.
+    fn quantile_ms(&self, histogram: &str, q: f64) -> f64 {
+        let h = self.cluster.metrics().histogram(histogram);
+        h.map_or(0.0, |h| h.quantile(q) as f64 / 1000.0)
+    }
+
+    /// Three points of `histogram`'s CDF, as the cells that close a row.
+    fn cdf_cells(&self, histogram: &str) -> [(&'static str, Value); 3] {
+        [("p50_ms", 0.5), ("p90_ms", 0.9), ("p99_ms", 0.99)]
+            .map(|(name, q)| (name, Value::rounded(self.quantile_ms(histogram, q), 3)))
+    }
+}
+
+/// Aggregate throughput against `rings` times the one-ring `base`, in
+/// percent (the first point is the base).
+fn pct_linear(base: &mut Option<f64>, n: u16, ops: f64) -> f64 {
+    ops / (*base.get_or_insert(ops) * f64::from(n)) * 100.0
+}
+
 /// Registers `config` and spawns processes `0..n` as dummy-service
 /// ([`EchoApp`]) replicas over `kind`, each on `cpu` when given.
 fn spawn_echo_replicas(
@@ -70,29 +162,14 @@ fn spawn_echo_replicas(
 
 // ---------------------------------------------------------------- fig 3
 
-/// One row of Figure 3.
-#[derive(Clone, Debug)]
-pub struct Fig3Row {
-    /// Storage mode name.
-    pub mode: &'static str,
-    /// Request size in bytes.
-    pub size: usize,
-    /// Delivered throughput in megabits per second.
-    pub mbps: f64,
-    /// Mean client latency in milliseconds.
-    pub latency_ms: f64,
-    /// Coordinator CPU utilization in percent.
-    pub cpu_pct: f64,
-    /// Latency CDF points `(us, fraction)` (kept for the 32 KB plot).
-    pub cdf: Vec<(u64, f64)>,
-}
-
 /// A Figure 3 storage mode: name, acceptor mode, disk model factory.
 type StorageModeRow = (&'static str, StorageMode, Option<fn() -> DiskModel>);
 
 /// Figure 3: one ring, three processes (proposer+acceptor+learner), ten
-/// closed-loop proposer threads, five storage modes × request sizes.
-pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
+/// closed-loop proposer threads, five storage modes × request sizes. A
+/// row is one (mode, size): delivered throughput, mean client latency,
+/// coordinator CPU utilization and three points of the latency CDF.
+pub fn fig3(scale: Scale) -> Figure {
     let sizes: &[usize] = &[512, 2048, 8192, 32 * 1024];
     let modes: &[StorageModeRow] = &[
         ("in-memory", StorageMode::InMemory, None),
@@ -101,9 +178,9 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
         ("sync-disk", StorageMode::SyncDisk, Some(DiskModel::hdd)),
         ("sync-ssd", StorageMode::SyncDisk, Some(DiskModel::ssd)),
     ];
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(12, 2);
-    let mut rows = Vec::new();
+    let warmup = Time::from_secs(scale.pick(2, 1));
+    let window = Time::from_secs(scale.pick(12, 2));
+    let mut fig = Figure::new();
     for &(mode, storage, disk) in modes {
         for &size in sizes {
             let tuning = RingTuning {
@@ -114,15 +191,9 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
                 ..RingTuning::default()
             };
             let config = multiring_paxos::config::single_ring(3, tuning);
-            let mut cluster = Cluster::new(
-                SimConfig {
-                    seed: 3,
-                    ..SimConfig::default()
-                },
-                Topology::lan(8),
-            );
+            let mut cell = Cell::new(seeded(3), Topology::lan(8), warmup, window);
             spawn_echo_replicas(
-                &mut cluster,
+                &mut cell.cluster,
                 EngineKind::MultiRing,
                 &config,
                 3,
@@ -131,65 +202,38 @@ pub fn fig3(scale: Scale) -> Vec<Fig3Row> {
             );
             if let Some(mk) = disk {
                 for i in 0..3 {
-                    cluster.add_disk(ProcessId::new(i), mk());
+                    cell.cluster.add_disk(ProcessId::new(i), mk());
                 }
             }
-            let client_proc = ProcessId::new(50);
-            let client_id = ClientId::new(1);
-            let client = PingClient::new(
-                client_id,
-                10,
-                ProcessId::new(0),
-                GroupId::new(0),
-                size,
-                "fig3",
-            )
-            .warmup_until(Time::from_secs(warmup_s));
-            cluster.add_actor(client_proc, Box::new(client));
-            cluster.register_client(client_id, client_proc);
-            cluster.start();
-            cluster.run_until(Time::from_secs(warmup_s + run_s));
-
-            let ops = cluster.metrics().counter("fig3/ops");
-            let bytes = cluster.metrics().counter("fig3/bytes");
-            let h = cluster.metrics().histogram("fig3/latency_us");
-            let window_s = run_s as f64;
-            let mbps = bytes as f64 * 8.0 / window_s / 1e6;
-            let latency_ms = h.map_or(0.0, |h| h.mean() / 1000.0);
-            let cdf = h.map(mrp_sim::metrics::Histogram::cdf).unwrap_or_default();
-            let elapsed = cluster.now().as_micros();
-            let cpu_pct = cluster
+            let payload = Bytes::from(vec![0x5Au8; size]);
+            let source = ping(ProcessId::new(0), GroupId::new(0), payload);
+            cell.closed_loop(50, 1, 10, "fig3", source);
+            cell.run();
+            let elapsed = cell.cluster.now().as_micros();
+            let cpu_pct = cell
+                .cluster
                 .cpu(ProcessId::new(0))
                 .map_or(0.0, |c| c.utilization(elapsed) * 100.0);
-            let _ = ops;
-            rows.push(Fig3Row {
-                mode,
-                size,
-                mbps,
-                latency_ms,
-                cpu_pct,
-                cdf,
-            });
+            let cells = [
+                ("mode", mode.into()),
+                ("size", (size as u64).into()),
+                (
+                    "throughput_mbps",
+                    Value::rounded(cell.per_sec("fig3/bytes") * 8.0 / 1e6, 2),
+                ),
+                (
+                    "latency_ms",
+                    Value::rounded(cell.mean_ms("fig3/latency_us"), 3),
+                ),
+                ("cpu_pct", Value::rounded(cpu_pct, 1)),
+            ];
+            fig.push(cells.into_iter().chain(cell.cdf_cells("fig3/latency_us")));
         }
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 4
-
-/// One cell of Figure 4.
-#[derive(Clone, Debug)]
-pub struct Fig4Row {
-    /// System name.
-    pub system: &'static str,
-    /// YCSB workload letter.
-    pub workload: char,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
-    /// Workload-F latency breakdown (read / update / rmw) in
-    /// milliseconds, only for workload F.
-    pub f_latency_ms: Option<(f64, f64, f64)>,
-}
 
 const YCSB_RECORDS: u64 = 10_000;
 const YCSB_VALUE: usize = 256;
@@ -240,6 +284,14 @@ fn ycsb_to_cmd(op: YcsbOp) -> (StoreCommand, &'static str) {
     }
 }
 
+/// The YCSB records `partition` of `map` owns, as `(key, value)` loads.
+fn ycsb_records(map: &PartitionMap, partition: u16) -> impl Iterator<Item = (Bytes, Bytes)> + '_ {
+    (0..YCSB_RECORDS)
+        .map(mrp_ycsb::workload::key_for)
+        .filter(move |key| map.group_of(key.as_bytes()).value() == partition)
+        .map(|key| (Bytes::from(key), Bytes::from(vec![1u8; YCSB_VALUE])))
+}
+
 /// Spawns `deployment`'s non-checkpointing replicas on [`server_cpu`]s.
 fn spawn_store_replicas(
     cluster: &mut Cluster,
@@ -252,11 +304,9 @@ fn spawn_store_replicas(
     }
 }
 
-fn run_mrp_ycsb(
-    kind: WorkloadKind,
-    scale: Scale,
-    independent: bool,
-) -> (f64, Option<(f64, f64, f64)>) {
+/// A Figure 4 cell with MRP-Store's servers in place and its client
+/// attached; the client records under `store`.
+fn mrp_ycsb(cell: &mut Cell, kind: WorkloadKind, independent: bool) {
     // The paper's local configuration: M=1, Delta=5ms, lambda=9000 —
     // lambda must sit above the per-ring delivery rate or the merge
     // throttles every partition to the global ring's skip rate.
@@ -273,198 +323,116 @@ fn run_mrp_ycsb(
     }
     .engine(EngineKind::MultiRing);
     let deployment = StoreDeployment::build(&topo);
-    let mut cluster = Cluster::new(
-        SimConfig {
-            seed: 4,
-            ..SimConfig::default()
-        },
-        Topology::lan(16),
-    );
     let map = deployment.partition_map.clone();
-    spawn_store_replicas(&mut cluster, &deployment, move |partition| {
+    spawn_store_replicas(&mut cell.cluster, &deployment, move |partition| {
         let mut app = StoreApp::new(partition);
-        for i in 0..YCSB_RECORDS {
-            let key = mrp_ycsb::workload::key_for(i);
-            if map.group_of(key.as_bytes()).value() == partition {
-                app.load(Bytes::from(key), Bytes::from(vec![1u8; YCSB_VALUE]));
-            }
+        for (key, value) in ycsb_records(&map, partition) {
+            app.load(key, value);
         }
         app
     });
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(8, 2);
-    let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
     let mut workload = Workload::new(kind, YCSB_RECORDS, YCSB_VALUE, 7);
-    let gen = move |_r: &mut mrp_sim::rng::Rng| ycsb_to_store_op(workload.next_op());
+    let gen = move |_r: &mut Rng| ycsb_to_store_op(workload.next_op());
     let mut cfg = StoreClientConfig::new(client_id, 100);
-    cfg.warmup_until = Time::from_secs(warmup_s);
+    cfg.warmup_until = cell.warmup;
     let client = StoreClient::new(cfg, deployment.clone(), gen);
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
-    cluster.start();
-    cluster.run_until(Time::from_secs(warmup_s + run_s));
-    let ops = cluster.metrics().counter("store/ops") as f64 / run_s as f64;
-    let breakdown = (kind == WorkloadKind::F).then(|| {
-        let g = |tag: &str| {
-            cluster
-                .metrics()
-                .histogram(&format!("store/latency_us/{tag}"))
-                .map_or(0.0, |h| h.mean() / 1000.0)
-        };
-        (g("read"), g("update"), g("rmw"))
-    });
-    (ops, breakdown)
+    cell.cluster
+        .add_client(ProcessId::new(900), client_id, Box::new(client));
 }
 
-fn run_eventual_ycsb(kind: WorkloadKind, scale: Scale) -> (f64, Option<(f64, f64, f64)>) {
-    let mut cluster = Cluster::new(
-        SimConfig {
-            seed: 4,
-            ..SimConfig::default()
-        },
-        Topology::lan(8),
-    );
+/// A Figure 4 cell with the Cassandra-like store's three owners in
+/// place and its client attached; the client records under `cassandra`.
+fn eventual_ycsb(cell: &mut Cell, kind: WorkloadKind) {
     let servers: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
     let map = PartitionMap::hash(3, 0);
     for (i, &s) in servers.iter().enumerate() {
         let replicas: Vec<ProcessId> = servers.iter().copied().filter(|&q| q != s).collect();
         let mut server = EventualServer::new(i as u16, replicas);
-        for r in 0..YCSB_RECORDS {
-            let key = mrp_ycsb::workload::key_for(r);
-            if map.group_of(key.as_bytes()).value() == i as u16 {
-                server.load(Bytes::from(key), Bytes::from(vec![1u8; YCSB_VALUE]));
-            }
+        for (key, value) in ycsb_records(&map, i as u16) {
+            server.load(key, value);
         }
-        cluster.add_actor(s, Box::new(server));
-        cluster.set_cpu(s, server_cpu());
+        cell.cluster.add_actor(s, Box::new(server));
+        cell.cluster.set_cpu(s, server_cpu());
     }
     let owners: BTreeMap<u16, ProcessId> = (0..3u16).map(|i| (i, servers[i as usize])).collect();
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(8, 2);
-    let client_proc = ProcessId::new(900);
-    let client_id = ClientId::new(1);
     let mut workload = Workload::new(kind, YCSB_RECORDS, YCSB_VALUE, 7);
-    let client = BaselineClient::new(client_id, 100, map, owners, "cassandra", move |_rng| {
-        ycsb_to_cmd(workload.next_op())
-    })
-    .warmup_until(Time::from_secs(warmup_s));
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
-    cluster.start();
-    cluster.run_until(Time::from_secs(warmup_s + run_s));
-    let ops = cluster.metrics().counter("cassandra/ops") as f64 / run_s as f64;
-    let breakdown = (kind == WorkloadKind::F).then(|| {
-        let g = |tag: &str| {
-            cluster
-                .metrics()
-                .histogram(&format!("cassandra/latency_us/{tag}"))
-                .map_or(0.0, |h| h.mean() / 1000.0)
-        };
-        (g("read"), g("rmw"), g("rmw"))
-    });
-    (ops, breakdown)
+    let source = store_ops(map, owners, move |_| ycsb_to_cmd(workload.next_op()));
+    cell.closed_loop(900, 1, 100, "cassandra", source);
 }
 
-fn run_single_ycsb(kind: WorkloadKind, scale: Scale) -> (f64, Option<(f64, f64, f64)>) {
-    let mut cluster = Cluster::new(
-        SimConfig {
-            seed: 4,
-            ..SimConfig::default()
-        },
-        Topology::lan(4),
-    );
+/// A Figure 4 cell with the MySQL-like single server in place and its
+/// client attached; the client records under `mysql`.
+fn single_ycsb(cell: &mut Cell, kind: WorkloadKind) {
     let server = ProcessId::new(0);
+    let map = PartitionMap::hash(1, 0);
     let mut s = SingleServer::new();
-    for r in 0..YCSB_RECORDS {
-        s.load(
-            Bytes::from(mrp_ycsb::workload::key_for(r)),
-            Bytes::from(vec![1u8; YCSB_VALUE]),
-        );
+    for (key, value) in ycsb_records(&map, 0) {
+        s.load(key, value);
     }
-    cluster.add_actor(server, Box::new(s));
-    cluster.set_cpu(server, server_cpu());
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(8, 2);
-    let client_proc = ProcessId::new(900);
-    let client_id = ClientId::new(1);
+    cell.cluster.add_actor(server, Box::new(s));
+    cell.cluster.set_cpu(server, server_cpu());
     let mut workload = Workload::new(kind, YCSB_RECORDS, YCSB_VALUE, 7);
-    let client = BaselineClient::new(
-        client_id,
-        100,
-        PartitionMap::hash(1, 0),
-        BTreeMap::from([(0u16, server)]),
-        "mysql",
-        move |_rng| ycsb_to_cmd(workload.next_op()),
-    )
-    .warmup_until(Time::from_secs(warmup_s));
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
-    cluster.start();
-    cluster.run_until(Time::from_secs(warmup_s + run_s));
-    let ops = cluster.metrics().counter("mysql/ops") as f64 / run_s as f64;
-    let breakdown = (kind == WorkloadKind::F).then(|| {
-        let g = |tag: &str| {
-            cluster
-                .metrics()
-                .histogram(&format!("mysql/latency_us/{tag}"))
-                .map_or(0.0, |h| h.mean() / 1000.0)
-        };
-        (g("read"), g("rmw"), g("rmw"))
-    });
-    (ops, breakdown)
+    let owners = BTreeMap::from([(0u16, server)]);
+    let source = store_ops(map, owners, move |_| ycsb_to_cmd(workload.next_op()));
+    cell.closed_loop(900, 1, 100, "mysql", source);
 }
 
-/// Figure 4: YCSB A–F over the four systems.
-pub fn fig4(scale: Scale, workloads: &[WorkloadKind]) -> Vec<Fig4Row> {
-    let mut rows = Vec::new();
+/// The metric tags behind workload F's read / update / read-modify-write
+/// columns. F issues reads and read-modify-writes only: MRP-Store's
+/// client chains the latter as a read and an update and records all
+/// three; a baseline executes it in one round trip, which stands for
+/// its update too.
+const STORE_F: [&str; 3] = ["read", "update", "rmw"];
+const BASELINE_F: [&str; 3] = ["read", "rmw", "rmw"];
+
+/// Figure 4: YCSB A–F over the four systems, 100 client threads. A row
+/// is one (system, workload): completed operations per second and, for
+/// workload F, the mean latency of its three operation classes.
+pub fn fig4(scale: Scale, workloads: &[WorkloadKind]) -> Figure {
+    let warmup = Time::from_secs(scale.pick(2, 1));
+    let window = Time::from_secs(scale.pick(8, 2));
+    let mut fig = Figure::new();
     for &kind in workloads {
-        let (ops, f) = run_eventual_ycsb(kind, scale);
-        rows.push(Fig4Row {
-            system: "cassandra-like",
-            workload: kind.letter(),
-            ops_per_sec: ops,
-            f_latency_ms: f,
+        // One system: its name, LAN sites, metric prefix, F tags, and
+        // what puts its servers and client into the cell.
+        type Deploy<'a> = &'a dyn Fn(&mut Cell, WorkloadKind);
+        let mut row = |system: &str, sites, prefix: &str, f_tags: [&str; 3], deploy: Deploy| {
+            let mut cell = Cell::new(seeded(4), Topology::lan(sites), warmup, window);
+            deploy(&mut cell, kind);
+            cell.run();
+            let [read, update, rmw] = f_tags.map(|tag| {
+                if kind == WorkloadKind::F {
+                    Value::rounded(cell.mean_ms(&format!("{prefix}/latency_us/{tag}")), 3)
+                } else {
+                    Value::Null
+                }
+            });
+            fig.push([
+                ("system", system.into()),
+                ("workload", Value::String(kind.letter().to_string())),
+                (
+                    "ops_per_sec",
+                    Value::rounded(cell.per_sec(&format!("{prefix}/ops")), 1),
+                ),
+                ("read_ms", read),
+                ("update_ms", update),
+                ("rmw_ms", rmw),
+            ]);
+        };
+        row("cassandra-like", 8, "cassandra", BASELINE_F, &eventual_ycsb);
+        row("mrp-store (indep. rings)", 16, "store", STORE_F, &|c, k| {
+            mrp_ycsb(c, k, true);
         });
-        let (ops, f) = run_mrp_ycsb(kind, scale, true);
-        rows.push(Fig4Row {
-            system: "mrp-store (indep. rings)",
-            workload: kind.letter(),
-            ops_per_sec: ops,
-            f_latency_ms: f,
+        row("mrp-store", 16, "store", STORE_F, &|c, k| {
+            mrp_ycsb(c, k, false);
         });
-        let (ops, f) = run_mrp_ycsb(kind, scale, false);
-        rows.push(Fig4Row {
-            system: "mrp-store",
-            workload: kind.letter(),
-            ops_per_sec: ops,
-            f_latency_ms: f,
-        });
-        let (ops, f) = run_single_ycsb(kind, scale);
-        rows.push(Fig4Row {
-            system: "mysql-like",
-            workload: kind.letter(),
-            ops_per_sec: ops,
-            f_latency_ms: f,
-        });
+        row("mysql-like", 4, "mysql", BASELINE_F, &single_ycsb);
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 5
-
-/// One point of Figure 5.
-#[derive(Clone, Debug)]
-pub struct Fig5Row {
-    /// System name.
-    pub system: &'static str,
-    /// Client threads.
-    pub clients: u32,
-    /// Appends per second.
-    pub ops_per_sec: f64,
-    /// Mean latency in milliseconds.
-    pub latency_ms: f64,
-}
 
 /// In-memory log budget of every dLog server in the figures.
 const DLOG_WAL_BYTES: usize = 200 * 1024 * 1024;
@@ -475,69 +443,69 @@ fn journal_disk() -> DiskModel {
     DiskModel::custom("journal", 350, 200)
 }
 
+/// Spawns a dLog of `logs` rings (plus the common ring) into `cluster`,
+/// every server on `cpu` with one `disk` per ring (paper: one disk per
+/// ring).
+fn spawn_dlog(
+    cluster: &mut Cluster,
+    logs: u16,
+    tuning: RingTuning,
+    cpu: fn() -> CpuModel,
+    disk: fn() -> DiskModel,
+) -> DLogDeployment {
+    let deployment =
+        DLogDeployment::build(&DLogTopology::new(logs, tuning).engine(EngineKind::MultiRing));
+    deployment.spawn_servers(cluster, NO_CHECKPOINTS, DLOG_WAL_BYTES);
+    for &s in &deployment.servers {
+        cluster.set_cpu(s, cpu());
+        for r in 0..=logs {
+            let d = cluster.add_disk(s, disk());
+            cluster.map_ring_to_disk(s, RingId::new(r), d);
+        }
+    }
+    deployment
+}
+
 /// Figure 5: dLog (2 rings × 3 servers, synchronous writes) vs a
 /// Bookkeeper-like quorum log over the same 3 servers/disks; 1 KB
-/// appends, 1–200 client threads.
-pub fn fig5(scale: Scale) -> Vec<Fig5Row> {
+/// appends, 1–200 client threads. A row is one (clients, system):
+/// appends per second and mean latency.
+pub fn fig5(scale: Scale) -> Figure {
     let sweep: &[u32] = &[1, 10, 50, 100, 200];
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(8, 2);
-    let mut rows = Vec::new();
+    let warmup = Time::from_secs(scale.pick(2, 1));
+    let window = Time::from_secs(scale.pick(8, 2));
+    let mut fig = Figure::new();
     for &clients in sweep {
-        // --- dLog ---
+        let mut row = |system: &str, ops: &str, latency: &str, mut cell: Cell| {
+            cell.run();
+            fig.push([
+                ("clients", u64::from(clients).into()),
+                ("system", system.into()),
+                ("ops_per_sec", Value::rounded(cell.per_sec(ops), 1)),
+                ("latency_ms", Value::rounded(cell.mean_ms(latency), 3)),
+            ]);
+        };
+
+        let mut cell = Cell::new(seeded(5), Topology::lan(8), warmup, window);
         let tuning = RingTuning {
             storage: StorageMode::SyncDisk,
             lambda: 1_000,
             ..RingTuning::default()
         };
-        let deployment =
-            DLogDeployment::build(&DLogTopology::new(2, tuning).engine(EngineKind::MultiRing));
-        let mut cluster = Cluster::new(
-            SimConfig {
-                seed: 5,
-                ..SimConfig::default()
-            },
-            Topology::lan(8),
-        );
-        deployment.spawn_servers(&mut cluster, NO_CHECKPOINTS, DLOG_WAL_BYTES);
-        for &s in &deployment.servers {
-            cluster.set_cpu(s, server_cpu());
-            // One journal disk per ring (paper: one disk per ring).
-            for r in 0..=2u16 {
-                let d = cluster.add_disk(s, journal_disk());
-                cluster.map_ring_to_disk(s, RingId::new(r), d);
-            }
-        }
-        let client_proc = ProcessId::new(900);
-        let client_id = ClientId::new(1);
-        let mut cfg = DLogClientConfig::new(client_id, clients);
-        cfg.warmup_until = Time::from_secs(warmup_s);
-        let client = DLogClient::new(cfg, deployment.clone());
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        rows.push(Fig5Row {
-            system: "dlog",
+        let deployment = spawn_dlog(&mut cell.cluster, 2, tuning, server_cpu, journal_disk);
+        cell.closed_loop(
+            900,
+            1,
             clients,
-            ops_per_sec: cluster.metrics().counter("dlog/ops") as f64 / run_s as f64,
-            latency_ms: cluster
-                .metrics()
-                .histogram("dlog/latency_us")
-                .map_or(0.0, |h| h.mean() / 1000.0),
-        });
-
-        // --- Bookkeeper-like ---
-        let mut cluster = Cluster::new(
-            SimConfig {
-                seed: 5,
-                ..SimConfig::default()
-            },
-            Topology::lan(8),
+            "dlog",
+            mrp_dlog::appends(deployment, 1024, 0),
         );
+        row("dlog", "dlog/ops", "dlog/latency_us", cell);
+
+        let mut cell = Cell::new(seeded(5), Topology::lan(8), warmup, window);
         let ensemble: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
         for &b in &ensemble {
-            cluster.add_actor(
+            cell.cluster.add_actor(
                 b,
                 Box::new(Bookie::new(JournalPolicy {
                     // Aggressive batching: large chunks, long linger —
@@ -548,138 +516,79 @@ pub fn fig5(scale: Scale) -> Vec<Fig5Row> {
                     disk: 0,
                 })),
             );
-            cluster.set_cpu(b, server_cpu());
-            cluster.add_disk(b, journal_disk());
+            cell.cluster.set_cpu(b, server_cpu());
+            cell.cluster.add_disk(b, journal_disk());
         }
-        let client_proc = ProcessId::new(900);
-        let client_id = ClientId::new(1);
-        let client = QuorumLogClient::new(client_id, clients, ensemble, 2, 1024, "bookkeeper")
-            .warmup_until(Time::from_secs(warmup_s));
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        rows.push(Fig5Row {
-            system: "bookkeeper-like",
-            clients,
-            ops_per_sec: cluster.metrics().counter("bookkeeper/ops") as f64 / run_s as f64,
-            latency_ms: cluster
-                .metrics()
-                .histogram("bookkeeper/latency_us")
-                .map_or(0.0, |h| h.mean() / 1000.0),
-        });
+        let source = quorum_appends(ensemble, 2, 1024);
+        cell.closed_loop(900, 1, clients, "bookkeeper", source);
+        row(
+            "bookkeeper-like",
+            "bookkeeper/ops",
+            "bookkeeper/latency_us",
+            cell,
+        );
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 6
 
-/// One point of Figure 6.
-#[derive(Clone, Debug)]
-pub struct Fig6Row {
-    /// Number of log rings.
-    pub rings: u16,
-    /// Aggregate throughput in 1 KB-append operations per second.
-    pub ops_per_sec: f64,
-    /// Scalability relative to linear extrapolation from 1 ring, in %.
-    pub pct_linear: f64,
-    /// Latency CDF points in microseconds.
-    pub cdf: Vec<(u64, f64)>,
-}
-
 /// Figure 6: dLog vertical scalability — 1..5 log rings, one disk per
 /// ring, asynchronous writes; clients submit 32 KB batches of 1 KB
-/// appends.
-pub fn fig6(scale: Scale) -> Vec<Fig6Row> {
-    let warmup_s = scale.pick(2, 1);
-    let run_s = scale.pick(8, 2);
+/// appends. A row is one ring count: aggregate 1 KB appends per second,
+/// that as a percentage of linear extrapolation from one ring, and
+/// three points of the latency CDF.
+pub fn fig6(scale: Scale) -> Figure {
+    let warmup = Time::from_secs(scale.pick(2, 1));
+    let window = Time::from_secs(scale.pick(8, 2));
     let max_rings = scale.pick(5u16, 3);
-    let mut rows: Vec<Fig6Row> = Vec::new();
-    let mut base: Option<f64> = None;
+    let mut fig = Figure::new();
+    let mut base = None;
     for rings in 1..=max_rings {
         let tuning = RingTuning {
             storage: StorageMode::AsyncDisk,
             lambda: 2_000,
             ..RingTuning::default()
         };
-        let deployment =
-            DLogDeployment::build(&DLogTopology::new(rings, tuning).engine(EngineKind::MultiRing));
-        let mut cluster = Cluster::new(
-            SimConfig {
-                seed: 6,
-                ..SimConfig::default()
-            },
-            Topology::lan(8),
-        );
-        deployment.spawn_servers(&mut cluster, NO_CHECKPOINTS, DLOG_WAL_BYTES);
-        for &s in &deployment.servers {
-            // The paper's 32-core servers absorb per-byte work across
-            // rings; charge per-event cost only so the disks (one per
-            // ring) govern scaling as in the paper.
-            cluster.set_cpu(s, CpuModel::new(40, 0));
-            for r in 0..=rings {
-                let d = cluster.add_disk(s, DiskModel::hdd());
-                cluster.map_ring_to_disk(s, RingId::new(r), d);
-            }
-        }
-        let client_proc = ProcessId::new(900);
-        let client_id = ClientId::new(1);
-        let mut cfg = DLogClientConfig::new(client_id, 16 * u32::from(rings));
-        cfg.append_bytes = 32 * 1024; // a 32 KB packet of 1 KB appends
-        cfg.warmup_until = Time::from_secs(warmup_s);
-        let client = DLogClient::new(cfg, deployment.clone());
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
+        let mut cell = Cell::new(seeded(6), Topology::lan(8), warmup, window);
+        // The paper's 32-core servers absorb per-byte work across
+        // rings; charge per-event cost only so the disks (one per
+        // ring) govern scaling as in the paper.
+        let cpu = || CpuModel::new(40, 0);
+        let deployment = spawn_dlog(&mut cell.cluster, rings, tuning, cpu, DiskModel::hdd);
+        // A 32 KB packet of 1 KB appends.
+        let source = mrp_dlog::appends(deployment, 32 * 1024, 0);
+        cell.closed_loop(900, 1, 16 * u32::from(rings), "dlog", source);
+        cell.run();
         // One 32 KB packet = 32 logical 1 KB appends.
-        let ops = cluster.metrics().counter("dlog/ops") as f64 * 32.0 / run_s as f64;
-        let pct = match base {
-            None => {
-                base = Some(ops);
-                100.0
-            }
-            Some(b) => ops / (b * f64::from(rings)) * 100.0,
-        };
-        let cdf = cluster
-            .metrics()
-            .histogram("dlog/latency_us")
-            .map(mrp_sim::metrics::Histogram::cdf)
-            .unwrap_or_default();
-        rows.push(Fig6Row {
-            rings,
-            ops_per_sec: ops,
-            pct_linear: pct,
-            cdf,
-        });
+        let ops = cell.per_sec("dlog/ops") * 32.0;
+        let cells = [
+            ("rings", u64::from(rings).into()),
+            ("ops_per_sec", Value::rounded(ops, 1)),
+            (
+                "pct_linear",
+                Value::rounded(pct_linear(&mut base, rings, ops), 1),
+            ),
+        ];
+        fig.push(cells.into_iter().chain(cell.cdf_cells("dlog/latency_us")));
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 7
-
-/// One point of Figure 7.
-#[derive(Clone, Debug)]
-pub struct Fig7Row {
-    /// Number of regions (= partitions/rings).
-    pub regions: u16,
-    /// Aggregate throughput in operations per second (1 KB updates).
-    pub ops_per_sec: f64,
-    /// Scalability relative to linear extrapolation, %.
-    pub pct_linear: f64,
-    /// Latency CDF (us) measured at the us-west-2 client.
-    pub cdf: Vec<(u64, f64)>,
-}
 
 /// Figure 7: MRP-Store deployed across four EC2 regions — one
 /// partition ring per region plus a global ring over all replicas. The
 /// deployment is constant (all four regions, as in the paper); the sweep
 /// adds client load region by region. Latency stays roughly constant
 /// (it is governed by the fixed global-ring circuit) while aggregate
-/// throughput adds up per region.
-pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
-    let warmup_s = scale.pick(5, 3);
-    let run_s = scale.pick(15, 4);
+/// throughput adds up per region. A row is one count of loaded regions:
+/// aggregate 1 KB updates per second, that as a percentage of linear
+/// extrapolation, and three points of the latency CDF at the us-west-2
+/// client.
+pub fn fig7(scale: Scale) -> Figure {
+    let warmup = Time::from_secs(scale.pick(5, 3));
+    let window = Time::from_secs(scale.pick(15, 4));
     let max_active = scale.pick(4u16, 2);
     let region_order = [
         Region::UsWest2,
@@ -687,8 +596,8 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
         Region::UsEast1,
         Region::EuWest1,
     ];
-    let mut rows: Vec<Fig7Row> = Vec::new();
-    let mut base: Option<f64> = None;
+    let mut fig = Figure::new();
+    let mut base = None;
     for active in 1..=max_active {
         let tuning = RingTuning::wide_area();
         let topo = StoreTopology {
@@ -708,14 +617,8 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
             }
             net.assign(ProcessId::new(900 + u32::from(part)), site);
         }
-        let mut cluster = Cluster::new(
-            SimConfig {
-                seed: 7,
-                ..SimConfig::default()
-            },
-            net,
-        );
-        spawn_store_replicas(&mut cluster, &deployment, StoreApp::new);
+        let mut cell = Cell::new(seeded(7), net, warmup, window);
+        spawn_store_replicas(&mut cell.cluster, &deployment, StoreApp::new);
         // Clients in the first `active` regions, each writing only keys
         // owned by its local partition.
         for part in 0..active {
@@ -728,7 +631,7 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
                 .take(2_000)
                 .collect();
             let mut n = 0usize;
-            let gen = move |_r: &mut mrp_sim::rng::Rng| {
+            let gen = move |_r: &mut Rng| {
                 n += 1;
                 ClientOp::Single {
                     cmd: StoreCommand::Insert {
@@ -743,71 +646,68 @@ pub fn fig7(scale: Scale) -> Vec<Fig7Row> {
                 max_bytes: 32 * 1024,
                 linger_us: 5_000,
             });
-            cfg.warmup_until = Time::from_secs(warmup_s);
+            cfg.warmup_until = warmup;
             cfg.metric_prefix = format!("fig7/r{part}");
             cfg.proposer_override
                 .insert(GroupId::new(part), deployment.replicas[&part][0]);
             let client = StoreClient::new(cfg, deployment.clone(), gen);
-            cluster.add_actor(client_proc, Box::new(client));
-            cluster.register_client(client_id, client_proc);
+            cell.cluster
+                .add_client(client_proc, client_id, Box::new(client));
         }
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        let mut total_ops = 0.0;
-        for part in 0..active {
-            total_ops += cluster.metrics().counter(&format!("fig7/r{part}/ops")) as f64;
-        }
-        let ops = total_ops / run_s as f64;
-        let pct = match base {
-            None => {
-                base = Some(ops);
-                100.0
-            }
-            Some(b) => ops / (b * f64::from(active)) * 100.0,
-        };
-        let cdf = cluster
-            .metrics()
-            .histogram("fig7/r0/latency_us")
-            .map(mrp_sim::metrics::Histogram::cdf)
-            .unwrap_or_default();
-        rows.push(Fig7Row {
-            regions: active,
-            ops_per_sec: ops,
-            pct_linear: pct,
-            cdf,
-        });
+        cell.run();
+        let ops = cell.rate(
+            (0..active)
+                .map(|part| cell.count(&format!("fig7/r{part}/ops")))
+                .sum(),
+        );
+        let cells = [
+            ("regions", u64::from(active).into()),
+            ("ops_per_sec", Value::rounded(ops, 1)),
+            (
+                "pct_linear",
+                Value::rounded(pct_linear(&mut base, active, ops), 1),
+            ),
+        ];
+        fig.push(
+            cells
+                .into_iter()
+                .chain(cell.cdf_cells("fig7/r0/latency_us")),
+        );
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 8
 
-/// One window of the Figure 8 timeline.
+/// One engine's Figure 8 run; an object of `BENCH_fig8.json`.
 #[derive(Clone, Debug)]
-pub struct Fig8Point {
-    /// Window start, seconds.
-    pub t_s: u64,
-    /// Completed operations per second in the window.
-    pub ops_per_sec: f64,
-    /// Mean latency in the window, milliseconds.
-    pub latency_ms: f64,
-}
-
-/// The Figure 8 result: the timeline plus event annotations.
-#[derive(Clone, Debug)]
-pub struct Fig8Result {
+pub struct Fig8Run {
     /// The atomic-multicast engine the run used.
     pub engine: &'static str,
-    /// Per-window points.
-    pub timeline: Vec<Fig8Point>,
-    /// `(time s, event)` annotations.
-    pub events: Vec<(u64, &'static str)>,
     /// Checkpoints taken by the replicas.
     pub checkpoints: u64,
     /// Acceptor log trims executed (ring engine only; the white-box
     /// engine prunes sequencer history instead, which the simulator does
     /// not count as a storage trim).
     pub trims: u64,
+    /// The replica kill and restart instants.
+    pub events: Figure,
+    /// One row per throughput window: window start, completed
+    /// operations per second and mean latency in it.
+    pub timeline: Figure,
+}
+
+impl Fig8Run {
+    /// The run as its artifact object.
+    pub fn json(&self) -> Value {
+        Value::object([
+            ("engine", self.engine.into()),
+            ("checkpoints", self.checkpoints.into()),
+            ("trims", self.trims.into()),
+            ("events", self.events.json()),
+            ("timeline", self.timeline.json()),
+        ])
+    }
 }
 
 /// Figure 8: impact of recovery — a replica is killed at 20 s and
@@ -817,7 +717,7 @@ pub struct Fig8Result {
 /// engine: the ring engine recovers through checkpoint + acceptor-log
 /// retransmission, the white-box engine through checkpoint + sequencer
 /// stream resync — both behind the same engine-generic replica surface.
-pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
+pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
     let total_s = scale.pick(300u64, 30);
     let kill_s = scale.pick(20u64, 4);
     let restart_s = scale.pick(240u64, 18);
@@ -845,15 +745,14 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
     }
     let config = builder.build().expect("fig8 config");
 
-    let mut cluster = Cluster::new(
-        SimConfig {
-            seed: 8,
-            election_timeout_us: 500_000,
-            series_window_us: 5_000_000,
-            ..SimConfig::default()
-        },
-        Topology::lan(8),
-    );
+    let sim = SimConfig {
+        election_timeout_us: 500_000,
+        series_window_us: 5_000_000,
+        ..seeded(8)
+    };
+    // The open-loop client has no warm-up: the timeline starts at 0.
+    let mut cell = Cell::new(sim, Topology::lan(8), Time::ZERO, Time::from_secs(total_s));
+    let cluster = &mut cell.cluster;
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
@@ -872,7 +771,6 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
         cluster.add_disk(p, DiskModel::ssd());
     }
     // Open-loop load at ~75% of the CPU-bound peak.
-    let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
     let mut k = 0u64;
     let client = OpenLoopClient::new(
@@ -890,25 +788,34 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
             .encode()
         },
     );
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
-    cluster.start();
+    cluster.add_client(ProcessId::new(900), client_id, Box::new(client));
     cluster.schedule_crash(Time::from_secs(kill_s), ProcessId::new(4));
     cluster.schedule_restart(Time::from_secs(restart_s), ProcessId::new(4));
-    cluster.run_until(Time::from_secs(total_s));
+    cell.run();
+    let cluster = &mut cell.cluster;
 
-    let mut timeline = Vec::new();
+    let mut timeline = Figure::new();
     if let Some(ops) = cluster.metrics().series("fig8/ops") {
         let lat = cluster.metrics().series("fig8/latency_sum_us");
         for (t, n) in ops.points() {
             let window_s = ops.window_us() as f64 / 1e6;
             let latency_ms = lat.map_or(0.0, |l| l.at(t) / n.max(1.0) / 1000.0);
-            timeline.push(Fig8Point {
-                t_s: t.as_micros() / 1_000_000,
-                ops_per_sec: n / window_s,
-                latency_ms,
-            });
+            timeline.push([
+                ("t_s", (t.as_micros() / 1_000_000).into()),
+                ("ops_per_sec", Value::rounded(n / window_s, 1)),
+                ("latency_ms", Value::rounded(latency_ms, 3)),
+            ]);
         }
+    }
+    let mut events = Figure::new();
+    for (t_s, what) in [
+        (kill_s, "replica terminated"),
+        (
+            restart_s,
+            "replica restarts (checkpoint + resync/retransmission)",
+        ),
+    ] {
+        events.push([("t_s", t_s.into()), ("what", what.into())]);
     }
     let mut checkpoints = 0;
     for i in 3..6 {
@@ -917,72 +824,53 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Result {
             checkpoints += r.inner().checkpoints_taken();
         }
     }
-    Fig8Result {
+    Fig8Run {
         engine: kind.name(),
-        timeline,
-        events: vec![
-            (kill_s, "replica terminated"),
-            (
-                restart_s,
-                "replica restarts (checkpoint + resync/retransmission)",
-            ),
-        ],
         checkpoints,
         trims: cluster.metrics().counter("trim_storage"),
+        events,
+        timeline,
     }
 }
 
 // ------------------------------------------------------------- ablations
 
-/// One row of the 2PC-vs-multicast ablation.
-#[derive(Clone, Debug)]
-pub struct Ablation2pcRow {
-    /// Hot keys per partition (smaller = more contention).
-    pub hot_keys: u64,
-    /// 2PC committed transactions per second.
-    pub twopc_commits_per_sec: f64,
-    /// 2PC abort ratio in percent.
-    pub twopc_abort_pct: f64,
-    /// Atomic-multicast ordered transactions per second (never abort).
-    pub multicast_txn_per_sec: f64,
-}
-
 /// Section 3 ablation: conflicting cross-partition transactions under
-/// no-wait 2PC vs ordered execution through the global ring.
-pub fn ablation_2pc(scale: Scale) -> Vec<Ablation2pcRow> {
-    let warmup_s = scale.pick(1, 1);
-    let run_s = scale.pick(6, 2);
+/// no-wait 2PC vs ordered execution through the global ring. A row is
+/// one count of hot keys per partition (smaller = more contention):
+/// 2PC's committed transactions per second and abort share, against
+/// the transactions per second atomic multicast orders (none aborts).
+pub fn ablation_2pc(scale: Scale) -> Figure {
+    let warmup = Time::from_secs(scale.pick(1, 1));
+    let window = Time::from_secs(scale.pick(6, 2));
     let sweep: &[u64] = &[10_000, 100, 10, 2];
-    let mut rows = Vec::new();
+    let mut fig = Figure::new();
     for &hot in sweep {
-        // --- 2PC ---
-        let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(8));
+        let mut twopc = Cell::new(SimConfig::default(), Topology::lan(8), warmup, window);
         let parts: Vec<ProcessId> = (0..2).map(ProcessId::new).collect();
         for &p in &parts {
-            cluster.add_actor(p, Box::new(TxnParticipant::new()));
-            cluster.set_cpu(p, server_cpu());
+            twopc.cluster.add_actor(p, Box::new(TxnParticipant::new()));
+            twopc.cluster.set_cpu(p, server_cpu());
         }
-        let client_proc = ProcessId::new(900);
         let client_id = ClientId::new(1);
-        let client = TwoPcClient::new(client_id, 32, parts, hot, "2pc")
-            .warmup_until(Time::from_secs(warmup_s));
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        let commits = cluster.metrics().counter("2pc/commit") as f64;
-        let aborts = cluster.metrics().counter("2pc/abort") as f64;
+        let client = TwoPcClient::new(client_id, 32, parts, hot, "2pc").warmup_until(warmup);
+        twopc
+            .cluster
+            .add_client(ProcessId::new(900), client_id, Box::new(client));
+        twopc.run();
+        let commits = twopc.count("2pc/commit");
+        let aborts = twopc.count("2pc/abort");
 
-        // --- atomic multicast: the same conflicting pairs ordered via
-        // the global ring always commit ---
+        // Atomic multicast: the same conflicting pairs ordered via the
+        // global ring always commit.
         let tuning = RingTuning {
             lambda: 2_000,
             ..RingTuning::default()
         };
         let deployment =
             StoreDeployment::build(&StoreTopology::local(2, tuning).engine(EngineKind::MultiRing));
-        let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(16));
-        spawn_store_replicas(&mut cluster, &deployment, StoreApp::new);
+        let mut mcast = Cell::new(SimConfig::default(), Topology::lan(16), warmup, window);
+        spawn_store_replicas(&mut mcast.cluster, &deployment, StoreApp::new);
         let global = deployment.global_group.expect("global ring");
         let payload = StoreCommand::Batch(vec![
             StoreCommand::Insert {
@@ -995,62 +883,51 @@ pub fn ablation_2pc(scale: Scale) -> Vec<Ablation2pcRow> {
             },
         ])
         .encode();
-        let client_proc = ProcessId::new(900);
-        let client_id = ClientId::new(1);
-        let target = deployment.proposer_of[&global];
-        let client = PingClient::new(client_id, 32, target, global, payload.len(), "mcast")
-            .with_payload(payload.clone())
-            .warmup_until(Time::from_secs(warmup_s));
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        let mcast = cluster.metrics().counter("mcast/ops") as f64;
+        let source = ping(deployment.proposer_of[&global], global, payload);
+        mcast.closed_loop(900, 1, 32, "mcast", source);
+        mcast.run();
 
-        rows.push(Ablation2pcRow {
-            hot_keys: hot,
-            twopc_commits_per_sec: commits / run_s as f64,
-            twopc_abort_pct: if commits + aborts > 0.0 {
-                aborts / (commits + aborts) * 100.0
-            } else {
-                0.0
-            },
-            multicast_txn_per_sec: mcast / run_s as f64,
-        });
+        let abort_pct = if commits + aborts > 0 {
+            aborts as f64 / (commits + aborts) as f64 * 100.0
+        } else {
+            0.0
+        };
+        fig.push([
+            ("hot_keys", hot.into()),
+            (
+                "twopc_commits_per_sec",
+                Value::rounded(twopc.rate(commits), 1),
+            ),
+            ("twopc_abort_pct", Value::rounded(abort_pct, 2)),
+            (
+                "multicast_txn_per_sec",
+                Value::rounded(mcast.per_sec("mcast/ops"), 1),
+            ),
+        ]);
     }
-    rows
-}
-
-/// One row of the rate-leveling ablation.
-#[derive(Clone, Debug)]
-pub struct AblationMergeRow {
-    /// λ of the idle ring (instances/s; 0 disables rate leveling).
-    pub lambda: u64,
-    /// Δ of the idle ring, milliseconds.
-    pub delta_ms: u64,
-    /// Mean delivery latency of the busy group, milliseconds.
-    pub latency_ms: f64,
-    /// Operations per second on the busy group.
-    pub ops_per_sec: f64,
+    fig
 }
 
 /// Section 4 ablation: a learner subscribed to a busy and an idle ring
 /// only delivers at the pace of the idle ring unless rate leveling
-/// (λ, Δ) keeps it flowing.
-pub fn ablation_merge(scale: Scale) -> Vec<AblationMergeRow> {
-    let warmup_s = scale.pick(1, 1);
-    let run_s = scale.pick(6, 2);
+/// (λ, Δ) keeps it flowing. A row is one (λ, Δ) of the idle ring
+/// (instances/s, 0 disables rate leveling; milliseconds): the busy
+/// group's mean delivery latency — `null` when nothing was delivered —
+/// and its operations per second.
+pub fn ablation_merge(scale: Scale) -> Figure {
+    let warmup = Time::from_secs(scale.pick(1, 1));
+    let window = Time::from_secs(scale.pick(6, 2));
     let sweep: &[(u64, u64)] = &[(0, 5), (200, 100), (2_000, 20), (9_000, 5)];
-    let mut rows = Vec::new();
+    let mut fig = Figure::new();
     for &(lambda, delta_ms) in sweep {
-        let mk_tuning = |l: u64| RingTuning {
-            lambda: l,
+        let tuning = RingTuning {
+            lambda,
             delta_us: delta_ms * 1000,
             ..RingTuning::default()
         };
         let mut builder = ClusterConfig::builder();
         for ring in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(ring)).tuning(mk_tuning(lambda));
+            let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
             for p in 0..3 {
                 spec = spec.member(ProcessId::new(p), Roles::ALL);
             }
@@ -1064,9 +941,9 @@ pub fn ablation_merge(scale: Scale) -> Vec<AblationMergeRow> {
                 .subscribe(ProcessId::new(p), GroupId::new(1));
         }
         let config = builder.build().expect("merge ablation config");
-        let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(8));
+        let mut cell = Cell::new(SimConfig::default(), Topology::lan(8), warmup, window);
         spawn_echo_replicas(
-            &mut cluster,
+            &mut cell.cluster,
             EngineKind::MultiRing,
             &config,
             3,
@@ -1074,32 +951,24 @@ pub fn ablation_merge(scale: Scale) -> Vec<AblationMergeRow> {
             None,
         );
         // Busy client on group 0; group 1 idles entirely.
-        let client_proc = ProcessId::new(900);
-        let client_id = ClientId::new(1);
-        let client = PingClient::new(
-            client_id,
-            16,
-            ProcessId::new(0),
-            GroupId::new(0),
-            512,
-            "busy",
-        )
-        .warmup_until(Time::from_secs(warmup_s));
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
-        cluster.start();
-        cluster.run_until(Time::from_secs(warmup_s + run_s));
-        rows.push(AblationMergeRow {
-            lambda,
-            delta_ms,
-            latency_ms: cluster
-                .metrics()
-                .histogram("busy/latency_us")
-                .map_or(f64::INFINITY, |h| h.mean() / 1000.0),
-            ops_per_sec: cluster.metrics().counter("busy/ops") as f64 / run_s as f64,
-        });
+        let payload = Bytes::from(vec![0x5Au8; 512]);
+        let source = ping(ProcessId::new(0), GroupId::new(0), payload);
+        cell.closed_loop(900, 1, 16, "busy", source);
+        cell.run();
+        let ops = cell.per_sec("busy/ops");
+        let latency_ms = if ops > 0.0 {
+            cell.mean_ms("busy/latency_us")
+        } else {
+            f64::INFINITY // stalled
+        };
+        fig.push([
+            ("lambda", lambda.into()),
+            ("delta_ms", delta_ms.into()),
+            ("latency_ms", Value::rounded(latency_ms, 3)),
+            ("ops_per_sec", Value::rounded(ops, 1)),
+        ]);
     }
-    rows
+    fig
 }
 
 // ---------------------------------------------------------------- fig 9
@@ -1120,25 +989,30 @@ pub struct EngineTelemetrySummary {
     pub histograms: BTreeMap<String, mrp_amcast::Histogram>,
 }
 
-/// One row of the engine comparison (Figure 9, an extension of the
-/// paper's evaluation: same workload ordered by different
-/// atomic-multicast engines).
-#[derive(Clone, Debug)]
-pub struct Fig9Row {
-    /// Engine name.
-    pub engine: &'static str,
-    /// Number of multicast groups.
-    pub groups: u16,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
-    /// Mean client latency in milliseconds.
-    pub latency_ms: f64,
-    /// Median client latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile client latency in milliseconds.
-    pub p99_ms: f64,
-    /// The engines' own phase-level telemetry for this cell.
-    pub telemetry: EngineTelemetrySummary,
+/// The engine comparison (Figure 9, an extension of the paper's
+/// evaluation: same workload ordered by different atomic-multicast
+/// engines): the two arrays of `BENCH_fig9.json`, one entry each per
+/// (engine, groups) cell.
+#[derive(Clone, Debug, Default)]
+pub struct Fig9 {
+    /// Client side: completed operations per second, mean, median and
+    /// 99th-percentile latency.
+    pub rows: Figure,
+    /// The engines' own phase-level telemetry: contributing `nodes`,
+    /// the `healthy` verdict, `counters` summed and latency
+    /// `histograms` merged over the nodes, each summarized as
+    /// `{count, p50_us, p99_us, max_us}`.
+    pub engine_telemetry: Figure,
+}
+
+impl Fig9 {
+    /// The artifact: an object of the two arrays.
+    pub fn json(&self) -> Value {
+        Value::object([
+            ("rows", self.rows.json()),
+            ("engine_telemetry", self.engine_telemetry.json()),
+        ])
+    }
 }
 
 /// A deployment for the engine comparison: `groups` rings over the same
@@ -1166,22 +1040,55 @@ fn engines_config(groups: u16, n: u32, tuning: RingTuning) -> ClusterConfig {
 /// on the identical closed-loop workload, as the number of groups
 /// grows. Both engines run behind the same engine-generic replica, so
 /// the difference is purely the ordering path.
-pub fn fig9(scale: Scale) -> Vec<Fig9Row> {
+pub fn fig9(scale: Scale) -> Fig9 {
     let group_counts: &[u16] = scale.pick(&[1, 2, 4], &[1, 2]);
     let warmup_ms = scale.pick(2_000, 1_000);
     let run_ms = scale.pick(10_000, 2_000);
-    let mut rows = Vec::new();
+    let mut fig = Fig9::default();
     for kind in EngineKind::ALL {
         for &groups in group_counts {
-            rows.push(fig9_cell(kind, groups, warmup_ms, run_ms));
+            let cell = fig9_cell(kind, groups, warmup_ms, run_ms);
+            let key = [
+                ("engine", kind.name().into()),
+                ("groups", u64::from(groups).into()),
+            ];
+            fig.rows.push(key.clone().into_iter().chain(cell.client));
+            let t = cell.telemetry;
+            fig.engine_telemetry.push(key.into_iter().chain([
+                ("nodes", (t.nodes as u64).into()),
+                ("healthy", Value::Bool(t.healthy)),
+                (
+                    "counters",
+                    Value::object(t.counters.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+                ),
+                (
+                    "histograms",
+                    Value::object(t.histograms.iter().map(|(k, h)| {
+                        let summary = Value::object([
+                            ("count", h.count().into()),
+                            ("p50_us", h.quantile(0.5).into()),
+                            ("p99_us", h.quantile(0.99).into()),
+                            ("max_us", h.max().into()),
+                        ]);
+                        (k.as_str(), summary)
+                    })),
+                ),
+            ]));
         }
     }
-    rows
+    fig
+}
+
+/// What one `(engine, groups)` cell of Figure 9 measured.
+struct Fig9Cell {
+    /// The client-side cells of its row.
+    client: [(&'static str, Value); 4],
+    telemetry: EngineTelemetrySummary,
 }
 
 /// One `(engine, groups)` cell of Figure 9: 3 processes, 8 sessions per
 /// group, measured for `run_ms` after `warmup_ms`.
-fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9Row {
+fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9Cell {
     let n = 3u32;
     let tuning = RingTuning {
         lambda: 3_000,
@@ -1189,15 +1096,14 @@ fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9
         ..RingTuning::default()
     };
     let config = engines_config(groups, n, tuning);
-    let mut cluster = Cluster::new(
-        SimConfig {
-            seed: 9,
-            ..SimConfig::default()
-        },
+    let mut cell = Cell::new(
+        seeded(9),
         Topology::lan(16),
+        Time::from_millis(warmup_ms),
+        Time::from_millis(run_ms),
     );
     spawn_echo_replicas(
-        &mut cluster,
+        &mut cell.cluster,
         kind,
         &config,
         n,
@@ -1205,25 +1111,22 @@ fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9
         Some(proto_cpu),
     );
     for g in 0..groups {
-        let client_proc = ProcessId::new(900 + u32::from(g));
-        let client_id = ClientId::new(u64::from(g) + 1);
         // Target the group's ring-rotation head so load (and the
         // sequencer role) spreads over the processes.
         let target = ProcessId::new(u32::from(g) % n);
-        let client = PingClient::new(client_id, 8, target, GroupId::new(g), 512, "fig9")
-            .warmup_until(Time::from_millis(warmup_ms));
-        cluster.add_actor(client_proc, Box::new(client));
-        cluster.register_client(client_id, client_proc);
+        let payload = Bytes::from(vec![0x5Au8; 512]);
+        let source = ping(target, GroupId::new(g), payload);
+        cell.closed_loop(900 + u32::from(g), u64::from(g) + 1, 8, "fig9", source);
     }
-    cluster.start();
-    cluster.run_until(Time::from_millis(warmup_ms + run_ms));
-    let per_node = cluster.collect_engine_telemetry();
+    cell.run();
+    let per_node = cell.cluster.collect_engine_telemetry();
     let mut telemetry = EngineTelemetrySummary {
         nodes: per_node.len(),
         // `collect_engine_telemetry` folds health issues into
         // `engine.health.<code>` counters; none means every node's
         // probe came back clean.
-        healthy: !cluster
+        healthy: !cell
+            .cluster
             .metrics()
             .counter_names()
             .any(|name| name.starts_with("engine.health.")),
@@ -1241,65 +1144,41 @@ fn fig9_cell(kind: EngineKind, groups: u16, warmup_ms: u64, run_ms: u64) -> Fig9
                 .merge(h);
         }
     }
-    let h = cluster.metrics().histogram("fig9/latency_us");
-    Fig9Row {
-        engine: kind.name(),
-        groups,
-        ops_per_sec: cluster.metrics().counter("fig9/ops") as f64 * 1000.0 / run_ms as f64,
-        latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
-        p50_ms: h.map_or(0.0, |h| h.quantile(0.5) as f64 / 1000.0),
-        p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
+    let latency = "fig9/latency_us";
+    Fig9Cell {
+        client: [
+            ("ops_per_sec", Value::rounded(cell.per_sec("fig9/ops"), 1)),
+            ("latency_ms", Value::rounded(cell.mean_ms(latency), 3)),
+            ("p50_ms", Value::rounded(cell.quantile_ms(latency, 0.5), 3)),
+            ("p99_ms", Value::rounded(cell.quantile_ms(latency, 0.99), 3)),
+        ],
         telemetry,
     }
 }
 
 // ------------------------------------------------------- fig multigroup
 
-/// One row of the multi-group multicast comparison: the same mixed
-/// workload with a growing fraction of multi-group messages, ordered by
-/// each engine. The white-box engine orders them genuinely among the
-/// addressed groups; Multi-Ring Paxos routes them through a covering
-/// (global-ring-shaped) group.
-#[derive(Clone, Debug)]
-pub struct MultigroupRow {
-    /// Engine name.
-    pub engine: &'static str,
-    /// Fraction of multi-group messages, per mille.
-    pub multi_per_mille: u32,
-    /// Initiator-churn period in milliseconds (`0` = no churn): every
-    /// `crash_ms` the process that initiates the multi-group messages
-    /// is crashed and restarted half a period later, so the row
-    /// measures throughput with multi-group rounds repeatedly orphaned
-    /// mid-flight. Set via the `MRP_MULTIGROUP_CRASH_MS` env var.
-    pub crash_ms: u64,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
-    /// Mean client latency in milliseconds, all operations.
-    pub latency_ms: f64,
-    /// Mean latency of single-group operations, milliseconds.
-    pub single_ms: f64,
-    /// Mean latency of multi-group operations, milliseconds.
-    pub multi_ms: f64,
-    /// 99th-percentile client latency in milliseconds.
-    pub p99_ms: f64,
-}
-
 /// Extension figure: genuine multi-group multicast vs covering-group
 /// routing, as the fraction of multi-group messages grows (x-axis).
 /// Three groups over three processes, every process subscribing to
 /// every group — so the ring engine has a covering group available and
 /// both engines run the identical workload behind the identical
-/// engine-generic replica.
+/// engine-generic replica: the white-box engine orders multi-group
+/// messages genuinely among the addressed groups, Multi-Ring Paxos
+/// routes them through a covering (global-ring-shaped) group. A row is
+/// one (engine, multi-group messages per 1000 requests): completed
+/// operations per second, mean latency over all operations and split by
+/// message class, and the 99th percentile.
 ///
-/// Setting `MRP_MULTIGROUP_CRASH_MS=<period>` adds **initiator churn**:
-/// every period the process that initiates the multi-group messages is
-/// crashed (orphaning its in-flight Skeen rounds) and restarted half a
-/// period later, and client sessions retry abandoned operations — so
-/// the rows (which the bench then writes to `BENCH_multigroup_churn.json`)
-/// record throughput while orphan recovery (wbcast) / coordinator
-/// re-election (both engines) runs continuously.
-pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
-    use crate::harness::MixedGroupClient;
+/// Setting `MRP_MULTIGROUP_CRASH_MS=<period>` adds **initiator churn**
+/// (the rows' `crash_ms`; 0 = none): every period the process that
+/// initiates the multi-group messages is crashed (orphaning its
+/// in-flight Skeen rounds) and restarted half a period later, and client
+/// sessions retry abandoned operations — so the rows (which the bench
+/// then writes to `BENCH_multigroup_churn.json`) record throughput while
+/// orphan recovery (wbcast) / coordinator re-election (both engines)
+/// runs continuously.
+pub fn fig_multigroup(scale: Scale) -> Figure {
     let fractions: &[u32] = scale.pick(&[0, 50, 200, 500, 1000], &[0, 500]);
     let warmup_s = scale.pick(2, 1);
     let run_s = scale.pick(10, 2);
@@ -1309,7 +1188,7 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
         .unwrap_or(0);
     let n = 3u32;
     let groups = 3u16;
-    let mut rows = Vec::new();
+    let mut fig = Figure::new();
     for kind in EngineKind::ALL {
         for &multi_per_mille in fractions {
             let tuning = RingTuning {
@@ -1318,13 +1197,15 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
                 ..RingTuning::default()
             };
             let config = engines_config(groups, n, tuning);
-            let mut cluster = Cluster::new(
-                SimConfig {
-                    seed: 11,
-                    election_timeout_us: 50_000,
-                    ..SimConfig::default()
-                },
+            let sim = SimConfig {
+                election_timeout_us: 50_000,
+                ..seeded(11)
+            };
+            let mut cell = Cell::new(
+                sim,
                 Topology::lan(16),
+                Time::from_secs(warmup_s),
+                Time::from_secs(run_s),
             );
             let policy = CheckpointPolicy {
                 // Churn runs checkpoint so a restarted victim rejoins
@@ -1332,7 +1213,7 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
                 interval_us: if crash_ms > 0 { 100_000 } else { 0 },
                 sync: false,
             };
-            spawn_echo_replicas(&mut cluster, kind, &config, n, policy, Some(proto_cpu));
+            spawn_echo_replicas(&mut cell.cluster, kind, &config, n, policy, Some(proto_cpu));
             let targets: Vec<(ProcessId, GroupId)> = (0..groups)
                 .map(|g| (ProcessId::new(u32::from(g) % n), GroupId::new(g)))
                 .collect();
@@ -1343,39 +1224,44 @@ pub fn fig_multigroup(scale: Scale) -> Vec<MultigroupRow> {
                 let period = crash_ms * 1_000;
                 let mut t = warmup_s * 1_000_000 + period;
                 while t + period / 2 < (warmup_s + run_s) * 1_000_000 {
-                    cluster.schedule_crash(Time::from_micros(t), victim);
-                    cluster.schedule_restart(Time::from_micros(t + period / 2), victim);
+                    cell.cluster.schedule_crash(Time::from_micros(t), victim);
+                    cell.cluster
+                        .schedule_restart(Time::from_micros(t + period / 2), victim);
                     t += period;
                 }
             }
-            let client_proc = ProcessId::new(950);
             let client_id = ClientId::new(1);
-            let mut client =
-                MixedGroupClient::new(client_id, 24, targets, multi_per_mille, 512, "multigroup")
-                    .warmup_until(Time::from_secs(warmup_s));
-            if crash_ms > 0 {
-                client = client.with_retry(crash_ms * 1_000 / 2);
-            }
-            cluster.add_actor(client_proc, Box::new(client));
-            cluster.register_client(client_id, client_proc);
-            cluster.start();
-            cluster.run_until(Time::from_secs(warmup_s + run_s));
-            let h = cluster.metrics().histogram("multigroup/latency_us");
-            let single = cluster.metrics().histogram("multigroup/latency_us/single");
-            let multi = cluster.metrics().histogram("multigroup/latency_us/multi");
-            rows.push(MultigroupRow {
-                engine: kind.name(),
-                multi_per_mille,
-                crash_ms,
-                ops_per_sec: cluster.metrics().counter("multigroup/ops") as f64 / run_s as f64,
-                latency_ms: h.map_or(0.0, |h| h.mean() / 1000.0),
-                single_ms: single.map_or(0.0, |h| h.mean() / 1000.0),
-                multi_ms: multi.map_or(0.0, |h| h.mean() / 1000.0),
-                p99_ms: h.map_or(0.0, |h| h.quantile(0.99) as f64 / 1000.0),
-            });
+            let source = mixed_groups(targets, multi_per_mille, 512);
+            // Without churn the retry period is 0: no session retries.
+            let client = ClosedLoopClient::new(client_id, 24, "multigroup", source)
+                .warmup_until(cell.warmup)
+                .with_retry(crash_ms * 1_000 / 2);
+            cell.cluster
+                .add_client(ProcessId::new(950), client_id, Box::new(client));
+            cell.run();
+            let latency = "multigroup/latency_us";
+            fig.push([
+                ("engine", kind.name().into()),
+                ("multi_per_mille", u64::from(multi_per_mille).into()),
+                ("crash_ms", crash_ms.into()),
+                (
+                    "ops_per_sec",
+                    Value::rounded(cell.per_sec("multigroup/ops"), 1),
+                ),
+                ("latency_ms", Value::rounded(cell.mean_ms(latency), 3)),
+                (
+                    "single_ms",
+                    Value::rounded(cell.mean_ms("multigroup/latency_us/single"), 3),
+                ),
+                (
+                    "multi_ms",
+                    Value::rounded(cell.mean_ms("multigroup/latency_us/multi"), 3),
+                ),
+                ("p99_ms", Value::rounded(cell.quantile_ms(latency, 0.99), 3)),
+            ]);
         }
     }
-    rows
+    fig
 }
 
 #[cfg(test)]

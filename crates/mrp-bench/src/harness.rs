@@ -1,8 +1,11 @@
-//! Shared pieces of the figure harnesses: the dummy service, generic
-//! closed/open-loop clients, and run-scale selection.
+//! Shared pieces of the figure harnesses: the dummy service, the
+//! protocol-level workloads of [`ClosedLoopClient`](mrp_sim::ClosedLoopClient),
+//! the open-loop client, and run-scale selection.
 
 use bytes::Bytes;
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
+use mrp_sim::client::Operation;
+use mrp_sim::rng::Rng;
 use multiring_paxos::app::{decode_command, Application, Delivery, Reply};
 use multiring_paxos::event::Message;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
@@ -26,6 +29,14 @@ impl Scale {
             Ok("smoke") => Scale::Smoke,
             _ => Scale::Full,
         }
+    }
+
+    /// The file a bench writes its rows to: `BENCH_<name>.json` at smoke
+    /// scale — the scale of the committed copies CI regenerates and
+    /// diffs — and `BENCH_<name>_full.json` otherwise, so that a
+    /// full-scale run never rewrites a committed file.
+    pub fn artifact(self, name: &str) -> String {
+        format!("BENCH_{name}{}.json", self.pick("_full", ""))
     }
 
     /// Picks `full` or `smoke` accordingly.
@@ -89,269 +100,39 @@ impl Application for EchoApp {
     }
 }
 
-/// A closed-loop client sending fixed-size requests to a fixed target
-/// and waiting for the first response (the paper's proposer threads).
-pub struct PingClient {
-    client: ClientId,
-    sessions: u32,
+/// The paper's proposer threads: the same `payload` to `group` through
+/// `target`, every time.
+pub fn ping(
     target: ProcessId,
     group: GroupId,
     payload: Bytes,
-    next_request: u64,
-    pending: BTreeMap<u64, (u32, Time)>,
-    warmup_until: Time,
-    prefix: String,
+) -> impl FnMut(&mut Rng) -> Operation {
+    move |_| Operation::to_one(target, vec![group], payload.clone())
 }
 
-impl std::fmt::Debug for PingClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PingClient")
-            .field("client", &self.client)
-            .finish_non_exhaustive()
-    }
-}
-
-impl PingClient {
-    /// Creates a client with `sessions` closed loops sending
-    /// `payload_bytes` requests to `target`.
-    pub fn new(
-        client: ClientId,
-        sessions: u32,
-        target: ProcessId,
-        group: GroupId,
-        payload_bytes: usize,
-        prefix: impl Into<String>,
-    ) -> Self {
-        Self {
-            client,
-            sessions,
-            target,
-            group,
-            payload: Bytes::from(vec![0x5Au8; payload_bytes]),
-            next_request: 0,
-            pending: BTreeMap::new(),
-            warmup_until: Time::ZERO,
-            prefix: prefix.into(),
-        }
-    }
-
-    /// Discards samples before `t`.
-    pub fn warmup_until(mut self, t: Time) -> Self {
-        self.warmup_until = t;
-        self
-    }
-
-    /// Replaces the filler payload with a concrete one (e.g. an encoded
-    /// service command).
-    pub fn with_payload(mut self, payload: Bytes) -> Self {
-        self.payload = payload;
-        self
-    }
-
-    fn issue(&mut self, session: u32, now: Time, out: &mut Outbox) {
-        self.next_request += 1;
-        self.pending.insert(self.next_request, (session, now));
-        out.send(
-            self.target,
-            Message::Request {
-                client: self.client,
-                request: self.next_request,
-                groups: vec![self.group],
-                payload: self.payload.clone(),
-            },
-        );
-    }
-}
-
-impl Actor for PingClient {
-    fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        match event {
-            ActorEvent::Start => {
-                for s in 0..self.sessions {
-                    self.issue(s, now, out);
-                }
-            }
-            ActorEvent::Message {
-                msg: Message::Response { request, .. },
-                ..
-            } => {
-                let Some((session, issued_at)) = self.pending.remove(&request) else {
-                    return; // duplicate replica response
-                };
-                if now >= self.warmup_until {
-                    let prefix = &self.prefix;
-                    ctx.metrics
-                        .record(&format!("{prefix}/latency_us"), now.since(issued_at));
-                    ctx.metrics.incr(&format!("{prefix}/ops"), 1);
-                    ctx.metrics
-                        .incr(&format!("{prefix}/bytes"), self.payload.len() as u64);
-                    ctx.metrics.series_add(&format!("{prefix}/ops"), now, 1.0);
-                }
-                self.issue(session, now, out);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A closed-loop client mixing single-group and multi-group requests:
-/// with probability `multi_per_mille / 1000` an operation is multicast
-/// to *all* configured groups (the cross-partition shape — a scan, a
-/// multi-log append), otherwise to one group round-robin. Latencies are
-/// recorded separately under `<prefix>/latency_us/{single,multi}`.
-pub struct MixedGroupClient {
-    client: ClientId,
-    sessions: u32,
-    /// One (proposer, group) pair per group; single-group requests
-    /// rotate over them, multi-group requests address every group and
-    /// go to the first proposer.
+/// A mix of single-group and multi-group requests: with probability
+/// `multi_per_mille / 1000` an operation is multicast to *all*
+/// configured groups (the cross-partition shape — a scan, a multi-log
+/// append) through the first proposer, otherwise to one group
+/// round-robin through its own. `targets` holds one (proposer, group)
+/// pair per group; latencies are classed `single` and `multi`.
+pub fn mixed_groups(
     targets: Vec<(ProcessId, GroupId)>,
     multi_per_mille: u32,
-    payload: Bytes,
-    next_request: u64,
-    round_robin: u64,
-    pending: BTreeMap<u64, (u32, Time, bool)>,
-    warmup_until: Time,
-    /// When nonzero, a session whose request has been unanswered this
-    /// long abandons it and issues a fresh operation — the at-least-once
-    /// client behavior churn experiments need (a request sent to a
-    /// crashed replica would otherwise kill its closed loop forever).
-    retry_us: u64,
-    prefix: String,
-}
-
-impl std::fmt::Debug for MixedGroupClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MixedGroupClient")
-            .field("client", &self.client)
-            .field("multi_per_mille", &self.multi_per_mille)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MixedGroupClient {
-    /// A client with `sessions` closed loops over `targets`, sending
-    /// `payload_bytes` requests, `multi_per_mille`/1000 of them
-    /// multi-group.
-    pub fn new(
-        client: ClientId,
-        sessions: u32,
-        targets: Vec<(ProcessId, GroupId)>,
-        multi_per_mille: u32,
-        payload_bytes: usize,
-        prefix: impl Into<String>,
-    ) -> Self {
-        assert!(!targets.is_empty());
-        Self {
-            client,
-            sessions,
-            targets,
-            multi_per_mille,
-            payload: Bytes::from(vec![0x6Bu8; payload_bytes]),
-            next_request: 0,
-            round_robin: 0,
-            pending: BTreeMap::new(),
-            warmup_until: Time::ZERO,
-            retry_us: 0,
-            prefix: prefix.into(),
-        }
-    }
-
-    /// Discards samples before `t`.
-    pub fn warmup_until(mut self, t: Time) -> Self {
-        self.warmup_until = t;
-        self
-    }
-
-    /// Enables session retries: an operation unanswered for `retry_us`
-    /// is abandoned and the session issues a fresh one (at-least-once —
-    /// the abandoned command may still execute). Required for churn
-    /// runs where the target replica crashes with requests in flight.
-    pub fn with_retry(mut self, retry_us: u64) -> Self {
-        self.retry_us = retry_us;
-        self
-    }
-
-    fn issue(&mut self, session: u32, now: Time, out: &mut Outbox, rng: &mut mrp_sim::rng::Rng) {
-        let multi = self.multi_per_mille > 0 && rng.below(1000) < u64::from(self.multi_per_mille);
-        self.next_request += 1;
-        self.pending
-            .insert(self.next_request, (session, now, multi));
-        let (target, groups) = if multi {
-            (
-                self.targets[0].0,
-                self.targets.iter().map(|&(_, g)| g).collect(),
-            )
+    payload_bytes: usize,
+) -> impl FnMut(&mut Rng) -> Operation {
+    assert!(!targets.is_empty());
+    let payload = Bytes::from(vec![0x6Bu8; payload_bytes]);
+    let mut round_robin = 0u64;
+    move |rng| {
+        if multi_per_mille > 0 && rng.below(1000) < u64::from(multi_per_mille) {
+            let groups = targets.iter().map(|&(_, g)| g).collect();
+            Operation::to_one(targets[0].0, groups, payload.clone()).tagged("multi")
         } else {
-            self.round_robin += 1;
-            let (p, g) = self.targets[(self.round_robin % self.targets.len() as u64) as usize];
-            (p, vec![g])
-        };
-        out.send(
-            target,
-            Message::Request {
-                client: self.client,
-                request: self.next_request,
-                groups,
-                payload: self.payload.clone(),
-            },
-        );
-    }
-}
-
-impl Actor for MixedGroupClient {
-    fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        match event {
-            ActorEvent::Start => {
-                for s in 0..self.sessions {
-                    self.issue(s, now, out, ctx.rng);
-                }
-                if self.retry_us > 0 {
-                    out.wakeup(self.retry_us, 0);
-                }
-            }
-            ActorEvent::Wakeup(0) if self.retry_us > 0 => {
-                let stale: Vec<u64> = self
-                    .pending
-                    .iter()
-                    .filter(|&(_, &(_, issued_at, _))| now.since(issued_at) >= self.retry_us)
-                    .map(|(&request, _)| request)
-                    .collect();
-                for request in stale {
-                    let (session, _, _) = self.pending.remove(&request).expect("stale entry");
-                    self.issue(session, now, out, ctx.rng);
-                }
-                out.wakeup(self.retry_us, 0);
-            }
-            ActorEvent::Message {
-                msg: Message::Response { request, .. },
-                ..
-            } => {
-                let Some((session, issued_at, multi)) = self.pending.remove(&request) else {
-                    return; // duplicate replica response
-                };
-                if now >= self.warmup_until {
-                    let prefix = &self.prefix;
-                    let latency = now.since(issued_at);
-                    let tag = if multi { "multi" } else { "single" };
-                    ctx.metrics.record(&format!("{prefix}/latency_us"), latency);
-                    ctx.metrics
-                        .record(&format!("{prefix}/latency_us/{tag}"), latency);
-                    ctx.metrics.incr(&format!("{prefix}/ops"), 1);
-                    ctx.metrics.series_add(&format!("{prefix}/ops"), now, 1.0);
-                }
-                self.issue(session, now, out, ctx.rng);
-            }
-            _ => {}
+            round_robin += 1;
+            let (p, g) = targets[(round_robin % targets.len() as u64) as usize];
+            Operation::to_one(p, vec![g], payload.clone()).tagged("single")
         }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -475,6 +256,8 @@ mod tests {
     fn scale_pick() {
         assert_eq!(Scale::Full.pick(10, 1), 10);
         assert_eq!(Scale::Smoke.pick(10, 1), 1);
+        assert_eq!(Scale::Smoke.artifact("fig3"), "BENCH_fig3.json");
+        assert_eq!(Scale::Full.artifact("fig3"), "BENCH_fig3_full.json");
     }
 
     #[test]

@@ -13,74 +13,54 @@
 //! | `fig8_recovery` | Fig. 8 — recovery impact timeline |
 //! | `ablation_2pc` | §3 — 2PC aborts vs atomic-multicast ordering |
 //! | `ablation_merge` | §4 — rate-leveling (Δ, λ) sensitivity |
-//! | `fig9_engines` | extension — Multi-Ring Paxos vs the white-box engine as groups scale (emits `BENCH_fig9.json`) |
-//! | `fig_multigroup` | extension — genuine multi-group multicast vs global-ring routing as the multi-group fraction grows (emits `BENCH_multigroup.json`) |
+//! | `fig9_engines` | extension — Multi-Ring Paxos vs the white-box engine as groups scale |
+//! | `fig_multigroup` | extension — genuine multi-group multicast vs global-ring routing as the multi-group fraction grows |
 //! | `micro` | Criterion micro-benchmarks of the hot paths |
 //!
 //! Every harness prints the same rows/series the paper reports and is
 //! parameterized by [`Scale`] so the test suite can run a fast smoke
 //! version of the exact same code (`MRP_BENCH_SCALE=smoke`).
 //!
-//! ## Bench artifacts: the `BENCH_*.json` schema
+//! ## Bench artifacts: the `BENCH_*.json` files
 //!
-//! Benches that feed cross-PR trajectory comparisons additionally write
-//! JSON — every one through [`json::Value::render`], the workspace's
-//! one emitter (it is offline-hermetic: no serde) — into the bench
-//! binary's working directory, which `cargo bench` sets to
-//! `crates/mrp-bench/`. CI runs them at smoke scale and uploads the
-//! files as artifacts, so numbers are comparable PR-over-PR as long as
-//! they come from the same scale. The three simulator artifacts below
-//! are virtual time and reproduce to the byte, so smoke-scale copies
-//! are committed and CI fails when regenerating them changes a byte
-//! (`git diff --exit-code`, as for the checker's state counts);
-//! `BENCH_micro.json` holds clocks and is gated on its counts only.
+//! Every figure is a [`Figure`]: rows of JSON objects beside the ordered
+//! list of their columns, built once in [`figures`]. The bench prints
+//! the rows as a table and writes the same rows — through
+//! [`json::Value::render`], the workspace's one emitter (it is
+//! offline-hermetic: no serde) — into the bench binary's working
+//! directory, which `cargo bench` sets to `crates/mrp-bench/`. **The
+//! columns are the keys**: a row's members are the table's columns,
+//! named where `figures.rs` computes the cell, and the doc comment of
+//! each `figures::fig*` says what they measure.
 //!
-//! `BENCH_multigroup.json` — an array with one row per
-//! (engine, multi-group fraction) cell of the sweep:
+//! The ten simulator artifacts are virtual time and reproduce to the
+//! byte, so smoke-scale copies are committed and CI fails when
+//! regenerating them changes a byte (`git diff --exit-code`, as for the
+//! checker's state counts). Only a smoke-scale run writes those names:
+//! any other scale writes `BENCH_<name>_full.json`
+//! ([`Scale::artifact`]), and a churn run of `fig_multigroup`
+//! `BENCH_multigroup_churn.json`. A row of each:
 //!
-//! | field | meaning |
+//! | artifact | a row is |
 //! |---|---|
-//! | `engine` | engine name (`multiring` \| `wbcast`) |
-//! | `multi_per_mille` | multi-group messages per 1000 client requests |
-//! | `crash_ms` | initiator-churn period in ms (`0` = none): every period the multi-group initiator is crashed and restarted half a period later (`MRP_MULTIGROUP_CRASH_MS`), measuring throughput under repeatedly orphaned rounds; a churn run writes `BENCH_multigroup_churn.json` and leaves the baseline alone |
-//! | `ops_per_sec` | completed client operations per second |
-//! | `latency_ms` | mean end-to-end latency over all operations |
-//! | `single_ms` / `multi_ms` | mean latency split by message class |
-//! | `p99_ms` | 99th-percentile latency |
+//! | `BENCH_fig3.json` | one (storage mode, request size): throughput, mean latency, coordinator CPU, latency p50/p90/p99 |
+//! | `BENCH_fig4.json` | one (system, YCSB workload): ops/s; on workload F the mean read / update / read-modify-write latency (`null` elsewhere) |
+//! | `BENCH_fig5.json` | one (client threads, system): appends/s and mean latency of dLog or the Bookkeeper-like log |
+//! | `BENCH_fig6.json` | one count of dLog rings: aggregate 1 KB appends/s, % of linear, latency p50/p90/p99 |
+//! | `BENCH_fig7.json` | one count of loaded EC2 regions: aggregate updates/s, % of linear, latency p50/p90/p99 at the us-west-2 client |
+//! | `BENCH_fig8.json` | one engine's recovery run: `checkpoints`, `trims`, the kill/restart `events` and the `timeline` of `{t_s, ops_per_sec, latency_ms}` windows — the dip and the catch-up are what to look at; `checkpoints > 0` is what makes the restart recover from a snapshot |
+//! | `BENCH_fig9.json` | an object of two parallel arrays, one entry per (engine, groups): client-side `rows`, and `engine_telemetry` with the engines' own `counters` (summed over nodes), latency `histograms` (merged, as `{count, p50_us, p99_us, max_us}`) and the `healthy` verdict of the end-of-run probes |
+//! | `BENCH_multigroup.json` | one (engine, multi-group ‰, churn period): ops/s, mean latency overall and by message class, p99 |
+//! | `BENCH_ablation_2pc.json` | one count of hot keys: 2PC commits/s and abort share against multicast-ordered transactions/s |
+//! | `BENCH_ablation_merge.json` | one (λ, Δ) of the idle ring: the busy group's mean latency (`null`: stalled) and ops/s |
 //!
-//! `BENCH_fig8.json` — an array with one object per engine run of the
-//! recovery timeline:
-//!
-//! | field | meaning |
-//! |---|---|
-//! | `engine` | engine name the run used |
-//! | `checkpoints` | replica checkpoints completed during the run |
-//! | `trims` | acceptor-log trim commands executed (ring engine only; wbcast prunes sequencer history instead) |
-//! | `events` | `{t_s, what}` annotations: the replica kill and restart instants |
-//! | `timeline` | `{t_s, ops_per_sec, latency_ms}` per throughput window |
-//!
-//! The recovery dip and the post-restart catch-up are what to look at
-//! in `timeline`; `checkpoints > 0` is what makes the restart recover
-//! from a snapshot rather than replaying history from genesis.
-//!
-//! `BENCH_fig9.json` — the engine comparison, an object with two
-//! parallel arrays (one entry each per `(engine, groups)` cell):
-//!
-//! | field | meaning |
-//! |---|---|
-//! | `rows[].engine` | engine name (`multiring` \| `wbcast`) |
-//! | `rows[].groups` | number of multicast groups in the cell |
-//! | `rows[].ops_per_sec`, `latency_ms`, `p50_ms`, `p99_ms` | client-side throughput and latency |
-//! | `engine_telemetry[].engine`, `groups` | the matching cell |
-//! | `engine_telemetry[].nodes` | nodes that contributed a snapshot |
-//! | `engine_telemetry[].healthy` | `true` iff every node's end-of-run health probe was clean |
-//! | `engine_telemetry[].counters` | protocol counters summed over nodes (the engine's own phase metrics, e.g. `sub.delivered`, `seq.takeovers` for wbcast; `delivered`, `backfill_rounds` for multiring) |
-//! | `engine_telemetry[].histograms` | phase-latency histograms merged over nodes, summarized as `{count, p50_us, p99_us, max_us}` |
-//!
-//! A smoke-scale `BENCH_fig9.json` is checked in at the crate root as
-//! the perf baseline; the `bench_baseline` integration test asserts it
-//! (and any regenerated replacement) parses — with the zero-dependency
-//! reader in [`json`] — and matches this schema.
+//! `BENCH_micro.json` (`micro`) holds clocks, not virtual time: it is
+//! committed for its counts — `wire_frames` / `wire_bytes` are pinned
+//! exactly — and not diffed. The `bench_baseline` integration test
+//! reads all eleven with the zero-dependency reader in [`json`]: schema
+//! for fig9 and micro, and for every figure of the paper its claim as
+//! an inequality over the committed rows — the scorecard in the
+//! repository `README.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,5 +70,5 @@ pub mod harness;
 pub mod json;
 pub mod table;
 
-pub use harness::{EchoApp, MixedGroupClient, OpenLoopClient, PingClient, Scale};
-pub use table::Table;
+pub use harness::{EchoApp, OpenLoopClient, Scale};
+pub use table::Figure;

@@ -1,87 +1,117 @@
-//! Plain-text tables for bench reports (stdout + CSV).
+//! A figure as data: rows of [`Value`] objects beside the one ordered
+//! list of their columns. The table a bench prints and the artifact it
+//! writes are the same rows, so a column is named once — where its cell
+//! is computed.
 
+use crate::harness::Scale;
+use crate::json::{write_artifact, Value};
 use std::fmt::Write as _;
 
-/// A simple column-aligned table.
-#[derive(Debug)]
-pub struct Table {
-    title: String,
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
+/// Rows and their column order (a JSON object keeps none).
+#[derive(Clone, Debug, Default)]
+pub struct Figure {
+    columns: Vec<&'static str>,
+    rows: Vec<Value>,
 }
 
-impl Table {
-    /// A table titled `title` with the given columns.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
-        Self {
-            title: title.into(),
-            header: header.iter().map(ToString::to_string).collect(),
-            rows: Vec::new(),
+impl Figure {
+    /// A figure without rows; the first [`Figure::push`] names its columns.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends a row, given as its cells in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a later row names other columns than the first.
+    pub fn push(&mut self, cells: impl IntoIterator<Item = (&'static str, Value)>) {
+        let (columns, cells): (Vec<_>, Vec<_>) = cells.into_iter().map(|c| (c.0, c)).unzip();
+        if self.rows.is_empty() {
+            self.columns = columns;
+        } else {
+            assert_eq!(columns, self.columns, "a row of other columns");
         }
+        self.rows.push(Value::object(cells));
     }
 
-    /// Appends a row (stringifies every cell).
-    pub fn row(&mut self, cells: &[String]) {
-        self.rows.push(cells.to_vec());
+    /// The rows, one object per row.
+    pub fn rows(&self) -> &[Value] {
+        &self.rows
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    /// The rows as the array an artifact holds.
+    pub fn json(&self) -> Value {
+        Value::Array(self.rows.clone())
     }
 
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the aligned table.
-    pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(c.len());
-                } else {
-                    widths.push(c.len());
-                }
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "\n== {} ==", self.title);
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .enumerate()
-                .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(c.len())))
-                .collect::<Vec<_>>()
-                .join("  ")
+    /// Title, columns and rows as an aligned plain-text table. Columns
+    /// whose cells are arrays or objects (an artifact's nested detail)
+    /// are left out.
+    pub fn render(&self, title: &str) -> String {
+        let cell = |row: &Value, column: &str| match row.get(column) {
+            Some(Value::String(s)) => s.clone(),
+            Some(Value::Number(n)) if n.is_finite() && n.fract() == 0.0 => format!("{n:.0}"),
+            Some(Value::Number(n)) if n.is_finite() => fmt_f(*n),
+            Some(Value::Bool(b)) => b.to_string(),
+            _ => "-".to_string(),
         };
-        let _ = writeln!(out, "{}", fmt_row(&self.header, &widths));
-        let _ = writeln!(
-            out,
-            "{}",
-            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", fmt_row(row, &widths));
-        }
-        out
-    }
-
-    /// Renders machine-readable CSV.
-    pub fn to_csv(&self) -> String {
+        let first = |c: &str| self.rows.first().and_then(|row| row.get(c));
+        let columns: Vec<&str> = self
+            .columns
+            .iter()
+            .copied()
+            .filter(|c| !matches!(first(c), Some(Value::Array(_) | Value::Object(_))))
+            .collect();
+        // Text reads from the left, numbers align on the right.
+        let text: Vec<bool> = columns
+            .iter()
+            .map(|c| matches!(first(c), Some(Value::String(_))))
+            .collect();
+        let header = columns.iter().map(ToString::to_string).collect();
+        let body = self
+            .rows
+            .iter()
+            .map(|row| columns.iter().map(|c| cell(row, c)).collect());
+        let lines: Vec<Vec<String>> = std::iter::once(header).chain(body).collect();
+        let widths: Vec<usize> = (0..columns.len())
+            .map(|i| {
+                lines
+                    .iter()
+                    .map(|l| l[i].chars().count())
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
+        let _ = writeln!(out, "\n== {title} ==");
+        for (n, line) in lines.iter().enumerate() {
+            let cells: Vec<String> = (0..columns.len())
+                .map(|i| match (text[i], &line[i], widths[i]) {
+                    (true, c, w) => format!("{c:<w$}"),
+                    (false, c, w) => format!("{c:>w$}"),
+                })
+                .collect();
+            let _ = writeln!(out, "{}", cells.join("  ").trim_end());
+            if n == 0 {
+                let rule = widths.iter().sum::<usize>() + 2 * widths.len();
+                let _ = writeln!(out, "{}", "-".repeat(rule));
+            }
         }
         out
     }
 
     /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
+    pub fn print(&self, title: &str) {
+        print!("{}", self.render(title));
+    }
+
+    /// What a bench does with its figure: prints it under `title` and
+    /// writes the rows as the artifact `name` (see [`Scale::artifact`]).
+    pub fn report(&self, scale: Scale, name: &str, title: &str) {
+        self.print(title);
+        let what = format!("{} rows", self.rows.len());
+        write_artifact(&scale.artifact(name), &self.json(), &what);
     }
 }
 
@@ -101,18 +131,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_and_csv() {
-        let mut t = Table::new("demo", &["name", "value"]);
-        t.row(&["alpha".into(), "1".into()]);
-        t.row(&["b".into(), "22222".into()]);
-        let r = t.render();
-        assert!(r.contains("== demo =="));
-        assert!(r.contains("alpha"));
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert_eq!(csv.lines().next().unwrap(), "name,value");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+    fn renders_aligned_in_the_order_the_first_row_states() {
+        let mut f = Figure::new();
+        f.push([
+            ("name", "alpha".into()),
+            ("value", 1u64.into()),
+            ("detail", Value::Array(vec![])),
+            ("ms", Value::rounded(0.125, 2)),
+        ]);
+        f.push([
+            ("name", "b".into()),
+            ("value", 22222u64.into()),
+            ("detail", Value::Array(vec![])),
+            ("ms", Value::Number(f64::INFINITY)),
+        ]);
+        let r = f.render("demo");
+        let lines: Vec<&str> = r.lines().collect();
+        assert_eq!(lines[1], "== demo ==");
+        assert_eq!(lines[2], "name   value    ms");
+        assert_eq!(lines[4], "alpha      1  0.13");
+        assert_eq!(lines[5], "b      22222     -");
+        assert_eq!(f.rows().len(), 2);
+        // The artifact keeps every cell, nested ones included.
+        assert!(f.json().as_array().unwrap()[0].get("detail").is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "other columns")]
+    fn a_row_of_other_columns_is_refused() {
+        let mut f = Figure::new();
+        f.push([("a", 1u64.into())]);
+        f.push([("b", 1u64.into())]);
     }
 
     #[test]

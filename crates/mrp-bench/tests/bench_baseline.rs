@@ -7,8 +7,14 @@
 //! (micro) — and hold the shape they were accepted on (multigroup). CI
 //! regenerates the files at smoke scale and re-runs this test, so a
 //! writer/schema drift fails loudly in both places.
+//!
+//! And the paper scorecard: for `BENCH_fig3`–`fig7` and the two
+//! ablations, the claim of the paper's evaluation as an inequality
+//! over the committed rows — one test per artifact, and the table in
+//! README.md rendered from the same lines.
 
 use mrp_bench::json::{self, Value};
+use mrp_bench::Figure;
 
 fn load(name: &str) -> Value {
     let path = format!("{}/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -298,6 +304,348 @@ fn multigroup_baseline_holds_the_better_of_both_deleted_modes_on_every_row() {
             num("p99_ms") <= p99_ceiling,
             "{engine}/{per_mille}: p99 {} ms over {p99_ceiling}",
             num("p99_ms")
+        );
+    }
+}
+
+// ------------------------------------------------------------ scorecard
+
+/// One line of the scorecard: a claim of the paper's evaluation (§8;
+/// §3 and §4 for the ablations, as the bench headers and the baselines'
+/// module docs quote them) and what the committed smoke rows say.
+struct Claim {
+    figure: &'static str,
+    claim: &'static str,
+    /// The rows the verdict was read from, as the README shows them.
+    ours: String,
+    holds: bool,
+}
+
+/// Claims the simulator does not reproduce, by `Claim::claim`. Each is
+/// an entry under ROADMAP.md "Measured anomalies" with its row; the
+/// assertion is not weakened — the line says "does not hold" until the
+/// model (or the claim) is fixed and the entry struck.
+const ANOMALIES: [&str; 1] = ["async-ssd ≥ async-disk throughput at every request size"];
+
+fn rows(name: &str) -> Vec<Value> {
+    load(name).as_array().expect("an array of rows").to_vec()
+}
+
+fn num(row: &Value, field: &str) -> f64 {
+    row.get(field)
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("{field} of {row:?}"))
+}
+
+/// The row whose `fields` hold `values`.
+fn find<'a>(rows: &'a [Value], fields: [&str; 2], values: (&str, u64)) -> &'a Value {
+    rows.iter()
+        .find(|r| {
+            r.get(fields[0]).and_then(Value::as_str) == Some(values.0)
+                && r.get(fields[1]).and_then(Value::as_u64) == Some(values.1)
+        })
+        .unwrap_or_else(|| panic!("no row {fields:?} = {values:?}"))
+}
+
+fn joined(values: impl IntoIterator<Item = f64>, by: &str) -> String {
+    let values: Vec<String> = values.into_iter().map(|v| v.to_string()).collect();
+    values.join(by)
+}
+
+fn fig3_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_fig3.json");
+    let sizes = [512, 2048, 8192, 32768];
+    let mbps = |mode: &str, size| {
+        num(
+            find(&rows, ["mode", "size"], (mode, size)),
+            "throughput_mbps",
+        )
+    };
+    let ordered = |modes: &[&str]| {
+        sizes.iter().all(|&size| {
+            modes
+                .windows(2)
+                .all(|w| mbps(w[0], size) >= mbps(w[1], size))
+        })
+    };
+    let at = |modes: &[&str], size| joined(modes.iter().map(|m| mbps(m, size)), " ≥ ");
+    let by_storage = ["in-memory", "async-disk", "sync-ssd", "sync-disk"];
+    let by_medium = ["async-ssd", "async-disk"];
+    vec![
+        Claim {
+            figure: "Fig. 3",
+            claim: "throughput in-memory ≥ async-disk ≥ sync-ssd ≥ sync-disk at every request size",
+            ours: format!("{} Mbps at 512 B", at(&by_storage, 512)),
+            holds: ordered(&by_storage),
+        },
+        Claim {
+            figure: "Fig. 3",
+            claim: "async-ssd ≥ async-disk throughput at every request size",
+            ours: format!(
+                "{} Mbps at 32 KB",
+                joined(by_medium.iter().map(|m| mbps(m, 32768)), " < ")
+            ),
+            holds: ordered(&by_medium),
+        },
+    ]
+}
+
+fn fig4_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_fig4.json");
+    let ops = |system: &str, workload: &str| {
+        let row = rows.iter().find(|r| {
+            r.get("system").and_then(Value::as_str) == Some(system)
+                && r.get("workload").and_then(Value::as_str) == Some(workload)
+        });
+        num(
+            row.unwrap_or_else(|| panic!("{system} on {workload}")),
+            "ops_per_sec",
+        )
+    };
+    let (cassandra, indep, global) = ("cassandra-like", "mrp-store (indep. rings)", "mrp-store");
+    let workloads = ["A", "B", "C", "D", "E", "F"];
+    vec![
+        Claim {
+            figure: "Fig. 4",
+            claim: "MRP-Store with independent rings ≥ MRP-Store with the global ring on every workload",
+            ours: format!("{} ≥ {} ops/s on A", ops(indep, "A"), ops(global, "A")),
+            holds: workloads.iter().all(|w| ops(indep, w) >= ops(global, w)),
+        },
+        Claim {
+            figure: "Fig. 4",
+            claim: "no request ordering: Cassandra-like ≥ MRP-Store on the point workloads A–D and F",
+            ours: format!("{} ≥ {} ops/s on A", ops(cassandra, "A"), ops(indep, "A")),
+            holds: ["A", "B", "C", "D", "F"]
+                .iter()
+                .all(|w| ops(cassandra, w) >= ops(indep, w)),
+        },
+        Claim {
+            figure: "Fig. 4",
+            claim: "range scans: both MRP-Store deployments ≥ 5x Cassandra-like on workload E",
+            ours: format!(
+                "{} / {} vs {} ops/s",
+                ops(indep, "E"),
+                ops(global, "E"),
+                ops(cassandra, "E")
+            ),
+            holds: ops(global, "E") >= 5.0 * ops(cassandra, "E"),
+        },
+    ]
+}
+
+fn fig5_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_fig5.json");
+    let clients = [1, 10, 50, 100, 200];
+    let cell = |system: &str, n, field| num(find(&rows, ["system", "clients"], (system, n)), field);
+    let pair = |n, field| {
+        format!(
+            "{} vs {}",
+            cell("dlog", n, field),
+            cell("bookkeeper-like", n, field)
+        )
+    };
+    vec![
+        Claim {
+            figure: "Fig. 5",
+            claim: "dLog ≥ Bookkeeper-like appends/s at every client count",
+            ours: format!(
+                "{} … {} ops/s",
+                pair(1, "ops_per_sec"),
+                pair(200, "ops_per_sec")
+            ),
+            holds: clients.iter().all(|&n| {
+                cell("dlog", n, "ops_per_sec") >= cell("bookkeeper-like", n, "ops_per_sec")
+            }),
+        },
+        Claim {
+            figure: "Fig. 5",
+            claim: "dLog's latency under Bookkeeper-like's (aggressive batching) up to 100 clients",
+            ours: format!("{} … {} ms", pair(1, "latency_ms"), pair(100, "latency_ms")),
+            holds: clients[..4]
+                .iter()
+                .all(|&n| cell("dlog", n, "latency_ms") < cell("bookkeeper-like", n, "latency_ms")),
+        },
+    ]
+}
+
+/// The scaling figures: `pct_linear` at least `floor` at every point.
+fn scales(figure: &'static str, claim: &'static str, rows: &[Value], floor: f64) -> Claim {
+    let pct: Vec<f64> = rows.iter().map(|r| num(r, "pct_linear")).collect();
+    Claim {
+        figure,
+        claim,
+        ours: format!("{} % of linear", joined(pct.iter().copied(), ", ")),
+        holds: pct.iter().all(|&p| p >= floor),
+    }
+}
+
+fn fig6_claims() -> Vec<Claim> {
+    vec![scales(
+        "Fig. 6",
+        "dLog throughput grows linearly with rings and disks: ≥ 95 % of linear at every ring count",
+        &rows("BENCH_fig6.json"),
+        95.0,
+    )]
+}
+
+fn fig7_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_fig7.json");
+    let p50: Vec<f64> = rows.iter().map(|r| num(r, "p50_ms")).collect();
+    vec![
+        scales(
+            "Fig. 7",
+            "MRP-Store throughput adds up region by region: ≥ 90 % of linear at every region count",
+            &rows,
+            90.0,
+        ),
+        Claim {
+            figure: "Fig. 7",
+            claim: "latency at the us-west-2 client stays flat as regions load: p50 within 5 % of one region's",
+            ours: format!("{} ms", joined(p50.iter().copied(), " vs ")),
+            holds: p50.iter().all(|&p| (p - p50[0]).abs() <= 0.05 * p50[0]),
+        },
+    ]
+}
+
+fn ablation_2pc_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_ablation_2pc.json");
+    let aborts: Vec<f64> = rows.iter().map(|r| num(r, "twopc_abort_pct")).collect();
+    let mcast: Vec<f64> = rows
+        .iter()
+        .map(|r| num(r, "multicast_txn_per_sec"))
+        .collect();
+    vec![
+        Claim {
+            figure: "§3, 2PC",
+            claim: "no-wait 2PC (mrp-baselines twopc.rs) aborts a strictly growing share as hot keys fall",
+            ours: format!("{} % aborted", joined(aborts.iter().copied(), " < ")),
+            holds: aborts.windows(2).all(|w| w[0] < w[1]),
+        },
+        Claim {
+            figure: "§3, 2PC",
+            claim: "atomic multicast orders the same conflicting transactions and aborts none: constant rate",
+            ours: format!("{} txn/s on every row", mcast[0]),
+            holds: mcast.iter().all(|&m| m == mcast[0] && m > 0.0),
+        },
+    ]
+}
+
+fn ablation_merge_claims() -> Vec<Claim> {
+    let rows = rows("BENCH_ablation_merge.json");
+    let (off, leveled) = rows.split_first().expect("the λ = 0 row first");
+    let pairs: Vec<(f64, f64)> = leveled
+        .iter()
+        .map(|r| (num(r, "latency_ms"), num(r, "delta_ms")))
+        .collect();
+    vec![
+        Claim {
+            figure: "§4, merge",
+            claim: "without rate leveling (λ = 0) an idle subscribed ring stalls the busy group's delivery",
+            ours: format!("{} ops/s, no latency sample", num(off, "ops_per_sec")),
+            holds: num(off, "lambda") == 0.0
+                && num(off, "ops_per_sec") == 0.0
+                && off.get("latency_ms") == Some(&Value::Null),
+        },
+        Claim {
+            figure: "§4, merge",
+            claim: "with rate leveling the busy group's latency tracks the idle ring's Δ (within 10 %)",
+            ours: joined(pairs.iter().map(|p| p.0), " / ")
+                + " ms at Δ = "
+                + &joined(pairs.iter().map(|p| p.1), " / "),
+            holds: pairs.iter().all(|&(ms, delta)| (ms - delta).abs() <= 0.1 * delta),
+        },
+    ]
+}
+
+/// Every claim holds on the committed rows, or is a listed anomaly —
+/// which then does *not* hold: one that starts holding is struck from
+/// the list and from ROADMAP.md, not left to rot.
+fn assert_scorecard(claims: Vec<Claim>) {
+    for c in claims {
+        let anomaly = ANOMALIES.contains(&c.claim);
+        assert_eq!(
+            c.holds, !anomaly,
+            "{}: {} — ours: {}",
+            c.figure, c.claim, c.ours
+        );
+    }
+}
+
+#[test]
+fn fig3_rows_order_the_storage_modes_as_the_paper_does() {
+    assert_scorecard(fig3_claims());
+}
+
+#[test]
+fn fig4_rows_rank_the_stores_as_the_paper_does() {
+    assert_scorecard(fig4_claims());
+}
+
+#[test]
+fn fig5_rows_put_dlog_ahead_of_the_quorum_log() {
+    assert_scorecard(fig5_claims());
+}
+
+#[test]
+fn fig6_rows_scale_with_rings_and_disks() {
+    assert_scorecard(fig6_claims());
+}
+
+#[test]
+fn fig7_rows_scale_with_regions_at_flat_latency() {
+    assert_scorecard(fig7_claims());
+}
+
+#[test]
+fn ablation_2pc_rows_abort_under_contention_where_multicast_does_not() {
+    assert_scorecard(ablation_2pc_claims());
+}
+
+#[test]
+fn ablation_merge_rows_stall_without_rate_leveling_and_track_delta_with_it() {
+    assert_scorecard(ablation_merge_claims());
+}
+
+/// README's `## Scorecard` is the table the generic printer renders
+/// from the committed rows (on a mismatch the panic carries the block
+/// to paste), and every anomaly is named under ROADMAP's "Measured
+/// anomalies".
+#[test]
+fn readme_scorecard_is_rendered_from_the_committed_rows() {
+    let mut table = Figure::new();
+    let all = [
+        fig3_claims(),
+        fig4_claims(),
+        fig5_claims(),
+        fig6_claims(),
+        fig7_claims(),
+        ablation_2pc_claims(),
+        ablation_merge_claims(),
+    ];
+    for c in all.into_iter().flatten() {
+        let verdict = if c.holds { "holds" } else { "does not hold" };
+        table.push([
+            ("figure", c.figure.into()),
+            ("paper's claim", c.claim.into()),
+            ("our smoke row", c.ours.as_str().into()),
+            ("verdict", verdict.into()),
+        ]);
+    }
+    let rendered = table.render("Scorecard — the paper's claims over the committed smoke rows");
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let read = |name: &str| std::fs::read_to_string(format!("{root}/{name}")).expect(name);
+    assert!(
+        read("README.md").contains(rendered.trim_start()),
+        "README.md `## Scorecard` is out of date; it should hold:\n{rendered}"
+    );
+    let roadmap = read("ROADMAP.md")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    for anomaly in ANOMALIES {
+        assert!(
+            roadmap.contains(anomaly),
+            "ROADMAP.md does not name: {anomaly}"
         );
     }
 }

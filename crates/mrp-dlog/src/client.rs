@@ -1,182 +1,46 @@
-//! The dLog append client: closed-loop sessions issuing appends (and
-//! optionally multi-appends) across the configured logs.
+//! The dLog append workload: appends (and optionally multi-appends)
+//! across the configured logs, as a source of operations for the
+//! simulator's closed-loop client.
 
 use crate::command::{DLogCommand, LogId};
 use crate::setup::DLogDeployment;
 use bytes::Bytes;
-use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
-use multiring_paxos::event::Message;
-use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
-use std::any::Any;
-use std::collections::BTreeMap;
+use mrp_sim::client::Operation;
+use mrp_sim::rng::Rng;
 
-/// Configuration of a [`DLogClient`].
-#[derive(Clone, Debug)]
-pub struct DLogClientConfig {
-    /// Client session space.
-    pub client: ClientId,
-    /// Closed-loop sessions (the paper's client threads).
-    pub sessions: u32,
-    /// Append payload size in bytes (1 KB in the paper's Figures 5/6).
-    pub append_bytes: usize,
-    /// Out of 1000 operations, how many are multi-appends to all logs
-    /// (0 disables them).
-    pub multi_append_per_mille: u32,
-    /// Proposer override per group.
-    pub proposer_override: BTreeMap<GroupId, ProcessId>,
-    /// Samples before this instant are not recorded.
-    pub warmup_until: Time,
-    /// Metrics prefix.
-    pub metric_prefix: String,
-}
-
-impl DLogClientConfig {
-    /// Defaults: 1 KB appends, no multi-appends.
-    pub fn new(client: ClientId, sessions: u32) -> Self {
-        Self {
-            client,
-            sessions,
-            append_bytes: 1024,
-            multi_append_per_mille: 0,
-            proposer_override: BTreeMap::new(),
-            warmup_until: Time::ZERO,
-            metric_prefix: "dlog".to_string(),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct Outstanding {
-    session: u32,
-    issued_at: Time,
-    log: Option<LogId>,
-}
-
-/// Closed-loop dLog append workload actor for the simulator.
-pub struct DLogClient {
-    cfg: DLogClientConfig,
+/// Appends of `append_bytes` (1 KB in the paper's Figures 5/6) to the
+/// logs of `deployment` round-robin; out of 1000 operations,
+/// `multi_append_per_mille` are multi-appends to all logs (0 disables
+/// them). For `mrp_sim::ClosedLoopClient::new`.
+pub fn appends(
     deployment: DLogDeployment,
-    next_request: u64,
-    round_robin: u64,
-    outstanding: BTreeMap<u64, Outstanding>,
-    payload: Bytes,
-}
-
-impl std::fmt::Debug for DLogClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DLogClient")
-            .field("client", &self.cfg.client)
-            .field("sessions", &self.cfg.sessions)
-            .finish_non_exhaustive()
-    }
-}
-
-impl DLogClient {
-    /// Creates the client.
-    pub fn new(cfg: DLogClientConfig, deployment: DLogDeployment) -> Self {
-        let payload = Bytes::from(vec![0xA5u8; cfg.append_bytes]);
-        Self {
-            cfg,
-            deployment,
-            next_request: 0,
-            round_robin: 0,
-            outstanding: BTreeMap::new(),
-            payload,
-        }
-    }
-
-    fn issue(&mut self, session: u32, now: Time, out: &mut Outbox, rng: &mut mrp_sim::rng::Rng) {
-        let logs: Vec<LogId> = self.deployment.group_of_log.keys().copied().collect();
-        // A genuine engine addresses the destination logs directly; the
-        // ring engine needs the common ring for multi-appends.
-        let multi_possible =
-            self.deployment.engine.genuine() || self.deployment.common_group.is_some();
-        let multi = self.cfg.multi_append_per_mille > 0
-            && rng.below(1000) < u64::from(self.cfg.multi_append_per_mille)
+    append_bytes: usize,
+    multi_append_per_mille: u32,
+) -> impl FnMut(&mut Rng) -> Operation {
+    let payload = Bytes::from(vec![0xA5u8; append_bytes]);
+    let logs: Vec<LogId> = deployment.group_of_log.keys().copied().collect();
+    // A genuine engine addresses the destination logs directly; the
+    // ring engine needs the common ring for multi-appends.
+    let multi_possible = deployment.engine.genuine() || deployment.common_group.is_some();
+    let mut round_robin = 0u64;
+    move |rng| {
+        let multi = multi_append_per_mille > 0
+            && rng.below(1000) < u64::from(multi_append_per_mille)
             && multi_possible;
-        let (cmd, log) = if multi {
-            (
-                DLogCommand::MultiAppend {
-                    logs: logs.clone(),
-                    data: self.payload.clone(),
-                },
-                None,
-            )
+        let cmd = if multi {
+            DLogCommand::MultiAppend {
+                logs: logs.clone(),
+                data: payload.clone(),
+            }
         } else {
-            self.round_robin += 1;
-            let log = logs[(self.round_robin % logs.len() as u64) as usize];
-            (
-                DLogCommand::Append {
-                    log,
-                    data: self.payload.clone(),
-                },
-                Some(log),
-            )
-        };
-        let Some(groups) = self.deployment.route(&cmd) else {
-            return;
-        };
-        let Some(&first) = groups.first() else { return };
-        let proposer = self
-            .cfg
-            .proposer_override
-            .get(&first)
-            .or_else(|| self.deployment.proposer_of.get(&first))
-            .copied();
-        let Some(proposer) = proposer else { return };
-        self.next_request += 1;
-        self.outstanding.insert(
-            self.next_request,
-            Outstanding {
-                session,
-                issued_at: now,
-                log,
-            },
-        );
-        out.send(
-            proposer,
-            Message::Request {
-                client: self.cfg.client,
-                request: self.next_request,
-                groups,
-                payload: cmd.encode(),
-            },
-        );
-    }
-}
-
-impl Actor for DLogClient {
-    fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        match event {
-            ActorEvent::Start => {
-                for s in 0..self.cfg.sessions {
-                    self.issue(s, now, out, ctx.rng);
-                }
+            round_robin += 1;
+            DLogCommand::Append {
+                log: logs[(round_robin % logs.len() as u64) as usize],
+                data: payload.clone(),
             }
-            ActorEvent::Message {
-                msg: Message::Response { request, .. },
-                ..
-            } => {
-                let Some(o) = self.outstanding.remove(&request) else {
-                    return; // duplicate replica response
-                };
-                if now >= self.cfg.warmup_until {
-                    let prefix = &self.cfg.metric_prefix;
-                    let latency = now.since(o.issued_at);
-                    ctx.metrics.record(&format!("{prefix}/latency_us"), latency);
-                    ctx.metrics.incr(&format!("{prefix}/ops"), 1);
-                    ctx.metrics.series_add(&format!("{prefix}/ops"), now, 1.0);
-                    if let Some(log) = o.log {
-                        ctx.metrics.incr(&format!("{prefix}/ops/log{log}"), 1);
-                    }
-                }
-                self.issue(o.session, now, out, ctx.rng);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
+        };
+        let groups = deployment.route(&cmd).expect("the deployment's own logs");
+        let proposer = deployment.proposer_of[&groups[0]];
+        Operation::to_one(proposer, groups, cmd.encode())
     }
 }

@@ -28,6 +28,6 @@ pub mod command;
 pub mod setup;
 
 pub use app::DLogApp;
-pub use client::{DLogClient, DLogClientConfig};
+pub use client::appends;
 pub use command::{DLogCommand, DLogResponse, LogId};
 pub use setup::{DLogDeployment, DLogTopology};

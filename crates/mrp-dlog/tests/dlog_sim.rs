@@ -1,7 +1,8 @@
 //! End-to-end dLog tests on the deterministic simulator.
 
-use mrp_dlog::{DLogApp, DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
+use mrp_dlog::{DLogApp, DLogDeployment, DLogTopology};
 use mrp_sim::actor::Hosted;
+use mrp_sim::client::ClosedLoopClient;
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::net::Topology;
 use multiring_paxos::app::Application;
@@ -46,12 +47,10 @@ fn appends_and_multi_appends_complete_and_servers_agree() {
 
     let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut cfg = DLogClientConfig::new(client_id, 8);
-    cfg.append_bytes = 512;
-    cfg.multi_append_per_mille = 100; // 10% multi-appends
-    let client = DLogClient::new(cfg, deployment.clone());
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
+    // 10% multi-appends
+    let workload = mrp_dlog::appends(deployment.clone(), 512, 100);
+    let client = ClosedLoopClient::new(client_id, 8, "dlog", workload);
+    cluster.add_client(client_proc, client_id, Box::new(client));
     cluster.start();
     cluster.run_until(Time::from_secs(10));
 
@@ -87,12 +86,9 @@ fn wbcast_engine_serves_dlog_and_servers_agree() {
 
     let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut cfg = DLogClientConfig::new(client_id, 8);
-    cfg.append_bytes = 512;
-    cfg.multi_append_per_mille = 100;
-    let client = DLogClient::new(cfg, deployment.clone());
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
+    let workload = mrp_dlog::appends(deployment.clone(), 512, 100);
+    let client = ClosedLoopClient::new(client_id, 8, "dlog", workload);
+    cluster.add_client(client_proc, client_id, Box::new(client));
     cluster.start();
     // Stop the workload at 10 s, then let in-flight commands drain:
     // wbcast subscribers may trail each other by up to one heartbeat
@@ -133,12 +129,10 @@ fn wbcast_multi_appends_need_no_common_ring() {
 
     let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut cfg = DLogClientConfig::new(client_id, 8);
-    cfg.append_bytes = 512;
-    cfg.multi_append_per_mille = 200; // 20% multi-appends
-    let client = DLogClient::new(cfg, deployment.clone());
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
+    // 20% multi-appends
+    let workload = mrp_dlog::appends(deployment.clone(), 512, 200);
+    let client = ClosedLoopClient::new(client_id, 8, "dlog", workload);
+    cluster.add_client(client_proc, client_id, Box::new(client));
     cluster.start();
     cluster.schedule_crash(Time::from_secs(10), client_proc);
     cluster.run_until(Time::from_secs(11));

@@ -318,6 +318,13 @@ impl Cluster {
         self.clients.insert(client, home);
     }
 
+    /// Adds `actor` as process `p` and makes it the home of client
+    /// session `client`.
+    pub fn add_client(&mut self, p: ProcessId, client: ClientId, actor: Box<dyn Actor>) {
+        self.add_actor(p, actor);
+        self.register_client(client, p);
+    }
+
     /// Starts every registered actor (at the current time).
     pub fn start(&mut self) {
         self.started = true;

@@ -16,6 +16,8 @@
 //! * [`cpu`] — an optional per-process CPU cost model (per-message +
 //!   per-byte), capturing the coordinator bottleneck visible in the
 //!   paper's Figure 3.
+//! * [`client`] — the closed-loop client every simple workload of the
+//!   evaluation runs on; a workload is a source of operations.
 //! * [`cluster`] — the event loop: hosts protocol nodes and custom
 //!   actors (clients, baseline systems), injects crashes/restarts, runs
 //!   coordinator re-election, and collects [`metrics`].
@@ -38,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod actor;
+pub mod client;
 pub mod cluster;
 pub mod cpu;
 pub mod disk;
@@ -46,6 +49,7 @@ pub mod net;
 pub mod rng;
 
 pub use actor::{Actor, ActorEvent, Hosted, Op, Outbox};
+pub use client::{ClosedLoopClient, Operation};
 pub use cluster::{Cluster, SimConfig};
 pub use disk::DiskModel;
 pub use metrics::{Histogram, Metrics, TimeSeries};

@@ -540,27 +540,96 @@ mod tests {
         );
     }
 
-    /// The documented behaviour on a damaged snapshot: what precedes the
-    /// damage is restored, nothing panics.
+    /// A store of distinct keys with values of uneven length (some
+    /// empty), its snapshot, and the offset at which each entry ends.
+    fn sample_entries(seed: u64) -> (Vec<(Bytes, Bytes)>, Bytes, Vec<usize>) {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let entries: Vec<(Bytes, Bytes)> = (0..2 + next() % 18)
+            .map(|i| {
+                let value = vec![b'a' + (next() % 26) as u8; (next() % 12) as usize];
+                (b(&format!("key{i:02}")), Bytes::from(value))
+            })
+            .collect();
+        let mut end = 8;
+        let ends = entries
+            .iter()
+            .map(|(k, v)| {
+                end += 4 + k.len() + 4 + v.len();
+                end
+            })
+            .collect();
+        let snapshot = encode_snapshot(entries.len() as u64, entries.iter().map(|(k, v)| (k, v)));
+        (entries, snapshot, ends)
+    }
+
+    /// The documented behaviour on a snapshot cut short: exactly the
+    /// entries wholly before the cut are restored (and what was there
+    /// before is gone), nothing panics.
     #[test]
     fn restore_of_every_strict_prefix_keeps_the_entries_before_the_cut() {
-        let mut full = KvStore::new();
-        for i in 0..20 {
-            full.load(b(&format!("key{i:02}")), b(&format!("val{i}")));
-        }
-        let snapshot = full.snapshot();
-        let mut whole_entries = 0;
+        let (entries, snapshot, ends) = sample_entries(17);
+        assert_eq!(ends.last(), Some(&snapshot.len()));
         for cut in 0..snapshot.len() {
-            let prefix = snapshot.slice(..cut);
             let mut kv = KvStore::new();
             kv.load(b("old"), b("x"));
-            kv.restore(&prefix);
-            let mut model = Model::default();
-            model.restore(&prefix);
-            assert_eq!(kv.snapshot(), model.snapshot(), "cut at {cut}");
-            assert!(kv.len() >= whole_entries && kv.len() < 20);
-            whole_entries = kv.len();
+            kv.restore(&snapshot.slice(..cut));
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let kept = &entries[..whole];
+            assert_eq!(
+                kv.snapshot(),
+                encode_snapshot(whole as u64, kept.iter().map(|(k, v)| (k, v))),
+                "cut at {cut}"
+            );
         }
-        assert_eq!(whole_entries, 19);
+    }
+
+    proptest::proptest! {
+        /// A peer-supplied snapshot with a run of noise laid over it —
+        /// uniform bytes, or bytes of the snapshot itself from somewhere
+        /// else, which reads as plausible counts, lengths and keys in
+        /// the wrong places — never panics and restores what inserting
+        /// the decodable entries one by one would. Every key wholly
+        /// before the damage is there, and holds its own value unless
+        /// the damaged rest names that key again (a later entry
+        /// replaces an earlier one, as in a sound snapshot).
+        #[test]
+        fn prop_restore_of_a_damaged_snapshot_keeps_the_entries_before_the_damage(
+            seed in proptest::prelude::any::<u64>(),
+            at in proptest::prelude::any::<u64>(),
+            from in proptest::prelude::any::<u64>(),
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..48),
+            uniform in proptest::prelude::any::<bool>(),
+        ) {
+            let (entries, snapshot, ends) = sample_entries(seed);
+            let mut bytes = snapshot.to_vec();
+            let at = at as usize % bytes.len();
+            let from = from as usize % bytes.len();
+            for i in 0..noise.len().min(bytes.len() - at) {
+                bytes[at + i] = if uniform { noise[i] } else { snapshot[(from + i) % snapshot.len()] };
+            }
+            let damaged = Bytes::from(bytes);
+            let mut kv = KvStore::new();
+            kv.restore(&damaged);
+            let mut model = Model::default();
+            model.restore(&damaged);
+            proptest::prop_assert_eq!(kv.snapshot(), model.snapshot());
+            let whole = ends.iter().filter(|&&end| end <= at).count();
+            let rest = &damaged[ends[..whole].last().copied().unwrap_or(8)..];
+            for (key, value) in &entries[..whole] {
+                let got = kv.apply(&StoreCommand::Read { key: key.clone() });
+                let named_again = rest.windows(key.len()).any(|w| w == &key[..]);
+                proptest::prop_assert!(
+                    got == StoreResponse::Value(Some(value.clone()))
+                        || (named_again && matches!(got, StoreResponse::Value(Some(_)))),
+                    "{:?} before the damage at {} reads {:?}", key, at, got
+                );
+            }
+        }
     }
 }

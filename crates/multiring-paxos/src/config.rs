@@ -359,6 +359,8 @@ pub enum ConfigError {
     UnknownRing(GroupId, RingId),
     /// Two groups share the same id.
     DuplicateGroup(GroupId),
+    /// Two groups map to the same ring.
+    SharedRing(RingId, GroupId, GroupId),
     /// A subscription names an unknown group.
     UnknownGroup(ProcessId, GroupId),
     /// A subscriber is not a learner member of the group's ring.
@@ -385,6 +387,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "group {g} maps to unknown ring {r}")
             }
             ConfigError::DuplicateGroup(g) => write!(f, "duplicate group {g}"),
+            ConfigError::SharedRing(r, a, b) => {
+                write!(f, "groups {a} and {b} both map to ring {r}")
+            }
             ConfigError::UnknownGroup(p, g) => {
                 write!(f, "process {p} subscribes to unknown group {g}")
             }
@@ -574,10 +579,6 @@ impl ClusterConfigBuilder {
         } else {
             self.merge_window
         };
-        if self.merge_window == 0 && !self.rings.is_empty() {
-            // Default of 1 (M = 1 is the paper's configuration); an
-            // explicit zero is rejected for clarity.
-        }
 
         let mut rings = BTreeMap::new();
         for spec in self.rings {
@@ -626,9 +627,15 @@ impl ClusterConfigBuilder {
             if !rings.contains_key(&r) {
                 return Err(ConfigError::UnknownRing(g, r));
             }
-            if groups.insert(g, r).is_some() {
+            if groups.contains_key(&g) {
                 return Err(ConfigError::DuplicateGroup(g));
             }
+            // Rings and groups are 1:1: a node builds one ring's state
+            // for one group, so a second group's stream would never be fed.
+            if let Some((&other, _)) = groups.iter().find(|&(_, &ring)| ring == r) {
+                return Err(ConfigError::SharedRing(r, other, g));
+            }
+            groups.insert(g, r);
         }
         for &r in rings.keys() {
             if !groups.values().any(|&gr| gr == r) {
@@ -811,6 +818,28 @@ mod tests {
         assert_eq!(
             err,
             ConfigError::NotALearner(p(0), GroupId::new(0), RingId::new(0))
+        );
+    }
+
+    #[test]
+    fn rejects_two_groups_on_one_ring() {
+        let two_on_ring_0 = |second: u16| {
+            ClusterConfig::builder()
+                .ring(RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL))
+                .group(GroupId::new(0), RingId::new(0))
+                .group(GroupId::new(second), RingId::new(0))
+                .subscribe(p(0), GroupId::new(second))
+                .build()
+                .unwrap_err()
+        };
+        assert_eq!(
+            two_on_ring_0(1),
+            ConfigError::SharedRing(RingId::new(0), GroupId::new(0), GroupId::new(1))
+        );
+        // The same group named twice is still its own error.
+        assert_eq!(
+            two_on_ring_0(0),
+            ConfigError::DuplicateGroup(GroupId::new(0))
         );
     }
 

@@ -8,8 +8,9 @@ use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::RingTuning;
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, ProcessId, Time};
-use atomic_multicast::dlog::{DLogApp, DLogClient, DLogClientConfig, DLogDeployment, DLogTopology};
+use atomic_multicast::dlog::{self, DLogApp, DLogDeployment, DLogTopology};
 use atomic_multicast::sim::actor::Hosted;
+use atomic_multicast::sim::client::ClosedLoopClient;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 
@@ -37,12 +38,10 @@ fn main() {
 
     let client_proc = ProcessId::new(900);
     let client_id = ClientId::new(1);
-    let mut cfg = DLogClientConfig::new(client_id, 6);
-    cfg.append_bytes = 256;
-    cfg.multi_append_per_mille = 200; // 20% atomic multi-appends
-    let client = DLogClient::new(cfg, deployment.clone());
-    cluster.add_actor(client_proc, Box::new(client));
-    cluster.register_client(client_id, client_proc);
+    // 20% atomic multi-appends
+    let workload = dlog::appends(deployment.clone(), 256, 200);
+    let client = ClosedLoopClient::new(client_id, 6, "dlog", workload);
+    cluster.add_client(client_proc, client_id, Box::new(client));
     cluster.start();
     cluster.run_until(Time::from_secs(5));
 
