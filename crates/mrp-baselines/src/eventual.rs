@@ -9,12 +9,12 @@
 
 use bytes::Bytes;
 use mrp_coord::PartitionMap;
-use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
+use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use mrp_sim::client::Operation;
 use mrp_sim::rng::Rng;
 use mrp_store::command::StoreCommand;
 use mrp_store::kv::KvStore;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Action, Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -72,7 +72,7 @@ impl Actor for EventualServer {
         out: &mut Outbox,
         _ctx: &mut ActorCtx<'_>,
     ) {
-        let ActorEvent::Message {
+        let ActorEvent::Protocol(Event::Message {
             msg:
                 Message::Request {
                     client,
@@ -81,7 +81,7 @@ impl Actor for EventualServer {
                     ..
                 },
             ..
-        } = event
+        }) = event
         else {
             return;
         };
@@ -92,7 +92,7 @@ impl Actor for EventualServer {
         let response = self.kv.apply(&cmd);
         if let mrp_store::command::StoreResponse::Entries(es) = &response {
             // LSM scan penalty (see `scan_us_per_entry`).
-            out.push(mrp_sim::actor::Op::Busy {
+            out.push(Op::Busy {
                 us: self.scan_us_per_entry * (es.len() as u64 + 1),
             });
         }
@@ -100,11 +100,11 @@ impl Actor for EventualServer {
             return; // background replication: no reply, no re-replication
         }
         // Answer immediately (consistency ONE)…
-        out.push(mrp_sim::actor::Op::Respond {
+        out.push(Op::Protocol(Action::Respond {
             client,
             request,
             payload: mrp_store::app::StoreApp::frame_response(self.partition, &response),
-        });
+        }));
         // …and propagate mutations asynchronously.
         let mutates = matches!(
             cmd,

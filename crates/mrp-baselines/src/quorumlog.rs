@@ -13,7 +13,7 @@ use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use mrp_sim::client::Operation;
 use mrp_sim::rng::Rng;
 use multiring_paxos::codec::{get_bytes, put_bytes};
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Action, Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -102,7 +102,7 @@ impl Actor for Bookie {
         _ctx: &mut ActorCtx<'_>,
     ) {
         match event {
-            ActorEvent::Message {
+            ActorEvent::Protocol(Event::Message {
                 msg:
                     Message::Request {
                         client,
@@ -111,7 +111,7 @@ impl Actor for Bookie {
                         ..
                     },
                 ..
-            } => {
+            }) => {
                 self.entries += 1;
                 self.buffered.push((client, request));
                 self.buffered_bytes += payload.len();
@@ -129,11 +129,11 @@ impl Actor for Bookie {
             ActorEvent::DiskDone(token) => {
                 if let Some(batch) = self.in_flight.remove(&token) {
                     for (client, request) in batch {
-                        out.push(Op::Respond {
+                        out.push(Op::Protocol(Action::Respond {
                             client,
                             request,
                             payload: Bytes::new(),
-                        });
+                        }));
                     }
                 }
             }

@@ -9,7 +9,7 @@ use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use mrp_store::app::StoreApp;
 use mrp_store::command::StoreCommand;
 use mrp_store::kv::KvStore;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Action, Event, Message};
 use multiring_paxos::types::Time;
 use std::any::Any;
 
@@ -49,7 +49,7 @@ impl Actor for SingleServer {
         out: &mut Outbox,
         _ctx: &mut ActorCtx<'_>,
     ) {
-        let ActorEvent::Message {
+        let ActorEvent::Protocol(Event::Message {
             msg:
                 Message::Request {
                     client,
@@ -58,7 +58,7 @@ impl Actor for SingleServer {
                     ..
                 },
             ..
-        } = event
+        }) = event
         else {
             return;
         };
@@ -67,11 +67,11 @@ impl Actor for SingleServer {
             return;
         };
         let response = self.kv.apply(&cmd);
-        out.push(Op::Respond {
+        out.push(Op::Protocol(Action::Respond {
             client,
             request,
             payload: StoreApp::frame_response(0, &response),
-        });
+        }));
     }
 
     fn as_any(&mut self) -> &mut dyn Any {

@@ -11,7 +11,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use multiring_paxos::codec::{get_seq, get_u16, get_u64, get_u8, wire_tags, CodecError};
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Action, Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -89,7 +89,7 @@ impl Actor for TxnParticipant {
         out: &mut Outbox,
         _ctx: &mut ActorCtx<'_>,
     ) {
-        let ActorEvent::Message {
+        let ActorEvent::Protocol(Event::Message {
             msg:
                 Message::Request {
                     client,
@@ -98,7 +98,7 @@ impl Actor for TxnParticipant {
                     ..
                 },
             ..
-        } = event
+        }) = event
         else {
             return;
         };
@@ -120,11 +120,11 @@ impl Actor for TxnParticipant {
                     self.prepared.insert(txn, keys);
                     Answer::VoteYes
                 };
-                out.push(Op::Respond {
+                out.push(Op::Protocol(Action::Respond {
                     client,
                     request,
                     payload: Bytes::from(vec![vote as u8]),
-                });
+                }));
             }
             Ask::Commit | Ask::Abort => {
                 if let Some(keys) = self.prepared.remove(&txn) {
@@ -137,11 +137,11 @@ impl Actor for TxnParticipant {
                 if tag == Ask::Commit {
                     self.commits += 1;
                 }
-                out.push(Op::Respond {
+                out.push(Op::Protocol(Action::Respond {
                     client,
                     request,
                     payload: Bytes::from(vec![Answer::Done as u8]),
-                });
+                }));
             }
         }
     }
@@ -290,17 +290,17 @@ impl TwoPcClient {
 impl Actor for TwoPcClient {
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         match event {
-            ActorEvent::Start => {
+            ActorEvent::Protocol(Event::Start) => {
                 for s in 0..self.sessions {
                     self.issue(s, now, out, ctx.rng);
                 }
             }
-            ActorEvent::Message {
+            ActorEvent::Protocol(Event::Message {
                 msg: Message::Response {
                     request, payload, ..
                 },
                 ..
-            } => {
+            }) => {
                 let Some(txn) = self.open.remove(&request) else {
                     return;
                 };

@@ -19,7 +19,6 @@ use mrp_baselines::single::SingleServer;
 use mrp_baselines::twopc::{TwoPcClient, TxnParticipant};
 use mrp_coord::PartitionMap;
 use mrp_dlog::{DLogDeployment, DLogTopology};
-use mrp_sim::actor::Hosted;
 use mrp_sim::client::{ClosedLoopClient, Operation};
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::cpu::CpuModel;
@@ -648,8 +647,6 @@ pub fn fig7(scale: Scale) -> Figure {
             });
             cfg.warmup_until = warmup;
             cfg.metric_prefix = format!("fig7/r{part}");
-            cfg.proposer_override
-                .insert(GroupId::new(part), deployment.replicas[&part][0]);
             let client = StoreClient::new(cfg, deployment.clone(), gen);
             cell.cluster
                 .add_client(client_proc, client_id, Box::new(client));
@@ -756,7 +753,7 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
+        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
         cluster.set_cpu(p, server_cpu());
         cluster.add_disk(p, DiskModel::hdd());
     }
@@ -820,8 +817,8 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
     let mut checkpoints = 0;
     for i in 3..6 {
         let p = ProcessId::new(i);
-        if let Some(r) = cluster.actor_as::<Hosted<EngineReplica<StoreApp>>>(p) {
-            checkpoints += r.inner().checkpoints_taken();
+        if let Some(r) = cluster.actor_as::<EngineReplica<StoreApp>>(p) {
+            checkpoints += r.checkpoints_taken();
         }
     }
     Fig8Run {

@@ -7,7 +7,7 @@ use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use mrp_sim::client::Operation;
 use mrp_sim::rng::Rng;
 use multiring_paxos::app::{decode_command, Application, Delivery, Reply};
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -216,11 +216,11 @@ impl OpenLoopClient {
 impl Actor for OpenLoopClient {
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         match event {
-            ActorEvent::Start | ActorEvent::Wakeup(0) => self.tick(now, out),
-            ActorEvent::Message {
+            ActorEvent::Protocol(Event::Start) | ActorEvent::Wakeup(0) => self.tick(now, out),
+            ActorEvent::Protocol(Event::Message {
                 msg: Message::Response { request, .. },
                 ..
-            } => {
+            }) => {
                 let Some(issued) = self.issued_at.remove(&request) else {
                     return;
                 };

@@ -1,7 +1,6 @@
 //! End-to-end dLog tests on the deterministic simulator.
 
 use mrp_dlog::{DLogApp, DLogDeployment, DLogTopology};
-use mrp_sim::actor::Hosted;
 use mrp_sim::client::ClosedLoopClient;
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::net::Topology;
@@ -10,7 +9,7 @@ use multiring_paxos::config::RingTuning;
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ClientId, ProcessId, Time};
 
-type Server = Hosted<mrp_amcast::EngineReplica<DLogApp>>;
+type Server = mrp_amcast::EngineReplica<DLogApp>;
 
 fn tuning() -> RingTuning {
     RingTuning {
@@ -61,8 +60,8 @@ fn appends_and_multi_appends_complete_and_servers_agree() {
     let mut snaps = Vec::new();
     for &s in &deployment.servers.clone() {
         let server = cluster.actor_as::<Server>(s).expect("server");
-        assert!(server.inner().app().appended() > 0);
-        snaps.push(server.inner().app().snapshot());
+        assert!(server.app().appended() > 0);
+        snaps.push(server.app().snapshot());
     }
     assert_eq!(snaps[0], snaps[1]);
     assert_eq!(snaps[1], snaps[2]);
@@ -102,8 +101,8 @@ fn wbcast_engine_serves_dlog_and_servers_agree() {
     let mut snaps = Vec::new();
     for &s in &deployment.servers.clone() {
         let server = cluster.actor_as::<Server>(s).expect("wbcast server");
-        assert!(server.inner().app().appended() > 0);
-        snaps.push(server.inner().app().snapshot());
+        assert!(server.app().appended() > 0);
+        snaps.push(server.app().snapshot());
     }
     assert_eq!(snaps[0], snaps[1]);
     assert_eq!(snaps[1], snaps[2]);
@@ -143,8 +142,8 @@ fn wbcast_multi_appends_need_no_common_ring() {
     let mut snaps = Vec::new();
     for &s in &deployment.servers.clone() {
         let server = cluster.actor_as::<Server>(s).expect("wbcast server");
-        assert!(server.inner().app().appended() > 0);
-        snaps.push(server.inner().app().snapshot());
+        assert!(server.app().appended() > 0);
+        snaps.push(server.app().snapshot());
     }
     assert_eq!(snaps[0], snaps[1]);
     assert_eq!(snaps[1], snaps[2]);

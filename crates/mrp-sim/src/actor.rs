@@ -1,102 +1,44 @@
-//! The actor interface the simulator hosts, and the adapter that hosts
-//! any sans-io protocol [`StateMachine`] (an engine or a replica) as an
-//! actor.
+//! The actor interface the simulator hosts. A sans-io protocol
+//! [`StateMachine`] — an engine or a replica — is an actor as it is: it
+//! receives [`ActorEvent::Protocol`] and its actions come back as
+//! [`Op::Protocol`]. Only what the protocol has no word for is declared
+//! here: custom wakeups, service CPU time and raw disk writes.
 
 use crate::metrics::Metrics;
 use crate::rng::Rng;
-use bytes::Bytes;
-use multiring_paxos::event::{
-    Action, Event, Message, PersistRecord, PersistToken, StateMachine, TimerKind,
-};
-use multiring_paxos::types::{
-    Ballot, ClientId, GroupId, InstanceId, ProcessId, RingId, Time, Value,
-};
+use mrp_amcast::{AmcastEngine, AnyEngine, EngineReplica, HealthReport, TelemetrySnapshot};
+use multiring_paxos::app::Application;
+use multiring_paxos::event::{Action, Event, Message, StateMachine};
+use multiring_paxos::node::Node;
+use multiring_paxos::types::{ProcessId, Time};
 use std::any::Any;
 
 /// Inputs delivered to an actor by the simulator.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ActorEvent {
-    /// The process starts (first boot or restart).
-    Start,
-    /// A message arrived.
-    Message {
-        /// Sender.
-        from: ProcessId,
-        /// The message.
-        msg: Message,
-    },
-    /// A protocol timer fired.
-    ProtoTimer(TimerKind),
+    /// A protocol input: the start, a message, a timer, a persist
+    /// completion, a coordination-service announcement.
+    Protocol(Event),
     /// A custom wakeup requested via [`Outbox::wakeup`].
     Wakeup(u64),
     /// A raw disk write requested via [`Op::DiskWrite`] completed.
     DiskDone(u64),
-    /// A durable write completed.
-    PersistDone(PersistToken),
-    /// The (simulated) coordination service designates a ring
-    /// coordinator.
-    CoordinatorChange {
-        /// Ring affected.
-        ring: RingId,
-        /// New coordinator.
-        coordinator: ProcessId,
-        /// The highest ballot known to be in use for the ring: the
-        /// service's monotonic per-ring election round. The ring engine
-        /// starts Phase 1 above it; the wbcast engine derives globally
-        /// unique sequencer epochs from it (two successive coordinators
-        /// that never observed each other's frames would otherwise mint
-        /// colliding epochs).
-        supersedes: Ballot,
-    },
-    /// The (simulated) coordination service reports the down members of
-    /// a ring.
-    MembershipChange {
-        /// Ring affected.
-        ring: RingId,
-        /// Members currently down.
-        down: Vec<ProcessId>,
-    },
 }
 
 /// Effects an actor requests from the simulator.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Op {
-    /// Send a message (charged for latency and bandwidth).
-    Send {
-        /// Destination.
-        to: ProcessId,
-        /// The message.
-        msg: Message,
-    },
-    /// Re-fire a protocol timer.
-    ProtoTimer {
-        /// Delay.
-        after_us: u64,
-        /// Timer identity.
-        timer: TimerKind,
-    },
+    /// A protocol effect. Sends are charged for latency and bandwidth,
+    /// persists go through the process's disk model, a delivery is
+    /// counted as the "dummy service" of Section 8.3.1, and a reply is
+    /// routed to its client session's home.
+    Protocol(Action),
     /// Fire [`ActorEvent::Wakeup`] later.
     Wakeup {
         /// Delay.
         after_us: u64,
         /// Token echoed back.
         token: u64,
-    },
-    /// Durably persist a record through the process's disk model.
-    Persist {
-        /// The record.
-        record: PersistRecord,
-        /// Synchronous write?
-        sync: bool,
-        /// Completion token.
-        token: PersistToken,
-    },
-    /// Reclaim acceptor log space.
-    TrimStorage {
-        /// Ring.
-        ring: RingId,
-        /// Trim watermark.
-        upto: InstanceId,
     },
     /// Charges extra CPU time to this process (models service work the
     /// per-message cost cannot capture, e.g. LSM merges during scans).
@@ -116,26 +58,6 @@ pub enum Op {
         sync: bool,
         /// Completion token.
         token: u64,
-    },
-    /// An atomic-multicast delivery surfaced by a bare node (the
-    /// "dummy service" of Section 8.3.1). The harness records
-    /// throughput/latency metrics for it.
-    Delivered {
-        /// Group.
-        group: GroupId,
-        /// Deciding instance.
-        instance: InstanceId,
-        /// The value.
-        value: Value,
-    },
-    /// A service reply to route back to a client session.
-    Respond {
-        /// Client session.
-        client: ClientId,
-        /// Request echoed.
-        request: u64,
-        /// Payload.
-        payload: Bytes,
     },
 }
 
@@ -158,7 +80,7 @@ impl Outbox {
 
     /// Queues a message send.
     pub fn send(&mut self, to: ProcessId, msg: Message) {
-        self.push(Op::Send { to, msg });
+        self.push(Op::Protocol(Action::Send { to, msg }));
     }
 
     /// Queues a wakeup.
@@ -193,111 +115,51 @@ pub trait Actor: 'static {
     /// Handles one event, pushing effects into `out`.
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>);
 
+    /// The engine telemetry snapshot and health report of an actor that
+    /// hosts an engine; `None` for everything else.
+    fn telemetry(&mut self, _now: Time) -> Option<(TelemetrySnapshot, HealthReport)> {
+        None
+    }
+
     /// Downcast support for test inspection.
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
-/// Hosts any sans-io protocol [`StateMachine`] as a simulator actor,
-/// translating between [`ActorEvent`]/[`Op`] and the protocol's
-/// [`Event`]/[`Action`].
-#[derive(Debug)]
-pub struct Hosted<S> {
-    inner: S,
-}
+/// The protocol state machines the simulator hosts, all through one
+/// body: a protocol input goes in as it came, every action comes out as
+/// [`Op::Protocol`], and the simulator-only inputs are not theirs.
+/// `telemetry` names the snapshot function of the type.
+macro_rules! state_machine_actors {
+    ($(impl$([$($generics:tt)*])? for $ty:ty { telemetry: $telemetry:path })*) => {$(
+        impl$(<$($generics)*>)? Actor for $ty {
+            fn on_event(
+                &mut self,
+                now: Time,
+                event: ActorEvent,
+                out: &mut Outbox,
+                _ctx: &mut ActorCtx<'_>,
+            ) {
+                if let ActorEvent::Protocol(event) = event {
+                    let actions = StateMachine::on_event(self, now, event);
+                    out.ops.extend(actions.into_iter().map(Op::Protocol));
+                }
+            }
 
-impl<S: StateMachine + 'static> Hosted<S> {
-    /// Wraps a state machine.
-    pub fn new(inner: S) -> Self {
-        Self { inner }
-    }
+            fn telemetry(&mut self, now: Time) -> Option<(TelemetrySnapshot, HealthReport)> {
+                Some(($telemetry(self), self.health(now)))
+            }
 
-    /// The wrapped state machine.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped state machine.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Boxes this adapter as an [`Actor`].
-    pub fn boxed(self) -> Box<dyn Actor> {
-        Box::new(self)
-    }
-
-    /// Maps protocol actions into simulator ops.
-    pub fn map_actions(actions: Vec<Action>, out: &mut Outbox) {
-        for action in actions {
-            out.push(match action {
-                Action::Send { to, msg } => Op::Send { to, msg },
-                Action::SetTimer { after_us, timer } => Op::ProtoTimer { after_us, timer },
-                Action::Persist {
-                    record,
-                    sync,
-                    token,
-                } => Op::Persist {
-                    record,
-                    sync,
-                    token,
-                },
-                Action::TrimStorage { ring, upto } => Op::TrimStorage { ring, upto },
-                Action::Deliver {
-                    group,
-                    instance,
-                    value,
-                } => Op::Delivered {
-                    group,
-                    instance,
-                    value,
-                },
-                Action::Respond {
-                    client,
-                    request,
-                    payload,
-                } => Op::Respond {
-                    client,
-                    request,
-                    payload,
-                },
-            });
+            fn as_any(&mut self) -> &mut dyn Any {
+                self
+            }
         }
-    }
+    )*};
 }
 
-impl<S: StateMachine + 'static> Actor for Hosted<S> {
-    fn on_event(
-        &mut self,
-        now: Time,
-        event: ActorEvent,
-        out: &mut Outbox,
-        _ctx: &mut ActorCtx<'_>,
-    ) {
-        let proto_event = match event {
-            ActorEvent::Start => Event::Start,
-            ActorEvent::Message { from, msg } => Event::Message { from, msg },
-            ActorEvent::ProtoTimer(kind) => Event::Timer(kind),
-            ActorEvent::PersistDone(token) => Event::PersistDone(token),
-            ActorEvent::CoordinatorChange {
-                ring,
-                coordinator,
-                supersedes,
-            } => Event::CoordinatorChange {
-                ring,
-                coordinator,
-                supersedes,
-            },
-            ActorEvent::MembershipChange { ring, down } => Event::MembershipChange { ring, down },
-            // Protocol nodes take no custom wakeups or raw disk ops.
-            ActorEvent::Wakeup(_) | ActorEvent::DiskDone(_) => return,
-        };
-        let actions = self.inner.on_event(now, proto_event);
-        Self::map_actions(actions, out);
-    }
-
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
+state_machine_actors! {
+    impl for Node { telemetry: AmcastEngine::telemetry }
+    impl for AnyEngine { telemetry: AmcastEngine::telemetry }
+    impl[A: Application + 'static] for EngineReplica<A> { telemetry: EngineReplica::telemetry }
 }
 
 #[cfg(test)]
@@ -348,7 +210,9 @@ mod tests {
             metrics: &mut metrics,
         };
         let mut out = Outbox::new();
-        probe.on_event(Time::ZERO, ActorEvent::Start, &mut out, &mut ctx);
+        let start = ActorEvent::Protocol(Event::Start);
+        probe.on_event(Time::ZERO, start, &mut out, &mut ctx);
+        assert!(probe.telemetry(Time::ZERO).is_none(), "not an engine");
         let p = probe.as_any().downcast_mut::<Probe>().unwrap();
         assert_eq!(p.events.len(), 1);
     }

@@ -16,7 +16,7 @@
 use crate::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use crate::rng::Rng;
 use bytes::Bytes;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -158,7 +158,7 @@ impl ClosedLoopClient {
 impl Actor for ClosedLoopClient {
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         match event {
-            ActorEvent::Start => {
+            ActorEvent::Protocol(Event::Start) => {
                 for s in 0..self.sessions {
                     self.issue(s, now, out, ctx.rng);
                 }
@@ -179,10 +179,10 @@ impl Actor for ClosedLoopClient {
                 }
                 out.wakeup(self.retry_us, RETRY_TIMER);
             }
-            ActorEvent::Message {
+            ActorEvent::Protocol(Event::Message {
                 msg: Message::Response { request, .. },
                 ..
-            } => {
+            }) => {
                 // A reply to a completed (or abandoned) operation — the
                 // other replicas', the rest of an ensemble — finds no
                 // entry and is dropped.
@@ -223,6 +223,7 @@ mod tests {
     use crate::actor::Op;
     use crate::cluster::{Cluster, SimConfig};
     use crate::net::Topology;
+    use multiring_paxos::event::Action;
 
     /// Answers every request `copies` times, `delay_us` after it came.
     struct Echo {
@@ -234,24 +235,24 @@ mod tests {
     impl Actor for Echo {
         fn on_event(&mut self, _: Time, event: ActorEvent, out: &mut Outbox, _: &mut ActorCtx<'_>) {
             match event {
-                ActorEvent::Message {
+                ActorEvent::Protocol(Event::Message {
                     msg:
                         Message::Request {
                             client, request, ..
                         },
                     ..
-                } => {
+                }) => {
                     self.held.push((client, request));
                     out.wakeup(self.delay_us, 7);
                 }
                 ActorEvent::Wakeup(7) => {
                     let (client, request) = self.held.remove(0);
                     for _ in 0..self.copies {
-                        out.push(Op::Respond {
+                        out.push(Op::Protocol(Action::Respond {
                             client,
                             request,
                             payload: Bytes::new(),
-                        });
+                        }));
                     }
                 }
                 _ => {}

@@ -2,20 +2,18 @@
 //! and CPUs, injects crashes/restarts, and runs coordinator re-election
 //! (the role Zookeeper plays in the paper's deployment).
 
-use crate::actor::{Actor, ActorCtx, ActorEvent, Hosted, Op, Outbox};
+use crate::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use crate::cpu::CpuModel;
 use crate::disk::DiskModel;
 use crate::metrics::Metrics;
 use crate::net::{NetState, Topology};
 use crate::rng::Rng;
-use mrp_amcast::{
-    AmcastEngine, AnyEngine, EngineKind, EngineReplica, HealthReport, TelemetrySnapshot,
-};
+use mrp_amcast::{EngineKind, EngineReplica, HealthReport, TelemetrySnapshot};
 use mrp_storage::NodeStorage;
 use multiring_paxos::app::Application;
 use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
-use multiring_paxos::event::{Message, PersistRecord, PersistToken};
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken};
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{Ballot, ClientId, ProcessId, RingId, Time};
 use std::cmp::Reverse;
@@ -26,15 +24,11 @@ use std::collections::{BTreeMap, BinaryHeap};
 pub struct SimConfig {
     /// Master random seed; everything is deterministic given it.
     pub seed: u64,
-    /// Whether the harness plays coordination service: on coordinator
-    /// crash, elect the lowest-id live acceptor after the detection
-    /// timeout.
-    pub auto_reelect: bool,
-    /// Failure-detection delay before re-election, microseconds.
+    /// Failure-detection delay of the coordination service the harness
+    /// plays: this long after a crash, the crashed process's rings
+    /// learn it is down and a crashed coordinator is replaced by the
+    /// lowest-id live acceptor. Microseconds.
     pub election_timeout_us: u64,
-    /// Interpret the first 8 payload bytes of values delivered by bare
-    /// nodes as a send timestamp and record end-to-end latency.
-    pub measure_delivery_latency: bool,
     /// Window width for throughput series, microseconds.
     pub series_window_us: u64,
 }
@@ -43,19 +37,14 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             seed: 1,
-            auto_reelect: true,
             election_timeout_us: 1_000_000,
-            measure_delivery_latency: false,
             series_window_us: 1_000_000,
         }
     }
 }
 
 enum What {
-    ActorEv {
-        p: ProcessId,
-        ev: ActorEvent,
-    },
+    Actor(ProcessId, ActorEvent),
     DiskDone {
         p: ProcessId,
         record: PersistRecord,
@@ -93,18 +82,9 @@ impl Ord for Sched {
 /// Factory rebuilding an actor from its stable storage on restart.
 pub type ActorFactory = Box<dyn FnMut(&NodeStorage) -> Box<dyn Actor>>;
 
-/// Extracts a telemetry snapshot and health report from a hosted actor.
-/// Captured at spawn time — when the concrete actor type is known — so
-/// [`Cluster::collect_engine_telemetry`] can probe through `dyn Actor`;
-/// the probe survives restarts because the factory rebuilds the same
-/// concrete type.
-pub type TelemetryProbe =
-    Box<dyn FnMut(&mut dyn Actor, Time) -> Option<(TelemetrySnapshot, HealthReport)>>;
-
 struct Slot {
     actor: Option<Box<dyn Actor>>,
     factory: Option<ActorFactory>,
-    probe: Option<TelemetryProbe>,
     storage: NodeStorage,
     disks: Vec<DiskModel>,
     disk_of_ring: BTreeMap<RingId, usize>,
@@ -186,7 +166,6 @@ impl Cluster {
             Slot {
                 actor: Some(actor),
                 factory: None,
-                probe: None,
                 storage: NodeStorage::new(),
                 disks: Vec::new(),
                 disk_of_ring: BTreeMap::new(),
@@ -196,13 +175,7 @@ impl Cluster {
             },
         );
         if self.started {
-            self.push(
-                self.now,
-                What::ActorEv {
-                    p,
-                    ev: ActorEvent::Start,
-                },
-            );
+            self.push_event(self.now, p, Event::Start);
         }
     }
 
@@ -214,27 +187,18 @@ impl Cluster {
     pub fn add_engine_actors(&mut self, config: &ClusterConfig, kind: EngineKind) {
         self.set_protocol(config.clone());
         for p in config.processes() {
-            self.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
-            self.set_telemetry_probe(
-                p,
-                Box::new(|actor, now| {
-                    let hosted = actor.as_any().downcast_mut::<Hosted<AnyEngine>>()?;
-                    let engine = hosted.inner();
-                    Some((engine.telemetry(), engine.health(now)))
-                }),
-            );
+            self.add_actor(p, Box::new(kind.build(p, config.clone())));
         }
     }
 
     /// Adds one replicated-service actor for `p`: an [`EngineReplica`]
     /// running `mk_app()` over the selected engine, checkpointing per
-    /// `policy`, with its telemetry probe installed and a restart
-    /// factory that rebuilds it from its stable storage after
-    /// [`Cluster::schedule_crash`] / [`Cluster::schedule_restart`]: the
-    /// acceptor logs plus the latest durable checkpoint feed
-    /// [`EngineReplica::recovering`], which asks its partition peers for
-    /// a fresher checkpoint (Section 5.2) before the engine rejoins its
-    /// streams. `mk_app` builds a fresh application instance on every
+    /// `policy`, with a restart factory that rebuilds it from its stable
+    /// storage after [`Cluster::schedule_crash`] /
+    /// [`Cluster::schedule_restart`]: the acceptor logs plus the latest
+    /// durable checkpoint feed [`EngineReplica::recovering`], which asks
+    /// its partition peers for a fresher checkpoint (Section 5.2) before
+    /// the engine rejoins its streams. `mk_app` builds a fresh application instance on every
     /// (re)start. Service deployment helpers (MRP-Store, dLog) and the
     /// benches all funnel through here.
     pub fn add_recoverable_replica_actor<A, F>(
@@ -249,19 +213,11 @@ impl Cluster {
         F: FnMut() -> A + 'static,
     {
         let replica = EngineReplica::new(kind, p, config.clone(), mk_app(), policy);
-        self.add_actor(p, Hosted::new(replica).boxed());
-        self.set_telemetry_probe(
-            p,
-            Box::new(|actor, now| {
-                let hosted = actor.as_any().downcast_mut::<Hosted<EngineReplica<A>>>()?;
-                let replica = hosted.inner();
-                Some((replica.telemetry(), replica.health(now)))
-            }),
-        );
+        self.add_actor(p, Box::new(replica));
         self.set_factory(
             p,
             Box::new(move |storage: &NodeStorage| {
-                Hosted::new(EngineReplica::recovering(
+                Box::new(EngineReplica::recovering(
                     kind,
                     p,
                     config.clone(),
@@ -270,7 +226,6 @@ impl Cluster {
                     storage.acceptor_recovery(),
                     storage.checkpoint_cloned(),
                 ))
-                .boxed()
             }),
         );
     }
@@ -279,15 +234,6 @@ impl Cluster {
     pub fn set_factory(&mut self, p: ProcessId, factory: ActorFactory) {
         if let Some(slot) = self.slots.get_mut(&p) {
             slot.factory = Some(factory);
-        }
-    }
-
-    /// Registers the telemetry probe used to read `p`'s engine
-    /// telemetry and health through `dyn Actor` (the engine/replica
-    /// spawn helpers install one automatically).
-    pub fn set_telemetry_probe(&mut self, p: ProcessId, probe: TelemetryProbe) {
-        if let Some(slot) = self.slots.get_mut(&p) {
-            slot.probe = Some(probe);
         }
     }
 
@@ -330,13 +276,7 @@ impl Cluster {
         self.started = true;
         let ps: Vec<ProcessId> = self.slots.keys().copied().collect();
         for p in ps {
-            self.push(
-                self.now,
-                What::ActorEv {
-                    p,
-                    ev: ActorEvent::Start,
-                },
-            );
+            self.push_event(self.now, p, Event::Start);
         }
     }
 
@@ -350,26 +290,16 @@ impl Cluster {
         &self.metrics
     }
 
-    /// Mutable metrics (for harness-level annotations).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Reads the current engine telemetry snapshot and health report of
-    /// `p`, if its actor hosts an engine (spawned through the engine or
-    /// replica helpers) and is up.
+    /// `p`, if its actor hosts an engine ([`Actor::telemetry`]) and is
+    /// up.
     pub fn engine_telemetry(&mut self, p: ProcessId) -> Option<(TelemetrySnapshot, HealthReport)> {
-        let now = self.now;
-        let slot = self.slots.get_mut(&p)?;
-        if !slot.up {
-            return None;
-        }
-        let actor = slot.actor.as_mut()?;
-        slot.probe.as_mut()?(actor.as_mut(), now)
+        let slot = self.slots.get_mut(&p).filter(|s| s.up)?;
+        slot.actor.as_mut()?.telemetry(self.now)
     }
 
-    /// Probes every live engine-hosting node and folds the snapshots
-    /// into the run [`Metrics`]:
+    /// Asks every live actor for its engine telemetry and folds the
+    /// snapshots into the run [`Metrics`]:
     ///
     /// * counters sum across nodes into `engine.<name>.<counter>`;
     /// * histograms merge into `engine.<name>.<histogram>`;
@@ -380,26 +310,14 @@ impl Cluster {
     /// Returns the per-node snapshots for harnesses that want the
     /// unmerged view (benchmark reports embed them per run).
     pub fn collect_engine_telemetry(&mut self) -> BTreeMap<ProcessId, TelemetrySnapshot> {
-        let now = self.now;
-        // Probe first, fold second: the probes borrow the slots while
-        // the fold borrows the metrics.
         let mut snapshots: BTreeMap<ProcessId, TelemetrySnapshot> = BTreeMap::new();
         let mut issues: Vec<&'static str> = Vec::new();
-        for (&p, slot) in &mut self.slots {
-            if !slot.up {
-                continue;
+        let ps: Vec<ProcessId> = self.slots.keys().copied().collect();
+        for p in ps {
+            if let Some((snapshot, health)) = self.engine_telemetry(p) {
+                issues.extend(health.issues.iter().map(|i| i.code));
+                snapshots.insert(p, snapshot);
             }
-            let Some(actor) = slot.actor.as_mut() else {
-                continue;
-            };
-            let Some(probe) = slot.probe.as_mut() else {
-                continue;
-            };
-            let Some((snapshot, health)) = probe(actor.as_mut(), now) else {
-                continue;
-            };
-            issues.extend(health.issues.iter().map(|i| i.code));
-            snapshots.insert(p, snapshot);
         }
         for snapshot in snapshots.values() {
             let engine = snapshot.engine;
@@ -428,11 +346,6 @@ impl Cluster {
     /// Stable storage of `p` (inspection).
     pub fn storage(&self, p: ProcessId) -> Option<&NodeStorage> {
         self.slots.get(&p).map(|s| &s.storage)
-    }
-
-    /// Disk `idx` of `p` (inspection).
-    pub fn disk(&self, p: ProcessId, idx: usize) -> Option<&DiskModel> {
-        self.slots.get(&p).and_then(|s| s.disks.get(idx))
     }
 
     /// CPU model of `p` (inspection).
@@ -466,6 +379,11 @@ impl Cluster {
         self.push(at, What::Restart(p));
     }
 
+    /// Schedules protocol input `ev` for `p` at `at`.
+    fn push_event(&mut self, at: Time, p: ProcessId, ev: Event) {
+        self.push(at, What::Actor(p, ActorEvent::Protocol(ev)));
+    }
+
     fn push(&mut self, at: Time, what: What) {
         self.seq += 1;
         self.queue.push(Reverse(Sched {
@@ -488,14 +406,9 @@ impl Cluster {
         self.now = t;
     }
 
-    /// Runs for `us` more microseconds.
-    pub fn run_for(&mut self, us: u64) {
-        self.run_until(self.now.plus(us));
-    }
-
     fn process(&mut self, sched: Sched) {
         match sched.what {
-            What::ActorEv { p, ev } => self.deliver(p, ev),
+            What::Actor(p, ev) => self.deliver(p, ev),
             What::DiskDone { p, record, token } => {
                 let Some(slot) = self.slots.get_mut(&p) else {
                     return;
@@ -504,7 +417,7 @@ impl Cluster {
                     return; // the write was lost with the crash
                 }
                 slot.storage.apply(&record);
-                self.deliver(p, ActorEvent::PersistDone(token));
+                self.deliver(p, ActorEvent::Protocol(Event::PersistDone(token)));
             }
             What::Crash(p) => self.crash(p),
             What::Restart(p) => self.restart(p),
@@ -515,7 +428,7 @@ impl Cluster {
 
     fn event_bytes(ev: &ActorEvent) -> usize {
         match ev {
-            ActorEvent::Message { msg, .. } => codec::encoded_len(msg),
+            ActorEvent::Protocol(Event::Message { msg, .. }) => codec::encoded_len(msg),
             _ => 0,
         }
     }
@@ -532,7 +445,7 @@ impl Cluster {
         let t_proc = if let Some(cpu) = slot.cpu.as_mut() {
             if cpu.next_free() > self.now {
                 let at = cpu.next_free();
-                self.push(at, What::ActorEv { p, ev });
+                self.push(at, What::Actor(p, ev));
                 return;
             }
             cpu.charge(self.now, Self::event_bytes(&ev))
@@ -564,30 +477,18 @@ impl Cluster {
 
     fn apply_op(&mut self, p: ProcessId, t: Time, op: Op) {
         match op {
-            Op::Send { to, msg } => self.send_message(p, to, t, msg),
-            Op::ProtoTimer { after_us, timer } => {
-                self.push(
-                    t.plus(after_us),
-                    What::ActorEv {
-                        p,
-                        ev: ActorEvent::ProtoTimer(timer),
-                    },
-                );
+            Op::Protocol(Action::Send { to, msg }) => self.send_message(p, to, t, msg),
+            Op::Protocol(Action::SetTimer { after_us, timer }) => {
+                self.push_event(t.plus(after_us), p, Event::Timer(timer));
             }
             Op::Wakeup { after_us, token } => {
-                self.push(
-                    t.plus(after_us),
-                    What::ActorEv {
-                        p,
-                        ev: ActorEvent::Wakeup(token),
-                    },
-                );
+                self.push(t.plus(after_us), What::Actor(p, ActorEvent::Wakeup(token)));
             }
-            Op::Persist {
+            Op::Protocol(Action::Persist {
                 record,
                 sync,
                 token,
-            } => {
+            }) => {
                 let bytes = codec::record_len(&record);
                 let slot = self.slots.get_mut(&p).expect("slot exists");
                 let done = if slot.disks.is_empty() {
@@ -606,7 +507,7 @@ impl Cluster {
                 };
                 self.push(done, What::DiskDone { p, record, token });
             }
-            Op::TrimStorage { ring, upto } => {
+            Op::Protocol(Action::TrimStorage { ring, upto }) => {
                 if let Some(slot) = self.slots.get_mut(&p) {
                     slot.storage.trim(ring, upto);
                 }
@@ -631,32 +532,19 @@ impl Cluster {
                     Some(d) => d.write(t, bytes, sync),
                     None => t.plus(1),
                 };
-                self.push(
-                    done,
-                    What::ActorEv {
-                        p,
-                        ev: ActorEvent::DiskDone(token),
-                    },
-                );
+                self.push(done, What::Actor(p, ActorEvent::DiskDone(token)));
             }
-            Op::Delivered { value, .. } => {
+            Op::Protocol(Action::Deliver { value, .. }) => {
                 self.metrics.incr("delivered_values", 1);
                 self.metrics
                     .incr("delivered_bytes", value.payload.len() as u64);
                 self.metrics.series_add("deliveries", t, 1.0);
-                if self.cfg.measure_delivery_latency && value.payload.len() >= 8 {
-                    let mut ts = [0u8; 8];
-                    ts.copy_from_slice(&value.payload[..8]);
-                    let sent = u64::from_le_bytes(ts);
-                    let latency = t.as_micros().saturating_sub(sent);
-                    self.metrics.record("delivery_latency_us", latency);
-                }
             }
-            Op::Respond {
+            Op::Protocol(Action::Respond {
                 client,
                 request,
                 payload,
-            } => {
+            }) => {
                 if let Some(&home) = self.clients.get(&client) {
                     self.send_message(
                         p,
@@ -678,13 +566,7 @@ impl Cluster {
             return;
         }
         if from == to {
-            self.push(
-                t,
-                What::ActorEv {
-                    p: to,
-                    ev: ActorEvent::Message { from, msg },
-                },
-            );
+            self.push_event(t, to, Event::Message { from, msg });
             return;
         }
         let bytes = codec::encoded_len(&msg);
@@ -713,13 +595,7 @@ impl Cluster {
                 .transit(&self.topology, t, from, to, bytes, &mut self.rng)
         };
         if let Some(arrival) = arrival {
-            self.push(
-                arrival,
-                What::ActorEv {
-                    p: to,
-                    ev: ActorEvent::Message { from, msg },
-                },
-            );
+            self.push_event(arrival, to, Event::Message { from, msg });
         }
     }
 
@@ -730,25 +606,21 @@ impl Cluster {
         slot.up = false;
         slot.actor = None;
         self.metrics.incr("crashes", 1);
-        if self.cfg.auto_reelect {
-            let rings: Vec<RingId> = self
-                .ring_coordinator
-                .iter()
-                .filter(|&(_, &c)| c == p)
-                .map(|(&r, _)| r)
-                .collect();
-            for r in rings {
-                self.push(self.now.plus(self.cfg.election_timeout_us), What::Elect(r));
-            }
-            // Every ring this process belongs to learns (after the
-            // detection timeout) that it must route around it.
-            if let Some(config) = self.protocol.clone() {
-                for r in config.rings_of(p) {
-                    self.push(
-                        self.now.plus(self.cfg.election_timeout_us),
-                        What::Membership(r),
-                    );
-                }
+        let detected = self.now.plus(self.cfg.election_timeout_us);
+        let rings: Vec<RingId> = self
+            .ring_coordinator
+            .iter()
+            .filter(|&(_, &c)| c == p)
+            .map(|(&r, _)| r)
+            .collect();
+        for r in rings {
+            self.push(detected, What::Elect(r));
+        }
+        // Every ring this process belongs to learns (after the detection
+        // timeout) that it must route around it.
+        if let Some(config) = self.protocol.clone() {
+            for r in config.rings_of(p) {
+                self.push(detected, What::Membership(r));
             }
         }
     }
@@ -770,16 +642,11 @@ impl Cluster {
             .collect();
         for m in ring.members() {
             if self.slots.get(&m.process).is_some_and(|s| s.up) {
-                self.push(
-                    self.now,
-                    What::ActorEv {
-                        p: m.process,
-                        ev: ActorEvent::MembershipChange {
-                            ring: ring_id,
-                            down: down.clone(),
-                        },
-                    },
-                );
+                let change = Event::MembershipChange {
+                    ring: ring_id,
+                    down: down.clone(),
+                };
+                self.push_event(self.now, m.process, change);
             }
         }
     }
@@ -798,13 +665,7 @@ impl Cluster {
         slot.actor = Some(actor);
         slot.up = true;
         self.metrics.incr("restarts", 1);
-        self.push(
-            self.now,
-            What::ActorEv {
-                p,
-                ev: ActorEvent::Start,
-            },
-        );
+        self.push_event(self.now, p, Event::Start);
         // Tell the restarted process who currently coordinates its rings
         // (the coordination service's configuration snapshot), and let
         // every ring fold the process back into the overlay.
@@ -812,17 +673,12 @@ impl Cluster {
             for ring_id in config.rings_of(p) {
                 if let Some(&coordinator) = self.ring_coordinator.get(&ring_id) {
                     let round = self.election_round.get(&ring_id).copied().unwrap_or(0);
-                    self.push(
-                        self.now,
-                        What::ActorEv {
-                            p,
-                            ev: ActorEvent::CoordinatorChange {
-                                ring: ring_id,
-                                coordinator,
-                                supersedes: Ballot::new(round, coordinator),
-                            },
-                        },
-                    );
+                    let change = Event::CoordinatorChange {
+                        ring: ring_id,
+                        coordinator,
+                        supersedes: Ballot::new(round, coordinator),
+                    };
+                    self.push_event(self.now, p, change);
                 }
                 self.push(
                     self.now.plus(self.cfg.election_timeout_us),
@@ -869,17 +725,12 @@ impl Cluster {
             .map(|(&p, _)| p)
             .collect();
         for p in live {
-            self.push(
-                self.now,
-                What::ActorEv {
-                    p,
-                    ev: ActorEvent::CoordinatorChange {
-                        ring: ring_id,
-                        coordinator: new,
-                        supersedes,
-                    },
-                },
-            );
+            let change = Event::CoordinatorChange {
+                ring: ring_id,
+                coordinator: new,
+                supersedes,
+            };
+            self.push_event(self.now, p, change);
         }
     }
 }
@@ -887,8 +738,9 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actor::Hosted;
     use bytes::Bytes;
+    use mrp_amcast::AmcastEngine;
+    use multiring_paxos::app::{Delivery, Reply};
     use multiring_paxos::config::{single_ring, ClusterConfig, RingSpec, RingTuning, Roles};
     use multiring_paxos::node::Node;
     use multiring_paxos::types::GroupId;
@@ -919,7 +771,7 @@ mod tests {
             out: &mut Outbox,
             _ctx: &mut ActorCtx<'_>,
         ) {
-            if event == ActorEvent::Start {
+            if event == ActorEvent::Protocol(Event::Start) {
                 for i in 0..self.n {
                     out.send(
                         self.target,
@@ -953,16 +805,15 @@ mod tests {
         for i in 0..3 {
             let p = ProcessId::new(i);
             let cfg = config.clone();
-            cluster.add_actor(p, Hosted::new(Node::new(p, cfg.clone())).boxed());
+            cluster.add_actor(p, Box::new(Node::new(p, cfg.clone())));
             cluster.set_factory(
                 p,
                 Box::new(move |storage: &NodeStorage| {
-                    Hosted::new(Node::with_recovery(
+                    Box::new(Node::with_recovery(
                         p,
                         cfg.clone(),
                         storage.acceptor_recovery(),
                     ))
-                    .boxed()
                 }),
             );
         }
@@ -989,58 +840,104 @@ mod tests {
         assert_eq!(cluster.metrics().counter("delivered_values"), 30);
     }
 
-    /// Both engines' telemetry flows through the spawn-time probes:
-    /// per-node snapshots report deliveries and a quiescent cluster is
-    /// healthy, and the fold lands under the `engine.<name>.` metric
-    /// namespace.
+    /// A service that executes nothing and answers nothing.
+    struct Sink;
+
+    impl Application for Sink {
+        fn execute(&mut self, _: &Delivery) -> Vec<Reply> {
+            Vec::new()
+        }
+
+        fn snapshot(&self) -> Bytes {
+            Bytes::new()
+        }
+
+        fn restore(&mut self, _: &Bytes) {}
+    }
+
+    /// Both engines' telemetry reaches the cluster through
+    /// [`Actor::telemetry`], bare and inside a replica: per-node
+    /// snapshots report deliveries and a quiescent cluster is healthy,
+    /// the fold lands under the `engine.<name>.` metric namespace — the
+    /// replica's own counters with it — and a client contributes
+    /// nothing.
     #[test]
     fn engine_telemetry_collection_folds_into_metrics() {
         for kind in EngineKind::ALL {
-            let config = single_ring(3, quiet());
-            let mut cluster = Cluster::new(
-                SimConfig {
-                    seed: 11,
-                    ..SimConfig::default()
-                },
-                Topology::lan(4),
-            );
-            cluster.add_engine_actors(&config, kind);
-            let client = ProcessId::new(100);
-            cluster.add_actor(
-                client,
-                Box::new(Pulse {
-                    target: ProcessId::new(1),
-                    groups: vec![GroupId::new(0)],
-                    n: 10,
-                    client: ClientId::new(1),
-                }),
-            );
-            cluster.register_client(ClientId::new(1), client);
-            cluster.start();
-            cluster.run_until(Time::from_secs(2));
-            let (snapshot, health) = cluster
-                .engine_telemetry(ProcessId::new(0))
-                .expect("engine node is probeable");
-            assert_eq!(
-                snapshot.engine,
-                kind.build(ProcessId::new(0), config).engine_name()
-            );
-            assert!(
-                health.is_healthy(),
-                "{kind}: settled cluster reports healthy: {health:?}"
-            );
-            let snapshots = cluster.collect_engine_telemetry();
-            assert_eq!(snapshots.len(), 3, "{kind}: every engine node reports");
-            let engine = snapshot.engine;
-            let delivered_key = match kind {
-                EngineKind::MultiRing => format!("engine.{engine}.delivered"),
-                _ => format!("engine.{engine}.sub.delivered"),
-            };
-            assert_eq!(
-                cluster.metrics().counter(&delivered_key),
-                30,
-                "{kind}: 10 deliveries at each of 3 subscribers"
-            );
+            for replicas in [false, true] {
+                let config = single_ring(3, quiet());
+                let mut cluster = Cluster::new(
+                    SimConfig {
+                        seed: 11,
+                        ..SimConfig::default()
+                    },
+                    Topology::lan(4),
+                );
+                if replicas {
+                    cluster.set_protocol(config.clone());
+                    let never = CheckpointPolicy {
+                        interval_us: 0,
+                        sync: false,
+                    };
+                    for p in config.processes() {
+                        cluster.add_recoverable_replica_actor(
+                            kind,
+                            p,
+                            config.clone(),
+                            never,
+                            || Sink,
+                        );
+                    }
+                } else {
+                    cluster.add_engine_actors(&config, kind);
+                }
+                let client = ProcessId::new(100);
+                cluster.add_client(
+                    client,
+                    ClientId::new(1),
+                    Box::new(Pulse {
+                        target: ProcessId::new(1),
+                        groups: vec![GroupId::new(0)],
+                        n: 10,
+                        client: ClientId::new(1),
+                    }),
+                );
+                cluster.start();
+                cluster.run_until(Time::from_secs(2));
+                let (snapshot, health) = cluster
+                    .engine_telemetry(ProcessId::new(0))
+                    .expect("an engine node answers");
+                assert_eq!(
+                    snapshot.engine,
+                    kind.build(ProcessId::new(0), config).engine_name()
+                );
+                assert!(
+                    health.is_healthy(),
+                    "{kind}: settled cluster reports healthy: {health:?}"
+                );
+                assert!(
+                    cluster.engine_telemetry(client).is_none(),
+                    "{kind}: a client"
+                );
+                let snapshots = cluster.collect_engine_telemetry();
+                assert_eq!(snapshots.len(), 3, "{kind}: every engine node reports");
+                let engine = snapshot.engine;
+                let delivered_key = match kind {
+                    EngineKind::MultiRing => format!("engine.{engine}.delivered"),
+                    _ => format!("engine.{engine}.sub.delivered"),
+                };
+                let counter = |name: &str| cluster.metrics().counter(name);
+                assert_eq!(
+                    counter(&delivered_key),
+                    30,
+                    "{kind}: 10 deliveries at each of 3 subscribers"
+                );
+                assert_eq!(
+                    counter(&format!("engine.{engine}.replica.executed")),
+                    if replicas { 30 } else { 0 },
+                    "{kind}: replicas {replicas}"
+                );
+            }
         }
     }
 

@@ -6,6 +6,14 @@
 //! (`multiring-paxos` is sans-io) under controlled, reproducible
 //! conditions:
 //!
+//! * [`actor`] — what the simulator hosts. An engine, a replica or a
+//!   bare ring node is an actor as it is, with no adapter: it receives
+//!   the protocol's own [`Event`](multiring_paxos::event::Event) as
+//!   [`ActorEvent::Protocol`] and its
+//!   [`Action`](multiring_paxos::event::Action)s come back as
+//!   [`Op::Protocol`]; clients and baseline systems also get wakeups,
+//!   CPU time and raw disk writes, and an actor that hosts an engine
+//!   answers [`Actor::telemetry`].
 //! * [`net`] — WAN/LAN topologies: per-link one-way latency, jitter and
 //!   bandwidth with FIFO serialization queues; presets for the paper's
 //!   local cluster and the four EC2 regions of Section 8.4.2.
@@ -48,7 +56,7 @@ pub mod metrics;
 pub mod net;
 pub mod rng;
 
-pub use actor::{Actor, ActorEvent, Hosted, Op, Outbox};
+pub use actor::{Actor, ActorEvent, Op, Outbox};
 pub use client::{ClosedLoopClient, Operation};
 pub use cluster::{Cluster, SimConfig};
 pub use disk::DiskModel;

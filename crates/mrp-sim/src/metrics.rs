@@ -138,11 +138,6 @@ impl Metrics {
     pub fn counter_names(&self) -> impl Iterator<Item = &str> {
         self.counters.keys().map(String::as_str)
     }
-
-    /// All histogram names (for reports).
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

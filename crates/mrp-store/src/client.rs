@@ -9,7 +9,7 @@ use crate::setup::StoreDeployment;
 use bytes::Bytes;
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use mrp_sim::rng::Rng;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,18 +36,6 @@ pub enum ClientOp {
     },
 }
 
-/// Generates the next operation of a session.
-pub trait OpSource: 'static {
-    /// Produces the next operation.
-    fn next_op(&mut self, rng: &mut Rng) -> ClientOp;
-}
-
-impl<F: FnMut(&mut Rng) -> ClientOp + 'static> OpSource for F {
-    fn next_op(&mut self, rng: &mut Rng) -> ClientOp {
-        self(rng)
-    }
-}
-
 /// Client-side batching configuration (Section 7.2: batches per
 /// partition up to 32 KB).
 #[derive(Copy, Clone, Debug)]
@@ -58,15 +46,6 @@ pub struct ClientBatching {
     pub linger_us: u64,
 }
 
-impl Default for ClientBatching {
-    fn default() -> Self {
-        Self {
-            max_bytes: 32 * 1024,
-            linger_us: 1_000,
-        }
-    }
-}
-
 /// Configuration of a [`StoreClient`].
 #[derive(Clone, Debug)]
 pub struct StoreClientConfig {
@@ -74,9 +53,6 @@ pub struct StoreClientConfig {
     pub client: ClientId,
     /// Number of closed-loop sessions (the paper's "client threads").
     pub sessions: u32,
-    /// Optional per-group proposer override (e.g. the region-local
-    /// proposer in the geo experiment).
-    pub proposer_override: BTreeMap<GroupId, ProcessId>,
     /// Optional batching.
     pub batch: Option<ClientBatching>,
     /// Samples before this instant are not recorded (warm-up).
@@ -92,22 +68,11 @@ impl StoreClientConfig {
         Self {
             client,
             sessions,
-            proposer_override: BTreeMap::new(),
             batch: None,
             warmup_until: Time::ZERO,
             metric_prefix: "store".to_string(),
         }
     }
-}
-
-/// Aggregated client counters (also available through the shared
-/// metrics registry).
-#[derive(Clone, Copy, Default, Debug)]
-pub struct StoreClientStats {
-    /// Operations completed (after warm-up).
-    pub ops: u64,
-    /// Operations completed including warm-up.
-    pub ops_total: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -158,11 +123,10 @@ struct PendingBatch {
 pub struct StoreClient {
     cfg: StoreClientConfig,
     deployment: StoreDeployment,
-    source: Box<dyn OpSource>,
+    source: Box<dyn FnMut(&mut Rng) -> ClientOp>,
     next_request: u64,
     outstanding: BTreeMap<u64, Outstanding>,
     batches: BTreeMap<GroupId, PendingBatch>,
-    stats: StoreClientStats,
 }
 
 impl std::fmt::Debug for StoreClient {
@@ -176,8 +140,13 @@ impl std::fmt::Debug for StoreClient {
 }
 
 impl StoreClient {
-    /// Creates a client over `deployment` issuing ops from `source`.
-    pub fn new(cfg: StoreClientConfig, deployment: StoreDeployment, source: impl OpSource) -> Self {
+    /// Creates a client over `deployment` issuing the operations
+    /// `source` draws from the actor's deterministic random stream.
+    pub fn new(
+        cfg: StoreClientConfig,
+        deployment: StoreDeployment,
+        source: impl FnMut(&mut Rng) -> ClientOp + 'static,
+    ) -> Self {
         Self {
             cfg,
             deployment,
@@ -185,25 +154,15 @@ impl StoreClient {
             next_request: 0,
             outstanding: BTreeMap::new(),
             batches: BTreeMap::new(),
-            stats: StoreClientStats::default(),
         }
     }
 
-    /// Aggregated counters.
-    pub fn stats(&self) -> StoreClientStats {
-        self.stats
-    }
-
     fn proposer_for(&self, group: GroupId) -> Option<ProcessId> {
-        self.cfg
-            .proposer_override
-            .get(&group)
-            .or_else(|| self.deployment.proposer_of.get(&group))
-            .copied()
+        self.deployment.proposer_of.get(&group).copied()
     }
 
     fn issue_next(&mut self, session: u32, now: Time, out: &mut Outbox, rng: &mut Rng) {
-        let op = self.source.next_op(rng);
+        let op = (self.source)(rng);
         match op {
             ClientOp::Single { cmd, tag } => self.dispatch(session, cmd, tag, None, now, out),
             ClientOp::ReadModifyWrite { key, value } => {
@@ -353,17 +312,15 @@ impl StoreClient {
     }
 
     fn record(
-        &mut self,
+        &self,
         tag: &'static str,
         issued_at: Time,
         now: Time,
         metrics: &mut mrp_sim::metrics::Metrics,
     ) {
-        self.stats.ops_total += 1;
         if now < self.cfg.warmup_until {
             return;
         }
-        self.stats.ops += 1;
         let latency = now.since(issued_at);
         let prefix = &self.cfg.metric_prefix;
         metrics.record(&format!("{prefix}/latency_us"), latency);
@@ -469,17 +426,17 @@ impl StoreClient {
 impl Actor for StoreClient {
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         match event {
-            ActorEvent::Start => {
+            ActorEvent::Protocol(Event::Start) => {
                 for session in 0..self.cfg.sessions {
                     self.issue_next(session, now, out, ctx.rng);
                 }
             }
-            ActorEvent::Message {
+            ActorEvent::Protocol(Event::Message {
                 msg: Message::Response {
                     request, payload, ..
                 },
                 ..
-            } => {
+            }) => {
                 self.on_response(request, &payload, now, out, ctx);
             }
             ActorEvent::Wakeup(token) => {

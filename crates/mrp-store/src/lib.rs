@@ -31,7 +31,7 @@ pub mod kv;
 pub mod setup;
 
 pub use app::StoreApp;
-pub use client::{StoreClient, StoreClientStats};
+pub use client::StoreClient;
 pub use command::{StoreCommand, StoreResponse};
 pub use kv::KvStore;
 pub use setup::{StoreDeployment, StoreTopology};

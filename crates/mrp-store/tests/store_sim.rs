@@ -1,7 +1,6 @@
 //! End-to-end MRP-Store tests on the deterministic simulator.
 
 use bytes::Bytes;
-use mrp_sim::actor::Hosted;
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::net::Topology;
 use mrp_sim::rng::Rng;
@@ -9,7 +8,7 @@ use mrp_store::client::{ClientOp, StoreClient, StoreClientConfig};
 use mrp_store::command::StoreCommand;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
 
-type StoreReplica = Hosted<mrp_amcast::EngineReplica<StoreApp>>;
+type StoreReplica = mrp_amcast::EngineReplica<StoreApp>;
 use multiring_paxos::app::Application;
 use multiring_paxos::config::RingTuning;
 use multiring_paxos::replica::CheckpointPolicy;
@@ -164,8 +163,8 @@ fn replicas_of_a_partition_converge() {
             let replica = cluster
                 .actor_as::<StoreReplica>(p)
                 .expect("replica present");
-            assert_eq!(replica.inner().app().partition(), partition);
-            snapshots.push(replica.inner().app().snapshot());
+            assert_eq!(replica.app().partition(), partition);
+            snapshots.push(replica.app().snapshot());
         }
         for pair in snapshots.windows(2) {
             assert_eq!(
@@ -268,8 +267,8 @@ fn wbcast_engine_serves_store_and_replicas_converge() {
             let replica = cluster
                 .actor_as::<StoreReplica>(p)
                 .expect("wbcast replica present");
-            assert_eq!(replica.inner().app().partition(), partition);
-            snapshots.push(replica.inner().app().snapshot());
+            assert_eq!(replica.app().partition(), partition);
+            snapshots.push(replica.app().snapshot());
         }
         for pair in snapshots.windows(2) {
             assert_eq!(
@@ -355,7 +354,7 @@ fn wbcast_scans_need_no_global_ring() {
             let replica = cluster
                 .actor_as::<StoreReplica>(p)
                 .expect("wbcast replica present");
-            snapshots.push(replica.inner().app().snapshot());
+            snapshots.push(replica.app().snapshot());
         }
         for pair in snapshots.windows(2) {
             assert_eq!(

@@ -9,7 +9,6 @@ use atomic_multicast::core::config::RingTuning;
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, ProcessId, Time};
 use atomic_multicast::dlog::{self, DLogApp, DLogDeployment, DLogTopology};
-use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::client::ClosedLoopClient;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
@@ -60,9 +59,9 @@ fn main() {
     let mut snaps = Vec::new();
     for &s in &deployment.servers {
         let server = cluster
-            .actor_as::<Hosted<EngineReplica<DLogApp>>>(s)
+            .actor_as::<EngineReplica<DLogApp>>(s)
             .expect("server");
-        let app = server.inner().app();
+        let app = server.app();
         for &log in deployment.group_of_log.keys() {
             let len = app.len_of(log).unwrap_or(0);
             println!("  server {} log {}: next position {}", s.value(), log, len);

@@ -16,7 +16,7 @@ use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 use bytes::Bytes;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Event, Message};
 use std::any::Any;
 
 /// Two groups over the same three processes, everyone subscribing to
@@ -56,7 +56,7 @@ struct Burst {
 
 impl Actor for Burst {
     fn on_event(&mut self, _now: Time, ev: ActorEvent, out: &mut Outbox, _ctx: &mut ActorCtx<'_>) {
-        if ev == ActorEvent::Start {
+        if ev == ActorEvent::Protocol(Event::Start) {
             for i in 0..self.n {
                 out.send(
                     self.target,

@@ -6,7 +6,7 @@
 
 use atomic_multicast::core::config::RingTuning;
 use atomic_multicast::core::replica::CheckpointPolicy;
-use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
+use atomic_multicast::core::types::{ClientId, ProcessId, Time};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::{Region, Topology};
 use atomic_multicast::sim::rng::Rng;
@@ -70,8 +70,6 @@ fn main() {
         };
         let mut cfg = StoreClientConfig::new(client_id, 10);
         cfg.metric_prefix = format!("region{part}");
-        cfg.proposer_override
-            .insert(GroupId::new(part), deployment.replicas[&part][0]);
         let client = StoreClient::new(cfg, deployment.clone(), gen);
         cluster.add_actor(client_proc, Box::new(client));
         cluster.register_client(client_id, client_proc);

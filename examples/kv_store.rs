@@ -9,7 +9,6 @@ use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::RingTuning;
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, ProcessId, Time};
-use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 use atomic_multicast::sim::rng::Rng;
@@ -115,8 +114,8 @@ fn main() {
     for (partition, replicas) in &deployment.replicas {
         let mut snaps = Vec::new();
         for &p in replicas {
-            let replica = cluster.actor_as::<Hosted<EngineReplica<StoreApp>>>(p);
-            snaps.push(replica.expect("replica").inner().app().snapshot());
+            let replica = cluster.actor_as::<EngineReplica<StoreApp>>(p);
+            snaps.push(replica.expect("replica").app().snapshot());
         }
         assert!(
             snaps.windows(2).all(|w| w[0] == w[1]),

@@ -7,11 +7,11 @@
 use atomic_multicast::core::config::{single_ring, RingTuning};
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
-use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Hosted, Outbox};
+use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 use bytes::Bytes;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Event, Message};
 use std::any::Any;
 
 /// A tiny client that fires a burst of requests at a proposer.
@@ -24,7 +24,7 @@ struct Burst {
 
 impl Actor for Burst {
     fn on_event(&mut self, _now: Time, ev: ActorEvent, out: &mut Outbox, _ctx: &mut ActorCtx<'_>) {
-        if ev == ActorEvent::Start {
+        if ev == ActorEvent::Protocol(Event::Start) {
             for i in 0..self.n {
                 out.send(
                     self.target,
@@ -56,7 +56,7 @@ fn main() {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Hosted::new(Node::new(p, config.clone())).boxed());
+        cluster.add_actor(p, Box::new(Node::new(p, config.clone())));
     }
     // Three independent clients, each sending to a different proposer.
     for c in 0..3u32 {
@@ -81,14 +81,8 @@ fn main() {
     );
     // Every learner consumed the same merge positions.
     for i in 0..3 {
-        let node = cluster
-            .actor_as::<Hosted<Node>>(ProcessId::new(i))
-            .expect("node");
-        println!(
-            "  learner {}: merge watermark = {}",
-            i,
-            node.inner().watermarks()
-        );
+        let node = cluster.actor_as::<Node>(ProcessId::new(i)).expect("node");
+        println!("  learner {}: merge watermark = {}", i, node.watermarks());
     }
     assert_eq!(cluster.metrics().counter("delivered_values"), 27); // 9 values × 3 learners
     println!("all learners agree — atomic multicast order is total.");

@@ -11,7 +11,6 @@ use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
-use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
@@ -21,7 +20,6 @@ use bytes::Bytes;
 use mrp_bench::OpenLoopClient;
 
 fn main() {
-    type StoreReplica = Hosted<EngineReplica<StoreApp>>;
     let kind = EngineKind::from_env();
     // One ring: three proposer/acceptors + three learner replicas.
     let tuning = RingTuning {
@@ -54,7 +52,7 @@ fn main() {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
+        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
         cluster.add_disk(p, DiskModel::ssd());
     }
     let policy = CheckpointPolicy {
@@ -104,22 +102,24 @@ fn main() {
     let mut snapshots = Vec::new();
     for i in 3..6 {
         let p = ProcessId::new(i);
-        let r = cluster.actor_as::<StoreReplica>(p).expect("replica");
+        let r = cluster
+            .actor_as::<EngineReplica<StoreApp>>(p)
+            .expect("replica");
         println!(
             "  replica p{}: executed {:>5} commands, {:>4} keys, {} checkpoints{}",
             i,
-            r.inner().executed(),
-            r.inner().app().len(),
-            r.inner().checkpoints_taken(),
+            r.executed(),
+            r.app().len(),
+            r.checkpoints_taken(),
             if i == 4 {
                 "   <- crashed & recovered"
             } else {
                 ""
             }
         );
-        assert!(!r.inner().is_recovering());
-        executed.push(r.inner().executed());
-        snapshots.push(r.inner().app().snapshot());
+        assert!(!r.is_recovering());
+        executed.push(r.executed());
+        snapshots.push(r.app().snapshot());
     }
     assert!(
         0 < executed[1] && executed[1] < executed[0],

@@ -16,11 +16,11 @@ use atomic_multicast::amcast::{
 };
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
-use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Hosted, Outbox};
+use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 use bytes::Bytes;
-use multiring_paxos::event::Message;
+use multiring_paxos::event::{Action, Event, Message};
 use proptest::prelude::*;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -37,7 +37,7 @@ struct Burst {
 
 impl Actor for Burst {
     fn on_event(&mut self, _now: Time, ev: ActorEvent, out: &mut Outbox, _ctx: &mut ActorCtx<'_>) {
-        if ev == ActorEvent::Start {
+        if ev == ActorEvent::Protocol(Event::Start) {
             for i in 0..self.n {
                 out.send(
                     self.target,
@@ -56,13 +56,13 @@ impl Actor for Burst {
     }
 }
 
-/// Records its node's deliveries (wraps a hosted engine and captures the
-/// Delivered ops the harness would otherwise only count), plus every
+/// Records its node's deliveries (wraps an engine and captures the
+/// deliveries the harness would otherwise only count), plus every
 /// received engine frame that carries or references a value — the
 /// observable genuineness tests assert on.
 #[derive(Debug)]
 struct Recorder {
-    node: Hosted<AnyEngine>,
+    node: AnyEngine,
     delivered: Vec<(GroupId, ValueId)>,
     value_frames: u64,
 }
@@ -70,7 +70,7 @@ struct Recorder {
 impl Recorder {
     fn new(node: AnyEngine) -> Self {
         Self {
-            node: Hosted::new(node),
+            node,
             delivered: Vec::new(),
             value_frames: 0,
         }
@@ -98,13 +98,13 @@ fn count_value_frames(msg: &Message, count: &mut u64) {
 
 impl Actor for Recorder {
     fn on_event(&mut self, now: Time, ev: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        if let ActorEvent::Message { msg, .. } = &ev {
+        if let ActorEvent::Protocol(Event::Message { msg, .. }) = &ev {
             count_value_frames(msg, &mut self.value_frames);
         }
         let mut inner_out = Outbox::new();
-        self.node.on_event(now, ev, &mut inner_out, ctx);
+        Actor::on_event(&mut self.node, now, ev, &mut inner_out, ctx);
         for op in inner_out.take() {
-            if let mrp_sim::actor::Op::Delivered { group, value, .. } = &op {
+            if let Op::Protocol(Action::Deliver { group, value, .. }) = &op {
                 self.delivered.push((*group, value.id));
             }
             out.push(op);
@@ -397,7 +397,7 @@ fn run_mixed(
         let pid = ProcessId::new(p);
         let r = cluster.actor_as::<Recorder>(pid).expect("recorder");
         delivered.insert(pid, r.delivered.iter().map(|(_, id)| *id).collect());
-        telemetry.push(r.node.inner().telemetry());
+        telemetry.push(r.node.telemetry());
     }
     (delivered, telemetry)
 }
@@ -668,7 +668,7 @@ fn one_busy_group_among_idle_ones_delivers_in_total_order_without_waiting_a_delt
         );
         if kind == EngineKind::Wbcast {
             let submitter = cluster.actor_as::<Recorder>(ProcessId::new(0)).unwrap();
-            let telemetry = submitter.node.inner().telemetry();
+            let telemetry = submitter.node.telemetry();
             let waited = telemetry
                 .histogram("round.delivery_latency_us")
                 .expect("p0 submitted and delivered");
@@ -684,7 +684,7 @@ fn one_busy_group_among_idle_ones_delivers_in_total_order_without_waiting_a_delt
             let asked: u64 = (1..3u32)
                 .map(|p| {
                     let r = cluster.actor_as::<Recorder>(ProcessId::new(p)).unwrap();
-                    r.node.inner().telemetry().counter("sub.probes_sent")
+                    r.node.telemetry().counter("sub.probes_sent")
                 })
                 .sum();
             assert!(asked > 0 && telemetry.counter("sub.probes_sent") == 0);
@@ -811,8 +811,8 @@ fn run_failover(
         let pid = ProcessId::new(p);
         let r = cluster.actor_as::<Recorder>(pid).expect("survivor");
         delivered.insert(pid, r.delivered.iter().map(|(_, id)| *id).collect());
-        backlogs.push(r.node.inner().backlog());
-        let engine = r.node.inner();
+        backlogs.push(r.node.backlog());
+        let engine = &r.node;
         telemetry.push((engine.telemetry(), engine.health(Time::from_secs(3))));
     }
     (delivered, backlogs, telemetry)
@@ -1006,8 +1006,8 @@ fn run_initiator_crash(
         let pid = ProcessId::new(p);
         let r = cluster.actor_as::<Recorder>(pid).expect("survivor");
         delivered.insert(pid, r.delivered.iter().map(|(_, id)| *id).collect());
-        backlogs.push(r.node.inner().backlog());
-        let engine = r.node.inner();
+        backlogs.push(r.node.backlog());
+        let engine = &r.node;
         let snap = engine.telemetry();
         // wbcast only; the ring engine has no such gauge and reads 0.
         undecided.push(snap.gauge("seq.undecided") as usize);
@@ -1250,7 +1250,7 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
         cluster.set_protocol(config.clone());
         for p in 0..3u32 {
             let pid = ProcessId::new(p);
-            cluster.add_actor(pid, Hosted::new(kind.build(pid, config.clone())).boxed());
+            cluster.add_actor(pid, Box::new(kind.build(pid, config.clone())));
         }
         let policy = CheckpointPolicy {
             interval_us: 150_000,
@@ -1330,8 +1330,8 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
 
         let log_of = |cluster: &mut Cluster, p: u32| -> Vec<(u64, u64)> {
             cluster
-                .actor_as::<Hosted<EngineReplica<CmdLog>>>(ProcessId::new(p))
-                .map(|r| r.inner().app().entries.clone())
+                .actor_as::<EngineReplica<CmdLog>>(ProcessId::new(p))
+                .map(|r| r.app().entries.clone())
                 .expect("replica actor")
         };
         let reference = log_of(&mut cluster, 3);
@@ -1361,11 +1361,10 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
             "{kind}: restarted replica diverges from the survivors"
         );
         if kind == EngineKind::Wbcast {
-            let r = cluster
-                .actor_as::<Hosted<EngineReplica<CmdLog>>>(ProcessId::new(4))
+            let r = &*cluster
+                .actor_as::<EngineReplica<CmdLog>>(ProcessId::new(4))
                 .expect("wbcast replica");
             let watermark = r
-                .inner()
                 .stable_watermark()
                 .expect("checkpoints resumed after restart")
                 .clone();
@@ -1376,7 +1375,7 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
                 .min()
                 .expect("two subscribed groups");
             assert!(min_mark > 0, "watermark advanced past genesis");
-            let dedup = r.inner().telemetry().gauge("dedup_records");
+            let dedup = r.telemetry().gauge("dedup_records");
             assert!(
                 dedup < expected,
                 "dedup entries bounded by the checkpoint window, not history: {dedup}"

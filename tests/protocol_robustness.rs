@@ -13,7 +13,7 @@ use atomic_multicast::core::config::{
 };
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
-use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Hosted, Op, Outbox};
+use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
@@ -35,7 +35,7 @@ struct Trickle {
 impl Actor for Trickle {
     fn on_event(&mut self, _now: Time, ev: ActorEvent, out: &mut Outbox, _ctx: &mut ActorCtx<'_>) {
         match ev {
-            ActorEvent::Start | ActorEvent::Wakeup(0) if self.sent < self.n => {
+            ActorEvent::Protocol(Event::Start) | ActorEvent::Wakeup(0) if self.sent < self.n => {
                 out.send(
                     self.target,
                     Message::Request {
@@ -59,16 +59,16 @@ impl Actor for Trickle {
 /// Wraps a node and records delivered value ids.
 #[derive(Debug)]
 struct Recorder {
-    node: Hosted<Node>,
+    node: Node,
     delivered: Vec<ValueId>,
 }
 
 impl Actor for Recorder {
     fn on_event(&mut self, now: Time, ev: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         let mut inner = Outbox::new();
-        self.node.on_event(now, ev, &mut inner, ctx);
+        Actor::on_event(&mut self.node, now, ev, &mut inner, ctx);
         for op in inner.take() {
-            if let Op::Delivered { value, .. } = &op {
+            if let Op::Protocol(Action::Deliver { value, .. }) = &op {
                 self.delivered.push(value.id);
             }
             out.push(op);
@@ -95,7 +95,7 @@ fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Clus
         cluster.add_actor(
             p,
             Box::new(Recorder {
-                node: Hosted::new(Node::new(p, config.clone())),
+                node: Node::new(p, config.clone()),
                 delivered: Vec::new(),
             }),
         );

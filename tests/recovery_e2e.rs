@@ -8,7 +8,6 @@ use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
-use atomic_multicast::sim::actor::Hosted;
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
@@ -16,8 +15,6 @@ use atomic_multicast::store::command::StoreCommand;
 use atomic_multicast::store::StoreApp;
 use bytes::Bytes;
 use mrp_bench::OpenLoopClient;
-
-type StoreReplica = Hosted<EngineReplica<StoreApp>>;
 
 const CLIENT_PROC: ProcessId = ProcessId::new(900);
 
@@ -57,7 +54,7 @@ fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Hosted::new(kind.build(p, config.clone())).boxed());
+        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
         cluster.add_disk(p, DiskModel::ssd());
     }
     let policy = CheckpointPolicy {
@@ -91,9 +88,8 @@ fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -
 
 fn replica(cluster: &mut Cluster, i: u32) -> &EngineReplica<StoreApp> {
     cluster
-        .actor_as::<StoreReplica>(ProcessId::new(i))
+        .actor_as::<EngineReplica<StoreApp>>(ProcessId::new(i))
         .expect("replica")
-        .inner()
 }
 
 #[test]
