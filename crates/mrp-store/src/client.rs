@@ -26,8 +26,9 @@ pub enum ClientOp {
         tag: &'static str,
     },
     /// YCSB workload F's read-modify-write: read `key`, then update it
-    /// with `value`; latencies are recorded for the update part and the
-    /// composite.
+    /// with `value`. One operation, recorded under `rmw` with the
+    /// composite latency; the update half's latency is also recorded
+    /// under `update`.
     ReadModifyWrite {
         /// Key.
         key: Bytes,
@@ -348,8 +349,8 @@ impl StoreClient {
                 value,
                 started,
             }) => {
-                // Read half done: chain the update, which records both
-                // the update and the composite latencies.
+                // Read half done: chain the update, which completes the
+                // operation.
                 self.dispatch(
                     session,
                     StoreCommand::Update { key, value },
@@ -360,7 +361,14 @@ impl StoreClient {
                 );
             }
             Some(RmwStage::Final { started }) => {
-                self.record(tag, issued_at, now, ctx.metrics);
+                // The update half is a latency class of its own, not a
+                // second operation.
+                if now >= self.cfg.warmup_until {
+                    let prefix = &self.cfg.metric_prefix;
+                    let latency = now.since(issued_at);
+                    ctx.metrics
+                        .record(&format!("{prefix}/latency_us/{tag}"), latency);
+                }
                 self.record("rmw", started, now, ctx.metrics);
                 self.issue_next(session, now, out, ctx.rng);
             }

@@ -117,6 +117,19 @@ fn mixed_workload_completes_operations() {
         .metrics()
         .histogram("store/latency_us/rmw")
         .is_some_and(|h| h.count() > 0));
+    // A read-modify-write is one operation: its update half is recorded
+    // under `update` (one sample an RMW) and counted nowhere else.
+    let samples = |tag: &str| {
+        let h = cluster
+            .metrics()
+            .histogram(&format!("store/latency_us{tag}"));
+        h.map_or(0, |h| h.count())
+    };
+    let by_class: u64 = ["/read", "/update", "/insert", "/scan"]
+        .map(samples)
+        .iter()
+        .sum();
+    assert_eq!((samples(""), by_class), (ops, ops));
 }
 
 #[test]
