@@ -365,8 +365,6 @@ pub enum ConfigError {
     UnknownGroup(ProcessId, GroupId),
     /// A subscriber is not a learner member of the group's ring.
     NotALearner(ProcessId, GroupId, RingId),
-    /// `M` (merge window) must be at least 1.
-    BadMergeWindow,
     /// A ring was declared but no group maps to it.
     UnusedRing(RingId),
 }
@@ -397,7 +395,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "process {p} subscribes to group {g} but is not a learner member of ring {r}"
             ),
-            ConfigError::BadMergeWindow => write!(f, "merge window M must be at least 1"),
             ConfigError::UnusedRing(r) => write!(f, "no group maps to ring {r}"),
         }
     }
@@ -559,7 +556,8 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the merge window `M` (default 1, the paper's setting).
+    /// Sets the merge window `M` (default 1, the paper's setting; 0
+    /// reads as the default).
     #[must_use]
     pub fn merge_window(mut self, m: u32) -> Self {
         self.merge_window = m;
@@ -574,11 +572,7 @@ impl ClusterConfigBuilder {
     /// (duplicate ids, rings without acceptors, subscriptions by
     /// non-learners, …).
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
-        let merge_window = if self.merge_window == 0 {
-            1
-        } else {
-            self.merge_window
-        };
+        let merge_window = self.merge_window.max(1);
 
         let mut rings = BTreeMap::new();
         for spec in self.rings {
@@ -717,6 +711,18 @@ mod tests {
         assert_eq!(c.subscribers_of(GroupId::new(0)), vec![p(0), p(1), p(2)]);
         assert_eq!(c.partition_of(p(1)), vec![p(0), p(1), p(2)]);
         assert_eq!(c.merge_window(), 1);
+    }
+
+    #[test]
+    fn a_zero_merge_window_reads_as_the_default() {
+        let window = |m| {
+            let ring = RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL);
+            let b = ClusterConfig::builder()
+                .ring(ring)
+                .group(GroupId::new(0), RingId::new(0));
+            b.merge_window(m).build().map(|c| c.merge_window())
+        };
+        assert_eq!((window(0), window(3)), (Ok(1), Ok(3)));
     }
 
     #[test]
