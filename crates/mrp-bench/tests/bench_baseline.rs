@@ -8,7 +8,7 @@
 //! regenerates the files at smoke scale and re-runs this test, so a
 //! writer/schema drift fails loudly in both places.
 //!
-//! And the paper scorecard: for `BENCH_fig3`–`fig7` and the two
+//! And the paper scorecard: for `BENCH_fig3`–`fig8` and the two
 //! ablations, the claim of the paper's evaluation as an inequality
 //! over the committed rows — one test per artifact, and the table in
 //! README.md rendered from the same lines.
@@ -507,6 +507,49 @@ fn fig7_claims() -> Vec<Claim> {
     ]
 }
 
+/// Fig. 8, per engine run: the best throughput window that started
+/// before the replica was killed (`events[0]`) against the last window,
+/// which must start after the restart (`events[1]`).
+fn fig8_claims() -> Vec<Claim> {
+    let runs = rows("BENCH_fig8.json");
+    let field = |run: &Value, name: &str| {
+        run.get(name)
+            .and_then(Value::as_array)
+            .expect(name)
+            .to_vec()
+    };
+    let recovery: Vec<(String, f64, f64, bool)> = runs
+        .iter()
+        .map(|run| {
+            let engine = run.get("engine").and_then(Value::as_str).expect("engine");
+            let [kill, restart] = [0, 1].map(|i| num(&field(run, "events")[i], "t_s"));
+            let timeline = field(run, "timeline");
+            let before = timeline
+                .iter()
+                .filter(|w| num(w, "t_s") < kill)
+                .map(|w| num(w, "ops_per_sec"))
+                .fold(0.0, f64::max);
+            let last = timeline.last().expect("a window");
+            let after = num(last, "t_s") >= restart;
+            (engine.to_string(), before, num(last, "ops_per_sec"), after)
+        })
+        .collect();
+    vec![Claim {
+        figure: "Fig. 8",
+        claim: "after the restart, each engine's last window ≥ 95 % of its best pre-kill window",
+        ours: recovery
+            .iter()
+            .map(|(engine, before, last, _)| format!("{engine} {last} vs {before}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+            + " ops/s",
+        holds: recovery.len() == 2
+            && recovery
+                .iter()
+                .all(|&(_, before, last, after)| after && last >= 0.95 * before),
+    }]
+}
+
 fn ablation_2pc_claims() -> Vec<Claim> {
     let rows = rows("BENCH_ablation_2pc.json");
     let aborts: Vec<f64> = rows.iter().map(|r| num(r, "twopc_abort_pct")).collect();
@@ -597,6 +640,11 @@ fn fig7_rows_scale_with_regions_at_flat_latency() {
 }
 
 #[test]
+fn fig8_rows_recover_the_pre_crash_throughput_on_both_engines() {
+    assert_scorecard(fig8_claims());
+}
+
+#[test]
 fn ablation_2pc_rows_abort_under_contention_where_multicast_does_not() {
     assert_scorecard(ablation_2pc_claims());
 }
@@ -619,6 +667,7 @@ fn readme_scorecard_is_rendered_from_the_committed_rows() {
         fig5_claims(),
         fig6_claims(),
         fig7_claims(),
+        fig8_claims(),
         ablation_2pc_claims(),
         ablation_merge_claims(),
     ];
