@@ -123,7 +123,7 @@ fn mixed_workload_completes_operations() {
         let h = cluster
             .metrics()
             .histogram(&format!("store/latency_us{tag}"));
-        h.map_or(0, |h| h.count())
+        h.map_or(0, mrp_sim::Histogram::count)
     };
     let by_class: u64 = ["/read", "/update", "/insert", "/scan"]
         .map(samples)
