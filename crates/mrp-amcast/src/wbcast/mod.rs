@@ -196,7 +196,7 @@ mod sequencer;
 mod wire;
 
 pub use sequencer::CLOCK_QUANTUM_US;
-pub use wire::{frame_kind, frame_references_value, WBCAST_WIRE_ID};
+pub use wire::{frame_kind, message_carries_value, WBCAST_WIRE_ID};
 
 use crate::engine::{AmcastEngine, Watermark};
 use crate::telemetry::{

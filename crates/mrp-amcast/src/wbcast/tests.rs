@@ -75,10 +75,8 @@ fn pump_with(
                     continue; // crashed process: the frame is lost
                 };
                 for _ in 0..copies(&msg) {
-                    if let Message::Engine { payload, .. } = &msg {
-                        if frame_references_value(payload.clone()) {
-                            *result.value_frames_at.entry(to).or_default() += 1;
-                        }
+                    if message_carries_value(&msg) {
+                        *result.value_frames_at.entry(to).or_default() += 1;
                     }
                     let event = Event::Message {
                         from: origin,
@@ -531,7 +529,8 @@ fn wire_roundtrip_of_engine_frames() {
             ts: 23,
         },
     ] {
-        let Message::Engine { engine, payload } = msg.clone().into_frame() else {
+        let frame = msg.clone().into_frame();
+        let Message::Engine { engine, payload } = frame.clone() else {
             panic!("expected engine frame");
         };
         assert_eq!(engine, WBCAST_WIRE_ID);
@@ -542,7 +541,7 @@ fn wire_roundtrip_of_engine_frames() {
                 | WbMessage::CkptMark { .. }
                 | WbMessage::ResyncDone { .. }
         );
-        assert_eq!(frame_references_value(payload.clone()), carries);
+        assert_eq!(message_carries_value(&frame), carries);
         assert_eq!(WbMessage::parse(payload), Some(msg));
     }
     assert_eq!(WbMessage::parse(Bytes::from_static(b"")), None);

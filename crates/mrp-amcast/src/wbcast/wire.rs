@@ -1,6 +1,6 @@
 //! The engine's private wire vocabulary: the thirteen [`WbMessage`] frames
 //! carried inside [`Message::Engine`] payloads, their byte layout
-//! (`into_frame` / `parse`), and the two payload classifiers test
+//! (`into_frame` / `parse`), and the two frame classifiers test
 //! harnesses use without depending on that layout.
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -398,31 +398,36 @@ impl WbMessage {
     }
 }
 
-/// Whether a wbcast [`Message::Engine`] payload carries or references a
-/// multicast value: `Submit`/`Ordered` carry one,
-/// `ProposeAck`/`Final`/`FinalAck` and the orphan-recovery exchange
-/// (`OrphanQuery`/`OrphanState`/`OrphanFinal`, which travels only
-/// between addressed groups' sequencers) reference one by id;
-/// heartbeats, the probes that ask for one, and the checkpoint traffic
-/// (`Resync`/`CkptMark`) — all of which travel only between a group's
-/// subscribers and its sequencer and name timestamps, never a value —
-/// are pure control traffic. Genuineness tests use this to assert that
+/// Whether a frame is wbcast traffic that carries or references a
+/// multicast value, looking inside coalesced [`Message::Batch`] packs:
+/// `Submit`/`Ordered` carry one, `ProposeAck`/`Final`/`FinalAck` and the
+/// orphan-recovery exchange (`OrphanQuery`/`OrphanState`/`OrphanFinal`,
+/// which travels only between addressed groups' sequencers) reference
+/// one by id; heartbeats, the probes that ask for one, and the
+/// checkpoint traffic (`Resync`/`CkptMark`) — all of which travel only
+/// between a group's subscribers and its sequencer and name timestamps,
+/// never a value — are pure control traffic, and so is every other
+/// engine's frame. Genuineness oracles use this to assert that
 /// processes outside an addressed group set γ see no protocol traffic
 /// for γ's messages.
-pub fn frame_references_value(payload: Bytes) -> bool {
-    matches!(
-        WbMessage::parse(payload),
-        Some(
-            WbMessage::Submit { .. }
-                | WbMessage::Ordered { .. }
-                | WbMessage::ProposeAck { .. }
-                | WbMessage::Final { .. }
-                | WbMessage::FinalAck { .. }
-                | WbMessage::OrphanQuery { .. }
-                | WbMessage::OrphanState { .. }
-                | WbMessage::OrphanFinal { .. }
-        )
-    )
+pub fn message_carries_value(msg: &Message) -> bool {
+    match msg {
+        Message::Batch(inner) => inner.iter().any(message_carries_value),
+        Message::Engine { engine, payload } if *engine == WBCAST_WIRE_ID => matches!(
+            WbMessage::parse(payload.clone()),
+            Some(
+                WbMessage::Submit { .. }
+                    | WbMessage::Ordered { .. }
+                    | WbMessage::ProposeAck { .. }
+                    | WbMessage::Final { .. }
+                    | WbMessage::FinalAck { .. }
+                    | WbMessage::OrphanQuery { .. }
+                    | WbMessage::OrphanState { .. }
+                    | WbMessage::OrphanFinal { .. }
+            )
+        ),
+        _ => false,
+    }
 }
 
 /// Coarse classification of a wbcast [`Message::Engine`] payload by its
@@ -644,12 +649,12 @@ mod tests {
     /// must not count it as traffic for a message.
     #[test]
     fn probe_is_classified_as_control_traffic() {
-        let payload = payload_of(WbMessage::Probe {
+        let probe = WbMessage::Probe {
             group: GroupId::new(1),
             ts: 8,
-        });
-        assert_eq!(frame_kind(payload.clone()), Some("probe"));
-        assert!(!frame_references_value(payload));
+        };
+        assert_eq!(frame_kind(payload_of(probe.clone())), Some("probe"));
+        assert!(!message_carries_value(&probe.into_frame()));
     }
 
     /// p0 of three processes that all subscribe to three groups on

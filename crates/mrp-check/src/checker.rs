@@ -24,9 +24,10 @@
 //! [`spec`](crate::spec): every concrete delivery is mapped to an
 //! [`AbstractAmcast`] transition, and a delivery the spec rejects is a
 //! `refinement` violation — the trace is not a behavior of the paper's
-//! primitive. The ad-hoc safety oracles (exactly-once, agreement,
-//! delivery-order acyclicity, genuineness; validity at fault-free
-//! quiescence) stay on as cheap fast-fail guards. With
+//! primitive (integrity, exactly-once, agreement and acyclic order in
+//! one check). Two oracles look at what the spec cannot see: white-box
+//! `genuineness` of every frame sent, and `validity` at fault-free
+//! quiescence. With
 //! [`CheckerConfig::liveness`] set, the checker additionally hunts
 //! *lassos*: a cycle over progress-insensitive world digests in which
 //! some submitted message never delivers, every armed timer fires and
@@ -41,13 +42,13 @@ use std::hash::{Hash, Hasher};
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
-use mrp_amcast::wbcast::{frame_references_value, WBCAST_WIRE_ID};
+use mrp_amcast::wbcast::message_carries_value;
 use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, TimerKind};
-use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, ValueId};
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
 
 use crate::scenario::Scenario;
-use crate::spec::AbstractAmcast;
+use crate::spec::{request_key, AbstractAmcast, MsgKey};
 
 /// A node's armed timers, keyed by [`timer_kind_key`] so the map order
 /// is deterministic (`TimerKind` itself is not `Ord`).
@@ -433,8 +434,8 @@ impl Default for CheckerConfig {
 /// An invariant breach, with the minimized schedule that reproduces it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
-    /// Which oracle fired (`refinement`, `liveness`, `exactly-once`,
-    /// `agreement`, `acyclic-order`, `validity`, `genuineness`).
+    /// Which oracle fired (`refinement`, `liveness`, `validity`,
+    /// `genuineness`).
     pub oracle: String,
     /// Human-readable description of the breach.
     pub detail: String,
@@ -543,6 +544,9 @@ struct World<'a> {
     /// The abstract reference machine this path must refine: every
     /// concrete delivery is checked as a spec transition.
     spec: AbstractAmcast,
+    /// The message each direct `multicast` submission's value id names
+    /// (request-path values carry their name in the payload).
+    direct: BTreeMap<ValueId, MsgKey>,
 }
 
 impl<'a> World<'a> {
@@ -560,6 +564,7 @@ impl<'a> World<'a> {
             any_fault: false,
             violation: None,
             spec: AbstractAmcast::new(),
+            direct: BTreeMap::new(),
         };
         let pids: Vec<ProcessId> = scenario.config.processes().into_iter().collect();
         for &p in &pids {
@@ -594,13 +599,12 @@ impl<'a> World<'a> {
                 .iter()
                 .flat_map(|&g| scenario.config.subscribers_of(g))
                 .collect();
-            let spec_msg = w
-                .spec
-                .submit(sub.groups.clone(), dests, sub.payload.clone());
+            let (client, request) = (ClientId::new(9_000 + i as u64), 1);
+            w.spec.submit((client, request), sub.groups.clone(), dests);
             if sub.via_request {
                 let msg = Message::Request {
-                    client: multiring_paxos::types::ClientId::new(9_000 + i as u64),
-                    request: 1,
+                    client,
+                    request,
                     groups: sub.groups.clone(),
                     payload: sub.payload.clone(),
                 };
@@ -615,9 +619,9 @@ impl<'a> World<'a> {
                 let res = engine.multicast(now, &sub.groups, sub.payload.clone());
                 w.nodes.get_mut(&at).expect("slot exists").engine = Some(engine);
                 let (id, actions) = res.map_err(|e| format!("submission {i} rejected: {e:?}"))?;
-                // Direct submissions reveal their value id up front:
-                // bind it eagerly so the spec never has to guess.
-                w.spec.bind(id, spec_msg);
+                // Direct submissions have no client session, but they
+                // reveal their value id up front.
+                w.direct.insert(id, (client, request));
                 w.apply(at, actions);
             }
             for (p, count) in w.expected_for(&sub.groups) {
@@ -721,7 +725,8 @@ impl<'a> World<'a> {
             Action::Deliver { group, value, .. } => {
                 // The refinement oracle: a delivery the abstract spec
                 // rejects means this trace is not a spec behavior.
-                if let Err(detail) = self.spec.deliver(pid, &value) {
+                let key = self.direct.get(&value.id).copied();
+                if let Err(detail) = self.spec.deliver(pid, key.or_else(|| request_key(&value))) {
                     if self.violation.is_none() {
                         self.violation = Some(("refinement".into(), detail));
                     }
@@ -982,7 +987,6 @@ impl<'a> World<'a> {
                 return;
             }
             executed.push(choice);
-            self.check_safety();
         }
     }
 
@@ -992,78 +996,6 @@ impl<'a> World<'a> {
                 .get(p)
                 .is_some_and(|s| s.engine.is_none() || s.delivered.len() >= want)
         })
-    }
-
-    /// Runs the always-on safety oracles (exactly-once, pairwise
-    /// agreement, global acyclicity); records the first breach.
-    fn check_safety(&mut self) {
-        if self.violation.is_some() {
-            return;
-        }
-        // Exactly-once: no node delivers the same value id twice.
-        for (&p, slot) in &self.nodes {
-            let mut seen = BTreeSet::new();
-            for &(_, id) in &slot.delivered {
-                if !seen.insert(id) {
-                    self.violation = Some((
-                        "exactly-once".into(),
-                        format!("process {} delivered value {:?} twice", p.value(), id),
-                    ));
-                    return;
-                }
-            }
-        }
-        // Agreement on relative order: any two values delivered by two
-        // processes appear in the same relative order at both.
-        let orders: Vec<(ProcessId, BTreeMap<ValueId, usize>)> = self
-            .nodes
-            .iter()
-            .map(|(&p, s)| {
-                let idx = s
-                    .delivered
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(_, id))| (id, i))
-                    .collect();
-                (p, idx)
-            })
-            .collect();
-        for (i, (pa, a)) in orders.iter().enumerate() {
-            for (pb, b) in orders.iter().skip(i + 1) {
-                let common: Vec<ValueId> =
-                    a.keys().filter(|id| b.contains_key(id)).copied().collect();
-                for (x, &u) in common.iter().enumerate() {
-                    for &v in common.iter().skip(x + 1) {
-                        if (a[&u] < a[&v]) != (b[&u] < b[&v]) {
-                            self.violation = Some((
-                                "agreement".into(),
-                                format!(
-                                    "processes {} and {} deliver values {u:?} and {v:?} in \
-                                     opposite orders",
-                                    pa.value(),
-                                    pb.value()
-                                ),
-                            ));
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        // Acyclicity of the union of delivery orders (catches cycles
-        // through three or more processes that pairwise checks miss).
-        let mut edges: BTreeMap<ValueId, BTreeSet<ValueId>> = BTreeMap::new();
-        for slot in self.nodes.values() {
-            for w in slot.delivered.windows(2) {
-                edges.entry(w[0].1).or_default().insert(w[1].1);
-            }
-        }
-        if let Some(cycle_at) = find_cycle(&edges) {
-            self.violation = Some((
-                "acyclic-order".into(),
-                format!("global delivery order has a cycle through value {cycle_at:?}"),
-            ));
-        }
     }
 
     /// The validity oracle: at fault-free quiescence, every live node
@@ -1203,53 +1135,6 @@ impl<'a> World<'a> {
     }
 }
 
-/// Does this frame (or any frame inside a coalesced batch) reference a
-/// multicast value? Only white-box engine frames are classified — the
-/// genuineness property is specific to that engine.
-fn message_carries_value(msg: &Message) -> bool {
-    match msg {
-        Message::Batch(inner) => inner.iter().any(message_carries_value),
-        Message::Engine { engine, payload } if *engine == WBCAST_WIRE_ID => {
-            frame_references_value(payload.clone())
-        }
-        _ => false,
-    }
-}
-
-fn find_cycle(edges: &BTreeMap<ValueId, BTreeSet<ValueId>>) -> Option<ValueId> {
-    // Iterative three-color DFS over the (tiny) value graph.
-    let mut color: BTreeMap<ValueId, u8> = BTreeMap::new();
-    for &start in edges.keys() {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, false)];
-        while let Some((v, done)) = stack.pop() {
-            if done {
-                color.insert(v, 2);
-                continue;
-            }
-            match color.get(&v).copied().unwrap_or(0) {
-                1 => return Some(v),
-                2 => continue,
-                _ => {}
-            }
-            color.insert(v, 1);
-            stack.push((v, true));
-            if let Some(next) = edges.get(&v) {
-                for &n in next {
-                    match color.get(&n).copied().unwrap_or(0) {
-                        1 => return Some(n),
-                        2 => {}
-                        _ => stack.push((n, false)),
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------
 // The checker: stateless DFS with dedup + sleep sets.
 // ---------------------------------------------------------------------
@@ -1316,7 +1201,6 @@ impl<'a> Checker<'a> {
     fn replay(&self, path: &[Choice]) -> Result<(World<'a>, usize), Violation> {
         let mut world = World::build(self.scenario, self.cfg.faults)
             .unwrap_or_else(|e| panic!("scenario `{}` failed setup: {e}", self.scenario.name));
-        world.check_safety();
         if let Some((oracle, detail)) = world.violation.clone() {
             return Err(Violation {
                 oracle,
@@ -1336,7 +1220,6 @@ impl<'a> Checker<'a> {
                     },
                 });
             }
-            world.check_safety();
             if let Some((oracle, detail)) = world.violation.clone() {
                 return Err(Violation {
                     oracle,
@@ -1526,17 +1409,12 @@ impl<'a> Checker<'a> {
     /// closes the cycle.
     fn reproduce_liveness(&self, candidate: &[Choice]) -> Option<Violation> {
         let mut world = World::build(self.scenario, self.cfg.faults).ok()?;
-        world.check_safety();
         if world.violation.is_some() {
             return None;
         }
         let mut stack = vec![world.liveness_digest()];
         for (i, &c) in candidate.iter().enumerate() {
-            if world.step(c).is_err() {
-                return None;
-            }
-            world.check_safety();
-            if world.violation.is_some() {
+            if world.step(c).is_err() || world.violation.is_some() {
                 return None;
             }
             let ld = world.liveness_digest();
@@ -1563,8 +1441,8 @@ pub fn check(scenario: &Scenario, cfg: CheckerConfig) -> Report {
     Checker::new(scenario, cfg).run()
 }
 
-/// Replays a [`Schedule`] against a scenario, running the safety
-/// oracles after every step; with [`Schedule::drain`] set, the system
+/// Replays a [`Schedule`] against a scenario, judging every step as
+/// exploration does; with [`Schedule::drain`] set, the system
 /// is then driven deterministically to quiescence and the validity
 /// oracle asserted (fault-free replays only).
 ///
@@ -1585,7 +1463,6 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
             checkpoints: u32::MAX,
         },
     )?;
-    world.check_safety();
     let mut executed = Vec::new();
     // Scripted liveness counterexamples (lassos) are re-detected during
     // replay, so a checked-in `.sched` for a stall reproduces like any
@@ -1599,7 +1476,6 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
             .step(c)
             .map_err(|e| format!("step {} (`{c}`): {e}", i + 1))?;
         executed.push(c);
-        world.check_safety();
         if world.violation.is_none() {
             let ld = world.liveness_digest();
             if let Some(j) = live_stack.iter().position(|&d| d == ld) {

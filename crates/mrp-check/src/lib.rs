@@ -12,9 +12,9 @@
 //!   state-fingerprint deduplication (the engines' `state_digest()`
 //!   hook) and sleep-set partial-order reduction, optionally branching
 //!   into faults (frame drop/duplication, crash/restart through the
-//!   checkpoint surface). Invariant oracles — agreement, exactly-once
-//!   integrity, validity, pairwise delivery-order acyclicity, and
-//!   genuineness for the white-box engine — run at every state; a
+//!   checkpoint surface). Every delivery is judged against [`spec`]
+//!   (refinement), every frame sent against white-box genuineness,
+//!   and fault-free quiescent states against validity; a
 //!   violation is minimized into a replayable [`checker::Schedule`]
 //!   a plain `#[test]` can re-execute. With
 //!   [`CheckerConfig::liveness`](checker::CheckerConfig) set, the DFS
@@ -27,7 +27,8 @@
 //!   specifies it, as an executable data structure. During exploration
 //!   every concrete delivery is mapped to the spec's single `deliver`
 //!   transition; a trace the spec rejects is a refinement violation.
-//!   The pointwise oracles above stay on as fast-fail guards.
+//!   The simulator judges whole simulated runs with the same machine
+//!   (`mrp_sim::Cluster::check_history`).
 //! * [`scenario`] — canned multi-node deployments (both engines,
 //!   multi-group traffic, held submissions) the checker and the
 //!   regression schedules under `schedules/` run against.
@@ -77,4 +78,4 @@ pub use lint::{
     Diagnostic,
 };
 pub use scenario::{Scenario, Submission};
-pub use spec::AbstractAmcast;
+pub use spec::{request_key, AbstractAmcast, MsgKey};

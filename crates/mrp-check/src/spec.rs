@@ -11,16 +11,15 @@
 //! only ever deliverable at a process inside its destination set, so an
 //! abstract behavior cannot involve a non-addressed process at all.
 //!
-//! The [`Checker`](crate::Checker) maintains one spec instance per
-//! exploration path and maps every concrete `Action::Deliver` to a
-//! [`deliver`](AbstractAmcast::deliver) transition. A concrete delivery
-//! the spec rejects means the trace is **not a behavior of the
-//! specification** — the simulation relation is broken — and the
+//! Two judges feed it concrete deliveries, one transition each: the
+//! [`Checker`](crate::Checker) keeps one spec instance per exploration
+//! path, and the simulator's `Cluster::check_history` replays a whole
+//! simulated run through one. A concrete delivery the spec rejects
+//! means the history is **not a behavior of the specification**; the
 //! checker reports it under the `refinement` oracle with a minimized
-//! schedule. One transition check subsumes the integrity, exactly-once,
-//! agreement and acyclic-order oracles (which stay on as cheap
-//! fast-fail guards); validity and liveness remain separate because
-//! they are properties of whole runs, not single transitions.
+//! schedule. One transition check covers integrity, exactly-once,
+//! agreement and acyclic order; validity and liveness remain separate
+//! because they are properties of whole runs, not single transitions.
 //!
 //! Crash faults are mirrored through [`truncate`](AbstractAmcast::truncate):
 //! a restarting process resumes from its durable delivery prefix, but
@@ -28,29 +27,37 @@
 //! paper's properties are uniform, so even a faulty process's past
 //! deliveries constrain everyone else forever.
 //!
-//! ## Binding concrete values to abstract messages
+//! ## Naming messages
 //!
-//! Submissions through `multicast` return their [`ValueId`] up front
-//! and are bound eagerly ([`bind`](AbstractAmcast::bind)). Submissions
-//! through the client request path get their id assigned deep inside
-//! the engine, so they are bound lazily at first delivery, by payload:
-//! a delivered payload matches a submission when it is byte-equal or
-//! ends with the submitted bytes (the request path wraps commands with
-//! a client/request header, leaving the command as the suffix). The
-//! scenarios therefore keep payloads non-empty and pairwise distinct.
+//! A message is named by the client session and request number of the
+//! `Message::Request` that multicast it, a [`MsgKey`]; [`request_key`]
+//! reads the name back out of a delivered value, whose payload the
+//! engines frame with `encode_command`. A [`ValueId`](multiring_paxos::types::ValueId)
+//! cannot name a message: the ring engine numbers values per ring and
+//! proposer, so two messages can carry the same id.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use bytes::Bytes;
-use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
+use multiring_paxos::app::decode_command;
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, Value};
 
-/// One abstract multicast message: destination groups, the processes
-/// those groups resolve to, and the submitted payload.
+/// The name of an abstract message: the client session and request
+/// number that multicast it.
+pub type MsgKey = (ClientId, u64);
+
+/// The [`MsgKey`] a delivered value carries, if its payload is a client
+/// command framed by `encode_command`.
+pub fn request_key(value: &Value) -> Option<MsgKey> {
+    decode_command(value.payload.clone()).map(|(client, request, _)| (client, request))
+}
+
+/// One abstract multicast message: destination groups and the
+/// processes those groups resolve to.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct SpecMessage {
     groups: Vec<GroupId>,
     dests: BTreeSet<ProcessId>,
-    payload: Bytes,
 }
 
 /// The reference atomic-multicast state machine; see the module docs.
@@ -61,16 +68,13 @@ struct SpecMessage {
 /// the spec's order edges, not in the concrete world state.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct AbstractAmcast {
-    /// Every submitted message, in submission order (index = message).
-    msgs: Vec<SpecMessage>,
-    /// Concrete value id → abstract message, filled eagerly for direct
-    /// submissions and lazily (first delivery) for request-path ones.
-    bound: BTreeMap<ValueId, usize>,
-    /// Per-process delivery sequence (indices into `msgs`).
-    seq: BTreeMap<ProcessId, Vec<usize>>,
+    /// Every submitted message.
+    msgs: BTreeMap<MsgKey, SpecMessage>,
+    /// Per-process delivery sequence.
+    seq: BTreeMap<ProcessId, Vec<MsgKey>>,
     /// The accumulated global partial order: an edge `a → b` means some
     /// process delivered `a` immediately before `b`.
-    edges: BTreeMap<usize, BTreeSet<usize>>,
+    edges: BTreeMap<MsgKey, BTreeSet<MsgKey>>,
 }
 
 impl AbstractAmcast {
@@ -79,97 +83,64 @@ impl AbstractAmcast {
         AbstractAmcast::default()
     }
 
-    /// The `amcast(m, γ)` transition: registers a message addressed to
-    /// `groups`, whose union of subscribers is `dests`. Returns the
-    /// abstract message index for [`bind`](AbstractAmcast::bind).
-    pub fn submit(
-        &mut self,
-        groups: Vec<GroupId>,
-        dests: BTreeSet<ProcessId>,
-        payload: Bytes,
-    ) -> usize {
-        self.msgs.push(SpecMessage {
-            groups,
-            dests,
-            payload,
-        });
-        self.msgs.len() - 1
+    /// The `amcast(m, γ)` transition: registers message `key` addressed
+    /// to `groups`, whose union of subscribers is `dests`. A key
+    /// submitted again keeps its first destinations.
+    pub fn submit(&mut self, key: MsgKey, groups: Vec<GroupId>, dests: BTreeSet<ProcessId>) {
+        self.msgs
+            .entry(key)
+            .or_insert(SpecMessage { groups, dests });
     }
 
-    /// Eagerly binds a concrete [`ValueId`] to the abstract message at
-    /// `msg` (direct `multicast` submissions, whose id is known at
-    /// submission time).
-    pub fn bind(&mut self, id: ValueId, msg: usize) {
-        self.bound.insert(id, msg);
-    }
-
-    /// Number of messages submitted so far.
-    pub fn submitted(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Number of messages already committed (delivered somewhere).
-    pub fn committed(&self) -> usize {
-        let delivered: BTreeSet<usize> = self.seq.values().flatten().copied().collect();
-        delivered.len()
-    }
-
-    /// How many messages `p` has delivered.
-    pub fn delivered_at(&self, p: ProcessId) -> usize {
-        self.seq.get(&p).map_or(0, Vec::len)
-    }
-
-    /// The `deliver(p, m)` transition for a concrete delivery of
-    /// `value` at `p`.
+    /// The `deliver(p, m)` transition for a concrete delivery at `p` of
+    /// the message `key` names (`None`: a value that names none).
     ///
     /// # Errors
     ///
-    /// Returns a human-readable divergence description when the
-    /// delivery is not a legal spec transition:
+    /// Returns a human-readable divergence description, naming the
+    /// property, when the delivery is not a legal spec transition:
     ///
-    /// * **integrity** — the value does not trace back to any
-    ///   submission (by bound id or payload);
+    /// * **integrity** — the value names no submitted message;
     /// * **genuineness** — `p` is not in the message's destination set;
     /// * **exactly-once** — `p` already delivered this message;
-    /// * **partial order** — accepting the delivery would close a cycle
+    /// * **acyclic order** — accepting the delivery would close a cycle
     ///   in the global order (this is how agreement breaches surface:
     ///   two processes delivering two messages in opposite orders form
     ///   a two-edge cycle).
-    pub fn deliver(&mut self, p: ProcessId, value: &Value) -> Result<(), String> {
-        let m = self.resolve(value).ok_or_else(|| {
-            format!(
-                "process {} delivered value {:?} that no submission explains (integrity)",
-                p.value(),
-                value.id,
-            )
-        })?;
-        let msg = &self.msgs[m];
+    pub fn deliver(&mut self, p: ProcessId, key: Option<MsgKey>) -> Result<(), String> {
+        let at = format!("process {}", p.value());
+        let Some((&m, msg)) = key.and_then(|k| self.msgs.get_key_value(&k)) else {
+            let named = key.map_or("a value that names no request".into(), name);
+            return Err(format!(
+                "{at} delivered {named}, which no submission explains (integrity)"
+            ));
+        };
         if !msg.dests.contains(&p) {
             return Err(format!(
-                "process {} delivered message #{m} addressed to groups {:?} it is not a \
-                 destination of (genuineness)",
-                p.value(),
+                "{at} delivered {} addressed to groups {:?}, whose subscribers it is not \
+                 among (genuineness)",
+                name(m),
                 msg.groups,
             ));
         }
         let seq = self.seq.entry(p).or_default();
         if seq.contains(&m) {
-            return Err(format!(
-                "process {} delivered message #{m} twice (exactly-once)",
-                p.value(),
-            ));
+            return Err(format!("{at} delivered {} twice (exactly-once)", name(m)));
         }
         if let Some(&prev) = seq.last() {
             self.edges.entry(prev).or_default().insert(m);
-            if let Some(at) = find_cycle(&self.edges) {
+            if let Some(back) = find_cycle(&self.edges, prev, m) {
+                let cycle: Vec<String> = [prev].iter().chain(&back).map(|&k| name(k)).collect();
                 return Err(format!(
-                    "delivering message #{m} at process {} closes a cycle in the global \
-                     delivery order through message #{at} (acyclic partial order)",
-                    p.value(),
+                    "{at} delivered {} after {}, closing the cycle {} in the global delivery \
+                     order (acyclic order)",
+                    name(m),
+                    name(prev),
+                    cycle.join(" → "),
                 ));
             }
         }
-        self.seq.entry(p).or_default().push(m);
+        seq.push(m);
         Ok(())
     }
 
@@ -183,63 +154,36 @@ impl AbstractAmcast {
             seq.truncate(keep);
         }
     }
-
-    /// Maps a concrete value to its abstract message: by already-bound
-    /// id first, then by payload against unbound submissions (binding
-    /// on success).
-    fn resolve(&mut self, value: &Value) -> Option<usize> {
-        if let Some(&m) = self.bound.get(&value.id) {
-            return Some(m);
-        }
-        let taken: BTreeSet<usize> = self.bound.values().copied().collect();
-        let found =
-            self.msgs.iter().enumerate().find(|(i, msg)| {
-                !taken.contains(i) && payload_matches(&value.payload, &msg.payload)
-            })?;
-        let m = found.0;
-        self.bound.insert(value.id, m);
-        Some(m)
-    }
 }
 
-/// Does a delivered payload correspond to a submitted one? Byte-equal,
-/// or carrying it as a suffix (the client request path prepends a
-/// fixed-layout client/request header via `encode_command`).
-fn payload_matches(delivered: &Bytes, submitted: &Bytes) -> bool {
-    !submitted.is_empty()
-        && (delivered == submitted
-            || (delivered.len() > submitted.len() && delivered.ends_with(submitted)))
+/// How an error names a message: `c<client>#<request>`.
+fn name((client, request): MsgKey) -> String {
+    format!("c{}#{request}", client.value())
 }
 
-/// Cycle detection over the (tiny) abstract order graph: returns a
-/// message index on a cycle, if any.
-fn find_cycle(edges: &BTreeMap<usize, BTreeSet<usize>>) -> Option<usize> {
-    let mut color: BTreeMap<usize, u8> = BTreeMap::new();
-    for &start in edges.keys() {
-        if color.get(&start).copied().unwrap_or(0) != 0 {
-            continue;
+/// The cycle a new edge `from → to` closes in `edges`, if any: a path
+/// from `to` back to `from`, listed from `to` on.
+fn find_cycle(
+    edges: &BTreeMap<MsgKey, BTreeSet<MsgKey>>,
+    from: MsgKey,
+    to: MsgKey,
+) -> Option<Vec<MsgKey>> {
+    let mut parent = BTreeMap::from([(to, to)]);
+    let mut stack = vec![to];
+    while let Some(v) = stack.pop() {
+        if v == from {
+            let (mut path, mut at) = (vec![from], from);
+            while at != to {
+                at = parent[&at];
+                path.push(at);
+            }
+            path.reverse();
+            return Some(path);
         }
-        let mut stack = vec![(start, false)];
-        while let Some((v, done)) = stack.pop() {
-            if done {
-                color.insert(v, 2);
-                continue;
-            }
-            match color.get(&v).copied().unwrap_or(0) {
-                1 => return Some(v),
-                2 => continue,
-                _ => {}
-            }
-            color.insert(v, 1);
-            stack.push((v, true));
-            if let Some(next) = edges.get(&v) {
-                for &n in next {
-                    match color.get(&n).copied().unwrap_or(0) {
-                        1 => return Some(n),
-                        2 => {}
-                        _ => stack.push((n, false)),
-                    }
-                }
+        for &n in edges.get(&v).into_iter().flatten() {
+            if let Entry::Vacant(slot) = parent.entry(n) {
+                slot.insert(v);
+                stack.push(n);
             }
         }
     }
@@ -249,110 +193,101 @@ fn find_cycle(edges: &BTreeMap<usize, BTreeSet<usize>>) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiring_paxos::app::encode_command;
+    use multiring_paxos::types::ValueId;
 
     fn pid(p: u32) -> ProcessId {
         ProcessId::new(p)
     }
 
-    fn value(proposer: u32, seq: u64, payload: &'static [u8]) -> Value {
-        Value::new(
-            ValueId::new(pid(proposer), seq),
-            GroupId::new(0),
-            Bytes::from_static(payload),
-        )
+    fn key(request: u64) -> Option<MsgKey> {
+        Some((ClientId::new(1), request))
     }
 
-    fn two_dest() -> BTreeSet<ProcessId> {
-        [pid(0), pid(1)].into_iter().collect()
+    /// A spec with `n` messages (requests `0..n` of client 1) addressed
+    /// to one group that p0 and p1 subscribe to.
+    fn spec_with(n: u64) -> AbstractAmcast {
+        let mut spec = AbstractAmcast::new();
+        for request in 0..n {
+            let dests = [pid(0), pid(1)].into_iter().collect();
+            spec.submit((ClientId::new(1), request), vec![GroupId::new(0)], dests);
+        }
+        spec
     }
 
     #[test]
     fn agreed_order_is_a_behavior() {
-        let mut spec = AbstractAmcast::new();
-        let a = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"a"));
-        let b = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"b"));
-        spec.bind(ValueId::new(pid(0), 1), a);
-        spec.bind(ValueId::new(pid(0), 2), b);
+        let mut spec = spec_with(2);
         for p in [pid(0), pid(1)] {
-            spec.deliver(p, &value(0, 1, b"a")).unwrap();
-            spec.deliver(p, &value(0, 2, b"b")).unwrap();
+            spec.deliver(p, key(0)).unwrap();
+            spec.deliver(p, key(1)).unwrap();
         }
-        assert_eq!(spec.committed(), 2);
-        assert_eq!(spec.delivered_at(pid(0)), 2);
     }
 
     #[test]
     fn opposite_orders_close_a_cycle() {
-        let mut spec = AbstractAmcast::new();
-        let a = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"a"));
-        let b = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"b"));
-        spec.bind(ValueId::new(pid(0), 1), a);
-        spec.bind(ValueId::new(pid(0), 2), b);
-        spec.deliver(pid(0), &value(0, 1, b"a")).unwrap();
-        spec.deliver(pid(0), &value(0, 2, b"b")).unwrap();
-        spec.deliver(pid(1), &value(0, 2, b"b")).unwrap();
-        let err = spec.deliver(pid(1), &value(0, 1, b"a")).unwrap_err();
-        assert!(err.contains("cycle"), "{err}");
+        let mut spec = spec_with(2);
+        spec.deliver(pid(0), key(0)).unwrap();
+        spec.deliver(pid(0), key(1)).unwrap();
+        spec.deliver(pid(1), key(1)).unwrap();
+        let err = spec.deliver(pid(1), key(0)).unwrap_err();
+        assert!(err.contains("c1#1 → c1#0 → c1#1 in the global"), "{err}");
     }
 
     #[test]
     fn double_delivery_and_unknown_values_are_rejected() {
-        let mut spec = AbstractAmcast::new();
-        let a = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"a"));
-        spec.bind(ValueId::new(pid(0), 1), a);
-        spec.deliver(pid(0), &value(0, 1, b"a")).unwrap();
-        let twice = spec.deliver(pid(0), &value(0, 1, b"a")).unwrap_err();
+        let mut spec = spec_with(1);
+        spec.deliver(pid(0), key(0)).unwrap();
+        let twice = spec.deliver(pid(0), key(0)).unwrap_err();
         assert!(twice.contains("exactly-once"), "{twice}");
-        let ghost = spec.deliver(pid(0), &value(9, 9, b"ghost")).unwrap_err();
-        assert!(ghost.contains("integrity"), "{ghost}");
+        let ghost = spec.deliver(pid(0), key(9)).unwrap_err();
+        assert!(
+            ghost.contains("c1#9, which no submission explains"),
+            "{ghost}"
+        );
+        let nameless = spec.deliver(pid(0), None).unwrap_err();
+        assert!(nameless.contains("integrity"), "{nameless}");
     }
 
     #[test]
     fn delivery_outside_the_destination_set_is_rejected() {
-        let mut spec = AbstractAmcast::new();
-        let a = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"a"));
-        spec.bind(ValueId::new(pid(0), 1), a);
-        let err = spec.deliver(pid(7), &value(0, 1, b"a")).unwrap_err();
+        let mut spec = spec_with(1);
+        let err = spec.deliver(pid(7), key(0)).unwrap_err();
         assert!(err.contains("genuineness"), "{err}");
     }
 
+    /// The engines deliver a request as `encode_command(client, request,
+    /// payload)` under a value id of their own choosing: the key is read
+    /// from the frame, and two values that share an id still name two
+    /// messages.
     #[test]
-    fn request_path_values_bind_lazily_by_payload_suffix() {
-        let mut spec = AbstractAmcast::new();
-        spec.submit(
-            vec![GroupId::new(0)],
-            two_dest(),
-            Bytes::from_static(b"cmd"),
-        );
-        // The engine wraps the command with a 20-byte header and picks
-        // its own value id; the suffix match binds it.
-        let framed = Bytes::from([&[0u8; 20][..], b"cmd"].concat());
-        let v = Value::new(ValueId::new(pid(5), 42), GroupId::new(0), framed);
-        spec.deliver(pid(0), &v).unwrap();
-        assert_eq!(spec.committed(), 1);
-        // The binding sticks: the same id re-resolves to the same
-        // message, so re-delivery now violates exactly-once.
-        let err = spec.deliver(pid(0), &v).unwrap_err();
-        assert!(err.contains("exactly-once"), "{err}");
+    fn request_path_values_are_named_by_client_and_request() {
+        let id = ValueId::new(pid(5), 42);
+        let framed = |request| {
+            let payload = encode_command(ClientId::new(1), request, b"cmd");
+            Value::new(id, GroupId::new(0), payload)
+        };
+        assert_eq!(request_key(&framed(3)), key(3));
+        let mut spec = spec_with(2);
+        spec.deliver(pid(0), request_key(&framed(0))).unwrap();
+        spec.deliver(pid(0), request_key(&framed(1))).unwrap();
+        let bare = Value::new(id, GroupId::new(0), bytes::Bytes::from_static(b"cmd"));
+        assert_eq!(request_key(&bare), None);
     }
 
     #[test]
     fn truncate_reopens_exactly_once_but_keeps_edges() {
-        let mut spec = AbstractAmcast::new();
-        let a = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"a"));
-        let b = spec.submit(vec![GroupId::new(0)], two_dest(), Bytes::from_static(b"b"));
-        spec.bind(ValueId::new(pid(0), 1), a);
-        spec.bind(ValueId::new(pid(0), 2), b);
-        spec.deliver(pid(0), &value(0, 1, b"a")).unwrap();
-        spec.deliver(pid(0), &value(0, 2, b"b")).unwrap();
+        let mut spec = spec_with(2);
+        spec.deliver(pid(0), key(0)).unwrap();
+        spec.deliver(pid(0), key(1)).unwrap();
         // Crash without a checkpoint: the whole log is lost...
         spec.truncate(pid(0), 0);
         // ...and re-delivery in the same order is a behavior again.
-        spec.deliver(pid(0), &value(0, 1, b"a")).unwrap();
-        spec.deliver(pid(0), &value(0, 2, b"b")).unwrap();
-        // But the pre-crash a→b edge still binds other processes.
-        spec.deliver(pid(1), &value(0, 2, b"b")).unwrap();
-        let err = spec.deliver(pid(1), &value(0, 1, b"a")).unwrap_err();
-        assert!(err.contains("cycle"), "{err}");
+        spec.deliver(pid(0), key(0)).unwrap();
+        spec.deliver(pid(0), key(1)).unwrap();
+        // But the pre-crash 0→1 edge still binds other processes.
+        spec.deliver(pid(1), key(1)).unwrap();
+        let err = spec.deliver(pid(1), key(0)).unwrap_err();
+        assert!(err.contains("acyclic order"), "{err}");
     }
 }

@@ -1,6 +1,7 @@
 //! The closed-loop client of the evaluation: `sessions` loops that each
 //! keep one [`Operation`] outstanding and issue the next the moment the
-//! current one completes (the paper's client threads).
+//! current one completes (the paper's client threads). [`Burst`], the
+//! open-ended client tests and examples use, is at the end.
 //!
 //! What is common to every such workload lives here — request numbers,
 //! the pending map, completion after `need` replies, the duplicate-reply
@@ -209,6 +210,57 @@ impl Actor for ClosedLoopClient {
                 self.issue(p.session, now, out, ctx.rng);
             }
             _ => {}
+        }
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The open-ended client of tests and examples: at start it sends `n`
+/// requests, numbered `0..n`, to `target`, each addressed to `groups`
+/// and carrying `payload`, and it ignores every reply.
+#[derive(Debug)]
+pub struct Burst {
+    client: ClientId,
+    target: ProcessId,
+    groups: Vec<GroupId>,
+    n: u64,
+    payload: Bytes,
+}
+
+impl Burst {
+    /// `n` requests of session `client` through `target` to `groups`.
+    pub fn new(
+        client: ClientId,
+        target: ProcessId,
+        groups: Vec<GroupId>,
+        n: u64,
+        payload: Bytes,
+    ) -> Self {
+        Self {
+            client,
+            target,
+            groups,
+            n,
+            payload,
+        }
+    }
+}
+
+impl Actor for Burst {
+    fn on_event(&mut self, _now: Time, event: ActorEvent, out: &mut Outbox, _: &mut ActorCtx<'_>) {
+        if event == ActorEvent::Protocol(Event::Start) {
+            for request in 0..self.n {
+                let msg = Message::Request {
+                    client: self.client,
+                    request,
+                    groups: self.groups.clone(),
+                    payload: self.payload.clone(),
+                };
+                out.send(self.target, msg);
+            }
         }
     }
 

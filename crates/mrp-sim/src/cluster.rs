@@ -5,6 +5,7 @@
 use crate::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use crate::cpu::CpuModel;
 use crate::disk::DiskModel;
+use crate::history::History;
 use crate::metrics::Metrics;
 use crate::net::{NetState, Topology};
 use crate::rng::Rng;
@@ -15,7 +16,7 @@ use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
 use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{Ballot, ClientId, ProcessId, RingId, Time};
+use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, RingId, Time, ValueId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -110,6 +111,7 @@ pub struct Cluster {
     /// `CoordinatorChange` it announces.
     election_round: BTreeMap<RingId, u32>,
     metrics: Metrics,
+    history: History,
     rng: Rng,
     started: bool,
 }
@@ -143,6 +145,7 @@ impl Cluster {
             ring_coordinator: BTreeMap::new(),
             election_round: BTreeMap::new(),
             metrics,
+            history: History::default(),
             rng,
             started: false,
         }
@@ -353,6 +356,35 @@ impl Cluster {
         self.slots.get(&p).and_then(|s| s.cpu.as_ref())
     }
 
+    /// Judges this run by the atomic-multicast specification the model
+    /// checker uses: every request sent so far is a message addressed to
+    /// the subscribers of its groups (under [`Cluster::set_protocol`]'s
+    /// configuration), and every delivery an actor emitted — crashed
+    /// processes' included — must be one of them, at one of its
+    /// destinations, once per process (a restart starts the process's
+    /// deliveries afresh), in an order acyclic across all processes.
+    /// Only deliveries that reach the cluster are judged: an
+    /// [`EngineReplica`] hands its own to the application.
+    ///
+    /// # Errors
+    ///
+    /// The first delivery that breaks the specification, with the
+    /// property it breaks; or no protocol configuration to resolve
+    /// groups with.
+    pub fn check_history(&self) -> Result<(), String> {
+        let config = self
+            .protocol
+            .as_ref()
+            .ok_or("no protocol configuration is set")?;
+        self.history.check(config)
+    }
+
+    /// The group and value id of every delivery `p` made in this run,
+    /// in delivery order, restarts included.
+    pub fn delivered(&self, p: ProcessId) -> impl Iterator<Item = (GroupId, ValueId)> + '_ {
+        self.history.delivered(p)
+    }
+
     /// Whether `p` is currently up.
     pub fn is_up(&self, p: ProcessId) -> bool {
         self.slots.get(&p).is_some_and(|s| s.up)
@@ -534,7 +566,8 @@ impl Cluster {
                 };
                 self.push(done, What::Actor(p, ActorEvent::DiskDone(token)));
             }
-            Op::Protocol(Action::Deliver { value, .. }) => {
+            Op::Protocol(Action::Deliver { group, value, .. }) => {
+                self.history.deliver(p, group, &value);
                 self.metrics.incr("delivered_values", 1);
                 self.metrics
                     .incr("delivered_bytes", value.payload.len() as u64);
@@ -564,6 +597,15 @@ impl Cluster {
     fn send_message(&mut self, from: ProcessId, to: ProcessId, t: Time, msg: Message) {
         if !self.slots.contains_key(&to) {
             return;
+        }
+        if let Message::Request {
+            client,
+            request,
+            groups,
+            ..
+        } = &msg
+        {
+            self.history.request((*client, *request), groups);
         }
         if from == to {
             self.push_event(t, to, Event::Message { from, msg });
@@ -664,6 +706,7 @@ impl Cluster {
         let actor = factory(&slot.storage);
         slot.actor = Some(actor);
         slot.up = true;
+        self.history.restart(p);
         self.metrics.incr("restarts", 1);
         self.push_event(self.now, p, Event::Start);
         // Tell the restarted process who currently coordinates its rings
@@ -738,13 +781,12 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Burst;
     use bytes::Bytes;
     use mrp_amcast::AmcastEngine;
     use multiring_paxos::app::{Delivery, Reply};
     use multiring_paxos::config::{single_ring, ClusterConfig, RingSpec, RingTuning, Roles};
     use multiring_paxos::node::Node;
-    use multiring_paxos::types::GroupId;
-    use std::any::Any;
 
     fn quiet() -> RingTuning {
         RingTuning {
@@ -753,42 +795,11 @@ mod tests {
         }
     }
 
-    /// A client actor that fires `n` requests at a proposer and counts
-    /// deliveries it observes via the shared metrics.
-    #[derive(Debug)]
-    struct Pulse {
-        target: ProcessId,
-        groups: Vec<GroupId>,
-        n: u64,
-        client: ClientId,
-    }
-
-    impl Actor for Pulse {
-        fn on_event(
-            &mut self,
-            _now: Time,
-            event: ActorEvent,
-            out: &mut Outbox,
-            _ctx: &mut ActorCtx<'_>,
-        ) {
-            if event == ActorEvent::Protocol(Event::Start) {
-                for i in 0..self.n {
-                    out.send(
-                        self.target,
-                        Message::Request {
-                            client: self.client,
-                            request: i,
-                            groups: self.groups.clone(),
-                            payload: Bytes::from_static(b"ping"),
-                        },
-                    );
-                }
-            }
-        }
-
-        fn as_any(&mut self) -> &mut dyn Any {
-            self
-        }
+    /// A client of session `client` firing `n` requests at `target`.
+    fn pulse(client: u64, target: u32, groups: Vec<GroupId>, n: u64) -> Box<Burst> {
+        let payload = Bytes::from_static(b"ping");
+        let (client, target) = (ClientId::new(client), ProcessId::new(target));
+        Box::new(Burst::new(client, target, groups, n, payload))
     }
 
     fn build(seed: u64) -> Cluster {
@@ -818,16 +829,11 @@ mod tests {
             );
         }
         let client = ProcessId::new(100);
-        cluster.add_actor(
+        cluster.add_client(
             client,
-            Box::new(Pulse {
-                target: ProcessId::new(1),
-                groups: vec![GroupId::new(0)],
-                n: 10,
-                client: ClientId::new(1),
-            }),
+            ClientId::new(1),
+            pulse(1, 1, vec![GroupId::new(0)], 10),
         );
-        cluster.register_client(ClientId::new(1), client);
         cluster
     }
 
@@ -838,6 +844,7 @@ mod tests {
         cluster.run_until(Time::from_secs(2));
         // 10 requests delivered at each of the 3 learners.
         assert_eq!(cluster.metrics().counter("delivered_values"), 30);
+        assert_eq!(cluster.check_history(), Ok(()));
     }
 
     /// A service that executes nothing and answers nothing.
@@ -895,12 +902,7 @@ mod tests {
                 cluster.add_client(
                     client,
                     ClientId::new(1),
-                    Box::new(Pulse {
-                        target: ProcessId::new(1),
-                        groups: vec![GroupId::new(0)],
-                        n: 10,
-                        client: ClientId::new(1),
-                    }),
+                    pulse(1, 1, vec![GroupId::new(0)], 10),
                 );
                 cluster.start();
                 cluster.run_until(Time::from_secs(2));
@@ -970,18 +972,11 @@ mod tests {
         assert_eq!(cluster.metrics().counter("elections"), 1);
         assert!(!cluster.is_up(ProcessId::new(0)));
         let late_client = ProcessId::new(101);
-        cluster.add_actor(
-            late_client,
-            Box::new(Pulse {
-                target: ProcessId::new(1),
-                groups: vec![GroupId::new(0)],
-                n: 5,
-                client: ClientId::new(2),
-            }),
-        );
+        cluster.add_actor(late_client, pulse(2, 1, vec![GroupId::new(0)], 5));
         cluster.run_until(Time::from_secs(4));
         // 30 before the crash + 5 × 2 surviving learners.
         assert_eq!(cluster.metrics().counter("delivered_values"), 40);
+        assert_eq!(cluster.check_history(), Ok(()));
     }
 
     #[test]
@@ -993,23 +988,19 @@ mod tests {
         cluster.schedule_crash(Time::from_millis(1100), ProcessId::new(2));
         cluster.schedule_restart(Time::from_millis(1400), ProcessId::new(2));
         let late_client = ProcessId::new(101);
-        cluster.add_actor(
-            late_client,
-            Box::new(Pulse {
-                target: ProcessId::new(0),
-                groups: vec![GroupId::new(0)],
-                n: 5,
-                client: ClientId::new(2),
-            }),
-        );
+        cluster.add_actor(late_client, pulse(2, 0, vec![GroupId::new(0)], 5));
         cluster.run_until(Time::from_secs(5));
         assert_eq!(cluster.metrics().counter("restarts"), 1);
         assert!(cluster.is_up(ProcessId::new(2)));
-        // 30 + 5 at p0 and p1; the restarted p2 read nothing from its
+        // 10 + 5 at p0 and p1. The restarted p2 read nothing from its
         // in-memory acceptor log, but gap repair must recover the 5 new
-        // values (delivered ≥ 40; p2 may or may not replay the old 10
-        // depending on what acceptors retained).
-        assert!(cluster.metrics().counter("delivered_values") >= 40);
+        // values after its 10 from before the crash (it may or may not
+        // replay the old 10, depending on what acceptors retained) —
+        // and in the order everyone else delivered them.
+        let delivered = |p| cluster.delivered(ProcessId::new(p)).count();
+        assert_eq!((delivered(0), delivered(1)), (15, 15));
+        assert!(delivered(2) >= 15, "p2 delivered {}", delivered(2));
+        assert_eq!(cluster.check_history(), Ok(()));
     }
 
     /// The crash/re-election machinery is engine-generic: killing the
@@ -1029,16 +1020,11 @@ mod tests {
         );
         cluster.add_engine_actors(&config, EngineKind::Wbcast);
         let client = ProcessId::new(100);
-        cluster.add_actor(
+        cluster.add_client(
             client,
-            Box::new(Pulse {
-                target: ProcessId::new(1),
-                groups: vec![GroupId::new(0)],
-                n: 10,
-                client: ClientId::new(1),
-            }),
+            ClientId::new(1),
+            pulse(1, 1, vec![GroupId::new(0)], 10),
         );
-        cluster.register_client(ClientId::new(1), client);
         cluster.start();
         cluster.run_until(Time::from_secs(1));
         assert_eq!(cluster.metrics().counter("delivered_values"), 30);
@@ -1048,18 +1034,11 @@ mod tests {
         assert_eq!(cluster.metrics().counter("elections"), 1);
         assert!(!cluster.is_up(ProcessId::new(0)));
         let late_client = ProcessId::new(101);
-        cluster.add_actor(
-            late_client,
-            Box::new(Pulse {
-                target: ProcessId::new(1),
-                groups: vec![GroupId::new(0)],
-                n: 5,
-                client: ClientId::new(2),
-            }),
-        );
+        cluster.add_actor(late_client, pulse(2, 1, vec![GroupId::new(0)], 5));
         cluster.run_until(Time::from_secs(4));
         // 30 before the crash + 5 × 2 surviving subscribers.
         assert_eq!(cluster.metrics().counter("delivered_values"), 40);
+        assert_eq!(cluster.check_history(), Ok(()));
     }
 
     /// Crashing the *initiator* of multi-group wbcast rounds mid-round
@@ -1097,16 +1076,11 @@ mod tests {
         );
         cluster.add_engine_actors(&config, EngineKind::Wbcast);
         let client = ProcessId::new(100);
-        cluster.add_actor(
+        cluster.add_client(
             client,
-            Box::new(Pulse {
-                target: ProcessId::new(2),
-                groups: vec![GroupId::new(0), GroupId::new(1)],
-                n: 5,
-                client: ClientId::new(1),
-            }),
+            ClientId::new(1),
+            pulse(1, 2, vec![GroupId::new(0), GroupId::new(1)], 5),
         );
-        cluster.register_client(ClientId::new(1), client);
         // At 120 µs the client's requests (one ~50 µs hop) have reached
         // p2 and its Submits are on the wire, while the sequencers'
         // ProposeAcks (~165 µs round trip) have not come back: every
@@ -1122,5 +1096,6 @@ mod tests {
         assert!(!cluster.is_up(ProcessId::new(2)));
         // 5 orphaned rounds × 2 surviving subscribers of both groups.
         assert_eq!(cluster.metrics().counter("delivered_values"), 10);
+        assert_eq!(cluster.check_history(), Ok(()));
     }
 }

@@ -25,10 +25,14 @@
 //!   per-byte), capturing the coordinator bottleneck visible in the
 //!   paper's Figure 3.
 //! * [`client`] — the closed-loop client every simple workload of the
-//!   evaluation runs on; a workload is a source of operations.
+//!   evaluation runs on (a workload is a source of operations), and the
+//!   one-shot [`Burst`] tests and examples fire requests with.
 //! * [`cluster`] — the event loop: hosts protocol nodes and custom
 //!   actors (clients, baseline systems), injects crashes/restarts, runs
-//!   coordinator re-election, and collects [`metrics`].
+//!   coordinator re-election, collects [`metrics`], and records the
+//!   run's multicast history, which
+//!   [`Cluster::check_history`](cluster::Cluster::check_history) judges
+//!   by the model checker's specification.
 //!
 //! Everything is deterministic given a seed: the event queue breaks time
 //! ties by insertion order and all randomness flows from one
@@ -52,12 +56,13 @@ pub mod client;
 pub mod cluster;
 pub mod cpu;
 pub mod disk;
+mod history;
 pub mod metrics;
 pub mod net;
 pub mod rng;
 
 pub use actor::{Actor, ActorEvent, Op, Outbox};
-pub use client::{ClosedLoopClient, Operation};
+pub use client::{Burst, ClosedLoopClient, Operation};
 pub use cluster::{Cluster, SimConfig};
 pub use disk::DiskModel;
 pub use metrics::{Histogram, Metrics, TimeSeries};

@@ -13,7 +13,7 @@ use atomic_multicast::core::config::{
 };
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
-use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
+use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
@@ -56,29 +56,6 @@ impl Actor for Trickle {
     }
 }
 
-/// Wraps a node and records delivered value ids.
-#[derive(Debug)]
-struct Recorder {
-    node: Node,
-    delivered: Vec<ValueId>,
-}
-
-impl Actor for Recorder {
-    fn on_event(&mut self, now: Time, ev: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
-        let mut inner = Outbox::new();
-        Actor::on_event(&mut self.node, now, ev, &mut inner, ctx);
-        for op in inner.take() {
-            if let Op::Protocol(Action::Deliver { value, .. }) = &op {
-                self.delivered.push(value.id);
-            }
-            out.push(op);
-        }
-    }
-    fn as_any(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Cluster {
     let config = single_ring(3, tuning);
     let mut cluster = Cluster::new(
@@ -92,13 +69,7 @@ fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Clus
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(
-            p,
-            Box::new(Recorder {
-                node: Node::new(p, config.clone()),
-                delivered: Vec::new(),
-            }),
-        );
+        cluster.add_actor(p, Box::new(Node::new(p, config.clone())));
         if disks {
             cluster.add_disk(p, DiskModel::ssd());
         }
@@ -106,12 +77,8 @@ fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Clus
     cluster
 }
 
-fn delivered(cluster: &mut Cluster, p: u32) -> Vec<ValueId> {
-    cluster
-        .actor_as::<Recorder>(ProcessId::new(p))
-        .expect("recorder")
-        .delivered
-        .clone()
+fn delivered(cluster: &Cluster, p: u32) -> usize {
+    cluster.delivered(ProcessId::new(p)).count()
 }
 
 #[test]
@@ -143,21 +110,14 @@ fn survives_heavy_message_loss() {
     cluster.start();
     cluster.run_until(Time::from_secs(30));
 
+    assert_eq!(cluster.check_history(), Ok(()));
     for p in 0..3 {
-        let seq = delivered(&mut cluster, p);
         assert_eq!(
-            seq.len(),
+            delivered(&cluster, p),
             40,
-            "learner {p} delivered everything exactly once"
+            "learner {p} delivered everything"
         );
-        let mut dedup = seq.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 40, "no duplicates at learner {p}");
     }
-    let a = delivered(&mut cluster, 0);
-    assert_eq!(a, delivered(&mut cluster, 1));
-    assert_eq!(a, delivered(&mut cluster, 2));
 }
 
 #[test]
@@ -182,10 +142,10 @@ fn sync_storage_gates_votes_but_preserves_total_order() {
     cluster.register_client(ClientId::new(1), client_proc);
     cluster.start();
     cluster.run_until(Time::from_secs(5));
-    let a = delivered(&mut cluster, 0);
-    assert_eq!(a.len(), 50);
-    assert_eq!(a, delivered(&mut cluster, 1));
-    assert_eq!(a, delivered(&mut cluster, 2));
+    assert_eq!(cluster.check_history(), Ok(()));
+    for p in 0..3 {
+        assert_eq!(delivered(&cluster, p), 50, "learner {p}");
+    }
     // Votes really are on stable storage.
     let storage = cluster.storage(ProcessId::new(1)).expect("storage");
     let rec = storage.acceptor_recovery();
@@ -223,19 +183,16 @@ fn coordinator_failover_neither_loses_nor_duplicates() {
     cluster.schedule_crash(Time::from_secs(2), ProcessId::new(0));
     cluster.run_until(Time::from_secs(10));
 
+    // No duplicates across the failover, one order at the survivors —
+    // and the dead coordinator's deliveries agree with theirs.
+    assert_eq!(cluster.check_history(), Ok(()));
     for p in 1..3 {
-        let seq = delivered(&mut cluster, p);
-        let mut dedup = seq.clone();
-        dedup.sort();
-        dedup.dedup();
         assert_eq!(
-            dedup.len(),
-            seq.len(),
-            "learner {p} must not deliver duplicates across failover"
+            delivered(&cluster, p),
+            100,
+            "learner {p} delivered the full stream"
         );
-        assert_eq!(seq.len(), 100, "learner {p} delivered the full stream");
     }
-    assert_eq!(delivered(&mut cluster, 1), delivered(&mut cluster, 2));
     assert!(cluster.metrics().counter("elections") >= 1);
 }
 
