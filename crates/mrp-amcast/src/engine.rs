@@ -36,9 +36,8 @@ use std::str::FromStr;
 ///
 /// Structurally this is the ring engine's checkpoint identifier
 /// ([`CheckpointId`](multiring_paxos::recovery::CheckpointId)): per-group
-/// marks plus the deterministic-merge cursor, which only the ring engine
-/// uses (other engines leave it zero). Reusing the type keeps watermarks
-/// storable through the existing
+/// marks and nothing else. Reusing the type keeps watermarks storable
+/// through the existing
 /// [`PersistRecord::Checkpoint`](multiring_paxos::event::PersistRecord)
 /// record and comparable with the coordinated trim protocol.
 pub use multiring_paxos::recovery::CheckpointId as Watermark;
@@ -270,8 +269,8 @@ impl AmcastEngine for Node {
         report
     }
 
-    /// The deterministic merge's per-group instance watermarks plus the
-    /// merge cursor — exactly the ring engine's checkpoint identifier.
+    /// The deterministic merge's per-group instance watermarks — exactly
+    /// the ring engine's checkpoint identifier.
     fn watermark(&self) -> Watermark {
         self.watermarks()
     }
@@ -907,8 +906,6 @@ pub(crate) mod tests {
         );
         let covering = Watermark {
             marks: vec![(GroupId::new(0), InstanceId::new(6))],
-            cursor_group: 0,
-            cursor_used: 0,
         };
         node.install_checkpoint(&covering, &Bytes::new());
         assert!(node.health(Time::ZERO).is_healthy());

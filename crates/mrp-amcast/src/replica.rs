@@ -103,11 +103,6 @@ fn unpack_checkpoint(blob: &Bytes) -> Option<(Bytes, Bytes)> {
     Some((engine_state, buf))
 }
 
-/// Prefer the local checkpoint unless a peer's is ahead by more than
-/// this many watermark units, summed over groups (Section 5.1's "too
-/// old" heuristic: state transfer costs more than a short catch-up).
-const PREFER_LOCAL_WITHIN: u64 = 1_000;
-
 /// How long a recovering replica waits for checkpoint replies before
 /// re-sending the outstanding query or fetch.
 const RECOVERY_RETRY_US: u64 = 500_000;
@@ -252,7 +247,6 @@ impl<A: Application> EngineReplica<A> {
         replica.recovery = Some(RecoveryManager::new(
             peers,
             replica.stable_watermark().cloned(),
-            PREFER_LOCAL_WITHIN,
         ));
         replica
     }
@@ -1009,8 +1003,6 @@ mod tests {
         );
         let id = Watermark {
             marks: vec![(GroupId::new(0), InstanceId::new(5_000))],
-            cursor_group: 0,
-            cursor_used: 0,
         };
         let blob = pack_checkpoint(&Bytes::new(), &Bytes::from_static(b"yz"));
         (r, id, blob)

@@ -432,8 +432,7 @@ impl WbcastNode {
     }
 
     /// Per subscribed group, the stream's delivery mark — the largest
-    /// timestamp whose whole prefix has been delivered locally; the
-    /// merge-cursor fields are unused by this engine.
+    /// timestamp whose whole prefix has been delivered locally.
     pub(super) fn watermark(&self) -> Watermark {
         Watermark {
             marks: self
@@ -441,8 +440,6 @@ impl WbcastNode {
                 .iter()
                 .map(|(&g, s)| (g, InstanceId::new(s.delivery_mark())))
                 .collect(),
-            cursor_group: 0,
-            cursor_used: 0,
         }
     }
 

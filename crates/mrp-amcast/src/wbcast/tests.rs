@@ -987,8 +987,6 @@ fn watermark_holds_at_floor_while_resyncing() {
     let mut fresh = WbcastNode::recovering(p1, config);
     let restored = crate::engine::Watermark {
         marks: vec![(g, InstanceId::new(4))],
-        cursor_group: 0,
-        cursor_used: 0,
     };
     AmcastEngine::install_checkpoint(&mut fresh, &restored, &Bytes::new());
     let resume = AmcastEngine::resume(&mut fresh, Time::from_secs(1));

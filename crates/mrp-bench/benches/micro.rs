@@ -86,7 +86,7 @@ fn bench_merge(c: &mut Criterion) {
     c.bench_function("merge_poll_2rings_1000", |b| {
         b.iter_batched(
             || {
-                let mut m = Merger::new(vec![GroupId::new(0), GroupId::new(1)], 1);
+                let mut m = Merger::new(vec![GroupId::new(0), GroupId::new(1)]);
                 for i in 1..=1000u64 {
                     for g in 0..2u16 {
                         m.push(

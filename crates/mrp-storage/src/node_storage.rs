@@ -17,8 +17,6 @@ pub struct AcceptorLog {
     promised_from: InstanceId,
     /// Votes keyed by first instance: `(count, ballot, value)`.
     votes: BTreeMap<InstanceId, (u32, Ballot, ConsensusValue)>,
-    /// Decision markers observed on the ring.
-    decided: BTreeMap<InstanceId, (u32, ConsensusValue)>,
     /// Decision markers whose value must be resolved from `votes` at
     /// recovery time (written by the tiny async `Decision` record).
     markers: BTreeMap<InstanceId, u32>,
@@ -47,13 +45,6 @@ impl AcceptorLog {
         self.votes.insert(first, (count, ballot, value));
     }
 
-    /// Records a decision (used to serve retransmissions after restart).
-    pub fn decision(&mut self, first: InstanceId, count: u32, value: ConsensusValue) {
-        if first > self.trimmed {
-            self.decided.insert(first, (count, value));
-        }
-    }
-
     /// Records a value-less decision marker; the value is resolved from
     /// the logged vote at recovery time.
     pub fn decision_marker(&mut self, first: InstanceId, count: u32) {
@@ -71,8 +62,6 @@ impl AcceptorLog {
         self.trimmed = upto;
         self.votes
             .retain(|&f, &mut (c, _, _)| f.plus(u64::from(c) - 1) > upto);
-        self.decided
-            .retain(|&f, &mut (c, _)| f.plus(u64::from(c) - 1) > upto);
         self.markers
             .retain(|&f, &mut c| f.plus(u64::from(c) - 1) > upto);
     }
@@ -82,22 +71,9 @@ impl AcceptorLog {
         self.trimmed
     }
 
-    /// Number of vote records retained.
-    pub fn vote_records(&self) -> usize {
-        self.votes.len()
-    }
-
     /// Approximate bytes retained (payloads only), for metrics.
     pub fn payload_bytes(&self) -> usize {
-        self.votes
-            .values()
-            .map(|(_, _, v)| v.payload_bytes())
-            .sum::<usize>()
-            + self
-                .decided
-                .values()
-                .map(|(_, v)| v.payload_bytes())
-                .sum::<usize>()
+        self.votes.values().map(|(_, _, v)| v.payload_bytes()).sum()
     }
 
     /// Builds the recovery image for a restarting acceptor. Decision
@@ -105,14 +81,14 @@ impl AcceptorLog {
     /// was superseded or lost are dropped (the live ring will re-decide
     /// or retransmission falls back to another acceptor).
     pub fn recovery(&self) -> AcceptorRecovery {
-        let mut decided: BTreeMap<InstanceId, (u32, ConsensusValue)> = self.decided.clone();
-        for (&first, &count) in &self.markers {
-            if let Some((vcount, _, value)) = self.votes.get(&first) {
-                if *vcount == count {
-                    decided.entry(first).or_insert((count, value.clone()));
-                }
-            }
-        }
+        let decided = self
+            .markers
+            .iter()
+            .filter_map(|(&first, &count)| match self.votes.get(&first) {
+                Some((vcount, _, value)) if *vcount == count => Some((first, count, value.clone())),
+                _ => None,
+            })
+            .collect();
         AcceptorRecovery {
             promised: self.promised,
             accepted: self
@@ -120,7 +96,7 @@ impl AcceptorLog {
                 .iter()
                 .map(|(&f, &(c, b, ref v))| (f, c, b, v.clone()))
                 .collect(),
-            decided: decided.into_iter().map(|(f, (c, v))| (f, c, v)).collect(),
+            decided,
             trimmed: self.trimmed,
         }
     }
@@ -173,15 +149,6 @@ impl NodeStorage {
         }
     }
 
-    /// Records a decision marker (cheap, written asynchronously by
-    /// acceptors so restarts can serve retransmissions).
-    pub fn decision(&mut self, ring: RingId, first: InstanceId, count: u32, value: ConsensusValue) {
-        self.logs
-            .entry(ring)
-            .or_default()
-            .decision(first, count, value);
-    }
-
     /// Trims the acceptor log of `ring`.
     pub fn trim(&mut self, ring: RingId, upto: InstanceId) {
         if let Some(log) = self.logs.get_mut(&ring) {
@@ -210,12 +177,6 @@ impl NodeStorage {
     /// Takes the latest durable checkpoint (cloning).
     pub fn checkpoint_cloned(&self) -> Option<(CheckpointId, Bytes)> {
         self.checkpoint.clone()
-    }
-
-    /// Wipes everything (simulates disk loss).
-    pub fn wipe(&mut self) {
-        self.logs.clear();
-        self.checkpoint = None;
     }
 
     /// Total payload bytes retained across rings (metrics/trim tests).
@@ -261,7 +222,11 @@ mod tests {
             count: 1,
             value: cv(1),
         });
-        s.decision(ring, i(1), 1, cv(1));
+        s.apply(&PersistRecord::Decision {
+            ring,
+            first: i(1),
+            count: 1,
+        });
         let rec = s.acceptor_recovery();
         let log = &rec[&ring];
         assert_eq!(log.promised, b(1));
@@ -275,13 +240,9 @@ mod tests {
         let mut s = NodeStorage::new();
         let id1 = CheckpointId {
             marks: vec![(GroupId::new(0), i(1))],
-            cursor_group: 0,
-            cursor_used: 0,
         };
         let id2 = CheckpointId {
             marks: vec![(GroupId::new(0), i(5))],
-            cursor_group: 0,
-            cursor_used: 0,
         };
         s.apply(&PersistRecord::Checkpoint {
             id: id1,
@@ -308,7 +269,11 @@ mod tests {
                 count: 1,
                 value: cv(n),
             });
-            s.decision(ring, i(n), 1, cv(n));
+            s.apply(&PersistRecord::Decision {
+                ring,
+                first: i(n),
+                count: 1,
+            });
         }
         let before = s.payload_bytes();
         s.trim(ring, i(8));
@@ -327,20 +292,5 @@ mod tests {
         // A higher vote ballot also raises the promise.
         log.vote(b(7), i(1), 1, cv(1));
         assert_eq!(log.recovery().promised, b(7));
-    }
-
-    #[test]
-    fn wipe_clears_everything() {
-        let mut s = NodeStorage::new();
-        s.apply(&PersistRecord::Vote {
-            ring: RingId::new(0),
-            ballot: b(1),
-            first: i(1),
-            count: 1,
-            value: cv(1),
-        });
-        s.wipe();
-        assert!(s.acceptor_recovery().is_empty());
-        assert!(s.checkpoint().is_none());
     }
 }

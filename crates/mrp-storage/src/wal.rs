@@ -291,25 +291,6 @@ impl DirStorage {
         Ok(())
     }
 
-    /// Records a decision marker (async, small).
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors.
-    pub fn decision(
-        &mut self,
-        ring: RingId,
-        first: InstanceId,
-        count: u32,
-        value: multiring_paxos::types::ConsensusValue,
-    ) -> Result<(), WalError> {
-        // Reuse the Vote encoding with a reserved ballot? No: decisions
-        // are recoverable from votes in the common case; we persist them
-        // as votes at the decided ballot for retransmission service.
-        self.state.decision(ring, first, count, value);
-        Ok(())
-    }
-
     /// Trims the log of `ring` up to `upto`, rewriting the WAL with the
     /// retained records.
     ///
@@ -578,8 +559,6 @@ mod tests {
                 &PersistRecord::Checkpoint {
                     id: CheckpointId {
                         marks: vec![(GroupId::new(0), InstanceId::new(2))],
-                        cursor_group: 0,
-                        cursor_used: 0,
                     },
                     snapshot: Bytes::from_static(b"state"),
                 },

@@ -134,11 +134,6 @@ impl Workload {
         self.kind
     }
 
-    /// Keys that must be loaded before the run.
-    pub fn preload_keys(&self) -> impl Iterator<Item = String> {
-        (0..self.chooser.items()).map(key_for)
-    }
-
     fn value(&mut self) -> Vec<u8> {
         let mut v = vec![0u8; self.value_bytes];
         for chunk in v.chunks_mut(8) {

@@ -646,8 +646,6 @@ fn put_ckpt(buf: &mut impl BufMut, c: &CheckpointId) {
         buf.put_u16_le(g.value());
         buf.put_u64_le(i.value());
     }
-    buf.put_u32_le(c.cursor_group);
-    buf.put_u32_le(c.cursor_used);
 }
 
 fn get_ckpt(buf: &mut impl Buf) -> Result<CheckpointId, CodecError> {
@@ -655,8 +653,6 @@ fn get_ckpt(buf: &mut impl Buf) -> Result<CheckpointId, CodecError> {
         marks: get_seq(get_len(buf)?, buf, |buf| {
             Ok((GroupId::new(get_u16(buf)?), InstanceId::new(get_u64(buf)?)))
         })?,
-        cursor_group: get_u32(buf)?,
-        cursor_used: get_u32(buf)?,
     })
 }
 
@@ -878,8 +874,6 @@ mod tests {
                 (GroupId::new(0), InstanceId::new(10)),
                 (GroupId::new(1), InstanceId::new(9)),
             ],
-            cursor_group: 1,
-            cursor_used: 0,
         };
         vec![
             (
@@ -1018,7 +1012,7 @@ mod tests {
                     seq: 1,
                     checkpoint: Some(ckpt.clone()),
                 },
-                "0c0100000000000000010200000000000a00000000000000010009000000000000000100000000000000",
+                "0c0100000000000000010200000000000a0000000000000001000900000000000000",
             ),
             (
                 Message::CheckpointInfo {
@@ -1032,7 +1026,7 @@ mod tests {
                     seq: 3,
                     id: ckpt.clone(),
                 },
-                "0d03000000000000000200000000000a00000000000000010009000000000000000100000000000000",
+                "0d03000000000000000200000000000a0000000000000001000900000000000000",
             ),
             (
                 Message::CheckpointData {
@@ -1040,7 +1034,7 @@ mod tests {
                     id: ckpt.clone(),
                     snapshot: Some(Bytes::from_static(b"snapshot")),
                 },
-                "0e03000000000000000200000000000a000000000000000100090000000000000001000000000000000108000000736e617073686f74",
+                "0e03000000000000000200000000000a00000000000000010009000000000000000108000000736e617073686f74",
             ),
             (
                 Message::CheckpointData {
@@ -1048,7 +1042,7 @@ mod tests {
                     id: ckpt,
                     snapshot: None,
                 },
-                "0e04000000000000000200000000000a0000000000000001000900000000000000010000000000000000",
+                "0e04000000000000000200000000000a000000000000000100090000000000000000",
             ),
             (
                 Message::Request {
@@ -1138,12 +1132,10 @@ mod tests {
                 PersistRecord::Checkpoint {
                     id: CheckpointId {
                         marks: vec![(GroupId::new(0), InstanceId::new(10))],
-                        cursor_group: 0,
-                        cursor_used: 3,
                     },
                     snapshot: Bytes::from_static(b"snapshot"),
                 },
-                "2a0100000000000a00000000000000000000000300000008000000736e617073686f74",
+                "2a0100000000000a0000000000000008000000736e617073686f74",
             ),
             (
                 PersistRecord::Decision {

@@ -2,8 +2,8 @@
 //!
 //! A [`ClusterConfig`] fully describes a Multi-Ring Paxos deployment: the
 //! rings with their ordered members and roles, the group-to-ring mapping,
-//! learner subscriptions, and the protocol tuning parameters (`M`, `Δ`,
-//! `λ`, batching, storage mode). Configurations are built with
+//! learner subscriptions, and the per-ring protocol tuning (`Δ`, `λ`,
+//! batching, storage mode). Configurations are built with
 //! [`ClusterConfig::builder`] and validated by [`ClusterConfigBuilder::build`].
 //!
 //! In a full deployment the configuration is stored in and distributed by
@@ -144,6 +144,8 @@ pub struct RingTuning {
 }
 
 impl Default for RingTuning {
+    /// Tuning used by the paper for deployments within a datacenter:
+    /// `Δ = 5 ms`, `λ = 9000`.
     fn default() -> Self {
         Self {
             window: 128,
@@ -161,14 +163,8 @@ impl Default for RingTuning {
 }
 
 impl RingTuning {
-    /// Tuning used by the paper for deployments within a datacenter:
-    /// `M = 1`, `Δ = 5 ms`, `λ = 9000`.
-    pub fn datacenter() -> Self {
-        Self::default()
-    }
-
     /// Tuning used by the paper for deployments across datacenters:
-    /// `M = 1`, `Δ = 20 ms`, `λ = 2000` (`M` lives in [`ClusterConfig`]).
+    /// `Δ = 20 ms`, `λ = 2000`.
     pub fn wide_area() -> Self {
         Self {
             delta_us: 20_000,
@@ -416,7 +412,6 @@ struct ConfigInner {
     rings: BTreeMap<RingId, RingConfig>,
     groups: BTreeMap<GroupId, RingId>,
     subscriptions: BTreeMap<ProcessId, BTreeSet<GroupId>>,
-    merge_window: u32,
 }
 
 impl ClusterConfig {
@@ -452,12 +447,6 @@ impl ClusterConfig {
     /// All groups, keyed by id, with the ring each maps to.
     pub fn groups(&self) -> &BTreeMap<GroupId, RingId> {
         &self.inner.groups
-    }
-
-    /// The merge window `M`: how many consensus instances the
-    /// deterministic merge consumes from each subscribed ring per turn.
-    pub fn merge_window(&self) -> u32 {
-        self.inner.merge_window
     }
 
     /// Groups subscribed to by `p`, in group-id order (the round-robin
@@ -530,7 +519,6 @@ pub struct ClusterConfigBuilder {
     rings: Vec<RingSpec>,
     groups: Vec<(GroupId, RingId)>,
     subscriptions: Vec<(ProcessId, GroupId)>,
-    merge_window: u32,
 }
 
 impl ClusterConfigBuilder {
@@ -556,14 +544,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the merge window `M` (default 1, the paper's setting; 0
-    /// reads as the default).
-    #[must_use]
-    pub fn merge_window(mut self, m: u32) -> Self {
-        self.merge_window = m;
-        self
-    }
-
     /// Validates and freezes the configuration.
     ///
     /// # Errors
@@ -572,8 +552,6 @@ impl ClusterConfigBuilder {
     /// (duplicate ids, rings without acceptors, subscriptions by
     /// non-learners, …).
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
-        let merge_window = self.merge_window.max(1);
-
         let mut rings = BTreeMap::new();
         for spec in self.rings {
             if spec.members.is_empty() {
@@ -654,7 +632,6 @@ impl ClusterConfigBuilder {
                 rings,
                 groups,
                 subscriptions,
-                merge_window,
             }),
         })
     }
@@ -710,19 +687,6 @@ mod tests {
         assert_eq!(ring.last_acceptor(), p(2));
         assert_eq!(c.subscribers_of(GroupId::new(0)), vec![p(0), p(1), p(2)]);
         assert_eq!(c.partition_of(p(1)), vec![p(0), p(1), p(2)]);
-        assert_eq!(c.merge_window(), 1);
-    }
-
-    #[test]
-    fn a_zero_merge_window_reads_as_the_default() {
-        let window = |m| {
-            let ring = RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL);
-            let b = ClusterConfig::builder()
-                .ring(ring)
-                .group(GroupId::new(0), RingId::new(0));
-            b.merge_window(m).build().map(|c| c.merge_window())
-        };
-        assert_eq!((window(0), window(3)), (Ok(1), Ok(3)));
     }
 
     #[test]

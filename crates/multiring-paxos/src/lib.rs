@@ -17,7 +17,7 @@
 //! Multi-Ring Paxos composes one [Ring Paxos](crate::ring) instance per
 //! multicast group and coordinates them at the learners with a
 //! [deterministic merge](crate::multiring) strategy (round-robin over
-//! subscribed rings, `M` consensus instances at a time), complemented by
+//! subscribed rings, one consensus instance at a time), complemented by
 //! *rate leveling*: coordinators of slow rings periodically propose `skip`
 //! (null) instances so that merge never stalls on an idle ring.
 //!

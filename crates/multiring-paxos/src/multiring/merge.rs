@@ -27,16 +27,16 @@ struct GroupQueue {
 /// Deterministic round-robin merge over the decision streams of the
 /// subscribed groups (Section 4 of the paper).
 ///
-/// Instances are consumed `m` at a time from each group, in group-id
-/// order. The merge *blocks* on a group with no decided instance
-/// available — that is what makes it deterministic — so rate leveling
-/// must keep every subscribed ring moving.
+/// Instances are consumed one at a time from each group, in group-id
+/// order (the paper's `M = 1`, the setting of its evaluation). The
+/// merge *blocks* on a group with no decided instance available — that
+/// is what makes it deterministic — so rate leveling must keep every
+/// subscribed ring moving.
 #[derive(Hash, Debug)]
 pub struct Merger {
-    m: u32,
     queues: Vec<GroupQueue>,
+    /// Index of the group the merge consumes from next.
     cursor_group: usize,
-    cursor_used: u32,
     /// Exactly-once filter per (group, proposer): suppresses duplicate
     /// deliveries after coordinator failover re-proposals while still
     /// accepting old values that were overtaken by newer ones.
@@ -44,18 +44,11 @@ pub struct Merger {
 }
 
 impl Merger {
-    /// A merge over `groups` (sorted ascending internally) consuming `m`
-    /// instances per group per turn.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn new(mut groups: Vec<GroupId>, m: u32) -> Self {
-        assert!(m >= 1, "merge window M must be at least 1");
+    /// A merge over `groups` (sorted ascending internally).
+    pub fn new(mut groups: Vec<GroupId>) -> Self {
         groups.sort_unstable();
         groups.dedup();
         Self {
-            m,
             queues: groups
                 .into_iter()
                 .map(|group| GroupQueue {
@@ -65,7 +58,6 @@ impl Merger {
                 })
                 .collect(),
             cursor_group: 0,
-            cursor_used: 0,
             delivered_seq: BTreeMap::new(),
         }
     }
@@ -73,11 +65,6 @@ impl Merger {
     /// The groups being merged, in round-robin order.
     pub fn groups(&self) -> Vec<GroupId> {
         self.queues.iter().map(|q| q.group).collect()
-    }
-
-    /// The merge window `M`.
-    pub fn merge_window(&self) -> u32 {
-        self.m
     }
 
     /// Offers a decided range of `group`. Ranges must arrive in instance
@@ -107,63 +94,42 @@ impl Merger {
     /// blocked waiting on its current group.
     pub fn poll(&mut self) -> Vec<MergeDelivery> {
         let mut out = Vec::new();
-        if self.queues.is_empty() {
-            return out;
-        }
-        loop {
-            if self.cursor_used == self.m {
-                self.cursor_used = 0;
-                self.cursor_group = (self.cursor_group + 1) % self.queues.len();
-            }
-            let m = self.m;
-            let q = &mut self.queues[self.cursor_group];
+        while let Some(q) = self.queues.get_mut(self.cursor_group) {
             let Some(front) = q.ranges.front_mut() else {
                 break;
             };
-            let (first, count, _) = *front;
-            debug_assert_eq!(first, q.next_expected, "queue contiguity invariant");
-            let _ = count;
-            // Consume instances one at a time so the M-window accounting
-            // stays exact even across skip ranges.
-            match &mut front.2 {
-                ConsensusValue::Values(_) => {
-                    let (instance, _, value) = q.ranges.pop_front().expect("front exists");
-                    q.next_expected = instance.next();
-                    self.cursor_used += 1;
-                    let group = q.group;
-                    if let ConsensusValue::Values(values) = value {
-                        for v in values {
-                            let key = (group, v.id.proposer);
-                            let fresh = self.delivered_seq.entry(key).or_default().insert(v.id.seq);
-                            if fresh {
-                                out.push(MergeDelivery {
-                                    group,
-                                    instance,
-                                    value: v,
-                                });
-                            }
-                        }
-                    }
-                }
-                ConsensusValue::Skip => {
-                    // Consume as many skip instances as the window allows
-                    // in one step.
-                    let take = u64::from(count).min(u64::from(m - self.cursor_used));
-                    front.0 = front.0.plus(take);
-                    front.1 -= take as u32;
-                    q.next_expected = q.next_expected.plus(take);
-                    self.cursor_used += take as u32;
-                    if front.1 == 0 {
-                        q.ranges.pop_front();
+            let instance = q.next_expected;
+            debug_assert_eq!(front.0, instance, "queue contiguity invariant");
+            q.next_expected = instance.next();
+            if matches!(front.2, ConsensusValue::Skip) && front.1 > 1 {
+                // A skip range yields one slot per turn, like a decided
+                // instance.
+                front.0 = q.next_expected;
+                front.1 -= 1;
+            } else if let Some((_, _, ConsensusValue::Values(values))) = q.ranges.pop_front() {
+                for value in values {
+                    let fresh = self
+                        .delivered_seq
+                        .entry((q.group, value.id.proposer))
+                        .or_default()
+                        .insert(value.id.seq);
+                    if fresh {
+                        out.push(MergeDelivery {
+                            group: q.group,
+                            instance,
+                            value,
+                        });
                     }
                 }
             }
+            self.cursor_group = (self.cursor_group + 1) % self.queues.len();
         }
         out
     }
 
     /// The merge position as a checkpoint id: per-group consumed
-    /// watermarks plus the cursor.
+    /// watermarks, from which [`CheckpointId::cursor`] recovers the
+    /// cursor.
     pub fn watermarks(&self) -> CheckpointId {
         CheckpointId {
             marks: self
@@ -171,8 +137,6 @@ impl Merger {
                 .iter()
                 .map(|q| (q.group, InstanceId::new(q.next_expected.value() - 1)))
                 .collect(),
-            cursor_group: self.cursor_group as u32,
-            cursor_used: self.cursor_used,
         }
     }
 
@@ -201,8 +165,7 @@ impl Merger {
                 }
             }
         }
-        self.cursor_group = (ckpt.cursor_group as usize).min(self.queues.len().saturating_sub(1));
-        self.cursor_used = ckpt.cursor_used.min(self.m);
+        self.cursor_group = ckpt.cursor().min(self.queues.len().saturating_sub(1));
     }
 
     /// Total instances consumed across groups (progress metric).
@@ -237,7 +200,7 @@ mod tests {
 
     #[test]
     fn single_group_passthrough() {
-        let mut m = Merger::new(vec![g(0)], 1);
+        let mut m = Merger::new(vec![g(0)]);
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.push(g(0), i(2), 1, val(0, 1, 2));
         let out = m.poll();
@@ -248,7 +211,7 @@ mod tests {
 
     #[test]
     fn round_robin_across_groups() {
-        let mut m = Merger::new(vec![g(1), g(0)], 1);
+        let mut m = Merger::new(vec![g(1), g(0)]);
         assert_eq!(m.groups(), vec![g(0), g(1)]); // sorted
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.push(g(1), i(1), 1, val(1, 1, 1));
@@ -264,7 +227,7 @@ mod tests {
 
     #[test]
     fn merge_blocks_on_missing_group() {
-        let mut m = Merger::new(vec![g(0), g(1)], 1);
+        let mut m = Merger::new(vec![g(0), g(1)]);
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.push(g(0), i(2), 1, val(0, 1, 2));
         let out = m.poll();
@@ -281,7 +244,7 @@ mod tests {
 
     #[test]
     fn skips_consume_slots_silently() {
-        let mut m = Merger::new(vec![g(0), g(1)], 1);
+        let mut m = Merger::new(vec![g(0), g(1)]);
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.push(g(1), i(1), 5, ConsensusValue::Skip);
         m.push(g(0), i(2), 1, val(0, 1, 2));
@@ -294,48 +257,8 @@ mod tests {
     }
 
     #[test]
-    fn m_greater_than_one_consumes_in_windows() {
-        let mut m = Merger::new(vec![g(0), g(1)], 2);
-        for k in 1..=4 {
-            m.push(g(0), i(k), 1, val(0, 1, k));
-            m.push(g(1), i(k), 1, val(1, 1, k));
-        }
-        let out = m.poll();
-        let order: Vec<(u16, u64)> = out
-            .iter()
-            .map(|d| (d.group.value(), d.instance.value()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (0, 1),
-                (0, 2),
-                (1, 1),
-                (1, 2),
-                (0, 3),
-                (0, 4),
-                (1, 3),
-                (1, 4)
-            ]
-        );
-    }
-
-    #[test]
-    fn skip_ranges_fast_forward_within_window() {
-        let mut m = Merger::new(vec![g(0), g(1)], 3);
-        m.push(g(0), i(1), 9, ConsensusValue::Skip);
-        m.push(g(1), i(1), 3, ConsensusValue::Skip);
-        m.poll();
-        // g0 consumed 3 (one window), g1 consumed 3, g0 consumed 3 more,
-        // then g1 stalls; g0 has 3 left pending.
-        let w = m.watermarks();
-        assert_eq!(w.mark_of(g(0)), i(6));
-        assert_eq!(w.mark_of(g(1)), i(3));
-    }
-
-    #[test]
     fn duplicate_values_suppressed_by_sequence() {
-        let mut m = Merger::new(vec![g(0)], 1);
+        let mut m = Merger::new(vec![g(0)]);
         m.push(g(0), i(1), 1, val(0, 7, 1));
         // Failover re-proposal of the same value at a later instance.
         m.push(g(0), i(2), 1, val(0, 7, 1));
@@ -348,15 +271,15 @@ mod tests {
 
     #[test]
     fn watermarks_roundtrip_through_install() {
-        let mut m = Merger::new(vec![g(0), g(1)], 1);
+        let mut m = Merger::new(vec![g(0), g(1)]);
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.push(g(1), i(1), 1, val(1, 1, 1));
         m.push(g(0), i(2), 1, val(0, 1, 2));
         m.poll();
         let w = m.watermarks();
-        assert!(w.cursor_consistent(1));
+        assert_eq!(w.cursor(), 1);
 
-        let mut fresh = Merger::new(vec![g(0), g(1)], 1);
+        let mut fresh = Merger::new(vec![g(0), g(1)]);
         fresh.install(&w);
         assert_eq!(fresh.watermarks(), w);
         // Deliveries continue from the installed position.
@@ -369,12 +292,10 @@ mod tests {
 
     #[test]
     fn install_clips_straddling_ranges() {
-        let mut m = Merger::new(vec![g(0)], 1);
+        let mut m = Merger::new(vec![g(0)]);
         m.push(g(0), i(1), 10, ConsensusValue::Skip);
         let ckpt = CheckpointId {
             marks: vec![(g(0), i(4))],
-            cursor_group: 0,
-            cursor_used: 0,
         };
         m.install(&ckpt);
         m.poll();
@@ -383,7 +304,7 @@ mod tests {
 
     #[test]
     fn stale_pushes_ignored() {
-        let mut m = Merger::new(vec![g(0)], 1);
+        let mut m = Merger::new(vec![g(0)]);
         m.push(g(0), i(1), 1, val(0, 1, 1));
         m.poll();
         m.push(g(0), i(1), 1, val(0, 1, 1)); // duplicate
@@ -393,7 +314,7 @@ mod tests {
 
     #[test]
     fn unknown_group_pushes_ignored() {
-        let mut m = Merger::new(vec![g(0)], 1);
+        let mut m = Merger::new(vec![g(0)]);
         m.push(g(9), i(1), 1, val(9, 1, 1));
         assert!(m.poll().is_empty());
     }
@@ -402,8 +323,8 @@ mod tests {
     fn two_mergers_agree_regardless_of_arrival_interleaving() {
         // The determinism property: same per-ring streams, different
         // arrival interleavings, identical output.
-        let mut a = Merger::new(vec![g(0), g(1)], 2);
-        let mut b = Merger::new(vec![g(0), g(1)], 2);
+        let mut a = Merger::new(vec![g(0), g(1)]);
+        let mut b = Merger::new(vec![g(0), g(1)]);
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
         // a: all of g0 first, then g1.

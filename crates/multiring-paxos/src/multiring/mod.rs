@@ -5,8 +5,8 @@
 //! of them in an order that every other learner with overlapping
 //! subscriptions agrees with. Multi-Ring Paxos achieves this without any
 //! cross-ring coordination: learners deliver decided consensus instances
-//! from their subscribed rings *round-robin in group-id order*, `M`
-//! instances at a time ([`Merger`]). Because the schedule is a pure
+//! from their subscribed rings *round-robin in group-id order*, one
+//! instance at a time ([`Merger`]). Because the schedule is a pure
 //! function of the per-ring decision sequences, any two learners
 //! subscribed to the same groups produce the same interleaving.
 //!

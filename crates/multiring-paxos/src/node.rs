@@ -138,7 +138,7 @@ impl Node {
             );
             rings.insert(ring_id, state);
         }
-        let merger = Merger::new(subscriptions, config.merge_window());
+        let merger = Merger::new(subscriptions);
         let mut tel = EngineTelemetry::default();
         for counter in COUNTERS {
             tel.incr(counter, 0);

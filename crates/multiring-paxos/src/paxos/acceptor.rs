@@ -246,11 +246,6 @@ impl Acceptor {
         self.decided
             .retain(|&first, &mut (count, _)| first.plus(u64::from(count) - 1) > upto);
     }
-
-    /// Number of decided ranges currently retained (for tests/metrics).
-    pub fn decided_ranges(&self) -> usize {
-        self.decided.len()
-    }
 }
 
 #[cfg(test)]

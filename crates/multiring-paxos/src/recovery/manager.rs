@@ -14,6 +14,11 @@ use crate::types::ProcessId;
 use bytes::Bytes;
 use std::collections::BTreeMap;
 
+/// Prefer the local checkpoint unless a peer's is ahead by more than
+/// this many watermark units, summed over groups (Section 5.1's "too
+/// old" heuristic: state transfer costs more than a short catch-up).
+const PREFER_LOCAL_WITHIN: u64 = 1_000;
+
 /// Where the recovery protocol stands.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RecoveryPhase {
@@ -70,9 +75,6 @@ pub struct RecoveryManager {
     /// Majority of the partition (peers + self).
     quorum: usize,
     local: Option<CheckpointId>,
-    /// Prefer the local checkpoint unless a remote one is ahead by more
-    /// than this many total instances (state-transfer cost trade-off).
-    prefer_local_within: u64,
     seq: u64,
     phase: RecoveryPhase,
     replies: BTreeMap<ProcessId, Option<CheckpointId>>,
@@ -83,17 +85,12 @@ impl RecoveryManager {
     /// Creates a manager for a replica whose partition peers are `peers`
     /// (excluding the replica itself) and whose local durable checkpoint
     /// is `local`.
-    pub fn new(
-        peers: Vec<ProcessId>,
-        local: Option<CheckpointId>,
-        prefer_local_within: u64,
-    ) -> Self {
+    pub fn new(peers: Vec<ProcessId>, local: Option<CheckpointId>) -> Self {
         let quorum = peers.len().div_ceil(2) + 1;
         Self {
             peers,
             quorum,
             local,
-            prefer_local_within,
             seq: 0,
             phase: RecoveryPhase::Querying,
             replies: BTreeMap::new(),
@@ -151,7 +148,7 @@ impl RecoveryManager {
         let local_total = self.local.as_ref().map_or(0, CheckpointId::total_instances);
         match best_remote {
             Some((owner, remote))
-                if remote.total_instances() > local_total + self.prefer_local_within =>
+                if remote.total_instances() > local_total + PREFER_LOCAL_WITHIN =>
             {
                 self.phase = RecoveryPhase::Fetching;
                 self.seq += 1;
@@ -234,14 +231,12 @@ mod tests {
     fn ckpt(n: u64) -> CheckpointId {
         CheckpointId {
             marks: vec![(GroupId::new(0), InstanceId::new(n))],
-            cursor_group: 0,
-            cursor_used: 0,
         }
     }
 
     #[test]
     fn singleton_partition_uses_local() {
-        let mut m = RecoveryManager::new(vec![], Some(ckpt(5)), 0);
+        let mut m = RecoveryManager::new(vec![], Some(ckpt(5)));
         match m.start() {
             Err(Resolution::UseLocal(Some(c))) => assert_eq!(c, ckpt(5)),
             other => panic!("unexpected {other:?}"),
@@ -251,14 +246,14 @@ mod tests {
 
     #[test]
     fn fetches_newer_remote_checkpoint() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2)], Some(ckpt(5)), 0);
+        let mut m = RecoveryManager::new(vec![p(1), p(2)], Some(ckpt(5)));
         let step = m.start().unwrap();
         let RecoveryStep::Query { seq, peers } = step else {
             panic!()
         };
         assert_eq!(peers.len(), 2);
         // Quorum of partition {me,1,2} is 2 → one peer reply suffices.
-        let next = m.on_info(p(1), seq, Some(ckpt(50))).unwrap().unwrap();
+        let next = m.on_info(p(1), seq, Some(ckpt(5_000))).unwrap().unwrap();
         let RecoveryStep::Fetch {
             seq: fseq,
             from,
@@ -268,11 +263,11 @@ mod tests {
             panic!()
         };
         assert_eq!(from, p(1));
-        assert_eq!(id, ckpt(50));
-        let res = m.on_data(fseq, &ckpt(50), Some(Bytes::from_static(b"s")));
+        assert_eq!(id, ckpt(5_000));
+        let res = m.on_data(fseq, &ckpt(5_000), Some(Bytes::from_static(b"s")));
         match res {
             Some(Err(Resolution::Install { id, snapshot })) => {
-                assert_eq!(id, ckpt(50));
+                assert_eq!(id, ckpt(5_000));
                 assert_eq!(&snapshot[..], b"s");
             }
             other => panic!("unexpected {other:?}"),
@@ -281,20 +276,20 @@ mod tests {
 
     #[test]
     fn prefers_local_when_close_enough() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2)], Some(ckpt(45)), 10);
+        let mut m = RecoveryManager::new(vec![p(1), p(2)], Some(ckpt(4_000)));
         let RecoveryStep::Query { seq, .. } = m.start().unwrap() else {
             panic!()
         };
-        // Remote is ahead by 5 ≤ 10: stay local.
-        match m.on_info(p(1), seq, Some(ckpt(50))) {
-            Some(Err(Resolution::UseLocal(Some(c)))) => assert_eq!(c, ckpt(45)),
+        // Remote is ahead by 1 000 ≤ PREFER_LOCAL_WITHIN: stay local.
+        match m.on_info(p(1), seq, Some(ckpt(5_000))) {
+            Some(Err(Resolution::UseLocal(Some(c)))) => assert_eq!(c, ckpt(4_000)),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn no_remote_checkpoints_means_local_or_fresh() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2)], None, 0);
+        let mut m = RecoveryManager::new(vec![p(1), p(2)], None);
         let RecoveryStep::Query { seq, .. } = m.start().unwrap() else {
             panic!()
         };
@@ -306,12 +301,12 @@ mod tests {
 
     #[test]
     fn lost_snapshot_restarts_query() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2)], None, 0);
+        let mut m = RecoveryManager::new(vec![p(1), p(2)], None);
         let RecoveryStep::Query { seq, .. } = m.start().unwrap() else {
             panic!()
         };
         let RecoveryStep::Fetch { seq: fseq, id, .. } =
-            m.on_info(p(1), seq, Some(ckpt(9))).unwrap().unwrap()
+            m.on_info(p(1), seq, Some(ckpt(9_000))).unwrap().unwrap()
         else {
             panic!()
         };
@@ -324,7 +319,7 @@ mod tests {
 
     #[test]
     fn stale_and_foreign_replies_ignored() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2)], None, 0);
+        let mut m = RecoveryManager::new(vec![p(1), p(2)], None);
         let RecoveryStep::Query { seq, .. } = m.start().unwrap() else {
             panic!()
         };
@@ -334,7 +329,7 @@ mod tests {
 
     #[test]
     fn retry_targets_missing_peers() {
-        let mut m = RecoveryManager::new(vec![p(1), p(2), p(3), p(4)], None, 0);
+        let mut m = RecoveryManager::new(vec![p(1), p(2), p(3), p(4)], None);
         let RecoveryStep::Query { seq, .. } = m.start().unwrap() else {
             panic!()
         };

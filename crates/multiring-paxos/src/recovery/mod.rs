@@ -6,10 +6,9 @@
 //! different state sequences. The protocol pieces are:
 //!
 //! * [`CheckpointId`] — a replica checkpoint is identified by a *tuple* of
-//!   consensus instances, one entry per subscribed group, plus the
-//!   deterministic-merge cursor; Predicate 1 of the paper (monotonicity
-//!   along the round-robin delivery order) makes tuples of one partition
-//!   totally ordered.
+//!   consensus instances, one entry per subscribed group; Predicate 1 of
+//!   the paper (monotonicity along the round-robin delivery order) makes
+//!   tuples of one partition totally ordered.
 //! * [`trim::TrimCoordinator`] — the coordinator of a group periodically
 //!   collects checkpoint watermarks from a quorum `Q_T` of subscribed
 //!   replicas and authorizes acceptors to trim their logs up to the
@@ -32,8 +31,7 @@ use std::fmt;
 
 /// Identifies a replica checkpoint: for every subscribed group, the
 /// highest consensus instance whose effects are reflected in the
-/// checkpointed state, plus the position of the deterministic merge
-/// cursor at checkpoint time.
+/// checkpointed state.
 ///
 /// Within one partition (replicas with identical subscription sets),
 /// checkpoints are totally ordered (Predicate 1 of the paper):
@@ -43,12 +41,6 @@ pub struct CheckpointId {
     /// `(group, highest reflected instance)` pairs, sorted by group id
     /// (the round-robin order of the merge).
     pub marks: Vec<(GroupId, InstanceId)>,
-    /// Index (into the sorted group list) of the group the merge would
-    /// consume from next.
-    pub cursor_group: u32,
-    /// Instances already consumed from that group in the current
-    /// `M`-instance window.
-    pub cursor_used: u32,
 }
 
 impl CheckpointId {
@@ -56,9 +48,23 @@ impl CheckpointId {
     pub fn genesis(groups: &[GroupId]) -> Self {
         Self {
             marks: groups.iter().map(|&g| (g, InstanceId::ZERO)).collect(),
-            cursor_group: 0,
-            cursor_used: 0,
         }
+    }
+
+    /// Index (into `marks`) of the group the merge consumes from next.
+    ///
+    /// The merge takes one instance per group per turn in group order,
+    /// so at rest the groups before the cursor are one instance ahead of
+    /// the rest (Predicate 1): the cursor is the first group whose mark
+    /// is below the first group's, or group 0 when all marks are equal.
+    pub fn cursor(&self) -> usize {
+        let Some(&(_, first)) = self.marks.first() else {
+            return 0;
+        };
+        self.marks
+            .iter()
+            .position(|&(_, mark)| mark < first)
+            .unwrap_or(0)
     }
 
     /// The watermark for `group`, or [`InstanceId::ZERO`] if the group is
@@ -119,43 +125,6 @@ impl CheckpointId {
     pub fn total_instances(&self) -> u64 {
         self.marks.iter().map(|&(_, i)| i.value()).sum()
     }
-
-    /// Checks Predicate 1 of the paper: since the merge consumes groups
-    /// round-robin in group-id order, for any two subscribed groups
-    /// `x < y` the checkpoint must satisfy `k[x] >= k[y]` whenever both
-    /// groups have seen the same number of merge rounds.
-    ///
-    /// With `m` instances consumed per group per round, a valid cursor
-    /// position implies marks differ by at most `m` across groups and are
-    /// non-increasing... more precisely: groups before the cursor are one
-    /// window ahead. This verifies exactly that shape.
-    pub fn cursor_consistent(&self, m: u32) -> bool {
-        let m = u64::from(m);
-        if self.marks.is_empty() {
-            return self.cursor_group == 0 && self.cursor_used == 0;
-        }
-        if self.cursor_group as usize >= self.marks.len() || u64::from(self.cursor_used) > m {
-            return false;
-        }
-        // Let r be the number of completed windows of the cursor group.
-        let cg = self.cursor_group as usize;
-        let r = (self.marks[cg]
-            .1
-            .value()
-            .saturating_sub(u64::from(self.cursor_used)))
-            / m;
-        for (i, &(_, mark)) in self.marks.iter().enumerate() {
-            let expect = match i.cmp(&cg) {
-                Ordering::Less => (r + 1) * m,
-                Ordering::Equal => r * m + u64::from(self.cursor_used),
-                Ordering::Greater => r * m,
-            };
-            if mark.value() != expect {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl fmt::Display for CheckpointId {
@@ -167,7 +136,7 @@ impl fmt::Display for CheckpointId {
             }
             write!(f, "{}:{}", g.value(), inst.value())?;
         }
-        write!(f, "]@{}+{}", self.cursor_group, self.cursor_used)
+        write!(f, "]")
     }
 }
 
@@ -179,14 +148,12 @@ mod tests {
         GroupId::new(i)
     }
 
-    fn ckpt(marks: &[(u16, u64)], cg: u32, cu: u32) -> CheckpointId {
+    fn ckpt(marks: &[(u16, u64)]) -> CheckpointId {
         CheckpointId {
             marks: marks
                 .iter()
                 .map(|&(gr, i)| (g(gr), InstanceId::new(i)))
                 .collect(),
-            cursor_group: cg,
-            cursor_used: cu,
         }
     }
 
@@ -197,13 +164,13 @@ mod tests {
         assert_eq!(c.mark_of(g(1)), InstanceId::ZERO);
         assert_eq!(c.mark_of(g(9)), InstanceId::ZERO);
         assert_eq!(c.total_instances(), 0);
-        assert!(c.cursor_consistent(1));
+        assert_eq!(c.cursor(), 0);
     }
 
     #[test]
     fn domination_and_total_order() {
-        let a = ckpt(&[(0, 5), (1, 5)], 0, 0);
-        let b = ckpt(&[(0, 6), (1, 5)], 1, 0);
+        let a = ckpt(&[(0, 5), (1, 5)]);
+        let b = ckpt(&[(0, 6), (1, 5)]);
         assert!(b.dominates(&a));
         assert!(!a.dominates(&b));
         assert_eq!(a.cmp_total(&b), Ordering::Less);
@@ -213,8 +180,8 @@ mod tests {
 
     #[test]
     fn different_partitions_do_not_dominate() {
-        let a = ckpt(&[(0, 5)], 0, 0);
-        let b = ckpt(&[(0, 5), (1, 5)], 0, 0);
+        let a = ckpt(&[(0, 5)]);
+        let b = ckpt(&[(0, 5), (1, 5)]);
         assert!(!a.same_partition(&b));
         assert!(!a.dominates(&b));
         assert!(!b.dominates(&a));
@@ -222,35 +189,29 @@ mod tests {
 
     #[test]
     fn predicate1_shape_m1() {
-        // With M = 1 and groups (0, 1): valid states alternate.
-        assert!(ckpt(&[(0, 0), (1, 0)], 0, 0).cursor_consistent(1));
-        assert!(ckpt(&[(0, 1), (1, 0)], 1, 0).cursor_consistent(1));
-        assert!(ckpt(&[(0, 1), (1, 1)], 0, 0).cursor_consistent(1));
-        assert!(ckpt(&[(0, 2), (1, 1)], 1, 0).cursor_consistent(1));
-        // k[0] < k[1] violates Predicate 1.
-        assert!(!ckpt(&[(0, 0), (1, 1)], 0, 0).cursor_consistent(1));
-        // Jumping two ahead violates the round-robin shape.
-        assert!(!ckpt(&[(0, 2), (1, 0)], 1, 0).cursor_consistent(1));
-    }
-
-    #[test]
-    fn predicate1_shape_m3_mid_window() {
-        // M = 3, cursor inside group 1's window: group 0 finished its
-        // window (6 = 2 rounds * 3), group 1 consumed 3 + 2.
-        let c = ckpt(&[(0, 6), (1, 5)], 1, 2);
-        assert!(c.cursor_consistent(3));
-        assert!(!c.cursor_consistent(1));
+        // One instance per group per turn, groups (0, 1): the cursor
+        // alternates as the marks do.
+        assert_eq!(ckpt(&[(0, 0), (1, 0)]).cursor(), 0);
+        assert_eq!(ckpt(&[(0, 1), (1, 0)]).cursor(), 1);
+        assert_eq!(ckpt(&[(0, 1), (1, 1)]).cursor(), 0);
+        assert_eq!(ckpt(&[(0, 2), (1, 1)]).cursor(), 1);
+        // Three groups: the first one behind the leaders is next.
+        assert_eq!(ckpt(&[(0, 4), (1, 4), (2, 3)]).cursor(), 2);
     }
 
     #[test]
     fn cursor_bounds_checked() {
-        assert!(!ckpt(&[(0, 0)], 1, 0).cursor_consistent(1));
-        assert!(!ckpt(&[(0, 0)], 0, 5).cursor_consistent(1));
+        // The derived cursor always indexes `marks` (or is 0 without
+        // any), even for marks the merge never produces.
+        assert_eq!(CheckpointId::default().cursor(), 0);
+        assert_eq!(ckpt(&[(0, 7)]).cursor(), 0);
+        assert_eq!(ckpt(&[(0, 0), (1, 1)]).cursor(), 0);
+        assert_eq!(ckpt(&[(0, 2), (1, 2), (2, 0)]).cursor(), 2);
     }
 
     #[test]
     fn display_is_compact() {
-        let c = ckpt(&[(0, 5), (1, 4)], 1, 0);
-        assert_eq!(c.to_string(), "ckpt[0:5,1:4]@1+0");
+        let c = ckpt(&[(0, 5), (1, 4)]);
+        assert_eq!(c.to_string(), "ckpt[0:5,1:4]");
     }
 }

@@ -2,10 +2,11 @@
 //! proptest over randomized inputs and schedules.
 
 use bytes::Bytes;
-use multiring_paxos::multiring::Merger;
-use multiring_paxos::recovery::CheckpointId;
+use multiring_paxos::multiring::{MergeDelivery, Merger};
 use multiring_paxos::types::{ConsensusValue, GroupId, InstanceId, ProcessId, Value, ValueId};
 use proptest::prelude::*;
+
+type Stream = Vec<(InstanceId, ConsensusValue)>;
 
 fn value(group: u16, proposer: u32, seq: u64) -> ConsensusValue {
     ConsensusValue::Values(vec![Value::new(
@@ -17,7 +18,7 @@ fn value(group: u16, proposer: u32, seq: u64) -> ConsensusValue {
 
 /// Builds per-group decision streams: group g gets `lens[g]` instances,
 /// a pseudo-random subset of which are skips.
-fn streams(lens: &[u8], skip_mask: u64) -> Vec<Vec<(InstanceId, ConsensusValue)>> {
+fn streams(lens: &[u8], skip_mask: u64) -> Vec<Stream> {
     lens.iter()
         .enumerate()
         .map(|(g, &len)| {
@@ -35,6 +36,28 @@ fn streams(lens: &[u8], skip_mask: u64) -> Vec<Vec<(InstanceId, ConsensusValue)>
         .collect()
 }
 
+/// A merge over one group per stream.
+fn merger(streams: &[Stream]) -> Merger {
+    Merger::new((0..streams.len() as u16).map(GroupId::new).collect())
+}
+
+/// Pushes, group by group, every instance of `streams` that `keep` selects.
+fn feed(m: &mut Merger, streams: &[Stream], keep: impl Fn(GroupId, InstanceId) -> bool) {
+    for (g, s) in streams.iter().enumerate() {
+        let g = GroupId::new(g as u16);
+        for (i, cv) in s.iter().filter(|(i, _)| keep(g, *i)) {
+            m.push(g, *i, 1, cv.clone());
+        }
+    }
+}
+
+/// What the merge delivered, in order.
+fn order(out: &[MergeDelivery]) -> Vec<(GroupId, InstanceId, ValueId)> {
+    out.iter()
+        .map(|d| (d.group, d.instance, d.value.id))
+        .collect()
+}
+
 proptest! {
     /// Determinism: for any pair of arrival interleavings of the same
     /// per-ring streams, two mergers deliver identical sequences.
@@ -43,23 +66,16 @@ proptest! {
         lens in proptest::collection::vec(1u8..40, 2..4),
         skip_mask in any::<u64>(),
         order_seed in any::<u64>(),
-        m in 1u32..4,
     ) {
-        let groups: Vec<GroupId> = (0..lens.len() as u16).map(GroupId::new).collect();
         let streams = streams(&lens, skip_mask);
 
         // Merger A: strictly group by group.
-        let mut a = Merger::new(groups.clone(), m);
-        let mut out_a = Vec::new();
-        for (g, s) in streams.iter().enumerate() {
-            for (i, cv) in s {
-                a.push(GroupId::new(g as u16), *i, 1, cv.clone());
-                out_a.extend(a.poll());
-            }
-        }
+        let mut a = merger(&streams);
+        feed(&mut a, &streams, |_, _| true);
+        let out_a = a.poll();
 
         // Merger B: pseudo-random round-robin interleaving.
-        let mut b = Merger::new(groups, m);
+        let mut b = merger(&streams);
         let mut out_b = Vec::new();
         let mut cursors = vec![0usize; streams.len()];
         let mut state = order_seed | 1;
@@ -74,32 +90,41 @@ proptest! {
             }
         }
 
-        let key = |d: &multiring_paxos::multiring::MergeDelivery| (d.group, d.instance, d.value.id);
-        prop_assert_eq!(
-            out_a.iter().map(key).collect::<Vec<_>>(),
-            out_b.iter().map(key).collect::<Vec<_>>()
-        );
+        prop_assert_eq!(order(&out_a), order(&out_b));
     }
 
-    /// The merge cursor always satisfies Predicate 1 of the paper
-    /// (checkpoint tuples are cursor-consistent at every point).
+    /// Predicate 1 of the paper at every point: the marks are
+    /// non-increasing in group order and at most one apart, and the
+    /// cursor derived from them names the group the merge consumes from
+    /// next.
     #[test]
     fn merge_watermarks_always_satisfy_predicate1(
         lens in proptest::collection::vec(1u8..30, 2..4),
         skip_mask in any::<u64>(),
-        m in 1u32..4,
     ) {
-        let groups: Vec<GroupId> = (0..lens.len() as u16).map(GroupId::new).collect();
         let streams = streams(&lens, skip_mask);
-        let mut merger = Merger::new(groups, m);
+        let mut merger = merger(&streams);
         for (g, s) in streams.iter().enumerate() {
             for (i, cv) in s {
+                let before = merger.watermarks();
                 merger.push(GroupId::new(g as u16), *i, 1, cv.clone());
                 merger.poll();
                 let w = merger.watermarks();
+                let marks: Vec<u64> = w.marks.iter().map(|&(_, k)| k.value()).collect();
                 prop_assert!(
-                    w.cursor_consistent(m),
-                    "inconsistent watermark {w} with M={m}"
+                    marks.windows(2).all(|p| p[0] >= p[1])
+                        && marks[0] <= marks[marks.len() - 1] + 1,
+                    "watermark {w} breaks the round-robin shape"
+                );
+                // The poll took one instance per group per turn from the
+                // cursor on: read round the groups from there, none
+                // advanced further than the one before it.
+                let mut advanced: Vec<u64> =
+                    marks.iter().zip(&before.marks).map(|(&k, b)| k - b.1.value()).collect();
+                advanced.rotate_left(before.cursor());
+                prop_assert!(
+                    advanced.windows(2).all(|p| p[0] >= p[1]),
+                    "{before} -> {w}: the merge did not start at group {}", before.cursor()
                 );
             }
         }
@@ -109,64 +134,41 @@ proptest! {
     /// intermediate checkpoint resumes at exactly the same position.
     #[test]
     fn merge_install_resumes_identically(
-        lens in proptest::collection::vec(5u8..30, 2..3),
+        lens in proptest::collection::vec(5u8..30, 2..5),
         skip_mask in any::<u64>(),
-        cut in 1u8..5,
+        cuts in proptest::collection::vec(1u64..5, 4..5),
     ) {
-        let groups: Vec<GroupId> = (0..lens.len() as u16).map(GroupId::new).collect();
         let streams = streams(&lens, skip_mask);
-        // Feed only a prefix, checkpoint, then feed the rest to both the
-        // original and a freshly installed merger.
-        let mut original = Merger::new(groups.clone(), 1);
-        for (g, s) in streams.iter().enumerate() {
-            for (i, cv) in s.iter().take(usize::from(cut)) {
-                original.push(GroupId::new(g as u16), *i, 1, cv.clone());
-            }
-        }
+        // Feed each group a prefix of its own length, so the merge stops
+        // at any cursor position, checkpoint, then feed the rest to both
+        // the original and a freshly installed merger.
+        let mut original = merger(&streams);
+        feed(&mut original, &streams, |g, i| i.value() <= cuts[usize::from(g.value())]);
         original.poll();
         let ckpt = original.watermarks();
-        let mut restored = Merger::new(groups, 1);
+        let mut restored = merger(&streams);
         restored.install(&ckpt);
         prop_assert_eq!(restored.watermarks(), ckpt.clone());
 
-        let mut out_orig = Vec::new();
-        let mut out_rest = Vec::new();
-        for (g, s) in streams.iter().enumerate() {
-            for (i, cv) in s {
-                // Feed everything after each merger's own watermark.
-                if i.value() > ckpt.mark_of(GroupId::new(g as u16)).value() {
-                    original.push(GroupId::new(g as u16), *i, 1, cv.clone());
-                    restored.push(GroupId::new(g as u16), *i, 1, cv.clone());
-                }
-            }
-        }
-        out_orig.extend(original.poll());
-        out_rest.extend(restored.poll());
-        let key = |d: &multiring_paxos::multiring::MergeDelivery| (d.group, d.instance, d.value.id);
-        prop_assert_eq!(
-            out_orig.iter().map(key).collect::<Vec<_>>(),
-            out_rest.iter().map(key).collect::<Vec<_>>()
-        );
+        // Feed everything after the checkpoint to both.
+        feed(&mut original, &streams, |g, i| i > ckpt.mark_of(g));
+        feed(&mut restored, &streams, |g, i| i > ckpt.mark_of(g));
+        prop_assert_eq!(order(&original.poll()), order(&restored.poll()));
     }
 
-    /// Checkpoint total order (Predicate 1 consequence): any two valid
-    /// cursor-consistent checkpoints over the same groups are comparable.
+    /// Checkpoint total order (Predicate 1 consequence): any two
+    /// checkpoints the merge produces over the same groups are comparable.
     #[test]
     fn valid_checkpoints_are_totally_ordered(
         lens in proptest::collection::vec(10u8..40, 2..3),
         skip_mask in any::<u64>(),
-        cut_a in 1u8..9,
-        cut_b in 1u8..9,
+        cut_a in 1u64..9,
+        cut_b in 1u64..9,
     ) {
-        let groups: Vec<GroupId> = (0..lens.len() as u16).map(GroupId::new).collect();
         let streams = streams(&lens, skip_mask);
-        let snapshot_at = |cut: u8| -> CheckpointId {
-            let mut m = Merger::new(groups.clone(), 1);
-            for (g, s) in streams.iter().enumerate() {
-                for (i, cv) in s.iter().take(usize::from(cut)) {
-                    m.push(GroupId::new(g as u16), *i, 1, cv.clone());
-                }
-            }
+        let snapshot_at = |cut: u64| {
+            let mut m = merger(&streams);
+            feed(&mut m, &streams, |_, i| i.value() <= cut);
             m.poll();
             m.watermarks()
         };
