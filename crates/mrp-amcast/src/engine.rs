@@ -15,7 +15,7 @@ use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::{MulticastError, Node};
 use multiring_paxos::paxos::AcceptorRecovery;
-use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, ValueId};
+use multiring_paxos::types::{GroupId, ProcessId, Time, ValueId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -360,9 +360,9 @@ impl EngineKind {
 
     /// Builds an engine of this kind for process `me` over `config`.
     ///
-    /// Both engines consume the same [`ClusterConfig`]: groups, the
-    /// group→ring mapping (wbcast treats each ring as a replica set
-    /// whose coordinator is the group's sequencer), roles and learner
+    /// Both engines consume the same [`ClusterConfig`]: one ring per
+    /// group (wbcast treats it as the group's replica set, whose
+    /// coordinator is the group's sequencer), roles and learner
     /// subscriptions. Nothing else configures the result: how a client
     /// request is submitted is [`AnyEngine`]'s decision per request.
     pub fn build(self, me: ProcessId, config: ClusterConfig) -> AnyEngine {
@@ -385,7 +385,7 @@ impl EngineKind {
         self,
         me: ProcessId,
         config: ClusterConfig,
-        acceptor_logs: BTreeMap<RingId, AcceptorRecovery>,
+        acceptor_logs: BTreeMap<GroupId, AcceptorRecovery>,
     ) -> AnyEngine {
         AnyEngine::new(match self {
             EngineKind::MultiRing => {
@@ -863,7 +863,7 @@ pub(crate) mod tests {
                 e.on_event(
                     Time::from_micros(20),
                     Event::MembershipChange {
-                        ring: RingId::new(0),
+                        ring: GroupId::new(0),
                         down: vec![ProcessId::new(2)],
                     },
                 );
@@ -890,7 +890,7 @@ pub(crate) mod tests {
             Event::Message {
                 from: ProcessId::new(0),
                 msg: Message::RetransmitReply {
-                    ring: RingId::new(0),
+                    ring: GroupId::new(0),
                     decided: Vec::new(),
                     trimmed: InstanceId::new(6),
                 },
@@ -925,12 +925,12 @@ pub(crate) mod tests {
         };
         let mut b = ClusterConfig::builder();
         for g in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(g)).tuning(tuning);
+            let mut spec = RingSpec::new(GroupId::new(g)).tuning(tuning);
             for p in 0..3u32 {
                 spec = spec.member(ProcessId::new((p + u32::from(g)) % 3), Roles::ALL);
                 b = b.subscribe(ProcessId::new(p), GroupId::new(g));
             }
-            b = b.ring(spec).group(GroupId::new(g), RingId::new(g));
+            b = b.ring(spec);
         }
         b.build().expect("two-group config")
     }

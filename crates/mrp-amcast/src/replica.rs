@@ -79,7 +79,7 @@ use multiring_paxos::event::{
 use multiring_paxos::paxos::AcceptorRecovery;
 use multiring_paxos::recovery::{RecoveryManager, RecoveryStep, Resolution};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{InstanceId, ProcessId, RingId, Time};
+use multiring_paxos::types::{GroupId, InstanceId, ProcessId, Time};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -231,7 +231,7 @@ impl<A: Application> EngineReplica<A> {
         config: ClusterConfig,
         app: A,
         policy: CheckpointPolicy,
-        acceptor_logs: BTreeMap<RingId, AcceptorRecovery>,
+        acceptor_logs: BTreeMap<GroupId, AcceptorRecovery>,
         checkpoint: Option<(Watermark, Bytes)>,
     ) -> Self {
         let peers = config
@@ -952,7 +952,7 @@ mod tests {
         recovered.on_event(
             Time::from_millis(4),
             Event::CoordinatorChange {
-                ring: multiring_paxos::types::RingId::new(0),
+                ring: multiring_paxos::types::GroupId::new(0),
                 coordinator: ProcessId::new(0),
                 supersedes: multiring_paxos::types::Ballot::ZERO,
             },
@@ -964,7 +964,7 @@ mod tests {
         recovered.on_event(Time::from_millis(5), request(b"c", 3));
         recovered.on_event(
             Time::from_secs(2),
-            Event::Timer(TimerKind::Delta(multiring_paxos::types::RingId::new(0))),
+            Event::Timer(TimerKind::Delta(multiring_paxos::types::GroupId::new(0))),
         );
         assert_eq!(recovered.app().log, b"abc".to_vec());
     }
@@ -977,10 +977,10 @@ mod tests {
             lambda: 0,
             ..RingTuning::default()
         };
-        let mut spec = RingSpec::new(RingId::new(0))
+        let mut spec = RingSpec::new(GroupId::new(0))
             .tuning(quiet)
             .member(ProcessId::new(0), Roles::ALL);
-        let mut builder = ClusterConfig::builder().group(GroupId::new(0), RingId::new(0));
+        let mut builder = ClusterConfig::builder();
         for p in (0..3).map(ProcessId::new) {
             if p.value() > 0 {
                 spec = spec.member(p, Roles::LEARNER);

@@ -4,7 +4,7 @@
 //! ## Message flow
 //!
 //! Each multicast group has one *sequencer*: the coordinator of the
-//! ring the group maps to in the [`ClusterConfig`]. The sequencer role
+//! group's ring in the [`ClusterConfig`]. The sequencer role
 //! is **fault-tolerant**: when the coordination service designates a
 //! new ring coordinator ([`Event::CoordinatorChange`]), the group's
 //! sequencer moves with it — see *Sequencer failover* below.
@@ -209,7 +209,7 @@ use multiring_paxos::config::ClusterConfig;
 use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::MulticastError;
-use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 use recovery::OrphanRound;
 use rounds::Inflight;
 use sequencer::Sequencer;
@@ -285,12 +285,14 @@ pub struct WbcastNode {
     led: BTreeMap<GroupId, Sequencer>,
     /// Groups this process subscribes to.
     subs: BTreeMap<GroupId, Subscription>,
-    /// The believed current coordinator (= sequencer host) per ring,
-    /// maintained from [`Event::CoordinatorChange`] notifications.
-    coordinators: BTreeMap<RingId, ProcessId>,
-    /// Highest sequencer epoch known per ring (observed on frames or
-    /// used by a local takeover); a takeover uses the next epoch.
-    ring_epochs: BTreeMap<RingId, u32>,
+    /// The believed current coordinator (= sequencer host) of each
+    /// group's ring, maintained from [`Event::CoordinatorChange`]
+    /// notifications.
+    coordinators: BTreeMap<GroupId, ProcessId>,
+    /// Highest sequencer epoch known per group (observed on frames, the
+    /// election round, or used by a local takeover); a takeover uses the
+    /// next epoch.
+    epochs: BTreeMap<GroupId, u32>,
     /// Highest timestamp observed per group, from any frame touching
     /// that group's clock: the takeover resume point.
     observed: BTreeMap<GroupId, u64>,
@@ -315,17 +317,17 @@ pub struct WbcastNode {
     /// are excluded from the checkpoint prune floor, and their
     /// in-flight multi-group rounds are recovered without waiting for
     /// the orphan timeout.
-    down: BTreeMap<RingId, BTreeSet<ProcessId>>,
+    down: BTreeMap<GroupId, BTreeSet<ProcessId>>,
     /// A restarted process whose [`AmcastEngine::resume`] has not run
     /// yet: its streams are held like resyncing ones, but no `Resync` is
     /// outstanding — the replay position is only known once the replica
     /// has chosen the checkpoint to recover from.
     awaiting_resume: bool,
-    /// Rings with a live Δ heartbeat timer (avoids double-arming when a
-    /// resigned ring is re-acquired before its old timer fired).
-    delta_armed: BTreeSet<RingId>,
-    /// Rings with a live retry timer.
-    retry_armed: BTreeSet<RingId>,
+    /// Groups with a live Δ heartbeat timer (avoids double-arming when a
+    /// resigned group is re-acquired before its old timer fired).
+    delta_armed: BTreeSet<GroupId>,
+    /// Groups with a live retry timer.
+    retry_armed: BTreeSet<GroupId>,
     /// Per-proposer sequence numbers for [`ValueId`] assignment.
     next_seq: u64,
     /// Phase-level metrics and the protocol-event trace ring.
@@ -382,16 +384,12 @@ impl WbcastNode {
     fn build(me: ProcessId, config: ClusterConfig, recovering: bool) -> Self {
         let mut led = BTreeMap::new();
         let mut coordinators = BTreeMap::new();
-        for (&group, &ring_id) in config.groups() {
-            let ring = config.ring(ring_id).expect("validated config");
-            coordinators.insert(ring_id, ring.coordinator());
+        for (&group, ring) in config.rings() {
+            coordinators.insert(group, ring.coordinator());
             if !recovering && ring.coordinator() == me {
                 let subscribers = config.subscribers_of(group);
                 let delta_us = ring.tuning().delta_us;
-                led.insert(
-                    group,
-                    Sequencer::new(ring_id, delta_us, 0, 1, None, subscribers),
-                );
+                led.insert(group, Sequencer::new(delta_us, 0, 1, None, subscribers));
             }
         }
         let subs = config
@@ -411,7 +409,7 @@ impl WbcastNode {
             led,
             subs,
             coordinators,
-            ring_epochs: BTreeMap::new(),
+            epochs: BTreeMap::new(),
             observed: BTreeMap::new(),
             delivered_ids: BTreeMap::new(),
             inflight: BTreeMap::new(),
@@ -465,7 +463,7 @@ impl WbcastNode {
             led,
             subs,
             coordinators,
-            ring_epochs,
+            epochs,
             observed,
             delivered_ids,
             inflight,
@@ -485,7 +483,7 @@ impl WbcastNode {
         } = self;
         let mut h = Fnv1a::new();
         // (Tuples implement `Hash` up to twelve fields.)
-        (me, led, subs, coordinators, ring_epochs, observed).hash(&mut h);
+        (me, led, subs, coordinators, epochs, observed).hash(&mut h);
         (delivered_ids, inflight, orphans, down).hash(&mut h);
         (awaiting_resume, delta_armed, retry_armed, next_seq).hash(&mut h);
         h.finish()
@@ -519,8 +517,7 @@ impl WbcastNode {
     /// The believed current sequencer of `group`: the coordinator the
     /// coordination service last announced for the group's ring.
     fn sequencer_of(&self, group: GroupId) -> Option<ProcessId> {
-        let ring = self.config.ring_of_group(group)?;
-        self.coordinators.get(&ring).copied()
+        self.coordinators.get(&group).copied()
     }
 
     /// Records a timestamp exposed for `group` (the takeover resume
@@ -530,17 +527,10 @@ impl WbcastNode {
         *o = (*o).max(ts);
     }
 
-    /// Records a sequencer epoch seen for `group`'s ring.
-    fn note_epoch(&mut self, group: GroupId, epoch: u32) {
-        if let Some(ring) = self.config.ring_of_group(group) {
-            self.note_ring_epoch(ring, epoch);
-        }
-    }
-
-    /// Records an epoch floor for `ring` (observed on a frame, or the
+    /// Records an epoch floor for `group` (observed on a frame, or the
     /// coordination service's election round).
-    fn note_ring_epoch(&mut self, ring: RingId, epoch: u32) {
-        let e = self.ring_epochs.entry(ring).or_insert(0);
+    fn note_epoch(&mut self, group: GroupId, epoch: u32) {
+        let e = self.epochs.entry(group).or_insert(0);
         *e = (*e).max(epoch);
     }
 
@@ -669,15 +659,10 @@ impl WbcastNode {
     }
 
     fn on_start(&mut self, out: &mut Vec<Action>) {
-        // One Δ timer per distinct ring this process sequences groups
-        // of (several groups may share a ring), in ring order.
-        let rings: BTreeMap<RingId, u64> = self
-            .led
-            .values()
-            .map(|seq| (seq.ring, seq.delta_us))
-            .collect();
-        for (ring, delta_us) in rings {
-            self.arm_delta(ring, delta_us, out);
+        // One Δ timer per group this process sequences, in group order.
+        let led: Vec<(GroupId, u64)> = self.led.iter().map(|(&g, s)| (g, s.delta_us)).collect();
+        for (group, delta_us) in led {
+            self.arm_delta(group, delta_us, out);
         }
     }
 }
@@ -689,7 +674,7 @@ impl StateMachine for WbcastNode {
             Event::Start => self.on_start(&mut out),
             Event::Message { from, msg } => self.dispatch_message(now, from, msg, &mut out),
             Event::Timer(TimerKind::Delta(ring)) => self.heartbeat_tick(now, ring, &mut out),
-            Event::Timer(TimerKind::ProposalResend(ring)) => self.retry_ring(now, ring, &mut out),
+            Event::Timer(TimerKind::ProposalResend(ring)) => self.retry_group(now, ring, &mut out),
             Event::CoordinatorChange {
                 ring,
                 coordinator,

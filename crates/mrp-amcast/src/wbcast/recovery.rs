@@ -74,7 +74,7 @@ use super::sequencer::Proposal;
 use super::wire::{OrphanSt, WbMessage};
 use super::{WbcastNode, ORPHAN_DELTAS};
 use multiring_paxos::event::Action;
-use multiring_paxos::types::{Ballot, GroupId, ProcessId, RingId, Time, Value, ValueId};
+use multiring_paxos::types::{Ballot, GroupId, ProcessId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A recovery round this process runs on behalf of a presumed-crashed
@@ -126,7 +126,7 @@ fn orphan_timeout(delta_us: u64) -> u64 {
 /// about a shared member; erring toward "down" only advances a prune
 /// floor, and a wrongly-pruned-past subscriber is still answered with an
 /// explicit truncation, never a silent gap).
-pub(super) fn down_union(down: &BTreeMap<RingId, BTreeSet<ProcessId>>) -> BTreeSet<ProcessId> {
+pub(super) fn down_union(down: &BTreeMap<GroupId, BTreeSet<ProcessId>>) -> BTreeSet<ProcessId> {
     down.values().flatten().copied().collect()
 }
 
@@ -191,20 +191,19 @@ impl WbcastNode {
 
     /// Kicks off recovery for every pending proposal of this process's
     /// sequencers that matches `orphaned` (called with the proposal's
-    /// ring, its ring's Δ, the value id, and the proposal itself).
+    /// group, its ring's Δ, the value id, and the proposal itself).
     /// Matched proposals get their liveness clock reset — a recovery
     /// attempt is progress — before the exchange starts.
     fn kick_orphans(
         &mut self,
         now: Time,
         out: &mut Vec<Action>,
-        mut orphaned: impl FnMut(RingId, u64, ValueId, &Proposal) -> bool,
+        mut orphaned: impl FnMut(GroupId, u64, ValueId, &Proposal) -> bool,
     ) {
         let mut stale: Vec<(ValueId, Value, Vec<GroupId>)> = Vec::new();
-        for seq in self.led.values_mut() {
-            let (ring, delta_us) = (seq.ring, seq.delta_us);
+        for (&group, seq) in &mut self.led {
             for (&id, p) in &mut seq.state.pending {
-                if orphaned(ring, delta_us, id, p) {
+                if orphaned(group, seq.delta_us, id, p) {
                     p.since = now;
                     stale.push((id, p.value.clone(), p.groups.clone()));
                 }
@@ -228,17 +227,17 @@ impl WbcastNode {
         self.kick_orphans(now, out, |_, _, id, _| suspects.contains(&id.proposer));
     }
 
-    /// The Δ-paced backstop: proposals of the led groups of `ring`
-    /// whose initiator has shown no sign of life for
+    /// The Δ-paced backstop: proposals of the led `group` whose
+    /// initiator has shown no sign of life for
     /// [`ORPHAN_DELTAS`] × Δ are presumed orphaned and recovered. This
     /// catches what no crash notification can: initiators that are not
     /// ring members anywhere, lost notifications, recovery exchanges
     /// that themselves lost frames, and recoverers that died after
     /// fencing a proposal (the proposal is still pending, so the scan
     /// simply fires again).
-    pub(super) fn scan_orphans(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
-        self.kick_orphans(now, out, |r, delta_us, _, p| {
-            r == ring && now.since(p.since) >= orphan_timeout(delta_us)
+    pub(super) fn scan_orphans(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
+        self.kick_orphans(now, out, |g, delta_us, _, p| {
+            g == group && now.since(p.since) >= orphan_timeout(delta_us)
         });
     }
 
@@ -464,7 +463,7 @@ impl WbcastNode {
     pub(super) fn on_membership_change(
         &mut self,
         now: Time,
-        ring: RingId,
+        ring: GroupId,
         down: Vec<ProcessId>,
         out: &mut Vec<Action>,
     ) {
@@ -483,15 +482,15 @@ impl WbcastNode {
         self.recover_orphans_of(now, &down_set, out);
     }
 
-    /// The coordination service designated `coordinator` for `ring`:
-    /// sequencer handover. The named process adopts every group of the
-    /// ring at a safe resume point; everyone else drops any sequencer
-    /// state it held for them, voids acks obtained from the previous
-    /// sequencer, and re-runs its interrupted rounds.
+    /// The coordination service designated `coordinator` for `group`'s
+    /// ring: sequencer handover. The named process adopts the group at
+    /// a safe resume point; everyone else drops any sequencer state it
+    /// held for it, voids acks obtained from the previous sequencer, and
+    /// re-runs its interrupted rounds.
     pub(super) fn on_coordinator_change(
         &mut self,
         now: Time,
-        ring: RingId,
+        group: GroupId,
         coordinator: ProcessId,
         supersedes: Ballot,
         out: &mut Vec<Action>,
@@ -499,65 +498,49 @@ impl WbcastNode {
         // The election round is the authoritative epoch floor: two
         // successive coordinators that never observed each other's
         // frames would otherwise mint colliding epochs.
-        self.note_ring_epoch(ring, supersedes.round());
+        self.note_epoch(group, supersedes.round());
         let deposed = self
             .coordinators
-            .insert(ring, coordinator)
+            .insert(group, coordinator)
             .filter(|&old| old != coordinator);
-        let groups: Vec<GroupId> = self
-            .config
-            .groups()
-            .iter()
-            .filter(|&(_, &r)| r == ring)
-            .map(|(&g, _)| g)
-            .collect();
-        if groups.is_empty() {
+        if self.config.ring(group).is_none() {
             return;
         }
         if coordinator == self.me {
-            self.take_over(now, ring, &groups, out);
+            self.take_over(now, group, out);
         } else {
-            self.resign(now, &groups);
+            self.resign(now, group);
         }
         // Subscriber side: an unanswered resync addressed to the
         // deposed sequencer would hold deliveries forever — re-issue it
         // to the new one (which answers from whatever history it has,
         // then terminates the hold). Before `resume` there is none to
         // re-issue.
-        let resyncs: Vec<(GroupId, u64)> = groups
-            .iter()
-            .filter_map(|&g| {
-                self.subs
-                    .get(&g)
-                    .filter(|s| s.resyncing && !self.awaiting_resume)
-                    .map(|s| (g, s.floor))
-            })
-            .collect();
-        for (g, from_ts) in resyncs {
-            self.route(
-                now,
-                coordinator,
-                WbMessage::Resync { group: g, from_ts },
-                out,
-            );
+        let resync = self
+            .subs
+            .get(&group)
+            .filter(|s| s.resyncing && !self.awaiting_resume)
+            .map(|s| s.floor);
+        if let Some(from_ts) = resync {
+            self.route(now, coordinator, WbMessage::Resync { group, from_ts }, out);
         }
         // Initiator side: acknowledgements from the deposed sequencer
         // are void. Re-run each affected round against the new one
         // immediately (and keep the retry timer as backstop).
         for entry in self.inflight.values_mut() {
-            for g in groups.iter().filter(|g| entry.groups.contains(g)) {
-                entry.released.remove(g);
+            if entry.groups.contains(&group) {
+                entry.released.remove(&group);
                 if entry.final_ts.is_none() {
-                    entry.acks.remove(g);
+                    entry.acks.remove(&group);
                 }
             }
         }
-        self.probe_ring(now, ring, out);
+        self.probe_group(now, group, out);
         // Orphan recovery fast paths. The election usually means the
         // previous coordinator crashed: rounds it *initiated* are
         // recovered immediately wherever this process holds their
-        // proposals. And outstanding recovery rounds that address one
-        // of this ring's groups re-run with a fresh attempt, so queries
+        // proposals. And outstanding recovery rounds that address the
+        // group re-run with a fresh attempt, so queries
         // stranded at the deposed sequencer re-route to its successor
         // (the attempt bump fences any late answer the deposed one
         // still sends).
@@ -568,7 +551,7 @@ impl WbcastNode {
         let stuck: Vec<ValueId> = self
             .orphans
             .iter()
-            .filter(|(_, r)| r.groups.iter().any(|g| groups.contains(g)))
+            .filter(|(_, r)| r.groups.contains(&group))
             .map(|(&id, _)| id)
             .collect();
         for id in stuck {

@@ -29,7 +29,7 @@ use super::{WbcastNode, RETRY_DELTAS};
 use bytes::Bytes;
 use multiring_paxos::event::{Action, TimerKind};
 use multiring_paxos::node::MulticastError;
-use multiring_paxos::types::{GroupId, RingId, Time, Value, ValueId};
+use multiring_paxos::types::{GroupId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The state an initiator keeps per locally submitted value until every
@@ -48,7 +48,7 @@ pub(super) struct Inflight {
     /// re-proposals are answered by re-issuing this decision.
     pub(super) final_ts: Option<u64>,
     /// Groups that confirmed release (`FinalAck`). A `CoordinatorChange`
-    /// voids the confirmation of that ring's groups.
+    /// voids the confirmation of that ring's group.
     pub(super) released: BTreeSet<GroupId>,
     /// Whether γ contains a locally subscribed group (the value then
     /// counts toward `backlog()` until delivered locally).
@@ -77,14 +77,11 @@ impl WbcastNode {
         gamma.sort_unstable();
         gamma.dedup();
         let mut proposer_somewhere = false;
-        let mut rings: BTreeSet<RingId> = BTreeSet::new();
         for &g in &gamma {
-            let Some(ring_id) = self.config.ring_of_group(g) else {
+            let Some(ring) = self.config.ring(g) else {
                 return Err(MulticastError::UnknownGroup(g));
             };
-            let ring = self.config.ring(ring_id).expect("validated config");
             proposer_somewhere |= ring.roles_of(self.me).is_proposer();
-            rings.insert(ring_id);
         }
         if !proposer_somewhere {
             return Err(MulticastError::NotAProposer(gamma[0]));
@@ -126,8 +123,8 @@ impl WbcastNode {
             // confirms release (a fast path may already have confirmed
             // inline).
             if self.inflight.contains_key(&id) {
-                for &ring in &rings {
-                    self.arm_retry(ring, &mut out);
+                for &group in &gamma {
+                    self.arm_retry(group, &mut out);
                 }
             }
         }
@@ -206,65 +203,61 @@ impl WbcastNode {
         }
     }
 
-    /// The retry timer of `ring` fired: re-run the unconfirmed parts of
-    /// the in-flight submissions routed to it.
-    pub(super) fn retry_ring(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
-        self.retry_armed.remove(&ring);
-        let probes = self.probe_ring(now, ring, out);
+    /// The retry timer of `group` fired: re-run the unconfirmed parts
+    /// of the in-flight submissions addressed to it.
+    pub(super) fn retry_group(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
+        self.retry_armed.remove(&group);
+        let probes = self.probe_group(now, group, out);
         if probes > 0 {
             self.tel.incr("round.retry_probes", probes);
         }
     }
 
-    /// Sends a `Submit` probe to the current sequencer of every group of
-    /// `ring` that an in-flight submission addresses and that has
-    /// neither confirmed release nor holds a live proposal, and keeps
-    /// the ring's retry timer armed while anything is unconfirmed.
+    /// Sends a `Submit` probe to the current sequencer of `group` for
+    /// every in-flight submission that addresses it and has neither
+    /// confirmed release there nor holds a live proposal, and keeps the
+    /// group's retry timer armed while anything is unconfirmed.
     /// Receiver-side dedup makes probes idempotent. Returns the number
     /// of probes sent.
-    pub(super) fn probe_ring(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) -> u64 {
-        let mut probes: Vec<(GroupId, WbMessage)> = Vec::new();
+    pub(super) fn probe_group(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) -> u64 {
+        let mut probes: Vec<WbMessage> = Vec::new();
         let mut unconfirmed = false;
         for entry in self.inflight.values() {
-            for &group in &entry.groups {
-                if self.config.ring_of_group(group) != Some(ring) || entry.released.contains(&group)
-                {
-                    continue;
-                }
-                unconfirmed = true;
-                // A live proposal needs no probe: the Final settles it,
-                // or a CoordinatorChange voids the ack and re-probes.
-                if entry.final_ts.is_none() && entry.acks.contains_key(&group) {
-                    continue;
-                }
-                let submit = WbMessage::Submit {
-                    group,
-                    groups: entry.groups.clone(),
-                    value: entry.value.clone(),
-                };
-                probes.push((group, submit));
+            if !entry.groups.contains(&group) || entry.released.contains(&group) {
+                continue;
             }
+            unconfirmed = true;
+            // A live proposal needs no probe: the Final settles it, or a
+            // CoordinatorChange voids the ack and re-probes.
+            if entry.final_ts.is_none() && entry.acks.contains_key(&group) {
+                continue;
+            }
+            probes.push(WbMessage::Submit {
+                group,
+                groups: entry.groups.clone(),
+                value: entry.value.clone(),
+            });
         }
         let sent = probes.len() as u64;
-        for (group, submit) in probes {
+        for submit in probes {
             self.route_to_sequencer(now, group, submit, out);
         }
         if unconfirmed {
-            self.arm_retry(ring, out);
+            self.arm_retry(group, out);
         }
         sent
     }
 
-    /// Arms `ring`'s retry timer unless one is already live.
-    fn arm_retry(&mut self, ring: RingId, out: &mut Vec<Action>) {
-        if self.retry_armed.insert(ring) {
+    /// Arms `group`'s retry timer unless one is already live.
+    fn arm_retry(&mut self, group: GroupId, out: &mut Vec<Action>) {
+        if self.retry_armed.insert(group) {
             let delta = self
                 .config
-                .ring(ring)
+                .ring(group)
                 .map_or(1_000, |r| r.tuning().delta_us);
             out.push(Action::SetTimer {
                 after_us: (delta * RETRY_DELTAS).max(1),
-                timer: TimerKind::ProposalResend(ring),
+                timer: TimerKind::ProposalResend(group),
             });
         }
     }

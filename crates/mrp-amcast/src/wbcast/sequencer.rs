@@ -14,8 +14,8 @@
 //! al., DSN 2019), adapted to this engine's single-process sequencers):
 //!
 //! * **Takeover / resign.** On `Event::CoordinatorChange` the named
-//!   process adopts the sequencer role for the ring's groups, resuming
-//!   each group's clock at a safe point: past every key and promise it
+//!   process adopts the sequencer role for the ring's group, resuming
+//!   the group's clock at a safe point: past every key and promise it
 //!   has *observed* for the group, and past the hybrid-clock floor.
 //!   Frames carry a **sequencer epoch** (bumped per takeover) so
 //!   subscribers re-anchor their frontier to the new stream and fence
@@ -66,7 +66,7 @@ use super::recovery::down_union;
 use super::wire::WbMessage;
 use super::{Key, WbcastNode, TAKEOVER_GRACE_DELTAS, UNREPORTED_HISTORY_CAP};
 use multiring_paxos::event::{Action, Message, TimerKind};
-use multiring_paxos::types::{GroupId, ProcessId, RingId, Time, Value, ValueId};
+use multiring_paxos::types::{GroupId, ProcessId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A multi-group value whose final timestamp is still being agreed on
@@ -156,9 +156,7 @@ pub(super) struct SequencerState {
 /// said or is still holding back.
 #[derive(Hash, Debug)]
 pub(super) struct Sequencer {
-    /// The ring whose Δ paces this group's heartbeats.
-    pub(super) ring: RingId,
-    /// Heartbeat interval, microseconds.
+    /// Heartbeat interval (the group's ring's Δ), microseconds.
     pub(super) delta_us: u64,
     /// The group's subscribers, precomputed: the fan-out target of
     /// every `Ordered`/`Heartbeat`, resolved once instead of scanning
@@ -203,7 +201,6 @@ impl Sequencer {
     /// A sequencer of generation `epoch` whose first timestamp is
     /// `next_ts`, holding releases and promises until `resume_at`.
     pub(super) fn new(
-        ring: RingId,
         delta_us: u64,
         epoch: u32,
         next_ts: u64,
@@ -211,7 +208,6 @@ impl Sequencer {
         subscribers: Vec<ProcessId>,
     ) -> Self {
         Sequencer {
-            ring,
             delta_us,
             subscribers,
             promised: 0,
@@ -637,8 +633,8 @@ impl WbcastNode {
         if seq.wanted <= seq.promised || in_flight {
             return;
         }
-        self.emit_heartbeats(now, &[group], out);
-        // Unless a takeover hold made `emit_heartbeats` sit this out.
+        self.emit_heartbeat(now, group, out);
+        // Unless a takeover hold made `emit_heartbeat` sit this out.
         if self.led.get(&group).is_some_and(|s| s.wanted <= s.promised) {
             self.tel.incr("seq.probes_answered", 1);
         }
@@ -754,75 +750,63 @@ impl WbcastNode {
         self.tel.incr("seq.ckpt_marks", 1);
     }
 
-    /// Emits fresh heartbeat promises for `groups`, the led groups of
-    /// one ring (skipping groups still inside their takeover recovery
-    /// window, whose windows end lazily here).
-    fn emit_heartbeats(&mut self, now: Time, groups: &[GroupId], out: &mut Vec<Action>) {
-        for &group in groups {
-            let seq = self.led.get_mut(&group).expect("led group");
-            if seq.resume_at.is_some_and(|t| now < t) {
-                continue;
-            }
-            seq.resume_at = None;
-            seq.bump_clock(now);
-            let ts = seq.safe_promise();
-            if ts <= seq.promised {
-                continue;
-            }
-            seq.promised = ts;
-            let epoch = seq.state.epoch;
-            if seq.fan_out(self.me, WbMessage::Heartbeat { group, epoch, ts }, out) {
-                self.on_heartbeat(now, group, epoch, ts, out);
-            }
+    /// Emits a fresh heartbeat promise for the led `group` (unless it
+    /// is still inside its takeover recovery window, which ends lazily
+    /// here).
+    fn emit_heartbeat(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
+        let seq = self.led.get_mut(&group).expect("led group");
+        if seq.resume_at.is_some_and(|t| now < t) {
+            return;
+        }
+        seq.resume_at = None;
+        seq.bump_clock(now);
+        let ts = seq.safe_promise();
+        if ts <= seq.promised {
+            return;
+        }
+        seq.promised = ts;
+        let epoch = seq.state.epoch;
+        if seq.fan_out(self.me, WbMessage::Heartbeat { group, epoch, ts }, out) {
+            self.on_heartbeat(now, group, epoch, ts, out);
         }
     }
 
-    /// Arms `ring`'s Δ heartbeat timer unless one is already live —
-    /// exactly one per ring, regardless of how many led groups share
-    /// it: runtimes do not dedupe timers, so one `SetTimer` per group
+    /// Arms `group`'s Δ heartbeat timer unless one is already live:
+    /// runtimes do not dedupe timers, so re-arming on every takeover
     /// would multiply live timers every Δ.
-    pub(super) fn arm_delta(&mut self, ring: RingId, delta_us: u64, out: &mut Vec<Action>) {
-        if self.delta_armed.insert(ring) {
+    pub(super) fn arm_delta(&mut self, group: GroupId, delta_us: u64, out: &mut Vec<Action>) {
+        if self.delta_armed.insert(group) {
             out.push(Action::SetTimer {
                 after_us: delta_us.max(1),
-                timer: TimerKind::Delta(ring),
+                timer: TimerKind::Delta(group),
             });
         }
     }
 
-    pub(super) fn heartbeat_tick(&mut self, now: Time, ring: RingId, out: &mut Vec<Action>) {
+    pub(super) fn heartbeat_tick(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
         // The timer that fired is spent. If this process resigned the
-        // ring between arming and firing, it simply lapses.
-        self.delta_armed.remove(&ring);
-        let groups: Vec<GroupId> = self
-            .led
-            .iter()
-            .filter(|(_, s)| s.ring == ring)
-            .map(|(&g, _)| g)
-            .collect();
-        let Some(first) = groups.first() else {
+        // group between arming and firing, it simply lapses.
+        self.delta_armed.remove(&group);
+        let Some(delta_us) = self.led.get(&group).map(|seq| seq.delta_us) else {
             return;
         };
-        let delta_us = self.led[first].delta_us;
         // Release anything a just-ended recovery window was holding
         // before promising past it.
-        for &g in &groups {
-            self.flush_group(now, g, out);
-        }
+        self.flush_group(now, group, out);
         // Initiator liveness backstop: proposals whose initiator went
         // silent are recovered, and outstanding recovery rounds that
         // stopped making progress (a decision frame died with a crashed
         // sequencer) are re-driven, before the next promise round (the
         // promise is capped by pending proposals anyway).
-        self.scan_orphans(now, ring, out);
+        self.scan_orphans(now, group, out);
         self.reprobe_orphan_rounds(now, delta_us, out);
-        self.emit_heartbeats(now, &groups, out);
-        self.arm_delta(ring, delta_us, out);
+        self.emit_heartbeat(now, group, out);
+        self.arm_delta(group, delta_us, out);
     }
 
-    /// Takeover: this process was named coordinator of `ring` and adopts
-    /// the sequencer role for those of the ring's `groups` it does not
-    /// lead yet, one epoch above everything known for the ring. Each
+    /// Takeover: this process was named coordinator of `group`'s ring
+    /// and adopts the group's sequencer role, unless it leads the group
+    /// already, one epoch above everything known for the group. The
     /// clock resumes past everything the previous sequencer is known to
     /// have exposed and past the hybrid-clock floor (which covers
     /// unobserved assignments as long as the election outlasts
@@ -830,66 +814,47 @@ impl WbcastNode {
     /// serve: subscribers that crash while this incarnation leads can
     /// only resync values it released itself (replicating
     /// [`SequencerState`] inside the group is what closes that).
-    pub(super) fn take_over(
-        &mut self,
-        now: Time,
-        ring: RingId,
-        groups: &[GroupId],
-        out: &mut Vec<Action>,
-    ) {
-        let fresh: Vec<GroupId> = groups
-            .iter()
-            .copied()
-            .filter(|g| !self.led.contains_key(g))
-            .collect();
-        if fresh.is_empty() {
+    pub(super) fn take_over(&mut self, now: Time, group: GroupId, out: &mut Vec<Action>) {
+        if self.led.contains_key(&group) {
             return;
         }
-        let Some(ringcfg) = self.config.ring(ring) else {
+        let Some(ring) = self.config.ring(group) else {
             return;
         };
-        let delta_us = ringcfg.tuning().delta_us;
-        let epoch = self.ring_epochs.get(&ring).copied().unwrap_or(0) + 1;
-        self.ring_epochs.insert(ring, epoch);
+        let delta_us = ring.tuning().delta_us;
+        let epoch = self.epochs.get(&group).copied().unwrap_or(0) + 1;
+        self.epochs.insert(group, epoch);
         let resume_at = now.plus((delta_us * TAKEOVER_GRACE_DELTAS).max(1));
-        for g in fresh {
-            let mut seq = Sequencer::new(
-                ring,
-                delta_us,
-                epoch,
-                self.observed
-                    .get(&g)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_add(1),
-                Some(resume_at),
-                self.config.subscribers_of(g),
-            );
-            seq.bump_clock(now);
-            self.led.insert(g, seq);
-            self.tel.incr("seq.takeovers", 1);
-            self.tel
-                .trace(now, "seq.takeover", Some(g), u64::from(epoch));
-        }
-        self.arm_delta(ring, delta_us, out);
+        let next_ts = self.observed.get(&group).copied().unwrap_or(0);
+        let mut seq = Sequencer::new(
+            delta_us,
+            epoch,
+            next_ts.saturating_add(1),
+            Some(resume_at),
+            self.config.subscribers_of(group),
+        );
+        seq.bump_clock(now);
+        self.led.insert(group, seq);
+        self.tel.incr("seq.takeovers", 1);
+        self.tel
+            .trace(now, "seq.takeover", Some(group), u64::from(epoch));
+        self.arm_delta(group, delta_us, out);
     }
 
     /// Resignation: another process was named coordinator, so any
-    /// sequencer state held for `groups` is dropped — the initiators'
+    /// sequencer state held for `group` is dropped — the initiators'
     /// retries re-run undelivered `pending`/`outq` rounds against the
     /// new sequencer.
-    pub(super) fn resign(&mut self, now: Time, groups: &[GroupId]) {
-        for &g in groups {
-            if let Some(seq) = self.led.remove(&g) {
-                // Fold the resigned clock into the observation record
-                // so a later re-takeover resumes above everything this
-                // incarnation assigned or promised.
-                let top = seq.state.next_ts.saturating_sub(1).max(seq.promised);
-                self.note_observed(g, top);
-                self.tel.incr("seq.resignations", 1);
-                self.tel
-                    .trace(now, "seq.resign", Some(g), u64::from(seq.state.epoch));
-            }
+    pub(super) fn resign(&mut self, now: Time, group: GroupId) {
+        if let Some(seq) = self.led.remove(&group) {
+            // Fold the resigned clock into the observation record so a
+            // later re-takeover resumes above everything this
+            // incarnation assigned or promised.
+            let top = seq.state.next_ts.saturating_sub(1).max(seq.promised);
+            self.note_observed(group, top);
+            self.tel.incr("seq.resignations", 1);
+            self.tel
+                .trace(now, "seq.resign", Some(group), u64::from(seq.state.epoch));
         }
     }
 }

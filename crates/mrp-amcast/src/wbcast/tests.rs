@@ -107,13 +107,11 @@ fn pump_with(
 fn disjoint_config(members: &[&[u32]]) -> ClusterConfig {
     let mut b = ClusterConfig::builder();
     for (g, ps) in members.iter().enumerate() {
-        let mut spec = RingSpec::new(RingId::new(g as u16));
+        let mut spec = RingSpec::new(GroupId::new(g as u16));
         for &p in *ps {
             spec = spec.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b
-            .ring(spec)
-            .group(GroupId::new(g as u16), RingId::new(g as u16));
+        b = b.ring(spec);
         for &p in *ps {
             b = b.subscribe(ProcessId::new(p), GroupId::new(g as u16));
         }
@@ -205,7 +203,7 @@ fn heartbeats_advance_idle_groups() {
     )));
     let out = n.on_event(
         Time::from_millis(50),
-        Event::Timer(TimerKind::Delta(RingId::new(0))),
+        Event::Timer(TimerKind::Delta(GroupId::new(0))),
     );
     // Re-armed, and the (self-subscribed) horizon advanced with time.
     assert!(out.iter().any(|a| matches!(
@@ -227,11 +225,11 @@ fn observed_timestamps_drag_idle_sequencer_clocks_forward() {
     // instead of capping delivery at the time-based tick rate.
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring));
+        let mut spec = RingSpec::new(GroupId::new(ring));
         for p in 0..2u32 {
             spec = spec.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..2u32 {
         for g in 0..2u16 {
@@ -260,7 +258,7 @@ fn observed_timestamps_drag_idle_sequencer_clocks_forward() {
     let hb = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(Time::ZERO, Event::Timer(TimerKind::Delta(RingId::new(1))));
+        .on_event(Time::ZERO, Event::Timer(TimerKind::Delta(GroupId::new(1))));
     let mut queue: Vec<(ProcessId, Action)> = hb.into_iter().map(|a| (p0, a)).collect();
     queue.retain(|(_, a)| !matches!(a, Action::SetTimer { .. }));
     let late = pump(&mut nodes, queue).delivered;
@@ -345,11 +343,11 @@ fn multigroup_is_genuine_and_delivered_by_addressed_groups_only() {
 fn multigroup_interleaves_in_one_total_order_at_shared_subscribers() {
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring));
+        let mut spec = RingSpec::new(GroupId::new(ring));
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..3u32 {
         for g in 0..2u16 {
@@ -388,7 +386,7 @@ fn multigroup_interleaves_in_one_total_order_at_shared_subscribers() {
         for ring in 0..2u16 {
             let hb = node.on_event(
                 Time::from_millis(10),
-                Event::Timer(TimerKind::Delta(RingId::new(ring))),
+                Event::Timer(TimerKind::Delta(GroupId::new(ring))),
             );
             queue.extend(
                 hb.into_iter()
@@ -575,7 +573,7 @@ fn backlog_settles_after_sequencer_failover() {
     let out = n1.on_event(
         Time::from_millis(100),
         Event::CoordinatorChange {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             coordinator: ProcessId::new(1),
             supersedes: multiring_paxos::types::Ballot::ZERO,
         },
@@ -586,7 +584,7 @@ fn backlog_settles_after_sequencer_failover() {
     // settles the backlog.
     let out = n1.on_event(
         Time::from_secs(2),
-        Event::Timer(TimerKind::Delta(RingId::new(0))),
+        Event::Timer(TimerKind::Delta(GroupId::new(0))),
     );
     assert!(out.iter().any(|a| matches!(a, Action::Deliver { .. })));
     assert_eq!(AmcastEngine::backlog(&n1), 0, "failover settles the leak");
@@ -753,11 +751,11 @@ fn failover_rerelease_of_pending_value_delivers_once() {
     // p1 is a pure subscriber of both.
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring));
+        let mut spec = RingSpec::new(GroupId::new(ring));
         for p in 0..2u32 {
             spec = spec.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..2u32 {
         for g in 0..2u16 {
@@ -834,7 +832,7 @@ fn takeover_epoch_supersedes_election_round() {
     n1.on_event(
         Time::ZERO,
         Event::CoordinatorChange {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             coordinator: ProcessId::new(1),
             supersedes: multiring_paxos::types::Ballot::new(4, ProcessId::new(0)),
         },
@@ -1045,7 +1043,7 @@ fn restarted_configured_sequencer_resyncs_from_replacement() {
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
     let g = GroupId::new(0);
-    let ring = RingId::new(0);
+    let ring = GroupId::new(0);
     let mut nodes = spawn(&config);
     // Three values ordered by the configured sequencer p0.
     let mut queue = Vec::new();
@@ -1177,7 +1175,7 @@ fn takeover_resumes_above_observed_keys() {
     n1.on_event(
         Time::ZERO,
         Event::CoordinatorChange {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             coordinator: ProcessId::new(1),
             supersedes: multiring_paxos::types::Ballot::ZERO,
         },
@@ -1229,7 +1227,7 @@ fn initiator_crash_orphan_recovery_completes_round() {
     let ticked = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(t, Event::Timer(TimerKind::Delta(RingId::new(0))));
+        .on_event(t, Event::Timer(TimerKind::Delta(GroupId::new(0))));
     let queue = ticked.into_iter().map(|a| (p0, a)).collect();
     let late = pump_lossy(&mut nodes, queue, t);
     let key_of = |p: u32| {
@@ -1268,7 +1266,7 @@ fn initiator_crash_orphan_recovery_completes_round() {
     let ticked = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(t2, Event::Timer(TimerKind::Delta(RingId::new(0))));
+        .on_event(t2, Event::Timer(TimerKind::Delta(GroupId::new(0))));
     let queue = ticked.into_iter().map(|a| (p0, a)).collect();
     pump_lossy(&mut nodes, queue, t2);
     assert!(
@@ -1416,7 +1414,7 @@ fn lost_orphan_final_is_redriven_until_every_group_confirms_release() {
     let ticked = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(t, Event::Timer(TimerKind::Delta(RingId::new(0))));
+        .on_event(t, Event::Timer(TimerKind::Delta(GroupId::new(0))));
     let to_p2: Vec<Message> = ticked
         .iter()
         .filter_map(|a| match a {
@@ -1461,7 +1459,7 @@ fn lost_orphan_final_is_redriven_until_every_group_confirms_release() {
     // re-seeds it, and re-decides at the recorded timestamp.
     let t2 = Time::from_millis(300);
     let election = |coordinator| Event::CoordinatorChange {
-        ring: RingId::new(1),
+        ring: GroupId::new(1),
         coordinator,
         supersedes: multiring_paxos::types::Ballot::new(1, p3),
     };
@@ -1478,7 +1476,7 @@ fn lost_orphan_final_is_redriven_until_every_group_confirms_release() {
     let released = nodes
         .get_mut(&p3)
         .unwrap()
-        .on_event(t3, Event::Timer(TimerKind::Delta(RingId::new(1))));
+        .on_event(t3, Event::Timer(TimerKind::Delta(GroupId::new(1))));
     let p3_fts: Vec<u64> = released
         .iter()
         .filter_map(|a| match a {
@@ -1499,7 +1497,7 @@ fn lost_orphan_final_is_redriven_until_every_group_confirms_release() {
     let probe = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(t4, Event::Timer(TimerKind::Delta(RingId::new(0))));
+        .on_event(t4, Event::Timer(TimerKind::Delta(GroupId::new(0))));
     pump_lossy(&mut nodes, probe.into_iter().map(|a| (p0, a)).collect(), t4);
     assert!(nodes[&p0].orphans.is_empty(), "round confirmed and retired");
 }
@@ -1538,7 +1536,7 @@ fn orphan_recovery_resubmits_to_groups_that_never_saw_the_submit() {
     let ticked = nodes
         .get_mut(&p0)
         .unwrap()
-        .on_event(t, Event::Timer(TimerKind::Delta(RingId::new(0))));
+        .on_event(t, Event::Timer(TimerKind::Delta(GroupId::new(0))));
     let queue = ticked.into_iter().map(|a| (p0, a)).collect();
     let late = pump_lossy(&mut nodes, queue, t);
     for p in [0u32, 2, 3] {
@@ -1685,7 +1683,7 @@ fn prune_floor_advances_past_dead_reporter() {
     n.on_event(
         Time::ZERO,
         Event::MembershipChange {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             down: vec![ProcessId::new(2)],
         },
     );
@@ -1831,7 +1829,7 @@ fn health_probe_flags_frozen_prune_floor() {
     n.on_event(
         Time::ZERO,
         Event::MembershipChange {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             down: vec![ProcessId::new(2)],
         },
     );
@@ -1877,11 +1875,10 @@ fn idle_stream_config() -> ClusterConfig {
     for g in 0..2u16 {
         b = b
             .ring(
-                RingSpec::new(RingId::new(g))
+                RingSpec::new(GroupId::new(g))
                     .member(ProcessId::new(u32::from(g)), Roles::ALL)
                     .member(ProcessId::new(2), Roles::ALL),
             )
-            .group(GroupId::new(g), RingId::new(g))
             .subscribe(ProcessId::new(u32::from(g)), GroupId::new(g))
             .subscribe(ProcessId::new(2), GroupId::new(g));
     }
@@ -1956,12 +1953,12 @@ fn blocked_subscriber_probes_the_idle_sequencer_across_time_bases() {
 fn sequencer_that_sees_the_value_asks_itself_and_nobody_else_asks() {
     let mut b = ClusterConfig::builder();
     for g in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(g));
+        let mut spec = RingSpec::new(GroupId::new(g));
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new((p + u32::from(g)) % 3), Roles::ALL);
             b = b.subscribe(ProcessId::new(p), GroupId::new(g));
         }
-        b = b.ring(spec).group(GroupId::new(g), RingId::new(g));
+        b = b.ring(spec);
     }
     let mut nodes = spawn(&b.build().expect("shared two-group config"));
     let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -2015,7 +2012,7 @@ fn dropped_probes_fall_back_to_the_delta_heartbeat() {
             let fired = nodes
                 .get_mut(&p)
                 .unwrap()
-                .on_event(tick, Event::Timer(TimerKind::Delta(RingId::new(ring))));
+                .on_event(tick, Event::Timer(TimerKind::Delta(GroupId::new(ring))));
             pump(
                 &mut nodes,
                 fired.into_iter().map(|a| (p, a)).collect(),
@@ -2058,7 +2055,7 @@ fn duplicated_or_overtaken_probe_makes_no_second_promise() {
     );
     // The tick promises past 9 000 before the probe for it arrives.
     let tick = Time::from_micros(9_500);
-    let fired = n1.on_event(tick, Event::Timer(TimerKind::Delta(RingId::new(1))));
+    let fired = n1.on_event(tick, Event::Timer(TimerKind::Delta(GroupId::new(1))));
     assert_eq!(sent_frames(&fired).len(), 1);
     assert_eq!(
         probe(&mut n1, tick, 9_000),

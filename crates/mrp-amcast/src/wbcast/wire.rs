@@ -460,7 +460,7 @@ mod tests {
     use super::*;
     use multiring_paxos::config::{ClusterConfig, RingSpec, Roles};
     use multiring_paxos::event::{Event, StateMachine, TimerKind};
-    use multiring_paxos::types::{Ballot, RingId, Time};
+    use multiring_paxos::types::{Ballot, GroupId, Time};
     use proptest::prelude::*;
 
     /// One frame per wire tag plus the remaining three [`OrphanSt`]
@@ -664,12 +664,12 @@ mod tests {
     fn live_node() -> WbcastNode {
         let mut b = ClusterConfig::builder();
         for g in 0..3u16 {
-            let mut spec = RingSpec::new(RingId::new(g));
+            let mut spec = RingSpec::new(GroupId::new(g));
             for p in 0..3u32 {
                 spec = spec.member(ProcessId::new((p + u32::from(g)) % 3), Roles::ALL);
                 b = b.subscribe(ProcessId::new(p), GroupId::new(g));
             }
-            b = b.ring(spec).group(GroupId::new(g), RingId::new(g));
+            b = b.ring(spec);
         }
         let config = b.build().expect("three-group config");
         let mut node = WbcastNode::new(ProcessId::new(0), config);
@@ -701,7 +701,7 @@ mod tests {
         node.on_event(Time::from_micros(10), Event::Message { from, msg });
         node.on_event(
             Time::from_micros(20),
-            Event::Timer(TimerKind::Delta(RingId::new(0))),
+            Event::Timer(TimerKind::Delta(GroupId::new(0))),
         );
     }
 
@@ -732,7 +732,7 @@ mod tests {
             }
             // And a takeover resumes past whatever they made it observe.
             let takeover = Event::CoordinatorChange {
-                ring: RingId::new(1),
+                ring: GroupId::new(1),
                 coordinator: ProcessId::new(0),
                 supersedes: Ballot::new(1, ProcessId::new(0)),
             };

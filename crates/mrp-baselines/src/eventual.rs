@@ -8,12 +8,12 @@
 //! throughput, weaker guarantees (consistency ONE).
 
 use bytes::Bytes;
-use mrp_coord::PartitionMap;
 use mrp_sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
 use mrp_sim::client::Operation;
 use mrp_sim::rng::Rng;
 use mrp_store::command::StoreCommand;
 use mrp_store::kv::KvStore;
+use mrp_store::PartitionMap;
 use multiring_paxos::event::{Action, Event, Message};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::any::Any;

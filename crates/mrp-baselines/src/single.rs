@@ -83,11 +83,11 @@ impl Actor for SingleServer {
 mod tests {
     use super::*;
     use crate::eventual::store_ops;
-    use mrp_coord::PartitionMap;
     use mrp_sim::client::ClosedLoopClient;
     use mrp_sim::cluster::{Cluster, SimConfig};
     use mrp_sim::cpu::CpuModel;
     use mrp_sim::net::Topology;
+    use mrp_store::PartitionMap;
     use multiring_paxos::types::{ClientId, ProcessId};
     use std::collections::BTreeMap;
 

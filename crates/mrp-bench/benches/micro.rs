@@ -41,12 +41,12 @@ use multiring_paxos::event::{Action, Event, Message, PersistToken, StateMachine,
 use multiring_paxos::multiring::Merger;
 use multiring_paxos::paxos::Acceptor;
 use multiring_paxos::types::{
-    Ballot, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Time, Value, ValueId,
+    Ballot, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value, ValueId,
 };
 
 fn phase2_msg(size: usize) -> Message {
     Message::Phase2 {
-        ring: RingId::new(0),
+        ring: GroupId::new(0),
         ballot: Ballot::new(1, ProcessId::new(0)),
         first: InstanceId::new(42),
         count: 1,
@@ -113,7 +113,7 @@ fn bench_acceptor(c: &mut Criterion) {
     c.bench_function("acceptor_phase2_vote_x100", |b| {
         b.iter_batched(
             || {
-                let mut a = Acceptor::new(RingId::new(0));
+                let mut a = Acceptor::new(GroupId::new(0));
                 a.on_phase1a(Ballot::new(1, ProcessId::new(0)), InstanceId::new(1));
                 let v = ConsensusValue::Values(vec![Value::new(
                     ValueId::new(ProcessId::new(1), 1),

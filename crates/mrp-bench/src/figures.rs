@@ -17,7 +17,6 @@ use mrp_baselines::eventual::{store_ops, EventualServer};
 use mrp_baselines::quorumlog::{quorum_appends, Bookie, JournalPolicy};
 use mrp_baselines::single::SingleServer;
 use mrp_baselines::twopc::{TwoPcClient, TxnParticipant};
-use mrp_coord::PartitionMap;
 use mrp_dlog::{DLogDeployment, DLogTopology};
 use mrp_sim::client::{ClosedLoopClient, Operation};
 use mrp_sim::cluster::{Cluster, SimConfig};
@@ -27,11 +26,12 @@ use mrp_sim::net::{Region, Topology};
 use mrp_sim::rng::Rng;
 use mrp_store::client::{ClientOp, StoreClient, StoreClientConfig};
 use mrp_store::command::StoreCommand;
+use mrp_store::PartitionMap;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
 use mrp_ycsb::{Workload, WorkloadKind, YcsbOp};
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles, StorageMode};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time};
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::collections::BTreeMap;
 
 /// CPU model used for every server process in the service-level
@@ -459,7 +459,7 @@ fn spawn_dlog(
         cluster.set_cpu(s, cpu());
         for r in 0..=logs {
             let d = cluster.add_disk(s, disk());
-            cluster.map_ring_to_disk(s, RingId::new(r), d);
+            cluster.map_ring_to_disk(s, GroupId::new(r), d);
         }
     }
     deployment
@@ -727,16 +727,14 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
         trim_interval_us: ckpt_interval_s * 1_000_000,
         ..RingTuning::default()
     };
-    let mut spec = RingSpec::new(RingId::new(0)).tuning(tuning);
+    let mut spec = RingSpec::new(GroupId::new(0)).tuning(tuning);
     for i in 0..3 {
         spec = spec.member(ProcessId::new(i), Roles::PROPOSER | Roles::ACCEPTOR);
     }
     for i in 3..6 {
         spec = spec.member(ProcessId::new(i), Roles::LEARNER);
     }
-    let mut builder = ClusterConfig::builder()
-        .ring(spec)
-        .group(GroupId::new(0), RingId::new(0));
+    let mut builder = ClusterConfig::builder().ring(spec);
     for i in 3..6 {
         builder = builder.subscribe(ProcessId::new(i), GroupId::new(0));
     }
@@ -924,13 +922,11 @@ pub fn ablation_merge(scale: Scale) -> Figure {
         };
         let mut builder = ClusterConfig::builder();
         for ring in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+            let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
             for p in 0..3 {
                 spec = spec.member(ProcessId::new(p), Roles::ALL);
             }
-            builder = builder
-                .ring(spec)
-                .group(GroupId::new(ring), RingId::new(ring));
+            builder = builder.ring(spec);
         }
         for p in 0..3 {
             builder = builder
@@ -1018,12 +1014,12 @@ impl Fig9 {
 fn engines_config(groups: u16, n: u32, tuning: RingTuning) -> ClusterConfig {
     let mut builder = ClusterConfig::builder();
     for g in 0..groups {
-        let mut spec = RingSpec::new(RingId::new(g)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(g)).tuning(tuning);
         for j in 0..n {
             let p = ProcessId::new((u32::from(g) + j) % n);
             spec = spec.member(p, Roles::ALL);
         }
-        builder = builder.ring(spec).group(GroupId::new(g), RingId::new(g));
+        builder = builder.ring(spec);
     }
     for p in 0..n {
         for g in 0..groups {

@@ -45,7 +45,7 @@ use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::wbcast::message_carries_value;
 use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, TimerKind};
-use multiring_paxos::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
+use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 
 use crate::scenario::Scenario;
 use crate::spec::{request_key, AbstractAmcast, MsgKey};
@@ -226,7 +226,7 @@ fn parse_timer(text: &str) -> Result<TimerKind, String> {
         }
         None => (text, 0),
     };
-    let ring = RingId::new(ring);
+    let ring = GroupId::new(ring);
     Ok(match name {
         "delta" => TimerKind::Delta(ring),
         "gap" => TimerKind::GapCheck(ring),
@@ -1573,11 +1573,11 @@ mod tests {
     #[test]
     fn timer_keys_are_distinct() {
         let kinds = [
-            TimerKind::Delta(RingId::new(0)),
-            TimerKind::Delta(RingId::new(1)),
-            TimerKind::GapCheck(RingId::new(0)),
-            TimerKind::TrimTick(RingId::new(0)),
-            TimerKind::ProposalResend(RingId::new(0)),
+            TimerKind::Delta(GroupId::new(0)),
+            TimerKind::Delta(GroupId::new(1)),
+            TimerKind::GapCheck(GroupId::new(0)),
+            TimerKind::TrimTick(GroupId::new(0)),
+            TimerKind::ProposalResend(GroupId::new(0)),
             TimerKind::CheckpointTick,
             TimerKind::RecoveryRetry,
             TimerKind::SubmitFlush,

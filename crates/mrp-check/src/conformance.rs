@@ -245,8 +245,8 @@ mod tests {
 
     #[test]
     fn enum_variants_parse_from_real_shapes() {
-        let src = "pub enum Message {\n    Forward { ring: RingId, values: Vec<Value> },\n\
-                   \n    Decision {\n        ring: RingId,\n    },\n    Batch(Vec<Message>),\n\
+        let src = "pub enum Message {\n    Forward { ring: GroupId, values: Vec<Value> },\n\
+                   \n    Decision {\n        ring: GroupId,\n    },\n    Batch(Vec<Message>),\n\
                        Ping,\n}\n";
         assert_eq!(
             parse_enum_variants(src, "Message"),
@@ -268,7 +268,7 @@ mod tests {
 
     #[test]
     fn dead_timers_are_flagged() {
-        let event = "pub enum TimerKind { Delta(RingId), Stale(RingId), Orphan, Tick }";
+        let event = "pub enum TimerKind { Delta(GroupId), Stale(GroupId), Orphan, Tick }";
         // Delta: armed through `fx.timer`, handled in `on_timer`. Tick:
         // armed by a `SetTimer` literal, handled as an `Event::Timer`
         // pattern. Stale: still matched, its arming site deleted.

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::{BatchConfig, EngineKind, WbcastNode};
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use multiring_paxos::types::{GroupId, ProcessId, RingId, Time};
+use multiring_paxos::types::{GroupId, ProcessId, Time};
 
 /// One value multicast into the system after start-up.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -81,11 +81,11 @@ fn shared_two_group_config() -> ClusterConfig {
     let tuning = quiet_tuning();
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..3u32 {
         for g in 0..2u16 {
@@ -148,19 +148,17 @@ impl Scenario {
         let tuning = quiet_tuning();
         let config = ClusterConfig::builder()
             .ring(
-                RingSpec::new(RingId::new(0))
+                RingSpec::new(GroupId::new(0))
                     .tuning(tuning)
                     .member(ProcessId::new(0), Roles::ALL)
                     .member(ProcessId::new(1), Roles::ALL),
             )
             .ring(
-                RingSpec::new(RingId::new(1))
+                RingSpec::new(GroupId::new(1))
                     .tuning(tuning)
                     .member(ProcessId::new(2), Roles::ALL)
                     .member(ProcessId::new(3), Roles::ALL),
             )
-            .group(GroupId::new(0), RingId::new(0))
-            .group(GroupId::new(1), RingId::new(1))
             .subscribe(ProcessId::new(0), GroupId::new(0))
             .subscribe(ProcessId::new(1), GroupId::new(0))
             .subscribe(ProcessId::new(2), GroupId::new(1))
@@ -196,12 +194,11 @@ impl Scenario {
         for g in 0..2u16 {
             b = b
                 .ring(
-                    RingSpec::new(RingId::new(g))
+                    RingSpec::new(GroupId::new(g))
                         .tuning(tuning)
                         .member(ProcessId::new(u32::from(g)), Roles::ALL)
                         .member(ProcessId::new(2), Roles::ALL),
                 )
-                .group(GroupId::new(g), RingId::new(g))
                 .subscribe(ProcessId::new(u32::from(g)), GroupId::new(g))
                 .subscribe(ProcessId::new(2), GroupId::new(g));
         }
@@ -266,7 +263,7 @@ impl Scenario {
     pub fn orphan() -> Scenario {
         let tuning = quiet_tuning();
         let mut b = ClusterConfig::builder().ring(
-            RingSpec::new(RingId::new(0))
+            RingSpec::new(GroupId::new(0))
                 .tuning(tuning)
                 .member(ProcessId::new(0), Roles::ALL)
                 .member(ProcessId::new(1), Roles::ALL)
@@ -274,14 +271,13 @@ impl Scenario {
         );
         for ring in 1..3u16 {
             b = b.ring(
-                RingSpec::new(RingId::new(ring))
+                RingSpec::new(GroupId::new(ring))
                     .tuning(tuning)
                     .member(ProcessId::new(0), Roles::ALL)
                     .member(ProcessId::new(1), Roles::ALL),
             );
         }
         for g in 0..3u16 {
-            b = b.group(GroupId::new(g), RingId::new(g));
             b = b
                 .subscribe(ProcessId::new(0), GroupId::new(g))
                 .subscribe(ProcessId::new(1), GroupId::new(g));

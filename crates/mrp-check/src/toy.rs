@@ -33,7 +33,7 @@ use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
 use multiring_paxos::node::MulticastError;
 use multiring_paxos::types::{
-    ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Time, Value, ValueId,
+    ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value, ValueId,
 };
 
 use crate::scenario::{Scenario, Submission};
@@ -149,7 +149,7 @@ impl ToyEngine {
             out.push(Action::Send {
                 to,
                 msg: Message::Decision {
-                    ring: RingId::new(0),
+                    ring: GroupId::new(0),
                     first: InstanceId::new(seq),
                     count: 1,
                     value: Some(ConsensusValue::Values(vec![value.clone()])),
@@ -255,7 +255,7 @@ impl AmcastEngine for ToyEngine {
                 out.push(Action::Send {
                     to: self.hub,
                     msg: Message::Forward {
-                        ring: RingId::new(0),
+                        ring: GroupId::new(0),
                         values: vec![value],
                         hops: 0,
                     },

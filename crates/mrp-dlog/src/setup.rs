@@ -8,7 +8,7 @@ use mrp_amcast::EngineKind;
 use mrp_sim::cluster::Cluster;
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{GroupId, ProcessId, RingId};
+use multiring_paxos::types::{GroupId, ProcessId};
 use std::collections::BTreeMap;
 
 /// Shape of a dLog deployment.
@@ -68,7 +68,7 @@ pub struct DLogDeployment {
 }
 
 impl DLogDeployment {
-    /// Builds the deployment: log `i` ↔ ring/group `i`; the common ring
+    /// Builds the deployment: log `i` is group `i`; the common ring
     /// is group `logs`. Every server is a member of every ring with all
     /// roles and subscribes to every group.
     ///
@@ -93,29 +93,27 @@ impl DLogDeployment {
                 .collect()
         };
         for log in 0..topology.logs {
-            let ring_id = RingId::new(log);
             let group = GroupId::new(log);
             group_of_log.insert(log, group);
             groups.push(group);
-            let mut spec = RingSpec::new(ring_id).tuning(topology.tuning);
+            let mut spec = RingSpec::new(group).tuning(topology.tuning);
             let members = rotated(usize::from(log));
             for &s in &members {
                 spec = spec.member(s, Roles::ALL);
             }
             proposer_of.insert(group, members[0]);
-            builder = builder.ring(spec).group(group, ring_id);
+            builder = builder.ring(spec);
         }
         let common_group = topology.common_ring.then(|| GroupId::new(topology.logs));
         if let Some(g) = common_group {
-            let ring_id = RingId::new(topology.logs);
-            let mut spec = RingSpec::new(ring_id).tuning(topology.tuning);
+            let mut spec = RingSpec::new(g).tuning(topology.tuning);
             let members = rotated(usize::from(topology.logs));
             for &s in &members {
                 spec = spec.member(s, Roles::ALL);
             }
             proposer_of.insert(g, members[0]);
             groups.push(g);
-            builder = builder.ring(spec).group(g, ring_id);
+            builder = builder.ring(spec);
         }
         for &s in &servers {
             for &g in &groups {

@@ -16,7 +16,7 @@ use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
 use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, RingId, Time, ValueId};
+use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, Time, ValueId};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -53,8 +53,8 @@ enum What {
     },
     Crash(ProcessId),
     Restart(ProcessId),
-    Elect(RingId),
-    Membership(RingId),
+    Elect(GroupId),
+    Membership(GroupId),
 }
 
 struct Sched {
@@ -88,7 +88,7 @@ struct Slot {
     factory: Option<ActorFactory>,
     storage: NodeStorage,
     disks: Vec<DiskModel>,
-    disk_of_ring: BTreeMap<RingId, usize>,
+    disk_of_ring: BTreeMap<GroupId, usize>,
     cpu: Option<CpuModel>,
     rng: Rng,
     up: bool,
@@ -105,11 +105,11 @@ pub struct Cluster {
     slots: BTreeMap<ProcessId, Slot>,
     clients: BTreeMap<ClientId, ProcessId>,
     protocol: Option<ClusterConfig>,
-    ring_coordinator: BTreeMap<RingId, ProcessId>,
+    ring_coordinator: BTreeMap<GroupId, ProcessId>,
     /// Monotonic election round per ring (the coordination service's
     /// zxid analogue), carried as the `supersedes` ballot of every
     /// `CoordinatorChange` it announces.
-    election_round: BTreeMap<RingId, u32>,
+    election_round: BTreeMap<GroupId, u32>,
     metrics: Metrics,
     history: History,
     rng: Rng,
@@ -255,7 +255,7 @@ impl Cluster {
     }
 
     /// Routes persist records of `ring` at `p` to disk index `disk`.
-    pub fn map_ring_to_disk(&mut self, p: ProcessId, ring: RingId, disk: usize) {
+    pub fn map_ring_to_disk(&mut self, p: ProcessId, ring: GroupId, disk: usize) {
         if let Some(slot) = self.slots.get_mut(&p) {
             slot.disk_of_ring.insert(ring, disk);
         }
@@ -649,7 +649,7 @@ impl Cluster {
         slot.actor = None;
         self.metrics.incr("crashes", 1);
         let detected = self.now.plus(self.cfg.election_timeout_us);
-        let rings: Vec<RingId> = self
+        let rings: Vec<GroupId> = self
             .ring_coordinator
             .iter()
             .filter(|&(_, &c)| c == p)
@@ -669,7 +669,7 @@ impl Cluster {
 
     /// Sends the current down-set of `ring` to all its live members (the
     /// coordination service's failure-detector output).
-    fn broadcast_membership(&mut self, ring_id: RingId) {
+    fn broadcast_membership(&mut self, ring_id: GroupId) {
         let Some(config) = self.protocol.clone() else {
             return;
         };
@@ -731,7 +731,7 @@ impl Cluster {
         }
     }
 
-    fn elect(&mut self, ring_id: RingId) {
+    fn elect(&mut self, ring_id: GroupId) {
         let Some(config) = self.protocol.clone() else {
             return;
         };
@@ -1054,11 +1054,11 @@ mod tests {
         // everyone subscribes to both groups.
         let mut b = ClusterConfig::builder();
         for ring in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(ring)).tuning(quiet());
+            let mut spec = RingSpec::new(GroupId::new(ring)).tuning(quiet());
             for p in 0..3u32 {
                 spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
             }
-            b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+            b = b.ring(spec);
         }
         for p in 0..3u32 {
             for g in 0..2u16 {

@@ -4,7 +4,7 @@ use bytes::Bytes;
 use multiring_paxos::event::PersistRecord;
 use multiring_paxos::paxos::AcceptorRecovery;
 use multiring_paxos::recovery::CheckpointId;
-use multiring_paxos::types::{Ballot, ConsensusValue, InstanceId, RingId};
+use multiring_paxos::types::{Ballot, ConsensusValue, GroupId, InstanceId};
 use std::collections::BTreeMap;
 
 /// Durable acceptor state for one ring: everything an acceptor must
@@ -109,7 +109,7 @@ impl AcceptorLog {
 /// crashes; the TCP runtime persists it via [`crate::DirStorage`].
 #[derive(Clone, Default, Debug)]
 pub struct NodeStorage {
-    logs: BTreeMap<RingId, AcceptorLog>,
+    logs: BTreeMap<GroupId, AcceptorLog>,
     checkpoint: Option<(CheckpointId, Bytes)>,
 }
 
@@ -150,19 +150,19 @@ impl NodeStorage {
     }
 
     /// Trims the acceptor log of `ring`.
-    pub fn trim(&mut self, ring: RingId, upto: InstanceId) {
+    pub fn trim(&mut self, ring: GroupId, upto: InstanceId) {
         if let Some(log) = self.logs.get_mut(&ring) {
             log.trim(upto);
         }
     }
 
     /// The acceptor log of `ring`, if any writes happened.
-    pub fn log(&self, ring: RingId) -> Option<&AcceptorLog> {
+    pub fn log(&self, ring: GroupId) -> Option<&AcceptorLog> {
         self.logs.get(&ring)
     }
 
     /// Builds the acceptor recovery images for every ring with a log.
-    pub fn acceptor_recovery(&self) -> BTreeMap<RingId, AcceptorRecovery> {
+    pub fn acceptor_recovery(&self) -> BTreeMap<GroupId, AcceptorRecovery> {
         self.logs
             .iter()
             .map(|(&ring, log)| (ring, log.recovery()))
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn apply_and_recover_roundtrip() {
         let mut s = NodeStorage::new();
-        let ring = RingId::new(0);
+        let ring = GroupId::new(0);
         s.apply(&PersistRecord::Promise {
             ring,
             ballot: b(1),
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn trim_reclaims_space() {
         let mut s = NodeStorage::new();
-        let ring = RingId::new(0);
+        let ring = GroupId::new(0);
         for n in 1..=10 {
             s.apply(&PersistRecord::Vote {
                 ring,

@@ -18,7 +18,7 @@ use crate::node_storage::NodeStorage;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use multiring_paxos::codec;
 use multiring_paxos::event::PersistRecord;
-use multiring_paxos::types::{InstanceId, RingId};
+use multiring_paxos::types::{GroupId, InstanceId};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -297,7 +297,7 @@ impl DirStorage {
     /// # Errors
     ///
     /// Fails on I/O errors.
-    pub fn trim(&mut self, ring: RingId, upto: InstanceId) -> Result<(), WalError> {
+    pub fn trim(&mut self, ring: GroupId, upto: InstanceId) -> Result<(), WalError> {
         self.state.trim(ring, upto);
         // Rewrite the WAL from the retained logical state.
         let mut records: Vec<Bytes> = Vec::new();
@@ -355,7 +355,7 @@ mod tests {
 
     fn vote(n: u64) -> PersistRecord {
         PersistRecord::Vote {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             ballot: Ballot::new(1, ProcessId::new(0)),
             first: InstanceId::new(n),
             count: 1,
@@ -403,7 +403,7 @@ mod tests {
     /// skipping `Vote`, `Promise`, `Decision`) over two rings, each
     /// record moving the recovery image so that no two prefixes agree.
     fn crash_point_records() -> Vec<PersistRecord> {
-        let (r1, r2) = (RingId::new(1), RingId::new(2));
+        let (r1, r2) = (GroupId::new(1), GroupId::new(2));
         let (b1, b2) = (
             Ballot::new(4, ProcessId::new(2)),
             Ballot::new(2, ProcessId::new(1)),
@@ -568,7 +568,7 @@ mod tests {
         }
         let s = DirStorage::open(&dir).unwrap();
         let rec = s.state().acceptor_recovery();
-        assert_eq!(rec[&RingId::new(0)].accepted.len(), 2);
+        assert_eq!(rec[&GroupId::new(0)].accepted.len(), 2);
         let (id, snap) = s.state().checkpoint().unwrap();
         assert_eq!(id.mark_of(GroupId::new(0)), InstanceId::new(2));
         assert_eq!(&snap[..], b"state");
@@ -583,13 +583,13 @@ mod tests {
             s.persist(&vote(n), false).unwrap();
         }
         let before = s.wal_bytes();
-        s.trim(RingId::new(0), InstanceId::new(45)).unwrap();
+        s.trim(GroupId::new(0), InstanceId::new(45)).unwrap();
         assert!(s.wal_bytes() < before / 2);
         drop(s);
         let s = DirStorage::open(&dir).unwrap();
         let rec = s.state().acceptor_recovery();
-        assert_eq!(rec[&RingId::new(0)].accepted.len(), 5);
-        assert_eq!(rec[&RingId::new(0)].trimmed, InstanceId::ZERO); // trim mark not persisted in rewrite
+        assert_eq!(rec[&GroupId::new(0)].accepted.len(), 5);
+        assert_eq!(rec[&GroupId::new(0)].trimmed, InstanceId::ZERO); // trim mark not persisted in rewrite
         fs::remove_dir_all(&dir).unwrap();
     }
 }

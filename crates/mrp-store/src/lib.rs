@@ -5,7 +5,7 @@
 //!
 //! * keys are strings (byte strings here), values arbitrary byte arrays;
 //! * the database is split into `l` partitions, hash- or
-//!   range-partitioned ([`mrp_coord::PartitionMap`]); each partition is
+//!   range-partitioned ([`PartitionMap`]); each partition is
 //!   replicated with state-machine replication on its own ring;
 //! * single-key operations (`read`, `update`, `insert`, `delete`) are
 //!   multicast to the partition owning the key; `scan` operations are
@@ -28,10 +28,12 @@ pub mod app;
 pub mod client;
 pub mod command;
 pub mod kv;
+pub mod partition;
 pub mod setup;
 
 pub use app::StoreApp;
 pub use client::StoreClient;
 pub use command::{StoreCommand, StoreResponse};
 pub use kv::KvStore;
+pub use partition::{PartitionMap, Partitioning};
 pub use setup::{StoreDeployment, StoreTopology};

@@ -3,12 +3,12 @@
 //! the paper's evaluation deploys it.
 
 use crate::app::StoreApp;
+use crate::partition::PartitionMap;
 use mrp_amcast::EngineKind;
-use mrp_coord::PartitionMap;
 use mrp_sim::cluster::Cluster;
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use multiring_paxos::replica::CheckpointPolicy;
-use multiring_paxos::types::{GroupId, ProcessId, RingId};
+use multiring_paxos::types::{GroupId, ProcessId};
 use std::collections::BTreeMap;
 
 /// Shape of an MRP-Store deployment.
@@ -83,8 +83,8 @@ pub struct StoreDeployment {
 }
 
 impl StoreDeployment {
-    /// Builds the deployment: partition `i` is served by ring/group `i`
-    /// with processes `i * r .. i * r + r`; the optional global ring is
+    /// Builds the deployment: partition `i` is group `i`, its ring
+    /// processes `i * r .. i * r + r`; the optional global ring is
     /// group `l` and includes every replica.
     ///
     /// # Panics
@@ -99,9 +99,8 @@ impl StoreDeployment {
         let mut proposer_of = BTreeMap::new();
 
         for part in 0..l {
-            let ring_id = RingId::new(part);
             let group = GroupId::new(part);
-            let mut spec = RingSpec::new(ring_id).tuning(topology.tuning);
+            let mut spec = RingSpec::new(group).tuning(topology.tuning);
             let mut members = Vec::new();
             for j in 0..r {
                 let p = ProcessId::new(u32::from(part) * r + j);
@@ -110,13 +109,12 @@ impl StoreDeployment {
             }
             proposer_of.insert(group, members[0]);
             replicas.insert(part, members);
-            builder = builder.ring(spec).group(group, ring_id);
+            builder = builder.ring(spec);
         }
 
         let global_group = topology.global_ring.then(|| GroupId::new(l));
         if let Some(g) = global_group {
-            let ring_id = RingId::new(l);
-            let mut spec = RingSpec::new(ring_id).tuning(topology.global_tuning);
+            let mut spec = RingSpec::new(g).tuning(topology.global_tuning);
             for members in replicas.values() {
                 for &p in members {
                     spec = spec.member(p, Roles::ALL);
@@ -124,7 +122,7 @@ impl StoreDeployment {
             }
             let first = replicas[&0][0];
             proposer_of.insert(g, first);
-            builder = builder.ring(spec).group(g, ring_id);
+            builder = builder.ring(spec);
         }
 
         for (&part, members) in &replicas {

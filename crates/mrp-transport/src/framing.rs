@@ -156,13 +156,13 @@ impl FrameAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use multiring_paxos::types::{ClientId, GroupId, InstanceId, RingId};
+    use multiring_paxos::types::{ClientId, GroupId, InstanceId};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
     fn sample() -> Message {
         Message::TrimCommand {
-            ring: RingId::new(3),
+            ring: GroupId::new(3),
             upto: InstanceId::new(77),
         }
     }

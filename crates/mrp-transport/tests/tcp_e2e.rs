@@ -155,7 +155,7 @@ fn acceptor_state_is_durable_across_runtime_restart() {
     // Reopen storage: the vote for instance 1 must be on disk.
     let store = mrp_storage::DirStorage::open(&dir).expect("reopen");
     let rec = store.state().acceptor_recovery();
-    let ring0 = &rec[&multiring_paxos::types::RingId::new(0)];
+    let ring0 = &rec[&multiring_paxos::types::GroupId::new(0)];
     assert!(
         !ring0.accepted.is_empty(),
         "sync-mode vote must be durable across restart"

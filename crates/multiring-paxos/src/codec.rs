@@ -51,7 +51,7 @@
 use crate::event::{Message, PersistRecord};
 use crate::recovery::CheckpointId;
 use crate::types::{
-    Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Value, ValueId,
+    Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, Value, ValueId,
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -338,18 +338,18 @@ pub fn encoded_len(msg: &Message) -> usize {
 pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
     match Tag::from_u8(get_u8(buf)?)? {
         Tag::Forward => {
-            let ring = RingId::new(get_u16(buf)?);
+            let ring = GroupId::new(get_u16(buf)?);
             let hops = get_u32(buf)?;
             let values = get_seq(get_len(buf)?, buf, get_value)?;
             Ok(Message::Forward { ring, values, hops })
         }
         Tag::Phase1A => Ok(Message::Phase1A {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             from: InstanceId::new(get_u64(buf)?),
         }),
         Tag::Phase1B => {
-            let ring = RingId::new(get_u16(buf)?);
+            let ring = GroupId::new(get_u16(buf)?);
             let ballot = get_ballot(buf)?;
             let from = InstanceId::new(get_u64(buf)?);
             let trimmed = InstanceId::new(get_u64(buf)?);
@@ -366,7 +366,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             })
         }
         Tag::Phase2 => Ok(Message::Phase2 {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             first: InstanceId::new(get_u64(buf)?),
             count: get_u32(buf)?,
@@ -374,7 +374,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             value: get_cv(buf)?,
         }),
         Tag::Decision => {
-            let ring = RingId::new(get_u16(buf)?);
+            let ring = GroupId::new(get_u16(buf)?);
             let first = InstanceId::new(get_u64(buf)?);
             let count = get_u32(buf)?;
             let hops = get_u32(buf)?;
@@ -387,12 +387,12 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             })
         }
         Tag::Retransmit => Ok(Message::Retransmit {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             from: InstanceId::new(get_u64(buf)?),
             to: InstanceId::new(get_u64(buf)?),
         }),
         Tag::RetransmitReply => {
-            let ring = RingId::new(get_u16(buf)?);
+            let ring = GroupId::new(get_u16(buf)?);
             let trimmed = InstanceId::new(get_u64(buf)?);
             let decided = get_seq(get_len(buf)?, buf, |buf| {
                 let i = InstanceId::new(get_u64(buf)?);
@@ -414,7 +414,7 @@ pub fn decode(buf: &mut impl Buf) -> Result<Message, CodecError> {
             safe: InstanceId::new(get_u64(buf)?),
         }),
         Tag::TrimCommand => Ok(Message::TrimCommand {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             upto: InstanceId::new(get_u64(buf)?),
         }),
         Tag::CheckpointQuery => Ok(Message::CheckpointQuery { seq: get_u64(buf)? }),
@@ -529,12 +529,12 @@ pub fn record_len(record: &PersistRecord) -> usize {
 pub fn decode_record(buf: &mut impl Buf) -> Result<PersistRecord, CodecError> {
     match RecordTag::from_u8(get_u8(buf)?)? {
         RecordTag::Promise => Ok(PersistRecord::Promise {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             from: InstanceId::new(get_u64(buf)?),
         }),
         RecordTag::Vote => Ok(PersistRecord::Vote {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             ballot: get_ballot(buf)?,
             first: InstanceId::new(get_u64(buf)?),
             count: get_u32(buf)?,
@@ -545,7 +545,7 @@ pub fn decode_record(buf: &mut impl Buf) -> Result<PersistRecord, CodecError> {
             snapshot: get_bytes(buf)?,
         }),
         RecordTag::Decision => Ok(PersistRecord::Decision {
-            ring: RingId::new(get_u16(buf)?),
+            ring: GroupId::new(get_u16(buf)?),
             first: InstanceId::new(get_u64(buf)?),
             count: get_u32(buf)?,
         }),
@@ -878,7 +878,7 @@ mod tests {
         vec![
             (
                 Message::Forward {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     values: vec![value.clone()],
                     hops: 2,
                 },
@@ -886,7 +886,7 @@ mod tests {
             ),
             (
                 Message::Phase1A {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     from: InstanceId::new(5),
                 },
@@ -894,7 +894,7 @@ mod tests {
             ),
             (
                 Message::Phase1B {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     from: InstanceId::new(5),
                     accepted: vec![
@@ -915,7 +915,7 @@ mod tests {
             ),
             (
                 Message::Phase2 {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     first: InstanceId::new(7),
                     count: 1,
@@ -926,7 +926,7 @@ mod tests {
             ),
             (
                 Message::Phase2 {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     first: InstanceId::new(8),
                     count: 16,
@@ -937,7 +937,7 @@ mod tests {
             ),
             (
                 Message::Decision {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     first: InstanceId::new(7),
                     count: 3,
                     value: Some(ConsensusValue::Skip),
@@ -947,7 +947,7 @@ mod tests {
             ),
             (
                 Message::Decision {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     first: InstanceId::new(8),
                     count: 1,
                     value: Some(cv.clone()),
@@ -957,7 +957,7 @@ mod tests {
             ),
             (
                 Message::Decision {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     first: InstanceId::new(9),
                     count: 1,
                     value: None,
@@ -967,7 +967,7 @@ mod tests {
             ),
             (
                 Message::Retransmit {
-                    ring: RingId::new(0),
+                    ring: GroupId::new(0),
                     from: InstanceId::new(1),
                     to: InstanceId::new(4),
                 },
@@ -975,7 +975,7 @@ mod tests {
             ),
             (
                 Message::RetransmitReply {
-                    ring: RingId::new(0),
+                    ring: GroupId::new(0),
                     decided: vec![
                         (InstanceId::new(1), 2, ConsensusValue::Skip),
                         (InstanceId::new(3), 1, cv),
@@ -1001,7 +1001,7 @@ mod tests {
             ),
             (
                 Message::TrimCommand {
-                    ring: RingId::new(2),
+                    ring: GroupId::new(2),
                     upto: InstanceId::new(50),
                 },
                 "0a02003200000000000000",
@@ -1074,7 +1074,7 @@ mod tests {
                 Message::Batch(vec![
                     Message::CheckpointQuery { seq: 4 },
                     Message::TrimCommand {
-                        ring: RingId::new(0),
+                        ring: GroupId::new(0),
                         upto: InstanceId::new(1),
                     },
                 ]),
@@ -1102,7 +1102,7 @@ mod tests {
         vec![
             (
                 PersistRecord::Promise {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     from: InstanceId::new(5),
                 },
@@ -1110,7 +1110,7 @@ mod tests {
             ),
             (
                 PersistRecord::Vote {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     first: InstanceId::new(7),
                     count: 1,
@@ -1120,7 +1120,7 @@ mod tests {
             ),
             (
                 PersistRecord::Vote {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     first: InstanceId::new(8),
                     count: 16,
@@ -1139,7 +1139,7 @@ mod tests {
             ),
             (
                 PersistRecord::Decision {
-                    ring: RingId::new(1),
+                    ring: GroupId::new(1),
                     first: InstanceId::new(7),
                     count: 2,
                 },
@@ -1316,7 +1316,7 @@ mod tests {
                 )])
             };
             let msg = Message::Phase2 {
-                ring: RingId::new(ring),
+                ring: GroupId::new(ring),
                 ballot: Ballot::new(round, ProcessId::new(node)),
                 first: InstanceId::new(first),
                 count,

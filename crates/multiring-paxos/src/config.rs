@@ -1,17 +1,27 @@
 //! Cluster, ring and tuning configuration.
 //!
-//! A [`ClusterConfig`] fully describes a Multi-Ring Paxos deployment: the
-//! rings with their ordered members and roles, the group-to-ring mapping,
-//! learner subscriptions, and the per-ring protocol tuning (`Δ`, `λ`,
-//! batching, storage mode). Configurations are built with
-//! [`ClusterConfig::builder`] and validated by [`ClusterConfigBuilder::build`].
+//! A [`ClusterConfig`] fully describes a Multi-Ring Paxos deployment: one
+//! ring per multicast group, named by the group's id, with its ordered
+//! members and roles; learner subscriptions; and the per-ring protocol
+//! tuning (`Δ`, `λ`, batching, storage mode). Configurations are built
+//! with [`ClusterConfig::builder`] and validated by
+//! [`ClusterConfigBuilder::build`].
 //!
-//! In a full deployment the configuration is stored in and distributed by
-//! a coordination service external to this repository (the paper uses
-//! Zookeeper; `mrp-coord` holds only the partitioning schema); the
-//! protocol state machines only ever see an immutable snapshot of it.
+//! The paper delegates ring configuration, failure detection,
+//! coordinator election and the partitioning schema to a coordination
+//! service, Zookeeper (Sections 4 and 7). It is an *oracle* — never on
+//! the ordering data path — and in this repository it stays
+//! **external**: the protocol state machines only ever see an immutable
+//! snapshot of the configuration, and take the service's verdicts as
+//! `Event::CoordinatorChange` / `Event::MembershipChange`, announced by
+//! whoever hosts them (the simulator's `Cluster` on a crash, the
+//! end-to-end benchmark's driver by hand). A runtime that detects
+//! failures by itself is future work (ROADMAP direction 5(a)), to be
+//! written against `TcpRuntime`'s connections — which already know when
+//! a peer is up. The partitioning schema MRP-Store clients read is
+//! `mrp_store::partition`.
 
-use crate::types::{GroupId, ProcessId, RingId};
+use crate::types::{GroupId, ProcessId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -105,20 +115,18 @@ pub enum StorageMode {
     SyncDisk,
 }
 
-/// Per-ring protocol tuning.
+/// Per-ring protocol tuning. The pipelining window and the byte cap of
+/// one instance are not settings: see
+/// [`WINDOW`](crate::paxos::coordinator::WINDOW) and
+/// [`BYTES_PER_INSTANCE`](crate::paxos::coordinator::BYTES_PER_INSTANCE).
 #[derive(Copy, Clone, PartialEq, Hash, Debug)]
 pub struct RingTuning {
-    /// Maximum number of undecided instances the coordinator keeps in
-    /// flight (pipelining window).
-    pub window: u32,
     /// Maximum client values batched into a single consensus instance:
     /// what the coordinator finds queued when a window slot frees — a
     /// batched submission, or values that arrived while the window was
     /// full — shares one. `1` disables proposal batching (the Figure 3
     /// setting).
     pub values_per_instance: usize,
-    /// Maximum payload bytes batched into a single consensus instance.
-    pub bytes_per_instance: usize,
     /// Rate-leveling interval Δ, in microseconds (paper: 5 ms within a
     /// datacenter, 20 ms across datacenters).
     pub delta_us: u64,
@@ -148,9 +156,7 @@ impl Default for RingTuning {
     /// `Δ = 5 ms`, `λ = 9000`.
     fn default() -> Self {
         Self {
-            window: 128,
             values_per_instance: 64,
-            bytes_per_instance: 32 * 1024,
             delta_us: 5_000,
             lambda: 9_000,
             storage: StorageMode::InMemory,
@@ -183,19 +189,19 @@ pub struct Member {
     pub roles: Roles,
 }
 
-/// Declarative description of one ring, fed to the
+/// Declarative description of one group's ring, fed to the
 /// [`ClusterConfigBuilder`].
 #[derive(Clone, Debug)]
 pub struct RingSpec {
-    id: RingId,
+    id: GroupId,
     members: Vec<Member>,
     coordinator: Option<ProcessId>,
     tuning: RingTuning,
 }
 
 impl RingSpec {
-    /// Starts a ring description.
-    pub fn new(id: RingId) -> Self {
+    /// Starts the description of the ring that orders group `id`.
+    pub fn new(id: GroupId) -> Self {
         Self {
             id,
             members: Vec::new(),
@@ -230,7 +236,7 @@ impl RingSpec {
 /// Validated, immutable configuration of one ring.
 #[derive(Clone, Hash, Debug)]
 pub struct RingConfig {
-    id: RingId,
+    id: GroupId,
     members: Vec<Member>,
     acceptors: Vec<ProcessId>,
     coordinator: ProcessId,
@@ -239,8 +245,8 @@ pub struct RingConfig {
 }
 
 impl RingConfig {
-    /// The ring id.
-    pub fn id(&self) -> RingId {
+    /// The group this ring orders.
+    pub fn id(&self) -> GroupId {
         self.id
     }
 
@@ -291,11 +297,6 @@ impl RingConfig {
             .map_or(Roles::NONE, |&i| self.members[i].roles)
     }
 
-    /// Position of `p` in ring order.
-    pub fn position(&self, p: ProcessId) -> Option<usize> {
-        self.index_of.get(&p).copied()
-    }
-
     /// The successor of `p` on the unidirectional ring.
     ///
     /// # Panics
@@ -317,52 +318,25 @@ impl RingConfig {
         let j = self.index_of[&to];
         (j + n - i) % n
     }
-
-    /// The acceptor farthest from the coordinator along the ring: the
-    /// process that observes the majority vote and emits decisions
-    /// ("last acceptor", Section 4).
-    pub fn last_acceptor(&self) -> ProcessId {
-        *self
-            .acceptors
-            .iter()
-            .max_by_key(|&&a| self.distance(self.coordinator, a))
-            .expect("validated ring has at least one acceptor")
-    }
-
-    /// Whether a process at ring distance `d` from the coordinator saw the
-    /// Phase 2 message for an instance (the Phase 2 arc runs from the
-    /// coordinator to the last acceptor, inclusive).
-    pub fn on_phase2_arc(&self, p: ProcessId) -> bool {
-        let d = self.distance(self.coordinator, p);
-        d <= self.distance(self.coordinator, self.last_acceptor())
-    }
 }
 
 /// Errors detected while validating a [`ClusterConfig`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// Two rings share the same id.
-    DuplicateRing(RingId),
+    DuplicateRing(GroupId),
     /// A ring has no members.
-    EmptyRing(RingId),
+    EmptyRing(GroupId),
     /// The same process appears twice in one ring.
-    DuplicateMember(RingId, ProcessId),
+    DuplicateMember(GroupId, ProcessId),
     /// A ring has no acceptor.
-    NoAcceptor(RingId),
+    NoAcceptor(GroupId),
     /// The pinned coordinator is not an acceptor member of the ring.
-    BadCoordinator(RingId, ProcessId),
-    /// A group maps to an unknown ring.
-    UnknownRing(GroupId, RingId),
-    /// Two groups share the same id.
-    DuplicateGroup(GroupId),
-    /// Two groups map to the same ring.
-    SharedRing(RingId, GroupId, GroupId),
-    /// A subscription names an unknown group.
+    BadCoordinator(GroupId, ProcessId),
+    /// A subscription names a group no ring orders.
     UnknownGroup(ProcessId, GroupId),
     /// A subscriber is not a learner member of the group's ring.
-    NotALearner(ProcessId, GroupId, RingId),
-    /// A ring was declared but no group maps to it.
-    UnusedRing(RingId),
+    NotALearner(ProcessId, GroupId),
 }
 
 impl fmt::Display for ConfigError {
@@ -377,21 +351,13 @@ impl fmt::Display for ConfigError {
             ConfigError::BadCoordinator(r, p) => {
                 write!(f, "coordinator {p} of ring {r} is not an acceptor member")
             }
-            ConfigError::UnknownRing(g, r) => {
-                write!(f, "group {g} maps to unknown ring {r}")
-            }
-            ConfigError::DuplicateGroup(g) => write!(f, "duplicate group {g}"),
-            ConfigError::SharedRing(r, a, b) => {
-                write!(f, "groups {a} and {b} both map to ring {r}")
-            }
             ConfigError::UnknownGroup(p, g) => {
                 write!(f, "process {p} subscribes to unknown group {g}")
             }
-            ConfigError::NotALearner(p, g, r) => write!(
+            ConfigError::NotALearner(p, g) => write!(
                 f,
-                "process {p} subscribes to group {g} but is not a learner member of ring {r}"
+                "process {p} subscribes to group {g} but is not a learner member of its ring"
             ),
-            ConfigError::UnusedRing(r) => write!(f, "no group maps to ring {r}"),
         }
     }
 }
@@ -409,8 +375,7 @@ pub struct ClusterConfig {
 
 #[derive(Debug)]
 struct ConfigInner {
-    rings: BTreeMap<RingId, RingConfig>,
-    groups: BTreeMap<GroupId, RingId>,
+    rings: BTreeMap<GroupId, RingConfig>,
     subscriptions: BTreeMap<ProcessId, BTreeSet<GroupId>>,
 }
 
@@ -420,33 +385,15 @@ impl ClusterConfig {
         ClusterConfigBuilder::default()
     }
 
-    /// All rings, keyed by id.
-    pub fn rings(&self) -> &BTreeMap<RingId, RingConfig> {
+    /// All rings, keyed by the group each orders: the deployment's
+    /// groups, in id order.
+    pub fn rings(&self) -> &BTreeMap<GroupId, RingConfig> {
         &self.inner.rings
     }
 
-    /// The ring configuration for `id`.
-    pub fn ring(&self, id: RingId) -> Option<&RingConfig> {
+    /// The ring that orders group `id` (`None` for an unknown group).
+    pub fn ring(&self, id: GroupId) -> Option<&RingConfig> {
         self.inner.rings.get(&id)
-    }
-
-    /// The ring a group maps to.
-    pub fn ring_of_group(&self, group: GroupId) -> Option<RingId> {
-        self.inner.groups.get(&group).copied()
-    }
-
-    /// The group mapped to a ring (rings and groups are 1:1).
-    pub fn group_of_ring(&self, ring: RingId) -> Option<GroupId> {
-        self.inner
-            .groups
-            .iter()
-            .find(|&(_, &r)| r == ring)
-            .map(|(&g, _)| g)
-    }
-
-    /// All groups, keyed by id, with the ring each maps to.
-    pub fn groups(&self) -> &BTreeMap<GroupId, RingId> {
-        &self.inner.groups
     }
 
     /// Groups subscribed to by `p`, in group-id order (the round-robin
@@ -457,11 +404,6 @@ impl ClusterConfig {
             .get(&p)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
-    }
-
-    /// All subscribing processes.
-    pub fn subscribers(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.inner.subscriptions.keys().copied()
     }
 
     /// Processes that subscribe to `group`, in process-id order. These are
@@ -503,7 +445,7 @@ impl ClusterConfig {
     }
 
     /// Rings in which `p` is a member, in ring-id order.
-    pub fn rings_of(&self, p: ProcessId) -> Vec<RingId> {
+    pub fn rings_of(&self, p: ProcessId) -> Vec<GroupId> {
         self.inner
             .rings
             .values()
@@ -517,22 +459,14 @@ impl ClusterConfig {
 #[derive(Default, Debug)]
 pub struct ClusterConfigBuilder {
     rings: Vec<RingSpec>,
-    groups: Vec<(GroupId, RingId)>,
     subscriptions: Vec<(ProcessId, GroupId)>,
 }
 
 impl ClusterConfigBuilder {
-    /// Adds a ring.
+    /// Adds a group, described by its ring.
     #[must_use]
     pub fn ring(mut self, spec: RingSpec) -> Self {
         self.rings.push(spec);
-        self
-    }
-
-    /// Maps a multicast group onto a ring.
-    #[must_use]
-    pub fn group(mut self, group: GroupId, ring: RingId) -> Self {
-        self.groups.push((group, ring));
         self
     }
 
@@ -594,35 +528,13 @@ impl ClusterConfigBuilder {
             }
         }
 
-        let mut groups = BTreeMap::new();
-        for (g, r) in self.groups {
-            if !rings.contains_key(&r) {
-                return Err(ConfigError::UnknownRing(g, r));
-            }
-            if groups.contains_key(&g) {
-                return Err(ConfigError::DuplicateGroup(g));
-            }
-            // Rings and groups are 1:1: a node builds one ring's state
-            // for one group, so a second group's stream would never be fed.
-            if let Some((&other, _)) = groups.iter().find(|&(_, &ring)| ring == r) {
-                return Err(ConfigError::SharedRing(r, other, g));
-            }
-            groups.insert(g, r);
-        }
-        for &r in rings.keys() {
-            if !groups.values().any(|&gr| gr == r) {
-                return Err(ConfigError::UnusedRing(r));
-            }
-        }
-
         let mut subscriptions: BTreeMap<ProcessId, BTreeSet<GroupId>> = BTreeMap::new();
         for (p, g) in self.subscriptions {
-            let Some(&r) = groups.get(&g) else {
+            let Some(ring) = rings.get(&g) else {
                 return Err(ConfigError::UnknownGroup(p, g));
             };
-            let ring = &rings[&r];
             if !ring.roles_of(p).is_learner() {
-                return Err(ConfigError::NotALearner(p, g, r));
+                return Err(ConfigError::NotALearner(p, g));
             }
             subscriptions.entry(p).or_default().insert(g);
         }
@@ -630,7 +542,6 @@ impl ClusterConfigBuilder {
         Ok(ClusterConfig {
             inner: Arc::new(ConfigInner {
                 rings,
-                groups,
                 subscriptions,
             }),
         })
@@ -642,13 +553,11 @@ impl ClusterConfigBuilder {
 /// all of them proposers, acceptors and learners, all subscribed to group
 /// 0, first process coordinating.
 pub fn single_ring(n: u32, tuning: RingTuning) -> ClusterConfig {
-    let mut spec = RingSpec::new(RingId::new(0)).tuning(tuning);
+    let mut spec = RingSpec::new(GroupId::new(0)).tuning(tuning);
     for p in 0..n {
         spec = spec.member(ProcessId::new(p), Roles::ALL);
     }
-    let mut b = ClusterConfig::builder()
-        .ring(spec)
-        .group(GroupId::new(0), RingId::new(0));
+    let mut b = ClusterConfig::builder().ring(spec);
     for p in 0..n {
         b = b.subscribe(ProcessId::new(p), GroupId::new(0));
     }
@@ -678,158 +587,91 @@ mod tests {
     #[test]
     fn single_ring_shape() {
         let c = single_ring(3, RingTuning::default());
-        let ring = c.ring(RingId::new(0)).unwrap();
+        let ring = c.ring(GroupId::new(0)).unwrap();
         assert_eq!(ring.len(), 3);
         assert_eq!(ring.majority(), 2);
         assert_eq!(ring.coordinator(), p(0));
         assert_eq!(ring.successor(p(2)), p(0));
         assert_eq!(ring.distance(p(1), p(0)), 2);
-        assert_eq!(ring.last_acceptor(), p(2));
         assert_eq!(c.subscribers_of(GroupId::new(0)), vec![p(0), p(1), p(2)]);
         assert_eq!(c.partition_of(p(1)), vec![p(0), p(1), p(2)]);
     }
 
     #[test]
-    fn phase2_arc() {
-        // Ring order: 0(P) 1(A,coord) 2(A) 3(A) 4(L): phase-2 arc is 1..=3.
-        let c = ClusterConfig::builder()
-            .ring(
-                RingSpec::new(RingId::new(0))
-                    .member(p(0), Roles::PROPOSER)
-                    .member(p(1), Roles::ACCEPTOR)
-                    .member(p(2), Roles::ACCEPTOR)
-                    .member(p(3), Roles::ACCEPTOR)
-                    .member(p(4), Roles::LEARNER),
-            )
-            .group(GroupId::new(0), RingId::new(0))
-            .subscribe(p(4), GroupId::new(0))
-            .build()
-            .unwrap();
-        let ring = c.ring(RingId::new(0)).unwrap();
-        assert_eq!(ring.coordinator(), p(1));
-        assert_eq!(ring.last_acceptor(), p(3));
-        assert!(ring.on_phase2_arc(p(1)));
-        assert!(ring.on_phase2_arc(p(2)));
-        assert!(ring.on_phase2_arc(p(3)));
-        assert!(!ring.on_phase2_arc(p(4)));
-        assert!(!ring.on_phase2_arc(p(0)));
-    }
-
-    #[test]
     fn rejects_empty_ring() {
         let err = ClusterConfig::builder()
-            .ring(RingSpec::new(RingId::new(0)))
+            .ring(RingSpec::new(GroupId::new(0)))
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::EmptyRing(RingId::new(0)));
+        assert_eq!(err, ConfigError::EmptyRing(GroupId::new(0)));
     }
 
     #[test]
     fn rejects_duplicate_member() {
         let err = ClusterConfig::builder()
             .ring(
-                RingSpec::new(RingId::new(0))
+                RingSpec::new(GroupId::new(0))
                     .member(p(0), Roles::ALL)
                     .member(p(0), Roles::ALL),
             )
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::DuplicateMember(RingId::new(0), p(0)));
+        assert_eq!(err, ConfigError::DuplicateMember(GroupId::new(0), p(0)));
     }
 
     #[test]
     fn rejects_ring_without_acceptor() {
         let err = ClusterConfig::builder()
-            .ring(RingSpec::new(RingId::new(0)).member(p(0), Roles::PROPOSER))
+            .ring(RingSpec::new(GroupId::new(0)).member(p(0), Roles::PROPOSER))
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::NoAcceptor(RingId::new(0)));
+        assert_eq!(err, ConfigError::NoAcceptor(GroupId::new(0)));
     }
 
     #[test]
     fn rejects_non_acceptor_coordinator() {
         let err = ClusterConfig::builder()
             .ring(
-                RingSpec::new(RingId::new(0))
+                RingSpec::new(GroupId::new(0))
                     .member(p(0), Roles::PROPOSER)
                     .member(p(1), Roles::ACCEPTOR)
                     .coordinator(p(0)),
             )
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::BadCoordinator(RingId::new(0), p(0)));
-    }
-
-    #[test]
-    fn rejects_group_on_unknown_ring() {
-        let err = ClusterConfig::builder()
-            .ring(RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL))
-            .group(GroupId::new(0), RingId::new(9))
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::UnknownRing(GroupId::new(0), RingId::new(9))
-        );
+        assert_eq!(err, ConfigError::BadCoordinator(GroupId::new(0), p(0)));
     }
 
     #[test]
     fn rejects_subscription_by_non_learner() {
         let err = ClusterConfig::builder()
             .ring(
-                RingSpec::new(RingId::new(0))
+                RingSpec::new(GroupId::new(0))
                     .member(p(0), Roles::ACCEPTOR)
                     .member(p(1), Roles::LEARNER),
             )
-            .group(GroupId::new(0), RingId::new(0))
             .subscribe(p(0), GroupId::new(0))
             .build()
             .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::NotALearner(p(0), GroupId::new(0), RingId::new(0))
-        );
+        assert_eq!(err, ConfigError::NotALearner(p(0), GroupId::new(0)));
     }
 
     #[test]
-    fn rejects_two_groups_on_one_ring() {
-        let two_on_ring_0 = |second: u16| {
-            ClusterConfig::builder()
-                .ring(RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL))
-                .group(GroupId::new(0), RingId::new(0))
-                .group(GroupId::new(second), RingId::new(0))
-                .subscribe(p(0), GroupId::new(second))
-                .build()
-                .unwrap_err()
-        };
-        assert_eq!(
-            two_on_ring_0(1),
-            ConfigError::SharedRing(RingId::new(0), GroupId::new(0), GroupId::new(1))
-        );
-        // The same group named twice is still its own error.
-        assert_eq!(
-            two_on_ring_0(0),
-            ConfigError::DuplicateGroup(GroupId::new(0))
-        );
-    }
-
-    #[test]
-    fn rejects_unused_ring() {
+    fn rejects_subscription_to_unknown_group() {
         let err = ClusterConfig::builder()
-            .ring(RingSpec::new(RingId::new(0)).member(p(0), Roles::ALL))
-            .ring(RingSpec::new(RingId::new(1)).member(p(0), Roles::ALL))
-            .group(GroupId::new(0), RingId::new(0))
+            .ring(RingSpec::new(GroupId::new(0)).member(p(0), Roles::ALL))
+            .subscribe(p(0), GroupId::new(9))
             .build()
             .unwrap_err();
-        assert_eq!(err, ConfigError::UnusedRing(RingId::new(1)));
+        assert_eq!(err, ConfigError::UnknownGroup(p(0), GroupId::new(9)));
     }
 
     #[test]
     fn partitions_by_subscription_set() {
         // p0,p1 subscribe to {g0,g1}; p2 subscribes to {g1} only (the
         // learner-L3 configuration of Figure 2c).
-        let mut spec0 = RingSpec::new(RingId::new(0));
-        let mut spec1 = RingSpec::new(RingId::new(1));
+        let mut spec0 = RingSpec::new(GroupId::new(0));
+        let mut spec1 = RingSpec::new(GroupId::new(1));
         for i in 0..3 {
             spec0 = spec0.member(p(i), Roles::ALL);
             spec1 = spec1.member(p(i), Roles::ALL);
@@ -837,8 +679,6 @@ mod tests {
         let c = ClusterConfig::builder()
             .ring(spec0)
             .ring(spec1)
-            .group(GroupId::new(0), RingId::new(0))
-            .group(GroupId::new(1), RingId::new(1))
             .subscribe(p(0), GroupId::new(0))
             .subscribe(p(0), GroupId::new(1))
             .subscribe(p(1), GroupId::new(0))
@@ -853,6 +693,6 @@ mod tests {
             c.subscriptions_of(p(0)),
             vec![GroupId::new(0), GroupId::new(1)]
         );
-        assert_eq!(c.rings_of(p(2)), vec![RingId::new(0), RingId::new(1)]);
+        assert_eq!(c.rings_of(p(2)), vec![GroupId::new(0), GroupId::new(1)]);
     }
 }

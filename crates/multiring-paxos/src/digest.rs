@@ -75,7 +75,7 @@ impl Hasher for Fnv1a {
 mod tests {
     use super::*;
     use crate::event::{Action, Message, PersistRecord, PersistToken};
-    use crate::types::{Ballot, InstanceId, ProcessId, RingId};
+    use crate::types::{Ballot, GroupId, InstanceId, ProcessId};
     use std::collections::BTreeMap;
     use std::hash::Hash;
 
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn messages_differing_in_one_field_fingerprint_differently() {
         let phase1a = |from| Message::Phase1A {
-            ring: RingId::new(0),
+            ring: GroupId::new(0),
             ballot: Ballot::ZERO.bump(ProcessId::new(1)),
             from: InstanceId::new(from),
         };
@@ -130,7 +130,7 @@ mod tests {
     fn persists_differing_in_one_field_fingerprint_differently() {
         let persist = |count, sync| Action::Persist {
             record: PersistRecord::Decision {
-                ring: RingId::new(0),
+                ring: GroupId::new(0),
                 first: InstanceId::new(1),
                 count,
             },

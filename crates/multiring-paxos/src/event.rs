@@ -9,9 +9,7 @@
 //! `on_event(now, event)`, and executing the returned actions.
 
 use crate::recovery::CheckpointId;
-use crate::types::{
-    Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Time, Value,
-};
+use crate::types::{Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value};
 use bytes::Bytes;
 
 /// A protocol message exchanged between processes.
@@ -26,7 +24,7 @@ pub enum Message {
     /// coordinator.
     Forward {
         /// Destination ring.
-        ring: RingId,
+        ring: GroupId,
         /// Values to order (each one a client multicast).
         values: Vec<Value>,
         /// Ring hops traversed so far; dropped after a full loop so
@@ -38,7 +36,7 @@ pub enum Message {
     /// open-ended instance ranges).
     Phase1A {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Ballot to promise.
         ballot: Ballot,
         /// First instance covered by the promise.
@@ -48,7 +46,7 @@ pub enum Message {
     /// accepted at or after `from` so the coordinator can re-propose them.
     Phase1B {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// The promised ballot (echo of the Phase 1A ballot).
         ballot: Ballot,
         /// First instance covered.
@@ -65,7 +63,7 @@ pub enum Message {
     /// the last acceptor, accumulating votes.
     Phase2 {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Ballot the value is proposed at.
         ballot: Ballot,
         /// First instance of the proposed range.
@@ -87,7 +85,7 @@ pub enum Message {
     /// value exactly once).
     Decision {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// First instance of the decided range.
         first: InstanceId,
         /// Number of consecutive instances decided.
@@ -101,7 +99,7 @@ pub enum Message {
     /// `[from, to]` (gap repair and replica recovery).
     Retransmit {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// First missing instance.
         from: InstanceId,
         /// Last missing instance (inclusive).
@@ -110,7 +108,7 @@ pub enum Message {
     /// An acceptor's answer to [`Message::Retransmit`].
     RetransmitReply {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Decided ranges: `(first, count, value)`.
         decided: Vec<(InstanceId, u32, ConsensusValue)>,
         /// Instances up to and including this one have been trimmed and
@@ -139,7 +137,7 @@ pub enum Message {
     /// `upto` (`K[x]_T` in the paper, Predicate 2).
     TrimCommand {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Highest instance to delete (inclusive).
         upto: InstanceId,
     },
@@ -221,7 +219,7 @@ pub enum Message {
 
 impl Message {
     /// The ring this message belongs to, if it is ring traffic.
-    pub fn ring(&self) -> Option<RingId> {
+    pub fn ring(&self) -> Option<GroupId> {
         match self {
             Message::Forward { ring, .. }
             | Message::Phase1A { ring, .. }
@@ -241,16 +239,16 @@ impl Message {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TimerKind {
     /// Rate-leveling interval Δ elapsed for a ring (coordinator only).
-    Delta(RingId),
+    Delta(GroupId),
     /// Check for instance gaps at a learner and request retransmission.
-    GapCheck(RingId),
+    GapCheck(GroupId),
     /// Run the coordinated trim protocol for a ring (coordinator only).
-    TrimTick(RingId),
+    TrimTick(GroupId),
     /// Resend unacknowledged proposals: the ring engine's proposer
     /// retransmissions, and the wbcast engine's initiator-side retries
     /// of unconfirmed `Submit`/`Final` rounds toward the ring's current
     /// sequencer.
-    ProposalResend(RingId),
+    ProposalResend(GroupId),
     /// Take a periodic application checkpoint (replica only).
     CheckpointTick,
     /// Retry a stalled recovery step (replica only).
@@ -273,7 +271,7 @@ pub enum PersistRecord {
     /// in sync mode).
     Promise {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Promised ballot.
         ballot: Ballot,
         /// First instance covered.
@@ -283,7 +281,7 @@ pub enum PersistRecord {
     /// forwarded in sync mode).
     Vote {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// Ballot voted at.
         ballot: Ballot,
         /// First instance of the voted range.
@@ -305,7 +303,7 @@ pub enum PersistRecord {
     /// for the same instance — so the record stays tiny.
     Decision {
         /// Ring.
-        ring: RingId,
+        ring: GroupId,
         /// First instance of the decided range.
         first: InstanceId,
         /// Number of instances covered.
@@ -333,11 +331,11 @@ pub enum Event {
     /// coordinator for a ring. The named process starts Phase 1 with a
     /// ballot greater than `supersedes`; engines that derive other
     /// roles from the coordinator react too (the wbcast engine treats
-    /// this as sequencer handover for the ring's groups and re-routes
+    /// this as sequencer handover for the ring's group and re-routes
     /// its in-flight submissions).
     CoordinatorChange {
         /// Ring affected.
-        ring: RingId,
+        ring: GroupId,
         /// New coordinator.
         coordinator: ProcessId,
         /// The highest ballot known to be in use.
@@ -349,7 +347,7 @@ pub enum Event {
     /// stay over the full acceptor set).
     MembershipChange {
         /// Ring affected.
-        ring: RingId,
+        ring: GroupId,
         /// Members currently considered down.
         down: Vec<ProcessId>,
     },
@@ -386,7 +384,7 @@ pub enum Action {
     /// Delete acceptor log records of `ring` up to `upto` (inclusive).
     TrimStorage {
         /// Ring whose log to trim.
-        ring: RingId,
+        ring: GroupId,
         /// Highest instance to delete.
         upto: InstanceId,
     },
@@ -440,10 +438,10 @@ mod tests {
     #[test]
     fn message_ring_accessor() {
         let m = Message::TrimCommand {
-            ring: RingId::new(3),
+            ring: GroupId::new(3),
             upto: InstanceId::new(9),
         };
-        assert_eq!(m.ring(), Some(RingId::new(3)));
+        assert_eq!(m.ring(), Some(GroupId::new(3)));
         let q = Message::CheckpointQuery { seq: 1 };
         assert_eq!(q.ring(), None);
     }

@@ -10,8 +10,8 @@
 //! same messages), *validity* (messages from correct processes are
 //! delivered) and *acyclic order* (the global delivery relation has no
 //! cycles, so any two processes deliver common messages in the same order).
-//! Unlike atomic **broadcast**, a message is only handled by the rings its
-//! group maps to, which is what makes the primitive scale with partitioned
+//! Unlike atomic **broadcast**, a message is only handled by the ring of
+//! its group, which is what makes the primitive scale with partitioned
 //! state.
 //!
 //! Multi-Ring Paxos composes one [Ring Paxos](crate::ring) instance per
@@ -39,16 +39,16 @@
 //!
 //! ```
 //! use multiring_paxos::config::{ClusterConfig, RingSpec, Roles};
-//! use multiring_paxos::types::{GroupId, ProcessId, RingId};
+//! use multiring_paxos::types::{GroupId, ProcessId};
 //!
-//! // Three processes, all of them proposer + acceptor + learner, one ring.
+//! // Three processes, all of them proposer + acceptor + learner, in the
+//! // ring of group 0 (a group's id also names its ring).
 //! let p: Vec<ProcessId> = (0..3).map(ProcessId::new).collect();
 //! let config = ClusterConfig::builder()
-//!     .ring(RingSpec::new(RingId::new(0))
+//!     .ring(RingSpec::new(GroupId::new(0))
 //!         .member(p[0], Roles::ALL)
 //!         .member(p[1], Roles::ALL)
 //!         .member(p[2], Roles::ALL))
-//!     .group(GroupId::new(0), RingId::new(0))
 //!     .subscribe(p[0], GroupId::new(0))
 //!     .subscribe(p[1], GroupId::new(0))
 //!     .subscribe(p[2], GroupId::new(0))
@@ -98,7 +98,7 @@ pub use app::Application;
 pub use config::{ClusterConfig, ClusterConfigBuilder, RingSpec, Roles};
 pub use event::{Action, Event};
 pub use node::Node;
-pub use types::{Ballot, GroupId, InstanceId, ProcessId, RingId, Time, Value};
+pub use types::{Ballot, GroupId, InstanceId, ProcessId, Time, Value};
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
@@ -106,5 +106,5 @@ pub mod prelude {
     pub use crate::config::{ClusterConfig, RingSpec, Roles};
     pub use crate::event::{Action, Event};
     pub use crate::node::Node;
-    pub use crate::types::{Ballot, GroupId, InstanceId, ProcessId, RingId, Time, Value, ValueId};
+    pub use crate::types::{Ballot, GroupId, InstanceId, ProcessId, Time, Value, ValueId};
 }

@@ -18,7 +18,7 @@ use crate::paxos::AcceptorRecovery;
 use crate::recovery::{CheckpointId, TrimCoordinator};
 use crate::ring::{Effects, RingState};
 use crate::telemetry::EngineTelemetry;
-use crate::types::{Ballot, ClientId, GroupId, InstanceId, ProcessId, RingId, Time, ValueId};
+use crate::types::{Ballot, ClientId, GroupId, InstanceId, ProcessId, Time, ValueId};
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,12 +76,12 @@ impl std::error::Error for MulticastError {}
 pub struct Node {
     me: ProcessId,
     config: ClusterConfig,
-    rings: BTreeMap<RingId, RingState>,
+    rings: BTreeMap<GroupId, RingState>,
     merger: Merger,
-    trim: BTreeMap<RingId, TrimCoordinator>,
+    trim: BTreeMap<GroupId, TrimCoordinator>,
     gated: BTreeMap<PersistToken, Vec<Action>>,
     token_seed: u64,
-    need_checkpoint: Option<(RingId, InstanceId)>,
+    need_checkpoint: Option<(GroupId, InstanceId)>,
     /// Memoized covering-group resolutions, keyed by the sorted,
     /// deduplicated multi-group destination set.
     covering: BTreeMap<Vec<GroupId>, GroupId>,
@@ -117,7 +117,7 @@ impl Node {
     pub fn with_recovery(
         me: ProcessId,
         config: ClusterConfig,
-        mut acceptor_logs: BTreeMap<RingId, AcceptorRecovery>,
+        mut acceptor_logs: BTreeMap<GroupId, AcceptorRecovery>,
     ) -> Self {
         let subscriptions = config.subscriptions_of(me);
         let mut rings = BTreeMap::new();
@@ -125,13 +125,9 @@ impl Node {
             if !ring_cfg.is_member(me) {
                 continue;
             }
-            let group = config
-                .group_of_ring(ring_id)
-                .expect("validated config maps every ring to a group");
-            let subscribed = subscriptions.contains(&group);
+            let subscribed = subscriptions.contains(&ring_id);
             let state = RingState::with_recovery(
                 me,
-                group,
                 ring_cfg.clone(),
                 subscribed,
                 acceptor_logs.remove(&ring_id),
@@ -193,7 +189,7 @@ impl Node {
     }
 
     /// Per-ring state (for inspection and tests).
-    pub fn ring(&self, ring: RingId) -> Option<&RingState> {
+    pub fn ring(&self, ring: GroupId) -> Option<&RingState> {
         self.rings.get(&ring)
     }
 
@@ -219,7 +215,7 @@ impl Node {
         );
         self.merger.install(ckpt);
         for ring in self.rings.values_mut() {
-            let mark = ckpt.mark_of(ring.group());
+            let mark = ckpt.mark_of(ring.id());
             if let Some(l) = ring.learner_mut() {
                 l.fast_forward(mark);
             }
@@ -248,9 +244,9 @@ impl Node {
     /// checkpoint covering the trimmed prefix can move it again. Clears
     /// by itself once one is installed.
     pub fn needs_checkpoint(&self) -> Option<(GroupId, InstanceId)> {
-        let (ring_id, trimmed) = self.need_checkpoint?;
-        let ring = self.rings.get(&ring_id)?;
-        (ring.learner()?.next_release() <= trimmed).then(|| (ring.group(), trimmed))
+        let (group, trimmed) = self.need_checkpoint?;
+        let ring = self.rings.get(&group)?;
+        (ring.learner()?.next_release() <= trimmed).then_some((group, trimmed))
     }
 
     /// An FNV-1a fingerprint of the protocol-relevant state (see
@@ -308,8 +304,8 @@ impl Node {
         groups: &[GroupId],
         payloads: Vec<Bytes>,
     ) -> Result<(Vec<ValueId>, Vec<Action>), MulticastError> {
-        let (group, ring_id) = self.resolve_serving_ring(groups)?;
-        let Some(ring) = self.rings.get_mut(&ring_id) else {
+        let group = self.resolve_serving_group(groups)?;
+        let Some(ring) = self.rings.get_mut(&group) else {
             return Err(MulticastError::NotAProposer(group));
         };
         let mut fx = Effects::new(self.token_seed);
@@ -346,16 +342,13 @@ impl Node {
         Ok((ids[0], actions))
     }
 
-    /// Resolves the group a multicast to `groups` is ordered through
-    /// (the single group, or the covering group for a multi-group set)
-    /// and the ring serving it.
-    fn resolve_serving_ring(
-        &mut self,
-        groups: &[GroupId],
-    ) -> Result<(GroupId, RingId), MulticastError> {
-        let group = match groups {
-            [] => return Err(MulticastError::NoDestination),
-            [one] => *one,
+    /// Resolves the group whose ring orders a multicast to `groups`: the
+    /// single group, or the covering group for a multi-group set.
+    fn resolve_serving_group(&mut self, groups: &[GroupId]) -> Result<GroupId, MulticastError> {
+        match groups {
+            [] => Err(MulticastError::NoDestination),
+            &[one] if self.config.ring(one).is_none() => Err(MulticastError::UnknownGroup(one)),
+            &[one] => Ok(one),
             many => {
                 // Memoized per deduped set: the answer is a pure
                 // function of the (immutable) configuration, and
@@ -364,21 +357,14 @@ impl Node {
                 let mut key = many.to_vec();
                 key.sort_unstable();
                 key.dedup();
-                match self.covering.get(&key) {
-                    Some(&g) => g,
-                    None => {
-                        let g = self.covering_group(&key)?;
-                        self.covering.insert(key, g);
-                        g
-                    }
+                if let Some(&g) = self.covering.get(&key) {
+                    return Ok(g);
                 }
+                let g = self.covering_group(&key)?;
+                self.covering.insert(key, g);
+                Ok(g)
             }
-        };
-        let ring_id = self
-            .config
-            .ring_of_group(group)
-            .ok_or(MulticastError::UnknownGroup(group))?;
-        Ok((group, ring_id))
+        }
     }
 
     /// Resolves the group whose ring orders a multi-group message: the
@@ -388,7 +374,7 @@ impl Node {
     fn covering_group(&self, groups: &[GroupId]) -> Result<GroupId, MulticastError> {
         let mut union: Vec<ProcessId> = Vec::new();
         for &g in groups {
-            if !self.config.groups().contains_key(&g) {
+            if self.config.ring(g).is_none() {
                 return Err(MulticastError::UnknownGroup(g));
             }
             union.extend(self.config.subscribers_of(g));
@@ -396,7 +382,7 @@ impl Node {
         union.sort_unstable();
         union.dedup();
         self.config
-            .groups()
+            .rings()
             .keys()
             .filter_map(|&candidate| {
                 let subs = self.config.subscribers_of(candidate);
@@ -426,11 +412,7 @@ impl Node {
         if let Some(nc) = need_checkpoint {
             self.need_checkpoint = Some(nc);
         }
-        for (ring_id, range) in released {
-            let group = self
-                .rings
-                .get(&ring_id)
-                .map_or_else(|| GroupId::new(u16::MAX), RingState::group);
+        for (group, range) in released {
             self.merger
                 .push(group, range.first, range.count, range.value);
         }
@@ -529,23 +511,17 @@ impl Node {
         safe: InstanceId,
         out: &mut Vec<Action>,
     ) {
-        let Some(ring_id) = self.config.ring_of_group(group) else {
-            return;
-        };
-        let Some(tc) = self.trim.get_mut(&ring_id) else {
+        let Some(tc) = self.trim.get_mut(&group) else {
             return;
         };
         if let Some(upto) = tc.on_reply(from, seq, safe) {
             let acceptors: Vec<ProcessId> = self
                 .config
-                .ring(ring_id)
+                .ring(group)
                 .map(|r| r.acceptors().to_vec())
                 .unwrap_or_default();
             for a in acceptors {
-                let msg = Message::TrimCommand {
-                    ring: ring_id,
-                    upto,
-                };
+                let msg = Message::TrimCommand { ring: group, upto };
                 if a == self.me {
                     self.dispatch_message(now, self.me, msg, out);
                 } else {
@@ -556,7 +532,7 @@ impl Node {
     }
 
     fn on_start(&mut self, now: Time, out: &mut Vec<Action>) {
-        let ring_ids: Vec<RingId> = self.rings.keys().copied().collect();
+        let ring_ids: Vec<GroupId> = self.rings.keys().copied().collect();
         for ring_id in ring_ids {
             let mut fx = Effects::new(self.token_seed);
             if let Some(ring) = self.rings.get_mut(&ring_id) {
@@ -568,7 +544,7 @@ impl Node {
         }
     }
 
-    fn maybe_start_trim(&mut self, ring_id: RingId, out: &mut Vec<Action>) {
+    fn maybe_start_trim(&mut self, ring_id: GroupId, out: &mut Vec<Action>) {
         let Some(ring) = self.rings.get(&ring_id) else {
             return;
         };
@@ -578,9 +554,8 @@ impl Node {
             return;
         }
         if !self.trim.contains_key(&ring_id) {
-            let group = ring.group();
             self.trim
-                .insert(ring_id, TrimCoordinator::new(group, ring_id, &self.config));
+                .insert(ring_id, TrimCoordinator::new(ring_id, &self.config));
             out.push(Action::SetTimer {
                 after_us: interval,
                 timer: TimerKind::TrimTick(ring_id),
@@ -633,7 +608,7 @@ impl Node {
     fn on_coordinator_change(
         &mut self,
         now: Time,
-        ring_id: RingId,
+        ring_id: GroupId,
         coordinator: ProcessId,
         supersedes: Ballot,
         out: &mut Vec<Action>,
@@ -800,17 +775,17 @@ mod tests {
         use crate::config::{ClusterConfig, RingSpec, Roles};
         let mut b = ClusterConfig::builder();
         for ring in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(ring)).tuning(quiet_tuning());
+            let mut spec = RingSpec::new(GroupId::new(ring)).tuning(quiet_tuning());
             for p in 0..2u32 {
                 spec = spec.member(ProcessId::new(u32::from(ring) * 2 + p), Roles::ALL);
             }
-            b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+            b = b.ring(spec);
         }
-        let mut global = RingSpec::new(RingId::new(2)).tuning(quiet_tuning());
+        let mut global = RingSpec::new(GroupId::new(2)).tuning(quiet_tuning());
         for p in 0..4u32 {
             global = global.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b.ring(global).group(GroupId::new(2), RingId::new(2));
+        b = b.ring(global);
         for p in 0..4u32 {
             b = b
                 .subscribe(ProcessId::new(p), GroupId::new(p as u16 / 2))
@@ -832,11 +807,11 @@ mod tests {
         // Without the global ring no group covers {0, 1}.
         let mut b = ClusterConfig::builder();
         for ring in 0..2u16 {
-            let mut spec = RingSpec::new(RingId::new(ring)).tuning(quiet_tuning());
+            let mut spec = RingSpec::new(GroupId::new(ring)).tuning(quiet_tuning());
             for p in 0..2u32 {
                 spec = spec.member(ProcessId::new(u32::from(ring) * 2 + p), Roles::ALL);
             }
-            b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+            b = b.ring(spec);
         }
         for p in 0..4u32 {
             b = b.subscribe(ProcessId::new(p), GroupId::new(p as u16 / 2));

@@ -1,6 +1,6 @@
 //! The acceptor role: promises, votes, decisions and the trimmable log.
 
-use crate::types::{Ballot, ConsensusValue, InstanceId, RingId};
+use crate::types::{Ballot, ConsensusValue, GroupId, InstanceId};
 use std::collections::BTreeMap;
 
 /// A contiguous range of instances sharing one consensus value (client
@@ -77,7 +77,7 @@ pub struct AcceptorRecovery {
 /// the storage mode requires it.
 #[derive(Hash, Debug)]
 pub struct Acceptor {
-    ring: RingId,
+    ring: GroupId,
     promised: Ballot,
     accepted: BTreeMap<InstanceId, (u32, Ballot, ConsensusValue)>,
     decided: BTreeMap<InstanceId, (u32, ConsensusValue)>,
@@ -86,7 +86,7 @@ pub struct Acceptor {
 
 impl Acceptor {
     /// A fresh acceptor for `ring`.
-    pub fn new(ring: RingId) -> Self {
+    pub fn new(ring: GroupId) -> Self {
         Self {
             ring,
             promised: Ballot::ZERO,
@@ -97,7 +97,7 @@ impl Acceptor {
     }
 
     /// Rebuilds an acceptor from the state recovered from its stable log.
-    pub fn recover(ring: RingId, rec: AcceptorRecovery) -> Self {
+    pub fn recover(ring: GroupId, rec: AcceptorRecovery) -> Self {
         let mut a = Self::new(ring);
         a.promised = rec.promised;
         for (first, count, ballot, value) in rec.accepted {
@@ -111,7 +111,7 @@ impl Acceptor {
     }
 
     /// The ring this acceptor serves.
-    pub fn ring(&self) -> RingId {
+    pub fn ring(&self) -> GroupId {
         self.ring
     }
 
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn promise_then_reject_stale() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         assert!(matches!(
             a.on_phase1a(b(2), i(1)),
             Phase1Outcome::Promised { .. }
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn vote_requires_fresh_ballot() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         a.on_phase1a(b(2), i(1));
         assert_eq!(a.on_phase2(b(2), i(1), 1, &val(1)), Phase2Outcome::Voted);
         assert!(matches!(
@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn phase1b_reports_accepted_at_or_after_from() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         a.on_phase1a(b(1), i(1));
         a.on_phase2(b(1), i(1), 1, &val(1));
         a.on_phase2(b(1), i(2), 3, &ConsensusValue::Skip);
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn decisions_serve_retransmissions() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         a.on_decision(i(1), 1, val(1));
         a.on_decision(i(2), 3, ConsensusValue::Skip);
         a.on_decision(i(5), 1, val(5));
@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn trim_drops_old_state() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         for n in 1..=10 {
             a.on_phase2(b(1), i(n), 1, &val(n));
             a.on_decision(i(n), 1, val(n));
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn straddling_range_survives_trim() {
-        let mut a = Acceptor::new(RingId::new(0));
+        let mut a = Acceptor::new(GroupId::new(0));
         a.on_decision(i(1), 10, ConsensusValue::Skip);
         a.trim(i(5));
         // The range 1..=10 straddles the watermark and is kept whole.
@@ -366,7 +366,7 @@ mod tests {
             decided: vec![(i(1), 1, val(1))],
             trimmed: InstanceId::ZERO,
         };
-        let mut a = Acceptor::recover(RingId::new(0), rec);
+        let mut a = Acceptor::recover(GroupId::new(0), rec);
         assert_eq!(a.promised(), b(4));
         assert!(a.decided_at(i(1)).is_some());
         assert!(matches!(

@@ -3,8 +3,18 @@
 
 use crate::config::RingTuning;
 use crate::paxos::acceptor::InstanceRange;
-use crate::types::{Ballot, ConsensusValue, InstanceId, ProcessId, RingId, SeqFilter, Time, Value};
+use crate::types::{
+    Ballot, ConsensusValue, GroupId, InstanceId, ProcessId, SeqFilter, Time, Value,
+};
 use std::collections::{BTreeMap, VecDeque};
+
+/// Maximum number of undecided instances a coordinator keeps in flight
+/// (the pipelining window).
+pub const WINDOW: usize = 128;
+
+/// Maximum payload bytes batched into one consensus instance (a single
+/// larger value still gets an instance of its own).
+pub const BYTES_PER_INSTANCE: usize = 32 * 1024;
 
 /// Where the coordinator stands in the protocol.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -30,7 +40,7 @@ struct InFlight {
 /// acceptor vote and persistence.
 #[derive(Hash, Debug)]
 pub struct Coordinator {
-    ring: RingId,
+    ring: GroupId,
     me: ProcessId,
     majority: usize,
     tuning: RingTuning,
@@ -51,7 +61,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates an idle coordinator for `ring` at process `me`; call
     /// [`Coordinator::start`] to run Phase 1 and take over.
-    pub fn new(ring: RingId, me: ProcessId, majority: usize, tuning: RingTuning) -> Self {
+    pub fn new(ring: GroupId, me: ProcessId, majority: usize, tuning: RingTuning) -> Self {
         Self {
             ring,
             me,
@@ -88,7 +98,7 @@ impl Coordinator {
     }
 
     /// The ring this coordinator serves.
-    pub fn ring(&self) -> RingId {
+    pub fn ring(&self) -> GroupId {
         self.ring
     }
 
@@ -238,12 +248,12 @@ impl Coordinator {
 
     fn try_propose(&mut self, now: Time) -> Vec<InstanceRange> {
         let mut out = Vec::new();
-        while !self.pending.is_empty() && self.in_flight.len() < self.tuning.window as usize {
+        while !self.pending.is_empty() && self.in_flight.len() < WINDOW {
             let mut batch = Vec::new();
             let mut bytes = 0usize;
             while batch.len() < self.tuning.values_per_instance {
                 let Some(v) = self.pending.front() else { break };
-                if !batch.is_empty() && bytes + v.len() > self.tuning.bytes_per_instance {
+                if !batch.is_empty() && bytes + v.len() > BYTES_PER_INSTANCE {
                     break;
                 }
                 bytes += v.len();
@@ -352,7 +362,7 @@ mod tests {
 
     fn coord() -> Coordinator {
         Coordinator::new(
-            RingId::new(0),
+            GroupId::new(0),
             ProcessId::new(0),
             2,
             RingTuning {
@@ -492,47 +502,46 @@ mod tests {
 
     #[test]
     fn window_limits_pipeline() {
-        let mut c = Coordinator::new(
-            RingId::new(0),
-            ProcessId::new(0),
-            2,
-            RingTuning {
-                window: 2,
-                values_per_instance: 1,
-                lambda: 0,
-                ..RingTuning::default()
-            },
-        );
+        let mut c = coord();
         let now = Time::ZERO;
         quorum_start(&mut c);
-        let vals: Vec<Value> = (1..=5).map(|s| mkval(1, s)).collect();
+        let window = WINDOW as u64;
+        let vals: Vec<Value> = (1..=window + 3).map(|s| mkval(1, s)).collect();
         let props = c.submit(now, vals);
-        assert_eq!(props.len(), 2);
+        assert_eq!(props.len(), WINDOW);
         assert_eq!(c.pending_len(), 3);
-        assert_eq!(c.in_flight_len(), 2);
+        assert_eq!(c.in_flight_len(), WINDOW);
         // A decision frees a slot and admits the next value.
         let more = c.on_decided(now, InstanceId::new(1), 1);
         assert_eq!(more.len(), 1);
-        assert_eq!(more[0].first, InstanceId::new(3));
+        assert_eq!(more[0].first, InstanceId::new(window + 1));
     }
 
     #[test]
     fn proposal_batching_respects_caps() {
         let mut c = Coordinator::new(
-            RingId::new(0),
+            GroupId::new(0),
             ProcessId::new(0),
             2,
             RingTuning {
                 values_per_instance: 3,
-                bytes_per_instance: 20,
                 lambda: 0,
                 ..RingTuning::default()
             },
         );
         let now = Time::ZERO;
         quorum_start(&mut c);
-        // Each value is 8 bytes; the 20-byte cap allows 2 per instance.
-        let props = c.submit(now, (1..=4).map(|s| mkval(1, s)).collect());
+        // Two values of 2/5 of the byte cap fit an instance, a third
+        // does not: the byte cap binds before the 3-value cap.
+        let size = BYTES_PER_INSTANCE * 2 / 5;
+        let vals = (1..=4).map(|s| {
+            Value::new(
+                ValueId::new(ProcessId::new(1), s),
+                GroupId::new(0),
+                vec![0u8; size],
+            )
+        });
+        let props = c.submit(now, vals.collect());
         assert_eq!(props.len(), 2);
         for p in &props {
             match &p.value {
@@ -545,7 +554,7 @@ mod tests {
     #[test]
     fn rate_leveling_fills_deficit() {
         let mut c = Coordinator::new(
-            RingId::new(0),
+            GroupId::new(0),
             ProcessId::new(0),
             2,
             RingTuning {
@@ -574,7 +583,7 @@ mod tests {
     #[test]
     fn stalled_instances_are_reproposed() {
         let mut c = Coordinator::new(
-            RingId::new(0),
+            GroupId::new(0),
             ProcessId::new(0),
             2,
             RingTuning {

@@ -12,14 +12,13 @@
 //! partition** among the group's subscribers, not just a global majority.
 
 use crate::config::ClusterConfig;
-use crate::types::{GroupId, InstanceId, ProcessId, RingId};
+use crate::types::{GroupId, InstanceId, ProcessId};
 use std::collections::BTreeMap;
 
 /// The trim protocol state at a group's coordinator.
 #[derive(Hash, Debug)]
 pub struct TrimCoordinator {
     group: GroupId,
-    ring: RingId,
     /// Partition groups among the subscribers of `group`.
     partitions: Vec<Vec<ProcessId>>,
     seq: u64,
@@ -28,8 +27,9 @@ pub struct TrimCoordinator {
 }
 
 impl TrimCoordinator {
-    /// Builds the trim coordinator for `group` from the cluster layout.
-    pub fn new(group: GroupId, ring: RingId, config: &ClusterConfig) -> Self {
+    /// Builds the trim coordinator for `group` (whose ring's acceptors
+    /// get trimmed) from the cluster layout.
+    pub fn new(group: GroupId, config: &ClusterConfig) -> Self {
         let subscribers = config.subscribers_of(group);
         let mut partitions: Vec<Vec<ProcessId>> = Vec::new();
         for &p in &subscribers {
@@ -44,7 +44,6 @@ impl TrimCoordinator {
         }
         Self {
             group,
-            ring,
             partitions,
             seq: 0,
             replies: BTreeMap::new(),
@@ -55,11 +54,6 @@ impl TrimCoordinator {
     /// The group being trimmed.
     pub fn group(&self) -> GroupId {
         self.group
-    }
-
-    /// The ring whose acceptors get trimmed.
-    pub fn ring(&self) -> RingId {
-        self.ring
     }
 
     /// The highest instance already authorized for trimming.
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn trims_at_quorum_minimum() {
         let cfg = three_replica_config();
-        let mut tc = TrimCoordinator::new(g(0), RingId::new(0), &cfg);
+        let mut tc = TrimCoordinator::new(g(0), &cfg);
         let (seq, targets) = tc.begin_round();
         assert_eq!(targets, vec![p(0), p(1), p(2)]);
         assert_eq!(tc.on_reply(p(0), seq, i(10)), None);
@@ -153,7 +147,7 @@ mod tests {
     #[test]
     fn stale_replies_ignored() {
         let cfg = three_replica_config();
-        let mut tc = TrimCoordinator::new(g(0), RingId::new(0), &cfg);
+        let mut tc = TrimCoordinator::new(g(0), &cfg);
         let (seq, _) = tc.begin_round();
         assert_eq!(tc.on_reply(p(0), seq + 5, i(10)), None);
         assert_eq!(tc.on_reply(p(0), seq, i(10)), None);
@@ -165,7 +159,7 @@ mod tests {
     #[test]
     fn watermark_only_advances() {
         let cfg = three_replica_config();
-        let mut tc = TrimCoordinator::new(g(0), RingId::new(0), &cfg);
+        let mut tc = TrimCoordinator::new(g(0), &cfg);
         let (seq, _) = tc.begin_round();
         tc.on_reply(p(0), seq, i(10));
         tc.on_reply(p(1), seq, i(10));
@@ -180,17 +174,13 @@ mod tests {
     fn per_partition_majorities_required() {
         // Five subscribers of g1: partition A = {0,1} (subscribe to g0
         // and g1), partition B = {2,3,4} (subscribe to g1 only).
-        let mut spec0 = RingSpec::new(RingId::new(0));
-        let mut spec1 = RingSpec::new(RingId::new(1));
+        let mut spec0 = RingSpec::new(g(0));
+        let mut spec1 = RingSpec::new(g(1));
         for n in 0..5 {
             spec0 = spec0.member(p(n), Roles::ALL);
             spec1 = spec1.member(p(n), Roles::ALL);
         }
-        let mut b = ClusterConfig::builder()
-            .ring(spec0)
-            .ring(spec1)
-            .group(g(0), RingId::new(0))
-            .group(g(1), RingId::new(1));
+        let mut b = ClusterConfig::builder().ring(spec0).ring(spec1);
         for n in 0..2 {
             b = b.subscribe(p(n), g(0)).subscribe(p(n), g(1));
         }
@@ -198,7 +188,7 @@ mod tests {
             b = b.subscribe(p(n), g(1));
         }
         let cfg = b.build().unwrap();
-        let mut tc = TrimCoordinator::new(g(1), RingId::new(1), &cfg);
+        let mut tc = TrimCoordinator::new(g(1), &cfg);
         let (seq, targets) = tc.begin_round();
         assert_eq!(targets.len(), 5);
         // A global majority (3 of 5) drawn only from partition B must

@@ -2,7 +2,7 @@
 //! gaps via acceptor retransmission, and releases a contiguous stream of
 //! decided instances to the deterministic merge.
 
-use crate::types::{ConsensusValue, InstanceId, RingId, Time};
+use crate::types::{ConsensusValue, GroupId, InstanceId, Time};
 use std::collections::BTreeMap;
 
 /// A decided range released by the learner to the merge layer.
@@ -32,7 +32,7 @@ pub enum RepairOutcome {
 /// Learner state for one ring.
 #[derive(Hash, Debug)]
 pub struct RingLearner {
-    ring: RingId,
+    ring: GroupId,
     /// Next instance to release to the merge (everything below is out).
     next_release: InstanceId,
     /// Highest instance known to be decided anywhere (from any decision
@@ -50,7 +50,7 @@ pub struct RingLearner {
 
 impl RingLearner {
     /// A fresh learner starting at instance 1.
-    pub fn new(ring: RingId) -> Self {
+    pub fn new(ring: GroupId) -> Self {
         Self {
             ring,
             next_release: InstanceId::new(1),
@@ -62,7 +62,7 @@ impl RingLearner {
     }
 
     /// The ring.
-    pub fn ring(&self) -> RingId {
+    pub fn ring(&self) -> GroupId {
         self.ring
     }
 
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn in_order_decisions_release_immediately() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         let r1 = l.on_decision(t(0), i(1), 1, Some(val(1)));
         assert_eq!(r1.len(), 1);
         assert_eq!(r1[0].first, i(1));
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn out_of_order_buffered_until_gap_fills() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         assert!(l.on_decision(t(0), i(2), 1, Some(val(2))).is_empty());
         assert!(l.has_gap());
         let r = l.on_decision(t(1), i(1), 1, Some(val(1)));
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn stripped_decision_resolved_from_phase2_cache() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.on_phase2_value(i(1), 1, &val(1));
         let r = l.on_decision(t(0), i(1), 1, None);
         assert_eq!(r.len(), 1);
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn stripped_decision_without_cache_leaves_gap() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         assert!(l.on_decision(t(0), i(1), 1, None).is_empty());
         assert!(l.has_gap());
         assert_eq!(l.highest_seen(), i(1));
@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn repair_request_after_timeout() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.on_decision(t(0), i(5), 1, Some(val(5)));
         assert_eq!(l.repair_request(t(0), 10_000), None);
         assert_eq!(l.repair_request(t(20), 10_000), Some((i(1), i(4))));
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn retransmit_reply_fills_gap() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.on_decision(t(0), i(4), 1, Some(val(4)));
         let (released, outcome) = l.on_retransmit_reply(
             t(5),
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn trimmed_reply_requires_checkpoint() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.on_decision(t(0), i(10), 1, Some(val(10)));
         let (_, outcome) = l.on_retransmit_reply(t(1), vec![], i(6));
         assert_eq!(outcome, RepairOutcome::NeedCheckpoint { trimmed: i(6) });
@@ -324,12 +324,12 @@ mod tests {
 
     #[test]
     fn fast_forward_clips_straddling_ranges() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         // Skip range 1..=10 buffered out of order behind nothing; fast
         // forward to 5, the remainder 6..=10 must release.
         l.on_decision(t(0), i(1), 10, Some(ConsensusValue::Skip));
         // All released immediately since no gap: reset scenario instead.
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.fast_forward(i(5));
         assert_eq!(l.next_release(), i(6));
         let r = l.on_decision(t(0), i(1), 10, Some(ConsensusValue::Skip));
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn stale_duplicates_ignored() {
-        let mut l = RingLearner::new(RingId::new(0));
+        let mut l = RingLearner::new(GroupId::new(0));
         l.on_decision(t(0), i(1), 1, Some(val(1)));
         assert!(l.on_decision(t(0), i(1), 1, Some(val(1))).is_empty());
         assert_eq!(l.next_release(), i(2));

@@ -21,9 +21,7 @@ use crate::config::{RingConfig, StorageMode};
 use crate::event::{Action, Message, PersistRecord, PersistToken, TimerKind};
 use crate::paxos::acceptor::InstanceRange;
 use crate::paxos::{Acceptor, AcceptorRecovery, Coordinator, Phase1Outcome, Phase2Outcome};
-use crate::types::{
-    Ballot, ConsensusValue, GroupId, InstanceId, ProcessId, RingId, Time, Value, ValueId,
-};
+use crate::types::{Ballot, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Effect sink passed through ring processing; the node translates it
@@ -34,10 +32,10 @@ pub struct Effects {
     /// Plain actions, in order.
     pub actions: Vec<Action>,
     /// Decided ranges released by learners, to feed the merge.
-    pub released: Vec<(RingId, ReleasedRange)>,
+    pub released: Vec<(GroupId, ReleasedRange)>,
     /// Signals that acceptors trimmed instances a learner still needs
     /// (replica recovery must fetch a checkpoint).
-    pub need_checkpoint: Option<(RingId, InstanceId)>,
+    pub need_checkpoint: Option<(GroupId, InstanceId)>,
     /// Gated actions keyed by persist token: released on `PersistDone`.
     pub gated: Vec<(PersistToken, Vec<Action>)>,
     next_token: u64,
@@ -129,7 +127,6 @@ impl ProposerState {
 pub struct RingState {
     me: ProcessId,
     cfg: RingConfig,
-    group: GroupId,
     /// Current believed coordinator (starts at the configured one; updated
     /// by `CoordinatorChange` events from the coordination service).
     coordinator_proc: ProcessId,
@@ -153,15 +150,14 @@ impl RingState {
     /// Creates the per-ring state for process `me`. `subscribed` controls
     /// whether the learner role is activated (a learner member that does
     /// not subscribe to the ring's group only forwards traffic).
-    pub fn new(me: ProcessId, group: GroupId, cfg: RingConfig, subscribed: bool) -> Self {
-        Self::with_recovery(me, group, cfg, subscribed, None)
+    pub fn new(me: ProcessId, cfg: RingConfig, subscribed: bool) -> Self {
+        Self::with_recovery(me, cfg, subscribed, None)
     }
 
     /// Like [`RingState::new`], but restores the acceptor from the state
     /// recovered from its stable log.
     pub fn with_recovery(
         me: ProcessId,
-        group: GroupId,
         cfg: RingConfig,
         subscribed: bool,
         acceptor_log: Option<AcceptorRecovery>,
@@ -177,7 +173,6 @@ impl RingState {
         Self {
             me,
             cfg,
-            group,
             coordinator_proc,
             highest_ballot_seen: Ballot::ZERO,
             coordinator: None,
@@ -203,14 +198,9 @@ impl RingState {
         self.cfg.len() - self.down.len()
     }
 
-    /// The ring id.
-    pub fn id(&self) -> RingId {
+    /// The group this ring orders.
+    pub fn id(&self) -> GroupId {
         self.cfg.id()
-    }
-
-    /// The multicast group served by this ring.
-    pub fn group(&self) -> GroupId {
-        self.group
     }
 
     /// The ring configuration.
@@ -346,7 +336,6 @@ impl RingState {
         payloads: Vec<bytes::Bytes>,
         fx: &mut Effects,
     ) -> Option<Vec<ValueId>> {
-        let group = self.group;
         let resend_us = self.cfg.tuning().proposal_resend_us;
         let ring_id = self.cfg.id();
         let proposer = self.proposer.as_mut()?;
@@ -355,7 +344,7 @@ impl RingState {
         for payload in payloads {
             proposer.next_seq += 1;
             let id = ValueId::new(self.me, proposer.next_seq);
-            let value = Value::new(id, group, payload);
+            let value = Value::new(id, ring_id, payload);
             proposer.pending.insert(id.seq, value.clone());
             ids.push(id);
             values.push(value);
@@ -859,5 +848,77 @@ impl RingState {
             .min_by_key(|&(_, &a)| self.cfg.distance(a, self.me))
             .map_or(0, |(i, _)| i);
         acceptors[(nearest + self.repair_attempts as usize) % acceptors.len()]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{ClusterConfig, RingSpec, Roles};
+
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// Ring order 0(P) 1(A, coordinator) 2(A) 3(A) 4(L), as seen by `me`.
+    fn five(me: u32) -> RingState {
+        let c = ClusterConfig::builder()
+            .ring(
+                RingSpec::new(GroupId::new(0))
+                    .member(p(0), Roles::PROPOSER)
+                    .member(p(1), Roles::ACCEPTOR)
+                    .member(p(2), Roles::ACCEPTOR)
+                    .member(p(3), Roles::ACCEPTOR)
+                    .member(p(4), Roles::LEARNER),
+            )
+            .subscribe(p(4), GroupId::new(0))
+            .build()
+            .unwrap();
+        RingState::new(p(me), c.ring(GroupId::new(0)).unwrap().clone(), false)
+    }
+
+    #[test]
+    fn phase2_arc() {
+        // The arc runs from the coordinator to the last acceptor: 1..=3.
+        let ring = five(4);
+        assert_eq!(ring.coordinator_proc(), p(1));
+        assert_eq!(ring.last_acceptor(), p(3));
+        let arc: Vec<bool> = (0..5).map(|i| ring.on_phase2_arc(p(i))).collect();
+        assert_eq!(arc, [false, true, true, true, false]);
+    }
+
+    #[test]
+    fn a_down_last_acceptor_shortens_the_phase2_arc() {
+        let mut ring = five(4);
+        ring.set_down([p(3)]);
+        assert_eq!(ring.last_acceptor(), p(2));
+        let arc: Vec<bool> = (0..5).map(|i| ring.on_phase2_arc(p(i))).collect();
+        assert_eq!(arc, [false, true, true, false, false]);
+    }
+
+    #[test]
+    fn successor_skips_down_members() {
+        let mut ring = five(1);
+        assert_eq!(ring.successor(), p(2));
+        ring.set_down([p(2)]);
+        assert_eq!(ring.successor(), p(3));
+        ring.set_down([p(2), p(3), p(4)]);
+        assert_eq!(ring.successor(), p(0), "wraps around the ring");
+        // A report naming this process itself is ignored.
+        ring.set_down([p(1), p(2)]);
+        assert_eq!(ring.successor(), p(3));
+    }
+
+    #[test]
+    fn set_coordinator_reanchors_the_phase2_arc() {
+        let mut ring = five(4);
+        let mut fx = Effects::new(0);
+        ring.set_coordinator(Time::ZERO, p(2), Ballot::ZERO, &mut fx);
+        assert!(fx.actions.is_empty(), "a learner only re-anchors");
+        assert_eq!(ring.coordinator_proc(), p(2));
+        // From 2 the farthest acceptor is 1, four hops on: every member
+        // now sees Phase 2.
+        assert_eq!(ring.last_acceptor(), p(1));
+        assert!((0..5).all(|i| ring.on_phase2_arc(p(i))));
     }
 }

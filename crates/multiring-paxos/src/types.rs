@@ -1,7 +1,7 @@
 //! Core identifiers and value types shared by every protocol module.
 //!
 //! All identifiers are newtypes ([C-NEWTYPE]) so that a `ProcessId` can
-//! never be confused with a `RingId` at a call site. They are `Copy`,
+//! never be confused with a `GroupId` at a call site. They are `Copy`,
 //! ordered, hashable and displayable.
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
@@ -62,19 +62,17 @@ define_id! {
 }
 
 define_id! {
-    /// Identifies one Ring Paxos instance ("ring") in a Multi-Ring Paxos
-    /// deployment.
-    RingId, u16
-}
-
-define_id! {
-    /// Identifies a multicast group.
+    /// Identifies a multicast group — and the ring that orders it.
     ///
-    /// Each group is assigned to exactly one ring; learners subscribe to
-    /// the groups they are interested in ("inverted" addressing, Section 3
-    /// of the paper).
+    /// Each group is ordered by its own Ring Paxos instance, so the
+    /// group's id also names its ring (message and timer fields called
+    /// `ring` hold one). Learners subscribe to the groups they are
+    /// interested in ("inverted" addressing, Section 3 of the paper).
     GroupId, u16
 }
+
+/// The id of a group's ring: the group's own id.
+pub type RingId = GroupId;
 
 define_id! {
     /// Identifies a client session (a logical closed-loop requester).

@@ -11,7 +11,7 @@
 
 use atomic_multicast::amcast::EngineKind;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
+use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
 use atomic_multicast::sim::Burst;
@@ -28,12 +28,12 @@ fn config() -> ClusterConfig {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             // Rotate membership so coordinators/sequencers spread.
             spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..3u32 {
         for g in 0..2u16 {

@@ -16,7 +16,7 @@ use atomic_multicast::store::{StoreApp, StoreDeployment, StoreTopology};
 use bytes::Bytes;
 
 fn main() {
-    let tuning = RingTuning::wide_area(); // M=1, Δ=20ms, λ=2000
+    let tuning = RingTuning::wide_area(); // Δ=20ms, λ=2000
     let topo = StoreTopology {
         partitions: 4,
         replicas_per_partition: 3,

@@ -123,5 +123,10 @@ fn main() {
         );
     }
     println!("the replicas of every partition agree byte for byte — scans were ordered");
-    println!("against every single-partition write by the global ring.");
+    if deployment.engine.genuine() {
+        println!("against every single-partition write, multicast only to the partitions");
+        println!("each scan involves.");
+    } else {
+        println!("against every single-partition write by the global ring.");
+    }
 }

@@ -21,11 +21,9 @@
 //!   codec (`core::codec`) and a real TCP runtime.
 //! * [`storage`] — acceptor write-ahead logs and checkpoint
 //!   storage.
-//! * [`coord`] — the partitioning schema services read from the
-//!   coordination service (which itself is external, as the paper's
-//!   Zookeeper is).
 //! * [`store`] — MRP-Store, the partitioned strongly
-//!   consistent key-value store of Section 6.1.
+//!   consistent key-value store of Section 6.1, with the partitioning
+//!   schema its clients read (`store::partition`).
 //! * [`dlog`] — dLog, the distributed shared log of
 //!   Section 6.2.
 //! * [`ycsb`] — YCSB-style workload generator.
@@ -57,7 +55,6 @@
 
 pub use mrp_amcast as amcast;
 pub use mrp_baselines as baselines;
-pub use mrp_coord as coord;
 pub use mrp_dlog as dlog;
 pub use mrp_sim as sim;
 pub use mrp_storage as storage;

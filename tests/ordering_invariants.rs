@@ -22,7 +22,7 @@ use atomic_multicast::amcast::{
     AmcastEngine, AnyEngine, BatchConfig, EngineKind, HealthReport, TelemetrySnapshot,
 };
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
+use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::net::Topology;
@@ -115,11 +115,11 @@ fn fig2c_config() -> ClusterConfig {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     b = b
         .subscribe(ProcessId::new(0), GroupId::new(0))
@@ -209,11 +209,11 @@ fn shared_two_group_config() -> ClusterConfig {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..3u32 {
         for g in 0..2u16 {
@@ -366,11 +366,11 @@ fn wbcast_nonaddressed_groups_see_no_engine_traffic() {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..3u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..2u32 {
             spec = spec.member(ProcessId::new(u32::from(ring) * 2 + p), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
         for p in 0..2u32 {
             b = b.subscribe(ProcessId::new(u32::from(ring) * 2 + p), GroupId::new(ring));
         }
@@ -490,11 +490,11 @@ fn failover_config() -> ClusterConfig {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             spec = spec.member(ProcessId::new((p + u32::from(ring)) % 3), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 0..3u32 {
         for g in 0..2u16 {
@@ -821,7 +821,7 @@ fn recovery_config() -> ClusterConfig {
     };
     let mut b = ClusterConfig::builder();
     for ring in 0..2u16 {
-        let mut spec = RingSpec::new(RingId::new(ring)).tuning(tuning);
+        let mut spec = RingSpec::new(GroupId::new(ring)).tuning(tuning);
         for p in 0..3u32 {
             spec = spec.member(
                 ProcessId::new((p + u32::from(ring)) % 3),
@@ -831,7 +831,7 @@ fn recovery_config() -> ClusterConfig {
         for p in 3..6u32 {
             spec = spec.member(ProcessId::new(p), Roles::LEARNER);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
     }
     for p in 3..6u32 {
         for g in 0..2u16 {

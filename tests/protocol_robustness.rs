@@ -12,7 +12,7 @@ use atomic_multicast::core::config::{
     single_ring, ClusterConfig, RingSpec, RingTuning, Roles, StorageMode,
 };
 use atomic_multicast::core::node::Node;
-use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time, ValueId};
+use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
@@ -150,7 +150,7 @@ fn sync_storage_gates_votes_but_preserves_total_order() {
     let storage = cluster.storage(ProcessId::new(1)).expect("storage");
     let rec = storage.acceptor_recovery();
     assert!(
-        rec[&multiring_paxos::types::RingId::new(0)].accepted.len() >= 50,
+        rec[&multiring_paxos::types::GroupId::new(0)].accepted.len() >= 50,
         "sync mode logged every vote"
     );
 }
@@ -205,11 +205,11 @@ fn coordinator_failover_neither_loses_nor_duplicates() {
 fn orphan_config() -> ClusterConfig {
     let mut b = ClusterConfig::builder();
     for (ring, members) in [(0u16, [0u32, 1]), (1, [2, 3])] {
-        let mut spec = RingSpec::new(RingId::new(ring));
+        let mut spec = RingSpec::new(GroupId::new(ring));
         for p in members {
             spec = spec.member(ProcessId::new(p), Roles::ALL);
         }
-        b = b.ring(spec).group(GroupId::new(ring), RingId::new(ring));
+        b = b.ring(spec);
         for p in members {
             b = b.subscribe(ProcessId::new(p), GroupId::new(ring));
         }
@@ -400,12 +400,12 @@ fn orphan_recovery_is_idempotent_under_duplicated_and_reordered_frames() {
     net.fire(
         t,
         ProcessId::new(0),
-        Event::Timer(TimerKind::Delta(RingId::new(0))),
+        Event::Timer(TimerKind::Delta(GroupId::new(0))),
     );
     net.fire(
         t,
         ProcessId::new(2),
-        Event::Timer(TimerKind::Delta(RingId::new(1))),
+        Event::Timer(TimerKind::Delta(GroupId::new(1))),
     );
     for p in [0u32, 2, 3] {
         assert_eq!(
@@ -442,7 +442,7 @@ fn revived_initiator_retries_after_orphan_completion_are_deduplicated() {
     net.fire(
         t,
         ProcessId::new(0),
-        Event::Timer(TimerKind::Delta(RingId::new(0))),
+        Event::Timer(TimerKind::Delta(GroupId::new(0))),
     );
     assert_eq!(net.copies_of(0, id), 1, "recovery completed");
     let released = net.ordered_frames;
@@ -454,12 +454,12 @@ fn revived_initiator_retries_after_orphan_completion_are_deduplicated() {
     net.fire(
         t2,
         ProcessId::new(1),
-        Event::Timer(TimerKind::ProposalResend(RingId::new(0))),
+        Event::Timer(TimerKind::ProposalResend(GroupId::new(0))),
     );
     net.fire(
         t2,
         ProcessId::new(1),
-        Event::Timer(TimerKind::ProposalResend(RingId::new(1))),
+        Event::Timer(TimerKind::ProposalResend(GroupId::new(1))),
     );
     assert_eq!(
         net.ordered_frames, released,

@@ -7,7 +7,7 @@ use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::replica::CheckpointPolicy;
-use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, RingId, Time};
+use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
 use atomic_multicast::sim::disk::DiskModel;
 use atomic_multicast::sim::net::Topology;
@@ -28,16 +28,14 @@ fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -
         trim_interval_us: trim_interval_s * 1_000_000,
         ..RingTuning::default()
     };
-    let mut spec = RingSpec::new(RingId::new(0)).tuning(tuning);
+    let mut spec = RingSpec::new(GroupId::new(0)).tuning(tuning);
     for i in 0..3 {
         spec = spec.member(ProcessId::new(i), Roles::PROPOSER | Roles::ACCEPTOR);
     }
     for i in 3..6 {
         spec = spec.member(ProcessId::new(i), Roles::LEARNER);
     }
-    let mut builder = ClusterConfig::builder()
-        .ring(spec)
-        .group(GroupId::new(0), RingId::new(0));
+    let mut builder = ClusterConfig::builder().ring(spec);
     for i in 3..6 {
         builder = builder.subscribe(ProcessId::new(i), GroupId::new(0));
     }
