@@ -598,15 +598,7 @@ pub fn fig7(scale: Scale) -> Figure {
     let mut fig = Figure::new();
     let mut base = None;
     for active in 1..=max_active {
-        let tuning = RingTuning::wide_area();
-        let topo = StoreTopology {
-            partitions: 4,
-            replicas_per_partition: 3,
-            global_ring: true,
-            tuning,
-            global_tuning: tuning,
-            engine: EngineKind::MultiRing,
-        };
+        let topo = StoreTopology::local(4, RingTuning::wide_area()).engine(EngineKind::MultiRing);
         let deployment = StoreDeployment::build(&topo);
         let mut net = Topology::ec2_four_regions();
         for part in 0..4u16 {

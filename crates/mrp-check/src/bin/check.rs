@@ -10,11 +10,12 @@
 //! the reduced pass (the exploration itself is identical, so the
 //! reduction ratio is unaffected; the pass reports how many candidate
 //! cycles it examined). Writes a small JSON artifact with the counts
-//! when `--out` is given; `--baseline FILE` compares the deterministic
-//! counts against a committed artifact and fails on any drift — state
-//! counts are exact, so a mismatch means the protocol, the checker or
-//! the reduction changed and the baseline must be reviewed and
-//! regenerated. Exits non-zero on any invariant violation.
+//! when `--out` is given; `--baseline FILE` compares that artifact, as
+//! rendered, with a committed one and fails on the first line that
+//! differs — every count in it is exact, so a mismatch means the
+//! protocol, the checker or the reduction changed and the baseline
+//! must be reviewed and regenerated. Exits non-zero on any invariant
+//! violation.
 
 use std::process::ExitCode;
 
@@ -69,47 +70,20 @@ fn render_json(runs: &[Run], liveness: bool) -> String {
     out
 }
 
-/// Extracts `"field": value` for the run whose `"scenario"` matches, by
-/// plain text scanning — the artifact format is ours and line-oriented,
-/// so a JSON parser dependency is not warranted.
-fn baseline_field(baseline: &str, scenario: &str, field: &str) -> Option<String> {
-    let line = baseline
-        .lines()
-        .find(|l| l.contains(&format!("\"scenario\": \"{scenario}\"")))?;
-    let tail = line.split(&format!("\"{field}\": ")).nth(1)?;
-    let value: String = tail
-        .chars()
-        .take_while(|c| !matches!(c, ',' | '}' | '\n'))
-        .collect();
-    Some(value.trim().to_string())
-}
-
-/// Compares the deterministic state counts of `runs` against a
-/// committed baseline artifact; returns the list of drifts.
-fn diff_baseline(baseline: &str, runs: &[Run]) -> Vec<String> {
-    let mut drifts = Vec::new();
-    for r in runs {
-        for (field, actual) in [
-            ("depth", r.depth.to_string()),
-            ("explored", r.reduced.explored.to_string()),
-            ("naive_explored", r.naive.explored.to_string()),
-        ] {
-            match baseline_field(baseline, &r.name, field) {
-                None => {
-                    drifts.push(format!("{}: `{field}` missing from baseline", r.name));
-                    break;
-                }
-                Some(expected) if expected != actual => {
-                    drifts.push(format!(
-                        "{}: `{field}` is {actual}, baseline says {expected}",
-                        r.name
-                    ));
-                }
-                Some(_) => {}
-            }
-        }
-    }
-    drifts
+/// The first line where the rendered artifact differs from the
+/// committed one, or `None` when they are the same.
+fn first_drift(actual: &str, baseline: &str) -> Option<String> {
+    let end = ["<end of file>"];
+    let (i, (got, want)) = (actual.lines().chain(end))
+        .zip(baseline.lines().chain(end))
+        .enumerate()
+        .find(|(_, (a, b))| a != b)?;
+    Some(format!(
+        "line {}: got {}\n  baseline has {}",
+        i + 1,
+        got.trim(),
+        want.trim()
+    ))
 }
 
 fn main() -> ExitCode {
@@ -150,8 +124,7 @@ fn main() -> ExitCode {
         depth,
         max_timer_fires: 1,
         faults,
-        dedup: true,
-        por: true,
+        reduce: true,
         max_states: 2_000_000,
         liveness,
     };
@@ -161,8 +134,7 @@ fn main() -> ExitCode {
     // naive pass stays safety-only: lasso detection does not change
     // which states are explored, so running it once is enough.
     let naive_cfg = CheckerConfig {
-        dedup: false,
-        por: false,
+        reduce: false,
         max_states: 3_000_000,
         liveness: false,
         ..reduced_cfg
@@ -230,23 +202,20 @@ fn main() -> ExitCode {
         });
     }
 
+    let json = render_json(&runs, liveness);
     if let Some(path) = &baseline_path {
         match std::fs::read_to_string(path) {
-            Ok(baseline) => {
-                let drifts = diff_baseline(&baseline, &runs);
-                if drifts.is_empty() {
-                    println!("state counts match the committed baseline ({path})");
-                } else {
-                    for d in &drifts {
-                        println!("BASELINE DRIFT: {d}");
-                    }
+            Ok(baseline) => match first_drift(&json, &baseline) {
+                None => println!("state counts match the committed baseline ({path})"),
+                Some(drift) => {
+                    println!("BASELINE DRIFT: {drift}");
                     println!(
                         "state counts drifted from {path}; if the change is intended, \
                          regenerate it with --out and commit the diff"
                     );
                     failed = true;
                 }
-            }
+            },
             Err(e) => {
                 eprintln!("check: cannot read baseline {path}: {e}");
                 return ExitCode::from(2);
@@ -254,7 +223,6 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = out_path {
-        let json = render_json(&runs, liveness);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("check: cannot write {path}: {e}");
             return ExitCode::from(2);

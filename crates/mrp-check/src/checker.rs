@@ -2,8 +2,8 @@
 //! sans-io engine nodes.
 //!
 //! A [`Checker`] instantiates one engine per process of a
-//! [`Scenario`], pumps the deterministic
-//! start-up exchange to quiescence, applies the scenario's submissions,
+//! [`Scenario`], drains the start-up exchange deterministically,
+//! applies the scenario's submissions,
 //! and then explores **every schedule** of the resulting in-flight
 //! choices — message deliveries, timer firings and (within a
 //! [`FaultBudget`]) frame drops, frame duplications, checkpoints,
@@ -11,7 +11,10 @@
 //!
 //! Exploration is *stateless*: engines are not `Clone`, so each search
 //! node is reconstructed by replaying its choice prefix from the root.
-//! Two prunings keep the tree tractable:
+//! Every replay — a search node, a candidate of the minimizer, a
+//! checked-in [`Schedule`] — goes through one step loop that judges
+//! each step as it runs, and every path ends in one close-out: drain,
+//! then validity. Two prunings keep the tree tractable:
 //!
 //! * **state-fingerprint deduplication** — a world digest built from
 //!   every engine's [`state_digest`](mrp_amcast::AmcastEngine::state_digest)
@@ -392,7 +395,7 @@ pub struct FaultBudget {
     pub checkpoints: u32,
 }
 
-/// Exploration bounds and pruning switches.
+/// Exploration bounds and the pruning switch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct CheckerConfig {
     /// Maximum schedule length (choices per path).
@@ -402,10 +405,10 @@ pub struct CheckerConfig {
     pub max_timer_fires: u32,
     /// Fault branching budget.
     pub faults: FaultBudget,
-    /// Enable state-fingerprint deduplication.
-    pub dedup: bool,
-    /// Enable sleep-set partial-order reduction.
-    pub por: bool,
+    /// Prune the search: state-fingerprint deduplication plus sleep-set
+    /// partial-order reduction. Off only for the naive DFS that the
+    /// reduction is measured against.
+    pub reduce: bool,
     /// Hard cap on expanded states (0 = unlimited); sets
     /// [`Report::capped`] when hit.
     pub max_states: u64,
@@ -423,8 +426,7 @@ impl Default for CheckerConfig {
             depth: 10,
             max_timer_fires: 2,
             faults: FaultBudget::default(),
-            dedup: true,
-            por: true,
+            reduce: true,
             max_states: 500_000,
             liveness: false,
         }
@@ -509,13 +511,13 @@ struct Durable {
 }
 
 struct NodeSlot {
-    /// `None` while crashed — but also, transiently, while the engine
-    /// is taken out of the slot to be fed an event. `down` is the
-    /// authoritative liveness flag.
+    /// `None` while crashed — but also, transiently, while
+    /// [`World::drive`] holds the engine. `down` is the authoritative
+    /// liveness flag.
     engine: Option<Box<dyn AmcastEngine>>,
     /// `true` between a crash and the matching restart. Checked by
     /// [`World::route`] instead of `engine.is_none()`: routing happens
-    /// mid-`feed`, when a live node's engine is momentarily out of its
+    /// mid-`drive`, when a live node's engine is momentarily out of its
     /// slot, and a self-send from there must not be mistaken for a
     /// frame to a crashed process.
     down: bool,
@@ -537,7 +539,8 @@ struct World<'a> {
     /// Armed timers per node, keyed by [`timer_kind_key`].
     timers: BTreeMap<ProcessId, TimerTable>,
     budget: FaultBudget,
-    /// Values each node must eventually deliver (fault-free validity).
+    /// Values each node must eventually deliver: one per submission
+    /// addressed to a group it subscribes to.
     expected: BTreeMap<ProcessId, usize>,
     any_fault: bool,
     violation: Option<(String, String)>,
@@ -551,8 +554,8 @@ struct World<'a> {
 
 impl<'a> World<'a> {
     /// Builds the initial state: engines started, start-up exchange
-    /// pumped to quiescence, submissions applied (their frames left in
-    /// flight for the exploration to schedule).
+    /// drained, submissions applied (their frames left in flight for
+    /// the exploration to schedule).
     fn build(scenario: &'a Scenario, faults: FaultBudget) -> Result<World<'a>, String> {
         let mut w = World {
             scenario,
@@ -582,13 +585,17 @@ impl<'a> World<'a> {
             );
         }
         for &p in &pids {
-            w.feed(p, Event::Start);
+            w.feed(p, Event::Start)?;
         }
         // The start-up exchange (ring Phase 1, sequencer epochs) is the
-        // same under every delivery order we would explore; pump it
+        // same under every delivery order we would explore; drain it
         // deterministically so exploration starts at the interesting
-        // frontier. Timers stay armed but do not fire here.
-        w.pump();
+        // frontier. Nothing is owed yet, so no timer fires here.
+        w.drain();
+        assert!(
+            w.channels.values().all(VecDeque::is_empty),
+            "start-up exchange did not quiesce within {DRAIN_STEPS} deliveries"
+        );
         for (i, sub) in scenario.submissions.iter().enumerate() {
             let at = sub.at;
             // Register the submission with the abstract spec first:
@@ -599,6 +606,9 @@ impl<'a> World<'a> {
                 .iter()
                 .flat_map(|&g| scenario.config.subscribers_of(g))
                 .collect();
+            for &p in &dests {
+                *w.expected.entry(p).or_insert(0) += 1;
+            }
             let (client, request) = (ClientId::new(9_000 + i as u64), 1);
             w.spec.submit((client, request), sub.groups.clone(), dests);
             if sub.via_request {
@@ -608,24 +618,26 @@ impl<'a> World<'a> {
                     groups: sub.groups.clone(),
                     payload: sub.payload.clone(),
                 };
-                w.feed(at, Event::Message { from: at, msg });
+                w.feed(at, Event::Message { from: at, msg })?;
             } else {
-                let now = w.nodes[&at].now;
-                let mut engine = w
-                    .nodes
-                    .get_mut(&at)
-                    .and_then(|s| s.engine.take())
-                    .ok_or_else(|| format!("submitter {} not alive", at.value()))?;
-                let res = engine.multicast(now, &sub.groups, sub.payload.clone());
-                w.nodes.get_mut(&at).expect("slot exists").engine = Some(engine);
-                let (id, actions) = res.map_err(|e| format!("submission {i} rejected: {e:?}"))?;
-                // Direct submissions have no client session, but they
-                // reveal their value id up front.
-                w.direct.insert(id, (client, request));
-                w.apply(at, actions);
-            }
-            for (p, count) in w.expected_for(&sub.groups) {
-                *w.expected.entry(p).or_insert(0) += count;
+                let mut rejected = None;
+                w.drive(at, |w, engine, now| {
+                    match engine.multicast(now, &sub.groups, sub.payload.clone()) {
+                        // Direct submissions have no client session, but
+                        // they reveal their value id up front.
+                        Ok((id, actions)) => {
+                            w.direct.insert(id, (client, request));
+                            actions
+                        }
+                        Err(e) => {
+                            rejected = Some(e);
+                            Vec::new()
+                        }
+                    }
+                })?;
+                if let Some(e) = rejected {
+                    return Err(format!("submission {i} rejected: {e:?}"));
+                }
             }
         }
         // A violation during setup (e.g. genuineness on a submission's
@@ -634,80 +646,41 @@ impl<'a> World<'a> {
         Ok(w)
     }
 
-    /// Delivers frames in deterministic (first non-empty channel)
-    /// order until none remain: collapses the start-up exchange, whose
-    /// interleavings are not interesting, into one canonical run. No
-    /// timers fire here.
-    fn pump(&mut self) {
-        for _ in 0..100_000 {
-            let next = self
-                .channels
-                .iter()
-                .find(|((_, to), q)| {
-                    !q.is_empty() && self.nodes.get(to).is_some_and(|s| s.engine.is_some())
-                })
-                .map(|(&(from, to), _)| (from, to));
-            let Some((from, to)) = next else { return };
-            let msg = self
-                .channels
-                .get_mut(&(from, to))
-                .and_then(VecDeque::pop_front)
-                .expect("channel just observed non-empty");
-            self.feed(to, Event::Message { from, msg });
-        }
-        panic!("start-up exchange did not quiesce within 100000 deliveries");
-    }
-
-    /// How many of this submission's deliveries each node owes: 1 for
-    /// every node subscribed to at least one addressed group.
-    fn expected_for(&self, groups: &[GroupId]) -> BTreeMap<ProcessId, usize> {
-        let mut out = BTreeMap::new();
-        let mut dests: BTreeSet<ProcessId> = BTreeSet::new();
-        for &g in groups {
-            dests.extend(self.scenario.config.subscribers_of(g));
-        }
-        for p in dests {
-            out.insert(p, 1);
-        }
-        out
-    }
-
-    /// Feeds one event to `pid`'s engine and applies every resulting
-    /// action; persists complete inline (the checker models a durable,
-    /// instantaneous store), so `PersistDone` events chain in-place.
-    fn feed(&mut self, pid: ProcessId, event: Event) {
-        let Some(mut engine) = self.nodes.get_mut(&pid).and_then(|s| s.engine.take()) else {
-            return;
-        };
+    /// The one way to drive an engine: takes `pid`'s engine out of its
+    /// slot, lets `call` act on it at the node's clock (with the world
+    /// at hand, to record what the call returns), applies the actions
+    /// it returns and puts the engine back. Persists complete inline
+    /// (the checker models a durable, instantaneous store), so
+    /// `PersistDone` events chain in place. `Err` when `pid` is down.
+    fn drive(
+        &mut self,
+        pid: ProcessId,
+        call: impl FnOnce(&mut Self, &mut dyn AmcastEngine, Time) -> Vec<Action>,
+    ) -> Result<(), String> {
+        let slot = self.nodes.get_mut(&pid).ok_or("no such node")?;
+        let now = slot.now;
+        let mut engine = slot
+            .engine
+            .take()
+            .ok_or_else(|| format!("node {} is down", pid.value()))?;
+        let mut actions = call(self, engine.as_mut(), now);
         let mut queue = VecDeque::new();
-        queue.push_back(event);
-        while let Some(ev) = queue.pop_front() {
-            let now = self.nodes[&pid].now;
-            for action in engine.on_event(now, ev) {
+        loop {
+            for action in actions {
                 self.apply_one(pid, action, &mut queue);
             }
+            let Some(event) = queue.pop_front() else {
+                break;
+            };
+            actions = engine.on_event(now, event);
         }
         self.nodes.get_mut(&pid).expect("slot exists").engine = Some(engine);
+        Ok(())
     }
 
-    /// Applies actions produced outside `feed` (multicast, trim,
-    /// resume); persist completions chain through the engine.
-    fn apply(&mut self, pid: ProcessId, actions: Vec<Action>) {
-        let mut queue = VecDeque::new();
-        for action in actions {
-            self.apply_one(pid, action, &mut queue);
-        }
-        while let Some(ev) = queue.pop_front() {
-            // Re-enter the engine for the chained persist completions.
-            let Some(mut engine) = self.nodes.get_mut(&pid).and_then(|s| s.engine.take()) else {
-                return;
-            };
-            let now = self.nodes[&pid].now;
-            for action in engine.on_event(now, ev) {
-                self.apply_one(pid, action, &mut queue);
-            }
-            self.nodes.get_mut(&pid).expect("slot exists").engine = Some(engine);
-        }
+    /// Feeds one event to `pid`'s engine.
+    fn feed(&mut self, pid: ProcessId, event: Event) -> Result<(), String> {
+        self.drive(pid, |_, engine, now| engine.on_event(now, event))
     }
 
     fn apply_one(&mut self, pid: ProcessId, action: Action, queue: &mut VecDeque<Event>) {
@@ -772,14 +745,20 @@ impl<'a> World<'a> {
         }
     }
 
+    /// One `Deliver` per non-empty channel into a live node, in channel
+    /// order.
+    fn deliverable(&self) -> impl Iterator<Item = Choice> + '_ {
+        self.channels
+            .iter()
+            .filter(|((_, to), q)| {
+                !q.is_empty() && self.nodes.get(to).is_some_and(|s| s.engine.is_some())
+            })
+            .map(|(&(from, to), _)| Choice::Deliver { from, to })
+    }
+
     /// All schedulable choices in canonical order.
     fn enabled(&self, cfg: &CheckerConfig) -> Vec<Choice> {
-        let mut out = Vec::new();
-        for (&(from, to), q) in &self.channels {
-            if !q.is_empty() && self.nodes.get(&to).is_some_and(|s| s.engine.is_some()) {
-                out.push(Choice::Deliver { from, to });
-            }
-        }
+        let mut out: Vec<Choice> = self.deliverable().collect();
         for (&p, slot) in &self.nodes {
             if slot.engine.is_some() && slot.fires < cfg.max_timer_fires {
                 if let Some(timers) = self.timers.get(&p) {
@@ -825,11 +804,7 @@ impl<'a> World<'a> {
         match choice {
             Choice::Deliver { from, to } => {
                 let msg = self.pop(from, to)?;
-                if self.nodes.get(&to).is_some_and(|s| s.engine.is_some()) {
-                    self.feed(to, Event::Message { from, msg });
-                } else {
-                    return Err(format!("deliver to crashed node {}", to.value()));
-                }
+                self.feed(to, Event::Message { from, msg })?;
             }
             Choice::Fire { node, timer } => {
                 let due = self
@@ -839,12 +814,9 @@ impl<'a> World<'a> {
                     .ok_or_else(|| format!("timer {} not armed", timer_name(timer)))?
                     .1;
                 let slot = self.nodes.get_mut(&node).ok_or("no such node")?;
-                if slot.engine.is_none() {
-                    return Err(format!("fire on crashed node {}", node.value()));
-                }
                 slot.now = slot.now.max(due);
                 slot.fires += 1;
-                self.feed(node, Event::Timer(timer));
+                self.feed(node, Event::Timer(timer))?;
             }
             Choice::Drop { from, to } => {
                 self.pop(from, to)?;
@@ -862,23 +834,18 @@ impl<'a> World<'a> {
                 self.any_fault = true;
             }
             Choice::Checkpoint { node } => {
-                let mut engine = self
-                    .nodes
-                    .get_mut(&node)
-                    .and_then(|s| s.engine.take())
-                    .ok_or_else(|| format!("checkpoint on crashed node {}", node.value()))?;
-                let watermark = engine.watermark();
-                let state = engine.checkpoint_state();
-                let now = self.nodes[&node].now;
-                let actions = engine.trim(now, &watermark);
-                let slot = self.nodes.get_mut(&node).expect("slot exists");
-                slot.durable = Some(Durable {
-                    watermark,
-                    state,
-                    delivered: slot.delivered.clone(),
-                });
-                slot.engine = Some(engine);
-                self.apply(node, actions);
+                self.drive(node, |w, engine, now| {
+                    let watermark = engine.watermark();
+                    let state = engine.checkpoint_state();
+                    let actions = engine.trim(now, &watermark);
+                    let slot = w.nodes.get_mut(&node).expect("slot exists");
+                    slot.durable = Some(Durable {
+                        watermark,
+                        state,
+                        delivered: slot.delivered.clone(),
+                    });
+                    actions
+                })?;
                 self.budget.checkpoints = self
                     .budget
                     .checkpoints
@@ -922,16 +889,8 @@ impl<'a> World<'a> {
                 // — uniformity).
                 let keep = slot.delivered.len();
                 self.spec.truncate(node, keep);
-                self.feed(node, Event::Start);
-                let now = self.nodes[&node].now;
-                let mut engine = self
-                    .nodes
-                    .get_mut(&node)
-                    .and_then(|s| s.engine.take())
-                    .expect("just restarted");
-                let actions = engine.resume(now);
-                self.nodes.get_mut(&node).expect("slot exists").engine = Some(engine);
-                self.apply(node, actions);
+                self.feed(node, Event::Start)?;
+                self.drive(node, |_, engine, now| engine.resume(now))?;
             }
         }
         Ok(())
@@ -944,69 +903,78 @@ impl<'a> World<'a> {
             .ok_or_else(|| format!("channel {}>{} empty", from.value(), to.value()))
     }
 
-    /// Deterministically delivers every frame until quiescence (first
-    /// non-empty channel first), collecting the executed choices. When
-    /// deliveries alone stall, due timers fire (earliest due first) to
-    /// unblock protocol rounds that need a tick. Bounded by `max_steps`.
-    fn drain(&mut self, max_steps: usize, executed: &mut Vec<Choice>) {
-        let mut fires = 0usize;
-        for _ in 0..max_steps {
+    /// The one step loop: executes `path` from this state and stops
+    /// after the first choice that records a violation. With `lassos`
+    /// set, the state after each step is also judged by
+    /// [`lasso`](World::lasso) against the states before it. Returns
+    /// how many choices ran; `Err((i, e))` when choice `i` is not
+    /// applicable in the state it is reached in.
+    fn run(&mut self, path: &[Choice], lassos: bool) -> Result<usize, (usize, String)> {
+        let mut stack = Vec::new();
+        if lassos {
+            stack.push(self.digest(true));
+        }
+        for (i, &choice) in path.iter().enumerate() {
             if self.violation.is_some() {
-                return;
+                return Ok(i);
             }
-            let deliver = self
-                .channels
-                .iter()
-                .find(|((_, to), q)| {
-                    !q.is_empty() && self.nodes.get(to).is_some_and(|s| s.engine.is_some())
-                })
-                .map(|(&(from, to), _)| Choice::Deliver { from, to });
-            let choice = match deliver {
+            self.step(choice).map_err(|e| (i, e))?;
+            if lassos && self.violation.is_none() {
+                if let Some(Some(detail)) = self.lasso(&mut stack, &path[..=i]) {
+                    self.violation = Some(("liveness".into(), detail));
+                }
+            }
+        }
+        Ok(path.len())
+    }
+
+    /// Deterministically delivers every frame until quiescence (first
+    /// non-empty channel first) and returns the choices it executed.
+    /// When deliveries alone stall while a live node is still owed a
+    /// delivery, due timers fire (earliest due first) to unblock
+    /// protocol rounds that need a tick. Bounded by [`DRAIN_STEPS`].
+    fn drain(&mut self) -> Vec<Choice> {
+        let mut executed = Vec::new();
+        let mut fires = 0usize;
+        for _ in 0..DRAIN_STEPS {
+            if self.violation.is_some() {
+                break;
+            }
+            let choice = match self.deliverable().next() {
                 Some(c) => c,
                 None => {
-                    if self.validity_met() || fires >= max_steps / 2 {
-                        return;
+                    if self.owed(|s| s.down).is_empty() || fires >= DRAIN_STEPS / 2 {
+                        break;
                     }
-                    // Fire the earliest-due armed timer anywhere.
+                    // Fire the earliest-due armed timer anywhere (only
+                    // live nodes have armed timers).
                     let next = self
                         .timers
                         .iter()
                         .flat_map(|(&p, ts)| ts.values().map(move |&(timer, due)| (due, p, timer)))
-                        .filter(|(_, p, _)| self.nodes.get(p).is_some_and(|s| s.engine.is_some()))
                         .min_by_key(|&(due, p, timer)| (due, p, timer_kind_key(timer)));
-                    match next {
-                        Some((_, node, timer)) => {
-                            fires += 1;
-                            Choice::Fire { node, timer }
-                        }
-                        None => return,
-                    }
+                    let Some((_, node, timer)) = next else { break };
+                    fires += 1;
+                    Choice::Fire { node, timer }
                 }
             };
             if self.step(choice).is_err() {
-                return;
+                break;
             }
             executed.push(choice);
         }
+        executed
     }
 
-    fn validity_met(&self) -> bool {
-        self.expected.iter().all(|(p, &want)| {
-            self.nodes
-                .get(p)
-                .is_some_and(|s| s.engine.is_none() || s.delivered.len() >= want)
-        })
-    }
-
-    /// The validity oracle: at fault-free quiescence, every live node
-    /// has delivered every value addressed to a group it subscribes to.
-    fn check_validity(&mut self) {
-        if self.violation.is_some() || self.any_fault {
-            return;
-        }
-        for (&p, &want) in &self.expected {
-            let got = self.nodes.get(&p).map_or(0, |s| s.delivered.len());
-            if got < want {
+    /// The close-out of a path: [`drain`](World::drain), then the
+    /// validity oracle — every node has delivered every value addressed
+    /// to a group it subscribes to, a node that ever crashed excused
+    /// (after a fault-free path, nobody is). Returns the drained
+    /// choices.
+    fn close_out(&mut self) -> Vec<Choice> {
+        let drained = self.drain();
+        if self.violation.is_none() {
+            if let Some(&(p, got, want)) = self.owed(|s| s.ever_crashed).first() {
                 self.violation = Some((
                     "validity".into(),
                     format!(
@@ -1015,33 +983,53 @@ impl<'a> World<'a> {
                         p.value()
                     ),
                 ));
-                return;
             }
         }
+        drained
+    }
+
+    /// The one validity rule: every node still owed deliveries, as
+    /// `(node, delivered, addressed)`, less those `excused` lets off.
+    fn owed(&self, excused: impl Fn(&NodeSlot) -> bool) -> Vec<(ProcessId, usize, usize)> {
+        self.expected
+            .iter()
+            .filter_map(|(&p, &want)| {
+                let slot = &self.nodes[&p];
+                let got = slot.delivered.len();
+                (got < want && !excused(slot)).then_some((p, got, want))
+            })
+            .collect()
+    }
+
+    /// The recorded violation, if any, with `steps` (plus the close-out
+    /// drain when `drain` is set) as the schedule that reproduces it.
+    fn verdict(&self, steps: &[Choice], drain: bool) -> Option<Violation> {
+        let (oracle, detail) = self.violation.clone()?;
+        Some(Violation {
+            oracle,
+            detail,
+            schedule: Schedule {
+                steps: steps.to_vec(),
+                drain,
+            },
+        })
     }
 
     /// Fingerprint of everything that influences future behavior:
     /// engine digests, clocks, channels, timers, delivery logs, durable
     /// checkpoints, remaining budgets and the abstract spec state.
-    fn digest(&self) -> u64 {
-        self.digest_with(false)
-    }
-
-    /// The progress-insensitive fingerprint the lasso detector cycles
-    /// over: like [`digest`](World::digest) but without the per-node
-    /// clocks, fire counters and timer due times — all monotonically
+    ///
+    /// With `liveness` set it is the progress-insensitive fingerprint
+    /// the lasso detector cycles over: the per-node clocks, fire
+    /// counters and timer due times are left out — all monotonically
     /// advancing, so a wedged protocol revisits the *same* liveness
     /// digest while its full digest keeps changing.
-    fn liveness_digest(&self) -> u64 {
-        self.digest_with(true)
-    }
-
-    fn digest_with(&self, progress_insensitive: bool) -> u64 {
+    fn digest(&self, liveness: bool) -> u64 {
         let mut h = Fnv1a::new();
         self.nodes.len().hash(&mut h);
         for (p, slot) in &self.nodes {
             p.hash(&mut h);
-            if !progress_insensitive {
+            if !liveness {
                 (slot.now, slot.fires).hash(&mut h);
             }
             slot.engine.as_ref().map(|e| e.state_digest()).hash(&mut h);
@@ -1059,7 +1047,7 @@ impl<'a> World<'a> {
             (p, timers.len()).hash(&mut h);
             for (key, (_, due)) in timers {
                 key.hash(&mut h);
-                if !progress_insensitive {
+                if !liveness {
                     due.hash(&mut h);
                 }
             }
@@ -1069,11 +1057,25 @@ impl<'a> World<'a> {
         h.finish()
     }
 
+    /// The lasso judgement after a step, shared by the step loop and
+    /// the exploration's DFS stack. `stack` holds the liveness digests
+    /// of the states before this one along `path`; a repeat closes a
+    /// cycle, and the earliest match gives the longest segment, which
+    /// [`lasso_violation`](World::lasso_violation) judges most
+    /// precisely (the minimizer shrinks it afterwards). Pushes this
+    /// state's digest. `None` without a repeat, else the verdict.
+    fn lasso(&self, stack: &mut Vec<u64>, path: &[Choice]) -> Option<Option<String>> {
+        let digest = self.digest(true);
+        let repeat = stack.iter().position(|&d| d == digest);
+        stack.push(digest);
+        repeat.map(|j| self.lasso_violation(&path[j..]))
+    }
+
     /// Judges a digest-repeating DFS segment as a non-progress lasso.
     /// `segment` is the choice sequence between the two states with
-    /// equal [`liveness_digest`](World::liveness_digest)s; `self` is
-    /// the state at the cycle's (re-)entry point. Returns the violation
-    /// detail when all of the following hold:
+    /// equal liveness [`digest`](World::digest)s; `self` is the state
+    /// at the cycle's (re-)entry point. Returns the violation detail
+    /// when all of the following hold:
     ///
     /// * some live node still owes expected deliveries (a submitted
     ///   message never delivers),
@@ -1094,12 +1096,9 @@ impl<'a> World<'a> {
             return None;
         }
         let owed: Vec<String> = self
-            .expected
-            .iter()
-            .filter_map(|(&p, &want)| {
-                let got = self.nodes.get(&p).map_or(0, |s| s.delivered.len());
-                (got < want).then(|| format!("p{} delivered {got}/{want}", p.value()))
-            })
+            .owed(|_| false)
+            .into_iter()
+            .map(|(p, got, want)| format!("p{} delivered {got}/{want}", p.value()))
             .collect();
         if owed.is_empty() {
             return None;
@@ -1139,8 +1138,8 @@ impl<'a> World<'a> {
 // The checker: stateless DFS with dedup + sleep sets.
 // ---------------------------------------------------------------------
 
-/// Number of deterministic steps the quiescence drain may take when
-/// closing out a terminal state for the validity oracle.
+/// Number of deterministic steps a drain may take: the start-up
+/// exchange, and the close-out of a path for the validity oracle.
 const DRAIN_STEPS: usize = 400;
 
 /// A bounded model checker over one [`Scenario`].
@@ -1196,42 +1195,25 @@ impl<'a> Checker<'a> {
         self.report.clone()
     }
 
-    /// Replays `path` from the initial state; `Err` carries the first
-    /// violation (with the prefix that reaches it as its schedule).
-    fn replay(&self, path: &[Choice]) -> Result<(World<'a>, usize), Violation> {
+    /// Builds the initial state and runs `path` through the step loop;
+    /// `Err` carries the first violation, with the prefix that reaches
+    /// it as its schedule. A choice that is not applicable — only
+    /// possible for a shrunken prefix — is reported under the
+    /// `inapplicable` pseudo-oracle, which no search is looking for.
+    fn replay(&self, path: &[Choice], lassos: bool) -> Result<World<'a>, Violation> {
         let mut world = World::build(self.scenario, self.cfg.faults)
             .unwrap_or_else(|e| panic!("scenario `{}` failed setup: {e}", self.scenario.name));
-        if let Some((oracle, detail)) = world.violation.clone() {
-            return Err(Violation {
-                oracle,
+        match world.run(path, lassos) {
+            Err((i, detail)) => Err(Violation {
+                oracle: "inapplicable".into(),
                 detail,
-                schedule: Schedule::default(),
-            });
+                schedule: Schedule {
+                    steps: path[..i].to_vec(),
+                    drain: false,
+                },
+            }),
+            Ok(ran) => world.verdict(&path[..ran], false).map_or(Ok(world), Err),
         }
-        for (i, &c) in path.iter().enumerate() {
-            if let Err(e) = world.step(c) {
-                // Only reachable when shrinking hands us a stale prefix.
-                return Err(Violation {
-                    oracle: "inapplicable".into(),
-                    detail: e,
-                    schedule: Schedule {
-                        steps: path[..i].to_vec(),
-                        drain: false,
-                    },
-                });
-            }
-            if let Some((oracle, detail)) = world.violation.clone() {
-                return Err(Violation {
-                    oracle,
-                    detail,
-                    schedule: Schedule {
-                        steps: path[..=i].to_vec(),
-                        drain: false,
-                    },
-                });
-            }
-        }
-        Ok((world, path.len()))
     }
 
     fn explore(
@@ -1243,34 +1225,27 @@ impl<'a> Checker<'a> {
             self.report.capped = true;
             return Ok(());
         }
-        let (world, _) = self.replay(path)?;
+        let world = self.replay(path, false)?;
         self.report.explored += 1;
-        if self.cfg.liveness {
-            let ld = world.liveness_digest();
-            // A repeat against any shorter prefix of the current path
-            // is a cycle; the earliest match gives the longest segment,
-            // which the fairness conditions judge most precisely (the
-            // minimizer shrinks the counterexample afterwards).
-            if let Some(j) = self.live_stack.iter().position(|&d| d == ld) {
-                self.report.lasso_candidates += 1;
-                if let Some(detail) = world.lasso_violation(&path[j..]) {
-                    return Err(Violation {
-                        oracle: "liveness".into(),
-                        detail,
-                        schedule: Schedule {
-                            steps: path.clone(),
-                            drain: false,
-                        },
-                    });
-                }
-            }
-            self.live_stack.push(ld);
-            let res = self.expand(path, sleep, world);
-            self.live_stack.pop();
-            res
-        } else {
-            self.expand(path, sleep, world)
+        if !self.cfg.liveness {
+            return self.expand(path, sleep, world);
         }
+        if let Some(verdict) = world.lasso(&mut self.live_stack, path) {
+            self.report.lasso_candidates += 1;
+            if let Some(detail) = verdict {
+                return Err(Violation {
+                    oracle: "liveness".into(),
+                    detail,
+                    schedule: Schedule {
+                        steps: path.clone(),
+                        drain: false,
+                    },
+                });
+            }
+        }
+        let res = self.expand(path, sleep, world);
+        self.live_stack.pop();
+        res
     }
 
     /// The expansion half of [`explore`](Checker::explore): dedup, the
@@ -1281,9 +1256,8 @@ impl<'a> Checker<'a> {
         sleep: BTreeSet<Choice>,
         mut world: World<'a>,
     ) -> Result<(), Violation> {
-        if self.cfg.dedup {
-            let d = world.digest();
-            let entries = self.seen.entry(d).or_default();
+        if self.cfg.reduce {
+            let entries = self.seen.entry(world.digest(false)).or_default();
             if entries.iter().any(|s| s.is_subset(&sleep)) {
                 self.report.pruned_dedup += 1;
                 return Ok(());
@@ -1291,44 +1265,26 @@ impl<'a> Checker<'a> {
             entries.retain(|s| !sleep.is_subset(s));
             entries.push(sleep.clone());
         }
-        let enabled = world.enabled(&self.cfg);
-        let choices: Vec<Choice> = if self.cfg.por {
-            let kept: Vec<Choice> = enabled
-                .iter()
-                .filter(|c| !sleep.contains(c))
-                .copied()
-                .collect();
-            self.report.pruned_sleep += (enabled.len() - kept.len()) as u64;
-            kept
-        } else {
-            enabled
-        };
+        let mut choices = world.enabled(&self.cfg);
+        if self.cfg.reduce {
+            let enabled = choices.len();
+            choices.retain(|c| !sleep.contains(c));
+            self.report.pruned_sleep += (enabled - choices.len()) as u64;
+        }
         if path.len() >= self.cfg.depth || choices.is_empty() {
             if path.len() >= self.cfg.depth {
                 self.report.depth_cutoffs += 1;
             } else {
                 self.report.quiescent += 1;
             }
-            // Close out: drain deterministically and assert validity on
-            // fault-free paths. The drained world is discarded (the
-            // next sibling replays from the root anyway).
+            // Close out fault-free paths. The drained world is discarded
+            // (the next sibling replays from the root anyway), and the
+            // drain is deterministic, so the counterexample records only
+            // the scripted prefix plus the `drain` directive.
             if !world.any_fault {
-                let mut executed = Vec::new();
-                world.drain(DRAIN_STEPS, &mut executed);
-                world.check_validity();
-                if let Some((oracle, detail)) = world.violation.clone() {
-                    // The drain is deterministic, so the counterexample
-                    // records only the scripted prefix plus the `drain`
-                    // directive — the replayer re-derives the rest and
-                    // re-asserts validity at quiescence.
-                    return Err(Violation {
-                        oracle,
-                        detail,
-                        schedule: Schedule {
-                            steps: path.clone(),
-                            drain: true,
-                        },
-                    });
+                world.close_out();
+                if let Some(v) = world.verdict(path, true) {
+                    return Err(v);
                 }
             }
             return Ok(());
@@ -1353,7 +1309,7 @@ impl<'a> Checker<'a> {
     /// choice whose removal keeps the violation (same oracle)
     /// reproducible. A single pass bounds minimization at `O(n)`
     /// replays; validity violations found at quiescence close-out are
-    /// re-detected by draining the shortened prefix.
+    /// re-detected by closing out the shortened prefix.
     fn minimize(&self, violation: Violation) -> Violation {
         let oracle = violation.oracle.clone();
         let mut best = violation;
@@ -1372,67 +1328,21 @@ impl<'a> Checker<'a> {
         best
     }
 
-    /// Replays `candidate` (plus a validity close-out drain when
-    /// applicable) and returns the violation if `oracle` reproduces.
+    /// Replays `candidate` — judging lassos too when the violation is a
+    /// liveness one, and closing out a fault-free candidate when it is
+    /// a validity one — and returns the violation if `oracle`
+    /// reproduces.
     fn reproduce(&self, candidate: &[Choice], oracle: &str) -> Option<Violation> {
-        if oracle == "liveness" {
-            return self.reproduce_liveness(candidate);
-        }
-        match self.replay(candidate) {
-            Err(v) if v.oracle == oracle => Some(v),
-            Err(_) => None,
-            Ok((mut world, _)) => {
-                if oracle != "validity" || world.any_fault {
-                    return None;
-                }
-                let mut sink = Vec::new();
-                world.drain(DRAIN_STEPS, &mut sink);
-                world.check_validity();
-                match world.violation.clone() {
-                    Some((o, detail)) if o == oracle => Some(Violation {
-                        oracle: o,
-                        detail,
-                        schedule: Schedule {
-                            steps: candidate.to_vec(),
-                            drain: true,
-                        },
-                    }),
-                    _ => None,
-                }
+        match self.replay(candidate, oracle == "liveness") {
+            Err(v) => (v.oracle == oracle).then_some(v),
+            Ok(mut world) if oracle == "validity" && !world.any_fault => {
+                world.close_out();
+                world
+                    .verdict(candidate, true)
+                    .filter(|v| v.oracle == oracle)
             }
+            Ok(_) => None,
         }
-    }
-
-    /// Replays `candidate` with lasso detection after every step (same
-    /// fault budgets as the exploration, so the digests agree) and
-    /// returns the first liveness violation, trimmed to the prefix that
-    /// closes the cycle.
-    fn reproduce_liveness(&self, candidate: &[Choice]) -> Option<Violation> {
-        let mut world = World::build(self.scenario, self.cfg.faults).ok()?;
-        if world.violation.is_some() {
-            return None;
-        }
-        let mut stack = vec![world.liveness_digest()];
-        for (i, &c) in candidate.iter().enumerate() {
-            if world.step(c).is_err() || world.violation.is_some() {
-                return None;
-            }
-            let ld = world.liveness_digest();
-            if let Some(j) = stack.iter().position(|&d| d == ld) {
-                if let Some(detail) = world.lasso_violation(&candidate[j..=i]) {
-                    return Some(Violation {
-                        oracle: "liveness".into(),
-                        detail,
-                        schedule: Schedule {
-                            steps: candidate[..=i].to_vec(),
-                            drain: false,
-                        },
-                    });
-                }
-            }
-            stack.push(ld);
-        }
-        None
     }
 }
 
@@ -1441,10 +1351,12 @@ pub fn check(scenario: &Scenario, cfg: CheckerConfig) -> Report {
     Checker::new(scenario, cfg).run()
 }
 
-/// Replays a [`Schedule`] against a scenario, judging every step as
-/// exploration does; with [`Schedule::drain`] set, the system
-/// is then driven deterministically to quiescence and the validity
-/// oracle asserted (fault-free replays only).
+/// Replays a [`Schedule`] against a scenario through the checker's
+/// step loop, judging every step as exploration does (lassos
+/// included), with no limit on the faults it may script. With
+/// [`Schedule::drain`] set, the replay then closes out as exploration
+/// does: drain deterministically, then assert validity for every node
+/// that never crashed — after a fault-free prefix, every node.
 ///
 /// # Errors
 ///
@@ -1452,59 +1364,23 @@ pub fn check(scenario: &Scenario, cfg: CheckerConfig) -> Report {
 /// reached in (wrong channel, dead node, unarmed timer) — i.e. the
 /// schedule no longer matches the protocol's behavior.
 pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<ReplayOutcome, String> {
-    let mut world = World::build(
-        scenario,
-        FaultBudget {
-            // Replays are scripts, not searches: let them perform any fault
-            // the schedule asks for.
-            drops: u32::MAX,
-            dups: u32::MAX,
-            crashes: u32::MAX,
-            checkpoints: u32::MAX,
-        },
-    )?;
-    let mut executed = Vec::new();
-    // Scripted liveness counterexamples (lassos) are re-detected during
-    // replay, so a checked-in `.sched` for a stall reproduces like any
-    // safety schedule does.
-    let mut live_stack = vec![world.liveness_digest()];
-    for (i, &c) in schedule.steps.iter().enumerate() {
-        if world.violation.is_some() {
-            break;
-        }
-        world
-            .step(c)
-            .map_err(|e| format!("step {} (`{c}`): {e}", i + 1))?;
-        executed.push(c);
-        if world.violation.is_none() {
-            let ld = world.liveness_digest();
-            if let Some(j) = live_stack.iter().position(|&d| d == ld) {
-                if let Some(detail) = world.lasso_violation(&executed[j..]) {
-                    world.violation = Some(("liveness".into(), detail));
-                }
-            }
-            live_stack.push(ld);
-        }
-    }
+    let unlimited = FaultBudget {
+        drops: u32::MAX,
+        dups: u32::MAX,
+        crashes: u32::MAX,
+        checkpoints: u32::MAX,
+    };
+    let mut world = World::build(scenario, unlimited)?;
+    let steps = &schedule.steps;
+    let ran = world
+        .run(steps, true)
+        .map_err(|(i, e)| format!("step {} (`{}`): {e}", i + 1, steps[i]))?;
+    let mut executed = steps[..ran].to_vec();
     if schedule.drain && world.violation.is_none() {
-        world.drain(DRAIN_STEPS, &mut executed);
-        if !world.any_fault {
-            world.check_validity();
-        } else {
-            // A scripted fault still demands eventual delivery from the
-            // survivors: assert validity over live nodes only.
-            world.check_validity_live();
-        }
+        executed.extend(world.close_out());
     }
-    let violation = world.violation.clone().map(|(oracle, detail)| Violation {
-        oracle,
-        detail,
-        schedule: Schedule {
-            steps: executed.clone(),
-            drain: false,
-        },
-    });
-    let final_digest = world.digest();
+    let violation = world.verdict(&executed, false);
+    let final_digest = world.digest(false);
     let quiescent = world.channels.values().all(VecDeque::is_empty);
     let delivered = world
         .nodes
@@ -1533,37 +1409,6 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
         executed,
         final_digest,
     })
-}
-
-impl World<'_> {
-    /// Validity restricted to never-crashed nodes: what a faulty run
-    /// still owes (uniformity for survivors).
-    fn check_validity_live(&mut self) {
-        if self.violation.is_some() {
-            return;
-        }
-        for (&p, &want) in &self.expected {
-            let Some(slot) = self.nodes.get(&p) else {
-                continue;
-            };
-            if slot.ever_crashed || slot.engine.is_none() {
-                continue;
-            }
-            if slot.delivered.len() < want {
-                self.violation = Some((
-                    "validity".into(),
-                    format!(
-                        "surviving process {} delivered {} of {} values addressed to its \
-                         subscriptions after drain",
-                        p.value(),
-                        slot.delivered.len(),
-                        want
-                    ),
-                ));
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -119,7 +119,7 @@ impl Scenario {
     pub fn mixed(kind: EngineKind) -> Scenario {
         let config = shared_two_group_config();
         Scenario {
-            name: format!("mixed-{}", engine_tag(kind)),
+            name: format!("mixed-{}", kind.name()),
             factory: boxed_factory(kind, config.clone(), BatchConfig::enabled()),
             config,
             submissions: vec![
@@ -247,7 +247,7 @@ impl Scenario {
         }
         let bound = if hold_bound { "window" } else { "size" };
         Scenario {
-            name: format!("batched-{bound}-{}", engine_tag(kind)),
+            name: format!("batched-{bound}-{}", kind.name()),
             factory: boxed_factory(kind, config.clone(), budgets),
             config,
             submissions,
@@ -308,12 +308,5 @@ impl Scenario {
             }],
             value_frame_allowed: None,
         }
-    }
-}
-
-fn engine_tag(kind: EngineKind) -> &'static str {
-    match kind {
-        EngineKind::MultiRing => "multiring",
-        EngineKind::Wbcast => "wbcast",
     }
 }

@@ -18,8 +18,7 @@ fn fault_cfg(depth: usize) -> CheckerConfig {
             crashes: 1,
             checkpoints: 1,
         },
-        dedup: true,
-        por: true,
+        reduce: true,
         max_states: 2_000_000,
         ..CheckerConfig::default()
     }
@@ -144,8 +143,7 @@ fn dedup_and_por_beat_naive_dfs() {
         let naive = check(
             &scenario,
             CheckerConfig {
-                dedup: false,
-                por: false,
+                reduce: false,
                 ..fault_cfg(3)
             },
         );

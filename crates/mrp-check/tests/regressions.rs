@@ -7,7 +7,7 @@
 //! `idle-stream-wbcast` takes on the channel that carries only probes.
 
 use mrp_amcast::EngineKind;
-use mrp_check::toy::{toy_reorder_scenario, toy_wedge_scenario};
+use mrp_check::toy::{toy_reorder_scenario, toy_scenario, toy_wedge_scenario};
 use mrp_check::{replay_schedule, Scenario, Schedule};
 use multiring_paxos::types::ProcessId;
 use std::collections::BTreeMap;
@@ -151,6 +151,40 @@ fn toy_reorder_refinement_is_detected_on_replay() {
     let v = outcome.violation.expect("the divergence must reproduce");
     assert_eq!(v.oracle, "refinement", "wrong oracle: {v}");
     assert!(v.detail.contains("cycle"), "{}", v.detail);
+}
+
+/// After a scripted fault the close-out still owes every process that
+/// never crashed its deliveries. The buggy toy hub never sends its
+/// second decision to p2, so with p1 crashed p2 is the survivor left
+/// short: one of three values delivered.
+#[test]
+fn validity_after_a_crash_binds_the_survivors() {
+    let schedule = Schedule::parse("crash 1\ndrain\n").unwrap();
+    let outcome = replay_schedule(&toy_scenario(3, true), &schedule).unwrap();
+    let v = outcome.violation.expect("p2 is owed two values");
+    assert_eq!(v.oracle, "validity", "wrong oracle: {v}");
+    assert!(
+        v.detail.contains("process 2 delivered 1 of 3"),
+        "{}",
+        v.detail
+    );
+}
+
+/// ... and excuses the process that crashed: with the short-changed p2
+/// itself crashed, p0 and p1 deliver all three values and nothing is
+/// owed.
+#[test]
+fn validity_after_a_crash_excuses_the_victim() {
+    let schedule = Schedule::parse("crash 2\ndrain\n").unwrap();
+    let outcome = replay_schedule(&toy_scenario(3, true), &schedule).unwrap();
+    assert!(
+        outcome.violation.is_none(),
+        "unexpected violation:\n{}",
+        outcome.violation.unwrap()
+    );
+    for p in 0..2u32 {
+        assert_eq!(outcome.delivered[&ProcessId::new(p)].len(), 3, "p{p}");
+    }
 }
 
 #[test]

@@ -1,12 +1,16 @@
 //! Checker self-tests against the toy hub-ordered engine: the buggy
 //! variant must be caught within the depth bound with a minimized,
-//! replayable counterexample; the correct variant must explore clean;
+//! replayable counterexample (each pinned to the exact schedule the
+//! minimizer produces); the correct variant must explore clean;
 //! and replays must be digest-stable (the whole premise of
 //! fingerprint deduplication).
 
 use mrp_amcast::EngineKind;
 use mrp_check::toy::{toy_reorder_scenario, toy_scenario, toy_wedge_scenario};
 use mrp_check::{check, replay_schedule, CheckerConfig, Scenario, Schedule};
+
+const WEDGE_SCHED: &str = include_str!("../schedules/toy_wedge_lasso.sched");
+const REORDER_SCHED: &str = include_str!("../schedules/toy_reorder_refinement.sched");
 
 fn cfg(depth: usize) -> CheckerConfig {
     CheckerConfig {
@@ -23,6 +27,9 @@ fn buggy_toy_engine_is_caught_within_depth_bound() {
     let report = check(&toy_scenario(3, true), cfg(4));
     let v = report.violation.expect("the planted bug must be found");
     assert_eq!(v.oracle, "validity", "wrong oracle: {v}");
+    // Minimized to nothing but the close-out: the fault-free drain from
+    // the initial state already under-delivers.
+    assert_eq!(v.schedule, Schedule::parse("drain").unwrap());
 
     // The minimized counterexample replays from scratch to the same
     // oracle — this is exactly what a checked-in regression test of a
@@ -47,6 +54,7 @@ fn wedged_toy_engine_is_caught_by_lasso_detection() {
     assert!(report.lasso_candidates > 0, "no lasso candidates seen");
     let v = report.violation.expect("the wedge must be found");
     assert_eq!(v.oracle, "liveness", "wrong oracle: {v}");
+    assert_eq!(v.schedule, Schedule::parse(WEDGE_SCHED).unwrap());
 
     // Without the liveness pass the close-out drain's validity
     // heuristic still notices the under-delivery — but only as "some
@@ -74,6 +82,7 @@ fn reordering_toy_engine_is_caught_by_the_refinement_oracle() {
     let report = check(&toy_reorder_scenario(), cfg(8));
     let v = report.violation.expect("the reordering must be found");
     assert_eq!(v.oracle, "refinement", "wrong oracle: {v}");
+    assert_eq!(v.schedule, Schedule::parse(REORDER_SCHED).unwrap());
     assert!(
         v.detail.contains("cycle") || v.detail.contains("acyclic"),
         "unexpected detail: {}",

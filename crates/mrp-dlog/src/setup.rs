@@ -11,14 +11,14 @@ use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{GroupId, ProcessId};
 use std::collections::BTreeMap;
 
+/// Server processes, each hosting every log (the paper uses three).
+const SERVERS: u32 = 3;
+
 /// Shape of a dLog deployment.
 #[derive(Clone, Debug)]
 pub struct DLogTopology {
-    /// Number of logs (= log rings).
+    /// Number of logs (= log rings), each hosted by all three servers.
     pub logs: u16,
-    /// Number of server processes (each hosts every log; the paper uses
-    /// 3).
-    pub servers: u32,
     /// Whether the common ring for multi-appends exists.
     pub common_ring: bool,
     /// Ring tuning.
@@ -35,7 +35,6 @@ impl DLogTopology {
     pub fn new(logs: u16, tuning: RingTuning) -> Self {
         Self {
             logs,
-            servers: 3,
             common_ring: true,
             tuning,
             engine: EngineKind::from_env(),
@@ -74,10 +73,10 @@ impl DLogDeployment {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate topology.
+    /// Panics if the topology has no logs.
     pub fn build(topology: &DLogTopology) -> Self {
-        assert!(topology.logs > 0 && topology.servers > 0);
-        let servers: Vec<ProcessId> = (0..topology.servers).map(ProcessId::new).collect();
+        assert!(topology.logs > 0);
+        let servers: Vec<ProcessId> = (0..SERVERS).map(ProcessId::new).collect();
         let mut builder = ClusterConfig::builder();
         let mut group_of_log = BTreeMap::new();
         let mut proposer_of = BTreeMap::new();

@@ -11,21 +11,20 @@ use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{GroupId, ProcessId};
 use std::collections::BTreeMap;
 
+/// Replicas per partition (ring size), as in the paper's deployments.
+const REPLICAS: u32 = 3;
+
 /// Shape of an MRP-Store deployment.
 #[derive(Clone, Debug)]
 pub struct StoreTopology {
-    /// Number of partitions `l`.
+    /// Number of partitions `l`, each a ring of three replicas.
     pub partitions: u16,
-    /// Replicas per partition (ring size).
-    pub replicas_per_partition: u32,
     /// Whether replicas also subscribe to a common global ring that
     /// orders cross-partition operations (Figure 4 compares with and
     /// without it).
     pub global_ring: bool,
-    /// Ring tuning applied to partition rings.
+    /// Ring tuning applied to every ring, the global one included.
     pub tuning: RingTuning,
-    /// Ring tuning applied to the global ring (usually identical).
-    pub global_tuning: RingTuning,
     /// Which atomic-multicast engine orders the store's commands.
     pub engine: EngineKind,
 }
@@ -39,10 +38,8 @@ impl StoreTopology {
     pub fn local(partitions: u16, tuning: RingTuning) -> Self {
         Self {
             partitions,
-            replicas_per_partition: 3,
             global_ring: true,
             tuning,
-            global_tuning: tuning,
             engine: EngineKind::from_env(),
         }
     }
@@ -84,16 +81,15 @@ pub struct StoreDeployment {
 
 impl StoreDeployment {
     /// Builds the deployment: partition `i` is group `i`, its ring
-    /// processes `i * r .. i * r + r`; the optional global ring is
+    /// processes `3i .. 3i + 3`; the optional global ring is
     /// group `l` and includes every replica.
     ///
     /// # Panics
     ///
-    /// Panics if the topology is degenerate (zero partitions/replicas).
+    /// Panics if the topology has no partitions.
     pub fn build(topology: &StoreTopology) -> Self {
-        assert!(topology.partitions > 0 && topology.replicas_per_partition > 0);
+        assert!(topology.partitions > 0);
         let l = topology.partitions;
-        let r = topology.replicas_per_partition;
         let mut builder = ClusterConfig::builder();
         let mut replicas: BTreeMap<u16, Vec<ProcessId>> = BTreeMap::new();
         let mut proposer_of = BTreeMap::new();
@@ -102,8 +98,8 @@ impl StoreDeployment {
             let group = GroupId::new(part);
             let mut spec = RingSpec::new(group).tuning(topology.tuning);
             let mut members = Vec::new();
-            for j in 0..r {
-                let p = ProcessId::new(u32::from(part) * r + j);
+            for j in 0..REPLICAS {
+                let p = ProcessId::new(u32::from(part) * REPLICAS + j);
                 spec = spec.member(p, Roles::ALL);
                 members.push(p);
             }
@@ -114,7 +110,7 @@ impl StoreDeployment {
 
         let global_group = topology.global_ring.then(|| GroupId::new(l));
         if let Some(g) = global_group {
-            let mut spec = RingSpec::new(g).tuning(topology.global_tuning);
+            let mut spec = RingSpec::new(g).tuning(topology.tuning);
             for members in replicas.values() {
                 for &p in members {
                     spec = spec.member(p, Roles::ALL);

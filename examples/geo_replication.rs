@@ -17,14 +17,8 @@ use bytes::Bytes;
 
 fn main() {
     let tuning = RingTuning::wide_area(); // Δ=20ms, λ=2000
-    let topo = StoreTopology {
-        partitions: 4,
-        replicas_per_partition: 3,
-        global_ring: true,
-        tuning,
-        global_tuning: tuning,
-        engine: atomic_multicast::amcast::EngineKind::MultiRing,
-    };
+    let topo =
+        StoreTopology::local(4, tuning).engine(atomic_multicast::amcast::EngineKind::MultiRing);
     let deployment = StoreDeployment::build(&topo);
 
     // Pin each partition and its client to a region.
