@@ -344,9 +344,12 @@ impl EngineKind {
     /// deployment surfaces a configuration typo instead of silently
     /// running the wrong engine.
     pub fn try_from_env() -> Result<EngineKind, String> {
-        // The engine crates' one environment read (which engine to
-        // build); how an engine behaves is never read from a switch.
-        let value = std::env::var("MRP_ENGINE"); // lint:allow(env-read)
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the engine crates' one environment read (which engine to build); \
+                      how an engine behaves is never read from a switch"
+        )]
+        let value = std::env::var("MRP_ENGINE");
         match value {
             Ok(name) => name.parse().map_err(|e| {
                 format!(

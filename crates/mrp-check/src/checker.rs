@@ -1146,8 +1146,8 @@ const DRAIN_STEPS: usize = 400;
 ///
 /// Engines are rebuilt and the choice prefix replayed for every search
 /// node (stateless search), so the scenario factory must be
-/// deterministic — which is exactly the sans-io contract the
-/// [`lint`](crate::lint) pass enforces.
+/// deterministic — which is exactly the sans-io contract the engine
+/// crates' `clippy.toml` enforces.
 pub struct Checker<'a> {
     scenario: &'a Scenario,
     cfg: CheckerConfig,

@@ -1,9 +1,10 @@
 //! Conformance lints: what the protocol sources must keep saying and
 //! the compiler cannot check.
 //!
-//! The sans-io lints in [`lint`](crate::lint) keep the engines
-//! *checkable*; the two rule families here keep two cross-file promises,
-//! by dependency-free source scanning:
+//! Sans-io purity and the transport's event-driven waits are clippy's
+//! (`disallowed-*` rules in each crate's `clippy.toml`); the two rule
+//! families here keep two cross-file promises, by dependency-free
+//! source scanning:
 //!
 //! | rule                | rejects |
 //! |---------------------|---------|
@@ -21,17 +22,15 @@
 //! | `frame-coverage` | a variant missing from `encode`/`into_frame`/`on_wb_message`: E0004; from `decode`/`parse`: its tag has no read arm (E0004) or no golden |
 //! | `round-trip`     | a variant without a pinned sample does not compile (the tests' exhaustive `tag_of`), then fails `every_tag_opens_a_golden`; the goldens are what round-trips |
 //!
-//! Like the purity lints, sources are stripped of comments and string
-//! literals and matching stops at the first `#[cfg(test)]`. The
-//! functions all take source *text* so the self-tests can feed doctored
-//! sources with injected violations; [`conformance_check`] is the
-//! entry point the `lint` binary runs against the real tree.
+//! Sources are stripped of comments and string literals and matching
+//! stops at the first `#[cfg(test)]`. The functions all take source
+//! *text* so the self-tests can feed doctored sources with injected
+//! violations; [`conformance_check`] is the entry point
+//! `tests/conformance.rs` runs against the real tree.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
-
-use crate::lint::strip;
 
 /// One conformance finding: the rule, the (logical) file and what is
 /// inconsistent.
@@ -49,6 +48,141 @@ impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: [{}] {}", self.file, self.rule, self.detail)
     }
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Strips comments and string/char literals from one file, preserving
+/// line structure so a `#[cfg(test)]` line still starts a line. Handles line
+/// and (nested) block comments, escaped strings, raw strings and the
+/// char-literal/lifetime ambiguity well enough for this codebase.
+fn strip(source: &str) -> String {
+    let chars: Vec<char> = source.chars().collect();
+    let mut out = String::with_capacity(source.len());
+    let mut i = 0;
+    let mut block_depth = 0usize;
+    while i < chars.len() {
+        let c = chars[i];
+        let next = chars.get(i + 1).copied();
+        if block_depth > 0 {
+            if c == '*' && next == Some('/') {
+                block_depth -= 1;
+                i += 2;
+                continue;
+            }
+            if c == '/' && next == Some('*') {
+                block_depth += 1;
+                i += 2;
+                continue;
+            }
+            if c == '\n' {
+                out.push('\n');
+            }
+            i += 1;
+            continue;
+        }
+        match c {
+            '/' if next == Some('/') => {
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
+                }
+            }
+            '/' if next == Some('*') => {
+                block_depth = 1;
+                i += 2;
+            }
+            'r' | 'b'
+                if !matches!(out.chars().last(), Some(p) if is_ident(p))
+                    && raw_string_start(&chars, i).is_some() =>
+            {
+                let (body_start, hashes) = raw_string_start(&chars, i).expect("checked");
+                i = skip_raw_string(&chars, body_start, hashes, &mut out);
+            }
+            '"' => {
+                i += 1;
+                while i < chars.len() {
+                    match chars[i] {
+                        '\\' => i += 2,
+                        '"' => {
+                            i += 1;
+                            break;
+                        }
+                        '\n' => {
+                            out.push('\n');
+                            i += 1;
+                        }
+                        _ => i += 1,
+                    }
+                }
+            }
+            '\'' => {
+                // Char literal vs lifetime: 'x' / '\n' are literals,
+                // 'a as in &'a is a lifetime (no closing quote ahead).
+                if next == Some('\\') {
+                    i += 2; // opening quote + backslash
+                    while i < chars.len() && chars[i] != '\'' {
+                        i += 1;
+                    }
+                    i += 1;
+                } else if chars.get(i + 2).copied() == Some('\'') {
+                    i += 3;
+                } else {
+                    out.push(c);
+                    i += 1;
+                }
+            }
+            _ => {
+                out.push(c);
+                i += 1;
+            }
+        }
+    }
+    out
+}
+
+/// If position `i` starts a raw (byte) string (`r"`, `r#"`, `br#"`,
+/// ...), returns `(index of first body char, hash count)`.
+fn raw_string_start(chars: &[char], i: usize) -> Option<(usize, usize)> {
+    let mut j = i;
+    if chars.get(j).copied() == Some('b') {
+        j += 1;
+    }
+    if chars.get(j).copied() != Some('r') {
+        return None;
+    }
+    j += 1;
+    let mut hashes = 0;
+    while chars.get(j).copied() == Some('#') {
+        hashes += 1;
+        j += 1;
+    }
+    if chars.get(j).copied() == Some('"') {
+        Some((j + 1, hashes))
+    } else {
+        None
+    }
+}
+
+fn skip_raw_string(chars: &[char], mut i: usize, hashes: usize, out: &mut String) -> usize {
+    while i < chars.len() {
+        if chars[i] == '\n' {
+            out.push('\n');
+        }
+        if chars[i] == '"'
+            && chars[i + 1..]
+                .iter()
+                .take(hashes)
+                .filter(|&&c| c == '#')
+                .count()
+                == hashes
+        {
+            return i + 1 + hashes;
+        }
+        i += 1;
+    }
+    i
 }
 
 /// Strips comments/strings and truncates at the first `#[cfg(test)]`
@@ -78,7 +212,7 @@ pub fn parse_enum_variants(source: &str, enum_name: &str) -> Vec<String> {
             ',' if depth == 0 => at_variant = true,
             c if at_variant && depth == 0 && c.is_ascii_uppercase() => {
                 let mut name = String::from(c);
-                while let Some(n) = chars.next_if(|n| n.is_ascii_alphanumeric() || *n == '_') {
+                while let Some(n) = chars.next_if(|n| is_ident(*n)) {
                     name.push(n);
                 }
                 out.push(name);
@@ -101,7 +235,7 @@ fn item_body<'t>(text: &'t str, keyword: &str, name: &str) -> Option<&'t str> {
         let at = search + text[search..].find(&needle)?;
         let end = at + needle.len();
         let next = text[end..].chars().next();
-        if next.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_') {
+        if next.is_some_and(is_ident) {
             search = end;
             continue;
         }
@@ -161,7 +295,7 @@ pub fn check_protocol_constants(file: &str, source: &str) -> Vec<Finding> {
 fn timer_kinds_after<'t>(text: &'t str, marker: &'t str) -> impl Iterator<Item = String> + 't {
     text.match_indices(marker).map(|(at, m)| {
         let tail = &text[at + m.len()..];
-        let end = tail.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'));
+        let end = tail.find(|c: char| !is_ident(c));
         tail[..end.unwrap_or(tail.len())].to_string()
     })
 }
@@ -260,10 +394,18 @@ mod tests {
             "const _: () = assert!(TAKEOVER_GRACE_DELTAS >= ORPHAN_DELTAS + RETRY_DELTAS);\n\
                     const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS);\n";
         assert!(check_protocol_constants("d.rs", with).is_empty());
-        let without = "const TAKEOVER_GRACE_DELTAS: u64 = 16;\n";
-        let findings = check_protocol_constants("d.rs", without);
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings[0].rule == "protocol-constants");
+        // Comments and string literals vouch for nothing.
+        let quoted = r##"
+// const _: () = assert!(TAKEOVER_GRACE_DELTAS >= ORPHAN_DELTAS + RETRY_DELTAS);
+/* const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS); /* nested */ */
+const S: &str = "const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS);";
+const R: &str = r#"const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS);"#;
+"##;
+        for without in ["const TAKEOVER_GRACE_DELTAS: u64 = 16;\n", quoted] {
+            let findings = check_protocol_constants("d.rs", without);
+            assert_eq!(findings.len(), 2, "{findings:?}");
+            assert!(findings[0].rule == "protocol-constants");
+        }
     }
 
     #[test]

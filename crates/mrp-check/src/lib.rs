@@ -32,14 +32,15 @@
 //! * [`scenario`] — canned multi-node deployments (both engines,
 //!   multi-group traffic, held submissions) the checker and the
 //!   regression schedules under `schedules/` run against.
-//! * [`lint`] — a source-level static pass (no new dependencies) that
-//!   rejects sans-io purity violations in the engine crates: wall-clock
-//!   reads, thread spawns, order-nondeterministic hash collections,
-//!   stray stdout. Run it as `cargo run -p mrp-check --bin lint`.
-//! * [`conformance`] — the two cross-file rules the same binary runs
-//!   and the compiler cannot: the pinned protocol-constant static
-//!   asserts (`protocol-constants`) and every `TimerKind` armed and
-//!   handled (`timer-liveness`). Tag collisions, frame coverage and
+//! * [`conformance`] — the two cross-file rules `cargo test` runs
+//!   (`tests/conformance.rs`) and the compiler cannot: the pinned
+//!   protocol-constant static asserts (`protocol-constants`) and every
+//!   `TimerKind` armed and handled (`timer-liveness`). Sans-io purity
+//!   is not checked here: clippy rejects wall clocks, threads, hash
+//!   collections, stdout and environment reads in the engine crates
+//!   (`crates/multiring-paxos/clippy.toml`, shared by `mrp-amcast`),
+//!   and polling waits in the TCP runtime
+//!   (`crates/mrp-transport/clippy.toml`). Tag collisions, frame coverage and
 //!   round-trips used to be scanned for here too; since every wire
 //!   vocabulary is a tag enum they are compile errors (E0081, E0004)
 //!   and `every_tag_opens_a_golden` tests beside each format's goldens.
@@ -63,7 +64,6 @@
 
 pub mod checker;
 pub mod conformance;
-pub mod lint;
 pub mod scenario;
 pub mod spec;
 pub mod toy;
@@ -73,9 +73,5 @@ pub use checker::{
     Schedule, Violation,
 };
 pub use conformance::{conformance_check, Finding};
-pub use lint::{
-    lint_engine_sources, lint_source, lint_transport_source, lint_transport_sources, Allowlist,
-    Diagnostic,
-};
 pub use scenario::{Scenario, Submission};
 pub use spec::{request_key, AbstractAmcast, MsgKey};

@@ -182,20 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_cdf_monotone() {
-        let mut h = Histogram::new();
-        for v in [5u64, 5, 10, 200, 3000, 3000, 3000] {
-            h.record(v);
-        }
-        let cdf = h.cdf();
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
-        for pair in cdf.windows(2) {
-            assert!(pair[0].0 < pair[1].0);
-            assert!(pair[0].1 <= pair[1].1);
-        }
-    }
-
-    #[test]
     fn histogram_merge() {
         let mut a = Histogram::new();
         let mut b = Histogram::new();

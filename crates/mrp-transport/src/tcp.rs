@@ -323,11 +323,12 @@ impl TcpRuntime {
             // probe, whichever comes first: all producers feed the
             // single merged channel.
             let wake_us = timers.peek().map_or(u64::MAX, |d| d.0).min(next_status_us);
+            #[allow(clippy::disallowed_methods, reason = "a deadline, not an interval")]
             let input = if wake_us == u64::MAX {
                 in_rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
             } else {
                 let wait = Duration::from_micros(wake_us.saturating_sub(now_us()));
-                in_rx.recv_timeout(wait) // lint:allow(transport-poll) a deadline, not an interval
+                in_rx.recv_timeout(wait)
             };
             match input {
                 Ok(Inbound::Net { from, msg }) => {
@@ -479,7 +480,11 @@ impl Signals {
     /// `limit` at the latest.
     fn await_hello(&self, seen: u64, limit: Duration) {
         let hellos = self.hellos.lock().expect("no panic while counting");
-        let _ = self.hello.wait_timeout_while(hellos, limit, |n| *n == seen); // lint:allow(transport-poll) a peer that never dials us sends no event
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a peer that never dials us sends no event"
+        )]
+        let _ = self.hello.wait_timeout_while(hellos, limit, |n| *n == seen);
     }
 }
 

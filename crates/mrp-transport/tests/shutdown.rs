@@ -1,6 +1,10 @@
 //! `shutdown()` closes what the runtime opened. Alone in its test
 //! binary, one `#[test]`: it counts the process's threads, which a test
 //! running beside it would change.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test waits for the runtime from outside, where a bounded wait is the point"
+)]
 
 use bytes::Bytes;
 use mrp_transport::tcp::{ClientPort, RuntimeConfig, RuntimeEvent, TcpRuntime};

@@ -2,6 +2,10 @@
 //! loopback TCP, a client port issuing requests, identical delivery
 //! order at every learner, durable acceptor state on disk — and what
 //! the connections do when peers are late, broken, bursty or dying.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test waits for the runtime from outside, where a bounded wait is the point"
+)]
 
 use bytes::{Bytes, BytesMut};
 use mrp_transport::framing::{self, FrameAccumulator, MAX_FRAME};

@@ -1255,6 +1255,10 @@ mod tests {
         }
         input.put_u8(TAG_BATCH);
         assert_eq!(input.len(), 50_001);
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "a fresh thread has the default stack the verdict is about"
+        )]
         let decoder = std::thread::spawn(move || decode(&mut input.freeze()));
         assert_eq!(
             decoder.join().expect("decoder thread"),
