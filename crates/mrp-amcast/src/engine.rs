@@ -19,7 +19,6 @@ use multiring_paxos::types::{GroupId, ProcessId, Time, ValueId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::str::FromStr;
 
 /// The engine-generic **delivery watermark**: for every subscribed
 /// group, a position in that group's delivery stream such that every
@@ -322,45 +321,6 @@ impl EngineKind {
         }
     }
 
-    /// Reads the engine from the `MRP_ENGINE` environment variable
-    /// (case-insensitive, e.g. `multiring` | `wbcast`), defaulting to
-    /// [`EngineKind::MultiRing`] when unset. Deployment helpers use this
-    /// so benches and examples switch engines without recompiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MRP_ENGINE` is set to an unknown engine name, so a
-    /// typo fails loudly instead of silently benchmarking the default.
-    /// Callers that prefer to handle the error themselves (servers,
-    /// long-running tools) use [`EngineKind::try_from_env`].
-    pub fn from_env() -> EngineKind {
-        Self::try_from_env().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The non-panicking form of [`EngineKind::from_env`]: `Ok` with the
-    /// selected engine (the default when `MRP_ENGINE` is unset), or a
-    /// descriptive error naming the variable, the rejected value and the
-    /// accepted spellings when it is set to something unparseable — so a
-    /// deployment surfaces a configuration typo instead of silently
-    /// running the wrong engine.
-    pub fn try_from_env() -> Result<EngineKind, String> {
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "the engine crates' one environment read (which engine to build); \
-                      how an engine behaves is never read from a switch"
-        )]
-        let value = std::env::var("MRP_ENGINE");
-        match value {
-            Ok(name) => name.parse().map_err(|e| {
-                format!(
-                    "invalid MRP_ENGINE value {name:?}: {e} \
-                     (expected one of: multiring | wbcast)"
-                )
-            }),
-            Err(_) => Ok(EngineKind::default()),
-        }
-    }
-
     /// Builds an engine of this kind for process `me` over `config`.
     ///
     /// Both engines consume the same [`ClusterConfig`]: one ring per
@@ -402,18 +362,6 @@ impl EngineKind {
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for EngineKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "multiring" | "multi-ring" | "mrp" => Ok(EngineKind::MultiRing),
-            "wbcast" | "skeen" | "timestamp" => Ok(EngineKind::Wbcast),
-            other => Err(format!("unknown engine kind {other:?}")),
-        }
     }
 }
 
@@ -747,59 +695,17 @@ pub(crate) mod tests {
     use multiring_paxos::config::{single_ring, RingTuning};
 
     #[test]
-    fn kind_parse_and_display() {
-        assert_eq!(
-            "multiring".parse::<EngineKind>().unwrap(),
-            EngineKind::MultiRing
-        );
-        assert_eq!("skeen".parse::<EngineKind>().unwrap(), EngineKind::Wbcast);
-        assert!("zab".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::Wbcast.to_string(), "wbcast");
-    }
-
-    #[test]
-    fn kind_parse_is_case_insensitive() {
-        for (s, kind) in [
-            ("MultiRing", EngineKind::MultiRing),
-            ("MULTI-RING", EngineKind::MultiRing),
-            ("  WbCast ", EngineKind::Wbcast),
-            ("SKEEN", EngineKind::Wbcast),
-        ] {
-            assert_eq!(s.parse::<EngineKind>().unwrap(), kind, "{s:?}");
+    fn kind_display_is_its_name() {
+        for kind in EngineKind::ALL {
+            assert_eq!(kind.to_string(), kind.name());
         }
+        assert_eq!(EngineKind::Wbcast.to_string(), "wbcast");
     }
 
     #[test]
     fn genuineness_flag() {
         assert!(!EngineKind::MultiRing.genuine());
         assert!(EngineKind::Wbcast.genuine());
-    }
-
-    /// Satellite regression: an unparseable `MRP_ENGINE` value must
-    /// surface a descriptive error (and `from_env` must panic with it),
-    /// never silently fall back to the default engine. One test covers
-    /// every case serially — the environment is process-global, so
-    /// splitting these into parallel tests would race.
-    #[test]
-    fn env_selection_rejects_unknown_engine_names() {
-        // `MRP_ENGINE` is only read by this test within this crate's
-        // test binary, so mutating it here is safe.
-        std::env::remove_var("MRP_ENGINE");
-        assert_eq!(EngineKind::try_from_env(), Ok(EngineKind::default()));
-
-        std::env::set_var("MRP_ENGINE", "WbCast");
-        assert_eq!(EngineKind::try_from_env(), Ok(EngineKind::Wbcast));
-        assert_eq!(EngineKind::from_env(), EngineKind::Wbcast);
-
-        std::env::set_var("MRP_ENGINE", "zab");
-        let err = EngineKind::try_from_env().unwrap_err();
-        assert!(err.contains("MRP_ENGINE"), "names the variable: {err}");
-        assert!(err.contains("zab"), "names the rejected value: {err}");
-        assert!(err.contains("multiring"), "lists the options: {err}");
-        let panic = std::panic::catch_unwind(EngineKind::from_env);
-        assert!(panic.is_err(), "from_env must fail loudly on a typo");
-
-        std::env::remove_var("MRP_ENGINE");
     }
 
     #[test]

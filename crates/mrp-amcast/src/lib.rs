@@ -42,8 +42,8 @@
 //! global ring, whose subscribers include every addressed group's
 //! subscribers — and fails with `NoCoveringGroup` when none exists.
 //!
-//! Two engines ship today, selected by [`EngineKind`] (or the
-//! `MRP_ENGINE` environment variable via [`EngineKind::from_env`]):
+//! Two engines ship today, selected in code by [`EngineKind`] (a
+//! deployment helper's `.engine(..)`; [`EngineKind::ALL`] runs both):
 //!
 //! | engine | ordering mechanism | multi-group messages | trade-off |
 //! |---|---|---|---|

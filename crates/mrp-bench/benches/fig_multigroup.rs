@@ -7,6 +7,10 @@
 //! downstream tooling — or, under `MRP_MULTIGROUP_CRASH_MS` churn, as
 //! `BENCH_multigroup_churn.json`, so that the committed churn-free
 //! baseline CI diffs is only ever rewritten by a clean run.
+//!
+//! Exits non-zero unless every row completed operations and every row
+//! with multi-group traffic completed multi-group ones: the check that
+//! gives a churn run, whose rows no committed file holds, a verdict.
 
 use mrp_bench::json::Value;
 use mrp_bench::{figures, Scale};
@@ -29,4 +33,13 @@ fn main() {
          3 groups x 3 processes, 24 sessions, 512 B requests \
          (MRP_MULTIGROUP_CRASH_MS=<period> adds initiator churn)",
     );
+    for row in fig.rows() {
+        let num = |key| row.get(key).and_then(Value::as_f64).unwrap_or(0.0);
+        let stalled =
+            num("ops_per_sec") <= 0.0 || (num("multi_per_mille") > 0.0 && num("multi_ms") <= 0.0);
+        if stalled {
+            eprintln!("MULTIGROUP CHECK FAILED: a row completed nothing of its traffic: {row:?}");
+            std::process::exit(1);
+        }
+    }
 }

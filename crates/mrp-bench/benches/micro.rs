@@ -15,12 +15,12 @@
 //!   insert. These write `BENCH_micro.json` next to the other
 //!   committed bench artifacts.
 //!
-//! Regression gate: set `MRP_MICRO_BASELINE=<path to a committed
-//! BENCH_micro.json>` and the run exits non-zero if the fresh batched
-//! submission throughput of either engine falls below the committed
-//! *unbatched* baseline — batching must never be slower than the
-//! un-batched path it replaced — or if the store's bulk-loaded tree is
-//! not built at least twice as fast as the insert-by-insert one.
+//! Regression gate: every run reads the committed `BENCH_micro.json`
+//! before it writes its own rows, and exits non-zero if the fresh
+//! batched submission throughput of either engine falls below the
+//! committed *unbatched* baseline — batching must never be slower than
+//! the un-batched path it replaced — or if the store's bulk-loaded tree
+//! is not built at least twice as fast as the insert-by-insert one.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hint::black_box;
@@ -619,9 +619,13 @@ fn to_json(
     ])
 }
 
-/// `MRP_MICRO_BASELINE=<path>`: fail the run if batched submission
-/// throughput regressed below the unbatched baseline, or the store's
-/// bulk load towards the insert-by-insert one.
+/// The committed artifact every run is gated against, relative to the
+/// bench's working directory (the package directory).
+const BASELINE: &str = "BENCH_micro.json";
+
+/// Fails the run if batched submission throughput regressed below the
+/// unbatched baseline, or the store's bulk load towards the
+/// insert-by-insert one; `artifact` is [`BASELINE`]'s text.
 ///
 /// Three checks per run:
 ///
@@ -640,11 +644,8 @@ fn to_json(
 fn check_baseline(
     submit: &[SubmitRow],
     preload: &[PreloadRow],
-    baseline: Option<(String, String)>,
+    artifact: &str,
 ) -> Result<(), String> {
-    let Some((path, text)) = baseline else {
-        return Ok(());
-    };
     let build = preload_speedup(preload, "insert_each", "staged_build");
     if build < 2.0 {
         return Err(format!(
@@ -672,11 +673,11 @@ fn check_baseline(
             "baseline gate: {engine} batched {batched:.0} vs unbatched {unbatched:.0} values/s"
         );
     }
-    let doc = mrp_bench::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
+    let doc = mrp_bench::json::parse(artifact).map_err(|e| format!("parse {BASELINE}: {e}"))?;
     let committed = doc
         .get("submit")
         .and_then(|v| v.as_array())
-        .ok_or_else(|| format!("{path}: no submit array"))?
+        .ok_or_else(|| format!("{BASELINE}: no submit array"))?
         .iter()
         .find(|r| {
             r.get("engine").and_then(|v| v.as_str()) == Some("multiring")
@@ -684,7 +685,7 @@ fn check_baseline(
         })
         .and_then(|r| r.get("values_per_sec"))
         .and_then(mrp_bench::json::Value::as_f64)
-        .ok_or_else(|| format!("{path}: no unbatched multiring baseline row"))?;
+        .ok_or_else(|| format!("{BASELINE}: no unbatched multiring baseline row"))?;
     let batched = fresh("multiring", "batched")?;
     if batched < committed {
         return Err(format!(
@@ -702,15 +703,11 @@ fn check_baseline(
 fn main() {
     criterion_benches();
 
-    // Snapshot the committed baseline before this run overwrites the
-    // artifact in place (CI points MRP_MICRO_BASELINE at the same
-    // path the run writes).
-    let baseline = std::env::var("MRP_MICRO_BASELINE").ok().map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("MICRO BASELINE GATE FAILED: read {path}: {e}");
-            std::process::exit(1);
-        });
-        (path, text)
+    // Snapshot the committed baseline before a smoke run overwrites
+    // it in place.
+    let baseline = std::fs::read_to_string(BASELINE).unwrap_or_else(|e| {
+        eprintln!("MICRO BASELINE GATE FAILED: read {BASELINE}: {e}");
+        std::process::exit(1);
     });
 
     let scale = Scale::from_env();
@@ -762,7 +759,7 @@ fn main() {
         "submit, decode and preload rows",
     );
 
-    if let Err(e) = check_baseline(&submit, &preload, baseline) {
+    if let Err(e) = check_baseline(&submit, &preload, &baseline) {
         eprintln!("MICRO BASELINE GATE FAILED: {e}");
         std::process::exit(1);
     }

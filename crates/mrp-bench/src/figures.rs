@@ -22,6 +22,7 @@ use mrp_sim::client::{ClosedLoopClient, Operation};
 use mrp_sim::cluster::{Cluster, SimConfig};
 use mrp_sim::cpu::CpuModel;
 use mrp_sim::disk::DiskModel;
+use mrp_sim::metrics::TimeSeries;
 use mrp_sim::net::{Region, Topology};
 use mrp_sim::rng::Rng;
 use mrp_store::client::{ClientOp, StoreClient, StoreClientConfig};
@@ -314,7 +315,7 @@ fn mrp_ycsb(cell: &mut Cell, kind: WorkloadKind, independent: bool) {
         ..RingTuning::default()
     };
     // Pinned to the paper's engine: these rows are labeled as
-    // Multi-Ring Paxos results, so MRP_ENGINE must not flip them.
+    // Multi-Ring Paxos results.
     let topo = if independent {
         StoreTopology::independent(3, tuning)
     } else {
@@ -734,7 +735,6 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
 
     let sim = SimConfig {
         election_timeout_us: 500_000,
-        series_window_us: 5_000_000,
         ..seeded(8)
     };
     // The open-loop client has no warm-up: the timeline starts at 0.
@@ -781,18 +781,25 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
     cell.run();
     let cluster = &mut cell.cluster;
 
-    let mut timeline = Figure::new();
-    if let Some(ops) = cluster.metrics().series("fig8/ops") {
-        let lat = cluster.metrics().series("fig8/latency_sum_us");
-        for (t, n) in ops.points() {
-            let window_s = ops.window_us() as f64 / 1e6;
-            let latency_ms = lat.map_or(0.0, |l| l.at(t) / n.max(1.0) / 1000.0);
-            timeline.push([
-                ("t_s", (t.as_micros() / 1_000_000).into()),
-                ("ops_per_sec", Value::rounded(n / window_s, 1)),
-                ("latency_ms", Value::rounded(latency_ms, 3)),
-            ]);
+    // The registry's one-second windows, summed into five-second ones.
+    let windowed = |name| {
+        let mut series = TimeSeries::new(5_000_000);
+        let points = cluster.metrics().series(name).map(TimeSeries::points);
+        for (t, v) in points.unwrap_or_default() {
+            series.add(t, v);
         }
+        series
+    };
+    let (ops, lat) = (windowed("fig8/ops"), windowed("fig8/latency_sum_us"));
+    let mut timeline = Figure::new();
+    for (t, n) in ops.points() {
+        let window_s = ops.window_us() as f64 / 1e6;
+        let latency_ms = lat.at(t) / n.max(1.0) / 1000.0;
+        timeline.push([
+            ("t_s", (t.as_micros() / 1_000_000).into()),
+            ("ops_per_sec", Value::rounded(n / window_s, 1)),
+            ("latency_ms", Value::rounded(latency_ms, 3)),
+        ]);
     }
     let mut events = Figure::new();
     for (t_s, what) in [

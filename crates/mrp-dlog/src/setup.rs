@@ -29,15 +29,14 @@ pub struct DLogTopology {
 
 impl DLogTopology {
     /// The paper's setup: `logs` rings over 3 servers with a common
-    /// ring. The engine defaults to the `MRP_ENGINE` environment
-    /// variable (Multi-Ring Paxos when unset);
-    /// [`engine`](Self::engine) overrides it.
+    /// ring, ordered by the default engine (Multi-Ring Paxos);
+    /// [`engine`](Self::engine) selects another.
     pub fn new(logs: u16, tuning: RingTuning) -> Self {
         Self {
             logs,
             common_ring: true,
             tuning,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::default(),
         }
     }
 

@@ -30,8 +30,6 @@ pub struct SimConfig {
     /// learn it is down and a crashed coordinator is replaced by the
     /// lowest-id live acceptor. Microseconds.
     pub election_timeout_us: u64,
-    /// Window width for throughput series, microseconds.
-    pub series_window_us: u64,
 }
 
 impl Default for SimConfig {
@@ -39,17 +37,27 @@ impl Default for SimConfig {
         Self {
             seed: 1,
             election_timeout_us: 1_000_000,
-            series_window_us: 1_000_000,
         }
     }
 }
 
 enum What {
-    Actor(ProcessId, ActorEvent),
+    /// An input for `p`. `own` is set on one that `p` scheduled for
+    /// itself — a timer, a wakeup, a self-send, an input requeued behind
+    /// its busy CPU, a disk completion — to the incarnation that
+    /// scheduled it: a crash ends that incarnation, and the input is
+    /// dropped rather than reach the restarted process. Frames from
+    /// other processes and the coordination service carry `None`.
+    Actor {
+        p: ProcessId,
+        ev: ActorEvent,
+        own: Option<u64>,
+    },
     DiskDone {
         p: ProcessId,
         record: PersistRecord,
         token: PersistToken,
+        incarnation: u64,
     },
     Crash(ProcessId),
     Restart(ProcessId),
@@ -92,6 +100,8 @@ struct Slot {
     cpu: Option<CpuModel>,
     rng: Rng,
     up: bool,
+    /// Bumped by every crash; see [`What::Actor`].
+    incarnation: u64,
 }
 
 /// The simulated cluster.
@@ -130,7 +140,6 @@ impl Cluster {
     /// A cluster over `topology` with the given knobs.
     pub fn new(cfg: SimConfig, topology: Topology) -> Self {
         let mut rng = Rng::new(cfg.seed);
-        let metrics = Metrics::new(cfg.series_window_us);
         let _ = rng.next_u64();
         Self {
             cfg,
@@ -144,7 +153,7 @@ impl Cluster {
             protocol: None,
             ring_coordinator: BTreeMap::new(),
             election_round: BTreeMap::new(),
-            metrics,
+            metrics: Metrics::default(),
             history: History::default(),
             rng,
             started: false,
@@ -175,6 +184,7 @@ impl Cluster {
                 cpu: None,
                 rng,
                 up: true,
+                incarnation: 0,
             },
         );
         if self.started {
@@ -400,7 +410,9 @@ impl Cluster {
             .downcast_mut::<T>()
     }
 
-    /// Schedules a crash of `p` at absolute time `at`.
+    /// Schedules a crash of `p` at absolute time `at`. The timers,
+    /// wakeups, self-sends, queued inputs and disk writes `p` has
+    /// pending die with it; a restarted `p` sees none of them.
     pub fn schedule_crash(&mut self, at: Time, p: ProcessId) {
         self.push(at, What::Crash(p));
     }
@@ -413,7 +425,15 @@ impl Cluster {
 
     /// Schedules protocol input `ev` for `p` at `at`.
     fn push_event(&mut self, at: Time, p: ProcessId, ev: Event) {
-        self.push(at, What::Actor(p, ActorEvent::Protocol(ev)));
+        let ev = ActorEvent::Protocol(ev);
+        self.push(at, What::Actor { p, ev, own: None });
+    }
+
+    /// Schedules input `ev` that `p` arranged for itself, for `p`'s
+    /// current incarnation only.
+    fn push_own(&mut self, at: Time, p: ProcessId, ev: ActorEvent) {
+        let own = self.slots.get(&p).map(|s| s.incarnation);
+        self.push(at, What::Actor { p, ev, own });
     }
 
     fn push(&mut self, at: Time, what: What) {
@@ -440,16 +460,22 @@ impl Cluster {
 
     fn process(&mut self, sched: Sched) {
         match sched.what {
-            What::Actor(p, ev) => self.deliver(p, ev),
-            What::DiskDone { p, record, token } => {
+            What::Actor { p, ev, own } => self.deliver(p, ev, own),
+            What::DiskDone {
+                p,
+                record,
+                token,
+                incarnation,
+            } => {
                 let Some(slot) = self.slots.get_mut(&p) else {
                     return;
                 };
-                if !slot.up {
+                if slot.incarnation != incarnation {
                     return; // the write was lost with the crash
                 }
                 slot.storage.apply(&record);
-                self.deliver(p, ActorEvent::Protocol(Event::PersistDone(token)));
+                let done = ActorEvent::Protocol(Event::PersistDone(token));
+                self.deliver(p, done, Some(incarnation));
             }
             What::Crash(p) => self.crash(p),
             What::Restart(p) => self.restart(p),
@@ -465,11 +491,11 @@ impl Cluster {
         }
     }
 
-    fn deliver(&mut self, p: ProcessId, ev: ActorEvent) {
+    fn deliver(&mut self, p: ProcessId, ev: ActorEvent, own: Option<u64>) {
         let Some(slot) = self.slots.get_mut(&p) else {
             return;
         };
-        if !slot.up {
+        if !slot.up || own.is_some_and(|i| i != slot.incarnation) {
             return;
         }
         // CPU gating: requeue if busy, otherwise charge and process at
@@ -477,7 +503,8 @@ impl Cluster {
         let t_proc = if let Some(cpu) = slot.cpu.as_mut() {
             if cpu.next_free() > self.now {
                 let at = cpu.next_free();
-                self.push(at, What::Actor(p, ev));
+                let own = Some(slot.incarnation);
+                self.push(at, What::Actor { p, ev, own });
                 return;
             }
             cpu.charge(self.now, Self::event_bytes(&ev))
@@ -511,10 +538,11 @@ impl Cluster {
         match op {
             Op::Protocol(Action::Send { to, msg }) => self.send_message(p, to, t, msg),
             Op::Protocol(Action::SetTimer { after_us, timer }) => {
-                self.push_event(t.plus(after_us), p, Event::Timer(timer));
+                let ev = ActorEvent::Protocol(Event::Timer(timer));
+                self.push_own(t.plus(after_us), p, ev);
             }
             Op::Wakeup { after_us, token } => {
-                self.push(t.plus(after_us), What::Actor(p, ActorEvent::Wakeup(token)));
+                self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
             }
             Op::Protocol(Action::Persist {
                 record,
@@ -537,7 +565,16 @@ impl Cluster {
                     let idx = idx.min(slot.disks.len() - 1);
                     slot.disks[idx].write(t, bytes, sync)
                 };
-                self.push(done, What::DiskDone { p, record, token });
+                let incarnation = slot.incarnation;
+                self.push(
+                    done,
+                    What::DiskDone {
+                        p,
+                        record,
+                        token,
+                        incarnation,
+                    },
+                );
             }
             Op::Protocol(Action::TrimStorage { ring, upto }) => {
                 if let Some(slot) = self.slots.get_mut(&p) {
@@ -564,7 +601,7 @@ impl Cluster {
                     Some(d) => d.write(t, bytes, sync),
                     None => t.plus(1),
                 };
-                self.push(done, What::Actor(p, ActorEvent::DiskDone(token)));
+                self.push_own(done, p, ActorEvent::DiskDone(token));
             }
             Op::Protocol(Action::Deliver { group, value, .. }) => {
                 self.history.deliver(p, group, &value);
@@ -608,7 +645,7 @@ impl Cluster {
             self.history.request((*client, *request), groups);
         }
         if from == to {
-            self.push_event(t, to, Event::Message { from, msg });
+            self.push_own(t, to, ActorEvent::Protocol(Event::Message { from, msg }));
             return;
         }
         let bytes = codec::encoded_len(&msg);
@@ -647,6 +684,7 @@ impl Cluster {
         };
         slot.up = false;
         slot.actor = None;
+        slot.incarnation += 1;
         self.metrics.incr("crashes", 1);
         let detected = self.now.plus(self.cfg.election_timeout_us);
         let rings: Vec<GroupId> = self
@@ -786,7 +824,11 @@ mod tests {
     use mrp_amcast::AmcastEngine;
     use multiring_paxos::app::{Delivery, Reply};
     use multiring_paxos::config::{single_ring, ClusterConfig, RingSpec, RingTuning, Roles};
+    use multiring_paxos::event::TimerKind;
     use multiring_paxos::node::Node;
+    use std::any::Any;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn quiet() -> RingTuning {
         RingTuning {
@@ -808,7 +850,6 @@ mod tests {
             SimConfig {
                 seed,
                 election_timeout_us: 100_000,
-                ..SimConfig::default()
             },
             Topology::lan(4),
         );
@@ -958,6 +999,51 @@ mod tests {
         assert_eq!(a.network_bytes(), b.network_bytes());
     }
 
+    /// Logs every input it receives into a log shared by all its
+    /// incarnations, and arms a wakeup and a checkpoint tick one second
+    /// out when it starts.
+    struct Arming(Rc<RefCell<Vec<ActorEvent>>>);
+
+    impl Actor for Arming {
+        fn on_event(&mut self, _: Time, event: ActorEvent, out: &mut Outbox, _: &mut ActorCtx<'_>) {
+            if event == ActorEvent::Protocol(Event::Start) {
+                out.wakeup(1_000_000, 7);
+                out.push(Op::Protocol(Action::SetTimer {
+                    after_us: 1_000_000,
+                    timer: TimerKind::CheckpointTick,
+                }));
+            }
+            self.0.borrow_mut().push(event);
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A crash ends an incarnation together with what it scheduled for
+    /// itself: the wakeup and tick armed before the crash, due after the
+    /// restart, never reach the new incarnation, which gets its own.
+    #[test]
+    fn a_restarted_process_receives_none_of_its_previous_incarnations_events() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let p = ProcessId::new(0);
+        let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(1));
+        cluster.add_actor(p, Box::new(Arming(log.clone())));
+        let shared = log.clone();
+        cluster.set_factory(p, Box::new(move |_| Box::new(Arming(shared.clone()))));
+        cluster.schedule_crash(Time::from_millis(100), p);
+        cluster.schedule_restart(Time::from_millis(200), p);
+        cluster.start();
+        cluster.run_until(Time::from_secs(2));
+        let start = ActorEvent::Protocol(Event::Start);
+        let tick = ActorEvent::Protocol(Event::Timer(TimerKind::CheckpointTick));
+        assert_eq!(
+            *log.borrow(),
+            [start.clone(), start, ActorEvent::Wakeup(7), tick]
+        );
+    }
+
     #[test]
     fn coordinator_crash_triggers_election_and_progress_resumes() {
         let mut cluster = build(3);
@@ -1014,7 +1100,6 @@ mod tests {
             SimConfig {
                 seed: 11,
                 election_timeout_us: 100_000,
-                ..SimConfig::default()
             },
             Topology::lan(4),
         );
@@ -1070,7 +1155,6 @@ mod tests {
             SimConfig {
                 seed: 13,
                 election_timeout_us: 100_000,
-                ..SimConfig::default()
             },
             Topology::lan(4),
         );

@@ -62,30 +62,23 @@ impl TimeSeries {
 }
 
 /// A named registry of counters, histograms and series shared by the
-/// simulation harness and actors.
-#[derive(Debug)]
+/// simulation harness and actors. Series use one-second windows
+/// ([`Metrics::SERIES_WINDOW_US`]); a reader wanting coarser ones sums
+/// them.
+#[derive(Default, Debug)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
     series: BTreeMap<String, TimeSeries>,
-    series_window_us: u64,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new(1_000_000)
-    }
 }
 
 impl Metrics {
-    /// A registry whose series use `series_window_us` windows.
-    pub fn new(series_window_us: u64) -> Self {
-        Self {
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            series: BTreeMap::new(),
-            series_window_us,
-        }
+    /// The window width of every series in the registry, microseconds.
+    pub const SERIES_WINDOW_US: u64 = 1_000_000;
+
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Adds `n` to counter `name`.
@@ -122,10 +115,9 @@ impl Metrics {
 
     /// Adds `v` at time `t` to series `name`.
     pub fn series_add(&mut self, name: &str, t: Time, v: f64) {
-        let w = self.series_window_us;
         self.series
             .entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(w))
+            .or_insert_with(|| TimeSeries::new(Self::SERIES_WINDOW_US))
             .add(t, v);
     }
 
@@ -145,55 +137,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_small_values_exact() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 2, 3, 100, 127] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 127);
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), 127);
-    }
-
-    #[test]
-    fn histogram_relative_precision() {
-        let mut h = Histogram::new();
-        h.record(1_000_000);
-        let q = h.quantile(0.5) as f64;
-        assert!((q - 1_000_000.0).abs() / 1_000_000.0 < 0.01, "q={q}");
-    }
-
-    #[test]
-    fn histogram_quantiles_ordered() {
-        let mut h = Histogram::new();
-        for v in 1..=10_000u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile(0.5);
-        let p90 = h.quantile(0.9);
-        let p99 = h.quantile(0.99);
-        assert!(p50 <= p90 && p90 <= p99);
-        assert!((p50 as f64 - 5000.0).abs() / 5000.0 < 0.02);
-        assert!((p99 as f64 - 9900.0).abs() / 9900.0 < 0.02);
-        let mean = h.mean();
-        assert!((mean - 5000.5).abs() < 1.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(10);
-        b.record(20);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 20);
-    }
-
-    #[test]
     fn series_buckets_by_window() {
         let mut s = TimeSeries::new(1_000_000);
         s.add(Time::from_millis(100), 1.0);
@@ -205,27 +148,9 @@ mod tests {
         assert_eq!(s.points().len(), 2);
     }
 
-    /// Regression: the pre-extraction local histogram's derived
-    /// `Default` left `min = 0`, so a default-constructed histogram
-    /// disagreed with `Histogram::new()` after recording. The shared
-    /// type keeps both construction paths identical and empty-histogram
-    /// `min()`/`max()` well-defined.
-    #[test]
-    fn default_histogram_behaves_like_new() {
-        let empty = Histogram::default();
-        assert_eq!(empty.min(), 0);
-        assert_eq!(empty.max(), 0);
-        let mut a = Histogram::default();
-        let mut b = Histogram::new();
-        a.record(42);
-        b.record(42);
-        assert_eq!(a.min(), b.min());
-        assert_eq!(a.min(), 42, "default construction must not pin min at 0");
-    }
-
     #[test]
     fn merge_histogram_folds_external_samples() {
-        let mut m = Metrics::new(1_000_000);
+        let mut m = Metrics::new();
         m.record("lat", 10);
         let mut h = Histogram::new();
         h.record(30);
@@ -242,7 +167,7 @@ mod tests {
 
     #[test]
     fn registry_roundtrip() {
-        let mut m = Metrics::new(1_000_000);
+        let mut m = Metrics::new();
         m.incr("ops", 3);
         m.incr("ops", 2);
         assert_eq!(m.counter("ops"), 5);

@@ -31,16 +31,14 @@ pub struct StoreTopology {
 
 impl StoreTopology {
     /// The paper's local setup: `partitions` rings of 3 replicas with a
-    /// global ring. The engine defaults to the `MRP_ENGINE` environment
-    /// variable (Multi-Ring Paxos when unset), so benches and examples
-    /// switch engines without recompiling; [`engine`](Self::engine)
-    /// overrides it.
+    /// global ring, ordered by the default engine (Multi-Ring Paxos);
+    /// [`engine`](Self::engine) selects another.
     pub fn local(partitions: u16, tuning: RingTuning) -> Self {
         Self {
             partitions,
             global_ring: true,
             tuning,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::default(),
         }
     }
 
@@ -275,7 +273,7 @@ mod tests {
 
     #[test]
     fn routing_single_key_and_scan() {
-        // Pin the engine so the assertions hold regardless of MRP_ENGINE.
+        // The ring engine routes a scan through the global group.
         let d =
             StoreDeployment::build(&StoreTopology::local(3, quiet()).engine(EngineKind::MultiRing));
         let read = StoreCommand::Read {

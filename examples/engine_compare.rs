@@ -1,8 +1,7 @@
 //! Engine comparison: the same two-group workload ordered by each
-//! atomic-multicast engine, selected from configuration at run time.
+//! atomic-multicast engine in turn.
 //!
-//! The engine is picked per deployment with `EngineKind` (or the
-//! `MRP_ENGINE` environment variable: `multiring` | `wbcast`), and the
+//! The engine is picked per deployment with `EngineKind`, and the
 //! cluster spawns it through the engine-generic
 //! `Cluster::add_engine_actors` — no engine-specific types appear in
 //! the workload.
@@ -73,11 +72,7 @@ fn main() {
     // 20 values × 2 groups × 3 subscribers each.
     const EXPECTED: u64 = 20 * 2 * 3;
 
-    let engines: Vec<EngineKind> = match std::env::var("MRP_ENGINE") {
-        Ok(name) => vec![name.parse().expect("MRP_ENGINE is `multiring` or `wbcast`")],
-        Err(_) => EngineKind::ALL.to_vec(),
-    };
-    for kind in engines {
+    for kind in EngineKind::ALL {
         let delivered = run(kind).unwrap_or_else(|e| panic!("engine {kind}: {e}"));
         println!("engine {kind:>9}: delivered {delivered} values (expected {EXPECTED})");
         // With every value everywhere, the contract the history was

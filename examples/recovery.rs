@@ -1,8 +1,9 @@
 //! Recovery example (Section 5): a replica is killed mid-run, its peers
 //! keep serving, checkpoints let acceptors trim their logs, and the
 //! restarted replica rebuilds its state from a remote checkpoint plus
-//! retransmitted consensus instances (or, with `MRP_ENGINE=wbcast`, the
-//! sequencer's replayed stream).
+//! retransmitted consensus instances (on the ring engine) or the
+//! sequencer's replayed stream (on the white-box engine). The run is
+//! made once per engine.
 //!
 //! Run with: `cargo run --example recovery --release`
 
@@ -20,7 +21,12 @@ use bytes::Bytes;
 use mrp_bench::OpenLoopClient;
 
 fn main() {
-    let kind = EngineKind::from_env();
+    for kind in EngineKind::ALL {
+        run(kind);
+    }
+}
+
+fn run(kind: EngineKind) {
     // One ring: three proposer/acceptors + three learner replicas.
     let tuning = RingTuning {
         lambda: 2_000,
@@ -83,7 +89,7 @@ fn main() {
     cluster.register_client(client_id, client_proc);
 
     cluster.start();
-    println!("t= 0s: cluster running, replica p4 will crash at t=3s");
+    println!("{kind}, t= 0s: cluster running, replica p4 will crash at t=3s");
     cluster.schedule_crash(Time::from_secs(3), ProcessId::new(4));
     cluster.schedule_restart(Time::from_secs(10), ProcessId::new(4));
     // Stop the load a second before the end so in-flight writes drain
@@ -91,7 +97,7 @@ fn main() {
     cluster.schedule_crash(Time::from_secs(15), client_proc);
     cluster.run_until(Time::from_secs(16));
 
-    println!("t=16s: run finished");
+    println!("{kind}, t=16s: run finished");
     println!(
         "  acceptor log trims executed: {}",
         cluster.metrics().counter("trim_storage")
@@ -121,9 +127,12 @@ fn main() {
     }
     assert!(
         0 < executed[1] && executed[1] < executed[0],
-        "state transfer plus a short replay, not the whole history"
+        "{kind}: state transfer plus a short replay, not the whole history"
     );
-    assert_eq!(snapshots[0], snapshots[2]);
-    assert_eq!(snapshots[0], snapshots[1], "recovered replica caught up");
+    assert_eq!(snapshots[0], snapshots[2], "{kind}: live replicas agree");
+    assert_eq!(
+        snapshots[0], snapshots[1],
+        "{kind}: recovered replica caught up"
+    );
     println!("the restarted replica installed a remote checkpoint and replayed the gap.");
 }

@@ -1,6 +1,8 @@
 //! Real-deployment example: a three-node MRP-Store partition over
 //! loopback TCP with durable write-ahead logs — the thread-per-peer
 //! runtime a downstream user would actually run, no simulator involved.
+//! The cluster is brought up once per atomic-multicast engine, each with
+//! write-ahead logs of its own.
 //!
 //! Run with: `cargo run --example tcp_cluster`
 
@@ -24,6 +26,12 @@ fn free_addr() -> SocketAddr {
 }
 
 fn main() {
+    for kind in EngineKind::ALL {
+        run(kind);
+    }
+}
+
+fn run(kind: EngineKind) {
     let tuning = RingTuning {
         lambda: 0,
         storage: StorageMode::AsyncDisk,
@@ -38,7 +46,7 @@ fn main() {
     }
     peers.insert(client_proc, addrs[3]);
 
-    let base = std::env::temp_dir().join(format!("mrp-example-{}", std::process::id()));
+    let base = std::env::temp_dir().join(format!("mrp-example-{}-{kind}", std::process::id()));
     let mut handles = Vec::new();
     for i in 0..3u32 {
         let p = ProcessId::new(i);
@@ -47,7 +55,7 @@ fn main() {
         rc.clients = BTreeMap::from([(ClientId::new(1), client_proc)]);
         rc.storage_dir = Some(base.join(format!("node{i}")));
         let replica = EngineReplica::new(
-            EngineKind::from_env(),
+            kind,
             p,
             config.clone(),
             StoreApp::new(0),
@@ -60,7 +68,7 @@ fn main() {
     }
     let client = ClientPort::bind(client_proc, addrs[3], peers.clone()).expect("client");
 
-    println!("3 nodes listening on loopback TCP; inserting 10 entries...");
+    println!("{kind}: 3 nodes listening on loopback TCP; inserting 10 entries...");
     for i in 0..10u64 {
         let cmd = StoreCommand::Insert {
             key: Bytes::from(format!("key{i}")),
@@ -108,7 +116,8 @@ fn main() {
     println!("read(key7) -> {value:?}");
     assert_eq!(
         value,
-        StoreResponse::Value(Some(Bytes::from_static(b"value7")))
+        StoreResponse::Value(Some(Bytes::from_static(b"value7"))),
+        "{kind}"
     );
     for h in handles {
         h.shutdown();

@@ -542,7 +542,6 @@ fn run_failover(seed: u64, kind: EngineKind, mode: BatchConfig, crash_us: u64) -
         SimConfig {
             seed,
             election_timeout_us: 50_000,
-            ..SimConfig::default()
         },
         Topology::lan(8),
     );
@@ -647,7 +646,6 @@ fn run_initiator_crash(seed: u64, kind: EngineKind, crash_us: u64) -> Cluster {
         SimConfig {
             seed,
             election_timeout_us: 50_000,
-            ..SimConfig::default()
         },
         Topology::lan(8),
     );
@@ -863,7 +861,6 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
             SimConfig {
                 seed: 53,
                 election_timeout_us: 50_000,
-                ..SimConfig::default()
             },
             Topology::lan(8),
         );

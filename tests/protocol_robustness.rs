@@ -62,7 +62,6 @@ fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Clus
         SimConfig {
             seed,
             election_timeout_us: 200_000,
-            ..SimConfig::default()
         },
         topology,
     );

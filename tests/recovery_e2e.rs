@@ -45,7 +45,6 @@ fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -
         SimConfig {
             seed: 77,
             election_timeout_us: 300_000,
-            ..SimConfig::default()
         },
         Topology::lan(8),
     );
