@@ -252,8 +252,7 @@ pub const TAKEOVER_GRACE_DELTAS: u64 = ORPHAN_DELTAS + RETRY_DELTAS;
 // shorter than the orphan timeout plus one retry period could advance
 // the frontier past a re-injected decided value, and an orphan timeout
 // at or below the retry period would recover live rounds constantly.
-// The `protocol-constants` lint (`mrp-check`) checks these assertions stay
-// present.
+// A retuned constant that breaks either relation fails the build here.
 const _: () = assert!(TAKEOVER_GRACE_DELTAS >= ORPHAN_DELTAS + RETRY_DELTAS);
 const _: () = assert!(ORPHAN_DELTAS > RETRY_DELTAS);
 
@@ -683,9 +682,16 @@ impl StateMachine for WbcastNode {
             Event::MembershipChange { ring, down } => {
                 self.on_membership_change(now, ring, down, &mut out);
             }
-            // The engine keeps no stable storage; other timers and
-            // persistence completions are ring-engine concerns.
-            Event::Timer(_) | Event::PersistDone(_) => {}
+            // The engine keeps no stable storage and repairs no gaps;
+            // trim rounds, replica and batcher timers are other layers'.
+            Event::Timer(
+                TimerKind::GapCheck(_)
+                | TimerKind::TrimTick(_)
+                | TimerKind::CheckpointTick
+                | TimerKind::RecoveryRetry
+                | TimerKind::SubmitFlush,
+            )
+            | Event::PersistDone(_) => {}
         }
         out
     }

@@ -2174,3 +2174,37 @@ fn health_probe_names_the_stream_blocking_the_head() {
     assert_eq!(issue.group, Some(GroupId::new(1)), "waiting on idle g1");
     assert_eq!(issue.detail, threshold + 1);
 }
+
+/// The timers this engine does not own — gap repair, trim rounds,
+/// replica and batcher timers — are no-ops: fed to every node, with
+/// each sequencer's Δ armed and a multi-group round in flight, they
+/// emit nothing and change no state.
+#[test]
+fn timers_of_other_layers_are_no_ops() {
+    let config = disjoint_config(&[&[0, 1], &[2, 3]]);
+    let mut nodes = spawn(&config);
+    for (&p, node) in &mut nodes {
+        let _ = node.on_event(Time::ZERO, Event::Start);
+        if p == ProcessId::new(0) {
+            let groups = [GroupId::new(0), GroupId::new(1)];
+            AmcastEngine::multicast(node, Time::ZERO, &groups, Bytes::from_static(b"m"))
+                .expect("addressed groups exist");
+        }
+    }
+    let g = GroupId::new(0);
+    let others = [
+        TimerKind::GapCheck(g),
+        TimerKind::TrimTick(g),
+        TimerKind::CheckpointTick,
+        TimerKind::RecoveryRetry,
+        TimerKind::SubmitFlush,
+    ];
+    for (p, node) in &mut nodes {
+        for kind in others {
+            let before = node.state_digest();
+            let out = node.on_event(Time::from_millis(1), Event::Timer(kind));
+            assert!(out.is_empty(), "{p}: {kind:?} emitted {out:?}");
+            assert_eq!(node.state_digest(), before, "{p}: {kind:?} changed state");
+        }
+    }
+}

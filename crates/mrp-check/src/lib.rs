@@ -1,4 +1,4 @@
-//! # mrp-check: bounded model checking, liveness and static suites
+//! # mrp-check: bounded model checking and liveness
 //!
 //! The engines behind [`mrp_amcast::AmcastEngine`] are sans-io state
 //! machines: events in, actions out, no clocks, no threads, no
@@ -32,22 +32,21 @@
 //! * [`scenario`] — canned multi-node deployments (both engines,
 //!   multi-group traffic, held submissions) the checker and the
 //!   regression schedules under `schedules/` run against.
-//! * [`conformance`] — the two cross-file rules `cargo test` runs
-//!   (`tests/conformance.rs`) and the compiler cannot: the pinned
-//!   protocol-constant static asserts (`protocol-constants`) and every
-//!   `TimerKind` armed and handled (`timer-liveness`). Sans-io purity
-//!   is not checked here: clippy rejects wall clocks, threads, hash
-//!   collections, stdout and environment reads in the engine crates
-//!   (`crates/multiring-paxos/clippy.toml`, shared by `mrp-amcast`),
-//!   and polling waits in the TCP runtime
-//!   (`crates/mrp-transport/clippy.toml`). Tag collisions, frame coverage and
-//!   round-trips used to be scanned for here too; since every wire
-//!   vocabulary is a tag enum they are compile errors (E0081, E0004)
-//!   and `every_tag_opens_a_golden` tests beside each format's goldens.
 //! * [`toy`] — a deliberately small hub-ordered engine with three
 //!   sabotaged variants (dropped decision, wedged retry loop,
 //!   order-inverting receiver) used to prove the validity, liveness and
 //!   refinement detectors each fire and minimize.
+//!
+//! Sans-io purity is not checked here: clippy rejects wall clocks,
+//! threads, hash collections, stdout and environment reads in the
+//! engine crates (`crates/multiring-paxos/clippy.toml`, shared by
+//! `mrp-amcast`), and polling waits in the TCP runtime
+//! (`crates/mrp-transport/clippy.toml`). Nor are source files read
+//! as text: every wire vocabulary is a tag enum, so tag collisions and
+//! frame coverage are compile errors (E0081, E0004), with
+//! `every_tag_opens_a_golden` beside each format's goldens; every
+//! timer handler matches `TimerKind` exhaustively, and the root test
+//! `tests/timer_coverage.rs` sees every kind armed in a simulated run.
 //!
 //! The `check` binary (`cargo run --release -p mrp-check --bin check`)
 //! runs the bounded exploration for both engines with fault branching
@@ -63,7 +62,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod checker;
-pub mod conformance;
 pub mod scenario;
 pub mod spec;
 pub mod toy;
@@ -72,6 +70,5 @@ pub use checker::{
     check, replay_schedule, Checker, CheckerConfig, Choice, FaultBudget, ReplayOutcome, Report,
     Schedule, Violation,
 };
-pub use conformance::{conformance_check, Finding};
 pub use scenario::{Scenario, Submission};
 pub use spec::{request_key, AbstractAmcast, MsgKey};

@@ -6,13 +6,14 @@
     reason = "a test waits for the runtime from outside, where a bounded wait is the point"
 )]
 
+mod loopback;
+
 use bytes::Bytes;
-use mrp_transport::tcp::{ClientPort, RuntimeConfig, RuntimeEvent, TcpRuntime};
+use mrp_transport::tcp::{RuntimeEvent, TcpRuntime};
 use multiring_paxos::config::{single_ring, RingTuning};
 use multiring_paxos::node::Node;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId};
-use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 #[cfg(target_os = "linux")]
@@ -27,32 +28,14 @@ fn shutdown_frees_the_addresses_and_ends_the_threads() {
     #[cfg(target_os = "linux")]
     let threads_before = threads();
 
-    let addrs: Vec<SocketAddr> = (0..4)
-        .map(|_| {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-            l.local_addr().expect("addr")
-        })
-        .collect();
-    let client_proc = ProcessId::new(50);
-    let mut peers: BTreeMap<ProcessId, SocketAddr> = (0..3)
-        .map(|i| (ProcessId::new(i), addrs[i as usize]))
-        .collect();
-    peers.insert(client_proc, addrs[3]);
     let tuning = RingTuning {
         lambda: 0,
         ..RingTuning::default()
     };
     let config = single_ring(3, tuning);
-    let handles: Vec<_> = (0..3)
-        .map(|i| {
-            let p = ProcessId::new(i);
-            let mut rc = RuntimeConfig::new(p, addrs[i as usize]);
-            rc.peers = peers.clone();
-            rc.clients = BTreeMap::from([(ClientId::new(1), client_proc)]);
-            TcpRuntime::spawn(rc, Node::new(p, config.clone())).expect("spawn")
-        })
-        .collect();
-    let client = ClientPort::bind(client_proc, addrs[3], peers).expect("client");
+    let (handles, client, addrs) = loopback::start(3, |p, rc| {
+        TcpRuntime::spawn(rc, Node::new(p, config.clone()))
+    });
 
     // Traffic until every node has delivered: by then the ring's
     // connections, readers and writers all exist.

@@ -7,7 +7,10 @@
     reason = "a test waits for the runtime from outside, where a bounded wait is the point"
 )]
 
+mod loopback;
+
 use bytes::{Bytes, BytesMut};
+use loopback::free_addr;
 use mrp_transport::framing::{self, FrameAccumulator, MAX_FRAME};
 use mrp_transport::tcp::{ClientPort, RuntimeConfig, RuntimeEvent, RuntimeHandle, TcpRuntime};
 use multiring_paxos::config::{single_ring, RingTuning, StorageMode};
@@ -21,11 +24,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn free_addr() -> SocketAddr {
-    let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    l.local_addr().expect("addr")
-}
-
 #[test]
 fn three_nodes_total_order_over_loopback_tcp() {
     let tuning = RingTuning {
@@ -33,47 +31,32 @@ fn three_nodes_total_order_over_loopback_tcp() {
         ..RingTuning::default()
     };
     let config = single_ring(3, tuning);
-    let addrs: Vec<SocketAddr> = (0..4).map(|_| free_addr()).collect();
-    let mut peers: BTreeMap<ProcessId, SocketAddr> = BTreeMap::new();
-    for (i, a) in addrs.iter().enumerate().take(3) {
-        peers.insert(ProcessId::new(i as u32), *a);
-    }
-    let client_proc = ProcessId::new(50);
-    peers.insert(client_proc, addrs[3]);
 
     // Node 0 runs with a periodic status probe (the telemetry-logging
     // hook): it must fire while the run makes progress and observe the
     // node's delivery counters advancing.
     let probe_runs = Arc::new(AtomicU64::new(0));
     let probe_delivered = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::new();
-    for i in 0..3u32 {
-        let p = ProcessId::new(i);
-        let mut rc = RuntimeConfig::new(p, addrs[i as usize]);
-        rc.peers = peers.clone();
-        rc.clients = BTreeMap::from([(ClientId::new(1), client_proc)]);
+    let (handles, client, _) = loopback::start(3, |p, mut rc| {
         let node = Node::new(p, config.clone());
-        if i == 0 {
-            rc.status_interval_us = 50_000;
-            let runs = Arc::clone(&probe_runs);
-            let delivered = Arc::clone(&probe_delivered);
-            handles.push(
-                TcpRuntime::spawn_with_status(
-                    rc,
-                    node,
-                    Box::new(move |_, node: &Node| {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        delivered
-                            .fetch_max(node.tel().registry.counter("delivered"), Ordering::SeqCst);
-                    }),
-                )
-                .expect("spawn"),
-            );
-        } else {
-            handles.push(TcpRuntime::spawn(rc, node).expect("spawn"));
+        if p != ProcessId::new(0) {
+            return TcpRuntime::spawn(rc, node);
         }
-    }
-    let client = ClientPort::bind(client_proc, addrs[3], peers.clone()).expect("client");
+        // A start made again counts from zero.
+        probe_runs.store(0, Ordering::SeqCst);
+        probe_delivered.store(0, Ordering::SeqCst);
+        rc.status_interval_us = 50_000;
+        let runs = Arc::clone(&probe_runs);
+        let delivered = Arc::clone(&probe_delivered);
+        TcpRuntime::spawn_with_status(
+            rc,
+            node,
+            Box::new(move |_, node: &Node| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                delivered.fetch_max(node.tel().registry.counter("delivered"), Ordering::SeqCst);
+            }),
+        )
+    });
 
     // Send 20 requests to proposer p1.
     for r in 0..20u64 {

@@ -236,6 +236,15 @@ impl Message {
 
 /// Timers a state machine may request; the runtime fires them back as
 /// [`Event::Timer`].
+///
+/// Every terminal handler names every variant, with no wildcard:
+/// `Node::on_timer`, `RingState::on_timer` and the white-box engine's
+/// `WbcastNode::on_event`, so a new variant does not compile until each
+/// engine decides what to do with it. The wrappers that own a timer
+/// (`AnyEngine`: `SubmitFlush`; `EngineReplica`: `CheckpointTick`,
+/// `RecoveryRetry`) forward the others. The root test
+/// `tests/timer_coverage.rs` runs both engines on the simulator and
+/// fails unless every variant is armed.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TimerKind {
     /// Rate-leveling interval Δ elapsed for a ring (coordinator only).

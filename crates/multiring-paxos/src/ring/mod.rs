@@ -742,7 +742,12 @@ impl RingState {
     /// belong to this ring.
     pub fn on_timer(&mut self, now: Time, kind: TimerKind, fx: &mut Effects) -> bool {
         match kind {
-            TimerKind::Delta(r) if r == self.cfg.id() => {
+            TimerKind::Delta(r) | TimerKind::GapCheck(r) | TimerKind::ProposalResend(r)
+                if r != self.cfg.id() =>
+            {
+                false
+            }
+            TimerKind::Delta(_) => {
                 if self.me == self.coordinator_proc {
                     // Phase 1 retry: lost Phase 1A/1B messages would
                     // otherwise leave the coordinator preparing forever.
@@ -763,7 +768,7 @@ impl RingState {
                 }
                 true
             }
-            TimerKind::GapCheck(r) if r == self.cfg.id() => {
+            TimerKind::GapCheck(_) => {
                 self.gap_timer_armed = false;
                 let timeout = self.cfg.tuning().gap_timeout_us;
                 if let Some(l) = self.learner.as_ref() {
@@ -787,7 +792,7 @@ impl RingState {
                 }
                 true
             }
-            TimerKind::ProposalResend(r) if r == self.cfg.id() => {
+            TimerKind::ProposalResend(_) => {
                 let resend_us = self.cfg.tuning().proposal_resend_us;
                 let Some(p) = self.proposer.as_mut() else {
                     return true;
@@ -803,7 +808,12 @@ impl RingState {
                 }
                 true
             }
-            _ => false,
+            // The node's trim round, and replica- and batcher-layer
+            // timers: none is a ring's.
+            TimerKind::TrimTick(_)
+            | TimerKind::CheckpointTick
+            | TimerKind::RecoveryRetry
+            | TimerKind::SubmitFlush => false,
         }
     }
 
@@ -920,5 +930,52 @@ mod tests {
         // now sees Phase 2.
         assert_eq!(ring.last_acceptor(), p(1));
         assert!((0..5).all(|i| ring.on_phase2_arc(p(i))));
+    }
+
+    /// Another ring's `Delta`, `GapCheck` and `ProposalResend`, the
+    /// node's trim round and the replica and batcher timers are not this
+    /// ring's: at every role, with every ring timer armed and a proposal
+    /// pending, each is declined with no effect and no state change.
+    #[test]
+    fn timers_that_are_not_the_rings_are_declined() {
+        use crate::digest::Fnv1a;
+        use std::hash::{Hash, Hasher};
+
+        let digest = |ring: &RingState| {
+            let mut h = Fnv1a::new();
+            ring.hash(&mut h);
+            h.finish()
+        };
+        let other = GroupId::new(1);
+        let declined = [
+            TimerKind::Delta(other),
+            TimerKind::GapCheck(other),
+            TimerKind::ProposalResend(other),
+            TimerKind::TrimTick(GroupId::new(0)),
+            TimerKind::CheckpointTick,
+            TimerKind::RecoveryRetry,
+            TimerKind::SubmitFlush,
+        ];
+        for me in 0..5 {
+            let mut ring = five(me);
+            let mut fx = Effects::new(0);
+            ring.on_start(Time::ZERO, &mut fx);
+            ring.multicast_batch(Time::ZERO, vec![bytes::Bytes::from_static(b"v")], &mut fx);
+            for kind in declined {
+                let before = digest(&ring);
+                let mut fx = Effects::new(7);
+                assert!(
+                    !ring.on_timer(Time::from_millis(1), kind, &mut fx),
+                    "p{me}: {kind:?}"
+                );
+                assert!(fx.actions.is_empty(), "p{me}: {kind:?} acted");
+                assert!(fx.released.is_empty() && fx.gated.is_empty());
+                assert!(fx.need_checkpoint.is_none());
+                assert_eq!(fx.token_seed(), 7, "p{me}: {kind:?} persisted");
+                assert_eq!(digest(&ring), before, "p{me}: {kind:?} changed the ring");
+            }
+            let own = TimerKind::GapCheck(GroupId::new(0));
+            assert!(ring.on_timer(Time::from_millis(1), own, &mut fx), "p{me}");
+        }
     }
 }
