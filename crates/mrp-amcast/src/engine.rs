@@ -693,6 +693,7 @@ impl AmcastEngine for AnyEngine {
 pub(crate) mod tests {
     use super::*;
     use multiring_paxos::config::{single_ring, RingTuning};
+    use multiring_paxos::host::Host;
 
     #[test]
     fn kind_display_is_its_name() {
@@ -856,34 +857,25 @@ pub(crate) mod tests {
         }
     }
 
-    fn arms_submit_flush(actions: &[Action]) -> bool {
-        let flush = TimerKind::SubmitFlush;
-        actions
-            .iter()
-            .any(|a| matches!(a, Action::SetTimer { timer, .. } if *timer == flush))
-    }
-
-    /// Three engines of one kind over [`two_groups`] on a virtual
-    /// clock: frames arrive in FIFO order, one a microsecond, and
-    /// timers fire when due.
+    /// Three engines of one kind over [`two_groups`], each behind a
+    /// [`Host`], on a virtual clock: frames arrive in FIFO order, one a
+    /// microsecond, and timers fire when due.
     struct Net {
-        engines: Vec<AnyEngine>,
+        hosts: Vec<Host<AnyEngine>>,
         wire: std::collections::VecDeque<(ProcessId, ProcessId, Message)>,
-        timers: BTreeMap<(u64, u64), (ProcessId, TimerKind)>,
         now: u64,
-        seq: u64,
+        steps: u64,
         delivered: [usize; 3],
     }
 
     impl Net {
         fn start(kind: EngineKind) -> Net {
-            let build = |p| kind.build(ProcessId::new(p), two_groups());
+            let build = |p| Host::new(kind.build(ProcessId::new(p), two_groups()));
             let mut net = Net {
-                engines: (0..3).map(build).collect(),
+                hosts: (0..3).map(build).collect(),
                 wire: Default::default(),
-                timers: BTreeMap::new(),
                 now: 0,
-                seq: 0,
+                steps: 0,
                 delivered: [0; 3],
             };
             for p in 0..3 {
@@ -895,16 +887,21 @@ pub(crate) mod tests {
             net
         }
 
+        fn engine(&self, p: usize) -> &AnyEngine {
+            self.hosts[p].machine()
+        }
+
         fn feed(&mut self, p: usize, event: Event) {
+            let (now, mut actions) = (Time::from_micros(self.now), Vec::new());
+            self.hosts[p].on_event(now, event, |_, _| {}, |a| actions.push(a));
+            self.route(p, actions);
+        }
+
+        fn route(&mut self, p: usize, actions: Vec<Action>) {
             let at = ProcessId::new(p as u32);
-            for a in self.engines[p].on_event(Time::from_micros(self.now), event) {
+            for a in actions {
                 match a {
                     Action::Send { to, msg } => self.wire.push_back((at, to, msg)),
-                    Action::SetTimer { after_us, timer } => {
-                        self.seq += 1;
-                        self.timers
-                            .insert((self.now + after_us, self.seq), (at, timer));
-                    }
                     Action::Deliver { .. } => self.delivered[p] += 1,
                     _ => {}
                 }
@@ -915,24 +912,31 @@ pub(crate) mod tests {
         /// (taking 1 µs), else waits for the timer; returns the timer
         /// fired.
         fn step(&mut self) -> Option<TimerKind> {
-            self.seq += 1;
-            assert!(self.seq < 100_000, "no progress after 100 000 events");
-            let (&key, &(at, timer)) = self.timers.iter().next().expect("a Δ timer is armed");
-            if key.0 > self.now {
+            self.steps += 1;
+            assert!(self.steps < 100_000, "no progress after 100 000 events");
+            let (due, p, timer) = (0..3)
+                .filter_map(|p| {
+                    let (due, timer) = self.hosts[p].timers().next()?;
+                    Some((due.as_micros(), p, timer))
+                })
+                .min()
+                .expect("a Δ timer is armed");
+            if due > self.now {
                 if let Some((from, to, msg)) = self.wire.pop_front() {
                     self.now += 1;
                     self.feed(to.value() as usize, Event::Message { from, msg });
                     return None;
                 }
-                self.now = key.0;
+                self.now = due;
             }
-            self.timers.remove(&key);
-            self.feed(at.value() as usize, Event::Timer(timer));
+            let (now, mut actions) = (Time::from_micros(self.now), Vec::new());
+            assert!(self.hosts[p].fire(now, timer, |_, _| {}, |a| actions.push(a)));
+            self.route(p, actions);
             Some(timer)
         }
 
         fn flushes(&self) -> (u64, u64) {
-            let tel = &self.engines[0].tel;
+            let tel = &self.engine(0).tel;
             (
                 tel.counter("batch.flushes"),
                 tel.counter("batch.submitted_values"),
@@ -952,13 +956,17 @@ pub(crate) mod tests {
                     EngineKind::MultiRing => Box::new(Node::new(me, two_groups())),
                     EngineKind::Wbcast => Box::new(WbcastNode::new(me, two_groups())),
                 };
-                let mut wrapped = kind.build(me, two_groups());
+                let mut host = Host::new(kind.build(me, two_groups()));
                 bare.on_event(Time::ZERO, Event::Start);
-                wrapped.on_event(Time::ZERO, Event::Start);
+                host.on_event(Time::ZERO, Event::Start, |_, _| {}, drop);
                 let expected = bare.on_event(Time::ZERO, request(1, groups));
+                let wrapped = host.machine_mut();
                 let actions = wrapped.on_event(Time::ZERO, request(1, groups));
                 assert_eq!(actions, expected, "{kind}/{groups:?}");
-                assert!(!arms_submit_flush(&actions), "{kind}/{groups:?}");
+                host.absorb(Time::ZERO, actions, |_, _| {}, drop);
+                let flush = host.timers().due(TimerKind::SubmitFlush);
+                assert_eq!(flush, None, "{kind}/{groups:?}: a hold timer");
+                let wrapped = host.machine();
                 assert_eq!(wrapped.inner.get().backlog(), 1, "{kind}/{groups:?}");
                 assert_eq!(wrapped.batcher.pending(), 0, "{kind}/{groups:?}");
                 assert_eq!(wrapped.telemetry().counter("batch.flushes"), 0);
@@ -978,8 +986,8 @@ pub(crate) mod tests {
                 net.feed(0, request(n, &[0, 1]));
             }
             assert_eq!(net.flushes(), (0, 0), "{kind}");
-            assert_eq!(net.engines[0].batcher.pending(), 3, "{kind}");
-            assert_eq!(net.engines[0].backlog(), 4, "{kind}");
+            assert_eq!(net.engine(0).batcher.pending(), 3, "{kind}");
+            assert_eq!(net.engine(0).backlog(), 4, "{kind}");
             while net.flushes().0 == 0 {
                 let fired = net.step();
                 assert_ne!(
@@ -1012,7 +1020,7 @@ pub(crate) mod tests {
             net.feed(0, request(1, &[0]));
             let t0 = net.now;
             net.feed(0, request(2, &[0, 1]));
-            assert_eq!(net.engines[0].batcher.pending(), 1, "{kind}");
+            assert_eq!(net.engine(0).batcher.pending(), 1, "{kind}");
             let mut n = 2;
             let fired = loop {
                 // A fresh single-group request before every step: the
@@ -1023,39 +1031,38 @@ pub(crate) mod tests {
                 if fired == Some(TimerKind::SubmitFlush) {
                     break net.now;
                 }
-                assert!(net.engines[0].inner.get().backlog() > 0, "{kind}");
+                assert!(net.engine(0).inner.get().backlog() > 0, "{kind}");
                 assert_eq!(net.flushes(), (0, 0), "{kind}: released early");
             };
             assert_eq!(fired, t0 + SUBMIT_HOLD_US, "{kind}");
             assert_eq!(net.flushes(), (1, 1), "{kind}");
-            assert_eq!(net.engines[0].batcher.pending(), 0, "{kind}");
+            assert_eq!(net.engine(0).batcher.pending(), 0, "{kind}");
         }
     }
 
     /// Two hold cycles inside one window share one timer: the backlog
     /// clearing releases the first queue and leaves the timer out, a
-    /// request held meanwhile arms no second one, and the first firing
-    /// — [`SUBMIT_HOLD_US`] after the *first* value queued — takes it.
+    /// request held meanwhile arms no second one (a re-arm would move
+    /// the deadline), and the first firing — [`SUBMIT_HOLD_US`] after
+    /// the *first* value queued — takes it.
     #[test]
     fn a_second_hold_cycle_rides_the_timer_the_first_one_armed() {
-        let pending_flushes = |net: &Net| {
-            let flush = |(_, t): &&(ProcessId, TimerKind)| *t == TimerKind::SubmitFlush;
-            net.timers.values().filter(flush).count()
-        };
+        let flush_due = |net: &Net| net.hosts[0].timers().due(TimerKind::SubmitFlush);
         for kind in EngineKind::ALL {
             let mut net = Net::start(kind);
             net.feed(0, request(1, &[0, 1]));
             let t0 = net.now;
+            let deadline = Some(Time::from_micros(t0 + SUBMIT_HOLD_US));
             net.feed(0, request(2, &[0, 1]));
-            assert_eq!(pending_flushes(&net), 1, "{kind}");
+            assert_eq!(flush_due(&net), deadline, "{kind}");
             while net.flushes().0 == 0 {
                 assert_ne!(net.step(), Some(TimerKind::SubmitFlush), "{kind}");
             }
             assert!(net.now < t0 + SUBMIT_HOLD_US, "{kind}: at {} µs", net.now);
             // Request 2 is outstanding now; request 3 is held behind it.
             net.feed(0, request(3, &[0, 1]));
-            assert_eq!(net.engines[0].batcher.pending(), 1, "{kind}");
-            assert_eq!(pending_flushes(&net), 1, "{kind}: a second timer");
+            assert_eq!(net.engine(0).batcher.pending(), 1, "{kind}");
+            assert_eq!(flush_due(&net), deadline, "{kind}: a second timer");
             let mut n = 3;
             let fired = loop {
                 n += 1;
@@ -1067,7 +1074,7 @@ pub(crate) mod tests {
             };
             assert_eq!(fired, t0 + SUBMIT_HOLD_US, "{kind}");
             assert_eq!(net.flushes(), (2, 2), "{kind}");
-            assert_eq!(pending_flushes(&net), 0, "{kind}");
+            assert_eq!(flush_due(&net), None, "{kind}");
         }
     }
 

@@ -105,7 +105,7 @@ fn unpack_checkpoint(blob: &Bytes) -> Option<(Bytes, Bytes)> {
 
 /// How long a recovering replica waits for checkpoint replies before
 /// re-sending the outstanding query or fetch.
-const RECOVERY_RETRY_US: u64 = 500_000;
+pub const RECOVERY_RETRY_US: u64 = 500_000;
 
 /// The recovery outcomes the engines count — registry counter name and
 /// the line logged when it rises: a sequencer takeover, an orphan

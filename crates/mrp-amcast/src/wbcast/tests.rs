@@ -1,5 +1,6 @@
 use super::*;
 use multiring_paxos::config::{single_ring, RingSpec, RingTuning, Roles};
+use multiring_paxos::host::Host;
 use multiring_paxos::types::{InstanceId, Value};
 use std::collections::BTreeMap as Map;
 use wire::OrphanSt;
@@ -192,28 +193,15 @@ fn request_is_framed_ordered_and_delivered() {
 #[test]
 fn heartbeats_advance_idle_groups() {
     let config = single_ring(1, RingTuning::default());
-    let mut n = WbcastNode::new(ProcessId::new(0), config);
-    let start = n.on_event(Time::ZERO, Event::Start);
-    assert!(start.iter().any(|a| matches!(
-        a,
-        Action::SetTimer {
-            timer: TimerKind::Delta(_),
-            ..
-        }
-    )));
-    let out = n.on_event(
-        Time::from_millis(50),
-        Event::Timer(TimerKind::Delta(GroupId::new(0))),
-    );
+    let mut host = Host::new(WbcastNode::new(ProcessId::new(0), config));
+    let delta = TimerKind::Delta(GroupId::new(0));
+    host.on_event(Time::ZERO, Event::Start, |_, _| {}, drop);
+    assert!(host.timers().due(delta).is_some());
+    let now = Time::from_millis(50);
+    assert!(host.fire(now, delta, |_, _| {}, drop), "armed");
     // Re-armed, and the (self-subscribed) horizon advanced with time.
-    assert!(out.iter().any(|a| matches!(
-        a,
-        Action::SetTimer {
-            timer: TimerKind::Delta(_),
-            ..
-        }
-    )));
-    assert!(n.horizons()[&GroupId::new(0)] > 0);
+    assert!(host.timers().due(delta) > Some(now));
+    assert!(host.machine().horizons()[&GroupId::new(0)] > 0);
 }
 
 #[test]
@@ -259,9 +247,7 @@ fn observed_timestamps_drag_idle_sequencer_clocks_forward() {
         .get_mut(&p0)
         .unwrap()
         .on_event(Time::ZERO, Event::Timer(TimerKind::Delta(GroupId::new(1))));
-    let mut queue: Vec<(ProcessId, Action)> = hb.into_iter().map(|a| (p0, a)).collect();
-    queue.retain(|(_, a)| !matches!(a, Action::SetTimer { .. }));
-    let late = pump(&mut nodes, queue).delivered;
+    let late = pump(&mut nodes, hb.into_iter().map(|a| (p0, a)).collect()).delivered;
     let total: usize = [&delivered, &late]
         .iter()
         .flat_map(|d| d.get(&p0))
@@ -388,11 +374,7 @@ fn multigroup_interleaves_in_one_total_order_at_shared_subscribers() {
                 Time::from_millis(10),
                 Event::Timer(TimerKind::Delta(GroupId::new(ring))),
             );
-            queue.extend(
-                hb.into_iter()
-                    .filter(|a| !matches!(a, Action::SetTimer { .. }))
-                    .map(|a| (p, a)),
-            );
+            queue.extend(hb.into_iter().map(|a| (p, a)));
         }
     }
     for (p, seq) in pump(&mut nodes, queue).delivered {

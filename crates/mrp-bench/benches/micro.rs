@@ -37,7 +37,8 @@ use mrp_ycsb::workload::key_for;
 use mrp_ycsb::{KeyChooser, SmallRng};
 use multiring_paxos::codec;
 use multiring_paxos::config::{single_ring, RingTuning};
-use multiring_paxos::event::{Action, Event, Message, PersistToken, StateMachine, TimerKind};
+use multiring_paxos::event::{Action, Event, Message};
+use multiring_paxos::host::Host;
 use multiring_paxos::multiring::Merger;
 use multiring_paxos::paxos::Acceptor;
 use multiring_paxos::types::{
@@ -167,16 +168,14 @@ const CHUNK: usize = 64;
 ///
 /// Every [`Action::Send`] is encoded with the real wire codec and
 /// decoded again at the destination, so the measured cost includes the
-/// per-frame serialization that batching amortizes. Persists complete
-/// immediately (in-memory durability); timers fire only when no
-/// message is in flight, exactly like an idle network.
+/// per-frame serialization that batching amortizes. Each engine runs
+/// behind a [`Host`]: persists complete immediately (in-memory
+/// durability), and the earliest timer fires only when no message is in
+/// flight, exactly like an idle network.
 struct Pump {
-    engines: Vec<AnyEngine>,
+    hosts: Vec<Host<AnyEngine>>,
     inbox: VecDeque<(ProcessId, ProcessId, Bytes)>,
-    persists: VecDeque<(ProcessId, PersistToken)>,
-    timers: BTreeMap<(u64, u64), (ProcessId, TimerKind)>,
     now_us: u64,
-    seq: u64,
     submitter: ProcessId,
     delivered: u64,
     wire_frames: u64,
@@ -194,27 +193,34 @@ impl Pump {
         };
         let config = single_ring(3, tuning);
         let mut pump = Pump {
-            engines: (0..3)
-                .map(|p| kind.build(ProcessId::new(p), config.clone()))
+            hosts: (0..3)
+                .map(|p| Host::new(kind.build(ProcessId::new(p), config.clone())))
                 .collect(),
             inbox: VecDeque::new(),
-            persists: VecDeque::new(),
-            timers: BTreeMap::new(),
             now_us: 0,
-            seq: 0,
             submitter: ProcessId::new(1),
             delivered: 0,
             wire_frames: 0,
             wire_bytes: 0,
         };
         for p in 0..3usize {
-            let acts = pump.engines[p].on_event(Time::ZERO, Event::Start);
-            pump.absorb(ProcessId::new(p as u32), acts);
+            let mut acts = Vec::new();
+            pump.hosts[p].on_event(Time::ZERO, Event::Start, |_, _| {}, |a| acts.push(a));
+            pump.route(ProcessId::new(p as u32), acts);
         }
         pump
     }
 
-    fn absorb(&mut self, at: ProcessId, actions: Vec<Action>) {
+    /// Submits through `call` on the submitter's engine.
+    fn submit(&mut self, call: impl FnOnce(&mut AnyEngine, Time) -> Vec<Action>) {
+        let now = Time::from_micros(self.now_us);
+        let host = &mut self.hosts[self.submitter.value() as usize];
+        let (acts, mut out) = (call(host.machine_mut(), now), Vec::new());
+        host.absorb(now, acts, |_, _| {}, |a| out.push(a));
+        self.route(self.submitter, out);
+    }
+
+    fn route(&mut self, at: ProcessId, actions: Vec<Action>) {
         for a in actions {
             match a {
                 Action::Send { to, msg } => {
@@ -225,39 +231,32 @@ impl Pump {
                     self.wire_bytes += frame.len() as u64;
                     self.inbox.push_back((at, to, frame));
                 }
-                Action::SetTimer { after_us, timer } => {
-                    self.seq += 1;
-                    self.timers
-                        .insert((self.now_us + after_us, self.seq), (at, timer));
-                }
-                Action::Persist { token, .. } => self.persists.push_back((at, token)),
-                Action::Deliver { .. } => {
-                    if at == self.submitter {
-                        self.delivered += 1;
-                    }
-                }
-                Action::TrimStorage { .. } | Action::Respond { .. } => {}
+                Action::Deliver { .. } if at == self.submitter => self.delivered += 1,
+                _ => {}
             }
         }
     }
 
     fn step(&mut self) {
-        if let Some((at, token)) = self.persists.pop_front() {
-            let now = Time::from_micros(self.now_us);
-            let acts = self.engines[at.value() as usize].on_event(now, Event::PersistDone(token));
-            self.absorb(at, acts);
-        } else if let Some((from, to, frame)) = self.inbox.pop_front() {
+        let now = Time::from_micros(self.now_us);
+        if let Some((from, to, frame)) = self.inbox.pop_front() {
             let msg = codec::decode(&mut frame.clone()).expect("pump frames are valid");
+            let event = Event::Message { from, msg };
+            let mut acts = Vec::new();
+            self.hosts[to.value() as usize].on_event(now, event, |_, _| {}, |a| acts.push(a));
+            self.route(to, acts);
+        } else if let Some((due, p, timer)) = (0..self.hosts.len())
+            .filter_map(|p| {
+                let (due, timer) = self.hosts[p].timers().next()?;
+                Some((due, p, timer))
+            })
+            .min()
+        {
+            self.now_us = self.now_us.max(due.as_micros());
             let now = Time::from_micros(self.now_us);
-            let acts =
-                self.engines[to.value() as usize].on_event(now, Event::Message { from, msg });
-            self.absorb(to, acts);
-        } else if let Some((&key, _)) = self.timers.iter().next() {
-            let (at, timer) = self.timers.remove(&key).expect("just observed");
-            self.now_us = self.now_us.max(key.0);
-            let now = Time::from_micros(self.now_us);
-            let acts = self.engines[at.value() as usize].on_event(now, Event::Timer(timer));
-            self.absorb(at, acts);
+            let mut acts = Vec::new();
+            assert!(self.hosts[p].fire(now, timer, |_, _| {}, |a| acts.push(a)));
+            self.route(ProcessId::new(p as u32), acts);
         } else {
             panic!(
                 "pump wedged with {} values delivered and nothing runnable",
@@ -293,27 +292,24 @@ struct SubmitRow {
 fn run_submit(kind: EngineKind, batched: bool, values: u64) -> SubmitRow {
     let mut pump = Pump::new(kind, batched);
     let groups = [GroupId::new(0)];
-    let submitter = pump.submitter;
     let start = Instant::now();
     if batched {
         let mut left = values;
         while left > 0 {
             let n = left.min(CHUNK as u64);
             let payloads: Vec<Bytes> = (0..n).map(|_| Bytes::from(vec![0xA5u8; PAYLOAD])).collect();
-            let now = Time::from_micros(pump.now_us);
-            let (_ids, acts) = pump.engines[submitter.value() as usize]
-                .multicast_batch(now, &groups, payloads)
-                .expect("submitter may propose to group 0");
-            pump.absorb(submitter, acts);
+            pump.submit(|engine, now| {
+                let submitted = engine.multicast_batch(now, &groups, payloads);
+                submitted.expect("submitter may propose to group 0").1
+            });
             left -= n;
         }
     } else {
         for _ in 0..values {
-            let now = Time::from_micros(pump.now_us);
-            let (_id, acts) = pump.engines[submitter.value() as usize]
-                .multicast(now, &groups, Bytes::from(vec![0xA5u8; PAYLOAD]))
-                .expect("submitter may propose to group 0");
-            pump.absorb(submitter, acts);
+            pump.submit(|engine, now| {
+                let submitted = engine.multicast(now, &groups, Bytes::from(vec![0xA5u8; PAYLOAD]));
+                submitted.expect("submitter may propose to group 0").1
+            });
         }
     }
     pump.run_until_delivered(values);

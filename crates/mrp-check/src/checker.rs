@@ -48,17 +48,16 @@ use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::wbcast::message_carries_value;
 use multiring_paxos::digest::Fnv1a;
 use multiring_paxos::event::{Action, Event, Message, TimerKind};
+use multiring_paxos::host::Host;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 
 use crate::scenario::Scenario;
 use crate::spec::{request_key, AbstractAmcast, MsgKey};
 
-/// A node's armed timers, keyed by [`timer_kind_key`] so the map order
-/// is deterministic (`TimerKind` itself is not `Ord`).
-type TimerTable = BTreeMap<(u8, u16), (TimerKind, Time)>;
-
-/// One scheduling decision: the atomic unit of a [`Schedule`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// One scheduling decision: the atomic unit of a [`Schedule`]. The
+/// canonical exploration order is `Ord`'s: by variant in declaration
+/// order, then by field.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum Choice {
     /// Deliver the frame at the head of channel `from → to`.
     Deliver {
@@ -111,26 +110,6 @@ pub enum Choice {
 }
 
 impl Choice {
-    /// Canonical exploration order (also the `Ord` key).
-    fn sort_key(&self) -> (u8, u64, u64, u8, u16) {
-        match *self {
-            Choice::Deliver { from, to } => {
-                (0, u64::from(from.value()), u64::from(to.value()), 0, 0)
-            }
-            Choice::Fire { node, timer } => {
-                let (tag, ring) = timer_kind_key(timer);
-                (1, u64::from(node.value()), 0, tag, ring)
-            }
-            Choice::Drop { from, to } => (2, u64::from(from.value()), u64::from(to.value()), 0, 0),
-            Choice::Duplicate { from, to } => {
-                (3, u64::from(from.value()), u64::from(to.value()), 0, 0)
-            }
-            Choice::Checkpoint { node } => (4, u64::from(node.value()), 0, 0, 0),
-            Choice::Crash { node } => (5, u64::from(node.value()), 0, 0, 0),
-            Choice::Restart { node } => (6, u64::from(node.value()), 0, 0, 0),
-        }
-    }
-
     /// The footprint used by the independence relation:
     /// `(engine node touched, channel front touched, wide)`. `wide`
     /// choices (crash/restart) conflict with everything.
@@ -159,18 +138,6 @@ impl Choice {
     }
 }
 
-impl PartialOrd for Choice {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Choice {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.sort_key().cmp(&other.sort_key())
-    }
-}
-
 /// `true` when the two choices may not commute (shared engine, shared
 /// channel front, shared budget, or a wide choice): the sleep-set
 /// reduction only reorders *independent* pairs.
@@ -189,24 +156,6 @@ fn dependent(a: &Choice, b: &Choice) -> bool {
         || matches!((ca, cb), (Some(x), Some(y)) if x == y)
 }
 
-/// A compact, `Ord`-able key identifying a [`TimerKind`]: discriminant
-/// plus the ring it concerns (0 for process-wide timers).
-///
-/// `TimerKind` itself deliberately does not implement `Ord`; the checker
-/// needs a canonical order for its choice enumeration, its timer tables
-/// and its schedules, and this key is it.
-fn timer_kind_key(kind: TimerKind) -> (u8, u16) {
-    match kind {
-        TimerKind::Delta(r) => (1, r.value()),
-        TimerKind::GapCheck(r) => (3, r.value()),
-        TimerKind::TrimTick(r) => (4, r.value()),
-        TimerKind::ProposalResend(r) => (5, r.value()),
-        TimerKind::CheckpointTick => (6, 0),
-        TimerKind::RecoveryRetry => (7, 0),
-        TimerKind::SubmitFlush => (8, 0),
-    }
-}
-
 fn timer_name(timer: TimerKind) -> String {
     match timer {
         TimerKind::Delta(r) => format!("delta:{}", r.value()),
@@ -219,27 +168,26 @@ fn timer_name(timer: TimerKind) -> String {
     }
 }
 
+/// The timer `text` names in a schedule: [`timer_name`]'s inverse,
+/// with a missing ring read as ring 0.
 fn parse_timer(text: &str) -> Result<TimerKind, String> {
-    let (name, ring) = match text.split_once(':') {
-        Some((n, r)) => {
-            let ring: u16 = r
-                .parse()
-                .map_err(|_| format!("bad ring in timer `{text}`"))?;
-            (n, ring)
-        }
-        None => (text, 0),
-    };
-    let ring = GroupId::new(ring);
-    Ok(match name {
-        "delta" => TimerKind::Delta(ring),
-        "gap" => TimerKind::GapCheck(ring),
-        "trim" => TimerKind::TrimTick(ring),
-        "resend" => TimerKind::ProposalResend(ring),
-        "ckpt-tick" => TimerKind::CheckpointTick,
-        "recovery" => TimerKind::RecoveryRetry,
-        "submit-flush" => TimerKind::SubmitFlush,
-        other => return Err(format!("unknown timer `{other}`")),
-    })
+    let (name, ring) = text.split_once(':').unwrap_or((text, "0"));
+    let ring = GroupId::new(
+        ring.parse()
+            .map_err(|_| format!("bad ring in timer `{text}`"))?,
+    );
+    [
+        TimerKind::Delta(ring),
+        TimerKind::GapCheck(ring),
+        TimerKind::TrimTick(ring),
+        TimerKind::ProposalResend(ring),
+        TimerKind::CheckpointTick,
+        TimerKind::RecoveryRetry,
+        TimerKind::SubmitFlush,
+    ]
+    .into_iter()
+    .find(|&kind| timer_name(kind).split(':').next() == Some(name))
+    .ok_or_else(|| format!("unknown timer `{name}`"))
 }
 
 impl fmt::Display for Choice {
@@ -510,17 +458,13 @@ struct Durable {
     delivered: Vec<(GroupId, ValueId)>,
 }
 
+/// An engine behind the host every runtime drives it through.
+type Hosted = Host<Box<dyn AmcastEngine>>;
+
 struct NodeSlot {
-    /// `None` while crashed — but also, transiently, while
-    /// [`World::drive`] holds the engine. `down` is the authoritative
-    /// liveness flag.
-    engine: Option<Box<dyn AmcastEngine>>,
-    /// `true` between a crash and the matching restart. Checked by
-    /// [`World::route`] instead of `engine.is_none()`: routing happens
-    /// mid-`drive`, when a live node's engine is momentarily out of its
-    /// slot, and a self-send from there must not be mistaken for a
-    /// frame to a crashed process.
-    down: bool,
+    /// The engine and the timers it armed; `None` between a crash and
+    /// the matching restart (and while [`World::drive`] holds it).
+    host: Option<Hosted>,
     delivered: Vec<(GroupId, ValueId)>,
     durable: Option<Durable>,
     /// This node's virtual clock (per-node so timer firings at
@@ -536,8 +480,6 @@ struct World<'a> {
     nodes: BTreeMap<ProcessId, NodeSlot>,
     /// FIFO per ordered pair; self-sends travel through `(p, p)`.
     channels: BTreeMap<(ProcessId, ProcessId), VecDeque<Message>>,
-    /// Armed timers per node, keyed by [`timer_kind_key`].
-    timers: BTreeMap<ProcessId, TimerTable>,
     budget: FaultBudget,
     /// Values each node must eventually deliver: one per submission
     /// addressed to a group it subscribes to.
@@ -561,7 +503,6 @@ impl<'a> World<'a> {
             scenario,
             nodes: BTreeMap::new(),
             channels: BTreeMap::new(),
-            timers: BTreeMap::new(),
             budget: faults,
             expected: BTreeMap::new(),
             any_fault: false,
@@ -574,12 +515,11 @@ impl<'a> World<'a> {
             w.nodes.insert(
                 p,
                 NodeSlot {
-                    engine: Some((scenario.factory)(p, false)),
+                    host: Some(Host::new((scenario.factory)(p, false))),
                     delivered: Vec::new(),
                     durable: None,
                     now: Time::ZERO,
                     fires: 0,
-                    down: false,
                     ever_crashed: false,
                 },
             );
@@ -621,18 +561,16 @@ impl<'a> World<'a> {
                 w.feed(at, Event::Message { from: at, msg })?;
             } else {
                 let mut rejected = None;
-                w.drive(at, |w, engine, now| {
+                w.drive(at, |w, host, now, out| {
+                    let engine = host.machine_mut();
                     match engine.multicast(now, &sub.groups, sub.payload.clone()) {
                         // Direct submissions have no client session, but
                         // they reveal their value id up front.
                         Ok((id, actions)) => {
                             w.direct.insert(id, (client, request));
-                            actions
+                            host.absorb(now, actions, |_, _| {}, |a| out.push(a));
                         }
-                        Err(e) => {
-                            rejected = Some(e);
-                            Vec::new()
-                        }
+                        Err(e) => rejected = Some(e),
                     }
                 })?;
                 if let Some(e) = rejected {
@@ -646,55 +584,42 @@ impl<'a> World<'a> {
         Ok(w)
     }
 
-    /// The one way to drive an engine: takes `pid`'s engine out of its
+    /// The one way to drive an engine: takes `pid`'s host out of its
     /// slot, lets `call` act on it at the node's clock (with the world
-    /// at hand, to record what the call returns), applies the actions
-    /// it returns and puts the engine back. Persists complete inline
-    /// (the checker models a durable, instantaneous store), so
-    /// `PersistDone` events chain in place. `Err` when `pid` is down.
+    /// at hand, to record what the call returns), puts it back and
+    /// applies what the host emitted into `call`'s list. The checker's store is durable
+    /// and instantaneous, so the host feeds each `PersistDone` back
+    /// within the call. `Err` when `pid` is down.
     fn drive(
         &mut self,
         pid: ProcessId,
-        call: impl FnOnce(&mut Self, &mut dyn AmcastEngine, Time) -> Vec<Action>,
+        call: impl FnOnce(&mut Self, &mut Hosted, Time, &mut Vec<Action>),
     ) -> Result<(), String> {
         let slot = self.nodes.get_mut(&pid).ok_or("no such node")?;
         let now = slot.now;
-        let mut engine = slot
-            .engine
+        let mut host = slot
+            .host
             .take()
             .ok_or_else(|| format!("node {} is down", pid.value()))?;
-        let mut actions = call(self, engine.as_mut(), now);
-        let mut queue = VecDeque::new();
-        loop {
-            for action in actions {
-                self.apply_one(pid, action, &mut queue);
-            }
-            let Some(event) = queue.pop_front() else {
-                break;
-            };
-            actions = engine.on_event(now, event);
+        let mut actions = Vec::new();
+        call(self, &mut host, now, &mut actions);
+        self.nodes.get_mut(&pid).expect("slot exists").host = Some(host);
+        for action in actions {
+            self.apply_one(pid, action);
         }
-        self.nodes.get_mut(&pid).expect("slot exists").engine = Some(engine);
         Ok(())
     }
 
     /// Feeds one event to `pid`'s engine.
     fn feed(&mut self, pid: ProcessId, event: Event) -> Result<(), String> {
-        self.drive(pid, |_, engine, now| engine.on_event(now, event))
+        self.drive(pid, |_, host, now, out| {
+            host.on_event(now, event, |_, _| {}, |a| out.push(a));
+        })
     }
 
-    fn apply_one(&mut self, pid: ProcessId, action: Action, queue: &mut VecDeque<Event>) {
+    fn apply_one(&mut self, pid: ProcessId, action: Action) {
         match action {
             Action::Send { to, msg } => self.route(pid, to, msg),
-            Action::SetTimer { after_us, timer } => {
-                let due = self.nodes[&pid].now.plus(after_us);
-                self.timers
-                    .entry(pid)
-                    .or_default()
-                    .insert(timer_kind_key(timer), (timer, due));
-            }
-            Action::Persist { token, .. } => queue.push_back(Event::PersistDone(token)),
-            Action::TrimStorage { .. } => {}
             Action::Deliver { group, value, .. } => {
                 // The refinement oracle: a delivery the abstract spec
                 // rejects means this trace is not a spec behavior.
@@ -707,7 +632,8 @@ impl<'a> World<'a> {
                 let slot = self.nodes.get_mut(&pid).expect("slot exists");
                 slot.delivered.push((group, value.id));
             }
-            Action::Respond { .. } => {}
+            // Trims and replies leave nothing the oracles judge.
+            _ => {}
         }
     }
 
@@ -716,7 +642,7 @@ impl<'a> World<'a> {
     /// self-sends, which the engines already require to be deferred.
     fn route(&mut self, from: ProcessId, to: ProcessId, msg: Message) {
         self.genuineness_check(to, &msg);
-        if self.nodes.get(&to).is_none_or(|s| s.down) {
+        if self.nodes.get(&to).is_none_or(|s| s.host.is_none()) {
             return;
         }
         self.channels.entry((from, to)).or_default().push_back(msg);
@@ -751,7 +677,7 @@ impl<'a> World<'a> {
         self.channels
             .iter()
             .filter(|((_, to), q)| {
-                !q.is_empty() && self.nodes.get(to).is_some_and(|s| s.engine.is_some())
+                !q.is_empty() && self.nodes.get(to).is_some_and(|s| s.host.is_some())
             })
             .map(|(&(from, to), _)| Choice::Deliver { from, to })
     }
@@ -760,12 +686,13 @@ impl<'a> World<'a> {
     fn enabled(&self, cfg: &CheckerConfig) -> Vec<Choice> {
         let mut out: Vec<Choice> = self.deliverable().collect();
         for (&p, slot) in &self.nodes {
-            if slot.engine.is_some() && slot.fires < cfg.max_timer_fires {
-                if let Some(timers) = self.timers.get(&p) {
-                    for &(timer, _) in timers.values() {
-                        out.push(Choice::Fire { node: p, timer });
-                    }
-                }
+            if let Some(host) = slot
+                .host
+                .as_ref()
+                .filter(|_| slot.fires < cfg.max_timer_fires)
+            {
+                let fire = |(timer, _)| Choice::Fire { node: p, timer };
+                out.extend(host.timers().iter().map(fire));
             }
         }
         if self.budget.drops > 0 || self.budget.dups > 0 {
@@ -782,7 +709,7 @@ impl<'a> World<'a> {
             }
         }
         for (&p, slot) in &self.nodes {
-            if slot.engine.is_some() {
+            if slot.host.is_some() {
                 if self.budget.checkpoints > 0 {
                     out.push(Choice::Checkpoint { node: p });
                 }
@@ -807,16 +734,17 @@ impl<'a> World<'a> {
                 self.feed(to, Event::Message { from, msg })?;
             }
             Choice::Fire { node, timer } => {
-                let due = self
-                    .timers
-                    .get_mut(&node)
-                    .and_then(|t| t.remove(&timer_kind_key(timer)))
-                    .ok_or_else(|| format!("timer {} not armed", timer_name(timer)))?
-                    .1;
                 let slot = self.nodes.get_mut(&node).ok_or("no such node")?;
+                let due = slot
+                    .host
+                    .as_ref()
+                    .and_then(|host| host.timers().due(timer))
+                    .ok_or_else(|| format!("timer {} not armed", timer_name(timer)))?;
                 slot.now = slot.now.max(due);
                 slot.fires += 1;
-                self.feed(node, Event::Timer(timer))?;
+                self.drive(node, |_, host, now, out| {
+                    assert!(host.fire(now, timer, |_, _| {}, |a| out.push(a)), "armed");
+                })?;
             }
             Choice::Drop { from, to } => {
                 self.pop(from, to)?;
@@ -834,7 +762,8 @@ impl<'a> World<'a> {
                 self.any_fault = true;
             }
             Choice::Checkpoint { node } => {
-                self.drive(node, |w, engine, now| {
+                self.drive(node, |w, host, now, out| {
+                    let engine = host.machine_mut();
                     let watermark = engine.watermark();
                     let state = engine.checkpoint_state();
                     let actions = engine.trim(now, &watermark);
@@ -844,7 +773,7 @@ impl<'a> World<'a> {
                         state,
                         delivered: slot.delivered.clone(),
                     });
-                    actions
+                    host.absorb(now, actions, |_, _| {}, |a| out.push(a));
                 })?;
                 self.budget.checkpoints = self
                     .budget
@@ -854,12 +783,11 @@ impl<'a> World<'a> {
             }
             Choice::Crash { node } => {
                 let slot = self.nodes.get_mut(&node).ok_or("no such node")?;
-                if slot.engine.take().is_none() {
+                // Its timers go with its host.
+                if slot.host.take().is_none() {
                     return Err(format!("node {} already crashed", node.value()));
                 }
-                slot.down = true;
                 slot.ever_crashed = true;
-                self.timers.remove(&node);
                 // Undelivered inbound frames die with the connections.
                 for ((_, to), q) in &mut self.channels {
                     if *to == node {
@@ -871,10 +799,9 @@ impl<'a> World<'a> {
             }
             Choice::Restart { node } => {
                 let slot = self.nodes.get_mut(&node).ok_or("no such node")?;
-                if slot.engine.is_some() {
+                if slot.host.is_some() {
                     return Err(format!("node {} is not crashed", node.value()));
                 }
-                slot.down = false;
                 let mut engine = (self.scenario.factory)(node, true);
                 match &slot.durable {
                     Some(d) => {
@@ -883,14 +810,17 @@ impl<'a> World<'a> {
                     }
                     None => slot.delivered.clear(),
                 }
-                slot.engine = Some(engine);
+                slot.host = Some(Host::new(engine));
                 // Mirror the crash in the spec: the delivery sequence
                 // resumes from the durable prefix (order edges persist
                 // — uniformity).
                 let keep = slot.delivered.len();
                 self.spec.truncate(node, keep);
                 self.feed(node, Event::Start)?;
-                self.drive(node, |_, engine, now| engine.resume(now))?;
+                self.drive(node, |_, host, now, out| {
+                    let actions = host.machine_mut().resume(now);
+                    host.absorb(now, actions, |_, _| {}, |a| out.push(a));
+                })?;
             }
         }
         Ok(())
@@ -943,16 +873,18 @@ impl<'a> World<'a> {
             let choice = match self.deliverable().next() {
                 Some(c) => c,
                 None => {
-                    if self.owed(|s| s.down).is_empty() || fires >= DRAIN_STEPS / 2 {
+                    if self.owed(|s| s.host.is_none()).is_empty() || fires >= DRAIN_STEPS / 2 {
                         break;
                     }
-                    // Fire the earliest-due armed timer anywhere (only
-                    // live nodes have armed timers).
+                    // Fire the earliest-due armed timer anywhere.
                     let next = self
-                        .timers
+                        .nodes
                         .iter()
-                        .flat_map(|(&p, ts)| ts.values().map(move |&(timer, due)| (due, p, timer)))
-                        .min_by_key(|&(due, p, timer)| (due, p, timer_kind_key(timer)));
+                        .filter_map(|(&p, s)| {
+                            let (due, timer) = s.host.as_ref()?.timers().next()?;
+                            Some((due, p, timer))
+                        })
+                        .min();
                     let Some((_, node, timer)) = next else { break };
                     fires += 1;
                     Choice::Fire { node, timer }
@@ -1032,7 +964,11 @@ impl<'a> World<'a> {
             if !liveness {
                 (slot.now, slot.fires).hash(&mut h);
             }
-            slot.engine.as_ref().map(|e| e.state_digest()).hash(&mut h);
+            let host = slot.host.as_ref();
+            host.map(|host| host.machine().state_digest()).hash(&mut h);
+            let timers = host.iter().flat_map(|host| host.timers().iter());
+            let timers = timers.map(|(kind, due)| (kind, (!liveness).then_some(due)));
+            timers.collect::<Vec<_>>().hash(&mut h);
             slot.delivered.hash(&mut h);
             slot.durable.hash(&mut h);
         }
@@ -1042,16 +978,6 @@ impl<'a> World<'a> {
             .filter(|(_, q)| !q.is_empty())
             .collect();
         busy.hash(&mut h);
-        self.timers.len().hash(&mut h);
-        for (p, timers) in &self.timers {
-            (p, timers.len()).hash(&mut h);
-            for (key, (_, due)) in timers {
-                key.hash(&mut h);
-                if !liveness {
-                    due.hash(&mut h);
-                }
-            }
-        }
         (self.budget, self.any_fault).hash(&mut h);
         self.spec.hash(&mut h);
         h.finish()
@@ -1092,7 +1018,7 @@ impl<'a> World<'a> {
         if segment.is_empty() {
             return None;
         }
-        if !self.nodes.values().all(|s| s.engine.is_some() && !s.down) {
+        if !self.nodes.values().all(|s| s.host.is_some()) {
             return None;
         }
         let owed: Vec<String> = self
@@ -1103,12 +1029,11 @@ impl<'a> World<'a> {
         if owed.is_empty() {
             return None;
         }
-        for (&p, timers) in &self.timers {
-            for &(timer, _) in timers.values() {
-                let fired = segment.iter().any(|c| {
-                    matches!(c, Choice::Fire { node, timer: t }
-                        if *node == p && timer_kind_key(*t) == timer_kind_key(timer))
-                });
+        for (&p, slot) in &self.nodes {
+            for (timer, _) in slot.host.iter().flat_map(|host| host.timers().iter()) {
+                let fired = segment.iter().any(
+                    |c| matches!(c, Choice::Fire { node, timer: t } if *node == p && *t == timer),
+                );
                 if !fired {
                     return None;
                 }
@@ -1391,14 +1316,14 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
         .nodes
         .iter()
         .map(|(&p, s)| {
-            let c = s.engine.as_ref().map(|e| e.telemetry().counters);
+            let c = s.host.as_ref().map(|h| h.machine().telemetry().counters);
             (p, c.unwrap_or_default())
         })
         .collect();
     let engine_digests = world
         .nodes
         .iter()
-        .filter_map(|(&p, s)| Some((p, s.engine.as_ref()?.state_digest())))
+        .filter_map(|(&p, s)| Some((p, s.host.as_ref()?.machine().state_digest())))
         .collect();
     Ok(ReplayOutcome {
         violation,
@@ -1415,6 +1340,8 @@ pub fn replay_schedule(scenario: &Scenario, schedule: &Schedule) -> Result<Repla
 mod tests {
     use super::*;
 
+    /// Every timer has its own name in a schedule, and the name reads
+    /// back as that timer.
     #[test]
     fn timer_keys_are_distinct() {
         let kinds = [
@@ -1427,7 +1354,10 @@ mod tests {
             TimerKind::RecoveryRetry,
             TimerKind::SubmitFlush,
         ];
-        let keys: BTreeSet<(u8, u16)> = kinds.iter().map(|&k| timer_kind_key(k)).collect();
-        assert_eq!(keys.len(), kinds.len());
+        let names: BTreeSet<String> = kinds.iter().map(|&k| timer_name(k)).collect();
+        assert_eq!(names.len(), kinds.len());
+        for kind in kinds {
+            assert_eq!(parse_timer(&timer_name(kind)), Ok(kind));
+        }
     }
 }

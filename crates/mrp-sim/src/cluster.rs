@@ -14,7 +14,8 @@ use mrp_storage::NodeStorage;
 use multiring_paxos::app::Application;
 use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
-use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken};
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken, TimerKind};
+use multiring_paxos::host::Timers;
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, Time, ValueId};
 use std::cmp::Reverse;
@@ -43,8 +44,8 @@ impl Default for SimConfig {
 
 enum What {
     /// An input for `p`. `own` is set on one that `p` scheduled for
-    /// itself — a timer, a wakeup, a self-send, an input requeued behind
-    /// its busy CPU, a disk completion — to the incarnation that
+    /// itself — a wakeup, a self-send, an input requeued behind its
+    /// busy CPU, a disk completion — to the incarnation that
     /// scheduled it: a crash ends that incarnation, and the input is
     /// dropped rather than reach the restarted process. Frames from
     /// other processes and the coordination service carry `None`.
@@ -59,6 +60,10 @@ enum What {
         token: PersistToken,
         incarnation: u64,
     },
+    /// A timer of `p`, with its deadline and the incarnation that
+    /// armed it; it fires only if that is still the kind's deadline
+    /// when `p`'s CPU takes it.
+    Timer(ProcessId, TimerKind, Time, u64),
     Crash(ProcessId),
     Restart(ProcessId),
     Elect(GroupId),
@@ -102,6 +107,8 @@ struct Slot {
     up: bool,
     /// Bumped by every crash; see [`What::Actor`].
     incarnation: u64,
+    /// The current incarnation's deadlines, one per kind.
+    timers: Timers,
 }
 
 /// The simulated cluster.
@@ -185,6 +192,7 @@ impl Cluster {
                 rng,
                 up: true,
                 incarnation: 0,
+                timers: Timers::default(),
             },
         );
         if self.started {
@@ -477,6 +485,23 @@ impl Cluster {
                 let done = ActorEvent::Protocol(Event::PersistDone(token));
                 self.deliver(p, done, Some(incarnation));
             }
+            What::Timer(p, timer, due, own) => {
+                let Some(slot) = self.slots.get_mut(&p) else {
+                    return;
+                };
+                if slot.incarnation != own || slot.timers.due(timer) != Some(due) {
+                    return; // superseded by a later arm, or lost with a crash
+                }
+                // Behind a busy CPU the firing waits as a timer, so an
+                // arm handled meanwhile still supersedes it.
+                let busy = slot.cpu.as_ref().map(CpuModel::next_free);
+                if let Some(at) = busy.filter(|&at| at > self.now) {
+                    self.push(at, What::Timer(p, timer, due, own));
+                    return;
+                }
+                slot.timers.expire(timer, due);
+                self.deliver(p, ActorEvent::Protocol(Event::Timer(timer)), Some(own));
+            }
             What::Crash(p) => self.crash(p),
             What::Restart(p) => self.restart(p),
             What::Elect(ring) => self.elect(ring),
@@ -538,8 +563,11 @@ impl Cluster {
         match op {
             Op::Protocol(Action::Send { to, msg }) => self.send_message(p, to, t, msg),
             Op::Protocol(Action::SetTimer { after_us, timer }) => {
-                let ev = ActorEvent::Protocol(Event::Timer(timer));
-                self.push_own(t.plus(after_us), p, ev);
+                let slot = self.slots.get_mut(&p).expect("slot exists");
+                let due = t.plus(after_us);
+                slot.timers.arm(timer, due);
+                let own = slot.incarnation;
+                self.push(due, What::Timer(p, timer, due, own));
             }
             Op::Wakeup { after_us, token } => {
                 self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
@@ -685,6 +713,7 @@ impl Cluster {
         slot.up = false;
         slot.actor = None;
         slot.incarnation += 1;
+        slot.timers = Timers::default();
         self.metrics.incr("crashes", 1);
         let detected = self.now.plus(self.cfg.election_timeout_us);
         let rings: Vec<GroupId> = self

@@ -19,10 +19,12 @@ use crate::framing::{self, FrameAccumulator};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mrp_storage::DirStorage;
-use multiring_paxos::event::{Action, Event, Message, StateMachine, TimerKind};
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, StateMachine};
+use multiring_paxos::host::Host;
 use multiring_paxos::types::{ClientId, GroupId, InstanceId, ProcessId, Time, Value};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -192,20 +194,6 @@ impl Drop for RuntimeHandle {
 #[derive(Debug)]
 pub struct TcpRuntime;
 
-#[derive(PartialEq, Eq)]
-struct Deadline(u64, TimerKind);
-
-impl PartialOrd for Deadline {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deadline {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.cmp(&self.0) // min-heap
-    }
-}
-
 impl TcpRuntime {
     /// Spawns the runtime threads around `sm`.
     ///
@@ -256,12 +244,20 @@ impl TcpRuntime {
             None => None,
         };
         let (events_tx, events_rx) = unbounded::<RuntimeEvent>();
-
+        let name = format!("mrp-node-{}", config.me.value());
+        let process = Process {
+            host: Host::new(sm),
+            io: Io {
+                config,
+                storage,
+                writers: HashMap::new(),
+                events_tx,
+                signals,
+            },
+        };
         let join = thread::Builder::new()
-            .name(format!("mrp-node-{}", config.me.value()))
-            .spawn(move || {
-                Self::protocol_loop(config, sm, storage, in_rx, events_tx, signals, probe);
-            })?;
+            .name(name)
+            .spawn(move || process.run(&in_rx, probe))?;
 
         Ok(RuntimeHandle {
             cmd_tx: in_tx,
@@ -270,182 +266,151 @@ impl TcpRuntime {
             acceptor,
         })
     }
+}
 
-    #[allow(clippy::too_many_lines)]
-    #[allow(clippy::too_many_arguments)]
-    fn protocol_loop<S: StateMachine>(
-        config: RuntimeConfig,
-        mut sm: S,
-        mut storage: Option<DirStorage>,
-        in_rx: Receiver<Inbound>,
-        events_tx: Sender<RuntimeEvent>,
-        signals: Arc<Signals>,
-        mut probe: Option<StatusProbe<S>>,
-    ) {
+/// The protocol thread of one process: the hosted state machine and
+/// everything its actions reach.
+struct Process<S> {
+    host: Host<S>,
+    io: Io,
+}
+
+impl<S: StateMachine> Process<S> {
+    /// The hosted machine takes one input at a time, then every timer
+    /// due; between inputs the thread blocks until the next one, the
+    /// next deadline or the next status probe.
+    fn run(mut self, in_rx: &Receiver<Inbound>, mut probe: Option<StatusProbe<S>>) {
         let start = Instant::now();
         let now_us = || start.elapsed().as_micros() as u64;
-        let mut timers: BinaryHeap<Deadline> = BinaryHeap::new();
-        let mut writers: HashMap<ProcessId, Sender<Message>> = HashMap::new();
-        let mut pending: VecDeque<Event> = VecDeque::new();
-        let status_interval = if probe.is_some() {
-            config.status_interval_us
-        } else {
-            0
-        };
-        let mut next_status_us = if status_interval > 0 {
-            status_interval
-        } else {
-            u64::MAX
-        };
-
-        pending.push_back(Event::Start);
-        'main: loop {
-            // Drain pending protocol events first.
-            while let Some(event) = pending.pop_front() {
-                let now = Time::from_micros(now_us());
-                let actions = sm.on_event(now, event);
-                Self::run_actions(
-                    &config,
-                    actions,
-                    &mut timers,
-                    &mut writers,
-                    &mut storage,
-                    &mut pending,
-                    &events_tx,
-                    &signals,
-                    now_us(),
-                );
+        let status_interval = self.io.config.status_interval_us;
+        let probed = Some(status_interval).filter(|&us| us > 0 && probe.is_some());
+        let mut next_status_us = probed.unwrap_or(u64::MAX);
+        let mut input = Some(Event::Start);
+        loop {
+            let now = Time::from_micros(now_us());
+            {
+                // Writes and the other actions go out in the order the
+                // machine emitted them, so a frame emitted before a
+                // synchronous write does not wait for its `fsync`.
+                let io = RefCell::new(&mut self.io);
+                let write = |record: &PersistRecord, sync| io.borrow_mut().write(record, sync);
+                let emit = |action| io.borrow_mut().act(action);
+                if let Some(event) = input.take() {
+                    self.host.on_event(now, event, write, emit);
+                }
+                self.host.fire_due(now, write, emit);
             }
-            if signals.closing() {
+            if self.io.signals.closing() {
                 break;
+            }
+            // Periodic status probe: between events on the protocol
+            // thread, so it reads a quiescent state machine.
+            if now.as_micros() >= next_status_us {
+                if let Some(probe) = probe.as_mut() {
+                    probe(now, self.host.machine());
+                }
+                next_status_us = now.as_micros() + status_interval;
             }
             // Block until the next input, timer deadline or status
             // probe, whichever comes first: all producers feed the
             // single merged channel.
-            let wake_us = timers.peek().map_or(u64::MAX, |d| d.0).min(next_status_us);
+            let next_due = self.host.timers().next().map(|(due, _)| due.as_micros());
+            let wake_us = next_due.unwrap_or(u64::MAX).min(next_status_us);
             #[allow(clippy::disallowed_methods, reason = "a deadline, not an interval")]
-            let input = if wake_us == u64::MAX {
+            let received = if wake_us == u64::MAX {
                 in_rx.recv().map_err(|_| RecvTimeoutError::Disconnected)
             } else {
                 let wait = Duration::from_micros(wake_us.saturating_sub(now_us()));
                 in_rx.recv_timeout(wait)
             };
-            match input {
-                Ok(Inbound::Net { from, msg }) => {
-                    pending.push_back(Event::Message { from, msg });
-                }
-                Ok(Inbound::Cmd(Cmd::Inject(ev))) => pending.push_back(ev),
-                Ok(Inbound::Cmd(Cmd::Shutdown)) | Err(RecvTimeoutError::Disconnected) => {
-                    break 'main;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-            // Fire due timers.
-            let t = now_us();
-            while timers.peek().is_some_and(|d| d.0 <= t) {
-                let Deadline(_, kind) = timers.pop().expect("peeked");
-                pending.push_back(Event::Timer(kind));
-            }
-            // Periodic status probe: between events on the protocol
-            // thread, so it reads a quiescent state machine.
-            if t >= next_status_us {
-                if let Some(probe) = probe.as_mut() {
-                    probe(Time::from_micros(t), &sm);
-                }
-                next_status_us = t + status_interval;
-            }
+            input = match received {
+                Ok(Inbound::Net { from, msg }) => Some(Event::Message { from, msg }),
+                Ok(Inbound::Cmd(Cmd::Inject(ev))) => Some(ev),
+                Ok(Inbound::Cmd(Cmd::Shutdown)) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => None,
+            };
+        }
+    }
+}
+
+/// Everything a process's actions reach: its storage, its peers'
+/// writer threads and its caller.
+struct Io {
+    config: RuntimeConfig,
+    storage: Option<DirStorage>,
+    writers: HashMap<ProcessId, Sender<Message>>,
+    events_tx: Sender<RuntimeEvent>,
+    signals: Arc<Signals>,
+}
+
+impl Io {
+    /// The host's write: a record is durable in `storage` (`fsync`ed
+    /// when `sync`) before its completion is fed back; without a
+    /// storage directory stable state stays in memory.
+    fn write(&mut self, record: &PersistRecord, sync: bool) {
+        if let Some(store) = self.storage.as_mut() {
+            // An I/O failure here is fatal for the acceptor's safety
+            // guarantees.
+            store
+                .persist(record, sync)
+                .expect("stable storage write failed");
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_actions(
-        config: &RuntimeConfig,
-        actions: Vec<Action>,
-        timers: &mut BinaryHeap<Deadline>,
-        writers: &mut HashMap<ProcessId, Sender<Message>>,
-        storage: &mut Option<DirStorage>,
-        pending: &mut VecDeque<Event>,
-        events_tx: &Sender<RuntimeEvent>,
-        signals: &Arc<Signals>,
-        now_us: u64,
-    ) {
-        for action in actions {
-            match action {
-                Action::Send { to, msg } => {
-                    Self::send_to(config, writers, signals, to, msg);
+    /// Carries out one action the host emitted.
+    fn act(&mut self, action: Action) {
+        match action {
+            Action::Send { to, msg } => self.send(to, msg),
+            Action::TrimStorage { ring, upto } => {
+                if let Some(store) = self.storage.as_mut() {
+                    let _ = store.trim(ring, upto);
                 }
-                Action::SetTimer { after_us, timer } => {
-                    timers.push(Deadline(now_us + after_us, timer));
-                }
-                Action::Persist {
-                    record,
-                    sync,
-                    token,
-                } => {
-                    if let Some(store) = storage.as_mut() {
-                        // Real durability; an I/O failure here is fatal
-                        // for the acceptor's safety guarantees.
-                        store
-                            .persist(&record, sync)
-                            .expect("stable storage write failed");
-                    }
-                    pending.push_back(Event::PersistDone(token));
-                }
-                Action::TrimStorage { ring, upto } => {
-                    if let Some(store) = storage.as_mut() {
-                        let _ = store.trim(ring, upto);
-                    }
-                }
-                Action::Deliver {
+            }
+            Action::Deliver {
+                group,
+                instance,
+                value,
+            } => {
+                let delivered = RuntimeEvent::Delivered {
                     group,
                     instance,
                     value,
-                } => {
-                    let _ = events_tx.send(RuntimeEvent::Delivered {
-                        group,
-                        instance,
-                        value,
-                    });
-                }
-                Action::Respond {
-                    client,
-                    request,
-                    payload,
-                } => {
-                    if let Some(&home) = config.clients.get(&client) {
-                        Self::send_to(
-                            config,
-                            writers,
-                            signals,
-                            home,
-                            Message::Response {
-                                client,
-                                request,
-                                payload,
-                            },
-                        );
-                    } else {
-                        let _ = events_tx.send(RuntimeEvent::Response {
-                            client,
-                            request,
-                            payload,
-                        });
-                    }
-                }
+                };
+                let _ = self.events_tx.send(delivered);
             }
+            Action::Respond {
+                client,
+                request,
+                payload,
+            } => match self.config.clients.get(&client) {
+                Some(&home) => self.send(
+                    home,
+                    Message::Response {
+                        client,
+                        request,
+                        payload,
+                    },
+                ),
+                None => {
+                    let response = RuntimeEvent::Response {
+                        client,
+                        request,
+                        payload,
+                    };
+                    let _ = self.events_tx.send(response);
+                }
+            },
+            other => unreachable!("the host keeps timers and persists: {other:?}"),
         }
     }
 
-    fn send_to(
-        config: &RuntimeConfig,
-        writers: &mut HashMap<ProcessId, Sender<Message>>,
-        signals: &Arc<Signals>,
-        to: ProcessId,
-        msg: Message,
-    ) {
-        let tx = writers
+    fn send(&mut self, to: ProcessId, msg: Message) {
+        let (me, addr) = (self.config.me, self.config.peers.get(&to));
+        let signals = &self.signals;
+        let tx = self
+            .writers
             .entry(to)
-            .or_insert_with(|| spawn_writer(config.me, config.peers.get(&to), signals));
+            .or_insert_with(|| spawn_writer(me, addr, signals));
         let _ = tx.send(msg);
     }
 }

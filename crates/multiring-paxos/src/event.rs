@@ -3,10 +3,13 @@
 //! it.
 //!
 //! A runtime (the `mrp-sim` simulator or the `mrp-transport` TCP runtime)
-//! owns the sockets, clocks, timers and disks. It drives a
-//! [`Node`](crate::node::Node) (or a replica wrapping an engine) by
-//! translating I/O completions into events, calling
-//! `on_event(now, event)`, and executing the returned actions.
+//! owns the sockets, clocks and disks. It hosts a
+//! [`Node`](crate::node::Node) (or a replica wrapping an engine) through
+//! a [`Host`](crate::host::Host), which keeps the timers and feeds each
+//! persist's completion back; the runtime translates I/O into events
+//! and executes the sends, trims, deliveries and replies that come
+//! out. The simulator completes persists on its disk model and keeps
+//! the same [`Timers`](crate::host::Timers).
 
 use crate::recovery::CheckpointId;
 use crate::types::{Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value};
@@ -235,7 +238,10 @@ impl Message {
 }
 
 /// Timers a state machine may request; the runtime fires them back as
-/// [`Event::Timer`].
+/// [`Event::Timer`]. A process has at most one deadline per kind:
+/// re-arming a pending kind replaces its deadline
+/// ([`Timers`](crate::host::Timers)), and timers due at the same
+/// instant fire in declaration order.
 ///
 /// Every terminal handler names every variant, with no wildcard:
 /// `Node::on_timer`, `RingState::on_timer` and the white-box engine's
@@ -245,7 +251,7 @@ impl Message {
 /// `RecoveryRetry`) forward the others. The root test
 /// `tests/timer_coverage.rs` runs both engines on the simulator and
 /// fails unless every variant is armed.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum TimerKind {
     /// Rate-leveling interval Δ elapsed for a ring (coordinator only).
     Delta(GroupId),
@@ -372,7 +378,8 @@ pub enum Action {
         /// The message.
         msg: Message,
     },
-    /// Fire [`Event::Timer`] with `timer` after `after_us` microseconds.
+    /// Fire [`Event::Timer`] with `timer` after `after_us` microseconds;
+    /// re-arming a pending kind replaces its deadline.
     SetTimer {
         /// Delay in microseconds.
         after_us: u64,
@@ -438,6 +445,16 @@ pub trait StateMachine {
 
     /// The process this state machine embodies.
     fn process_id(&self) -> ProcessId;
+}
+
+impl<S: StateMachine + ?Sized> StateMachine for Box<S> {
+    fn on_event(&mut self, now: Time, event: Event) -> Vec<Action> {
+        (**self).on_event(now, event)
+    }
+
+    fn process_id(&self) -> ProcessId {
+        (**self).process_id()
+    }
 }
 
 #[cfg(test)]

@@ -62,6 +62,8 @@
 //! * [`types`] — identifiers, time, values, ballots.
 //! * [`config`] — cluster/ring configuration and validation.
 //! * [`event`] — the [`Event`]/[`Action`] vocabulary of the state machines.
+//! * [`host`] — the one way to drive a state machine: its timers and
+//!   the persist → `PersistDone` loop, shared by every runtime.
 //! * [`paxos`] — single-ring consensus roles (coordinator, acceptor).
 //! * [`ring`] — the Ring Paxos overlay: unidirectional ring routing,
 //!   decisions, learner gap handling.
@@ -85,6 +87,7 @@ pub mod codec;
 pub mod config;
 pub mod digest;
 pub mod event;
+pub mod host;
 pub mod multiring;
 pub mod node;
 pub mod paxos;

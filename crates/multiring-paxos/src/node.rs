@@ -665,6 +665,8 @@ impl StateMachine for Node {
 mod tests {
     use super::*;
     use crate::config::{single_ring, RingTuning};
+    use crate::host::Host;
+    use std::collections::VecDeque;
 
     fn quiet_tuning() -> RingTuning {
         RingTuning {
@@ -673,26 +675,47 @@ mod tests {
         }
     }
 
-    /// Drives a set of nodes to quiescence by executing all Send actions
-    /// (zero-latency, in-order), returning delivered values per process.
+    type Hosts = BTreeMap<ProcessId, Host<Node>>;
+
+    /// Three hosted nodes of `config`, started and settled.
+    fn started(config: &ClusterConfig) -> Hosts {
+        let mut nodes: Hosts = (0..3)
+            .map(|i| {
+                let p = ProcessId::new(i);
+                (p, Host::new(Node::new(p, config.clone())))
+            })
+            .collect();
+        let mut queue = VecDeque::new();
+        for (&p, host) in &mut nodes {
+            host.on_event(
+                Time::ZERO,
+                Event::Start,
+                |_, _| {},
+                |a| queue.push_back((p, a)),
+            );
+        }
+        run_to_quiescence(&mut nodes, queue);
+        nodes
+    }
+
+    /// Routes every frame at zero latency, in send order (the reliable
+    /// FIFO channel `Action::Send` promises), until none is left;
+    /// returns the values each process delivered. Timers never fire.
     fn run_to_quiescence(
-        nodes: &mut BTreeMap<ProcessId, Node>,
-        mut queue: Vec<(ProcessId, Action)>,
+        nodes: &mut Hosts,
+        mut queue: VecDeque<(ProcessId, Action)>,
     ) -> BTreeMap<ProcessId, Vec<(GroupId, InstanceId, ValueId)>> {
         let mut delivered: BTreeMap<ProcessId, Vec<(GroupId, InstanceId, ValueId)>> =
             BTreeMap::new();
-        let now = Time::ZERO;
         let mut steps = 0;
-        while let Some((origin, action)) = queue.pop() {
+        while let Some((origin, action)) = queue.pop_front() {
             steps += 1;
             assert!(steps < 100_000, "no quiescence");
             match action {
                 Action::Send { to, msg } => {
-                    let node = nodes.get_mut(&to).expect("known process");
-                    let actions = node.on_event(now, Event::Message { from: origin, msg });
-                    for a in actions {
-                        queue.push((to, a));
-                    }
+                    let host = nodes.get_mut(&to).expect("known process");
+                    let event = Event::Message { from: origin, msg };
+                    host.on_event(Time::ZERO, event, |_, _| {}, |a| queue.push_back((to, a)));
                 }
                 Action::Deliver {
                     group,
@@ -704,14 +727,7 @@ mod tests {
                         .or_default()
                         .push((group, instance, value.id));
                 }
-                Action::Persist { token, .. } => {
-                    // Immediate durable completion.
-                    let node = nodes.get_mut(&origin).expect("known process");
-                    for a in node.on_event(now, Event::PersistDone(token)) {
-                        queue.push((origin, a));
-                    }
-                }
-                Action::SetTimer { .. } | Action::TrimStorage { .. } | Action::Respond { .. } => {}
+                _ => {}
             }
         }
         delivered
@@ -719,32 +735,17 @@ mod tests {
 
     #[test]
     fn three_process_ring_delivers_in_total_order() {
-        let config = single_ring(3, quiet_tuning());
-        let mut nodes: BTreeMap<ProcessId, Node> = (0..3)
-            .map(|i| {
-                let p = ProcessId::new(i);
-                (p, Node::new(p, config.clone()))
-            })
-            .collect();
-        let mut queue = Vec::new();
-        for (&p, node) in &mut nodes {
-            for a in node.on_event(Time::ZERO, Event::Start) {
-                queue.push((p, a));
-            }
-        }
-        run_to_quiescence(&mut nodes, std::mem::take(&mut queue));
-
+        let mut nodes = started(&single_ring(3, quiet_tuning()));
         // Multicast three values from different proposers.
+        let mut queue = VecDeque::new();
         for (i, proposer) in [0u32, 1, 2].iter().enumerate() {
             let p = ProcessId::new(*proposer);
-            let (_, actions) = nodes
-                .get_mut(&p)
-                .unwrap()
+            let host = nodes.get_mut(&p).unwrap();
+            let (_, actions) = host
+                .machine_mut()
                 .multicast(Time::ZERO, &[GroupId::new(0)], Bytes::from(vec![i as u8]))
                 .unwrap();
-            for a in actions {
-                queue.push((p, a));
-            }
+            host.absorb(Time::ZERO, actions, |_, _| {}, |a| queue.push_back((p, a)));
         }
         let delivered = run_to_quiescence(&mut nodes, queue);
         assert_eq!(delivered.len(), 3, "all three learners deliver");
@@ -833,35 +834,21 @@ mod tests {
 
     #[test]
     fn request_is_framed_and_multicast() {
-        let config = single_ring(3, quiet_tuning());
-        let mut nodes: BTreeMap<ProcessId, Node> = (0..3)
-            .map(|i| {
-                let p = ProcessId::new(i);
-                (p, Node::new(p, config.clone()))
-            })
-            .collect();
-        let mut queue = Vec::new();
-        for (&p, node) in &mut nodes {
-            for a in node.on_event(Time::ZERO, Event::Start) {
-                queue.push((p, a));
-            }
-        }
-        run_to_quiescence(&mut nodes, std::mem::take(&mut queue));
+        let mut nodes = started(&single_ring(3, quiet_tuning()));
         let p0 = ProcessId::new(0);
-        let actions = nodes.get_mut(&p0).unwrap().on_event(
-            Time::ZERO,
-            Event::Message {
-                from: ProcessId::new(99),
-                msg: Message::Request {
-                    client: ClientId::new(5),
-                    request: 1,
-                    groups: vec![GroupId::new(0)],
-                    payload: Bytes::from_static(b"cmd"),
-                },
+        let request = Event::Message {
+            from: ProcessId::new(99),
+            msg: Message::Request {
+                client: ClientId::new(5),
+                request: 1,
+                groups: vec![GroupId::new(0)],
+                payload: Bytes::from_static(b"cmd"),
             },
-        );
-        let delivered =
-            run_to_quiescence(&mut nodes, actions.into_iter().map(|a| (p0, a)).collect());
+        };
+        let mut queue = VecDeque::new();
+        let host = nodes.get_mut(&p0).unwrap();
+        host.on_event(Time::ZERO, request, |_, _| {}, |a| queue.push_back((p0, a)));
+        let delivered = run_to_quiescence(&mut nodes, queue);
         assert_eq!(delivered[&p0].len(), 1);
     }
 }
