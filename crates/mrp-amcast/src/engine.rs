@@ -893,7 +893,7 @@ pub(crate) mod tests {
 
         fn feed(&mut self, p: usize, event: Event) {
             let (now, mut actions) = (Time::from_micros(self.now), Vec::new());
-            self.hosts[p].on_event(now, event, |_, _| {}, |a| actions.push(a));
+            self.hosts[p].on_event(now, event, &mut actions);
             self.route(p, actions);
         }
 
@@ -930,7 +930,7 @@ pub(crate) mod tests {
                 self.now = due;
             }
             let (now, mut actions) = (Time::from_micros(self.now), Vec::new());
-            assert!(self.hosts[p].fire(now, timer, |_, _| {}, |a| actions.push(a)));
+            assert!(self.hosts[p].fire(now, timer, &mut actions));
             self.route(p, actions);
             Some(timer)
         }
@@ -958,12 +958,12 @@ pub(crate) mod tests {
                 };
                 let mut host = Host::new(kind.build(me, two_groups()));
                 bare.on_event(Time::ZERO, Event::Start);
-                host.on_event(Time::ZERO, Event::Start, |_, _| {}, drop);
+                host.on_event(Time::ZERO, Event::Start, &mut Vec::new());
                 let expected = bare.on_event(Time::ZERO, request(1, groups));
                 let wrapped = host.machine_mut();
                 let actions = wrapped.on_event(Time::ZERO, request(1, groups));
                 assert_eq!(actions, expected, "{kind}/{groups:?}");
-                host.absorb(Time::ZERO, actions, |_, _| {}, drop);
+                host.absorb(Time::ZERO, actions, &mut Vec::new());
                 let flush = host.timers().due(TimerKind::SubmitFlush);
                 assert_eq!(flush, None, "{kind}/{groups:?}: a hold timer");
                 let wrapped = host.machine();

@@ -195,10 +195,10 @@ fn heartbeats_advance_idle_groups() {
     let config = single_ring(1, RingTuning::default());
     let mut host = Host::new(WbcastNode::new(ProcessId::new(0), config));
     let delta = TimerKind::Delta(GroupId::new(0));
-    host.on_event(Time::ZERO, Event::Start, |_, _| {}, drop);
+    host.on_event(Time::ZERO, Event::Start, &mut Vec::new());
     assert!(host.timers().due(delta).is_some());
     let now = Time::from_millis(50);
-    assert!(host.fire(now, delta, |_, _| {}, drop), "armed");
+    assert!(host.fire(now, delta, &mut Vec::new()), "armed");
     // Re-armed, and the (self-subscribed) horizon advanced with time.
     assert!(host.timers().due(delta) > Some(now));
     assert!(host.machine().horizons()[&GroupId::new(0)] > 0);

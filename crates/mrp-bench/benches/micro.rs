@@ -205,7 +205,7 @@ impl Pump {
         };
         for p in 0..3usize {
             let mut acts = Vec::new();
-            pump.hosts[p].on_event(Time::ZERO, Event::Start, |_, _| {}, |a| acts.push(a));
+            pump.hosts[p].on_event(Time::ZERO, Event::Start, &mut acts);
             pump.route(ProcessId::new(p as u32), acts);
         }
         pump
@@ -216,7 +216,7 @@ impl Pump {
         let now = Time::from_micros(self.now_us);
         let host = &mut self.hosts[self.submitter.value() as usize];
         let (acts, mut out) = (call(host.machine_mut(), now), Vec::new());
-        host.absorb(now, acts, |_, _| {}, |a| out.push(a));
+        host.absorb(now, acts, &mut out);
         self.route(self.submitter, out);
     }
 
@@ -243,7 +243,7 @@ impl Pump {
             let msg = codec::decode(&mut frame.clone()).expect("pump frames are valid");
             let event = Event::Message { from, msg };
             let mut acts = Vec::new();
-            self.hosts[to.value() as usize].on_event(now, event, |_, _| {}, |a| acts.push(a));
+            self.hosts[to.value() as usize].on_event(now, event, &mut acts);
             self.route(to, acts);
         } else if let Some((due, p, timer)) = (0..self.hosts.len())
             .filter_map(|p| {
@@ -255,7 +255,7 @@ impl Pump {
             self.now_us = self.now_us.max(due.as_micros());
             let now = Time::from_micros(self.now_us);
             let mut acts = Vec::new();
-            assert!(self.hosts[p].fire(now, timer, |_, _| {}, |a| acts.push(a)));
+            assert!(self.hosts[p].fire(now, timer, &mut acts));
             self.route(ProcessId::new(p as u32), acts);
         } else {
             panic!(

@@ -31,6 +31,7 @@ use mrp_store::PartitionMap;
 use mrp_store::{StoreApp, StoreDeployment, StoreTopology};
 use mrp_ycsb::{Workload, WorkloadKind, YcsbOp};
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles, StorageMode};
+use multiring_paxos::host::Host;
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time};
 use std::collections::BTreeMap;
@@ -743,7 +744,7 @@ pub fn fig8(scale: Scale, kind: EngineKind) -> Fig8Run {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
+        cluster.add_actor(p, Box::new(Host::new(kind.build(p, config.clone()))));
         cluster.set_cpu(p, server_cpu());
         cluster.add_disk(p, DiskModel::hdd());
     }

@@ -568,7 +568,7 @@ impl<'a> World<'a> {
                         // they reveal their value id up front.
                         Ok((id, actions)) => {
                             w.direct.insert(id, (client, request));
-                            host.absorb(now, actions, |_, _| {}, |a| out.push(a));
+                            host.absorb(now, actions, out);
                         }
                         Err(e) => rejected = Some(e),
                     }
@@ -587,9 +587,10 @@ impl<'a> World<'a> {
     /// The one way to drive an engine: takes `pid`'s host out of its
     /// slot, lets `call` act on it at the node's clock (with the world
     /// at hand, to record what the call returns), puts it back and
-    /// applies what the host emitted into `call`'s list. The checker's store is durable
-    /// and instantaneous, so the host feeds each `PersistDone` back
-    /// within the call. `Err` when `pid` is down.
+    /// applies what the host emitted into `call`'s list, which is its
+    /// driver: a `Vec<Action>` keeps no log, so every write is durable on
+    /// return and the host feeds each `PersistDone` back within the
+    /// call. `Err` when `pid` is down.
     fn drive(
         &mut self,
         pid: ProcessId,
@@ -613,7 +614,7 @@ impl<'a> World<'a> {
     /// Feeds one event to `pid`'s engine.
     fn feed(&mut self, pid: ProcessId, event: Event) -> Result<(), String> {
         self.drive(pid, |_, host, now, out| {
-            host.on_event(now, event, |_, _| {}, |a| out.push(a));
+            host.on_event(now, event, out);
         })
     }
 
@@ -743,7 +744,7 @@ impl<'a> World<'a> {
                 slot.now = slot.now.max(due);
                 slot.fires += 1;
                 self.drive(node, |_, host, now, out| {
-                    assert!(host.fire(now, timer, |_, _| {}, |a| out.push(a)), "armed");
+                    assert!(host.fire(now, timer, out), "armed");
                 })?;
             }
             Choice::Drop { from, to } => {
@@ -773,7 +774,7 @@ impl<'a> World<'a> {
                         state,
                         delivered: slot.delivered.clone(),
                     });
-                    host.absorb(now, actions, |_, _| {}, |a| out.push(a));
+                    host.absorb(now, actions, out);
                 })?;
                 self.budget.checkpoints = self
                     .budget
@@ -819,7 +820,7 @@ impl<'a> World<'a> {
                 self.feed(node, Event::Start)?;
                 self.drive(node, |_, host, now, out| {
                     let actions = host.machine_mut().resume(now);
-                    host.absorb(now, actions, |_, _| {}, |a| out.push(a));
+                    host.absorb(now, actions, out);
                 })?;
             }
         }

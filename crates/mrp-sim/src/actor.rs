@@ -1,14 +1,20 @@
 //! The actor interface the simulator hosts. A sans-io protocol
-//! [`StateMachine`] — an engine or a replica — is an actor as it is: it
-//! receives [`ActorEvent::Protocol`] and its actions come back as
-//! [`Op::Protocol`]. Only what the protocol has no word for is declared
-//! here: custom wakeups, service CPU time and raw disk writes.
+//! [`StateMachine`](multiring_paxos::event::StateMachine) — an engine,
+//! a replica or a bare ring node — is an actor inside a [`Host`], as
+//! under every other driver: it receives [`ActorEvent::Protocol`], its
+//! sends, trims, deliveries and replies come back as [`Op::Protocol`],
+//! and the [`Outbox`] is its host's [`Io`]: each arm is reported as
+//! [`Op::Armed`], and each record is an [`Op::Record`] that completes
+//! later, on the disk model, through [`Host::complete`]. The rest is
+//! what the protocol has no word for: custom wakeups, service CPU time
+//! and raw disk writes.
 
 use crate::metrics::Metrics;
 use crate::rng::Rng;
 use mrp_amcast::{AmcastEngine, AnyEngine, EngineReplica, HealthReport, TelemetrySnapshot};
 use multiring_paxos::app::Application;
-use multiring_paxos::event::{Action, Event, Message, StateMachine};
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken, TimerKind};
+use multiring_paxos::host::{Host, Io, Timers};
 use multiring_paxos::node::Node;
 use multiring_paxos::types::{ProcessId, Time};
 use std::any::Any;
@@ -16,12 +22,12 @@ use std::any::Any;
 /// Inputs delivered to an actor by the simulator.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ActorEvent {
-    /// A protocol input: the start, a message, a timer, a persist
-    /// completion, a coordination-service announcement.
+    /// A protocol input: the start, a message, a timer, a
+    /// coordination-service announcement.
     Protocol(Event),
     /// A custom wakeup requested via [`Outbox::wakeup`].
     Wakeup(u64),
-    /// A raw disk write requested via [`Op::DiskWrite`] completed.
+    /// An [`Op::DiskWrite`] or [`Op::Record`] with this token completed.
     DiskDone(u64),
 }
 
@@ -29,10 +35,20 @@ pub enum ActorEvent {
 #[derive(Clone, PartialEq, Debug)]
 pub enum Op {
     /// A protocol effect. Sends are charged for latency and bandwidth,
-    /// persists go through the process's disk model, a delivery is
-    /// counted as the "dummy service" of Section 8.3.1, and a reply is
-    /// routed to its client session's home.
+    /// a delivery is counted as the "dummy service" of Section 8.3.1,
+    /// and a reply is routed to its client session's home. Never a
+    /// timer or a persist: a [`Host`] keeps those.
     Protocol(Action),
+    /// A hosted machine armed a timer to fire at a deadline. The host
+    /// keeps the deadline ([`Actor::timers`]); the simulator schedules
+    /// the firing.
+    Armed(TimerKind, Time),
+    /// A hosted machine's record, whether to flush it, and its token:
+    /// written to its ring's disk
+    /// ([`Cluster::map_ring_to_disk`](crate::cluster::Cluster::map_ring_to_disk))
+    /// and stable once that write completes; completes with
+    /// [`ActorEvent::DiskDone`].
+    Record(PersistRecord, bool, PersistToken),
     /// Fire [`ActorEvent::Wakeup`] later.
     Wakeup {
         /// Delay.
@@ -99,6 +115,23 @@ impl Outbox {
     }
 }
 
+/// A hosted machine's driver: each write completes later, on the disk
+/// model, and each arm is scheduled.
+impl Io for Outbox {
+    fn write(&mut self, record: PersistRecord, sync: bool, token: PersistToken) -> bool {
+        self.push(Op::Record(record, sync, token));
+        false
+    }
+
+    fn emit(&mut self, action: Action) {
+        self.push(Op::Protocol(action));
+    }
+
+    fn armed(&mut self, timer: TimerKind, due: Time) {
+        self.push(Op::Armed(timer, due));
+    }
+}
+
 /// Context handed to actors on every event.
 #[derive(Debug)]
 pub struct ActorCtx<'a> {
@@ -115,6 +148,13 @@ pub trait Actor: 'static {
     /// Handles one event, pushing effects into `out`.
     fn on_event(&mut self, now: Time, event: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>);
 
+    /// The armed timers of an actor that hosts a machine: a firing
+    /// reaches it only while its deadline is still the kind's current
+    /// one. A wrapper actor forwards its inner actor's.
+    fn timers(&self) -> Option<&Timers> {
+        None
+    }
+
     /// The engine telemetry snapshot and health report of an actor that
     /// hosts an engine; `None` for everything else.
     fn telemetry(&mut self, _now: Time) -> Option<(TelemetrySnapshot, HealthReport)> {
@@ -126,12 +166,14 @@ pub trait Actor: 'static {
 }
 
 /// The protocol state machines the simulator hosts, all through one
-/// body: a protocol input goes in as it came, every action comes out as
-/// [`Op::Protocol`], and the simulator-only inputs are not theirs.
-/// `telemetry` names the snapshot function of the type.
-macro_rules! state_machine_actors {
+/// body: a timer fires through the host (the cluster checked its
+/// deadline), a disk completion completes the record written with its
+/// token, wakeups are not a machine's, and the machine is what
+/// [`Actor::as_any`] shows. `telemetry` names the snapshot function of
+/// the type.
+macro_rules! hosted_actors {
     ($(impl$([$($generics:tt)*])? for $ty:ty { telemetry: $telemetry:path })*) => {$(
-        impl$(<$($generics)*>)? Actor for $ty {
+        impl$(<$($generics)*>)? Actor for Host<$ty> {
             fn on_event(
                 &mut self,
                 now: Time,
@@ -139,24 +181,33 @@ macro_rules! state_machine_actors {
                 out: &mut Outbox,
                 _ctx: &mut ActorCtx<'_>,
             ) {
-                if let ActorEvent::Protocol(event) = event {
-                    let actions = StateMachine::on_event(self, now, event);
-                    out.ops.extend(actions.into_iter().map(Op::Protocol));
+                match event {
+                    ActorEvent::Protocol(Event::Timer(kind)) => {
+                        self.fire(now, kind, out);
+                    }
+                    ActorEvent::Protocol(event) => Host::on_event(self, now, event, out),
+                    ActorEvent::DiskDone(token) => self.complete(now, PersistToken(token), out),
+                    ActorEvent::Wakeup(_) => {}
                 }
             }
 
+            fn timers(&self) -> Option<&Timers> {
+                Some(Host::timers(self))
+            }
+
             fn telemetry(&mut self, now: Time) -> Option<(TelemetrySnapshot, HealthReport)> {
-                Some(($telemetry(self), self.health(now)))
+                let machine = self.machine();
+                Some(($telemetry(machine), machine.health(now)))
             }
 
             fn as_any(&mut self) -> &mut dyn Any {
-                self
+                self.machine_mut()
             }
         }
     )*};
 }
 
-state_machine_actors! {
+hosted_actors! {
     impl for Node { telemetry: AmcastEngine::telemetry }
     impl for AnyEngine { telemetry: AmcastEngine::telemetry }
     impl[A: Application + 'static] for EngineReplica<A> { telemetry: EngineReplica::telemetry }

@@ -14,8 +14,8 @@ use mrp_storage::NodeStorage;
 use multiring_paxos::app::Application;
 use multiring_paxos::codec;
 use multiring_paxos::config::ClusterConfig;
-use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken, TimerKind};
-use multiring_paxos::host::Timers;
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, TimerKind};
+use multiring_paxos::host::Host;
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, Time, ValueId};
 use std::cmp::Reverse;
@@ -45,24 +45,22 @@ impl Default for SimConfig {
 enum What {
     /// An input for `p`. `own` is set on one that `p` scheduled for
     /// itself — a wakeup, a self-send, an input requeued behind its
-    /// busy CPU, a disk completion — to the incarnation that
-    /// scheduled it: a crash ends that incarnation, and the input is
-    /// dropped rather than reach the restarted process. Frames from
-    /// other processes and the coordination service carry `None`.
+    /// busy CPU — to the incarnation that scheduled it: a crash ends
+    /// that incarnation, and the input is dropped rather than reach the
+    /// restarted process. Frames from other processes and the
+    /// coordination service carry `None`.
     Actor {
         p: ProcessId,
         ev: ActorEvent,
         own: Option<u64>,
     },
-    DiskDone {
-        p: ProcessId,
-        record: PersistRecord,
-        token: PersistToken,
-        incarnation: u64,
-    },
+    /// A disk write of `p`, with its record if any, its token and the
+    /// incarnation that wrote it: on completion the record becomes
+    /// stable and the token reaches that incarnation. A crash loses both.
+    Written(ProcessId, Option<PersistRecord>, u64, u64),
     /// A timer of `p`, with its deadline and the incarnation that
-    /// armed it; it fires only if that is still the kind's deadline
-    /// when `p`'s CPU takes it.
+    /// armed it; it fires only if that is still the kind's deadline in
+    /// `p`'s host ([`Actor::timers`]) when `p`'s CPU takes it.
     Timer(ProcessId, TimerKind, Time, u64),
     Crash(ProcessId),
     Restart(ProcessId),
@@ -107,8 +105,6 @@ struct Slot {
     up: bool,
     /// Bumped by every crash; see [`What::Actor`].
     incarnation: u64,
-    /// The current incarnation's deadlines, one per kind.
-    timers: Timers,
 }
 
 /// The simulated cluster.
@@ -192,7 +188,6 @@ impl Cluster {
                 rng,
                 up: true,
                 incarnation: 0,
-                timers: Timers::default(),
             },
         );
         if self.started {
@@ -208,7 +203,7 @@ impl Cluster {
     pub fn add_engine_actors(&mut self, config: &ClusterConfig, kind: EngineKind) {
         self.set_protocol(config.clone());
         for p in config.processes() {
-            self.add_actor(p, Box::new(kind.build(p, config.clone())));
+            self.add_actor(p, Box::new(Host::new(kind.build(p, config.clone()))));
         }
     }
 
@@ -234,11 +229,11 @@ impl Cluster {
         F: FnMut() -> A + 'static,
     {
         let replica = EngineReplica::new(kind, p, config.clone(), mk_app(), policy);
-        self.add_actor(p, Box::new(replica));
+        self.add_actor(p, Box::new(Host::new(replica)));
         self.set_factory(
             p,
             Box::new(move |storage: &NodeStorage| {
-                Box::new(EngineReplica::recovering(
+                Box::new(Host::new(EngineReplica::recovering(
                     kind,
                     p,
                     config.clone(),
@@ -246,7 +241,7 @@ impl Cluster {
                     policy,
                     storage.acceptor_recovery(),
                     storage.checkpoint_cloned(),
-                ))
+                )))
             }),
         );
     }
@@ -408,7 +403,8 @@ impl Cluster {
         self.slots.get(&p).is_some_and(|s| s.up)
     }
 
-    /// Downcasts `p`'s actor for inspection.
+    /// Downcasts `p`'s actor for inspection (a hosted machine, not its
+    /// [`Host`]).
     pub fn actor_as<T: 'static>(&mut self, p: ProcessId) -> Option<&mut T> {
         self.slots
             .get_mut(&p)?
@@ -469,27 +465,24 @@ impl Cluster {
     fn process(&mut self, sched: Sched) {
         match sched.what {
             What::Actor { p, ev, own } => self.deliver(p, ev, own),
-            What::DiskDone {
-                p,
-                record,
-                token,
-                incarnation,
-            } => {
+            What::Written(p, record, token, own) => {
                 let Some(slot) = self.slots.get_mut(&p) else {
                     return;
                 };
-                if slot.incarnation != incarnation {
+                if slot.incarnation != own {
                     return; // the write was lost with the crash
                 }
-                slot.storage.apply(&record);
-                let done = ActorEvent::Protocol(Event::PersistDone(token));
-                self.deliver(p, done, Some(incarnation));
+                if let Some(record) = &record {
+                    slot.storage.apply(record);
+                }
+                self.deliver(p, ActorEvent::DiskDone(token), Some(own));
             }
             What::Timer(p, timer, due, own) => {
                 let Some(slot) = self.slots.get_mut(&p) else {
                     return;
                 };
-                if slot.incarnation != own || slot.timers.due(timer) != Some(due) {
+                let timers = slot.actor.as_ref().and_then(|a| a.timers());
+                if slot.incarnation != own || timers.and_then(|t| t.due(timer)) != Some(due) {
                     return; // superseded by a later arm, or lost with a crash
                 }
                 // Behind a busy CPU the firing waits as a timer, so an
@@ -499,7 +492,6 @@ impl Cluster {
                     self.push(at, What::Timer(p, timer, due, own));
                     return;
                 }
-                slot.timers.expire(timer, due);
                 self.deliver(p, ActorEvent::Protocol(Event::Timer(timer)), Some(own));
             }
             What::Crash(p) => self.crash(p),
@@ -562,47 +554,29 @@ impl Cluster {
     fn apply_op(&mut self, p: ProcessId, t: Time, op: Op) {
         match op {
             Op::Protocol(Action::Send { to, msg }) => self.send_message(p, to, t, msg),
-            Op::Protocol(Action::SetTimer { after_us, timer }) => {
-                let slot = self.slots.get_mut(&p).expect("slot exists");
-                let due = t.plus(after_us);
-                slot.timers.arm(timer, due);
+            Op::Armed(timer, due) => {
+                let slot = self.slots.get(&p).expect("slot exists");
+                // Else the firing is judged stale and silently dropped.
+                let timers = slot.actor.as_ref().and_then(|a| a.timers());
+                assert!(timers.is_some(), "{p:?} arms timers `Actor::timers` hides");
                 let own = slot.incarnation;
                 self.push(due, What::Timer(p, timer, due, own));
             }
             Op::Wakeup { after_us, token } => {
                 self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
             }
-            Op::Protocol(Action::Persist {
-                record,
-                sync,
-                token,
-            }) => {
-                let bytes = codec::record_len(&record);
-                let slot = self.slots.get_mut(&p).expect("slot exists");
-                let done = if slot.disks.is_empty() {
-                    t.plus(1)
-                } else {
-                    let idx = match &record {
-                        PersistRecord::Promise { ring, .. }
-                        | PersistRecord::Vote { ring, .. }
-                        | PersistRecord::Decision { ring, .. } => {
-                            slot.disk_of_ring.get(ring).copied().unwrap_or(0)
-                        }
-                        PersistRecord::Checkpoint { .. } => 0,
-                    };
-                    let idx = idx.min(slot.disks.len() - 1);
-                    slot.disks[idx].write(t, bytes, sync)
+            Op::Record(record, sync, token) => {
+                let disk = match &record {
+                    PersistRecord::Promise { ring, .. }
+                    | PersistRecord::Vote { ring, .. }
+                    | PersistRecord::Decision { ring, .. } => {
+                        let slot = self.slots.get(&p).expect("slot exists");
+                        slot.disk_of_ring.get(ring).copied().unwrap_or(0)
+                    }
+                    PersistRecord::Checkpoint { .. } => 0,
                 };
-                let incarnation = slot.incarnation;
-                self.push(
-                    done,
-                    What::DiskDone {
-                        p,
-                        record,
-                        token,
-                        incarnation,
-                    },
-                );
+                let bytes = codec::record_len(&record);
+                self.disk_write(p, t, (disk, bytes, sync), token.0, Some(record));
             }
             Op::Protocol(Action::TrimStorage { ring, upto }) => {
                 if let Some(slot) = self.slots.get_mut(&p) {
@@ -622,15 +596,7 @@ impl Cluster {
                 bytes,
                 sync,
                 token,
-            } => {
-                let slot = self.slots.get_mut(&p).expect("slot exists");
-                let idx = disk.min(slot.disks.len().saturating_sub(1));
-                let done = match slot.disks.get_mut(idx) {
-                    Some(d) => d.write(t, bytes, sync),
-                    None => t.plus(1),
-                };
-                self.push_own(done, p, ActorEvent::DiskDone(token));
-            }
+            } => self.disk_write(p, t, (disk, bytes, sync), token, None),
             Op::Protocol(Action::Deliver { group, value, .. }) => {
                 self.history.deliver(p, group, &value);
                 self.metrics.incr("delivered_values", 1);
@@ -656,7 +622,30 @@ impl Cluster {
                     );
                 }
             }
+            Op::Protocol(other) => unreachable!("a host keeps timers and persists: {other:?}"),
         }
+    }
+
+    /// Writes `bytes` to `p`'s disk `disk` at `t` (its last disk if it
+    /// has fewer; 1 µs if it has none). When the write completes,
+    /// `record`, if any, becomes stable and the writing incarnation
+    /// gets [`ActorEvent::DiskDone`] with `token`.
+    fn disk_write(
+        &mut self,
+        p: ProcessId,
+        t: Time,
+        (disk, bytes, sync): (usize, usize, bool),
+        token: u64,
+        record: Option<PersistRecord>,
+    ) {
+        let slot = self.slots.get_mut(&p).expect("slot exists");
+        let idx = disk.min(slot.disks.len().saturating_sub(1));
+        let done = match slot.disks.get_mut(idx) {
+            Some(d) => d.write(t, bytes, sync),
+            None => t.plus(1),
+        };
+        let own = slot.incarnation;
+        self.push(done, What::Written(p, record, token, own));
     }
 
     fn send_message(&mut self, from: ProcessId, to: ProcessId, t: Time, msg: Message) {
@@ -713,7 +702,6 @@ impl Cluster {
         slot.up = false;
         slot.actor = None;
         slot.incarnation += 1;
-        slot.timers = Timers::default();
         self.metrics.incr("crashes", 1);
         let detected = self.now.plus(self.cfg.election_timeout_us);
         let rings: Vec<GroupId> = self
@@ -849,12 +837,15 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::client::Burst;
+    use crate::disk::DiskModel;
     use bytes::Bytes;
     use mrp_amcast::AmcastEngine;
     use multiring_paxos::app::{Delivery, Reply};
     use multiring_paxos::config::{single_ring, ClusterConfig, RingSpec, RingTuning, Roles};
-    use multiring_paxos::event::TimerKind;
+    use multiring_paxos::event::{PersistToken, StateMachine};
+    use multiring_paxos::host::Timers;
     use multiring_paxos::node::Node;
+    use multiring_paxos::types::InstanceId;
     use std::any::Any;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -886,15 +877,15 @@ mod tests {
         for i in 0..3 {
             let p = ProcessId::new(i);
             let cfg = config.clone();
-            cluster.add_actor(p, Box::new(Node::new(p, cfg.clone())));
+            cluster.add_actor(p, Box::new(Host::new(Node::new(p, cfg.clone()))));
             cluster.set_factory(
                 p,
                 Box::new(move |storage: &NodeStorage| {
-                    Box::new(Node::with_recovery(
+                    Box::new(Host::new(Node::with_recovery(
                         p,
                         cfg.clone(),
                         storage.acceptor_recovery(),
-                    ))
+                    )))
                 }),
             );
         }
@@ -1028,21 +1019,66 @@ mod tests {
         assert_eq!(a.network_bytes(), b.network_bytes());
     }
 
-    /// Logs every input it receives into a log shared by all its
-    /// incarnations, and arms a wakeup and a checkpoint tick one second
-    /// out when it starts.
-    struct Arming(Rc<RefCell<Vec<ActorEvent>>>);
+    /// On starting, arms a checkpoint tick one second out and writes a
+    /// decision marker for each ring it names: the first asynchronous,
+    /// the rest synchronous.
+    struct Writes(Vec<GroupId>);
+
+    impl StateMachine for Writes {
+        fn on_event(&mut self, _: Time, event: Event) -> Vec<Action> {
+            if event != Event::Start {
+                return Vec::new();
+            }
+            let tick = Action::SetTimer {
+                after_us: 1_000_000,
+                timer: TimerKind::CheckpointTick,
+            };
+            let writes = self.0.iter().zip(1..).map(|(&ring, n)| Action::Persist {
+                record: PersistRecord::Decision {
+                    ring,
+                    first: InstanceId::new(1),
+                    count: 1,
+                },
+                sync: n > 1,
+                token: PersistToken(n),
+            });
+            std::iter::once(tick).chain(writes).collect()
+        }
+
+        fn process_id(&self) -> ProcessId {
+            ProcessId::new(0)
+        }
+    }
+
+    /// Hosts [`Writes`], logs every input it receives into a log shared
+    /// by all its incarnations, and asks for a wakeup one second out
+    /// when it starts.
+    struct Arming(Host<Writes>, Rc<RefCell<Vec<ActorEvent>>>);
 
     impl Actor for Arming {
-        fn on_event(&mut self, _: Time, event: ActorEvent, out: &mut Outbox, _: &mut ActorCtx<'_>) {
-            if event == ActorEvent::Protocol(Event::Start) {
-                out.wakeup(1_000_000, 7);
-                out.push(Op::Protocol(Action::SetTimer {
-                    after_us: 1_000_000,
-                    timer: TimerKind::CheckpointTick,
-                }));
+        fn on_event(
+            &mut self,
+            now: Time,
+            event: ActorEvent,
+            out: &mut Outbox,
+            _: &mut ActorCtx<'_>,
+        ) {
+            self.1.borrow_mut().push(event.clone());
+            match event {
+                ActorEvent::Protocol(Event::Start) => {
+                    out.wakeup(1_000_000, 7);
+                    self.0.on_event(now, Event::Start, out);
+                }
+                ActorEvent::Protocol(Event::Timer(kind)) => {
+                    self.0.fire(now, kind, out);
+                }
+                ActorEvent::DiskDone(token) => self.0.complete(now, PersistToken(token), out),
+                _ => {}
             }
-            self.0.borrow_mut().push(event);
+        }
+
+        fn timers(&self) -> Option<&Timers> {
+            Some(self.0.timers())
         }
 
         fn as_any(&mut self) -> &mut dyn Any {
@@ -1052,15 +1088,26 @@ mod tests {
 
     /// A crash ends an incarnation together with what it scheduled for
     /// itself: the wakeup and tick armed before the crash, due after the
-    /// restart, never reach the new incarnation, which gets its own.
+    /// restart, never reach the new incarnation, which gets its own. Of
+    /// the first incarnation's two records, the one written before the
+    /// crash is stable; the one a slow disk completes after it is lost,
+    /// and its completion reaches no one.
     #[test]
     fn a_restarted_process_receives_none_of_its_previous_incarnations_events() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let p = ProcessId::new(0);
+        let (early, late) = (GroupId::new(0), GroupId::new(1));
         let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(1));
-        cluster.add_actor(p, Box::new(Arming(log.clone())));
+        let writes = Host::new(Writes(vec![early, late]));
+        cluster.add_actor(p, Box::new(Arming(writes, log.clone())));
+        // A 150 ms flush: the synchronous record completes after the
+        // crash, the asynchronous one in microseconds.
+        cluster.add_disk(p, DiskModel::custom("slow", 150_000, 1));
         let shared = log.clone();
-        cluster.set_factory(p, Box::new(move |_| Box::new(Arming(shared.clone()))));
+        cluster.set_factory(
+            p,
+            Box::new(move |_| Box::new(Arming(Host::new(Writes(Vec::new())), shared.clone()))),
+        );
         cluster.schedule_crash(Time::from_millis(100), p);
         cluster.schedule_restart(Time::from_millis(200), p);
         cluster.start();
@@ -1069,8 +1116,17 @@ mod tests {
         let tick = ActorEvent::Protocol(Event::Timer(TimerKind::CheckpointTick));
         assert_eq!(
             *log.borrow(),
-            [start.clone(), start, ActorEvent::Wakeup(7), tick]
+            [
+                start.clone(),
+                ActorEvent::DiskDone(1),
+                start,
+                ActorEvent::Wakeup(7),
+                tick
+            ]
         );
+        let storage = cluster.storage(p).expect("a slot");
+        assert!(storage.log(early).is_some(), "the early record is stable");
+        assert!(storage.log(late).is_none(), "the late record was lost");
     }
 
     #[test]

@@ -7,12 +7,14 @@
 //! conditions:
 //!
 //! * [`actor`] — what the simulator hosts. An engine, a replica or a
-//!   bare ring node is an actor as it is, with no adapter: it receives
-//!   the protocol's own [`Event`](multiring_paxos::event::Event) as
-//!   [`ActorEvent::Protocol`] and its
-//!   [`Action`](multiring_paxos::event::Action)s come back as
-//!   [`Op::Protocol`]; clients and baseline systems also get wakeups,
-//!   CPU time and raw disk writes, and an actor that hosts an engine
+//!   bare ring node is an actor inside the
+//!   [`Host`](multiring_paxos::host::Host) every driver uses: it
+//!   receives the protocol's own
+//!   [`Event`](multiring_paxos::event::Event) as
+//!   [`ActorEvent::Protocol`], its sends, deliveries and replies come
+//!   back as [`Op::Protocol`], and its records complete later, on the
+//!   disk model. Clients and baseline systems also get wakeups, CPU
+//!   time and raw disk writes, and an actor that hosts an engine
 //!   answers [`Actor::telemetry`].
 //! * [`net`] — WAN/LAN topologies: per-link one-way latency, jitter and
 //!   bandwidth with FIFO serialization queues; presets for the paper's

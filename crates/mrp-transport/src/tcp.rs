@@ -19,11 +19,10 @@ use crate::framing::{self, FrameAccumulator};
 use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use mrp_storage::DirStorage;
-use multiring_paxos::event::{Action, Event, Message, PersistRecord, StateMachine};
-use multiring_paxos::host::Host;
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken, StateMachine};
+use multiring_paxos::host::{self, Host};
 use multiring_paxos::types::{ClientId, GroupId, InstanceId, ProcessId, Time, Value};
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -288,18 +287,13 @@ impl<S: StateMachine> Process<S> {
         let mut input = Some(Event::Start);
         loop {
             let now = Time::from_micros(now_us());
-            {
-                // Writes and the other actions go out in the order the
-                // machine emitted them, so a frame emitted before a
-                // synchronous write does not wait for its `fsync`.
-                let io = RefCell::new(&mut self.io);
-                let write = |record: &PersistRecord, sync| io.borrow_mut().write(record, sync);
-                let emit = |action| io.borrow_mut().act(action);
-                if let Some(event) = input.take() {
-                    self.host.on_event(now, event, write, emit);
-                }
-                self.host.fire_due(now, write, emit);
+            // Writes and the other actions go out in the order the
+            // machine emitted them, so a frame emitted before a
+            // synchronous write does not wait for its `fsync`.
+            if let Some(event) = input.take() {
+                self.host.on_event(now, event, &mut self.io);
             }
+            self.host.fire_due(now, &mut self.io);
             if self.io.signals.closing() {
                 break;
             }
@@ -343,22 +337,22 @@ struct Io {
     signals: Arc<Signals>,
 }
 
-impl Io {
-    /// The host's write: a record is durable in `storage` (`fsync`ed
-    /// when `sync`) before its completion is fed back; without a
-    /// storage directory stable state stays in memory.
-    fn write(&mut self, record: &PersistRecord, sync: bool) {
+impl host::Io for Io {
+    /// A record is durable in `storage` (`fsync`ed when `sync`) when
+    /// this returns; without a storage directory stable state stays in
+    /// memory.
+    fn write(&mut self, record: PersistRecord, sync: bool, _: PersistToken) -> bool {
         if let Some(store) = self.storage.as_mut() {
             // An I/O failure here is fatal for the acceptor's safety
             // guarantees.
             store
-                .persist(record, sync)
+                .persist(&record, sync)
                 .expect("stable storage write failed");
         }
+        true
     }
 
-    /// Carries out one action the host emitted.
-    fn act(&mut self, action: Action) {
+    fn emit(&mut self, action: Action) {
         match action {
             Action::Send { to, msg } => self.send(to, msg),
             Action::TrimStorage { ring, upto } => {
@@ -403,7 +397,9 @@ impl Io {
             other => unreachable!("the host keeps timers and persists: {other:?}"),
         }
     }
+}
 
+impl Io {
     fn send(&mut self, to: ProcessId, msg: Message) {
         let (me, addr) = (self.config.me, self.config.peers.get(&to));
         let signals = &self.signals;

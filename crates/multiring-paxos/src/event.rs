@@ -6,10 +6,11 @@
 //! owns the sockets, clocks and disks. It hosts a
 //! [`Node`](crate::node::Node) (or a replica wrapping an engine) through
 //! a [`Host`](crate::host::Host), which keeps the timers and feeds each
-//! persist's completion back; the runtime translates I/O into events
-//! and executes the sends, trims, deliveries and replies that come
-//! out. The simulator completes persists on its disk model and keeps
-//! the same [`Timers`](crate::host::Timers).
+//! persist's completion back once the record is durable; the runtime
+//! translates I/O into events and executes the sends, trims, deliveries
+//! and replies that come out. The TCP runtime's writes are durable on
+//! return; the simulator's complete later, on its disk model, through
+//! [`Host::complete`](crate::host::Host::complete).
 
 use crate::recovery::CheckpointId;
 use crate::types::{Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value};

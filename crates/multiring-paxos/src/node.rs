@@ -687,12 +687,9 @@ mod tests {
             .collect();
         let mut queue = VecDeque::new();
         for (&p, host) in &mut nodes {
-            host.on_event(
-                Time::ZERO,
-                Event::Start,
-                |_, _| {},
-                |a| queue.push_back((p, a)),
-            );
+            let mut out = Vec::new();
+            host.on_event(Time::ZERO, Event::Start, &mut out);
+            queue.extend(out.into_iter().map(|a| (p, a)));
         }
         run_to_quiescence(&mut nodes, queue);
         nodes
@@ -715,7 +712,9 @@ mod tests {
                 Action::Send { to, msg } => {
                     let host = nodes.get_mut(&to).expect("known process");
                     let event = Event::Message { from: origin, msg };
-                    host.on_event(Time::ZERO, event, |_, _| {}, |a| queue.push_back((to, a)));
+                    let mut out = Vec::new();
+                    host.on_event(Time::ZERO, event, &mut out);
+                    queue.extend(out.into_iter().map(|a| (to, a)));
                 }
                 Action::Deliver {
                     group,
@@ -745,7 +744,9 @@ mod tests {
                 .machine_mut()
                 .multicast(Time::ZERO, &[GroupId::new(0)], Bytes::from(vec![i as u8]))
                 .unwrap();
-            host.absorb(Time::ZERO, actions, |_, _| {}, |a| queue.push_back((p, a)));
+            let mut out = Vec::new();
+            host.absorb(Time::ZERO, actions, &mut out);
+            queue.extend(out.into_iter().map(|a| (p, a)));
         }
         let delivered = run_to_quiescence(&mut nodes, queue);
         assert_eq!(delivered.len(), 3, "all three learners deliver");
@@ -847,7 +848,9 @@ mod tests {
         };
         let mut queue = VecDeque::new();
         let host = nodes.get_mut(&p0).unwrap();
-        host.on_event(Time::ZERO, request, |_, _| {}, |a| queue.push_back((p0, a)));
+        let mut out = Vec::new();
+        host.on_event(Time::ZERO, request, &mut out);
+        queue.extend(out.into_iter().map(|a| (p0, a)));
         let delivered = run_to_quiescence(&mut nodes, queue);
         assert_eq!(delivered[&p0].len(), 1);
     }

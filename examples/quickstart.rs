@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use atomic_multicast::core::config::{single_ring, RingTuning};
+use atomic_multicast::core::host::Host;
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
@@ -25,7 +26,7 @@ fn main() {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Box::new(Node::new(p, config.clone())));
+        cluster.add_actor(p, Box::new(Host::new(Node::new(p, config.clone()))));
     }
     // Three independent clients, each sending to a different proposer.
     for c in 0..3u32 {

@@ -10,6 +10,7 @@
 use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
+use atomic_multicast::core::host::Host;
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
@@ -56,7 +57,7 @@ fn run(kind: EngineKind) {
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
+        cluster.add_actor(p, Box::new(Host::new(kind.build(p, config.clone()))));
         cluster.add_disk(p, DiskModel::ssd());
     }
     let policy = CheckpointPolicy {

@@ -22,6 +22,7 @@ use atomic_multicast::amcast::{
     AmcastEngine, AnyEngine, BatchConfig, EngineKind, HealthReport, TelemetrySnapshot,
 };
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
+use atomic_multicast::core::host::{Host, Timers};
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
 use atomic_multicast::sim::cluster::{Cluster, SimConfig};
@@ -59,11 +60,12 @@ fn engine(cluster: &mut Cluster, p: u32) -> &mut AnyEngine {
         .expect("an engine actor")
 }
 
-/// An engine that counts the frames it receives that carry or reference
-/// a value — the traffic genuineness forbids outside every addressed γ.
+/// A hosted engine that counts the frames it receives that carry or
+/// reference a value — the traffic genuineness forbids outside every
+/// addressed γ.
 #[derive(Debug)]
 struct Outsider {
-    node: AnyEngine,
+    node: Host<AnyEngine>,
     value_frames: u64,
 }
 
@@ -73,6 +75,9 @@ impl Actor for Outsider {
             self.value_frames += u64::from(message_carries_value(msg));
         }
         Actor::on_event(&mut self.node, now, ev, out, ctx);
+    }
+    fn timers(&self) -> Option<&Timers> {
+        Some(self.node.timers())
     }
     fn as_any(&mut self) -> &mut dyn Any {
         self
@@ -91,18 +96,18 @@ fn budgets() -> [BatchConfig; 2] {
     [BatchConfig::enabled(), small]
 }
 
-/// Builds an engine for `pid` with hold-queue budgets `mode`. At build
+/// Hosts an engine for `pid` with hold-queue budgets `mode`. At build
 /// time nothing is queued, so replacing the budgets flushes nothing.
 fn build_engine(
     kind: EngineKind,
     mode: BatchConfig,
     pid: ProcessId,
     config: &ClusterConfig,
-) -> AnyEngine {
+) -> Host<AnyEngine> {
     let mut engine = kind.build(pid, config.clone());
     let flushed = engine.set_batching(Time::ZERO, mode);
     assert!(flushed.is_empty(), "no submissions pending at build time");
-    engine
+    Host::new(engine)
 }
 
 /// The Figure 2(c) deployment: two rings; learners L1, L2 subscribe to
@@ -386,7 +391,7 @@ fn wbcast_nonaddressed_groups_see_no_engine_traffic() {
     cluster.set_protocol(config.clone());
     for p in 0..6u32 {
         let pid = ProcessId::new(p);
-        let node = EngineKind::Wbcast.build(pid, config.clone());
+        let node = Host::new(EngineKind::Wbcast.build(pid, config.clone()));
         if p < 4 {
             cluster.add_actor(pid, Box::new(node));
         } else {
@@ -867,7 +872,7 @@ fn replica_crash_and_restart_recovers_from_checkpoint() {
         cluster.set_protocol(config.clone());
         for p in 0..3u32 {
             let pid = ProcessId::new(p);
-            cluster.add_actor(pid, Box::new(kind.build(pid, config.clone())));
+            cluster.add_actor(pid, Box::new(Host::new(kind.build(pid, config.clone()))));
         }
         let policy = CheckpointPolicy {
             interval_us: 150_000,

@@ -11,6 +11,7 @@ use atomic_multicast::amcast::AmcastEngine;
 use atomic_multicast::core::config::{
     single_ring, ClusterConfig, RingSpec, RingTuning, Roles, StorageMode,
 };
+use atomic_multicast::core::host::Host;
 use atomic_multicast::core::node::Node;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Outbox};
@@ -68,7 +69,7 @@ fn build(tuning: RingTuning, topology: Topology, seed: u64, disks: bool) -> Clus
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Box::new(Node::new(p, config.clone())));
+        cluster.add_actor(p, Box::new(Host::new(Node::new(p, config.clone()))));
         if disks {
             cluster.add_disk(p, DiskModel::ssd());
         }

@@ -8,6 +8,7 @@ use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::app::Application;
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
 use atomic_multicast::core::event::{Action, Event, Message};
+use atomic_multicast::core::host::{Host, Timers};
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
@@ -43,7 +44,7 @@ fn build_cluster(kind: EngineKind, ckpt_interval_s: u64, trim_interval_s: u64) -
     cluster.set_protocol(config.clone());
     for i in 0..3 {
         let p = ProcessId::new(i);
-        cluster.add_actor(p, Box::new(kind.build(p, config.clone())));
+        cluster.add_actor(p, Box::new(Host::new(kind.build(p, config.clone()))));
         cluster.add_disk(p, DiskModel::ssd());
     }
     for i in 3..6 {
@@ -286,6 +287,10 @@ impl Actor for SlowTransfer {
         }
     }
 
+    fn timers(&self) -> Option<&Timers> {
+        self.inner.timers()
+    }
+
     fn as_any(&mut self) -> &mut dyn Any {
         self.inner.as_any()
     }
@@ -313,7 +318,7 @@ fn slow_snapshot_fetches(kind: EngineKind, cpu: Option<CpuModel>) -> Vec<Time> {
                 storage.checkpoint_cloned(),
             );
             Box::new(SlowTransfer {
-                inner: Box::new(replica),
+                inner: Box::new(Host::new(replica)),
                 held: VecDeque::new(),
                 answers: if held_answers {
                     Answers::Await

@@ -9,13 +9,14 @@
 //! and multi-group initiators (resend), coordinated trimming,
 //! checkpointing replicas, a replica crash and restart (recovery
 //! retry) and multi-group requests held behind an outstanding one
-//! (submission flush). A wrapper actor counts every `SetTimer` the
-//! hosted actors emit, and an exhaustive `match` files each under its
+//! (submission flush). A wrapper actor counts every arm the engines'
+//! hosts report, and an exhaustive `match` files each under its
 //! variant.
 
 use atomic_multicast::amcast::{EngineKind, EngineReplica};
 use atomic_multicast::core::config::{ClusterConfig, RingSpec, RingTuning, Roles};
-use atomic_multicast::core::event::{Action, TimerKind};
+use atomic_multicast::core::event::{StateMachine, TimerKind};
+use atomic_multicast::core::host::{Host, Timers};
 use atomic_multicast::core::replica::CheckpointPolicy;
 use atomic_multicast::core::types::{ClientId, GroupId, ProcessId, Time};
 use atomic_multicast::sim::actor::{Actor, ActorCtx, ActorEvent, Op, Outbox};
@@ -29,7 +30,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// `SetTimer` actions seen, per `TimerKind` variant.
+/// Arms seen, per `TimerKind` variant.
 #[derive(Default, Debug)]
 struct Armed {
     delta: u64,
@@ -64,10 +65,13 @@ struct Counting {
     armed: Rc<RefCell<Armed>>,
 }
 
-/// `inner`, counting into `armed`.
-fn counting(inner: impl Actor, armed: &Rc<RefCell<Armed>>) -> Box<dyn Actor> {
+/// `machine`, hosted and counting into `armed`.
+fn counting<S: StateMachine>(machine: S, armed: &Rc<RefCell<Armed>>) -> Box<dyn Actor>
+where
+    Host<S>: Actor,
+{
     Box::new(Counting {
-        inner: Box::new(inner),
+        inner: Box::new(Host::new(machine)),
         armed: Rc::clone(armed),
     })
 }
@@ -76,11 +80,15 @@ impl Actor for Counting {
     fn on_event(&mut self, now: Time, ev: ActorEvent, out: &mut Outbox, ctx: &mut ActorCtx<'_>) {
         self.inner.on_event(now, ev, out, ctx);
         for op in out.take() {
-            if let Op::Protocol(Action::SetTimer { timer, .. }) = &op {
+            if let Op::Armed(timer, _) = &op {
                 self.armed.borrow_mut().count(*timer);
             }
             out.push(op);
         }
+    }
+
+    fn timers(&self) -> Option<&Timers> {
+        self.inner.timers()
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
