@@ -19,7 +19,7 @@ use multiring_paxos::host::Host;
 use multiring_paxos::replica::CheckpointPolicy;
 use multiring_paxos::types::{Ballot, ClientId, GroupId, ProcessId, Time, ValueId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Global simulation knobs.
 #[derive(Clone, Debug)]
@@ -42,26 +42,33 @@ impl Default for SimConfig {
     }
 }
 
+/// An input waiting for its process's CPU.
+enum Input {
+    Event(ActorEvent),
+    /// A timer firing and its deadline: it fires only if that is still
+    /// the kind's deadline in the host ([`Actor::timers`]) when the CPU
+    /// takes it.
+    Timer(TimerKind, Time),
+}
+
 enum What {
-    /// An input for `p`. `own` is set on one that `p` scheduled for
-    /// itself — a wakeup, a self-send, an input requeued behind its
-    /// busy CPU — to the incarnation that scheduled it: a crash ends
-    /// that incarnation, and the input is dropped rather than reach the
-    /// restarted process. Frames from other processes and the
-    /// coordination service carry `None`.
-    Actor {
+    /// An input reaching `p`. `own` is set on one that `p` scheduled
+    /// for itself — a timer, a wakeup, a self-send — to the incarnation
+    /// that scheduled it: a crash ends that incarnation, and the input
+    /// is dropped rather than reach the restarted process. Frames from
+    /// other processes and the coordination service carry `None`.
+    Arrive {
         p: ProcessId,
-        ev: ActorEvent,
+        input: Input,
         own: Option<u64>,
     },
     /// A disk write of `p`, with its record if any, its token and the
     /// incarnation that wrote it: on completion the record becomes
     /// stable and the token reaches that incarnation. A crash loses both.
     Written(ProcessId, Option<PersistRecord>, u64, u64),
-    /// A timer of `p`, with its deadline and the incarnation that
-    /// armed it; it fires only if that is still the kind's deadline in
-    /// `p`'s host ([`Actor::timers`]) when `p`'s CPU takes it.
-    Timer(ProcessId, TimerKind, Time, u64),
+    /// `p`'s CPU frees while incarnation `.1` has inputs in its inbox,
+    /// and takes the next. At most one is scheduled per process.
+    Take(ProcessId, u64),
     Crash(ProcessId),
     Restart(ProcessId),
     Elect(GroupId),
@@ -103,8 +110,10 @@ struct Slot {
     cpu: Option<CpuModel>,
     rng: Rng,
     up: bool,
-    /// Bumped by every crash; see [`What::Actor`].
+    /// Bumped by every crash; see [`What::Arrive`].
     incarnation: u64,
+    /// Inputs waiting for the CPU, in arrival order; a crash clears it.
+    inbox: VecDeque<Input>,
 }
 
 /// The simulated cluster.
@@ -188,6 +197,7 @@ impl Cluster {
                 rng,
                 up: true,
                 incarnation: 0,
+                inbox: VecDeque::new(),
             },
         );
         if self.started {
@@ -354,11 +364,6 @@ impl Cluster {
         snapshots
     }
 
-    /// Total bytes offered to the network.
-    pub fn network_bytes(&self) -> u64 {
-        self.net.bytes_sent
-    }
-
     /// Stable storage of `p` (inspection).
     pub fn storage(&self, p: ProcessId) -> Option<&NodeStorage> {
         self.slots.get(&p).map(|s| &s.storage)
@@ -429,15 +434,16 @@ impl Cluster {
 
     /// Schedules protocol input `ev` for `p` at `at`.
     fn push_event(&mut self, at: Time, p: ProcessId, ev: Event) {
-        let ev = ActorEvent::Protocol(ev);
-        self.push(at, What::Actor { p, ev, own: None });
+        let (input, own) = (Input::Event(ActorEvent::Protocol(ev)), None);
+        self.push(at, What::Arrive { p, input, own });
     }
 
     /// Schedules input `ev` that `p` arranged for itself, for `p`'s
     /// current incarnation only.
     fn push_own(&mut self, at: Time, p: ProcessId, ev: ActorEvent) {
         let own = self.slots.get(&p).map(|s| s.incarnation);
-        self.push(at, What::Actor { p, ev, own });
+        let input = Input::Event(ev);
+        self.push(at, What::Arrive { p, input, own });
     }
 
     fn push(&mut self, at: Time, what: What) {
@@ -464,7 +470,7 @@ impl Cluster {
 
     fn process(&mut self, sched: Sched) {
         match sched.what {
-            What::Actor { p, ev, own } => self.deliver(p, ev, own),
+            What::Arrive { p, input, own } => self.arrive(p, input, own),
             What::Written(p, record, token, own) => {
                 let Some(slot) = self.slots.get_mut(&p) else {
                     return;
@@ -475,24 +481,13 @@ impl Cluster {
                 if let Some(record) = &record {
                     slot.storage.apply(record);
                 }
-                self.deliver(p, ActorEvent::DiskDone(token), Some(own));
+                let input = Input::Event(ActorEvent::DiskDone(token));
+                self.arrive(p, input, Some(own));
             }
-            What::Timer(p, timer, due, own) => {
-                let Some(slot) = self.slots.get_mut(&p) else {
-                    return;
-                };
-                let timers = slot.actor.as_ref().and_then(|a| a.timers());
-                if slot.incarnation != own || timers.and_then(|t| t.due(timer)) != Some(due) {
-                    return; // superseded by a later arm, or lost with a crash
+            What::Take(p, own) => {
+                if self.slots.get(&p).is_some_and(|s| s.incarnation == own) {
+                    self.take(p);
                 }
-                // Behind a busy CPU the firing waits as a timer, so an
-                // arm handled meanwhile still supersedes it.
-                let busy = slot.cpu.as_ref().map(CpuModel::next_free);
-                if let Some(at) = busy.filter(|&at| at > self.now) {
-                    self.push(at, What::Timer(p, timer, due, own));
-                    return;
-                }
-                self.deliver(p, ActorEvent::Protocol(Event::Timer(timer)), Some(own));
             }
             What::Crash(p) => self.crash(p),
             What::Restart(p) => self.restart(p),
@@ -501,51 +496,69 @@ impl Cluster {
         }
     }
 
-    fn event_bytes(ev: &ActorEvent) -> usize {
-        match ev {
-            ActorEvent::Protocol(Event::Message { msg, .. }) => codec::encoded_len(msg),
-            _ => 0,
-        }
-    }
-
-    fn deliver(&mut self, p: ProcessId, ev: ActorEvent, own: Option<u64>) {
+    /// `input` reaches `p` and joins the back of its inbox: the CPU
+    /// takes it at once only if it is free and nothing waits before it.
+    fn arrive(&mut self, p: ProcessId, input: Input, own: Option<u64>) {
         let Some(slot) = self.slots.get_mut(&p) else {
             return;
         };
         if !slot.up || own.is_some_and(|i| i != slot.incarnation) {
             return;
         }
-        // CPU gating: requeue if busy, otherwise charge and process at
-        // the completion instant.
-        let t_proc = if let Some(cpu) = slot.cpu.as_mut() {
-            if cpu.next_free() > self.now {
-                let at = cpu.next_free();
-                let own = Some(slot.incarnation);
-                self.push(at, What::Actor { p, ev, own });
+        slot.inbox.push_back(input);
+        if slot.inbox.len() == 1 {
+            self.take(p);
+        }
+    }
+
+    /// `p`'s CPU takes inputs from the front of its inbox while it is
+    /// free; if any are left, one [`What::Take`] is due when it frees.
+    fn take(&mut self, p: ProcessId) {
+        while let Some(slot) = self.slots.get_mut(&p).filter(|s| !s.inbox.is_empty()) {
+            let free = slot.cpu.as_ref().map_or(self.now, CpuModel::next_free);
+            if free > self.now {
+                let own = slot.incarnation;
+                self.push(free, What::Take(p, own));
                 return;
             }
-            cpu.charge(self.now, Self::event_bytes(&ev))
-        } else {
-            self.now
+            let input = slot.inbox.pop_front().expect("not empty");
+            self.handle(p, input);
+        }
+    }
+
+    /// `p` handles `input` now, finishing once its CPU has charged for
+    /// it; a stale timer is dropped and costs nothing.
+    fn handle(&mut self, p: ProcessId, input: Input) {
+        let slot = self.slots.get_mut(&p).expect("slot exists");
+        let ev = match input {
+            Input::Event(ev) => ev,
+            Input::Timer(timer, due) => {
+                let timers = slot.actor.as_ref().and_then(|a| a.timers());
+                if timers.and_then(|t| t.due(timer)) != Some(due) {
+                    return; // superseded by a later arm
+                }
+                ActorEvent::Protocol(Event::Timer(timer))
+            }
+        };
+        let bytes = match &ev {
+            ActorEvent::Protocol(Event::Message { msg, .. }) => codec::encoded_len(msg),
+            _ => 0,
+        };
+        let t_proc = match slot.cpu.as_mut() {
+            Some(cpu) => cpu.charge(self.now, bytes),
+            None => self.now,
         };
         let Some(mut actor) = slot.actor.take() else {
             return;
         };
         let mut out = Outbox::new();
-        {
-            let slot = self.slots.get_mut(&p).expect("slot exists");
-            let mut ctx = ActorCtx {
-                me: p,
-                rng: &mut slot.rng,
-                metrics: &mut self.metrics,
-            };
-            actor.on_event(t_proc, ev, &mut out, &mut ctx);
-        }
-        if let Some(slot) = self.slots.get_mut(&p) {
-            if slot.actor.is_none() {
-                slot.actor = Some(actor);
-            }
-        }
+        let mut ctx = ActorCtx {
+            me: p,
+            rng: &mut slot.rng,
+            metrics: &mut self.metrics,
+        };
+        actor.on_event(t_proc, ev, &mut out, &mut ctx);
+        slot.actor = Some(actor);
         for op in out.take() {
             self.apply_op(p, t_proc, op);
         }
@@ -559,8 +572,8 @@ impl Cluster {
                 // Else the firing is judged stale and silently dropped.
                 let timers = slot.actor.as_ref().and_then(|a| a.timers());
                 assert!(timers.is_some(), "{p:?} arms timers `Actor::timers` hides");
-                let own = slot.incarnation;
-                self.push(due, What::Timer(p, timer, due, own));
+                let (input, own) = (Input::Timer(timer, due), Some(slot.incarnation));
+                self.push(due, What::Arrive { p, input, own });
             }
             Op::Wakeup { after_us, token } => {
                 self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
@@ -701,6 +714,7 @@ impl Cluster {
         };
         slot.up = false;
         slot.actor = None;
+        slot.inbox.clear();
         slot.incarnation += 1;
         self.metrics.incr("crashes", 1);
         let detected = self.now.plus(self.cfg.election_timeout_us);
@@ -1004,19 +1018,99 @@ mod tests {
         }
     }
 
+    /// Two runs from one seed, every process behind a CPU, deliver the
+    /// same values in the same order at every process, on both engines.
     #[test]
     fn deterministic_given_seed() {
-        let mut a = build(42);
-        let mut b = build(42);
-        a.start();
-        b.start();
-        a.run_until(Time::from_secs(2));
-        b.run_until(Time::from_secs(2));
-        assert_eq!(
-            a.metrics().counter("delivered_values"),
-            b.metrics().counter("delivered_values")
-        );
-        assert_eq!(a.network_bytes(), b.network_bytes());
+        for kind in EngineKind::ALL {
+            let run = || {
+                let config = single_ring(3, quiet());
+                let mut cluster = Cluster::new(
+                    SimConfig {
+                        seed: 42,
+                        ..SimConfig::default()
+                    },
+                    Topology::lan(4),
+                );
+                cluster.add_engine_actors(&config, kind);
+                let client = ProcessId::new(100);
+                let groups = vec![GroupId::new(0)];
+                cluster.add_client(client, ClientId::new(1), pulse(1, 1, groups, 10));
+                for p in config.processes().into_iter().chain([client]) {
+                    cluster.set_cpu(p, CpuModel::new(20, 5));
+                }
+                cluster.start();
+                cluster.run_until(Time::from_secs(2));
+                let processes = config.processes().into_iter();
+                processes
+                    .map(|p| cluster.delivered(p).collect())
+                    .collect::<Vec<Vec<_>>>()
+            };
+            let first = run();
+            assert_eq!(first.iter().map(Vec::len).sum::<usize>(), 30, "{kind}");
+            assert_eq!(first, run(), "{kind}");
+        }
+    }
+
+    /// Logs every input it handles with the instant its handling ends.
+    struct Log(Rc<RefCell<Vec<(Time, ActorEvent)>>>);
+
+    impl Actor for Log {
+        fn on_event(&mut self, now: Time, event: ActorEvent, _: &mut Outbox, _: &mut ActorCtx<'_>) {
+            self.0.borrow_mut().push((now, event));
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A process behind a 100 µs CPU handles its inputs in arrival
+    /// order, one every 100 µs, and one that arrives at exactly the
+    /// instant its CPU frees waits behind the backlog; while they wait,
+    /// the event queue holds one entry for the process, not one per
+    /// input.
+    #[test]
+    fn a_busy_process_takes_its_inputs_in_arrival_order() {
+        const B: u16 = 50;
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let p = ProcessId::new(0);
+        let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(1));
+        cluster.add_actor(p, Box::new(Log(log.clone())));
+        cluster.set_cpu(p, CpuModel::new(100, 0));
+        let frame = |ring| Event::MembershipChange {
+            ring: GroupId::new(ring),
+            down: Vec::new(),
+        };
+        // Scheduled first, so it is first in line at 200 µs, when the
+        // CPU frees after the second input.
+        cluster.push_event(Time::from_micros(200), p, frame(B));
+        for i in 0..B {
+            cluster.push_event(Time::from_micros(u64::from(i)), p, frame(i));
+        }
+        cluster.run_until(Time::from_micros(u64::from(B)));
+        let entries = |cluster: &Cluster| {
+            let of_p = |s: &&Reverse<Sched>| match &s.0.what {
+                What::Arrive { p: q, .. } | What::Take(q, _) => *q == p,
+                _ => false,
+            };
+            cluster.queue.iter().filter(of_p).count()
+        };
+        assert_eq!(entries(&cluster), 2, "one `Take`, and the late input");
+        cluster.run_until(Time::from_secs(1));
+        let handled: Vec<(u64, u16)> = log
+            .borrow()
+            .iter()
+            .map(|(at, ev)| match ev {
+                ActorEvent::Protocol(Event::MembershipChange { ring, .. }) => {
+                    (at.as_micros(), ring.value())
+                }
+                other => panic!("unexpected input {other:?}"),
+            })
+            .collect();
+        let expected: Vec<(u64, u16)> = (0..=B).map(|i| (100 * u64::from(i + 1), i)).collect();
+        assert_eq!(handled, expected);
+        assert_eq!(entries(&cluster), 0);
     }
 
     /// On starting, arms a checkpoint tick one second out and writes a
@@ -1087,11 +1181,13 @@ mod tests {
     }
 
     /// A crash ends an incarnation together with what it scheduled for
-    /// itself: the wakeup and tick armed before the crash, due after the
-    /// restart, never reach the new incarnation, which gets its own. Of
-    /// the first incarnation's two records, the one written before the
-    /// crash is stable; the one a slow disk completes after it is lost,
-    /// and its completion reaches no one.
+    /// itself and what waited for its CPU: the wakeup and tick armed
+    /// before the crash, due after the restart, and the frame still in
+    /// the inbox at the crash never reach the new incarnation, which
+    /// gets its own wakeup and tick. Of the first incarnation's two
+    /// records, the one written before the crash is stable; the one a
+    /// slow disk completes after it is lost, and its completion reaches
+    /// no one.
     #[test]
     fn a_restarted_process_receives_none_of_its_previous_incarnations_events() {
         let log = Rc::new(RefCell::new(Vec::new()));
@@ -1103,6 +1199,17 @@ mod tests {
         // A 150 ms flush: the synchronous record completes after the
         // crash, the asynchronous one in microseconds.
         cluster.add_disk(p, DiskModel::custom("slow", 150_000, 1));
+        // Each input holds the CPU for 40 ms: it handles the start by
+        // 40 ms and the early record's completion by 80 ms; of the two
+        // frames arriving meanwhile, the first is handled by 120 ms and
+        // the second is still waiting at the crash.
+        cluster.set_cpu(p, CpuModel::new(40_000, 0));
+        let frame = |ring| Event::MembershipChange {
+            ring: GroupId::new(ring),
+            down: Vec::new(),
+        };
+        cluster.push_event(Time::from_millis(70), p, frame(7));
+        cluster.push_event(Time::from_millis(75), p, frame(8));
         let shared = log.clone();
         cluster.set_factory(
             p,
@@ -1119,6 +1226,7 @@ mod tests {
             [
                 start.clone(),
                 ActorEvent::DiskDone(1),
+                ActorEvent::Protocol(frame(7)),
                 start,
                 ActorEvent::Wakeup(7),
                 tick

@@ -36,11 +36,6 @@ impl DiskModel {
         Self::custom("hdd", 1_500, 140)
     }
 
-    /// A raw 7200-RPM disk without write cache (~5 ms positioning).
-    pub fn hdd_raw() -> Self {
-        Self::custom("hdd-raw", 5_000, 140)
-    }
-
     /// A SATA SSD: ~120 µs flush, ~450 MB/s streaming.
     pub fn ssd() -> Self {
         Self::custom("ssd", 120, 450)
@@ -113,10 +108,6 @@ mod tests {
         let done = d.write(Time::ZERO, 1024, true);
         // 1500 us base (write-cached controller) + 1024/140 ≈ 7 us.
         assert_eq!(done.as_micros(), 1507);
-        let mut raw = DiskModel::hdd_raw();
-        let done = raw.write(Time::ZERO, 1024, true);
-        // 5000 us positioning on the raw disk.
-        assert_eq!(done.as_micros(), 5007);
     }
 
     #[test]

@@ -161,8 +161,6 @@ pub struct NetState {
     /// Enforces in-order arrival per link (TCP semantics): jitter may
     /// never reorder two messages on the same connection.
     last_arrival: BTreeMap<(ProcessId, ProcessId), Time>,
-    /// Total bytes offered per ordered pair (metrics).
-    pub bytes_sent: u64,
     /// Messages dropped by loss injection.
     pub dropped: u64,
 }
@@ -184,7 +182,6 @@ impl NetState {
             self.dropped += 1;
             return None;
         }
-        self.bytes_sent += bytes as u64;
         let bw = topo.bandwidth_bps(from, to).max(1);
         let ser_us = (bytes as u128 * 8 * 1_000_000 / bw as u128) as u64;
         let key = (from, to);
@@ -254,7 +251,6 @@ mod tests {
             .transit(&topo, Time::ZERO, p(0), p(2), 1000, &mut rng)
             .unwrap();
         assert_eq!(t3.as_micros(), 1000 + 100);
-        assert_eq!(net.bytes_sent, 3000);
     }
 
     #[test]

@@ -71,14 +71,6 @@ impl Rng {
     pub fn fork(&mut self) -> Rng {
         Rng::new(self.next_u64())
     }
-
-    /// Fills `buf` with pseudo-random bytes.
-    pub fn fill(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -147,13 +139,5 @@ mod tests {
         let av: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let cv: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_ne!(av, cv);
-    }
-
-    #[test]
-    fn fill_covers_partial_chunks() {
-        let mut r = Rng::new(3);
-        let mut buf = [0u8; 13];
-        r.fill(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }
