@@ -9,18 +9,20 @@
 //!   vs unbatched, both engines, through a 3-process virtual-clock
 //!   pump that routes every `Action::Send` through the real wire
 //!   codec) and of burst decoding (per-frame copy-out vs the
-//!   zero-copy [`FrameAccumulator`] path), and per-record timings of
-//!   filling MRP-Store's tree (the preload before a run and a peer's
+//!   zero-copy [`FrameAccumulator`] path), per-record timings of
+//!   filling MRP-Store (the preload before a run and a peer's
 //!   checkpoint after a restart) against a tree filled insert by
-//!   insert. These write `BENCH_micro.json` next to the other
+//!   insert, and the store's point operations and first read after a
+//!   preload. These write `BENCH_micro.json` next to the other
 //!   committed bench artifacts.
 //!
 //! Regression gate: every run reads the committed `BENCH_micro.json`
 //! before it writes its own rows, and exits non-zero if the fresh
 //! batched submission throughput of either engine falls below the
 //! committed *unbatched* baseline — batching must never be slower than
-//! the un-batched path it replaced — or if the store's bulk-loaded tree
-//! is not built at least twice as fast as the insert-by-insert one.
+//! the un-batched path it replaced — if the store's bulk load is not
+//! ready at least twice as fast as the insert-by-insert tree, or if its
+//! point read is slower than a plain `BTreeMap`'s.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::hint::black_box;
@@ -423,9 +425,10 @@ fn decode_zero_copy(wire: &[u8], reps: u32) -> DecodeRow {
 const PRELOAD_RECORDS: u64 = 10_000;
 const PRELOAD_VALUE: usize = 100;
 
-struct PreloadRow {
+/// A timed row: ns per record for `preload`, per operation for `store`.
+struct NsRow {
     name: &'static str,
-    ns_per_record: f64,
+    ns: f64,
 }
 
 fn preload_records() -> Vec<(Bytes, Bytes)> {
@@ -444,7 +447,7 @@ fn preload_row<I, O>(
     reps: u32,
     input: impl Fn() -> I,
     run: impl Fn(I) -> O,
-) -> PreloadRow {
+) -> NsRow {
     let best = (0..reps)
         .map(|_| {
             let input = input();
@@ -456,28 +459,22 @@ fn preload_row<I, O>(
         })
         .min()
         .expect("at least one rep");
-    PreloadRow {
+    NsRow {
         name,
-        ns_per_record: best.as_nanos() as f64 / PRELOAD_RECORDS as f64,
+        ns: best.as_nanos() as f64 / PRELOAD_RECORDS as f64,
     }
 }
 
 /// Filling a replica's tree with [`PRELOAD_RECORDS`] ascending
 /// `user…` keys, and making the keys.
-fn bench_preload(reps: u32) -> Vec<PreloadRow> {
+fn bench_preload(reps: u32) -> Vec<NsRow> {
     let first_key = StoreCommand::Read {
         key: Bytes::from(key_for(0).into_bytes()),
     };
-    let snapshot = {
-        let mut kv = KvStore::new();
-        for (k, v) in preload_records() {
-            kv.load(k, v);
-        }
-        kv.snapshot()
-    };
+    let snapshot = preloaded_store().snapshot();
     vec![
         // The reference: one root-to-leaf descent per record, which is
-        // what `KvStore::load` did before it staged.
+        // what `KvStore::load` once did.
         preload_row("insert_each", reps, preload_records, |records| {
             let mut tree = BTreeMap::new();
             for (k, v) in records {
@@ -485,7 +482,7 @@ fn bench_preload(reps: u32) -> Vec<PreloadRow> {
             }
             tree
         }),
-        preload_row("staged_build", reps, preload_records, |records| {
+        preload_row("load_then_read", reps, preload_records, |records| {
             let mut kv = KvStore::new();
             for (k, v) in records {
                 kv.load(k, v);
@@ -530,20 +527,118 @@ fn bench_preload(reps: u32) -> Vec<PreloadRow> {
 }
 
 /// How many times faster row `fast` is than row `slow`.
-fn preload_speedup(rows: &[PreloadRow], slow: &str, fast: &str) -> f64 {
-    let ns = |name| {
-        rows.iter()
-            .find(|r| r.name == name)
-            .map_or(0.0, |r| r.ns_per_record)
-    };
+fn times_faster(rows: &[NsRow], slow: &str, fast: &str) -> f64 {
+    let ns = |name| rows.iter().find(|r| r.name == name).map_or(0.0, |r| r.ns);
     ns(slow) / ns(fast).max(1e-9)
+}
+
+/// A store holding the preload, filled as a replica is.
+fn preloaded_store() -> KvStore {
+    let mut kv = KvStore::new();
+    for (k, v) in preload_records() {
+        kv.load(k, v);
+    }
+    kv
+}
+
+/// Point operations on keys drawn uniformly from the preload, each key
+/// a fresh allocation as a decoded command's is: the store's reads and
+/// updates, and the same reads answered by a plain `BTreeMap`.
+fn bench_point_ops(ops: usize, reps: u32) -> Vec<NsRow> {
+    let mut rng = SmallRng::new(7);
+    let keys: Vec<Bytes> = (0..ops)
+        .map(|_| Bytes::from(key_for(rng.below(PRELOAD_RECORDS)).into_bytes()))
+        .collect();
+    let reads: Vec<StoreCommand> = keys
+        .iter()
+        .map(|key| StoreCommand::Read { key: key.clone() })
+        .collect();
+    let value = Bytes::from(vec![0xEE; PRELOAD_VALUE]);
+    let updates: Vec<StoreCommand> = keys
+        .iter()
+        .map(|key| StoreCommand::Update {
+            key: key.clone(),
+            value: value.clone(),
+        })
+        .collect();
+    let row = |name, commands: &[StoreCommand], apply: &mut dyn FnMut(&StoreCommand)| {
+        let best = (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                for cmd in commands {
+                    apply(black_box(cmd));
+                }
+                start.elapsed()
+            })
+            .min()
+            .expect("at least one rep");
+        NsRow {
+            name,
+            ns: best.as_nanos() as f64 / commands.len() as f64,
+        }
+    };
+    // The reference: the tree `KvStore` once was.
+    let tree: BTreeMap<Bytes, Bytes> = preload_records().into_iter().collect();
+    let mut kv = preloaded_store();
+    vec![
+        row("btree_read", &reads, &mut |cmd| {
+            if let StoreCommand::Read { key } = cmd {
+                black_box(tree.get(key).cloned());
+            }
+        }),
+        row("point_read", &reads, &mut |cmd| {
+            black_box(kv.apply(cmd));
+        }),
+        row("point_update", &updates, &mut |cmd| {
+            black_box(kv.apply(cmd));
+        }),
+    ]
+}
+
+/// What a set-up pays for the store before its first reply: three
+/// stores preloaded on this thread, then each one's first `Read` on a
+/// fresh thread of its own, as each replica's protocol thread runs it.
+/// The slowest of the three in µs; the median over `reps` set-ups.
+fn first_read_cold_us(reps: u32) -> f64 {
+    let read = StoreCommand::Read {
+        key: Bytes::from(key_for(PRELOAD_RECORDS / 2).into_bytes()),
+    };
+    let mut slowest: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut stores: Vec<KvStore> = (0..3).map(|_| preloaded_store()).collect();
+            std::thread::scope(|scope| {
+                let readers: Vec<_> = stores
+                    .iter_mut()
+                    .map(|kv| {
+                        let read = &read;
+                        scope.spawn(move || {
+                            let start = Instant::now();
+                            black_box(kv.apply(read));
+                            start.elapsed()
+                        })
+                    })
+                    .collect();
+                readers
+                    .into_iter()
+                    .map(|r| r.join().expect("reader thread"))
+                    .max()
+                    .expect("three stores")
+            })
+            .as_secs_f64()
+                * 1e6
+        })
+        .collect();
+    slowest.sort_by(f64::total_cmp);
+    slowest[slowest.len() / 2]
 }
 
 fn to_json(
     scale: Scale,
     submit: &[SubmitRow],
     decode: &[DecodeRow],
-    preload: &[PreloadRow],
+    preload: &[NsRow],
+    point: &[NsRow],
+    first_read_us: f64,
 ) -> Json {
     let vps = |engine: &str, mode: &str| {
         submit
@@ -592,10 +687,21 @@ fn to_json(
                 Json::object([
                     ("name", r.name.into()),
                     ("records", PRELOAD_RECORDS.into()),
-                    ("ns_per_record", Json::rounded(r.ns_per_record, 1)),
+                    ("ns_per_record", Json::rounded(r.ns, 1)),
                 ])
             }),
         ),
+        (
+            "store",
+            Json::array(point, |r| {
+                Json::object([
+                    ("name", r.name.into()),
+                    ("records", PRELOAD_RECORDS.into()),
+                    ("ns_per_op", Json::rounded(r.ns, 1)),
+                ])
+            }),
+        ),
+        ("first_read_cold_us", Json::rounded(first_read_us, 2)),
         (
             "speedup",
             Json::object([
@@ -604,11 +710,15 @@ fn to_json(
                 ("decode_32k", Json::rounded(decode_speedup, 2)),
                 (
                     "preload_build",
-                    Json::rounded(preload_speedup(preload, "insert_each", "staged_build"), 2),
+                    Json::rounded(times_faster(preload, "insert_each", "load_then_read"), 2),
+                ),
+                (
+                    "point_read",
+                    Json::rounded(times_faster(point, "btree_read", "point_read"), 2),
                 ),
                 (
                     "preload_key_for",
-                    Json::rounded(preload_speedup(preload, "key_format", "key_for"), 2),
+                    Json::rounded(times_faster(preload, "key_format", "key_for"), 2),
                 ),
             ]),
         ),
@@ -620,14 +730,16 @@ fn to_json(
 const BASELINE: &str = "BENCH_micro.json";
 
 /// Fails the run if batched submission throughput regressed below the
-/// unbatched baseline, or the store's bulk load towards the
-/// insert-by-insert one; `artifact` is [`BASELINE`]'s text.
+/// unbatched baseline, the store's bulk load towards the
+/// insert-by-insert tree, or its point read below a plain tree's;
+/// `artifact` is [`BASELINE`]'s text.
 ///
-/// Three checks per run:
+/// Four checks per run:
 ///
-/// * Same machine: the tree built from a bulk load must be ready at
-///   least twice as fast as one filled insert by insert (measured 3–4×;
-///   both sides run here, so the machine cancels out).
+/// * Same machine: a bulk-loaded store must be ready for its first read
+///   at least twice as fast as a tree filled insert by insert, and must
+///   answer a point read no slower than a plain `BTreeMap` (both sides
+///   run here, so the machine cancels out).
 /// * Same machine (hardware-independent): each engine's fresh batched
 ///   run must stay within 10% of its fresh unbatched run — batching
 ///   must never lose to the path it replaces.
@@ -639,16 +751,24 @@ const BASELINE: &str = "BENCH_micro.json";
 ///   syscalls) is too thin to compare across machines.
 fn check_baseline(
     submit: &[SubmitRow],
-    preload: &[PreloadRow],
+    preload: &[NsRow],
+    point: &[NsRow],
     artifact: &str,
 ) -> Result<(), String> {
-    let build = preload_speedup(preload, "insert_each", "staged_build");
+    let build = times_faster(preload, "insert_each", "load_then_read");
     if build < 2.0 {
         return Err(format!(
-            "the store's staged build is {build:.2}x insert-by-insert, below the 2x floor"
+            "the store's load-then-read is {build:.2}x insert-by-insert, below the 2x floor"
         ));
     }
-    println!("baseline gate: staged build {build:.2}x insert-by-insert");
+    println!("baseline gate: load-then-read {build:.2}x insert-by-insert");
+    let read = times_faster(point, "btree_read", "point_read");
+    if read < 1.0 {
+        return Err(format!(
+            "the store's point read is slower than a plain BTreeMap's: {read:.2}x"
+        ));
+    }
+    println!("baseline gate: point read {read:.2}x a plain BTreeMap's");
     let fresh = |engine: &str, mode: &str| {
         submit
             .iter()
@@ -745,17 +865,24 @@ fn main() {
 
     let preload = bench_preload(scale.pick(30u32, 10u32));
     for r in &preload {
-        println!("preload {}: {:.1} ns/record", r.name, r.ns_per_record);
+        println!("preload {}: {:.1} ns/record", r.name, r.ns);
     }
 
-    let doc = to_json(scale, &submit, &decode, &preload);
+    let point = bench_point_ops(scale.pick(1_000_000, 200_000), reps);
+    for r in &point {
+        println!("store {}: {:.1} ns/op", r.name, r.ns);
+    }
+    let first_read_us = first_read_cold_us(scale.pick(30u32, 10u32));
+    println!("store first_read_cold: {first_read_us:.2} us");
+
+    let doc = to_json(scale, &submit, &decode, &preload, &point, first_read_us);
     write_artifact(
         &scale.artifact("micro"),
         &doc,
-        "submit, decode and preload rows",
+        "submit, decode, preload and store rows",
     );
 
-    if let Err(e) = check_baseline(&submit, &preload, &baseline) {
+    if let Err(e) = check_baseline(&submit, &preload, &point, &baseline) {
         eprintln!("MICRO BASELINE GATE FAILED: {e}");
         std::process::exit(1);
     }

@@ -20,6 +20,13 @@ pub struct StoreApp {
     executed: u64,
 }
 
+// A replica's state holds no cell: it may be shared between threads.
+const _: () = {
+    const fn sync<T: Sync>() {}
+    sync::<KvStore>();
+    sync::<StoreApp>();
+};
+
 impl StoreApp {
     /// An empty store app for `partition`.
     pub fn new(partition: u16) -> Self {
@@ -31,10 +38,10 @@ impl StoreApp {
     }
 
     /// Pre-loads an entry (database initialization before the run). It
-    /// is visible to every later command, `len` and `snapshot`; the tree
-    /// itself is built from all loaded entries by the first of those, on
-    /// the thread that runs it — for a hosted replica its protocol
-    /// thread, at the first `execute` (see [`KvStore::load`]).
+    /// is visible to every later command, `len` and `snapshot`. The
+    /// loading thread pays for it — one comparison and a push when keys
+    /// arrive in order — and nothing is built at the first `execute` on
+    /// the replica's protocol thread (see [`KvStore::load`]).
     pub fn load(&mut self, key: Bytes, value: Bytes) {
         self.kv.load(key, value);
     }
@@ -152,6 +159,33 @@ mod tests {
         assert_eq!(
             response,
             StoreResponse::Value(Some(Bytes::from_static(b"1")))
+        );
+    }
+
+    /// A client may send a scan whose bounds are inverted; every replica
+    /// that delivers it must answer it, not panic.
+    #[test]
+    fn an_inverted_scan_from_a_client_answers_empty() {
+        let mut app = StoreApp::new(1);
+        for k in [&b"b"[..], b"m", b"z"] {
+            app.load(Bytes::from_static(k), Bytes::from_static(b"v"));
+        }
+        let scan = StoreCommand::Scan {
+            from: Bytes::from_static(b"z"),
+            to: Bytes::from_static(b"b"),
+            limit: 0,
+        };
+        let replies = app.execute(&delivery(&scan));
+        let (partition, response) = StoreApp::unframe_response(&replies[0].payload).unwrap();
+        assert_eq!(partition, 1);
+        assert_eq!(response, StoreResponse::Entries(Vec::new()));
+        let replies = app.execute(&delivery(&StoreCommand::Read {
+            key: Bytes::from_static(b"m"),
+        }));
+        let (_, response) = StoreApp::unframe_response(&replies[0].payload).unwrap();
+        assert_eq!(
+            response,
+            StoreResponse::Value(Some(Bytes::from_static(b"v")))
         );
     }
 

@@ -1,51 +1,68 @@
 //! The in-memory tree every replica keeps (Section 7.2: "database
 //! entries are stored in an in-memory tree at every replica").
 //!
-//! The tree is filled in bulk twice in a replica's life — the preload
-//! before a run and a peer's checkpoint after a restart — and both go
-//! the way a database bulk-loads a B-tree: the pairs are collected in
-//! arrival order and the first operation that needs the tree builds it
-//! bottom-up in one pass, instead of one root-to-leaf descent a record.
+//! The store is filled in bulk twice in a replica's life — the preload
+//! before a run and a peer's checkpoint after a restart — and both
+//! arrive in key order. Those records are kept as they came, in one
+//! sorted array that is searched in place: the loader pays one
+//! comparison and a push per record, and nothing is built at the first
+//! command. Each entry carries its key's first 16 bytes as an integer,
+//! so a bisection compares integers and reads key bytes only on a tie
+//! with a key longer than that.
+//! Keys that do not fit the array's order — new ones from `Insert`, and
+//! loads that arrive out of order — go to a `BTreeMap` beside it.
 
 use crate::command::{StoreCommand, StoreResponse};
 use bytes::{BufMut, Bytes, BytesMut};
 use multiring_paxos::codec::{get_bytes, get_u64, put_bytes, CodecError};
-use std::cell::{RefCell, RefMut};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A deterministic, snapshot-able key-value tree.
 #[derive(Clone, Default, Debug)]
 pub struct KvStore {
-    /// In a cell because `len`, `is_empty` and `snapshot` take `&self`
-    /// and may be the first operation after a bulk load.
-    state: RefCell<State>,
+    /// Records bulk-loaded in ascending key order, as they arrived. A
+    /// deleted key keeps its slot; no key here is also in `tree`.
+    base: Vec<Entry>,
+    /// Slots of `base` that hold a value.
+    base_live: usize,
+    /// Every other key.
+    tree: BTreeMap<Bytes, Bytes>,
 }
 
-#[derive(Clone, Default, Debug)]
-struct State {
-    entries: BTreeMap<Bytes, Bytes>,
-    /// Pairs `load` and `restore` took that are not in `entries` yet, in
-    /// arrival order; later than everything in `entries`.
-    staged: Vec<(Bytes, Bytes)>,
+#[derive(Clone, Debug)]
+struct Entry {
+    /// [`prefix`] of `key`.
+    prefix: u128,
+    key: Bytes,
+    value: Option<Bytes>,
 }
 
-impl State {
-    /// The tree with everything staged in it, as if each pair had been
-    /// inserted on arrival: the stable sort inside `from_iter` keeps
-    /// equal keys in arrival order (n − 1 comparisons when the keys
-    /// already ascend), the last of them wins, and the nodes are filled
-    /// left to right. A tree that already holds entries takes the pairs
-    /// one by one.
-    fn settle(&mut self) -> &mut BTreeMap<Bytes, Bytes> {
-        if !self.staged.is_empty() {
-            let staged = std::mem::take(&mut self.staged);
-            if self.entries.is_empty() {
-                self.entries = BTreeMap::from_iter(staged);
+/// The key's first 16 bytes, zero-padded, as a big-endian integer: if
+/// `prefix(a) < prefix(b)` then `a < b`, and equal prefixes leave the
+/// order to the lengths and the bytes after the 16th.
+fn prefix(key: &[u8]) -> u128 {
+    if let Some(head) = key.first_chunk() {
+        return u128::from_be_bytes(*head);
+    }
+    let mut head = [0; 16];
+    head[..key.len()].copy_from_slice(key);
+    u128::from_be_bytes(head)
+}
+
+impl Entry {
+    /// How this entry's key orders against `key`, whose prefix is `p`.
+    /// On a tie between two keys of at most 16 bytes the shorter one is
+    /// the smaller (the longer only adds zero bytes), so the key bytes
+    /// are read only when one of them is longer.
+    fn cmp_key(&self, p: u128, key: &[u8]) -> Ordering {
+        self.prefix.cmp(&p).then_with(|| {
+            if self.key.len() <= 16 && key.len() <= 16 {
+                self.key.len().cmp(&key.len())
             } else {
-                self.entries.extend(staged);
+                self.key[..].cmp(key)
             }
-        }
-        &mut self.entries
+        })
     }
 }
 
@@ -55,52 +72,96 @@ impl KvStore {
         Self::default()
     }
 
-    /// The settled tree, for the methods that take `&self`.
-    fn tree(&self) -> RefMut<'_, BTreeMap<Bytes, Bytes>> {
-        RefMut::map(self.state.borrow_mut(), State::settle)
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.tree().len()
+        self.base_live + self.tree.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.tree().is_empty()
+        self.len() == 0
     }
 
     /// Direct insert (used for bulk loading): `key` maps to `value` for
     /// every later operation, exactly as if it had been inserted now.
     ///
-    /// The record is only set aside here. The first operation after a
-    /// run of `load`s — an [`apply`](KvStore::apply), `len`, `snapshot`,
-    /// whichever comes — builds the tree from all of them in one O(n)
-    /// pass on the thread that calls it (O(n log n) if the keys did not
-    /// arrive in order): about 40 ns a record, so the first command
-    /// after a 1 M-record preload takes ≈ 40 ms, where inserting on
-    /// arrival cost the loading thread ≈ 200 ms.
+    /// A key above every bulk-loaded one costs one comparison and a
+    /// push, so a preload in key order — what `bench/`, the figures and
+    /// [`snapshot`](KvStore::snapshot) produce — builds nothing, on this
+    /// thread or at the first command. Any other key is looked up and
+    /// set in place, or goes to the tree.
     pub fn load(&mut self, key: Bytes, value: Bytes) {
-        self.state.get_mut().staged.push((key, value));
+        let p = prefix(&key);
+        let above = self
+            .base
+            .last()
+            .is_none_or(|last| last.cmp_key(p, &key) == Ordering::Less);
+        if above {
+            self.tree.remove(&key);
+            self.base.push(Entry {
+                prefix: p,
+                key,
+                value: Some(value),
+            });
+            self.base_live += 1;
+        } else {
+            self.set(key, value);
+        }
+    }
+
+    /// Maps `key` to `value` in its base slot if it has one, else in the
+    /// tree.
+    fn set(&mut self, key: Bytes, value: Bytes) {
+        match self.find(&key) {
+            Ok(i) => {
+                self.base_live += usize::from(self.base[i].value.is_none());
+                self.base[i].value = Some(value);
+            }
+            Err(_) => {
+                self.tree.insert(key, value);
+            }
+        }
+    }
+
+    /// `key`'s slot in the base, or where it would go.
+    fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        let p = prefix(key);
+        self.base.binary_search_by(|e| e.cmp_key(p, key))
     }
 
     /// Executes one command deterministically.
     pub fn apply(&mut self, cmd: &StoreCommand) -> StoreResponse {
-        let entries = self.state.get_mut().settle();
         match cmd {
-            StoreCommand::Read { key } => StoreResponse::Value(entries.get(key).cloned()),
+            StoreCommand::Read { key } => StoreResponse::Value(match self.find(key) {
+                Ok(i) => self.base[i].value.clone(),
+                Err(_) => self.tree.get(key).cloned(),
+            }),
             StoreCommand::Scan { from, to, limit } => {
-                let mut out = Vec::new();
-                for (k, v) in entries.range(from.clone()..=to.clone()) {
-                    if *limit > 0 && out.len() as u32 >= *limit {
-                        break;
-                    }
-                    out.push((k.clone(), v.clone()));
+                if from > to {
+                    return StoreResponse::Entries(Vec::new());
                 }
-                StoreResponse::Entries(out)
+                let (pf, pt) = (prefix(from), prefix(to));
+                let lo = self.base.partition_point(|e| e.cmp_key(pf, from).is_lt());
+                let hi = self.base.partition_point(|e| e.cmp_key(pt, to).is_le());
+                let limit = if *limit == 0 {
+                    usize::MAX
+                } else {
+                    *limit as usize
+                };
+                let tree = self.tree.range(from.clone()..=to.clone());
+                StoreResponse::Entries(
+                    merged(&self.base[lo..hi], tree)
+                        .take(limit)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect(),
+                )
             }
             StoreCommand::Update { key, value } => {
-                if let Some(v) = entries.get_mut(key) {
+                let slot = match self.find(key) {
+                    Ok(i) => self.base[i].value.as_mut(),
+                    Err(_) => self.tree.get_mut(key),
+                };
+                if let Some(v) = slot {
                     *v = value.clone();
                     StoreResponse::Ok
                 } else {
@@ -108,11 +169,19 @@ impl KvStore {
                 }
             }
             StoreCommand::Insert { key, value } => {
-                entries.insert(key.clone(), value.clone());
+                self.set(key.clone(), value.clone());
                 StoreResponse::Ok
             }
             StoreCommand::Delete { key } => {
-                if entries.remove(key).is_some() {
+                let removed = match self.find(key) {
+                    Ok(i) => {
+                        let removed = self.base[i].value.take().is_some();
+                        self.base_live -= usize::from(removed);
+                        removed
+                    }
+                    Err(_) => self.tree.remove(key).is_some(),
+                };
+                if removed {
                     StoreResponse::Ok
                 } else {
                     StoreResponse::Miss
@@ -126,10 +195,9 @@ impl KvStore {
 
     /// Serializes the whole tree (checkpointing).
     pub fn snapshot(&self) -> Bytes {
-        let entries = self.tree();
         let mut buf = BytesMut::new();
-        buf.put_u64_le(entries.len() as u64);
-        for (k, v) in entries.iter() {
+        buf.put_u64_le(self.len() as u64);
+        for (k, v) in merged(&self.base, self.tree.iter()) {
             put_bytes(&mut buf, k);
             put_bytes(&mut buf, v);
         }
@@ -140,22 +208,40 @@ impl KvStore {
     /// tail (snapshots are always produced by [`KvStore::snapshot`]).
     /// Entries need not be sorted or distinct — a later one replaces an
     /// earlier one with its key — and a sorted snapshot, which is what
-    /// `snapshot` writes, is installed in O(n).
+    /// `snapshot` writes, is [`load`](KvStore::load)ed at one comparison
+    /// and a push per entry.
     pub fn restore(&mut self, snapshot: &Bytes) {
-        let state = self.state.get_mut();
-        *state = State::default();
-        let _ = read_entries(&mut snapshot.clone(), &mut state.staged);
-        state.settle();
+        *self = Self::default();
+        let _ = self.load_entries(&mut snapshot.clone());
+    }
+
+    /// Loads the snapshot's entries, up to the first that does not
+    /// decode.
+    fn load_entries(&mut self, buf: &mut Bytes) -> Result<(), CodecError> {
+        for _ in 0..get_u64(buf)? {
+            let (key, value) = (get_bytes(buf)?, get_bytes(buf)?);
+            self.load(key, value);
+        }
+        Ok(())
     }
 }
 
-/// Appends the snapshot's entries to `out`, up to the first that does
-/// not decode.
-fn read_entries(buf: &mut Bytes, out: &mut Vec<(Bytes, Bytes)>) -> Result<(), CodecError> {
-    for _ in 0..get_u64(buf)? {
-        out.push((get_bytes(buf)?, get_bytes(buf)?));
-    }
-    Ok(())
+/// The entries of `base` that hold a value and those of `tree`, in key
+/// order; the two share no key.
+fn merged<'a>(
+    base: &'a [Entry],
+    tree: impl Iterator<Item = (&'a Bytes, &'a Bytes)>,
+) -> impl Iterator<Item = (&'a Bytes, &'a Bytes)> {
+    let mut base = base
+        .iter()
+        .filter_map(|e| Some((&e.key, e.value.as_ref()?)))
+        .peekable();
+    let mut tree = tree.peekable();
+    std::iter::from_fn(move || match (base.peek(), tree.peek()) {
+        (Some(b), Some(t)) if t.0 < b.0 => tree.next(),
+        (Some(_), _) => base.next(),
+        (None, _) => tree.next(),
+    })
 }
 
 #[cfg(test)]
@@ -302,8 +388,9 @@ mod tests {
         );
     }
 
-    /// The reference the staged tree is held to: the store as it was
-    /// before bulk loading, every pair inserted into the tree on arrival.
+    /// The reference the store is held to: the store as it was before
+    /// bulk loading, every pair inserted into one tree on arrival, and
+    /// an inverted scan answered empty.
     #[derive(Default)]
     struct Model(BTreeMap<Bytes, Bytes>);
 
@@ -311,6 +398,9 @@ mod tests {
         fn apply(&mut self, cmd: &StoreCommand) -> StoreResponse {
             match cmd {
                 StoreCommand::Read { key } => StoreResponse::Value(self.0.get(key).cloned()),
+                StoreCommand::Scan { from, to, .. } if from > to => {
+                    StoreResponse::Entries(Vec::new())
+                }
                 StoreCommand::Scan { from, to, limit } => StoreResponse::Entries(
                     self.0
                         .range(from.clone()..=to.clone())
@@ -375,9 +465,35 @@ mod tests {
         buf.freeze()
     }
 
-    /// Twelve keys, so that a short sequence repeats some.
+    /// Keys that order the same by their 16-byte prefix and by their
+    /// bytes only if the tie-break is right: longer than 16 bytes with
+    /// the first 16 shared, differing only by trailing zero bytes, and
+    /// empty. Ascending; few enough that a short sequence repeats some.
+    const KEYS: [&[u8]; 20] = [
+        b"",
+        b"\0",
+        b"a",
+        b"a\0",
+        b"a\0\0",
+        b"a\x01",
+        b"k00",
+        b"k01",
+        b"k02",
+        b"k03",
+        b"k04",
+        b"k05",
+        b"sixteen-byte-key",
+        b"sixteen-byte-key\0",
+        b"sixteen-byte-key\0\0",
+        b"sixteen-byte-key0",
+        b"sixteen-byte-key1",
+        b"sixteen-byte-kez",
+        b"user000000000000",
+        b"user000000000001",
+    ];
+
     fn key(x: u64) -> Bytes {
-        Bytes::from(format!("k{:02}", x % 12))
+        Bytes::from_static(KEYS[x as usize % KEYS.len()])
     }
 
     fn value(x: u64) -> Bytes {
@@ -390,11 +506,10 @@ mod tests {
         let (a, b) = (x >> 8, x >> 20);
         match x % 6 {
             0 => StoreCommand::Read { key: key(a) },
-            // Bounds in order: `BTreeMap::range` panics on the others, in
-            // the store as in the model.
+            // Inverted bounds in about half the cases.
             1 => StoreCommand::Scan {
-                from: key(a).min(key(b)),
-                to: key(a).max(key(b)),
+                from: key(a),
+                to: key(b),
                 limit: (x >> 32) as u32 % 4,
             },
             2 => StoreCommand::Update {
@@ -414,14 +529,22 @@ mod tests {
     fn step(kv: &mut KvStore, model: &mut Model, x: u64) {
         let (a, b) = (x >> 8, x >> 20);
         match x % 16 {
-            // Half of all steps load, so stages grow long between reads.
-            0..=5 => {
+            // Half of all steps load.
+            0..=3 => {
                 kv.load(key(a), value(b));
                 model.0.insert(key(a), value(b));
             }
-            // A descending run: the worst order for the build's sort.
+            // An ascending run, which lands in the base wherever it
+            // starts above the base's last key.
+            4 | 5 => {
+                for i in a % 20..a % 20 + b % 12 {
+                    kv.load(key(i), value(b + i));
+                    model.0.insert(key(i), value(b + i));
+                }
+            }
+            // A descending run: every load after the first is out of order.
             6 | 7 => {
-                for i in (0..a % 12).rev() {
+                for i in (0..a % 20).rev() {
                     kv.load(key(i), value(b + i));
                     model.0.insert(key(i), value(b + i));
                 }
@@ -432,11 +555,16 @@ mod tests {
                 assert_eq!(kv.is_empty(), model.0.is_empty());
             }
             13 => assert_eq!(kv.snapshot(), model.snapshot()),
-            // A peer's snapshot: unsorted, keys repeated, and in half
-            // the cases cut short somewhere.
+            // A peer's snapshot: unsorted and with keys repeated, or
+            // sorted as `snapshot` writes it; in half the cases cut short
+            // somewhere.
             _ => {
-                let entries: Vec<(Bytes, Bytes)> =
+                let mut entries: Vec<(Bytes, Bytes)> =
                     (0..a % 9).map(|i| (key(b >> i), value(b + i))).collect();
+                if x & 32 == 0 {
+                    entries.sort_by(|p, q| p.0.cmp(&q.0));
+                    entries.dedup_by(|p, q| p.0 == q.0);
+                }
                 let whole =
                     encode_snapshot(entries.len() as u64, entries.iter().map(|(k, v)| (k, v)));
                 let cut = if x & 16 == 0 {
@@ -453,10 +581,10 @@ mod tests {
 
     proptest::proptest! {
         /// Whatever is loaded, applied, asked and restored, in whatever
-        /// order, the staged tree answers as the insert-on-arrival tree
+        /// order, the base and tree answer as the insert-on-arrival tree
         /// does, down to the snapshot bytes.
         #[test]
-        fn staged_tree_equals_inserting_on_arrival(
+        fn bulk_loaded_store_equals_inserting_on_arrival(
             steps in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..120),
         ) {
             let (mut kv, mut model) = (KvStore::new(), Model::default());
@@ -466,6 +594,53 @@ mod tests {
             assert_eq!(kv.snapshot(), model.snapshot());
             assert_eq!(kv.len(), model.0.len());
         }
+    }
+
+    /// Keys around the 16-byte prefix boundary, loaded in byte order,
+    /// all land in the base, and scans and snapshots return them in
+    /// byte order.
+    #[test]
+    fn the_prefix_orders_keys_as_their_bytes_do() {
+        let keys: [&[u8]; 8] = [
+            b"0123456789abcde",
+            b"0123456789abcde\0",
+            b"0123456789abcdef",
+            b"0123456789abcdef\0",
+            b"0123456789abcdef\x01",
+            b"0123456789abcdef\xff",
+            b"0123456789abcdeg",
+            b"0123456789abcdeg\0",
+        ];
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        let mut kv = KvStore::new();
+        for (i, k) in keys.iter().enumerate() {
+            kv.load(Bytes::from_static(k), Bytes::from(vec![i as u8]));
+        }
+        assert!(kv.tree.is_empty(), "every key landed in the base");
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(
+                kv.apply(&StoreCommand::Read {
+                    key: Bytes::from_static(k)
+                }),
+                StoreResponse::Value(Some(Bytes::from(vec![i as u8])))
+            );
+        }
+        let StoreResponse::Entries(es) = kv.apply(&StoreCommand::Scan {
+            from: Bytes::from_static(keys[1]),
+            to: Bytes::from_static(keys[5]),
+            limit: 0,
+        }) else {
+            panic!("a scan answers entries")
+        };
+        let got: Vec<&[u8]> = es.iter().map(|(k, _)| &k[..]).collect();
+        assert_eq!(got, keys[1..=5]);
+        let mut model = Model::default();
+        for (i, k) in keys.iter().enumerate().rev() {
+            model
+                .0
+                .insert(Bytes::from_static(k), Bytes::from(vec![i as u8]));
+        }
+        assert_eq!(kv.snapshot(), model.snapshot());
     }
 
     #[test]
