@@ -466,7 +466,7 @@ fn preload_row<I, O>(
 }
 
 /// Filling a replica's tree with [`PRELOAD_RECORDS`] ascending
-/// `user…` keys, and making the keys.
+/// `user…` keys, making the keys, and making the records.
 fn bench_preload(reps: u32) -> Vec<NsRow> {
     let first_key = StoreCommand::Read {
         key: Bytes::from(key_for(0).into_bytes()),
@@ -523,6 +523,9 @@ fn bench_preload(reps: u32) -> Vec<NsRow> {
                 }
             },
         ),
+        // Making the records a preload loads: the 16-byte key lives in
+        // its handle, the 100-byte value behind a shared `Arc`.
+        preload_row("make_records", reps, || (), |()| preload_records()),
     ]
 }
 

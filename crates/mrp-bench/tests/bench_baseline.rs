@@ -202,9 +202,10 @@ fn micro_baseline_matches_schema_and_batching_pays() {
             "load_then_read",
             "restore",
             "key_format",
-            "key_for"
+            "key_for",
+            "make_records"
         ],
-        "the two references and what replaced them"
+        "the two references, what replaced them, and making the records"
     );
     for row in preload {
         assert!(row.get("records").and_then(Value::as_u64).unwrap_or(0) > 0);

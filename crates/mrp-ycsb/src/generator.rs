@@ -1,5 +1,13 @@
 //! Key distributions: uniform, zipfian (Gray et al.'s incremental
 //! algorithm, as in YCSB), scrambled zipfian and latest.
+//!
+//! A zipfian chooser sums ζ(n) = Σ 1/iᶿ over its n items at its first
+//! draw, not at construction: a workload built and never drawn from
+//! (a benchmark's set-up) pays nothing for it. Once summed, each
+//! [`KeyChooser::grow`] adds the new item's term, as YCSB does, so a
+//! chooser draws the same keys whenever the sum is made.
+
+use std::cell::OnceCell;
 
 /// A small deterministic PRNG (SplitMix64), self-contained so the crate
 /// has no dependencies.
@@ -41,9 +49,16 @@ impl SmallRng {
 }
 
 const ZIPF_THETA: f64 = 0.99;
+const ZIPF_ALPHA: f64 = 1.0 / (1.0 - ZIPF_THETA);
 
 fn zeta(n: u64, theta: f64) -> f64 {
     (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+}
+
+/// The zipfian selection threshold η for `items` items whose ζ is
+/// `zetan`.
+fn eta(items: u64, zetan: f64) -> f64 {
+    (1.0 - (2.0 / items as f64).powf(1.0 - ZIPF_THETA)) / (1.0 - zeta(2, ZIPF_THETA) / zetan)
 }
 
 const FNV_OFFSET: u64 = 0xCBF29CE484222325;
@@ -71,14 +86,9 @@ pub enum KeyChooser {
     Zipfian {
         /// Item count.
         items: u64,
-        /// ζ(n, θ) for the current n.
-        zetan: f64,
-        /// Precomputed θ-derived constants.
-        alpha: f64,
-        /// Precomputed selection threshold.
-        eta: f64,
-        /// ζ(2, θ).
-        zeta2: f64,
+        /// ζ(n, θ) for the current n and the selection threshold η,
+        /// summed at the first draw.
+        zeta: OnceCell<(f64, f64)>,
     },
     /// Zipfian with hashed (scattered) popular items (YCSB's
     /// `ScrambledZipfianGenerator`).
@@ -102,19 +112,12 @@ impl KeyChooser {
         KeyChooser::Uniform { items }
     }
 
-    /// Zipfian distribution over `items` with θ = 0.99.
+    /// Zipfian distribution over `items` with θ = 0.99; ζ is summed at
+    /// the first draw.
     pub fn zipfian(items: u64) -> Self {
-        let theta = ZIPF_THETA;
-        let zetan = zeta(items, theta);
-        let zeta2 = zeta(2, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         KeyChooser::Zipfian {
             items,
-            zetan,
-            alpha,
-            eta,
-            zeta2,
+            zeta: OnceCell::new(),
         }
     }
 
@@ -147,19 +150,14 @@ impl KeyChooser {
     pub fn grow(&mut self) {
         match self {
             KeyChooser::Uniform { items } => *items += 1,
-            KeyChooser::Zipfian {
-                items,
-                zetan,
-                alpha,
-                eta,
-                zeta2,
-            } => {
-                // Incremental ζ update (YCSB does the same).
+            KeyChooser::Zipfian { items, zeta } => {
                 *items += 1;
-                *zetan += 1.0 / (*items as f64).powf(ZIPF_THETA);
-                *eta =
-                    (1.0 - (2.0 / *items as f64).powf(1.0 - ZIPF_THETA)) / (1.0 - *zeta2 / *zetan);
-                *alpha = 1.0 / (1.0 - ZIPF_THETA);
+                // Incremental ζ update (YCSB does the same) once summed;
+                // before that the first draw sums the grown range.
+                if let Some((zetan, eta_n)) = zeta.get_mut() {
+                    *zetan += 1.0 / (*items as f64).powf(ZIPF_THETA);
+                    *eta_n = eta(*items, *zetan);
+                }
             }
             KeyChooser::Scrambled { inner, items } => {
                 *items += 1;
@@ -173,13 +171,11 @@ impl KeyChooser {
     pub fn next(&self, rng: &mut SmallRng) -> u64 {
         match self {
             KeyChooser::Uniform { items } => rng.below(*items),
-            KeyChooser::Zipfian {
-                items,
-                zetan,
-                alpha,
-                eta,
-                ..
-            } => {
+            KeyChooser::Zipfian { items, zeta: cell } => {
+                let (zetan, eta) = *cell.get_or_init(|| {
+                    let zetan = zeta(*items, ZIPF_THETA);
+                    (zetan, eta(*items, zetan))
+                });
                 let u = rng.f64();
                 let uz = u * zetan;
                 if uz < 1.0 {
@@ -189,7 +185,7 @@ impl KeyChooser {
                     return 1;
                 }
                 let n = *items as f64;
-                ((n * (eta * u - eta + 1.0).powf(*alpha)) as u64).min(items - 1)
+                ((n * (eta * u - eta + 1.0).powf(ZIPF_ALPHA)) as u64).min(items - 1)
             }
             KeyChooser::Scrambled { inner, items } => fnv64(inner.next(rng)) % items,
             KeyChooser::Latest { inner } => {
@@ -279,6 +275,77 @@ mod tests {
             }
         }
         assert!(top as f64 / 5000.0 > 0.5);
+    }
+
+    /// FNV-1a over 10 000 draws from `c`, after `grow_first` grows,
+    /// with a grow after every `grow_every` draws (none if 0).
+    fn digest(c: &mut KeyChooser, seed: u64, grow_first: u32, grow_every: usize) -> u64 {
+        let mut rng = SmallRng::new(seed);
+        for _ in 0..grow_first {
+            c.grow();
+        }
+        let mut h = FNV_OFFSET;
+        for i in 1..=10_000 {
+            h = (h ^ c.next(&mut rng)).wrapping_mul(FNV_PRIME);
+            if grow_every > 0 && i % grow_every == 0 {
+                c.grow();
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn zeta_summed_at_the_first_draw_draws_what_the_eager_sum_drew() {
+        // Recorded when every chooser summed ζ at construction. Per
+        // seed: zipfian drawn at once, grown 5 times before its first
+        // draw, grown after every 100 draws; latest grown likewise.
+        const GOLDEN: [(u64, [u64; 4]); 3] = [
+            (
+                1,
+                [
+                    0x99a3_1bde_a2f6_9e94,
+                    0xaac9_5730_739e_7fcf,
+                    0x863c_fcca_7e67_b5bb,
+                    0xe905_403a_895b_850f,
+                ],
+            ),
+            (
+                7,
+                [
+                    0x5cb9_8c3f_5a8c_f33e,
+                    0x42c0_e786_c497_ab99,
+                    0x9ac6_48b0_aa51_f7b2,
+                    0x35c0_b7b4_f393_a588,
+                ],
+            ),
+            (
+                42,
+                [
+                    0x1fb5_ba02_4eee_fefb,
+                    0x2260_27c1_9337_1158,
+                    0x83a0_7ac0_e6e3_9611,
+                    0xb2a7_5b48_d21d_757d,
+                ],
+            ),
+        ];
+        for (seed, [at_once, grown_first, grown_between, latest]) in GOLDEN {
+            assert_eq!(
+                digest(&mut KeyChooser::zipfian(10_000), seed, 0, 0),
+                at_once
+            );
+            assert_eq!(
+                digest(&mut KeyChooser::zipfian(10_000), seed, 5, 0),
+                grown_first
+            );
+            assert_eq!(
+                digest(&mut KeyChooser::zipfian(10_000), seed, 0, 100),
+                grown_between
+            );
+            assert_eq!(
+                digest(&mut KeyChooser::latest(10_000), seed, 0, 100),
+                latest
+            );
+        }
     }
 
     #[test]
