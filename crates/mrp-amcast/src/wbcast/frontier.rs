@@ -94,11 +94,11 @@
 //! in `rounds`). Trace events: `resync.done` (detail: the promise the
 //! stream re-anchored at) and `resync.truncated` (detail: the gap's end).
 
-use super::wire::{get_id, put_id, WbMessage};
+use super::wire::WbMessage;
 use super::{Key, WbcastNode};
 use crate::engine::Watermark;
 use bytes::{BufMut, Bytes, BytesMut};
-use multiring_paxos::codec::get_u64;
+use multiring_paxos::codec::{get_u64, Wire};
 use multiring_paxos::event::Action;
 use multiring_paxos::types::{GroupId, InstanceId, ProcessId, Time, Value, ValueId};
 use std::collections::BTreeMap;
@@ -457,7 +457,7 @@ impl WbcastNode {
         buf.put_u64_le(self.next_seq);
         buf.put_u64_le(self.delivered_ids.len() as u64);
         for (&id, &ts) in &self.delivered_ids {
-            put_id(&mut buf, id);
+            id.put(&mut buf);
             buf.put_u64_le(ts);
         }
         buf.freeze()
@@ -468,7 +468,7 @@ impl WbcastNode {
         if let (Ok(next_seq), Ok(n)) = (get_u64(buf), get_u64(buf)) {
             self.next_seq = self.next_seq.max(next_seq);
             for _ in 0..n {
-                let (Some(id), Ok(ts)) = (get_id(buf), get_u64(buf)) else {
+                let (Ok(id), Ok(ts)) = (ValueId::get(buf), get_u64(buf)) else {
                     break;
                 };
                 self.delivered_ids.insert(id, ts);

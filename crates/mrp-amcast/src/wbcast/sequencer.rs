@@ -822,7 +822,12 @@ impl WbcastNode {
             return;
         };
         let delta_us = ring.tuning().delta_us;
-        let epoch = self.epochs.get(&group).copied().unwrap_or(0) + 1;
+        let epoch = self
+            .epochs
+            .get(&group)
+            .copied()
+            .unwrap_or(0)
+            .saturating_add(1);
         self.epochs.insert(group, epoch);
         let resume_at = now.plus((delta_us * TAKEOVER_GRACE_DELTAS).max(1));
         let next_ts = self.observed.get(&group).copied().unwrap_or(0);

@@ -1,34 +1,33 @@
 //! The engine's private wire vocabulary: the thirteen [`WbMessage`] frames
-//! carried inside [`Message::Engine`] payloads, their byte layout
-//! (`into_frame` / `parse`), and the two frame classifiers test
-//! harnesses use without depending on that layout.
+//! carried inside [`Message::Engine`] payloads, their byte layout (one
+//! declaration: every frame opens with its tag and the group it
+//! concerns), and the two frame classifiers test harnesses use without
+//! depending on that layout.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use multiring_paxos::codec::{
-    get_seq, get_u16, get_u32, get_u64, get_u8, get_value, put_value, wire_tags,
-};
+use bytes::Bytes;
+use multiring_paxos::codec::{wire_tags, Buf, BufMut, CodecError, Edges, Short, Wire};
 use multiring_paxos::event::Message;
-use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
+use multiring_paxos::types::{GroupId, Value, ValueId};
 
 /// Wire id of this engine inside [`Message::Engine`] frames.
 pub const WBCAST_WIRE_ID: u8 = 1;
 
 wire_tags! {
     /// The byte a [`WbMessage`] payload opens with, one per frame.
-    enum Tag {
-        Submit = 1,
-        Ordered = 2,
-        Heartbeat = 3,
-        ProposeAck = 4,
-        Final = 5,
-        FinalAck = 6,
-        Resync = 7,
-        CkptMark = 8,
-        ResyncDone = 9,
-        OrphanQuery = 10,
-        OrphanState = 11,
-        OrphanFinal = 12,
-        Probe = 13,
+    enum Tag for WbMessage {
+        Submit = 1 { group, groups: Short, value },
+        Ordered = 2 { group, epoch, ts, groups: Short, value },
+        Heartbeat = 3 { group, epoch, ts },
+        ProposeAck = 4 { group, id, ts },
+        Final = 5 { group, id, ts },
+        FinalAck = 6 { group, id, ts },
+        Resync = 7 { group, from_ts },
+        CkptMark = 8 { group, ts },
+        ResyncDone = 9 { group, epoch, ts, gap_to },
+        OrphanQuery = 10 { group, id, attempt },
+        OrphanState = 11 { group, id, attempt, state },
+        OrphanFinal = 12 { group, id, ts },
+        Probe = 13 { group, ts },
     }
 }
 
@@ -173,228 +172,49 @@ pub(super) enum OrphanSt {
     Released(u64),
 }
 
-impl OrphanSt {
-    /// The wire form: a kind byte and a timestamp (zero for `Unknown`).
-    fn to_wire(self) -> (u8, u64) {
-        match self {
-            OrphanSt::Unknown => (0, 0),
+/// A kind byte and a timestamp (zero for `Unknown`).
+impl Wire for OrphanSt {
+    fn put<B: BufMut + ?Sized>(&self, buf: &mut B) {
+        match *self {
+            OrphanSt::Unknown => (0u8, 0u64),
             OrphanSt::Proposed(ts) => (1, ts),
             OrphanSt::Decided(ts) => (2, ts),
             OrphanSt::Released(ts) => (3, ts),
         }
+        .put(buf);
     }
-
-    fn from_wire(kind: u8, ts: u64) -> Option<Self> {
-        Some(match kind {
-            0 => OrphanSt::Unknown,
-            1 => OrphanSt::Proposed(ts),
-            2 => OrphanSt::Decided(ts),
-            3 => OrphanSt::Released(ts),
-            _ => return None,
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, CodecError> {
+        Ok(match <(u8, u64)>::get(buf)? {
+            (0, _) => OrphanSt::Unknown,
+            (1, ts) => OrphanSt::Proposed(ts),
+            (2, ts) => OrphanSt::Decided(ts),
+            (3, ts) => OrphanSt::Released(ts),
+            (kind, _) => return Err(CodecError::BadTag(kind)),
         })
     }
-}
-
-/// Every frame starts with its tag and the group it concerns.
-fn put_head(buf: &mut BytesMut, tag: Tag, group: GroupId) {
-    buf.put_u8(tag as u8);
-    buf.put_u16_le(group.value());
-}
-
-fn put_groups(buf: &mut BytesMut, groups: &[GroupId]) {
-    buf.put_u16_le(groups.len() as u16);
-    for g in groups {
-        buf.put_u16_le(g.value());
+    fn draw(edges: &mut Edges) -> Self {
+        let ts = u64::draw(edges);
+        [
+            OrphanSt::Unknown,
+            OrphanSt::Proposed(ts),
+            OrphanSt::Decided(ts),
+            OrphanSt::Released(ts),
+        ][edges.below(4)]
     }
-}
-
-fn get_groups(buf: &mut Bytes) -> Option<Vec<GroupId>> {
-    let n = get_u16(buf).ok()?;
-    get_seq(n.into(), buf, |buf| Ok(GroupId::new(get_u16(buf)?))).ok()
-}
-
-pub(super) fn put_id(buf: &mut BytesMut, id: ValueId) {
-    buf.put_u32_le(id.proposer.value());
-    buf.put_u64_le(id.seq);
-}
-
-pub(super) fn get_id(buf: &mut Bytes) -> Option<ValueId> {
-    let proposer = ProcessId::new(get_u32(buf).ok()?);
-    Some(ValueId::new(proposer, get_u64(buf).ok()?))
-}
-
-/// The body shared by the four `{group, id, ts}` frames of a round's
-/// timestamp agreement.
-fn put_round_ts(buf: &mut BytesMut, tag: Tag, group: GroupId, id: ValueId, ts: u64) {
-    put_head(buf, tag, group);
-    put_id(buf, id);
-    buf.put_u64_le(ts);
-}
-
-fn get_round_ts(buf: &mut Bytes) -> Option<(ValueId, u64)> {
-    Some((get_id(buf)?, get_u64(buf).ok()?))
 }
 
 impl WbMessage {
     /// Wraps this message into the shared [`Message`] vocabulary.
     pub(super) fn into_frame(self) -> Message {
-        let mut buf = BytesMut::new();
-        let b = &mut buf;
-        match &self {
-            WbMessage::Submit {
-                group,
-                groups,
-                value,
-            } => {
-                put_head(b, Tag::Submit, *group);
-                put_groups(b, groups);
-                put_value(b, value);
-            }
-            WbMessage::ProposeAck { group, id, ts } => {
-                put_round_ts(b, Tag::ProposeAck, *group, *id, *ts);
-            }
-            WbMessage::Final { group, id, ts } => put_round_ts(b, Tag::Final, *group, *id, *ts),
-            WbMessage::FinalAck { group, id, ts } => {
-                put_round_ts(b, Tag::FinalAck, *group, *id, *ts);
-            }
-            WbMessage::OrphanFinal { group, id, ts } => {
-                put_round_ts(b, Tag::OrphanFinal, *group, *id, *ts);
-            }
-            WbMessage::Ordered {
-                group,
-                epoch,
-                ts,
-                groups,
-                value,
-            } => {
-                put_head(b, Tag::Ordered, *group);
-                b.put_u32_le(*epoch);
-                b.put_u64_le(*ts);
-                put_groups(b, groups);
-                put_value(b, value);
-            }
-            WbMessage::Heartbeat { group, epoch, ts } => {
-                put_head(b, Tag::Heartbeat, *group);
-                b.put_u32_le(*epoch);
-                b.put_u64_le(*ts);
-            }
-            WbMessage::Probe { group, ts } => {
-                put_head(b, Tag::Probe, *group);
-                b.put_u64_le(*ts);
-            }
-            WbMessage::Resync { group, from_ts } => {
-                put_head(b, Tag::Resync, *group);
-                b.put_u64_le(*from_ts);
-            }
-            WbMessage::CkptMark { group, ts } => {
-                put_head(b, Tag::CkptMark, *group);
-                b.put_u64_le(*ts);
-            }
-            WbMessage::ResyncDone {
-                group,
-                epoch,
-                ts,
-                gap_to,
-            } => {
-                put_head(b, Tag::ResyncDone, *group);
-                b.put_u32_le(*epoch);
-                b.put_u64_le(*ts);
-                b.put_u64_le(*gap_to);
-            }
-            WbMessage::OrphanQuery { group, id, attempt } => {
-                put_head(b, Tag::OrphanQuery, *group);
-                put_id(b, *id);
-                b.put_u32_le(*attempt);
-            }
-            WbMessage::OrphanState {
-                group,
-                id,
-                attempt,
-                state,
-            } => {
-                put_head(b, Tag::OrphanState, *group);
-                put_id(b, *id);
-                b.put_u32_le(*attempt);
-                let (kind, ts) = state.to_wire();
-                b.put_u8(kind);
-                b.put_u64_le(ts);
-            }
-        }
         Message::Engine {
             engine: WBCAST_WIRE_ID,
-            payload: buf.freeze(),
+            payload: self.to_bytes(),
         }
     }
 
     /// Parses an engine payload; `None` on malformed or foreign frames.
     pub(super) fn parse(mut payload: Bytes) -> Option<WbMessage> {
-        let b = &mut payload;
-        let tag = Tag::from_u8(get_u8(b).ok()?).ok()?;
-        let group = GroupId::new(get_u16(b).ok()?);
-        Some(match tag {
-            Tag::Submit => WbMessage::Submit {
-                group,
-                groups: get_groups(b)?,
-                value: get_value(b).ok()?,
-            },
-            Tag::ProposeAck => {
-                let (id, ts) = get_round_ts(b)?;
-                WbMessage::ProposeAck { group, id, ts }
-            }
-            Tag::Final => {
-                let (id, ts) = get_round_ts(b)?;
-                WbMessage::Final { group, id, ts }
-            }
-            Tag::FinalAck => {
-                let (id, ts) = get_round_ts(b)?;
-                WbMessage::FinalAck { group, id, ts }
-            }
-            Tag::OrphanFinal => {
-                let (id, ts) = get_round_ts(b)?;
-                WbMessage::OrphanFinal { group, id, ts }
-            }
-            Tag::Ordered => WbMessage::Ordered {
-                group,
-                epoch: get_u32(b).ok()?,
-                ts: get_u64(b).ok()?,
-                groups: get_groups(b)?,
-                value: get_value(b).ok()?,
-            },
-            Tag::Heartbeat => WbMessage::Heartbeat {
-                group,
-                epoch: get_u32(b).ok()?,
-                ts: get_u64(b).ok()?,
-            },
-            Tag::Probe => WbMessage::Probe {
-                group,
-                ts: get_u64(b).ok()?,
-            },
-            Tag::Resync => WbMessage::Resync {
-                group,
-                from_ts: get_u64(b).ok()?,
-            },
-            Tag::CkptMark => WbMessage::CkptMark {
-                group,
-                ts: get_u64(b).ok()?,
-            },
-            Tag::ResyncDone => WbMessage::ResyncDone {
-                group,
-                epoch: get_u32(b).ok()?,
-                ts: get_u64(b).ok()?,
-                gap_to: get_u64(b).ok()?,
-            },
-            Tag::OrphanQuery => WbMessage::OrphanQuery {
-                group,
-                id: get_id(b)?,
-                attempt: get_u32(b).ok()?,
-            },
-            Tag::OrphanState => WbMessage::OrphanState {
-                group,
-                id: get_id(b)?,
-                attempt: get_u32(b).ok()?,
-                state: OrphanSt::from_wire(get_u8(b).ok()?, get_u64(b).ok()?)?,
-            },
-        })
+        WbMessage::get(&mut payload).ok()
     }
 }
 
@@ -460,7 +280,7 @@ mod tests {
     use super::*;
     use multiring_paxos::config::{ClusterConfig, RingSpec, Roles};
     use multiring_paxos::event::{Event, StateMachine, TimerKind};
-    use multiring_paxos::types::{Ballot, GroupId, Time};
+    use multiring_paxos::types::{Ballot, GroupId, ProcessId, Time};
     use proptest::prelude::*;
 
     /// One frame per wire tag plus the remaining three [`OrphanSt`]
@@ -572,37 +392,14 @@ mod tests {
         ]
     }
 
-    /// Exhaustive on purpose: a new frame does not compile here until
-    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
-    /// its bytes pinned.
-    fn tag_of(msg: &WbMessage) -> Tag {
-        match msg {
-            WbMessage::Submit { .. } => Tag::Submit,
-            WbMessage::ProposeAck { .. } => Tag::ProposeAck,
-            WbMessage::Final { .. } => Tag::Final,
-            WbMessage::FinalAck { .. } => Tag::FinalAck,
-            WbMessage::Ordered { .. } => Tag::Ordered,
-            WbMessage::Heartbeat { .. } => Tag::Heartbeat,
-            WbMessage::Probe { .. } => Tag::Probe,
-            WbMessage::Resync { .. } => Tag::Resync,
-            WbMessage::CkptMark { .. } => Tag::CkptMark,
-            WbMessage::ResyncDone { .. } => Tag::ResyncDone,
-            WbMessage::OrphanQuery { .. } => Tag::OrphanQuery,
-            WbMessage::OrphanState { .. } => Tag::OrphanState,
-            WbMessage::OrphanFinal { .. } => Tag::OrphanFinal,
-        }
-    }
-
-    /// Every byte the reader takes for a tag opens a pinned encoding of
-    /// the frame it stands for: a tag nobody writes, a frame nobody
-    /// pinned and a frame written under another's tag all end here.
+    /// Every byte the reader takes for a tag opens a pinned encoding: a
+    /// tag nobody writes and a frame nobody pinned end here (and one
+    /// written under another's tag fails its golden).
     #[test]
     fn every_tag_opens_a_golden() {
         for tag in (0..=u8::MAX).filter_map(|byte| Tag::from_u8(byte).ok()) {
             let opens = format!("{:02x}", tag as u8);
-            let pins = |(msg, pinned): &(WbMessage, &str)| {
-                tag_of(msg) == tag && pinned.starts_with(&opens)
-            };
+            let pins = |(_, pinned): &(WbMessage, &str)| pinned.starts_with(&opens);
             assert!(golden().iter().any(pins), "no golden for {tag:?}");
         }
     }
@@ -674,7 +471,8 @@ mod tests {
         let config = b.build().expect("three-group config");
         let mut node = WbcastNode::new(ProcessId::new(0), config);
         node.on_event(Time::ZERO, Event::Start);
-        let id = ValueId::new(ProcessId::new(3), 9);
+        // Small enough for a generated id to name it.
+        let id = ValueId::new(ProcessId::new(3), 3);
         let submit = WbMessage::Submit {
             group: GroupId::new(0),
             groups: vec![GroupId::new(0), GroupId::new(1)],
@@ -717,18 +515,23 @@ mod tests {
             }
         }
 
-        /// The same for well-formed frames with hostile fields: a
-        /// sequence of frames of every kind, their timestamps drawn from
-        /// the edges of `u64`, dispatched into one node so each meets
-        /// the state the previous ones left (a clock pinned at the
-        /// maximum, a proposal decided at zero, …).
+        /// The same for generated frames (see [`Wire::draw`]): a
+        /// sequence of frames of every kind, their fields drawn from the
+        /// edges of their domains or from the ids [`live_node`] holds
+        /// (its groups, its pending round), dispatched into one node so
+        /// each meets the state the previous ones left (a clock pinned at
+        /// the maximum, a proposal decided at zero, …). Each frame
+        /// encodes, decodes back to itself and has the length it claims.
         #[test]
-        fn prop_dispatching_frames_with_extreme_fields_never_panics(
-            draws in proptest::collection::vec(any::<u64>(), 3..150),
-        ) {
+        fn prop_dispatching_frames_with_extreme_fields_never_panics(seed in any::<u64>()) {
             let mut node = live_node();
-            for draw in draws.chunks_exact(3) {
-                dispatch(&mut node, payload_of(hostile_frame(draw[0], draw[1], draw[2])));
+            let mut edges = Edges::new(seed);
+            for _ in 0..FRAMES {
+                let frame = WbMessage::draw(&mut edges);
+                let payload = payload_of(frame.clone());
+                prop_assert_eq!(payload.len(), frame.wire_len());
+                prop_assert_eq!(WbMessage::parse(payload.clone()).as_ref(), Some(&frame));
+                dispatch(&mut node, payload);
             }
             // And a takeover resumes past whatever they made it observe.
             let takeover = Event::CoordinatorChange {
@@ -740,72 +543,6 @@ mod tests {
         }
     }
 
-    /// A timestamp at an edge of the domain three times out of four.
-    fn edge(draw: u64) -> u64 {
-        match draw % 4 {
-            0 => 0,
-            1 => u64::MAX,
-            2 => u64::MAX - 1,
-            _ => (draw >> 2) % 64,
-        }
-    }
-
-    /// A well-formed frame of the kind, group and round `shape` picks,
-    /// carrying timestamps `edge(t1)` / `edge(t2)`. Half the frames
-    /// concern the proposal [`live_node`] holds undecided.
-    fn hostile_frame(shape: u64, t1: u64, t2: u64) -> WbMessage {
-        let group = GroupId::new((shape >> 8) as u16 % 4);
-        let epoch = (shape >> 16) as u32 % 3;
-        let attempt = (shape >> 24) as u32 % 3;
-        let seq = if shape >> 32 & 1 == 0 {
-            9
-        } else {
-            10 + (shape >> 33) % 4
-        };
-        let id = ValueId::new(ProcessId::new(3), seq);
-        let (ts, ts2) = (edge(t1), edge(t2));
-        let value = Value::new(id, group, Bytes::from_static(b"hostile"));
-        let groups = vec![
-            group,
-            GroupId::new(group.value() + (shape >> 40) as u16 % 2),
-        ];
-        match shape % 13 {
-            0 => WbMessage::Submit {
-                group,
-                groups,
-                value,
-            },
-            1 => WbMessage::ProposeAck { group, id, ts },
-            2 => WbMessage::Final { group, id, ts },
-            3 => WbMessage::FinalAck { group, id, ts },
-            4 => WbMessage::Ordered {
-                group,
-                epoch,
-                ts,
-                groups,
-                value,
-            },
-            5 => WbMessage::Heartbeat { group, epoch, ts },
-            6 => WbMessage::Probe { group, ts },
-            7 => WbMessage::Resync { group, from_ts: ts },
-            8 => WbMessage::CkptMark { group, ts },
-            9 => WbMessage::ResyncDone {
-                group,
-                epoch,
-                ts,
-                gap_to: ts2,
-            },
-            10 => WbMessage::OrphanQuery { group, id, attempt },
-            11 => {
-                let state = OrphanSt::from_wire((t2 >> 2) as u8 % 4, ts).expect("kind below 4");
-                WbMessage::OrphanState {
-                    group,
-                    id,
-                    attempt,
-                    state,
-                }
-            }
-            _ => WbMessage::OrphanFinal { group, id, ts },
-        }
-    }
+    /// Frames each case of the generated fuzz dispatches into one node.
+    const FRAMES: usize = 50;
 }

@@ -1,10 +1,8 @@
 //! The MRP-Store command set (Table 1 of the paper) and its wire
 //! encoding.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use multiring_paxos::codec::{
-    counted, get_bytes, get_len, get_seq, get_u32, get_u8, put_bytes, wire_tags, CodecError,
-};
+use bytes::Bytes;
+use multiring_paxos::codec::{wire_tags, Flat, Wire};
 
 /// One store operation (Table 1), plus client-side batches ("clients may
 /// batch small commands, grouped by partition, up to 32 Kbytes").
@@ -65,184 +63,62 @@ pub enum StoreResponse {
 
 wire_tags! {
     /// The byte a [`StoreCommand`] opens with, one per variant.
-    enum CommandTag {
-        Read = 1,
-        Scan = 2,
-        Update = 3,
-        Insert = 4,
-        Delete = 5,
-        Batch = 6,
+    enum CommandTag for StoreCommand {
+        Read = 1 { key },
+        Scan = 2 { from, to, limit },
+        Update = 3 { key, value },
+        Insert = 4 { key, value },
+        Delete = 5 { key },
+        Batch = 6 (commands: Flat<{ CommandTag::Batch as u8 }>),
     }
 }
 
 wire_tags! {
     /// The byte a [`StoreResponse`] opens with: one per variant, two for
     /// the two arms of `Value`.
-    enum ResponseTag {
-        ValueNone = 1,
-        ValueSome = 2,
-        Entries = 3,
+    enum ResponseTag for StoreResponse {
+        ValueNone = 1 => Value(None),
+        ValueSome = 2 => Value(Some(value)),
+        Entries = 3 (entries),
         Ok = 4,
         Miss = 5,
-        Batch = 6,
+        Batch = 6 (responses: Flat<{ ResponseTag::Batch as u8 }>),
     }
 }
 
 impl StoreCommand {
     /// Encodes the command.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    fn encode_into<B: BufMut + ?Sized>(&self, buf: &mut B) {
-        match self {
-            StoreCommand::Read { key } => {
-                buf.put_u8(CommandTag::Read as u8);
-                put_bytes(buf, key);
-            }
-            StoreCommand::Scan { from, to, limit } => {
-                buf.put_u8(CommandTag::Scan as u8);
-                put_bytes(buf, from);
-                put_bytes(buf, to);
-                buf.put_u32_le(*limit);
-            }
-            StoreCommand::Update { key, value } => {
-                buf.put_u8(CommandTag::Update as u8);
-                put_bytes(buf, key);
-                put_bytes(buf, value);
-            }
-            StoreCommand::Insert { key, value } => {
-                buf.put_u8(CommandTag::Insert as u8);
-                put_bytes(buf, key);
-                put_bytes(buf, value);
-            }
-            StoreCommand::Delete { key } => {
-                buf.put_u8(CommandTag::Delete as u8);
-                put_bytes(buf, key);
-            }
-            StoreCommand::Batch(cmds) => {
-                buf.put_u8(CommandTag::Batch as u8);
-                buf.put_u32_le(cmds.len() as u32);
-                for c in cmds {
-                    c.encode_into(buf);
-                }
-            }
-        }
+        self.to_bytes()
     }
 
     /// Size of the encoding (used for the client's 32 KB batch cap).
     pub fn encoded_len(&self) -> usize {
-        counted(|sink| self.encode_into(sink))
+        self.wire_len()
     }
 
     /// Decodes a command; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<StoreCommand> {
-        Self::read(buf).ok()
-    }
-
-    fn read(buf: &mut Bytes) -> Result<StoreCommand, CodecError> {
-        match CommandTag::from_u8(get_u8(buf)?)? {
-            CommandTag::Read => Ok(StoreCommand::Read {
-                key: get_bytes(buf)?,
-            }),
-            CommandTag::Scan => Ok(StoreCommand::Scan {
-                from: get_bytes(buf)?,
-                to: get_bytes(buf)?,
-                limit: get_u32(buf)?,
-            }),
-            CommandTag::Update => Ok(StoreCommand::Update {
-                key: get_bytes(buf)?,
-                value: get_bytes(buf)?,
-            }),
-            CommandTag::Insert => Ok(StoreCommand::Insert {
-                key: get_bytes(buf)?,
-                value: get_bytes(buf)?,
-            }),
-            CommandTag::Delete => Ok(StoreCommand::Delete {
-                key: get_bytes(buf)?,
-            }),
-            CommandTag::Batch => Ok(StoreCommand::Batch(get_seq(get_len(buf)?, buf, |buf| {
-                // Clients batch flat, and refusing a batch inside a
-                // batch bounds this recursion at two frames whatever
-                // the bytes say.
-                if buf.first() == Some(&(CommandTag::Batch as u8)) {
-                    return Err(CodecError::BadTag(CommandTag::Batch as u8));
-                }
-                Self::read(buf)
-            })?)),
-        }
+        Self::get(buf).ok()
     }
 }
 
 impl StoreResponse {
     /// Encodes the response.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    fn encode_into(&self, buf: &mut BytesMut) {
-        match self {
-            StoreResponse::Value(None) => buf.put_u8(ResponseTag::ValueNone as u8),
-            StoreResponse::Value(Some(v)) => {
-                buf.put_u8(ResponseTag::ValueSome as u8);
-                put_bytes(buf, v);
-            }
-            StoreResponse::Entries(entries) => {
-                buf.put_u8(ResponseTag::Entries as u8);
-                buf.put_u32_le(entries.len() as u32);
-                for (k, v) in entries {
-                    put_bytes(buf, k);
-                    put_bytes(buf, v);
-                }
-            }
-            StoreResponse::Ok => buf.put_u8(ResponseTag::Ok as u8),
-            StoreResponse::Miss => buf.put_u8(ResponseTag::Miss as u8),
-            StoreResponse::Batch(rs) => {
-                buf.put_u8(ResponseTag::Batch as u8);
-                buf.put_u32_le(rs.len() as u32);
-                for r in rs {
-                    r.encode_into(buf);
-                }
-            }
-        }
+        self.to_bytes()
     }
 
     /// Decodes a response; `None` on malformed input.
     pub fn decode(buf: &mut Bytes) -> Option<StoreResponse> {
-        Self::read(buf).ok()
-    }
-
-    fn read(buf: &mut Bytes) -> Result<StoreResponse, CodecError> {
-        match ResponseTag::from_u8(get_u8(buf)?)? {
-            ResponseTag::ValueNone => Ok(StoreResponse::Value(None)),
-            ResponseTag::ValueSome => Ok(StoreResponse::Value(Some(get_bytes(buf)?))),
-            ResponseTag::Entries => Ok(StoreResponse::Entries(get_seq(
-                get_len(buf)?,
-                buf,
-                |buf| Ok((get_bytes(buf)?, get_bytes(buf)?)),
-            )?)),
-            ResponseTag::Ok => Ok(StoreResponse::Ok),
-            ResponseTag::Miss => Ok(StoreResponse::Miss),
-            ResponseTag::Batch => Ok(StoreResponse::Batch(get_seq(get_len(buf)?, buf, |buf| {
-                // One response per command of a flat batch: see
-                // `StoreCommand::read`.
-                if buf.first() == Some(&(ResponseTag::Batch as u8)) {
-                    return Err(CodecError::BadTag(ResponseTag::Batch as u8));
-                }
-                Self::read(buf)
-            })?)),
-        }
+        Self::get(buf).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Buf;
+    use bytes::{Buf, BufMut, BytesMut};
     use proptest::prelude::*;
 
     const C_READ: u8 = CommandTag::Read as u8;
@@ -253,48 +129,19 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// Exhaustive on purpose: a new variant does not compile here until
-    /// it names its tag, and then [`every_tag_opens_a_golden`] wants
-    /// its bytes pinned.
-    fn command_tag_of(cmd: &StoreCommand) -> CommandTag {
-        match cmd {
-            StoreCommand::Read { .. } => CommandTag::Read,
-            StoreCommand::Scan { .. } => CommandTag::Scan,
-            StoreCommand::Update { .. } => CommandTag::Update,
-            StoreCommand::Insert { .. } => CommandTag::Insert,
-            StoreCommand::Delete { .. } => CommandTag::Delete,
-            StoreCommand::Batch(_) => CommandTag::Batch,
-        }
-    }
-
-    fn response_tag_of(response: &StoreResponse) -> ResponseTag {
-        match response {
-            StoreResponse::Value(None) => ResponseTag::ValueNone,
-            StoreResponse::Value(Some(_)) => ResponseTag::ValueSome,
-            StoreResponse::Entries(_) => ResponseTag::Entries,
-            StoreResponse::Ok => ResponseTag::Ok,
-            StoreResponse::Miss => ResponseTag::Miss,
-            StoreResponse::Batch(_) => ResponseTag::Batch,
-        }
-    }
-
-    /// Every byte the reader takes for a tag opens a pinned encoding of
-    /// the variant it stands for: a tag nobody writes, a variant nobody
-    /// pinned and a variant written under another's tag all end here.
+    /// Every byte the reader takes for a tag opens a pinned encoding: a
+    /// tag nobody writes and a variant nobody pinned end here (and one
+    /// written under another's tag fails its golden).
     #[test]
     fn every_tag_opens_a_golden() {
         for tag in (0..=u8::MAX).filter_map(|byte| CommandTag::from_u8(byte).ok()) {
             let opens = format!("{:02x}", tag as u8);
-            let pins = |(cmd, pinned): &(StoreCommand, &str)| {
-                command_tag_of(cmd) == tag && pinned.starts_with(&opens)
-            };
+            let pins = |(_, pinned): &(StoreCommand, &str)| pinned.starts_with(&opens);
             assert!(golden_commands().iter().any(pins), "no golden for {tag:?}");
         }
         for tag in (0..=u8::MAX).filter_map(|byte| ResponseTag::from_u8(byte).ok()) {
             let opens = format!("{:02x}", tag as u8);
-            let pins = |(response, pinned): &(StoreResponse, &str)| {
-                response_tag_of(response) == tag && pinned.starts_with(&opens)
-            };
+            let pins = |(_, pinned): &(StoreResponse, &str)| pinned.starts_with(&opens);
             assert!(golden_responses().iter().any(pins), "no golden for {tag:?}");
         }
     }

@@ -94,10 +94,14 @@ impl Merger {
     /// blocked waiting on its current group.
     pub fn poll(&mut self) -> Vec<MergeDelivery> {
         let mut out = Vec::new();
-        while let Some(q) = self.queues.get_mut(self.cursor_group) {
-            let Some(front) = q.ranges.front_mut() else {
-                break;
-            };
+        while let Some(q) = self.queues.get(self.cursor_group) {
+            match q.ranges.front() {
+                None => break,
+                Some((_, count, ConsensusValue::Skip)) if *count > 1 => self.skip_rounds(),
+                Some(_) => {}
+            }
+            let q = &mut self.queues[self.cursor_group];
+            let front = q.ranges.front_mut().expect("checked above");
             let instance = q.next_expected;
             debug_assert_eq!(front.0, instance, "queue contiguity invariant");
             q.next_expected = instance.next();
@@ -125,6 +129,28 @@ impl Merger {
             self.cursor_group = (self.cursor_group + 1) % self.queues.len();
         }
         out
+    }
+
+    /// While every queue opens with a skip range, the walk below only
+    /// takes one slot from each per turn: takes `k` full turns at once,
+    /// `k` one less than the shortest of those ranges, and leaves the
+    /// cursor where it was — the state the walk would reach, in one
+    /// step instead of `k × queues`.
+    fn skip_rounds(&mut self) {
+        let shortest = self.queues.iter().map(|q| match q.ranges.front() {
+            Some((_, count, ConsensusValue::Skip)) => *count,
+            _ => 1,
+        });
+        let k = shortest.min().unwrap_or(1) - 1;
+        if k == 0 {
+            return;
+        }
+        for q in &mut self.queues {
+            let front = q.ranges.front_mut().expect("every queue opens with a skip");
+            front.0 = front.0.plus(u64::from(k));
+            front.1 -= k;
+            q.next_expected = front.0;
+        }
     }
 
     /// The merge position as a checkpoint id: per-group consumed
@@ -254,6 +280,110 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(m.watermarks().mark_of(g(0)), i(2));
         assert_eq!(m.watermarks().mark_of(g(1)), i(2));
+    }
+
+    /// One ~20-byte `Decision` decides `u32::MAX` skipped instances; the
+    /// merge used to walk them one per turn, holding its node for
+    /// minutes (107 s in a debug build).
+    #[test]
+    fn a_skip_of_u32_max_instances_is_consumed_at_once() {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the walk's cost is wall-clock time the test itself spends"
+        )]
+        let started = std::time::Instant::now();
+        for groups in [vec![g(0)], vec![g(0), g(1)]] {
+            let mut m = Merger::new(groups.clone());
+            for &group in &groups {
+                m.push(group, i(1), u32::MAX, ConsensusValue::Skip);
+            }
+            assert!(m.poll().is_empty());
+            for &group in &groups {
+                assert_eq!(m.watermarks().mark_of(group), i(u64::from(u32::MAX)));
+            }
+        }
+        assert!(
+            started.elapsed().as_secs() < 10,
+            "took {:?}",
+            started.elapsed()
+        );
+    }
+
+    fn digest(m: &Merger) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = crate::digest::Fnv1a::new();
+        m.hash(&mut h);
+        h.finish()
+    }
+
+    /// The merge as it was before it took whole turns over skip ranges
+    /// at once: one slot per turn.
+    fn walk(m: &mut Merger) -> Vec<MergeDelivery> {
+        let mut out = Vec::new();
+        while let Some(q) = m.queues.get_mut(m.cursor_group) {
+            let Some(front) = q.ranges.front_mut() else {
+                break;
+            };
+            let instance = q.next_expected;
+            q.next_expected = instance.next();
+            if matches!(front.2, ConsensusValue::Skip) && front.1 > 1 {
+                front.0 = q.next_expected;
+                front.1 -= 1;
+            } else if let Some((_, _, ConsensusValue::Values(values))) = q.ranges.pop_front() {
+                for value in values {
+                    let fresh = m
+                        .delivered_seq
+                        .entry((q.group, value.id.proposer))
+                        .or_default()
+                        .insert(value.id.seq);
+                    if fresh {
+                        out.push(MergeDelivery {
+                            group: q.group,
+                            instance,
+                            value,
+                        });
+                    }
+                }
+            }
+            m.cursor_group = (m.cursor_group + 1) % m.queues.len();
+        }
+        out
+    }
+
+    /// Taking whole turns over skip ranges at once leaves exactly the
+    /// state, hashed as `state_digest` hashes it, and the deliveries of
+    /// the walk, whatever has arrived when the merge is polled.
+    #[test]
+    fn skipping_whole_turns_leaves_the_state_the_walk_leaves() {
+        let streams: [&[(u32, bool)]; 3] = [
+            &[(5, false), (1, true), (7, false), (1, true), (3, false)],
+            &[(3, false), (1, true), (9, false), (2, false)],
+            &[(4, false), (4, false), (1, true), (2, false), (6, false)],
+        ];
+        for poll_after in 0..5 {
+            let groups = vec![g(0), g(1), g(2)];
+            let (mut fast, mut slow) = (Merger::new(groups.clone()), Merger::new(groups));
+            for n in 0..5 {
+                for (k, stream) in streams.iter().enumerate() {
+                    let Some(&(count, values)) = stream.get(n) else {
+                        continue;
+                    };
+                    let group = g(k as u16);
+                    let first = i(1 + stream[..n].iter().map(|&(c, _)| u64::from(c)).sum::<u64>());
+                    let value = if values {
+                        val(k as u16, 1, n as u64)
+                    } else {
+                        ConsensusValue::Skip
+                    };
+                    fast.push(group, first, count, value.clone());
+                    slow.push(group, first, count, value);
+                }
+                if n % (poll_after + 1) == 0 || n == 4 {
+                    assert_eq!(fast.poll(), walk(&mut slow));
+                    assert_eq!(digest(&fast), digest(&slow), "after {n} pushes");
+                }
+            }
+        }
     }
 
     #[test]

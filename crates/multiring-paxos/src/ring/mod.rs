@@ -559,7 +559,8 @@ impl RingState {
         if let Some(a) = self.acceptor.as_mut() {
             match a.on_phase2(ballot, first, count, &value) {
                 Phase2Outcome::Voted => {
-                    votes += 1;
+                    // Saturating: the count arrives from the wire.
+                    votes = votes.saturating_add(1);
                     voted = true;
                 }
                 Phase2Outcome::Rejected { .. } => {}
@@ -917,6 +918,28 @@ mod tests {
         // A report naming this process itself is ignored.
         ring.set_down([p(1), p(2)]);
         assert_eq!(ring.successor(), p(3));
+    }
+
+    /// The vote count arrives from the wire: at its maximum the middle
+    /// acceptor still votes and forwards (it used to overflow).
+    #[test]
+    fn a_phase2_carrying_the_maximum_vote_count_is_voted_and_forwarded() {
+        let mut ring = five(2);
+        let mut fx = Effects::new(0);
+        let phase2 = |votes| Message::Phase2 {
+            ring: GroupId::new(0),
+            ballot: Ballot::new(1, p(1)),
+            first: InstanceId::new(1),
+            count: 1,
+            value: ConsensusValue::Skip,
+            votes,
+        };
+        ring.on_message(Time::ZERO, p(1), phase2(u32::MAX), &mut fx);
+        let forwarded = Action::Send {
+            to: p(3),
+            msg: phase2(u32::MAX),
+        };
+        assert_eq!(fx.actions, [forwarded]);
     }
 
     #[test]

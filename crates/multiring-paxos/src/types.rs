@@ -163,11 +163,12 @@ impl Ballot {
     }
 
     /// The smallest ballot owned by `node` that is strictly greater than
-    /// `self`.
+    /// `self`. At the last round (only a hostile frame names it) the
+    /// round saturates, and the ballot exceeds `self` only by `node`.
     #[must_use]
     pub const fn bump(self, node: ProcessId) -> Self {
         Self {
-            round: self.round + 1,
+            round: self.round.saturating_add(1),
             node,
         }
     }
