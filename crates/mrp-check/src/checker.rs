@@ -28,9 +28,11 @@
 //! [`AbstractAmcast`] transition, and a delivery the spec rejects is a
 //! `refinement` violation — the trace is not a behavior of the paper's
 //! primitive (integrity, exactly-once, agreement and acyclic order in
-//! one check). Two oracles look at what the spec cannot see: white-box
-//! `genuineness` of every frame sent, and `validity` at fault-free
-//! quiescence. With
+//! one check). Three oracles look at what the spec cannot see: white-box
+//! `genuineness` of every frame sent, `validity` at fault-free
+//! quiescence, and `paxos`, the [`PaxosSpec`] over every record an
+//! acceptor writes. A node keeps what it wrote across a crash: its
+//! restart rebuilds from that log. With
 //! [`CheckerConfig::liveness`] set, the checker additionally hunts
 //! *lassos*: a cycle over progress-insensitive world digests in which
 //! some submitted message never delivers, every armed timer fires and
@@ -47,10 +49,11 @@ use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::wbcast::message_carries_value;
 use multiring_paxos::digest::Fnv1a;
-use multiring_paxos::event::{Action, Event, Message, TimerKind};
-use multiring_paxos::host::Host;
+use multiring_paxos::event::{Action, Event, Message, PersistRecord, PersistToken, TimerKind};
+use multiring_paxos::host::{Host, Io};
 use multiring_paxos::types::{ClientId, GroupId, ProcessId, Time, ValueId};
 
+use crate::paxos::PaxosSpec;
 use crate::scenario::Scenario;
 use crate::spec::{request_key, AbstractAmcast, MsgKey};
 
@@ -384,8 +387,8 @@ impl Default for CheckerConfig {
 /// An invariant breach, with the minimized schedule that reproduces it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
-    /// Which oracle fired (`refinement`, `liveness`, `validity`,
-    /// `genuineness`).
+    /// Which oracle fired (`refinement`, `paxos`, `liveness`,
+    /// `validity`, `genuineness`).
     pub oracle: String,
     /// Human-readable description of the breach.
     pub detail: String,
@@ -461,12 +464,34 @@ struct Durable {
 /// An engine behind the host every runtime drives it through.
 type Hosted = Host<Box<dyn AmcastEngine>>;
 
+/// The checker's driver: a `Vec<Action>`, whose every write is durable
+/// on return, that also keeps the records written.
+#[derive(Default)]
+struct Recorder {
+    actions: Vec<Action>,
+    records: Vec<PersistRecord>,
+}
+
+impl Io for Recorder {
+    fn write(&mut self, record: PersistRecord, sync: bool, token: PersistToken) -> bool {
+        self.records.push(record.clone());
+        self.actions.write(record, sync, token)
+    }
+
+    fn emit(&mut self, action: Action) {
+        self.actions.emit(action);
+    }
+}
+
 struct NodeSlot {
     /// The engine and the timers it armed; `None` between a crash and
     /// the matching restart (and while [`World::drive`] holds it).
     host: Option<Hosted>,
     delivered: Vec<(GroupId, ValueId)>,
     durable: Option<Durable>,
+    /// Every record the node wrote, durable on return: what a restart
+    /// rebuilds its acceptors from (a trim does not shorten it).
+    log: Vec<PersistRecord>,
     /// This node's virtual clock (per-node so timer firings at
     /// different nodes commute; engines never compare clocks across
     /// processes).
@@ -489,6 +514,8 @@ struct World<'a> {
     /// The abstract reference machine this path must refine: every
     /// concrete delivery is checked as a spec transition.
     spec: AbstractAmcast,
+    /// The rings' Paxos invariants, judged at every record written.
+    paxos: PaxosSpec,
     /// The message each direct `multicast` submission's value id names
     /// (request-path values carry their name in the payload).
     direct: BTreeMap<ValueId, MsgKey>,
@@ -508,6 +535,7 @@ impl<'a> World<'a> {
             any_fault: false,
             violation: None,
             spec: AbstractAmcast::new(),
+            paxos: PaxosSpec::new(&scenario.config),
             direct: BTreeMap::new(),
         };
         let pids: Vec<ProcessId> = scenario.config.processes().into_iter().collect();
@@ -515,9 +543,10 @@ impl<'a> World<'a> {
             w.nodes.insert(
                 p,
                 NodeSlot {
-                    host: Some(Host::new((scenario.factory)(p, false))),
+                    host: Some(Host::new((scenario.factory)(p, None))),
                     delivered: Vec::new(),
                     durable: None,
+                    log: Vec::new(),
                     now: Time::ZERO,
                     fires: 0,
                     ever_crashed: false,
@@ -587,14 +616,15 @@ impl<'a> World<'a> {
     /// The one way to drive an engine: takes `pid`'s host out of its
     /// slot, lets `call` act on it at the node's clock (with the world
     /// at hand, to record what the call returns), puts it back and
-    /// applies what the host emitted into `call`'s list, which is its
-    /// driver: a `Vec<Action>` keeps no log, so every write is durable on
-    /// return and the host feeds each `PersistDone` back within the
-    /// call. `Err` when `pid` is down.
+    /// applies what the host emitted into `call`'s [`Recorder`], which
+    /// is its driver: every write is durable on return, so the host
+    /// feeds each `PersistDone` back within the call. Each record joins
+    /// the node's log and is judged by the Paxos spec, then each action
+    /// is applied. `Err` when `pid` is down.
     fn drive(
         &mut self,
         pid: ProcessId,
-        call: impl FnOnce(&mut Self, &mut Hosted, Time, &mut Vec<Action>),
+        call: impl FnOnce(&mut Self, &mut Hosted, Time, &mut Recorder),
     ) -> Result<(), String> {
         let slot = self.nodes.get_mut(&pid).ok_or("no such node")?;
         let now = slot.now;
@@ -602,10 +632,20 @@ impl<'a> World<'a> {
             .host
             .take()
             .ok_or_else(|| format!("node {} is down", pid.value()))?;
-        let mut actions = Vec::new();
-        call(self, &mut host, now, &mut actions);
+        let mut out = Recorder::default();
+        call(self, &mut host, now, &mut out);
         self.nodes.get_mut(&pid).expect("slot exists").host = Some(host);
-        for action in actions {
+        for record in out.records {
+            if let Err(detail) = self.paxos.record(pid, &record) {
+                self.violation.get_or_insert(("paxos".into(), detail));
+            }
+            self.nodes
+                .get_mut(&pid)
+                .expect("slot exists")
+                .log
+                .push(record);
+        }
+        for action in out.actions {
             self.apply_one(pid, action);
         }
         Ok(())
@@ -803,7 +843,7 @@ impl<'a> World<'a> {
                 if slot.host.is_some() {
                     return Err(format!("node {} is not crashed", node.value()));
                 }
-                let mut engine = (self.scenario.factory)(node, true);
+                let mut engine = (self.scenario.factory)(node, Some(&slot.log));
                 match &slot.durable {
                     Some(d) => {
                         engine.install_checkpoint(&d.watermark, &d.state);
@@ -972,6 +1012,9 @@ impl<'a> World<'a> {
             timers.collect::<Vec<_>>().hash(&mut h);
             slot.delivered.hash(&mut h);
             slot.durable.hash(&mut h);
+            if !liveness {
+                slot.log.hash(&mut h);
+            }
         }
         let busy: Vec<_> = self
             .channels

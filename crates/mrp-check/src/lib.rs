@@ -23,6 +23,12 @@
 //!   every armed timer fired and every in-flight frame was delivered —
 //!   a fair non-progress loop, minimized and replayable like any
 //!   safety counterexample.
+//! * [`paxos`] — [`PaxosSpec`], the rings' Paxos invariants beneath
+//!   it: every promise, vote and decision record an acceptor writes is
+//!   judged as it is written (promises never fall, no vote below a
+//!   promise, one chosen value per instance, decisions only over chosen
+//!   instances), in the checker after every step and in the simulator's
+//!   `Cluster::check_history`.
 //! * [`spec`] — [`AbstractAmcast`], atomic multicast as the paper
 //!   specifies it, as an executable data structure. During exploration
 //!   every concrete delivery is mapped to the spec's single `deliver`
@@ -62,6 +68,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod checker;
+pub mod paxos;
 pub mod scenario;
 pub mod spec;
 pub mod toy;
@@ -70,5 +77,6 @@ pub use checker::{
     check, replay_schedule, Checker, CheckerConfig, Choice, FaultBudget, ReplayOutcome, Report,
     Schedule, Violation,
 };
+pub use paxos::PaxosSpec;
 pub use scenario::{Scenario, Submission};
 pub use spec::{request_key, AbstractAmcast, MsgKey};

@@ -8,13 +8,16 @@
 //! start-up exchange has settled. The constructors here cover the
 //! deployments the regression schedules and the CI smoke run against.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::{BatchConfig, EngineKind, WbcastNode};
+use mrp_storage::NodeStorage;
 use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
+use multiring_paxos::event::PersistRecord;
+use multiring_paxos::paxos::AcceptorRecovery;
 use multiring_paxos::types::{GroupId, ProcessId, Time};
 
 /// One value multicast into the system after start-up.
@@ -38,10 +41,10 @@ pub struct Scenario {
     pub name: String,
     /// The cluster layout all engines share.
     pub config: ClusterConfig,
-    /// Builds the engine for a process; the `bool` is `true` when the
-    /// process is restarting after a crash (recovery path). Must be
-    /// deterministic — the checker rebuilds worlds constantly.
-    pub factory: Box<dyn Fn(ProcessId, bool) -> Box<dyn AmcastEngine>>,
+    /// Builds the engine for a process: fresh with `None`, and with the
+    /// records it wrote when it restarts after a crash (recovery path).
+    /// Must be deterministic — the checker rebuilds worlds constantly.
+    pub factory: Factory,
     /// Values to multicast once start-up has quiesced.
     pub submissions: Vec<Submission>,
     /// When set, the genuineness oracle rejects any value-bearing frame
@@ -95,16 +98,21 @@ fn shared_two_group_config() -> ClusterConfig {
     b.build().expect("static scenario config is valid")
 }
 
-fn boxed_factory(
-    kind: EngineKind,
-    config: ClusterConfig,
-    budgets: BatchConfig,
-) -> Box<dyn Fn(ProcessId, bool) -> Box<dyn AmcastEngine>> {
-    Box::new(move |p, recovering| {
-        let mut engine = if recovering {
-            kind.build_recovering(p, config.clone(), std::collections::BTreeMap::new())
-        } else {
-            kind.build(p, config.clone())
+/// A [`Scenario`]'s engine factory.
+pub type Factory = Box<dyn Fn(ProcessId, Option<&[PersistRecord]>) -> Box<dyn AmcastEngine>>;
+
+/// The acceptor state `log` leaves behind, per ring.
+fn acceptor_logs(log: &[PersistRecord]) -> BTreeMap<GroupId, AcceptorRecovery> {
+    let mut storage = NodeStorage::new();
+    log.iter().for_each(|record| storage.apply(record));
+    storage.acceptor_recovery()
+}
+
+fn boxed_factory(kind: EngineKind, config: ClusterConfig, budgets: BatchConfig) -> Factory {
+    Box::new(move |p, log| {
+        let mut engine = match log {
+            Some(log) => kind.build_recovering(p, config.clone(), acceptor_logs(log)),
+            None => kind.build(p, config.clone()),
         };
         let _ = engine.set_batching(Time::ZERO, budgets);
         Box::new(engine)
@@ -291,11 +299,10 @@ impl Scenario {
             // lose two of them.
             factory: {
                 let config = config.clone();
-                Box::new(move |p, recovering| {
-                    Box::new(if recovering {
-                        WbcastNode::recovering(p, config.clone())
-                    } else {
-                        WbcastNode::new(p, config.clone())
+                Box::new(move |p, log| {
+                    Box::new(match log {
+                        Some(_) => WbcastNode::recovering(p, config.clone()),
+                        None => WbcastNode::new(p, config.clone()),
                     })
                 })
             },

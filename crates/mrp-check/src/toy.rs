@@ -295,7 +295,7 @@ pub fn toy_scenario(count: u64, buggy: bool) -> Scenario {
         } else {
             "toy".into()
         },
-        factory: Box::new(move |p, _recovering| {
+        factory: Box::new(move |p, _log| {
             if buggy {
                 Box::new(ToyEngine::buggy(p, &factory_config))
             } else {
@@ -327,7 +327,7 @@ fn toy_sabotage_scenario(
     let factory_config = config.clone();
     Scenario {
         name: name.into(),
-        factory: Box::new(move |p, _recovering| Box::new(build(p, &factory_config))),
+        factory: Box::new(move |p, _log| Box::new(build(p, &factory_config))),
         config,
         submissions,
         value_frame_allowed: None,

@@ -58,7 +58,7 @@ fn an_idle_backfill_moves_a_counter_and_not_the_ring_digest() {
     let scenario = Scenario::mixed(EngineKind::MultiRing);
     let now = Time::ZERO.plus(1_000);
     for p in scenario.config.processes() {
-        let mut engine = (scenario.factory)(p, false);
+        let mut engine = (scenario.factory)(p, None);
         engine.on_event(Time::ZERO, Event::Start);
         let before = (
             engine.telemetry().counters["backfill_rounds"],

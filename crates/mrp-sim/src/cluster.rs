@@ -382,12 +382,14 @@ impl Cluster {
     /// destinations, once per process (a restart starts the process's
     /// deliveries afresh), in an order acyclic across all processes.
     /// Only deliveries that reach the cluster are judged: an
-    /// [`EngineReplica`] hands its own to the application.
+    /// [`EngineReplica`] hands its own to the application. Before the
+    /// deliveries, every acceptor record written is judged, in write
+    /// order, by [`PaxosSpec`](mrp_check::PaxosSpec).
     ///
     /// # Errors
     ///
-    /// The first delivery that breaks the specification, with the
-    /// property it breaks; or no protocol configuration to resolve
+    /// The first record or delivery that breaks the specification, with
+    /// the property it breaks; or no protocol configuration to resolve
     /// groups with.
     pub fn check_history(&self) -> Result<(), String> {
         let config = self
@@ -579,6 +581,7 @@ impl Cluster {
                 self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
             }
             Op::Record(record, sync, token) => {
+                self.history.write(p, &record);
                 let disk = match &record {
                     PersistRecord::Promise { ring, .. }
                     | PersistRecord::Vote { ring, .. }

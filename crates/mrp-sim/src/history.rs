@@ -5,12 +5,15 @@
 //! it through [`AbstractAmcast`], the executable specification the model
 //! checker judges engines by, so a simulated run is held to integrity,
 //! genuineness, exactly-once and acyclic order as an explored trace is.
+//! Beneath it, every promise, vote and decision record an acceptor wrote
+//! is replayed, in the order written, through [`PaxosSpec`].
 //!
 //! Recording draws no randomness and schedules no event: it cannot
 //! change what a seeded run does.
 
-use mrp_check::{request_key, AbstractAmcast, MsgKey};
+use mrp_check::{request_key, AbstractAmcast, MsgKey, PaxosSpec};
 use multiring_paxos::config::ClusterConfig;
+use multiring_paxos::event::PersistRecord;
 use multiring_paxos::types::{GroupId, ProcessId, Value, ValueId};
 use std::collections::BTreeMap;
 
@@ -36,6 +39,8 @@ pub(crate) struct History {
     /// the same name keeps its first γ.
     requests: BTreeMap<MsgKey, Vec<GroupId>>,
     entries: Vec<Entry>,
+    /// Each acceptor record as it was written, with its writer.
+    written: Vec<(ProcessId, PersistRecord)>,
 }
 
 impl History {
@@ -47,6 +52,13 @@ impl History {
         let key = request_key(value);
         let id = value.id;
         self.entries.push(Entry::Delivered { p, group, id, key });
+    }
+
+    /// `p` wrote `record`; a replica's checkpoint is not kept.
+    pub(crate) fn write(&mut self, p: ProcessId, record: &PersistRecord) {
+        if !matches!(record, PersistRecord::Checkpoint { .. }) {
+            self.written.push((p, record.clone()));
+        }
     }
 
     pub(crate) fn restart(&mut self, p: ProcessId) {
@@ -63,9 +75,14 @@ impl History {
         })
     }
 
-    /// Replays the history through the specification; the destinations
-    /// of a request are the subscribers of its groups under `config`.
+    /// Replays the written records through the Paxos invariants, then
+    /// the deliveries through the specification; the destinations of a
+    /// request are the subscribers of its groups under `config`.
     pub(crate) fn check(&self, config: &ClusterConfig) -> Result<(), String> {
+        let mut paxos = PaxosSpec::new(config);
+        for (p, record) in &self.written {
+            paxos.record(*p, record)?;
+        }
         let mut spec = AbstractAmcast::new();
         for (&key, groups) in &self.requests {
             let dests = groups.iter().flat_map(|&g| config.subscribers_of(g));
