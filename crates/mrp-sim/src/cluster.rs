@@ -1261,6 +1261,53 @@ mod tests {
         assert_eq!(cluster.check_history(), Ok(()));
     }
 
+    /// The virtual time from killing a ring's coordinator, after
+    /// `log_s` seconds of rate-levelled skips (λ = 9 000/s, nothing
+    /// trimmed), to the first delivery of a request submitted at its
+    /// successor the moment the election names it.
+    fn failover_outage_us(log_s: u64) -> u64 {
+        let config = single_ring(3, RingTuning::default());
+        let election_timeout_us = 50_000;
+        let sim = SimConfig {
+            seed: 5,
+            election_timeout_us,
+        };
+        let mut cluster = Cluster::new(sim, Topology::lan(4));
+        cluster.set_protocol(config.clone());
+        for i in 0..3 {
+            let p = ProcessId::new(i);
+            cluster.add_actor(p, Box::new(Host::new(Node::new(p, config.clone()))));
+            cluster.set_cpu(p, CpuModel::new(60, 2));
+        }
+        cluster.start();
+        let crash = Time::from_secs(log_s);
+        cluster.schedule_crash(crash, ProcessId::new(0));
+        let elected = crash.plus(election_timeout_us);
+        cluster.run_until(elected);
+        assert_eq!(cluster.metrics().counter("elections"), 1);
+        cluster.add_actor(ProcessId::new(100), pulse(1, 1, vec![GroupId::new(0)], 1));
+        let mut t = elected;
+        while cluster.metrics().counter("delivered_values") == 0 {
+            assert!(t < crash.plus(30_000_000), "nothing delivered");
+            t = t.plus(100);
+            cluster.run_until(t);
+        }
+        assert_eq!(cluster.check_history(), Ok(()));
+        t.since(crash)
+    }
+
+    /// Fail-over costs what Phase 1 covers. The new coordinator asks
+    /// only for what lies above the decided watermark, so a log five
+    /// times longer leaves the outage where it was.
+    #[test]
+    fn failover_outage_does_not_grow_with_the_untrimmed_log() {
+        let (short, long) = (failover_outage_us(1), failover_outage_us(5));
+        assert!(
+            long.abs_diff(short) * 10 <= short,
+            "outage after 1 s: {short} µs; after 5 s: {long} µs"
+        );
+    }
+
     #[test]
     fn crashed_process_recovers_and_catches_up() {
         let mut cluster = build(5);

@@ -13,7 +13,8 @@
 //! length (the writer run over a sink that only counts) and
 //! [`Wire::draw`], a generator of frames for fuzzing whose fields lean
 //! to the edges of their domains (the few the reader refuses — an empty
-//! range, a batch inside a batch — a fuzz skips).
+//! range, a batch inside a batch, a checkpoint mark at the last
+//! instance — a fuzz skips).
 //!
 //! ## `Wire` primitives
 //!
@@ -27,11 +28,11 @@
 //! | [`ValueId`] | proposer, sequence |
 //! | [`Value`] | id, group, payload |
 //! | [`ConsensusValue`] | `0` (skip) or `1` and its values |
-//! | [`CheckpointId`] | its marks |
+//! | [`CheckpointId`] | its marks, each with a successor |
 //! | [`Bytes`] | `u32` length + bytes ([`get_len`]'s 1 GiB bound) |
 //! | `Vec<T>` | `u32` count + items ([`get_seq`]'s clamp) |
 //! | `Option<T>` | a presence byte, then the value |
-//! | `(A, B)`, `(A, B, C)` | the items in order |
+//! | `(A, B)`, `(A, B, C)`, `(A, B, C, D)` | the items in order |
 //!
 //! A field written another way names a [`Via`] after its name:
 //! [`Short`] (a `u16` count) or [`Flat`] (a batch that refuses a batch
@@ -388,7 +389,8 @@ wire_tags! {
     enum Tag for Message {
         Forward = 1 { ring, hops, values },
         Phase1A = 2 { ring, ballot, from },
-        Phase1B = 3 { ring, ballot, from, trimmed, accepted },
+        Phase1B = 3 { ring, ballot, from, decided, accepted }
+            where accepted.iter().try_for_each(|(first, count, _, _)| range(first, count)),
         Phase2 = 4 { ring, ballot, first, count, votes, value } where range(first, count),
         Decision = 5 { ring, first, count, hops, value } where range(first, count),
         Retransmit = 6 { ring, from, to },
@@ -434,6 +436,16 @@ fn range(first: &InstanceId, count: &u32) -> Result<(), CodecError> {
     match first.value().checked_add(u64::from(*count)) {
         Some(_) if *count > 0 => Ok(()),
         _ => Err(CodecError::BadLength(u64::from(*count))),
+    }
+}
+
+/// The one place a checkpoint mark from the wire or the WAL is checked:
+/// the instance after it exists, so installing the checkpoint (which
+/// resumes at `mark.next()`) does not overflow.
+fn mark(mark: &InstanceId) -> Result<(), CodecError> {
+    match mark.value().checked_add(1) {
+        Some(_) => Ok(()),
+        None => Err(CodecError::BadLength(mark.value())),
     }
 }
 
@@ -550,7 +562,22 @@ macro_rules! fields {
 fields! {
     ValueId { proposer, seq };
     Value { id, group, payload };
-    CheckpointId { marks };
+}
+
+impl Wire for CheckpointId {
+    fn put<B: BufMut + ?Sized>(&self, buf: &mut B) {
+        self.marks.put(buf);
+    }
+    fn get<B: Buf>(buf: &mut B) -> Result<Self, CodecError> {
+        let marks: Vec<(GroupId, InstanceId)> = Wire::get(buf)?;
+        marks.iter().try_for_each(|(_, m)| mark(m))?;
+        Ok(CheckpointId { marks })
+    }
+    fn draw(edges: &mut Edges) -> Self {
+        CheckpointId {
+            marks: Wire::draw(edges),
+        }
+    }
 }
 
 impl Wire for Ballot {
@@ -637,6 +664,7 @@ macro_rules! tuple {
 
 tuple!(T0 0, T1 1);
 tuple!(T0 0, T1 1, T2 2);
+tuple!(T0 0, T1 1, T2 2, T3 3);
 
 // ---- readers for the formats built by hand ----------------------------
 
@@ -813,21 +841,23 @@ mod tests {
                     ring: GroupId::new(1),
                     ballot: Ballot::new(4, ProcessId::new(2)),
                     from: InstanceId::new(5),
+                    decided: InstanceId::new(2),
                     accepted: vec![
                         (
                             InstanceId::new(6),
+                            1,
                             Ballot::new(3, ProcessId::new(1)),
                             cv.clone(),
                         ),
                         (
                             InstanceId::new(7),
+                            4,
                             Ballot::new(3, ProcessId::new(1)),
                             ConsensusValue::Skip,
                         ),
                     ],
-                    trimmed: InstanceId::new(2),
                 },
-                "03010004000000020000000500000000000000020000000000000002000000060000000000000003000000010000000101000000030000004d00000000000000020004000000010203040700000000000000030000000100000000",
+                "0301000400000002000000050000000000000002000000000000000200000006000000000000000100000003000000010000000101000000030000004d0000000000000002000400000001020304070000000000000004000000030000000100000000",
             ),
             (
                 Message::Phase2 {
@@ -1104,6 +1134,45 @@ mod tests {
             assert_eq!(back, msg);
             assert_eq!(frozen.remaining(), 0, "trailing bytes for {msg:?}");
         }
+    }
+
+    /// A checkpoint mark at the last instance has no successor for the
+    /// merge to resume at (installing it panicked `Merger::install`):
+    /// the frame and the record that carry one are refused, and the
+    /// mark below it still decodes.
+    #[test]
+    fn a_checkpoint_mark_without_a_successor_is_refused() {
+        let id = |mark| CheckpointId {
+            marks: vec![
+                (GroupId::new(0), InstanceId::new(1)),
+                (GroupId::new(1), mark),
+            ],
+        };
+        let frame = |mark| Message::CheckpointData {
+            seq: 1,
+            id: id(mark),
+            snapshot: Some(Bytes::new()),
+        };
+        let record = |mark| PersistRecord::Checkpoint {
+            id: id(mark),
+            snapshot: Bytes::new(),
+        };
+        let last = InstanceId::new(u64::MAX);
+        let refused = CodecError::BadLength(u64::MAX);
+        assert_eq!(
+            decode(&mut encode_to_bytes(&frame(last))),
+            Err(refused.clone())
+        );
+        assert_eq!(decode_record(&mut record(last).to_bytes()), Err(refused));
+        let below = InstanceId::new(u64::MAX - 1);
+        assert_eq!(
+            decode(&mut encode_to_bytes(&frame(below))),
+            Ok(frame(below))
+        );
+        assert_eq!(
+            decode_record(&mut record(below).to_bytes()),
+            Ok(record(below))
+        );
     }
 
     #[test]

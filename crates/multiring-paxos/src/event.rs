@@ -46,22 +46,25 @@ pub enum Message {
         /// First instance covered by the promise.
         from: InstanceId,
     },
-    /// Phase 1B: an acceptor's promise, carrying every value it has
-    /// accepted at or after `from` so the coordinator can re-propose them.
+    /// Phase 1B: an acceptor's answer to a [`Message::Phase1A`], sent
+    /// back to the coordinator that asked: its promise, with every range
+    /// it voted above its decided watermark, or the ballot it promised
+    /// instead.
     Phase1B {
         /// Ring.
         ring: GroupId,
-        /// The promised ballot (echo of the Phase 1A ballot).
+        /// The promised ballot: the Phase 1A's, or a higher one already
+        /// promised, which refuses it.
         ballot: Ballot,
-        /// First instance covered.
+        /// The Phase 1A's first instance.
         from: InstanceId,
-        /// Accepted values at or after `from`: `(instance, ballot,
-        /// value)` triples.
-        accepted: Vec<(InstanceId, Ballot, ConsensusValue)>,
-        /// The acceptor's trim watermark: instances at or below it were
-        /// deleted, so the new coordinator must allocate instances above
-        /// it.
-        trimmed: InstanceId,
+        /// The acceptor's decided watermark: every instance at or below
+        /// it is decided (or trimmed). Its votes there are left out, so
+        /// the coordinator proposes nothing at or below it.
+        decided: InstanceId,
+        /// Ranges voted above `decided` and at or after `from`, clipped
+        /// to them: `(first, count, ballot, value)`.
+        accepted: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
     },
     /// Combined Phase 2A/2B message circulating from the coordinator to
     /// the last acceptor, accumulating votes.

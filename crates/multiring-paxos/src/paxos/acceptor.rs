@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 /// A contiguous range of instances sharing one consensus value (client
 /// values always span one instance; rate-leveling skips may span many).
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Hash, Debug)]
 pub struct InstanceRange {
     /// First instance of the range.
     pub first: InstanceId,
@@ -30,11 +30,14 @@ impl InstanceRange {
 /// Outcome of processing a Phase 1A message.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Phase1Outcome {
-    /// The acceptor promises the ballot; reply with a Phase 1B carrying
-    /// the accepted values at or after the requested instance.
+    /// The acceptor promises the ballot; reply with a Phase 1B.
     Promised {
-        /// Accepted `(instance, ballot, value)` triples to report.
-        accepted: Vec<(InstanceId, Ballot, ConsensusValue)>,
+        /// Accepted `(first, count, ballot, value)` ranges above the
+        /// decided watermark, clipped to start no earlier than the
+        /// requested instance.
+        accepted: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
+        /// The decided watermark: see [`Acceptor::decided`].
+        decided: InstanceId,
     },
     /// The ballot is stale; the acceptor stays on `promised`.
     Rejected {
@@ -98,16 +101,15 @@ impl Acceptor {
 
     /// Rebuilds an acceptor from the state recovered from its stable log.
     pub fn recover(ring: GroupId, rec: AcceptorRecovery) -> Self {
-        let mut a = Self::new(ring);
-        a.promised = rec.promised;
-        for (first, count, ballot, value) in rec.accepted {
-            a.accepted.insert(first, (count, ballot, value));
+        let accepted = rec.accepted.into_iter();
+        let decided = rec.decided.into_iter();
+        Self {
+            ring,
+            promised: rec.promised,
+            accepted: accepted.map(|(f, c, b, v)| (f, (c, b, v))).collect(),
+            decided: decided.map(|(f, c, v)| (f, (c, v))).collect(),
+            trimmed: rec.trimmed,
         }
-        for (first, count, value) in rec.decided {
-            a.decided.insert(first, (count, value));
-        }
-        a.trimmed = rec.trimmed;
-        a
     }
 
     /// The ring this acceptor serves.
@@ -120,13 +122,23 @@ impl Acceptor {
         self.promised
     }
 
-    /// The trim watermark: instances at or below it have been deleted.
-    pub fn trimmed(&self) -> InstanceId {
-        self.trimmed
+    /// The decided watermark: every instance at or below it is decided
+    /// here, or trimmed (which only a decided instance is).
+    pub fn decided(&self) -> InstanceId {
+        let mut upto = self.trimmed;
+        for (&first, &(count, _)) in &self.decided {
+            if first > upto.next() {
+                break;
+            }
+            upto = upto.max(first.plus(u64::from(count) - 1));
+        }
+        upto
     }
 
     /// Handles Phase 1A: promise `ballot` for all instances at or after
-    /// `from` if it is not stale.
+    /// `from` if it is not stale, reporting the ranges voted there. Votes
+    /// at or below the decided watermark stay hidden: those instances
+    /// are decided.
     pub fn on_phase1a(&mut self, ballot: Ballot, from: InstanceId) -> Phase1Outcome {
         if ballot < self.promised {
             return Phase1Outcome::Rejected {
@@ -134,18 +146,17 @@ impl Acceptor {
             };
         }
         self.promised = ballot;
-        let accepted = self
-            .accepted
-            .iter()
-            .filter(|&(&first, &(count, _, _))| first.plus(u64::from(count) - 1) >= from)
-            .flat_map(|(&first, &(count, b, ref v))| {
-                // Report per instance so the coordinator can re-propose
-                // exactly the instances that need it.
-                (0..u64::from(count)).map(move |k| (first.plus(k), b, v.clone()))
+        let decided = self.decided();
+        let start = from.max(decided.next());
+        let accepted = (self.accepted.iter())
+            .filter_map(|(&first, &(count, b, ref v))| {
+                let last = first.plus(u64::from(count) - 1);
+                let first = first.max(start);
+                let count = (last.value() + 1).checked_sub(first.value())?;
+                (count > 0).then(|| (first, count as u32, b, v.clone()))
             })
-            .filter(|&(i, _, _)| i >= from)
             .collect();
-        Phase1Outcome::Promised { accepted }
+        Phase1Outcome::Promised { accepted, decided }
     }
 
     /// Handles Phase 2A/2B: vote for `value` over `[first, first+count)`
@@ -209,28 +220,14 @@ impl Acceptor {
         from: InstanceId,
         to: InstanceId,
     ) -> (Vec<(InstanceId, u32, ConsensusValue)>, InstanceId) {
-        let mut out = Vec::new();
         // Start from the last range beginning at or before `from` (it may
         // straddle), then walk forward.
-        let start = self
-            .decided
-            .range(..=from)
-            .next_back()
-            .map_or(from, |(&f, _)| f);
-        for (&first, &(count, ref value)) in self.decided.range(start..) {
-            if first > to {
-                break;
-            }
-            let r = InstanceRange {
-                first,
-                count,
-                value: value.clone(),
-            };
-            if r.last() < from {
-                continue;
-            }
-            out.push((first, count, value.clone()));
-        }
+        let start = (self.decided.range(..=from).next_back()).map_or(from, |(&f, _)| f);
+        let out = (self.decided.range(start..))
+            .take_while(|&(&first, _)| first <= to)
+            .filter(|&(&first, &(count, _))| first.plus(u64::from(count) - 1) >= from)
+            .map(|(&first, &(count, ref value))| (first, count, value.clone()))
+            .collect();
         (out, self.trimmed)
     }
 
@@ -304,14 +301,47 @@ mod tests {
         a.on_phase2(b(1), i(1), 1, &val(1));
         a.on_phase2(b(1), i(2), 3, &ConsensusValue::Skip);
         a.on_phase2(b(1), i(5), 1, &val(5));
-        match a.on_phase1a(b(2), i(3)) {
-            Phase1Outcome::Promised { accepted } => {
-                let insts: Vec<u64> = accepted.iter().map(|&(x, _, _)| x.value()).collect();
-                // Skip range 2..=4 contributes instances 3 and 4 only.
-                assert_eq!(insts, vec![3, 4, 5]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let Phase1Outcome::Promised { accepted, decided } = a.on_phase1a(b(2), i(3)) else {
+            panic!("promised");
+        };
+        // The skip range 2..=4 is clipped to 3..=4.
+        let ranges: Vec<(u64, u32)> = accepted.iter().map(|r| (r.0.value(), r.1)).collect();
+        assert_eq!(ranges, vec![(3, 2), (5, 1)]);
+        assert_eq!(decided, InstanceId::ZERO);
+    }
+
+    /// Votes at or below the contiguous decided watermark are not
+    /// reported; a decision past a hole does not raise it.
+    #[test]
+    fn phase1b_hides_votes_at_or_below_the_decided_watermark() {
+        let mut a = Acceptor::new(GroupId::new(0));
+        a.on_phase2(b(1), i(1), 4, &ConsensusValue::Skip);
+        a.on_phase2(b(1), i(5), 1, &val(5));
+        a.on_phase2(b(1), i(7), 1, &val(7));
+        a.on_decision(i(1), 2, ConsensusValue::Skip);
+        a.on_decision(i(7), 1, val(7));
+        let Phase1Outcome::Promised { accepted, decided } = a.on_phase1a(b(2), i(1)) else {
+            panic!("promised");
+        };
+        assert_eq!(decided, i(2));
+        let ranges: Vec<(u64, u32)> = accepted.iter().map(|r| (r.0.value(), r.1)).collect();
+        assert_eq!(ranges, vec![(3, 2), (5, 1), (7, 1)]);
+        a.on_decision(i(3), 2, ConsensusValue::Skip);
+        a.on_decision(i(5), 1, val(5));
+        assert_eq!(a.decided(), i(5), "6 is voted, not decided");
+    }
+
+    /// One voted skip of 2²² instances is one range in the answer to a
+    /// higher Phase 1A, however many instances it covers (it was one
+    /// entry per instance, 4 194 304 of them).
+    #[test]
+    fn a_long_voted_skip_is_reported_as_one_range() {
+        let mut a = Acceptor::new(GroupId::new(0));
+        a.on_phase2(b(1), i(1), 1 << 22, &ConsensusValue::Skip);
+        let Phase1Outcome::Promised { accepted, .. } = a.on_phase1a(b(2), i(1)) else {
+            panic!("promised");
+        };
+        assert_eq!(accepted, vec![(i(1), 1 << 22, b(1), ConsensusValue::Skip)]);
     }
 
     #[test]
@@ -338,7 +368,6 @@ mod tests {
             a.on_decision(i(n), 1, val(n));
         }
         a.trim(i(7));
-        assert_eq!(a.trimmed(), i(7));
         assert_eq!(a.decided_at(i(7)), None);
         assert!(a.decided_at(i(8)).is_some());
         let (ranges, trimmed) = a.serve_retransmit(i(1), i(10));
@@ -346,7 +375,7 @@ mod tests {
         assert_eq!(ranges.first().unwrap().0, i(8));
         // Trimming backwards is a no-op.
         a.trim(i(3));
-        assert_eq!(a.trimmed(), i(7));
+        assert_eq!(a.serve_retransmit(i(1), i(10)).1, i(7));
     }
 
     #[test]

@@ -28,8 +28,7 @@ pub enum CoordinatorStatus {
 
 #[derive(Clone, Hash, Debug)]
 struct InFlight {
-    count: u32,
-    value: ConsensusValue,
+    range: InstanceRange,
     proposed_at: Time,
 }
 
@@ -48,8 +47,10 @@ pub struct Coordinator {
     status: CoordinatorStatus,
     phase1_from: InstanceId,
     promises: Vec<ProcessId>,
-    recovered: BTreeMap<InstanceId, (Ballot, ConsensusValue)>,
-    recovered_trim_max: InstanceId,
+    /// The promises' accepted ranges `(first, count, ballot, value)`.
+    reported: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
+    /// The highest decided watermark a promise reported.
+    reported_decided: InstanceId,
     next_instance: InstanceId,
     pending: VecDeque<Value>,
     seen: BTreeMap<ProcessId, SeqFilter>,
@@ -71,8 +72,8 @@ impl Coordinator {
             status: CoordinatorStatus::Preparing,
             phase1_from: InstanceId::new(1),
             promises: Vec::new(),
-            recovered: BTreeMap::new(),
-            recovered_trim_max: InstanceId::ZERO,
+            reported: Vec::new(),
+            reported_decided: InstanceId::ZERO,
             next_instance: InstanceId::new(1),
             pending: VecDeque::new(),
             seen: BTreeMap::new(),
@@ -83,15 +84,22 @@ impl Coordinator {
     }
 
     /// Begins Phase 1 with a ballot that supersedes `supersedes`
-    /// (typically the highest ballot observed in the ring). Returns the
+    /// (typically the highest ballot observed in the ring), above the
+    /// `decided` watermark this process knows. Returns the
     /// `(ballot, from)` pair for the Phase 1A message; the ring layer
     /// sends it to every acceptor.
-    pub fn start(&mut self, now: Time, supersedes: Ballot) -> (Ballot, InstanceId) {
+    pub fn start(
+        &mut self,
+        now: Time,
+        supersedes: Ballot,
+        decided: InstanceId,
+    ) -> (Ballot, InstanceId) {
         self.ballot = supersedes.bump(self.me);
         self.status = CoordinatorStatus::Preparing;
+        self.phase1_from = self.phase1_from.max(decided.next());
         self.promises.clear();
-        self.recovered.clear();
-        self.recovered_trim_max = InstanceId::ZERO;
+        self.reported.clear();
+        self.reported_decided = InstanceId::ZERO;
         self.interval_started_at = now;
         self.started_in_interval = 0;
         (self.ballot, self.phase1_from)
@@ -128,101 +136,49 @@ impl Coordinator {
     }
 
     /// Handles a Phase 1B promise. Once a majority of acceptors promised,
-    /// returns the Phase 2 ranges to send: recovered values re-proposed
-    /// at their original instances (Paxos safety), holes filled with
-    /// `Skip`, and any queued client values after those.
+    /// returns the Phase 2 ranges to send: [`recover`]'s merge of the
+    /// reported ranges (Paxos safety), then any queued client values.
     pub fn on_phase1b(
         &mut self,
         now: Time,
         from: ProcessId,
         ballot: Ballot,
-        accepted: Vec<(InstanceId, Ballot, ConsensusValue)>,
-        trimmed: InstanceId,
+        accepted: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
+        decided: InstanceId,
     ) -> Vec<InstanceRange> {
-        if self.status != CoordinatorStatus::Preparing || ballot != self.ballot {
-            return Vec::new();
-        }
-        if self.promises.contains(&from) {
+        if self.status != CoordinatorStatus::Preparing
+            || ballot != self.ballot
+            || self.promises.contains(&from)
+        {
             return Vec::new();
         }
         self.promises.push(from);
-        self.recovered_trim_max = self.recovered_trim_max.max(trimmed);
-        for (inst, b, v) in accepted {
-            match self.recovered.get(&inst) {
-                Some(&(prev, _)) if prev >= b => {}
-                _ => {
-                    self.recovered.insert(inst, (b, v));
-                }
-            }
-        }
+        self.reported.extend(accepted);
+        self.reported_decided = self.reported_decided.max(decided);
         if self.promises.len() < self.majority {
             return Vec::new();
         }
-
-        // Quorum reached: compute the recovery proposals.
         self.status = CoordinatorStatus::Steady;
-        let mut proposals = Vec::new();
-        let max_recovered = self.recovered.keys().next_back().copied();
-        let horizon = match max_recovered {
-            Some(m) => m.max(self.recovered_trim_max),
-            None => self.recovered_trim_max,
-        };
-        let mut i = self.phase1_from.max(self.recovered_trim_max.next());
-        while i <= horizon {
-            if let Some((_, v)) = self.recovered.remove(&i) {
-                // Learn proposer sequence numbers embedded in recovered
-                // values so duplicate-suppression survives failover.
-                if let ConsensusValue::Values(vs) = &v {
-                    for value in vs {
-                        let fresh = self
-                            .seen
-                            .entry(value.id.proposer)
-                            .or_default()
-                            .insert(value.id.seq);
-                        if !fresh {
-                            // The proposer resent the value while Phase 1
-                            // was in flight and it queued: drop the
-                            // queued copy, or the re-proposal at the
-                            // original instance plus the queued one at a
-                            // fresh instance would decide it twice.
-                            self.pending.retain(|p| p.id != value.id);
-                        }
-                    }
-                }
-                proposals.push(InstanceRange {
-                    first: i,
-                    count: 1,
-                    value: v,
-                });
-                i = i.next();
-            } else {
-                // Fill the hole (and any contiguous holes) with one skip.
-                let mut count = 1u32;
-                let mut j = i.next();
-                while j <= horizon && !self.recovered.contains_key(&j) {
-                    count += 1;
-                    j = j.next();
-                }
-                proposals.push(InstanceRange {
-                    first: i,
-                    count,
-                    value: ConsensusValue::Skip,
-                });
-                i = j;
-            }
-        }
-        self.next_instance = horizon.next().max(self.phase1_from);
+        // Nothing at or below a reported watermark is proposed again: the
+        // acceptor that reported it hides its votes there, so the votes
+        // the others report there are a partial set.
+        let floor = self.phase1_from.max(self.reported_decided.next());
+        let mut proposals = recover(std::mem::take(&mut self.reported), floor);
+        self.next_instance = proposals.last().map_or(floor, |p| p.last().next());
         for p in &proposals {
-            self.in_flight.insert(
-                p.first,
-                InFlight {
-                    count: p.count,
-                    value: p.value.clone(),
-                    proposed_at: now,
-                },
-            );
+            // Learn proposer sequence numbers embedded in recovered values
+            // so duplicate suppression survives failover.
+            for value in p.value.values() {
+                let seen = self.seen.entry(value.id.proposer).or_default();
+                if !seen.insert(value.id.seq) {
+                    // The proposer resent the value while Phase 1 was in
+                    // flight and it queued: drop the queued copy, or the
+                    // value would be decided twice.
+                    self.pending.retain(|q| q.id != value.id);
+                }
+            }
+            self.track(now, p);
         }
-        self.started_in_interval += proposals.iter().map(|p| u64::from(p.count)).sum::<u64>();
         // Drain any values that queued up during Phase 1.
         proposals.extend(self.try_propose(now));
         proposals
@@ -259,24 +215,30 @@ impl Coordinator {
                 bytes += v.len();
                 batch.push(self.pending.pop_front().expect("front exists"));
             }
-            let range = InstanceRange {
-                first: self.next_instance,
-                count: 1,
-                value: ConsensusValue::Values(batch),
-            };
-            self.next_instance = self.next_instance.next();
-            self.in_flight.insert(
-                range.first,
-                InFlight {
-                    count: 1,
-                    value: range.value.clone(),
-                    proposed_at: now,
-                },
-            );
-            self.started_in_interval += 1;
-            out.push(range);
+            out.push(self.fresh(now, 1, ConsensusValue::Values(batch)));
         }
         out
+    }
+
+    /// Puts `range` in flight, proposed at `now`.
+    fn track(&mut self, now: Time, range: &InstanceRange) {
+        self.started_in_interval += u64::from(range.count);
+        let (range, proposed_at) = (range.clone(), now);
+        self.in_flight
+            .insert(range.first, InFlight { range, proposed_at });
+    }
+
+    /// Proposes `value` over the next `count` unused instances.
+    fn fresh(&mut self, now: Time, count: u32, value: ConsensusValue) -> InstanceRange {
+        let first = self.next_instance;
+        let range = InstanceRange {
+            first,
+            count,
+            value,
+        };
+        self.next_instance = range.last().next();
+        self.track(now, &range);
+        range
     }
 
     /// Notes a decision observed on the ring, freeing pipeline slots.
@@ -304,39 +266,79 @@ impl Coordinator {
             let target = self.tuning.lambda * elapsed / 1_000_000;
             if self.tuning.lambda > 0 && self.started_in_interval < target {
                 let deficit = (target - self.started_in_interval) as u32;
-                let range = InstanceRange {
-                    first: self.next_instance,
-                    count: deficit,
-                    value: ConsensusValue::Skip,
-                };
-                self.next_instance = self.next_instance.plus(u64::from(deficit));
-                self.in_flight.insert(
-                    range.first,
-                    InFlight {
-                        count: deficit,
-                        value: ConsensusValue::Skip,
-                        proposed_at: now,
-                    },
-                );
-                out.push(range);
+                out.push(self.fresh(now, deficit, ConsensusValue::Skip));
             }
             self.started_in_interval = 0;
             self.interval_started_at = now;
         }
         // Re-propose stalled instances (lost Phase 2 or vote rejection).
         let resend_after = self.tuning.repropose_us.max(1);
-        for (&first, inflight) in &mut self.in_flight {
+        for inflight in self.in_flight.values_mut() {
             if now.since(inflight.proposed_at) >= resend_after {
                 inflight.proposed_at = now;
-                out.push(InstanceRange {
-                    first,
-                    count: inflight.count,
-                    value: inflight.value.clone(),
-                });
+                out.push(inflight.range.clone());
             }
         }
         out
     }
+}
+
+/// Merges a quorum's reported ranges into what to propose from `floor`
+/// on, in instance order: on each sub-range the value of the highest
+/// ballot that covers it, and each gap between them one skip (split at
+/// `u32::MAX`).
+fn recover(
+    mut reported: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
+    floor: InstanceId,
+) -> Vec<InstanceRange> {
+    reported.sort_by_key(|r| std::cmp::Reverse(r.2));
+    // Disjoint, by first instance: each range keeps what no higher
+    // ballot took.
+    let mut taken: BTreeMap<InstanceId, InstanceRange> = BTreeMap::new();
+    for (first, count, _, value) in reported {
+        let last = first.plus(u64::from(count) - 1);
+        let mut next = first.max(floor);
+        if next > last {
+            continue;
+        }
+        let start = taken.range(..=next).next_back().map_or(next, |(&f, _)| f);
+        let mut pieces = Vec::new();
+        for r in taken.range(start..=last).map(|(_, r)| r) {
+            if r.first > next {
+                pieces.push((next, r.first));
+            }
+            next = next.max(r.last().next());
+        }
+        pieces.push((next, last.next()));
+        for (first, end) in pieces.into_iter().filter(|(f, end)| f < end) {
+            let count = (end.value() - first.value()) as u32;
+            let value = value.clone();
+            taken.insert(
+                first,
+                InstanceRange {
+                    first,
+                    count,
+                    value,
+                },
+            );
+        }
+    }
+    let mut out = Vec::new();
+    let mut next = floor;
+    for r in taken.into_values() {
+        while next < r.first {
+            let count = (r.first.value() - next.value()).min(u64::from(u32::MAX)) as u32;
+            out.push(InstanceRange {
+                first: next,
+                count,
+                value: ConsensusValue::Skip,
+            });
+            next = next.plus(u64::from(count));
+        }
+        next = r.last().next();
+        out.push(r);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -354,7 +356,7 @@ mod tests {
 
     fn quorum_start(c: &mut Coordinator) -> Vec<InstanceRange> {
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         let mut all = c.on_phase1b(now, ProcessId::new(0), c.ballot(), vec![], InstanceId::ZERO);
         all.extend(c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], InstanceId::ZERO));
         all
@@ -388,7 +390,7 @@ mod tests {
     fn duplicate_promises_ignored() {
         let mut c = coord();
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         c.on_phase1b(now, ProcessId::new(0), c.ballot(), vec![], InstanceId::ZERO);
         let r = c.on_phase1b(now, ProcessId::new(0), c.ballot(), vec![], InstanceId::ZERO);
         assert!(r.is_empty());
@@ -399,7 +401,7 @@ mod tests {
     fn values_queue_during_phase1() {
         let mut c = coord();
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         assert!(c.submit(now, vec![mkval(1, 1)]).is_empty());
         assert_eq!(c.pending_len(), 1);
         c.on_phase1b(now, ProcessId::new(0), c.ballot(), vec![], InstanceId::ZERO);
@@ -413,14 +415,14 @@ mod tests {
     fn recovery_reproposes_and_fills_holes() {
         let mut c = coord();
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         let old = Ballot::new(1, ProcessId::new(9));
         let v5 = ConsensusValue::Values(vec![mkval(7, 3)]);
         c.on_phase1b(
             now,
             ProcessId::new(0),
             c.ballot(),
-            vec![(InstanceId::new(5), old, v5.clone())],
+            vec![(InstanceId::new(5), 1, old, v5.clone())],
             InstanceId::ZERO,
         );
         let props = c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], InstanceId::ZERO);
@@ -446,7 +448,7 @@ mod tests {
     fn resend_queued_during_phase1_is_purged_by_recovery() {
         let mut c = coord();
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         // The resend lands mid-Phase-1 and queues.
         assert!(c.submit(now, vec![mkval(7, 3)]).is_empty());
         assert_eq!(c.pending_len(), 1);
@@ -457,7 +459,7 @@ mod tests {
             now,
             ProcessId::new(0),
             c.ballot(),
-            vec![(InstanceId::new(2), old, v2.clone())],
+            vec![(InstanceId::new(2), 1, old, v2.clone())],
             InstanceId::ZERO,
         );
         let props = c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], InstanceId::ZERO);
@@ -474,7 +476,7 @@ mod tests {
     fn trim_watermark_advances_next_instance() {
         let mut c = coord();
         let now = Time::ZERO;
-        c.start(now, Ballot::ZERO);
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
         c.on_phase1b(
             now,
             ProcessId::new(0),
@@ -485,6 +487,112 @@ mod tests {
         let props = c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], InstanceId::ZERO);
         assert!(props.is_empty());
         assert_eq!(c.next_instance(), InstanceId::new(101));
+    }
+
+    /// The quorum's ranges are merged by interval: on each sub-range
+    /// the highest ballot's value, each gap one skip.
+    #[test]
+    fn recovery_takes_the_highest_ballot_per_sub_range() {
+        let mut c = coord();
+        let now = Time::ZERO;
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
+        let (b1, b2) = (
+            Ballot::new(1, ProcessId::new(9)),
+            Ballot::new(2, ProcessId::new(9)),
+        );
+        let v6 = ConsensusValue::Values(vec![mkval(7, 1)]);
+        let w12 = ConsensusValue::Values(vec![mkval(7, 2)]);
+        let i = InstanceId::new;
+        let skip = ConsensusValue::Skip;
+        let reported = vec![(i(3), 8, b1, skip.clone()), (i(12), 1, b1, w12.clone())];
+        c.on_phase1b(
+            now,
+            ProcessId::new(0),
+            c.ballot(),
+            reported,
+            InstanceId::ZERO,
+        );
+        let reported = vec![(i(6), 1, b2, v6.clone())];
+        let props = c.on_phase1b(
+            now,
+            ProcessId::new(1),
+            c.ballot(),
+            reported,
+            InstanceId::ZERO,
+        );
+        let got: Vec<(u64, u32, &ConsensusValue)> = props
+            .iter()
+            .map(|p| (p.first.value(), p.count, &p.value))
+            .collect();
+        let want = [
+            (1, 2, &skip),
+            (3, 3, &skip),
+            (6, 1, &v6),
+            (7, 4, &skip),
+            (11, 1, &skip),
+            (12, 1, &w12),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(c.next_instance(), i(13));
+    }
+
+    /// Phase 1 starts above the watermark the coordinator knows, and
+    /// nothing at or below the highest reported watermark is proposed:
+    /// the acceptor that reported it hid its own votes there.
+    #[test]
+    fn nothing_at_or_below_a_reported_watermark_is_proposed_again() {
+        let mut c = coord();
+        let now = Time::ZERO;
+        let (_, from) = c.start(now, Ballot::ZERO, InstanceId::new(1));
+        assert_eq!(from, InstanceId::new(2));
+        let stale = ConsensusValue::Values(vec![mkval(7, 1)]);
+        let old = Ballot::new(1, ProcessId::new(9));
+        let reported = vec![(InstanceId::new(2), 1, old, stale)];
+        c.on_phase1b(
+            now,
+            ProcessId::new(0),
+            c.ballot(),
+            reported,
+            InstanceId::new(1),
+        );
+        let props = c.on_phase1b(
+            now,
+            ProcessId::new(1),
+            c.ballot(),
+            vec![],
+            InstanceId::new(3),
+        );
+        assert!(props.is_empty(), "{props:?}");
+        assert_eq!(c.next_instance(), InstanceId::new(4));
+    }
+
+    /// A gap longer than a range can say is skipped in pieces of
+    /// `u32::MAX` instances.
+    #[test]
+    fn a_gap_past_u32_max_is_split() {
+        let mut c = coord();
+        let now = Time::ZERO;
+        c.start(now, Ballot::ZERO, InstanceId::ZERO);
+        let far = InstanceId::new(u64::from(u32::MAX) + 10);
+        let v = ConsensusValue::Values(vec![mkval(7, 1)]);
+        let reported = vec![(far, 1, Ballot::new(1, ProcessId::new(9)), v)];
+        c.on_phase1b(
+            now,
+            ProcessId::new(0),
+            c.ballot(),
+            reported,
+            InstanceId::ZERO,
+        );
+        let props = c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], InstanceId::ZERO);
+        let got: Vec<(u64, u32)> = props.iter().map(|p| (p.first.value(), p.count)).collect();
+        assert_eq!(
+            got,
+            [
+                (1, u32::MAX),
+                (u64::from(u32::MAX) + 1, 9),
+                (far.value(), 1)
+            ]
+        );
     }
 
     #[test]

@@ -308,7 +308,11 @@ impl RingState {
             .coordinator
             .get_or_insert_with(|| Coordinator::new(self.cfg.id(), self.me, majority, tuning));
         self.phase1_at = now;
-        let (ballot, from) = coord.start(now, supersedes);
+        let decided = self
+            .acceptor
+            .as_ref()
+            .map_or(InstanceId::ZERO, Acceptor::decided);
+        let (ballot, from) = coord.start(now, supersedes, decided);
         self.highest_ballot_seen = self.highest_ballot_seen.max(ballot);
         for &a in self.cfg.acceptors() {
             fx.send(
@@ -417,9 +421,9 @@ impl RingState {
             Message::Phase1B {
                 ballot,
                 accepted,
-                trimmed,
+                decided,
                 ..
-            } => self.handle_phase1b(now, from, ballot, accepted, trimmed, fx),
+            } => self.handle_phase1b(now, from, ballot, accepted, decided, fx),
             msg @ Message::Phase2 { .. } => self.handle_phase2(now, msg, fx),
             Message::Decision {
                 first,
@@ -477,16 +481,15 @@ impl RingState {
             return;
         };
         match a.on_phase1a(ballot, from_inst) {
-            Phase1Outcome::Promised { accepted } => {
-                let trimmed = a.trimmed();
+            Phase1Outcome::Promised { accepted, decided } => {
                 let reply = Action::Send {
                     to: ballot.node(),
                     msg: Message::Phase1B {
                         ring: self.cfg.id(),
                         ballot,
                         from: from_inst,
+                        decided,
                         accepted,
-                        trimmed,
                     },
                 };
                 fx.persist_then(
@@ -507,8 +510,8 @@ impl RingState {
                         ring: self.cfg.id(),
                         ballot: promised,
                         from: from_inst,
+                        decided: InstanceId::ZERO,
                         accepted: Vec::new(),
-                        trimmed: InstanceId::ZERO,
                     },
                 );
             }
@@ -520,8 +523,8 @@ impl RingState {
         now: Time,
         from: ProcessId,
         ballot: Ballot,
-        accepted: Vec<(InstanceId, Ballot, ConsensusValue)>,
-        trimmed: InstanceId,
+        accepted: Vec<(InstanceId, u32, Ballot, ConsensusValue)>,
+        decided: InstanceId,
         fx: &mut Effects,
     ) {
         self.highest_ballot_seen = self.highest_ballot_seen.max(ballot);
@@ -529,7 +532,7 @@ impl RingState {
             return;
         };
         if ballot == c.ballot() {
-            let proposals = c.on_phase1b(now, from, ballot, accepted, trimmed);
+            let proposals = c.on_phase1b(now, from, ballot, accepted, decided);
             self.emit_proposals(now, proposals, fx);
         } else if ballot > c.ballot() {
             // An acceptor promised a higher ballot: restart Phase 1 above
@@ -940,6 +943,86 @@ mod tests {
             msg: phase2(u32::MAX),
         };
         assert_eq!(fx.actions, [forwarded]);
+    }
+
+    /// Acceptors p2 and p3 voted one skip of `count` instances at a
+    /// ballot below the coordinator p1's, and neither saw it decided;
+    /// p1 runs Phase 1 over them.
+    /// Returns how many ranges p2 answered with and the Phase 2 ranges
+    /// p1 proposed once both promised.
+    fn phase1_over_one_voted_skip(count: u32) -> (usize, Vec<(InstanceId, u32)>) {
+        let mut coordinator = five(1);
+        let mut fx = Effects::new(0);
+        coordinator.on_start(Time::ZERO, &mut fx);
+        let phase1a = fx.actions.iter().find_map(|a| match a {
+            Action::Send { to, msg } if *to == p(2) => Some(msg.clone()),
+            _ => None,
+        });
+        let phase1a = phase1a.expect("a Phase 1A to p2");
+        let (mut answers, mut reported) = (Vec::new(), 0);
+        for me in [2, 3] {
+            let mut acceptor = five(me);
+            let mut fx = Effects::new(0);
+            let vote = Message::Phase2 {
+                ring: GroupId::new(0),
+                ballot: Ballot::new(1, p(0)),
+                first: InstanceId::new(1),
+                count,
+                value: ConsensusValue::Skip,
+                votes: 0,
+            };
+            acceptor.on_message(Time::ZERO, p(1), vote, &mut fx);
+            let mut fx = Effects::new(0);
+            acceptor.on_message(Time::ZERO, p(1), phase1a.clone(), &mut fx);
+            let [Action::Send { msg, .. }] = &fx.actions[..] else {
+                panic!("one answer: {:?}", fx.actions.len());
+            };
+            if let Message::Phase1B { accepted, .. } = msg {
+                reported = accepted.len();
+            }
+            assert_eq!(reported, 1, "p{me} answers with one range");
+            answers.push((p(me), msg.clone()));
+        }
+        let mut fx = Effects::new(0);
+        for (from, msg) in answers {
+            coordinator.on_message(Time::ZERO, from, msg, &mut fx);
+        }
+        let proposed = (fx.actions.iter())
+            .filter_map(|a| match a {
+                Action::Send {
+                    msg: Message::Phase2 { first, count, .. },
+                    ..
+                } => Some((*first, *count)),
+                _ => None,
+            })
+            .collect();
+        (reported, proposed)
+    }
+
+    /// One voted skip of 2²² instances is one range in each promise and
+    /// one skip proposal after a quorum of them: it was 4 194 304
+    /// entries each.
+    #[test]
+    fn a_voted_skip_of_2_22_instances_is_one_range_and_one_proposal() {
+        let count = 1 << 22;
+        let (reported, proposed) = phase1_over_one_voted_skip(count);
+        assert_eq!(reported, 1);
+        assert_eq!(proposed, [(InstanceId::new(1), count)]);
+    }
+
+    /// The largest skip a range can say costs Phase 1 no more: well
+    /// under a second, where one entry per instance would be ≈ 4·10⁹.
+    #[test]
+    fn a_voted_skip_of_u32_max_instances_is_recovered_in_bounded_time() {
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the bound is wall-clock time the test itself spends"
+        )]
+        let started = std::time::Instant::now();
+        let (reported, proposed) = phase1_over_one_voted_skip(u32::MAX);
+        assert_eq!(reported, 1);
+        assert_eq!(proposed, [(InstanceId::new(1), u32::MAX)]);
+        assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
     }
 
     #[test]

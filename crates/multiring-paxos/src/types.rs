@@ -328,6 +328,14 @@ impl ConsensusValue {
     pub fn is_skip(&self) -> bool {
         matches!(self, ConsensusValue::Skip)
     }
+
+    /// The values it carries: none for a skip.
+    pub fn values(&self) -> &[Value] {
+        match self {
+            ConsensusValue::Skip => &[],
+            ConsensusValue::Values(vs) => vs,
+        }
+    }
 }
 
 /// An exactly-once filter over per-proposer sequence numbers: a low
