@@ -194,15 +194,6 @@ impl PaxosSpec {
         }
         false
     }
-
-    /// The values `ring` has chosen, one entry per chosen range:
-    /// what a correct ring must go on to decide and deliver.
-    pub fn chosen(&self, ring: GroupId) -> impl Iterator<Item = &ConsensusValue> + '_ {
-        self.chosen
-            .get(&ring)
-            .into_iter()
-            .flat_map(|c| c.values().map(|(_, v)| v))
-    }
 }
 
 /// A short name for a consensus value in a violation.
@@ -315,6 +306,5 @@ mod tests {
         }
         assert_eq!(s.record(p(0), &decision(1, 4)), Ok(()));
         assert!(s.record(p(0), &decision(1, 5)).is_err());
-        assert_eq!(s.chosen(GroupId::new(0)).count(), 2);
     }
 }

@@ -136,8 +136,9 @@ impl Coordinator {
     }
 
     /// Handles a Phase 1B promise. Once a majority of acceptors promised,
-    /// returns the Phase 2 ranges to send: [`recover`]'s merge of the
-    /// reported ranges (Paxos safety), then any queued client values.
+    /// returns the Phase 2 ranges to send: the reported ranges merged by
+    /// interval from above the highest reported watermark (Paxos
+    /// safety), then any queued client values.
     pub fn on_phase1b(
         &mut self,
         now: Time,

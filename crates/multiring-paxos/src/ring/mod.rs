@@ -948,9 +948,9 @@ mod tests {
     /// Acceptors p2 and p3 voted one skip of `count` instances at a
     /// ballot below the coordinator p1's, and neither saw it decided;
     /// p1 runs Phase 1 over them.
-    /// Returns how many ranges p2 answered with and the Phase 2 ranges
-    /// p1 proposed once both promised.
-    fn phase1_over_one_voted_skip(count: u32) -> (usize, Vec<(InstanceId, u32)>) {
+    /// Returns how many ranges each acceptor answered with and the
+    /// Phase 2 ranges p1 proposed once both promised.
+    fn phase1_over_one_voted_skip(count: u32) -> (Vec<usize>, Vec<(InstanceId, u32)>) {
         let mut coordinator = five(1);
         let mut fx = Effects::new(0);
         coordinator.on_start(Time::ZERO, &mut fx);
@@ -959,7 +959,7 @@ mod tests {
             _ => None,
         });
         let phase1a = phase1a.expect("a Phase 1A to p2");
-        let (mut answers, mut reported) = (Vec::new(), 0);
+        let (mut answers, mut reported) = (Vec::new(), Vec::new());
         for me in [2, 3] {
             let mut acceptor = five(me);
             let mut fx = Effects::new(0);
@@ -978,9 +978,8 @@ mod tests {
                 panic!("one answer: {:?}", fx.actions.len());
             };
             if let Message::Phase1B { accepted, .. } = msg {
-                reported = accepted.len();
+                reported.push(accepted.len());
             }
-            assert_eq!(reported, 1, "p{me} answers with one range");
             answers.push((p(me), msg.clone()));
         }
         let mut fx = Effects::new(0);
@@ -1006,7 +1005,7 @@ mod tests {
     fn a_voted_skip_of_2_22_instances_is_one_range_and_one_proposal() {
         let count = 1 << 22;
         let (reported, proposed) = phase1_over_one_voted_skip(count);
-        assert_eq!(reported, 1);
+        assert_eq!(reported, [1, 1]);
         assert_eq!(proposed, [(InstanceId::new(1), count)]);
     }
 
@@ -1020,7 +1019,7 @@ mod tests {
         )]
         let started = std::time::Instant::now();
         let (reported, proposed) = phase1_over_one_voted_skip(u32::MAX);
-        assert_eq!(reported, 1);
+        assert_eq!(reported, [1, 1]);
         assert_eq!(proposed, [(InstanceId::new(1), u32::MAX)]);
         assert!(started.elapsed().as_secs() < 5, "{:?}", started.elapsed());
     }
