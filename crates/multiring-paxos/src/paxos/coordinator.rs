@@ -160,6 +160,17 @@ impl Coordinator {
             return Vec::new();
         }
         self.status = CoordinatorStatus::Steady;
+        // What this coordinator proposed at an older ballot was chosen
+        // only where the quorum reports it, and its instances now belong
+        // to the merge below: queue its values again rather than resend
+        // them where they were (the merge of rings delivers a value
+        // decided twice once, and the loop below drops a recovered one).
+        let mut requeued: VecDeque<Value> = std::mem::take(&mut self.in_flight)
+            .into_values()
+            .flat_map(|f| f.range.value.values().to_vec())
+            .collect();
+        requeued.append(&mut self.pending);
+        self.pending = requeued;
         // Nothing at or below a reported watermark is proposed again: the
         // acceptor that reported it hides its votes there, so the votes
         // the others report there are a partial set.
@@ -594,6 +605,48 @@ mod tests {
                 (far.value(), 1)
             ]
         );
+    }
+
+    /// A Phase 1 restarted at a higher ballot takes back what the
+    /// coordinator had in flight at its older one: where the quorum
+    /// reports a rival's range over it, or a watermark above it, no old
+    /// proposal is resent at its instance (a second value chosen there),
+    /// and each old value is proposed once more at a fresh instance.
+    #[test]
+    fn a_restarted_phase1_never_resends_an_old_proposal_where_it_was() {
+        let i = InstanceId::new;
+        let rival = Ballot::new(5, ProcessId::new(9));
+        let skip = (i(55), 16, rival, ConsensusValue::Skip);
+        for (reported, decided) in [(vec![skip], i(0)), (vec![], i(70))] {
+            let mut c = coord();
+            let now = Time::ZERO;
+            c.start(now, Ballot::ZERO, i(54));
+            c.on_phase1b(now, ProcessId::new(0), c.ballot(), vec![], i(54));
+            c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], i(54));
+            let values: Vec<Value> = (1..=8).map(|s| mkval(1, s)).collect();
+            let old = c.submit(now, values.clone());
+            assert_eq!(old.first().map(|p| p.first), Some(i(55)));
+            c.start(now, rival, i(54));
+            let p0 = ProcessId::new(0);
+            let mut props = c.on_phase1b(now, p0, c.ballot(), reported, decided);
+            props.extend(c.on_phase1b(now, ProcessId::new(1), c.ballot(), vec![], i(54)));
+            props.extend(c.on_delta(Time::from_micros(60_000_000)));
+            // Each old value at one fresh instance (resent there by
+            // `on_delta`), and nothing but skips at the old ones.
+            let mut at = BTreeMap::new();
+            for p in &props {
+                if p.first <= i(70) {
+                    assert!(p.value.is_skip(), "{p:?} resent at its old instance");
+                }
+                for v in p.value.values() {
+                    assert_eq!(*at.entry(v.id).or_insert(p.first), p.first);
+                }
+            }
+            assert_eq!(
+                at.keys().copied().collect::<Vec<_>>(),
+                values.iter().map(|v| v.id).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
