@@ -383,8 +383,9 @@ impl Cluster {
     /// deliveries afresh), in an order acyclic across all processes.
     /// Only deliveries that reach the cluster are judged: an
     /// [`EngineReplica`] hands its own to the application. Before the
-    /// deliveries, every acceptor record written is judged, in write
-    /// order, by [`PaxosSpec`](mrp_check::PaxosSpec).
+    /// deliveries, every acceptor record that became stable is judged,
+    /// in the order it did, by [`PaxosSpec`](mrp_check::PaxosSpec): a
+    /// write a crash lost guarded no reply, so it binds no one.
     ///
     /// # Errors
     ///
@@ -482,6 +483,7 @@ impl Cluster {
                 }
                 if let Some(record) = &record {
                     slot.storage.apply(record);
+                    self.history.write(p, record);
                 }
                 let input = Input::Event(ActorEvent::DiskDone(token));
                 self.arrive(p, input, Some(own));
@@ -581,7 +583,6 @@ impl Cluster {
                 self.push_own(t.plus(after_us), p, ActorEvent::Wakeup(token));
             }
             Op::Record(record, sync, token) => {
-                self.history.write(p, &record);
                 let disk = match &record {
                     PersistRecord::Promise { ring, .. }
                     | PersistRecord::Vote { ring, .. }
@@ -862,7 +863,7 @@ mod tests {
     use multiring_paxos::event::{PersistToken, StateMachine};
     use multiring_paxos::host::Timers;
     use multiring_paxos::node::Node;
-    use multiring_paxos::types::InstanceId;
+    use multiring_paxos::types::{ConsensusValue, InstanceId};
     use std::any::Any;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1238,6 +1239,62 @@ mod tests {
         let storage = cluster.storage(p).expect("a slot");
         assert!(storage.log(early).is_some(), "the early record is stable");
         assert!(storage.log(late).is_none(), "the late record was lost");
+    }
+
+    /// On starting, writes its records, each synchronously.
+    struct Records(Vec<PersistRecord>);
+
+    impl Actor for Records {
+        fn on_event(&mut self, _: Time, event: ActorEvent, out: &mut Outbox, _: &mut ActorCtx<'_>) {
+            if event == ActorEvent::Protocol(Event::Start) {
+                for (record, n) in self.0.drain(..).zip(1..) {
+                    out.push(Op::Record(record, true, PersistToken(n)));
+                }
+            }
+        }
+
+        fn as_any(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A promise a crash lost before its write completed was never
+    /// answered, so the restarted acceptor may promise and vote below
+    /// it: the history judges only what became stable, and still
+    /// convicts a fall of a stable promise.
+    #[test]
+    fn a_promise_lost_with_a_crash_binds_no_one() {
+        let (p, ring) = (ProcessId::new(0), GroupId::new(0));
+        let promise = |round| PersistRecord::Promise {
+            ring,
+            ballot: Ballot::new(round, p),
+            from: InstanceId::new(1),
+        };
+        let vote = PersistRecord::Vote {
+            ring,
+            ballot: Ballot::new(3, p),
+            first: InstanceId::new(1),
+            count: 1,
+            value: ConsensusValue::Skip,
+        };
+        let run = |flush_us| {
+            let mut cluster = Cluster::new(SimConfig::default(), Topology::lan(3));
+            cluster.set_protocol(single_ring(3, RingTuning::default()));
+            cluster.add_actor(p, Box::new(Records(vec![promise(5)])));
+            cluster.add_disk(p, DiskModel::custom("disk", flush_us, 1));
+            let again = vec![promise(3), vote.clone()];
+            cluster.set_factory(p, Box::new(move |_| Box::new(Records(again.clone()))));
+            cluster.schedule_crash(Time::from_millis(100), p);
+            cluster.schedule_restart(Time::from_millis(200), p);
+            cluster.start();
+            cluster.run_until(Time::from_secs(1));
+            cluster.check_history()
+        };
+        // A 150 ms flush: the first promise is lost with the crash.
+        assert_eq!(run(150_000), Ok(()));
+        // A 1 ms flush: it was stable, and the restart broke it.
+        let err = run(1_000).expect_err("a stable promise fell");
+        assert!(err.contains("promise"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! checker judges engines by, so a simulated run is held to integrity,
 //! genuineness, exactly-once and acyclic order as an explored trace is.
 //! Beneath it, every promise, vote and decision record an acceptor wrote
-//! is replayed, in the order written, through [`PaxosSpec`].
+//! is replayed, in the order the records became stable, through
+//! [`PaxosSpec`].
 //!
 //! Recording draws no randomness and schedules no event: it cannot
 //! change what a seeded run does.
@@ -39,7 +40,7 @@ pub(crate) struct History {
     /// the same name keeps its first γ.
     requests: BTreeMap<MsgKey, Vec<GroupId>>,
     entries: Vec<Entry>,
-    /// Each acceptor record as it was written, with its writer.
+    /// Each acceptor record as it became stable, with its writer.
     written: Vec<(ProcessId, PersistRecord)>,
 }
 
@@ -54,7 +55,7 @@ impl History {
         self.entries.push(Entry::Delivered { p, group, id, key });
     }
 
-    /// `p` wrote `record`; a replica's checkpoint is not kept.
+    /// `p`'s `record` became stable; a replica's checkpoint is not kept.
     pub(crate) fn write(&mut self, p: ProcessId, record: &PersistRecord) {
         if !matches!(record, PersistRecord::Checkpoint { .. }) {
             self.written.push((p, record.clone()));
