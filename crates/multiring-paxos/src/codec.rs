@@ -390,12 +390,18 @@ wire_tags! {
         Forward = 1 { ring, hops, values },
         Phase1A = 2 { ring, ballot, from },
         Phase1B = 3 { ring, ballot, from, decided, accepted }
-            where accepted.iter().try_for_each(|(first, count, _, _)| range(first, count)),
-        Phase2 = 4 { ring, ballot, first, count, votes, value } where range(first, count),
-        Decision = 5 { ring, first, count, hops, value } where range(first, count),
+            where accepted.iter().try_for_each(|(first, count, _, value)| {
+                range(first, count).and(span(count, Some(value)))
+            }),
+        Phase2 = 4 { ring, ballot, first, count, votes, value }
+            where range(first, count).and(span(count, Some(value))),
+        Decision = 5 { ring, first, count, hops, value }
+            where range(first, count).and(span(count, value.as_ref())),
         Retransmit = 6 { ring, from, to },
         RetransmitReply = 7 { ring, trimmed, decided }
-            where decided.iter().try_for_each(|(first, count, _)| range(first, count)),
+            where decided.iter().try_for_each(|(first, count, value)| {
+                range(first, count).and(span(count, Some(value)))
+            }),
         TrimQuery = 8 { group, seq },
         TrimReply = 9 { group, seq, safe },
         TrimCommand = 10 { ring, upto },
@@ -414,7 +420,8 @@ wire_tags! {
     /// The byte a [`PersistRecord`] opens with, one per variant.
     enum RecordTag for PersistRecord {
         Promise = 40 { ring, ballot, from },
-        Vote = 41 { ring, ballot, first, count, value } where range(first, count),
+        Vote = 41 { ring, ballot, first, count, value }
+            where range(first, count).and(span(count, Some(value))),
         Checkpoint = 42 { id, snapshot },
         Decision = 43 { ring, first, count } where range(first, count),
     }
@@ -436,6 +443,19 @@ fn range(first: &InstanceId, count: &u32) -> Result<(), CodecError> {
     match first.value().checked_add(u64::from(*count)) {
         Some(_) if *count > 0 => Ok(()),
         _ => Err(CodecError::BadLength(u64::from(*count))),
+    }
+}
+
+/// The one place a range's value is checked, beside [`range`]: values
+/// are decided one instance at a time and only a skip spans several, so
+/// the learner and the merge, which count a range's instances, never
+/// meet values over several.
+fn span(count: &u32, value: Option<&ConsensusValue>) -> Result<(), CodecError> {
+    match value {
+        Some(ConsensusValue::Values(_)) if *count > 1 => {
+            Err(CodecError::BadLength(u64::from(*count)))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -1175,6 +1195,75 @@ mod tests {
         );
     }
 
+    /// Values are decided one instance at a time: a range carrying
+    /// values over several instances is refused in every frame and
+    /// record that carries a value (one reached the merge through a
+    /// `RetransmitReply` and threw it off its instance count), and a
+    /// skip over several still decodes.
+    #[test]
+    fn a_value_range_over_several_instances_is_refused() {
+        let (ring, first, ballot) = (GroupId::new(0), InstanceId::new(1), Ballot::ZERO);
+        let values = ConsensusValue::Values(vec![Value::new(
+            ValueId::new(ProcessId::new(1), 1),
+            ring,
+            vec![7],
+        )]);
+        let frames = |value: ConsensusValue, count| {
+            vec![
+                Message::Phase1B {
+                    ring,
+                    ballot,
+                    from: first,
+                    decided: InstanceId::ZERO,
+                    accepted: vec![(first, count, ballot, value.clone())],
+                },
+                Message::Phase2 {
+                    ring,
+                    ballot,
+                    first,
+                    count,
+                    votes: 0,
+                    value: value.clone(),
+                },
+                Message::Decision {
+                    ring,
+                    first,
+                    count,
+                    hops: 0,
+                    value: Some(value.clone()),
+                },
+                Message::RetransmitReply {
+                    ring,
+                    trimmed: InstanceId::ZERO,
+                    decided: vec![(first, count, value)],
+                },
+            ]
+        };
+        let vote = |value, count| PersistRecord::Vote {
+            ring,
+            ballot,
+            first,
+            count,
+            value,
+        };
+        for msg in frames(values.clone(), 3) {
+            assert_eq!(
+                decode(&mut encode_to_bytes(&msg)),
+                Err(CodecError::BadLength(3)),
+                "{msg:?}"
+            );
+        }
+        let refused = decode_record(&mut vote(values.clone(), 3).to_bytes());
+        assert_eq!(refused, Err(CodecError::BadLength(3)));
+        for (value, count) in [(values, 1), (ConsensusValue::Skip, 3)] {
+            for msg in frames(value.clone(), count) {
+                assert_eq!(decode(&mut encode_to_bytes(&msg)), Ok(msg));
+            }
+            let record = vote(value, count);
+            assert_eq!(decode_record(&mut record.to_bytes()), Ok(record));
+        }
+    }
+
     #[test]
     fn truncated_frames_error() {
         for msg in sample_messages() {
@@ -1504,8 +1593,13 @@ mod tests {
             let mut buf = BytesMut::new();
             encode(&msg, &mut buf);
             prop_assert_eq!(buf.len(), encoded_len(&msg));
-            let back = decode(&mut buf.freeze()).unwrap();
-            prop_assert_eq!(back, msg);
+            // Values span one instance; only a skip spans several.
+            let back = decode(&mut buf.freeze());
+            if skip || count == 1 {
+                prop_assert_eq!(back, Ok(msg));
+            } else {
+                prop_assert_eq!(back, Err(CodecError::BadLength(u64::from(count))));
+            }
         }
 
         /// Uniform noise up to 64 KiB; the same noise laid over a valid

@@ -122,28 +122,15 @@ impl RingLearner {
             if last < self.next_release {
                 break;
             }
-            let mut value = value.clone();
+            let value = value.clone();
             self.decided.remove(&first);
             // Trim the part already released (can happen after recovery
-            // fast-forward into the middle of a skip range). A range's
-            // value is its first instance's: what follows it, and what
-            // is left of a range whose first was released, is empty
-            // slots.
-            let mut start = self.next_release;
-            if start > first {
-                value = ConsensusValue::Skip;
-            }
-            if !value.is_skip() && last > start {
-                out.push(ReleasedRange {
-                    first: start,
-                    count: 1,
-                    value: std::mem::replace(&mut value, ConsensusValue::Skip),
-                });
-                start = start.next();
-            }
+            // fast-forward into the middle of a skip range).
+            let effective_first = self.next_release;
+            let effective_count = (last.value() - effective_first.value() + 1) as u32;
             out.push(ReleasedRange {
-                first: start,
-                count: (last.value() - start.value() + 1) as u32,
+                first: effective_first,
+                count: effective_count,
                 value,
             });
             self.next_release = last.next();
@@ -350,23 +337,6 @@ mod tests {
         assert_eq!(r[0].first, i(6));
         assert_eq!(r[0].count, 5);
         assert_eq!(l.next_release(), i(11));
-    }
-
-    /// A hostile range carrying values over several instances reaches
-    /// the merge as the values at its first instance and empty slots
-    /// after, and a range overlapping it past the release point only
-    /// as empty slots (the merge used to lose its instance count).
-    #[test]
-    fn a_value_range_is_released_as_its_first_instance_then_skips() {
-        let mut l = RingLearner::new(GroupId::new(0));
-        let decided = vec![(i(1), 3, val(1)), (i(3), 3, val(3))];
-        let (r, _) = l.on_retransmit_reply(t(0), decided, InstanceId::ZERO);
-        let got: Vec<(u64, u32, bool)> = r
-            .iter()
-            .map(|r| (r.first.value(), r.count, r.value.is_skip()))
-            .collect();
-        assert_eq!(got, [(1, 1, false), (2, 2, true), (4, 2, true)]);
-        assert_eq!(l.next_release(), i(6));
     }
 
     #[test]
