@@ -2,8 +2,9 @@
 //! `cargo run --release -p mrp-check --bin check -- [--depth N] [--liveness] [--out FILE] [--baseline FILE]`.
 //!
 //! Explores both engines' three-node mixed-traffic scenario (plus the
-//! genuineness deployment, the two held-submission deployments and the
-//! idle-stream deployment whose delivery rides on a `Probe`) with fault
+//! genuineness deployment, the two held-submission deployments, the
+//! idle-stream deployment whose delivery rides on a `Probe`, and a ring
+//! coordinator change over a seeded durable log) with fault
 //! branching on, twice each: once with deduplication and partial-order
 //! reduction enabled, once naive, reporting the state-count reduction.
 //! `--liveness` additionally runs lasso-based non-progress detection on
@@ -147,6 +148,7 @@ fn main() -> ExitCode {
         Scenario::batched(EngineKind::Wbcast, false),
         Scenario::batched(EngineKind::Wbcast, true),
         Scenario::idle_stream(),
+        Scenario::coordinator_change(),
     ];
     let mut runs = Vec::new();
     let mut failed = false;

@@ -539,14 +539,24 @@ impl<'a> World<'a> {
             direct: BTreeMap::new(),
         };
         let pids: Vec<ProcessId> = scenario.config.processes().into_iter().collect();
+        let mut logs: BTreeMap<ProcessId, Vec<PersistRecord>> = BTreeMap::new();
+        for (p, record) in &scenario.seed {
+            w.paxos
+                .record(*p, record)
+                .map_err(|e| format!("seed: {e}"))?;
+            logs.entry(*p).or_default().push(record.clone());
+        }
+        w.owe_seeded_values();
         for &p in &pids {
+            let log = logs.remove(&p).unwrap_or_default();
+            let engine = (scenario.factory)(p, Some(log.as_slice()).filter(|log| !log.is_empty()));
             w.nodes.insert(
                 p,
                 NodeSlot {
-                    host: Some(Host::new((scenario.factory)(p, None))),
+                    host: Some(Host::new(engine)),
                     delivered: Vec::new(),
                     durable: None,
-                    log: Vec::new(),
+                    log,
                     now: Time::ZERO,
                     fires: 0,
                     ever_crashed: false,
@@ -559,10 +569,28 @@ impl<'a> World<'a> {
         // The start-up exchange (ring Phase 1, sequencer epochs) is the
         // same under every delivery order we would explore; drain it
         // deterministically so exploration starts at the interesting
-        // frontier. Nothing is owed yet, so no timer fires here.
+        // frontier. Nothing is owed yet but what a seed chose, so no
+        // timer fires here unless a seeded value waits for one; a seeded
+        // value still owed when the bound cuts the exchange off is a
+        // validity violation. A violation stops the drain; the caller
+        // surfaces it.
         w.drain();
+        let quiet = w.channels.values().all(VecDeque::is_empty);
+        if let Some(&(p, got, want)) = w.owed(|_| false).first().filter(|_| !quiet) {
+            w.violation.get_or_insert((
+                "validity".into(),
+                format!(
+                    "process {} delivered {got} of {want} seeded values when the start-up \
+                     exchange was cut off after {DRAIN_STEPS} steps",
+                    p.value()
+                ),
+            ));
+        }
+        if w.violation.is_some() {
+            return Ok(w);
+        }
         assert!(
-            w.channels.values().all(VecDeque::is_empty),
+            quiet,
             "start-up exchange did not quiesce within {DRAIN_STEPS} deliveries"
         );
         for (i, sub) in scenario.submissions.iter().enumerate() {
@@ -611,6 +639,33 @@ impl<'a> World<'a> {
         // own sends) stays recorded in `w.violation`: the caller
         // surfaces it as a violation with an empty schedule.
         Ok(w)
+    }
+
+    /// Registers each value the scenario's seed carries as a request
+    /// multicast to its ring, owed to every subscriber where the seed
+    /// chose it (elsewhere a correct recovery may skip it).
+    fn owe_seeded_values(&mut self) {
+        let mut seen = BTreeSet::new();
+        for (_, record) in &self.scenario.seed {
+            let PersistRecord::Vote {
+                ring, first, value, ..
+            } = record
+            else {
+                continue;
+            };
+            let chosen = self.paxos.chosen(*ring, *first) == Some(value);
+            for key in value.values().iter().filter_map(request_key) {
+                if !seen.insert(key) {
+                    continue;
+                }
+                let dests = self.scenario.config.subscribers_of(*ring);
+                for &p in dests.iter().filter(|_| chosen) {
+                    *self.expected.entry(p).or_insert(0) += 1;
+                }
+                self.spec
+                    .submit(key, vec![*ring], dests.into_iter().collect());
+            }
+        }
     }
 
     /// The one way to drive an engine: takes `pid`'s host out of its

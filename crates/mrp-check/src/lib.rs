@@ -36,7 +36,8 @@
 //!   The simulator judges whole simulated runs with the same machine
 //!   (`mrp_sim::Cluster::check_history`).
 //! * [`scenario`] — canned multi-node deployments (both engines,
-//!   multi-group traffic, held submissions) the checker and the
+//!   multi-group traffic, held submissions, a ring coordinator change
+//!   over a seeded durable log) the checker and the
 //!   regression schedules under `schedules/` run against.
 //! * [`toy`] — a deliberately small hub-ordered engine with three
 //!   sabotaged variants (dropped decision, wedged retry loop,

@@ -170,6 +170,12 @@ impl PaxosSpec {
         Ok(())
     }
 
+    /// The value chosen at `instance` of `ring`, if any is.
+    pub fn chosen(&self, ring: GroupId, instance: InstanceId) -> Option<&ConsensusValue> {
+        let (_, (last, value)) = self.chosen.get(&ring)?.range(..=instance).next_back()?;
+        (instance <= *last).then_some(value)
+    }
+
     /// Whether every instance of `first..=last` in `ring` is chosen.
     fn covered(&self, ring: GroupId, first: InstanceId, last: InstanceId) -> bool {
         let Some(chosen) = self.chosen.get(&ring) else {

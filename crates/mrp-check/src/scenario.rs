@@ -15,10 +15,13 @@ use bytes::Bytes;
 use mrp_amcast::engine::AmcastEngine;
 use mrp_amcast::{BatchConfig, EngineKind, WbcastNode};
 use mrp_storage::NodeStorage;
-use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles};
+use multiring_paxos::app::encode_command;
+use multiring_paxos::config::{ClusterConfig, RingSpec, RingTuning, Roles, StorageMode};
 use multiring_paxos::event::PersistRecord;
 use multiring_paxos::paxos::AcceptorRecovery;
-use multiring_paxos::types::{GroupId, ProcessId, Time};
+use multiring_paxos::types::{
+    Ballot, ClientId, ConsensusValue, GroupId, InstanceId, ProcessId, Time, Value, ValueId,
+};
 
 /// One value multicast into the system after start-up.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -51,6 +54,12 @@ pub struct Scenario {
     /// sent to a process outside this set (the union of the addressed
     /// groups' processes).
     pub value_frame_allowed: Option<BTreeSet<ProcessId>>,
+    /// The records acceptors wrote before the run, in the order
+    /// written: a node with any starts from them, as after a restart,
+    /// and they are judged by the Paxos spec first. A value they carry
+    /// is a request its ring was multicast, owed to every subscriber
+    /// where the records chose it. Empty: every node starts fresh.
+    pub seed: Vec<(ProcessId, PersistRecord)>,
 }
 
 impl fmt::Debug for Scenario {
@@ -59,6 +68,7 @@ impl fmt::Debug for Scenario {
             .field("name", &self.name)
             .field("submissions", &self.submissions)
             .field("value_frame_allowed", &self.value_frame_allowed)
+            .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
 }
@@ -145,6 +155,7 @@ impl Scenario {
                 },
             ],
             value_frame_allowed: None,
+            seed: Vec::new(),
         }
     }
 
@@ -184,6 +195,7 @@ impl Scenario {
                 via_request: false,
             }],
             value_frame_allowed: Some([ProcessId::new(0), ProcessId::new(1)].into_iter().collect()),
+            seed: Vec::new(),
         }
     }
 
@@ -222,6 +234,7 @@ impl Scenario {
                 via_request: false,
             }],
             value_frame_allowed: Some([ProcessId::new(0), ProcessId::new(2)].into_iter().collect()),
+            seed: Vec::new(),
         }
     }
 
@@ -260,6 +273,95 @@ impl Scenario {
             config,
             submissions,
             value_frame_allowed: None,
+            seed: Vec::new(),
+        }
+    }
+
+    /// A ring coordinator change over a durable log. Before the run, a
+    /// coordinator p1 at ballot B1 and then a coordinator p2 at B2 > B1
+    /// left the `SyncDisk` acceptors' logs holding a decided prefix
+    /// (a skip over 1–2, decided at p1 and p2), a voted multi-instance
+    /// skip (3–6, chosen by p1 and p2 at B2) and a voted value nobody
+    /// decided (request `c8000#1` at 7, chosen at B2), with p0 holding
+    /// only older votes at B1: a stale value at 2 and a skip over 5–8.
+    /// p0 coordinates the run: its Phase 1 must recover the chosen
+    /// ranges from the quorum's reports, take the higher ballot where
+    /// reports overlap, and propose nothing at or below p1's decided
+    /// watermark, where p0's stale vote is all it sees. Then one value
+    /// is multicast from p0.
+    pub fn coordinator_change() -> Scenario {
+        let (ring, p) = (GroupId::new(0), ProcessId::new);
+        // A learner asks for the decided prefix it missed after two Δ,
+        // so the seeded value is delivered during the start-up exchange.
+        let tuning = RingTuning {
+            storage: StorageMode::SyncDisk,
+            gap_timeout_us: 1_000,
+            ..quiet_tuning()
+        };
+        let mut spec = RingSpec::new(ring).tuning(tuning).coordinator(p(0));
+        let mut b = ClusterConfig::builder();
+        for member in 0..3 {
+            spec = spec.member(p(member), Roles::ALL);
+            b = b.subscribe(p(member), ring);
+        }
+        let config = b
+            .ring(spec)
+            .build()
+            .expect("static scenario config is valid");
+        let (b1, b2) = (Ballot::new(0, p(1)), Ballot::new(0, p(2)));
+        let request = |request, cmd: &[u8]| {
+            let payload = encode_command(ClientId::new(8_000), request, cmd);
+            ConsensusValue::Values(vec![Value::new(ValueId::new(p(7), request), ring, payload)])
+        };
+        let promise = |ballot| PersistRecord::Promise {
+            ring,
+            ballot,
+            from: InstanceId::new(1),
+        };
+        let vote = |ballot, first, count, value| PersistRecord::Vote {
+            ring,
+            ballot,
+            first: InstanceId::new(first),
+            count,
+            value,
+        };
+        let decision = PersistRecord::Decision {
+            ring,
+            first: InstanceId::new(1),
+            count: 2,
+        };
+        let skip = || ConsensusValue::Skip;
+        let mut seed = vec![
+            (p(0), promise(b1)),
+            (p(0), vote(b1, 2, 1, request(2, b"stale"))),
+            (p(0), vote(b1, 5, 4, skip())),
+        ];
+        for record in [
+            promise(b2),
+            vote(b2, 1, 2, skip()),
+            decision,
+            vote(b2, 3, 4, skip()),
+            vote(b2, 7, 1, request(1, b"chosen")),
+        ] {
+            seed.push((p(1), record.clone()));
+            seed.push((p(2), record));
+        }
+        Scenario {
+            name: "coordinator-change-multiring".into(),
+            factory: boxed_factory(
+                EngineKind::MultiRing,
+                config.clone(),
+                BatchConfig::enabled(),
+            ),
+            config,
+            submissions: vec![Submission {
+                at: p(0),
+                groups: vec![ring],
+                payload: Bytes::from_static(b"after"),
+                via_request: false,
+            }],
+            value_frame_allowed: None,
+            seed,
         }
     }
 
@@ -314,6 +416,7 @@ impl Scenario {
                 via_request: false,
             }],
             value_frame_allowed: None,
+            seed: Vec::new(),
         }
     }
 }

@@ -305,6 +305,7 @@ pub fn toy_scenario(count: u64, buggy: bool) -> Scenario {
         config,
         submissions,
         value_frame_allowed: None,
+        seed: Vec::new(),
     }
 }
 
@@ -331,6 +332,7 @@ fn toy_sabotage_scenario(
         config,
         submissions,
         value_frame_allowed: None,
+        seed: Vec::new(),
     }
 }
 

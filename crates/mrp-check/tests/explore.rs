@@ -6,7 +6,8 @@
 //! depth deeper and enforces the >10x reduction criterion.
 
 use mrp_amcast::EngineKind;
-use mrp_check::{check, CheckerConfig, FaultBudget, Scenario};
+use mrp_check::{check, replay_schedule, CheckerConfig, FaultBudget, Scenario, Schedule};
+use multiring_paxos::types::{GroupId, ProcessId, ValueId};
 
 fn fault_cfg(depth: usize) -> CheckerConfig {
     CheckerConfig {
@@ -195,4 +196,34 @@ fn genuineness_oracle_fires_on_over_tight_allowlist() {
     let report = check(&scenario, fault_cfg(2));
     let v = report.violation.expect("oracle must fire");
     assert_eq!(v.oracle, "genuineness", "wrong oracle: {v}");
+}
+
+/// A coordinator change over a seeded durable log: the new
+/// coordinator's Phase 1 recovers the chosen skip and value, drops the
+/// stale vote below the reported watermark, and every node delivers the
+/// chosen value, then the new one; the Paxos spec judges every record,
+/// seeded and written, along every explored path.
+#[test]
+fn a_coordinator_change_over_a_durable_log_is_violation_free() {
+    let scenario = Scenario::coordinator_change();
+    let drained = Schedule {
+        steps: Vec::new(),
+        drain: true,
+    };
+    let outcome = replay_schedule(&scenario, &drained).expect("replays");
+    assert!(outcome.violation.is_none(), "{:?}", outcome.violation);
+    let (ring, old) = (GroupId::new(0), ProcessId::new(7));
+    for (p, delivered) in &outcome.delivered {
+        let ids: Vec<ValueId> = delivered.iter().map(|&(_, id)| id).collect();
+        assert_eq!(ids.first(), Some(&ValueId::new(old, 1)), "p{}", p.value());
+        assert_eq!(ids.len(), 2, "p{}: {ids:?}", p.value());
+        assert!(delivered.iter().all(|&(g, _)| g == ring));
+    }
+    let report = check(&scenario, fault_cfg(4));
+    assert!(
+        report.violation.is_none(),
+        "unexpected violation:\n{}",
+        report.violation.unwrap()
+    );
+    assert!(!report.capped, "exploration hit the state cap");
 }
